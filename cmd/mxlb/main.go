@@ -131,6 +131,7 @@ func main() {
 	if err := srv.Shutdown(dctx); err != nil {
 		log.Printf("mxlb: drain: %v", err)
 	}
+	b.Close() // the front is drained: nothing forwards any more
 	st := srv.Stats()
 	out, _ := json.Marshal(struct {
 		Server   serve.ServerStats `json:"server"`

@@ -41,6 +41,10 @@ func (b *Balancer) Pool() *Pool { return b.pool }
 // Run drives the probe loop until ctx is done.
 func (b *Balancer) Run(ctx context.Context) { b.pool.Run(ctx) }
 
+// Close closes every parked upstream connection. Call it once the front
+// has drained; a forward after Close still works, it just dials again.
+func (b *Balancer) Close() { b.pool.closeIdle() }
+
 // AttachFront hands the balancer the serve.Server it runs behind, so a
 // derived hedge threshold can read that server's per-endpoint latency
 // histograms and /v1/stats can merge the front's counters.
@@ -137,7 +141,7 @@ func (b *Balancer) handleReadyz() serve.Response {
 // FleetStats merges the balancer counters with the attached front
 // server's and the per-replica routing view.
 func (b *Balancer) FleetStats() FleetStats {
-	fs := FleetStats{Balancer: b.c.snapshot(), Replicas: b.pool.Replicas()}
+	fs := FleetStats{Balancer: b.c.snapshot(), Upstream: b.pool.upstream(), Replicas: b.pool.Replicas()}
 	if front := b.front.Load(); front != nil {
 		st := front.Stats()
 		fs.Front = &st
@@ -160,8 +164,9 @@ type attemptResult struct {
 // attempt on an idempotent GET retries on a different replica inside
 // the retry budget; an attempt outliving the hedge threshold races a
 // second replica, first response wins and the loser's connection is
-// severed; when every available replica is stale the answer still goes
-// out (the stale markers in the body stand, StaleForwards counts it);
+// severed, never parked for reuse; when every available replica is
+// stale the answer still goes out (the stale markers in the body
+// stand, StaleForwards counts it);
 // when no replica is available the request sheds 503 + Retry-After and
 // DownSheds counts it exactly.
 func (b *Balancer) forward(ctx context.Context, req *serve.Request) serve.Response {
@@ -205,7 +210,7 @@ func (b *Balancer) forward(ctx context.Context, req *serve.Request) serve.Respon
 		cancels = append(cancels, acancel)
 		inflight++
 		go func() {
-			resp, err := rep.do(actx, req.Method, target, 0)
+			resp, err := rep.do(actx, req.Method, target, 0, true)
 			results <- attemptResult{rep: rep, resp: resp, err: err, hedged: hedged}
 		}()
 		return true

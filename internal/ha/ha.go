@@ -21,6 +21,14 @@
 //     from the front server's per-endpoint latency histogram) launches
 //     a second copy on a different replica — first response wins, the
 //     loser is cancelled.
+//   - Persistent upstream connections: each replica keeps a small LIFO
+//     stack of idle HTTP/1.1 keep-alive connections and forwarded GETs
+//     ride them instead of dialing per attempt. A connection is parked
+//     again only after a provably clean exchange (see
+//     Replica.roundTrip); a severed or errored one never is, and one the
+//     replica closed while parked is redialed once inside the same
+//     attempt without touching the ledger or the breaker. Probes and
+//     swaps stay one-shot dials through the same exchange code.
 //   - A graceful degradation ladder: all replicas stale still serves
 //     (answers carry their stale markers); all replicas down answers
 //     503 with Retry-After and exact shed accounting.

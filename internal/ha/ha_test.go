@@ -10,6 +10,7 @@ import (
 	"path/filepath"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -87,6 +88,15 @@ func startReplica(t *testing.T, n *netsim.Network, addr, path string, cfg serve.
 // startServer runs a serve.Server on the fabric at addr.
 func startServer(t *testing.T, n *netsim.Network, addr string, cfg serve.Config) *serve.Server {
 	t.Helper()
+	srv, _ := serveOn(t, n, addr, cfg)
+	return srv
+}
+
+// serveOn runs a serve.Server on the fabric and returns it with an
+// idempotent stop, so a test can take a replica down (and bring another
+// up on the same address) before cleanup.
+func serveOn(t *testing.T, n *netsim.Network, addr string, cfg serve.Config) (*serve.Server, func()) {
+	t.Helper()
 	srv, err := serve.NewServer(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -97,13 +107,17 @@ func startServer(t *testing.T, n *netsim.Network, addr string, cfg serve.Config)
 	}
 	errc := make(chan error, 1)
 	go func() { errc <- srv.Serve(ln) }()
-	t.Cleanup(func() {
-		srv.Close()
-		if err := <-errc; err != nil {
-			t.Errorf("serve loop %s: %v", addr, err)
-		}
-	})
-	return srv
+	var once sync.Once
+	stop := func() {
+		once.Do(func() {
+			srv.Close()
+			if err := <-errc; err != nil {
+				t.Errorf("serve loop %s: %v", addr, err)
+			}
+		})
+	}
+	t.Cleanup(stop)
+	return srv, stop
 }
 
 // fabricDialer is a ReplicaConfig.Dial over the netsim fabric.

@@ -136,7 +136,7 @@ func (p *Pool) probeReplica(ctx context.Context, r *Replica) bool {
 	now := p.cfg.now()
 	timeout := p.cfg.probeTimeout()
 
-	hr, err := r.do(ctx, "GET", "/healthz", timeout)
+	hr, err := r.do(ctx, "GET", "/healthz", timeout, false)
 	if err != nil || hr.status != 200 {
 		p.probeFailed(r, now)
 		return false
@@ -146,7 +146,7 @@ func (p *Pool) probeReplica(ctx context.Context, r *Replica) bool {
 		p.probeFailed(r, now)
 		return false
 	}
-	rr, err := r.do(ctx, "GET", "/readyz", timeout)
+	rr, err := r.do(ctx, "GET", "/readyz", timeout, false)
 	if err != nil {
 		p.probeFailed(r, now)
 		return false
@@ -185,7 +185,9 @@ func (p *Pool) probeFailed(r *Replica, now time.Time) {
 
 // Run probes in a loop until ctx is done. The tick is a quarter of the
 // probe interval (floor 5ms) so ejected-replica re-probe deadlines are
-// honored reasonably promptly without a timer per replica.
+// honored reasonably promptly without a timer per replica. The same
+// tick retires upstream connections parked longer than maxIdleAge, and
+// every parked connection is closed when ctx ends.
 func (p *Pool) Run(ctx context.Context) {
 	tick := p.cfg.probeInterval() / 4
 	if tick < 5*time.Millisecond {
@@ -193,12 +195,37 @@ func (p *Pool) Run(ctx context.Context) {
 	}
 	t := time.NewTicker(tick)
 	defer t.Stop()
+	defer p.closeIdle()
 	for {
 		p.ProbeOnce(ctx)
 		select {
 		case <-ctx.Done():
 			return
-		case <-t.C:
+		case now := <-t.C:
+			for _, r := range p.replicas {
+				r.closeIdle(now.Add(-maxIdleAge))
+			}
 		}
 	}
+}
+
+// closeIdle closes every parked upstream connection in the fleet.
+func (p *Pool) closeIdle() {
+	for _, r := range p.replicas {
+		r.closeIdle(time.Time{})
+	}
+}
+
+// upstream sums the replicas' connection counters.
+func (p *Pool) upstream() UpstreamStats {
+	var u UpstreamStats
+	for _, r := range p.replicas {
+		u.Dials += r.dials.Load()
+		u.Reuses += r.reuses.Load()
+		u.StaleRedials += r.staleRedials.Load()
+		r.idleMu.Lock()
+		u.Idle += len(r.idle)
+		r.idleMu.Unlock()
+	}
+	return u
 }

@@ -2,6 +2,7 @@ package ha
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -28,9 +29,11 @@ type ReplicaConfig struct {
 }
 
 // Replica is one pool member's live state: what probing last saw, the
-// failure streak, and the breaker/re-probe schedule. Mutable fields are
-// guarded by mu; the per-replica routing counters are atomics so the
-// forwarding hot path never takes the lock.
+// failure streak, the breaker/re-probe schedule, and the idle keep-alive
+// connections forwarding reuses. Mutable fields are guarded by mu; the
+// per-replica routing counters are atomics so the forwarding hot path
+// never takes the lock. The idle stack has its own lock so parking a
+// connection never contends with a probe updating state.
 type Replica struct {
 	cfg ReplicaConfig
 	c   *counters
@@ -38,6 +41,13 @@ type Replica struct {
 	attempts atomic.Uint64
 	failures atomic.Uint64
 	ejectHis atomic.Uint64
+
+	dials        atomic.Uint64
+	reuses       atomic.Uint64
+	staleRedials atomic.Uint64
+
+	idleMu sync.Mutex
+	idle   []*upstreamConn // LIFO: the warmest connection is last
 
 	mu          sync.Mutex
 	ejected     bool
@@ -142,41 +152,174 @@ func (p *Pool) recordSuccess(r *Replica) {
 // nothing about the replica's health.
 var errAttemptCancelled = errors.New("ha: attempt cancelled")
 
+// errStaleIdle marks a parked connection the replica closed before the
+// exchange drew a single response byte (read timeout, restart, drain):
+// nothing about the replica's health either, and safe to replay.
+var errStaleIdle = errors.New("ha: idle connection closed by replica")
+
+const (
+	// maxIdleConns caps one replica's parked connections: the front's
+	// default 64 in-flight requests spread over the smallest fleet worth
+	// balancing (two replicas).
+	maxIdleConns = 32
+	// maxIdleAge closes a parked connection well before the replica's
+	// 30s serve.DefaultReadTimeout would, so a quiet fleet never ticks
+	// the replicas' read_timeouts.
+	maxIdleAge = 15 * time.Second
+)
+
+// upstreamConn is one connection to a replica together with the reader
+// that may hold bytes already taken off it: the two are parked and
+// reused as a pair.
+type upstreamConn struct {
+	conn   net.Conn
+	br     *bufio.Reader
+	parked time.Time // when it went idle
+	reused bool      // taken from the idle stack, not freshly dialed
+}
+
+// takeIdle pops the most recently parked connection, nil when none.
+func (r *Replica) takeIdle() *upstreamConn {
+	r.idleMu.Lock()
+	defer r.idleMu.Unlock()
+	n := len(r.idle)
+	if n == 0 {
+		return nil
+	}
+	uc := r.idle[n-1]
+	r.idle[n-1] = nil
+	r.idle = r.idle[:n-1]
+	uc.reused = true
+	return uc
+}
+
+// park pushes a connection whose exchange ended clean; over the cap it
+// is closed instead.
+func (r *Replica) park(uc *upstreamConn) {
+	r.idleMu.Lock()
+	full := len(r.idle) >= maxIdleConns
+	if !full {
+		uc.parked = time.Now() // under the lock: the stack stays in time order
+		r.idle = append(r.idle, uc)
+	}
+	r.idleMu.Unlock()
+	if full {
+		uc.conn.Close()
+	}
+}
+
+// closeIdle closes the connections parked before cutoff (the stack is
+// in parking order, so those are a prefix), or all of them when cutoff
+// is the zero time.
+func (r *Replica) closeIdle(cutoff time.Time) {
+	r.idleMu.Lock()
+	n := len(r.idle)
+	if !cutoff.IsZero() {
+		n = 0
+		for n < len(r.idle) && r.idle[n].parked.Before(cutoff) {
+			n++
+		}
+	}
+	expired := append([]*upstreamConn(nil), r.idle[:n]...)
+	kept := copy(r.idle, r.idle[n:])
+	clear(r.idle[kept:])
+	r.idle = r.idle[:kept]
+	r.idleMu.Unlock()
+	for _, uc := range expired {
+		uc.conn.Close()
+	}
+}
+
 // upstreamResponse is one parsed reply from a replica.
 type upstreamResponse struct {
 	status     int
 	body       []byte
 	retryAfter bool
+	// connClose records a Connection: close header: the replica ends
+	// the connection after this reply (request budget, drain, 400).
+	connClose bool
 }
 
-// do runs one HTTP/1.1 exchange against the replica: dial, one
-// Connection: close request, one response. Cancellation (hedge loss,
-// budget expiry, timeout) closes the connection out from under the
-// exchange via context.AfterFunc, so a wedged replica cannot hold an
-// attempt hostage.
-func (r *Replica) do(ctx context.Context, method, target string, timeout time.Duration) (upstreamResponse, error) {
+// do runs one HTTP/1.1 exchange against the replica. A forwarded GET
+// (keepAlive) rides a parked connection when there is one and parks it
+// again after a clean exchange; a parked connection the replica closed
+// in the meantime is replaced by one fresh dial inside the same attempt
+// and the caller never hears of it. Probes and swaps (keepAlive false)
+// always dial and send Connection: close: a probe that rides a warm
+// socket does not test the accept path.
+func (r *Replica) do(ctx context.Context, method, target string, timeout time.Duration, keepAlive bool) (upstreamResponse, error) {
 	if timeout > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, timeout)
 		defer cancel()
 	}
+	if keepAlive {
+		if uc := r.takeIdle(); uc != nil {
+			r.reuses.Add(1)
+			resp, err := r.roundTrip(ctx, uc, method, target, keepAlive)
+			if err != errStaleIdle {
+				return resp, err
+			}
+			r.staleRedials.Add(1)
+		}
+	}
+	r.dials.Add(1)
 	conn, err := r.cfg.Dial(ctx)
 	if err != nil {
 		return upstreamResponse{}, r.attemptErr(ctx, "dial", err)
 	}
-	defer conn.Close()
-	stop := context.AfterFunc(ctx, func() { conn.Close() })
-	defer stop()
+	uc := &upstreamConn{conn: conn, br: bufio.NewReader(conn)}
+	return r.roundTrip(ctx, uc, method, target, keepAlive)
+}
 
-	req := method + " " + target + " HTTP/1.1\r\nHost: ha\r\nConnection: close\r\n\r\n"
-	if _, err := io.WriteString(conn, req); err != nil {
-		return upstreamResponse{}, r.attemptErr(ctx, "write", err)
+// roundTrip writes one request on uc and reads one response: the only
+// exchange implementation, shared by forwards, probes and swaps.
+// Cancellation (hedge loss, budget expiry, timeout) closes the
+// connection out from under the exchange via context.AfterFunc, so a
+// wedged replica cannot hold an attempt hostage. The connection is
+// parked only when the exchange is provably clean — the whole
+// Content-Length body read, no Connection: close in the reply, nothing
+// left buffered, and the cancel hook never ran — and closed otherwise.
+func (r *Replica) roundTrip(ctx context.Context, uc *upstreamConn, method, target string, keepAlive bool) (upstreamResponse, error) {
+	stop := context.AfterFunc(ctx, func() { uc.conn.Close() })
+	kept := false
+	defer func() {
+		if !kept {
+			stop()
+			uc.conn.Close()
+		}
+	}()
+
+	oneShot := ""
+	if !keepAlive {
+		oneShot = "Connection: close\r\n"
 	}
-	resp, err := readUpstream(bufio.NewReader(conn))
+	req := method + " " + target + " HTTP/1.1\r\nHost: ha\r\n" + oneShot + "\r\n"
+	if _, err := io.WriteString(uc.conn, req); err != nil {
+		return upstreamResponse{}, r.exchangeErr(ctx, uc, "write", err)
+	}
+	if _, err := uc.br.Peek(1); err != nil {
+		return upstreamResponse{}, r.exchangeErr(ctx, uc, "read", err)
+	}
+	resp, err := readUpstream(uc.br)
 	if err != nil {
 		return upstreamResponse{}, r.attemptErr(ctx, "read", err)
 	}
+	if keepAlive && !resp.connClose && uc.br.Buffered() == 0 && stop() {
+		r.park(uc)
+		kept = true
+	}
 	return resp, nil
+}
+
+// exchangeErr classifies a failure before the first response byte: on a
+// reused connection of a live attempt that is the replica having closed
+// it while parked, not an upstream error.
+func (r *Replica) exchangeErr(ctx context.Context, uc *upstreamConn, op string, err error) error {
+	if uc.reused && ctx.Err() == nil {
+		return errStaleIdle
+	}
+	return r.attemptErr(ctx, op, err)
 }
 
 // attemptErr collapses I/O errors on a cancelled attempt into
@@ -190,8 +333,10 @@ func (r *Replica) attemptErr(ctx context.Context, op string, err error) error {
 }
 
 // readUpstream parses a bounded HTTP/1.1 response: status line, headers
-// (Content-Length and Retry-After are the only ones interpreted), then
-// exactly Content-Length body bytes.
+// (Content-Length, Retry-After and Connection are the only ones
+// interpreted), then exactly Content-Length body bytes — it never takes
+// more off the reader than the one reply, so the next reply on a
+// keep-alive connection starts where this one ended.
 func readUpstream(br *bufio.Reader) (upstreamResponse, error) {
 	var resp upstreamResponse
 	line, err := readWireLine(br)
@@ -230,6 +375,10 @@ func readUpstream(br *bufio.Reader) (upstreamResponse, error) {
 			}
 		case "retry-after":
 			resp.retryAfter = true
+		case "connection":
+			if strings.EqualFold(strings.TrimSpace(val), "close") {
+				resp.connClose = true
+			}
 		}
 	}
 	if length < 0 {
@@ -249,19 +398,24 @@ const (
 )
 
 // readWireLine reads one CRLF-terminated line with a hard size bound.
+// A line that fits the reader's buffer (every line a replica sends)
+// costs the one string allocation; only a longer one is accumulated.
 func readWireLine(br *bufio.Reader) (string, error) {
-	var b strings.Builder
+	var long []byte
 	for {
-		chunk, err := br.ReadString('\n')
-		b.WriteString(chunk)
-		if b.Len() > maxWireLine {
+		frag, err := br.ReadSlice('\n')
+		if len(long)+len(frag) > maxWireLine {
 			return "", errors.New("response line too long")
 		}
-		if err != nil {
-			return "", err
+		if err == nil && long == nil {
+			return string(bytes.TrimRight(frag, "\r\n")), nil
 		}
-		if strings.HasSuffix(chunk, "\n") {
-			return strings.TrimRight(b.String(), "\r\n"), nil
+		long = append(long, frag...)
+		if err == nil {
+			return string(bytes.TrimRight(long, "\r\n")), nil
+		}
+		if err != bufio.ErrBufferFull {
+			return "", err
 		}
 	}
 }

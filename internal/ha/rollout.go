@@ -96,7 +96,7 @@ func (b *Balancer) Rollout(ctx context.Context, newPath, prevPath string) (*Roll
 // not stale. Counting (RolloutSwaps vs Rollbacks) is the caller's.
 func (b *Balancer) swapReplica(ctx context.Context, r *Replica, path string) (ReplicaRollout, error) {
 	var rec ReplicaRollout
-	resp, err := r.do(ctx, "POST", "/v1/swap?path="+url.QueryEscape(path), b.cfg.swapTimeout())
+	resp, err := r.do(ctx, "POST", "/v1/swap?path="+url.QueryEscape(path), b.cfg.swapTimeout(), false)
 	if err != nil {
 		return rec, fmt.Errorf("swap %s: %w", r.cfg.Name, err)
 	}

@@ -131,14 +131,30 @@ type FleetHealth struct {
 	Replicas        []ReplicaInfo `json:"replicas"`
 }
 
+// UpstreamStats is the balancer-to-replica connection view, summed over
+// the fleet. It lives beside BalancerStats, not in it: connection reuse
+// depends on timing, and that ledger is reconstructed exactly by tests.
+type UpstreamStats struct {
+	// Dials counts connections opened (forwards, probes and swaps);
+	// Reuses forwarded exchanges started on a parked connection.
+	Dials  uint64 `json:"dials"`
+	Reuses uint64 `json:"reuses"`
+	// StaleRedials counts reuses that found the connection closed by
+	// the replica and were replaced by a fresh dial in the same attempt.
+	StaleRedials uint64 `json:"stale_redials"`
+	// Idle is how many connections are parked right now.
+	Idle int `json:"idle"`
+}
+
 // FleetStats answers /v1/stats on the balancer: its own exact counters
-// merged with the front server's (when attached) and every replica's
-// routing view.
+// merged with the front server's (when attached), the upstream
+// connection view and every replica's routing view.
 type FleetStats struct {
 	Balancer BalancerStats      `json:"balancer"`
 	Front    *serve.ServerStats `json:"front,omitempty"`
 	// Latency carries the front server's per-endpoint histograms when
 	// it observes latency (the same histograms hedging reads from).
 	Latency  map[string]serve.EndpointLatency `json:"latency,omitempty"`
+	Upstream UpstreamStats                    `json:"upstream"`
 	Replicas []ReplicaInfo                    `json:"replicas"`
 }

@@ -6,7 +6,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/url"
 	"strings"
 )
@@ -45,10 +44,12 @@ type Response struct {
 	Close      bool
 }
 
-// readRequest parses one request off the wire. It returns io.EOF only
-// for a clean close between requests; an EOF mid-request surfaces as a
-// malformed-request error. Timeout errors pass through for the caller
-// to classify against the slowloris deadline.
+// readRequest parses one request off the wire. It returns io.EOF (or the
+// transport's own error, e.g. a peer reset) only when the connection
+// ended between requests, before any byte of the next one; a connection
+// that ends mid-request surfaces as a malformed-request error. Timeout
+// errors pass through for the caller to classify against the slowloris
+// deadline.
 func readRequest(br *bufio.Reader) (*Request, error) {
 	line, err := readLine(br)
 	if err != nil {
@@ -86,8 +87,8 @@ func readRequest(br *bufio.Reader) (*Request, error) {
 		}
 		h, err := readLine(br)
 		if err != nil {
-			if err == io.EOF {
-				return nil, errMalformed // EOF inside the header block
+			if err != errLineTooLong && !isTimeout(err) {
+				err = errMalformed // the peer went away inside the header block
 			}
 			return nil, err
 		}
@@ -144,7 +145,7 @@ func readLine(br *bufio.Reader) (string, error) {
 			}
 			continue
 		}
-		if err == io.EOF && len(buf) > 0 {
+		if len(buf) > 0 && !isTimeout(err) {
 			return "", errMalformed // line cut off mid-flight
 		}
 		return "", err

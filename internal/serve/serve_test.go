@@ -13,6 +13,7 @@ import (
 	"reflect"
 	"strconv"
 	"strings"
+	"syscall"
 	"testing"
 	"time"
 
@@ -621,6 +622,102 @@ func TestServeConnHygiene(t *testing.T) {
 			Accepted: 1, Requests: 2, Responses: 2, BudgetCloses: 1,
 		})
 	})
+
+	// A keep-alive client that aborts between requests (the balancer
+	// severing a hedge loser with the reply unread) reaches the server
+	// as ECONNRESET on its next read: a disconnect, not a bad request.
+	// Only a real socket delivers a reset, so this one runs on loopback.
+	t.Run("peer reset", func(t *testing.T) {
+		svc := servingService(t, oldPath)
+		srv, err := NewServer(Config{Service: svc})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Skipf("no loopback TCP: %v", err)
+		}
+		errc := make(chan error, 1)
+		go func() { errc <- srv.Serve(ln) }()
+		t.Cleanup(func() {
+			srv.Close()
+			if err := <-errc; err != nil {
+				t.Errorf("serve loop: %v", err)
+			}
+		})
+		conn, err := net.Dial("tcp", ln.Addr().String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer conn.Close()
+		if _, err := io.WriteString(conn, "GET /healthz HTTP/1.1\r\nHost: test\r\n\r\n"); err != nil {
+			t.Fatal(err)
+		}
+		// The reply is written and left unread; linger 0 turns the
+		// close into a RST.
+		answered := ServerStats{Accepted: 1, Requests: 1, Responses: 1}
+		awaitServerStats(t, srv, answered)
+		conn.(*net.TCPConn).SetLinger(0)
+		conn.Close()
+		deadline := time.Now().Add(10 * time.Second)
+		for {
+			srv.mu.Lock()
+			open := len(srv.conns)
+			srv.mu.Unlock()
+			if open == 0 {
+				break
+			}
+			if time.Now().After(deadline) {
+				t.Fatal("server never noticed the reset")
+			}
+			time.Sleep(time.Millisecond)
+		}
+		if st := srv.Stats(); st != answered || st.Lost() != 0 {
+			t.Fatalf("stats after reset = %+v, want %+v", st, answered)
+		}
+	})
+}
+
+// failingReader yields err once its data is spent.
+type failingReader struct {
+	data string
+	err  error
+}
+
+func (r *failingReader) Read(p []byte) (int, error) {
+	if r.data == "" {
+		return 0, r.err
+	}
+	n := copy(p, r.data)
+	r.data = r.data[n:]
+	return n, nil
+}
+
+// TestReadRequestConnectionEnd pins how a connection ending is
+// classified: before any byte of a request the transport's error comes
+// back as is (a disconnect), after the first byte it is a malformed
+// request, and a timeout is a timeout wherever it lands.
+func TestReadRequestConnectionEnd(t *testing.T) {
+	reset := &net.OpError{Op: "read", Err: syscall.ECONNRESET}
+	timeout := &net.OpError{Op: "read", Err: os.ErrDeadlineExceeded}
+	for _, tc := range []struct {
+		name, sent string
+		end, want  error
+	}{
+		{"eof between requests", "", io.EOF, io.EOF},
+		{"reset between requests", "", reset, reset},
+		{"eof mid line", "GET /v1/dom", io.EOF, errMalformed},
+		{"reset mid line", "GET /v1/dom", reset, errMalformed},
+		{"reset inside headers", "GET / HTTP/1.1\r\n", reset, errMalformed},
+		{"reset mid header", "GET / HTTP/1.1\r\nHost: te", reset, errMalformed},
+		{"timeout mid line", "GET /v1/dom", timeout, timeout},
+		{"timeout inside headers", "GET / HTTP/1.1\r\n", timeout, timeout},
+	} {
+		_, err := readRequest(bufio.NewReader(&failingReader{data: tc.sent, err: tc.end}))
+		if err != tc.want {
+			t.Errorf("%s: err = %v, want %v", tc.name, err, tc.want)
+		}
+	}
 }
 
 // TestServeSwapEquivalence proves the serving store built through the

@@ -274,13 +274,17 @@ func (s *Server) serveConn(nc net.Conn) {
 				// Woken by Shutdown's immediate read deadline.
 			case isTimeout(err):
 				s.stats.readTimeouts.Add(1)
-			default:
+			case err == errMalformed || err == errLineTooLong:
 				// Malformed request: account it and its 400 so the
 				// books still balance to zero lost.
 				s.stats.requests.Add(1)
 				s.stats.badRequests.Add(1)
 				s.writeResponse(c, ErrorResponse(400, "malformed request"))
 				s.stats.responses.Add(1)
+			default:
+				// A transport error before any byte of the next request
+				// (the peer reset a keep-alive connection): a
+				// disconnect like the clean EOF, not a request.
 			}
 			return
 		}
