@@ -281,12 +281,12 @@ func (s *Snapshot) WriteTo(w io.Writer) (int64, error) {
 		bw.Reset(io.Discard)
 		bufWriterPool.Put(bw)
 	}()
-	enc := json.NewEncoder(bw)
-	if err := enc.Encode(jsonLine{Kind: "snapshot", Header: &snapshotHeader{Date: s.Date, Corpus: s.Corpus}}); err != nil {
+	if err := json.NewEncoder(bw).Encode(jsonLine{Kind: "snapshot", Header: &snapshotHeader{Date: s.Date, Corpus: s.Corpus}}); err != nil {
 		return 0, err
 	}
+	// Record lines are appended straight into the writer's free space.
 	for i := range s.Domains {
-		if err := enc.Encode(jsonLine{Kind: "domain", Domain: &s.Domains[i]}); err != nil {
+		if _, err := bw.Write(appendDomainLine(bw.AvailableBuffer(), &s.Domains[i])); err != nil {
 			return 0, err
 		}
 	}
@@ -298,7 +298,7 @@ func (s *Snapshot) WriteTo(w io.Writer) (int64, error) {
 	sort.Strings(keys)
 	for _, k := range keys {
 		info := s.IPs[k]
-		if err := enc.Encode(jsonLine{Kind: "ip", IP: &info}); err != nil {
+		if _, err := bw.Write(appendIPLine(bw.AvailableBuffer(), &info)); err != nil {
 			return 0, err
 		}
 	}
@@ -326,15 +326,23 @@ func readNamed(r io.Reader, name string) (*Snapshot, error) {
 	}
 	sc, lineBuf := newLineScanner(r)
 	defer putLineBuf(lineBuf)
-	var s *Snapshot
+	var (
+		s    *Snapshot
+		d    DomainRecord
+		info IPInfo
+		line jsonLine
+	)
 	lineno := 0
 	for sc.Scan() {
 		lineno++
 		if len(sc.Bytes()) == 0 {
 			continue
 		}
-		var line jsonLine
-		if err := json.Unmarshal(sc.Bytes(), &line); err != nil {
+		// The snapshot keeps what the records point at: start each line
+		// from zeroed ones so that decodeLine has no array to reuse.
+		d, info = DomainRecord{}, IPInfo{}
+		line.Domain, line.IP = &d, &info
+		if _, err := decodeLine(sc.Bytes(), &line); err != nil {
 			return nil, fmt.Errorf("%s: %w", where(lineno), err)
 		}
 		switch line.Kind {

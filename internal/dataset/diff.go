@@ -1,7 +1,7 @@
 package dataset
 
 import (
-	"encoding/json"
+	"bytes"
 	"fmt"
 	"hash/fnv"
 	"sort"
@@ -73,50 +73,41 @@ type domainKey struct {
 // keyOf fingerprints one domain record. The FNV-1a hash runs over the
 // record's canonical JSON, which serializes exactly the fields a
 // snapshot file persists (MX sets with addresses, SPF, delegation,
-// rank); the transient Failure field is excluded by its json:"-" tag on
-// both sides, so re-collection noise cannot masquerade as churn.
-func keyOf(d *DomainRecord, changedIPs map[string]bool) (domainKey, error) {
-	raw, err := json.Marshal(d)
-	if err != nil {
-		return domainKey{}, err
-	}
+// rank); the transient Failure field is not among them, so
+// re-collection noise cannot masquerade as churn. buf is the caller's
+// scratch for the JSON, returned for the next call.
+func keyOf(d *DomainRecord, changedIPs map[string]bool, buf []byte) (domainKey, []byte) {
+	buf = appendDomainRecord(buf[:0], d)
 	h := fnv.New64a()
-	h.Write(raw)
+	h.Write(buf)
 	k := domainKey{domain: d.Domain, fp: h.Sum64()}
 	if len(changedIPs) > 0 {
 		for i := range d.MX {
 			for _, a := range d.MX[i].Addrs {
 				if changedIPs[a.String()] {
 					k.refChanged = true
-					return k, nil
+					return k, buf
 				}
 			}
 		}
 	}
-	return k, nil
+	return k, buf
 }
 
 // diffIPs compares two IP tables and returns the set of addresses whose
 // serialized observation differs (certificate, banner, port-25 state,
 // parked/ASN metadata — everything an attribution can read).
-func diffIPs(old, new map[string]IPInfo) (map[string]bool, error) {
+func diffIPs(old, new map[string]IPInfo) map[string]bool {
 	changed := make(map[string]bool)
-	marshal := func(info IPInfo) ([]byte, error) { return json.Marshal(&info) }
+	var ob, nb []byte
 	for addr, o := range old {
 		n, ok := new[addr]
 		if !ok {
 			changed[addr] = true
 			continue
 		}
-		ob, err := marshal(o)
-		if err != nil {
-			return nil, err
-		}
-		nb, err := marshal(n)
-		if err != nil {
-			return nil, err
-		}
-		if string(ob) != string(nb) {
+		ob, nb = appendIPRecord(ob[:0], &o), appendIPRecord(nb[:0], &n)
+		if !bytes.Equal(ob, nb) {
 			changed[addr] = true
 		}
 	}
@@ -125,7 +116,7 @@ func diffIPs(old, new map[string]IPInfo) (map[string]bool, error) {
 			changed[addr] = true
 		}
 	}
-	return changed, nil
+	return changed
 }
 
 // keySeq pulls domainKeys one at a time from a source; next returns
@@ -147,11 +138,10 @@ func streamKeys(st *Stream, changedIPs map[string]bool) *keySeq {
 	stop := make(chan struct{})
 	go func() {
 		defer close(ch)
+		var buf []byte
 		err := st.ForEach(func(d *DomainRecord) error {
-			k, err := keyOf(d, changedIPs)
-			if err != nil {
-				return err
-			}
+			var k domainKey
+			k, buf = keyOf(d, changedIPs, buf)
 			select {
 			case ch <- item{key: k}:
 				return nil
@@ -191,7 +181,7 @@ func streamKeys(st *Stream, changedIPs map[string]bool) *keySeq {
 
 // sliceKeys is the materialized-snapshot counterpart of streamKeys: the
 // domain records are fingerprinted in sorted-name order up front.
-func sliceKeys(s *Snapshot, changedIPs map[string]bool) (*keySeq, error) {
+func sliceKeys(s *Snapshot, changedIPs map[string]bool) *keySeq {
 	order := make([]int, len(s.Domains))
 	for i := range order {
 		order[i] = i
@@ -200,12 +190,9 @@ func sliceKeys(s *Snapshot, changedIPs map[string]bool) (*keySeq, error) {
 		return s.Domains[order[a]].Domain < s.Domains[order[b]].Domain
 	})
 	keys := make([]domainKey, len(order))
+	var buf []byte
 	for i, idx := range order {
-		k, err := keyOf(&s.Domains[idx], changedIPs)
-		if err != nil {
-			return nil, err
-		}
-		keys[i] = k
+		keys[i], buf = keyOf(&s.Domains[idx], changedIPs, buf)
 	}
 	pos := 0
 	return &keySeq{
@@ -218,7 +205,7 @@ func sliceKeys(s *Snapshot, changedIPs map[string]bool) (*keySeq, error) {
 			return k, true, nil
 		},
 		abort: func() {},
-	}, nil
+	}
 }
 
 // DiffStream compares two on-disk snapshots domain by domain and
@@ -245,10 +232,7 @@ func DiffStream(old, new *Stream, fn func(Change) error) (DiffStats, error) {
 	if err != nil {
 		return DiffStats{}, err
 	}
-	changedIPs, err := diffIPs(oldIPs, newIPs)
-	if err != nil {
-		return DiffStats{}, err
-	}
+	changedIPs := diffIPs(oldIPs, newIPs)
 	po := streamKeys(old, changedIPs)
 	pn := streamKeys(new, changedIPs)
 	defer po.abort()
@@ -260,19 +244,8 @@ func DiffStream(old, new *Stream, fn func(Change) error) (DiffStats, error) {
 // same comparison semantics; domain order within each snapshot does not
 // matter (records are fingerprinted in sorted-name order).
 func DiffSnapshots(old, new *Snapshot, fn func(Change) error) (DiffStats, error) {
-	changedIPs, err := diffIPs(old.IPs, new.IPs)
-	if err != nil {
-		return DiffStats{}, err
-	}
-	po, err := sliceKeys(old, changedIPs)
-	if err != nil {
-		return DiffStats{}, err
-	}
-	pn, err := sliceKeys(new, changedIPs)
-	if err != nil {
-		return DiffStats{}, err
-	}
-	return mergeDiff(po, pn, len(changedIPs), fn)
+	changedIPs := diffIPs(old.IPs, new.IPs)
+	return mergeDiff(sliceKeys(old, changedIPs), sliceKeys(new, changedIPs), len(changedIPs), fn)
 }
 
 // mergeDiff merge-joins two sorted key sequences, classifying each

@@ -14,7 +14,6 @@ package dataset
 import (
 	"bufio"
 	"compress/gzip"
-	"encoding/json"
 	"fmt"
 	"io"
 	"os"
@@ -182,6 +181,9 @@ func fsckSnapshot(path string, f *os.File) (*FsckReport, error) {
 		salvage    int // last line of the intact prefix
 		headerSeen bool
 		damaged    bool
+		d          DomainRecord
+		info       IPInfo
+		line       jsonLine
 		domainAt   = make(map[string]int) // domain -> first line
 		refs       = make(map[string]int) // referenced addr -> first referencing line
 		ipAt       = make(map[string]int) // ip record addr -> line
@@ -191,8 +193,10 @@ func fsckSnapshot(path string, f *os.File) (*FsckReport, error) {
 		if len(sc.Bytes()) == 0 {
 			continue
 		}
-		var line jsonLine
-		if err := json.Unmarshal(sc.Bytes(), &line); err != nil {
+		// Only strings are kept from a record, so decodeLine may refill
+		// the same two line after line.
+		line.Domain, line.IP = &d, &info
+		if _, err := decodeLine(sc.Bytes(), &line); err != nil {
 			r.problem("line %d: malformed JSON: %v", lineno, err)
 			damaged = true
 			salvage = lineno - 1

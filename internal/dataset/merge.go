@@ -2,6 +2,7 @@ package dataset
 
 import (
 	"bufio"
+	"bytes"
 	"compress/gzip"
 	"container/heap"
 	"encoding/json"
@@ -15,8 +16,10 @@ import (
 // outPath (gzip-compressed when the path ends in ".gz", committed
 // atomically). The output is byte-identical to Snapshot.WriteTo of the
 // equivalent fully materialized snapshot: shard lines were produced by
-// the same encoder, so the merge passes raw line bytes through and only
-// decodes the key fields needed for ordering.
+// the same encoder, so the merge passes raw line bytes through. A line
+// in canonical form is walked end to end by the line codec, which
+// stores nothing but the ordering key; any other line is decoded in
+// full by encoding/json, so no line either would reject is passed on.
 //
 // Invariants enforced (an error aborts the merge and leaves outPath
 // untouched):
@@ -65,9 +68,8 @@ func Merge(outPath string, shardPaths []string) (*MergeStats, error) {
 			bw.Reset(io.Discard)
 			bufWriterPool.Put(bw)
 		}()
-		enc := json.NewEncoder(bw)
 		hdr := readers[0].hdr
-		if err := enc.Encode(jsonLine{Kind: "snapshot", Header: &hdr}); err != nil {
+		if err := json.NewEncoder(bw).Encode(jsonLine{Kind: "snapshot", Header: &hdr}); err != nil {
 			return err
 		}
 		if err := mergeInto(bw, readers, stats); err != nil {
@@ -95,7 +97,7 @@ type MergeStats struct {
 }
 
 // mergeInto writes the merged, deduplicated record lines to w.
-func mergeInto(w io.Writer, readers []*shardReader, stats *MergeStats) error {
+func mergeInto(w *bufio.Writer, readers []*shardReader, stats *MergeStats) error {
 	if len(readers) == 1 {
 		// Single-shard fast path: the shard body already is the canonical
 		// record sequence; stream it through (validation still runs in
@@ -125,7 +127,7 @@ func mergeInto(w io.Writer, readers []*shardReader, stats *MergeStats) error {
 		top := h[0]
 		rank, key := top.rank(), top.key
 		group = group[:0]
-		for len(h) > 0 && h[0].rank() == rank && h[0].key == key {
+		for len(h) > 0 && h[0].rank() == rank && bytes.Equal(h[0].key, key) {
 			group = append(group, heap.Pop(&h).(*shardReader))
 		}
 		winner := group[0]
@@ -160,23 +162,11 @@ func (ms *MergeStats) count(kind string, dups int) {
 	}
 }
 
-func writeLine(w io.Writer, line []byte) error {
+func writeLine(w *bufio.Writer, line []byte) error {
 	if _, err := w.Write(line); err != nil {
 		return err
 	}
-	_, err := w.Write([]byte{'\n'})
-	return err
-}
-
-// keyProbe decodes only the fields the merge needs to order a line.
-type keyProbe struct {
-	Kind   string `json:"kind"`
-	Domain struct {
-		Domain string `json:"domain"`
-	} `json:"domain"`
-	IP struct {
-		Addr string `json:"addr"`
-	} `json:"ip"`
+	return w.WriteByte('\n')
 }
 
 // shardReader streams one shard file, holding the current record's kind,
@@ -196,10 +186,14 @@ type shardReader struct {
 
 	// current record; kind "" means exhausted (footer consumed).
 	kind string
-	key  string
+	key  []byte
 	line []byte
 
 	nDomains, nIPs int
+
+	// scratch is advance's decodeLine target, kept here because a
+	// local one would be heap-allocated per line.
+	scratch jsonLine
 }
 
 func openShard(path string) (*shardReader, error) {
@@ -292,31 +286,36 @@ func (r *shardReader) advance() error {
 	if !ok {
 		return r.errf("truncated shard: no footer")
 	}
-	var probe keyProbe
-	if err := json.Unmarshal(r.sc.Bytes(), &probe); err != nil {
+	// A canonical line is only walked: decodeLine stores no record it
+	// was not given. Any other line must decode in full, so no line that
+	// encoding/json rejects reaches the output.
+	l := &r.scratch
+	*l = jsonLine{}
+	key, err := decodeLine(r.sc.Bytes(), l)
+	if err != nil {
 		return r.errf("%v", err)
 	}
-	switch probe.Kind {
+	switch l.Kind {
 	case "domain":
 		if r.nIPs > 0 {
 			return r.errf("domain record after IP section")
 		}
-		if probe.Domain.Domain == "" {
+		if len(key) == 0 {
 			return r.errf("domain record without a name")
 		}
-		if r.kind == "domain" && probe.Domain.Domain <= r.key {
-			return r.errf("domain %q out of order (previous %q)", probe.Domain.Domain, r.key)
+		if r.kind == "domain" && bytes.Compare(key, r.key) <= 0 {
+			return r.errf("domain %q out of order (previous %q)", key, r.key)
 		}
-		r.setCurrent("domain", probe.Domain.Domain)
+		r.setCurrent("domain", key)
 		r.nDomains++
 	case "ip":
-		if probe.IP.Addr == "" {
+		if len(key) == 0 {
 			return r.errf("ip record without an address")
 		}
-		if r.kind == "ip" && probe.IP.Addr <= r.key {
-			return r.errf("ip %q out of order (previous %q)", probe.IP.Addr, r.key)
+		if r.kind == "ip" && bytes.Compare(key, r.key) <= 0 {
+			return r.errf("ip %q out of order (previous %q)", key, r.key)
 		}
-		r.setCurrent("ip", probe.IP.Addr)
+		r.setCurrent("ip", key)
 		r.nIPs++
 	case "footer":
 		f, err := ParseShardFooter(r.sc.Bytes())
@@ -331,22 +330,24 @@ func (r *shardReader) advance() error {
 			return r.errf("footer seq %d disagrees with file name seq %d", f.Seq, seq)
 		}
 		r.footer = f
-		r.kind, r.key, r.line = "", "", nil
+		r.kind, r.key, r.line = "", r.key[:0], nil
 		if ok, err := r.scan(); err != nil {
 			return err
 		} else if ok {
 			return r.errf("trailing data after footer")
 		}
 	default:
-		return r.errf("unexpected line kind %q", probe.Kind)
+		return r.errf("unexpected line kind %q", l.Kind)
 	}
 	return nil
 }
 
-// setCurrent copies the scanner's line into the reader-owned buffer (the
-// scanner reuses its backing array on the next Scan).
-func (r *shardReader) setCurrent(kind, key string) {
-	r.kind, r.key = kind, key
+// setCurrent copies the scanner's line and its key into the
+// reader-owned buffers (the scanner reuses its backing array on the next
+// Scan).
+func (r *shardReader) setCurrent(kind string, key []byte) {
+	r.kind = kind
+	r.key = append(r.key[:0], key...)
 	r.line = append(r.line[:0], r.sc.Bytes()...)
 }
 
@@ -366,7 +367,7 @@ func (h readerHeap) Less(i, j int) bool {
 	if ri, rj := h[i].rank(), h[j].rank(); ri != rj {
 		return ri < rj
 	}
-	return h[i].key < h[j].key
+	return bytes.Compare(h[i].key, h[j].key) < 0
 }
 func (h readerHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
 func (h *readerHeap) Push(x any)   { *h = append(*h, x.(*shardReader)) }

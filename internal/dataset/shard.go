@@ -229,9 +229,13 @@ func (w *ShardWriter) spill() error {
 	sort.SliceStable(w.domains, func(i, j int) bool {
 		return w.domains[i].Domain < w.domains[j].Domain
 	})
-	sort.SliceStable(w.ips, func(i, j int) bool {
-		return w.ips[i].Addr.String() < w.ips[j].Addr.String()
-	})
+	// IPs order by address text, the order Merge checks; each key is
+	// rendered once, not twice per comparison.
+	keys := make([]string, len(w.ips))
+	for i := range w.ips {
+		keys[i] = w.ips[i].Addr.String()
+	}
+	sort.Stable(ipsByKey{w.ips, keys})
 
 	footer := ShardFooter{Seq: seq, Domains: len(w.domains), IPs: len(w.ips)}
 	if len(w.domains) > 0 {
@@ -258,7 +262,7 @@ func (w *ShardWriter) spill() error {
 				continue
 			}
 			nd++
-			if err := enc.Encode(jsonLine{Kind: "domain", Domain: &w.domains[i]}); err != nil {
+			if _, err := bw.Write(appendDomainLine(bw.AvailableBuffer(), &w.domains[i])); err != nil {
 				return err
 			}
 		}
@@ -267,7 +271,7 @@ func (w *ShardWriter) spill() error {
 				continue
 			}
 			ni++
-			if err := enc.Encode(jsonLine{Kind: "ip", IP: &w.ips[i]}); err != nil {
+			if _, err := bw.Write(appendIPLine(bw.AvailableBuffer(), &w.ips[i])); err != nil {
 				return err
 			}
 		}
@@ -285,4 +289,17 @@ func (w *ShardWriter) spill() error {
 	w.domains = w.domains[:0]
 	w.ips = w.ips[:0]
 	return nil
+}
+
+// ipsByKey sorts IP records together with their precomputed sort keys.
+type ipsByKey struct {
+	ips  []IPInfo
+	keys []string
+}
+
+func (s ipsByKey) Len() int           { return len(s.ips) }
+func (s ipsByKey) Less(i, j int) bool { return s.keys[i] < s.keys[j] }
+func (s ipsByKey) Swap(i, j int) {
+	s.ips[i], s.ips[j] = s.ips[j], s.ips[i]
+	s.keys[i], s.keys[j] = s.keys[j], s.keys[i]
 }

@@ -39,7 +39,7 @@ func buildSnapshot(n int) *Snapshot {
 }
 
 // snapshotBytes is the canonical serialized form.
-func snapshotBytes(t *testing.T, s *Snapshot) []byte {
+func snapshotBytes(t testing.TB, s *Snapshot) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	if _, err := s.WriteTo(&buf); err != nil {
@@ -340,7 +340,16 @@ func TestStreamForEach(t *testing.T) {
 	var domains []DomainRecord
 	var ips []IPInfo
 	err = st.ForEach(
-		func(d *DomainRecord) error { domains = append(domains, *d); return nil },
+		func(d *DomainRecord) error {
+			// The stream refills d.MX and its Addrs in place: own the copy.
+			kept := *d
+			kept.MX = append([]MXObs(nil), d.MX...)
+			for i := range kept.MX {
+				kept.MX[i].Addrs = append([]netip.Addr(nil), d.MX[i].Addrs...)
+			}
+			domains = append(domains, kept)
+			return nil
+		},
 		func(info *IPInfo) error { ips = append(ips, *info); return nil },
 	)
 	if err != nil {

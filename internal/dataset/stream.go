@@ -1,7 +1,6 @@
 package dataset
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -15,9 +14,12 @@ import (
 var ErrStop = errors.New("dataset: stop iteration")
 
 // Stream is a snapshot on disk iterated without materializing it: the
-// file is re-opened and decoded per pass, and record structs are reused
-// across callback invocations, so a pass over millions of domains holds
-// one record in memory at a time.
+// file is re-opened and decoded per pass, each line decoded once (by the
+// line codec when it is in canonical form, see linecodec.go), and record
+// structs are reused across callback invocations, so a pass over
+// millions of domains holds one record in memory at a time.
+// core.InferStream makes three passes: LoadIPs, then two over the
+// domains.
 //
 // A Stream works over both canonical snapshot files (WriteFile / Merge
 // output) and individual shard files (footer lines are skipped).
@@ -42,10 +44,11 @@ func OpenStream(path string) (*Stream, error) {
 // ForEach decodes the snapshot once, invoking domain for every domain
 // line and ip for every IP line, in file order (domains sorted, then IPs
 // sorted). Either callback may be nil to skip that section — a nil
-// domain callback skips decoding domain records entirely. The record
-// passed to a callback is reused on the next invocation: copy it if it
-// must outlive the call. A callback returning ErrStop ends the pass
-// successfully.
+// domain callback leaves domain lines checked but not stored. The record
+// passed to a callback is reused on the next invocation, and a domain
+// record's MX and MX[i].Addrs arrays are refilled in place: copy the
+// record, those slices included, if it must outlive the call. A callback
+// returning ErrStop ends the pass successfully.
 func (st *Stream) ForEach(domain func(*DomainRecord) error, ip func(*IPInfo) error) error {
 	return st.forEach(domain, ip)
 }
@@ -68,19 +71,26 @@ func (st *Stream) forEach(domain func(*DomainRecord) error, ip func(*IPInfo) err
 	sc, lineBuf := newLineScanner(r)
 	defer putLineBuf(lineBuf)
 
-	// Reused line holders: Unmarshal fills the pointed-at records in
-	// place, so per-line allocation is limited to the records' own
-	// variable-size innards.
+	// Reused record holders: a canonical line refills them in place (see
+	// decodeLine), so per-line allocation is limited to the records' own
+	// strings. A section without a callback is walked, not stored.
 	var (
-		d     DomainRecord
-		info  IPInfo
-		hdr   snapshotHeader
-		probe struct {
-			Kind string `json:"kind"`
-		}
+		d         DomainRecord
+		info      IPInfo
+		l         jsonLine
 		sawHeader bool
 		lineno    int
 	)
+	var (
+		wantDomain *DomainRecord
+		wantIP     *IPInfo
+	)
+	if domain != nil {
+		wantDomain = &d
+	}
+	if ip != nil {
+		wantIP = &info
+	}
 	where := func() string { return fmt.Sprintf("dataset: %s: line %d", st.Path, lineno) }
 	for sc.Scan() {
 		lineno++
@@ -88,23 +98,19 @@ func (st *Stream) forEach(domain func(*DomainRecord) error, ip func(*IPInfo) err
 		if len(raw) == 0 {
 			continue
 		}
-		probe.Kind = ""
-		if err := json.Unmarshal(raw, &probe); err != nil {
+		l.Domain, l.IP = wantDomain, wantIP
+		if _, err := decodeLine(raw, &l); err != nil {
 			return fmt.Errorf("%s: %w", where(), err)
 		}
-		switch probe.Kind {
+		switch l.Kind {
 		case "snapshot":
 			if sawHeader {
 				return fmt.Errorf("%s: duplicate header", where())
 			}
-			var l struct {
-				Header *snapshotHeader `json:"header"`
+			st.Date, st.Corpus = "", ""
+			if l.Header != nil {
+				st.Date, st.Corpus = l.Header.Date, l.Header.Corpus
 			}
-			l.Header = &hdr
-			if err := json.Unmarshal(raw, &l); err != nil {
-				return fmt.Errorf("%s: %w", where(), err)
-			}
-			st.Date, st.Corpus = hdr.Date, hdr.Corpus
 			sawHeader = true
 		case "domain":
 			if !sawHeader {
@@ -113,15 +119,11 @@ func (st *Stream) forEach(domain func(*DomainRecord) error, ip func(*IPInfo) err
 			if domain == nil {
 				continue
 			}
-			d = DomainRecord{}
-			var l struct {
-				Domain *DomainRecord `json:"domain"`
+			if l.Domain == nil {
+				// A non-canonical line without a "domain" member.
+				l.Domain = new(DomainRecord)
 			}
-			l.Domain = &d
-			if err := json.Unmarshal(raw, &l); err != nil {
-				return fmt.Errorf("%s: %w", where(), err)
-			}
-			if err := domain(&d); err != nil {
+			if err := domain(l.Domain); err != nil {
 				if err == ErrStop {
 					return nil
 				}
@@ -134,15 +136,10 @@ func (st *Stream) forEach(domain func(*DomainRecord) error, ip func(*IPInfo) err
 			if ip == nil {
 				continue
 			}
-			info = IPInfo{}
-			var l struct {
-				IP *IPInfo `json:"ip"`
+			if l.IP == nil {
+				l.IP = new(IPInfo)
 			}
-			l.IP = &info
-			if err := json.Unmarshal(raw, &l); err != nil {
-				return fmt.Errorf("%s: %w", where(), err)
-			}
-			if err := ip(&info); err != nil {
+			if err := ip(l.IP); err != nil {
 				if err == ErrStop {
 					return nil
 				}
@@ -152,7 +149,7 @@ func (st *Stream) forEach(domain func(*DomainRecord) error, ip func(*IPInfo) err
 			// Shard files end with a footer; tolerate it so a Stream can
 			// read an unmerged shard.
 		default:
-			return fmt.Errorf("%s: unknown kind %q", where(), probe.Kind)
+			return fmt.Errorf("%s: unknown kind %q", where(), l.Kind)
 		}
 	}
 	if err := sc.Err(); err != nil {

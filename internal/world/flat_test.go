@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"net/netip"
+	"runtime"
 	"testing"
 
 	"mxmap/internal/dns"
@@ -132,6 +133,32 @@ func TestFlatResolver(t *testing.T) {
 	}
 	if i, ok := fw.selfIndex(addrs[0]); !ok || fw.DomainName(i) != selfDomain {
 		t.Errorf("self IP %v does not map back to %s", addrs[0], selfDomain)
+	}
+}
+
+// TestFlatDialerPinsNoSessions scans one host many times and checks that
+// closed sessions are garbage: net.Pipe's deadline timers (ten seconds
+// on the scanner's end, a minute on the server's) must not outlive
+// their connection, or a long scan holds every recent session in memory
+// (2.2 KiB each before pipeEnd, 1.3 MiB over this loop).
+func TestFlatDialerPinsNoSessions(t *testing.T) {
+	fw := flatWorld(t, 1000)
+	addr := netip.AddrPortFrom(fw.providers[0].addrs[0][0], 25).String()
+	scan := func(n int) uint64 {
+		for i := 0; i < n; i++ {
+			if res := smtp.Scan(context.Background(), addr, smtp.ScanConfig{Dialer: fw.Dialer()}); res.Err != nil {
+				t.Fatal(res.Err)
+			}
+		}
+		runtime.GC()
+		runtime.GC()
+		var m runtime.MemStats
+		runtime.ReadMemStats(&m)
+		return m.HeapAlloc
+	}
+	before := scan(50)
+	if after := scan(600); after > before+300<<10 {
+		t.Errorf("600 closed sessions left %d KiB on the heap", (after-before)>>10)
 	}
 }
 
