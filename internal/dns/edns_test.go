@@ -89,11 +89,9 @@ func TestEDNS0SizeCapped(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pc, err := net.ListenPacket("udp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	ln, err := net.Listen("tcp", pc.LocalAddr().String())
+	// The kernel-chosen UDP port's TCP twin can be taken (loopback
+	// TIME_WAIT pile-ups under -count); listenPair retries the pair.
+	pc, ln, err := listenPair("127.0.0.1:0", net.Listen)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -54,10 +54,7 @@ func startOverloadServer(t *testing.T, n *netsim.Network, addr string, cfg Serve
 	// Shutdown racing ahead of a not-yet-scheduled ServeTCP would trip
 	// its entry guard and surface net.ErrClosed as a loop failure.
 	for {
-		srv.mu.Lock()
-		ready := len(srv.udpConns) == 1 && len(srv.tcpLns) == 1
-		srv.mu.Unlock()
-		if ready {
+		if lns, socks, _ := srv.core.Open(); lns == 1 && socks == 1 {
 			break
 		}
 		time.Sleep(100 * time.Microsecond)

@@ -149,10 +149,6 @@ const (
 	// DefaultTCPQueryBudget bounds queries served on one TCP connection
 	// before the server closes it.
 	DefaultTCPQueryBudget = 512
-	// maxConsecutiveServeErrs is how many back-to-back read/accept
-	// errors a serve loop absorbs with backoff before treating the
-	// socket as dead.
-	maxConsecutiveServeErrs = 16
 )
 
 // ServerConfig parameterizes a Server.
@@ -190,21 +186,16 @@ type ServerConfig struct {
 	TCPQueryBudget int
 }
 
-// A Server answers DNS queries over UDP and TCP from a Catalog.
+// A Server answers DNS queries over UDP and TCP from a Catalog. The
+// overload core owns its sockets' lifecycle: TCP is a session handler on
+// the core's accept loop, and each UDP socket's worker pool is attached
+// to the same drain.
 type Server struct {
 	cfg     ServerConfig
 	cache   respCache
 	limiter *rrlLimiter
-	tcpSem  chan struct{}
 	stats   serverCounters
-
-	mu       sync.Mutex
-	udpConns []net.PacketConn
-	tcpLns   []net.Listener
-	tcpConns map[net.Conn]struct{}
-	draining bool
-	closed   bool
-	wg       sync.WaitGroup
+	core    *overload.Server
 }
 
 // NewServer creates a server for the given configuration.
@@ -227,18 +218,22 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 	if cfg.TCPQueryBudget == 0 {
 		cfg.TCPQueryBudget = DefaultTCPQueryBudget
 	}
-	s := &Server{cfg: cfg, tcpConns: make(map[net.Conn]struct{})}
+	s := &Server{cfg: cfg}
 	if cfg.RRL != nil {
 		s.limiter = newRRLLimiter(*cfg.RRL)
 	}
-	if cfg.MaxTCPConns > 0 {
-		s.tcpSem = make(chan struct{}, cfg.MaxTCPConns)
-	}
+	// Over the cap, or accepted into a drain, a TCP client is told
+	// nothing: the connection just closes.
+	s.core = overload.New(overload.Config{
+		MaxConns:    cfg.MaxTCPConns,
+		ReadTimeout: cfg.ReadTimeout,
+		Serve:       s.serveTCPConn,
+	})
 	return s, nil
 }
 
 // Stats returns a snapshot of the server's serving counters.
-func (s *Server) Stats() ServerStats { return s.stats.snapshot() }
+func (s *Server) Stats() ServerStats { return s.stats.snapshot(s.core.Stats()) }
 
 // ServeUDP answers queries arriving on pc until the server is closed or
 // pc fails hard. It blocks; run it in a goroutine.
@@ -249,17 +244,14 @@ func (s *Server) Stats() ServerStats { return s.stats.snapshot() }
 // per-packet goroutine spawn or query copy. Workers survive transient
 // read errors (e.g. the ECONNREFUSED a socket reports after ICMP
 // feedback) with jittered backoff; only a closed socket or a persistent
-// failure ends the loop.
+// failure ends the loop. A drain wakes the workers through the socket's
+// read deadline and closes the socket once they have all returned.
 func (s *Server) ServeUDP(pc net.PacketConn) error {
-	s.mu.Lock()
-	if s.closed || s.draining {
-		s.mu.Unlock()
-		return net.ErrClosed
+	release, err := s.core.Attach(pc)
+	if err != nil {
+		return err
 	}
-	s.udpConns = append(s.udpConns, pc)
-	s.wg.Add(1)
-	s.mu.Unlock()
-	defer s.wg.Done()
+	defer release()
 
 	var wg sync.WaitGroup
 	errc := make(chan error, s.cfg.UDPWorkers)
@@ -273,16 +265,15 @@ func (s *Server) ServeUDP(pc net.PacketConn) error {
 			for {
 				n, addr, err := pc.ReadFrom(buf)
 				if err != nil {
-					if s.stopping() {
+					if s.core.Stopping() {
 						return
 					}
 					consec++
-					if !overload.TransientNetErr(err) || consec > maxConsecutiveServeErrs {
+					if !overload.Retry(err, consec) {
 						errc <- err
 						return
 					}
 					s.stats.udpReadRetries.Add(1)
-					overload.Backoff(consec)
 					continue
 				}
 				consec = 0
@@ -314,7 +305,7 @@ func (s *Server) ServeUDP(pc net.PacketConn) error {
 		}()
 	}
 	wg.Wait()
-	if s.stopping() {
+	if s.core.Stopping() {
 		return nil
 	}
 	return <-errc
@@ -326,104 +317,14 @@ func (s *Server) ServeUDP(pc net.PacketConn) error {
 // Accepts beyond MaxTCPConns are shed by closing the connection
 // immediately; transient accept errors are retried with jittered
 // backoff.
-func (s *Server) ServeTCP(ln net.Listener) error {
-	s.mu.Lock()
-	if s.closed || s.draining {
-		s.mu.Unlock()
-		return net.ErrClosed
-	}
-	s.tcpLns = append(s.tcpLns, ln)
-	s.wg.Add(1)
-	s.mu.Unlock()
-	defer s.wg.Done()
+func (s *Server) ServeTCP(ln net.Listener) error { return s.core.Serve(ln) }
 
-	consec := 0
-	for {
-		conn, err := ln.Accept()
-		if err != nil {
-			if s.stopping() {
-				return nil
-			}
-			consec++
-			if !overload.TransientNetErr(err) || consec > maxConsecutiveServeErrs {
-				return err
-			}
-			s.stats.acceptRetries.Add(1)
-			overload.Backoff(consec)
-			continue
-		}
-		consec = 0
-		if !s.admitTCP() {
-			s.stats.tcpRejected.Add(1)
-			conn.Close()
-			continue
-		}
-		s.stats.tcpAccepted.Add(1)
-		s.wg.Add(1)
-		go func() {
-			defer s.wg.Done()
-			defer s.releaseTCP()
-			defer conn.Close()
-			s.serveTCPConn(conn)
-		}()
-	}
-}
-
-// admitTCP takes an admission slot, or reports the cap is hit.
-func (s *Server) admitTCP() bool {
-	if s.tcpSem == nil {
-		return true
-	}
-	select {
-	case s.tcpSem <- struct{}{}:
-		return true
-	default:
-		return false
-	}
-}
-
-func (s *Server) releaseTCP() {
-	if s.tcpSem != nil {
-		<-s.tcpSem
-	}
-}
-
-// trackConn registers (add) or unregisters a serving TCP connection so
-// Shutdown can wake idle readers. Registration fails once the server is
-// stopping.
-func (s *Server) trackConn(conn net.Conn, add bool) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if add {
-		if s.closed || s.draining {
-			return false
-		}
-		s.tcpConns[conn] = struct{}{}
-		return true
-	}
-	delete(s.tcpConns, conn)
-	return true
-}
-
-// beginTCPRead arms the idle deadline for the next query, refusing once
-// a drain has begun. Holding the server lock orders the deadline against
-// Shutdown's wake-up deadline: either we see draining and stop, or
-// Shutdown sees our registered connection and re-arms its immediate
-// deadline after ours.
-func (s *Server) beginTCPRead(conn net.Conn) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed || s.draining {
-		return false
-	}
-	return conn.SetReadDeadline(time.Now().Add(s.cfg.ReadTimeout)) == nil
-}
-
-func (s *Server) serveTCPConn(conn net.Conn) {
-	if !s.trackConn(conn, true) {
-		return
-	}
-	defer s.trackConn(conn, false)
+// serveTCPConn is the core's session handler: one query per loop turn,
+// idle while waiting for a frame and busy from the moment it is fully
+// read until its answer is written, so a drain wakes only connections
+// with nothing in flight.
+func (s *Server) serveTCPConn(c *overload.Conn) {
+	conn := c.NetConn()
 	st := new(handleState)
 	var lenBuf [2]byte
 	// Per-connection reused buffers: the read buffer grows to the
@@ -435,7 +336,7 @@ func (s *Server) serveTCPConn(conn net.Conn) {
 			s.stats.tcpBudgetCloses.Add(1)
 			return
 		}
-		if !s.beginTCPRead(conn) {
+		if !c.BeginRead() {
 			return
 		}
 		if _, err := io.ReadFull(conn, lenBuf[:]); err != nil {
@@ -449,6 +350,7 @@ func (s *Server) serveTCPConn(conn net.Conn) {
 		if _, err := io.ReadFull(conn, query); err != nil {
 			return
 		}
+		c.SetBusy()
 		s.stats.tcpQueries.Add(1)
 		resp := s.handle(st, query, false)
 		if resp == nil {
@@ -577,118 +479,50 @@ func (s *Server) logf(format string, args ...any) {
 	}
 }
 
-// stopping reports whether the server is draining or closed; serve
-// loops exit cleanly instead of surfacing the wake-up error.
-func (s *Server) stopping() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.closed || s.draining
-}
-
 // Shutdown gracefully drains the server: it stops reading new UDP
 // queries and accepting new TCP connections, lets every query already
 // received finish — including in-flight TCP queries on open
 // connections — and then closes all sockets. It returns nil when the
 // drain completed, or ctx.Err() after falling back to a hard Close at
 // the context deadline. Close retains hard-stop semantics.
-func (s *Server) Shutdown(ctx context.Context) error {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return nil
-	}
-	first := !s.draining
-	s.draining = true
-	pcs := append([]net.PacketConn(nil), s.udpConns...)
-	lns := append([]net.Listener(nil), s.tcpLns...)
-	conns := make([]net.Conn, 0, len(s.tcpConns))
-	for c := range s.tcpConns {
-		conns = append(conns, c)
-	}
-	s.mu.Unlock()
-
-	// Wake everything that is blocked waiting for input: UDP workers see
-	// an immediate timeout and exit via stopping(); idle TCP readers see
-	// the same and close their connection. A connection mid-query keeps
-	// its write path untouched, so the in-flight answer still goes out.
-	now := time.Now()
-	for _, pc := range pcs {
-		pc.SetReadDeadline(now)
-	}
-	for _, ln := range lns {
-		ln.Close()
-	}
-	for _, c := range conns {
-		c.SetReadDeadline(now)
-	}
-
-	done := make(chan struct{})
-	go func() {
-		s.wg.Wait()
-		close(done)
-	}()
-	select {
-	case <-done:
-		if first {
-			s.stats.drains.Add(1)
-		}
-		s.mu.Lock()
-		s.closed = true
-		pcs := s.udpConns
-		s.mu.Unlock()
-		for _, pc := range pcs {
-			pc.Close()
-		}
-		return nil
-	case <-ctx.Done():
-		if first {
-			s.stats.drainTimeouts.Add(1)
-		}
-		s.Close()
-		return ctx.Err()
-	}
-}
+func (s *Server) Shutdown(ctx context.Context) error { return s.core.Shutdown(ctx) }
 
 // Close stops all listeners and connections immediately and waits for
 // in-flight handlers. Shutdown is the graceful alternative.
-func (s *Server) Close() error {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return nil
+func (s *Server) Close() error { return s.core.Close() }
+
+// listenAttempts bounds how many fresh UDP ports listenPair tries when
+// the kernel picks the port and the matching TCP port is taken.
+const listenAttempts = 8
+
+// listenPair binds UDP on addr and TCP, through listenTCP, on the port
+// UDP got, so clients can fall back. With a kernel-chosen port (":0")
+// the TCP side can be in use — loopback TIME_WAIT pile-ups do it — so
+// the pair is retried on a fresh UDP port; an explicit port fails at
+// once.
+func listenPair(addr string, listenTCP func(network, addr string) (net.Listener, error)) (pc net.PacketConn, ln net.Listener, err error) {
+	attempts := 1
+	if _, port, _ := net.SplitHostPort(addr); port == "0" {
+		attempts = listenAttempts
 	}
-	s.closed = true
-	conns, lns := s.udpConns, s.tcpLns
-	tconns := make([]net.Conn, 0, len(s.tcpConns))
-	for c := range s.tcpConns {
-		tconns = append(tconns, c)
-	}
-	s.mu.Unlock()
-	for _, pc := range conns {
+	for ; attempts > 0; attempts-- {
+		if pc, err = net.ListenPacket("udp", addr); err != nil {
+			return nil, nil, err
+		}
+		if ln, err = listenTCP("tcp", pc.LocalAddr().String()); err == nil {
+			return pc, ln, nil
+		}
 		pc.Close()
 	}
-	for _, ln := range lns {
-		ln.Close()
-	}
-	for _, c := range tconns {
-		c.Close()
-	}
-	s.wg.Wait()
-	return nil
+	return nil, nil, err
 }
 
 // ListenAndServe binds UDP and TCP on addr (e.g. "127.0.0.1:0") and serves
 // until ctx is cancelled. It reports the bound UDP address on ready. This
 // helper exists for examples and integration tests.
 func (s *Server) ListenAndServe(ctx context.Context, addr string, ready chan<- net.Addr) error {
-	pc, err := net.ListenPacket("udp", addr)
+	pc, ln, err := listenPair(addr, net.Listen)
 	if err != nil {
-		return err
-	}
-	// Bind TCP on the same port UDP got, so clients can fall back.
-	ln, err := net.Listen("tcp", pc.LocalAddr().String())
-	if err != nil {
-		pc.Close()
 		return err
 	}
 	if ready != nil {
@@ -699,13 +533,9 @@ func (s *Server) ListenAndServe(ctx context.Context, addr string, ready chan<- n
 	go func() { errc <- s.ServeTCP(ln) }()
 	select {
 	case <-ctx.Done():
-		s.Close()
-		<-errc
-		<-errc
-		return ctx.Err()
-	case err := <-errc:
-		s.Close()
-		<-errc
-		return err
+		err = ctx.Err()
+	case err = <-errc:
 	}
+	s.Close() // waits for both loops
+	return err
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"net"
 	"sync"
+	"syscall"
 	"testing"
 	"time"
 )
@@ -266,6 +267,52 @@ func TestServerListenAndServe(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("server did not shut down")
 	}
+}
+
+// TestListenPairRetriesKernelChosenPort is the regression test for the
+// EADDRINUSE flake: with ":0" the TCP port matching the UDP port the
+// kernel picked can be taken, and ListenAndServe used to fail outright.
+func TestListenPairRetriesKernelChosenPort(t *testing.T) {
+	inUse := &net.OpError{Op: "listen", Net: "tcp", Err: syscall.EADDRINUSE}
+	var tried []string
+	busyFor := func(n int) func(network, addr string) (net.Listener, error) {
+		tried = tried[:0]
+		return func(network, addr string) (net.Listener, error) {
+			tried = append(tried, addr)
+			if len(tried) <= n {
+				return nil, inUse
+			}
+			return net.Listen(network, addr)
+		}
+	}
+
+	pc, ln, err := listenPair("127.0.0.1:0", busyFor(2))
+	if err != nil {
+		t.Fatalf("listenPair with two taken ports: %v", err)
+	}
+	_, udpPort, _ := net.SplitHostPort(pc.LocalAddr().String())
+	_, tcpPort, _ := net.SplitHostPort(ln.Addr().String())
+	if len(tried) != 3 || udpPort != tcpPort {
+		t.Errorf("tried %v and bound udp %s / tcp %s, want three tries and one shared port", tried, udpPort, tcpPort)
+	}
+	pc.Close()
+	ln.Close()
+
+	if _, _, err := listenPair("127.0.0.1:0", busyFor(listenAttempts)); !errors.Is(err, syscall.EADDRINUSE) || len(tried) != listenAttempts {
+		t.Errorf("listenPair with every port taken = %v after %d tries, want EADDRINUSE after %d", err, len(tried), listenAttempts)
+	}
+
+	// An explicit port is the caller's choice: it fails immediately, and
+	// the UDP half is released.
+	explicit := tried[0]
+	if _, _, err := listenPair(explicit, busyFor(1)); !errors.Is(err, syscall.EADDRINUSE) || len(tried) != 1 {
+		t.Errorf("listenPair on an explicit taken port = %v after %d tries, want EADDRINUSE after 1", err, len(tried))
+	}
+	pc, err = net.ListenPacket("udp", explicit)
+	if err != nil {
+		t.Fatalf("UDP half of the failed pair still bound: %v", err)
+	}
+	pc.Close()
 }
 
 func BenchmarkServerClientUDP(b *testing.B) {

@@ -284,7 +284,7 @@ func (n *Network) Dial(ctx context.Context, ap netip.AddrPort) (net.Conn, error)
 	if l == nil {
 		return nil, fmt.Errorf("%w: %s", ErrConnRefused, ap)
 	}
-	client, server := net.Pipe()
+	client, server := Pipe()
 	cw := &conn{Conn: client, local: ephemeralAddr(), remote: tcpAddr(ap)}
 	sw := &conn{Conn: server, local: tcpAddr(ap), remote: cw.local}
 	select {

@@ -1,8 +1,19 @@
-// Package overload holds the small shared vocabulary of the serving
-// fabric's overload protection: classifying which network errors a serve
-// loop should survive, and the jittered backoff it sleeps between
-// retries. Both the DNS and SMTP servers build their admission control
-// and resilient accept/read loops on these.
+// Package overload is the one owner of connection-server lifecycle in
+// the serving fabric. Server is the core: it runs the accept loop
+// (transient errors retried with jittered backoff, connections beyond
+// the cap shed), tracks live connections with a busy flag, drains
+// gracefully — close the listeners, wake only idle connections, wait,
+// fall back to a hard close at the deadline — and counts what it did.
+// The DNS-over-TCP, SMTP and HTTP query servers are protocol handlers
+// on it: each supplies the session it runs per connection and, through
+// Config, Conn.Swap and Attach, the few places their lifecycles really
+// differ. Per-protocol budgets, request-level admission and rate
+// limiting stay with the protocols.
+//
+// The package also holds the vocabulary those loops share: which
+// network errors are worth surviving (TransientNetErr, Retry) and the
+// jittered backoff curve (Delay, Backoff), which the HA replica
+// re-probe schedule reuses.
 package overload
 
 import (

@@ -92,10 +92,7 @@ func startTestServer(t *testing.T, n *netsim.Network, addr string, cfg Config) *
 	errc := make(chan error, 1)
 	go func() { errc <- srv.Serve(ln) }()
 	for {
-		srv.mu.Lock()
-		ready := len(srv.lns) == 1
-		srv.mu.Unlock()
-		if ready {
+		if lns, _, _ := srv.core.Open(); lns == 1 {
 			break
 		}
 		time.Sleep(100 * time.Microsecond)
@@ -661,10 +658,7 @@ func TestServeConnHygiene(t *testing.T) {
 		conn.Close()
 		deadline := time.Now().Add(10 * time.Second)
 		for {
-			srv.mu.Lock()
-			open := len(srv.conns)
-			srv.mu.Unlock()
-			if open == 0 {
+			if _, _, open := srv.core.Open(); open == 0 {
 				break
 			}
 			if time.Now().After(deadline) {

@@ -37,9 +37,6 @@ const (
 	DefaultMaxRequests = 10000
 	// DefaultRetryAfterSecs is advertised on 429 responses.
 	DefaultRetryAfterSecs = 1
-	// maxConsecutiveAcceptErrs matches the collection and SMTP serve
-	// loops: that many back-to-back accept failures kill the loop.
-	maxConsecutiveAcceptErrs = 16
 )
 
 // Handler answers one admitted request. The Server owns the sockets,
@@ -104,29 +101,18 @@ type Config struct {
 	Logger *slog.Logger
 }
 
-// A Server accepts query connections on one or more listeners.
+// A Server accepts query connections on one or more listeners. The
+// overload core owns the listeners and connections; the server is its
+// session handler and keeps request-level admission.
 type Server struct {
 	cfg      Config
-	sem      chan struct{} // connection admission
 	inflight chan struct{} // request execution slots
 	stats    serverCounters
 	lat      [NumEndpoints]LatencyHist
+	core     *overload.Server
 
 	mu       sync.Mutex
-	lns      []net.Listener
-	conns    map[*servConn]struct{}
 	queueLen int
-	draining bool
-	closed   bool
-	wg       sync.WaitGroup
-}
-
-// servConn is per-connection state. busy is guarded by Server.mu:
-// Shutdown reads it to tell idle connections (safe to wake with an
-// immediate read deadline) from ones mid-request.
-type servConn struct {
-	nc   net.Conn
-	busy bool
 }
 
 // NewServer validates cfg and creates a server.
@@ -161,108 +147,47 @@ func NewServer(cfg Config) (*Server, error) {
 	if cfg.RetryAfterSecs == 0 {
 		cfg.RetryAfterSecs = DefaultRetryAfterSecs
 	}
-	s := &Server{cfg: cfg, conns: make(map[*servConn]struct{})}
-	if cfg.MaxConns > 0 {
-		s.sem = make(chan struct{}, cfg.MaxConns)
-	}
+	s := &Server{cfg: cfg}
 	if cfg.MaxInflight > 0 {
 		s.inflight = make(chan struct{}, cfg.MaxInflight)
 	}
+	oc := overload.Config{
+		MaxConns:    cfg.MaxConns,
+		ReadTimeout: cfg.ReadTimeout,
+		Serve:       s.serveConn,
+		Reject: func(nc net.Conn) {
+			r := ErrorResponse(429, "server connection limit reached")
+			r.RetryAfter, r.Close = true, true
+			s.writeResponse(nc, r, time.Second)
+		},
+	}
+	if cfg.Service != nil {
+		// Probes see "draining" and steer traffic away before the
+		// listeners close.
+		oc.OnDrain = cfg.Service.BeginDrain
+	}
+	s.core = overload.New(oc)
 	return s, nil
 }
 
 // Stats returns a snapshot of the server's serving counters.
-func (s *Server) Stats() ServerStats { return s.stats.snapshot() }
+func (s *Server) Stats() ServerStats { return s.stats.snapshot(s.core.Stats()) }
 
 // Serve accepts connections on ln until the server is closed. It
 // blocks; run it in a goroutine. Transient accept errors are retried
 // with jittered backoff, and connections beyond MaxConns are shed with
 // a 429 so a connection storm cannot spawn unbounded goroutines.
-func (s *Server) Serve(ln net.Listener) error {
-	s.mu.Lock()
-	if s.closed || s.draining {
-		s.mu.Unlock()
-		return net.ErrClosed
-	}
-	s.lns = append(s.lns, ln)
-	s.wg.Add(1)
-	s.mu.Unlock()
-	defer s.wg.Done()
-	consec := 0
-	for {
-		conn, err := ln.Accept()
-		if err != nil {
-			if s.stopping() {
-				return nil
-			}
-			consec++
-			if !overload.TransientNetErr(err) || consec > maxConsecutiveAcceptErrs {
-				return err
-			}
-			s.stats.acceptRetries.Add(1)
-			overload.Backoff(consec)
-			continue
-		}
-		consec = 0
-		if !s.admit() {
-			s.stats.rejected.Add(1)
-			conn.SetWriteDeadline(time.Now().Add(time.Second))
-			var buf bytes.Buffer
-			r := ErrorResponse(429, "server connection limit reached")
-			r.RetryAfter, r.Close = true, true
-			appendResponse(&buf, r, s.cfg.RetryAfterSecs)
-			conn.Write(buf.Bytes())
-			conn.Close()
-			continue
-		}
-		s.stats.accepted.Add(1)
-		s.wg.Add(1)
-		go func() {
-			defer s.wg.Done()
-			defer s.releaseConn()
-			s.serveConn(conn)
-		}()
-	}
-}
+func (s *Server) Serve(ln net.Listener) error { return s.core.Serve(ln) }
 
-// admit takes a connection slot, or reports the cap is hit.
-func (s *Server) admit() bool {
-	if s.sem == nil {
-		return true
-	}
-	select {
-	case s.sem <- struct{}{}:
-		return true
-	default:
-		return false
-	}
-}
-
-func (s *Server) releaseConn() {
-	if s.sem != nil {
-		<-s.sem
-	}
-}
-
-// stopping reports whether the server is draining or closed.
-func (s *Server) stopping() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.closed || s.draining
-}
-
-func (s *Server) serveConn(nc net.Conn) {
-	defer nc.Close()
-	c := &servConn{nc: nc}
-	if !s.trackConn(c) {
-		// Raced with shutdown between accept and registration.
-		return
-	}
-	defer s.untrackConn(c)
+// serveConn is the core's session handler: idle while waiting for a
+// request, busy from the moment one is read until its response is
+// written.
+func (s *Server) serveConn(c *overload.Conn) {
+	nc := c.NetConn()
 	br := bufio.NewReaderSize(nc, 4096)
 	served := 0
 	for {
-		if !s.beginRead(c) {
+		if !c.BeginRead() {
 			return
 		}
 		req, err := readRequest(br)
@@ -270,7 +195,7 @@ func (s *Server) serveConn(nc net.Conn) {
 			switch {
 			case err == io.EOF:
 				// Clean close between requests.
-			case s.stopping():
+			case s.core.Stopping():
 				// Woken by Shutdown's immediate read deadline.
 			case isTimeout(err):
 				s.stats.readTimeouts.Add(1)
@@ -279,7 +204,7 @@ func (s *Server) serveConn(nc net.Conn) {
 				// books still balance to zero lost.
 				s.stats.requests.Add(1)
 				s.stats.badRequests.Add(1)
-				s.writeResponse(c, ErrorResponse(400, "malformed request"))
+				s.writeResponse(nc, ErrorResponse(400, "malformed request"), s.cfg.WriteTimeout)
 				s.stats.responses.Add(1)
 			default:
 				// A transport error before any byte of the next request
@@ -289,7 +214,7 @@ func (s *Server) serveConn(nc net.Conn) {
 			return
 		}
 		s.stats.requests.Add(1)
-		s.setBusy(c, true)
+		c.SetBusy()
 		var begin time.Time
 		if s.cfg.Clock != nil {
 			begin = s.cfg.Clock()
@@ -299,15 +224,14 @@ func (s *Server) serveConn(nc net.Conn) {
 			s.lat[EndpointIndex(req.Path)].Observe(s.cfg.Clock().Sub(begin))
 		}
 		served++
-		closing := req.Close || s.stopping()
+		closing := req.Close || s.core.Stopping()
 		if !closing && s.cfg.MaxRequests > 0 && served >= s.cfg.MaxRequests {
 			s.stats.budgetCloses.Add(1)
 			closing = true
 		}
 		resp.Close = resp.Close || closing
-		werr := s.writeResponse(c, resp)
+		werr := s.writeResponse(nc, resp, s.cfg.WriteTimeout)
 		s.stats.responses.Add(1)
-		s.setBusy(c, false)
 		if werr != nil || resp.Close {
 			return
 		}
@@ -389,53 +313,16 @@ func (s *Server) releaseSlot() {
 	}
 }
 
-func (s *Server) writeResponse(c *servConn, r Response) error {
+// writeResponse writes r under the given write deadline (none when
+// timeout <= 0).
+func (s *Server) writeResponse(nc net.Conn, r Response, timeout time.Duration) error {
 	var buf bytes.Buffer
 	appendResponse(&buf, r, s.cfg.RetryAfterSecs)
-	if s.cfg.WriteTimeout > 0 {
-		c.nc.SetWriteDeadline(time.Now().Add(s.cfg.WriteTimeout))
+	if timeout > 0 {
+		nc.SetWriteDeadline(time.Now().Add(timeout))
 	}
-	_, err := c.nc.Write(buf.Bytes())
+	_, err := nc.Write(buf.Bytes())
 	return err
-}
-
-// trackConn registers a connection for drain/close bookkeeping; it
-// refuses when the server is already stopping.
-func (s *Server) trackConn(c *servConn) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed || s.draining {
-		return false
-	}
-	s.conns[c] = struct{}{}
-	return true
-}
-
-func (s *Server) untrackConn(c *servConn) {
-	s.mu.Lock()
-	delete(s.conns, c)
-	s.mu.Unlock()
-}
-
-func (s *Server) setBusy(c *servConn, v bool) {
-	s.mu.Lock()
-	c.busy = v
-	s.mu.Unlock()
-}
-
-// beginRead arms the slowloris read deadline. It runs under the server
-// mutex so it cannot race Shutdown's wake-up: a drain that has started
-// wins, and a connection cannot park itself in a fresh read afterward.
-func (s *Server) beginRead(c *servConn) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed || s.draining {
-		return false
-	}
-	if s.cfg.ReadTimeout <= 0 {
-		return c.nc.SetReadDeadline(time.Time{}) == nil
-	}
-	return c.nc.SetReadDeadline(time.Now().Add(s.cfg.ReadTimeout)) == nil
 }
 
 // Shutdown gracefully drains the server: it stops accepting, lets every
@@ -444,76 +331,11 @@ func (s *Server) beginRead(c *servConn) bool {
 // completed, or ctx.Err() after falling back to a hard Close at the
 // context deadline. The paired Service moves to draining so probes
 // steer traffic away first.
-func (s *Server) Shutdown(ctx context.Context) error {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return nil
-	}
-	first := !s.draining
-	s.draining = true
-	lns := append([]net.Listener(nil), s.lns...)
-	now := time.Now()
-	for c := range s.conns {
-		if !c.busy {
-			c.nc.SetReadDeadline(now)
-		}
-	}
-	s.mu.Unlock()
-	if first && s.cfg.Service != nil {
-		s.cfg.Service.BeginDrain()
-	}
-	for _, ln := range lns {
-		ln.Close()
-	}
-
-	done := make(chan struct{})
-	go func() {
-		s.wg.Wait()
-		close(done)
-	}()
-	select {
-	case <-done:
-		if first {
-			s.stats.drains.Add(1)
-		}
-		s.mu.Lock()
-		s.closed = true
-		s.mu.Unlock()
-		return nil
-	case <-ctx.Done():
-		if first {
-			s.stats.drainTimeouts.Add(1)
-		}
-		s.Close()
-		return ctx.Err()
-	}
-}
+func (s *Server) Shutdown(ctx context.Context) error { return s.core.Shutdown(ctx) }
 
 // Close stops all listeners and connections immediately and waits for
 // their goroutines to exit. Shutdown is the graceful alternative.
-func (s *Server) Close() error {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return nil
-	}
-	s.closed = true
-	lns := s.lns
-	conns := make([]net.Conn, 0, len(s.conns))
-	for c := range s.conns {
-		conns = append(conns, c.nc)
-	}
-	s.mu.Unlock()
-	for _, ln := range lns {
-		ln.Close()
-	}
-	for _, c := range conns {
-		c.Close()
-	}
-	s.wg.Wait()
-	return nil
-}
+func (s *Server) Close() error { return s.core.Close() }
 
 func isTimeout(err error) bool {
 	var ne net.Error

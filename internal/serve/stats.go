@@ -1,6 +1,10 @@
 package serve
 
-import "sync/atomic"
+import (
+	"sync/atomic"
+
+	"mxmap/internal/overload"
+)
 
 // ServerStats is a point-in-time snapshot of the query server's serving
 // counters. Every counter is exact — tests and benchmarks assert whole
@@ -51,23 +55,21 @@ type ServerStats struct {
 // contract: after a drain completes it must be zero.
 func (st ServerStats) Lost() uint64 { return st.Requests - st.Responses }
 
-// serverCounters is the live atomic mirror of ServerStats.
+// serverCounters is the live atomic mirror of ServerStats, less the
+// lifecycle counters the overload core keeps.
 type serverCounters struct {
-	accepted, rejected        atomic.Uint64
 	requests, responses       atomic.Uint64
 	queued, shed, timeouts    atomic.Uint64
 	badRequests, readTimeouts atomic.Uint64
 	budgetCloses              atomic.Uint64
 	lookups, lookupMisses     atomic.Uint64
 	staleServes               atomic.Uint64
-	acceptRetries             atomic.Uint64
-	drains, drainTimeouts     atomic.Uint64
 }
 
-func (c *serverCounters) snapshot() ServerStats {
+func (c *serverCounters) snapshot(core overload.Stats) ServerStats {
 	return ServerStats{
-		Accepted:      c.accepted.Load(),
-		Rejected:      c.rejected.Load(),
+		Accepted:      core.Accepted,
+		Rejected:      core.Rejected,
 		Requests:      c.requests.Load(),
 		Responses:     c.responses.Load(),
 		Queued:        c.queued.Load(),
@@ -79,8 +81,8 @@ func (c *serverCounters) snapshot() ServerStats {
 		Lookups:       c.lookups.Load(),
 		LookupMisses:  c.lookupMisses.Load(),
 		StaleServes:   c.staleServes.Load(),
-		AcceptRetries: c.acceptRetries.Load(),
-		Drains:        c.drains.Load(),
-		DrainTimeouts: c.drainTimeouts.Load(),
+		AcceptRetries: core.AcceptRetries,
+		Drains:        core.Drains,
+		DrainTimeouts: core.DrainTimeouts,
 	}
 }

@@ -126,6 +126,31 @@ func TestServerCommandBudget(t *testing.T) {
 	if st.BudgetCloses != 1 || st.Commands != 2 {
 		t.Errorf("stats = %+v, want BudgetCloses=1 Commands=2", st)
 	}
+
+	// Oversized lines spend the same budget: they used to be answered
+	// 500 without being counted, so a session could outlive any
+	// MaxCommands by never sending a line short enough to dispatch.
+	conn, rd = dialSMTP(t, n, "10.8.0.2:25")
+	if got := readLine(t, rd); !strings.HasPrefix(got, "220") {
+		t.Fatalf("banner = %q", got)
+	}
+	long := []byte(strings.Repeat("a", 3*maxLineLen) + "\r\n")
+	for i, want := range []string{"500", "500", "421"} {
+		if _, err := conn.Write(long); err != nil {
+			t.Fatal(err)
+		}
+		if got := readLine(t, rd); !strings.HasPrefix(got, want) {
+			t.Fatalf("oversized line %d reply = %q, want %s", i, got, want)
+		}
+	}
+	if _, err := rd.ReadString('\n'); err == nil {
+		t.Fatal("connection survived a budget of oversized lines")
+	}
+	// Commands still counts dispatched commands only.
+	st = srv.Stats()
+	if st.BudgetCloses != 2 || st.Commands != 2 {
+		t.Errorf("stats = %+v, want BudgetCloses=2 Commands=2", st)
+	}
 }
 
 // flakyListener fails the first `failures` accepts with a transient
@@ -235,27 +260,34 @@ func TestChaosSMTPDrainCompletesBusySession(t *testing.T) {
 	})
 	conn, rd := dialSMTP(t, n, "10.8.0.5:25")
 
-	replies := make(chan string, 8)
-	fail := make(chan error, 1)
+	// Replies and the read error that ends them travel on one channel,
+	// in order: with the error on a channel of its own, a select that
+	// found the 250, the 421 and the EOF all ready could pick the EOF
+	// first and fail a drain that had gone right.
+	type reply struct {
+		line string
+		err  error
+	}
+	replies := make(chan reply, 8)
 	go func() {
 		for {
 			line, err := rd.ReadString('\n')
+			replies <- reply{strings.TrimRight(line, "\r\n"), err}
 			if err != nil {
-				fail <- err
 				return
 			}
-			replies <- strings.TrimRight(line, "\r\n")
 		}
 	}()
 	expect := func(prefix string) {
 		t.Helper()
 		select {
 		case got := <-replies:
-			if !strings.HasPrefix(got, prefix) {
-				t.Fatalf("reply = %q, want %s", got, prefix)
+			if got.err != nil {
+				t.Fatalf("connection died waiting for %s: %v", prefix, got.err)
 			}
-		case err := <-fail:
-			t.Fatalf("connection died waiting for %s: %v", prefix, err)
+			if !strings.HasPrefix(got.line, prefix) {
+				t.Fatalf("reply = %q, want %s", got.line, prefix)
+			}
 		case <-time.After(5 * time.Second):
 			t.Fatalf("no reply, want %s", prefix)
 		}

@@ -17,8 +17,7 @@ import (
 
 // Protocol limits, chosen per RFC 5321 §4.5.3 with headroom.
 const (
-	maxLineLen   = 2048
-	maxReplyLine = 2048
+	maxLineLen = 2048
 	// DefaultMaxMessageBytes bounds DATA payloads.
 	DefaultMaxMessageBytes = 10 << 20
 )
@@ -27,25 +26,34 @@ const (
 var ErrLineTooLong = errors.New("smtp: line too long")
 
 // reader wraps a bufio.Reader with CRLF-terminated line framing and a
-// length limit.
+// length limit. The buffer outsizes maxLineLen, so a line that fills it
+// is already over the limit and never has to be accumulated.
 type reader struct {
 	r *bufio.Reader
 }
 
 func newReader(r io.Reader) *reader {
-	return &reader{r: bufio.NewReaderSize(r, 4096)}
+	return &reader{r: bufio.NewReaderSize(r, 2*maxLineLen)}
 }
 
 // line reads one CRLF- (or LF-) terminated line without its terminator.
+// An oversized line is discarded through its terminator, holding no
+// more than the buffer however long the peer makes it, and reported as
+// ErrLineTooLong; the next call reads the line after it.
 func (rd *reader) line() (string, error) {
-	s, err := rd.r.ReadString('\n')
+	frag, err := rd.r.ReadSlice('\n')
+	tooLong := false
+	for err == bufio.ErrBufferFull {
+		tooLong = true
+		frag, err = rd.r.ReadSlice('\n')
+	}
 	if err != nil {
 		return "", err
 	}
-	if len(s) > maxLineLen {
+	if tooLong || len(frag) > maxLineLen {
 		return "", ErrLineTooLong
 	}
-	return strings.TrimRight(s, "\r\n"), nil
+	return strings.TrimRight(string(frag), "\r\n"), nil
 }
 
 // command splits a protocol line into an upper-cased verb and its

@@ -9,7 +9,6 @@ import (
 	"log/slog"
 	"net"
 	"strings"
-	"sync"
 	"time"
 
 	"mxmap/internal/overload"
@@ -22,10 +21,6 @@ const (
 	// DefaultMaxCommands bounds commands per session before the server
 	// closes it with a 421.
 	DefaultMaxCommands = 1000
-	// maxConsecutiveAcceptErrs is how many back-to-back accept errors
-	// the serve loop absorbs with backoff before treating the listener
-	// as dead.
-	maxConsecutiveAcceptErrs = 16
 )
 
 // An Envelope is one received message: its envelope addresses and body.
@@ -79,18 +74,13 @@ type Config struct {
 	Logger *slog.Logger
 }
 
-// A Server accepts SMTP sessions on one or more listeners.
+// A Server accepts SMTP sessions on one or more listeners. The overload
+// core owns the listeners and connections; the server is its session
+// handler.
 type Server struct {
 	cfg   Config
-	sem   chan struct{}
 	stats serverCounters
-
-	mu       sync.Mutex
-	lns      []net.Listener
-	sessions map[*session]struct{}
-	draining bool
-	closed   bool
-	wg       sync.WaitGroup
+	core  *overload.Server
 }
 
 // NewServer validates cfg and creates a server.
@@ -116,15 +106,21 @@ func NewServer(cfg Config) (*Server, error) {
 	if cfg.MaxCommands == 0 {
 		cfg.MaxCommands = DefaultMaxCommands
 	}
-	s := &Server{cfg: cfg, sessions: make(map[*session]struct{})}
-	if cfg.MaxConns > 0 {
-		s.sem = make(chan struct{}, cfg.MaxConns)
-	}
+	s := &Server{cfg: cfg}
+	s.core = overload.New(overload.Config{
+		MaxConns:    cfg.MaxConns,
+		ReadTimeout: cfg.ReadTimeout,
+		Serve:       s.serveConn,
+		Reject: func(nc net.Conn) {
+			farewell(nc, cfg.EHLOName+" Too many connections, try again later")
+		},
+		Refuse: s.goodbye,
+	})
 	return s, nil
 }
 
 // Stats returns a snapshot of the server's serving counters.
-func (s *Server) Stats() ServerStats { return s.stats.snapshot() }
+func (s *Server) Stats() ServerStats { return s.stats.snapshot(s.core.Stats()) }
 
 // Serve accepts connections on ln until the server is closed. It blocks;
 // run it in a goroutine.
@@ -132,74 +128,7 @@ func (s *Server) Stats() ServerStats { return s.stats.snapshot() }
 // Transient accept errors are retried with jittered backoff instead of
 // killing the loop, and connections beyond MaxConns are shed with a 421
 // so a connection storm cannot spawn unbounded session goroutines.
-func (s *Server) Serve(ln net.Listener) error {
-	s.mu.Lock()
-	if s.closed || s.draining {
-		s.mu.Unlock()
-		return net.ErrClosed
-	}
-	s.lns = append(s.lns, ln)
-	s.wg.Add(1)
-	s.mu.Unlock()
-	defer s.wg.Done()
-	consec := 0
-	for {
-		conn, err := ln.Accept()
-		if err != nil {
-			if s.stopping() {
-				return nil
-			}
-			consec++
-			if !overload.TransientNetErr(err) || consec > maxConsecutiveAcceptErrs {
-				return err
-			}
-			s.stats.acceptRetries.Add(1)
-			overload.Backoff(consec)
-			continue
-		}
-		consec = 0
-		if !s.admit() {
-			s.stats.rejected.Add(1)
-			conn.SetWriteDeadline(time.Now().Add(time.Second))
-			writeReply(conn, 421, s.cfg.EHLOName+" Too many connections, try again later")
-			conn.Close()
-			continue
-		}
-		s.stats.accepted.Add(1)
-		s.wg.Add(1)
-		go func() {
-			defer s.wg.Done()
-			defer s.release()
-			s.serveConn(conn)
-		}()
-	}
-}
-
-// admit takes an admission slot, or reports the cap is hit.
-func (s *Server) admit() bool {
-	if s.sem == nil {
-		return true
-	}
-	select {
-	case s.sem <- struct{}{}:
-		return true
-	default:
-		return false
-	}
-}
-
-func (s *Server) release() {
-	if s.sem != nil {
-		<-s.sem
-	}
-}
-
-// stopping reports whether the server is draining or closed.
-func (s *Server) stopping() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.closed || s.draining
-}
+func (s *Server) Serve(ln net.Listener) error { return s.core.Serve(ln) }
 
 // Shutdown gracefully drains the server: it stops accepting, lets each
 // session finish the command it is executing (a session mid-DATA
@@ -207,87 +136,17 @@ func (s *Server) stopping() bool {
 // It returns nil when the drain completed, or ctx.Err() after falling
 // back to a hard Close at the context deadline. Close retains hard-stop
 // semantics.
-func (s *Server) Shutdown(ctx context.Context) error {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return nil
-	}
-	first := !s.draining
-	s.draining = true
-	lns := append([]net.Listener(nil), s.lns...)
-	// Wake sessions blocked waiting for the next command; sessions busy
-	// executing a command are left to finish it and notice the drain at
-	// the loop top.
-	now := time.Now()
-	for sess := range s.sessions {
-		if !sess.busy {
-			sess.conn.SetReadDeadline(now)
-		}
-	}
-	s.mu.Unlock()
-	for _, ln := range lns {
-		ln.Close()
-	}
-
-	done := make(chan struct{})
-	go func() {
-		s.wg.Wait()
-		close(done)
-	}()
-	select {
-	case <-done:
-		if first {
-			s.stats.drains.Add(1)
-		}
-		s.mu.Lock()
-		s.closed = true
-		s.mu.Unlock()
-		return nil
-	case <-ctx.Done():
-		if first {
-			s.stats.drainTimeouts.Add(1)
-		}
-		s.Close()
-		return ctx.Err()
-	}
-}
+func (s *Server) Shutdown(ctx context.Context) error { return s.core.Shutdown(ctx) }
 
 // Close stops all listeners and sessions immediately and waits for
 // session goroutines to exit. Shutdown is the graceful alternative.
-func (s *Server) Close() error {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return nil
-	}
-	s.closed = true
-	lns := s.lns
-	conns := make([]net.Conn, 0, len(s.sessions))
-	for sess := range s.sessions {
-		conns = append(conns, sess.conn)
-	}
-	s.mu.Unlock()
-	for _, ln := range lns {
-		ln.Close()
-	}
-	for _, c := range conns {
-		c.Close()
-	}
-	s.wg.Wait()
-	return nil
-}
+func (s *Server) Close() error { return s.core.Close() }
 
 // session holds per-connection state.
 type session struct {
 	srv  *Server
-	conn net.Conn
+	conn *overload.Conn // the core's handle; NetConn is the live transport
 	rd   *reader
-
-	// busy is true while the session executes a command. Guarded by
-	// srv.mu: Shutdown reads it to tell idle sessions (safe to wake with
-	// an immediate read deadline) from ones mid-command.
-	busy bool
 
 	helloSeen     bool
 	tlsActive     bool
@@ -297,47 +156,43 @@ type session struct {
 	to            []string
 }
 
-func (s *Server) serveConn(conn net.Conn) {
-	defer conn.Close()
-	sess := &session{srv: s, conn: conn, rd: newReader(conn)}
-	if !s.trackSession(sess) {
-		// Raced with shutdown between accept and registration.
-		sess.goodbye()
-		return
-	}
-	defer s.untrackSession(sess)
+// serveConn is the core's session handler: idle while waiting for a
+// command line, busy while executing it.
+func (s *Server) serveConn(c *overload.Conn) {
+	sess := &session{srv: s, conn: c, rd: newReader(c.NetConn())}
 	if err := sess.reply(220, s.cfg.Banner); err != nil {
 		return
 	}
 	commands := 0
 	for {
-		if !s.beginRead(sess) {
-			sess.goodbye()
+		if !c.BeginRead() {
+			s.goodbye(c.NetConn())
 			return
 		}
 		line, err := sess.rd.line()
-		if err != nil {
-			if errors.Is(err, ErrLineTooLong) {
-				sess.reply(500, "Line too long")
-				continue
-			}
-			if s.stopping() {
+		if err != nil && !errors.Is(err, ErrLineTooLong) {
+			if s.core.Stopping() {
 				// Woken by Shutdown's immediate read deadline.
-				sess.goodbye()
+				s.goodbye(c.NetConn())
 			}
 			return
 		}
+		// An oversized line spends budget like a command: otherwise a
+		// client could hold the session forever without dispatching one.
 		commands++
 		if s.cfg.MaxCommands > 0 && commands > s.cfg.MaxCommands {
 			s.stats.budgetCloses.Add(1)
-			sess.goodbye()
+			s.goodbye(c.NetConn())
 			return
+		}
+		if err != nil {
+			sess.reply(500, "Line too long")
+			continue
 		}
 		s.stats.commands.Add(1)
 		verb, arg := command(line)
-		s.setBusy(sess, true)
+		c.SetBusy()
 		done, err := sess.dispatch(verb, arg)
-		s.setBusy(sess, false)
 		if err != nil {
 			s.logf("session error: %v", err)
 			return
@@ -348,52 +203,21 @@ func (s *Server) serveConn(conn net.Conn) {
 	}
 }
 
-// trackSession registers a session for drain/close bookkeeping; it
-// refuses when the server is already stopping.
-func (s *Server) trackSession(sess *session) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed || s.draining {
-		return false
-	}
-	s.sessions[sess] = struct{}{}
-	return true
-}
-
-func (s *Server) untrackSession(sess *session) {
-	s.mu.Lock()
-	delete(s.sessions, sess)
-	s.mu.Unlock()
-}
-
-func (s *Server) setBusy(sess *session, v bool) {
-	s.mu.Lock()
-	sess.busy = v
-	s.mu.Unlock()
-}
-
-// beginRead arms the per-command read deadline. It runs under the server
-// mutex so it cannot race Shutdown's wake-up: a drain that has started
-// wins, and a session cannot park itself in a fresh 60s read afterward.
-func (s *Server) beginRead(sess *session) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed || s.draining {
-		return false
-	}
-	return sess.conn.SetReadDeadline(time.Now().Add(s.cfg.ReadTimeout)) == nil
-}
-
 // goodbye tells the client the server is closing the transmission
-// channel (RFC 5321 §3.8) under a short write deadline so a stuck peer
-// cannot pin the drain.
-func (sess *session) goodbye() {
-	sess.conn.SetWriteDeadline(time.Now().Add(time.Second))
-	writeReply(sess.conn, 421, sess.srv.cfg.EHLOName+" Service closing transmission channel")
+// channel (RFC 5321 §3.8).
+func (s *Server) goodbye(nc net.Conn) {
+	farewell(nc, s.cfg.EHLOName+" Service closing transmission channel")
+}
+
+// farewell writes a 421 under a short write deadline so a stuck peer
+// cannot pin the accept loop or a drain.
+func farewell(nc net.Conn, text string) {
+	nc.SetWriteDeadline(time.Now().Add(time.Second))
+	writeReply(nc, 421, text)
 }
 
 func (sess *session) reply(code int, lines ...string) error {
-	return writeReply(sess.conn, code, lines...)
+	return writeReply(sess.conn.NetConn(), code, lines...)
 }
 
 // dispatch executes one command; done=true ends the session.
@@ -452,7 +276,7 @@ func (sess *session) startTLS() error {
 	if err := sess.reply(220, "Ready to start TLS"); err != nil {
 		return err
 	}
-	tlsConn := tls.Server(sess.conn, sess.srv.cfg.TLS)
+	tlsConn := tls.Server(sess.conn.NetConn(), sess.srv.cfg.TLS)
 	if err := tlsConn.SetDeadline(time.Now().Add(sess.srv.cfg.ReadTimeout)); err != nil {
 		return err
 	}
@@ -473,13 +297,12 @@ func (sess *session) startTLS() error {
 	return nil
 }
 
-// setConn swaps the session's connection (STARTTLS) under the server
-// mutex so a concurrent Shutdown or Close always sees the live conn.
+// setConn swaps the session's connection (STARTTLS). The core does it
+// under its lock, so a concurrent Shutdown or Close always sees the live
+// conn.
 func (sess *session) setConn(conn net.Conn) {
-	sess.srv.mu.Lock()
-	sess.conn = conn
+	sess.conn.Swap(conn)
 	sess.rd = newReader(conn)
-	sess.srv.mu.Unlock()
 }
 
 func (sess *session) mail(arg string) error {

@@ -11,12 +11,12 @@ import (
 	"strings"
 	"sync"
 	"syscall"
-	"time"
 
 	"mxmap/internal/asn"
 	"mxmap/internal/certs"
 	"mxmap/internal/companies"
 	"mxmap/internal/dns"
+	"mxmap/internal/netsim"
 	"mxmap/internal/smtp"
 )
 
@@ -485,58 +485,12 @@ func (d flatDialer) DialContext(ctx context.Context, _, address string) (net.Con
 	if err != nil {
 		return nil, err
 	}
-	client, server := newPipe()
+	client, server := netsim.Pipe()
 	go srv.Serve(&oneShotListener{
 		conn: server,
 		addr: &net.TCPAddr{IP: ap.Addr().AsSlice(), Port: int(ap.Port())},
 	})
 	return client, nil
-}
-
-// pipeEnd is one end of a net.Pipe that leaves no deadline timer behind.
-// net.Pipe keeps a timer per armed deadline, Close does not stop it, and
-// until it fires it pins the closed pipe: a scan would hold every
-// session of the last minute (the server's read timeout) in memory.
-// Once either end is closed net.Pipe refuses to touch a deadline, so the
-// first Close disarms both ends, under a lock that keeps the other end
-// from arming one in between.
-type pipeEnd struct {
-	net.Conn
-	peer net.Conn
-	mu   *sync.Mutex // shared by the two ends
-}
-
-func newPipe() (pipeEnd, pipeEnd) {
-	a, b := net.Pipe()
-	mu := new(sync.Mutex)
-	return pipeEnd{a, b, mu}, pipeEnd{b, a, mu}
-}
-
-func (c pipeEnd) SetDeadline(t time.Time) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.Conn.SetDeadline(t)
-}
-
-func (c pipeEnd) SetReadDeadline(t time.Time) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.Conn.SetReadDeadline(t)
-}
-
-func (c pipeEnd) SetWriteDeadline(t time.Time) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.Conn.SetWriteDeadline(t)
-}
-
-func (c pipeEnd) Close() error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	// These fail only when an end is closed already, with nothing armed.
-	c.Conn.SetDeadline(time.Time{})
-	c.peer.SetDeadline(time.Time{})
-	return c.Conn.Close()
 }
 
 // hostAt resolves an address to its serving identity, or a
