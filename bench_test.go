@@ -276,7 +276,6 @@ func benchdataProfiles() []core.ProviderProfile {
 func benchmarkInfer(b *testing.B, nDomains, parallelism int) {
 	snap := benchdata.Snapshot(nDomains)
 	cfg := core.Config{Profiles: benchdataProfiles(), Parallelism: parallelism}
-	snap.Index() // steady-state: the derived index is cached across runs
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		core.Infer(snap, core.ApproachPriority, cfg)

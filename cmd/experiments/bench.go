@@ -50,7 +50,6 @@ func runInferBench(outDir string, parallelism int) error {
 	fmt.Printf("inference pipeline benchmarks (parallel variant: %d workers)\n", workers)
 	for _, scale := range []int{2_000, 20_000} {
 		snap := benchdata.Snapshot(scale)
-		snap.Index()
 		for _, mode := range []struct {
 			label       string
 			parallelism int

@@ -215,11 +215,11 @@ func runFleet(ctx context.Context, opt fleetOptions) {
 		if err != nil {
 			log.Fatal(err)
 		}
-		h, err := st.Health()
+		h, err := dataset.HealthOf(st)
 		if err != nil {
 			log.Fatal(err)
 		}
-		// Stream.Health cannot see the run's resilience counters — the
+		// HealthOf cannot see the run's resilience counters — the
 		// merged file does not carry them — so fold in the fleet's sum.
 		// Without this the fleet sidecar reported zero retries no matter
 		// how rough the collection was, unlike the single-worker path.

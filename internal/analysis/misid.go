@@ -93,7 +93,7 @@ type MisidReport struct {
 // ScoreMisidentification grades an inference result against an
 // adversarial oracle. The snapshot supplies the collection-side verdicts
 // (failure classes) the DNS-only families are graded on; res must come
-// from a batch Infer run so per-domain attributions are present.
+// from an Infer run, which retains the per-domain attributions.
 //
 // Correctness per family:
 //

@@ -153,16 +153,3 @@ func TestGroupingPartitionProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
-
-func TestPopularityCounters(t *testing.T) {
-	s := table12Snapshot()
-	numIP, numCert := popularity(s, s.Index(), 2)
-	// Two domains (netflix, gsipartners) lead to the shared google cert,
-	// via different IPs.
-	if numCert["fp-google"] != 2 {
-		t.Errorf("numCert[fp-google] = %d, want 2", numCert["fp-google"])
-	}
-	if numIP["172.217.222.26"] != 1 || numIP["173.194.201.27"] != 1 {
-		t.Errorf("numIP = %v", numIP)
-	}
-}

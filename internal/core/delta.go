@@ -1,10 +1,6 @@
 package core
 
-import (
-	"mxmap/internal/dataset"
-	"mxmap/internal/parallel"
-	"mxmap/internal/psl"
-)
+import "mxmap/internal/dataset"
 
 // DeltaStats reports how much work an incremental inference run reused
 // from its prior result.
@@ -19,7 +15,10 @@ type DeltaStats struct {
 // InferDelta runs the selected approach over a snapshot, reusing the
 // prior result's attribution for every domain that provably cannot have
 // changed. The output is byte-identical to Infer over the same
-// snapshot; only the work differs.
+// snapshot; only the work differs. Like Infer it is the one engine
+// (inferStream) over the snapshot as record source, with the emitted
+// attributions retained in Result.Domains and the prior's looked up
+// there.
 //
 // The assignment side (steps 1-4 and the trust pass) is always
 // recomputed in full — it is global by construction (cert grouping,
@@ -39,58 +38,46 @@ type DeltaStats struct {
 // from the same approach and Config; a nil prior, an approach mismatch,
 // or a prior without retained Domains degrades to a full recompute.
 func InferDelta(s *dataset.Snapshot, approach Approach, cfg Config, prior *Result, changed map[string]bool) (*Result, DeltaStats) {
-	memo := psl.NewMemo(cfg.pslOrDefault())
-	if cfg.ConfidenceThreshold == 0 {
-		cfg.ConfidenceThreshold = 5
-	}
-	workers := parallel.Workers(cfg.Parallelism)
-	idx := s.Index()
-	res := inferAssignments(s, idx, approach, cfg, memo, workers)
-
-	var priorIdx map[string]int
-	if prior != nil && prior.Approach == approach && prior.Domains != nil {
-		priorIdx = make(map[string]int, len(prior.Domains))
-		for i := range prior.Domains {
-			priorIdx[prior.Domains[i].Domain] = i
-		}
-	}
-
-	res.Domains = make([]DomainAttribution, len(s.Domains))
-	res.NumDomains = len(s.Domains)
-	reused := make([]bool, len(s.Domains))
-	parallel.Run(len(s.Domains), workers, func(i int) {
-		d := &s.Domains[i]
-		if priorIdx != nil && !changed[d.Domain] {
-			if j, ok := priorIdx[d.Domain]; ok &&
-				assignmentsEqual(idx.PrimaryMX[i], prior.MX, res.MX) {
-				res.Domains[i] = prior.Domains[j]
-				reused[i] = true
-				return
-			}
-		}
-		res.Domains[i] = attributeDomain(d, idx.PrimaryMX[i], res.MX, s.IPs)
+	domains := make([]DomainAttribution, 0, len(s.Domains))
+	res, ds, err := inferStream(s, approach, cfg, prior, retained(prior), changed, func(att DomainAttribution) {
+		domains = append(domains, att)
 	})
-	var ds DeltaStats
-	for _, r := range reused {
-		if r {
-			ds.Reused++
-		}
+	if err != nil {
+		panic(err) // unreachable: a Snapshot source returns only its callbacks' errors, and inferStream's return none
 	}
-	ds.Reinferred = res.NumDomains - ds.Reused
+	res.Domains = domains
 	return res, ds
 }
 
-// InferStreamDelta is InferDelta over an on-disk snapshot: the streaming
-// counterpart with InferStream's memory profile. priorAtt resolves a
-// domain's prior attribution (the caller typically holds them in a
-// serving store keyed by domain); emit receives every attribution in
-// domain order, reused ones included, and may be nil.
+// retained resolves a domain's prior attribution from the Domains a
+// prior in-memory run kept; nil when there are none to reuse.
+func retained(prior *Result) func(string) (DomainAttribution, bool) {
+	if prior == nil || prior.Domains == nil {
+		return nil
+	}
+	at := make(map[string]int, len(prior.Domains))
+	for i := range prior.Domains {
+		at[prior.Domains[i].Domain] = i
+	}
+	return func(domain string) (DomainAttribution, bool) {
+		if i, ok := at[domain]; ok {
+			return prior.Domains[i], true
+		}
+		return DomainAttribution{}, false
+	}
+}
+
+// InferStreamDelta is InferDelta over any record source, with
+// InferStream's memory profile: nothing per domain is retained. priorAtt
+// resolves a domain's prior attribution (the caller typically holds them
+// in a serving store keyed by domain); emit receives every attribution
+// in domain order, reused ones included, and may be nil.
 //
 // The reuse contract matches InferDelta: changed must cover record and
 // referenced-IP churn (dataset.DiffStream's added+changed set), and the
 // prior result must come from the same approach and Config.
-func InferStreamDelta(st *dataset.Stream, approach Approach, cfg Config, prior *Result, priorAtt func(string) (DomainAttribution, bool), changed map[string]bool, emit func(DomainAttribution)) (*Result, DeltaStats, error) {
-	return inferStream(st, approach, cfg, prior, priorAtt, changed, emit)
+func InferStreamDelta(src dataset.Source, approach Approach, cfg Config, prior *Result, priorAtt func(string) (DomainAttribution, bool), changed map[string]bool, emit func(DomainAttribution)) (*Result, DeltaStats, error) {
+	return inferStream(src, approach, cfg, prior, priorAtt, changed, emit)
 }
 
 // assignmentsEqual reports whether every primary exchange's assignment

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"net/netip"
 	"strings"
-	"sync"
 
 	"mxmap/internal/asn"
 	"mxmap/internal/dataset"
@@ -106,11 +105,13 @@ type Config struct {
 	// ConfidenceThreshold is the per-assignment popularity below which an
 	// assignment to a profiled provider is examined (default 5 domains).
 	ConfidenceThreshold int
-	// Parallelism bounds the worker pool sharding steps 2, 3 and 5
-	// across cores. Zero or negative selects runtime.GOMAXPROCS(0); 1
-	// forces a fully serial run. Output is byte-for-byte identical at
-	// every setting: workers write into index-addressed slices and maps
-	// are assembled only after each pool drains.
+	// Parallelism bounds the worker pool sharding step 2 (over the
+	// sorted IP keys) and step 3 (over the exchange inventory) across
+	// cores; the two passes over the domains, step 5 among them, are
+	// serial. Zero or negative selects runtime.GOMAXPROCS(0); 1 forces a
+	// fully serial run. Output is byte-for-byte identical at every
+	// setting: workers write into index-addressed slices and maps are
+	// assembled only after each pool drains.
 	Parallelism int
 	// RequireBannerEHLOAgreement, when set, derives a Banner/EHLO ID only
 	// when both messages carry the same registered domain (the strict
@@ -202,9 +203,10 @@ type Result struct {
 	Approach Approach
 	// MX maps exchange name to its assignment.
 	MX map[string]*MXAssignment
-	// Domains holds one attribution per input domain, in input order.
-	// Nil for InferStream runs, which hand each attribution to the emit
-	// callback instead of retaining it; NumDomains still counts them.
+	// Domains holds one attribution per input domain, in input order:
+	// what Infer and InferDelta collect from the engine's emit callback.
+	// Nil for InferStream and InferStreamDelta runs, whose caller owns
+	// that callback; NumDomains still counts them.
 	Domains []DomainAttribution
 	// NumDomains counts the attributed input domains.
 	NumDomains int
@@ -216,85 +218,11 @@ type Result struct {
 	NumUntrusted int
 }
 
-// Infer runs the selected approach over a snapshot.
-//
-// The run is sharded across cfg.Parallelism workers but remains fully
-// deterministic: steps 2, 3 and 5 fan out over the snapshot's
-// precomputed index (sorted IP keys, deduplicated exchange inventory,
-// domain positions) with every worker writing only its own
-// index-addressed slot, and the result maps are assembled after the pool
-// drains. Steps 1 and 4 are serial — cert grouping is a union-find over
-// a small cert population and the misidentification pass touches only
-// flagged assignments.
+// Infer runs the selected approach over an in-memory snapshot: it is
+// InferStream with the snapshot as the record source and every emitted
+// attribution retained in Result.Domains.
 func Infer(s *dataset.Snapshot, approach Approach, cfg Config) *Result {
-	memo := psl.NewMemo(cfg.pslOrDefault())
-	if cfg.ConfidenceThreshold == 0 {
-		cfg.ConfidenceThreshold = 5
-	}
-	workers := parallel.Workers(cfg.Parallelism)
-	idx := s.Index()
-	res := inferAssignments(s, idx, approach, cfg, memo, workers)
-
-	// Step 5 — per-domain attribution, sharded over domain positions.
-	// res.MX is read-only from here on, so concurrent map reads are safe.
-	res.Domains = make([]DomainAttribution, len(s.Domains))
-	res.NumDomains = len(s.Domains)
-	parallel.Run(len(s.Domains), workers, func(i int) {
-		res.Domains[i] = attributeDomain(&s.Domains[i], idx.PrimaryMX[i], res.MX, s.IPs)
-	})
-	return res
-}
-
-// inferAssignments runs steps 1-4 plus the trust pass over a
-// materialized snapshot: everything up to (but excluding) per-domain
-// attribution. Shared by Infer and InferDelta — the assignment side is
-// always recomputed in full because its cost is bounded by the
-// distinct-IP and distinct-exchange populations, not the domain count.
-func inferAssignments(s *dataset.Snapshot, idx *dataset.Index, approach Approach, cfg Config, memo *psl.Memo, workers int) *Result {
-	// Step 1 — certificate preprocessing (cert-based and priority only).
-	var groups *CertGroups
-	if approach == ApproachCertBased || approach == ApproachPriority {
-		certList := collectCerts(s.IPs, idx.SortedIPKeys)
-		if cfg.DisableCertGrouping {
-			groups = singletonGroups(certList, memo)
-		} else {
-			groups = groupCertificates(certList, memo)
-		}
-	}
-
-	// Step 2 — per-IP identities, sharded over the sorted key list.
-	ipIDs := computeIPIDs(s.IPs, idx.SortedIPKeys, groups, memo, cfg, workers)
-
-	// Popularity counters for confidence scores: how many domains' primary
-	// MX sets point at each address and at each certificate.
-	numIP, numCert := popularity(s, idx, workers)
-
-	// Step 3 — per-MX provider IDs, sharded over the deduplicated
-	// exchange inventory (one assignment per distinct exchange).
-	res := &Result{Approach: approach, MX: make(map[string]*MXAssignment, len(idx.Exchanges))}
-	assigns := make([]*MXAssignment, len(idx.Exchanges))
-	parallel.Run(len(idx.Exchanges), workers, func(i int) {
-		assigns[i] = assignMX(idx.Exchanges[i], approach, ipIDs, numIP, numCert, s.IPs, memo, cfg.PreferBannerOverCert)
-	})
-	for _, a := range assigns {
-		res.MX[a.Exchange] = a
-	}
-
-	// Step 4 — misidentification check (priority approach only).
-	if approach == ApproachPriority && len(cfg.Profiles) > 0 {
-		checkMisidentifications(res, idx.Exchanges, s.IPs, ipIDs, cfg, memo)
-	}
-
-	// Trust pass — hijack/abuse-aware provenance cross-check (priority
-	// approach only). Statistics accumulate in domain order from the
-	// serialized record fields, mirroring InferStream's pass A exactly.
-	if approach == ApproachPriority {
-		tstats := newTrustStats()
-		for i := range s.Domains {
-			tstats.observe(&s.Domains[i], idx.PrimaryMX[i], memo)
-		}
-		checkTrust(res, idx.Exchanges, s.IPs, tstats, cfg)
-	}
+	res, _ := InferDelta(s, approach, cfg, nil, nil)
 	return res
 }
 
@@ -395,55 +323,6 @@ func normalizeHost(h string) string {
 	return strings.TrimSuffix(strings.ToLower(strings.TrimSpace(h)), ".")
 }
 
-// popularity counts, per address and per certificate, how many domains'
-// primary MX sets lead there. Workers accumulate into private counter
-// maps over disjoint domain ranges; the merge after the barrier sums
-// per-key, so the totals are order-independent.
-func popularity(s *dataset.Snapshot, idx *dataset.Index, workers int) (numIP, numCert map[string]int) {
-	type counters struct {
-		ip, cert map[string]int
-	}
-	parts := make([]counters, 0, workers)
-	var mu sync.Mutex
-	parallel.RunChunks(len(s.Domains), workers, func(lo, hi int) {
-		c := counters{ip: make(map[string]int), cert: make(map[string]int)}
-		var seenIP, seenCert []string // tiny per-domain sets: linear scan beats a map
-		for i := lo; i < hi; i++ {
-			seenIP, seenCert = seenIP[:0], seenCert[:0]
-			for _, mx := range idx.PrimaryMX[i] {
-				for _, a := range mx.Addrs {
-					key := a.String()
-					if containsStr(seenIP, key) {
-						continue
-					}
-					seenIP = append(seenIP, key)
-					c.ip[key]++
-					if info, ok := s.IPs[key]; ok && info.Scan != nil && info.Scan.CertFingerprint != "" {
-						if fp := info.Scan.CertFingerprint; !containsStr(seenCert, fp) {
-							seenCert = append(seenCert, fp)
-							c.cert[fp]++
-						}
-					}
-				}
-			}
-		}
-		mu.Lock()
-		parts = append(parts, c)
-		mu.Unlock()
-	})
-	numIP = make(map[string]int)
-	numCert = make(map[string]int)
-	for _, c := range parts {
-		for k, v := range c.ip {
-			numIP[k] += v
-		}
-		for k, v := range c.cert {
-			numCert[k] += v
-		}
-	}
-	return numIP, numCert
-}
-
 func containsStr(list []string, s string) bool {
 	for _, v := range list {
 		if v == s {
@@ -535,8 +414,8 @@ func mxFallbackID(exchange string, memo *psl.Memo) string {
 	return h
 }
 
-// attributeDomain performs step 5 for one domain, using the index's
-// cached primary MX set.
+// attributeDomain performs step 5 for one domain, given its primary MX
+// set.
 func attributeDomain(d *dataset.DomainRecord, primary []dataset.MXObs, mxAssign map[string]*MXAssignment, ips map[string]dataset.IPInfo) DomainAttribution {
 	out := DomainAttribution{Domain: d.Domain, Rank: d.Rank, Credits: make(map[string]float64)}
 	if len(primary) == 0 {

@@ -92,7 +92,7 @@ func TestPaperTable3Priority(t *testing.T) {
 
 func TestPaperTable3CertGrouping(t *testing.T) {
 	s := table3Snapshot()
-	groups := GroupCertificates(collectCerts(s.IPs, s.Index().SortedIPKeys), nil)
+	groups := GroupCertificates(collectCerts(s.IPs, []string{"1.2.3.4", "2.3.4.5", "3.4.5.6", "4.5.6.7"}), nil)
 	// Two groups: {cert1, cert2} and {vps cert}.
 	if groups.NumGroups() != 2 {
 		t.Errorf("NumGroups = %d, want 2", groups.NumGroups())
@@ -166,6 +166,41 @@ func TestPaperTables1And2(t *testing.T) {
 	}
 	if !byDomain["netflix.com"].HasSMTP {
 		t.Error("netflix.com should have an SMTP server")
+	}
+}
+
+// TestPopularityCounters pins pass A's popularity counters through the
+// one place they surface, MXAssignment.Confidence: the larger of the
+// domains pointing at the exchange's busiest address and the domains
+// pointing at its busiest certificate, each domain counted once.
+func TestPopularityCounters(t *testing.T) {
+	s := table12Snapshot()
+	// A second domain reaches jeniustoto's scan-less address through
+	// another exchange: two domains per address, no certificate.
+	s.AddDomain(dataset.DomainRecord{Domain: "alsohosted.net", MX: []dataset.MXObs{
+		{Preference: 10, Exchange: "ghs2.example.net", Addrs: []netip.Addr{addr("172.217.168.243")}}}})
+	// One domain listing an address under both primary exchanges still
+	// counts once for it.
+	s.AddDomain(dataset.DomainRecord{Domain: "twice.org", MX: []dataset.MXObs{
+		{Preference: 5, Exchange: "a.twice.org", Addrs: []netip.Addr{addr("10.1.1.1")}},
+		{Preference: 5, Exchange: "b.twice.org", Addrs: []netip.Addr{addr("10.1.1.1")}}}})
+	s.AddIP(dataset.IPInfo{Addr: addr("10.1.1.1"), HasCensys: true})
+	res := Infer(s, ApproachPriority, Config{})
+	want := map[string]int{
+		// netflix and gsipartners lead to the shared google certificate
+		// via different addresses: one domain per address, two per cert.
+		"aspmx.l.google.com":          2,
+		"mailhost.gsipartners.com":    2,
+		"mx10.mailspamprotection.com": 1,
+		"ghs.google.com":              2,
+		"ghs2.example.net":            2,
+		"a.twice.org":                 1,
+		"b.twice.org":                 1,
+	}
+	for ex, w := range want {
+		if a := res.MX[ex]; a == nil || a.Confidence != w {
+			t.Errorf("Confidence of %s = %+v, want %d", ex, a, w)
+		}
 	}
 }
 

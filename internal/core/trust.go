@@ -25,10 +25,9 @@ const (
 	CreditParked = "(parked)"
 )
 
-// maxStemsPerExchange bounds the per-exchange stem table so the
-// streaming path's memory stays proportional to the exchange inventory;
-// overflow stems collapse into one anonymous bucket. The batch path
-// applies the identical cap, keeping the two paths byte-equivalent.
+// maxStemsPerExchange bounds the per-exchange stem table so an
+// inference run's memory stays proportional to the exchange inventory;
+// overflow stems collapse into one anonymous bucket.
 const maxStemsPerExchange = 16
 
 // abuseStemMinLen is the shortest digit-stripped stem the abuse rule
@@ -37,10 +36,10 @@ const maxStemsPerExchange = 16
 const abuseStemMinLen = 12
 
 // trustStats accumulates, per exchange and in domain order, the
-// delegation-provenance and naming evidence the trust pass consumes.
-// Both Infer and InferStream feed it from the serialized record fields
-// only (Delegation, Dangling, Parked), so batch and streaming runs see
-// identical inputs.
+// delegation-provenance and naming evidence the trust pass consumes. It
+// is fed from the serialized record fields only (Delegation, Dangling,
+// Parked), so a run over a collected snapshot and a run over its file
+// see identical inputs.
 type trustStats struct {
 	// staleGlue marks exchanges referenced by any domain whose delegation
 	// provenance was flagged stale.

@@ -141,13 +141,33 @@ type Breakdown struct {
 	Total  int
 }
 
-// ComputeBreakdown classifies every domain in the snapshot.
-func (s *Snapshot) ComputeBreakdown() Breakdown {
-	var b Breakdown
-	for i := range s.Domains {
-		b.Counts[s.Classify(&s.Domains[i])]++
-		b.Total++
+// BreakdownOf classifies every domain of a snapshot into its Table 4
+// category: the bounded IP section is loaded first, then the domains
+// pass through the classifier.
+func BreakdownOf(src Source) (Breakdown, error) {
+	ips, err := src.LoadIPs()
+	if err != nil {
+		return Breakdown{}, err
 	}
+	lookup := func(addr netip.Addr) (IPInfo, bool) {
+		info, ok := ips[addr.String()]
+		return info, ok
+	}
+	var b Breakdown
+	err = src.ForEach(func(d *DomainRecord) error {
+		b.Counts[ClassifyWith(d, lookup)]++
+		b.Total++
+		return nil
+	}, nil)
+	if err != nil {
+		return Breakdown{}, err
+	}
+	return b, nil
+}
+
+// ComputeBreakdown is BreakdownOf the snapshot.
+func (s *Snapshot) ComputeBreakdown() Breakdown {
+	b, _ := BreakdownOf(s) // no error: a Snapshot's LoadIPs and ForEach fail only through a callback, and this one does not
 	return b
 }
 

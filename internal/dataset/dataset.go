@@ -6,11 +6,18 @@
 // It also implements the data-availability breakdown the paper reports in
 // Table 4, which partitions a corpus by how much of the signal chain
 // (MX -> IP -> scan -> certificate/banner) was observable.
+//
+// A snapshot is read through Source: LoadIPs returns its IP table and
+// ForEach makes one pass over its records, each record readable until
+// its callback returns. *Snapshot (in memory) and *Stream (a file) both
+// implement it, and the readers — HealthOf, BreakdownOf, core's
+// inference — are written once, over Source.
 package dataset
 
 import (
 	"bufio"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/netip"
@@ -145,14 +152,12 @@ type IPInfo struct {
 
 // Snapshot is one dated measurement of one corpus.
 //
-// Concurrency contract: the mutators (AddDomain, AddIP, SortDomains) and
-// Index() all synchronize on one internal mutex, so concurrent adds
-// interleaved with index lookups are safe — each Index() call returns a
-// consistent immutable view of the snapshot at some point between the
-// surrounding mutations. Direct reads of the exported Domains/IPs fields
-// (including WriteTo and the analysis passes) are NOT synchronized; they
-// require that all mutation has quiesced, which is the natural state once
-// collection finishes.
+// Concurrency contract: the mutators (AddDomain, AddIP, SortDomains)
+// synchronize on one internal mutex, so concurrent producers may share
+// one snapshot. Reads of the exported Domains/IPs fields (including
+// WriteTo, ForEach, LoadIPs and the analysis passes) are NOT
+// synchronized; they require that all mutation has quiesced, which is
+// the natural state once collection finishes.
 type Snapshot struct {
 	// Date is the snapshot label, e.g. "2021-06".
 	Date string `json:"date"`
@@ -166,10 +171,8 @@ type Snapshot struct {
 	// scan.Collector and folded into Health().
 	Stats CollectionStats `json:"-"`
 
-	// mu guards Domains/IPs mutation and the cached index, so concurrent
-	// producers and Index() readers may share one snapshot.
-	mu  sync.Mutex
-	idx *Index
+	// mu guards Domains/IPs mutation.
+	mu sync.Mutex
 }
 
 // NewSnapshot creates an empty snapshot.
@@ -184,20 +187,18 @@ func (s *Snapshot) IP(addr netip.Addr) (IPInfo, bool) {
 }
 
 // AddDomain appends a domain record. Safe for concurrent use with the
-// other mutators and Index().
+// other mutators.
 func (s *Snapshot) AddDomain(d DomainRecord) {
 	s.mu.Lock()
 	s.Domains = append(s.Domains, d)
-	s.idx = nil
 	s.mu.Unlock()
 }
 
 // AddIP records an IP observation, replacing any previous one. Safe for
-// concurrent use with the other mutators and Index().
+// concurrent use with the other mutators.
 func (s *Snapshot) AddIP(info IPInfo) {
 	s.mu.Lock()
 	s.IPs[info.Addr.String()] = info
-	s.idx = nil
 	s.mu.Unlock()
 }
 
@@ -205,8 +206,70 @@ func (s *Snapshot) AddIP(info IPInfo) {
 func (s *Snapshot) SortDomains() {
 	s.mu.Lock()
 	sort.Slice(s.Domains, func(i, j int) bool { return s.Domains[i].Domain < s.Domains[j].Domain })
-	s.idx = nil
 	s.mu.Unlock()
+}
+
+// ErrStop may be returned from a ForEach callback to end iteration early
+// without an error.
+var ErrStop = errors.New("dataset: stop iteration")
+
+// Source is a snapshot's records behind the two reads every consumer
+// needs: the IP table whole, and a pass over the records.
+//
+// ForEach calls domain for every domain record, then ip for every IP
+// record, each section in the order the source holds it (whatever
+// WriteTo or Merge wrote has domains as given and IPs ascending by
+// address string). Either callback may be nil to skip that section. A
+// record is the callback's to read until it returns: it must not be
+// modified, and whatever must outlive the call is copied, MX and
+// MX[i].Addrs arrays included. A callback returning ErrStop ends the
+// pass successfully; any other error ends it and is returned. Passes may
+// run concurrently.
+//
+// LoadIPs returns the IP section keyed by address string. The caller
+// must not modify the map.
+type Source interface {
+	LoadIPs() (map[string]IPInfo, error)
+	ForEach(domain func(*DomainRecord) error, ip func(*IPInfo) error) error
+}
+
+// LoadIPs returns the snapshot's own IP table, uncopied. It never fails.
+func (s *Snapshot) LoadIPs() (map[string]IPInfo, error) { return s.IPs, nil }
+
+// ForEach walks the snapshot as a Source: domains in slice order, then
+// IPs in ascending key order, which is the order WriteTo serializes
+// them in. The only errors it returns are the callbacks'.
+func (s *Snapshot) ForEach(domain func(*DomainRecord) error, ip func(*IPInfo) error) error {
+	if domain != nil {
+		for i := range s.Domains {
+			if err := domain(&s.Domains[i]); err != nil {
+				return endOfPass(err)
+			}
+		}
+	}
+	if ip != nil {
+		keys := make([]string, 0, len(s.IPs))
+		for k := range s.IPs {
+			keys = append(keys, k)
+		}
+		sort.Strings(keys)
+		for _, k := range keys {
+			info := s.IPs[k]
+			if err := ip(&info); err != nil {
+				return endOfPass(err)
+			}
+		}
+	}
+	return nil
+}
+
+// endOfPass is what a pass returns for a callback's error: ErrStop ends
+// it cleanly.
+func endOfPass(err error) error {
+	if err == ErrStop {
+		return nil
+	}
+	return err
 }
 
 // jsonLine is the tagged union used for JSONL persistence.
@@ -285,22 +348,18 @@ func (s *Snapshot) WriteTo(w io.Writer) (int64, error) {
 		return 0, err
 	}
 	// Record lines are appended straight into the writer's free space.
-	for i := range s.Domains {
-		if _, err := bw.Write(appendDomainLine(bw.AvailableBuffer(), &s.Domains[i])); err != nil {
-			return 0, err
-		}
-	}
-	// Deterministic IP order.
-	keys := make([]string, 0, len(s.IPs))
-	for k := range s.IPs {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		info := s.IPs[k]
-		if _, err := bw.Write(appendIPLine(bw.AvailableBuffer(), &info)); err != nil {
-			return 0, err
-		}
+	err := s.ForEach(
+		func(d *DomainRecord) error {
+			_, err := bw.Write(appendDomainLine(bw.AvailableBuffer(), d))
+			return err
+		},
+		func(info *IPInfo) error {
+			_, err := bw.Write(appendIPLine(bw.AvailableBuffer(), info))
+			return err
+		},
+	)
+	if err != nil {
+		return 0, err
 	}
 	if err := bw.Flush(); err != nil {
 		return cw.n, err
@@ -310,77 +369,123 @@ func (s *Snapshot) WriteTo(w io.Writer) (int64, error) {
 
 // Read parses a snapshot from the JSONL form written by WriteTo.
 func Read(r io.Reader) (*Snapshot, error) {
-	return readNamed(r, "")
+	return read(r, "")
 }
 
-// readNamed is Read with a source name (usually a file path) woven into
-// error messages, so "unexpected EOF" from a truncated gzip stream
-// arrives as "dataset: <path>: line N: unexpected EOF" instead of a bare
-// error with no idea where the damage is.
-func readNamed(r io.Reader, name string) (*Snapshot, error) {
-	where := func(lineno int) string {
-		if name == "" {
-			return fmt.Sprintf("dataset: line %d", lineno)
-		}
-		return fmt.Sprintf("dataset: %s: line %d", name, lineno)
+// read materializes the snapshot walkLines decodes from r.
+func read(r io.Reader, name string) (*Snapshot, error) {
+	var s *Snapshot
+	err := walkLines(r, name,
+		func(h *snapshotHeader) { s = NewSnapshot(h.Date, h.Corpus) },
+		// The snapshot keeps what the record points at, so the holder
+		// walkLines would refill is zeroed: the next line has no array
+		// of this record's to reuse.
+		func(d *DomainRecord) error { s.AddDomain(*d); *d = DomainRecord{}; return nil },
+		func(info *IPInfo) error { s.AddIP(*info); return nil },
+	)
+	if err != nil {
+		return nil, err
+	}
+	return s, nil
+}
+
+// walkLines is the one line loop over the JSONL form of a snapshot,
+// behind Read, ReadFile and every Stream pass. It decodes each line once
+// and hands the header to header (exactly one, before any record),
+// domain records to domain and IP records to ip; a nil callback leaves
+// its lines checked but not stored. The records handed out are two
+// holders refilled line after line (see decodeLine); a callback that
+// keeps a domain record zeroes the holder. ErrStop from a callback ends
+// the walk successfully. name (usually a file path) is woven into error
+// messages, so "unexpected EOF" from a truncated gzip stream arrives as
+// "dataset: <path>: line N: unexpected EOF" instead of a bare error with
+// no idea where the damage is.
+func walkLines(r io.Reader, name string, header func(*snapshotHeader), domain func(*DomainRecord) error, ip func(*IPInfo) error) error {
+	prefix := "dataset"
+	if name != "" {
+		prefix = "dataset: " + name
 	}
 	sc, lineBuf := newLineScanner(r)
 	defer putLineBuf(lineBuf)
+	// A canonical line refills the holders in place, so per-line
+	// allocation is limited to the records' own strings. A section
+	// without a callback is walked, not stored.
 	var (
-		s    *Snapshot
-		d    DomainRecord
-		info IPInfo
-		line jsonLine
+		d          DomainRecord
+		info       IPInfo
+		wantDomain *DomainRecord
+		wantIP     *IPInfo
+		l          jsonLine
+		sawHeader  bool
+		lineno     int
 	)
-	lineno := 0
+	if domain != nil {
+		wantDomain = &d
+	}
+	if ip != nil {
+		wantIP = &info
+	}
+	at := func(err error) error { return fmt.Errorf("%s: line %d: %w", prefix, lineno, err) }
 	for sc.Scan() {
 		lineno++
 		if len(sc.Bytes()) == 0 {
 			continue
 		}
-		// The snapshot keeps what the records point at: start each line
-		// from zeroed ones so that decodeLine has no array to reuse.
-		d, info = DomainRecord{}, IPInfo{}
-		line.Domain, line.IP = &d, &info
-		if _, err := decodeLine(sc.Bytes(), &line); err != nil {
-			return nil, fmt.Errorf("%s: %w", where(lineno), err)
+		l.Domain, l.IP = wantDomain, wantIP
+		if _, err := decodeLine(sc.Bytes(), &l); err != nil {
+			return at(err)
 		}
-		switch line.Kind {
+		var err error
+		switch l.Kind {
 		case "snapshot":
-			if s != nil {
-				return nil, fmt.Errorf("%s: duplicate header", where(lineno))
+			if sawHeader {
+				return at(errors.New("duplicate header"))
 			}
-			if line.Header == nil {
-				return nil, fmt.Errorf("%s: header line without header", where(lineno))
+			if l.Header == nil {
+				return at(errors.New("header line without header"))
 			}
-			s = NewSnapshot(line.Header.Date, line.Header.Corpus)
+			sawHeader = true
+			if header != nil {
+				header(l.Header)
+			}
 		case "domain":
-			if s == nil || line.Domain == nil {
-				return nil, fmt.Errorf("%s: domain before header", where(lineno))
+			switch {
+			case !sawHeader:
+				return at(errors.New("domain before header"))
+			case domain == nil:
+			case l.Domain == nil:
+				return at(errors.New("domain line without body"))
+			default:
+				err = domain(l.Domain)
 			}
-			s.AddDomain(*line.Domain)
 		case "ip":
-			if s == nil || line.IP == nil {
-				return nil, fmt.Errorf("%s: ip before header", where(lineno))
+			switch {
+			case !sawHeader:
+				return at(errors.New("ip before header"))
+			case ip == nil:
+			case l.IP == nil:
+				return at(errors.New("ip line without body"))
+			default:
+				err = ip(l.IP)
 			}
-			s.AddIP(*line.IP)
 		case "footer":
 			// Shard files end with a footer line; ignoring it lets a
 			// single shard load as an ordinary snapshot.
 		default:
-			return nil, fmt.Errorf("%s: unknown kind %q", where(lineno), line.Kind)
+			return at(fmt.Errorf("unknown kind %q", l.Kind))
+		}
+		if err != nil {
+			return endOfPass(err)
 		}
 	}
 	if err := sc.Err(); err != nil {
 		// The scanner surfaces stream-level damage (truncated gzip,
 		// oversize line) after the last intact line.
-		return nil, fmt.Errorf("%s: %w", where(lineno+1), err)
+		lineno++
+		return at(err)
 	}
-	if s == nil {
-		if name != "" {
-			return nil, fmt.Errorf("dataset: %s: empty input", name)
-		}
-		return nil, fmt.Errorf("dataset: empty input")
+	if !sawHeader {
+		return fmt.Errorf("%s: empty input", prefix)
 	}
-	return s, nil
+	return nil
 }

@@ -3,8 +3,11 @@ package dataset
 import (
 	"bytes"
 	"net/netip"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -78,20 +81,125 @@ func TestWriteReadRoundTrip(t *testing.T) {
 	}
 }
 
+// cloneDomain owns a record a pass handed out, keeping nil apart from
+// empty the way the decoder does.
+func cloneDomain(d *DomainRecord) DomainRecord {
+	kept := *d
+	if d.MX != nil {
+		kept.MX = make([]MXObs, len(d.MX))
+		copy(kept.MX, d.MX)
+	}
+	for i := range kept.MX {
+		if a := kept.MX[i].Addrs; a != nil {
+			kept.MX[i].Addrs = append(make([]netip.Addr, 0, len(a)), a...)
+		}
+	}
+	return kept
+}
+
+// streamRead materializes data the way Read does, but through the other
+// reader: a Stream over a file at path holding the same bytes.
+func streamRead(t testing.TB, path string, data []byte) (*Snapshot, error) {
+	t.Helper()
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	st, err := OpenStream(path)
+	if err != nil {
+		return nil, err
+	}
+	s := NewSnapshot(st.Date, st.Corpus)
+	err = st.ForEach(
+		func(d *DomainRecord) error { s.AddDomain(cloneDomain(d)); return nil },
+		func(info *IPInfo) error { s.AddIP(*info); return nil },
+	)
+	if err != nil {
+		return nil, err
+	}
+	return s, nil
+}
+
+// TestReadErrors runs the malformed inputs through both readers of the
+// one line loop: Read, and OpenStream followed by a ForEach pass.
 func TestReadErrors(t *testing.T) {
+	const header = "{\"kind\":\"snapshot\",\"header\":{\"date\":\"d\",\"corpus\":\"c\"}}\n"
+	const domain = "{\"kind\":\"domain\",\"domain\":{\"domain\":\"x\",\"mx\":null}}\n"
 	cases := []string{
 		"",
+		"\n\n",
 		"{\"kind\":\"domain\",\"domain\":{\"domain\":\"x\"}}\n", // domain before header
 		"{\"kind\":\"ip\",\"ip\":{\"addr\":\"1.2.3.4\"}}\n",     // ip before header
 		"{\"kind\":\"wat\"}\n",                                  // unknown kind
 		"not json\n",                                            //
 		"{\"kind\":\"snapshot\"}\n",                             // header missing body
-		"{\"kind\":\"snapshot\",\"header\":{\"date\":\"d\",\"corpus\":\"c\"}}\n{\"kind\":\"snapshot\",\"header\":{\"date\":\"d\",\"corpus\":\"c\"}}\n", // dup header
+		"{\"kind\":\"snapshot\"}\n" + domain,                    // header missing body, then a record
+		header + header,                                         // dup header
+		// Damage past the first record, which is as far as OpenStream
+		// looks: the pass has to find it.
+		header + domain + header,
+		header + domain + "{\"kind\":\"wat\"}\n",
+		header + domain + "not json\n",
+		header + domain + "{\"kind\":\"domain\"}\n", // record line without body
+		header + domain + "{\"kind\":\"ip\"}\n",
 	}
+	path := filepath.Join(t.TempDir(), "in.jsonl")
 	for _, c := range cases {
 		if _, err := Read(strings.NewReader(c)); err == nil {
 			t.Errorf("Read(%q) succeeded, want error", c)
 		}
+		if _, err := streamRead(t, path, []byte(c)); err == nil {
+			t.Errorf("Stream over %q succeeded, want error", c)
+		}
+	}
+	// The table's building blocks are themselves well-formed.
+	for _, c := range []string{header, header + domain} {
+		if _, err := Read(strings.NewReader(c)); err != nil {
+			t.Errorf("Read(%q): %v", c, err)
+		}
+		if _, err := streamRead(t, path, []byte(c)); err != nil {
+			t.Errorf("Stream over %q: %v", c, err)
+		}
+	}
+}
+
+// TestStreamConcurrentPasses runs several passes over one *Stream at
+// once (under -race): a pass only reads the Stream, whose header fields
+// OpenStream alone sets. DiffStream of a stream against itself is the
+// production shape of that, two pump goroutines over one value.
+func TestStreamConcurrentPasses(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "snap.jsonl.gz")
+	if err := WriteFile(path, buildSnapshot(200)); err != nil {
+		t.Fatal(err)
+	}
+	st, err := OpenStream(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			nd, ni := 0, 0
+			err := st.ForEach(
+				func(*DomainRecord) error { nd++; return nil },
+				func(*IPInfo) error { ni++; return nil },
+			)
+			if err != nil || nd != 200 || ni != 7 {
+				t.Errorf("concurrent pass: %d domains, %d ips, %v", nd, ni, err)
+			}
+			if ips, err := st.LoadIPs(); err != nil || len(ips) != 7 {
+				t.Errorf("concurrent LoadIPs: %d ips, %v", len(ips), err)
+			}
+		}()
+	}
+	wg.Wait()
+	stats, err := DiffStream(st, st, nil)
+	if want := (DiffStats{OldDomains: 200, NewDomains: 200, Unchanged: 200}); err != nil || stats != want {
+		t.Errorf("DiffStream(st, st) = %+v, %v, want %+v", stats, err, want)
+	}
+	if st.Date != "2021-06" || st.Corpus != "alexa" {
+		t.Errorf("header after passes = %s/%s", st.Date, st.Corpus)
 	}
 }
 

@@ -125,42 +125,58 @@ type Health struct {
 	Stats CollectionStats `json:"stats"`
 }
 
-// Health computes the failure summary of the snapshot. Records without a
-// class (older snapshots) are bucketed from what the legacy fields
+// HealthOf computes the failure summary of a snapshot in one pass over
+// its records. Records without a class (older snapshots, and anything
+// read back from a file) are bucketed from what the serialized fields
 // encode: HasCensys=false maps to not-covered, everything else to ok.
-func (s *Snapshot) Health() *Health {
+// Stats is left zero: the counters live with the collection run, not
+// with the records.
+func HealthOf(src Source) (*Health, error) {
 	h := &Health{
 		Domains:   make(map[FailureClass]int),
 		Exchanges: make(map[FailureClass]int),
 		IPs:       make(map[FailureClass]int),
-		Stats:     s.Stats,
-	}
-	for i := range s.Domains {
-		h.Domains[normalizeClass(s.Domains[i].Failure, domainFallback(&s.Domains[i]))]++
 	}
 	// One vote per distinct exchange: popular exchanges appear in many
 	// domains' MX sets but were resolved once.
 	seen := make(map[string]bool)
-	for i := range s.Domains {
-		for j := range s.Domains[i].MX {
-			mx := &s.Domains[i].MX[j]
-			if seen[mx.Exchange] {
-				continue
+	covered, total := 0, 0
+	err := src.ForEach(
+		func(d *DomainRecord) error {
+			h.Domains[normalizeClass(d.Failure, domainFallback(d))]++
+			for i := range d.MX {
+				mx := &d.MX[i]
+				if seen[mx.Exchange] {
+					continue
+				}
+				seen[mx.Exchange] = true
+				h.Exchanges[normalizeClass(mx.Failure, exchangeFallback(mx))]++
 			}
-			seen[mx.Exchange] = true
-			h.Exchanges[normalizeClass(mx.Failure, exchangeFallback(mx))]++
-		}
+			return nil
+		},
+		func(info *IPInfo) error {
+			h.IPs[normalizeClass(info.Failure, ipFallback(info))]++
+			total++
+			if info.HasCensys {
+				covered++
+			}
+			return nil
+		},
+	)
+	if err != nil {
+		return nil, err
 	}
-	covered := 0
-	for _, info := range s.IPs {
-		h.IPs[normalizeClass(info.Failure, ipFallback(&info))]++
-		if info.HasCensys {
-			covered++
-		}
+	if total > 0 {
+		h.Coverage = float64(covered) / float64(total)
 	}
-	if len(s.IPs) > 0 {
-		h.Coverage = float64(covered) / float64(len(s.IPs))
-	}
+	return h, nil
+}
+
+// Health is HealthOf the snapshot with the collection run's Stats folded
+// in.
+func (s *Snapshot) Health() *Health {
+	h, _ := HealthOf(s) // no error: a Snapshot's ForEach only returns its callbacks', and these return none
+	h.Stats = s.Stats
 	return h
 }
 

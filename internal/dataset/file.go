@@ -113,23 +113,33 @@ func syncDir(dir string) error {
 	return err
 }
 
+// openReader opens path for reading, transparently decompressing ".gz"
+// paths. It is the one open-file+gunzip step of ReadFile, Stream passes
+// and the merge reader; done releases the file and the pooled gzip state.
+func openReader(path string) (r io.Reader, done func(), err error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, nil, err
+	}
+	if !strings.HasSuffix(path, ".gz") {
+		return f, func() { f.Close() }, nil
+	}
+	zr, err := getGzReader(f)
+	if err != nil {
+		f.Close()
+		return nil, nil, fmt.Errorf("dataset: %s: %w", path, err)
+	}
+	return zr, func() { putGzReader(zr); f.Close() }, nil
+}
+
 // ReadFile loads a snapshot written by WriteFile, transparently
 // decompressing ".gz" paths. Read errors carry path and line context so
 // damage (for example a truncated gzip stream) is locatable.
 func ReadFile(path string) (*Snapshot, error) {
-	f, err := os.Open(path)
+	r, done, err := openReader(path)
 	if err != nil {
 		return nil, err
 	}
-	defer f.Close()
-	var r io.Reader = f
-	if strings.HasSuffix(path, ".gz") {
-		zr, err := getGzReader(f)
-		if err != nil {
-			return nil, fmt.Errorf("dataset: %s: %w", path, err)
-		}
-		defer putGzReader(zr)
-		r = zr
-	}
-	return readNamed(r, path)
+	defer done()
+	return read(r, path)
 }

@@ -107,8 +107,10 @@ func FuzzShardFooter(f *testing.F) {
 	})
 }
 
-// FuzzRead drives the snapshot JSONL reader with arbitrary bytes: it
-// must return a snapshot or an error, never panic.
+// FuzzRead holds the two readers of the snapshot JSONL form to each
+// other: for arbitrary bytes, Read and a Stream over the same bytes in a
+// file (OpenStream, a ForEach pass, LoadIPs) both fail, or both yield the
+// same header, domain records and IP table. Neither may panic.
 func FuzzRead(f *testing.F) {
 	var buf bytes.Buffer
 	if _, err := sampleSnapshot().WriteTo(&buf); err != nil {
@@ -121,11 +123,34 @@ func FuzzRead(f *testing.F) {
 	f.Add([]byte(`{"kind":"mystery"}`))
 	f.Add([]byte("\n\n\n"))
 	f.Add([]byte{})
+	f.Add([]byte(`{"kind":"snapshot"}`)) // header without body
 
+	// One file per fuzz worker process, rewritten per input.
+	path := filepath.Join(f.TempDir(), "in.jsonl")
 	f.Fuzz(func(t *testing.T, data []byte) {
-		s, err := Read(bytes.NewReader(data))
-		if err == nil && s == nil {
+		want, wantErr := Read(bytes.NewReader(data))
+		if wantErr == nil && want == nil {
 			t.Fatal("nil snapshot without error")
+		}
+		got, gotErr := streamRead(t, path, data)
+		if (wantErr == nil) != (gotErr == nil) {
+			t.Fatalf("Read error %v, Stream error %v", wantErr, gotErr)
+		}
+		if wantErr != nil {
+			return
+		}
+		if got.Date != want.Date || got.Corpus != want.Corpus {
+			t.Fatalf("header: Read %s/%s, Stream %s/%s", want.Date, want.Corpus, got.Date, got.Corpus)
+		}
+		if !reflect.DeepEqual(got.Domains, want.Domains) {
+			t.Fatalf("domains:\n Read   %#v\n Stream %#v", want.Domains, got.Domains)
+		}
+		if !reflect.DeepEqual(got.IPs, want.IPs) {
+			t.Fatalf("ips:\n Read   %#v\n Stream %#v", want.IPs, got.IPs)
+		}
+		st := &Stream{Path: path}
+		if ips, err := st.LoadIPs(); err != nil || !reflect.DeepEqual(ips, want.IPs) {
+			t.Fatalf("LoadIPs = %#v, %v, Read %#v", ips, err, want.IPs)
 		}
 	})
 }

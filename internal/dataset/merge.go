@@ -3,13 +3,10 @@ package dataset
 import (
 	"bufio"
 	"bytes"
-	"compress/gzip"
 	"container/heap"
 	"encoding/json"
 	"fmt"
 	"io"
-	"os"
-	"strings"
 )
 
 // Merge k-way-merges sorted shard files into the canonical snapshot at
@@ -174,8 +171,7 @@ func writeLine(w *bufio.Writer, line []byte) error {
 // it goes.
 type shardReader struct {
 	path    string
-	f       *os.File
-	zr      *gzip.Reader
+	done    func() // releases the file opened by openReader
 	sc      *bufio.Scanner
 	lineBuf *[]byte
 	lineno  int
@@ -197,21 +193,11 @@ type shardReader struct {
 }
 
 func openShard(path string) (*shardReader, error) {
-	f, err := os.Open(path)
+	src, done, err := openReader(path)
 	if err != nil {
 		return nil, err
 	}
-	r := &shardReader{path: path, f: f}
-	var src io.Reader = f
-	if strings.HasSuffix(path, ".gz") {
-		zr, err := getGzReader(f)
-		if err != nil {
-			f.Close()
-			return nil, fmt.Errorf("dataset: %s: %w", path, err)
-		}
-		r.zr = zr
-		src = zr
-	}
+	r := &shardReader{path: path, done: done}
 	r.sc, r.lineBuf = newLineScanner(src)
 	if err := r.readHeader(); err != nil {
 		r.close()
@@ -229,13 +215,9 @@ func (r *shardReader) close() {
 		putLineBuf(r.lineBuf)
 		r.lineBuf = nil
 	}
-	if r.zr != nil {
-		putGzReader(r.zr)
-		r.zr = nil
-	}
-	if r.f != nil {
-		r.f.Close()
-		r.f = nil
+	if r.done != nil {
+		r.done()
+		r.done = nil
 	}
 }
 

@@ -3,11 +3,13 @@ package dataset
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/netip"
 	"os"
 	"path/filepath"
 	"reflect"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -66,15 +68,16 @@ func shardOut(t *testing.T, s *Snapshot, base string, nw, maxBuffered int) *Shar
 					return
 				}
 			}
-			i := 0
-			for _, k := range s.Index().SortedIPKeys {
-				if i%nw == w {
-					if err := sw.AddIP(s.IPs[k]); err != nil {
-						t.Error(err)
-						return
-					}
+			i := -1
+			err := s.ForEach(nil, func(info *IPInfo) error {
+				if i++; i%nw != w {
+					return nil
 				}
-				i++
+				return sw.AddIP(*info)
+			})
+			if err != nil {
+				t.Error(err)
+				return
 			}
 			if err := sw.Close(); err != nil {
 				t.Error(err)
@@ -375,11 +378,6 @@ func TestStreamForEach(t *testing.T) {
 		t.Errorf("ErrStop pass: n=%d err=%v", n, err)
 	}
 
-	nd, ni, err := st.Counts()
-	if err != nil || nd != 50 || ni != 7 {
-		t.Errorf("Counts = %d, %d, %v", nd, ni, err)
-	}
-
 	ipsMap, err := st.LoadIPs()
 	if err != nil {
 		t.Fatal(err)
@@ -406,13 +404,16 @@ func TestStreamHealthAndBreakdown(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gotH, err := st.Health()
+	gotH, err := HealthOf(st)
 	if err != nil {
 		t.Fatal(err)
 	}
 	wantH := loaded.Health()
 	if !reflect.DeepEqual(gotH, wantH) {
 		t.Errorf("stream health = %+v, want %+v", gotH, wantH)
+	}
+	if n := len(gotH.Domains) + len(gotH.Exchanges) + len(gotH.IPs); n == 0 || gotH.Coverage == 0 {
+		t.Errorf("health of a populated snapshot is empty: %+v", gotH)
 	}
 	// The fleet -health path streams the merged file and folds the run's
 	// CollectionStats into the summary afterward; the result must equal
@@ -423,56 +424,112 @@ func TestStreamHealthAndBreakdown(t *testing.T) {
 	if wantH = loaded.Health(); !reflect.DeepEqual(gotH, wantH) {
 		t.Errorf("stream health with folded stats = %+v, want %+v", gotH, wantH)
 	}
-	gotB, err := st.ComputeBreakdown()
+	gotB, err := BreakdownOf(st)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if wantB := loaded.ComputeBreakdown(); gotB != wantB {
+	if wantB := loaded.ComputeBreakdown(); gotB != wantB || gotB.Total != 40 {
 		t.Errorf("stream breakdown = %+v, want %+v", gotB, wantB)
+	}
+
+	// A source that fails mid-pass fails both, with its error.
+	if err := os.Truncate(path, 200); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := HealthOf(st); err == nil {
+		t.Error("HealthOf a truncated file succeeded")
+	}
+	if _, err := BreakdownOf(st); err == nil {
+		t.Error("BreakdownOf a truncated file succeeded")
 	}
 }
 
-// TestSnapshotConcurrentAddIndex hammers the mutation/index contract:
-// concurrent AddDomain/AddIP interleaved with Index() lookups must be
-// race-free (run under -race) and every Index must be internally
-// consistent.
+// TestSnapshotSource pins the in-memory Source: LoadIPs is the
+// snapshot's own table, and ForEach yields exactly the records, in
+// exactly the order, that a Stream yields over the snapshot's WriteTo
+// form — unsorted domains in slice order, IPs ascending by key — with
+// the same nil-callback and ErrStop behaviour.
+func TestSnapshotSource(t *testing.T) {
+	s := buildSnapshot(30)
+	s.Domains[0], s.Domains[17] = s.Domains[17], s.Domains[0] // not sorted
+	path := filepath.Join(t.TempDir(), "snap.jsonl")
+	if err := WriteFile(path, s); err != nil {
+		t.Fatal(err)
+	}
+	st, err := OpenStream(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Compare against the loaded snapshot: serialization strips the
+	// in-memory failure classes.
+	loaded, err := ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	collect := func(src Source) (domains []string, ips []IPInfo) {
+		t.Helper()
+		err := src.ForEach(
+			func(d *DomainRecord) error { domains = append(domains, d.Domain); return nil },
+			func(info *IPInfo) error { ips = append(ips, *info); return nil },
+		)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return domains, ips
+	}
+	wantD, wantI := collect(st)
+	gotD, gotI := collect(loaded)
+	if !reflect.DeepEqual(gotD, wantD) || !reflect.DeepEqual(gotI, wantI) {
+		t.Errorf("Snapshot.ForEach yields\n%v\n%+v\nStream yields\n%v\n%+v", gotD, gotI, wantD, wantI)
+	}
+	if len(gotD) != 30 || gotD[0] != s.Domains[0].Domain || len(gotI) != len(s.IPs) {
+		t.Errorf("yielded %d domains (first %q), %d ips", len(gotD), gotD[0], len(gotI))
+	}
+	if !sort.SliceIsSorted(gotI, func(i, j int) bool { return gotI[i].Addr.String() < gotI[j].Addr.String() }) {
+		t.Error("IPs not in ascending key order")
+	}
+	ips, err := loaded.LoadIPs()
+	if err != nil || len(ips) != len(loaded.IPs) || len(ips) == 0 {
+		t.Fatalf("LoadIPs = %d entries, %v", len(ips), err)
+	}
+	ips["probe"] = IPInfo{}
+	if _, ok := loaded.IPs["probe"]; !ok {
+		t.Error("LoadIPs copied the table")
+	}
+	delete(ips, "probe")
+
+	for _, src := range []Source{loaded, st} {
+		n := 0
+		err := src.ForEach(func(*DomainRecord) error {
+			if n++; n == 10 {
+				return ErrStop
+			}
+			return nil
+		}, func(*IPInfo) error { t.Errorf("%T: ip callback after ErrStop", src); return nil })
+		if err != nil || n != 10 {
+			t.Errorf("%T: ErrStop pass: n=%d err=%v", src, n, err)
+		}
+		boom := errors.New("boom")
+		if err := src.ForEach(nil, func(*IPInfo) error { return boom }); err != boom {
+			t.Errorf("%T: callback error = %v, want boom", src, err)
+		}
+	}
+}
+
+// TestSnapshotConcurrentAddIndex hammers the mutator contract:
+// concurrent AddDomain/AddIP/SortDomains must be race-free (run under
+// -race) and lose nothing.
 func TestSnapshotConcurrentAddIndex(t *testing.T) {
 	s := NewSnapshot("2021-06", "alexa")
 	const (
 		writers = 4
 		perW    = 200
-		readers = 4
 	)
-	var writersWG, readersWG sync.WaitGroup
-	stop := make(chan struct{})
-	for r := 0; r < readers; r++ {
-		readersWG.Add(1)
-		go func() {
-			defer readersWG.Done()
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				idx := s.Index()
-				if len(idx.PrimaryMX) != len(idx.ExchangeDomains) && len(idx.Exchanges) != len(idx.ExchangeDomains) {
-					t.Error("index internally inconsistent")
-					return
-				}
-				for _, k := range idx.SortedIPKeys {
-					if k == "" {
-						t.Error("empty IP key")
-						return
-					}
-				}
-			}
-		}()
-	}
+	var wg sync.WaitGroup
 	for w := 0; w < writers; w++ {
-		writersWG.Add(1)
+		wg.Add(1)
 		go func(w int) {
-			defer writersWG.Done()
+			defer wg.Done()
 			for i := 0; i < perW; i++ {
 				s.AddDomain(DomainRecord{
 					Domain: fmt.Sprintf("w%d-%04d.example", w, i),
@@ -485,14 +542,15 @@ func TestSnapshotConcurrentAddIndex(t *testing.T) {
 			}
 		}(w)
 	}
-	writersWG.Wait()
-	close(stop)
-	readersWG.Wait()
-	idx := s.Index()
-	if len(s.Domains) != writers*perW || len(idx.PrimaryMX) != writers*perW {
-		t.Errorf("domains = %d, indexed = %d, want %d", len(s.Domains), len(idx.PrimaryMX), writers*perW)
+	wg.Wait()
+	if len(s.Domains) != writers*perW || len(s.IPs) != writers*perW {
+		t.Errorf("domains = %d, ips = %d, want %d each", len(s.Domains), len(s.IPs), writers*perW)
 	}
-	if len(s.IPs) != len(idx.SortedIPKeys) {
-		t.Errorf("ips = %d, indexed = %d", len(s.IPs), len(idx.SortedIPKeys))
+	seen := make(map[string]bool, len(s.Domains))
+	for i := range s.Domains {
+		seen[s.Domains[i].Domain] = true
+	}
+	if len(seen) != writers*perW {
+		t.Errorf("%d distinct domains, want %d", len(seen), writers*perW)
 	}
 }

@@ -1,9 +1,9 @@
-// Package parallel provides the bounded worker-pool primitives shared by
-// the measurement pipeline (network-bound fan-out) and the inference
-// engine (CPU-bound sharding). Both helpers guarantee that every index is
-// processed exactly once and that all work has completed before they
-// return, so callers can merge worker output after the barrier without
-// further synchronization.
+// Package parallel provides the bounded worker pool shared by the
+// measurement pipeline (network-bound fan-out) and the inference engine
+// (CPU-bound sharding). Run guarantees that every index is processed
+// exactly once and that all work has completed before it returns, so
+// callers can merge worker output after the barrier without further
+// synchronization.
 package parallel
 
 import (
@@ -53,39 +53,6 @@ func Run(n, workers int, fn func(i int)) {
 				}
 				fn(i)
 			}
-		}()
-	}
-	wg.Wait()
-}
-
-// RunChunks partitions [0,n) into at most `workers` contiguous chunks and
-// executes fn(lo,hi) for each on its own goroutine, returning after all
-// chunks complete. It suits uniform CPU-bound loops where per-index
-// dispatch overhead would dominate, and lets each worker accumulate into
-// a private structure merged after the barrier. With workers <= 1 it runs
-// fn(0,n) inline.
-func RunChunks(n, workers int, fn func(lo, hi int)) {
-	if n <= 0 {
-		return
-	}
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		fn(0, n)
-		return
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		lo := w * n / workers
-		hi := (w + 1) * n / workers
-		if lo == hi {
-			continue
-		}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			fn(lo, hi)
 		}()
 	}
 	wg.Wait()

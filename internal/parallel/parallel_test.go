@@ -50,31 +50,3 @@ func TestRunInlineSingleWorker(t *testing.T) {
 		}
 	}
 }
-
-func TestRunChunksCoversRange(t *testing.T) {
-	for _, workers := range []int{1, 2, 3, 7, 64} {
-		const n = 997 // prime: uneven chunk boundaries
-		counts := make([]atomic.Int32, n)
-		RunChunks(n, workers, func(lo, hi int) {
-			if lo >= hi {
-				t.Errorf("empty chunk [%d,%d)", lo, hi)
-			}
-			for i := lo; i < hi; i++ {
-				counts[i].Add(1)
-			}
-		})
-		for i := range counts {
-			if c := counts[i].Load(); c != 1 {
-				t.Fatalf("workers=%d: index %d covered %d times", workers, i, c)
-			}
-		}
-	}
-}
-
-func TestRunChunksEmpty(t *testing.T) {
-	called := false
-	RunChunks(0, 4, func(lo, hi int) { called = true })
-	if called {
-		t.Error("fn called for empty range")
-	}
-}

@@ -162,7 +162,7 @@ func TestFlatAdversarialPipeline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h, err := st.Health()
+	h, err := dataset.HealthOf(st)
 	if err != nil {
 		t.Fatal(err)
 	}

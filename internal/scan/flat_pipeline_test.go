@@ -75,7 +75,7 @@ func TestFlatPipeline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	health, err := st.Health()
+	health, err := dataset.HealthOf(st)
 	if err != nil {
 		t.Fatal(err)
 	}
