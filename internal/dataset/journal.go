@@ -58,7 +58,7 @@ var ErrNotJournal = errors.New("dataset: not a journal file")
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
 // Journal is an open write-ahead journal. Appends are safe for
-// concurrent use; the collector's completion callbacks serialize anyway.
+// concurrent use; a collection lane serializes its own anyway.
 type Journal struct {
 	// SyncEvery is the sync-point interval in records (default
 	// DefaultSyncEvery; negative disables periodic sync — Close still
@@ -266,7 +266,7 @@ type JournalRecovery struct {
 	// journaled ones; duplicates resolve last-write-wins.
 	Snapshot *Snapshot
 	// Seen maps each domain with an intact journaled record to true —
-	// the set Collector.Resume consumes.
+	// the set Collector.Seen and FleetConfig.Seen consume.
 	Seen map[string]bool
 	// Entries counts intact record frames (domains + IPs, excluding the
 	// header).

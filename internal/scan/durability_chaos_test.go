@@ -1,7 +1,7 @@
 package scan
 
 // Kill-resume chaos tests for the durability layer (write-ahead journal
-// + Resume): a collection run over a fault-injected netsim fabric is
+// + Prior/Seen): a collection run over a fault-injected netsim fabric is
 // aborted at randomized (seeded) journal offsets — simulating SIGKILL —
 // the journal's tail is torn mid-frame — simulating a crash between
 // write and fsync — and the run is resumed. The committed snapshot must
@@ -18,6 +18,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -90,6 +91,32 @@ func durabilityCollector(w *chaosWorld, uncovered netip.Addr) *Collector {
 	}
 }
 
+// killJournal is the crash switch of the kill-resume tests: it passes
+// appends through and, once the at-th one (counted across every lane
+// sharing n) has landed, pulls kill — no sleeping, no racing a timer
+// against the collection.
+type killJournal struct {
+	Journal
+	n    *atomic.Int64
+	at   int64
+	kill func()
+}
+
+func (k *killJournal) landed(err error) error {
+	if k.n.Add(1) == k.at {
+		k.kill()
+	}
+	return err
+}
+
+func (k *killJournal) AddDomain(d *dataset.DomainRecord) error {
+	return k.landed(k.Journal.AddDomain(d))
+}
+
+func (k *killJournal) AddIP(info *dataset.IPInfo) error {
+	return k.landed(k.Journal.AddIP(info))
+}
+
 // snapshotBytes serializes a snapshot the way a committed file would be.
 func snapshotBytes(t *testing.T, s *dataset.Snapshot) []byte {
 	t.Helper()
@@ -129,26 +156,9 @@ func TestChaosKillResumeByteIdentical(t *testing.T) {
 			jr.SyncEvery = 4
 			ctx, cancel := context.WithCancel(context.Background())
 			abortAt := 1 + rng.IntN(totalEntries-1)
-			emitted := 0
-			crash := func() {
-				emitted++
-				if emitted == abortAt {
-					cancel() // SIGKILL moment: nothing after this is journaled
-				}
-			}
 			col := durabilityCollector(w, uncovered)
-			col.OnDomain = func(d *dataset.DomainRecord) {
-				if err := jr.AddDomain(d); err != nil {
-					t.Error(err)
-				}
-				crash()
-			}
-			col.OnIP = func(info *dataset.IPInfo) {
-				if err := jr.AddIP(info); err != nil {
-					t.Error(err)
-				}
-				crash()
-			}
+			// SIGKILL moment: nothing after entry abortAt is journaled.
+			col.Journal = &killJournal{Journal: jr, n: new(atomic.Int64), at: int64(abortAt), kill: cancel}
 			if _, err := col.Collect(ctx, "chaos", "2021-06", w.targets); err != context.Canceled {
 				t.Fatalf("aborted Collect err = %v, want context.Canceled", err)
 			}
@@ -186,20 +196,8 @@ func TestChaosKillResumeByteIdentical(t *testing.T) {
 				t.Error("recovery did not notice the torn tail")
 			}
 			col2 := durabilityCollector(w, uncovered)
-			col2.OnDomain = func(d *dataset.DomainRecord) {
-				if err := jr2.AddDomain(d); err != nil {
-					t.Error(err)
-				}
-			}
-			col2.OnIP = func(info *dataset.IPInfo) {
-				if err := jr2.AddIP(info); err != nil {
-					t.Error(err)
-				}
-			}
-			if rec.Snapshot != nil {
-				col2.Prior = rec.Snapshot
-				col2.Resume(rec.Seen)
-			}
+			col2.Journal = jr2
+			col2.Prior, col2.Seen = rec.Snapshot, rec.Seen
 			snap, err := col2.Collect(context.Background(), "chaos", "2021-06", w.targets)
 			if err != nil {
 				t.Fatal(err)
@@ -275,21 +273,8 @@ func TestChaosKillResumeGracefulShutdown(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	col2 := durabilityCollector(w2, uncovered2)
-	n := 0
-	col2.OnDomain = func(d *dataset.DomainRecord) {
-		if err := jr.AddDomain(d); err != nil {
-			t.Error(err)
-		}
-		n++
-		if n == 3 {
-			cancel() // the operator's ^C mid-phase-1
-		}
-	}
-	col2.OnIP = func(info *dataset.IPInfo) {
-		if err := jr.AddIP(info); err != nil {
-			t.Error(err)
-		}
-	}
+	// The operator's ^C mid-phase-1.
+	col2.Journal = &killJournal{Journal: jr, n: new(atomic.Int64), at: 3, kill: cancel}
 	if _, err := col2.Collect(ctx, "chaos", "2021-06", w2.targets); err != context.Canceled {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -305,9 +290,9 @@ func TestChaosKillResumeGracefulShutdown(t *testing.T) {
 	if rec.Truncated {
 		t.Errorf("graceful shutdown left a torn journal: %s", rec.Reason)
 	}
-	// Nothing journaled after the cancellation point: the callbacks are
-	// suppressed once ctx is cancelled, so exactly 3 domain entries (and
-	// possibly none of the IPs, since phase 2 never ran) survived.
+	// Nothing journaled after the cancellation point: a record finished
+	// under a cancelled context is dropped, so exactly 3 domain entries
+	// (and none of the IPs, since phase 2 never ran) survived.
 	if rec.Entries != 3 {
 		t.Errorf("journal holds %d entries, want exactly the 3 pre-cancel domains", rec.Entries)
 	}
@@ -329,18 +314,8 @@ func TestChaosKillResumeGracefulShutdown(t *testing.T) {
 		t.Fatal(err)
 	}
 	col3 := durabilityCollector(w2, uncovered2)
-	col3.OnDomain = func(d *dataset.DomainRecord) {
-		if err := jr2.AddDomain(d); err != nil {
-			t.Error(err)
-		}
-	}
-	col3.OnIP = func(info *dataset.IPInfo) {
-		if err := jr2.AddIP(info); err != nil {
-			t.Error(err)
-		}
-	}
-	col3.Prior = rec2.Snapshot
-	col3.Resume(rec2.Seen)
+	col3.Journal = jr2
+	col3.Prior, col3.Seen = rec2.Snapshot, rec2.Seen
 	snap, err := col3.Collect(context.Background(), "chaos", "2021-06", w2.targets)
 	if err != nil {
 		t.Fatal(err)

@@ -4,38 +4,27 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"net/netip"
-	"sort"
-	"sync"
-	"sync/atomic"
 
 	"mxmap/internal/dataset"
 )
 
-// FleetConfig drives CollectFleet: a work-stealing pool of workers,
-// each owning its own Collector (resolver, retry budget, breakers), its
-// own write-ahead journal and its own snapshot shard, so a
-// million-domain run never funnels through one resolver cache or one
-// in-memory snapshot.
+// FleetConfig drives CollectFleet: the engine as Workers
+// single-goroutine lanes, each owning its own Collector (resolver, retry
+// budget, breakers), its own write-ahead journal and its own snapshot
+// shard writer, so a million-domain run never funnels through one
+// resolver cache or one in-memory snapshot.
 type FleetConfig struct {
 	// Corpus and Date label the run (shards carry them in their
 	// headers; Merge insists they agree).
 	Corpus, Date string
 	// Workers is the fleet size (default 4).
 	Workers int
-	// WorkShards is how many contiguous slices the target list is cut
-	// into for dispatch (default 4 per worker). More shards means finer
-	// stealing granularity at slightly more dispatch overhead.
-	WorkShards int
-	// ChunkSize is how many targets a worker claims from its shard at a
-	// time (default 64). A shard is stealable only while at least two
-	// chunks remain, so the chunk also bounds steal churn.
-	ChunkSize int
 	// NewCollector builds worker w's collector. Each call must return
 	// an independent Collector — sharing a resolver between workers
 	// reintroduces the contention the fleet exists to avoid. The
-	// collector's OnDomain/OnIP hooks and Prior/Resume state are
-	// ignored; the fleet drives Journals and Prior/Seen itself.
+	// collector's Concurrency, Journal and Prior/Seen are Collect's
+	// alone: a fleet lane is one goroutine by construction, and the
+	// fleet drives Journals and Prior/Seen itself.
 	NewCollector func(w int) (*Collector, error)
 	// Output receives one shard per spill. The fleet gives each worker
 	// its own ShardWriter on this set.
@@ -59,7 +48,8 @@ type FleetConfig struct {
 type FleetStats struct {
 	// Workers is the number of workers that ran.
 	Workers int `json:"workers"`
-	// WorkShards is the number of dispatch slices.
+	// WorkShards is the number of contiguous slices the target list was
+	// cut into for dispatch (four per goroutine).
 	WorkShards int `json:"work_shards"`
 	// Steals counts shard splits: an idle worker cutting off the tail
 	// half of the largest in-flight shard.
@@ -73,124 +63,15 @@ type FleetStats struct {
 	Collection dataset.CollectionStats `json:"collection"`
 }
 
-// fleetShard is one contiguous slice of the target list. Workers claim
-// chunks from the front; thieves cut off the back half.
-type fleetShard struct {
-	mu        sync.Mutex
-	next, end int
-}
-
-// claim takes up to n targets, returning a half-open index range
-// (lo == hi once the shard is drained).
-func (s *fleetShard) claim(n int) (lo, hi int) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	lo = s.next
-	hi = lo + n
-	if hi > s.end {
-		hi = s.end
-	}
-	s.next = hi
-	return lo, hi
-}
-
-func (s *fleetShard) remaining() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.end - s.next
-}
-
-// stealHalf cuts the back half off the shard for a thief, or returns
-// nil when fewer than min targets remain (not worth splitting).
-func (s *fleetShard) stealHalf(min int) *fleetShard {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	rem := s.end - s.next
-	if rem < min {
-		return nil
-	}
-	cut := s.end - rem/2
-	stolen := &fleetShard{next: cut, end: s.end}
-	s.end = cut
-	return stolen
-}
-
-// dispatcher hands shards to workers: queued shards first, then halves
-// stolen from the largest in-flight shard.
-type dispatcher struct {
-	chunk int
-
-	mu       sync.Mutex
-	queue    []*fleetShard
-	inflight map[*fleetShard]bool
-	steals   int
-}
-
-// acquire returns the next shard to work on, or nil when no queued
-// shard remains and no in-flight shard is worth splitting. Lock order
-// is d.mu then shard.mu.
-func (d *dispatcher) acquire() *fleetShard {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if n := len(d.queue); n > 0 {
-		s := d.queue[n-1]
-		d.queue = d.queue[:n-1]
-		d.inflight[s] = true
-		return s
-	}
-	var victim *fleetShard
-	most := 0
-	for s := range d.inflight {
-		if rem := s.remaining(); rem > most {
-			victim, most = s, rem
-		}
-	}
-	if victim == nil {
-		return nil
-	}
-	// Only split when at least two chunks remain: stealing less leaves
-	// the thief a sliver and doubles the bookkeeping for nothing.
-	stolen := victim.stealHalf(2 * d.chunk)
-	if stolen == nil {
-		return nil
-	}
-	d.steals++
-	d.inflight[stolen] = true
-	return stolen
-}
-
-func (d *dispatcher) release(s *fleetShard) {
-	d.mu.Lock()
-	delete(d.inflight, s)
-	d.mu.Unlock()
-}
-
-// fleetWorker bundles one worker's private machinery.
-type fleetWorker struct {
-	c       *Collector
-	run     *collectRun
-	dr      *domainResolver
-	shard   *dataset.ShardWriter
-	journal *dataset.Journal
-
-	addrs   map[netip.Addr]bool
-	domains int
-	ips     int
-}
-
 // CollectFleet measures targets with a pool of independent workers and
 // writes the result as sorted snapshot shards on cfg.Output, ready for
 // dataset.Merge. Each domain is measured by exactly one worker, each
 // distinct address is scanned by exactly one worker, and the merged
-// shard set is byte-identical to a single-worker run on a
-// deterministic world (on a faulty network the retry budget each record
-// happens to see can differ between fleet layouts).
-//
-// Phase 1 dispatches contiguous target slices to workers; an idle
-// worker steals the back half of the largest in-flight slice, so one
-// slow shard (a stalled resolver, a cluster of timeouts) cannot
-// serialize the run. Phase 2 scans the globally deduplicated address
-// set via an atomic cursor.
+// shard set is byte-identical to a single-worker run and to Collect's
+// sorted snapshot on a deterministic world (on a faulty network the
+// retry budget each record happens to see can differ between layouts).
+// A failed or cancelled run spills nothing further: shards already on
+// cfg.Output are the caller's to Remove.
 func CollectFleet(ctx context.Context, cfg FleetConfig, targets []Target) (*FleetStats, error) {
 	nw := cfg.Workers
 	if nw <= 0 {
@@ -205,237 +86,44 @@ func CollectFleet(ctx context.Context, cfg FleetConfig, targets []Target) (*Flee
 	if cfg.NewCollector == nil {
 		return nil, errors.New("scan: fleet needs a collector constructor")
 	}
-	chunk := cfg.ChunkSize
-	if chunk <= 0 {
-		chunk = 64
-	}
-	nShards := cfg.WorkShards
-	if nShards <= 0 {
-		nShards = 4 * nw
-	}
-	if nShards > len(targets) {
-		nShards = len(targets)
-	}
 
-	workers := make([]*fleetWorker, nw)
-	for i := range workers {
+	lanes := make([]*lane, 0, nw)
+	writers := make([]*dataset.ShardWriter, 0, nw)
+	closeCollectors := func() (first error) {
+		for _, l := range lanes {
+			if err := l.c.Close(); err != nil && first == nil {
+				first = err
+			}
+		}
+		return first
+	}
+	for i := 0; i < nw; i++ {
 		c, err := cfg.NewCollector(i)
 		if err != nil {
+			closeCollectors()
 			return nil, fmt.Errorf("scan: worker %d collector: %w", i, err)
 		}
-		run := c.newRun()
-		w := &fleetWorker{
-			c:     c,
-			run:   run,
-			dr:    c.newDomainResolver(run),
-			shard: cfg.Output.NewWriter(),
-			addrs: make(map[netip.Addr]bool),
-		}
+		var journal Journal
 		if cfg.Journals != nil {
-			w.journal = cfg.Journals[i]
+			journal = cfg.Journals[i]
 		}
-		workers[i] = w
-	}
-	closeAll := func() {
-		for _, w := range workers {
-			w.shard.Close()
-			w.c.Close()
-		}
+		w := cfg.Output.NewWriter()
+		writers = append(writers, w)
+		lanes = append(lanes, newLane(c, journal, shardSink(w)))
 	}
 
-	var priorDomain map[string]*dataset.DomainRecord
-	var priorIPs map[string]dataset.IPInfo
-	if cfg.Prior != nil {
-		priorDomain = make(map[string]*dataset.DomainRecord, len(cfg.Prior.Domains))
-		for i := range cfg.Prior.Domains {
-			priorDomain[cfg.Prior.Domains[i].Domain] = &cfg.Prior.Domains[i]
-		}
-		priorIPs = cfg.Prior.IPs
+	stats, err := collect(ctx, lanes, 1, targets, cfg.Prior, cfg.Seen)
+	if cerr := closeCollectors(); err == nil {
+		err = cerr
 	}
-
-	// Phase 1: DNS, work-stealing over target slices.
-	d := &dispatcher{chunk: chunk, inflight: make(map[*fleetShard]bool)}
-	if nShards > 0 {
-		per := len(targets) / nShards
-		extra := len(targets) % nShards
-		lo := 0
-		for i := 0; i < nShards; i++ {
-			hi := lo + per
-			if i < extra {
-				hi++
-			}
-			d.queue = append(d.queue, &fleetShard{next: lo, end: hi})
-			lo = hi
-		}
-	}
-	errs := make([]error, nw)
-	var wg sync.WaitGroup
-	for wi, w := range workers {
-		wg.Add(1)
-		go func(wi int, w *fleetWorker) {
-			defer wg.Done()
-			errs[wi] = w.runPhase1(ctx, d, cfg.Seen, priorDomain, targets)
-		}(wi, w)
-	}
-	wg.Wait()
-	if err := firstError(ctx, errs); err != nil {
-		closeAll()
+	if err != nil {
 		return nil, err
 	}
-
-	// Phase 2: SMTP over the globally deduplicated address set. The
-	// union and sort are tiny next to the domain corpus — provider
-	// concentration keeps distinct MX addresses orders of magnitude
-	// below the domain count.
-	addrSet := make(map[netip.Addr]bool)
-	for _, w := range workers {
-		for a := range w.addrs {
-			addrSet[a] = true
+	for _, w := range writers {
+		if err := w.Close(); err != nil {
+			return nil, err
 		}
-	}
-	addrs := make([]netip.Addr, 0, len(addrSet))
-	for a := range addrSet {
-		addrs = append(addrs, a)
-	}
-	sort.Slice(addrs, func(i, j int) bool { return addrs[i].Less(addrs[j]) })
-
-	var cursor atomic.Int64
-	for wi, w := range workers {
-		wg.Add(1)
-		go func(wi int, w *fleetWorker) {
-			defer wg.Done()
-			errs[wi] = w.runPhase2(ctx, &cursor, addrs, priorIPs)
-		}(wi, w)
-	}
-	wg.Wait()
-	if err := firstError(ctx, errs); err != nil {
-		closeAll()
-		return nil, err
-	}
-
-	stats := &FleetStats{Workers: nw, WorkShards: nShards, Steals: d.steals}
-	var closeErr error
-	for _, w := range workers {
-		if err := w.shard.Close(); err != nil && closeErr == nil {
-			closeErr = err
-		}
-		if err := w.c.Close(); err != nil && closeErr == nil {
-			closeErr = err
-		}
-		stats.Domains += w.domains
-		stats.IPs += w.ips
-		ws := w.run.stats()
-		stats.Collection.DNSRetries += ws.DNSRetries
-		stats.Collection.ScanRetries += ws.ScanRetries
-		stats.Collection.BudgetExhausted = stats.Collection.BudgetExhausted || ws.BudgetExhausted
-		stats.Collection.BreakerOpens += ws.BreakerOpens
-		stats.Collection.BreakerSkips += ws.BreakerSkips
-	}
-	if closeErr != nil {
-		return nil, closeErr
 	}
 	stats.ShardFiles = len(cfg.Output.Paths())
 	return stats, nil
-}
-
-// runPhase1 drains shards from the dispatcher, measuring each claimed
-// target and accumulating its exchange addresses for phase 2.
-func (w *fleetWorker) runPhase1(ctx context.Context, d *dispatcher, seen map[string]bool,
-	priorDomain map[string]*dataset.DomainRecord, targets []Target) error {
-	for {
-		shard := d.acquire()
-		if shard == nil {
-			return ctx.Err()
-		}
-		for {
-			lo, hi := shard.claim(d.chunk)
-			if lo == hi {
-				break
-			}
-			for i := lo; i < hi; i++ {
-				if ctx.Err() != nil {
-					d.release(shard)
-					return ctx.Err()
-				}
-				t := targets[i]
-				var rec dataset.DomainRecord
-				if prior, ok := priorDomain[t.Name]; ok && seen[t.Name] {
-					rec = *prior // already journaled; splice silently
-				} else {
-					rec = w.dr.collectDomain(ctx, t)
-					// A record finished under a cancelled context carries
-					// cancellation artifacts; journaling it would freeze
-					// them into the resumed run.
-					if w.journal != nil && ctx.Err() == nil {
-						if err := w.journal.AddDomain(&rec); err != nil {
-							d.release(shard)
-							return err
-						}
-					}
-				}
-				if err := w.shard.AddDomain(rec); err != nil {
-					d.release(shard)
-					return err
-				}
-				w.domains++
-				for _, mx := range rec.MX {
-					for _, a := range mx.Addrs {
-						w.addrs[a] = true
-					}
-				}
-			}
-		}
-		d.release(shard)
-	}
-}
-
-// runPhase2 claims address ranges off the shared cursor and scans each
-// one with the worker's own collector.
-func (w *fleetWorker) runPhase2(ctx context.Context, cursor *atomic.Int64,
-	addrs []netip.Addr, priorIPs map[string]dataset.IPInfo) error {
-	const batch = 16
-	for {
-		lo := int(cursor.Add(batch)) - batch
-		if lo >= len(addrs) {
-			return ctx.Err()
-		}
-		hi := lo + batch
-		if hi > len(addrs) {
-			hi = len(addrs)
-		}
-		for _, a := range addrs[lo:hi] {
-			if ctx.Err() != nil {
-				return ctx.Err()
-			}
-			var info dataset.IPInfo
-			if prior, ok := priorIPs[a.String()]; ok {
-				info = prior // already journaled; splice silently
-			} else {
-				info = w.c.scanIP(ctx, w.run, a)
-				if w.journal != nil && ctx.Err() == nil {
-					if err := w.journal.AddIP(&info); err != nil {
-						return err
-					}
-				}
-			}
-			if err := w.shard.AddIP(info); err != nil {
-				return err
-			}
-			w.ips++
-		}
-	}
-}
-
-// firstError surfaces a context cancellation ahead of the per-worker
-// errors it caused.
-func firstError(ctx context.Context, errs []error) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
 }

@@ -8,7 +8,6 @@ package scan
 import (
 	"context"
 	"net/netip"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -18,7 +17,6 @@ import (
 	"mxmap/internal/certs"
 	"mxmap/internal/dataset"
 	"mxmap/internal/dns"
-	"mxmap/internal/parallel"
 	"mxmap/internal/smtp"
 )
 
@@ -57,29 +55,28 @@ type Collector struct {
 	// ScanTimeout bounds one SMTP scan attempt (default 10s, matching
 	// smtp.Scan's own default).
 	ScanTimeout time.Duration
-	// OnDomain, when set, is called once for each domain record this
-	// run completes — the write-ahead-journal hook. Calls are
-	// serialized. Records resumed from Prior are not re-reported, and
-	// records finished under a cancelled context are suppressed (their
+	// Journal, when set, receives every record this run completes before
+	// the record reaches the snapshot — the write-ahead journal. Appends
+	// are serialized. Records spliced from Prior are not re-journaled,
+	// and a record finished under a cancelled context is dropped (its
 	// failure classes reflect the cancellation, not the network).
-	OnDomain func(d *dataset.DomainRecord)
-	// OnIP is OnDomain's counterpart for completed IP observations.
-	OnIP func(info *dataset.IPInfo)
-	// Prior supplies records recovered from a crashed run's journal.
-	// Domains marked seen via Resume take their record from Prior
-	// instead of being re-resolved, and any address present in
-	// Prior.IPs is reused instead of being re-scanned.
+	Journal Journal
+	// Prior supplies records recovered from a crashed run's journal:
+	// a domain marked in Seen takes its record from Prior instead of
+	// being re-resolved (one absent from Prior is re-collected, the safe
+	// direction), and any address present in Prior.IPs is reused instead
+	// of being re-scanned. Pass JournalRecovery.Snapshot and
+	// JournalRecovery.Seen.
 	Prior *dataset.Snapshot
-
-	// seen marks domains whose Prior record is complete (set by Resume).
-	seen map[string]bool
+	Seen  map[string]bool
 }
 
-// Resume marks domains as already collected: their records are taken
-// from Prior rather than re-measured, composing with the journal —
-// pass JournalRecovery.Seen and JournalRecovery.Snapshot. Domains in
-// seen but absent from Prior are re-collected (the safe direction).
-func (c *Collector) Resume(seen map[string]bool) { c.seen = seen }
+// Journal is the write-ahead log a collection appends completed records
+// to; *dataset.Journal is the implementation.
+type Journal interface {
+	AddDomain(d *dataset.DomainRecord) error
+	AddIP(info *dataset.IPInfo) error
+}
 
 // Close releases resources held by the collector's resolver (such as
 // the shared DNS transports of an IterativeResolver). Collectors whose
@@ -99,7 +96,7 @@ type Target struct {
 	Rank int
 }
 
-// collectRun bundles the per-run resilience state threaded through both
+// collectRun bundles the per-lane resilience state threaded through both
 // collection phases.
 type collectRun struct {
 	retry    *retryState
@@ -107,26 +104,6 @@ type collectRun struct {
 
 	dnsRetries  atomic.Int64
 	scanRetries atomic.Int64
-}
-
-// newRun builds the resilience state for one collection run from the
-// collector's retry and breaker configuration.
-func (c *Collector) newRun() *collectRun {
-	return &collectRun{
-		retry:    newRetryState(c.Retry),
-		breakers: newBreakerSet(c.BreakerThreshold),
-	}
-}
-
-// stats snapshots the run's resilience counters.
-func (run *collectRun) stats() dataset.CollectionStats {
-	return dataset.CollectionStats{
-		DNSRetries:      int(run.dnsRetries.Load()),
-		ScanRetries:     int(run.scanRetries.Load()),
-		BudgetExhausted: run.retry.exhausted.Load(),
-		BreakerOpens:    int(run.breakers.opens.Load()),
-		BreakerSkips:    int(run.breakers.skips.Load()),
-	}
 }
 
 // aResult is one exchange's address-resolution outcome.
@@ -153,8 +130,8 @@ type aFlight struct {
 
 // domainResolver is the per-run DNS machinery for phase 1: the MX→A
 // pipeline with singleflight address deduplication and the optional
-// SPF/TXT lookup. One instance serves all goroutines of a run; in a
-// fleet each worker owns its own (its cache rides its own resolver).
+// SPF/TXT lookup. One instance serves all goroutines of a lane (its
+// cache rides the lane's own resolver).
 type domainResolver struct {
 	c   *Collector
 	run *collectRun
@@ -296,102 +273,25 @@ func (dr *domainResolver) collectDomain(ctx context.Context, t Target) dataset.D
 }
 
 // Collect measures the given domains and assembles a snapshot labelled
-// with the date and corpus name. Partial failure degrades per record —
-// every DNS and scan outcome is classified on the record rather than
-// dropped — but a cancelled context aborts the whole collection and
-// returns ctx.Err.
+// with the date and corpus name, domains in target order: the engine
+// as one lane of Concurrency goroutines over a memory sink. Partial
+// failure degrades per record — every DNS and scan outcome is
+// classified on the record rather than dropped — but a cancelled
+// context aborts the whole collection and returns ctx.Err, and a
+// journal write error aborts it with that error.
 func (c *Collector) Collect(ctx context.Context, corpus, date string, domains []Target) (*dataset.Snapshot, error) {
-	workers := c.Concurrency
-	if workers <= 0 {
-		workers = 32
+	perLane := c.Concurrency
+	if perLane <= 0 {
+		perLane = 32
 	}
 	snap := dataset.NewSnapshot(date, corpus)
-	run := c.newRun()
-
-	// Resume state: records recovered from a journal are spliced in
-	// instead of re-measured. Completion callbacks are serialized, and
-	// suppressed once ctx is cancelled — a record finished during
-	// shutdown may carry cancellation-induced failure classes, and
-	// journaling it would freeze that artifact into the resumed run.
-	priorDomain := make(map[string]*dataset.DomainRecord)
-	var priorIPs map[string]dataset.IPInfo
-	if c.Prior != nil {
-		for i := range c.Prior.Domains {
-			priorDomain[c.Prior.Domains[i].Domain] = &c.Prior.Domains[i]
-		}
-		priorIPs = c.Prior.IPs
-	}
-	var cbMu sync.Mutex
-	emitDomain := func(d *dataset.DomainRecord) {
-		if c.OnDomain == nil || ctx.Err() != nil {
-			return
-		}
-		cbMu.Lock()
-		defer cbMu.Unlock()
-		c.OnDomain(d)
-	}
-	emitIP := func(info *dataset.IPInfo) {
-		if c.OnIP == nil || ctx.Err() != nil {
-			return
-		}
-		cbMu.Lock()
-		defer cbMu.Unlock()
-		c.OnIP(info)
-	}
-
-	// Phase 1: DNS. Resolve every domain's MX set and every distinct
-	// exchange's A set (see domainResolver for the singleflight
-	// deduplication of address lookups).
-	records := make([]dataset.DomainRecord, len(domains))
-	dr := c.newDomainResolver(run)
-	parallel.Run(len(domains), workers, func(i int) {
-		if c.seen[domains[i].Name] {
-			if prior, ok := priorDomain[domains[i].Name]; ok {
-				records[i] = *prior // already journaled; no callback
-				return
-			}
-		}
-		records[i] = dr.collectDomain(ctx, domains[i])
-		emitDomain(&records[i])
-	})
-	if err := ctx.Err(); err != nil {
+	snap.Domains = make([]dataset.DomainRecord, len(domains))
+	l := newLane(c, c.Journal, memorySink(snap))
+	stats, err := collect(ctx, []*lane{l}, perLane, domains, c.Prior, c.Seen)
+	if err != nil {
 		return nil, err
 	}
-	for i := range records {
-		snap.AddDomain(records[i])
-	}
-
-	// Phase 2: SMTP. Scan each distinct address once.
-	addrSet := make(map[netip.Addr]bool)
-	for i := range records {
-		for _, mx := range records[i].MX {
-			for _, a := range mx.Addrs {
-				addrSet[a] = true
-			}
-		}
-	}
-	addrs := make([]netip.Addr, 0, len(addrSet))
-	for a := range addrSet {
-		addrs = append(addrs, a)
-	}
-	sort.Slice(addrs, func(i, j int) bool { return addrs[i].Less(addrs[j]) })
-
-	infos := make([]dataset.IPInfo, len(addrs))
-	parallel.Run(len(addrs), workers, func(i int) {
-		if prior, ok := priorIPs[addrs[i].String()]; ok {
-			infos[i] = prior // already journaled; no callback
-			return
-		}
-		infos[i] = c.scanIP(ctx, run, addrs[i])
-		emitIP(&infos[i])
-	})
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	for _, info := range infos {
-		snap.AddIP(info)
-	}
-	snap.Stats = run.stats()
+	snap.Stats = stats.Collection
 	return snap, nil
 }
 

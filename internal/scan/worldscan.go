@@ -38,19 +38,9 @@ func (s *WorldSession) Close() error { return s.fleet.Close() }
 // for that date, resolves every corpus domain, scans every distinct MX
 // address over the fabric, and returns the joined snapshot.
 func (s *WorldSession) Snapshot(ctx context.Context, corpusName, date string) (*dataset.Snapshot, error) {
-	return s.SnapshotWith(ctx, corpusName, date, nil)
-}
-
-// SnapshotWith is Snapshot with a hook to configure the collector
-// before the run starts — journal callbacks, resume state, retry
-// policy overrides.
-func (s *WorldSession) SnapshotWith(ctx context.Context, corpusName, date string, configure func(*Collector)) (*dataset.Snapshot, error) {
 	col, err := s.NewCollector(corpusName, date)
 	if err != nil {
 		return nil, err
-	}
-	if configure != nil {
-		configure(col)
 	}
 	targets, err := s.Targets(corpusName)
 	if err != nil {
