@@ -10,7 +10,9 @@
 //	Figure 8  — provider preferences by ccTLD
 //	Table 6   — top 15 companies per corpus
 //
-// Artifacts are printed and, with -out, written as .txt files.
+// plus the two extensions (SPF eventual provider, market concentration).
+// Artifacts are printed and, with -out, written as .txt files; -misid
+// writes the oracle-scored adversarial robustness report instead.
 //
 // Usage:
 //
@@ -21,9 +23,11 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"time"
 
@@ -33,74 +37,79 @@ import (
 	"mxmap/internal/world"
 )
 
-func main() {
-	var (
-		scale       = flag.Float64("scale", 0.05, "fraction of the paper's corpus sizes to simulate")
-		seed        = flag.Uint64("seed", 1, "world generation seed")
-		outDir      = flag.String("out", "", "directory to write artifacts into (optional)")
-		only        = flag.String("only", "", "comma-separated subset: fig4,table4,table5,fig5,fig6,fig7,fig8,table6")
-		sample      = flag.Int("sample", 200, "Figure 4 sample size per corpus variant")
-		parallelism = flag.Int("parallelism", 0, "inference/collection worker count (0 = GOMAXPROCS, 1 = serial)")
-		runBench    = flag.Bool("bench", false, "benchmark the inference pipeline, DNS data plane, overload protection, snapshot I/O, the online query service, and the HA serving tier, writing BENCH_infer.json, BENCH_dns.json, BENCH_serve.json, BENCH_dataset.json, BENCH_query.json, and BENCH_ha.json instead of regenerating artifacts (-only infer,dns,serve,dataset,query,ha selects a subset)")
-		faults      = flag.Bool("faults", false, "collect a deterministic fault-matrix corpus and write the health report as FAULTS.json instead of regenerating artifacts")
-		misid       = flag.Bool("misid", false, "collect a deterministic adversarial corpus and write the oracle-scored robustness report as MISID.json instead of regenerating artifacts")
-	)
-	flag.Parse()
+var (
+	scale       = flag.Float64("scale", 0.05, "fraction of the paper's corpus sizes to simulate")
+	seed        = flag.Uint64("seed", 1, "world generation seed")
+	outDir      = flag.String("out", "", "directory to write artifacts into (optional)")
+	only        = flag.String("only", "", "comma-separated subset: "+artifactNames())
+	sample      = flag.Int("sample", 200, "Figure 4 sample size per corpus variant")
+	parallelism = flag.Int("parallelism", 0, "inference/collection worker count (0 = GOMAXPROCS, 1 = serial)")
+	misid       = flag.Bool("misid", false, "collect a deterministic adversarial corpus and write the oracle-scored robustness report as MISID.json instead of regenerating artifacts")
+)
 
-	if *faults {
-		if err := runFaults(*outDir); err != nil {
-			log.Fatal(err)
-		}
-		return
+// artifact is one regenerable output: the name -only selects it by, the
+// base name of the files -out writes, and the table behind it.
+type artifact struct {
+	name, file string
+	table      func(*experiments.Study, context.Context) (*report.Table, error)
+}
+
+// artifacts lists every output in the order it is emitted. It is the
+// one table behind -only's validation, its help text and the run.
+var artifacts = []artifact{
+	{"fig4", "fig4_accuracy", func(s *experiments.Study, ctx context.Context) (*report.Table, error) {
+		return s.Fig4(ctx, *sample, *seed)
+	}},
+	{"table4", "table4_breakdown", (*experiments.Study).Table4},
+	{"table5", "table5_provider_ids", func(s *experiments.Study, _ context.Context) (*report.Table, error) {
+		return s.Table5(), nil
+	}},
+	{"fig5", "fig5_top_companies", (*experiments.Study).Fig5},
+	{"fig6", "fig6_longitudinal", nil}, // nine charts, not a table
+	{"fig7", "fig7_churn", (*experiments.Study).Fig7},
+	{"fig8", "fig8_cctld", (*experiments.Study).Fig8},
+	{"table6", "table6_top15", (*experiments.Study).Table6},
+	{"spf", "ext_spf_eventual_provider", (*experiments.Study).ExtSPF},
+	{"concentration", "ext_concentration", (*experiments.Study).ExtConcentration},
+}
+
+func artifactNames() string {
+	names := make([]string, len(artifacts))
+	for i, a := range artifacts {
+		names[i] = a.name
 	}
+	return strings.Join(names, ",")
+}
+
+// parseOnly turns -only's comma-separated list into the set of selected
+// artifact names; the empty list stands for all of them.
+func parseOnly(only string) (map[string]bool, error) {
+	if only == "" {
+		only = artifactNames()
+	}
+	selected := make(map[string]bool)
+	for _, part := range strings.Split(only, ",") {
+		name := strings.TrimSpace(part)
+		if !slices.ContainsFunc(artifacts, func(a artifact) bool { return a.name == name }) {
+			return nil, fmt.Errorf("-only: unknown artifact %q (want a subset of %s)", name, artifactNames())
+		}
+		selected[name] = true
+	}
+	return selected, nil
+}
+
+func main() {
+	flag.Parse()
+	selected, err := parseOnly(*only)
+	if err != nil {
+		fmt.Fprintln(flag.CommandLine.Output(), err)
+		flag.Usage()
+		os.Exit(2)
+	}
+
 	if *misid {
 		if err := runMisid(*outDir, *parallelism); err != nil {
 			log.Fatal(err)
-		}
-		return
-	}
-	wanted := func(name string) bool {
-		if *only == "" {
-			return true
-		}
-		for _, part := range strings.Split(*only, ",") {
-			if strings.TrimSpace(part) == name {
-				return true
-			}
-		}
-		return false
-	}
-
-	if *runBench {
-		if wanted("infer") {
-			if err := runInferBench(*outDir, *parallelism); err != nil {
-				log.Fatal(err)
-			}
-		}
-		if wanted("dns") {
-			if err := runDNSBench(*outDir); err != nil {
-				log.Fatal(err)
-			}
-		}
-		if wanted("serve") {
-			if err := runServeBench(*outDir); err != nil {
-				log.Fatal(err)
-			}
-		}
-		if wanted("dataset") {
-			if err := runDatasetBench(*outDir); err != nil {
-				log.Fatal(err)
-			}
-		}
-		if wanted("query") {
-			if err := runQueryBench(*outDir); err != nil {
-				log.Fatal(err)
-			}
-		}
-		if wanted("ha") {
-			if err := runHABench(*outDir); err != nil {
-				log.Fatal(err)
-			}
 		}
 		return
 	}
@@ -119,84 +128,54 @@ func main() {
 	// (and immediately on a second one).
 	ctx, stopSignals := sigctx.WithInterrupt(context.Background())
 	defer stopSignals()
-	emitTable := func(name string, t *report.Table, err error) {
-		if err != nil {
-			log.Fatalf("%s: %v", name, err)
-		}
-		if err := t.WriteText(os.Stdout); err != nil {
-			log.Fatal(err)
-		}
-		fmt.Println()
-		writeArtifact(*outDir, name+".txt", func(f *os.File) error { return t.WriteText(f) })
-		writeArtifact(*outDir, name+".csv", func(f *os.File) error { return t.WriteCSV(f) })
-	}
 
-	if wanted("fig4") {
-		t, err := study.Fig4(ctx, *sample, *seed)
-		emitTable("fig4_accuracy", t, err)
-	}
-	if wanted("table4") {
-		t, err := study.Table4(ctx)
-		emitTable("table4_breakdown", t, err)
-	}
-	if wanted("table5") {
-		emitTable("table5_provider_ids", study.Table5(), nil)
-	}
-	if wanted("fig5") {
-		t, err := study.Fig5(ctx)
-		emitTable("fig5_top_companies", t, err)
-	}
-	if wanted("fig6") {
-		charts, err := study.Fig6(ctx)
-		if err != nil {
-			log.Fatalf("fig6: %v", err)
-		}
-		for _, c := range charts {
-			if err := c.WriteText(os.Stdout); err != nil {
+	for _, a := range artifacts {
+		switch {
+		case !selected[a.name]:
+		case a.table == nil:
+			emitFig6(ctx, study, *outDir, a.file)
+		default:
+			t, err := a.table(study, ctx)
+			if err != nil {
+				log.Fatalf("%s: %v", a.name, err)
+			}
+			if err := t.WriteText(os.Stdout); err != nil {
 				log.Fatal(err)
 			}
 			fmt.Println()
+			writeArtifact(*outDir, a.file+".txt", t.WriteText)
+			writeArtifact(*outDir, a.file+".csv", t.WriteCSV)
 		}
-		writeArtifact(*outDir, "fig6_longitudinal.txt", func(f *os.File) error {
-			for _, c := range charts {
-				if err := c.WriteText(f); err != nil {
-					return err
-				}
-				fmt.Fprintln(f)
-			}
-			return nil
-		})
-		for i, c := range charts {
-			c := c
-			writeArtifact(*outDir, fmt.Sprintf("fig6%c_longitudinal.svg", 'a'+i), func(f *os.File) error {
-				return c.WriteSVG(f)
-			})
-		}
-	}
-	if wanted("fig7") {
-		t, err := study.Fig7(ctx)
-		emitTable("fig7_churn", t, err)
-	}
-	if wanted("fig8") {
-		t, err := study.Fig8(ctx)
-		emitTable("fig8_cctld", t, err)
-	}
-	if wanted("table6") {
-		t, err := study.Table6(ctx)
-		emitTable("table6_top15", t, err)
-	}
-	if wanted("spf") {
-		t, err := study.ExtSPF(ctx)
-		emitTable("ext_spf_eventual_provider", t, err)
-	}
-	if wanted("concentration") {
-		t, err := study.ExtConcentration(ctx)
-		emitTable("ext_concentration", t, err)
 	}
 	fmt.Fprintf(os.Stderr, "done in %v\n", time.Since(start).Round(time.Millisecond))
 }
 
-func writeArtifact(dir, name string, write func(*os.File) error) {
+// emitFig6 prints the nine longitudinal panels and writes them as one
+// text file plus one SVG each.
+func emitFig6(ctx context.Context, study *experiments.Study, outDir, file string) {
+	charts, err := study.Fig6(ctx)
+	if err != nil {
+		log.Fatalf("fig6: %v", err)
+	}
+	writeAll := func(f io.Writer) error {
+		for _, c := range charts {
+			if err := c.WriteText(f); err != nil {
+				return err
+			}
+			fmt.Fprintln(f)
+		}
+		return nil
+	}
+	if err := writeAll(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+	writeArtifact(outDir, file+".txt", writeAll)
+	for i, c := range charts {
+		writeArtifact(outDir, fmt.Sprintf("fig6%c_longitudinal.svg", 'a'+i), c.WriteSVG)
+	}
+}
+
+func writeArtifact(dir, name string, write func(io.Writer) error) {
 	if dir == "" {
 		return
 	}
@@ -207,8 +186,12 @@ func writeArtifact(dir, name string, write func(*os.File) error) {
 	if err != nil {
 		log.Fatal(err)
 	}
-	defer f.Close()
 	if err := write(f); err != nil {
+		log.Fatal(err)
+	}
+	// A full disk can surface only here; an unchecked Close would leave
+	// a silently truncated artifact.
+	if err := f.Close(); err != nil {
 		log.Fatal(err)
 	}
 }

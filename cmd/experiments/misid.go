@@ -1,122 +1,36 @@
 package main
 
-// The -misid mode regenerates the adversarial robustness artifact: it
-// grows a world with every hostile scenario family enabled, collects the
-// final Alexa snapshot through the registry-aware resolver, runs the
-// priority approach with the abuse-cluster rule switched on, and scores
-// the result against the world's per-domain oracle. The committed
-// MISID.json pins the whole chain — scenario assignment, typed
-// collection degradation, trust-pass verdicts, oracle accuracy and the
-// failover-structure correlation are all deterministic, so regeneration
-// must reproduce the artifact byte for byte.
-
 import (
-	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"time"
 
-	"mxmap/internal/analysis"
-	"mxmap/internal/core"
-	"mxmap/internal/dataset"
 	"mxmap/internal/experiments"
-	"mxmap/internal/world"
 )
 
-// Fixed world parameters for the committed artifact. Scale keeps the
-// regeneration under a minute; a quarter of the corpus turns hostile so
-// every family lands a multi-domain population.
-const (
-	misidSeed        = 7
-	misidScale       = 0.003
-	misidAdversarial = 0.25
-	misidCorpus      = world.CorpusAlexa
-	// misidAbuseMin enables the abuse-cluster rule: an exchange needs at
-	// least this many referring domains before look-alike naming is
-	// judged. The generated clusters sit comfortably above it.
-	misidAbuseMin = 8
-)
-
-// misidArtifact is the MISID.json schema.
-type misidArtifact struct {
-	Corpus      string                  `json:"corpus"`
-	Date        string                  `json:"date"`
-	Seed        uint64                  `json:"seed"`
-	Scale       float64                 `json:"scale"`
-	Adversarial float64                 `json:"adversarial"`
-	Misid       *analysis.MisidReport   `json:"misidentification"`
-	Failover    []analysis.FailoverCell `json:"failover_structure"`
-	Oracle      map[string]int          `json:"oracle_families"`
-	Health      *dataset.Health         `json:"health"`
-}
-
-// runMisid executes the adversarial collection and writes MISID.json
-// (or prints it when no output directory is given).
+// runMisid writes the adversarial robustness artifact —
+// experiments.ScoreMisid on experiments.MisidWorld — as MISID.json into
+// outDir, or prints it when none is given. TestMisidOracleScoring holds
+// the committed results/MISID.json to the same bytes.
 func runMisid(outDir string, parallelism int) error {
 	start := time.Now()
-	study, err := experiments.NewStudy(world.Config{
-		Seed:        misidSeed,
-		Scale:       misidScale,
-		Adversarial: misidAdversarial,
-	})
+	m, err := experiments.ScoreMisid(experiments.MisidWorld, parallelism)
 	if err != nil {
 		return err
 	}
-	defer study.Close()
-	study.Parallelism = parallelism
-
-	date := study.LastDate(misidCorpus)
-	snap, err := study.Snapshot(context.Background(), misidCorpus, date)
-	if err != nil {
-		return err
+	defer m.Study.Close()
+	write := func(w io.Writer) error {
+		enc := json.NewEncoder(w)
+		enc.SetIndent("", "  ")
+		return enc.Encode(m)
 	}
-	res := core.Infer(snap, core.ApproachPriority, core.Config{
-		Profiles:               study.Profiles,
-		Parallelism:            parallelism,
-		AbuseClusterMinDomains: misidAbuseMin,
-	})
-
-	entries := study.World.Oracle(misidCorpus)
-	oracle := make([]analysis.MisidOracle, len(entries))
-	families := make(map[string]int)
-	for i, e := range entries {
-		oracle[i] = analysis.MisidOracle{
-			Domain:        e.Domain,
-			Family:        string(e.Family),
-			Truth:         e.Truth,
-			Forged:        e.Forged,
-			ExpectFlagged: e.ExpectFlagged,
-			Detail:        e.Detail,
-		}
-		families[string(e.Family)]++
-	}
-
-	artifact := misidArtifact{
-		Corpus:      misidCorpus,
-		Date:        date,
-		Seed:        misidSeed,
-		Scale:       misidScale,
-		Adversarial: misidAdversarial,
-		Misid:       analysis.ScoreMisidentification(snap, res, oracle, study.World.Directory),
-		Failover:    analysis.FailoverStructure(snap, res, study.World.Directory),
-		Oracle:      families,
-		Health:      snap.Health(),
-	}
-	buf, err := json.MarshalIndent(&artifact, "", "  ")
-	if err != nil {
-		return err
-	}
-	buf = append(buf, '\n')
 	if outDir == "" {
-		_, err := os.Stdout.Write(buf)
-		return err
+		return write(os.Stdout)
 	}
-	writeArtifact(outDir, "MISID.json", func(out *os.File) error {
-		_, err := out.Write(buf)
-		return err
-	})
+	writeArtifact(outDir, "MISID.json", write)
 	fmt.Fprintf(os.Stderr, "adversarial corpus scored in %v: %d domains, report written to %s/MISID.json\n",
-		time.Since(start).Round(time.Millisecond), artifact.Misid.TotalDomains, outDir)
+		time.Since(start).Round(time.Millisecond), m.Misid.TotalDomains, outDir)
 	return nil
 }

@@ -11,14 +11,37 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"net"
 	"net/netip"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"mxmap/internal/ledger"
 	"mxmap/internal/netsim"
 )
+
+// servePhase is one element of results/BENCH_serve.json: a server's
+// whole counter snapshot once the phase's exact arithmetic has been
+// reached, plus the client-side observables.
+type servePhase struct {
+	Phase          string      `json:"phase"`
+	Detail         string      `json:"detail"`
+	Stats          ServerStats `json:"stats"`
+	Lost           uint64      `json:"lost"`
+	ClientAnswered int         `json:"client_answered"`
+	ClientRetries  int64       `json:"client_retries"`
+}
+
+// checkServePhase waits for srv's counters to equal want and compares
+// the phase they make with its committed ledger entry.
+func checkServePhase(t *testing.T, phase, detail string, srv *Server, want ServerStats, answered int, retries int64) {
+	t.Helper()
+	waitStats(t, func(st ServerStats) bool { return st == want }, srv)
+	ledger.CheckPhase(t, "BENCH_serve.json", servePhase{Phase: phase, Detail: detail,
+		Stats: want, Lost: want.Lost(), ClientAnswered: answered, ClientRetries: retries})
+}
 
 // floodWire packs the spoofed query a flood repeats.
 func floodWire(t *testing.T, name string) []byte {
@@ -106,10 +129,8 @@ func TestChaosFloodRRLExactCounters(t *testing.T) {
 		RRLSlips:     limited / 2,
 		RRLDrops:     limited - limited/2,
 	}
-	waitStats(t, func(st ServerStats) bool { return st == want }, srv)
-	if lost := srv.Stats().Lost(); lost != 0 {
-		t.Errorf("Lost() = %d, want 0", lost)
-	}
+	checkServePhase(t, "flood_rrl", fmt.Sprintf("%d spoofed queries: %d answered, %d slipped, %d dropped",
+		flood, burst, want.RRLSlips, want.RRLDrops), srv, want, 0, 0)
 }
 
 // TestChaosFloodVictimIsolation proves the point of prefix-keyed RRL
@@ -171,10 +192,82 @@ func TestChaosFloodVictimIsolation(t *testing.T) {
 		TCPQueries:   victimQueries - burst,
 		TCPResponses: victimQueries - burst,
 	}
-	waitStats(t, func(st ServerStats) bool { return st == want }, srv)
 	if got := client.RetryCount(); got != 0 {
 		t.Errorf("victim retries = %d, want 0 (slips must answer first attempts)", got)
 	}
+	checkServePhase(t, "victim_isolation", fmt.Sprintf("flooded prefix throttled, victim answered %d/%d with 0 retries",
+		answered, victimQueries), srv, want, answered, client.RetryCount())
+}
+
+// TestChaosSlowlorisAdmissionHolds fills the TCP admission cap with
+// stalled connections: further dials are shed at the door while an
+// admitted connection stays fully serviceable. (Slot reuse after the
+// idle deadline evicts a stall is TestServeTCPAdmissionControl's; it is
+// inherently racy to count, so the exact ledger stops here.)
+func TestChaosSlowlorisAdmissionHolds(t *testing.T) {
+	n := netsim.New()
+	const server = "203.0.113.5:53"
+	const connCap, rejects = 2, 5
+	srv := startOverloadServer(t, n, server, ServerConfig{
+		Catalog:     chaosCatalog(t, 1),
+		MaxTCPConns: connCap,
+		ReadTimeout: time.Minute, // stalls must outlive the test, not the server
+	})
+	var stalls []net.Conn
+	for i := 0; i < connCap; i++ {
+		stalls = append(stalls, dialTCP(t, n, server))
+	}
+	waitStats(t, func(st ServerStats) bool { return st.TCPAccepted == connCap }, srv)
+	for i := 0; i < rejects; i++ {
+		// A shed connection is closed without a byte.
+		c := dialTCP(t, n, server)
+		c.SetReadDeadline(time.Now().Add(5 * time.Second))
+		if _, err := c.Read(make([]byte, 1)); err != io.EOF {
+			t.Fatalf("rejected conn %d: read = %v, want EOF", i, err)
+		}
+	}
+	// A held slot still serves while rejects pile up.
+	if m := tcpQuery(t, stalls[0], "d00.chaos.example."); len(m.Answers) != 1 {
+		t.Fatalf("admitted conn answer has %d records, want 1", len(m.Answers))
+	}
+	checkServePhase(t, "slowloris_admission", fmt.Sprintf("cap %d held: %d shed, admitted conns stayed live", connCap, rejects),
+		srv, ServerStats{TCPAccepted: connCap, TCPRejected: rejects, TCPQueries: 1, TCPResponses: 1}, 1, 0)
+}
+
+// TestChaosDrainAfterLoadExactCounters serves sequential UDP and TCP
+// load, then shuts down gracefully: the drain completes inside its
+// deadline with every received query answered.
+func TestChaosDrainAfterLoadExactCounters(t *testing.T) {
+	n := netsim.New()
+	const server = "203.0.113.6:53"
+	const udpQueries, tcpQueries = 32, 8
+	srv := startOverloadServer(t, n, server, ServerConfig{Catalog: chaosCatalog(t, 8)})
+
+	client := &Client{Server: server, Timeout: 5 * time.Second, Retries: 0,
+		DialContext: lossyFabricDial(n)}
+	answered := 0
+	for i := 0; i < udpQueries; i++ {
+		resp, err := client.Exchange(context.Background(), fmt.Sprintf("d%02d.chaos.example.", i%8), TypeMX)
+		if err != nil {
+			t.Fatalf("udp query %d: %v", i, err)
+		}
+		answered += len(resp.Answers)
+	}
+	conn := dialTCP(t, n, server)
+	for i := 0; i < tcpQueries; i++ {
+		answered += len(tcpQuery(t, conn, fmt.Sprintf("d%02d.chaos.example.", i%8)).Answers)
+	}
+	conn.Close()
+
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := srv.Shutdown(ctx); err != nil {
+		t.Fatalf("Shutdown: %v", err)
+	}
+	checkServePhase(t, "graceful_drain", fmt.Sprintf("drained clean after %d queries, 0 lost", udpQueries+tcpQueries), srv,
+		ServerStats{UDPQueries: udpQueries, UDPResponses: udpQueries,
+			TCPAccepted: 1, TCPQueries: tcpQueries, TCPResponses: tcpQueries, Drains: 1},
+		answered, client.RetryCount())
 }
 
 // TestChaosDrainUnderLoadZeroLoss shuts a server down gracefully while

@@ -43,7 +43,7 @@ const (
 	auth2  = "10.2.2.53" // other.net
 )
 
-func startAuthServer(t *testing.T, n *netsim.Network, ip string, catalog *Catalog) {
+func startAuthServer(t testing.TB, n *netsim.Network, ip string, catalog *Catalog) {
 	t.Helper()
 	srv, err := NewServer(ServerConfig{Catalog: catalog})
 	if err != nil {

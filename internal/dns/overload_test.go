@@ -378,6 +378,20 @@ func readFrame(t *testing.T, conn net.Conn) []byte {
 	return resp
 }
 
+// tcpQuery asks conn one framed MX question and returns the answer.
+func tcpQuery(t *testing.T, conn net.Conn, name string) *Message {
+	t.Helper()
+	conn.SetDeadline(time.Now().Add(5 * time.Second))
+	if _, err := conn.Write(frameQuery(t, name)); err != nil {
+		t.Fatal(err)
+	}
+	m, err := Unpack(readFrame(t, conn))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
+
 func TestServeTCPZeroLengthFrame(t *testing.T) {
 	n := netsim.New()
 	srv, _ := startTCPServer(t, n, "10.7.1.1:53", ServerConfig{Catalog: chaosCatalog(t, 1)})

@@ -239,18 +239,6 @@ func TestCacheRaceHammer(t *testing.T) {
 
 // --- Resolver integration tests ---------------------------------------
 
-// gatedConn delays all reads until the gate closes, letting coalescing
-// tests hold a wire exchange open while concurrent queries pile up.
-type gatedConn struct {
-	net.Conn
-	gate <-chan struct{}
-}
-
-func (c gatedConn) Read(p []byte) (int, error) {
-	<-c.gate
-	return c.Conn.Read(p)
-}
-
 // startSingleZone serves one catalog as a combined root+authoritative
 // server at rootIP on a fresh fabric.
 func startSingleZone(t *testing.T, z *Zone) *netsim.Network {
@@ -260,67 +248,6 @@ func startSingleZone(t *testing.T, z *Zone) *netsim.Network {
 	cat.AddZone(z)
 	startAuthServer(t, n, rootIP, cat)
 	return n
-}
-
-func TestIterativeCoalescing(t *testing.T) {
-	z := NewZone(".")
-	z.MustAdd(RR{Name: "hot.test.", Type: TypeMX, TTL: 60, Data: MXData{Preference: 10, Exchange: "mx.hot.test."}})
-	n := startSingleZone(t, z)
-
-	gate := make(chan struct{})
-	r := &IterativeResolver{
-		Roots:   []netip.AddrPort{netip.MustParseAddrPort(rootIP + ":53")},
-		Timeout: 10 * time.Second,
-		Cache:   NewCache(),
-		DialContext: func(ctx context.Context, network, address string) (net.Conn, error) {
-			conn, err := n.DialUDP(netip.MustParseAddrPort(address))
-			if err != nil {
-				return nil, err
-			}
-			return gatedConn{Conn: conn, gate: gate}, nil
-		},
-	}
-	defer r.Close()
-
-	const K = 8
-	var wg sync.WaitGroup
-	errs := make([]error, K)
-	for i := 0; i < K; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			_, errs[i] = r.LookupMX(context.Background(), "hot.test")
-		}(i)
-	}
-	// Hold the response until every follower has attached to the
-	// leader's flight, then let the single exchange complete.
-	deadline := time.Now().Add(5 * time.Second)
-	for r.Stats().Coalesced != K-1 {
-		if time.Now().After(deadline) {
-			t.Fatalf("followers never coalesced: %+v", r.Stats())
-		}
-		time.Sleep(time.Millisecond)
-	}
-	close(gate)
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			t.Fatalf("caller %d: %v", i, err)
-		}
-	}
-
-	st := r.Stats()
-	want := ResolverStats{Queries: K, CacheMisses: K, Coalesced: K - 1, WireQueries: 1}
-	if st != want {
-		t.Errorf("stats = %+v, want %+v", st, want)
-	}
-	// The shared answer landed in the cache for everyone after.
-	if _, err := r.LookupMX(context.Background(), "hot.test"); err != nil {
-		t.Fatal(err)
-	}
-	if st := r.Stats(); st.CacheHits != 1 || st.WireQueries != 1 {
-		t.Errorf("post-coalesce hit: %+v", st)
-	}
 }
 
 func TestIterativeSharedSuffixWalk(t *testing.T) {

@@ -9,48 +9,26 @@ package experiments
 // attributed to its true operator, unflagged.
 
 import (
-	"context"
 	"testing"
 
 	"mxmap/internal/analysis"
-	"mxmap/internal/core"
+	"mxmap/internal/ledger"
 	"mxmap/internal/world"
 )
 
-func misidScore(t *testing.T) (*Study, *analysis.MisidReport, *core.Result) {
+func misidScore(t *testing.T) *Misid {
 	t.Helper()
-	s, err := NewStudy(world.Config{Seed: 7, Scale: 0.003, Adversarial: 0.25})
+	m, err := ScoreMisid(MisidWorld, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { s.Close() })
-	date := s.LastDate(world.CorpusAlexa)
-	snap, err := s.Snapshot(context.Background(), world.CorpusAlexa, date)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res := core.Infer(snap, core.ApproachPriority, core.Config{
-		Profiles:               s.Profiles,
-		Parallelism:            4,
-		AbuseClusterMinDomains: 8,
-	})
-	entries := s.World.Oracle(world.CorpusAlexa)
-	oracle := make([]analysis.MisidOracle, len(entries))
-	for i, e := range entries {
-		oracle[i] = analysis.MisidOracle{
-			Domain:        e.Domain,
-			Family:        string(e.Family),
-			Truth:         e.Truth,
-			Forged:        e.Forged,
-			ExpectFlagged: e.ExpectFlagged,
-			Detail:        e.Detail,
-		}
-	}
-	return s, analysis.ScoreMisidentification(snap, res, oracle, s.World.Directory), res
+	t.Cleanup(func() { m.Study.Close() })
+	return m
 }
 
 func TestMisidOracleScoring(t *testing.T) {
-	_, report, _ := misidScore(t)
+	m := misidScore(t)
+	report := m.Misid
 
 	// Exact per-family populations and verdicts at Seed 7 / Scale 0.003 /
 	// Adversarial 0.25 — the numbers pinned in results/MISID.json.
@@ -87,6 +65,7 @@ func TestMisidOracleScoring(t *testing.T) {
 		t.Errorf("totals: domains=%d flagged=%d credited_forged=%d, want 280/52/0",
 			report.TotalDomains, report.TotalFlagged, report.CreditedForged)
 	}
+	ledger.Check(t, "MISID.json", m)
 }
 
 // TestMisidHijackNeverCredited pins the headline robustness property at
@@ -94,8 +73,8 @@ func TestMisidOracleScoring(t *testing.T) {
 // domain credits the impersonated provider through a hijack relay, and
 // every hijack-family attribution carries the untrusted mark.
 func TestMisidHijackNeverCredited(t *testing.T) {
-	s, _, res := misidScore(t)
-	atts := analysis.Attributions(res)
+	m := misidScore(t)
+	s, atts := m.Study, analysis.Attributions(m.Result)
 	for _, e := range s.World.Oracle(world.CorpusAlexa) {
 		if e.Family != world.FamilyHijack {
 			continue
@@ -119,12 +98,8 @@ func TestMisidHijackNeverCredited(t *testing.T) {
 // every topology the generator emits shows up, and the backup-provider
 // rows cover exactly the backup-only oracle population.
 func TestMisidFailoverStructure(t *testing.T) {
-	s, _, res := misidScore(t)
-	snap, err := s.Snapshot(context.Background(), world.CorpusAlexa, s.LastDate(world.CorpusAlexa))
-	if err != nil {
-		t.Fatal(err)
-	}
-	cells := analysis.FailoverStructure(snap, res, s.World.Directory)
+	m := misidScore(t)
+	s, cells := m.Study, m.Failover
 	byTopology := make(map[string]int)
 	for _, c := range cells {
 		byTopology[c.Topology] += c.Domains

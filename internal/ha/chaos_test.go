@@ -3,7 +3,6 @@ package ha
 import (
 	"bufio"
 	"context"
-	"encoding/json"
 	"fmt"
 	"io"
 	"net"
@@ -16,6 +15,7 @@ import (
 
 	"mxmap/internal/netsim"
 	"mxmap/internal/serve"
+	"mxmap/internal/serve/servetest"
 )
 
 // startTruncatingReplica runs a fake backend that answers probes like a
@@ -142,12 +142,11 @@ func TestChaosKillMidResponse(t *testing.T) {
 // rolling swap must never serve a torn answer). Returns how many
 // responses it verified.
 func floodWorker(n *netsim.Network, stop <-chan struct{}) (int, error) {
-	conn, err := n.Dial(context.Background(), netip.MustParseAddrPort(frontAddr))
+	c, err := servetest.Dial(n, frontAddr)
 	if err != nil {
 		return 0, err
 	}
-	defer conn.Close()
-	br := bufio.NewReader(conn)
+	defer c.Conn.Close()
 	count := 0
 	for {
 		select {
@@ -155,21 +154,9 @@ func floodWorker(n *netsim.Network, stop <-chan struct{}) (int, error) {
 			return count, nil
 		default:
 		}
-		conn.SetWriteDeadline(time.Now().Add(10 * time.Second))
-		if _, err := io.WriteString(conn, "GET /v1/domain?name=two.example HTTP/1.1\r\nHost: flood\r\n\r\n"); err != nil {
-			return count, fmt.Errorf("request %d: write: %w", count+1, err)
-		}
-		conn.SetReadDeadline(time.Now().Add(10 * time.Second))
-		status, body, err := readTestResponse(br)
-		if err != nil {
-			return count, fmt.Errorf("request %d: %w", count+1, err)
-		}
-		if status != 200 {
-			return count, fmt.Errorf("request %d: status %d (%s)", count+1, status, body)
-		}
 		var look serve.LookupResponse
-		if err := json.Unmarshal(body, &look); err != nil {
-			return count, fmt.Errorf("request %d: decode: %w", count+1, err)
+		if _, err := c.Do("GET", "/v1/domain?name=two.example", 200, &look); err != nil {
+			return count, fmt.Errorf("request %d: %w", count+1, err)
 		}
 		wantPrimary := map[uint64]string{1: "prov-a.net", 2: "prov-b.net"}
 		wantDate := map[uint64]string{1: "2021-01", 2: "2021-02"}
@@ -179,46 +166,6 @@ func floodWorker(n *netsim.Network, stop <-chan struct{}) (int, error) {
 		}
 		count++
 	}
-}
-
-// readTestResponse reads one HTTP/1.1 response without testing.T
-// plumbing (safe in worker goroutines).
-func readTestResponse(br *bufio.Reader) (int, []byte, error) {
-	line, err := br.ReadString('\n')
-	if err != nil {
-		return 0, nil, fmt.Errorf("status line: %w", err)
-	}
-	parts := strings.SplitN(strings.TrimRight(line, "\r\n"), " ", 3)
-	if len(parts) < 2 {
-		return 0, nil, fmt.Errorf("malformed status line %q", line)
-	}
-	status, err := strconv.Atoi(parts[1])
-	if err != nil {
-		return 0, nil, fmt.Errorf("malformed status %q", line)
-	}
-	length := -1
-	for {
-		h, err := br.ReadString('\n')
-		if err != nil {
-			return 0, nil, fmt.Errorf("header: %w", err)
-		}
-		h = strings.TrimRight(h, "\r\n")
-		if h == "" {
-			break
-		}
-		if key, val, ok := strings.Cut(h, ":"); ok &&
-			strings.EqualFold(strings.TrimSpace(key), "content-length") {
-			length, _ = strconv.Atoi(strings.TrimSpace(val))
-		}
-	}
-	if length < 0 {
-		return 0, nil, fmt.Errorf("missing content-length")
-	}
-	body := make([]byte, length)
-	if _, err := io.ReadFull(br, body); err != nil {
-		return 0, nil, err
-	}
-	return status, body, nil
 }
 
 // TestChaosFloodDuringRollingSwap floods the balancer from concurrent

@@ -1,64 +1,30 @@
 package ha
 
 import (
-	"bufio"
 	"context"
-	"encoding/json"
-	"io"
 	"net"
 	"net/netip"
-	"path/filepath"
+	"net/textproto"
 	"strconv"
-	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"mxmap/internal/core"
-	"mxmap/internal/dataset"
+	"mxmap/internal/ledger"
 	"mxmap/internal/netsim"
 	"mxmap/internal/serve"
+	"mxmap/internal/serve/servetest"
 )
 
-// haWorldOld / haWorldNew are the serving fixtures, one churn step
+// writeHAWorlds materializes servetest's fixture pair, one churn step
 // apart: two.example migrates prov-a→prov-b, three.example disappears,
 // five.example arrives on prov-b.
-func haWorldOld() *dataset.Snapshot {
-	s := dataset.NewSnapshot("2021-01", "test")
-	s.AddDomain(dataset.DomainRecord{Domain: "one.example", Rank: 1,
-		MX: []dataset.MXObs{{Preference: 10, Exchange: "mx.prov-a.net"}}})
-	s.AddDomain(dataset.DomainRecord{Domain: "two.example", Rank: 2,
-		MX: []dataset.MXObs{{Preference: 10, Exchange: "mx.prov-a.net"}}})
-	s.AddDomain(dataset.DomainRecord{Domain: "three.example", Rank: 3,
-		MX: []dataset.MXObs{{Preference: 10, Exchange: "mx.prov-b.net"}}})
-	s.AddDomain(dataset.DomainRecord{Domain: "four.example", Rank: 4,
-		MX: []dataset.MXObs{{Preference: 10, Exchange: "mx.four.example"}}})
-	return s
-}
-
-func haWorldNew() *dataset.Snapshot {
-	s := dataset.NewSnapshot("2021-02", "test")
-	s.AddDomain(dataset.DomainRecord{Domain: "one.example", Rank: 1,
-		MX: []dataset.MXObs{{Preference: 10, Exchange: "mx.prov-a.net"}}})
-	s.AddDomain(dataset.DomainRecord{Domain: "two.example", Rank: 2,
-		MX: []dataset.MXObs{{Preference: 10, Exchange: "mx.prov-b.net"}}})
-	s.AddDomain(dataset.DomainRecord{Domain: "four.example", Rank: 4,
-		MX: []dataset.MXObs{{Preference: 10, Exchange: "mx.four.example"}}})
-	s.AddDomain(dataset.DomainRecord{Domain: "five.example", Rank: 5,
-		MX: []dataset.MXObs{{Preference: 10, Exchange: "mx.prov-b.net"}}})
-	return s
-}
-
 func writeHAWorlds(t *testing.T) (oldPath, newPath string) {
 	t.Helper()
-	dir := t.TempDir()
-	oldPath = filepath.Join(dir, "old.jsonl")
-	newPath = filepath.Join(dir, "new.jsonl")
-	for path, snap := range map[string]*dataset.Snapshot{oldPath: haWorldOld(), newPath: haWorldNew()} {
-		snap.SortDomains()
-		if err := dataset.WriteFile(path, snap); err != nil {
-			t.Fatal(err)
-		}
+	oldPath, newPath, err := servetest.WriteWorlds(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
 	}
 	return oldPath, newPath
 }
@@ -70,10 +36,11 @@ const frontAddr = "203.0.113.1:80"
 
 // startReplica runs one backend query server on the fabric: a Service
 // loaded from path (unloaded when path is empty) behind a swap-enabled
-// Server.
+// Server. The service clock is stepped, so every swap latency a rollout
+// reports is exactly servetest.ClockStep.
 func startReplica(t *testing.T, n *netsim.Network, addr, path string, cfg serve.Config) (*serve.Service, *serve.Server) {
 	t.Helper()
-	svc := serve.NewService(core.ApproachMXOnly, serve.ServiceConfig{})
+	svc := serve.NewService(core.ApproachMXOnly, serve.ServiceConfig{Now: servetest.SteppedClock()})
 	if path != "" {
 		if _, err := svc.Load(path); err != nil {
 			t.Fatal(err)
@@ -167,84 +134,28 @@ func newFleet(t *testing.T, size int, path string, cfg Config, repCfg serve.Conf
 // client returns a keep-alive client dialed at the front.
 func (f *fleet) client(t *testing.T) *tClient { return dialClient(t, f.n, frontAddr) }
 
-// tClient is a minimal keep-alive HTTP/1.1 test client over the fabric.
+// tClient is servetest's keep-alive client failing the test on error.
 type tClient struct {
-	t    *testing.T
-	conn net.Conn
-	br   *bufio.Reader
+	t *testing.T
+	*servetest.Client
 }
 
 func dialClient(t *testing.T, n *netsim.Network, addr string) *tClient {
 	t.Helper()
-	conn, err := n.Dial(context.Background(), netip.MustParseAddrPort(addr))
+	c, err := servetest.Dial(n, addr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { conn.Close() })
-	return &tClient{t: t, conn: conn, br: bufio.NewReader(conn)}
-}
-
-func (c *tClient) send(method, target string) {
-	c.t.Helper()
-	c.conn.SetWriteDeadline(time.Now().Add(5 * time.Second))
-	req := method + " " + target + " HTTP/1.1\r\nHost: test\r\n\r\n"
-	if _, err := c.conn.Write([]byte(req)); err != nil {
-		c.t.Fatalf("write %s %s: %v", method, target, err)
-	}
-}
-
-func (c *tClient) readResponse() (status int, hdr map[string]string, body []byte) {
-	c.t.Helper()
-	c.conn.SetReadDeadline(time.Now().Add(10 * time.Second))
-	line, err := c.br.ReadString('\n')
-	if err != nil {
-		c.t.Fatalf("read status line: %v", err)
-	}
-	parts := strings.SplitN(strings.TrimRight(line, "\r\n"), " ", 3)
-	if len(parts) < 2 {
-		c.t.Fatalf("malformed status line %q", line)
-	}
-	status, err = strconv.Atoi(parts[1])
-	if err != nil {
-		c.t.Fatalf("malformed status %q", line)
-	}
-	hdr = make(map[string]string)
-	for {
-		h, err := c.br.ReadString('\n')
-		if err != nil {
-			c.t.Fatalf("read header: %v", err)
-		}
-		h = strings.TrimRight(h, "\r\n")
-		if h == "" {
-			break
-		}
-		if key, value, ok := strings.Cut(h, ":"); ok {
-			hdr[strings.ToLower(key)] = strings.TrimSpace(value)
-		}
-	}
-	nb, err := strconv.Atoi(hdr["content-length"])
-	if err != nil {
-		c.t.Fatalf("missing content-length: %v", hdr)
-	}
-	body = make([]byte, nb)
-	if _, err := io.ReadFull(c.br, body); err != nil {
-		c.t.Fatalf("read body: %v", err)
-	}
-	return status, hdr, body
+	t.Cleanup(func() { c.Conn.Close() })
+	return &tClient{t, c}
 }
 
 // get performs one request and decodes the JSON answer into out.
-func (c *tClient) get(method, target string, wantStatus int, out any) map[string]string {
+func (c *tClient) get(method, target string, wantStatus int, out any) textproto.MIMEHeader {
 	c.t.Helper()
-	c.send(method, target)
-	status, hdr, body := c.readResponse()
-	if status != wantStatus {
-		c.t.Fatalf("%s %s = %d (%s), want %d", method, target, status, body, wantStatus)
-	}
-	if out != nil {
-		if err := json.Unmarshal(body, out); err != nil {
-			c.t.Fatalf("%s %s: decode %q: %v", method, target, body, err)
-		}
+	hdr, err := c.Do(method, target, wantStatus, out)
+	if err != nil {
+		c.t.Fatal(err)
 	}
 	return hdr
 }
@@ -257,10 +168,33 @@ const noHedge = -1
 // can trail the wire by an instant).
 func awaitZeroLost(t *testing.T, srv *serve.Server) {
 	t.Helper()
+	awaitStats(t, func() uint64 { return srv.Stats().Lost() }, 0)
+}
+
+// haPhase is one element of results/BENCH_ha.json: the balancer's whole
+// counter ledger at a fixed point of the test that carries the phase,
+// plus whatever that test exercised — the front server's counters, the
+// bounds the re-probe schedule handed its jitter source, or rollout
+// reports. Fleets run over the lossless fabric, schedules on a frozen
+// clock with zero jitter and replica service clocks are stepped, so
+// every field is exact.
+type haPhase struct {
+	Phase        string             `json:"phase"`
+	Detail       string             `json:"detail"`
+	Balancer     BalancerStats      `json:"balancer"`
+	Front        *serve.ServerStats `json:"front,omitempty"`
+	JitterBounds []int64            `json:"jitter_bounds,omitempty"`
+	Rollouts     []*RolloutReport   `json:"rollouts,omitempty"`
+}
+
+// awaitStats polls until stats() equals want: counters land just after
+// the response the client has already read.
+func awaitStats[S comparable](t *testing.T, stats func() S, want S) {
+	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
-	for srv.Stats().Lost() != 0 {
+	for stats() != want {
 		if time.Now().After(deadline) {
-			t.Fatalf("requests stayed in flight: %+v", srv.Stats())
+			t.Fatalf("stats never converged:\ngot  %+v\nwant %+v", stats(), want)
 		}
 		time.Sleep(time.Millisecond)
 	}
@@ -293,29 +227,30 @@ func TestBalancerForwarding(t *testing.T) {
 			t.Fatalf("lookup = %+v", look)
 		}
 	}
-	lookups := 0
 	for _, srv := range f.srvs {
-		st := srv.Stats()
-		lookups += int(st.Lookups)
-		if st.Lookups != 1 {
-			t.Errorf("replica lookups = %d, want 1 each (round-robin)", st.Lookups)
+		if l := srv.Stats().Lookups; l != 1 {
+			t.Errorf("replica lookups = %d, want 1 each (round-robin)", l)
 		}
 	}
-	if lookups != 3 {
-		t.Fatalf("total lookups = %d, want 3", lookups)
-	}
+	// Only the three forwarded lookups count: the control-plane answers
+	// never reach the fleet.
+	want := BalancerStats{Requests: 3, Attempts: 3, Probes: 3}
+	front := serve.ServerStats{Accepted: 1, Requests: 5, Responses: 5}
+	awaitStats(t, f.b.Stats, want)
+	awaitStats(t, f.front.Stats, front)
+	ledger.CheckPhase(t, "BENCH_ha.json", haPhase{Phase: "fleet_forwarding",
+		Detail:   "3 lookups round-robined 1/1/1 across the fleet, control plane answered locally",
+		Balancer: want, Front: &front})
 
 	// Replica-side swap is the rollout's job, never a client's.
 	c.get("POST", "/v1/swap?path=x", 403, nil)
 	// Non-idempotent methods are not forwarded.
 	c.get("POST", "/v1/domain?name=one.example", 405, nil)
 
-	// The merged stats carry the whole exact counter set: only the
-	// three forwarded lookups count (control-plane answers and the
-	// rejected POSTs never reach the fleet).
+	// The merged stats carry the whole exact counter set, and the
+	// rejected POSTs did not reach the fleet either.
 	var fs FleetStats
 	c.get("GET", "/v1/stats", 200, &fs)
-	want := BalancerStats{Requests: 3, Attempts: 3, Probes: 3}
 	if fs.Balancer != want {
 		t.Fatalf("balancer stats = %+v, want %+v", fs.Balancer, want)
 	}
@@ -367,7 +302,7 @@ func TestBalancerDegradationLadder(t *testing.T) {
 	}
 	c.get("GET", "/v1/domain?name=one.example", 502, nil)
 	hdr := c.get("GET", "/v1/domain?name=one.example", 503, nil)
-	if hdr["retry-after"] != "1" {
+	if hdr.Get("Retry-After") != "1" {
 		t.Fatalf("shed headers = %v, want retry-after 1", hdr)
 	}
 	c.get("GET", "/readyz", 503, nil)
@@ -392,4 +327,7 @@ func TestBalancerDegradationLadder(t *testing.T) {
 	if fs.Balancer != want {
 		t.Fatalf("balancer stats = %+v, want %+v", fs.Balancer, want)
 	}
+	ledger.CheckPhase(t, "BENCH_ha.json", haPhase{Phase: "degradation_ladder",
+		Detail:   "all-stale still served with markers; all-down shed 503+Retry-After, 2 ejected",
+		Balancer: want})
 }

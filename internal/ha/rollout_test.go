@@ -4,54 +4,95 @@ import (
 	"context"
 	"net/url"
 	"os"
+	"path/filepath"
 	"strconv"
+	"strings"
 	"testing"
 
+	"mxmap/internal/ledger"
 	"mxmap/internal/netsim"
 	"mxmap/internal/serve"
+	"mxmap/internal/serve/servetest"
 )
 
+// TestRollingRollout rolls the fleet from the old snapshot to the new
+// one replica by replica, aborts a second rollout against a missing
+// snapshot without losing the rolled epoch, and rolls back to the old
+// snapshot through the HTTP endpoint.
 func TestRollingRollout(t *testing.T) {
 	oldPath, newPath := writeHAWorlds(t)
 	f := newFleet(t, 3, oldPath, Config{HedgeDelay: noHedge, AllowRollout: true},
 		serve.Config{}, serve.Config{})
 	c := f.client(t)
-
-	var rep RolloutReport
-	c.get("POST", "/v1/rollout?path="+url.QueryEscape(newPath)+"&prev="+url.QueryEscape(oldPath),
-		200, &rep)
-	if !rep.Completed || rep.Aborted != "" || rep.RolledBack != 0 {
-		t.Fatalf("rollout = %+v, want completed cleanly", rep)
-	}
-	if len(rep.Replicas) != 3 {
-		t.Fatalf("rollout touched %d replicas, want 3", len(rep.Replicas))
-	}
-	for i, rr := range rep.Replicas {
-		// Every replica hot-swapped epoch 1 → 2 and the delta path did
-		// the same bounded work on each: one.example and four.example
-		// reused, two.example (migrated) and five.example (new)
-		// reinferred.
-		want := ReplicaRollout{Name: "r" + strconv.Itoa(i), FromEpoch: 1, ToEpoch: 2,
-			Reused: 2, Reinferred: 2, SwapLatencyNS: rr.SwapLatencyNS}
-		if rr != want || rr.SwapLatencyNS < 0 {
-			t.Errorf("replica %d rollout = %+v, want %+v", i, rr, want)
-		}
-	}
-
-	// The whole fleet answers from the new epoch now.
-	for i := 0; i < 3; i++ {
+	lookup := func(label, primary, date string, epoch uint64) {
+		t.Helper()
 		var look serve.LookupResponse
 		c.get("GET", "/v1/domain?name=two.example", 200, &look)
-		if look.Primary != "prov-b.net" || look.Snapshot.Date != "2021-02" ||
-			look.Snapshot.Epoch != 2 || look.Stale {
-			t.Fatalf("post-rollout lookup = %+v, want epoch 2 of 2021-02", look)
+		if look.Primary != primary || look.Snapshot.Date != date || look.Snapshot.Epoch != epoch || look.Stale {
+			t.Fatalf("%s lookup = %+v, want %s at epoch %d of %s", label, look, primary, epoch, date)
 		}
 	}
+	// Every replica hot-swaps one epoch forward and the delta path does
+	// the same bounded work on each: one.example and four.example
+	// reused, the migrated and the arriving (or departing) domain
+	// reinferred, in exactly one step of the service clock.
+	checkRolled := func(rep *RolloutReport, from uint64) {
+		t.Helper()
+		if !rep.Completed || rep.Aborted != "" || rep.RolledBack != 0 || len(rep.Replicas) != 3 {
+			t.Fatalf("rollout = %+v, want 3 replicas completed cleanly", rep)
+		}
+		for i, rr := range rep.Replicas {
+			want := ReplicaRollout{Name: "r" + strconv.Itoa(i), FromEpoch: from, ToEpoch: from + 1,
+				Reused: 2, Reinferred: 2, SwapLatencyNS: servetest.ClockStep.Nanoseconds()}
+			if rr != want {
+				t.Errorf("replica %d rollout = %+v, want %+v", i, rr, want)
+			}
+		}
+	}
+
+	lookup("pre-roll", "prov-a.net", "2021-01", 1)
+	rep, err := f.b.Rollout(context.Background(), newPath, oldPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkRolled(rep, 1)
+	lookup("post-roll", "prov-b.net", "2021-02", 2)
+
+	// The abort path: a rollout against a missing file halts at the
+	// first replica (Rollout surfaces the abort as an error alongside
+	// the report); the fleet keeps answering from the epoch it has.
+	abort, err := f.b.Rollout(context.Background(), newPath+".does-not-exist", newPath)
+	if err == nil || abort == nil || abort.Completed || abort.Aborted == "" {
+		t.Fatalf("bad-path rollout = %+v, %v, want an abort recorded", abort, err)
+	}
+	lookup("post-abort", "prov-b.net", "2021-02", 2)
 
 	want := BalancerStats{
 		Requests: 3, Attempts: 3,
 		Probes:   6, // admission round + one verify probe per swap
-		Rollouts: 1, RolloutSwaps: 3,
+		Rollouts: 2, RolloutSwaps: 3, RolloutAborts: 1,
+	}
+	front := serve.ServerStats{Accepted: 1, Requests: 3, Responses: 3}
+	awaitStats(t, f.b.Stats, want)
+	awaitStats(t, f.front.Stats, front)
+	// The abort record embeds the run's temp dir.
+	abort.Aborted = strings.ReplaceAll(abort.Aborted, filepath.Dir(newPath), "$DIR")
+	ledger.CheckPhase(t, "BENCH_ha.json", haPhase{Phase: "rolling_rollout",
+		Detail:   "rolled 3 replicas epoch 1->2 (each reusing 2 of 4 domains, swap 500µs); bad-path rollout aborted clean",
+		Balancer: want, Front: &front, Rollouts: []*RolloutReport{rep, abort}})
+
+	// Through the endpoint, back to the old snapshot: the whole fleet
+	// (the replica the abort left stale included) answers from it.
+	var back RolloutReport
+	c.get("POST", "/v1/rollout?path="+url.QueryEscape(oldPath)+"&prev="+url.QueryEscape(newPath), 200, &back)
+	checkRolled(&back, 2)
+	for i := 0; i < 3; i++ {
+		lookup("post-endpoint-roll", "prov-a.net", "2021-01", 3)
+	}
+	want = BalancerStats{
+		Requests: 6, Attempts: 6,
+		Probes:   9, // three more verify probes
+		Rollouts: 3, RolloutSwaps: 6, RolloutAborts: 1,
 	}
 	if got := f.b.Stats(); got != want {
 		t.Fatalf("stats = %+v, want %+v", got, want)

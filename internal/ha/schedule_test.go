@@ -9,8 +9,10 @@ import (
 	"testing"
 	"time"
 
+	"mxmap/internal/ledger"
 	"mxmap/internal/netsim"
 	"mxmap/internal/serve"
+	"mxmap/internal/serve/servetest"
 )
 
 // TestReprobeScheduleFrozenClock drives the whole eject / re-probe /
@@ -109,9 +111,13 @@ func TestReprobeScheduleFrozenClock(t *testing.T) {
 	advance(time.Second)
 	probe(1, "recovery re-probe")
 	assertEjected(false, "recovered")
-	if !r.available() {
-		t.Fatal("recovered replica not routable")
+	if info := pool.Replicas()[0]; !r.available() || info.State != "healthy" || !info.Ready {
+		t.Fatalf("recovered replica = %+v, want healthy, ready and routable", info)
 	}
+	ledger.CheckPhase(t, "BENCH_ha.json", haPhase{Phase: "eject_reprobe_recover",
+		Detail:       "ejected after 3 fails, re-probed on the 125ms-doubling curve capped at 1s, recovered",
+		Balancer:     pool.Stats(),
+		JitterBounds: bounds})
 
 	// Reset on recovery: a fresh outage needs the full threshold again,
 	// and the first re-probe delay starts back at the base.
@@ -154,27 +160,11 @@ func TestReprobeScheduleFrozenClock(t *testing.T) {
 	}
 }
 
-// tickClock is a goroutine-safe stepped clock: every read advances by
-// one fixed step.
-type tickClock struct {
-	mu   sync.Mutex
-	t    time.Time
-	step time.Duration
-}
-
-func (c *tickClock) Now() time.Time {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.t = c.t.Add(c.step)
-	return c.t
-}
-
 func TestHedgeDelayResolution(t *testing.T) {
 	oldPath, _ := writeHAWorlds(t)
-	clk := &tickClock{t: time.Unix(1700000000, 0), step: 500 * time.Microsecond}
 	f := newFleet(t, 1, oldPath,
 		Config{HedgeMinSamples: 1, HedgeFloor: time.Nanosecond},
-		serve.Config{}, serve.Config{Clock: clk.Now})
+		serve.Config{}, serve.Config{Clock: servetest.SteppedClock()})
 
 	// No observations yet: the floor stands in.
 	if d := f.b.hedgeDelay("/v1/domain"); d != time.Nanosecond {
@@ -245,9 +235,10 @@ func TestBalancerHedging(t *testing.T) {
 		Hedges:   1, HedgeWins: 1,
 		Probes: 2,
 	}
-	if got := b.Stats(); got != want {
-		t.Fatalf("stats = %+v, want %+v", got, want)
-	}
+	awaitStats(t, b.Stats, want)
+	ledger.CheckPhase(t, "BENCH_ha.json", haPhase{Phase: "hedge_tail_latency",
+		Detail:   "wedged replica out-waited: hedge launched at 5ms and won from the other replica",
+		Balancer: want})
 	if hw := srv1.Stats().Lookups; hw != 1 {
 		t.Fatalf("hedge target served %d lookups, want 1", hw)
 	}

@@ -20,6 +20,7 @@ import (
 
 	"mxmap/internal/dataset"
 	"mxmap/internal/dns"
+	"mxmap/internal/ledger"
 	"mxmap/internal/netsim"
 	"mxmap/internal/smtp"
 )
@@ -164,41 +165,50 @@ func (w *chaosWorld) startRaw(t *testing.T, ip string, handler func(net.Conn)) {
 // failure class in the taxonomy is injected at least once, then checks
 // the health report against the fault matrix exactly: nothing silently
 // dropped, nothing double-counted, retries and breaker opens accounted.
+// What was injected and what the health report measured are pinned
+// together as results/FAULTS.json.
 func TestChaosSoakMatrix(t *testing.T) {
 	w := &chaosWorld{net: netsim.New(), cat: dns.NewCatalog()}
-	w.net.Seed(7)
+	w.net.Seed(1)
 	w.resolver = newChaosResolver(dns.CatalogResolver{Catalog: w.cat})
+	injected := make(map[string]int)
+	// add plants one domain whose exchange lives at ip under a fault label.
+	add := func(label, name, ip string) {
+		w.addDomain(t, name, ip)
+		injected[label]++
+	}
 
 	// Healthy baseline.
-	w.addDomain(t, "healthy.test", "10.9.0.1")
-	w.startSMTP(t, "10.9.0.1", "mx.healthy.test")
-	w.addDomain(t, "healthy2.test", "10.9.0.2")
-	w.startSMTP(t, "10.9.0.2", "mx.healthy2.test")
+	for i, ip := range []string{"10.20.0.1", "10.20.0.2", "10.20.0.3", "10.20.0.4"} {
+		name := fmt.Sprintf("healthy%d.test", i+1)
+		add("healthy", name, ip)
+		w.startSMTP(t, ip, "mx."+name)
+	}
 
 	// conn-refused, both flavors: explicit refuse fault and no listener.
-	w.addDomain(t, "refused.test", "10.9.0.3")
-	w.startSMTP(t, "10.9.0.3", "mx.refused.test")
-	w.net.SetFault(netip.MustParseAddr("10.9.0.3"), netsim.FaultRefuse)
-	w.addDomain(t, "noserver.test", "10.9.0.4")
+	add("conn-refused", "refused.test", "10.20.1.1")
+	w.startSMTP(t, "10.20.1.1", "mx.refused.test")
+	w.net.SetFault(netip.MustParseAddr("10.20.1.1"), netsim.FaultRefuse)
+	add("conn-refused", "noserver.test", "10.20.1.2")
 
 	// conn-timeout: dial hangs until the scan deadline.
-	w.addDomain(t, "blackhole.test", "10.9.0.5")
-	w.net.SetFault(netip.MustParseAddr("10.9.0.5"), netsim.FaultBlackhole)
+	add("blackhole", "blackhole.test", "10.20.1.3")
+	w.net.SetFault(netip.MustParseAddr("10.20.1.3"), netsim.FaultBlackhole)
 
 	// conn-reset: TCP handshake succeeds, everything after is RST.
-	w.addDomain(t, "reset.test", "10.9.0.6")
-	w.net.SetFault(netip.MustParseAddr("10.9.0.6"), netsim.FaultReset)
+	add("conn-reset", "reset.test", "10.20.1.4")
+	w.net.SetFault(netip.MustParseAddr("10.20.1.4"), netsim.FaultReset)
 
 	// Transient flake the retry policy must absorb: first two dials fail,
 	// the third (last allowed attempt) succeeds.
-	w.addDomain(t, "flaky.test", "10.9.0.7")
-	w.startSMTP(t, "10.9.0.7", "mx.flaky.test")
-	w.net.SetFlaky(netip.MustParseAddr("10.9.0.7"), 2)
+	add("flaky-recovered", "flaky.test", "10.20.1.5")
+	w.startSMTP(t, "10.20.1.5", "mx.flaky.test")
+	w.net.SetFlaky(netip.MustParseAddr("10.20.1.5"), 2)
 
 	// conn-timeout after connect: accepts, then says nothing. The port
 	// must still be recorded open.
-	w.addDomain(t, "silent.test", "10.9.0.8")
-	w.startRaw(t, "10.9.0.8", func(c net.Conn) {
+	add("silent-after-accept", "silent.test", "10.20.1.6")
+	w.startRaw(t, "10.20.1.6", func(c net.Conn) {
 		buf := make([]byte, 1)
 		for {
 			if _, err := c.Read(buf); err != nil {
@@ -208,15 +218,15 @@ func TestChaosSoakMatrix(t *testing.T) {
 	})
 
 	// proto-error: speaks, but not SMTP.
-	w.addDomain(t, "garbage.test", "10.9.0.9")
-	w.startRaw(t, "10.9.0.9", func(c net.Conn) {
+	add("garbage-greeting", "garbage.test", "10.20.1.7")
+	w.startRaw(t, "10.20.1.7", func(c net.Conn) {
 		fmt.Fprintf(c, "999 not an smtp server\r\n")
 	})
 
 	// tls-error: advertises STARTTLS, accepts the command, then drops the
 	// connection instead of negotiating.
-	w.addDomain(t, "brokentls.test", "10.9.0.10")
-	w.startRaw(t, "10.9.0.10", func(c net.Conn) {
+	add("broken-starttls", "brokentls.test", "10.20.1.8")
+	w.startRaw(t, "10.20.1.8", func(c net.Conn) {
 		br := bufio.NewReader(c)
 		fmt.Fprintf(c, "220 mx.brokentls.test ESMTP\r\n")
 		for {
@@ -241,22 +251,23 @@ func TestChaosSoakMatrix(t *testing.T) {
 	})
 
 	// not-covered: host is fine, the scanning service is blind to it.
-	w.addDomain(t, "uncovered.test", "10.9.0.11")
-	w.startSMTP(t, "10.9.0.11", "mx.uncovered.test")
-	uncovered := netip.MustParseAddr("10.9.0.11")
+	add("not-covered", "uncovered.test", "10.20.1.9")
+	w.startSMTP(t, "10.20.1.9", "mx.uncovered.test")
+	uncovered := netip.MustParseAddr("10.20.1.9")
 
 	// DNS-side faults. NXDOMAIN needs a name inside an authoritative zone
 	// (an unzoned name gets REFUSED, which classifies as servfail-like).
 	w.cat.AddZone(dns.NewZone("nxdomain.test"))
 	w.targets = append(w.targets, Target{Name: "gone.nxdomain.test"})
-	w.addDomain(t, "dnstimeout.test", "10.9.0.250")
+	injected["nxdomain"]++
+	add("dns-timeout", "dnstimeout.test", "10.20.2.1")
 	w.resolver.plan("MX:dnstimeout.test", -1, context.DeadlineExceeded)
-	w.addDomain(t, "dnsservfail.test", "10.9.0.251")
+	add("dns-servfail", "dnsservfail.test", "10.20.2.2")
 	w.resolver.plan("MX:dnsservfail.test", -1, fmt.Errorf("lookup: %w", dns.ErrServFail))
-	w.addDomain(t, "dnsflaky.test", "10.9.0.12")
-	w.startSMTP(t, "10.9.0.12", "mx.dnsflaky.test")
+	add("dns-flaky-recovered", "dnsflaky.test", "10.20.2.3")
+	w.startSMTP(t, "10.20.2.3", "mx.dnsflaky.test")
 	w.resolver.plan("MX:dnsflaky.test", 1, context.DeadlineExceeded)
-	w.addDomain(t, "dnsbroken.test", "10.9.0.252")
+	add("dns-broken-exchange", "dnsbroken.test", "10.20.2.4")
 	w.resolver.plan("A:mx.dnsbroken.test", -1, context.DeadlineExceeded)
 
 	col := &Collector{
@@ -267,7 +278,7 @@ func TestChaosSoakMatrix(t *testing.T) {
 		Retry:       &RetryPolicy{Attempts: 3, BaseBackoff: 10 * time.Millisecond, MaxBackoff: 50 * time.Millisecond},
 	}
 	start := time.Now()
-	snap, err := col.Collect(context.Background(), "chaos", "now", w.targets)
+	snap, err := col.Collect(context.Background(), "faults", "chaos", w.targets)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -277,17 +288,17 @@ func TestChaosSoakMatrix(t *testing.T) {
 
 	h := snap.Health()
 	wantDomains := map[dataset.FailureClass]int{
-		dataset.FailOK:          13,
+		dataset.FailOK:          15,
 		dataset.FailNXDomain:    1,
 		dataset.FailDNSTimeout:  1,
 		dataset.FailDNSServFail: 1,
 	}
 	wantExchanges := map[dataset.FailureClass]int{
-		dataset.FailOK:         12,
+		dataset.FailOK:         14,
 		dataset.FailDNSTimeout: 1, // mx.dnsbroken.test
 	}
 	wantIPs := map[dataset.FailureClass]int{
-		dataset.FailOK:          4, // healthy, healthy2, flaky, dnsflaky
+		dataset.FailOK:          6, // healthy1-4, flaky, dnsflaky
 		dataset.FailConnRefused: 2, // refused, noserver
 		dataset.FailConnTimeout: 2, // blackhole, silent
 		dataset.FailConnReset:   1,
@@ -304,7 +315,7 @@ func TestChaosSoakMatrix(t *testing.T) {
 	if !reflect.DeepEqual(h.IPs, wantIPs) {
 		t.Errorf("ip classes = %v, want %v", h.IPs, wantIPs)
 	}
-	if want := 11.0 / 12.0; h.Coverage < want-1e-9 || h.Coverage > want+1e-9 {
+	if want := 13.0 / 14.0; h.Coverage < want-1e-9 || h.Coverage > want+1e-9 {
 		t.Errorf("coverage = %v, want %v", h.Coverage, want)
 	}
 
@@ -335,22 +346,28 @@ func TestChaosSoakMatrix(t *testing.T) {
 				ip, info.Port25Open, info.Failure, open, class)
 		}
 	}
-	checkIP("10.9.0.1", true, dataset.FailOK)
-	checkIP("10.9.0.3", false, dataset.FailConnRefused)
-	checkIP("10.9.0.5", false, dataset.FailConnTimeout)
-	checkIP("10.9.0.6", true, dataset.FailConnReset) // handshake completed
-	checkIP("10.9.0.7", true, dataset.FailOK)        // flake absorbed
-	checkIP("10.9.0.8", true, dataset.FailConnTimeout)
-	checkIP("10.9.0.9", true, dataset.FailProtoError)
-	checkIP("10.9.0.10", true, dataset.FailTLSError)
-	checkIP("10.9.0.11", false, dataset.FailNotCovered)
+	checkIP("10.20.0.1", true, dataset.FailOK)
+	checkIP("10.20.1.1", false, dataset.FailConnRefused)
+	checkIP("10.20.1.3", false, dataset.FailConnTimeout)
+	checkIP("10.20.1.4", true, dataset.FailConnReset) // handshake completed
+	checkIP("10.20.1.5", true, dataset.FailOK)        // flake absorbed
+	checkIP("10.20.1.6", true, dataset.FailConnTimeout)
+	checkIP("10.20.1.7", true, dataset.FailProtoError)
+	checkIP("10.20.1.8", true, dataset.FailTLSError)
+	checkIP("10.20.1.9", false, dataset.FailNotCovered)
 
-	if info, _ := snap.IP(netip.MustParseAddr("10.9.0.10")); info.Scan == nil || !info.Scan.TLSFailed || !info.Scan.STARTTLS {
+	if info, _ := snap.IP(netip.MustParseAddr("10.20.1.8")); info.Scan == nil || !info.Scan.TLSFailed || !info.Scan.STARTTLS {
 		t.Errorf("brokentls scan info = %+v, want STARTTLS advertised with TLSFailed", info.Scan)
 	}
-	if info, _ := snap.IP(netip.MustParseAddr("10.9.0.1")); info.Scan == nil || info.Scan.TLSFailed {
+	if info, _ := snap.IP(netip.MustParseAddr("10.20.0.1")); info.Scan == nil || info.Scan.TLSFailed {
 		t.Errorf("healthy scan info = %+v, want TLSFailed unset", info.Scan)
 	}
+
+	ledger.Check(t, "FAULTS.json", struct {
+		Corpus   string          `json:"corpus"`
+		Injected map[string]int  `json:"injected"`
+		Health   *dataset.Health `json:"health"`
+	}{"faults", injected, h})
 }
 
 // TestChaosBudgetExhaustion pins the global retry budget: with budget 1

@@ -6,15 +6,9 @@ package serve
 // response the client received — the books balance to the last query.
 
 import (
-	"bufio"
 	"context"
 	"encoding/json"
 	"fmt"
-	"io"
-	"net"
-	"net/netip"
-	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -22,6 +16,7 @@ import (
 
 	"mxmap/internal/core"
 	"mxmap/internal/netsim"
+	"mxmap/internal/serve/servetest"
 )
 
 // chaosClient hammers one keep-alive connection with lookups until
@@ -41,22 +36,19 @@ type chaosClient struct {
 // and any genuinely lost request would surface in the final exact
 // counter assertion instead.
 func (cc *chaosClient) run(n *netsim.Network, addr string, worker int, stop *atomic.Bool) {
-	conn, err := n.Dial(context.Background(), netip.MustParseAddrPort(addr))
+	c, err := servetest.Dial(n, addr)
 	if err != nil {
 		cc.err = err
 		return
 	}
-	defer conn.Close()
-	br := bufio.NewReader(conn)
+	defer c.Conn.Close()
 	names := []string{"one.example", "two.example", "four.example", "no-such.example"}
 	for i := 0; ; i++ {
 		name := names[(worker+i)%len(names)]
-		req := "GET /v1/domain?name=" + name + " HTTP/1.1\r\nHost: chaos\r\n\r\n"
-		conn.SetWriteDeadline(time.Now().Add(5 * time.Second))
-		if _, err := conn.Write([]byte(req)); err != nil {
+		if err := c.Send("GET", "/v1/domain?name="+name); err != nil {
 			return
 		}
-		status, body, err := readChaosResponse(br, conn)
+		status, _, body, err := c.Read()
 		if err != nil {
 			return
 		}
@@ -115,46 +107,6 @@ func (cc *chaosClient) run(n *netsim.Network, addr string, worker int, stop *ato
 	}
 }
 
-func readChaosResponse(br *bufio.Reader, conn net.Conn) (int, []byte, error) {
-	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
-	line, err := br.ReadString('\n')
-	if err != nil {
-		return 0, nil, err
-	}
-	parts := strings.SplitN(strings.TrimRight(line, "\r\n"), " ", 3)
-	if len(parts) < 2 {
-		return 0, nil, fmt.Errorf("bad status line %q", line)
-	}
-	status, err := strconv.Atoi(parts[1])
-	if err != nil {
-		return 0, nil, fmt.Errorf("bad status line %q", line)
-	}
-	length := -1
-	for {
-		h, err := br.ReadString('\n')
-		if err != nil {
-			return 0, nil, err
-		}
-		h = strings.TrimRight(h, "\r\n")
-		if h == "" {
-			break
-		}
-		if key, value, ok := strings.Cut(h, ":"); ok && strings.EqualFold(key, "Content-Length") {
-			if length, err = strconv.Atoi(strings.TrimSpace(value)); err != nil {
-				return 0, nil, err
-			}
-		}
-	}
-	if length < 0 {
-		return 0, nil, fmt.Errorf("response without content length")
-	}
-	body := make([]byte, length)
-	if _, err := io.ReadFull(br, body); err != nil {
-		return 0, nil, err
-	}
-	return status, body, nil
-}
-
 // TestChaosHotSwapFloodZeroLoss hammers the service with concurrent
 // lookups while the snapshot is hot-swapped back and forth, then drains
 // gracefully and balances the books: every request the server read was
@@ -190,9 +142,11 @@ func TestChaosHotSwapFloodZeroLoss(t *testing.T) {
 		}(w)
 	}
 
-	// Let real load build, then flip the epoch back and forth under it.
+	// Let real load build from every worker (one still dialing when the
+	// drain starts would be refused), then flip the epoch back and forth
+	// under it.
 	deadline := time.Now().Add(10 * time.Second)
-	for srv.Stats().Requests < 20 {
+	for st := srv.Stats(); st.Accepted < workers || st.Requests < 20; st = srv.Stats() {
 		if time.Now().After(deadline) {
 			t.Fatalf("load never built: %+v", srv.Stats())
 		}
@@ -287,7 +241,7 @@ func TestChaosSwapFailureUnderLoad(t *testing.T) {
 		}(w)
 	}
 	deadline := time.Now().Add(10 * time.Second)
-	for srv.Stats().Requests < 10 {
+	for st := srv.Stats(); st.Accepted < workers || st.Requests < 10; st = srv.Stats() {
 		if time.Now().After(deadline) {
 			t.Fatalf("load never built: %+v", srv.Stats())
 		}

@@ -23,7 +23,7 @@ func TestNotLoaded503RetryAfter(t *testing.T) {
 		"/v1/domain?name=one.example", "/v1/share", "/v1/concentration",
 	} {
 		hdr := c.get("GET", target, 503, nil)
-		if hdr["retry-after"] != "1" {
+		if hdr.Get("Retry-After") != "1" {
 			t.Errorf("%s headers = %v, want Retry-After: 1", target, hdr)
 		}
 	}
@@ -42,7 +42,7 @@ func TestReadyz503RetryAfter(t *testing.T) {
 
 	var ready ReadyResponse
 	hdr := c.get("GET", "/readyz", 503, &ready)
-	if ready.Ready || hdr["retry-after"] != "7" {
+	if ready.Ready || hdr.Get("Retry-After") != "7" {
 		t.Fatalf("loading readyz = %+v %v, want 503 + Retry-After: 7", ready, hdr)
 	}
 
@@ -52,13 +52,13 @@ func TestReadyz503RetryAfter(t *testing.T) {
 		t.Fatal(err)
 	}
 	hdr = c.get("GET", "/readyz", 200, &ready)
-	if !ready.Ready || hdr["retry-after"] != "" {
+	if !ready.Ready || hdr.Get("Retry-After") != "" {
 		t.Fatalf("serving readyz = %+v %v, want 200 without Retry-After", ready, hdr)
 	}
 
 	svc.BeginDrain()
 	hdr = c.get("GET", "/readyz", 503, &ready)
-	if ready.Ready || ready.State != "draining" || hdr["retry-after"] != "7" {
+	if ready.Ready || ready.State != "draining" || hdr.Get("Retry-After") != "7" {
 		t.Fatalf("draining readyz = %+v %v, want 503 + Retry-After: 7", ready, hdr)
 	}
 	// The books settle to zero lost (the final response's accounting may

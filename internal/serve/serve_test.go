@@ -4,73 +4,41 @@ import (
 	"bufio"
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"math"
 	"net"
 	"net/netip"
+	"net/textproto"
 	"os"
 	"path/filepath"
 	"reflect"
-	"strconv"
-	"strings"
 	"syscall"
 	"testing"
 	"time"
 
 	"mxmap/internal/core"
 	"mxmap/internal/dataset"
+	"mxmap/internal/ledger"
 	"mxmap/internal/netsim"
+	"mxmap/internal/serve/servetest"
 )
-
-// serveWorldOld is the serving fixture: two managed providers plus one
-// self-hosted domain.
-func serveWorldOld() *dataset.Snapshot {
-	s := dataset.NewSnapshot("2021-01", "test")
-	s.AddDomain(dataset.DomainRecord{Domain: "one.example", Rank: 1,
-		MX: []dataset.MXObs{{Preference: 10, Exchange: "mx.prov-a.net"}}})
-	s.AddDomain(dataset.DomainRecord{Domain: "two.example", Rank: 2,
-		MX: []dataset.MXObs{{Preference: 10, Exchange: "mx.prov-a.net"}}})
-	s.AddDomain(dataset.DomainRecord{Domain: "three.example", Rank: 3,
-		MX: []dataset.MXObs{{Preference: 10, Exchange: "mx.prov-b.net"}}})
-	s.AddDomain(dataset.DomainRecord{Domain: "four.example", Rank: 4,
-		MX: []dataset.MXObs{{Preference: 10, Exchange: "mx.four.example"}}})
-	return s
-}
-
-// serveWorldNew is one churn step later: two.example migrated to
-// prov-b, three.example disappeared, five.example arrived on prov-b.
-func serveWorldNew() *dataset.Snapshot {
-	s := dataset.NewSnapshot("2021-02", "test")
-	s.AddDomain(dataset.DomainRecord{Domain: "one.example", Rank: 1,
-		MX: []dataset.MXObs{{Preference: 10, Exchange: "mx.prov-a.net"}}})
-	s.AddDomain(dataset.DomainRecord{Domain: "two.example", Rank: 2,
-		MX: []dataset.MXObs{{Preference: 10, Exchange: "mx.prov-b.net"}}})
-	s.AddDomain(dataset.DomainRecord{Domain: "four.example", Rank: 4,
-		MX: []dataset.MXObs{{Preference: 10, Exchange: "mx.four.example"}}})
-	s.AddDomain(dataset.DomainRecord{Domain: "five.example", Rank: 5,
-		MX: []dataset.MXObs{{Preference: 10, Exchange: "mx.prov-b.net"}}})
-	return s
-}
 
 // writeServeWorlds materializes both fixture snapshots as files.
 func writeServeWorlds(t *testing.T) (oldPath, newPath string) {
 	t.Helper()
-	dir := t.TempDir()
-	oldPath = filepath.Join(dir, "old.jsonl")
-	newPath = filepath.Join(dir, "new.jsonl")
-	for path, snap := range map[string]*dataset.Snapshot{oldPath: serveWorldOld(), newPath: serveWorldNew()} {
-		snap.SortDomains()
-		if err := dataset.WriteFile(path, snap); err != nil {
-			t.Fatal(err)
-		}
+	oldPath, newPath, err := servetest.WriteWorlds(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
 	}
 	return oldPath, newPath
 }
 
-// servingService builds a Service already serving the old world.
+// servingService builds a Service already serving the snapshot at path,
+// on a stepped clock so every swap latency it reports is exact.
 func servingService(t *testing.T, path string) *Service {
 	t.Helper()
-	svc := NewService(core.ApproachMXOnly, ServiceConfig{})
+	svc := NewService(core.ApproachMXOnly, ServiceConfig{Now: servetest.SteppedClock()})
 	if _, err := svc.Load(path); err != nil {
 		t.Fatal(err)
 	}
@@ -106,84 +74,44 @@ func startTestServer(t *testing.T, n *netsim.Network, addr string, cfg Config) *
 	return srv
 }
 
-// tClient is a minimal keep-alive HTTP/1.1 test client over the fabric.
+// tClient is servetest's keep-alive client failing the test on error.
 type tClient struct {
-	t    *testing.T
-	conn net.Conn
-	br   *bufio.Reader
+	t *testing.T
+	*servetest.Client
 }
 
 func dialClient(t *testing.T, n *netsim.Network, addr string) *tClient {
 	t.Helper()
-	conn, err := n.Dial(context.Background(), netip.MustParseAddrPort(addr))
+	c, err := servetest.Dial(n, addr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { conn.Close() })
-	return &tClient{t: t, conn: conn, br: bufio.NewReader(conn)}
+	t.Cleanup(func() { c.Conn.Close() })
+	return &tClient{t, c}
 }
 
 func (c *tClient) send(method, target string) {
 	c.t.Helper()
-	c.conn.SetWriteDeadline(time.Now().Add(5 * time.Second))
-	req := method + " " + target + " HTTP/1.1\r\nHost: test\r\n\r\n"
-	if _, err := c.conn.Write([]byte(req)); err != nil {
+	if err := c.Send(method, target); err != nil {
 		c.t.Fatalf("write %s %s: %v", method, target, err)
 	}
 }
 
-func (c *tClient) readResponse() (status int, hdr map[string]string, body []byte) {
+func (c *tClient) readResponse() (int, textproto.MIMEHeader, []byte) {
 	c.t.Helper()
-	c.conn.SetReadDeadline(time.Now().Add(5 * time.Second))
-	line, err := c.br.ReadString('\n')
+	status, hdr, body, err := c.Read()
 	if err != nil {
-		c.t.Fatalf("read status line: %v", err)
-	}
-	parts := strings.SplitN(strings.TrimRight(line, "\r\n"), " ", 3)
-	if len(parts) < 2 {
-		c.t.Fatalf("malformed status line %q", line)
-	}
-	status, err = strconv.Atoi(parts[1])
-	if err != nil {
-		c.t.Fatalf("malformed status %q", line)
-	}
-	hdr = make(map[string]string)
-	for {
-		h, err := c.br.ReadString('\n')
-		if err != nil {
-			c.t.Fatalf("read header: %v", err)
-		}
-		h = strings.TrimRight(h, "\r\n")
-		if h == "" {
-			break
-		}
-		if key, value, ok := strings.Cut(h, ":"); ok {
-			hdr[strings.ToLower(key)] = strings.TrimSpace(value)
-		}
-	}
-	n, err := strconv.Atoi(hdr["content-length"])
-	if err != nil {
-		c.t.Fatalf("missing content-length: %v", hdr)
-	}
-	body = make([]byte, n)
-	if _, err := io.ReadFull(c.br, body); err != nil {
-		c.t.Fatalf("read body: %v", err)
+		c.t.Fatal(err)
 	}
 	return status, hdr, body
 }
 
 // get performs one request and decodes the JSON answer into out.
-func (c *tClient) get(method, target string, wantStatus int, out any) map[string]string {
+func (c *tClient) get(method, target string, wantStatus int, out any) textproto.MIMEHeader {
 	c.t.Helper()
-	c.send(method, target)
-	status, hdr, body := c.readResponse()
-	if status != wantStatus {
-		c.t.Fatalf("%s %s = %d (%s), want %d", method, target, status, body, wantStatus)
-	}
-	if out != nil {
-		if err := json.Unmarshal(body, out); err != nil {
-			c.t.Fatalf("%s %s: decode %q: %v", method, target, body, err)
-		}
+	hdr, err := c.Do(method, target, wantStatus, out)
+	if err != nil {
+		c.t.Fatal(err)
 	}
 	return hdr
 }
@@ -201,6 +129,33 @@ func awaitServerStats(t *testing.T, srv *Server, want ServerStats) {
 		}
 		time.Sleep(time.Millisecond)
 	}
+}
+
+// queryPhase is one element of results/BENCH_query.json: a server's
+// whole counter snapshot at a fixed point of the test that carries the
+// phase plus, for swap phases, the service's swap accounting and the
+// churn report the swap produced. Clients are sequential, the fabric is
+// lossless and the service clock stepped, so every field is exact.
+type queryPhase struct {
+	Phase   string        `json:"phase"`
+	Detail  string        `json:"detail"`
+	Server  ServerStats   `json:"server"`
+	Lost    uint64        `json:"lost"`
+	Service *ServiceStats `json:"service,omitempty"`
+	Churn   *ChurnReport  `json:"churn,omitempty"`
+}
+
+// checkQueryPhase waits for srv's counters to reach want and compares
+// the phase they make with its committed ledger entry.
+func checkQueryPhase(t *testing.T, phase, detail string, srv *Server, want ServerStats, svc *Service, churn *ChurnReport) {
+	t.Helper()
+	awaitServerStats(t, srv, want)
+	p := queryPhase{Phase: phase, Detail: detail, Server: want, Lost: want.Lost(), Churn: churn}
+	if svc != nil {
+		ss := svc.Stats()
+		p.Service = &ss
+	}
+	ledger.CheckPhase(t, "BENCH_query.json", p)
 }
 
 func TestServeEndpoints(t *testing.T) {
@@ -232,10 +187,19 @@ func TestServeEndpoints(t *testing.T) {
 	if !reflect.DeepEqual(look, want) {
 		t.Errorf("lookup = %+v, want %+v", look, want)
 	}
-	look = LookupResponse{}
-	c.get("GET", "/v1/domain?name=missing.example", 200, &look)
-	if look.Found || look.Primary != "" {
-		t.Errorf("missing domain = %+v, want not found", look)
+	for _, tc := range []struct {
+		name, primary string
+		found         bool
+	}{
+		{"two.example", "prov-a.net", true},
+		{"four.example", "four.example", true}, // self-hosted
+		{"missing.example", "", false},
+	} {
+		look = LookupResponse{}
+		c.get("GET", "/v1/domain?name="+tc.name, 200, &look)
+		if look.Found != tc.found || look.Primary != tc.primary {
+			t.Errorf("lookup %s = %+v, want found %v with primary %q", tc.name, look, tc.found, tc.primary)
+		}
 	}
 
 	var share ShareResponse
@@ -243,18 +207,20 @@ func TestServeEndpoints(t *testing.T) {
 	if len(share.Top) != 1 || share.Top[0].Company != "prov-a.net" || share.Top[0].Percent != 50 {
 		t.Errorf("share top 1 = %+v, want prov-a.net at 50%%", share.Top)
 	}
-	c.get("GET", "/v1/share", 200, &share)
-	if len(share.Top) != 2 {
-		t.Errorf("share = %+v, want 2 companies (self-hosted excluded)", share.Top)
-	}
-
 	var conc ConcentrationResponse
 	c.get("GET", "/v1/concentration", 200, &conc)
 	// prov-a 2 of 3 managed credits, prov-b 1 of 3.
 	if math.Abs(conc.CR1-200.0/3) > 1e-9 || conc.Snapshot.Epoch != 1 {
 		t.Errorf("concentration = %+v, want CR1 %.4f", conc, 200.0/3)
 	}
+	c.get("GET", "/v1/stats", 200, nil)
+	checkQueryPhase(t, "lookup_endpoints", "9 requests over one connection: 4 lookups, 1 miss, 0 lost", srv,
+		ServerStats{Accepted: 1, Requests: 9, Responses: 9, Lookups: 4, LookupMisses: 1}, nil, nil)
 
+	c.get("GET", "/v1/share", 200, &share)
+	if len(share.Top) != 2 {
+		t.Errorf("share = %+v, want 2 companies (self-hosted excluded)", share.Top)
+	}
 	var churn ChurnResponse
 	c.get("GET", "/v1/churn", 200, &churn)
 	if churn.Swaps != 0 || churn.Last != nil {
@@ -266,7 +232,7 @@ func TestServeEndpoints(t *testing.T) {
 	c.get("POST", "/v1/domain", 405, nil)
 	// A parameterless lookup is a 400, which closes the connection.
 	hdr := c.get("GET", "/v1/domain", 400, nil)
-	if hdr["connection"] != "close" {
+	if hdr.Get("Connection") != "close" {
 		t.Errorf("400 headers = %v, want Connection: close", hdr)
 	}
 	c2 := dialClient(t, n, addr)
@@ -278,8 +244,8 @@ func TestServeEndpoints(t *testing.T) {
 		t.Fatalf("Shutdown: %v", err)
 	}
 	awaitServerStats(t, srv, ServerStats{
-		Accepted: 2, Requests: 13, Responses: 13,
-		Lookups: 2, LookupMisses: 1,
+		Accepted: 2, Requests: 16, Responses: 16,
+		Lookups: 4, LookupMisses: 1,
 		Drains: 1,
 	})
 	if svc.State() != StateDraining {
@@ -287,87 +253,147 @@ func TestServeEndpoints(t *testing.T) {
 	}
 }
 
-func TestServeHotSwapAndStaleMode(t *testing.T) {
-	oldPath, newPath := writeServeWorlds(t)
+// TestServeGracefulDrain serves a burst of lookups on one connection and
+// shuts down gracefully: every request read was answered, the drain is
+// counted once, and the service ends draining (its state is in the
+// phase's service stats).
+func TestServeGracefulDrain(t *testing.T) {
+	oldPath, _ := writeServeWorlds(t)
 	svc := servingService(t, oldPath)
 	n := netsim.New()
-	const addr = "203.0.113.11:80"
-	srv := startTestServer(t, n, addr, Config{Service: svc, AllowSwap: true})
+	const addr, lookups = "203.0.113.21:80", 16
+	srv := startTestServer(t, n, addr, Config{Service: svc})
 	c := dialClient(t, n, addr)
-
-	// A swap whose load fails leaves the old epoch serving, stale.
-	c.get("POST", "/v1/swap?path="+filepath.Join(t.TempDir(), "gone.jsonl"), 500, nil)
-	var look LookupResponse
-	c.get("GET", "/v1/domain?name=one.example", 200, &look)
-	if !look.Stale || !look.Found || look.Snapshot.Epoch != 1 {
-		t.Errorf("lookup after failed swap = %+v, want stale epoch-1 answer", look)
+	names := []string{"one.example", "two.example", "three.example", "no-such.example"}
+	for i := 0; i < lookups; i++ {
+		c.get("GET", "/v1/domain?name="+names[i%len(names)], 200, nil)
 	}
-	var health HealthResponse
-	c.get("GET", "/healthz", 200, &health)
-	if !health.Stale || health.State != "serving" {
-		t.Errorf("healthz after failed swap = %+v, want stale serving", health)
-	}
-	var ready ReadyResponse
-	c.get("GET", "/readyz", 200, &ready)
-	if !ready.Ready || !ready.Stale {
-		t.Errorf("readyz after failed swap = %+v, want ready but stale", ready)
-	}
-
-	// A successful swap flips the epoch, clears stale, and reports the
-	// churn exactly.
-	var rep ChurnReport
-	c.get("POST", "/v1/swap?path="+newPath, 200, &rep)
-	wantDiff := dataset.DiffStats{OldDomains: 4, NewDomains: 4, Added: 1, Removed: 1, Changed: 1, Unchanged: 2}
-	wantDelta := core.DeltaStats{Reused: 2, Reinferred: 2}
-	if rep.FromEpoch != 1 || rep.ToEpoch != 2 || rep.FromDate != "2021-01" || rep.ToDate != "2021-02" {
-		t.Errorf("report identity = %+v, want epoch 1->2, 2021-01 -> 2021-02", rep)
-	}
-	if rep.Diff != wantDiff || rep.Delta != wantDelta || rep.FullRecompute {
-		t.Errorf("report = %+v, want diff %+v delta %+v", rep, wantDiff, wantDelta)
-	}
-	wantFlows := []ProviderFlow{
-		{From: NoProviderLabel, To: "prov-b.net", Count: 1},
-		{From: "prov-a.net", To: "prov-b.net", Count: 1},
-		{From: "prov-b.net", To: NoProviderLabel, Count: 1},
-	}
-	if !reflect.DeepEqual(rep.Flows, wantFlows) {
-		t.Errorf("flows = %+v, want %+v", rep.Flows, wantFlows)
-	}
-
-	look = LookupResponse{}
-	c.get("GET", "/v1/domain?name=two.example", 200, &look)
-	if look.Primary != "prov-b.net" || look.Stale || look.Snapshot.Epoch != 2 || look.Snapshot.Date != "2021-02" {
-		t.Errorf("lookup after swap = %+v, want prov-b.net at epoch 2", look)
-	}
-	look = LookupResponse{}
-	c.get("GET", "/v1/domain?name=three.example", 200, &look)
-	if look.Found {
-		t.Errorf("removed domain still found: %+v", look)
-	}
-
-	var churn ChurnResponse
-	c.get("GET", "/v1/churn", 200, &churn)
-	if churn.Swaps != 1 || churn.Last == nil || churn.Last.ToEpoch != 2 {
-		t.Errorf("churn = %+v, want one swap to epoch 2", churn)
-	}
-	var stats StatsResponse
-	c.get("GET", "/v1/stats", 200, &stats)
-	ss := stats.Service
-	if ss.State != "serving" || ss.Stale || ss.Epoch != 2 || ss.Domains != 4 ||
-		ss.Swaps != 1 || ss.SwapFails != 1 ||
-		ss.DomainsReused != 2 || ss.DomainsReinferred != 2 {
-		t.Errorf("service stats = %+v", ss)
-	}
-
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 	if err := srv.Shutdown(ctx); err != nil {
 		t.Fatalf("Shutdown: %v", err)
 	}
-	awaitServerStats(t, srv, ServerStats{
-		Accepted: 1, Requests: 9, Responses: 9,
-		Lookups: 3, LookupMisses: 1, StaleServes: 1,
-		Drains: 1,
+	checkQueryPhase(t, "graceful_drain", fmt.Sprintf("drained clean after %d lookups, 0 lost", lookups), srv,
+		ServerStats{Accepted: 1, Requests: lookups, Responses: lookups,
+			Lookups: lookups, LookupMisses: lookups / 4, Drains: 1}, svc, nil)
+}
+
+// TestServeHotSwapAndStaleMode pins the swap endpoint's two outcomes on
+// one server each: a good swap flips the epoch and reports the churn
+// exactly; a failed one leaves the old epoch answering, marked stale,
+// until a good swap clears the degradation.
+func TestServeHotSwapAndStaleMode(t *testing.T) {
+	oldPath, newPath := writeServeWorlds(t)
+	wantRep := ChurnReport{
+		FromDate: "2021-01", ToDate: "2021-02", FromEpoch: 1, ToEpoch: 2,
+		Diff:  dataset.DiffStats{OldDomains: 4, NewDomains: 4, Added: 1, Removed: 1, Changed: 1, Unchanged: 2},
+		Delta: core.DeltaStats{Reused: 2, Reinferred: 2},
+		Flows: []ProviderFlow{
+			{From: NoProviderLabel, To: "prov-b.net", Count: 1},
+			{From: "prov-a.net", To: "prov-b.net", Count: 1},
+			{From: "prov-b.net", To: NoProviderLabel, Count: 1},
+		},
+		SwapLatencyNS: servetest.ClockStep.Nanoseconds(),
+	}
+
+	t.Run("hot swap", func(t *testing.T) {
+		svc := servingService(t, oldPath)
+		n := netsim.New()
+		const addr = "203.0.113.11:80"
+		srv := startTestServer(t, n, addr, Config{Service: svc, AllowSwap: true})
+		c := dialClient(t, n, addr)
+
+		var look LookupResponse
+		c.get("GET", "/v1/domain?name=two.example", 200, &look)
+		if look.Primary != "prov-a.net" || look.Snapshot.Epoch != 1 {
+			t.Errorf("pre-swap lookup = %+v, want prov-a.net at epoch 1", look)
+		}
+		var rep ChurnReport
+		c.get("POST", "/v1/swap?path="+newPath, 200, &rep)
+		if !reflect.DeepEqual(rep, wantRep) {
+			t.Errorf("churn report = %+v, want %+v", rep, wantRep)
+		}
+		look = LookupResponse{}
+		c.get("GET", "/v1/domain?name=two.example", 200, &look)
+		if look.Primary != "prov-b.net" || look.Stale || look.Snapshot.Epoch != 2 || look.Snapshot.Date != "2021-02" {
+			t.Errorf("lookup after swap = %+v, want prov-b.net at epoch 2", look)
+		}
+		checkQueryPhase(t, "hot_swap", "epoch 1->2: reused 2, re-inferred 2 of 4 domains, swap 500µs", srv,
+			ServerStats{Accepted: 1, Requests: 3, Responses: 3, Lookups: 2}, svc, &rep)
+
+		look = LookupResponse{}
+		c.get("GET", "/v1/domain?name=three.example", 200, &look)
+		if look.Found {
+			t.Errorf("removed domain still found: %+v", look)
+		}
+		var churn ChurnResponse
+		c.get("GET", "/v1/churn", 200, &churn)
+		if churn.Swaps != 1 || churn.Last == nil || churn.Last.ToEpoch != 2 {
+			t.Errorf("churn = %+v, want one swap to epoch 2", churn)
+		}
+	})
+
+	t.Run("stale mode", func(t *testing.T) {
+		svc := servingService(t, oldPath)
+		n := netsim.New()
+		const addr = "203.0.113.22:80"
+		srv := startTestServer(t, n, addr, Config{Service: svc, AllowSwap: true})
+		c := dialClient(t, n, addr)
+		gone := filepath.Join(t.TempDir(), "gone.jsonl")
+
+		// A swap whose load fails leaves the old epoch serving, stale.
+		c.get("POST", "/v1/swap?path="+gone, 500, nil)
+		var look LookupResponse
+		c.get("GET", "/v1/domain?name=one.example", 200, &look)
+		if !look.Stale || !look.Found || look.Snapshot.Epoch != 1 {
+			t.Errorf("lookup after failed swap = %+v, want stale epoch-1 answer", look)
+		}
+		var health HealthResponse
+		c.get("GET", "/healthz", 200, &health)
+		if !health.Stale || health.State != "serving" {
+			t.Errorf("healthz after failed swap = %+v, want stale serving", health)
+		}
+		// A successful swap flips the epoch and clears stale.
+		var rep ChurnReport
+		c.get("POST", "/v1/swap?path="+newPath, 200, &rep)
+		if !reflect.DeepEqual(rep, wantRep) {
+			t.Errorf("churn report = %+v, want %+v", rep, wantRep)
+		}
+		look = LookupResponse{}
+		c.get("GET", "/v1/domain?name=one.example", 200, &look)
+		if look.Stale || look.Snapshot.Epoch != 2 {
+			t.Errorf("recovered lookup = %+v, want fresh answer from epoch 2", look)
+		}
+		checkQueryPhase(t, "stale_swap", "failed swap served 1 stale answers from old epoch, recovery swap cleared", srv,
+			ServerStats{Accepted: 1, Requests: 5, Responses: 5, Lookups: 2, StaleServes: 1}, svc, &rep)
+
+		// Degraded again: readiness holds while stale, and /v1/stats
+		// carries the whole swap history.
+		c.get("POST", "/v1/swap?path="+gone, 500, nil)
+		var ready ReadyResponse
+		c.get("GET", "/readyz", 200, &ready)
+		if !ready.Ready || !ready.Stale {
+			t.Errorf("readyz after failed swap = %+v, want ready but stale", ready)
+		}
+		var stats StatsResponse
+		c.get("GET", "/v1/stats", 200, &stats)
+		ss := stats.Service
+		if ss.State != "serving" || !ss.Stale || ss.Epoch != 2 || ss.Domains != 4 ||
+			ss.Swaps != 1 || ss.SwapFails != 2 ||
+			ss.DomainsReused != 2 || ss.DomainsReinferred != 2 {
+			t.Errorf("service stats = %+v", ss)
+		}
+
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		if err := srv.Shutdown(ctx); err != nil {
+			t.Fatalf("Shutdown: %v", err)
+		}
+		awaitServerStats(t, srv, ServerStats{
+			Accepted: 1, Requests: 8, Responses: 8,
+			Lookups: 2, StaleServes: 1,
+			Drains: 1,
+		})
 	})
 }
 
@@ -427,7 +453,7 @@ func TestServeAdmissionControl(t *testing.T) {
 		// The second connection is shed at the door.
 		c2 := dialClient(t, n, addr)
 		status, hdr, _ := c2.readResponse()
-		if status != 429 || hdr["retry-after"] != "1" || hdr["connection"] != "close" {
+		if status != 429 || hdr.Get("Retry-After") != "1" || hdr.Get("Connection") != "close" {
 			t.Errorf("over-cap conn got %d %v, want 429 + Retry-After", status, hdr)
 		}
 		if st := srv.Stats(); st.Rejected != 1 || st.Accepted != 1 {
@@ -459,9 +485,8 @@ func TestServeAdmissionControl(t *testing.T) {
 		if status, _, _ := c1.readResponse(); status != 200 {
 			t.Errorf("gated request finished %d, want 200", status)
 		}
-		awaitServerStats(t, srv, ServerStats{
-			Accepted: 2, Requests: 2, Responses: 2, Shed: 1, Lookups: 1,
-		})
+		checkQueryPhase(t, "admission_shed", "inflight cap 1 held: 1 shed with 429, held request answered", srv,
+			ServerStats{Accepted: 2, Requests: 2, Responses: 2, Shed: 1, Lookups: 1}, nil, nil)
 	})
 
 	t.Run("queue then serve", func(t *testing.T) {
@@ -532,9 +557,8 @@ func TestServeAdmissionControl(t *testing.T) {
 		if status, _, _ := c1.readResponse(); status != 200 {
 			t.Errorf("gated request finished %d", status)
 		}
-		awaitServerStats(t, srv, ServerStats{
-			Accepted: 2, Requests: 2, Responses: 2, Queued: 1, Shed: 1, Lookups: 1,
-		})
+		checkQueryPhase(t, "queue_shed", "queue depth 1: 1 queued, 1 shed at wait expiry", srv,
+			ServerStats{Accepted: 2, Requests: 2, Responses: 2, Queued: 1, Shed: 1, Lookups: 1}, nil, nil)
 	})
 
 	t.Run("request deadline", func(t *testing.T) {
@@ -569,11 +593,11 @@ func TestServeConnHygiene(t *testing.T) {
 		srv := startTestServer(t, n, addr, Config{Service: svc, ReadTimeout: 30 * time.Millisecond})
 		c := dialClient(t, n, addr)
 		// Half a request line, then silence: the read deadline reaps it.
-		if _, err := c.conn.Write([]byte("GET /v1/dom")); err != nil {
+		if _, err := c.Conn.Write([]byte("GET /v1/dom")); err != nil {
 			t.Fatal(err)
 		}
-		c.conn.SetReadDeadline(time.Now().Add(5 * time.Second))
-		if _, err := c.br.ReadByte(); err == nil {
+		c.Conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+		if _, err := c.R.ReadByte(); err == nil {
 			t.Fatal("slowloris connection was answered")
 		}
 		awaitServerStats(t, srv, ServerStats{Accepted: 1, ReadTimeouts: 1})
@@ -585,11 +609,11 @@ func TestServeConnHygiene(t *testing.T) {
 		const addr = "203.0.113.19:80"
 		srv := startTestServer(t, n, addr, Config{Service: svc})
 		c := dialClient(t, n, addr)
-		if _, err := c.conn.Write([]byte("NOT A REQUEST\r\n\r\n")); err != nil {
+		if _, err := c.Conn.Write([]byte("NOT A REQUEST\r\n\r\n")); err != nil {
 			t.Fatal(err)
 		}
 		status, hdr, _ := c.readResponse()
-		if status != 400 || hdr["connection"] != "close" {
+		if status != 400 || hdr.Get("Connection") != "close" {
 			t.Errorf("malformed request got %d %v, want 400 close", status, hdr)
 		}
 		awaitServerStats(t, srv, ServerStats{
@@ -604,15 +628,15 @@ func TestServeConnHygiene(t *testing.T) {
 		srv := startTestServer(t, n, addr, Config{Service: svc, MaxRequests: 2})
 		c := dialClient(t, n, addr)
 		hdr := c.get("GET", "/healthz", 200, nil)
-		if hdr["connection"] == "close" {
+		if hdr.Get("Connection") == "close" {
 			t.Error("first request already closing")
 		}
 		hdr = c.get("GET", "/healthz", 200, nil)
-		if hdr["connection"] != "close" {
+		if hdr.Get("Connection") != "close" {
 			t.Error("budget-exhausting response not marked close")
 		}
-		c.conn.SetReadDeadline(time.Now().Add(5 * time.Second))
-		if _, err := c.br.ReadByte(); err != io.EOF {
+		c.Conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+		if _, err := c.R.ReadByte(); err != io.EOF {
 			t.Errorf("connection still open after budget: %v", err)
 		}
 		awaitServerStats(t, srv, ServerStats{
@@ -760,15 +784,7 @@ func TestServeSwapEquivalence(t *testing.T) {
 // prior snapshot file has vanished, the swap silently recomputes from
 // scratch and says so.
 func TestServeSwapFallbackFullRecompute(t *testing.T) {
-	dir := t.TempDir()
-	oldPath := filepath.Join(dir, "old.jsonl")
-	newPath := filepath.Join(dir, "new.jsonl")
-	for path, snap := range map[string]*dataset.Snapshot{oldPath: serveWorldOld(), newPath: serveWorldNew()} {
-		snap.SortDomains()
-		if err := dataset.WriteFile(path, snap); err != nil {
-			t.Fatal(err)
-		}
-	}
+	oldPath, newPath := writeServeWorlds(t)
 	svc := servingService(t, oldPath)
 	if err := os.Remove(oldPath); err != nil {
 		t.Fatal(err)
