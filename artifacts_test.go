@@ -1,11 +1,15 @@
 package mxmap_test
 
 import (
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"io/fs"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"regexp"
+	"sort"
 	"strings"
 	"testing"
 )
@@ -60,6 +64,135 @@ func TestCitedResultsAreTracked(t *testing.T) {
 		name := filepath.Base(path)
 		if !strings.HasPrefix(name, "BENCH_e2e_") && !strings.Contains(tests.String(), `"`+name+`"`) {
 			t.Errorf("no _test.go names the ledger %s: nothing compares it (see internal/ledger)", path)
+		}
+	}
+}
+
+// optionStructs are the option-bearing structs whose names do not end in
+// Config, Options or Policy.
+var optionStructs = map[string]bool{
+	"dns.Client": true, "dns.Transport": true, "dns.IterativeResolver": true,
+	"dns.Cache": true, "scan.Collector": true, "mta.Agent": true,
+}
+
+// optionsWithoutCaller are the options no non-test file outside the
+// declaring one sets, each with why it exists all the same.
+var optionsWithoutCaller = map[string]string{
+	"core.Config.DisableCertGrouping":        "paper ablation, DESIGN §5 (bench_test.go)",
+	"core.Config.PreferBannerOverCert":       "paper ablation, DESIGN §5 (bench_test.go)",
+	"core.Config.RequireBannerEHLOAgreement": "paper ablation: the strict reading of Figure 3 step 2.2",
+	"dns.Cache.Now":                          "clock seam",
+	"dns.RRLConfig.Now":                      "clock seam",
+	"ha.Config.Now":                          "clock seam",
+	"serve.ServiceConfig.Now":                "clock seam",
+	"ha.Config.Jitter":                       "jitter seam",
+	"ha.Config.ReprobeBase":                  "frozen-clock re-probe schedule (BENCH_ha)",
+	"ha.Config.ReprobeMax":                   "frozen-clock re-probe schedule (BENCH_ha)",
+	"ha.Config.HedgeFloor":                   "hedge-threshold tests pin the floor",
+	"ha.Config.HedgeMinSamples":              "hedge-threshold tests pin the sample gate",
+	"dns.Client.RetryBackoff":                "loss chaos tests shrink the delay",
+	"dns.Client.UDPSize":                     "EDNS0 experiment (edns_test.go)",
+	"dns.IterativeResolver.PrefetchMinHits":  "cache ledgers pin or disable prefetch (BENCH_dns)",
+	"dns.RRLConfig.IncludeLoopback":          "flood tests limit loopback sources, exempt otherwise",
+	"dns.ServerConfig.DisableCache":          "differential seam: cached answers ≡ uncached ones",
+	"dns.ServerConfig.TCPQueryBudget":        "budget-close tests pin a three-query budget",
+	"scan.Collector.Concurrency":             "chaos tests pin the fan-out",
+	"scan.Collector.ScanTimeout":             "chaos tests shorten blackhole scans",
+	"scan.RetryPolicy.BaseBackoff":           "chaos tests shrink the delay",
+	"scan.RetryPolicy.MaxBackoff":            "chaos tests shrink the delay",
+	"scan.RetryPolicy.Budget":                "budget-exhaustion tests (FAULTS)",
+	"serve.Config.Gate":                      "test barrier holding requests at a deterministic point",
+	"serve.Config.MaxRequests":               "budget-close tests pin a small budget",
+	"serve.Config.RetryAfterSecs":            "retryafter_test.go pins the advertised value",
+	"smtp.Config.MaxCommands":                "budget-close tests pin a two-command budget",
+	"smtp.Config.MaxMessageBytes":            "size-limit test pins a small bound",
+	"smtp.Config.RequireTLSForAuth":          "RFC 4954 §4 conformance test",
+	"smtp.Config.Auth":                       "examples/mailflow: the submission-agent walk-through",
+	"smtp.Config.OnMessage":                  "examples/mailflow: the submission-agent walk-through",
+	"smtp.Config.RequireAuthForMail":         "examples/mailflow: the submission-agent walk-through",
+	"mta.Agent.HELOName":                     "examples/mailflow: the submission-agent walk-through",
+	"world.Config.EnableIPv6":                "dual-stack experiment (ipv6_test.go)",
+	"world.Config.SelfISPs":                  "small test worlds shrink the roster",
+	"world.Config.TailProviders":             "small test worlds shrink the roster",
+}
+
+// TestEveryOptionHasACaller holds the rule that an option exists when a
+// non-test caller sets it: every exported field of a struct named
+// *Config, *Options or *Policy (or listed in optionStructs) under
+// internal/, cmd/ and bench/ is a composite-literal key or the target of
+// a selector assignment in some non-test file other than the one that
+// declares it, or is explained in optionsWithoutCaller. Syntax only, so
+// conservative: a field of another type that shares the name counts.
+func TestEveryOptionHasACaller(t *testing.T) {
+	declared := make(map[string]string) // pkg.Type.Field → declaring file
+	setIn := make(map[string][]string)  // field name → files that set one
+	fset := token.NewFileSet()
+	for _, root := range []string{"internal", "cmd", "bench"} {
+		err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+			if err != nil || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+				return err
+			}
+			file, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+			if err != nil {
+				return err
+			}
+			pkg := filepath.Base(filepath.Dir(path))
+			ast.Inspect(file, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.TypeSpec:
+					st, ok := n.Type.(*ast.StructType)
+					name := pkg + "." + n.Name.Name
+					if !ok || !(optionStructs[name] || strings.HasSuffix(name, "Config") ||
+						strings.HasSuffix(name, "Options") || strings.HasSuffix(name, "Policy")) {
+						break
+					}
+					for _, f := range st.Fields.List {
+						for _, id := range f.Names {
+							if id.IsExported() {
+								declared[name+"."+id.Name] = path
+							}
+						}
+					}
+				case *ast.KeyValueExpr:
+					if id, ok := n.Key.(*ast.Ident); ok {
+						setIn[id.Name] = append(setIn[id.Name], path)
+					}
+				case *ast.AssignStmt:
+					for _, lhs := range n.Lhs {
+						if sel, ok := lhs.(*ast.SelectorExpr); ok {
+							setIn[sel.Sel.Name] = append(setIn[sel.Sel.Name], path)
+						}
+					}
+				}
+				return true
+			})
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	fields := make([]string, 0, len(declared))
+	for field := range declared {
+		fields = append(fields, field)
+	}
+	sort.Strings(fields)
+	for _, field := range fields {
+		called := false
+		for _, path := range setIn[field[strings.LastIndex(field, ".")+1:]] {
+			called = called || path != declared[field]
+		}
+		_, excused := optionsWithoutCaller[field]
+		switch {
+		case !called && !excused:
+			t.Errorf("%s (%s): no non-test file sets it; make it a constant, or say in optionsWithoutCaller why it stays", field, declared[field])
+		case called && excused:
+			t.Errorf("%s has a caller now: drop it from optionsWithoutCaller", field)
+		}
+	}
+	for field := range optionsWithoutCaller {
+		if declared[field] == "" {
+			t.Errorf("optionsWithoutCaller names %s, which is not a declared option", field)
 		}
 	}
 }

@@ -14,7 +14,6 @@ import (
 	"fmt"
 	"log"
 	"os"
-	"sort"
 
 	"mxmap/internal/analysis"
 	"mxmap/internal/companies"
@@ -40,12 +39,12 @@ func main() {
 		log.Fatal(err)
 	}
 
-	ap, err := parseApproach(*approach)
+	ap, err := core.ParseApproach(*approach)
 	if err != nil {
 		log.Fatal(err)
 	}
 	dir := companies.Curated()
-	cfg := core.Config{Profiles: profilesFrom(dir), Parallelism: *parallelism}
+	cfg := core.Config{Profiles: analysis.ProviderProfiles(dir), Parallelism: *parallelism}
 	res := core.Infer(snap, ap, cfg)
 
 	if *showDomains {
@@ -75,44 +74,4 @@ func main() {
 	if err := t.WriteText(os.Stdout); err != nil {
 		log.Fatal(err)
 	}
-}
-
-func parseApproach(s string) (core.Approach, error) {
-	switch s {
-	case "mx":
-		return core.ApproachMXOnly, nil
-	case "cert":
-		return core.ApproachCertBased, nil
-	case "banner":
-		return core.ApproachBannerBased, nil
-	case "priority":
-		return core.ApproachPriority, nil
-	default:
-		return 0, fmt.Errorf("unknown approach %q (want mx, cert, banner or priority)", s)
-	}
-}
-
-// profilesFrom builds step-4 profiles for the curated large providers.
-func profilesFrom(dir *companies.Directory) []core.ProviderProfile {
-	var out []core.ProviderProfile
-	cs := dir.Companies()
-	sort.Slice(cs, func(i, j int) bool { return cs[i].Name < cs[j].Name })
-	for _, c := range cs {
-		if len(c.ProviderIDs) == 0 || c.Kind == companies.KindOther {
-			continue
-		}
-		id := c.ProviderIDs[0]
-		out = append(out, core.ProviderProfile{
-			ID:   id,
-			ASNs: c.ASNs,
-			VPSPatterns: []string{
-				"vps*." + id, "s*-*-*." + id,
-			},
-			DedicatedPatterns: []string{
-				"mailstore*." + id, "mx*." + id, "mailgw*." + id,
-				"shared*.shared." + id, "mx." + id,
-			},
-		})
-	}
-	return out
 }

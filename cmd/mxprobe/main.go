@@ -43,7 +43,7 @@ func main() {
 	}
 	domain := flag.Arg(0)
 
-	client := dns.NewPooledClient(*dnsServer)
+	client := dns.NewClient(*dnsServer)
 	client.Timeout = *timeout
 	defer client.Close()
 	resolver := dns.ClientResolver{Client: client}

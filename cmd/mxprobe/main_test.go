@@ -69,6 +69,7 @@ func TestProbeEndToEnd(t *testing.T) {
 
 	client := dns.NewClient(pc.LocalAddr().String())
 	client.Timeout = 2 * time.Second
+	defer client.Close()
 	var sb strings.Builder
 	err = probe(context.Background(), &sb, dns.ClientResolver{Client: client},
 		"probe-target.test", smtpPort, false, 5*time.Second)
@@ -107,6 +108,7 @@ func TestProbeUnresolvableDomain(t *testing.T) {
 	defer dnsSrv.Close()
 	client := dns.NewClient(pc.LocalAddr().String())
 	client.Timeout = time.Second
+	defer client.Close()
 	var sb strings.Builder
 	err = probe(context.Background(), &sb, dns.ClientResolver{Client: client},
 		"missing.empty.test", 25, true, time.Second)

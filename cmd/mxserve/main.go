@@ -26,9 +26,9 @@ import (
 	"log"
 	"net"
 	"os"
-	"sort"
 	"time"
 
+	"mxmap/internal/analysis"
 	"mxmap/internal/companies"
 	"mxmap/internal/core"
 	"mxmap/internal/serve"
@@ -56,13 +56,13 @@ func main() {
 	}
 	snapshot := flag.Arg(0)
 
-	ap, err := parseApproach(*approach)
+	ap, err := core.ParseApproach(*approach)
 	if err != nil {
 		log.Fatal(err)
 	}
 	dir := companies.Curated()
 	svc := serve.NewService(ap, serve.ServiceConfig{
-		Infer:     core.Config{Profiles: profilesFrom(dir)},
+		Infer:     core.Config{Profiles: analysis.ProviderProfiles(dir)},
 		Directory: dir,
 		TopShares: *top,
 	})
@@ -123,45 +123,4 @@ func main() {
 	if lost := st.Lost(); lost != 0 {
 		log.Fatalf("mxserve: %d queries lost in drain", lost)
 	}
-}
-
-func parseApproach(s string) (core.Approach, error) {
-	switch s {
-	case "mx":
-		return core.ApproachMXOnly, nil
-	case "cert":
-		return core.ApproachCertBased, nil
-	case "banner":
-		return core.ApproachBannerBased, nil
-	case "priority":
-		return core.ApproachPriority, nil
-	default:
-		return 0, fmt.Errorf("unknown approach %q (want mx, cert, banner or priority)", s)
-	}
-}
-
-// profilesFrom builds step-4 profiles for the curated large providers,
-// mirroring cmd/mxmap so online answers match the offline tool.
-func profilesFrom(dir *companies.Directory) []core.ProviderProfile {
-	var out []core.ProviderProfile
-	cs := dir.Companies()
-	sort.Slice(cs, func(i, j int) bool { return cs[i].Name < cs[j].Name })
-	for _, c := range cs {
-		if len(c.ProviderIDs) == 0 || c.Kind == companies.KindOther {
-			continue
-		}
-		id := c.ProviderIDs[0]
-		out = append(out, core.ProviderProfile{
-			ID:   id,
-			ASNs: c.ASNs,
-			VPSPatterns: []string{
-				"vps*." + id, "s*-*-*." + id,
-			},
-			DedicatedPatterns: []string{
-				"mailstore*." + id, "mx*." + id, "mailgw*." + id,
-				"shared*.shared." + id, "mx." + id,
-			},
-		})
-	}
-	return out
 }

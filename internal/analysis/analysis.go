@@ -21,6 +21,33 @@ const SelfHostedLabel = "Self-Hosted"
 // SMTP server.
 const NoSMTPLabel = "No SMTP"
 
+// ProviderProfiles derives step-4 provider profiles (AS membership, VPS
+// and dedicated host-name patterns) from a company directory — the
+// codified form of the paper's "prior knowledge about large providers".
+func ProviderProfiles(dir *companies.Directory) []core.ProviderProfile {
+	var out []core.ProviderProfile
+	for _, c := range dir.Companies() {
+		// The paper only runs the misidentification check for large,
+		// well-known providers; long-tail providers are skipped.
+		if len(c.ProviderIDs) == 0 || c.Kind == companies.KindOther {
+			continue
+		}
+		id := c.ProviderIDs[0]
+		out = append(out, core.ProviderProfile{
+			ID:   id,
+			ASNs: c.ASNs,
+			VPSPatterns: []string{
+				"vps*." + id, "s*-*-*." + id,
+			},
+			DedicatedPatterns: []string{
+				"mailstore*." + id, "mx*." + id, "mailgw*." + id,
+				"shared*.shared." + id, "mx." + id,
+			},
+		})
+	}
+	return out
+}
+
 // Attributions indexes a result's per-domain outcomes by domain name.
 func Attributions(res *core.Result) map[string]core.DomainAttribution {
 	out := make(map[string]core.DomainAttribution, len(res.Domains))

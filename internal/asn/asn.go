@@ -243,11 +243,6 @@ type Entry struct {
 	ASN    ASN
 }
 
-func ipv4Bits(addr netip.Addr) uint32 {
-	b := addr.As4()
-	return uint32(b[0])<<24 | uint32(b[1])<<16 | uint32(b[2])<<8 | uint32(b[3])
-}
-
 // WriteTo emits the table in CAIDA prefix2as format: "address<TAB>length
 // <TAB>asn", one line per prefix. It implements io.WriterTo.
 func (t *Table) WriteTo(w io.Writer) (int64, error) {

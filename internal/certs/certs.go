@@ -75,9 +75,6 @@ func NewCA(name string, rng *mrand.Rand) (*CA, error) {
 	return &CA{Name: name, cert: cert, key: key, serial: 1}, nil
 }
 
-// Certificate returns the CA's own certificate.
-func (ca *CA) Certificate() *x509.Certificate { return ca.cert }
-
 // LeafSpec describes a leaf certificate to issue.
 type LeafSpec struct {
 	// CommonName is the subject CN, conventionally the provider's

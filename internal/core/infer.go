@@ -44,6 +44,23 @@ func (a Approach) String() string {
 	}
 }
 
+// ParseApproach maps the command-line spelling of an approach (mx, cert,
+// banner, priority) to its value.
+func ParseApproach(s string) (Approach, error) {
+	switch s {
+	case "mx":
+		return ApproachMXOnly, nil
+	case "cert":
+		return ApproachCertBased, nil
+	case "banner":
+		return ApproachBannerBased, nil
+	case "priority":
+		return ApproachPriority, nil
+	default:
+		return 0, fmt.Errorf("unknown approach %q (want mx, cert, banner or priority)", s)
+	}
+}
+
 // Approaches returns all approaches in evaluation order.
 func Approaches() []Approach {
 	return []Approach{ApproachMXOnly, ApproachCertBased, ApproachBannerBased, ApproachPriority}
@@ -98,8 +115,6 @@ type ProviderProfile struct {
 
 // Config parameterizes an inference run.
 type Config struct {
-	// PSL supplies registered-domain extraction (default psl.Default).
-	PSL *psl.List
 	// Profiles enables step 4 for these large providers.
 	Profiles []ProviderProfile
 	// ConfidenceThreshold is the per-assignment popularity below which an
@@ -133,13 +148,6 @@ type Config struct {
 	// is surfaced as a low-trust abuse cluster. Zero (the default)
 	// disables the rule.
 	AbuseClusterMinDomains int
-}
-
-func (c Config) pslOrDefault() *psl.List {
-	if c.PSL != nil {
-		return c.PSL
-	}
-	return psl.Default
 }
 
 // MXAssignment is the provider conclusion for one MX exchange name.

@@ -43,7 +43,7 @@ func InferStream(src dataset.Source, approach Approach, cfg Config, emit func(Do
 // prior attributions are reused for domains outside the changed set
 // whose primary assignments are credit-equivalent.
 func inferStream(src dataset.Source, approach Approach, cfg Config, prior *Result, priorAtt func(string) (DomainAttribution, bool), changed map[string]bool, emit func(DomainAttribution)) (*Result, DeltaStats, error) {
-	memo := psl.NewMemo(cfg.pslOrDefault())
+	memo := psl.NewMemo(psl.Default)
 	if cfg.ConfidenceThreshold == 0 {
 		cfg.ConfidenceThreshold = 5
 	}

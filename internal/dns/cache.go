@@ -21,9 +21,9 @@ import (
 //   - Hits return a private copy whose record TTLs are clamped to the
 //     remaining lifetime — callers may patch IDs or header bits freely,
 //     and a response cached 50s ago never claims its original TTL.
-//   - Expired entries are retained for StaleWindow and can be served
-//     explicitly (RFC 8767 serve-stale) with their TTLs stamped to
-//     StaleTTL; plain Get never returns them.
+//   - Expired entries are retained for DefaultStaleWindow and can be
+//     served explicitly (RFC 8767 serve-stale) with their TTLs stamped
+//     to DefaultStaleTTL; plain Get never returns them.
 //   - Delegation entries (zone → name-server addresses) share the same
 //     bounded storage, so delegation state no longer grows without
 //     limit over a run.
@@ -36,13 +36,6 @@ type Cache struct {
 	MaxEntries int
 	// Now substitutes the clock for tests; nil uses time.Now.
 	Now func() time.Time
-	// StaleWindow is how long expired entries remain servable via
-	// stale lookups (RFC 8767 §5 resolution recommendations). Zero
-	// uses DefaultStaleWindow; negative disables serve-stale.
-	StaleWindow time.Duration
-	// StaleTTL is the TTL stamped on records served stale, signalling
-	// "do not hold this long" to consumers (default DefaultStaleTTL).
-	StaleTTL uint32
 
 	once   sync.Once
 	shards []*cacheShard
@@ -52,9 +45,9 @@ type Cache struct {
 	puts, evictions, expiries atomic.Uint64
 }
 
-// Serve-stale defaults, following RFC 8767's recommendations: expired
-// data stays usable for a bounded window, and is handed out with a
-// short TTL so it is re-examined quickly.
+// Serve-stale constants, following RFC 8767's recommendations: expired
+// data stays usable for a bounded window (§5), and is handed out with a
+// short TTL that tells consumers "do not hold this long".
 const (
 	DefaultStaleWindow = time.Hour
 	DefaultStaleTTL    = 30
@@ -213,24 +206,6 @@ func (c *Cache) now() time.Time {
 	return time.Now()
 }
 
-func (c *Cache) staleWindow() time.Duration {
-	switch {
-	case c.StaleWindow < 0:
-		return 0
-	case c.StaleWindow == 0:
-		return DefaultStaleWindow
-	default:
-		return c.StaleWindow
-	}
-}
-
-func (c *Cache) staleTTL() uint32 {
-	if c.StaleTTL == 0 {
-		return DefaultStaleTTL
-	}
-	return c.StaleTTL
-}
-
 // shardFor picks the shard by an FNV-1a hash of the key.
 func (c *Cache) shardFor(key cacheKey) *cacheShard {
 	c.init()
@@ -290,7 +265,7 @@ func (c *Cache) Lookup(name string, typ Type, serveStale bool) (*Message, CacheL
 			c.negativeHits.Add(1)
 		}
 		return msg, lk
-	case now.Sub(e.expires) <= c.staleWindow(): // stale but servable
+	case now.Sub(e.expires) <= DefaultStaleWindow: // stale but servable
 		if !serveStale {
 			c.misses.Add(1)
 			return nil, CacheLookup{State: CacheMiss}
@@ -304,7 +279,7 @@ func (c *Cache) Lookup(name string, typ Type, serveStale bool) (*Message, CacheL
 			Negative:    e.negative,
 		}
 		msg := cloneMessage(e.msg)
-		stampTTLs(msg, c.staleTTL())
+		stampTTLs(msg, DefaultStaleTTL)
 		c.staleHits.Add(1)
 		return msg, lk
 	default: // beyond the stale window: gone
@@ -383,7 +358,7 @@ func (c *Cache) Delegation(name string) ([]netip.AddrPort, string, bool) {
 			c.delegHits.Add(1)
 			return servers, zone, true
 		}
-		if ok && now.Sub(e.expires) > c.staleWindow() {
+		if ok && now.Sub(e.expires) > DefaultStaleWindow {
 			sh.remove(e)
 			c.expiries.Add(1)
 		}

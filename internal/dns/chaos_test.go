@@ -67,13 +67,12 @@ func TestChaosUDPLossRetryBackoff(t *testing.T) {
 	n.SetUDPLoss(netip.MustParseAddr(server), 0.3)
 
 	tr := &Transport{Server: server + ":53", Conns: 1, DialContext: lossyFabricDial(n)}
-	client := &Client{
+	client := testClient(t, &Client{
 		Transport:    tr,
 		Timeout:      50 * time.Millisecond,
 		Retries:      12,
 		RetryBackoff: time.Millisecond,
-	}
-	t.Cleanup(func() { client.Close() })
+	})
 
 	// Sequential on purpose: one outstanding query at a time keeps the
 	// fabric's seeded loss rolls on a reproducible schedule.
@@ -134,8 +133,7 @@ func TestChaosDuplicateResponses(t *testing.T) {
 	}()
 
 	tr := &Transport{Server: server + ":53", Conns: 1, DialContext: lossyFabricDial(n)}
-	client := &Client{Transport: tr, Timeout: time.Second, Retries: 2}
-	t.Cleanup(func() { client.Close() })
+	client := testClient(t, &Client{Transport: tr, Timeout: time.Second, Retries: 2})
 
 	resolver := ClientResolver{Client: client}
 	for round := 0; round < 2; round++ {

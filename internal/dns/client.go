@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math/rand/v2"
 	"net"
 	"net/netip"
 	"sort"
@@ -14,6 +13,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"mxmap/internal/overload"
 )
 
 // Client errors.
@@ -36,6 +37,8 @@ var (
 
 // A Client is a stub resolver: it sends single questions to one server
 // over UDP, retrying on timeout and falling back to TCP on truncation.
+// UDP attempts ride a multiplexed Transport, so a Client owns sockets
+// once it has exchanged: Close it when done.
 type Client struct {
 	// Server is the resolver address, host:port.
 	Server string
@@ -51,17 +54,16 @@ type Client struct {
 	// (default 50ms). Immediate tight retries against a timing-out
 	// server only add load exactly when the server is struggling.
 	RetryBackoff time.Duration
-	// DialContext allows substituting the transport; nil uses net.Dialer.
+	// DialContext substitutes the socket factory; nil uses net.Dialer.
 	// The network argument is "udp" or "tcp".
 	DialContext func(ctx context.Context, network, address string) (net.Conn, error)
-	// Transport, when set, carries UDP exchanges over shared multiplexed
-	// sockets instead of a fresh dial per attempt. TCP fallback still
-	// dials (truncation is rare). See NewPooledClient.
+	// Transport carries the UDP exchanges and dials the TCP fallback
+	// (truncation is rare). Clients that share sockets set it, and its
+	// Server and DialContext are then the ones used; left nil, the first
+	// Exchange builds one from the client's.
 	Transport *Transport
 
-	mu  sync.Mutex
-	rng *rand.Rand
-
+	once    sync.Once
 	retries atomic.Int64
 }
 
@@ -75,40 +77,17 @@ func NewClient(server string) *Client {
 	return &Client{Server: server, Timeout: 2 * time.Second, Retries: 2}
 }
 
-func (c *Client) dial(ctx context.Context, network string) (net.Conn, error) {
-	server := c.Server
-	dialCtx := c.DialContext
-	if c.Transport != nil {
-		if server == "" {
-			server = c.Transport.Server
+func (c *Client) transport() *Transport {
+	c.once.Do(func() {
+		if c.Transport == nil {
+			c.Transport = &Transport{Server: c.Server, DialContext: c.DialContext}
 		}
-		if dialCtx == nil {
-			dialCtx = c.Transport.DialContext
-		}
-	}
-	if dialCtx != nil {
-		return dialCtx(ctx, network, server)
-	}
-	var d net.Dialer
-	return d.DialContext(ctx, network, server)
+	})
+	return c.Transport
 }
 
-// Close releases the client's shared transport, if any.
-func (c *Client) Close() error {
-	if c.Transport != nil {
-		return c.Transport.Close()
-	}
-	return nil
-}
-
-func (c *Client) nextID() uint16 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.rng == nil {
-		c.rng = rand.New(rand.NewPCG(rand.Uint64(), rand.Uint64()))
-	}
-	return uint16(c.rng.Uint32())
-}
+// Close releases the client's transport.
+func (c *Client) Close() error { return c.transport().Close() }
 
 // Exchange sends one question and returns the validated response message.
 func (c *Client) Exchange(ctx context.Context, name string, typ Type) (*Message, error) {
@@ -116,7 +95,8 @@ func (c *Client) Exchange(ctx context.Context, name string, typ Type) (*Message,
 	if timeout <= 0 {
 		timeout = 2 * time.Second
 	}
-	query := NewQuery(c.nextID(), name, typ)
+	// The transport assigns the ID of every attempt.
+	query := NewQuery(0, name, typ)
 	if c.UDPSize > 0 {
 		query.SetEDNS0(c.UDPSize)
 	}
@@ -124,6 +104,7 @@ func (c *Client) Exchange(ctx context.Context, name string, typ Type) (*Message,
 	if err != nil {
 		return nil, err
 	}
+	tr := c.transport()
 	attempts := c.Retries + 1
 	var lastErr error
 	for i := 0; i < attempts; i++ {
@@ -134,10 +115,13 @@ func (c *Client) Exchange(ctx context.Context, name string, typ Type) (*Message,
 			c.retries.Add(1)
 		}
 		var resp *Message
-		if c.Transport != nil {
-			resp, err = c.exchangeTransport(ctx, wire, query.Questions[0], timeout)
-		} else {
-			resp, err = c.exchangeOnce(ctx, wire, query.Header.ID, "udp", timeout)
+		respBuf, err := tr.RoundTrip(ctx, wire, query.Questions[0], timeout)
+		if err == nil {
+			// The transport already verified ID and question against the query.
+			resp, err = Unpack(respBuf)
+		}
+		if err == nil && resp.Header.Truncated {
+			resp, err = exchangeTCP(ctx, tr, wire, resp.Header.ID, timeout)
 		}
 		if err != nil {
 			lastErr = err
@@ -146,37 +130,22 @@ func (c *Client) Exchange(ctx context.Context, name string, typ Type) (*Message,
 			}
 			continue
 		}
-		if resp.Header.Truncated {
-			resp, err = c.exchangeOnce(ctx, wire, query.Header.ID, "tcp", timeout)
-			if err != nil {
-				lastErr = err
-				continue
-			}
-		}
 		return resp, nil
 	}
-	return nil, fmt.Errorf("dns: exchange with %s failed: %w", c.Server, lastErr)
+	return nil, fmt.Errorf("dns: exchange with %s failed: %w", tr.Server, lastErr)
 }
 
+// maxRetryBackoff caps the delay between UDP attempts.
+const maxRetryBackoff = 2 * time.Second
+
 // retryDelay returns the jittered exponential backoff before retry
-// attempt (attempt >= 1): base 2^(attempt-1), jittered to [d/2, d],
-// capped at 2s.
+// attempt (attempt >= 1).
 func (c *Client) retryDelay(attempt int) time.Duration {
 	base := c.RetryBackoff
 	if base <= 0 {
 		base = 50 * time.Millisecond
 	}
-	d := base << (attempt - 1)
-	if d > 2*time.Second || d <= 0 {
-		d = 2 * time.Second
-	}
-	c.mu.Lock()
-	if c.rng == nil {
-		c.rng = rand.New(rand.NewPCG(rand.Uint64(), rand.Uint64()))
-	}
-	d = d/2 + time.Duration(c.rng.Int64N(int64(d/2)+1))
-	c.mu.Unlock()
-	return d
+	return overload.Delay(attempt, min(base, maxRetryBackoff), maxRetryBackoff, nil)
 }
 
 func (c *Client) sleep(ctx context.Context, d time.Duration) error {
@@ -190,20 +159,12 @@ func (c *Client) sleep(ctx context.Context, d time.Duration) error {
 	}
 }
 
-// exchangeTransport runs one UDP attempt over the shared transport.
-func (c *Client) exchangeTransport(ctx context.Context, wire []byte, q Question, timeout time.Duration) (*Message, error) {
-	respBuf, err := c.Transport.RoundTrip(ctx, wire, q, timeout)
-	if err != nil {
-		return nil, err
-	}
-	// The transport already verified ID and question against the query.
-	return Unpack(respBuf)
-}
-
-func (c *Client) exchangeOnce(ctx context.Context, wire []byte, id uint16, network string, timeout time.Duration) (*Message, error) {
+// exchangeTCP repeats a query whose UDP answer came back truncated over
+// a fresh TCP connection, under the ID the transport drew for it.
+func exchangeTCP(ctx context.Context, tr *Transport, wire []byte, id uint16, timeout time.Duration) (*Message, error) {
 	ctx, cancel := context.WithTimeout(ctx, timeout)
 	defer cancel()
-	conn, err := c.dial(ctx, network)
+	conn, err := tr.dial(ctx, "tcp")
 	if err != nil {
 		return nil, err
 	}
@@ -213,45 +174,20 @@ func (c *Client) exchangeOnce(ctx context.Context, wire []byte, id uint16, netwo
 			return nil, err
 		}
 	}
-	var respBuf []byte
-	switch network {
-	case "udp":
-		if _, err := conn.Write(wire); err != nil {
-			return nil, err
-		}
-		buf := make([]byte, 64*1024)
-		// A shared or unconnected socket can deliver datagrams that are
-		// not our answer: late responses to earlier queries, or spoofed
-		// packets guessing at our ID. Those must not burn the attempt —
-		// keep reading until the real response or the deadline.
-		for {
-			n, err := conn.Read(buf)
-			if err != nil {
-				return nil, err
-			}
-			resp, err := Unpack(buf[:n])
-			if err != nil || resp.Header.ID != id || !resp.Header.Response {
-				continue // stray datagram; keep waiting
-			}
-			return resp, nil
-		}
-	case "tcp":
-		out := make([]byte, 2+len(wire))
-		binary.BigEndian.PutUint16(out, uint16(len(wire)))
-		copy(out[2:], wire)
-		if _, err := conn.Write(out); err != nil {
-			return nil, err
-		}
-		var lenBuf [2]byte
-		if _, err := io.ReadFull(conn, lenBuf[:]); err != nil {
-			return nil, err
-		}
-		respBuf = make([]byte, binary.BigEndian.Uint16(lenBuf[:]))
-		if _, err := io.ReadFull(conn, respBuf); err != nil {
-			return nil, err
-		}
-	default:
-		return nil, fmt.Errorf("dns: unsupported network %q", network)
+	out := make([]byte, 2+len(wire))
+	binary.BigEndian.PutUint16(out, uint16(len(wire)))
+	copy(out[2:], wire)
+	binary.BigEndian.PutUint16(out[2:], id)
+	if _, err := conn.Write(out); err != nil {
+		return nil, err
+	}
+	var lenBuf [2]byte
+	if _, err := io.ReadFull(conn, lenBuf[:]); err != nil {
+		return nil, err
+	}
+	respBuf := make([]byte, binary.BigEndian.Uint16(lenBuf[:]))
+	if _, err := io.ReadFull(conn, respBuf); err != nil {
+		return nil, err
 	}
 	resp, err := Unpack(respBuf)
 	if err != nil {

@@ -20,11 +20,6 @@ func (OPTData) RType() Type { return TypeOPT }
 // String implements RData.
 func (OPTData) String() string { return "OPT" }
 
-// DefaultEDNSSize is the payload size this package advertises and
-// accepts by default, following current operational guidance (the
-// DNS-flag-day value).
-const DefaultEDNSSize = 1232
-
 // MaxEDNSSize caps what a server will honor from clients.
 const MaxEDNSSize = 4096
 

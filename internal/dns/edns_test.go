@@ -34,13 +34,13 @@ func TestEDNS0AvoidsTruncation(t *testing.T) {
 	defer srv.Close()
 	// Deliberately no TCP listener.
 
-	plain := NewClient(pc.LocalAddr().String())
+	plain := testClient(t, NewClient(pc.LocalAddr().String()))
 	plain.Retries = 0
 	if _, err := (ClientResolver{Client: plain}).LookupMX(context.Background(), "big.test"); err == nil {
 		t.Fatal("non-EDNS client got a large answer over UDP without TCP fallback")
 	}
 
-	edns := NewClient(pc.LocalAddr().String())
+	edns := testClient(t, NewClient(pc.LocalAddr().String()))
 	edns.Retries = 0
 	edns.UDPSize = 4096
 	mx, err := (ClientResolver{Client: edns}).LookupMX(context.Background(), "big.test")
@@ -64,7 +64,7 @@ func TestEDNS0ServerEchoesOPT(t *testing.T) {
 	go srv.ServeUDP(pc)
 	defer srv.Close()
 
-	cl := NewClient(pc.LocalAddr().String())
+	cl := testClient(t, NewClient(pc.LocalAddr().String()))
 	cl.UDPSize = 2048
 	resp, err := cl.Exchange(context.Background(), "big.test", TypeMX)
 	if err != nil {
@@ -99,7 +99,7 @@ func TestEDNS0SizeCapped(t *testing.T) {
 	go srv.ServeTCP(ln)
 	defer srv.Close()
 
-	cl := NewClient(pc.LocalAddr().String())
+	cl := testClient(t, NewClient(pc.LocalAddr().String()))
 	cl.UDPSize = 65000
 	// The answer exceeds 4096 bytes, so it must arrive via TCP fallback —
 	// proving the server applied the cap rather than the advertised size.

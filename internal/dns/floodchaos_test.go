@@ -164,8 +164,8 @@ func TestChaosFloodVictimIsolation(t *testing.T) {
 
 	// The victim dials from the fabric's client address (100.64.0.1), a
 	// different /24 than the flood — its bucket is untouched.
-	client := &Client{Server: server, Timeout: 5 * time.Second, Retries: 0,
-		DialContext: lossyFabricDial(n)}
+	client := testClient(t, &Client{Server: server, Timeout: 5 * time.Second, Retries: 0,
+		DialContext: lossyFabricDial(n)})
 	answered := 0
 	for i := 0; i < victimQueries; i++ {
 		name := fmt.Sprintf("d%02d.chaos.example.", i)
@@ -243,8 +243,8 @@ func TestChaosDrainAfterLoadExactCounters(t *testing.T) {
 	const udpQueries, tcpQueries = 32, 8
 	srv := startOverloadServer(t, n, server, ServerConfig{Catalog: chaosCatalog(t, 8)})
 
-	client := &Client{Server: server, Timeout: 5 * time.Second, Retries: 0,
-		DialContext: lossyFabricDial(n)}
+	client := testClient(t, &Client{Server: server, Timeout: 5 * time.Second, Retries: 0,
+		DialContext: lossyFabricDial(n)})
 	answered := 0
 	for i := 0; i < udpQueries; i++ {
 		resp, err := client.Exchange(context.Background(), fmt.Sprintf("d%02d.chaos.example.", i%8), TypeMX)
@@ -290,8 +290,8 @@ func TestChaosDrainUnderLoadZeroLoss(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			client := &Client{Server: server, Timeout: 300 * time.Millisecond,
-				Retries: 0, DialContext: lossyFabricDial(n)}
+			client := testClient(t, &Client{Server: server, Timeout: 300 * time.Millisecond,
+				Retries: 0, DialContext: lossyFabricDial(n)})
 			for i := 0; !stop.Load(); i++ {
 				name := fmt.Sprintf("d%02d.chaos.example.", (w+i)%8)
 				if _, err := client.Exchange(context.Background(), name, TypeMX); err == nil {

@@ -46,8 +46,6 @@ type IterativeResolver struct {
 	DialContext func(ctx context.Context, network, address string) (net.Conn, error)
 	// Timeout bounds each single exchange (default 2s).
 	Timeout time.Duration
-	// MaxReferrals bounds the referral chain per query (default 16).
-	MaxReferrals int
 	// Cache, when non-nil, turns the resolver into a caching recursive
 	// resolver (see the type comment). Without it only delegations are
 	// cached, in an internal bounded store.
@@ -57,10 +55,6 @@ type IterativeResolver struct {
 	// prefetch). An entry is "near expiry" in the last tenth of its
 	// cache lifetime.
 	PrefetchMinHits int
-	// MaxAsyncRefresh bounds concurrent background prefetch refreshes
-	// (default 4); excess prefetch opportunities are skipped, not
-	// queued.
-	MaxAsyncRefresh int
 
 	mu sync.Mutex
 	// delegations is the internal bounded zone-cut store used when
@@ -102,6 +96,13 @@ const prefetchDefaultMinHits = 3
 
 // refreshBudget bounds one background refresh's full iteration.
 const refreshBudget = 30 * time.Second
+
+// maxReferrals bounds the referral chain per query.
+const maxReferrals = 16
+
+// maxAsyncRefresh bounds concurrent background prefetch refreshes;
+// excess prefetch opportunities are skipped, not queued.
+const maxAsyncRefresh = 4
 
 // Query resolves one (name, type) question and returns the final
 // authoritative response — from cache when fresh, over the wire
@@ -170,12 +171,8 @@ func (r *IterativeResolver) coalesced(ctx context.Context, name string, typ Type
 // iterate performs the referral walk for one question, starting from
 // the deepest cached zone cut.
 func (r *IterativeResolver) iterate(ctx context.Context, name string, typ Type) (*Message, error) {
-	maxRef := r.MaxReferrals
-	if maxRef <= 0 {
-		maxRef = 16
-	}
 	servers, zone := r.bestServers(name)
-	for step := 0; step < maxRef; step++ {
+	for step := 0; step < maxReferrals; step++ {
 		resp, err := r.askAny(ctx, servers, name, typ)
 		if err != nil {
 			return nil, err
@@ -254,11 +251,7 @@ func (r *IterativeResolver) refreshSemaphore() chan struct{} {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.refreshSem == nil {
-		n := r.MaxAsyncRefresh
-		if n <= 0 {
-			n = 4
-		}
-		r.refreshSem = make(chan struct{}, n)
+		r.refreshSem = make(chan struct{}, maxAsyncRefresh)
 	}
 	return r.refreshSem
 }
@@ -420,13 +413,7 @@ func (r *IterativeResolver) Close() error {
 func (r *IterativeResolver) askAny(ctx context.Context, servers []netip.AddrPort, name string, typ Type) (*Message, error) {
 	var lastErr error
 	for _, srv := range servers {
-		cl := &Client{
-			Server:      srv.String(),
-			Timeout:     r.Timeout,
-			Retries:     0,
-			DialContext: r.DialContext,
-			Transport:   r.transportFor(srv.String()),
-		}
+		cl := &Client{Timeout: r.Timeout, Transport: r.transportFor(srv.String())}
 		r.counters.wireQueries.Add(1)
 		resp, err := cl.Exchange(ctx, name, typ)
 		if err != nil {

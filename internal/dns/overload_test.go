@@ -302,8 +302,8 @@ func TestServeUDPSurvivesTransientReadErrors(t *testing.T) {
 	go func() { done <- srv.ServeUDP(fpc) }()
 	t.Cleanup(func() { srv.Close(); <-done })
 
-	client := &Client{Server: server + ":53", Timeout: time.Second, Retries: 2,
-		DialContext: lossyFabricDial(n)}
+	client := testClient(t, &Client{Server: server + ":53", Timeout: time.Second, Retries: 2,
+		DialContext: lossyFabricDial(n)})
 	// The single worker must eat all 5 errors and still answer.
 	resp, err := client.Exchange(context.Background(), "d00.chaos.example.", TypeMX)
 	if err != nil {

@@ -161,9 +161,6 @@ type ServerConfig struct {
 	// also the slowloris guard: a connection that stalls mid-frame is
 	// closed when the deadline passes.
 	ReadTimeout time.Duration
-	// UDPSize is the maximum UDP response; larger answers are truncated
-	// (default 512, the classic RFC 1035 limit).
-	UDPSize int
 	// UDPWorkers is the number of concurrent packet handlers per ServeUDP
 	// call (default min(GOMAXPROCS, 8)). Each worker owns its read buffer
 	// and decode scratch, replacing the old goroutine-plus-copy per
@@ -205,9 +202,6 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 	}
 	if cfg.ReadTimeout == 0 {
 		cfg.ReadTimeout = 10 * time.Second
-	}
-	if cfg.UDPSize == 0 {
-		cfg.UDPSize = 512
 	}
 	if cfg.UDPWorkers <= 0 {
 		cfg.UDPWorkers = min(runtime.GOMAXPROCS(0), 8)
@@ -380,9 +374,9 @@ type handleState struct {
 // udpLimit returns the response size cap for a query that advertised
 // reqSize via EDNS0 (hasEDNS), and whether an OPT record should be
 // echoed. The cap honors the client's size up to MaxEDNSSize but never
-// shrinks below the server's own configured size.
-func (s *Server) udpLimit(reqSize uint16, hasEDNS bool) int {
-	limit := s.cfg.UDPSize
+// shrinks below the classic RFC 1035 limit; larger answers are truncated.
+func udpLimit(reqSize uint16, hasEDNS bool) int {
+	limit := 512
 	if hasEDNS {
 		if int(reqSize) > limit {
 			limit = int(reqSize)
@@ -413,7 +407,7 @@ func (s *Server) handle(st *handleState, query []byte, udp bool) []byte {
 		return nil
 	}
 	reqSize, hasEDNS := m.EDNS0UDPSize()
-	limit := s.udpLimit(reqSize, hasEDNS)
+	limit := udpLimit(reqSize, hasEDNS)
 	if m.Header.OpCode == OpQuery && len(m.Questions) == 1 &&
 		m.Questions[0].Class == ClassIN && s.cfg.Logger == nil && !s.cfg.DisableCache {
 		return s.handleCached(st, m, udp, limit, hasEDNS)

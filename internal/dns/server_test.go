@@ -44,6 +44,13 @@ func startTestServer(t *testing.T, catalog *Catalog) string {
 	return pc.LocalAddr().String()
 }
 
+// testClient closes cl when the test ends: a client that has exchanged
+// owns the sockets of its transport.
+func testClient(t testing.TB, cl *Client) *Client {
+	t.Cleanup(func() { cl.Close() })
+	return cl
+}
+
 func testCatalog(t *testing.T) *Catalog {
 	t.Helper()
 	c := NewCatalog()
@@ -54,7 +61,7 @@ func testCatalog(t *testing.T) *Catalog {
 
 func TestServerClientUDP(t *testing.T) {
 	addr := startTestServer(t, testCatalog(t))
-	cl := NewClient(addr)
+	cl := testClient(t, NewClient(addr))
 	ctx := context.Background()
 
 	mx, err := ClientResolver{Client: cl}.LookupMX(ctx, "example.com")
@@ -76,7 +83,7 @@ func TestServerClientUDP(t *testing.T) {
 
 func TestServerClientCNAMEChain(t *testing.T) {
 	addr := startTestServer(t, testCatalog(t))
-	cl := NewClient(addr)
+	cl := testClient(t, NewClient(addr))
 	addrs, err := ClientResolver{Client: cl}.LookupA(context.Background(), "www.example.com")
 	if err != nil {
 		t.Fatal(err)
@@ -88,7 +95,7 @@ func TestServerClientCNAMEChain(t *testing.T) {
 
 func TestServerClientNXDomain(t *testing.T) {
 	addr := startTestServer(t, testCatalog(t))
-	cl := NewClient(addr)
+	cl := testClient(t, NewClient(addr))
 	_, err := ClientResolver{Client: cl}.LookupMX(context.Background(), "missing.example.com")
 	if !errors.Is(err, ErrNXDomain) {
 		t.Errorf("err = %v, want ErrNXDomain", err)
@@ -97,7 +104,7 @@ func TestServerClientNXDomain(t *testing.T) {
 
 func TestServerClientNoData(t *testing.T) {
 	addr := startTestServer(t, testCatalog(t))
-	cl := NewClient(addr)
+	cl := testClient(t, NewClient(addr))
 	_, err := ClientResolver{Client: cl}.LookupMX(context.Background(), "txtonly.example.com")
 	if !errors.Is(err, ErrNoData) {
 		t.Errorf("err = %v, want ErrNoData", err)
@@ -114,7 +121,7 @@ func TestServerTruncationFallsBackToTCP(t *testing.T) {
 	}
 	c.AddZone(z)
 	addr := startTestServer(t, c)
-	cl := NewClient(addr)
+	cl := testClient(t, NewClient(addr))
 	mx, err := ClientResolver{Client: cl}.LookupMX(context.Background(), "big.test")
 	if err != nil {
 		t.Fatal(err)
@@ -134,7 +141,7 @@ func longLabel(i int) string {
 
 func TestServerRefusesForeignZone(t *testing.T) {
 	addr := startTestServer(t, testCatalog(t))
-	cl := NewClient(addr)
+	cl := testClient(t, NewClient(addr))
 	_, err := ClientResolver{Client: cl}.LookupA(context.Background(), "www.elsewhere.net")
 	if !errors.Is(err, ErrServFail) {
 		t.Errorf("err = %v, want ErrServFail (REFUSED)", err)
@@ -149,7 +156,7 @@ func TestServerConcurrentClients(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			cl := NewClient(addr)
+			cl := testClient(t, NewClient(addr))
 			_, err := ClientResolver{Client: cl}.LookupMX(context.Background(), "example.com")
 			errs <- err
 		}()
@@ -187,7 +194,7 @@ func TestServerHandlesGarbage(t *testing.T) {
 		t.Errorf("response = %+v, want FORMERR with echoed ID", m.Header)
 	}
 	// A valid query must still succeed after garbage.
-	cl := NewClient(addr)
+	cl := testClient(t, NewClient(addr))
 	if _, err := (ClientResolver{Client: cl}).LookupMX(context.Background(), "example.com"); err != nil {
 		t.Errorf("server unhealthy after garbage: %v", err)
 	}
@@ -200,7 +207,7 @@ func TestClientContextCancel(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer pc.Close()
-	cl := NewClient(pc.LocalAddr().String())
+	cl := testClient(t, NewClient(pc.LocalAddr().String()))
 	cl.Timeout = 5 * time.Second
 	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 	defer cancel()
@@ -217,7 +224,7 @@ func TestCatalogResolverMatchesWirePath(t *testing.T) {
 	catalog := testCatalog(t)
 	addr := startTestServer(t, catalog)
 	ctx := context.Background()
-	wire := ClientResolver{Client: NewClient(addr)}
+	wire := ClientResolver{Client: testClient(t, NewClient(addr))}
 	mem := CatalogResolver{Catalog: catalog}
 
 	for _, name := range []string{"example.com", "txtonly.example.com", "missing.example.com"} {
@@ -254,7 +261,7 @@ func TestServerListenAndServe(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("server did not become ready")
 	}
-	cl := NewClient(addr.String())
+	cl := testClient(t, NewClient(addr.String()))
 	if _, err := (ClientResolver{Client: cl}).LookupMX(context.Background(), "example.com"); err != nil {
 		t.Fatal(err)
 	}
@@ -282,7 +289,13 @@ func TestListenPairRetriesKernelChosenPort(t *testing.T) {
 			if len(tried) <= n {
 				return nil, inUse
 			}
-			return net.Listen(network, addr)
+			ln, err := net.Listen(network, addr)
+			if err != nil {
+				// A port really taken (a live connection elsewhere in the
+				// suite) is not one of the scripted tries.
+				tried = tried[:len(tried)-1]
+			}
+			return ln, err
 		}
 	}
 
@@ -330,7 +343,7 @@ func BenchmarkServerClientUDP(b *testing.B) {
 	}
 	go srv.ServeUDP(pc)
 	defer srv.Close()
-	cl := NewClient(pc.LocalAddr().String())
+	cl := testClient(b, NewClient(pc.LocalAddr().String()))
 	ctx := context.Background()
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -70,7 +70,7 @@ func (c *respCache) put(key respKey, gen uint64, e *respEntry) {
 
 // handleCached answers a plain single-question IN query from the packed
 // cache, building and storing the entry on miss. limit and hasEDNS are
-// as computed by Server.udpLimit for this query.
+// as computed by udpLimit for this query.
 func (s *Server) handleCached(st *handleState, m *Message, udp bool, limit int, hasEDNS bool) []byte {
 	q := m.Questions[0]
 	key := respKey{name: q.Name, typ: q.Type}

@@ -32,7 +32,7 @@ func TestServerCacheInvalidation(t *testing.T) {
 	z1.MustAdd(RR{Name: "mx1.example.com.", Type: TypeA, TTL: 300, Data: AData{Addr: mustAddr("192.0.2.10")}})
 	cat.AddZone(z1)
 	addr := startTestServer(t, cat)
-	cl := NewClient(addr)
+	cl := testClient(t, NewClient(addr))
 	r := ClientResolver{Client: cl}
 	ctx := context.Background()
 
@@ -175,7 +175,7 @@ func TestServerCacheDisabled(t *testing.T) {
 	}
 	go srv.ServeUDP(pc)
 	t.Cleanup(func() { srv.Close() })
-	cl := NewClient(pc.LocalAddr().String())
+	cl := testClient(t, NewClient(pc.LocalAddr().String()))
 	mx, err := ClientResolver{Client: cl}.LookupMX(context.Background(), "example.com")
 	if err != nil {
 		t.Fatal(err)

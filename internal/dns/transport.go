@@ -41,10 +41,6 @@ type Transport struct {
 	// The network argument is "udp" or (for Client's truncation
 	// fallback) "tcp".
 	DialContext func(ctx context.Context, network, address string) (net.Conn, error)
-	// MaxInFlight bounds the total number of outstanding queries across
-	// all sockets (default 4096). Callers beyond the bound wait for a
-	// slot or their context, whichever first.
-	MaxInFlight int
 
 	inflight chan struct{} // semaphore, lazily built
 
@@ -60,15 +56,17 @@ func NewTransport(server string) *Transport {
 	return &Transport{Server: server}
 }
 
+// maxInFlight bounds the outstanding queries of one transport across all
+// its sockets. Callers beyond the bound wait for a slot or their
+// context, whichever first.
+const maxInFlight = 4096
+
 func (t *Transport) init() {
 	t.once.Do(func() {
 		if t.Conns <= 0 {
 			t.Conns = 4
 		}
-		if t.MaxInFlight <= 0 {
-			t.MaxInFlight = 4096
-		}
-		t.inflight = make(chan struct{}, t.MaxInFlight)
+		t.inflight = make(chan struct{}, maxInFlight)
 		t.conns = make([]*transportConn, t.Conns)
 	})
 }
@@ -328,13 +326,4 @@ func (t *Transport) Close() error {
 		}
 	}
 	return nil
-}
-
-// NewPooledClient returns a Client whose UDP attempts share a
-// multiplexed Transport instead of dialing per query. Callers should
-// Close the client when done to release the sockets.
-func NewPooledClient(server string) *Client {
-	c := NewClient(server)
-	c.Transport = NewTransport(server)
-	return c
 }

@@ -139,17 +139,17 @@ func netDial(ctx context.Context, network, address string) (net.Conn, error) {
 	return d.DialContext(ctx, network, address)
 }
 
-// TestClientToleratesStrayDatagrams verifies the dial-per-query client
-// keeps reading past a mismatched-ID datagram instead of burning the
-// attempt (it used to return ErrIDMismatch).
+// TestClientToleratesStrayDatagrams verifies a client left to build its
+// own transport keeps reading past a mismatched-ID datagram instead of
+// burning the attempt (it used to return ErrIDMismatch).
 func TestClientToleratesStrayDatagrams(t *testing.T) {
 	addr := startTestServer(t, testCatalog(t))
-	cl := &Client{
+	cl := testClient(t, &Client{
 		Server:      addr,
 		Timeout:     2 * time.Second,
 		Retries:     0, // a single attempt must survive the stray datagram
 		DialContext: strayDial(netDial),
-	}
+	})
 	mx, err := ClientResolver{Client: cl}.LookupMX(context.Background(), "example.com")
 	if err != nil {
 		t.Fatalf("exchange failed despite valid response after stray: %v", err)
@@ -202,12 +202,12 @@ func TestClientRetryBackoff(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer pc.Close()
-	cl := &Client{
+	cl := testClient(t, &Client{
 		Server:       pc.LocalAddr().String(),
 		Timeout:      50 * time.Millisecond,
 		Retries:      2,
 		RetryBackoff: 40 * time.Millisecond,
-	}
+	})
 	start := time.Now()
 	_, err = cl.Exchange(context.Background(), "example.com", TypeA)
 	elapsed := time.Since(start)
@@ -247,12 +247,12 @@ func TestClientBackoffRespectsContext(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer pc.Close()
-	cl := &Client{
+	cl := testClient(t, &Client{
 		Server:       pc.LocalAddr().String(),
 		Timeout:      50 * time.Millisecond,
 		Retries:      5,
 		RetryBackoff: 10 * time.Second,
-	}
+	})
 	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
 	defer cancel()
 	start := time.Now()

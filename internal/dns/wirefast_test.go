@@ -153,9 +153,9 @@ func BenchmarkUnpack(b *testing.B) {
 	}
 }
 
-// benchExchange measures queries through a live loopback UDP server, with
-// 32 goroutines sharing either per-query dialing or one transport.
-func benchExchange(b *testing.B, shared bool) {
+// BenchmarkExchange measures queries through a live loopback UDP server,
+// with 32 goroutines sharing one transport.
+func BenchmarkExchange(b *testing.B) {
 	cat := NewCatalog()
 	z := NewZone("example.com")
 	z.MustAdd(RR{Name: "example.com.", Type: TypeMX, TTL: 300, Data: MXData{Preference: 10, Exchange: "mx1.example.com."}})
@@ -173,11 +173,8 @@ func benchExchange(b *testing.B, shared bool) {
 	defer srv.Close()
 	addr := pc.LocalAddr().String()
 
-	var tr *Transport
-	if shared {
-		tr = NewTransport(addr)
-		defer tr.Close()
-	}
+	tr := NewTransport(addr)
+	defer tr.Close()
 	ctx := context.Background()
 	// RunParallel spawns p*GOMAXPROCS goroutines; aim for 32 concurrent
 	// resolvers, the scan pipeline's fan-out.
@@ -198,11 +195,6 @@ func benchExchange(b *testing.B, shared bool) {
 			}
 		}
 	})
-}
-
-func BenchmarkExchange(b *testing.B) {
-	b.Run("dial", func(b *testing.B) { benchExchange(b, false) })
-	b.Run("transport", func(b *testing.B) { benchExchange(b, true) })
 }
 
 func BenchmarkServeUDP(b *testing.B) {

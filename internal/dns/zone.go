@@ -231,18 +231,6 @@ func withOwner(rrs []RR, name string) []RR {
 	return out
 }
 
-// Names returns all owner names in the zone, sorted.
-func (z *Zone) Names() []string {
-	z.mu.RLock()
-	defer z.mu.RUnlock()
-	names := make([]string, 0, len(z.records))
-	for n := range z.records {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}
-
 // Records returns a sorted flat copy of every record in the zone.
 func (z *Zone) Records() []RR {
 	z.mu.RLock()

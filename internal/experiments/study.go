@@ -9,7 +9,6 @@ import (
 	"sync"
 
 	"mxmap/internal/analysis"
-	"mxmap/internal/companies"
 	"mxmap/internal/core"
 	"mxmap/internal/dataset"
 	"mxmap/internal/scan"
@@ -157,39 +156,10 @@ func Corpora() []string {
 	return []string{world.CorpusAlexa, world.CorpusCOM, world.CorpusGOV}
 }
 
-// WorldProfiles derives step-4 provider profiles (AS membership, VPS and
-// dedicated host-name patterns) from a world's company roster — the
-// codified form of the paper's "prior knowledge about large providers".
+// WorldProfiles is analysis.ProviderProfiles of a world's company
+// roster.
 func WorldProfiles(w *world.World) []core.ProviderProfile {
-	var out []core.ProviderProfile
-	for _, c := range w.Directory.Companies() {
-		if len(c.ProviderIDs) == 0 {
-			continue
-		}
-		if c.Kind == companies.KindOther {
-			// The paper only runs the misidentification check for large,
-			// well-known providers; long-tail providers are skipped.
-			continue
-		}
-		id := c.ProviderIDs[0]
-		p := core.ProviderProfile{
-			ID:   id,
-			ASNs: c.ASNs,
-			VPSPatterns: []string{
-				"vps*." + id,
-				"s*-*-*." + id,
-			},
-			DedicatedPatterns: []string{
-				"mailstore*." + id,
-				"mx*." + id,
-				"mailgw*." + id,
-				"shared*.shared." + id,
-				"mx." + id,
-			},
-		}
-		out = append(out, p)
-	}
-	return out
+	return analysis.ProviderProfiles(w.Directory)
 }
 
 // TruthBucket is the ground-truth operator of a domain expressed in the

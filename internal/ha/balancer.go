@@ -70,7 +70,7 @@ func (b *Balancer) hedgeDelay(path string) time.Duration {
 	if front == nil {
 		return floor
 	}
-	q, n := front.LatencyQuantile(path, b.cfg.hedgeQuantile())
+	q, n := front.LatencyQuantile(path, hedgeQuantile)
 	if n < b.cfg.hedgeMinSamples() || q < floor {
 		return floor
 	}
@@ -153,7 +153,7 @@ func (b *Balancer) FleetStats() FleetStats {
 // attemptResult is one upstream attempt's outcome in the race.
 type attemptResult struct {
 	rep    *Replica
-	resp   upstreamResponse
+	resp   serve.Response
 	err    error
 	hedged bool
 }
@@ -235,7 +235,7 @@ func (b *Balancer) forward(ctx context.Context, req *serve.Request) serve.Respon
 		select {
 		case res := <-results:
 			inflight--
-			if res.err == nil && res.resp.status < 500 {
+			if res.err == nil && res.resp.Status < 500 {
 				// Success — 4xx included: the replica answered, the
 				// client just asked something malformed or missing.
 				b.pool.recordSuccess(res.rep)
@@ -279,13 +279,12 @@ func (b *Balancer) forward(ctx context.Context, req *serve.Request) serve.Respon
 }
 
 // passthrough relays an upstream response to the client, preserving the
-// back-off hint on shed-class statuses.
-func passthrough(u upstreamResponse) serve.Response {
-	return serve.Response{
-		Status:     u.status,
-		Body:       u.body,
-		RetryAfter: u.retryAfter || u.status == 429 || u.status == 503 || u.status == 504,
-	}
+// back-off hint on shed-class statuses. Close is hop-by-hop: a replica
+// ending its upstream connection must not end the client's.
+func passthrough(u serve.Response) serve.Response {
+	u.Close = false
+	u.RetryAfter = u.RetryAfter || u.Status == 429 || u.Status == 503 || u.Status == 504
+	return u
 }
 
 // shed answers for the balancer itself when the fleet cannot:

@@ -7,6 +7,8 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+
+	"mxmap/internal/serve"
 )
 
 // wireReply is a response as serve.Server writes it.
@@ -17,8 +19,10 @@ func wireReply(status int, text, extraHeaders, body string) string {
 
 // headerFacts scans a raw reply's header block, independently of the
 // parser under test, for what the parser must have concluded: whether a
-// Connection: close header is there, and the (last) Content-Length.
-func headerFacts(reply []byte) (connClose bool, length int) {
+// Connection: close header is there, the Content-Length, and whether two
+// Content-Length headers disagree (such a reply must not be accepted).
+func headerFacts(reply []byte) (connClose bool, length int, conflict bool) {
+	length = -1
 	lines := strings.Split(string(reply), "\n")
 	for _, line := range lines[1:] {
 		line = strings.TrimRight(line, "\r")
@@ -31,17 +35,20 @@ func headerFacts(reply []byte) (connClose bool, length int) {
 			connClose = true
 		}
 		if strings.EqualFold(key, "content-length") {
-			length, _ = strconv.Atoi(val)
+			n, _ := strconv.Atoi(val)
+			conflict = conflict || (length >= 0 && n != length)
+			length = n
 		}
 	}
-	return connClose, length
+	return connClose, length, conflict
 }
 
 // FuzzReadUpstream hammers the balancer's response parser, which reads
 // whatever a replica's address sends and now also decides whether the
-// connection is reused. The invariants: readUpstream never panics; an
-// accepted reply carries exactly Content-Length body bytes, at most
-// maxUpstreamBody; the close flag is set iff the header block held a
+// connection is reused. The invariants: serve.ReadResponse never panics;
+// an accepted reply carries exactly Content-Length body bytes, at most
+// serve.MaxResponseBody, and no second Content-Length that says
+// otherwise; the close flag is set iff the header block held a
 // Connection: close; and the parser takes nothing beyond the one reply,
 // so a second reply pipelined behind it parses intact.
 func FuzzReadUpstream(f *testing.F) {
@@ -56,8 +63,8 @@ func FuzzReadUpstream(f *testing.F) {
 		wireReply(200, "OK", "Connection: keep-alive\r\n", "{}"),
 		wireReply(200, "OK", "", "{}") + "stray",
 		// Bounds: body, header count, line length.
-		fmt.Sprintf("HTTP/1.1 200 OK\r\nContent-Length: %d\r\n\r\n", maxUpstreamBody+1),
-		"HTTP/1.1 200 OK\r\n" + strings.Repeat("A: b\r\n", maxUpstreamHeaders+1) + "Content-Length: 0\r\n\r\n",
+		fmt.Sprintf("HTTP/1.1 200 OK\r\nContent-Length: %d\r\n\r\n", serve.MaxResponseBody+1),
+		"HTTP/1.1 200 OK\r\n" + strings.Repeat("A: b\r\n", 64+1) + "Content-Length: 0\r\n\r\n",
 		"HTTP/1.1 200 OK\r\nX: " + strings.Repeat("b", 9<<10) + "\r\nContent-Length: 0\r\n\r\n",
 		"HTTP/1.1 200 OK\r\nX: " + strings.Repeat("b", 5000) + "\r\nContent-Length: 2\r\n\r\n{}",
 		// Malformed and truncated.
@@ -73,6 +80,8 @@ func FuzzReadUpstream(f *testing.F) {
 		"HTTP/1.1 200 OK\r\nContent-Le",
 		"HTTP/1.1 200 OK\nContent-Length: 2\n\n{}",
 		"\xff\xfe\xfd",
+		// Two Content-Lengths that disagree: where does the reply end?
+		"HTTP/1.1 200 OK\r\nContent-Length: 2\r\nContent-Length: 0\r\n\r\n{}",
 	}
 	for _, s := range seeds {
 		f.Add([]byte(s))
@@ -82,35 +91,38 @@ func FuzzReadUpstream(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		src := bytes.NewReader(data)
 		br := bufio.NewReader(src)
-		resp, err := readUpstream(br)
+		resp, err := serve.ReadResponse(br)
 		if err != nil {
 			return
 		}
-		if resp.status < 100 || resp.status > 599 {
-			t.Fatalf("accepted status %d", resp.status)
+		if resp.Status < 100 || resp.Status > 599 {
+			t.Fatalf("accepted status %d", resp.Status)
 		}
-		if len(resp.body) > maxUpstreamBody {
-			t.Fatalf("accepted a %d-byte body, bound is %d", len(resp.body), maxUpstreamBody)
+		if len(resp.Body) > serve.MaxResponseBody {
+			t.Fatalf("accepted a %d-byte body, bound is %d", len(resp.Body), serve.MaxResponseBody)
 		}
 		consumed := len(data) - src.Len() - br.Buffered()
-		if !bytes.HasSuffix(data[:consumed], resp.body) {
-			t.Fatalf("body %q is not the %d bytes the reply ended with", resp.body, len(resp.body))
+		if !bytes.HasSuffix(data[:consumed], resp.Body) {
+			t.Fatalf("body %q is not the %d bytes the reply ended with", resp.Body, len(resp.Body))
 		}
-		wantClose, wantLen := headerFacts(data[:consumed])
-		if resp.connClose != wantClose || len(resp.body) != wantLen {
+		wantClose, wantLen, conflict := headerFacts(data[:consumed])
+		if conflict {
+			t.Fatalf("accepted a reply with conflicting Content-Length headers: %q", data[:consumed])
+		}
+		if resp.Close != wantClose || len(resp.Body) != wantLen {
 			t.Fatalf("close flag %v with a %d-byte body, header block says %v and %d: %q",
-				resp.connClose, len(resp.body), wantClose, wantLen, data[:consumed])
+				resp.Close, len(resp.Body), wantClose, wantLen, data[:consumed])
 		}
 
 		// The same reply with another pipelined behind it: both intact.
 		br = bufio.NewReader(strings.NewReader(string(data[:consumed]) + second))
-		again, err := readUpstream(br)
-		if err != nil || again.status != resp.status || !bytes.Equal(again.body, resp.body) {
+		again, err := serve.ReadResponse(br)
+		if err != nil || again.Status != resp.Status || !bytes.Equal(again.Body, resp.Body) {
 			t.Fatalf("pipelined first reply = %+v (%v), want %+v", again, err, resp)
 		}
-		next, err := readUpstream(br)
-		if err != nil || next.status != 503 || !next.retryAfter || !next.connClose ||
-			string(next.body) != `{"error":"draining"}` || br.Buffered() != 0 {
+		next, err := serve.ReadResponse(br)
+		if err != nil || next.Status != 503 || !next.RetryAfter || !next.Close ||
+			string(next.Body) != `{"error":"draining"}` || br.Buffered() != 0 {
 			t.Fatalf("pipelined second reply = %+v (%v), %d bytes left", next, err, br.Buffered())
 		}
 	})

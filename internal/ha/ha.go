@@ -69,17 +69,21 @@ const (
 	// DefaultMaxAttempts caps attempts (first try + retries + hedge)
 	// per request, additionally bounded by the replica count.
 	DefaultMaxAttempts = 3
-	// DefaultHedgeQuantile is the latency quantile the hedge threshold
-	// is read at when derived from the front histogram.
-	DefaultHedgeQuantile = 0.99
 	// DefaultHedgeMinSamples is how many observations the endpoint
 	// histogram needs before its quantile is trusted for hedging.
 	DefaultHedgeMinSamples = 64
 	// DefaultHedgeFloor is the hedge delay used until the histogram has
 	// enough samples, and the floor under a derived threshold.
 	DefaultHedgeFloor = 20 * time.Millisecond
-	// DefaultSwapTimeout bounds one replica's rollout swap request.
-	DefaultSwapTimeout = 2 * time.Minute
+)
+
+const (
+	// hedgeQuantile is the latency quantile the hedge threshold is read
+	// at when derived from the front histogram.
+	hedgeQuantile = 0.99
+	// swapTimeout bounds one replica's swap request during a rolling
+	// rollout.
+	swapTimeout = 2 * time.Minute
 )
 
 // Config parameterizes the pool and balancer. Replicas is required;
@@ -104,18 +108,14 @@ type Config struct {
 	// capped by the replica count).
 	MaxAttempts int
 	// HedgeDelay fixes the tail-latency hedge threshold; 0 derives it
-	// from the front server's endpoint histogram at HedgeQuantile
+	// from the front server's endpoint histogram at the 0.99 quantile
 	// (falling back to HedgeFloor until HedgeMinSamples observations);
 	// negative disables hedging.
 	HedgeDelay time.Duration
-	// HedgeQuantile is the histogram quantile for a derived threshold.
-	HedgeQuantile float64
 	// HedgeMinSamples gates trusting the histogram quantile.
 	HedgeMinSamples uint64
 	// HedgeFloor is the minimum (and fallback) hedge delay.
 	HedgeFloor time.Duration
-	// SwapTimeout bounds each replica swap during a rolling rollout.
-	SwapTimeout time.Duration
 	// AllowRollout enables POST /v1/rollout. Off by default: rollouts
 	// load files replica-side and belong behind an operator listener.
 	AllowRollout bool
@@ -183,13 +183,6 @@ func (c *Config) maxAttempts(replicas int) int {
 	return n
 }
 
-func (c *Config) hedgeQuantile() float64 {
-	if c.HedgeQuantile <= 0 || c.HedgeQuantile > 1 {
-		return DefaultHedgeQuantile
-	}
-	return c.HedgeQuantile
-}
-
 func (c *Config) hedgeMinSamples() uint64 {
 	if c.HedgeMinSamples == 0 {
 		return DefaultHedgeMinSamples
@@ -202,13 +195,6 @@ func (c *Config) hedgeFloor() time.Duration {
 		return DefaultHedgeFloor
 	}
 	return c.HedgeFloor
-}
-
-func (c *Config) swapTimeout() time.Duration {
-	if c.SwapTimeout <= 0 {
-		return DefaultSwapTimeout
-	}
-	return c.SwapTimeout
 }
 
 func (c *Config) now() time.Time {

@@ -137,12 +137,12 @@ func (p *Pool) probeReplica(ctx context.Context, r *Replica) bool {
 	timeout := p.cfg.probeTimeout()
 
 	hr, err := r.do(ctx, "GET", "/healthz", timeout, false)
-	if err != nil || hr.status != 200 {
+	if err != nil || hr.Status != 200 {
 		p.probeFailed(r, now)
 		return false
 	}
 	var health serve.HealthResponse
-	if err := json.Unmarshal(hr.body, &health); err != nil {
+	if err := json.Unmarshal(hr.Body, &health); err != nil {
 		p.probeFailed(r, now)
 		return false
 	}
@@ -151,7 +151,7 @@ func (p *Pool) probeReplica(ctx context.Context, r *Replica) bool {
 		p.probeFailed(r, now)
 		return false
 	}
-	ready := rr.status == 200
+	ready := rr.Status == 200
 
 	p.recordSuccess(r)
 	r.mu.Lock()

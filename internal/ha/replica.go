@@ -2,17 +2,16 @@ package ha
 
 import (
 	"bufio"
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
 	"io"
 	"net"
-	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"mxmap/internal/serve"
 )
 
 // ReplicaConfig names one backend and says how to reach it. Dial is the
@@ -59,9 +58,6 @@ type Replica struct {
 	nextProbe   time.Time // when this replica is next due a probe
 	probed      bool      // at least one probe round has completed
 }
-
-// Name returns the replica's configured label.
-func (r *Replica) Name() string { return r.cfg.Name }
 
 // available reports whether the router may pick this replica: not
 // ejected, and last seen ready.
@@ -230,16 +226,6 @@ func (r *Replica) closeIdle(cutoff time.Time) {
 	}
 }
 
-// upstreamResponse is one parsed reply from a replica.
-type upstreamResponse struct {
-	status     int
-	body       []byte
-	retryAfter bool
-	// connClose records a Connection: close header: the replica ends
-	// the connection after this reply (request budget, drain, 400).
-	connClose bool
-}
-
 // do runs one HTTP/1.1 exchange against the replica. A forwarded GET
 // (keepAlive) rides a parked connection when there is one and parks it
 // again after a clean exchange; a parked connection the replica closed
@@ -247,7 +233,7 @@ type upstreamResponse struct {
 // and the caller never hears of it. Probes and swaps (keepAlive false)
 // always dial and send Connection: close: a probe that rides a warm
 // socket does not test the accept path.
-func (r *Replica) do(ctx context.Context, method, target string, timeout time.Duration, keepAlive bool) (upstreamResponse, error) {
+func (r *Replica) do(ctx context.Context, method, target string, timeout time.Duration, keepAlive bool) (serve.Response, error) {
 	if timeout > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, timeout)
@@ -266,7 +252,7 @@ func (r *Replica) do(ctx context.Context, method, target string, timeout time.Du
 	r.dials.Add(1)
 	conn, err := r.cfg.Dial(ctx)
 	if err != nil {
-		return upstreamResponse{}, r.attemptErr(ctx, "dial", err)
+		return serve.Response{}, r.attemptErr(ctx, "dial", err)
 	}
 	uc := &upstreamConn{conn: conn, br: bufio.NewReader(conn)}
 	return r.roundTrip(ctx, uc, method, target, keepAlive)
@@ -280,7 +266,7 @@ func (r *Replica) do(ctx context.Context, method, target string, timeout time.Du
 // parked only when the exchange is provably clean — the whole
 // Content-Length body read, no Connection: close in the reply, nothing
 // left buffered, and the cancel hook never ran — and closed otherwise.
-func (r *Replica) roundTrip(ctx context.Context, uc *upstreamConn, method, target string, keepAlive bool) (upstreamResponse, error) {
+func (r *Replica) roundTrip(ctx context.Context, uc *upstreamConn, method, target string, keepAlive bool) (serve.Response, error) {
 	stop := context.AfterFunc(ctx, func() { uc.conn.Close() })
 	kept := false
 	defer func() {
@@ -296,16 +282,16 @@ func (r *Replica) roundTrip(ctx context.Context, uc *upstreamConn, method, targe
 	}
 	req := method + " " + target + " HTTP/1.1\r\nHost: ha\r\n" + oneShot + "\r\n"
 	if _, err := io.WriteString(uc.conn, req); err != nil {
-		return upstreamResponse{}, r.exchangeErr(ctx, uc, "write", err)
+		return serve.Response{}, r.exchangeErr(ctx, uc, "write", err)
 	}
 	if _, err := uc.br.Peek(1); err != nil {
-		return upstreamResponse{}, r.exchangeErr(ctx, uc, "read", err)
+		return serve.Response{}, r.exchangeErr(ctx, uc, "read", err)
 	}
-	resp, err := readUpstream(uc.br)
+	resp, err := serve.ReadResponse(uc.br)
 	if err != nil {
-		return upstreamResponse{}, r.attemptErr(ctx, "read", err)
+		return serve.Response{}, r.attemptErr(ctx, "read", err)
 	}
-	if keepAlive && !resp.connClose && uc.br.Buffered() == 0 && stop() {
+	if keepAlive && !resp.Close && uc.br.Buffered() == 0 && stop() {
 		r.park(uc)
 		kept = true
 	}
@@ -330,92 +316,4 @@ func (r *Replica) attemptErr(ctx context.Context, op string, err error) error {
 		return errAttemptCancelled
 	}
 	return fmt.Errorf("%s %s: %w", op, r.cfg.Name, err)
-}
-
-// readUpstream parses a bounded HTTP/1.1 response: status line, headers
-// (Content-Length, Retry-After and Connection are the only ones
-// interpreted), then exactly Content-Length body bytes — it never takes
-// more off the reader than the one reply, so the next reply on a
-// keep-alive connection starts where this one ended.
-func readUpstream(br *bufio.Reader) (upstreamResponse, error) {
-	var resp upstreamResponse
-	line, err := readWireLine(br)
-	if err != nil {
-		return resp, err
-	}
-	parts := strings.SplitN(line, " ", 3)
-	if len(parts) < 2 || !strings.HasPrefix(parts[0], "HTTP/1.") {
-		return resp, fmt.Errorf("malformed status line %q", line)
-	}
-	resp.status, err = strconv.Atoi(parts[1])
-	if err != nil || resp.status < 100 || resp.status > 599 {
-		return resp, fmt.Errorf("malformed status %q", parts[1])
-	}
-	length := -1
-	for i := 0; ; i++ {
-		if i > maxUpstreamHeaders {
-			return resp, errors.New("too many response headers")
-		}
-		h, err := readWireLine(br)
-		if err != nil {
-			return resp, err
-		}
-		if h == "" {
-			break
-		}
-		key, val, ok := strings.Cut(h, ":")
-		if !ok {
-			return resp, fmt.Errorf("malformed header %q", h)
-		}
-		switch strings.ToLower(strings.TrimSpace(key)) {
-		case "content-length":
-			length, err = strconv.Atoi(strings.TrimSpace(val))
-			if err != nil || length < 0 || length > maxUpstreamBody {
-				return resp, fmt.Errorf("bad content-length %q", val)
-			}
-		case "retry-after":
-			resp.retryAfter = true
-		case "connection":
-			if strings.EqualFold(strings.TrimSpace(val), "close") {
-				resp.connClose = true
-			}
-		}
-	}
-	if length < 0 {
-		return resp, errors.New("missing content-length")
-	}
-	resp.body = make([]byte, length)
-	if _, err := io.ReadFull(br, resp.body); err != nil {
-		return resp, err
-	}
-	return resp, nil
-}
-
-const (
-	maxUpstreamHeaders = 64
-	maxUpstreamBody    = 16 << 20
-	maxWireLine        = 8192
-)
-
-// readWireLine reads one CRLF-terminated line with a hard size bound.
-// A line that fits the reader's buffer (every line a replica sends)
-// costs the one string allocation; only a longer one is accumulated.
-func readWireLine(br *bufio.Reader) (string, error) {
-	var long []byte
-	for {
-		frag, err := br.ReadSlice('\n')
-		if len(long)+len(frag) > maxWireLine {
-			return "", errors.New("response line too long")
-		}
-		if err == nil && long == nil {
-			return string(bytes.TrimRight(frag, "\r\n")), nil
-		}
-		long = append(long, frag...)
-		if err == nil {
-			return string(bytes.TrimRight(long, "\r\n")), nil
-		}
-		if err != bufio.ErrBufferFull {
-			return "", err
-		}
-	}
 }

@@ -96,15 +96,15 @@ func (b *Balancer) Rollout(ctx context.Context, newPath, prevPath string) (*Roll
 // not stale. Counting (RolloutSwaps vs Rollbacks) is the caller's.
 func (b *Balancer) swapReplica(ctx context.Context, r *Replica, path string) (ReplicaRollout, error) {
 	var rec ReplicaRollout
-	resp, err := r.do(ctx, "POST", "/v1/swap?path="+url.QueryEscape(path), b.cfg.swapTimeout(), false)
+	resp, err := r.do(ctx, "POST", "/v1/swap?path="+url.QueryEscape(path), swapTimeout, false)
 	if err != nil {
 		return rec, fmt.Errorf("swap %s: %w", r.cfg.Name, err)
 	}
-	if resp.status != 200 {
-		return rec, fmt.Errorf("swap %s: status %d: %s", r.cfg.Name, resp.status, errText(resp.body))
+	if resp.Status != 200 {
+		return rec, fmt.Errorf("swap %s: status %d: %s", r.cfg.Name, resp.Status, errText(resp.Body))
 	}
 	var churn serve.ChurnReport
-	if err := json.Unmarshal(resp.body, &churn); err != nil {
+	if err := json.Unmarshal(resp.Body, &churn); err != nil {
 		return rec, fmt.Errorf("swap %s: bad churn report: %w", r.cfg.Name, err)
 	}
 	if !b.pool.probeReplica(ctx, r) {

@@ -8,7 +8,6 @@ package mta
 
 import (
 	"context"
-	"crypto/tls"
 	"errors"
 	"fmt"
 	"net/netip"
@@ -28,10 +27,6 @@ type Agent struct {
 	// HELOName is the identity presented to receiving MTAs (default
 	// "mta.invalid").
 	HELOName string
-	// TLS configures STARTTLS verification for outbound sessions; nil
-	// uses opportunistic (unverified) TLS, matching common MTA practice
-	// noted in the paper's §2.3.
-	TLS *tls.Config
 }
 
 // Delivery describes the outcome for one recipient domain.
@@ -119,12 +114,9 @@ func (a *Agent) deliverDomain(ctx context.Context, from, domain string, rcpts []
 	var lastErr error
 	for _, r := range routes {
 		addr := netip.AddrPortFrom(r.addr, 25).String()
-		tcfg := a.TLS
-		if tcfg != nil && tcfg.ServerName == "" {
-			tcfg = tcfg.Clone()
-			tcfg.ServerName = r.exchange
-		}
-		if err := smtp.SendMail(ctx, a.Dialer, addr, helo, from, rcpts, msg, tcfg); err != nil {
+		// Opportunistic (unverified) TLS, matching common MTA practice
+		// noted in the paper's §2.3.
+		if err := smtp.SendMail(ctx, a.Dialer, addr, helo, from, rcpts, msg, nil); err != nil {
 			lastErr = err
 			continue
 		}

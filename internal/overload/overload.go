@@ -12,8 +12,8 @@
 //
 // The package also holds the vocabulary those loops share: which
 // network errors are worth surviving (TransientNetErr, Retry) and the
-// jittered backoff curve (Delay, Backoff), which the HA replica
-// re-probe schedule reuses.
+// jittered backoff curve (Delay, Backoff), which the DNS client, the
+// collector's retries and the HA replica re-probe schedule reuse.
 package overload
 
 import (
@@ -52,9 +52,12 @@ func TransientNetErr(err error) bool {
 // [d/2, d] through the supplied source so a pool of workers does not
 // retry in lockstep. jitter receives an exclusive upper bound and must
 // return a value in [0, bound); nil jitter uses the global rng. It is
-// the pure core of Backoff, shared with the HA replica re-probe
-// schedule, which needs the same curve without the sleep (and with a
-// deterministic jitter source under frozen-clock tests).
+// the pure core of Backoff and the one backoff formula in the tree: the
+// DNS client and the collector's retries sleep on it under their
+// contexts, and the HA replica re-probe schedule needs the same curve
+// without the sleep (and with a deterministic jitter source under
+// frozen-clock tests). A base above maxd lifts the cap to the base;
+// callers that want the delay clamped pass min(base, maxd).
 func Delay(n int, base, maxd time.Duration, jitter func(bound int64) int64) time.Duration {
 	if n < 1 {
 		n = 1

@@ -55,7 +55,7 @@ func shardSink(w *dataset.ShardWriter) sink {
 func newLane(c *Collector, journal Journal, s sink) *lane {
 	run := &collectRun{
 		retry:    newRetryState(c.Retry),
-		breakers: newBreakerSet(c.BreakerThreshold),
+		breakers: newBreakerSet(breakerThreshold),
 	}
 	return &lane{
 		c: c, run: run, dr: c.newDomainResolver(run), journal: journal, sink: s,

@@ -8,13 +8,13 @@ package scan
 
 import (
 	"context"
-	"math/rand/v2"
 	"net/netip"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"mxmap/internal/dataset"
+	"mxmap/internal/overload"
 )
 
 // RetryPolicy bounds how the collector retries transient-classed
@@ -32,9 +32,6 @@ type RetryPolicy struct {
 	// so a widely faulty world cannot multiply wall-clock time by
 	// Attempts (default 1000; negative means unlimited).
 	Budget int
-	// Retryable overrides the per-class retry decision; nil uses
-	// FailureClass.Transient.
-	Retryable func(dataset.FailureClass) bool
 }
 
 // DefaultRetryPolicy returns the collector's standard policy.
@@ -55,33 +52,20 @@ func (p *RetryPolicy) attempts() int {
 	return p.Attempts
 }
 
-func (p *RetryPolicy) retryable(c dataset.FailureClass) bool {
-	if p.Retryable != nil {
-		return p.Retryable(c)
-	}
-	return c.Transient()
-}
-
 // retryState is the runtime of one collection run's policy: the shared
-// budget, retry counters, and jitter source.
+// budget and retry counters.
 type retryState struct {
 	policy    *RetryPolicy
 	budget    atomic.Int64
 	unlimited bool
 	exhausted atomic.Bool
-
-	mu  sync.Mutex
-	rng *rand.Rand
 }
 
 func newRetryState(p *RetryPolicy) *retryState {
 	if p == nil {
 		p = DefaultRetryPolicy()
 	}
-	rs := &retryState{
-		policy: p,
-		rng:    rand.New(rand.NewPCG(rand.Uint64(), rand.Uint64())),
-	}
+	rs := &retryState{policy: p}
 	budget := p.Budget
 	if budget == 0 {
 		budget = 1000
@@ -121,14 +105,7 @@ func (rs *retryState) backoff(n int) time.Duration {
 	if maxd <= 0 {
 		maxd = time.Second
 	}
-	d := base << (n - 1)
-	if d > maxd || d <= 0 {
-		d = maxd
-	}
-	rs.mu.Lock()
-	d = d/2 + time.Duration(rs.rng.Int64N(int64(d/2)+1))
-	rs.mu.Unlock()
-	return d
+	return overload.Delay(n, min(base, maxd), maxd, nil)
 }
 
 // do runs op up to the policy's attempt bound, retrying while op's class
@@ -139,7 +116,7 @@ func (rs *retryState) do(ctx context.Context, op func() (class dataset.FailureCl
 	class, more := op()
 	retries := 0
 	for n := 1; n < rs.policy.attempts(); n++ {
-		if !more || !rs.policy.retryable(class) || ctx.Err() != nil {
+		if !more || !class.Transient() || ctx.Err() != nil {
 			break
 		}
 		if !rs.spend() {
@@ -189,10 +166,13 @@ func hardFailure(c dataset.FailureClass) bool {
 	return false
 }
 
+// breakerThreshold is the number of consecutive hard connection
+// failures that opens a destination's circuit breaker in a collection.
+const breakerThreshold = 3
+
+// newBreakerSet returns a set opening at threshold; negative disables
+// breaking.
 func newBreakerSet(threshold int) *breakerSet {
-	if threshold == 0 {
-		threshold = 3
-	}
 	return &breakerSet{threshold: threshold, m: make(map[netip.Addr]*breakerState)}
 }
 

@@ -48,10 +48,6 @@ type Collector struct {
 	// Retry bounds how transient-classed lookups and scans are retried;
 	// nil uses DefaultRetryPolicy. Use NoRetryPolicy to disable.
 	Retry *RetryPolicy
-	// BreakerThreshold is the number of consecutive hard connection
-	// failures that opens a destination's circuit breaker (default 3;
-	// negative disables breaking).
-	BreakerThreshold int
 	// ScanTimeout bounds one SMTP scan attempt (default 10s, matching
 	// smtp.Scan's own default).
 	ScanTimeout time.Duration

@@ -6,21 +6,26 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/url"
+	"strconv"
 	"strings"
 )
 
-// Wire limits: one request line or header may not exceed maxLineBytes,
-// and a request may carry at most maxHeaderLines headers. Both bound
-// what a hostile client can make the server buffer.
+// Wire limits: one start line or header may not exceed maxLineBytes, and
+// a message may carry at most maxHeaderLines headers. Both bound what a
+// hostile peer can make the reader buffer, as MaxResponseBody does for
+// the one body ReadResponse accepts.
 const (
 	maxLineBytes   = 8192
 	maxHeaderLines = 64
+	// MaxResponseBody is the largest Content-Length ReadResponse takes.
+	MaxResponseBody = 16 << 20
 )
 
 var (
-	errMalformed   = errors.New("serve: malformed request")
-	errLineTooLong = errors.New("serve: request line too long")
+	errMalformed   = errors.New("serve: malformed message")
+	errLineTooLong = errors.New("serve: line too long")
 )
 
 // Request is one parsed HTTP/1.1 GET/POST request. The service is
@@ -81,26 +86,8 @@ func readRequest(br *bufio.Reader) (*Request, error) {
 		}
 		req.Query = q
 	}
-	for i := 0; ; i++ {
-		if i > maxHeaderLines {
-			return nil, errMalformed
-		}
-		h, err := readLine(br)
-		if err != nil {
-			if err != errLineTooLong && !isTimeout(err) {
-				err = errMalformed // the peer went away inside the header block
-			}
-			return nil, err
-		}
-		if h == "" {
-			return req, nil
-		}
-		key, value, ok := strings.Cut(h, ":")
-		if !ok {
-			return nil, errMalformed
-		}
-		value = strings.TrimSpace(value)
-		switch strings.ToLower(key) {
+	err = readHeaders(br, func(key, value string) error {
+		switch key {
 		case "connection":
 			switch strings.ToLower(value) {
 			case "close":
@@ -110,10 +97,92 @@ func readRequest(br *bufio.Reader) (*Request, error) {
 			}
 		case "content-length":
 			if value != "" && value != "0" {
-				return nil, errMalformed // bodies are not accepted
+				return errMalformed // bodies are not accepted
 			}
 		case "transfer-encoding":
-			return nil, errMalformed
+			return errMalformed
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return req, nil
+}
+
+// ReadResponse parses one bounded HTTP/1.1 response off the wire, the
+// client half of this codec (the HA balancer reads its replicas with
+// it): status line, headers (Content-Length, Retry-After and Connection
+// are the only ones interpreted), then exactly Content-Length body
+// bytes. It never takes more off the reader than the one reply, so the
+// next reply on a keep-alive connection starts where this one ended —
+// which is also why a reply whose Content-Length headers disagree is
+// rejected rather than resolved (repeats of one value pass, RFC 9110
+// §8.6). Close reports a Connection: close header.
+func ReadResponse(br *bufio.Reader) (Response, error) {
+	var resp Response
+	line, err := readLine(br)
+	if err != nil {
+		return resp, err
+	}
+	proto, rest, _ := strings.Cut(line, " ")
+	code, _, _ := strings.Cut(rest, " ")
+	resp.Status, err = strconv.Atoi(code)
+	if err != nil || resp.Status < 100 || resp.Status > 599 || !strings.HasPrefix(proto, "HTTP/1.") {
+		return resp, fmt.Errorf("serve: malformed status line %q", line)
+	}
+	length := -1
+	err = readHeaders(br, func(key, value string) error {
+		switch key {
+		case "content-length":
+			n, err := strconv.Atoi(value)
+			if err != nil || n < 0 || n > MaxResponseBody || (length >= 0 && n != length) {
+				return fmt.Errorf("serve: bad content-length %q", value)
+			}
+			length = n
+		case "retry-after":
+			resp.RetryAfter = true
+		case "connection":
+			if strings.EqualFold(value, "close") {
+				resp.Close = true
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		return resp, err
+	}
+	if length < 0 {
+		return resp, errors.New("serve: missing content-length")
+	}
+	resp.Body = make([]byte, length)
+	_, err = io.ReadFull(br, resp.Body)
+	return resp, err
+}
+
+// readHeaders walks one header block through its blank line, handing
+// field each header's lower-cased name and trimmed value.
+func readHeaders(br *bufio.Reader, field func(key, value string) error) error {
+	for i := 0; ; i++ {
+		if i > maxHeaderLines {
+			return errMalformed
+		}
+		h, err := readLine(br)
+		if err != nil {
+			if err != errLineTooLong && !isTimeout(err) {
+				err = errMalformed // the peer went away inside the header block
+			}
+			return err
+		}
+		if h == "" {
+			return nil
+		}
+		key, value, ok := strings.Cut(h, ":")
+		if !ok {
+			return errMalformed
+		}
+		if err := field(strings.ToLower(strings.TrimSpace(key)), strings.TrimSpace(value)); err != nil {
+			return err
 		}
 	}
 }
@@ -130,30 +199,31 @@ func hasCTL(s string) bool {
 }
 
 // readLine reads one CRLF- (or LF-) terminated line, bounded by
-// maxLineBytes regardless of how much the client pushes.
+// maxLineBytes regardless of how much the peer pushes. A line that fits
+// the reader's buffer (every line this package writes) costs the one
+// string allocation; only a longer one is accumulated.
 func readLine(br *bufio.Reader) (string, error) {
-	var buf []byte
+	var long []byte
 	for {
 		frag, err := br.ReadSlice('\n')
-		buf = append(buf, frag...)
-		if err == nil {
-			break
+		if err == nil && long == nil && len(frag) <= maxLineBytes {
+			return string(bytes.TrimRight(frag, "\r\n")), nil
 		}
-		if err == bufio.ErrBufferFull {
-			if len(buf) > maxLineBytes {
+		long = append(long, frag...)
+		switch {
+		case err == nil || err == bufio.ErrBufferFull:
+			if len(long) > maxLineBytes {
 				return "", errLineTooLong
 			}
-			continue
-		}
-		if len(buf) > 0 && !isTimeout(err) {
+			if err == nil {
+				return string(bytes.TrimRight(long, "\r\n")), nil
+			}
+		case len(long) > 0 && !isTimeout(err):
 			return "", errMalformed // line cut off mid-flight
+		default:
+			return "", err
 		}
-		return "", err
 	}
-	if len(buf) > maxLineBytes {
-		return "", errLineTooLong
-	}
-	return strings.TrimRight(string(buf), "\r\n"), nil
 }
 
 func statusText(code int) string {

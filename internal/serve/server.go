@@ -31,13 +31,14 @@ const (
 	// DefaultReadTimeout is the slowloris deadline for reading a
 	// request off an idle connection.
 	DefaultReadTimeout = 30 * time.Second
-	// DefaultWriteTimeout bounds writing one response.
-	DefaultWriteTimeout = 10 * time.Second
 	// DefaultMaxRequests is the per-connection request budget.
 	DefaultMaxRequests = 10000
 	// DefaultRetryAfterSecs is advertised on 429 responses.
 	DefaultRetryAfterSecs = 1
 )
+
+// writeTimeout bounds writing one response.
+const writeTimeout = 10 * time.Second
 
 // Handler answers one admitted request. The Server owns the sockets,
 // admission control, deadlines, and drain bookkeeping; the handler owns
@@ -74,8 +75,6 @@ type Config struct {
 	// ReadTimeout is the slowloris deadline: a connection that does
 	// not deliver a full request within it is closed.
 	ReadTimeout time.Duration
-	// WriteTimeout bounds each response write.
-	WriteTimeout time.Duration
 	// MaxRequests is the per-connection request budget; the final
 	// response carries Connection: close.
 	MaxRequests int
@@ -137,9 +136,6 @@ func NewServer(cfg Config) (*Server, error) {
 	}
 	if cfg.ReadTimeout == 0 {
 		cfg.ReadTimeout = DefaultReadTimeout
-	}
-	if cfg.WriteTimeout == 0 {
-		cfg.WriteTimeout = DefaultWriteTimeout
 	}
 	if cfg.MaxRequests == 0 {
 		cfg.MaxRequests = DefaultMaxRequests
@@ -204,7 +200,7 @@ func (s *Server) serveConn(c *overload.Conn) {
 				// books still balance to zero lost.
 				s.stats.requests.Add(1)
 				s.stats.badRequests.Add(1)
-				s.writeResponse(nc, ErrorResponse(400, "malformed request"), s.cfg.WriteTimeout)
+				s.writeResponse(nc, ErrorResponse(400, "malformed request"), writeTimeout)
 				s.stats.responses.Add(1)
 			default:
 				// A transport error before any byte of the next request
@@ -230,7 +226,7 @@ func (s *Server) serveConn(c *overload.Conn) {
 			closing = true
 		}
 		resp.Close = resp.Close || closing
-		werr := s.writeResponse(nc, resp, s.cfg.WriteTimeout)
+		werr := s.writeResponse(nc, resp, writeTimeout)
 		s.stats.responses.Add(1)
 		if werr != nil || resp.Close {
 			return
@@ -313,14 +309,11 @@ func (s *Server) releaseSlot() {
 	}
 }
 
-// writeResponse writes r under the given write deadline (none when
-// timeout <= 0).
+// writeResponse writes r under the given write deadline.
 func (s *Server) writeResponse(nc net.Conn, r Response, timeout time.Duration) error {
 	var buf bytes.Buffer
 	appendResponse(&buf, r, s.cfg.RetryAfterSecs)
-	if timeout > 0 {
-		nc.SetWriteDeadline(time.Now().Add(timeout))
-	}
+	nc.SetWriteDeadline(time.Now().Add(timeout))
 	_, err := nc.Write(buf.Bytes())
 	return err
 }

@@ -48,19 +48,15 @@ type ScanResult struct {
 	tlsConn net.Conn
 }
 
+// scanHELOName is the identity the scanner presents.
+const scanHELOName = "scanner.invalid"
+
 // ScanConfig parameterizes a scan.
 type ScanConfig struct {
 	// Dialer establishes connections. Required.
 	Dialer Dialer
-	// HELOName is the identity the scanner presents (default
-	// "scanner.invalid").
-	HELOName string
 	// Timeout bounds the entire scan of one endpoint (default 10s).
 	Timeout time.Duration
-	// TLSConfig is used for the STARTTLS upgrade. The scanner records
-	// certificates without verifying them (verification is the
-	// methodology's job), so InsecureSkipVerify is forced on a copy.
-	TLSConfig *tls.Config
 	// SkipSTARTTLS collects only banner and EHLO.
 	SkipSTARTTLS bool
 }
@@ -77,10 +73,6 @@ func Scan(ctx context.Context, addr string, cfg ScanConfig) *ScanResult {
 	timeout := cfg.Timeout
 	if timeout == 0 {
 		timeout = 10 * time.Second
-	}
-	helo := cfg.HELOName
-	if helo == "" {
-		helo = "scanner.invalid"
 	}
 	ctx, cancel := context.WithTimeout(ctx, timeout)
 	defer cancel()
@@ -118,7 +110,7 @@ func Scan(ctx context.Context, addr string, cfg ScanConfig) *ScanResult {
 		res.BannerHost = fields[0]
 	}
 
-	ehlo, err := exchange(conn, rd, "EHLO "+helo)
+	ehlo, err := exchange(conn, rd, "EHLO "+scanHELOName)
 	if err != nil {
 		res.Err = fmt.Errorf("smtp: EHLO: %w", err)
 		return res
@@ -137,7 +129,7 @@ func Scan(ctx context.Context, addr string, cfg ScanConfig) *ScanResult {
 	}
 
 	if res.SupportsSTARTTLS && !cfg.SkipSTARTTLS {
-		scanSTARTTLS(conn, rd, cfg, res)
+		scanSTARTTLS(conn, rd, res)
 		if res.TLSHandshakeOK {
 			// Connection is now TLS; re-wrap for the QUIT below.
 			return quitAndReturn(res, res.tlsConn, newReader(res.tlsConn))
@@ -150,7 +142,7 @@ func Scan(ctx context.Context, addr string, cfg ScanConfig) *ScanResult {
 // tlsConn is stashed on the result between STARTTLS and QUIT.
 // (kept unexported; consumers only see PeerCertificates)
 
-func scanSTARTTLS(conn net.Conn, rd *reader, cfg ScanConfig, res *ScanResult) {
+func scanSTARTTLS(conn net.Conn, rd *reader, res *ScanResult) {
 	rep, err := exchange(conn, rd, "STARTTLS")
 	if err != nil {
 		res.Err = fmt.Errorf("smtp: STARTTLS: %w", err)
@@ -160,12 +152,9 @@ func scanSTARTTLS(conn net.Conn, rd *reader, cfg ScanConfig, res *ScanResult) {
 		res.Err = fmt.Errorf("smtp: STARTTLS refused with %d", rep.Code)
 		return
 	}
-	tcfg := &tls.Config{InsecureSkipVerify: true} // recording, not trusting
-	if cfg.TLSConfig != nil {
-		tcfg = cfg.TLSConfig.Clone()
-		tcfg.InsecureSkipVerify = true
-	}
-	tlsConn := tls.Client(conn, tcfg)
+	// The scanner records certificates without verifying them:
+	// verification is the methodology's job.
+	tlsConn := tls.Client(conn, &tls.Config{InsecureSkipVerify: true})
 	if err := tlsConn.Handshake(); err != nil {
 		res.Err = fmt.Errorf("smtp: TLS handshake: %w", err)
 		return

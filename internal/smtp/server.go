@@ -23,6 +23,9 @@ const (
 	DefaultMaxCommands = 1000
 )
 
+// readTimeout bounds waiting for each client command.
+const readTimeout = 60 * time.Second
+
 // An Envelope is one received message: its envelope addresses and body.
 type Envelope struct {
 	From string
@@ -60,8 +63,6 @@ type Config struct {
 	// MaxMessageBytes bounds DATA payloads (default
 	// DefaultMaxMessageBytes).
 	MaxMessageBytes int64
-	// ReadTimeout bounds waiting for each client command (default 60s).
-	ReadTimeout time.Duration
 	// MaxConns caps concurrent sessions; accepts beyond the cap are
 	// answered with a 421 and closed (default DefaultMaxConns; negative
 	// means unlimited).
@@ -97,9 +98,6 @@ func NewServer(cfg Config) (*Server, error) {
 	if cfg.MaxMessageBytes == 0 {
 		cfg.MaxMessageBytes = DefaultMaxMessageBytes
 	}
-	if cfg.ReadTimeout == 0 {
-		cfg.ReadTimeout = 60 * time.Second
-	}
 	if cfg.MaxConns == 0 {
 		cfg.MaxConns = DefaultMaxConns
 	}
@@ -109,7 +107,7 @@ func NewServer(cfg Config) (*Server, error) {
 	s := &Server{cfg: cfg}
 	s.core = overload.New(overload.Config{
 		MaxConns:    cfg.MaxConns,
-		ReadTimeout: cfg.ReadTimeout,
+		ReadTimeout: readTimeout,
 		Serve:       s.serveConn,
 		Reject: func(nc net.Conn) {
 			farewell(nc, cfg.EHLOName+" Too many connections, try again later")
@@ -277,7 +275,7 @@ func (sess *session) startTLS() error {
 		return err
 	}
 	tlsConn := tls.Server(sess.conn.NetConn(), sess.srv.cfg.TLS)
-	if err := tlsConn.SetDeadline(time.Now().Add(sess.srv.cfg.ReadTimeout)); err != nil {
+	if err := tlsConn.SetDeadline(time.Now().Add(readTimeout)); err != nil {
 		return err
 	}
 	if err := tlsConn.Handshake(); err != nil {

@@ -27,18 +27,6 @@ type ServerStats struct {
 	DrainTimeouts uint64
 }
 
-// Merge accumulates another server's counters into st, for aggregating
-// a fleet into one view.
-func (st *ServerStats) Merge(o ServerStats) {
-	st.Accepted += o.Accepted
-	st.Rejected += o.Rejected
-	st.Commands += o.Commands
-	st.BudgetCloses += o.BudgetCloses
-	st.AcceptRetries += o.AcceptRetries
-	st.Drains += o.Drains
-	st.DrainTimeouts += o.DrainTimeouts
-}
-
 // serverCounters is the live atomic counterpart of ServerStats, less
 // the lifecycle counters the overload core keeps.
 type serverCounters struct {

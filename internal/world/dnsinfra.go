@@ -2,13 +2,11 @@ package world
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"net"
 	"net/netip"
 	"sort"
 	"strings"
-	"sync"
 
 	"mxmap/internal/dns"
 	"mxmap/internal/netsim"
@@ -25,21 +23,7 @@ type DNSInfra struct {
 	// resolver).
 	Roots []netip.AddrPort
 
-	opts    DNSServeOptions
 	servers []*dns.Server
-	conns   []*netsim.PacketConn
-}
-
-// DNSServeOptions tunes the overload protection applied to every
-// authority in the hierarchy. The zero value keeps RRL off and the dns
-// package's admission defaults.
-type DNSServeOptions struct {
-	// RRL applies response-rate limiting to every authority when non-nil.
-	RRL *dns.RRLConfig
-	// MaxTCPConns and TCPQueryBudget cap DNS-over-TCP per authority;
-	// zero keeps the dns defaults, negative means unlimited.
-	MaxTCPConns    int
-	TCPQueryBudget int
 }
 
 // Close hard-stops every DNS server in the hierarchy.
@@ -48,23 +32,6 @@ func (inf *DNSInfra) Close() error {
 		s.Close()
 	}
 	return nil
-}
-
-// Shutdown drains every server in the hierarchy concurrently, letting
-// in-flight queries finish; at the ctx deadline stragglers are
-// hard-closed and the error reported.
-func (inf *DNSInfra) Shutdown(ctx context.Context) error {
-	errs := make([]error, len(inf.servers))
-	var wg sync.WaitGroup
-	for i, s := range inf.servers {
-		wg.Add(1)
-		go func(i int, s *dns.Server) {
-			defer wg.Done()
-			errs[i] = s.Shutdown(ctx)
-		}(i, s)
-	}
-	wg.Wait()
-	return errors.Join(errs...)
 }
 
 // Stats aggregates the serving counters of every server in the
@@ -96,12 +63,6 @@ const dnsShards = 8
 // registered zones beneath it to an authoritative shard, and the shards
 // serve the leaf zones from CatalogAt.
 func (w *World) StartDNS(n *netsim.Network, date string) (*DNSInfra, error) {
-	return w.StartDNSServe(n, date, DNSServeOptions{})
-}
-
-// StartDNSServe is StartDNS with overload protection configured: every
-// authority gets opts' RRL and TCP admission settings.
-func (w *World) StartDNSServe(n *netsim.Network, date string, opts DNSServeOptions) (*DNSInfra, error) {
 	leafCatalog, err := w.CatalogAt(date)
 	if err != nil {
 		return nil, err
@@ -126,7 +87,7 @@ func (w *World) StartDNSServe(n *netsim.Network, date string, opts DNSServeOptio
 		shardCatalogs[shard].AddZone(z)
 	}
 
-	inf := &DNSInfra{opts: opts}
+	inf := &DNSInfra{}
 	shardAddrs := make([]netip.Addr, dnsShards)
 	for i := range shardAddrs {
 		shardAddrs[i] = netip.AddrFrom4([4]byte{dnsShardBase[0], dnsShardBase[1], dnsShardBase[2], byte(1 + i)})
@@ -211,13 +172,7 @@ func (w *World) StartDNSServe(n *netsim.Network, date string, opts DNSServeOptio
 // fabric hosts dozens of servers per process, so the default
 // (per-host-sized) pool would oversubscribe.
 func (inf *DNSInfra) serve(n *netsim.Network, addr netip.Addr, cat *dns.Catalog) error {
-	srv, err := dns.NewServer(dns.ServerConfig{
-		Catalog:        cat,
-		UDPWorkers:     2,
-		RRL:            inf.opts.RRL,
-		MaxTCPConns:    inf.opts.MaxTCPConns,
-		TCPQueryBudget: inf.opts.TCPQueryBudget,
-	})
+	srv, err := dns.NewServer(dns.ServerConfig{Catalog: cat, UDPWorkers: 2})
 	if err != nil {
 		return err
 	}
@@ -234,7 +189,6 @@ func (inf *DNSInfra) serve(n *netsim.Network, addr netip.Addr, cat *dns.Catalog)
 	go srv.ServeUDP(pc)
 	go srv.ServeTCP(ln)
 	inf.servers = append(inf.servers, srv)
-	inf.conns = append(inf.conns, pc)
 	return nil
 }
 

@@ -30,12 +30,6 @@ type FlatConfig struct {
 	// Corpus selects the share table (default CorpusCOM, the corpus the
 	// paper measures at half-million scale).
 	Corpus string
-	// TailProviders is the number of synthetic long-tail providers
-	// splitting the residual market (default 40).
-	TailProviders int
-	// SelfHostedPercent overrides the corpus's calibrated self-hosting
-	// share (percent; 0 keeps the calibrated value).
-	SelfHostedPercent float64
 	// AdversarialPercent turns this share of the corpus hostile, split
 	// evenly across the six scenario families (percent; 0 disables and
 	// keeps honest worlds exactly as before).
@@ -46,6 +40,10 @@ type FlatConfig struct {
 // all (the resolver answers NoData, the paper's "no mail service"
 // case).
 const noMXPercent = 2.0
+
+// flatTailProviders is the number of synthetic long-tail providers
+// splitting a flat world's residual market.
+const flatTailProviders = 40
 
 // flatProvider is one mail company in a flat world: a couple of MX
 // hosts, a handful of addresses, one certificate.
@@ -113,9 +111,6 @@ func NewFlatWorld(cfg FlatConfig) (*FlatWorld, error) {
 	if cfg.Corpus == "" {
 		cfg.Corpus = CorpusCOM
 	}
-	if cfg.TailProviders == 0 {
-		cfg.TailProviders = 40
-	}
 	if cfg.NumDomains <= 0 {
 		return nil, fmt.Errorf("world: flat world needs a domain count")
 	}
@@ -153,7 +148,7 @@ func NewFlatWorld(cfg FlatConfig) (*FlatWorld, error) {
 	if advPct < 0 || advPct > 50 {
 		return nil, fmt.Errorf("world: adversarial share %.1f%% outside [0, 50]", advPct)
 	}
-	selfPct := cfg.SelfHostedPercent
+	var selfPct float64 // the corpus's calibrated self-hosting share
 	// The adversarial band sits between the no-MX cut and the
 	// self-hosting band; everything above shifts up by its share.
 	cum := noMXPercent + advPct
@@ -161,9 +156,7 @@ func NewFlatWorld(cfg FlatConfig) (*FlatWorld, error) {
 	fw.advCut = cum / 100
 	for _, a := range anchors {
 		if a.company == selfHostedKey {
-			if selfPct == 0 {
-				selfPct = a.end
-			}
+			selfPct = a.end
 			continue
 		}
 		c, ok := byName[a.company]
@@ -196,12 +189,12 @@ func NewFlatWorld(cfg FlatConfig) (*FlatWorld, error) {
 	if residue < 0 {
 		return nil, fmt.Errorf("world: %s shares exceed 100%%", cfg.Corpus)
 	}
-	for j := 0; j < cfg.TailProviders; j++ {
+	for j := 0; j < flatTailProviders; j++ {
 		id := fmt.Sprintf("tail%03d-mail.net", j)
 		p := &flatProvider{
 			company:   id, // unmapped long tail keeps its provider ID
 			id:        id,
-			threshold: last + residue*float64(j+1)/float64(cfg.TailProviders),
+			threshold: last + residue*float64(j+1)/flatTailProviders,
 		}
 		fw.providers = append(fw.providers, p)
 	}

@@ -1,13 +1,10 @@
 package world
 
 import (
-	"context"
 	"crypto/tls"
-	"errors"
 	"fmt"
 	"net/netip"
 	"sort"
-	"sync"
 
 	"mxmap/internal/netsim"
 	"mxmap/internal/smtp"
@@ -19,26 +16,11 @@ type Fleet struct {
 	servers []*smtp.Server
 }
 
-// SMTPServeOptions tunes the overload protection applied to every
-// server in the fleet. The zero value keeps the smtp package defaults.
-type SMTPServeOptions struct {
-	// MaxConns caps concurrent sessions per server; MaxCommands caps
-	// commands per session. Zero keeps the smtp defaults, negative means
-	// unlimited.
-	MaxConns    int
-	MaxCommands int
-}
-
 // StartSMTP brings up an SMTP server for every host that runs one, bound
 // to port 25 of its address on the fabric. Hosts without SMTP leave their
 // port closed, which the fabric reports as connection refused. The caller
 // owns the returned fleet and must Close it.
 func (w *World) StartSMTP(n *netsim.Network) (*Fleet, error) {
-	return w.StartSMTPServe(n, SMTPServeOptions{})
-}
-
-// StartSMTPServe is StartSMTP with overload protection configured.
-func (w *World) StartSMTPServe(n *netsim.Network, opts SMTPServeOptions) (*Fleet, error) {
 	f := &Fleet{}
 	// Deterministic bring-up order for reproducible logs.
 	addrs := make([]netip.Addr, 0, len(w.Hosts))
@@ -52,11 +34,9 @@ func (w *World) StartSMTPServe(n *netsim.Network, opts SMTPServeOptions) (*Fleet
 			continue
 		}
 		cfg := smtp.Config{
-			Hostname:    h.SMTP.Hostname,
-			Banner:      h.SMTP.Banner,
-			EHLOName:    h.SMTP.EHLOName,
-			MaxConns:    opts.MaxConns,
-			MaxCommands: opts.MaxCommands,
+			Hostname: h.SMTP.Hostname,
+			Banner:   h.SMTP.Banner,
+			EHLOName: h.SMTP.EHLOName,
 		}
 		if h.SMTP.Leaf != nil {
 			cfg.TLS = &tls.Config{Certificates: []tls.Certificate{h.SMTP.Leaf.TLSCertificate()}}
@@ -83,32 +63,6 @@ func (f *Fleet) Close() error {
 		s.Close()
 	}
 	return nil
-}
-
-// Shutdown drains every server in the fleet concurrently, letting
-// in-flight sessions finish their current command; at the ctx deadline
-// stragglers are hard-closed and the error reported.
-func (f *Fleet) Shutdown(ctx context.Context) error {
-	errs := make([]error, len(f.servers))
-	var wg sync.WaitGroup
-	for i, s := range f.servers {
-		wg.Add(1)
-		go func(i int, s *smtp.Server) {
-			defer wg.Done()
-			errs[i] = s.Shutdown(ctx)
-		}(i, s)
-	}
-	wg.Wait()
-	return errors.Join(errs...)
-}
-
-// Stats aggregates the serving counters of every server in the fleet.
-func (f *Fleet) Stats() smtp.ServerStats {
-	var total smtp.ServerStats
-	for _, s := range f.servers {
-		total.Merge(s.Stats())
-	}
-	return total
 }
 
 // NumServers reports the number of running SMTP servers.
