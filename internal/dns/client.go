@@ -91,7 +91,13 @@ func (c *Client) Close() error { return c.transport().Close() }
 
 // Exchange sends one question and returns the validated response message.
 func (c *Client) Exchange(ctx context.Context, name string, typ Type) (*Message, error) {
-	timeout := c.Timeout
+	return c.exchange(ctx, name, typ, c.Timeout)
+}
+
+// exchange is Exchange with the attempt timeout as an argument: the
+// iterative resolver's per-server clients take it from the resolver's
+// Timeout at every query.
+func (c *Client) exchange(ctx context.Context, name string, typ Type, timeout time.Duration) (*Message, error) {
 	if timeout <= 0 {
 		timeout = 2 * time.Second
 	}
@@ -114,12 +120,9 @@ func (c *Client) Exchange(ctx context.Context, name string, typ Type) (*Message,
 			}
 			c.retries.Add(1)
 		}
-		var resp *Message
-		respBuf, err := tr.RoundTrip(ctx, wire, query.Questions[0], timeout)
-		if err == nil {
-			// The transport already verified ID and question against the query.
-			resp, err = Unpack(respBuf)
-		}
+		// The transport parsed the response and verified ID and question
+		// against the query.
+		resp, err := tr.RoundTrip(ctx, wire, query.Questions[0], timeout)
 		if err == nil && resp.Header.Truncated {
 			resp, err = exchangeTCP(ctx, tr, wire, resp.Header.ID, timeout)
 		}

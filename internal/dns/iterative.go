@@ -63,10 +63,10 @@ type IterativeResolver struct {
 	// flights holds one entry per in-flight (name, type) question; the
 	// singleflight substrate of query coalescing.
 	flights map[cacheKey]*queryFlight
-	// transports holds one multiplexed UDP transport per authority
-	// server, so iteration reuses sockets across queries and callers
-	// instead of dialing per exchange. Closed by Close.
-	transports map[string]*Transport
+	// clients holds one client, on its own multiplexed UDP transport,
+	// per authority server, so iteration reuses sockets across queries
+	// and callers instead of dialing per exchange. Closed by Close.
+	clients map[netip.AddrPort]*Client
 	// refreshSem bounds background refresh goroutines.
 	refreshSem chan struct{}
 
@@ -379,32 +379,32 @@ func (r *IterativeResolver) InvalidateCache() {
 	}
 }
 
-// transportFor returns the shared transport for one server address,
-// creating it on first use. Two sockets per authority is plenty: each
-// socket multiplexes up to 65536 concurrent queries.
-func (r *IterativeResolver) transportFor(server string) *Transport {
+// clientFor returns the shared client for one server address, creating
+// it on first use. Two sockets per authority is plenty: each socket
+// multiplexes thousands of concurrent queries.
+func (r *IterativeResolver) clientFor(server netip.AddrPort) *Client {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if t, ok := r.transports[server]; ok {
-		return t
+	if cl, ok := r.clients[server]; ok {
+		return cl
 	}
-	if r.transports == nil {
-		r.transports = make(map[string]*Transport)
+	if r.clients == nil {
+		r.clients = make(map[netip.AddrPort]*Client)
 	}
-	t := &Transport{Server: server, Conns: 2, DialContext: r.DialContext}
-	r.transports[server] = t
-	return t
+	cl := &Client{Transport: &Transport{Server: server.String(), Conns: 2, DialContext: r.DialContext}}
+	r.clients[server] = cl
+	return cl
 }
 
-// Close releases the resolver's shared transports. The resolver remains
-// usable; subsequent queries open fresh transports.
+// Close releases the resolver's shared clients. The resolver remains
+// usable; subsequent queries open fresh ones.
 func (r *IterativeResolver) Close() error {
 	r.mu.Lock()
-	transports := r.transports
-	r.transports = nil
+	clients := r.clients
+	r.clients = nil
 	r.mu.Unlock()
-	for _, t := range transports {
-		t.Close()
+	for _, cl := range clients {
+		cl.Close()
 	}
 	return nil
 }
@@ -413,9 +413,8 @@ func (r *IterativeResolver) Close() error {
 func (r *IterativeResolver) askAny(ctx context.Context, servers []netip.AddrPort, name string, typ Type) (*Message, error) {
 	var lastErr error
 	for _, srv := range servers {
-		cl := &Client{Timeout: r.Timeout, Transport: r.transportFor(srv.String())}
 		r.counters.wireQueries.Add(1)
-		resp, err := cl.Exchange(ctx, name, typ)
+		resp, err := r.clientFor(srv).exchange(ctx, name, typ, r.Timeout)
 		if err != nil {
 			lastErr = err
 			if ctx.Err() != nil {

@@ -3,6 +3,7 @@ package dns
 import (
 	"context"
 	"errors"
+	"fmt"
 	"net"
 	"net/netip"
 	"sync/atomic"
@@ -320,5 +321,60 @@ func BenchmarkIterativeResolveWarm(b *testing.B) {
 		if _, err := r.LookupMX(ctx, "example.com"); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkIterativeResolveCold is the dev-loop stand-in for the
+// scan-wire workload of the repository benchmark: each iteration walks
+// root → TLD → authoritative over the fabric for a name that no cache,
+// resolver's or server's, has seen (a wildcard MX under cold.bench
+// answers every one). The timed window is three upstream exchanges and
+// nothing else, so it can be profiled without patching bench/:
+//
+//	go test -run '^$' -bench IterativeResolveCold -cpuprofile /tmp/cold.prof ./internal/dns
+func BenchmarkIterativeResolveCold(b *testing.B) {
+	n := netsim.New()
+	serve := func(ip string, z *Zone) {
+		cat := NewCatalog()
+		cat.AddZone(z)
+		startAuthServer(b, n, ip, cat)
+	}
+	root := NewZone(".")
+	root.MustAdd(RR{Name: ".", Type: TypeSOA, TTL: 3600, Data: SOAData{MName: "a.root.", RName: "root.root.", Serial: 1, Minimum: 300}})
+	root.MustAdd(RR{Name: "bench.", Type: TypeNS, TTL: 3600, Data: NSData{Host: "ns.bench."}})
+	root.MustAdd(RR{Name: "ns.bench.", Type: TypeA, TTL: 3600, Data: AData{Addr: mustAddr(crTLDIP)}})
+	serve(crRootIP, root)
+	tld := NewZone("bench")
+	tld.MustAdd(RR{Name: "bench.", Type: TypeSOA, TTL: 3600, Data: SOAData{MName: "ns.bench.", RName: "h.bench.", Serial: 1, Minimum: 300}})
+	tld.MustAdd(RR{Name: "cold.bench.", Type: TypeNS, TTL: 3600, Data: NSData{Host: "ns.cold.bench."}})
+	tld.MustAdd(RR{Name: "ns.cold.bench.", Type: TypeA, TTL: 3600, Data: AData{Addr: mustAddr(crAuthIP)}})
+	serve(crTLDIP, tld)
+	auth := NewZone("cold.bench")
+	auth.MustAdd(RR{Name: "cold.bench.", Type: TypeSOA, TTL: 3600, Data: SOAData{MName: "ns.cold.bench.", RName: "h.cold.bench.", Serial: 1, Minimum: 300}})
+	auth.MustAdd(RR{Name: "*.cold.bench.", Type: TypeMX, TTL: 60, Data: MXData{Preference: 10, Exchange: "mx.cold.bench."}})
+	serve(crAuthIP, auth)
+
+	r := &IterativeResolver{
+		Roots:       []netip.AddrPort{netip.MustParseAddrPort(crRootIP + ":53")},
+		Timeout:     2 * time.Second,
+		DialContext: lossyFabricDial(n),
+	}
+	defer r.Close()
+	ctx := context.Background()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		r.Cache = &Cache{MaxEntries: 1 << 16}
+		mx, err := r.LookupMX(ctx, fmt.Sprintf("d%d.cold.bench", i))
+		if err != nil {
+			b.Fatal(err)
+		}
+		if len(mx) != 1 {
+			b.Fatalf("MX = %+v", mx)
+		}
+	}
+	b.StopTimer()
+	if got, want := r.Stats().WireQueries, uint64(3*b.N); got != want {
+		b.Fatalf("upstream queries = %d, want %d (three per walk)", got, want)
 	}
 }

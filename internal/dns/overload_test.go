@@ -37,9 +37,7 @@ func frozenClock() (func() time.Time, func(time.Duration)) {
 		}
 }
 
-func udpSrc(ip string) net.Addr {
-	return &net.UDPAddr{IP: net.ParseIP(ip), Port: 4242}
-}
+func udpSrc(ip string) netip.Addr { return netip.MustParseAddr(ip) }
 
 func TestRRLBurstThenSlipCadence(t *testing.T) {
 	now, _ := frozenClock()
@@ -173,8 +171,7 @@ func TestRRLBucketEviction(t *testing.T) {
 	// take too long, so drive one shard directly via decide on distinct
 	// /24s and just assert the bound holds.
 	for i := 0; i < rrlShards*maxBucketsPerShard/4; i++ {
-		src := &net.UDPAddr{IP: net.IPv4(10, byte(i>>16), byte(i>>8), byte(i)), Port: 53000}
-		l.decide(src, rrlKindAnswer)
+		l.decide(netip.AddrFrom4([4]byte{10, byte(i >> 16), byte(i >> 8), byte(i)}), rrlKindAnswer)
 		advance(time.Microsecond) // distinct lastNano so eviction is ordered
 	}
 	for i := range l.shards {
@@ -262,9 +259,19 @@ func TestSlipResponseRewrite(t *testing.T) {
 	}
 }
 
+// The two sockets ServeUDP meets outside tests take the worker loop's
+// allocation-free path; any other net.PacketConn, flakyPacketConn below
+// among them, is served through packetConnSocket.
+var (
+	_ udpSocket = (*net.UDPConn)(nil)
+	_ udpSocket = (*netsim.PacketConn)(nil)
+)
+
 // flakyPacketConn fails the first `failures` ReadFrom calls with a
 // transient errno, then delegates. It reproduces the ICMP-feedback
-// errors a UDP socket surfaces after answering a vanished client.
+// errors a UDP socket surfaces after answering a vanished client. It
+// embeds the interface, not the socket, so it has no AddrPort methods
+// that would let the server bypass its ReadFrom.
 type flakyPacketConn struct {
 	net.PacketConn
 	mu       sync.Mutex

@@ -23,7 +23,6 @@ package dns
 
 import (
 	"encoding/binary"
-	"net"
 	"net/netip"
 	"sync"
 	"time"
@@ -164,29 +163,10 @@ func rrlPrefix(addr netip.Addr) netip.Prefix {
 	return p
 }
 
-// clientAddr extracts the netip address from a PacketConn source.
-func clientAddr(a net.Addr) (netip.Addr, bool) {
-	switch ua := a.(type) {
-	case *net.UDPAddr:
-		ip, ok := netip.AddrFromSlice(ua.IP)
-		return ip.Unmap(), ok
-	case *net.TCPAddr:
-		ip, ok := netip.AddrFromSlice(ua.IP)
-		return ip.Unmap(), ok
-	}
-	if ap, err := netip.ParseAddrPort(a.String()); err == nil {
-		return ap.Addr().Unmap(), true
-	}
-	return netip.Addr{}, false
-}
-
 // decide applies the token bucket for (src, kind) to one prospective
 // response.
-func (l *rrlLimiter) decide(src net.Addr, kind rrlKind) rrlAction {
-	addr, ok := clientAddr(src)
-	if !ok {
-		return rrlSend
-	}
+func (l *rrlLimiter) decide(addr netip.Addr, kind rrlKind) rrlAction {
+	addr = addr.Unmap() // a dual-stack socket reports IPv4 peers as ::ffff:a.b.c.d
 	if addr.IsLoopback() && !l.incLo {
 		return rrlSend
 	}

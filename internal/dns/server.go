@@ -8,6 +8,7 @@ import (
 	"io"
 	"log/slog"
 	"net"
+	"net/netip"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -235,17 +236,22 @@ func (s *Server) Stats() ServerStats { return s.stats.snapshot(s.core.Stats()) }
 // Packets are handled by a pool of cfg.UDPWorkers workers, each reading,
 // resolving and replying on its own reused buffers — net.PacketConn is
 // safe for concurrent ReadFrom/WriteTo — so the steady-state path has no
-// per-packet goroutine spawn or query copy. Workers survive transient
-// read errors (e.g. the ECONNREFUSED a socket reports after ICMP
-// feedback) with jittered backoff; only a closed socket or a persistent
-// failure ends the loop. A drain wakes the workers through the socket's
-// read deadline and closes the socket once they have all returned.
+// per-packet goroutine spawn or query copy, and on a udpSocket no boxed
+// source address either. Workers survive transient read errors (e.g.
+// the ECONNREFUSED a socket reports after ICMP feedback) with jittered
+// backoff; only a closed socket or a persistent failure ends the loop. A
+// drain wakes the workers through the socket's read deadline and closes
+// the socket once they have all returned.
 func (s *Server) ServeUDP(pc net.PacketConn) error {
 	release, err := s.core.Attach(pc)
 	if err != nil {
 		return err
 	}
 	defer release()
+	sock, ok := pc.(udpSocket)
+	if !ok {
+		sock = packetConnSocket{pc}
+	}
 
 	var wg sync.WaitGroup
 	errc := make(chan error, s.cfg.UDPWorkers)
@@ -257,7 +263,7 @@ func (s *Server) ServeUDP(pc net.PacketConn) error {
 			st := new(handleState)
 			consec := 0
 			for {
-				n, addr, err := pc.ReadFrom(buf)
+				n, addr, err := sock.ReadFromUDPAddrPort(buf)
 				if err != nil {
 					if s.core.Stopping() {
 						return
@@ -278,7 +284,7 @@ func (s *Server) ServeUDP(pc net.PacketConn) error {
 					continue
 				}
 				if s.limiter != nil {
-					switch s.limiter.decide(addr, respKind(resp)) {
+					switch s.limiter.decide(addr.Addr(), respKind(resp)) {
 					case rrlDrop:
 						s.stats.rrlDrops.Add(1)
 						continue
@@ -287,9 +293,9 @@ func (s *Server) ServeUDP(pc net.PacketConn) error {
 						resp = slipResponse(resp)
 					}
 				}
-				// WriteTo copies the payload into the socket (or
+				// The write copies the payload into the socket (or
 				// fabric queue), so reusing resp's buffer is safe.
-				if _, err := pc.WriteTo(resp, addr); err != nil {
+				if _, err := sock.WriteToUDPAddrPort(resp, addr); err != nil {
 					s.stats.udpWriteErrors.Add(1)
 					s.logf("udp write: %v", err)
 				} else {
@@ -303,6 +309,38 @@ func (s *Server) ServeUDP(pc net.PacketConn) error {
 		return nil
 	}
 	return <-errc
+}
+
+// udpSocket is what the UDP worker loop needs of a socket: the method
+// pair of *net.UDPConn that carries the peer as a netip.AddrPort value,
+// where ReadFrom and WriteTo box a net.Addr per datagram.
+// netsim.PacketConn has the pair too.
+type udpSocket interface {
+	ReadFromUDPAddrPort(b []byte) (int, netip.AddrPort, error)
+	WriteToUDPAddrPort(b []byte, addr netip.AddrPort) (int, error)
+}
+
+// packetConnSocket gives any other net.PacketConn that pair, through
+// its ReadFrom and WriteTo.
+type packetConnSocket struct{ net.PacketConn }
+
+func (p packetConnSocket) ReadFromUDPAddrPort(b []byte) (int, netip.AddrPort, error) {
+	n, addr, err := p.ReadFrom(b)
+	if err != nil {
+		return n, netip.AddrPort{}, err
+	}
+	if ua, ok := addr.(*net.UDPAddr); ok {
+		return n, ua.AddrPort(), nil
+	}
+	ap, err := netip.ParseAddrPort(addr.String())
+	if err != nil {
+		return n, netip.AddrPort{}, fmt.Errorf("dns: datagram source %v is not an IP address and port: %w", addr, err)
+	}
+	return n, ap, nil
+}
+
+func (p packetConnSocket) WriteToUDPAddrPort(b []byte, addr netip.AddrPort) (int, error) {
+	return p.WriteTo(b, net.UDPAddrFromAddrPort(addr))
 }
 
 // ServeTCP accepts length-prefixed DNS-over-TCP connections on ln until

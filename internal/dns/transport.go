@@ -21,13 +21,14 @@ var (
 )
 
 // A Transport multiplexes DNS queries from many goroutines over a small
-// set of long-lived UDP sockets to one server. Query IDs are assigned
-// from a per-socket free list, and a reader goroutine per socket
-// demultiplexes responses back to waiting callers by ID, verified
-// against the original question (anti-spoofing). Compared to dialing a
-// socket per query, this removes the connect/close syscall pair, the
-// 64 KiB read buffer allocation, and the ephemeral-port pressure from
-// every exchange — which is what made 32-way scan fan-out socket-bound.
+// set of long-lived UDP sockets to one server. Query IDs are drawn at
+// random among those not in flight on the socket, and a reader goroutine
+// per socket parses each response once, verifies it against the original
+// question (anti-spoofing) and hands the message to the caller waiting
+// on its ID. Compared to dialing a socket per query, this removes the
+// connect/close syscall pair, the 64 KiB read buffer allocation, and the
+// ephemeral-port pressure from every exchange — which is what made
+// 32-way scan fan-out socket-bound.
 //
 // A Transport is safe for concurrent use. The zero value is not usable;
 // call NewTransport.
@@ -35,7 +36,7 @@ type Transport struct {
 	// Server is the resolver address, host:port.
 	Server string
 	// Conns is the number of UDP sockets to spread queries over
-	// (default 4). Each socket can have up to 65536 queries in flight.
+	// (default 4).
 	Conns int
 	// DialContext substitutes the socket factory; nil uses net.Dialer.
 	// The network argument is "udp" or (for Client's truncation
@@ -57,8 +58,10 @@ func NewTransport(server string) *Transport {
 }
 
 // maxInFlight bounds the outstanding queries of one transport across all
-// its sockets. Callers beyond the bound wait for a slot or their
-// context, whichever first.
+// its sockets. Callers beyond the bound wait for a slot, their context
+// or the attempt's timeout, whichever first. It is a sixteenth of the ID
+// space, so a random ID is free on the first draw fifteen times in
+// sixteen even with every slot taken on one socket.
 const maxInFlight = 4096
 
 func (t *Transport) init() {
@@ -71,11 +74,11 @@ func (t *Transport) init() {
 	})
 }
 
-// call is one outstanding query: the reader goroutine delivers the raw
-// response datagram through ch.
+// call is one outstanding query: the reader goroutine delivers the
+// parsed, verified response through ch.
 type call struct {
 	q  Question
-	ch chan []byte
+	ch chan *Message
 }
 
 // transportConn is one UDP socket plus its demux state.
@@ -87,60 +90,42 @@ type transportConn struct {
 
 	mu      sync.Mutex
 	pending map[uint16]*call
-	ids     []uint16 // shuffled free-ID FIFO ring
-	idHead  int
-	idTail  int
-	idFree  int
 	err     error // set once the read loop exits; conn is dead
 }
 
 func newTransportConn(conn net.Conn) *transportConn {
-	c := &transportConn{
-		conn:    conn,
-		pending: make(map[uint16]*call),
-		ids:     make([]uint16, 65536),
-		idFree:  65536,
-	}
-	for i := range c.ids {
-		c.ids[i] = uint16(i)
-	}
-	// Shuffle so IDs are unpredictable; the FIFO ring then maximizes
-	// reuse distance, so a late response to a recycled ID is unlikely to
-	// find a new query wearing it (and the question check catches it if
-	// it does).
-	rand.Shuffle(len(c.ids), func(i, j int) { c.ids[i], c.ids[j] = c.ids[j], c.ids[i] })
+	c := &transportConn{conn: conn, pending: make(map[uint16]*call)}
 	go c.readLoop()
 	return c
 }
 
-// take registers a call under a fresh ID.
+// take registers a call under an unpredictable ID that no other call in
+// flight on this socket wears. A late response to a recycled ID can meet
+// a new query wearing it; the question check catches that. The bound,
+// which the transport's semaphore already keeps, is restated here
+// because it is what keeps the redraw loop short.
 func (c *transportConn) take(cl *call) (uint16, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.err != nil {
 		return 0, c.err
 	}
-	if c.idFree == 0 {
+	if len(c.pending) >= maxInFlight {
 		return 0, ErrTooManyInFlight
 	}
-	id := c.ids[c.idHead]
-	c.idHead = (c.idHead + 1) % len(c.ids)
-	c.idFree--
+	id := uint16(rand.Uint32())
+	for c.pending[id] != nil {
+		id = uint16(rand.Uint32())
+	}
 	c.pending[id] = cl
 	return id, nil
 }
 
-// release removes the call and returns its ID to the free ring.
+// release removes the call, freeing its ID.
 func (c *transportConn) release(id uint16) {
 	c.mu.Lock()
-	defer c.mu.Unlock()
-	if _, ok := c.pending[id]; !ok {
-		return
-	}
 	delete(c.pending, id)
-	c.ids[c.idTail] = id
-	c.idTail = (c.idTail + 1) % len(c.ids)
-	c.idFree++
+	c.mu.Unlock()
 }
 
 // readLoop demultiplexes response datagrams to pending calls until the
@@ -151,7 +136,7 @@ func (c *transportConn) release(id uint16) {
 func (c *transportConn) readLoop() {
 	buf := make([]byte, 64*1024)
 	scratch := new(UnpackScratch)
-	var m Message
+	m := new(Message) // reused until a delivery gives it away
 	for {
 		n, err := c.conn.Read(buf)
 		if err != nil {
@@ -169,16 +154,17 @@ func (c *transportConn) readLoop() {
 			continue
 		}
 		// Parse and verify the question before delivering, so a spoofed
-		// datagram that merely guesses the ID is ignored.
-		if err := scratch.Unpack(buf[:n], &m); err != nil {
+		// datagram that merely guesses the ID is ignored. This is the
+		// only parse of the response: the caller gets the message.
+		if err := scratch.Unpack(buf[:n], m); err != nil {
 			continue
 		}
 		if !m.Header.Response || len(m.Questions) != 1 || m.Questions[0] != cl.q {
 			continue
 		}
-		resp := append([]byte(nil), buf[:n]...)
 		select {
-		case cl.ch <- resp:
+		case cl.ch <- m:
+			m = new(Message)
 		default:
 			// Caller already gone (deadline); drop.
 		}
@@ -205,8 +191,10 @@ func (c *transportConn) dead() bool {
 	return c.err != nil
 }
 
-// pickConn returns a live socket, dialing lazily and replacing dead ones.
-func (t *Transport) pickConn(ctx context.Context) (*transportConn, error) {
+// pickConn returns a live socket, dialing lazily and replacing dead
+// ones. Only a dial is bounded by timeout here; the caller's timer
+// covers the rest of the attempt.
+func (t *Transport) pickConn(ctx context.Context, timeout time.Duration) (*transportConn, error) {
 	t.mu.Lock()
 	if t.closed {
 		t.mu.Unlock()
@@ -219,7 +207,9 @@ func (t *Transport) pickConn(ctx context.Context) (*transportConn, error) {
 	if c != nil && !c.dead() {
 		return c, nil
 	}
-	conn, err := t.dial(ctx, "udp")
+	dctx, cancel := context.WithTimeout(ctx, timeout)
+	conn, err := t.dial(dctx, "udp")
+	cancel()
 	if err != nil {
 		return nil, err
 	}
@@ -250,34 +240,65 @@ func (t *Transport) dial(ctx context.Context, network string) (net.Conn, error) 
 	return d.DialContext(ctx, network, t.Server)
 }
 
+// attemptTimers recycles the per-attempt timers of RoundTrip. Every
+// timer in the pool is stopped and its channel empty.
+var attemptTimers sync.Pool
+
+// startTimer returns a timer that fires after d.
+func startTimer(d time.Duration) *time.Timer {
+	if tm, _ := attemptTimers.Get().(*time.Timer); tm != nil {
+		tm.Reset(d)
+		return tm
+	}
+	return time.NewTimer(d)
+}
+
+// stopTimer ends tm's use by one attempt; received says the attempt took
+// the value off tm.C. The timer is pooled only when its channel is
+// known to be empty — stopped before it fired, or fired and received —
+// so a fire that belongs to one attempt can never time out the next. One
+// that fired unreceived (the response won the race) is left to the
+// collector instead of drained: under go.mod's pre-1.23 timer semantics
+// the value may still be on its way into the channel.
+func stopTimer(tm *time.Timer, received bool) {
+	if tm.Stop() || received {
+		attemptTimers.Put(tm)
+	}
+}
+
 // RoundTrip sends the packed query (whose ID bytes are patched in place
-// on the wire copy, not on wire itself) and returns the raw response
-// datagram for the matching (ID, question) pair. The caller owns the
-// returned slice. Truncation handling, retries and TCP fallback are the
-// caller's concern (see Client.Exchange).
-func (t *Transport) RoundTrip(ctx context.Context, wire []byte, q Question, timeout time.Duration) ([]byte, error) {
+// on the wire copy, not on wire itself) and returns the response to the
+// matching (ID, question) pair, parsed once by the socket's reader; the
+// message is the caller's. An attempt that outlives timeout fails with
+// context.DeadlineExceeded, whatever ctx says. Truncation handling,
+// retries and TCP fallback are the caller's concern (see
+// Client.Exchange).
+func (t *Transport) RoundTrip(ctx context.Context, wire []byte, q Question, timeout time.Duration) (*Message, error) {
 	t.init()
 	if len(wire) < 2 {
 		return nil, ErrTruncatedMessage
 	}
-	ctx, cancel := context.WithTimeout(ctx, timeout)
-	defer cancel()
+	tm := startTimer(timeout)
+	expired := false // this attempt received tm's fire
+	defer func() { stopTimer(tm, expired) }()
 	select {
 	case t.inflight <- struct{}{}:
-		defer func() { <-t.inflight }()
 	default:
 		select {
 		case t.inflight <- struct{}{}:
-			defer func() { <-t.inflight }()
 		case <-ctx.Done():
 			return nil, fmt.Errorf("%w: %w", ErrTooManyInFlight, ctx.Err())
+		case <-tm.C:
+			expired = true
+			return nil, fmt.Errorf("%w: %w", ErrTooManyInFlight, context.DeadlineExceeded)
 		}
 	}
-	c, err := t.pickConn(ctx)
+	defer func() { <-t.inflight }()
+	c, err := t.pickConn(ctx, timeout)
 	if err != nil {
 		return nil, err
 	}
-	cl := &call{q: q, ch: make(chan []byte, 1)}
+	cl := &call{q: q, ch: make(chan *Message, 1)}
 	id, err := c.take(cl)
 	if err != nil {
 		return nil, err
@@ -305,6 +326,9 @@ func (t *Transport) RoundTrip(ctx context.Context, wire []byte, q Question, time
 		return resp, nil
 	case <-ctx.Done():
 		return nil, ctx.Err()
+	case <-tm.C:
+		expired = true
+		return nil, context.DeadlineExceeded
 	}
 }
 

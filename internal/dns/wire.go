@@ -56,6 +56,12 @@ func (p *packer) msgLen() int { return len(p.buf) - p.base }
 // option is kept for strictness with TXT-embedded names and future types).
 func (p *packer) name(name string, compress bool) error {
 	if !isCanonicalName(name) {
+		if strings.TrimSpace(name) != name {
+			// CanonicalName would trim this into a different name. A
+			// label that begins with whitespace can come off the wire;
+			// like any other non-LDH label it is not ours to emit.
+			return ErrBadName
+		}
 		name = CanonicalName(name)
 	}
 	if name == "." {

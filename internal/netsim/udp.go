@@ -84,9 +84,20 @@ func (n *Network) ListenPacket(ap netip.AddrPort) (*PacketConn, error) {
 	return pc, nil
 }
 
-// ReadFrom implements net.PacketConn. A SetReadDeadline from another
-// goroutine interrupts a blocked call, as it does on a kernel socket.
+// ReadFrom implements net.PacketConn over ReadFromUDPAddrPort.
 func (pc *PacketConn) ReadFrom(p []byte) (int, net.Addr, error) {
+	n, from, err := pc.ReadFromUDPAddrPort(p)
+	if err != nil {
+		return 0, nil, err
+	}
+	return n, net.UDPAddrFromAddrPort(from), nil
+}
+
+// ReadFromUDPAddrPort reads one datagram and returns its source, as the
+// method of the same name on *net.UDPConn does: no address is boxed per
+// datagram. A SetReadDeadline from another goroutine interrupts a
+// blocked call, as it does on a kernel socket.
+func (pc *PacketConn) ReadFromUDPAddrPort(p []byte) (int, netip.AddrPort, error) {
 	for {
 		pc.mu.Lock()
 		deadline := pc.readDeadline
@@ -94,14 +105,14 @@ func (pc *PacketConn) ReadFrom(p []byte) (int, net.Addr, error) {
 		rdChanged := pc.rdChanged
 		pc.mu.Unlock()
 		if closed {
-			return 0, nil, net.ErrClosed
+			return 0, netip.AddrPort{}, net.ErrClosed
 		}
 		var timer *time.Timer
 		var timeout <-chan time.Time
 		if !deadline.IsZero() {
 			d := time.Until(deadline)
 			if d <= 0 {
-				return 0, nil, timeoutError{}
+				return 0, netip.AddrPort{}, timeoutError{}
 			}
 			timer = time.NewTimer(d)
 			timeout = timer.C
@@ -111,15 +122,14 @@ func (pc *PacketConn) ReadFrom(p []byte) (int, net.Addr, error) {
 			if timer != nil {
 				timer.Stop()
 			}
-			n := copy(p, dg.data)
-			return n, &net.UDPAddr{IP: dg.from.Addr().AsSlice(), Port: int(dg.from.Port())}, nil
+			return copy(p, dg.data), dg.from, nil
 		case <-pc.done:
 			if timer != nil {
 				timer.Stop()
 			}
-			return 0, nil, net.ErrClosed
+			return 0, netip.AddrPort{}, net.ErrClosed
 		case <-timeout:
-			return 0, nil, timeoutError{}
+			return 0, netip.AddrPort{}, timeoutError{}
 		case <-rdChanged:
 			// Deadline moved under us; re-evaluate from scratch.
 			if timer != nil {
@@ -129,9 +139,19 @@ func (pc *PacketConn) ReadFrom(p []byte) (int, net.Addr, error) {
 	}
 }
 
-// WriteTo implements net.PacketConn. Datagrams to blackholed or absent
-// destinations are silently dropped, as on a real network.
+// WriteTo implements net.PacketConn over WriteToUDPAddrPort.
 func (pc *PacketConn) WriteTo(p []byte, addr net.Addr) (int, error) {
+	dst, err := toAddrPort(addr)
+	if err != nil {
+		return 0, err
+	}
+	return pc.WriteToUDPAddrPort(p, dst)
+}
+
+// WriteToUDPAddrPort sends one datagram to dst, the twin of the
+// *net.UDPConn method. Datagrams to blackholed or absent destinations
+// are silently dropped, as on a real network.
+func (pc *PacketConn) WriteToUDPAddrPort(p []byte, dst netip.AddrPort) (int, error) {
 	pc.mu.Lock()
 	closed := pc.closed
 	deadline := pc.writeDeadline
@@ -144,10 +164,6 @@ func (pc *PacketConn) WriteTo(p []byte, addr net.Addr) (int, error) {
 	}
 	if len(p) > maxDatagram {
 		return 0, fmt.Errorf("netsim: datagram exceeds %d bytes", maxDatagram)
-	}
-	dst, err := toAddrPort(addr)
-	if err != nil {
-		return 0, err
 	}
 	switch pc.network.fault(dst.Addr()) {
 	case FaultBlackhole, FaultRefuse:
@@ -256,19 +272,11 @@ func clientSrcAddr() netip.Addr { return netip.AddrFrom4([4]byte{100, 64, 0, 1})
 // peer.
 func (c *udpClientConn) Read(p []byte) (int, error) {
 	for {
-		n, from, err := c.ReadFrom(p)
+		n, from, err := c.ReadFromUDPAddrPort(p)
 		if err != nil {
 			return 0, err
 		}
-		ua, ok := from.(*net.UDPAddr)
-		if !ok {
-			continue
-		}
-		fromAP, err := toAddrPort(ua)
-		if err != nil {
-			continue
-		}
-		if fromAP == c.remote {
+		if from == c.remote {
 			return n, nil
 		}
 	}
@@ -276,7 +284,7 @@ func (c *udpClientConn) Read(p []byte) (int, error) {
 
 // Write implements net.Conn.
 func (c *udpClientConn) Write(p []byte) (int, error) {
-	return c.WriteTo(p, &net.UDPAddr{IP: c.remote.Addr().AsSlice(), Port: int(c.remote.Port())})
+	return c.WriteToUDPAddrPort(p, c.remote)
 }
 
 // RemoteAddr implements net.Conn.

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"net"
 	"net/netip"
 	"syscall"
 	"testing"
@@ -11,6 +12,7 @@ import (
 
 	"mxmap/internal/dataset"
 	"mxmap/internal/dns"
+	"mxmap/internal/netsim"
 	"mxmap/internal/smtp"
 )
 
@@ -169,6 +171,27 @@ func TestBreakerDisabled(t *testing.T) {
 	}
 }
 
+// muteExchangeErr is what a dns.Client returns when an attempt outlives
+// its timeout while the caller's context is still alive: the fabric
+// drops datagrams to an address nobody listens on.
+func muteExchangeErr(t *testing.T) error {
+	t.Helper()
+	n := netsim.New()
+	cl := &dns.Client{Server: "10.9.9.9:53", Timeout: 5 * time.Millisecond,
+		DialContext: func(_ context.Context, _, address string) (net.Conn, error) {
+			return n.DialUDP(netip.MustParseAddrPort(address))
+		}}
+	defer cl.Close()
+	_, err := cl.Exchange(context.Background(), "mute.test", dns.TypeMX)
+	if err == nil {
+		t.Fatal("exchange with a mute server succeeded")
+	}
+	if !isTimeout(err) {
+		t.Errorf("isTimeout(%v) = false", err)
+	}
+	return err
+}
+
 func TestClassifyDNS(t *testing.T) {
 	cases := []struct {
 		err  error
@@ -180,6 +203,7 @@ func TestClassifyDNS(t *testing.T) {
 		{fmt.Errorf("wrap: %w", dns.ErrServFail), dataset.FailDNSServFail},
 		{context.DeadlineExceeded, dataset.FailDNSTimeout},
 		{fmt.Errorf("dial: %w", timeoutErr{}), dataset.FailDNSTimeout},
+		{muteExchangeErr(t), dataset.FailDNSTimeout},
 		{errors.New("mystery"), dataset.FailDNSServFail},
 	}
 	for _, c := range cases {
