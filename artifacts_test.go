@@ -1,7 +1,9 @@
 package mxmap_test
 
 import (
+	"bytes"
 	"go/ast"
+	"go/format"
 	"go/parser"
 	"go/token"
 	"io/fs"
@@ -194,5 +196,34 @@ func TestEveryOptionHasACaller(t *testing.T) {
 		if declared[field] == "" {
 			t.Errorf("optionsWithoutCaller names %s, which is not a declared option", field)
 		}
+	}
+}
+
+// TestGofmt holds every .go file in the tree to gofmt's formatting
+// (go/format is the same printer), so tier-1 fails on what `gofmt -l .`
+// would list. Dot-directories hold build output, not source.
+func TestGofmt(t *testing.T) {
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		switch {
+		case err != nil:
+			return err
+		case d.IsDir() && path != "." && strings.HasPrefix(d.Name(), "."):
+			return filepath.SkipDir
+		case d.IsDir() || !strings.HasSuffix(path, ".go"):
+			return nil
+		}
+		src, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		if formatted, err := format.Source(src); err != nil {
+			t.Errorf("%s: %v", path, err)
+		} else if !bytes.Equal(src, formatted) {
+			t.Errorf("%s is not gofmt-formatted: run gofmt -w %s", path, path)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }

@@ -16,9 +16,9 @@
 // There is one collection engine with two sinks. -workers 1 (the
 // default) runs it as one collector into an in-memory snapshot;
 // -workers > 1, or -flat N for the computed-on-the-fly flat corpus, runs
-// it as a work-stealing fleet whose workers each own a resolver, a
-// journal and a sorted snapshot shard writer, the shards externally
-// merged into -o, so peak memory stays independent of corpus size. The
+// it as a fleet whose workers each own a resolver, a journal and a
+// sorted snapshot shard writer, the shards externally merged into -o, so
+// peak memory stays independent of corpus size. The
 // flag sizes the fleet and picks the sink, nothing else: journaling,
 // resume, signal handling and the committed bytes are the same.
 //
@@ -173,8 +173,8 @@ func main() {
 			// counters; fold in the fleet's sum, as Snapshot.Health does.
 			h.Stats = stats.Collection
 		}
-		measured = fmt.Sprintf("%d domains, %d IPs with %d workers (%d shards, %d steals)",
-			stats.Domains, stats.IPs, stats.Workers, mstats.Shards, stats.Steals)
+		measured = fmt.Sprintf("%d domains, %d IPs with %d workers (%d shards)",
+			stats.Domains, stats.IPs, stats.Workers, mstats.Shards)
 	} else {
 		col, err := src.newCollector(0)
 		if err != nil {

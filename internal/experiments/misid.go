@@ -66,14 +66,7 @@ func ScoreMisid(cfg world.Config, parallelism int) (*Misid, error) {
 	oracle := make([]analysis.MisidOracle, len(entries))
 	families := make(map[string]int)
 	for i, e := range entries {
-		oracle[i] = analysis.MisidOracle{
-			Domain:        e.Domain,
-			Family:        string(e.Family),
-			Truth:         e.Truth,
-			Forged:        e.Forged,
-			ExpectFlagged: e.ExpectFlagged,
-			Detail:        e.Detail,
-		}
+		oracle[i] = misidOracle(e)
 		families[string(e.Family)]++
 	}
 	return &Misid{
@@ -89,4 +82,16 @@ func ScoreMisid(cfg world.Config, parallelism int) (*Misid, error) {
 		Study:       study,
 		Result:      res,
 	}, nil
+}
+
+// misidOracle hands one of the world's oracle entries to the scorer.
+func misidOracle(e world.OracleEntry) analysis.MisidOracle {
+	return analysis.MisidOracle{
+		Domain:        e.Domain,
+		Family:        string(e.Family),
+		Truth:         e.Truth,
+		Forged:        e.Forged,
+		ExpectFlagged: e.ExpectFlagged,
+		Detail:        e.Detail,
+	}
 }

@@ -9,10 +9,15 @@ package experiments
 // attributed to its true operator, unflagged.
 
 import (
+	"context"
+	"reflect"
 	"testing"
 
 	"mxmap/internal/analysis"
+	"mxmap/internal/core"
+	"mxmap/internal/dataset"
 	"mxmap/internal/ledger"
+	"mxmap/internal/scan"
 	"mxmap/internal/world"
 )
 
@@ -117,5 +122,127 @@ func TestMisidFailoverStructure(t *testing.T) {
 		if byTopology[topo] == 0 {
 			t.Errorf("topology %q missing from the correlation table", topo)
 		}
+	}
+}
+
+// flatMisid takes a hostile flat world through the chain ScoreMisid
+// runs on the materialised one — collect, priority inference with the
+// abuse-cluster rule on — and returns what the scorer needs of it.
+func flatMisid(t *testing.T, cfg world.FlatConfig) (*world.FlatWorld, *dataset.Snapshot, *core.Result, []analysis.MisidOracle) {
+	t.Helper()
+	fw, err := world.NewFlatWorld(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	targets := make([]scan.Target, fw.NumDomains())
+	oracle := make([]analysis.MisidOracle, fw.NumDomains())
+	for i := range targets {
+		targets[i] = scan.Target{Name: fw.DomainName(i)}
+		oracle[i] = misidOracle(fw.OracleAt(i))
+	}
+	c := &scan.Collector{
+		Resolver: fw.Resolver(), Dialer: fw.Dialer(), Trust: fw.Trust,
+		Prefixes: fw.Prefixes, ASRegistry: fw.ASRegistry, Parked: fw.Parked,
+	}
+	defer c.Close()
+	snap, err := c.Collect(context.Background(), fw.Cfg.Corpus, "2021-06", targets)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := core.Infer(snap, core.ApproachPriority, core.Config{
+		Profiles:               analysis.ProviderProfiles(fw.Directory),
+		AbuseClusterMinDomains: misidAbuseMin,
+	})
+	return fw, snap, res, oracle
+}
+
+// TestFlatMisidAcrossSeeds scores hostile flat worlds with the scorer
+// behind the committed MISID.json, over several seeds instead of the
+// one pinned example: every family 100 %, the forged provider never
+// credited.
+func TestFlatMisidAcrossSeeds(t *testing.T) {
+	for _, seed := range []uint64{1, 7, 21} {
+		fw, snap, res, oracle := flatMisid(t, world.FlatConfig{Seed: seed, NumDomains: 4000, AdversarialPercent: 12})
+		report := analysis.ScoreMisidentification(snap, res, oracle, fw.Directory)
+		if len(report.Families) != 7 {
+			t.Errorf("seed %d: %d families scored, want the six hostile ones and honest", seed, len(report.Families))
+		}
+		for _, fs := range report.Families {
+			if fs.Graded == 0 || fs.Accuracy != 100 || fs.CreditedForged != 0 {
+				t.Errorf("seed %d: %s: %d/%d graded domains correct (%v%%), forged provider credited %d times; want 100%% and 0",
+					seed, fs.Family, fs.Correct, fs.Graded, fs.Accuracy, fs.CreditedForged)
+			}
+		}
+	}
+}
+
+// familyVerdict is what collection and inference concluded about a
+// hostile domain and what its oracle entry demands of them, reduced to
+// what must not depend on which world planted the domain.
+type familyVerdict struct {
+	Failure       dataset.FailureClass
+	Untrusted     bool
+	Sentinel      string // the sentinel bucket holding credit, "" for none
+	ExpectFlagged bool
+	Forged        string
+}
+
+// familyVerdicts reduces a scored run to one verdict per hostile
+// family, failing the test when a family's domains disagree.
+func familyVerdicts(t *testing.T, which string, snap *dataset.Snapshot, res *core.Result, oracle []analysis.MisidOracle) map[string]familyVerdict {
+	t.Helper()
+	atts := analysis.Attributions(res)
+	failure := make(map[string]dataset.FailureClass, len(snap.Domains))
+	for i := range snap.Domains {
+		failure[snap.Domains[i].Domain] = snap.Domains[i].Failure
+	}
+	out := make(map[string]familyVerdict)
+	for _, e := range oracle {
+		if e.Family == "honest" {
+			continue
+		}
+		att := atts[e.Domain]
+		v := familyVerdict{
+			Failure: failure[e.Domain], Untrusted: att.Untrusted,
+			ExpectFlagged: e.ExpectFlagged, Forged: e.Forged,
+		}
+		for _, s := range []string{core.CreditUntrusted, core.CreditDangling, core.CreditParked} {
+			if att.Credits[s] > 0 {
+				v.Sentinel += s
+			}
+		}
+		if prev, ok := out[e.Family]; ok && prev != v {
+			t.Errorf("%s world, %s: %s reads %+v, an earlier member %+v", which, e.Family, e.Domain, v, prev)
+		}
+		out[e.Family] = v
+	}
+	return out
+}
+
+// TestAdversaryParity holds the two worlds to one adversary: a family
+// planted in the materialised world and the same family planted in the
+// flat one must leave the same failure class on the record, the same
+// trust verdict and sentinel credit on the attribution, and the same
+// demands in the oracle.
+func TestAdversaryParity(t *testing.T) {
+	m := misidScore(t)
+	var oracle []analysis.MisidOracle
+	for _, e := range m.Study.World.Oracle(world.CorpusAlexa) {
+		oracle = append(oracle, misidOracle(e))
+	}
+	snap, err := m.Study.Snapshot(context.Background(), m.Corpus, m.Date)
+	if err != nil {
+		t.Fatal(err)
+	}
+	materialised := familyVerdicts(t, "materialised", snap, m.Result, oracle)
+
+	_, fsnap, fres, foracle := flatMisid(t, world.FlatConfig{Seed: 7, NumDomains: 4000, AdversarialPercent: 12})
+	flat := familyVerdicts(t, "flat", fsnap, fres, foracle)
+
+	if len(materialised) != 6 {
+		t.Fatalf("materialised world plants %d hostile families, want 6", len(materialised))
+	}
+	if !reflect.DeepEqual(materialised, flat) {
+		t.Errorf("family verdicts differ between the worlds:\nmaterialised %+v\nflat         %+v", materialised, flat)
 	}
 }

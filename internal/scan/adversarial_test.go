@@ -145,7 +145,7 @@ func TestHonestWorldHasNoAdversarialClasses(t *testing.T) {
 }
 
 // TestFlatAdversarialPipeline runs the hostile flat band through the
-// fleet path — work-stealing collection, shard merge, streaming
+// fleet path — fleet collection, shard merge, streaming
 // inference — and pins the typed degradation and trust verdicts at this
 // seed. The counters are exact: any change to the band math, the family
 // slices or the collector's classification moves them.
@@ -174,15 +174,18 @@ func TestFlatAdversarialPipeline(t *testing.T) {
 	if !reflect.DeepEqual(h.Domains, wantDomains) {
 		t.Errorf("flat domain classes = %v, want %v", h.Domains, wantDomains)
 	}
+	// The hostile exchanges are the shared adversary's: four gone zones,
+	// two parked zones, two hijack clusters of two relays, two bulk
+	// exchanges and the backup relay pair.
 	wantExchanges := map[dataset.FailureClass]int{
-		dataset.FailOK:         137,
-		dataset.FailDanglingMX: 1,
+		dataset.FailOK:         141,
+		dataset.FailDanglingMX: 4,
 	}
 	if !reflect.DeepEqual(h.Exchanges, wantExchanges) {
 		t.Errorf("flat exchange classes = %v, want %v", h.Exchanges, wantExchanges)
 	}
 	wantIPs := map[dataset.FailureClass]int{
-		dataset.FailOK:       262,
+		dataset.FailOK:       265,
 		dataset.FailParkedIP: 2,
 	}
 	if !reflect.DeepEqual(h.IPs, wantIPs) {

@@ -93,31 +93,16 @@ func collect(ctx context.Context, lanes []*lane, perLane int, targets []Target, 
 	}
 	goroutines := len(lanes) * perLane
 
-	// Phase 1: DNS, work-stealing over target slices, so one slow slice
-	// (a stalled resolver, a cluster of timeouts) cannot serialize the
-	// run.
-	d := newDispatcher(len(targets), goroutines)
-	err := e.fanOut(ctx, func(ctx context.Context, l *lane) error {
-		for s := d.acquire(); s != nil; s = d.acquire() {
-			for lo, hi := s.claim(d.chunk); lo < hi; lo, hi = s.claim(d.chunk) {
-				for i := lo; i < hi; i++ {
-					if err := e.domain(ctx, l, i); err != nil {
-						return err // the run is over; s stays in flight
-					}
-				}
-			}
-			d.release(s)
-		}
-		return nil
-	})
+	// Phase 1: DNS, the (domain → MX → A) join of every target.
+	err := e.claimLoop(ctx, len(targets), claimSize(len(targets), 16*goroutines, 64), e.domain)
 	if err != nil {
 		return nil, err
 	}
 
-	// Phase 2: SMTP over the globally deduplicated address set, claimed
-	// off a cursor. The union and sort are tiny next to the domain
-	// corpus — provider concentration keeps distinct MX addresses orders
-	// of magnitude below the domain count.
+	// Phase 2: SMTP over the globally deduplicated address set. The
+	// union and sort are tiny next to the domain corpus — provider
+	// concentration keeps distinct MX addresses orders of magnitude below
+	// the domain count.
 	addrSet := make(map[netip.Addr]bool)
 	for _, l := range lanes {
 		for a := range l.addrs {
@@ -129,27 +114,13 @@ func collect(ctx context.Context, lanes []*lane, perLane int, targets []Target, 
 		addrs = append(addrs, a)
 	}
 	sort.Slice(addrs, func(i, j int) bool { return addrs[i].Less(addrs[j]) })
-
-	batch := claimSize(len(addrs), 4*goroutines, 16)
-	var cursor atomic.Int64
-	err = e.fanOut(ctx, func(ctx context.Context, l *lane) error {
-		for {
-			lo := int(cursor.Add(int64(batch))) - batch
-			if lo >= len(addrs) {
-				return nil
-			}
-			for _, a := range addrs[lo:min(lo+batch, len(addrs))] {
-				if err := e.addr(ctx, l, a); err != nil {
-					return err
-				}
-			}
-		}
-	})
+	err = e.claimLoop(ctx, len(addrs), claimSize(len(addrs), 4*goroutines, 16),
+		func(ctx context.Context, l *lane, i int) error { return e.addr(ctx, l, addrs[i]) })
 	if err != nil {
 		return nil, err
 	}
 
-	stats := &FleetStats{Workers: len(lanes), WorkShards: d.shards, Steals: d.steals}
+	stats := &FleetStats{Workers: len(lanes)}
 	for _, l := range lanes {
 		stats.Domains += l.domains
 		stats.IPs += l.ips
@@ -162,21 +133,34 @@ func collect(ctx context.Context, lanes []*lane, perLane int, targets []Target, 
 	return stats, nil
 }
 
-// fanOut runs work on every goroutine of every lane and waits for all
-// of them. The first failure cancels the rest and is the error
-// returned, so the caller's own cancellation comes ahead of whatever it
-// went on to cause.
-func (e *engine) fanOut(ctx context.Context, work func(context.Context, *lane) error) error {
+// claimLoop settles items 0..n-1, each exactly once, on every goroutine
+// of every lane: a goroutine claims the next size items off a shared
+// cursor, so one slow stretch (a stalled resolver, a cluster of
+// timeouts) holds up one claim, not a share of the run fixed in
+// advance. It waits for all of them; the first failure cancels the rest
+// and is the error returned, so the caller's own cancellation comes
+// ahead of whatever it went on to cause.
+func (e *engine) claimLoop(ctx context.Context, n, size int, settle func(context.Context, *lane, int) error) error {
 	ctx, cancel := context.WithCancelCause(ctx)
 	defer cancel(nil)
+	var cursor atomic.Int64
 	var wg sync.WaitGroup
 	for _, l := range e.lanes {
 		for g := 0; g < e.perLane; g++ {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				if err := work(ctx, l); err != nil {
-					cancel(err)
+				for {
+					lo := int(cursor.Add(int64(size))) - size
+					if lo >= n {
+						return
+					}
+					for i, hi := lo, min(lo+size, n); i < hi; i++ {
+						if err := settle(ctx, l, i); err != nil {
+							cancel(err)
+							return
+						}
+					}
 				}
 			}()
 		}
@@ -244,115 +228,4 @@ func (e *engine) addr(ctx context.Context, l *lane, a netip.Addr) error {
 // is at least parts claims and no goroutine idles while work remains.
 func claimSize(n, parts, limit int) int {
 	return max(1, min(limit, n/parts))
-}
-
-// fleetShard is one contiguous slice of the target list. Workers claim
-// chunks from the front; thieves cut off the back half.
-type fleetShard struct {
-	mu        sync.Mutex
-	next, end int
-}
-
-// claim takes up to n targets, returning a half-open index range
-// (lo == hi once the shard is drained).
-func (s *fleetShard) claim(n int) (lo, hi int) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	lo = s.next
-	hi = lo + n
-	if hi > s.end {
-		hi = s.end
-	}
-	s.next = hi
-	return lo, hi
-}
-
-func (s *fleetShard) remaining() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.end - s.next
-}
-
-// stealHalf cuts the back half off the shard for a thief, or returns
-// nil when fewer than min targets remain (not worth splitting).
-func (s *fleetShard) stealHalf(min int) *fleetShard {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	rem := s.end - s.next
-	if rem < min {
-		return nil
-	}
-	cut := s.end - rem/2
-	stolen := &fleetShard{next: cut, end: s.end}
-	s.end = cut
-	return stolen
-}
-
-// dispatcher hands shards to workers: queued shards first, in target
-// order, then halves stolen from the largest in-flight shard.
-type dispatcher struct {
-	// chunk is how many targets a worker claims from its shard at a
-	// time. A shard is stealable only while at least two chunks remain,
-	// so the chunk also bounds steal churn.
-	chunk  int
-	shards int
-
-	mu       sync.Mutex
-	queue    []*fleetShard
-	inflight map[*fleetShard]bool
-	steals   int
-}
-
-// newDispatcher cuts n targets into four contiguous shards per
-// goroutine — an idle one finds queued work before it has to steal —
-// each claimed a quarter at a time.
-func newDispatcher(n, goroutines int) *dispatcher {
-	d := &dispatcher{
-		chunk:    claimSize(n, 16*goroutines, 64),
-		shards:   min(4*goroutines, n),
-		inflight: make(map[*fleetShard]bool),
-	}
-	for i := 0; i < d.shards; i++ {
-		d.queue = append(d.queue, &fleetShard{next: i * n / d.shards, end: (i + 1) * n / d.shards})
-	}
-	return d
-}
-
-// acquire returns the next shard to work on, or nil when no queued
-// shard remains and no in-flight shard is worth splitting. Lock order
-// is d.mu then shard.mu.
-func (d *dispatcher) acquire() *fleetShard {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if len(d.queue) > 0 {
-		s := d.queue[0]
-		d.queue = d.queue[1:]
-		d.inflight[s] = true
-		return s
-	}
-	var victim *fleetShard
-	most := 0
-	for s := range d.inflight {
-		if rem := s.remaining(); rem > most {
-			victim, most = s, rem
-		}
-	}
-	if victim == nil {
-		return nil
-	}
-	// Only split when at least two chunks remain: stealing less leaves
-	// the thief a sliver and doubles the bookkeeping for nothing.
-	stolen := victim.stealHalf(2 * d.chunk)
-	if stolen == nil {
-		return nil
-	}
-	d.steals++
-	d.inflight[stolen] = true
-	return stolen
-}
-
-func (d *dispatcher) release(s *fleetShard) {
-	d.mu.Lock()
-	delete(d.inflight, s)
-	d.mu.Unlock()
 }

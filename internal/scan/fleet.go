@@ -48,11 +48,10 @@ type FleetConfig struct {
 type FleetStats struct {
 	// Workers is the number of workers that ran.
 	Workers int `json:"workers"`
-	// WorkShards is the number of contiguous slices the target list was
-	// cut into for dispatch (four per goroutine).
-	WorkShards int `json:"work_shards"`
-	// Steals counts shard splits: an idle worker cutting off the tail
-	// half of the largest in-flight shard.
+	// Steals is always 0: the engine claims work off a cursor and steals
+	// nothing. The field is declared only because bench/ (read-only in
+	// the PR that removed the work-stealing dispatcher) reads it as
+	// scan.steals; it goes when bench/ drops that metric (ROADMAP item 3).
 	Steals int `json:"steals"`
 	// Domains and IPs count the records written across all shards.
 	Domains int `json:"domains"`

@@ -3,12 +3,12 @@ package scan
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"math/rand/v2"
 	"net/netip"
 	"os"
 	"path/filepath"
-	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -17,92 +17,46 @@ import (
 	"mxmap/internal/world"
 )
 
-// runDispatch drives the dispatcher with racing workers over shard
-// boundaries and returns how often each index was claimed plus the
-// steal count.
-func runDispatch(n, workers, chunk int, bounds []int) ([]int32, int) {
-	d := &dispatcher{chunk: chunk, inflight: make(map[*fleetShard]bool)}
-	for i := 0; i+1 < len(bounds); i++ {
-		d.queue = append(d.queue, &fleetShard{next: bounds[i], end: bounds[i+1]})
-	}
-	counts := make([]int32, n)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				s := d.acquire()
-				if s == nil {
-					return
-				}
-				for {
-					lo, hi := s.claim(d.chunk)
-					if lo == hi {
-						break
-					}
-					for i := lo; i < hi; i++ {
-						counts[i]++ // exactly-once means no racing writers
-					}
-				}
-				d.release(s)
+// TestClaimLoopExactlyOnce drives the engine's one scheduler with racing
+// goroutines: every index is settled exactly once whatever the claim
+// size, and the first failure stops the run and is the error returned.
+func TestClaimLoopExactlyOnce(t *testing.T) {
+	e := &engine{lanes: []*lane{{}, {}, {}, {}}, perLane: 2}
+	ctx := context.Background()
+	for _, tc := range []struct{ n, size int }{{10_000, 7}, {10_000, 64}, {5, 64}, {1, 1}, {0, 1}} {
+		counts := make([]int32, tc.n)
+		err := e.claimLoop(ctx, tc.n, tc.size, func(_ context.Context, _ *lane, i int) error {
+			counts[i]++ // exactly-once means no racing writers
+			return nil
+		})
+		if err != nil {
+			t.Fatalf("n=%d size=%d: %v", tc.n, tc.size, err)
+		}
+		for i, c := range counts {
+			if c != 1 {
+				t.Fatalf("n=%d size=%d: index %d settled %d times", tc.n, tc.size, i, c)
 			}
-		}()
-	}
-	wg.Wait()
-	return counts, d.steals
-}
-
-// TestDispatcherExactlyOnce drives the work-stealing dispatcher with
-// racing workers and checks every index is claimed exactly once.
-func TestDispatcherExactlyOnce(t *testing.T) {
-	const n = 10_000
-	// Deliberately uneven shards, including empty ones.
-	counts, steals := runDispatch(n, 8, 7, []int{0, 0, 13, 13, 4000, 4001, 9000, n})
-	for i, c := range counts {
-		if c != 1 {
-			t.Fatalf("index %d claimed %d times", i, c)
 		}
 	}
-	t.Logf("steals: %d", steals)
-}
 
-// TestDispatcherSteals pins the interleaving the racing test cannot
-// guarantee: with the queue empty and one shard in flight, an idle
-// worker must walk away with its back half — and nothing else.
-func TestDispatcherSteals(t *testing.T) {
-	d := &dispatcher{chunk: 10, inflight: make(map[*fleetShard]bool)}
-	d.queue = []*fleetShard{{next: 0, end: 1000}}
-	owner := d.acquire()
-	lo, hi := owner.claim(d.chunk)
-	if lo != 0 || hi != 10 {
-		t.Fatalf("owner claimed [%d,%d), want [0,10)", lo, hi)
+	// A failure cancels the rest: the other goroutines finish the item
+	// in hand, as engine.domain and engine.addr do, and claim no more.
+	boom := errors.New("boom")
+	var settled atomic.Int64
+	err := e.claimLoop(ctx, 10_000, 7, func(ctx context.Context, _ *lane, _ int) error {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		if settled.Add(1) == 100 {
+			return boom
+		}
+		return nil
+	})
+	if !errors.Is(err, boom) {
+		t.Fatalf("claimLoop = %v, want the first failure", err)
 	}
-
-	stolen := d.acquire()
-	if stolen == nil || stolen == owner {
-		t.Fatalf("thief got %v, want a split of the in-flight shard", stolen)
-	}
-	if d.steals != 1 {
-		t.Fatalf("steals = %d, want 1", d.steals)
-	}
-	// 990 remained; the thief takes the back 495.
-	if got := stolen.remaining(); got != 495 {
-		t.Errorf("thief holds %d targets, want 495", got)
-	}
-	if got := owner.remaining(); got != 495 {
-		t.Errorf("owner keeps %d targets, want 495", got)
-	}
-	if slo, _ := stolen.claim(1); slo != 505 {
-		t.Errorf("thief starts at %d, want 505", slo)
-	}
-
-	// Below two chunks remaining, the shard is no longer worth
-	// splitting: a third worker finds nothing.
-	owner.next = owner.end - 2*d.chunk + 1
-	stolen.next = stolen.end
-	if s := d.acquire(); s != nil {
-		t.Fatalf("acquire split a shard with %d remaining (< 2 chunks)", 2*d.chunk-1)
+	if got, most := settled.Load(), int64(100+len(e.lanes)*e.perLane); got > most {
+		t.Errorf("%d items settled after the 100th failed, want at most %d", got, most)
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand/v2"
 	"net/netip"
+	"slices"
 	"strings"
 
 	"mxmap/internal/asn"
@@ -124,12 +125,19 @@ type AbuseCluster struct {
 	Zone string
 	// Exchange is the shared MX exchange name.
 	Exchange string
-	// Addr is the exchange's address.
-	Addr netip.Addr
 	// Stem is the shared look-alike naming stem of member domains.
 	Stem string
 	// Company is the operator's directory name.
 	Company string
+}
+
+// abuseSuffix ends every look-alike member name.
+const abuseSuffix = ".xyz"
+
+// memberName is the look-alike name of the cluster's n-th member: the
+// shared stem, then n zero-padded to width digits.
+func (ac AbuseCluster) memberName(width, n int) string {
+	return fmt.Sprintf("%s-%0*d%s", ac.Stem, width, n, abuseSuffix)
 }
 
 // BackupRelayInfo is the shared backup-MX provider BLBFO topologies
@@ -139,13 +147,15 @@ type BackupRelayInfo struct {
 	Zone string
 	// Hosts are the relay exchange names.
 	Hosts []string
-	// Addrs are the exchanges' addresses (parallel to Hosts).
-	Addrs []netip.Addr
 	// Company is the provider's directory name.
 	Company string
 }
 
-// Adversary holds the hostile shared infrastructure of a world.
+// Adversary is the one definition of the hostile layer, shared by World
+// and FlatWorld: the fixtures (zones, hosts, addresses, ASNs, directory
+// entries) and, per family, the MX shape, the ground-truth operator and
+// the oracle entry. A world decides only WHICH domains turn hostile and
+// hands each one's AdvSpec to the methods below.
 type Adversary struct {
 	// ParkedIPs are the parking service's sinkhole addresses; port 25 is
 	// closed forever.
@@ -163,7 +173,23 @@ type Adversary struct {
 	// BackupRelay is the shared backup-MX provider.
 	BackupRelay BackupRelayInfo
 
-	parked map[netip.Addr]bool
+	// hosts is every name of the layer — the exchanges its MX records
+	// point at and the attackers' nameservers — in zone order. Catalog
+	// zones, the registry view, leftover glue and the flat resolver's
+	// answers are all read off this one table.
+	hosts []advHost
+	// prefixes is the address space the layer announces.
+	prefixes []netip.Prefix
+}
+
+// advHost is one row of the adversary's host table.
+type advHost struct {
+	zone, host string
+	// addr is what host resolves to; invalid when it no longer resolves.
+	addr netip.Addr
+	// lapsed marks a zone the registry dropped: nothing serves it, and
+	// the host resolves only through leftover glue, if any.
+	lapsed bool
 }
 
 // advCycle spreads selected domains over families round-robin; hijack
@@ -185,49 +211,59 @@ func (w *World) HasAdversarial() bool { return w.Adversary != nil }
 
 // ParkedAddr reports whether addr belongs to a known domain-parking
 // service — the external parking-IP feed the collector consults.
-func (w *World) ParkedAddr(addr netip.Addr) bool {
-	return w.Adversary != nil && w.Adversary.parked[addr]
+func (w *World) ParkedAddr(addr netip.Addr) bool { return w.Adversary.Parked(addr) }
+
+// Parked reports whether addr is one of the parking sinkholes. Safe on
+// a nil Adversary (always false), so honest worlds wire it as well.
+func (a *Adversary) Parked(addr netip.Addr) bool {
+	return a != nil && slices.Contains(a.ParkedIPs, addr)
 }
 
-// ensureAdversary materializes the hostile shared infrastructure:
-// address space, AS announcements, SMTP endpoints and directory entries.
-// Deterministic — no randomness is consumed.
-func (w *World) ensureAdversary() error {
-	if w.Adversary != nil {
-		return nil
+// newAdversary creates the hostile shared infrastructure in a world's
+// registries: address space and AS announcements, directory entries for
+// the operators that legitimately exist, and — through addHost — what
+// listens on each address (spec nil: port 25 closed). It consumes no
+// randomness, issues no certificate and starts no server. To add a
+// family, add its fixtures here and an arm to newAdvSpec, mxRecords,
+// truth and OracleEntry; both worlds pick it up from there.
+func newAdversary(reg *asn.Registry, prefixes *asn.Table, dir *companies.Directory,
+	addHost func(netip.Addr, asn.ASN, *SMTPSpec)) (*Adversary, error) {
+	a := &Adversary{}
+	announce := func(as asn.AS, net24 [4]byte) error {
+		as.CountryCode = "US"
+		reg.Register(as)
+		prefix := netip.PrefixFrom(netip.AddrFrom4(net24), 24)
+		a.prefixes = append(a.prefixes, prefix)
+		return prefixes.Insert(prefix, as.Number)
 	}
-	a := &Adversary{parked: make(map[netip.Addr]bool)}
 
 	// Parking service: a /24 of sinkhole addresses, port 25 closed.
 	parkASN := asn.ASN(64990)
-	w.ASRegistry.Register(asn.AS{
-		Number: parkASN, Name: "ParkZone", Org: "ParkZone Holdings", CountryCode: "US",
-	})
-	if err := w.Prefixes.Insert(netip.PrefixFrom(netip.AddrFrom4([4]byte{100, 126, 0, 0}), 24), parkASN); err != nil {
-		return err
+	if err := announce(asn.AS{Number: parkASN, Name: "ParkZone", Org: "ParkZone Holdings"},
+		[4]byte{100, 126, 0, 0}); err != nil {
+		return nil, err
 	}
 	for k := 0; k < numParkedZones; k++ {
 		addr := netip.AddrFrom4([4]byte{100, 126, 0, byte(1 + k)})
+		zone := fmt.Sprintf("parked-claims%02d.net", k)
 		a.ParkedIPs = append(a.ParkedIPs, addr)
-		a.parked[addr] = true
-		w.Hosts[addr] = &Host{Addr: addr, ASN: parkASN, SMTP: nil}
-		a.ParkedZones = append(a.ParkedZones, fmt.Sprintf("parked-claims%02d.net", k))
+		a.ParkedZones = append(a.ParkedZones, zone)
+		addHost(addr, parkASN, nil)
+		a.hosts = append(a.hosts, advHost{zone: zone, host: "mx." + zone, addr: addr})
 	}
 	for k := 0; k < numGoneZones; k++ {
-		a.GoneZones = append(a.GoneZones, fmt.Sprintf("gone-mail%02d.net", k))
+		zone := fmt.Sprintf("gone-mail%02d.net", k)
+		a.GoneZones = append(a.GoneZones, zone)
+		a.hosts = append(a.hosts, advHost{zone: zone, host: "mx." + zone, lapsed: true})
 	}
 
 	// Hijack clusters: relays in lapsed zones, reachable via stale glue,
-	// claiming a big provider's identity.
+	// claiming a big provider's identity with no certificate to back it.
 	for k := 0; k < numHijackClusters; k++ {
 		hjASN := asn.ASN(64991 + k)
-		w.ASRegistry.Register(asn.AS{
-			Number: hjASN, Name: fmt.Sprintf("BPH-%d", k),
-			Org: fmt.Sprintf("Bulletproof Hosting %d", k), CountryCode: "US",
-		})
-		prefix := netip.PrefixFrom(netip.AddrFrom4([4]byte{100, 125, byte(k), 0}), 24)
-		if err := w.Prefixes.Insert(prefix, hjASN); err != nil {
-			return err
+		if err := announce(asn.AS{Number: hjASN, Name: fmt.Sprintf("BPH-%d", k),
+			Org: fmt.Sprintf("Bulletproof Hosting %d", k)}, [4]byte{100, 125, byte(k), 0}); err != nil {
+			return nil, err
 		}
 		hc := HijackCluster{
 			RelayZone: fmt.Sprintf("hijack%02d-relay.net", k),
@@ -239,12 +275,16 @@ func (w *World) ensureAdversary() error {
 			addr := netip.AddrFrom4([4]byte{100, 125, byte(k), byte(1 + i)})
 			hc.RelayHosts = append(hc.RelayHosts, host)
 			hc.RelayAddrs = append(hc.RelayAddrs, addr)
-			w.Hosts[addr] = &Host{Addr: addr, ASN: hjASN, SMTP: &SMTPSpec{
+			addHost(addr, hjASN, &SMTPSpec{
 				Hostname: host,
 				Banner:   "mx.google.com ESMTP gsmtp",
 				EHLOName: "mx.google.com",
-			}}
+			})
+			a.hosts = append(a.hosts, advHost{zone: hc.RelayZone, host: host, addr: addr, lapsed: true})
 		}
+		// The attacker's nameserver zone is registered, and served off
+		// the first relay.
+		a.hosts = append(a.hosts, advHost{zone: hc.DNSZone, host: "ns1." + hc.DNSZone, addr: hc.RelayAddrs[0]})
 		a.HijackClusters = append(a.HijackClusters, hc)
 	}
 
@@ -253,22 +293,20 @@ func (w *World) ensureAdversary() error {
 	for k := 0; k < numAbuseClusters; k++ {
 		abASN := asn.ASN(64994 + k)
 		company := fmt.Sprintf("Bulk Blast Mail %02d", k)
-		w.ASRegistry.Register(asn.AS{
-			Number: abASN, Name: fmt.Sprintf("BULK-%d", k), Org: company, CountryCode: "US",
-		})
-		prefix := netip.PrefixFrom(netip.AddrFrom4([4]byte{100, 124, byte(k), 0}), 24)
-		if err := w.Prefixes.Insert(prefix, abASN); err != nil {
-			return err
+		if err := announce(asn.AS{Number: abASN, Name: fmt.Sprintf("BULK-%d", k), Org: company},
+			[4]byte{100, 124, byte(k), 0}); err != nil {
+			return nil, err
 		}
 		ac := AbuseCluster{
 			Zone:    fmt.Sprintf("bulk%02d-mail.xyz", k),
 			Stem:    abuseStems[k%len(abuseStems)],
 			Company: company,
-			Addr:    netip.AddrFrom4([4]byte{100, 124, byte(k), 1}),
 		}
 		ac.Exchange = "mx." + ac.Zone
-		w.Hosts[ac.Addr] = &Host{Addr: ac.Addr, ASN: abASN, SMTP: &SMTPSpec{Hostname: ac.Exchange}}
-		w.Directory.Register(companies.Company{
+		addr := netip.AddrFrom4([4]byte{100, 124, byte(k), 1})
+		addHost(addr, abASN, &SMTPSpec{Hostname: ac.Exchange})
+		a.hosts = append(a.hosts, advHost{zone: ac.Zone, host: ac.Exchange, addr: addr})
+		dir.Register(companies.Company{
 			Name: company, Kind: companies.KindOther, Country: "US",
 			ProviderIDs: []string{ac.Zone}, ASNs: []asn.ASN{abASN},
 		})
@@ -279,27 +317,66 @@ func (w *World) ensureAdversary() error {
 	// provider the BLBFO topologies share.
 	brASN := asn.ASN(64997)
 	br := BackupRelayInfo{Zone: "backup-relay-mail.net", Company: "Backup MX Relay"}
-	w.ASRegistry.Register(asn.AS{
-		Number: brASN, Name: "BACKUPMX", Org: br.Company, CountryCode: "US",
-	})
-	if err := w.Prefixes.Insert(netip.PrefixFrom(netip.AddrFrom4([4]byte{100, 123, 0, 0}), 24), brASN); err != nil {
-		return err
+	if err := announce(asn.AS{Number: brASN, Name: "BACKUPMX", Org: br.Company},
+		[4]byte{100, 123, 0, 0}); err != nil {
+		return nil, err
 	}
 	for i := 0; i < 2; i++ {
 		host := fmt.Sprintf("mx%d.%s", i+1, br.Zone)
 		addr := netip.AddrFrom4([4]byte{100, 123, 0, byte(1 + i)})
 		br.Hosts = append(br.Hosts, host)
-		br.Addrs = append(br.Addrs, addr)
-		w.Hosts[addr] = &Host{Addr: addr, ASN: brASN, SMTP: &SMTPSpec{Hostname: host}}
+		addHost(addr, brASN, &SMTPSpec{Hostname: host})
+		a.hosts = append(a.hosts, advHost{zone: br.Zone, host: host, addr: addr})
 	}
-	w.Directory.Register(companies.Company{
+	dir.Register(companies.Company{
 		Name: br.Company, Kind: companies.KindOther, Country: "US",
 		ProviderIDs: []string{br.Zone}, ASNs: []asn.ASN{brASN},
 	})
 	a.BackupRelay = br
+	return a, nil
+}
 
-	w.Adversary = a
+// registerAccessISPs announces the access-ISP plan self-hosted mail
+// servers live in: block k is 100.(64+k)/16 out of 100.64/10, origin
+// AS 65000+k. The adversary's fixtures sit in the top of the same /10,
+// so a plan that reaches them is refused: it would hand honest domains
+// the relay, sinkhole and bulk addresses.
+func registerAccessISPs(reg *asn.Registry, prefixes *asn.Table, blocks int, adv *Adversary) error {
+	for k := 0; k < blocks; k++ {
+		prefix := netip.PrefixFrom(netip.AddrFrom4([4]byte{100, byte(64 + k), 0, 0}), 16)
+		if adv != nil {
+			for _, p := range adv.prefixes {
+				if prefix.Overlaps(p) {
+					return fmt.Errorf("world: access ISP block %d (%s) overlaps the adversary's %s; a hostile world holds at most %d blocks", k, prefix, p, k)
+				}
+			}
+		}
+		a := asn.ASN(65000 + k)
+		reg.Register(asn.AS{
+			Number: a, Name: fmt.Sprintf("ISP-%d", k),
+			Org: fmt.Sprintf("Access ISP %d", k), CountryCode: "US",
+		})
+		if err := prefixes.Insert(prefix, a); err != nil {
+			return err
+		}
+	}
 	return nil
+}
+
+// newAdvSpec places the n-th member of a family: hijack and abuse
+// members round-robin over their clusters, BLBFO members over the
+// failover shapes.
+func newAdvSpec(fam ScenarioFamily, n int) AdvSpec {
+	spec := AdvSpec{Family: fam}
+	switch fam {
+	case FamilyHijack:
+		spec.Cluster = n % numHijackClusters
+	case FamilyAbuse:
+		spec.Cluster = n % numAbuseClusters
+	case FamilyBLBFO:
+		spec.Topology = blbfoTopologies[n%len(blbfoTopologies)]
+	}
+	return spec
 }
 
 // applyAdversarial rewrites the final stint of a deterministic sample of
@@ -321,27 +398,21 @@ func (w *World) applyAdversarial(c *Corpus) {
 	for k := 0; k < n; k++ {
 		d := c.Domains[perm[k]]
 		fam := advCycle[k%len(advCycle)]
-		spec := &AdvSpec{Family: fam}
-		switch fam {
-		case FamilyHijack:
-			spec.Cluster = counts[fam] % numHijackClusters
-		case FamilyAbuse:
-			spec.Cluster = counts[fam] % numAbuseClusters
+		spec := newAdvSpec(fam, counts[fam])
+		if fam == FamilyAbuse {
 			w.renameAbuseDomain(d, spec.Cluster, counts[fam])
-		case FamilyBLBFO:
-			spec.Topology = blbfoTopologies[counts[fam]%len(blbfoTopologies)]
 		}
 		counts[fam]++
-		d.Adv = spec
-		w.rewriteFinalStint(d, spec, last, rng)
+		d.Adv = &spec
+		w.rewriteFinalStint(d, &spec, last, rng)
 	}
 }
 
 // renameAbuseDomain gives an abuse-cluster member its look-alike name.
 func (w *World) renameAbuseDomain(d *Domain, cluster, member int) {
-	stem := w.Adversary.AbuseClusters[cluster].Stem
+	ac := w.Adversary.AbuseClusters[cluster]
 	for {
-		name := fmt.Sprintf("%s-%03d.xyz", stem, member)
+		name := ac.memberName(3, member)
 		if !w.usedNames[name] {
 			w.usedNames[name] = true
 			d.Name = name
@@ -375,46 +446,51 @@ func (w *World) rewriteFinalStint(d *Domain, spec *AdvSpec, last int, rng *rand.
 	}
 }
 
-// advTruth is the ground-truth operator bucket for an adversarial stint.
-func (w *World) advTruth(d *Domain, st *Stint) string {
-	a := w.Adversary
-	if a == nil || d.Adv == nil {
-		return ""
+// advPrimary returns the MX hosts and company name of an adversarial
+// stint's primary provider — what the BLBFO arms of mxRecords and truth
+// build on; empty for a stint that never had one.
+func (w *World) advPrimary(st *Stint) (hosts []string, company string) {
+	if st.Provider < 0 {
+		return nil, ""
 	}
-	switch d.Adv.Family {
+	p := w.Providers[st.Provider]
+	return p.MailHosts, p.Company.Name
+}
+
+// truth is the ground-truth operator bucket of a hostile domain;
+// primary is the company behind its BLBFO primary tier.
+func (a *Adversary) truth(spec AdvSpec, primary string) string {
+	switch spec.Family {
 	case FamilyHijack:
 		// The registrant lost control; mail flows to the attacker's
 		// relay zone. No legitimate operator exists to credit.
-		return a.HijackClusters[d.Adv.Cluster].RelayZone
+		return a.HijackClusters[spec.Cluster].RelayZone
 	case FamilyAbuse:
-		return a.AbuseClusters[d.Adv.Cluster].Company
+		return a.AbuseClusters[spec.Cluster].Company
 	case FamilyBLBFO:
-		if d.Adv.Topology == TopologyBackupOnly {
+		if spec.Topology == TopologyBackupOnly {
 			return a.BackupRelay.Company
 		}
-		return w.Providers[st.Provider].Company.Name
+		return primary
 	default:
 		// Dangling, parked, lame: the mail service is gone.
 		return ""
 	}
 }
 
-// advMXRecords derives the MX configuration of an adversarial stint.
-func (w *World) advMXRecords(d *Domain, st *Stint) []MXRec {
-	a := w.Adversary
-	if a == nil || d.Adv == nil {
-		return nil
-	}
-	v := uint64(st.Variant)
-	switch d.Adv.Family {
+// mxRecords derives the MX set of a hostile domain from its scenario, a
+// per-domain variant and the MX hosts of its primary provider (BLBFO
+// only). Addrs stay empty: no exchange here is in the domain's own zone.
+func (a *Adversary) mxRecords(spec AdvSpec, variant uint64, primary []string) []MXRec {
+	switch spec.Family {
 	case FamilyDanglingNX:
-		return []MXRec{{Pref: 10, Host: "mx." + a.GoneZones[int(v)%len(a.GoneZones)]}}
+		return []MXRec{{Pref: 10, Host: "mx." + a.GoneZones[variant%uint64(len(a.GoneZones))]}}
 	case FamilyDanglingParked:
-		return []MXRec{{Pref: 10, Host: "mx." + a.ParkedZones[int(v)%len(a.ParkedZones)]}}
+		return []MXRec{{Pref: 10, Host: "mx." + a.ParkedZones[variant%uint64(len(a.ParkedZones))]}}
 	case FamilyHijack:
-		hc := a.HijackClusters[d.Adv.Cluster]
+		hc := a.HijackClusters[spec.Cluster]
 		recs := []MXRec{{Pref: 10, Host: hc.RelayHosts[0]}}
-		if v%2 == 0 {
+		if variant%2 == 0 {
 			recs = append(recs, MXRec{Pref: 20, Host: hc.RelayHosts[1]})
 		}
 		return recs
@@ -422,26 +498,42 @@ func (w *World) advMXRecords(d *Domain, st *Stint) []MXRec {
 		// The zone is never served; no records are reachable anyway.
 		return nil
 	case FamilyAbuse:
-		return []MXRec{{Pref: 10, Host: a.AbuseClusters[d.Adv.Cluster].Exchange}}
+		return []MXRec{{Pref: 10, Host: a.AbuseClusters[spec.Cluster].Exchange}}
 	case FamilyBLBFO:
-		p := w.Providers[st.Provider]
 		br := a.BackupRelay
-		switch d.Adv.Topology {
+		first, second := primary[0], primary[1%len(primary)]
+		switch spec.Topology {
 		case TopologyTiered:
-			return []MXRec{
-				providerMX(p, 0, 10), providerMX(p, 1%len(p.MailHosts), 20),
-				{Pref: 30, Host: br.Hosts[0]},
-			}
+			return []MXRec{{Pref: 10, Host: first}, {Pref: 20, Host: second}, {Pref: 30, Host: br.Hosts[0]}}
 		case TopologySkewed:
-			return []MXRec{
-				providerMX(p, 0, 10), providerMX(p, 1%len(p.MailHosts), 10),
-				{Pref: 20, Host: br.Hosts[1]},
-			}
-		default: // backup-only
+			return []MXRec{{Pref: 10, Host: first}, {Pref: 10, Host: second}, {Pref: 20, Host: br.Hosts[1]}}
+		default: // backup-only: no primary of its own at all
 			return []MXRec{{Pref: 10, Host: br.Hosts[0]}, {Pref: 20, Host: br.Hosts[1]}}
 		}
 	}
 	return nil
+}
+
+// OracleEntry is the machine-readable ground truth of one domain: spec
+// is its scenario (Family honest for an untouched domain, on which a
+// may be nil) and truth its operator bucket.
+func (a *Adversary) OracleEntry(domain string, spec AdvSpec, truth string) OracleEntry {
+	e := OracleEntry{Domain: domain, Family: spec.Family, Truth: truth}
+	switch spec.Family {
+	case FamilyDanglingNX, FamilyDanglingParked:
+		e.ExpectFlagged = true
+	case FamilyHijack:
+		hc := a.HijackClusters[spec.Cluster]
+		e.ExpectFlagged = true
+		e.Forged = hc.Forged
+		e.Detail = hc.RelayZone
+	case FamilyAbuse:
+		e.ExpectFlagged = true
+		e.Detail = a.AbuseClusters[spec.Cluster].Zone
+	case FamilyBLBFO:
+		e.Detail = spec.Topology
+	}
+	return e
 }
 
 // Oracle returns the per-domain ground truth of a corpus at its final
@@ -455,27 +547,37 @@ func (w *World) Oracle(corpusName string) []OracleEntry {
 	last := len(c.Dates) - 1
 	out := make([]OracleEntry, 0, len(c.Domains))
 	for _, d := range c.Domains {
-		e := OracleEntry{Domain: d.Name, Family: FamilyHonest, Truth: w.TruthCompany(d, last)}
+		spec := AdvSpec{Family: FamilyHonest}
 		if d.Adv != nil {
-			e.Family = d.Adv.Family
-			switch d.Adv.Family {
-			case FamilyDanglingNX, FamilyDanglingParked, FamilyAbuse:
-				e.ExpectFlagged = true
-			case FamilyHijack:
-				e.ExpectFlagged = true
-				hc := w.Adversary.HijackClusters[d.Adv.Cluster]
-				e.Forged = hc.Forged
-				e.Detail = hc.RelayZone
-			case FamilyBLBFO:
-				e.Detail = d.Adv.Topology
-			}
-			if d.Adv.Family == FamilyAbuse {
-				e.Detail = w.Adversary.AbuseClusters[d.Adv.Cluster].Zone
-			}
+			spec = *d.Adv
 		}
-		out = append(out, e)
+		out = append(out, w.Adversary.OracleEntry(d.Name, spec, w.TruthCompany(d, last)))
 	}
 	return out
+}
+
+// lookup returns the addresses of one of the layer's own hosts, served
+// or leftover glue alike; nil for any other name.
+func (a *Adversary) lookup(host string) []netip.Addr {
+	var addrs []netip.Addr
+	for _, h := range a.hosts {
+		if h.host == host && h.addr.IsValid() {
+			addrs = append(addrs, h.addr)
+		}
+	}
+	return addrs
+}
+
+// zoneLapsed reports whether host sits in namespace the layer's story
+// has the registry drop: a gone zone or a hijack relay zone.
+func (a *Adversary) zoneLapsed(host string) bool {
+	h := strings.TrimSuffix(host, ".")
+	for _, r := range a.hosts {
+		if cut := len(h) - len(r.zone); r.lapsed && strings.HasSuffix(h, r.zone) && (cut == 0 || h[cut-1] == '.') {
+			return true
+		}
+	}
+	return false
 }
 
 // ScenarioResolver layers a registry-side view of the namespace over a
@@ -527,21 +629,16 @@ func (w *World) ScenarioResolverAt(catalog *dns.Catalog, date string) *ScenarioR
 		}
 	}
 	if a := w.Adversary; a != nil {
-		for _, z := range a.ParkedZones {
-			register(z)
-		}
-		for _, hc := range a.HijackClusters {
-			// The relay zone lapsed — it is NOT registered — but its old
-			// glue records still resolve the relay hosts.
-			register(hc.DNSZone)
-			for i, host := range hc.RelayHosts {
-				sr.glue[host] = []netip.Addr{hc.RelayAddrs[i]}
+		for _, h := range a.hosts {
+			switch {
+			case !h.lapsed:
+				register(h.zone)
+			case h.addr.IsValid():
+				// A lapsed zone is NOT registered, but its old glue records
+				// still resolve its hosts.
+				sr.glue[h.host] = append(sr.glue[h.host], h.addr)
 			}
 		}
-		for _, ac := range a.AbuseClusters {
-			register(ac.Zone)
-		}
-		register(a.BackupRelay.Zone)
 	}
 	return sr
 }

@@ -2,7 +2,6 @@ package world
 
 import (
 	"context"
-	"crypto/tls"
 	"fmt"
 	"math/rand/v2"
 	"net"
@@ -32,7 +31,9 @@ type FlatConfig struct {
 	Corpus string
 	// AdversarialPercent turns this share of the corpus hostile, split
 	// evenly across the six scenario families (percent; 0 disables and
-	// keeps honest worlds exactly as before).
+	// keeps honest worlds exactly as before). The adversary's fixtures
+	// take the top of the self-hosting address range, so a hostile world
+	// holds at most 59<<16 domains.
 	AdversarialPercent float64
 }
 
@@ -86,20 +87,14 @@ type FlatWorld struct {
 
 	providers  []*flatProvider
 	byID       map[string]*flatProvider
-	byAddr     map[netip.Addr]*flatHost
-	adv        *flatAdversary
+	byAddr     map[netip.Addr]*SMTPSpec
+	adv        *Adversary
 	selfCut    float64 // assignment draws below this self-host
 	advCut     float64 // ... below this are adversarial ...
 	noMXCut    float64 // ... and below this have no MX at all
 	digits     int
 	namePrefix string
 	nameSuffix string
-}
-
-// flatHost is the serving identity of one provider address.
-type flatHost struct {
-	hostname string
-	leaf     *certs.Leaf
 }
 
 // NewFlatWorld builds the provider roster and address plan. Cost is
@@ -124,7 +119,7 @@ func NewFlatWorld(cfg FlatConfig) (*FlatWorld, error) {
 		ASRegistry: asn.NewRegistry(),
 		Directory:  companies.Curated(),
 		byID:       make(map[string]*flatProvider),
-		byAddr:     make(map[netip.Addr]*flatHost),
+		byAddr:     make(map[netip.Addr]*SMTPSpec),
 		// Each domain is its own registered domain ("d000000042.com"),
 		// so self-hosting attribution (provider ID == registered domain)
 		// works exactly as in the full world.
@@ -227,15 +222,28 @@ func NewFlatWorld(cfg FlatConfig) (*FlatWorld, error) {
 		}
 		p.addrs = make([][]netip.Addr, len(p.hosts))
 		for h := range p.hosts {
+			spec := &SMTPSpec{Hostname: p.hosts[h], Leaf: p.leaf}
 			for k := 0; k < 2; k++ {
 				a := netip.AddrFrom4([4]byte{10, byte(1 + i), byte(h), byte(1 + k)})
 				p.addrs[h] = append(p.addrs[h], a)
-				fw.byAddr[a] = &flatHost{hostname: p.hosts[h], leaf: p.leaf}
+				fw.byAddr[a] = spec
 			}
 		}
 		fw.byID[p.id] = p
 	}
 
+	if advPct > 0 {
+		// Sinkholes get no entry in byAddr, so dials to them are refused.
+		fw.adv, err = newAdversary(fw.ASRegistry, fw.Prefixes, fw.Directory,
+			func(a netip.Addr, _ asn.ASN, spec *SMTPSpec) {
+				if spec != nil {
+					fw.byAddr[a] = spec
+				}
+			})
+		if err != nil {
+			return nil, err
+		}
+	}
 	// Access ISPs for the self-hosted tail: one /16 per 65k domains out
 	// of 100.64/10 (indexes map 1:1 onto addresses, so nothing is
 	// stored per domain).
@@ -243,21 +251,8 @@ func NewFlatWorld(cfg FlatConfig) (*FlatWorld, error) {
 	if blocks > 64 {
 		return nil, fmt.Errorf("world: flat world caps at %d domains", 64<<16)
 	}
-	for k := 0; k < blocks; k++ {
-		a := asn.ASN(65000 + k)
-		fw.ASRegistry.Register(asn.AS{
-			Number: a, Name: fmt.Sprintf("Flat ISP %d", k),
-			Org: fmt.Sprintf("Flat Access ISP %d", k), CountryCode: "US",
-		})
-		prefix := netip.PrefixFrom(netip.AddrFrom4([4]byte{100, byte(64 + k), 0, 0}), 16)
-		if err := fw.Prefixes.Insert(prefix, a); err != nil {
-			return nil, err
-		}
-	}
-	if advPct > 0 {
-		if err := fw.buildFlatAdversary(); err != nil {
-			return nil, err
-		}
+	if err := registerAccessISPs(fw.ASRegistry, fw.Prefixes, blocks, fw.adv); err != nil {
+		return nil, fmt.Errorf("%w (one block per %d flat domains)", err, 1<<16)
 	}
 	return fw, nil
 }
@@ -270,8 +265,8 @@ func (fw *FlatWorld) NumDomains() int { return fw.Cfg.NumDomains }
 // Abuse-family domains carry look-alike names instead of the canonical
 // pattern; both encode the same index.
 func (fw *FlatWorld) DomainName(i int) string {
-	if fw.adv != nil && fw.familyOf(i) == FamilyAbuse {
-		return fmt.Sprintf("%s%0*d%s", flatAbusePrefix, fw.digits, i, flatAbuseSuffix)
+	if spec, _ := fw.advSpec(i); spec.Family == FamilyAbuse {
+		return fw.adv.AbuseClusters[spec.Cluster].memberName(fw.digits, i)
 	}
 	return fmt.Sprintf("%s%0*d%s", fw.namePrefix, fw.digits, i, fw.nameSuffix)
 }
@@ -280,20 +275,19 @@ func (fw *FlatWorld) DomainName(i int) string {
 // canonical or look-alike — is the name of the index. Callers scoring
 // inference output against OracleAt use it to map measured domains back
 // to their indices without materializing the corpus.
+//
+// A name only resolves when it is the canonical spelling for its index —
+// a look-alike name for an honest index (or vice versa) stays NXDOMAIN.
 func (fw *FlatWorld) DomainIndex(name string) (int, bool) {
-	return fw.domainIndex(name)
-}
-
-// domainIndex inverts DomainName. A name only resolves when it is the
-// canonical spelling for its index — a look-alike name for an honest
-// index (or vice versa) stays NXDOMAIN.
-func (fw *FlatWorld) domainIndex(name string) (int, bool) {
 	if i, ok := fw.parseIndex(name, fw.namePrefix, fw.nameSuffix); ok {
-		return i, fw.adv == nil || fw.familyOf(i) != FamilyAbuse
+		return i, fw.familyOf(i) != FamilyAbuse
 	}
 	if fw.adv != nil {
-		if i, ok := fw.parseIndex(name, flatAbusePrefix, flatAbuseSuffix); ok {
-			return i, fw.familyOf(i) == FamilyAbuse
+		for k, ac := range fw.adv.AbuseClusters {
+			if i, ok := fw.parseIndex(name, ac.Stem+"-", abuseSuffix); ok {
+				spec, _ := fw.advSpec(i)
+				return i, spec.Family == FamilyAbuse && spec.Cluster == k
+			}
 		}
 	}
 	return 0, false
@@ -319,13 +313,19 @@ func (fw *FlatWorld) parseIndex(name, prefix, suffix string) (int, bool) {
 // visibly non-uniform on sequential keys, so the hash goes through a
 // murmur-style finalizer before becoming a share coordinate.
 func (fw *FlatWorld) draw(i int) float64 {
-	h := hash64(fmt.Sprintf("flat/%d/assign/%d", fw.Cfg.Seed, i))
+	h := mix64(hash64(fmt.Sprintf("flat/%d/assign/%d", fw.Cfg.Seed, i)))
+	return float64(h>>11) / float64(1<<53)
+}
+
+// mix64 is the murmur3 finalizer: every input bit reaches every output
+// bit, so disjoint bit ranges of the result are independent draws.
+func mix64(h uint64) uint64 {
 	h ^= h >> 33
 	h *= 0xff51afd7ed558ccd
 	h ^= h >> 33
 	h *= 0xc4ceb9fe1a85ec53
 	h ^= h >> 33
-	return float64(h>>11) / float64(1<<53)
+	return h
 }
 
 // providerOf resolves a domain index to its provider, or nil for
@@ -353,8 +353,8 @@ func (fw *FlatWorld) providerOf(i int) (p *flatProvider, ok bool) {
 // the company name, the domain itself when self-hosted, or "" for no
 // mail service.
 func (fw *FlatWorld) TruthCompany(i int) string {
-	if fam := fw.familyOf(i); fam != FamilyHonest {
-		return fw.advTruthFlat(i, fam)
+	if spec, variant := fw.advSpec(i); spec.Family != FamilyHonest {
+		return fw.adv.truth(spec, fw.advPrimary(variant).company)
 	}
 	p, ok := fw.providerOf(i)
 	switch {
@@ -395,12 +395,20 @@ func (fw *FlatWorld) Dialer() smtp.Dialer { return flatDialer{fw} }
 type flatResolver struct{ fw *FlatWorld }
 
 func (r flatResolver) LookupMX(_ context.Context, domain string) ([]dns.MXData, error) {
-	i, ok := r.fw.domainIndex(domain)
+	i, ok := r.fw.DomainIndex(domain)
 	if !ok {
 		return nil, dns.ErrNXDomain
 	}
-	if fam := r.fw.familyOf(i); fam != FamilyHonest {
-		return r.fw.advFlatMX(i, fam)
+	if spec, variant := r.fw.advSpec(i); spec.Family != FamilyHonest {
+		if spec.Family == FamilyLame {
+			return nil, fmt.Errorf("dns: lame delegation for %s: %w", domain, dns.ErrLame)
+		}
+		recs := r.fw.adv.mxRecords(spec, variant, r.fw.advPrimary(variant).hosts)
+		mxs := make([]dns.MXData, len(recs))
+		for k, rec := range recs {
+			mxs[k] = dns.MXData{Preference: rec.Pref, Exchange: rec.Host}
+		}
+		return mxs, nil
 	}
 	p, hasMail := r.fw.providerOf(i)
 	if !hasMail {
@@ -417,12 +425,12 @@ func (r flatResolver) LookupMX(_ context.Context, domain string) ([]dns.MXData, 
 
 func (r flatResolver) LookupA(_ context.Context, host string) ([]netip.Addr, error) {
 	if r.fw.adv != nil {
-		if addrs, ok := r.fw.adv.hosts[host]; ok {
-			return append([]netip.Addr(nil), addrs...), nil
+		if addrs := r.fw.adv.lookup(host); addrs != nil {
+			return addrs, nil
 		}
 	}
 	if rest, ok := strings.CutPrefix(host, "mail."); ok {
-		if i, ok := r.fw.domainIndex(rest); ok {
+		if i, ok := r.fw.DomainIndex(rest); ok {
 			if p, hasMail := r.fw.providerOf(i); hasMail && p == nil {
 				return []netip.Addr{r.fw.selfIP(i)}, nil
 			}
@@ -470,11 +478,7 @@ func (d flatDialer) DialContext(ctx context.Context, _, address string) (net.Con
 	if err != nil {
 		return nil, err
 	}
-	cfg := smtp.Config{Hostname: spec.hostname}
-	if spec.leaf != nil {
-		cfg.TLS = &tls.Config{Certificates: []tls.Certificate{spec.leaf.TLSCertificate()}}
-	}
-	srv, err := smtp.NewServer(cfg)
+	srv, err := smtp.NewServer(spec.serverConfig())
 	if err != nil {
 		return nil, err
 	}
@@ -488,7 +492,7 @@ func (d flatDialer) DialContext(ctx context.Context, _, address string) (net.Con
 
 // hostAt resolves an address to its serving identity, or a
 // connection-refused error for addresses nothing listens on.
-func (fw *FlatWorld) hostAt(a netip.Addr) (*flatHost, error) {
+func (fw *FlatWorld) hostAt(a netip.Addr) (*SMTPSpec, error) {
 	if h, ok := fw.byAddr[a]; ok {
 		return h, nil
 	}
@@ -496,7 +500,7 @@ func (fw *FlatWorld) hostAt(a netip.Addr) (*flatHost, error) {
 		if p, hasMail := fw.providerOf(i); hasMail && p == nil {
 			// Self-hosted box: banner-only identity under the domain's
 			// own name, no TLS.
-			return &flatHost{hostname: "mail." + fw.DomainName(i)}, nil
+			return &SMTPSpec{Hostname: "mail." + fw.DomainName(i)}, nil
 		}
 	}
 	return nil, &net.OpError{Op: "dial", Net: "tcp", Err: syscall.ECONNREFUSED}

@@ -24,14 +24,14 @@ func TestFlatNameRoundTrip(t *testing.T) {
 	fw := flatWorld(t, 100_000)
 	for _, i := range []int{0, 1, 42, 99_999} {
 		name := fw.DomainName(i)
-		got, ok := fw.domainIndex(name)
+		got, ok := fw.DomainIndex(name)
 		if !ok || got != i {
-			t.Fatalf("domainIndex(%q) = %d, %v", name, got, ok)
+			t.Fatalf("DomainIndex(%q) = %d, %v", name, got, ok)
 		}
 	}
 	for _, bad := range []string{"", "d.com", "d0001.com", "d100000000.com", "x000000042.com", "d000000042.net"} {
-		if _, ok := fw.domainIndex(bad); ok {
-			t.Errorf("domainIndex accepted %q", bad)
+		if _, ok := fw.DomainIndex(bad); ok {
+			t.Errorf("DomainIndex accepted %q", bad)
 		}
 	}
 	a := fw.selfIP(70_000)

@@ -4,137 +4,21 @@ import (
 	"context"
 	"fmt"
 	"net/netip"
-	"strings"
-
-	"mxmap/internal/asn"
-	"mxmap/internal/companies"
-	"mxmap/internal/dns"
 )
 
 // Flat-world adversarial band. With FlatConfig.AdversarialPercent > 0, a
 // band of the assignment coordinate between the no-MX cut and the
 // provider ladder turns hostile, split into six equal family slices.
-// Everything stays a pure function of the domain index — family, MX
-// topology, look-alike naming, ground truth — so a hundred million
-// hostile domains cost no more memory than ten honest ones.
-
-// Flat adversary namespace. One fixture per family: the flat world
-// trades the full world's per-cluster variety for scale invariance.
-const (
-	// flatParkedZone's exchange resolves onto parking sinkholes where
-	// port 25 never answers.
-	flatParkedZone = "flat-parked-claims.net"
-	// flatGoneZone's exchange is NXDOMAIN: the dangling-MX case.
-	flatGoneZone = "dead-flat-mail.net"
-	// flatRelayZone hosts the hijack relays: lapsed from the registry,
-	// resolving through leftover glue, banner-forging a big provider.
-	flatRelayZone = "flat-hijack-relay.net"
-	// flatAbuseZone is the bulk operator's cheap shared exchange.
-	flatAbuseZone = "flat-bulk-mail.xyz"
-	// flatBackupZone is the third-party backup-MX business.
-	flatBackupZone = "flat-backup-relay.net"
-
-	// Abuse-family domains carry look-alike names under this pattern
-	// instead of the canonical d%09d.com, sharing one long digit-stripped
-	// stem.
-	flatAbusePrefix = "bulk-pharma-dealz-"
-	flatAbuseSuffix = ".xyz"
-
-	// flatForged is the company the hijack relays impersonate.
-	flatForged       = "Google"
-	flatForgedBanner = "mx.google.com"
-
-	flatBulkCompany   = "Flat Bulk Mail"
-	flatBackupCompany = "Flat Backup Relay"
-)
+// What a family IS — fixtures, MX shape, ground truth, oracle — is
+// Adversary's business (adversary.go), shared with the materialised
+// world; this file only maps a domain index to its AdvSpec, as a pure
+// function, so a hundred million hostile domains cost no more memory
+// than ten honest ones.
 
 // flatFamilies orders the band's equal slices.
 var flatFamilies = []ScenarioFamily{
 	FamilyDanglingNX, FamilyDanglingParked, FamilyHijack,
 	FamilyLame, FamilyAbuse, FamilyBLBFO,
-}
-
-// flatTopologies cycles BLBFO failover shapes by domain index.
-var flatTopologies = []string{TopologyTiered, TopologySkewed, TopologyBackupOnly}
-
-// flatAdversary holds the materialized hostile fixtures.
-type flatAdversary struct {
-	// hosts maps adversary exchange names to their addresses (glue or
-	// served, depending on the zone's registry state).
-	hosts map[string][]netip.Addr
-	// parked marks the parking sinkhole addresses.
-	parked map[netip.Addr]bool
-}
-
-// buildFlatAdversary registers the hostile infrastructure: address
-// blocks and ASNs per fixture, serving identities for reachable hosts,
-// directory entries for the operators that legitimately exist.
-func (fw *FlatWorld) buildFlatAdversary() error {
-	adv := &flatAdversary{
-		hosts:  make(map[string][]netip.Addr),
-		parked: make(map[netip.Addr]bool),
-	}
-	blocks := []struct {
-		number asn.ASN
-		name   string
-		octet  byte
-	}{
-		{64990, "Flat Parking Lot", 126},
-		{64991, "Flat Hijack Relay", 125},
-		{64992, flatBulkCompany, 124},
-		{64993, flatBackupCompany, 123},
-	}
-	for _, b := range blocks {
-		fw.ASRegistry.Register(asn.AS{
-			Number: b.number, Name: b.name, Org: b.name, CountryCode: "US",
-		})
-		prefix := netip.PrefixFrom(netip.AddrFrom4([4]byte{100, b.octet, 0, 0}), 24)
-		if err := fw.Prefixes.Insert(prefix, b.number); err != nil {
-			return err
-		}
-	}
-
-	// Parking sinkholes: resolvable, never listening. Deliberately
-	// absent from byAddr, so dials see connection-refused.
-	parked := []netip.Addr{
-		netip.AddrFrom4([4]byte{100, 126, 0, 1}),
-		netip.AddrFrom4([4]byte{100, 126, 0, 2}),
-	}
-	adv.hosts["mx."+flatParkedZone] = parked
-	for _, a := range parked {
-		adv.parked[a] = true
-	}
-
-	// Hijack relays: the zone is gone from the registry (ZoneGone), yet
-	// glue still resolves, and the listener claims the forged provider's
-	// identity with no certificate to back it.
-	for k, host := range []string{"mx0." + flatRelayZone, "mx1." + flatRelayZone} {
-		a := netip.AddrFrom4([4]byte{100, 125, 0, byte(1 + k)})
-		adv.hosts[host] = []netip.Addr{a}
-		fw.byAddr[a] = &flatHost{hostname: flatForgedBanner}
-	}
-
-	// The bulk operator and the backup-MX business are real (registered,
-	// honest banners) — their trouble is structural, not forged.
-	abuseAddr := netip.AddrFrom4([4]byte{100, 124, 0, 1})
-	adv.hosts["mx."+flatAbuseZone] = []netip.Addr{abuseAddr}
-	fw.byAddr[abuseAddr] = &flatHost{hostname: "mx." + flatAbuseZone}
-	fw.Directory.Register(companies.Company{
-		Name: flatBulkCompany, Kind: companies.KindOther, Country: "US",
-		ProviderIDs: []string{flatAbuseZone},
-	})
-	for k, host := range []string{"mx1." + flatBackupZone, "mx2." + flatBackupZone} {
-		a := netip.AddrFrom4([4]byte{100, 123, 0, byte(1 + k)})
-		adv.hosts[host] = []netip.Addr{a}
-		fw.byAddr[a] = &flatHost{hostname: host}
-	}
-	fw.Directory.Register(companies.Company{
-		Name: flatBackupCompany, Kind: companies.KindOther, Country: "US",
-		ProviderIDs: []string{flatBackupZone},
-	})
-
-	fw.adv = adv
-	return nil
 }
 
 // familyOf returns domain i's scenario family; FamilyHonest outside the
@@ -154,83 +38,28 @@ func (fw *FlatWorld) familyOf(i int) ScenarioFamily {
 	return flatFamilies[slice]
 }
 
-// blbfoProvider picks the primary-tier provider of a flat BLBFO domain.
-func (fw *FlatWorld) blbfoProvider(i int) *flatProvider {
-	h := hash64(fmt.Sprintf("flat/%d/blbfo/%d", fw.Cfg.Seed, i))
-	return fw.providers[h%uint64(len(fw.providers))]
-}
-
-// blbfoTopology names the failover shape of a flat BLBFO domain.
-func (fw *FlatWorld) blbfoTopology(i int) string {
-	return flatTopologies[i%len(flatTopologies)]
-}
-
-// advFlatMX computes the MX answer for an adversarial domain.
-func (fw *FlatWorld) advFlatMX(i int, fam ScenarioFamily) ([]dns.MXData, error) {
-	switch fam {
-	case FamilyDanglingNX:
-		return []dns.MXData{{Preference: 10, Exchange: "mx." + flatGoneZone}}, nil
-	case FamilyDanglingParked:
-		return []dns.MXData{{Preference: 10, Exchange: "mx." + flatParkedZone}}, nil
-	case FamilyHijack:
-		return []dns.MXData{
-			{Preference: 10, Exchange: "mx0." + flatRelayZone},
-			{Preference: 20, Exchange: "mx1." + flatRelayZone},
-		}, nil
-	case FamilyLame:
-		return nil, fmt.Errorf("dns: lame delegation for %s: %w", fw.DomainName(i), dns.ErrLame)
-	case FamilyAbuse:
-		return []dns.MXData{{Preference: 10, Exchange: "mx." + flatAbuseZone}}, nil
-	case FamilyBLBFO:
-		p := fw.blbfoProvider(i)
-		switch fw.blbfoTopology(i) {
-		case TopologyTiered:
-			return []dns.MXData{
-				{Preference: 10, Exchange: p.hosts[0]},
-				{Preference: 20, Exchange: p.hosts[1]},
-				{Preference: 30, Exchange: "mx1." + flatBackupZone},
-			}, nil
-		case TopologySkewed:
-			return []dns.MXData{
-				{Preference: 10, Exchange: p.hosts[0]},
-				{Preference: 10, Exchange: p.hosts[1]},
-				{Preference: 20, Exchange: "mx2." + flatBackupZone},
-			}, nil
-		default: // backup-only: no primary of its own at all
-			return []dns.MXData{
-				{Preference: 10, Exchange: "mx1." + flatBackupZone},
-				{Preference: 20, Exchange: "mx2." + flatBackupZone},
-			}, nil
-		}
+// advSpec returns domain i's scenario — Family honest outside the band —
+// and the per-domain variant that stands in for a stint's: one hash of
+// the index, its low bits placing the domain in a cluster or topology,
+// the rest picking its MX shape and BLBFO primary.
+func (fw *FlatWorld) advSpec(i int) (AdvSpec, uint64) {
+	fam := fw.familyOf(i)
+	if fam == FamilyHonest {
+		return AdvSpec{Family: FamilyHonest}, 0
 	}
-	return nil, dns.ErrNoData
+	h := mix64(hash64(fmt.Sprintf("flat/%d/adv/%d", fw.Cfg.Seed, i)))
+	return newAdvSpec(fam, int(h&0xffff)), h >> 16
 }
 
-// advTruthFlat is the ground-truth operator of an adversarial domain.
-func (fw *FlatWorld) advTruthFlat(i int, fam ScenarioFamily) string {
-	switch fam {
-	case FamilyHijack:
-		// The registrant lost control; no legitimate operator exists.
-		return flatRelayZone
-	case FamilyAbuse:
-		return flatBulkCompany
-	case FamilyBLBFO:
-		if fw.blbfoTopology(i) == TopologyBackupOnly {
-			return flatBackupCompany
-		}
-		return fw.blbfoProvider(i).company
-	default:
-		// Dangling, parked, lame: the mail service is gone.
-		return ""
-	}
+// advPrimary picks the primary-tier provider of a flat BLBFO domain.
+func (fw *FlatWorld) advPrimary(variant uint64) *flatProvider {
+	return fw.providers[variant%uint64(len(fw.providers))]
 }
 
 // Parked reports whether addr is one of the world's parking sinkholes.
 // Safe on honest worlds (always false), so collectors can wire it
 // unconditionally.
-func (fw *FlatWorld) Parked(addr netip.Addr) bool {
-	return fw.adv != nil && fw.adv.parked[addr]
-}
+func (fw *FlatWorld) Parked(addr netip.Addr) bool { return fw.adv.Parked(addr) }
 
 // DelegationStale implements dns.ProvenanceChecker: in a flat world the
 // registry-vs-serving mismatch is exactly the hijack family.
@@ -238,43 +67,20 @@ func (r flatResolver) DelegationStale(_ context.Context, domain string) bool {
 	if r.fw.adv == nil {
 		return false
 	}
-	i, ok := r.fw.domainIndex(domain)
+	i, ok := r.fw.DomainIndex(domain)
 	return ok && r.fw.familyOf(i) == FamilyHijack
 }
 
-// ZoneGone implements dns.ProvenanceChecker: the dangling and hijack
-// fixtures are the zones lapsed from the registry.
+// ZoneGone implements dns.ProvenanceChecker: the dangling targets and
+// the hijack relays sit in zones lapsed from the registry.
 func (r flatResolver) ZoneGone(_ context.Context, host string) bool {
-	if r.fw.adv == nil {
-		return false
-	}
-	h := strings.TrimSuffix(host, ".")
-	for _, zone := range []string{flatGoneZone, flatRelayZone} {
-		if h == zone || strings.HasSuffix(h, "."+zone) {
-			return true
-		}
-	}
-	return false
+	return r.fw.adv != nil && r.fw.adv.zoneLapsed(host)
 }
 
 // OracleAt returns domain i's machine-readable ground truth, the flat
 // counterpart of World.Oracle — per index rather than materialized,
 // matching how everything else in a flat world is computed.
 func (fw *FlatWorld) OracleAt(i int) OracleEntry {
-	fam := fw.familyOf(i)
-	e := OracleEntry{Domain: fw.DomainName(i), Family: fam, Truth: fw.TruthCompany(i)}
-	switch fam {
-	case FamilyDanglingNX, FamilyDanglingParked:
-		e.ExpectFlagged = true
-	case FamilyHijack:
-		e.ExpectFlagged = true
-		e.Forged = flatForged
-		e.Detail = flatRelayZone
-	case FamilyAbuse:
-		e.ExpectFlagged = true
-		e.Detail = flatAbuseZone
-	case FamilyBLBFO:
-		e.Detail = fw.blbfoTopology(i)
-	}
-	return e
+	spec, _ := fw.advSpec(i)
+	return fw.adv.OracleEntry(fw.DomainName(i), spec, fw.TruthCompany(i))
 }

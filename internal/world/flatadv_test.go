@@ -3,6 +3,7 @@ package world
 import (
 	"context"
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -63,30 +64,38 @@ func TestFlatAdversarialBand(t *testing.T) {
 	}
 }
 
-// TestFlatAbuseNames pins the look-alike naming: abuse members carry the
-// bulk stem, their names round-trip through domainIndex, and the
-// canonical d%09d.com spelling of an abuse index does NOT resolve (the
-// name simply is the look-alike; there is no alias).
+// TestFlatAbuseNames pins the look-alike naming: abuse members carry
+// their cluster's stem (the materialised world's stems), their names
+// round-trip through DomainIndex, and neither the canonical d%09d.com
+// spelling of an abuse index nor the other cluster's spelling resolves
+// (the name simply is the look-alike; there is no alias).
 func TestFlatAbuseNames(t *testing.T) {
 	fw := flatAdvWorld(t, 50_000, 12)
-	checked := 0
-	for i := 0; i < fw.NumDomains() && checked < 50; i++ {
-		fam := fw.familyOf(i)
+	members := make([]int, len(fw.adv.AbuseClusters))
+	for i := 0; i < fw.NumDomains() && members[0]+members[1] < 50; i++ {
 		name := fw.DomainName(i)
-		if fam == FamilyAbuse {
-			if !strings.HasPrefix(name, flatAbusePrefix) || !strings.HasSuffix(name, flatAbuseSuffix) {
-				t.Fatalf("abuse domain %d named %q, want %s*%s", i, name, flatAbusePrefix, flatAbuseSuffix)
+		if spec, _ := fw.advSpec(i); spec.Family == FamilyAbuse {
+			if want := fw.adv.AbuseClusters[spec.Cluster].memberName(9, i); name != want {
+				t.Fatalf("abuse domain %d named %q, want %q", i, name, want)
 			}
-			checked++
-		} else if strings.HasPrefix(name, flatAbusePrefix) {
+			for _, alias := range []string{
+				fmt.Sprintf("d%09d.com", i),
+				fw.adv.AbuseClusters[1-spec.Cluster].memberName(9, i),
+			} {
+				if _, ok := fw.DomainIndex(alias); ok {
+					t.Fatalf("abuse domain %d also resolves as %q", i, alias)
+				}
+			}
+			members[spec.Cluster]++
+		} else if strings.HasSuffix(name, abuseSuffix) {
 			t.Fatalf("non-abuse domain %d carries the abuse name %q", i, name)
 		}
-		if got, ok := fw.domainIndex(name); !ok || got != i {
-			t.Fatalf("domainIndex(%q) = %d, %v; want %d", name, got, ok, i)
+		if got, ok := fw.DomainIndex(name); !ok || got != i {
+			t.Fatalf("DomainIndex(%q) = %d, %v; want %d", name, got, ok, i)
 		}
 	}
-	if checked == 0 {
-		t.Fatal("no abuse domains in the first 50k indices")
+	if members[0] == 0 || members[1] == 0 {
+		t.Fatalf("abuse cluster populations %v: want both clusters populated", members)
 	}
 }
 
@@ -143,7 +152,7 @@ func TestFlatAdversarialResolver(t *testing.T) {
 	// the lapsed relay zone.
 	hijacked := fw.DomainName(rep[FamilyHijack])
 	mxs, err = r.LookupMX(ctx, hijacked)
-	if err != nil || len(mxs) != 2 {
+	if err != nil || len(mxs) == 0 {
 		t.Fatalf("hijack MX: %v, %v", mxs, err)
 	}
 	if addrs, err := r.LookupA(ctx, mxs[0].Exchange); err != nil || len(addrs) == 0 {
@@ -171,7 +180,7 @@ func TestFlatAdversarialResolver(t *testing.T) {
 	}
 	backup := false
 	for _, mx := range mxs {
-		if strings.HasSuffix(mx.Exchange, flatBackupZone) {
+		if strings.HasSuffix(mx.Exchange, fw.adv.BackupRelay.Zone) {
 			backup = true
 		}
 	}
@@ -186,6 +195,7 @@ func TestFlatOracleAt(t *testing.T) {
 	fw := flatAdvWorld(t, 50_000, 12)
 	for i := 0; i < 20_000; i++ {
 		e := fw.OracleAt(i)
+		spec, _ := fw.advSpec(i)
 		if e.Domain != fw.DomainName(i) || e.Family != fw.familyOf(i) {
 			t.Fatalf("oracle %d inconsistent with the world: %+v", i, e)
 		}
@@ -199,20 +209,76 @@ func TestFlatOracleAt(t *testing.T) {
 				t.Fatalf("dangling oracle %d: %+v", i, e)
 			}
 		case FamilyAbuse:
-			if !e.ExpectFlagged || e.Truth != flatBulkCompany {
+			ac := fw.adv.AbuseClusters[spec.Cluster]
+			if !e.ExpectFlagged || e.Truth != ac.Company || e.Detail != ac.Zone {
 				t.Fatalf("abuse oracle %d: %+v", i, e)
 			}
 		case FamilyBLBFO:
-			if e.ExpectFlagged || e.Truth == "" || e.Detail != fw.blbfoTopology(i) {
+			if e.ExpectFlagged || e.Truth == "" || e.Detail != spec.Topology {
 				t.Fatalf("blbfo oracle %d: %+v", i, e)
 			}
-			if e.Detail == TopologyBackupOnly && e.Truth != flatBackupCompany {
-				t.Fatalf("backup-only oracle %d credits %q, want %q", i, e.Truth, flatBackupCompany)
+			if backup := fw.adv.BackupRelay.Company; e.Detail == TopologyBackupOnly && e.Truth != backup {
+				t.Fatalf("backup-only oracle %d credits %q, want %q", i, e.Truth, backup)
 			}
 		case FamilyHonest:
 			if e.ExpectFlagged || e.Forged != "" || e.Detail != "" {
 				t.Fatalf("honest oracle %d carries adversarial fields: %+v", i, e)
 			}
 		}
+	}
+}
+
+// TestAccessISPsClearOfAdversary pins the shared address plan: the
+// access-ISP /16s and the adversary's /24s both come out of 100.64/10,
+// and a world whose ISP blocks would reach the adversary's octets is
+// refused instead of handing honest self-hosted domains the relay,
+// sinkhole and bulk addresses. (Before the plan was shared, the flat
+// world at Seed 25 / 64<<16 domains / 1% hostile resolved the honest
+// d003997698.com to the hijack relay 100.125.0.2.)
+func TestAccessISPsClearOfAdversary(t *testing.T) {
+	const full = 64 << 16 // every /16 of 100.64/10
+	if _, err := NewFlatWorld(FlatConfig{Seed: 25, NumDomains: full}); err != nil {
+		t.Fatalf("honest flat world over the whole /10: %v", err)
+	}
+	for seed := uint64(1); seed <= 30; seed++ {
+		if _, err := NewFlatWorld(FlatConfig{Seed: seed, NumDomains: full, AdversarialPercent: 1}); err == nil {
+			t.Fatalf("seed %d: hostile flat world over the whole /10 accepted", seed)
+		}
+	}
+
+	// The largest hostile world that fits: no adversary address inverts
+	// to a self-hosting index, and the last ISP block's addresses all
+	// route to that ISP, not to an adversary prefix.
+	const most = 59 << 16
+	fw, err := NewFlatWorld(FlatConfig{Seed: 25, NumDomains: most, AdversarialPercent: 1})
+	if err != nil {
+		t.Fatalf("hostile flat world of %d domains: %v", most, err)
+	}
+	for _, h := range fw.adv.hosts {
+		if !h.addr.IsValid() {
+			continue // a gone zone's exchange: no address at all
+		}
+		if i, ok := fw.selfIndex(h.addr); ok {
+			t.Errorf("adversary host %s (%s) is also the self-hosting address of domain %d", h.host, h.addr, i)
+		}
+	}
+	for i := most - 1<<16; i < most; i++ {
+		if got, _ := fw.Prefixes.Lookup(fw.selfIP(i)); got != 65000+58 {
+			t.Fatalf("self-hosting address %s of domain %d routes to %v, want the last access ISP", fw.selfIP(i), i, got)
+		}
+	}
+	if _, err := NewFlatWorld(FlatConfig{Seed: 25, NumDomains: most + 1, AdversarialPercent: 1}); err == nil {
+		t.Errorf("hostile flat world of %d domains accepted", most+1)
+	}
+
+	// The materialised world draws its ISPs from the same plan.
+	small := Config{Seed: 1, Scale: 0.001, TailProviders: 10, Adversarial: 0.1}
+	small.SelfISPs = 60
+	if _, err := Generate(small); err == nil {
+		t.Error("hostile world with 60 access ISPs accepted")
+	}
+	small.SelfISPs = 59
+	if _, err := Generate(small); err != nil {
+		t.Errorf("hostile world with 59 access ISPs: %v", err)
 	}
 }

@@ -3,6 +3,7 @@ package world
 import (
 	"fmt"
 	"math/rand/v2"
+	"net/netip"
 	"sort"
 
 	"mxmap/internal/asn"
@@ -30,9 +31,16 @@ func Generate(cfg Config) (*World, error) {
 		return nil, err
 	}
 	if cfg.Adversarial > 0 {
-		if err := w.ensureAdversary(); err != nil {
+		w.Adversary, err = newAdversary(w.ASRegistry, w.Prefixes, w.Directory,
+			func(addr netip.Addr, n asn.ASN, spec *SMTPSpec) {
+				w.Hosts[addr] = &Host{Addr: addr, ASN: n, SMTP: spec}
+			})
+		if err != nil {
 			return nil, err
 		}
+	}
+	if err := registerAccessISPs(w.ASRegistry, w.Prefixes, cfg.SelfISPs, w.Adversary); err != nil {
+		return nil, err
 	}
 	for _, spec := range []struct {
 		name  string

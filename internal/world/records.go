@@ -228,7 +228,8 @@ func (w *World) MXRecords(d *Domain, st *Stint) []MXRec {
 			Addrs: append([]netip.Addr(nil), owner.WebFrontIPs...),
 		}}
 	case ModeAdversarial:
-		return w.advMXRecords(d, st)
+		hosts, _ := w.advPrimary(st)
+		return w.Adversary.mxRecords(*d.Adv, v, hosts)
 	case ModeNoMXIP:
 		if st.Provider >= 0 {
 			// A dangling provider-named MX: the name's zone exists but the

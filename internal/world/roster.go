@@ -41,18 +41,6 @@ func (w *World) buildRoster() error {
 			return err
 		}
 	}
-	// Access ISPs used by self-hosted domains.
-	for k := 0; k < w.Cfg.SelfISPs; k++ {
-		a := asn.ASN(65000 + k)
-		w.ASRegistry.Register(asn.AS{
-			Number: a, Name: fmt.Sprintf("ISP-%d", k),
-			Org: fmt.Sprintf("Access ISP %d", k), CountryCode: "US",
-		})
-		prefix := netip.PrefixFrom(netip.AddrFrom4([4]byte{100, byte(64 + k), 0, 0}), 16)
-		if err := w.Prefixes.Insert(prefix, a); err != nil {
-			return err
-		}
-	}
 	return nil
 }
 

@@ -10,6 +10,18 @@ import (
 	"mxmap/internal/smtp"
 )
 
+// serverConfig is the smtp.Server configuration that announces the
+// identity: the one translation from what a host claims to what a
+// server says, for listeners on the fabric and per-dial flat servers
+// alike.
+func (s *SMTPSpec) serverConfig() smtp.Config {
+	cfg := smtp.Config{Hostname: s.Hostname, Banner: s.Banner, EHLOName: s.EHLOName}
+	if s.Leaf != nil {
+		cfg.TLS = &tls.Config{Certificates: []tls.Certificate{s.Leaf.TLSCertificate()}}
+	}
+	return cfg
+}
+
 // Fleet is a running set of SMTP servers backing the world's hosts on a
 // simulated network fabric.
 type Fleet struct {
@@ -33,15 +45,7 @@ func (w *World) StartSMTP(n *netsim.Network) (*Fleet, error) {
 		if h.SMTP == nil {
 			continue
 		}
-		cfg := smtp.Config{
-			Hostname: h.SMTP.Hostname,
-			Banner:   h.SMTP.Banner,
-			EHLOName: h.SMTP.EHLOName,
-		}
-		if h.SMTP.Leaf != nil {
-			cfg.TLS = &tls.Config{Certificates: []tls.Certificate{h.SMTP.Leaf.TLSCertificate()}}
-		}
-		srv, err := smtp.NewServer(cfg)
+		srv, err := smtp.NewServer(h.SMTP.serverConfig())
 		if err != nil {
 			f.Close()
 			return nil, fmt.Errorf("world: host %s: %w", a, err)

@@ -127,7 +127,8 @@ type Config struct {
 	// for the residual market (default 150).
 	TailProviders int
 	// SelfISPs is the number of access ISPs hosting self-run mail
-	// servers (default 40).
+	// servers (default 40; at most 59 beside an adversarial layer, whose
+	// fixtures take the address blocks above).
 	SelfISPs int
 	// EnableIPv6 gives large mail hosts dual-stack server fleets (AAAA
 	// records alongside A). The paper's method is IPv4-only; this knob
@@ -364,7 +365,8 @@ func (w *World) TruthCompany(d *Domain, dateIdx int) string {
 		return ""
 	}
 	if st.Mode == ModeAdversarial {
-		return w.advTruth(d, st)
+		_, company := w.advPrimary(st)
+		return w.Adversary.truth(*d.Adv, company)
 	}
 	if st.Provider < 0 || st.Mode.SelfHosted() {
 		return d.Name

@@ -168,59 +168,31 @@ func addApexNS(z *dns.Zone, origin, ns string) error {
 }
 
 // addAdversaryZones installs the zones the hostile infrastructure
-// serves: parking-operator zones, abuse exchanges, the backup relay and
-// the hijackers' nameserver zones. Hijack relay zones are deliberately
-// absent — their registration lapsed; relay hosts resolve only through
-// the ScenarioResolver's leftover glue.
+// serves, one per registered zone of the adversary's host table. Lapsed
+// zones are deliberately absent — their hosts resolve only through the
+// ScenarioResolver's leftover glue.
 func (w *World) addAdversaryZones(cat *dns.Catalog) error {
-	a := w.Adversary
-	if a == nil {
+	if w.Adversary == nil {
 		return nil
 	}
-	for k, zone := range a.ParkedZones {
-		z := dns.NewZone(zone)
-		if err := addApex(z, zone); err != nil {
-			return err
+	var z *dns.Zone
+	origin := ""
+	for _, h := range w.Adversary.hosts {
+		if h.lapsed {
+			continue
 		}
-		if err := z.Add(dns.RR{Name: "mx." + zone, Type: dns.TypeA, TTL: zoneTTL,
-			Data: dns.AData{Addr: a.ParkedIPs[k%len(a.ParkedIPs)]}}); err != nil {
-			return err
+		if h.zone != origin {
+			origin = h.zone
+			z = dns.NewZone(origin)
+			if err := addApex(z, origin); err != nil {
+				return err
+			}
+			cat.AddZone(z)
 		}
-		cat.AddZone(z)
-	}
-	for _, hc := range a.HijackClusters {
-		z := dns.NewZone(hc.DNSZone)
-		if err := addApex(z, hc.DNSZone); err != nil {
-			return err
-		}
-		if err := z.Add(dns.RR{Name: "ns1." + hc.DNSZone, Type: dns.TypeA, TTL: zoneTTL,
-			Data: dns.AData{Addr: hc.RelayAddrs[0]}}); err != nil {
-			return err
-		}
-		cat.AddZone(z)
-	}
-	for _, ac := range a.AbuseClusters {
-		z := dns.NewZone(ac.Zone)
-		if err := addApex(z, ac.Zone); err != nil {
-			return err
-		}
-		if err := z.Add(dns.RR{Name: ac.Exchange, Type: dns.TypeA, TTL: zoneTTL,
-			Data: dns.AData{Addr: ac.Addr}}); err != nil {
-			return err
-		}
-		cat.AddZone(z)
-	}
-	br := a.BackupRelay
-	z := dns.NewZone(br.Zone)
-	if err := addApex(z, br.Zone); err != nil {
-		return err
-	}
-	for i, host := range br.Hosts {
-		if err := z.Add(dns.RR{Name: host, Type: dns.TypeA, TTL: zoneTTL,
-			Data: dns.AData{Addr: br.Addrs[i]}}); err != nil {
+		if err := z.Add(dns.RR{Name: h.host, Type: dns.TypeA, TTL: zoneTTL,
+			Data: dns.AData{Addr: h.addr}}); err != nil {
 			return err
 		}
 	}
-	cat.AddZone(z)
 	return nil
 }
