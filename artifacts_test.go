@@ -74,7 +74,7 @@ func TestCitedResultsAreTracked(t *testing.T) {
 // Config, Options or Policy.
 var optionStructs = map[string]bool{
 	"dns.Client": true, "dns.Transport": true, "dns.IterativeResolver": true,
-	"dns.Cache": true, "scan.Collector": true, "mta.Agent": true,
+	"dns.Cache": true, "scan.Collector": true,
 }
 
 // optionsWithoutCaller are the options no non-test file outside the
@@ -106,16 +106,32 @@ var optionsWithoutCaller = map[string]string{
 	"serve.Config.Gate":                      "test barrier holding requests at a deterministic point",
 	"serve.Config.MaxRequests":               "budget-close tests pin a small budget",
 	"serve.Config.RetryAfterSecs":            "retryafter_test.go pins the advertised value",
-	"smtp.Config.MaxCommands":                "budget-close tests pin a two-command budget",
-	"smtp.Config.MaxMessageBytes":            "size-limit test pins a small bound",
-	"smtp.Config.RequireTLSForAuth":          "RFC 4954 §4 conformance test",
-	"smtp.Config.Auth":                       "examples/mailflow: the submission-agent walk-through",
-	"smtp.Config.OnMessage":                  "examples/mailflow: the submission-agent walk-through",
-	"smtp.Config.RequireAuthForMail":         "examples/mailflow: the submission-agent walk-through",
-	"mta.Agent.HELOName":                     "examples/mailflow: the submission-agent walk-through",
 	"world.Config.EnableIPv6":                "dual-stack experiment (ipv6_test.go)",
 	"world.Config.SelfISPs":                  "small test worlds shrink the roster",
 	"world.Config.TailProviders":             "small test worlds shrink the roster",
+}
+
+// parseNonTestSources parses every non-test .go file under internal/,
+// cmd/ and bench/ — the code a caller has to live in to count — and
+// hands each to visit.
+func parseNonTestSources(t *testing.T, mode parser.Mode, visit func(path string, file *ast.File)) {
+	t.Helper()
+	fset := token.NewFileSet()
+	for _, root := range []string{"internal", "cmd", "bench"} {
+		err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+			if err != nil || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+				return err
+			}
+			file, err := parser.ParseFile(fset, path, nil, mode)
+			if err == nil {
+				visit(path, file)
+			}
+			return err
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
 }
 
 // TestEveryOptionHasACaller holds the rule that an option exists when a
@@ -128,52 +144,38 @@ var optionsWithoutCaller = map[string]string{
 func TestEveryOptionHasACaller(t *testing.T) {
 	declared := make(map[string]string) // pkg.Type.Field → declaring file
 	setIn := make(map[string][]string)  // field name → files that set one
-	fset := token.NewFileSet()
-	for _, root := range []string{"internal", "cmd", "bench"} {
-		err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
-			if err != nil || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
-				return err
-			}
-			file, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
-			if err != nil {
-				return err
-			}
-			pkg := filepath.Base(filepath.Dir(path))
-			ast.Inspect(file, func(n ast.Node) bool {
-				switch n := n.(type) {
-				case *ast.TypeSpec:
-					st, ok := n.Type.(*ast.StructType)
-					name := pkg + "." + n.Name.Name
-					if !ok || !(optionStructs[name] || strings.HasSuffix(name, "Config") ||
-						strings.HasSuffix(name, "Options") || strings.HasSuffix(name, "Policy")) {
-						break
-					}
-					for _, f := range st.Fields.List {
-						for _, id := range f.Names {
-							if id.IsExported() {
-								declared[name+"."+id.Name] = path
-							}
-						}
-					}
-				case *ast.KeyValueExpr:
-					if id, ok := n.Key.(*ast.Ident); ok {
-						setIn[id.Name] = append(setIn[id.Name], path)
-					}
-				case *ast.AssignStmt:
-					for _, lhs := range n.Lhs {
-						if sel, ok := lhs.(*ast.SelectorExpr); ok {
-							setIn[sel.Sel.Name] = append(setIn[sel.Sel.Name], path)
+	parseNonTestSources(t, parser.SkipObjectResolution, func(path string, file *ast.File) {
+		pkg := filepath.Base(filepath.Dir(path))
+		ast.Inspect(file, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.TypeSpec:
+				st, ok := n.Type.(*ast.StructType)
+				name := pkg + "." + n.Name.Name
+				if !ok || !(optionStructs[name] || strings.HasSuffix(name, "Config") ||
+					strings.HasSuffix(name, "Options") || strings.HasSuffix(name, "Policy")) {
+					break
+				}
+				for _, f := range st.Fields.List {
+					for _, id := range f.Names {
+						if id.IsExported() {
+							declared[name+"."+id.Name] = path
 						}
 					}
 				}
-				return true
-			})
-			return nil
+			case *ast.KeyValueExpr:
+				if id, ok := n.Key.(*ast.Ident); ok {
+					setIn[id.Name] = append(setIn[id.Name], path)
+				}
+			case *ast.AssignStmt:
+				for _, lhs := range n.Lhs {
+					if sel, ok := lhs.(*ast.SelectorExpr); ok {
+						setIn[sel.Sel.Name] = append(setIn[sel.Sel.Name], path)
+					}
+				}
+			}
+			return true
 		})
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
+	})
 	fields := make([]string, 0, len(declared))
 	for field := range declared {
 		fields = append(fields, field)
@@ -195,6 +197,46 @@ func TestEveryOptionHasACaller(t *testing.T) {
 	for field := range optionsWithoutCaller {
 		if declared[field] == "" {
 			t.Errorf("optionsWithoutCaller names %s, which is not a declared option", field)
+		}
+	}
+}
+
+// packagesWithoutCaller are the internal packages no non-test file under
+// cmd/, bench/ or internal/ imports, each with why it exists all the same.
+var packagesWithoutCaller = map[string]string{
+	"mxmap/internal/ledger":          "test support: compares and rewrites the exact-counter ledgers in results/",
+	"mxmap/internal/benchdata":       "test support: the synthetic corpora the root benchmarks and equivalence tests share",
+	"mxmap/internal/serve/servetest": "test support: the HTTP test client and two-snapshot fixture serve and ha share",
+}
+
+// TestEveryPackageHasACaller is the package-level twin of
+// TestEveryOptionHasACaller: every package under internal/ is imported
+// by a non-test file under cmd/, bench/ or another internal/ package, or
+// is explained in packagesWithoutCaller. A package only its own tests
+// and examples/ import is a subsystem the measurement never runs.
+func TestEveryPackageHasACaller(t *testing.T) {
+	declared := make(map[string]bool) // import path of every internal package
+	imported := make(map[string]bool) // import paths non-test files name
+	parseNonTestSources(t, parser.ImportsOnly, func(path string, file *ast.File) {
+		if dir := filepath.ToSlash(filepath.Dir(path)); strings.HasPrefix(dir, "internal/") {
+			declared["mxmap/"+dir] = true
+		}
+		for _, imp := range file.Imports {
+			imported[strings.Trim(imp.Path.Value, `"`)] = true
+		}
+	})
+	for pkg := range declared {
+		_, excused := packagesWithoutCaller[pkg]
+		switch {
+		case !imported[pkg] && !excused:
+			t.Errorf("%s: no non-test file under cmd/, bench/ or internal/ imports it; delete it, or say in packagesWithoutCaller why it stays", pkg)
+		case imported[pkg] && excused:
+			t.Errorf("%s has a caller now: drop it from packagesWithoutCaller", pkg)
+		}
+	}
+	for pkg := range packagesWithoutCaller {
+		if !declared[pkg] {
+			t.Errorf("packagesWithoutCaller names %s, which is not a package under internal/", pkg)
 		}
 	}
 }

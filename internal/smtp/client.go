@@ -31,8 +31,6 @@ type ScanResult struct {
 	BannerHost string
 	// EHLOHost is the identity on the first line of the EHLO response.
 	EHLOHost string
-	// Extensions lists the capabilities advertised in the EHLO response.
-	Extensions []string
 	// SupportsSTARTTLS reports whether STARTTLS was advertised.
 	SupportsSTARTTLS bool
 	// TLSHandshakeOK reports whether the STARTTLS upgrade completed.
@@ -42,10 +40,6 @@ type ScanResult struct {
 	// Err records the first failure encountered; partial data remains
 	// valid (e.g. banner collected but STARTTLS failed).
 	Err error
-
-	// tlsConn carries the upgraded connection between the STARTTLS step
-	// and the closing QUIT.
-	tlsConn net.Conn
 }
 
 // scanHELOName is the identity the scanner presents.
@@ -120,57 +114,48 @@ func Scan(ctx context.Context, addr string, cfg ScanConfig) *ScanResult {
 			res.EHLOHost = fields[0]
 		}
 		for _, line := range ehlo.Lines[1:] {
-			ext := strings.ToUpper(strings.TrimSpace(line))
-			res.Extensions = append(res.Extensions, ext)
-			if ext == "STARTTLS" {
+			if strings.EqualFold(strings.TrimSpace(line), "STARTTLS") {
 				res.SupportsSTARTTLS = true
 			}
 		}
 	}
 
 	if res.SupportsSTARTTLS && !cfg.SkipSTARTTLS {
-		scanSTARTTLS(conn, rd, res)
-		if res.TLSHandshakeOK {
-			// Connection is now TLS; re-wrap for the QUIT below.
-			return quitAndReturn(res, res.tlsConn, newReader(res.tlsConn))
+		tlsConn := scanSTARTTLS(conn, rd, res)
+		if tlsConn == nil {
+			return res
 		}
-		return res
+		// The session continues over TLS; QUIT goes through the new conn.
+		conn, rd = tlsConn, newReader(tlsConn)
 	}
-	return quitAndReturn(res, conn, rd)
+	// Best-effort QUIT; scan data is already collected.
+	exchange(conn, rd, "QUIT")
+	return res
 }
 
-// tlsConn is stashed on the result between STARTTLS and QUIT.
-// (kept unexported; consumers only see PeerCertificates)
-
-func scanSTARTTLS(conn net.Conn, rd *reader, res *ScanResult) {
+// scanSTARTTLS upgrades the session and records the presented chain. It
+// returns the TLS connection, or nil with res.Err set when the upgrade
+// failed.
+func scanSTARTTLS(conn net.Conn, rd *reader, res *ScanResult) net.Conn {
 	rep, err := exchange(conn, rd, "STARTTLS")
 	if err != nil {
 		res.Err = fmt.Errorf("smtp: STARTTLS: %w", err)
-		return
+		return nil
 	}
 	if rep.Code != 220 {
 		res.Err = fmt.Errorf("smtp: STARTTLS refused with %d", rep.Code)
-		return
+		return nil
 	}
 	// The scanner records certificates without verifying them:
 	// verification is the methodology's job.
 	tlsConn := tls.Client(conn, &tls.Config{InsecureSkipVerify: true})
 	if err := tlsConn.Handshake(); err != nil {
 		res.Err = fmt.Errorf("smtp: TLS handshake: %w", err)
-		return
+		return nil
 	}
-	state := tlsConn.ConnectionState()
 	res.TLSHandshakeOK = true
-	res.PeerCertificates = state.PeerCertificates
-	res.tlsConn = tlsConn
-}
-
-func quitAndReturn(res *ScanResult, conn net.Conn, rd *reader) *ScanResult {
-	// Best-effort QUIT; scan data is already collected.
-	if _, err := fmt.Fprintf(conn, "QUIT\r\n"); err == nil {
-		readReply(rd)
-	}
-	return res
+	res.PeerCertificates = tlsConn.ConnectionState().PeerCertificates
+	return tlsConn
 }
 
 func exchange(conn io.Writer, rd *reader, cmd string) (Reply, error) {
@@ -178,109 +163,4 @@ func exchange(conn io.Writer, rd *reader, cmd string) (Reply, error) {
 		return Reply{}, err
 	}
 	return readReply(rd)
-}
-
-// Submit delivers a message to a submission agent (RFC 6409),
-// authenticating with AUTH PLAIN after the TLS upgrade. It is SendMail's
-// MSA-facing sibling: port 587 semantics instead of port 25 relay.
-func Submit(ctx context.Context, dialer Dialer, addr, heloName string, auth ClientAuth, from string, to []string, body []byte, tlsCfg *tls.Config) error {
-	return sendMail(ctx, dialer, addr, heloName, &auth, from, to, body, tlsCfg)
-}
-
-// SendMail relays one message to addr as an MTA would, used by the
-// end-to-end examples. It speaks EHLO, upgrades via STARTTLS when offered
-// (verifying with tlsCfg when provided; opportunistically otherwise), and
-// submits the envelope.
-func SendMail(ctx context.Context, dialer Dialer, addr, heloName, from string, to []string, body []byte, tlsCfg *tls.Config) error {
-	return sendMail(ctx, dialer, addr, heloName, nil, from, to, body, tlsCfg)
-}
-
-func sendMail(ctx context.Context, dialer Dialer, addr, heloName string, auth *ClientAuth, from string, to []string, body []byte, tlsCfg *tls.Config) error {
-	if dialer == nil {
-		return fmt.Errorf("smtp: SendMail requires a dialer")
-	}
-	conn, err := dialer.DialContext(ctx, "tcp", addr)
-	if err != nil {
-		return fmt.Errorf("smtp: dial %s: %w", addr, err)
-	}
-	defer conn.Close()
-	if d, ok := ctx.Deadline(); ok {
-		if err := conn.SetDeadline(d); err != nil {
-			return err
-		}
-	}
-	rd := newReader(conn)
-	if rep, err := readReply(rd); err != nil || rep.Code != 220 {
-		return fmt.Errorf("smtp: greeting failed: %v (%w)", rep, err)
-	}
-	ehlo, err := exchange(conn, rd, "EHLO "+heloName)
-	if err != nil || ehlo.Code != 250 {
-		return fmt.Errorf("smtp: EHLO failed: %v (%w)", ehlo, err)
-	}
-	if replyAdvertises(ehlo, "STARTTLS") {
-		rep, err := exchange(conn, rd, "STARTTLS")
-		if err != nil || rep.Code != 220 {
-			return fmt.Errorf("smtp: STARTTLS failed: %v (%w)", rep, err)
-		}
-		var tcfg *tls.Config
-		if tlsCfg != nil {
-			tcfg = tlsCfg.Clone()
-			if tcfg.ServerName == "" {
-				host, _, _ := net.SplitHostPort(addr)
-				tcfg.ServerName = host
-			}
-		} else {
-			// Opportunistic TLS, as real MTAs do when validation is not
-			// configured (the paper notes sessions continue even when
-			// certificates do not validate).
-			host, _, _ := net.SplitHostPort(addr)
-			tcfg = &tls.Config{ServerName: host, InsecureSkipVerify: true}
-		}
-		tlsConn := tls.Client(conn, tcfg)
-		if err := tlsConn.Handshake(); err != nil {
-			return fmt.Errorf("smtp: TLS: %w", err)
-		}
-		conn = tlsConn
-		rd = newReader(conn)
-		if rep, err := exchange(conn, rd, "EHLO "+heloName); err != nil || rep.Code != 250 {
-			return fmt.Errorf("smtp: EHLO after TLS failed: %v (%w)", rep, err)
-		}
-	}
-	if auth != nil {
-		if err := auth.authenticate(conn, rd); err != nil {
-			return err
-		}
-	}
-	if rep, err := exchange(conn, rd, "MAIL FROM:<"+from+">"); err != nil || rep.Code != 250 {
-		return fmt.Errorf("smtp: MAIL failed: %v (%w)", rep, err)
-	}
-	for _, rcpt := range to {
-		if rep, err := exchange(conn, rd, "RCPT TO:<"+rcpt+">"); err != nil || rep.Code != 250 {
-			return fmt.Errorf("smtp: RCPT %s failed: %v (%w)", rcpt, rep, err)
-		}
-	}
-	if rep, err := exchange(conn, rd, "DATA"); err != nil || rep.Code != 354 {
-		return fmt.Errorf("smtp: DATA failed: %v (%w)", rep, err)
-	}
-	dw := newDotWriter(conn)
-	if _, err := dw.Write(body); err != nil {
-		return err
-	}
-	if err := dw.Close(); err != nil {
-		return err
-	}
-	if rep, err := readReply(rd); err != nil || rep.Code != 250 {
-		return fmt.Errorf("smtp: message rejected: %v (%w)", rep, err)
-	}
-	exchange(conn, rd, "QUIT")
-	return nil
-}
-
-func replyAdvertises(rep Reply, ext string) bool {
-	for _, line := range rep.Lines[min(1, len(rep.Lines)):] {
-		if strings.EqualFold(strings.TrimSpace(line), ext) {
-			return true
-		}
-	}
-	return false
 }

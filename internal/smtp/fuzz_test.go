@@ -2,6 +2,7 @@ package smtp
 
 import (
 	"bytes"
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -32,7 +33,8 @@ func fitsWire(rep Reply) bool {
 //
 // Reader alone: on arbitrary bytes readReply never panics, never holds
 // more than the caps allow, and either fails or yields a reply whose
-// own wire form it reads back as the same reply.
+// code is the three digits the input starts with and whose own wire
+// form it reads back as the same reply.
 func FuzzReply(f *testing.F) {
 	for _, seed := range []struct {
 		wire string
@@ -50,6 +52,8 @@ func FuzzReply(f *testing.F) {
 		{"2x0 a\r\n", 999, "\t"},
 		{"250 " + strings.Repeat("a", maxLineLen) + "\r\n250 ok\r\n", 421, strings.Repeat("a", maxLineLen-6)},
 		{strings.Repeat("250-x\r\n", maxReplyLines) + "250 x\r\n", 250, strings.Repeat("x\n", maxReplyLines-1) + "x"},
+		{"+25 x\r\n", 25, "x"},
+		{"-12 x\r\n", -12, "x"},
 	} {
 		f.Add([]byte(seed.wire), seed.code, seed.text)
 	}
@@ -79,9 +83,17 @@ func FuzzReply(f *testing.F) {
 				t.Fatalf("reply line of %d bytes held, cap is %d", len(line), maxLineLen)
 			}
 		}
-		if err != nil || !fitsWire(rep) {
-			// fitsWire: a line at the cap that arrived LF-terminated
-			// outgrows it once re-serialised with CRLF.
+		if err != nil {
+			return
+		}
+		// A reply that parsed began with its code: three ASCII digits,
+		// no sign, nothing strconv would be more generous about.
+		if got := fmt.Sprintf("%03d", rep.Code); len(got) != 3 || !bytes.HasPrefix(wire, []byte(got)) {
+			t.Fatalf("read code %d from %q, which does not start with %q", rep.Code, wire, got)
+		}
+		if !fitsWire(rep) {
+			// A line at the cap that arrived LF-terminated outgrows it
+			// once re-serialised with CRLF.
 			return
 		}
 		again, err := readReply(newReader(strings.NewReader(rep.String())))

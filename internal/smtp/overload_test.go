@@ -7,6 +7,7 @@ package smtp
 import (
 	"bufio"
 	"context"
+	"crypto/tls"
 	"net"
 	"net/netip"
 	"strings"
@@ -97,59 +98,41 @@ func TestServerAdmissionCap(t *testing.T) {
 	}
 }
 
+// TestServerCommandBudget drives one session past the real cap: 1 000
+// lines are answered, line 1 001 gets 421 and a closed connection. An
+// over-long line spends the same budget as a command — otherwise a
+// session could outlive the cap by never sending a line short enough to
+// dispatch — but is not a dispatched command.
 func TestServerCommandBudget(t *testing.T) {
 	n := netsim.New()
-	srv, _ := overloadServer(t, n, "10.8.0.2:25", Config{Hostname: "mx.budget.test", MaxCommands: 2})
-	conn, rd := dialSMTP(t, n, "10.8.0.2:25")
-	if got := readLine(t, rd); !strings.HasPrefix(got, "220") {
-		t.Fatalf("banner = %q", got)
-	}
-	for i := 0; i < 2; i++ {
-		if _, err := conn.Write([]byte("NOOP\r\n")); err != nil {
-			t.Fatal(err)
+	srv, _ := overloadServer(t, n, "10.8.0.2:25", Config{Hostname: "mx.budget.test"})
+	for i, tc := range []struct{ line, reply string }{
+		{"NOOP\r\n", "250"},
+		{strings.Repeat("a", 3*maxLineLen) + "\r\n", "500"},
+	} {
+		conn, rd := dialSMTP(t, n, "10.8.0.2:25")
+		if got := readLine(t, rd); !strings.HasPrefix(got, "220") {
+			t.Fatalf("banner = %q", got)
 		}
-		if got := readLine(t, rd); !strings.HasPrefix(got, "250") {
-			t.Fatalf("NOOP %d reply = %q, want 250", i, got)
+		for sent := 1; sent <= maxCommands+1; sent++ {
+			if _, err := conn.Write([]byte(tc.line)); err != nil {
+				t.Fatal(err)
+			}
+			want := tc.reply
+			if sent > maxCommands {
+				want = "421"
+			}
+			if got := readLine(t, rd); !strings.HasPrefix(got, want) {
+				t.Fatalf("line %d reply = %q, want %s", sent, got, want)
+			}
 		}
-	}
-	// The third command blows the budget: 421 and the connection closes.
-	if _, err := conn.Write([]byte("NOOP\r\n")); err != nil {
-		t.Fatal(err)
-	}
-	if got := readLine(t, rd); !strings.HasPrefix(got, "421") {
-		t.Fatalf("over-budget reply = %q, want 421", got)
-	}
-	if _, err := rd.ReadString('\n'); err == nil {
-		t.Fatal("connection survived budget exhaustion")
-	}
-	st := srv.Stats()
-	if st.BudgetCloses != 1 || st.Commands != 2 {
-		t.Errorf("stats = %+v, want BudgetCloses=1 Commands=2", st)
-	}
-
-	// Oversized lines spend the same budget: they used to be answered
-	// 500 without being counted, so a session could outlive any
-	// MaxCommands by never sending a line short enough to dispatch.
-	conn, rd = dialSMTP(t, n, "10.8.0.2:25")
-	if got := readLine(t, rd); !strings.HasPrefix(got, "220") {
-		t.Fatalf("banner = %q", got)
-	}
-	long := []byte(strings.Repeat("a", 3*maxLineLen) + "\r\n")
-	for i, want := range []string{"500", "500", "421"} {
-		if _, err := conn.Write(long); err != nil {
-			t.Fatal(err)
+		if _, err := rd.ReadString('\n'); err == nil {
+			t.Fatal("connection survived budget exhaustion")
 		}
-		if got := readLine(t, rd); !strings.HasPrefix(got, want) {
-			t.Fatalf("oversized line %d reply = %q, want %s", i, got, want)
+		// Commands counts dispatched commands only: the first session's.
+		if st := srv.Stats(); st.BudgetCloses != uint64(i+1) || st.Commands != maxCommands {
+			t.Errorf("stats = %+v, want BudgetCloses=%d Commands=%d", st, i+1, maxCommands)
 		}
-	}
-	if _, err := rd.ReadString('\n'); err == nil {
-		t.Fatal("connection survived a budget of oversized lines")
-	}
-	// Commands still counts dispatched commands only.
-	st = srv.Stats()
-	if st.BudgetCloses != 2 || st.Commands != 2 {
-		t.Errorf("stats = %+v, want BudgetCloses=2 Commands=2", st)
 	}
 }
 
@@ -243,67 +226,25 @@ func TestChaosSMTPDrainIdleSessions(t *testing.T) {
 }
 
 // TestChaosSMTPDrainCompletesBusySession starts a drain while a session
-// is mid-DATA: the in-flight transaction must complete (the client gets
-// its 250) before the session is told 421.
+// is mid-STARTTLS, the one command a scanner sends that the server
+// cannot answer in one write: the server has said 220 and is waiting for
+// the ClientHello. The drain must leave the busy session to finish its
+// handshake, and only then tell it 421 — over TLS.
 func TestChaosSMTPDrainCompletesBusySession(t *testing.T) {
 	n := netsim.New()
-	entered := make(chan struct{})
-	release := make(chan struct{})
-	var envelope Envelope
-	srv, _ := overloadServer(t, n, "10.8.0.5:25", Config{
+	srv, errc := overloadServer(t, n, "10.8.0.5:25", Config{
 		Hostname: "mx.busy.test",
-		OnMessage: func(e Envelope) {
-			envelope = e
-			close(entered)
-			<-release
-		},
+		TLS:      leafTLS(t, testCA(t), "mx.busy.test"),
 	})
 	conn, rd := dialSMTP(t, n, "10.8.0.5:25")
-
-	// Replies and the read error that ends them travel on one channel,
-	// in order: with the error on a channel of its own, a select that
-	// found the 250, the 421 and the EOF all ready could pick the EOF
-	// first and fail a drain that had gone right.
-	type reply struct {
-		line string
-		err  error
+	if got := readLine(t, rd); !strings.HasPrefix(got, "220") {
+		t.Fatalf("banner = %q", got)
 	}
-	replies := make(chan reply, 8)
-	go func() {
-		for {
-			line, err := rd.ReadString('\n')
-			replies <- reply{strings.TrimRight(line, "\r\n"), err}
-			if err != nil {
-				return
-			}
-		}
-	}()
-	expect := func(prefix string) {
-		t.Helper()
-		select {
-		case got := <-replies:
-			if got.err != nil {
-				t.Fatalf("connection died waiting for %s: %v", prefix, got.err)
-			}
-			if !strings.HasPrefix(got.line, prefix) {
-				t.Fatalf("reply = %q, want %s", got.line, prefix)
-			}
-		case <-time.After(5 * time.Second):
-			t.Fatalf("no reply, want %s", prefix)
-		}
+	conn.Write([]byte("STARTTLS\r\n"))
+	if got := readLine(t, rd); !strings.HasPrefix(got, "220") {
+		t.Fatalf("STARTTLS reply = %q, want 220", got)
 	}
-
-	expect("220")
-	conn.Write([]byte("HELO client.test\r\n"))
-	expect("250")
-	conn.Write([]byte("MAIL FROM:<a@client.test>\r\n"))
-	expect("250")
-	conn.Write([]byte("RCPT TO:<b@mx.busy.test>\r\n"))
-	expect("250")
-	conn.Write([]byte("DATA\r\n"))
-	expect("354")
-	conn.Write([]byte("Subject: drain\r\n\r\nbody\r\n.\r\n"))
-	<-entered // the session is now busy inside its DATA command
+	// The session is now busy inside its STARTTLS command.
 
 	drained := make(chan error, 1)
 	go func() {
@@ -311,21 +252,25 @@ func TestChaosSMTPDrainCompletesBusySession(t *testing.T) {
 		defer cancel()
 		drained <- srv.Shutdown(ctx)
 	}()
-	// Give Shutdown time to begin while the session is still busy, then
-	// let the transaction finish.
-	time.Sleep(20 * time.Millisecond)
-	close(release)
+	// Serve returns once Shutdown has marked the drain, woken the idle
+	// sessions and closed the listener: the drain is under way, and it
+	// can only be waiting for this session.
+	if err := <-errc; err != nil {
+		t.Errorf("Serve exited %v after drain, want nil", err)
+	}
+	errc <- nil // keep the cleanup's receive satisfied
 
-	expect("250") // the in-flight message is accepted, not cut off
-	expect("421") // then the drain says goodbye
+	tlsConn := tls.Client(conn, &tls.Config{InsecureSkipVerify: true})
+	if err := tlsConn.Handshake(); err != nil {
+		t.Fatalf("handshake cut off by the drain: %v", err)
+	}
+	if got := readLine(t, bufio.NewReader(tlsConn)); !strings.HasPrefix(got, "421") {
+		t.Fatalf("reply over TLS = %q, want the 421 drain farewell", got)
+	}
 	if err := <-drained; err != nil {
 		t.Fatalf("Shutdown: %v", err)
 	}
-	if envelope.From != "a@client.test" || len(envelope.To) != 1 {
-		t.Errorf("envelope = %+v, want the completed transaction", envelope)
-	}
-	st := srv.Stats()
-	if st.Drains != 1 {
-		t.Errorf("Drains = %d, want 1", st.Drains)
+	if st := srv.Stats(); st.Drains != 1 || st.DrainTimeouts != 0 {
+		t.Errorf("Drains=%d DrainTimeouts=%d, want 1/0", st.Drains, st.DrainTimeouts)
 	}
 }

@@ -1,9 +1,10 @@
 // Package smtp implements the subset of the Simple Mail Transfer Protocol
 // (RFC 5321) and the STARTTLS extension (RFC 3207) that the paper's
-// measurement substrate requires: servers that greet with a banner,
-// respond to EHLO/HELO with their identity and extensions, upgrade to TLS
-// presenting a certificate chain, and accept mail; and a client capable
-// both of scanning those servers Censys-style and of relaying messages.
+// measurement observes: servers that greet with a banner, respond to
+// EHLO/HELO with their identity and extensions and upgrade to TLS
+// presenting a certificate chain; and a client that scans those servers
+// Censys-style. Nothing here moves mail: MAIL, RCPT, DATA and AUTH are
+// answered 502 like any other command the server does not implement.
 package smtp
 
 import (
@@ -11,16 +12,12 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"strconv"
 	"strings"
 )
 
-// Protocol limits, chosen per RFC 5321 §4.5.3 with headroom.
-const (
-	maxLineLen = 2048
-	// DefaultMaxMessageBytes bounds DATA payloads.
-	DefaultMaxMessageBytes = 10 << 20
-)
+// maxLineLen is the protocol line limit, chosen per RFC 5321 §4.5.3 with
+// headroom.
+const maxLineLen = 2048
 
 // ErrLineTooLong reports a protocol line exceeding the length limit.
 var ErrLineTooLong = errors.New("smtp: line too long")
@@ -56,14 +53,11 @@ func (rd *reader) line() (string, error) {
 	return strings.TrimRight(string(frag), "\r\n"), nil
 }
 
-// command splits a protocol line into an upper-cased verb and its
-// argument remainder.
-func command(line string) (verb, arg string) {
-	verb = line
-	if i := strings.IndexByte(line, ' '); i >= 0 {
-		verb, arg = line[:i], strings.TrimSpace(line[i+1:])
-	}
-	return strings.ToUpper(verb), arg
+// command returns the upper-cased verb of a protocol line. No verb the
+// server implements takes an argument it reads.
+func command(line string) string {
+	verb, _, _ := strings.Cut(line, " ")
+	return strings.ToUpper(verb)
 }
 
 // Reply is one SMTP reply: a three-digit code and one or more text lines.
@@ -108,9 +102,14 @@ func readReply(rd *reader) (Reply, error) {
 		if len(line) < 3 {
 			return rep, fmt.Errorf("smtp: short reply line %q", line)
 		}
-		code, err := strconv.Atoi(line[:3])
-		if err != nil {
-			return rep, fmt.Errorf("smtp: bad reply code in %q", line)
+		// Exactly three ASCII digits: strconv.Atoi would read "+25" as 25.
+		code := 0
+		for i := 0; i < 3; i++ {
+			c := line[i]
+			if c < '0' || c > '9' {
+				return rep, fmt.Errorf("smtp: bad reply code in %q", line)
+			}
+			code = code*10 + int(c-'0')
 		}
 		if rep.Code != 0 && code != rep.Code {
 			return rep, fmt.Errorf("smtp: inconsistent reply codes %d and %d", rep.Code, code)
@@ -134,132 +133,4 @@ func readReply(rd *reader) (Reply, error) {
 			return rep, fmt.Errorf("smtp: bad separator %q in %q", sep, line)
 		}
 	}
-}
-
-// parsePath extracts the mailbox from a MAIL FROM / RCPT TO argument of
-// the form "FROM:<user@host>" / "TO:<user@host>", tolerating optional
-// whitespace and ESMTP parameters after the path.
-func parsePath(arg, prefix string) (string, error) {
-	rest, ok := cutPrefixFold(arg, prefix+":")
-	if !ok {
-		return "", fmt.Errorf("smtp: expected %s:", prefix)
-	}
-	rest = strings.TrimSpace(rest)
-	if !strings.HasPrefix(rest, "<") {
-		return "", errors.New("smtp: path must be angle-quoted")
-	}
-	end := strings.IndexByte(rest, '>')
-	if end < 0 {
-		return "", errors.New("smtp: unterminated path")
-	}
-	return rest[1:end], nil
-}
-
-// cutPrefixFold is strings.CutPrefix with ASCII case folding.
-func cutPrefixFold(s, prefix string) (string, bool) {
-	if len(s) < len(prefix) {
-		return s, false
-	}
-	if strings.EqualFold(s[:len(prefix)], prefix) {
-		return s[len(prefix):], true
-	}
-	return s, false
-}
-
-// dotWriter encodes a message body with dot-stuffing (RFC 5321 §4.5.2)
-// and finishes with the terminating ".\r\n" on Close.
-type dotWriter struct {
-	w       *bufio.Writer
-	lineLen int // bytes written on the current line
-	err     error
-}
-
-func newDotWriter(w io.Writer) *dotWriter {
-	return &dotWriter{w: bufio.NewWriter(w)}
-}
-
-// Write implements io.Writer, stuffing leading dots.
-func (d *dotWriter) Write(p []byte) (int, error) {
-	if d.err != nil {
-		return 0, d.err
-	}
-	written := 0
-	for _, b := range p {
-		if d.lineLen == 0 && b == '.' {
-			if d.err = d.w.WriteByte('.'); d.err != nil {
-				return written, d.err
-			}
-		}
-		if d.err = d.w.WriteByte(b); d.err != nil {
-			return written, d.err
-		}
-		written++
-		if b == '\n' {
-			d.lineLen = 0
-		} else {
-			d.lineLen++
-		}
-	}
-	return written, nil
-}
-
-// Close terminates the message.
-func (d *dotWriter) Close() error {
-	if d.err != nil {
-		return d.err
-	}
-	if d.lineLen != 0 {
-		if _, err := d.w.WriteString("\r\n"); err != nil {
-			return err
-		}
-	}
-	if _, err := d.w.WriteString(".\r\n"); err != nil {
-		return err
-	}
-	return d.w.Flush()
-}
-
-// dotReader decodes a dot-stuffed message body, returning io.EOF at the
-// terminating ".\r\n" line and enforcing a size limit.
-type dotReader struct {
-	rd      *reader
-	limit   int64
-	read    int64
-	buf     []byte
-	done    bool
-	tooLong bool
-}
-
-func newDotReader(rd *reader, limit int64) *dotReader {
-	return &dotReader{rd: rd, limit: limit}
-}
-
-// Read implements io.Reader over the decoded body.
-func (d *dotReader) Read(p []byte) (int, error) {
-	for len(d.buf) == 0 {
-		if d.done {
-			return 0, io.EOF
-		}
-		line, err := d.rd.line()
-		if err != nil {
-			return 0, err
-		}
-		if line == "." {
-			d.done = true
-			return 0, io.EOF
-		}
-		line = strings.TrimPrefix(line, ".")
-		d.read += int64(len(line)) + 2
-		if d.limit > 0 && d.read > d.limit {
-			d.tooLong = true
-			// Keep consuming until the terminator so the session can
-			// recover, but surface the overflow.
-			continue
-		}
-		d.buf = append(d.buf[:0], line...)
-		d.buf = append(d.buf, '\r', '\n')
-	}
-	n := copy(p, d.buf)
-	d.buf = d.buf[n:]
-	return n, nil
 }

@@ -5,7 +5,6 @@ import (
 	"crypto/tls"
 	"errors"
 	"fmt"
-	"io"
 	"log/slog"
 	"net"
 	"strings"
@@ -14,24 +13,15 @@ import (
 	"mxmap/internal/overload"
 )
 
-// Admission-control defaults.
-const (
-	// DefaultMaxConns bounds concurrent SMTP sessions per server.
-	DefaultMaxConns = 512
-	// DefaultMaxCommands bounds commands per session before the server
-	// closes it with a 421.
-	DefaultMaxCommands = 1000
-)
+// DefaultMaxConns bounds concurrent SMTP sessions per server.
+const DefaultMaxConns = 512
+
+// maxCommands bounds the lines one session may send before the server
+// closes it with a 421, so no client can pin a session forever.
+const maxCommands = 1000
 
 // readTimeout bounds waiting for each client command.
 const readTimeout = 60 * time.Second
-
-// An Envelope is one received message: its envelope addresses and body.
-type Envelope struct {
-	From string
-	To   []string
-	Data []byte
-}
 
 // Config parameterizes a Server. The zero value is not valid; Hostname is
 // required.
@@ -50,27 +40,10 @@ type Config struct {
 	EHLOName string
 	// TLS enables STARTTLS with the given configuration when non-nil.
 	TLS *tls.Config
-	// OnMessage receives each completed envelope; nil accepts and
-	// discards mail.
-	OnMessage func(Envelope)
-	// Auth enables SMTP-AUTH (PLAIN and LOGIN) when non-nil.
-	Auth Authenticator
-	// RequireTLSForAuth refuses AUTH before STARTTLS (RFC 4954 §4).
-	RequireTLSForAuth bool
-	// RequireAuthForMail turns the server into a submission agent
-	// (RFC 6409): MAIL is refused until the client authenticates.
-	RequireAuthForMail bool
-	// MaxMessageBytes bounds DATA payloads (default
-	// DefaultMaxMessageBytes).
-	MaxMessageBytes int64
 	// MaxConns caps concurrent sessions; accepts beyond the cap are
 	// answered with a 421 and closed (default DefaultMaxConns; negative
 	// means unlimited).
 	MaxConns int
-	// MaxCommands caps commands per session before the server closes it
-	// with a 421, bounding what one client can pin (default
-	// DefaultMaxCommands; negative means unlimited).
-	MaxCommands int
 	// Logger receives session-level debug records; nil disables logging.
 	Logger *slog.Logger
 }
@@ -95,14 +68,8 @@ func NewServer(cfg Config) (*Server, error) {
 	if cfg.EHLOName == "" {
 		cfg.EHLOName = cfg.Hostname
 	}
-	if cfg.MaxMessageBytes == 0 {
-		cfg.MaxMessageBytes = DefaultMaxMessageBytes
-	}
 	if cfg.MaxConns == 0 {
 		cfg.MaxConns = DefaultMaxConns
-	}
-	if cfg.MaxCommands == 0 {
-		cfg.MaxCommands = DefaultMaxCommands
 	}
 	s := &Server{cfg: cfg}
 	s.core = overload.New(overload.Config{
@@ -129,8 +96,8 @@ func (s *Server) Stats() ServerStats { return s.stats.snapshot(s.core.Stats()) }
 func (s *Server) Serve(ln net.Listener) error { return s.core.Serve(ln) }
 
 // Shutdown gracefully drains the server: it stops accepting, lets each
-// session finish the command it is executing (a session mid-DATA
-// completes the transaction), tells idle sessions 421, and then closes.
+// session finish the command it is executing (a session mid-STARTTLS
+// completes the handshake), tells every session 421, and then closes.
 // It returns nil when the drain completed, or ctx.Err() after falling
 // back to a hard Close at the context deadline. Close retains hard-stop
 // semantics.
@@ -146,12 +113,7 @@ type session struct {
 	conn *overload.Conn // the core's handle; NetConn is the live transport
 	rd   *reader
 
-	helloSeen     bool
-	tlsActive     bool
-	authenticated bool
-	username      string
-	from          string
-	to            []string
+	tlsActive bool
 }
 
 // serveConn is the core's session handler: idle while waiting for a
@@ -178,7 +140,7 @@ func (s *Server) serveConn(c *overload.Conn) {
 		// An oversized line spends budget like a command: otherwise a
 		// client could hold the session forever without dispatching one.
 		commands++
-		if s.cfg.MaxCommands > 0 && commands > s.cfg.MaxCommands {
+		if commands > maxCommands {
 			s.stats.budgetCloses.Add(1)
 			s.goodbye(c.NetConn())
 			return
@@ -188,9 +150,8 @@ func (s *Server) serveConn(c *overload.Conn) {
 			continue
 		}
 		s.stats.commands.Add(1)
-		verb, arg := command(line)
 		c.SetBusy()
-		done, err := sess.dispatch(verb, arg)
+		done, err := sess.dispatch(command(line))
 		if err != nil {
 			s.logf("session error: %v", err)
 			return
@@ -219,38 +180,19 @@ func (sess *session) reply(code int, lines ...string) error {
 }
 
 // dispatch executes one command; done=true ends the session.
-func (sess *session) dispatch(verb, arg string) (done bool, err error) {
+func (sess *session) dispatch(verb string) (done bool, err error) {
 	switch verb {
 	case "HELO":
-		sess.resetTransaction()
-		sess.helloSeen = true
 		return false, sess.reply(250, sess.srv.cfg.EHLOName)
 	case "EHLO":
-		sess.resetTransaction()
-		sess.helloSeen = true
-		lines := []string{sess.srv.cfg.EHLOName}
-		lines = append(lines, "PIPELINING", fmt.Sprintf("SIZE %d", sess.srv.cfg.MaxMessageBytes), "8BITMIME")
+		lines := []string{sess.srv.cfg.EHLOName, "PIPELINING", "SIZE 10485760", "8BITMIME"}
 		if sess.srv.cfg.TLS != nil && !sess.tlsActive {
 			lines = append(lines, "STARTTLS")
-		}
-		if sess.srv.cfg.Auth != nil && (!sess.srv.cfg.RequireTLSForAuth || sess.tlsActive) {
-			lines = append(lines, "AUTH PLAIN LOGIN")
 		}
 		return false, sess.reply(250, lines...)
 	case "STARTTLS":
 		return false, sess.startTLS()
-	case "AUTH":
-		return false, sess.handleAuth(arg)
-	case "MAIL":
-		return false, sess.mail(arg)
-	case "RCPT":
-		return false, sess.rcpt(arg)
-	case "DATA":
-		return false, sess.data()
-	case "RSET":
-		sess.resetTransaction()
-		return false, sess.reply(250, "OK")
-	case "NOOP":
+	case "RSET", "NOOP":
 		return false, sess.reply(250, "OK")
 	case "VRFY":
 		return false, sess.reply(252, "Cannot VRFY user, but will accept message")
@@ -286,12 +228,6 @@ func (sess *session) startTLS() error {
 	tlsConn.SetDeadline(time.Time{})
 	sess.setConn(tlsConn)
 	sess.tlsActive = true
-	// RFC 3207 §4.2: the server must discard client state from before
-	// the handshake.
-	sess.helloSeen = false
-	sess.authenticated = false
-	sess.username = ""
-	sess.resetTransaction()
 	return nil
 }
 
@@ -301,72 +237,6 @@ func (sess *session) startTLS() error {
 func (sess *session) setConn(conn net.Conn) {
 	sess.conn.Swap(conn)
 	sess.rd = newReader(conn)
-}
-
-func (sess *session) mail(arg string) error {
-	if !sess.helloSeen {
-		return sess.reply(503, "Send HELO/EHLO first")
-	}
-	if sess.srv.cfg.RequireAuthForMail && !sess.authenticated {
-		// RFC 4954 §6: submission servers reject unauthenticated MAIL.
-		return sess.reply(530, "Authentication required")
-	}
-	if sess.from != "" {
-		return sess.reply(503, "Nested MAIL command")
-	}
-	path, err := parsePath(arg, "FROM")
-	if err != nil {
-		return sess.reply(501, "Syntax: MAIL FROM:<address>")
-	}
-	sess.from = path
-	return sess.reply(250, "OK")
-}
-
-func (sess *session) rcpt(arg string) error {
-	if sess.from == "" {
-		return sess.reply(503, "Need MAIL before RCPT")
-	}
-	path, err := parsePath(arg, "TO")
-	if err != nil {
-		return sess.reply(501, "Syntax: RCPT TO:<address>")
-	}
-	if path == "" {
-		return sess.reply(501, "Empty recipient")
-	}
-	const maxRecipients = 100
-	if len(sess.to) >= maxRecipients {
-		return sess.reply(452, "Too many recipients")
-	}
-	sess.to = append(sess.to, path)
-	return sess.reply(250, "OK")
-}
-
-func (sess *session) data() error {
-	if sess.from == "" || len(sess.to) == 0 {
-		return sess.reply(503, "Need MAIL and RCPT before DATA")
-	}
-	if err := sess.reply(354, "Start mail input; end with <CRLF>.<CRLF>"); err != nil {
-		return err
-	}
-	dr := newDotReader(sess.rd, sess.srv.cfg.MaxMessageBytes)
-	body, err := io.ReadAll(dr)
-	if err != nil {
-		return err
-	}
-	if dr.tooLong {
-		sess.resetTransaction()
-		return sess.reply(552, "Message exceeds maximum size")
-	}
-	if cb := sess.srv.cfg.OnMessage; cb != nil {
-		cb(Envelope{From: sess.from, To: sess.to, Data: body})
-	}
-	sess.resetTransaction()
-	return sess.reply(250, "OK: message accepted")
-}
-
-func (sess *session) resetTransaction() {
-	sess.from = ""
-	sess.to = nil
 }
 
 func (s *Server) logf(format string, args ...any) {

@@ -6,6 +6,7 @@ import (
 	"math/rand/v2"
 	"net"
 	"net/netip"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -161,75 +162,10 @@ func TestScanSkipSTARTTLS(t *testing.T) {
 	}
 }
 
-func TestSendMailEndToEnd(t *testing.T) {
-	n := netsim.New()
-	ca := testCA(t)
-	var (
-		mu   sync.Mutex
-		seen []Envelope
-	)
-	startServer(t, n, "192.0.2.5:25", Config{
-		Hostname: "mx.rcpt.com",
-		TLS:      leafTLS(t, ca, "mx.rcpt.com"),
-		OnMessage: func(e Envelope) {
-			mu.Lock()
-			defer mu.Unlock()
-			seen = append(seen, e)
-		},
-	})
-	ts := certs.NewTrustStore(ca)
-	body := []byte("Subject: hello\r\n\r\nline one\r\n.leading dot line\r\n")
-	tlsCfg := &tls.Config{
-		RootCAs: ts.Pool(),
-		// A relaying MTA validates against the MX host name it resolved,
-		// not the literal IP it dialed.
-		ServerName: "mx.rcpt.com",
-		// Simulated certificates are valid around the paper's measurement
-		// window, not around the test's wall clock.
-		Time: func() time.Time { return certs.SimNow },
-	}
-	err := SendMail(context.Background(), n, "192.0.2.5:25", "sender.example.com",
-		"alice@sender.example.com", []string{"bob@rcpt.com"}, body, tlsCfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mu.Lock()
-	defer mu.Unlock()
-	if len(seen) != 1 {
-		t.Fatalf("messages = %d", len(seen))
-	}
-	e := seen[0]
-	if e.From != "alice@sender.example.com" || len(e.To) != 1 || e.To[0] != "bob@rcpt.com" {
-		t.Errorf("envelope = %+v", e)
-	}
-	if !strings.Contains(string(e.Data), ".leading dot line") {
-		t.Errorf("dot-stuffing broken: %q", e.Data)
-	}
-	if strings.Contains(string(e.Data), "..leading") {
-		t.Errorf("dot-unstuffing broken: %q", e.Data)
-	}
-}
-
-func TestSendMailPlainNoTLS(t *testing.T) {
-	n := netsim.New()
-	var got Envelope
-	var mu sync.Mutex
-	startServer(t, n, "192.0.2.6:25", Config{
-		Hostname:  "plain.example.com",
-		OnMessage: func(e Envelope) { mu.Lock(); got = e; mu.Unlock() },
-	})
-	err := SendMail(context.Background(), n, "192.0.2.6:25", "c.example.com",
-		"a@b.c", []string{"d@e.f"}, []byte("hi\r\n"), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mu.Lock()
-	defer mu.Unlock()
-	if got.From != "a@b.c" {
-		t.Errorf("envelope = %+v", got)
-	}
-}
-
+// TestServerCommandSequencing pins the server's whole command surface:
+// the verbs a scanner sends are answered, and the mail-moving verbs get
+// the same 502 as any unknown command, before and after EHLO, without
+// costing the client its session.
 func TestServerCommandSequencing(t *testing.T) {
 	n := netsim.New()
 	startServer(t, n, "192.0.2.7:25", Config{Hostname: "mx.example.com"})
@@ -255,58 +191,22 @@ func TestServerCommandSequencing(t *testing.T) {
 			t.Errorf("%s: code = %d, want %d", cmd, rep.Code, wantCode)
 		}
 	}
-	expect("", 220)                        // banner
-	expect("MAIL FROM:<a@b.c>", 503)       // before EHLO
-	expect("EHLO client.example.com", 250) //
-	expect("RCPT TO:<x@y.z>", 503)         // before MAIL
-	expect("MAIL FROM:<a@b.c>", 250)       //
-	expect("MAIL FROM:<a@b.c>", 503)       // nested MAIL
-	expect("DATA", 503)                    // no RCPT yet
-	expect("RCPT TO:<x@y.z>", 250)         //
-	expect("RSET", 250)                    //
-	expect("DATA", 503)                    // RSET cleared transaction
-	expect("BADCMD", 502)                  //
-	expect("VRFY someone", 252)            //
-	expect("NOOP", 250)                    //
-	expect("STARTTLS", 502)                // not offered
-	expect("MAIL FROM:bad-syntax", 501)    //
-	expect("MAIL FROM:<a@b.c>", 250)       //
-	expect("RCPT TO:", 501)                //
-	expect("QUIT", 221)                    //
-}
-
-func TestServerMessageTooLarge(t *testing.T) {
-	n := netsim.New()
-	startServer(t, n, "192.0.2.10:25", Config{Hostname: "mx.example.com", MaxMessageBytes: 64})
-	conn, err := n.Dial(context.Background(), netip.MustParseAddrPort("192.0.2.10:25"))
-	if err != nil {
-		t.Fatal(err)
+	mailVerbs := []string{"MAIL FROM:<a@b.c>", "RCPT TO:<x@y.z>", "DATA", "AUTH PLAIN xxx"}
+	expect("", 220) // banner
+	for _, cmd := range mailVerbs {
+		expect(cmd, 502) // before EHLO
 	}
-	defer conn.Close()
-	rd := newReader(conn)
-	readReply(rd)
-	exchange(conn, rd, "EHLO c.example.com")
-	exchange(conn, rd, "MAIL FROM:<a@b.c>")
-	exchange(conn, rd, "RCPT TO:<x@y.z>")
-	rep, err := exchange(conn, rd, "DATA")
-	if err != nil || rep.Code != 354 {
-		t.Fatalf("DATA: %v %v", rep, err)
+	expect("EHLO client.example.com", 250)
+	for _, cmd := range mailVerbs {
+		expect(cmd, 502) // after EHLO
 	}
-	big := strings.Repeat("x", 200)
-	if _, err := conn.Write([]byte(big + "\r\n.\r\n")); err != nil {
-		t.Fatal(err)
-	}
-	rep, err = readReply(rd)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Code != 552 {
-		t.Errorf("oversize message code = %d, want 552", rep.Code)
-	}
-	// Session must remain usable.
-	if rep, err := exchange(conn, rd, "NOOP"); err != nil || rep.Code != 250 {
-		t.Errorf("session broken after oversize: %v %v", rep, err)
-	}
+	expect("HELO client.example.com", 250)
+	expect("RSET", 250)
+	expect("BADCMD", 502)
+	expect("VRFY someone", 252)
+	expect("STARTTLS", 502) // not offered
+	expect("NOOP", 250)     // the session survived all of it
+	expect("QUIT", 221)
 }
 
 func TestServerConfigValidation(t *testing.T) {
@@ -385,6 +285,8 @@ func TestReplyParsing(t *testing.T) {
 		{"220 hello\r\n", 220, 1, false},
 		{"250-first\r\n250-second\r\n250 last\r\n", 250, 3, false},
 		{"25x bad\r\n", 0, 0, true},
+		{"+25 signed\r\n", 0, 0, true}, // Atoi would say 25
+		{"-12 signed\r\n", 0, 0, true}, // and -12
 		{"250-first\r\n550 mixed\r\n", 0, 0, true},
 		{"2\r\n", 0, 0, true},
 		{"250\r\n", 250, 1, false}, // bare code line
@@ -409,29 +311,6 @@ func TestReplyStringRoundTrip(t *testing.T) {
 	}
 	if parsed.Code != rep.Code || len(parsed.Lines) != len(rep.Lines) {
 		t.Errorf("round trip: %+v", parsed)
-	}
-}
-
-func TestParsePath(t *testing.T) {
-	cases := []struct {
-		arg, prefix, want string
-		wantErr           bool
-	}{
-		{"FROM:<a@b.c>", "FROM", "a@b.c", false},
-		{"from:<a@b.c>", "FROM", "a@b.c", false},
-		{"FROM: <a@b.c>", "FROM", "a@b.c", false},
-		{"FROM:<>", "FROM", "", false}, // null return path is legal
-		{"FROM:<a@b.c> SIZE=100", "FROM", "a@b.c", false},
-		{"TO:<x@y.z>", "TO", "x@y.z", false},
-		{"FROM:a@b.c", "FROM", "", true},
-		{"FROM:<a@b.c", "FROM", "", true},
-		{"TO:<x@y.z>", "FROM", "", true},
-	}
-	for _, c := range cases {
-		got, err := parsePath(c.arg, c.prefix)
-		if (err != nil) != c.wantErr || got != c.want {
-			t.Errorf("parsePath(%q, %q) = (%q, %v)", c.arg, c.prefix, got, err)
-		}
 	}
 }
 
@@ -462,12 +341,7 @@ func BenchmarkScan(b *testing.B) {
 // PIPELINING client would, and reads the replies back in order.
 func TestServerPipelining(t *testing.T) {
 	n := netsim.New()
-	var got Envelope
-	var mu sync.Mutex
-	startServer(t, n, "192.0.2.30:25", Config{
-		Hostname:  "mx.pipeline.test",
-		OnMessage: func(e Envelope) { mu.Lock(); got = e; mu.Unlock() },
-	})
+	startServer(t, n, "192.0.2.30:25", Config{Hostname: "mx.pipeline.test"})
 	conn, err := n.Dial(context.Background(), netip.MustParseAddrPort("192.0.2.30:25"))
 	if err != nil {
 		t.Fatal(err)
@@ -478,35 +352,25 @@ func TestServerPipelining(t *testing.T) {
 	if rep, err := readReply(rd); err != nil || rep.Code != 220 {
 		t.Fatalf("banner: %v %v", rep, err)
 	}
-	batch := "EHLO client.test\r\n" +
-		"MAIL FROM:<a@b.c>\r\n" +
-		"RCPT TO:<x@y.z>\r\n" +
-		"DATA\r\n"
+	batch := "EHLO client.test\r\nNOOP\r\nRSET\r\nNOOP\r\nQUIT\r\n"
 	if _, err := conn.Write([]byte(batch)); err != nil {
 		t.Fatal(err)
 	}
-	wantCodes := []int{250, 250, 250, 354}
-	for i, want := range wantCodes {
+	// The EHLO answer is the one multi-line reply; its first line tells
+	// it from the three OKs around it.
+	for i, want := range []Reply{
+		{250, []string{"mx.pipeline.test", "PIPELINING", "SIZE 10485760", "8BITMIME"}},
+		{250, []string{"OK"}},
+		{250, []string{"OK"}},
+		{250, []string{"OK"}},
+		{221, []string{"mx.pipeline.test closing connection"}},
+	} {
 		rep, err := readReply(rd)
 		if err != nil {
 			t.Fatalf("reply %d: %v", i, err)
 		}
-		if rep.Code != want {
-			t.Fatalf("reply %d code = %d, want %d", i, rep.Code, want)
+		if !reflect.DeepEqual(rep, want) {
+			t.Fatalf("reply %d = %+v, want %+v", i, rep, want)
 		}
-	}
-	if _, err := conn.Write([]byte("pipelined body\r\n.\r\nQUIT\r\n")); err != nil {
-		t.Fatal(err)
-	}
-	if rep, err := readReply(rd); err != nil || rep.Code != 250 {
-		t.Fatalf("data ack: %v %v", rep, err)
-	}
-	if rep, err := readReply(rd); err != nil || rep.Code != 221 {
-		t.Fatalf("quit ack: %v %v", rep, err)
-	}
-	mu.Lock()
-	defer mu.Unlock()
-	if got.From != "a@b.c" || !strings.Contains(string(got.Data), "pipelined body") {
-		t.Errorf("envelope = %+v", got)
 	}
 }
