@@ -241,6 +241,67 @@ func TestEveryPackageHasACaller(t *testing.T) {
 	}
 }
 
+// funcsWithoutCaller are the exported package-level functions no non-test
+// file names, each with why it exists all the same.
+var funcsWithoutCaller = map[string]string{
+	"dataset.Read": "the io.Reader twin of Snapshot.WriteTo: FuzzRead's entry point and the differential oracle of Stream",
+}
+
+// TestEveryExportedFuncHasACaller is the function-level twin of the two
+// tests above: every exported package-level function declared in a
+// non-test file under internal/ (the test-support packages exempt) is
+// named in some non-test file under internal/, cmd/ or bench/ — bare in
+// its own package, as pkg.Func elsewhere — other than by a function
+// declaration, or is explained in funcsWithoutCaller. Syntax only, so
+// conservative: a variable called like the package counts, and methods
+// are out of scope (an interface may be their only caller).
+func TestEveryExportedFuncHasACaller(t *testing.T) {
+	declared := make(map[string]string) // pkg.Func → declaring file
+	named := make(map[string]int)       // pkg.Name → mentions that declare no function
+	parseNonTestSources(t, parser.SkipObjectResolution, func(path string, file *ast.File) {
+		dir := filepath.ToSlash(filepath.Dir(path))
+		pkg := file.Name.Name
+		_, exempt := packagesWithoutCaller["mxmap/"+dir]
+		ast.Inspect(file, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.FuncDecl:
+				named[pkg+"."+n.Name.Name]-- // its name, counted below, is no mention
+				if n.Recv == nil && n.Name.IsExported() && strings.HasPrefix(dir, "internal/") && !exempt {
+					declared[pkg+"."+n.Name.Name] = path
+				}
+			case *ast.SelectorExpr:
+				named[pkg+"."+n.Sel.Name]-- // x.Name names nothing of this package
+				if x, ok := n.X.(*ast.Ident); ok {
+					named[x.Name+"."+n.Sel.Name]++
+				}
+			case *ast.Ident:
+				named[pkg+"."+n.Name]++
+			}
+			return true
+		})
+	})
+	funcs := make([]string, 0, len(declared))
+	for fn := range declared {
+		funcs = append(funcs, fn)
+	}
+	sort.Strings(funcs)
+	for _, fn := range funcs {
+		called := named[fn] > 0
+		_, excused := funcsWithoutCaller[fn]
+		switch {
+		case !called && !excused:
+			t.Errorf("%s (%s): no non-test file calls it; delete it, or say in funcsWithoutCaller why it stays", fn, declared[fn])
+		case called && excused:
+			t.Errorf("%s has a caller now: drop it from funcsWithoutCaller", fn)
+		}
+	}
+	for fn := range funcsWithoutCaller {
+		if declared[fn] == "" {
+			t.Errorf("funcsWithoutCaller names %s, which is not a declared function", fn)
+		}
+	}
+}
+
 // TestGofmt holds every .go file in the tree to gofmt's formatting
 // (go/format is the same printer), so tier-1 fails on what `gofmt -l .`
 // would list. Dot-directories hold build output, not source.

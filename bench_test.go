@@ -1,6 +1,5 @@
-// Benchmarks regenerating every table and figure of the paper's
-// evaluation (one benchmark per artifact), plus ablation benchmarks for
-// the design choices called out in DESIGN.md. Ablations report an
+// Ablation benchmarks for the design choices called out in DESIGN.md,
+// and the inference and PSL micro-benchmarks. Ablations report an
 // "accuracy%" metric alongside timing so the quality impact of each
 // design choice is visible in benchmark output.
 package mxmap_test
@@ -61,105 +60,6 @@ func benchSetup(b *testing.B) *benchState {
 		b.Fatal("bench setup failed")
 	}
 	return &bench
-}
-
-// BenchmarkFig4Accuracy regenerates the Figure 4 accuracy comparison.
-func BenchmarkFig4Accuracy(b *testing.B) {
-	s := benchSetup(b)
-	ctx := context.Background()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := s.study.Fig4(ctx, 100, uint64(i+1)); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkTable4Breakdown regenerates the Table 4 availability
-// breakdown across all corpora.
-func BenchmarkTable4Breakdown(b *testing.B) {
-	s := benchSetup(b)
-	ctx := context.Background()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := s.study.Table4(ctx); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkTable5ProviderIDs regenerates the Table 5 inventory.
-func BenchmarkTable5ProviderIDs(b *testing.B) {
-	s := benchSetup(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s.study.Table5()
-	}
-}
-
-// BenchmarkFig5MarketShare regenerates the Figure 5 segment rankings.
-func BenchmarkFig5MarketShare(b *testing.B) {
-	s := benchSetup(b)
-	ctx := context.Background()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := s.study.Fig5(ctx); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkFig6Longitudinal regenerates all nine Figure 6 panels
-// (25 corpus-snapshots measured on first iteration, cached afterwards;
-// the benchmark therefore reports steady-state recomputation cost).
-func BenchmarkFig6Longitudinal(b *testing.B) {
-	s := benchSetup(b)
-	ctx := context.Background()
-	if _, err := s.study.Fig6(ctx); err != nil { // warm the snapshot cache
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := s.study.Fig6(ctx); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkFig7Churn regenerates the Figure 7 churn matrix.
-func BenchmarkFig7Churn(b *testing.B) {
-	s := benchSetup(b)
-	ctx := context.Background()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := s.study.Fig7(ctx); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkFig8CCTLD regenerates the Figure 8 national-preference matrix.
-func BenchmarkFig8CCTLD(b *testing.B) {
-	s := benchSetup(b)
-	ctx := context.Background()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := s.study.Fig8(ctx); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkTable6Top15 regenerates the Table 6 company ranking.
-func BenchmarkTable6Top15(b *testing.B) {
-	s := benchSetup(b)
-	ctx := context.Background()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := s.study.Table6(ctx); err != nil {
-			b.Fatal(err)
-		}
-	}
 }
 
 // accuracyOf grades one inference configuration against ground truth,

@@ -2,7 +2,9 @@ package analysis
 
 import (
 	"context"
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"mxmap/internal/companies"
@@ -230,15 +232,19 @@ func TestCCTLDPreferences(t *testing.T) {
 	}
 }
 
+// TestCountryOfDomain: the ccTLD of Figure 8 is the last label, whatever
+// the public suffix; gTLD and dotless names are outside the analysis.
 func TestCountryOfDomain(t *testing.T) {
-	cases := map[string]string{
-		"example.ru": "RU", "example.cn": "CN", "example.com": "",
-		"example.co.uk": "GB", "example": "",
+	var res core.Result
+	for _, domain := range []string{"example.ru", "example.cn", "example.com", "example.co.uk", "example"} {
+		res.Domains = append(res.Domains, core.DomainAttribution{Domain: domain, Credits: map[string]float64{"p": 1}})
 	}
-	for domain, want := range cases {
-		if got := CountryOfDomain(domain); got != want {
-			t.Errorf("CountryOfDomain(%q) = %q, want %q", domain, got, want)
-		}
+	var got []string
+	for _, c := range CCTLDPreferences(&res, nil, []string{"p"}) {
+		got = append(got, fmt.Sprintf("%s=%g", c.TLD, c.Domains))
+	}
+	if want := "cn=1 ru=1 uk=1"; strings.Join(got, " ") != want {
+		t.Errorf("cells = %v, want %s", got, want)
 	}
 	if len(CCTLDs()) != 15 {
 		t.Errorf("CCTLDs = %v", CCTLDs())

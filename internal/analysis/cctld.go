@@ -8,33 +8,22 @@ import (
 	"mxmap/internal/core"
 )
 
-// ccTLDCountry maps the country-code TLDs Figure 8 studies onto country
-// codes. Domains under other TLDs are excluded from the national
-// analysis.
-var ccTLDCountry = map[string]string{
-	"br": "BR", "ar": "AR", "uk": "GB", "fr": "FR", "de": "DE",
-	"it": "IT", "es": "ES", "ro": "RO", "ca": "CA", "au": "AU",
-	"ru": "RU", "cn": "CN", "jp": "JP", "in": "IN", "sg": "SG",
+// studiedCCTLDs are the country-code TLDs Figure 8 studies. Domains
+// under other TLDs are excluded from the national analysis.
+var studiedCCTLDs = map[string]bool{
+	"br": true, "ar": true, "uk": true, "fr": true, "de": true,
+	"it": true, "es": true, "ro": true, "ca": true, "au": true,
+	"ru": true, "cn": true, "jp": true, "in": true, "sg": true,
 }
 
 // CCTLDs lists the studied ccTLDs in the paper's display order.
 func CCTLDs() []string {
-	out := make([]string, 0, len(ccTLDCountry))
-	for tld := range ccTLDCountry {
+	out := make([]string, 0, len(studiedCCTLDs))
+	for tld := range studiedCCTLDs {
 		out = append(out, tld)
 	}
 	sort.Strings(out)
 	return out
-}
-
-// CountryOfDomain derives the Figure 8 country of a domain from its TLD,
-// returning "" for gTLDs and unstudied ccTLDs.
-func CountryOfDomain(domain string) string {
-	i := strings.LastIndexByte(domain, '.')
-	if i < 0 {
-		return ""
-	}
-	return ccTLDCountry[domain[i+1:]]
 }
 
 // CCTLDCell is one (ccTLD, provider) cell of Figure 8.
@@ -59,7 +48,7 @@ func CCTLDPreferences(res *core.Result, dir *companies.Directory, track []string
 			continue
 		}
 		tld := att.Domain[i+1:]
-		if _, studied := ccTLDCountry[tld]; !studied {
+		if !studiedCCTLDs[tld] {
 			continue
 		}
 		a := byTLD[tld]

@@ -9,13 +9,10 @@
 package asn
 
 import (
-	"bufio"
 	"fmt"
 	"io"
 	"net/netip"
 	"sort"
-	"strconv"
-	"strings"
 	"sync"
 )
 
@@ -68,18 +65,6 @@ func (r *Registry) Len() int {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	return len(r.as)
-}
-
-// All returns every registered AS sorted by number.
-func (r *Registry) All() []AS {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	out := make([]AS, 0, len(r.as))
-	for _, a := range r.as {
-		out = append(out, a)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Number < out[j].Number })
-	return out
 }
 
 // node is a binary trie node. Children are indexed by the next prefix bit.
@@ -255,51 +240,4 @@ func (t *Table) WriteTo(w io.Writer) (int64, error) {
 		}
 	}
 	return total, nil
-}
-
-// ParseTable reads CAIDA prefix2as format. Multi-origin announcements
-// ("15169_36040") and AS sets ("4808,9394") take the first AS listed,
-// matching common practice when a single origin is required.
-func ParseTable(r io.Reader) (*Table, error) {
-	t := NewTable()
-	sc := bufio.NewScanner(r)
-	lineno := 0
-	for sc.Scan() {
-		lineno++
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		fields := strings.Fields(line)
-		if len(fields) != 3 {
-			return nil, fmt.Errorf("asn: line %d: want 3 fields, got %d", lineno, len(fields))
-		}
-		addr, err := netip.ParseAddr(fields[0])
-		if err != nil {
-			return nil, fmt.Errorf("asn: line %d: %w", lineno, err)
-		}
-		bits, err := strconv.Atoi(fields[1])
-		maxBits := 32
-		if addr.Is6() && !addr.Is4() {
-			maxBits = 128
-		}
-		if err != nil || bits < 0 || bits > maxBits {
-			return nil, fmt.Errorf("asn: line %d: bad prefix length %q", lineno, fields[1])
-		}
-		asStr := fields[2]
-		if i := strings.IndexAny(asStr, "_,"); i >= 0 {
-			asStr = asStr[:i]
-		}
-		asn, err := strconv.ParseUint(asStr, 10, 32)
-		if err != nil {
-			return nil, fmt.Errorf("asn: line %d: bad ASN %q", lineno, fields[2])
-		}
-		if err := t.Insert(netip.PrefixFrom(addr, bits), ASN(asn)); err != nil {
-			return nil, fmt.Errorf("asn: line %d: %w", lineno, err)
-		}
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	return t, nil
 }

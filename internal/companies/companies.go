@@ -123,17 +123,6 @@ func (d *Directory) Companies() []*Company {
 	return out
 }
 
-// ByKind returns companies of one kind sorted by name.
-func (d *Directory) ByKind(k Kind) []*Company {
-	var out []*Company
-	for _, c := range d.Companies() {
-		if c.Kind == k {
-			out = append(out, c)
-		}
-	}
-	return out
-}
-
 // Curated returns a directory seeded with the published associations the
 // paper documents (Table 5 and the top-company discussion), expressed
 // with the real provider IDs so the Table 5 reproduction prints the same

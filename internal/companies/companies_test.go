@@ -48,19 +48,17 @@ func TestRegisterOverrides(t *testing.T) {
 }
 
 func TestByKind(t *testing.T) {
-	d := Curated()
-	sec := d.ByKind(KindEmailSecurity)
-	names := make(map[string]bool)
-	for _, c := range sec {
-		names[c.Name] = true
-		if c.Kind != KindEmailSecurity {
-			t.Errorf("%s has kind %v", c.Name, c.Kind)
-		}
+	kinds := make(map[string]Kind)
+	for _, c := range Curated().Companies() {
+		kinds[c.Name] = c.Kind
 	}
 	for _, want := range []string{"ProofPoint", "Mimecast", "Barracuda", "Cisco Ironport", "AppRiver"} {
-		if !names[want] {
-			t.Errorf("security companies missing %s", want)
+		if k, ok := kinds[want]; !ok || k != KindEmailSecurity {
+			t.Errorf("%s: kind %v (listed: %v), want %v", want, k, ok, KindEmailSecurity)
 		}
+	}
+	if k := kinds["Google"]; k == KindEmailSecurity {
+		t.Errorf("Google has kind %v", k)
 	}
 }
 

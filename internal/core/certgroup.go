@@ -54,17 +54,12 @@ type CertGroups struct {
 	n    int
 }
 
-// GroupCertificates performs certificate preprocessing. Certificates that
+// groupCertificates performs certificate preprocessing. Certificates that
 // share at least one FQDN are merged into one group (transitively); each
 // group is represented by the registered domain that occurs most often
 // across all certificates in the dataset (ties broken lexicographically
-// for determinism).
-func GroupCertificates(certList []Cert, list *psl.List) *CertGroups {
-	return groupCertificates(certList, psl.NewMemo(list))
-}
-
-// groupCertificates is GroupCertificates with a shared registered-domain
-// memo, so repeated certificate names are suffix-walked once per run.
+// for determinism). The run's shared memo suffix-walks a repeated
+// certificate name once.
 func groupCertificates(certList []Cert, memo *psl.Memo) *CertGroups {
 	// Step 1.1: count occurrences of each registered domain across every
 	// FQDN on every certificate.
@@ -157,15 +152,10 @@ func representativeName(members []int, certList []Cert, regCount map[string]int,
 	return best
 }
 
-// SingletonGroups is the ablation counterpart of GroupCertificates: each
+// singletonGroups is the ablation counterpart of groupCertificates: each
 // certificate forms its own group whose representative is the most
 // globally common registered domain among that certificate's names. It
 // quantifies what the FQDN-overlap grouping buys.
-func SingletonGroups(certList []Cert, list *psl.List) *CertGroups {
-	return singletonGroups(certList, psl.NewMemo(list))
-}
-
-// singletonGroups is SingletonGroups with a shared registered-domain memo.
 func singletonGroups(certList []Cert, memo *psl.Memo) *CertGroups {
 	regCount := make(map[string]int)
 	for _, c := range certList {

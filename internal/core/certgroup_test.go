@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"testing"
 	"testing/quick"
+
+	"mxmap/internal/psl"
 )
 
 func TestGlobMatch(t *testing.T) {
@@ -65,7 +67,7 @@ func TestGroupCertificatesTransitivity(t *testing.T) {
 		{Fingerprint: "c", Names: []string{"y.p2.net", "only-c.p2.net"}, Valid: true},
 		{Fingerprint: "d", Names: []string{"z.unrelated.org"}, Valid: true},
 	}
-	g := GroupCertificates(certList, nil)
+	g := groupCertificates(certList, psl.NewMemo(nil))
 	if g.NumGroups() != 2 {
 		t.Fatalf("NumGroups = %d, want 2", g.NumGroups())
 	}
@@ -97,7 +99,7 @@ func TestGroupCertificatesRepresentativeByCount(t *testing.T) {
 		{Fingerprint: "2", Names: []string{"mx2.big.com"}},
 		{Fingerprint: "3", Names: []string{"mx3.big.com"}},
 	}
-	g := GroupCertificates(certList, nil)
+	g := groupCertificates(certList, psl.NewMemo(nil))
 	rep, ok := g.Representative("1")
 	if !ok || rep != "big.com" {
 		t.Errorf("representative = (%q, %v), want big.com", rep, ok)
@@ -109,7 +111,7 @@ func TestGroupCertificatesNoUsableNames(t *testing.T) {
 		{Fingerprint: "junk", Names: []string{"localhost"}},
 		{Fingerprint: "empty", Names: nil},
 	}
-	g := GroupCertificates(certList, nil)
+	g := groupCertificates(certList, psl.NewMemo(nil))
 	if rep, ok := g.Representative("junk"); !ok || rep != "localhost" {
 		t.Errorf("junk representative = (%q, %v)", rep, ok)
 	}
@@ -137,8 +139,8 @@ func TestGroupingPartitionProperty(t *testing.T) {
 				},
 			})
 		}
-		grouped := GroupCertificates(certList, nil)
-		single := SingletonGroups(certList, nil)
+		grouped := groupCertificates(certList, psl.NewMemo(nil))
+		single := singletonGroups(certList, psl.NewMemo(nil))
 		for _, c := range certList {
 			if _, ok := grouped.Representative(c.Fingerprint); !ok {
 				return false

@@ -8,6 +8,7 @@ import (
 
 	"mxmap/internal/asn"
 	"mxmap/internal/dataset"
+	"mxmap/internal/psl"
 )
 
 func addr(s string) netip.Addr { return netip.MustParseAddr(s) }
@@ -92,7 +93,7 @@ func TestPaperTable3Priority(t *testing.T) {
 
 func TestPaperTable3CertGrouping(t *testing.T) {
 	s := table3Snapshot()
-	groups := GroupCertificates(collectCerts(s.IPs, []string{"1.2.3.4", "2.3.4.5", "3.4.5.6", "4.5.6.7"}), nil)
+	groups := groupCertificates(collectCerts(s.IPs, []string{"1.2.3.4", "2.3.4.5", "3.4.5.6", "4.5.6.7"}), psl.NewMemo(nil))
 	// Two groups: {cert1, cert2} and {vps cert}.
 	if groups.NumGroups() != 2 {
 		t.Errorf("NumGroups = %d, want 2", groups.NumGroups())

@@ -115,4 +115,12 @@ func TestLongLineRead(t *testing.T) {
 	if len(got.Domains) != 1 || len(got.Domains[0].SPF) != 7+len(big) {
 		t.Fatalf("long SPF record did not round-trip")
 	}
+	// fsck reads lines the way the readers do: what loads is not damage.
+	path := filepath.Join(t.TempDir(), "big.jsonl")
+	if err := WriteFile(path, s); err != nil {
+		t.Fatal(err)
+	}
+	if r, err := Fsck(path); err != nil || !r.Clean {
+		t.Errorf("fsck of a snapshot that reads back = %+v, %v, want clean", r, err)
+	}
 }

@@ -12,13 +12,12 @@ package dataset
 // manual rescue would preserve.
 
 import (
-	"bufio"
-	"compress/gzip"
+	"errors"
 	"fmt"
 	"io"
+	"io/fs"
 	"os"
 	"sort"
-	"strings"
 )
 
 // maxFsckProblems bounds the report; corrupt files can violate an
@@ -118,10 +117,7 @@ func Fsck(path string) (*FsckReport, error) {
 	if n == len(journalMagic) && string(magic) == journalMagic {
 		return fsckJournal(path)
 	}
-	if _, err := f.Seek(0, io.SeekStart); err != nil {
-		return nil, err
-	}
-	return fsckSnapshot(path, f)
+	return fsckSnapshot(path)
 }
 
 // fsckJournal validates a write-ahead journal via the recovery reader:
@@ -153,32 +149,35 @@ func fsckJournal(path string) (*FsckReport, error) {
 	return r, nil
 }
 
-// fsckSnapshot validates a committed snapshot file: gzip stream, JSONL
-// framing, and the cross-record invariants.
-func fsckSnapshot(path string, f *os.File) (*FsckReport, error) {
+// fsckSnapshot validates a committed snapshot file (or a shard): gzip
+// stream, JSONL framing, and the cross-record invariants. It opens and
+// scans the file the way every reader does, so what loads is not damage.
+func fsckSnapshot(path string) (*FsckReport, error) {
 	r := &FsckReport{Path: path, Kind: "snapshot"}
-	if fi, err := f.Stat(); err == nil {
+	if fi, err := os.Stat(path); err == nil {
 		r.TotalBytes = fi.Size()
 	}
-	var src io.Reader = f
-	if strings.HasSuffix(path, ".gz") {
-		zr, err := gzip.NewReader(f)
-		if err != nil {
-			r.problem("not a gzip stream: %v", err)
-			return r, nil
-		}
-		defer zr.Close()
-		src = zr
+	src, done, err := openReader(path)
+	if openErr := new(*fs.PathError); errors.As(err, openErr) {
+		return nil, err // could not open: I/O, not damage
 	}
+	if err != nil {
+		r.problem("not a gzip stream: %v", err)
+		return r, nil
+	}
+	defer done()
 
 	// Physical pass: every line must be well-formed JSON of a known
-	// kind, header first and only once.
-	sc := bufio.NewScanner(src)
-	sc.Buffer(make([]byte, 0, 64*1024), 16<<20)
+	// kind, header first and only once, a shard's footer last.
+	sc, lineBuf := newLineScanner(src)
+	defer putLineBuf(lineBuf)
 	var (
 		lineno     int
 		intact     int
 		salvage    int // last line of the intact prefix
+		nDomains   int // domain lines so far, as a footer counts them
+		nIPs       int // ip lines so far, likewise
+		footerAt   int // line of the footer, 0 before it
 		headerSeen bool
 		damaged    bool
 		d          DomainRecord
@@ -192,6 +191,10 @@ func fsckSnapshot(path string, f *os.File) (*FsckReport, error) {
 		lineno++
 		if len(sc.Bytes()) == 0 {
 			continue
+		}
+		if footerAt > 0 {
+			r.problem("line %d: trailing data after footer (line %d)", lineno, footerAt)
+			break
 		}
 		// Only strings are kept from a record, so decodeLine may refill
 		// the same two line after line.
@@ -217,6 +220,7 @@ func fsckSnapshot(path string, f *os.File) (*FsckReport, error) {
 			case line.Domain == nil:
 				r.problem("line %d: domain line without body", lineno)
 			default:
+				nDomains++
 				if first, dup := domainAt[line.Domain.Domain]; dup {
 					r.problem("line %d: duplicate domain %s (first at line %d)",
 						lineno, line.Domain.Domain, first)
@@ -239,8 +243,19 @@ func fsckSnapshot(path string, f *os.File) (*FsckReport, error) {
 			case line.IP == nil:
 				r.problem("line %d: ip line without body", lineno)
 			default:
+				nIPs++
 				ipAt[line.IP.Addr.String()] = lineno
 				intact++
+			}
+		case "footer":
+			// A shard loads as a snapshot (walkLines skips the line);
+			// the merge reader's checks on it apply here too.
+			footerAt = lineno
+			if f, err := ParseShardFooter(sc.Bytes()); err != nil {
+				r.problem("line %d: %v", lineno, err)
+			} else if f.Domains != nDomains || f.IPs != nIPs {
+				r.problem("line %d: footer counts (%d domains, %d ips) disagree with body (%d, %d)",
+					lineno, f.Domains, f.IPs, nDomains, nIPs)
 			}
 		default:
 			r.problem("line %d: unknown kind %q", lineno, line.Kind)

@@ -234,3 +234,60 @@ func TestFsckNotGzip(t *testing.T) {
 		t.Errorf("report text = %q", buf.String())
 	}
 }
+
+// TestFsckShard: the shard a crashed fleet run leaves behind loads as a
+// snapshot, so fsck calls it clean; its footer is held to the merge
+// reader's rules (counts equal the body's, nothing after it).
+func TestFsckShard(t *testing.T) {
+	dir := t.TempDir()
+	ss := NewShardSet(filepath.Join(dir, "out.jsonl.gz"), "2021-06", "alexa")
+	w := ss.NewWriter()
+	snap := sampleSnapshot()
+	if err := snap.ForEach(
+		func(d *DomainRecord) error { return w.AddDomain(*d) },
+		func(info *IPInfo) error { return w.AddIP(*info) },
+	); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	shard := ss.Paths()[0]
+	r, err := Fsck(shard)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !r.Clean || r.Entries != 4 {
+		t.Fatalf("fsck of a fresh shard = %+v, want clean with 4 entries", r)
+	}
+
+	body, err := ReadFile(shard)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var text bytes.Buffer
+	if _, err := body.WriteTo(&text); err != nil {
+		t.Fatal(err)
+	}
+	footer := func(domains int) string {
+		return fmt.Sprintf(`{"kind":"footer","footer":{"seq":0,"domains":%d,"ips":2,"first_domain":"a","last_domain":"b"}}`+"\n", domains)
+	}
+	for _, c := range []struct{ name, tail, want string }{
+		{"miscounted", footer(3), "disagree with body"},
+		{"trailing", footer(2) + footer(2), "after footer"},
+		{"bodyless", `{"kind":"footer"}` + "\n", "footer"},
+	} {
+		path := filepath.Join(dir, c.name+".jsonl")
+		if err := os.WriteFile(path, []byte(text.String()+c.tail), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		r, err := Fsck(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r.Clean {
+			t.Errorf("%s: fsck = %+v, want a problem", c.name, r)
+		}
+		assertProblem(t, r, c.want)
+	}
+}

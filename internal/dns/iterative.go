@@ -15,9 +15,8 @@ import (
 // IterativeResolver performs full iterative resolution the way the
 // paper's active-DNS measurement platform does: start at the root
 // servers, follow referrals through the TLD to the authoritative
-// server, and chase CNAMEs by restarting from the root.
-//
-// With a Cache attached it behaves as a caching recursive resolver:
+// server, and chase CNAMEs by restarting from the root. It is a caching
+// recursive resolver:
 //
 //   - Final answers (positive and RFC 2308 negative) are cached under
 //     their TTLs, and repeated questions are answered from memory.
@@ -46,9 +45,9 @@ type IterativeResolver struct {
 	DialContext func(ctx context.Context, network, address string) (net.Conn, error)
 	// Timeout bounds each single exchange (default 2s).
 	Timeout time.Duration
-	// Cache, when non-nil, turns the resolver into a caching recursive
-	// resolver (see the type comment). Without it only delegations are
-	// cached, in an internal bounded store.
+	// Cache holds answers and zone cuts (see the type comment). Share one
+	// between resolvers to share what they learn; nil is replaced by
+	// NewCache() on first use.
 	Cache *Cache
 	// PrefetchMinHits is the fresh-hit count an entry must reach before
 	// near-expiry prefetch refreshes it (default 3; negative disables
@@ -56,10 +55,8 @@ type IterativeResolver struct {
 	// cache lifetime.
 	PrefetchMinHits int
 
-	mu sync.Mutex
-	// delegations is the internal bounded zone-cut store used when
-	// Cache is nil, so plain resolvers still skip the upper hierarchy.
-	delegations *Cache
+	cacheOnce sync.Once
+	mu        sync.Mutex
 	// flights holds one entry per in-flight (name, type) question; the
 	// singleflight substrate of query coalescing.
 	flights map[cacheKey]*queryFlight
@@ -111,18 +108,21 @@ func (r *IterativeResolver) Query(ctx context.Context, name string, typ Type) (*
 	if len(r.Roots) == 0 {
 		return nil, ErrNoRoots
 	}
+	r.cacheOnce.Do(func() {
+		if r.Cache == nil {
+			r.Cache = NewCache()
+		}
+	})
 	name = CanonicalName(name)
 	r.counters.queries.Add(1)
-	if r.Cache != nil {
-		if msg, lk := r.Cache.Lookup(name, typ, false); lk.State == CacheFresh {
-			r.counters.cacheHits.Add(1)
-			r.maybePrefetch(name, typ, lk)
-			return msg, nil
-		}
-		r.counters.cacheMisses.Add(1)
+	if msg, lk := r.Cache.Lookup(name, typ, false); lk.State == CacheFresh {
+		r.counters.cacheHits.Add(1)
+		r.maybePrefetch(name, typ, lk)
+		return msg, nil
 	}
+	r.counters.cacheMisses.Add(1)
 	msg, err := r.coalesced(ctx, name, typ)
-	if err != nil && r.Cache != nil {
+	if err != nil {
 		// Serve-stale (RFC 8767): the wire attempt above was this
 		// query's refresh try; having failed, an expired entry within
 		// the stale window still answers.
@@ -180,9 +180,7 @@ func (r *IterativeResolver) iterate(ctx context.Context, name string, typ Type) 
 		switch {
 		case resp.Header.RCode == RCodeNXDomain,
 			resp.Header.RCode == RCodeSuccess && (len(resp.Answers) > 0 || resp.Header.Authoritative):
-			if r.Cache != nil {
-				r.Cache.Put(name, typ, resp)
-			}
+			r.Cache.Put(name, typ, resp)
 			return resp, nil
 		case resp.Header.RCode != RCodeSuccess:
 			return nil, fmt.Errorf("%w: %s from %s zone servers", ErrServFail, resp.Header.RCode, zone)
@@ -201,7 +199,7 @@ func (r *IterativeResolver) iterate(ctx context.Context, name string, typ Type) 
 				return nil, err
 			}
 		}
-		r.delegationStore().PutDelegation(child, next, delegationTTL(resp))
+		r.Cache.PutDelegation(child, next, delegationTTL(resp))
 		servers, zone = next, child
 	}
 	return nil, ErrReferralLoop
@@ -318,34 +316,13 @@ func (r *IterativeResolver) LookupTXT(ctx context.Context, domain string) ([]str
 	return txtFromMessage(resp, domain)
 }
 
-// delegationStore returns where zone cuts live: the shared Cache when
-// attached, otherwise an internal bounded store — either way the
-// delegation state of a long run cannot grow without limit.
-func (r *IterativeResolver) delegationStore() *Cache {
-	if r.Cache != nil {
-		return r.Cache
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.delegations == nil {
-		r.delegations = NewCache()
-	}
-	return r.delegations
-}
-
 // bestServers returns the deepest cached zone cut covering name, or the
 // roots. The cut walk is O(labels), not O(cached zones).
 func (r *IterativeResolver) bestServers(name string) ([]netip.AddrPort, string) {
-	if servers, zone, ok := r.delegationStore().Delegation(name); ok {
+	if servers, zone, ok := r.Cache.Delegation(name); ok {
 		return servers, zone
 	}
 	return r.Roots, "."
-}
-
-// cacheDelegation seeds one zone cut directly (tests use this to build
-// pathological delegation states).
-func (r *IterativeResolver) cacheDelegation(zone string, servers []netip.AddrPort) {
-	r.delegationStore().PutDelegation(zone, servers, uint32(minDelegationTTL/time.Second))
 }
 
 // delegationTTL derives a referral's cache lifetime: the minimum TTL
@@ -362,21 +339,6 @@ func delegationTTL(referral *Message) uint32 {
 		}
 	}
 	return ttl
-}
-
-// InvalidateCache drops all cached delegations (for tests and long-lived
-// resolvers spanning zone changes). Answer entries in an attached Cache
-// are not touched; they expire on their own TTLs.
-func (r *IterativeResolver) InvalidateCache() {
-	r.mu.Lock()
-	internal := r.delegations
-	r.mu.Unlock()
-	if internal != nil {
-		internal.FlushDelegations()
-	}
-	if r.Cache != nil {
-		r.Cache.FlushDelegations()
-	}
 }
 
 // clientFor returns the shared client for one server address, creating

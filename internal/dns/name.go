@@ -150,9 +150,6 @@ func SplitLabels(s string) []string {
 	return strings.Split(s, ".")
 }
 
-// CountLabels returns the number of labels in the name.
-func CountLabels(s string) int { return len(SplitLabels(s)) }
-
 // Parent returns the name with its leftmost label removed, in canonical
 // form. The parent of a single-label name is the root ".", and the parent
 // of the root is the root.

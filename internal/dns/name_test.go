@@ -81,10 +81,10 @@ func TestParentAndLabels(t *testing.T) {
 	if got := Parent("."); got != "." {
 		t.Errorf("Parent(.) = %q", got)
 	}
-	if got := CountLabels("a.b.c."); got != 3 {
-		t.Errorf("CountLabels = %d", got)
+	if got := SplitLabels("a.b.c."); len(got) != 3 || got[0] != "a" {
+		t.Errorf("SplitLabels = %q", got)
 	}
-	if got := CountLabels("."); got != 0 {
-		t.Errorf("CountLabels(.) = %d", got)
+	if got := SplitLabels("."); len(got) != 0 {
+		t.Errorf("SplitLabels(.) = %q", got)
 	}
 }

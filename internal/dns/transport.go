@@ -30,8 +30,8 @@ var (
 // ephemeral-port pressure from every exchange — which is what made
 // 32-way scan fan-out socket-bound.
 //
-// A Transport is safe for concurrent use. The zero value is not usable;
-// call NewTransport.
+// A Transport is safe for concurrent use. The zero value is not usable:
+// set Server.
 type Transport struct {
 	// Server is the resolver address, host:port.
 	Server string
@@ -50,11 +50,6 @@ type Transport struct {
 	next   int // round-robin cursor
 	closed bool
 	once   sync.Once
-}
-
-// NewTransport returns a Transport for the given server with defaults.
-func NewTransport(server string) *Transport {
-	return &Transport{Server: server}
 }
 
 // maxInFlight bounds the outstanding queries of one transport across all

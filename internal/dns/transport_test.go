@@ -35,7 +35,7 @@ func bigTestCatalog(t *testing.T) *Catalog {
 // draw and in-flight accounting.
 func TestTransportConcurrentStress(t *testing.T) {
 	addr := startTestServer(t, bigTestCatalog(t))
-	tr := NewTransport(addr)
+	tr := &Transport{Server: addr}
 	defer tr.Close()
 
 	const goroutines = 16
@@ -462,7 +462,7 @@ func TestRoundTripTimeoutIsDeadlineExceeded(t *testing.T) {
 
 func TestTransportClose(t *testing.T) {
 	addr := startTestServer(t, testCatalog(t))
-	tr := NewTransport(addr)
+	tr := &Transport{Server: addr}
 	cl := &Client{Server: addr, Timeout: 2 * time.Second, Transport: tr}
 	if _, err := (ClientResolver{Client: cl}).LookupMX(context.Background(), "example.com"); err != nil {
 		t.Fatal(err)

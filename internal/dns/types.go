@@ -38,17 +38,6 @@ func (t Type) String() string {
 	return fmt.Sprintf("TYPE%d", uint16(t))
 }
 
-// ParseType converts a mnemonic such as "MX" to its type code.
-func ParseType(s string) (Type, bool) {
-	s = strings.ToUpper(strings.TrimSpace(s))
-	for t, name := range typeNames {
-		if name == s {
-			return t, true
-		}
-	}
-	return TypeNone, false
-}
-
 // Class is a DNS class code. Only IN is used in practice.
 type Class uint16
 

@@ -173,7 +173,7 @@ func BenchmarkExchange(b *testing.B) {
 	defer srv.Close()
 	addr := pc.LocalAddr().String()
 
-	tr := NewTransport(addr)
+	tr := &Transport{Server: addr}
 	defer tr.Close()
 	ctx := context.Background()
 	// RunParallel spawns p*GOMAXPROCS goroutines; aim for 32 concurrent

@@ -1,13 +1,9 @@
 package dns
 
 import (
-	"bufio"
 	"fmt"
 	"io"
-	"net/netip"
 	"sort"
-	"strconv"
-	"strings"
 	"sync"
 )
 
@@ -266,8 +262,9 @@ func (z *Zone) Len() int {
 	return n
 }
 
-// WriteTo emits the zone in a minimal zone-file presentation format
-// readable by ParseZone. It implements io.WriterTo.
+// WriteTo emits the zone in zone-file presentation format: an $ORIGIN
+// line, then one record a line in Records order. It implements
+// io.WriterTo; nothing here reads the text back.
 func (z *Zone) WriteTo(w io.Writer) (int64, error) {
 	var total int64
 	n, err := fmt.Fprintf(w, "$ORIGIN %s\n", z.Origin)
@@ -283,275 +280,4 @@ func (z *Zone) WriteTo(w io.Writer) (int64, error) {
 		}
 	}
 	return total, nil
-}
-
-// ParseZone reads the zone-file format produced by Zone.WriteTo plus the
-// common conveniences of hand-written zone files: $ORIGIN and $TTL
-// directives, "@" for the origin, ";" comments (outside quotes),
-// parenthesized record data spanning multiple lines (the conventional
-// SOA layout), and records that omit the TTL when a $TTL default exists.
-// origin is used when the file carries no $ORIGIN.
-func ParseZone(r io.Reader, origin string) (*Zone, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
-	var z *Zone
-	var defaultTTL uint32
-	hasDefaultTTL := false
-	lineno := 0
-	ensure := func() *Zone {
-		if z == nil {
-			z = NewZone(origin)
-		}
-		return z
-	}
-	var pending strings.Builder
-	openParens := 0
-	for sc.Scan() {
-		lineno++
-		line := stripZoneComment(sc.Text())
-		if openParens > 0 {
-			pending.WriteString(" " + line)
-			openParens += strings.Count(line, "(") - strings.Count(line, ")")
-			if openParens > 0 {
-				continue
-			}
-			line = pending.String()
-			pending.Reset()
-		} else {
-			if opens := strings.Count(line, "(") - strings.Count(line, ")"); opens > 0 {
-				pending.WriteString(line)
-				openParens = opens
-				continue
-			}
-		}
-		line = strings.TrimSpace(strings.NewReplacer("(", " ", ")", " ").Replace(line))
-		if line == "" {
-			continue
-		}
-		if strings.HasPrefix(line, "$ORIGIN") {
-			fields := strings.Fields(line)
-			if len(fields) != 2 {
-				return nil, fmt.Errorf("dns: line %d: malformed $ORIGIN", lineno)
-			}
-			if z != nil {
-				return nil, fmt.Errorf("dns: line %d: $ORIGIN after records", lineno)
-			}
-			z = NewZone(fields[1])
-			continue
-		}
-		if strings.HasPrefix(line, "$TTL") {
-			fields := strings.Fields(line)
-			if len(fields) != 2 {
-				return nil, fmt.Errorf("dns: line %d: malformed $TTL", lineno)
-			}
-			v, err := strconv.ParseUint(fields[1], 10, 32)
-			if err != nil {
-				return nil, fmt.Errorf("dns: line %d: bad $TTL %q", lineno, fields[1])
-			}
-			defaultTTL = uint32(v)
-			hasDefaultTTL = true
-			continue
-		}
-		zone := ensure()
-		rr, err := parseRecordLine(line, zone.Origin, defaultTTL, hasDefaultTTL)
-		if err != nil {
-			return nil, fmt.Errorf("dns: line %d: %w", lineno, err)
-		}
-		if err := zone.Add(rr); err != nil {
-			return nil, fmt.Errorf("dns: line %d: %w", lineno, err)
-		}
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	if openParens > 0 {
-		return nil, fmt.Errorf("dns: unbalanced parentheses at end of zone file")
-	}
-	return ensure(), nil
-}
-
-// ParseZones reads a concatenation of zone files (as emitted by writing
-// several zones' WriteTo output into one stream), splitting on $ORIGIN
-// directives, and returns a catalog of the parsed zones.
-func ParseZones(r io.Reader) (*Catalog, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
-	cat := NewCatalog()
-	var block strings.Builder
-	flush := func() error {
-		if strings.TrimSpace(block.String()) == "" {
-			block.Reset()
-			return nil
-		}
-		z, err := ParseZone(strings.NewReader(block.String()), "")
-		if err != nil {
-			return err
-		}
-		cat.AddZone(z)
-		block.Reset()
-		return nil
-	}
-	for sc.Scan() {
-		line := sc.Text()
-		if strings.HasPrefix(strings.TrimSpace(line), "$ORIGIN") {
-			if err := flush(); err != nil {
-				return nil, err
-			}
-		}
-		block.WriteString(line + "\n")
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	if err := flush(); err != nil {
-		return nil, err
-	}
-	return cat, nil
-}
-
-// stripZoneComment removes a trailing ";" comment, respecting quoted
-// strings (TXT data may contain semicolons).
-func stripZoneComment(line string) string {
-	inQuote := false
-	for i := 0; i < len(line); i++ {
-		switch line[i] {
-		case '"':
-			inQuote = !inQuote
-		case '\\':
-			i++
-		case ';':
-			if !inQuote {
-				return line[:i]
-			}
-		}
-	}
-	return line
-}
-
-func parseRecordLine(line, origin string, defaultTTL uint32, hasDefaultTTL bool) (RR, error) {
-	fields := strings.Fields(line)
-	if len(fields) < 4 {
-		return RR{}, fmt.Errorf("too few fields in %q", line)
-	}
-	name := fields[0]
-	if name == "@" {
-		name = origin
-	}
-	rest := fields[1:]
-	// The TTL column is optional when a $TTL default is in effect.
-	var ttl uint64
-	if v, err := strconv.ParseUint(rest[0], 10, 32); err == nil {
-		ttl = v
-		rest = rest[1:]
-	} else if hasDefaultTTL {
-		ttl = uint64(defaultTTL)
-	} else {
-		return RR{}, fmt.Errorf("bad TTL %q", rest[0])
-	}
-	if len(rest) < 2 {
-		return RR{}, fmt.Errorf("too few fields in %q", line)
-	}
-	if !strings.EqualFold(rest[0], "IN") {
-		return RR{}, fmt.Errorf("unsupported class %q", rest[0])
-	}
-	typ, ok := ParseType(rest[1])
-	if !ok {
-		return RR{}, fmt.Errorf("unsupported type %q", rest[1])
-	}
-	rr := RR{Name: name, TTL: uint32(ttl), Class: ClassIN, Type: typ}
-	rdata := rest[2:]
-	if len(rdata) == 0 {
-		return RR{}, fmt.Errorf("missing rdata in %q", line)
-	}
-	switch typ {
-	case TypeA, TypeAAAA:
-		addr, err := netip.ParseAddr(rdata[0])
-		if err != nil {
-			return RR{}, err
-		}
-		if typ == TypeA {
-			rr.Data = AData{Addr: addr}
-		} else {
-			rr.Data = AAAAData{Addr: addr}
-		}
-	case TypeNS:
-		rr.Data = NSData{Host: rdata[0]}
-	case TypeCNAME:
-		rr.Data = CNAMEData{Target: rdata[0]}
-	case TypePTR:
-		rr.Data = PTRData{Target: rdata[0]}
-	case TypeMX:
-		if len(rdata) != 2 {
-			return RR{}, fmt.Errorf("MX needs preference and exchange")
-		}
-		pref, err := strconv.ParseUint(rdata[0], 10, 16)
-		if err != nil {
-			return RR{}, fmt.Errorf("bad MX preference %q", rdata[0])
-		}
-		rr.Data = MXData{Preference: uint16(pref), Exchange: rdata[1]}
-	case TypeTXT:
-		// Re-join and split on quoted strings.
-		joined := strings.Join(rdata, " ")
-		ss, err := parseQuotedStrings(joined)
-		if err != nil {
-			return RR{}, err
-		}
-		rr.Data = TXTData{Strings: ss}
-	case TypeSOA:
-		if len(rdata) != 7 {
-			return RR{}, fmt.Errorf("SOA needs 7 fields")
-		}
-		var soa SOAData
-		soa.MName, soa.RName = rdata[0], rdata[1]
-		nums := []*uint32{&soa.Serial, &soa.Refresh, &soa.Retry, &soa.Expire, &soa.Minimum}
-		for i, f := range nums {
-			v, err := strconv.ParseUint(rdata[2+i], 10, 32)
-			if err != nil {
-				return RR{}, fmt.Errorf("bad SOA field %q", rdata[2+i])
-			}
-			*f = uint32(v)
-		}
-		rr.Data = soa
-	default:
-		return RR{}, fmt.Errorf("unsupported type %s", typ)
-	}
-	return rr, nil
-}
-
-func parseQuotedStrings(s string) ([]string, error) {
-	var out []string
-	for s = strings.TrimSpace(s); s != ""; s = strings.TrimSpace(s) {
-		if s[0] != '"' {
-			return nil, fmt.Errorf("TXT string must be quoted near %q", s)
-		}
-		str, rest, err := unquoteOne(s)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, str)
-		s = rest
-	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("empty TXT data")
-	}
-	return out, nil
-}
-
-func unquoteOne(s string) (string, string, error) {
-	// s starts with a double quote; find the matching close, honoring \"
-	var sb strings.Builder
-	for i := 1; i < len(s); i++ {
-		switch s[i] {
-		case '\\':
-			if i+1 < len(s) {
-				i++
-				sb.WriteByte(s[i])
-			}
-		case '"':
-			return sb.String(), s[i+1:], nil
-		default:
-			sb.WriteByte(s[i])
-		}
-	}
-	return "", "", fmt.Errorf("unterminated quoted string")
 }

@@ -350,15 +350,11 @@ func (s *Study) chainCorpus(ctx context.Context, corpus string, dates []string) 
 		}); err != nil {
 			return err
 		}
-		res, ds := core.InferDelta(snap, core.ApproachPriority, core.Config{
+		res, _ := core.InferDelta(snap, core.ApproachPriority, core.Config{
 			Profiles:    s.Profiles,
 			Parallelism: s.Parallelism,
 		}, prevRes, changed)
 		s.setResult(corpus, date, res)
-		s.mu.Lock()
-		s.deltaTotals.Reused += ds.Reused
-		s.deltaTotals.Reinferred += ds.Reinferred
-		s.mu.Unlock()
 		prevSnap, prevRes = snap, res
 	}
 	return nil

@@ -183,16 +183,17 @@ func TestTruthBucket(t *testing.T) {
 	s := study(t)
 	corpus := s.World.Corpus(world.CorpusAlexa)
 	d := corpus.Domains[0]
-	got := s.TruthBucket(world.CorpusAlexa, 0, d.Name)
+	truth := s.truthIndex(world.CorpusAlexa, 0)
+	got := truth[d.Name]
 	want := s.World.TruthCompany(d, 0)
 	if want == d.Name {
 		want = "Self-Hosted"
 	}
 	if got != want {
-		t.Errorf("TruthBucket = %q, want %q", got, want)
+		t.Errorf("truth bucket = %q, want %q", got, want)
 	}
-	if s.TruthBucket(world.CorpusAlexa, 0, "not-in-corpus.test") != "" {
-		t.Error("TruthBucket for unknown domain should be empty")
+	if truth["not-in-corpus.test"] != "" || len(truth) != len(corpus.Domains) {
+		t.Errorf("truth index holds %d domains, want the corpus's %d and no other", len(truth), len(corpus.Domains))
 	}
 }
 

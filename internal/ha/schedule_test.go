@@ -44,7 +44,7 @@ func TestReprobeScheduleFrozenClock(t *testing.T) {
 		return fabricDialer(n, replicaAddr(0))(ctx)
 	}
 
-	pool, err := NewPool(Config{
+	pool, err := newPool(&Config{
 		Replicas:       []ReplicaConfig{{Name: "flaky", Dial: dial}},
 		ProbeInterval:  time.Second,
 		ReprobeBase:    250 * time.Millisecond,
@@ -52,7 +52,7 @@ func TestReprobeScheduleFrozenClock(t *testing.T) {
 		EjectThreshold: 3,
 		Now:            clock,
 		Jitter:         jitter,
-	})
+	}, &counters{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -141,34 +141,15 @@ func effectiveLen(r rule) int {
 // Len reports the number of rules in the list.
 func (l *List) Len() int { return l.n }
 
-// PublicSuffix returns the public suffix of domain according to the list,
-// and whether the suffix came from an explicit (non-default) rule. The
-// domain must be a normalized host name; trailing dots are removed and the
-// comparison is case-insensitive.
-func (l *List) PublicSuffix(domain string) (suffix string, explicit bool) {
-	labels := splitLabels(domain)
-	if len(labels) == 0 {
-		return "", false
-	}
-	n, explicit := l.suffixLen(labels)
-	return strings.Join(labels[len(labels)-n:], "."), explicit
-}
-
 // suffixLen returns how many of the trailing labels form the public suffix.
-func (l *List) suffixLen(labels []string) (n int, explicit bool) {
+func (l *List) suffixLen(labels []string) int {
 	tld := labels[len(labels)-1]
-	best := 0
 	for _, ru := range l.byTLD[tld] {
 		if m, ok := matchRule(ru, labels); ok {
-			best = m
-			explicit = true
-			break // rules are sorted longest-first
+			return m // rules are sorted longest-first
 		}
 	}
-	if best == 0 {
-		return 1, explicit // default rule "*": the suffix is the TLD itself
-	}
-	return best, explicit
+	return 1 // default rule "*": the suffix is the TLD itself
 }
 
 // matchRule reports whether ru matches the (non-reversed) labels, and if so
@@ -203,21 +184,11 @@ func (l *List) RegisteredDomain(domain string) (reg string, ok bool) {
 	if len(labels) == 0 {
 		return "", false
 	}
-	n, _ := l.suffixLen(labels)
+	n := l.suffixLen(labels)
 	if n >= len(labels) {
 		return "", false
 	}
 	return strings.Join(labels[len(labels)-n-1:], "."), true
-}
-
-// InSuffixList reports whether domain exactly equals a public suffix.
-func (l *List) InSuffixList(domain string) bool {
-	labels := splitLabels(domain)
-	if len(labels) == 0 {
-		return false
-	}
-	n, _ := l.suffixLen(labels)
-	return n == len(labels)
 }
 
 // splitLabels normalizes a host name and splits it into labels. It returns
@@ -240,10 +211,4 @@ func splitLabels(domain string) []string {
 // See List.RegisteredDomain.
 func RegisteredDomain(domain string) (string, bool) {
 	return Default.RegisteredDomain(domain)
-}
-
-// PublicSuffix extracts the public suffix using the Default list.
-// See List.PublicSuffix.
-func PublicSuffix(domain string) (string, bool) {
-	return Default.PublicSuffix(domain)
 }

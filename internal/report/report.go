@@ -36,22 +36,6 @@ func (t *Table) AddRow(cells ...string) {
 	t.rows = append(t.rows, row)
 }
 
-// AddRowf appends a row of formatted values.
-func (t *Table) AddRowf(format string, cells ...any) {
-	strs := make([]string, len(cells))
-	for i, c := range cells {
-		switch v := c.(type) {
-		case string:
-			strs[i] = v
-		case float64:
-			strs[i] = fmt.Sprintf(format, v)
-		default:
-			strs[i] = fmt.Sprint(v)
-		}
-	}
-	t.AddRow(strs...)
-}
-
 // NumRows reports the number of data rows.
 func (t *Table) NumRows() int { return len(t.rows) }
 

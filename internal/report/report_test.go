@@ -87,13 +87,3 @@ func TestSparklineFlat(t *testing.T) {
 		t.Errorf("empty sparkline = %q", s)
 	}
 }
-
-func TestAddRowf(t *testing.T) {
-	tb := NewTable("", "x", "pct")
-	tb.AddRowf("%.1f", "label", 12.345)
-	var sb strings.Builder
-	tb.WriteText(&sb)
-	if !strings.Contains(sb.String(), "12.3") {
-		t.Errorf("AddRowf formatting: %s", sb.String())
-	}
-}

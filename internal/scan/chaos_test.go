@@ -461,7 +461,7 @@ func TestChaosTransientLookupNotCached(t *testing.T) {
 		Resolver:    w.resolver,
 		Dialer:      w.net,
 		Concurrency: 1,
-		Retry:       NoRetryPolicy(),
+		Retry:       &RetryPolicy{Attempts: 1},
 	}
 	snap, err := col.Collect(context.Background(), "chaos", "now",
 		[]Target{{Name: "shared.test"}, {Name: "alias.test"}})
@@ -501,7 +501,7 @@ func TestChaosTransientLookupNotCached(t *testing.T) {
 	// same corpus with a healthy exchange resolves it once.
 	w2 := &chaosWorld{net: netsim.New(), cat: w.cat}
 	w2.resolver = newChaosResolver(dns.CatalogResolver{Catalog: w.cat})
-	col2 := &Collector{Resolver: w2.resolver, Dialer: w2.net, Concurrency: 1, Retry: NoRetryPolicy()}
+	col2 := &Collector{Resolver: w2.resolver, Dialer: w2.net, Concurrency: 1, Retry: &RetryPolicy{Attempts: 1}}
 	if _, err := col2.Collect(context.Background(), "chaos", "now",
 		[]Target{{Name: "shared.test"}, {Name: "alias.test"}}); err != nil {
 		t.Fatal(err)

@@ -19,8 +19,8 @@ func TestDualStackMeasurement(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	google, ok := w.ProviderByID("google.com")
-	if !ok || len(google.MailIPv6s) == 0 {
+	google := googleOf(t, w)
+	if len(google.MailIPv6s) == 0 {
 		t.Fatal("dual-stack world has no v6 mail servers")
 	}
 

@@ -39,12 +39,6 @@ func DefaultRetryPolicy() *RetryPolicy {
 	return &RetryPolicy{Attempts: 3, BaseBackoff: 50 * time.Millisecond, MaxBackoff: time.Second, Budget: 1000}
 }
 
-// NoRetryPolicy returns a policy that never retries, for callers that
-// want classification without the resilience machinery.
-func NoRetryPolicy() *RetryPolicy {
-	return &RetryPolicy{Attempts: 1}
-}
-
 func (p *RetryPolicy) attempts() int {
 	if p.Attempts <= 0 {
 		return 3

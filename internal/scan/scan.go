@@ -46,7 +46,7 @@ type Collector struct {
 	// (default 32).
 	Concurrency int
 	// Retry bounds how transient-classed lookups and scans are retried;
-	// nil uses DefaultRetryPolicy. Use NoRetryPolicy to disable.
+	// nil uses DefaultRetryPolicy; Attempts: 1 never retries.
 	Retry *RetryPolicy
 	// ScanTimeout bounds one SMTP scan attempt (default 10s, matching
 	// smtp.Scan's own default).

@@ -32,6 +32,18 @@ func session(t *testing.T) *WorldSession {
 	return cachedSession
 }
 
+// googleOf returns the world's google.com provider.
+func googleOf(t *testing.T, w *world.World) *world.Provider {
+	t.Helper()
+	for _, p := range w.Providers {
+		if p.ID == "google.com" {
+			return p
+		}
+	}
+	t.Fatal("world has no google.com provider")
+	return nil
+}
+
 func TestSnapshotEndToEnd(t *testing.T) {
 	s := session(t)
 	snap, err := s.Snapshot(context.Background(), world.CorpusAlexa, "2021-06")
@@ -73,7 +85,7 @@ func TestSnapshotScanDetail(t *testing.T) {
 	}
 	w := cachedWorld
 	// Google's mail servers must show valid certs and matching banners.
-	google, _ := w.ProviderByID("google.com")
+	google := googleOf(t, w)
 	for _, ip := range google.MailIPs {
 		info, ok := snap.IP(ip)
 		if !ok {

@@ -5,13 +5,12 @@
 // authorize the real mailbox provider's outbound servers — often reveals
 // the "eventual" provider (§3.4 of the paper).
 //
-// The package parses v=spf1 records, and walks include: and redirect=
-// chains through a TXT resolver to collect every authorized network and
-// included organization.
+// The package is the record parser only: one TXT string in, the v=spf1
+// mechanisms and redirect= target out. Nothing here queries DNS; the
+// analysis reads the direct includes of the record a snapshot stored.
 package spf
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"net/netip"
@@ -79,11 +78,6 @@ var (
 	ErrNotSPF = errors.New("spf: not an spf record")
 	// ErrSyntax reports a malformed policy.
 	ErrSyntax = errors.New("spf: syntax error")
-	// ErrNoRecord reports a domain without an SPF policy.
-	ErrNoRecord = errors.New("spf: no spf record")
-	// ErrLoop reports an include/redirect chain exceeding RFC 7208's
-	// lookup limit.
-	ErrLoop = errors.New("spf: too many dns lookups")
 )
 
 // Parse parses one TXT string as an SPF record.
@@ -169,103 +163,12 @@ func parseMechanism(s string) (Mechanism, error) {
 		if err != nil {
 			return m, fmt.Errorf("%w: %v", ErrSyntax, err)
 		}
-		m.Prefix = p
+		if p.Addr().Is4() != (name == "ip4") {
+			return m, fmt.Errorf("%w: %s network %s is of the other family", ErrSyntax, name, p)
+		}
+		m.Prefix = p.Masked()
 	default:
 		return m, fmt.Errorf("%w: unknown mechanism %q", ErrSyntax, name)
 	}
 	return m, nil
-}
-
-// TXTResolver supplies TXT lookups for the include walker.
-type TXTResolver interface {
-	LookupTXT(ctx context.Context, domain string) ([]string, error)
-}
-
-// Senders is everything a domain's SPF policy authorizes to send on its
-// behalf, flattened through include and redirect chains.
-type Senders struct {
-	// Includes lists every include/redirect target encountered, in
-	// discovery order — the organizational fingerprint of the outbound
-	// mail path.
-	Includes []string
-	// Networks lists every ip4/ip6 network authorized.
-	Networks []netip.Prefix
-	// UsesAMX reports that the policy authorizes the domain's own A/MX
-	// hosts (a strong self-hosting signal).
-	UsesAMX bool
-}
-
-// maxLookups mirrors RFC 7208 §4.6.4's limit of 10 DNS-querying terms.
-const maxLookups = 10
-
-// Walk fetches and flattens the SPF policy of domain.
-func Walk(ctx context.Context, r TXTResolver, domain string) (*Senders, error) {
-	s := &Senders{}
-	budget := maxLookups
-	seen := make(map[string]bool)
-	if err := walk(ctx, r, strings.ToLower(domain), s, seen, &budget); err != nil {
-		return nil, err
-	}
-	return s, nil
-}
-
-func walk(ctx context.Context, r TXTResolver, domain string, s *Senders, seen map[string]bool, budget *int) error {
-	if seen[domain] {
-		return nil
-	}
-	seen[domain] = true
-	rec, err := Lookup(ctx, r, domain)
-	if err != nil {
-		return err
-	}
-	for _, m := range rec.Mechanisms {
-		if m.Qualifier == QFail {
-			continue // "-mechanism" authorizes nothing
-		}
-		switch m.Kind {
-		case MechInclude:
-			s.Includes = append(s.Includes, m.Domain)
-			*budget--
-			if *budget < 0 {
-				return ErrLoop
-			}
-			// Includes of domains without SPF records are permerrors in
-			// full SPF; for provider discovery they are still signal, so
-			// record and continue.
-			if err := walk(ctx, r, m.Domain, s, seen, budget); err != nil && !errors.Is(err, ErrNoRecord) {
-				return err
-			}
-		case MechIP4, MechIP6:
-			s.Networks = append(s.Networks, m.Prefix)
-		case MechA, MechMX:
-			s.UsesAMX = true
-		}
-	}
-	if rec.Redirect != "" {
-		s.Includes = append(s.Includes, rec.Redirect)
-		*budget--
-		if *budget < 0 {
-			return ErrLoop
-		}
-		if err := walk(ctx, r, rec.Redirect, s, seen, budget); err != nil && !errors.Is(err, ErrNoRecord) {
-			return err
-		}
-	}
-	return nil
-}
-
-// Lookup fetches a domain's SPF record from its TXT records.
-func Lookup(ctx context.Context, r TXTResolver, domain string) (*Record, error) {
-	txts, err := r.LookupTXT(ctx, domain)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %s (%v)", ErrNoRecord, domain, err)
-	}
-	for _, txt := range txts {
-		rec, err := Parse(txt)
-		if errors.Is(err, ErrNotSPF) {
-			continue
-		}
-		return rec, err
-	}
-	return nil, fmt.Errorf("%w: %s", ErrNoRecord, domain)
 }

@@ -1,9 +1,10 @@
 package spf
 
 import (
-	"context"
 	"errors"
-	"fmt"
+	"net/netip"
+	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -82,122 +83,63 @@ func TestParseErrors(t *testing.T) {
 	}
 }
 
-// fakeTXT is a map-backed TXTResolver.
-type fakeTXT map[string][]string
-
-func (f fakeTXT) LookupTXT(_ context.Context, domain string) ([]string, error) {
-	txts, ok := f[domain]
-	if !ok {
-		return nil, fmt.Errorf("NXDOMAIN %s", domain)
+// FuzzParse holds Parse to what the analysis relies on, over the one-
+// record misconfiguration classes of "Lazy Gatekeepers" (PAPERS.md): it
+// never panics; it answers ErrNotSPF exactly when the first field is not
+// v=spf1 in any case; and a record it accepts has only known mechanism
+// kinds, ip4/ip6 networks that are valid, masked and of the mechanism's
+// family (and no network elsewhere), and is the record Parse gives for
+// the same fields joined by single spaces.
+func FuzzParse(f *testing.F) {
+	for _, seed := range []string{
+		"v=spf1 include:_spf.google.com ~all",
+		"v=spf1 +all",
+		"v=spf1 v=spf1 -all",
+		"v=spf1 include: -all",
+		"v=spf1 ip4:0.0.0.0/0 ip6:::/0",
+		"v=spf1 ip4:192.0.2.1/24 -all",
+		"v=spf1 ip4:10.0.0.0/33",
+		"v=spf1 ip6:2001:db8::1/129",
+		"v=spf1 ip4:2001:db8::/32 ip6:192.0.2.0/24",
+		"v=spf1 " + strings.Repeat("a:h.example.com ", 300) + "-all",
+		"V=SPF1 Include:_SPF.Example.COM IP4:192.0.2.0/24 ?ALL",
+		"  v=spf1\t mx \n a/24  redirect=_spf.example.net  ",
+		"v=spf10 all",
+		"",
+	} {
+		f.Add(seed)
 	}
-	return txts, nil
-}
-
-func TestWalkFlattensIncludes(t *testing.T) {
-	r := fakeTXT{
-		"customer.com":    {"unrelated txt", "v=spf1 include:_spf.filter.net -all"},
-		"_spf.filter.net": {"v=spf1 ip4:203.0.113.0/24 include:spf.outlook.example ~all"},
-		"spf.outlook.example": {
-			"v=spf1 ip4:198.51.100.0/24 ip4:192.0.2.0/24 -all",
-		},
-	}
-	s, err := Walk(context.Background(), r, "customer.com")
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantIncludes := []string{"_spf.filter.net", "spf.outlook.example"}
-	if len(s.Includes) != 2 || s.Includes[0] != wantIncludes[0] || s.Includes[1] != wantIncludes[1] {
-		t.Errorf("includes = %v", s.Includes)
-	}
-	if len(s.Networks) != 3 {
-		t.Errorf("networks = %v", s.Networks)
-	}
-	if s.UsesAMX {
-		t.Error("UsesAMX should be false")
-	}
-}
-
-func TestWalkSelfHostedSignal(t *testing.T) {
-	r := fakeTXT{"self.com": {"v=spf1 a mx ip4:100.64.1.1 -all"}}
-	s, err := Walk(context.Background(), r, "self.com")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !s.UsesAMX || len(s.Networks) != 1 || len(s.Includes) != 0 {
-		t.Errorf("senders = %+v", s)
-	}
-}
-
-func TestWalkRedirect(t *testing.T) {
-	r := fakeTXT{
-		"r.com":        {"v=spf1 redirect=_spf.host.io"},
-		"_spf.host.io": {"v=spf1 ip4:10.0.0.0/8 -all"},
-	}
-	s, err := Walk(context.Background(), r, "r.com")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(s.Includes) != 1 || s.Includes[0] != "_spf.host.io" || len(s.Networks) != 1 {
-		t.Errorf("senders = %+v", s)
-	}
-}
-
-func TestWalkLoopBounded(t *testing.T) {
-	r := fakeTXT{
-		"a.com": {"v=spf1 include:b.com -all"},
-		"b.com": {"v=spf1 include:a.com -all"},
-	}
-	// Mutual includes terminate via the seen-set without error.
-	s, err := Walk(context.Background(), r, "a.com")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(s.Includes) != 2 {
-		t.Errorf("includes = %v", s.Includes)
-	}
-	// A long non-repeating chain exhausts the lookup budget.
-	chain := fakeTXT{}
-	for i := 0; i < 15; i++ {
-		chain[fmt.Sprintf("d%d.com", i)] = []string{fmt.Sprintf("v=spf1 include:d%d.com -all", i+1)}
-	}
-	chain["d15.com"] = []string{"v=spf1 -all"}
-	if _, err := Walk(context.Background(), chain, "d0.com"); !errors.Is(err, ErrLoop) {
-		t.Errorf("long chain err = %v, want ErrLoop", err)
-	}
-}
-
-func TestWalkMissingInclude(t *testing.T) {
-	// Includes pointing at domains without SPF are recorded but don't
-	// abort the walk.
-	r := fakeTXT{
-		"x.com": {"v=spf1 include:gone.example ip4:10.1.0.0/16 -all"},
-	}
-	s, err := Walk(context.Background(), r, "x.com")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(s.Includes) != 1 || len(s.Networks) != 1 {
-		t.Errorf("senders = %+v", s)
-	}
-}
-
-func TestWalkNoRecord(t *testing.T) {
-	r := fakeTXT{"y.com": {"just text"}}
-	if _, err := Walk(context.Background(), r, "y.com"); !errors.Is(err, ErrNoRecord) {
-		t.Errorf("err = %v, want ErrNoRecord", err)
-	}
-	if _, err := Walk(context.Background(), r, "absent.com"); !errors.Is(err, ErrNoRecord) {
-		t.Errorf("err = %v, want ErrNoRecord", err)
-	}
-}
-
-func TestFailQualifierAuthorizesNothing(t *testing.T) {
-	r := fakeTXT{"z.com": {"v=spf1 -ip4:10.0.0.0/8 -include:never.example ~all"}}
-	s, err := Walk(context.Background(), r, "z.com")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(s.Networks) != 0 || len(s.Includes) != 0 {
-		t.Errorf("negative mechanisms leaked: %+v", s)
-	}
+	f.Fuzz(func(t *testing.T, txt string) {
+		rec, err := Parse(txt)
+		fields := strings.Fields(txt)
+		isSPF := len(fields) > 0 && strings.EqualFold(fields[0], "v=spf1")
+		if errors.Is(err, ErrNotSPF) == isSPF {
+			t.Fatalf("Parse(%q) = %v with first field an spf version: %v", txt, err, isSPF)
+		}
+		if err != nil {
+			if rec != nil || !(errors.Is(err, ErrNotSPF) || errors.Is(err, ErrSyntax)) {
+				t.Fatalf("Parse(%q) = %+v, %v", txt, rec, err)
+			}
+			return
+		}
+		for _, m := range rec.Mechanisms {
+			_, known := mechNames[m.Kind]
+			ok := known
+			switch m.Kind {
+			case MechIP4:
+				ok = ok && m.Prefix.IsValid() && m.Prefix == m.Prefix.Masked() && m.Prefix.Addr().Is4()
+			case MechIP6:
+				ok = ok && m.Prefix.IsValid() && m.Prefix == m.Prefix.Masked() && m.Prefix.Addr().Is6()
+			default:
+				ok = ok && m.Prefix == (netip.Prefix{})
+			}
+			if !ok {
+				t.Fatalf("Parse(%q): bad mechanism %+v", txt, m)
+			}
+		}
+		again, err := Parse(strings.Join(fields, " "))
+		if err != nil || !reflect.DeepEqual(rec, again) {
+			t.Fatalf("Parse(%q) = %+v, but its joined fields give %+v, %v", txt, rec, again, err)
+		}
+	})
 }

@@ -303,29 +303,6 @@ func (w *World) mailboxProvider(st *Stint) *Provider {
 	return nil
 }
 
-// TruthMailbox is the ground-truth eventual mailbox operator at a
-// snapshot: behind a filtering service it is the mailbox provider (or
-// the domain itself when self-managed); for direct mail hosting it is
-// the provider; for self-hosting the domain; "" when there is no mail
-// service.
-func (w *World) TruthMailbox(d *Domain, dateIdx int) string {
-	st := d.StintAt(dateIdx)
-	if st == nil || st.Mode == ModeNoSMTP || st.Mode == ModeNoMXIP {
-		return ""
-	}
-	if st.Provider < 0 || st.Mode.SelfHosted() {
-		return d.Name
-	}
-	p := w.Providers[st.Provider]
-	if p.Company.Kind == companies.KindEmailSecurity {
-		if mb := w.mailboxProvider(st); mb != nil {
-			return mb.Company.Name
-		}
-		return d.Name
-	}
-	return p.Company.Name
-}
-
 func providerMX(p *Provider, hostIdx int, pref uint16) MXRec {
 	rec := MXRec{
 		Pref:  pref,

@@ -340,12 +340,6 @@ type World struct {
 // Corpus returns the named corpus.
 func (w *World) Corpus(name string) *Corpus { return w.Corpora[name] }
 
-// ProviderByID resolves any provider ID to its Provider.
-func (w *World) ProviderByID(id string) (*Provider, bool) {
-	p, ok := w.providerByID[id]
-	return p, ok
-}
-
 // Host returns the endpoint at addr, if any.
 func (w *World) Host(addr netip.Addr) (*Host, bool) {
 	h, ok := w.Hosts[addr]
