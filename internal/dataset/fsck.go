@@ -174,9 +174,11 @@ func fsckSnapshot(path string) (*FsckReport, error) {
 	var (
 		lineno     int
 		intact     int
-		salvage    int // last line of the intact prefix
-		nDomains   int // domain lines so far, as a footer counts them
-		nIPs       int // ip lines so far, likewise
+		salvage    int    // last line of the intact prefix
+		nDomains   int    // domain lines so far, as a footer counts them
+		nIPs       int    // ip lines so far, likewise
+		firstName  string // first and last domain line so far: a footer's range
+		lastName   string
 		footerAt   int // line of the footer, 0 before it
 		headerSeen bool
 		damaged    bool
@@ -221,6 +223,10 @@ func fsckSnapshot(path string) (*FsckReport, error) {
 				r.problem("line %d: domain line without body", lineno)
 			default:
 				nDomains++
+				if nDomains == 1 {
+					firstName = line.Domain.Domain
+				}
+				lastName = line.Domain.Domain
 				if first, dup := domainAt[line.Domain.Domain]; dup {
 					r.problem("line %d: duplicate domain %s (first at line %d)",
 						lineno, line.Domain.Domain, first)
@@ -256,6 +262,9 @@ func fsckSnapshot(path string) (*FsckReport, error) {
 			} else if f.Domains != nDomains || f.IPs != nIPs {
 				r.problem("line %d: footer counts (%d domains, %d ips) disagree with body (%d, %d)",
 					lineno, f.Domains, f.IPs, nDomains, nIPs)
+			} else if f.FirstDomain != firstName || f.LastDomain != lastName {
+				r.problem("line %d: footer domain range (%q to %q) disagrees with body (%q to %q)",
+					lineno, f.FirstDomain, f.LastDomain, firstName, lastName)
 			}
 		default:
 			r.problem("line %d: unknown kind %q", lineno, line.Kind)

@@ -260,6 +260,9 @@ func TestFsckShard(t *testing.T) {
 	if !r.Clean || r.Entries != 4 {
 		t.Fatalf("fsck of a fresh shard = %+v, want clean with 4 entries", r)
 	}
+	if got := gzipXFL(t, shard); got != 4 {
+		t.Errorf("the shard fsck found clean has XFL %d, want 4: not a BestSpeed shard", got)
+	}
 
 	body, err := ReadFile(shard)
 	if err != nil {
@@ -269,12 +272,13 @@ func TestFsckShard(t *testing.T) {
 	if _, err := body.WriteTo(&text); err != nil {
 		t.Fatal(err)
 	}
-	footer := func(domains int) string {
-		return fmt.Sprintf(`{"kind":"footer","footer":{"seq":0,"domains":%d,"ips":2,"first_domain":"a","last_domain":"b"}}`+"\n", domains)
+	footer := func(domains int, last string) string {
+		return fmt.Sprintf(`{"kind":"footer","footer":{"seq":0,"domains":%d,"ips":2,"first_domain":"netflix.example","last_domain":%q}}`+"\n", domains, last)
 	}
 	for _, c := range []struct{ name, tail, want string }{
-		{"miscounted", footer(3), "disagree with body"},
-		{"trailing", footer(2) + footer(2), "after footer"},
+		{"miscounted", footer(3, "noip.example"), "disagree with body"},
+		{"misranged", footer(2, "zzz.example"), `footer domain range ("netflix.example" to "zzz.example") disagrees with body ("netflix.example" to "noip.example")`},
+		{"trailing", footer(2, "noip.example") + footer(2, "noip.example"), "after footer"},
 		{"bodyless", `{"kind":"footer"}` + "\n", "footer"},
 	} {
 		path := filepath.Join(dir, c.name+".jsonl")

@@ -23,7 +23,8 @@ import (
 //
 //   - every shard carries the same (date, corpus) header;
 //   - each shard's domain and IP sections are strictly increasing;
-//   - each shard ends with a footer whose counts match its body.
+//   - each shard ends with a footer whose counts and domain range
+//     match its body.
 //
 // Duplicate keys across shards resolve last-write-wins toward the
 // highest shard sequence number, matching journal replay semantics.
@@ -58,7 +59,7 @@ func Merge(outPath string, shardPaths []string) (*MergeStats, error) {
 	}
 
 	stats := &MergeStats{Shards: len(shardPaths)}
-	err := atomicWrite(outPath, func(out io.Writer) error {
+	err := atomicWrite(outPath, &gzWriterPool, func(out io.Writer) error {
 		bw := bufWriterPool.Get().(*bufio.Writer)
 		bw.Reset(out)
 		defer func() {
@@ -186,6 +187,9 @@ type shardReader struct {
 	line []byte
 
 	nDomains, nIPs int
+	// firstDomain and lastDomain are the body's domain range, for the
+	// footer to be held to.
+	firstDomain, lastDomain string
 
 	// scratch is advance's decodeLine target, kept here because a
 	// local one would be heap-allocated per line.
@@ -288,6 +292,9 @@ func (r *shardReader) advance() error {
 		if r.kind == "domain" && bytes.Compare(key, r.key) <= 0 {
 			return r.errf("domain %q out of order (previous %q)", key, r.key)
 		}
+		if r.nDomains == 0 {
+			r.firstDomain = string(key)
+		}
 		r.setCurrent("domain", key)
 		r.nDomains++
 	case "ip":
@@ -297,6 +304,7 @@ func (r *shardReader) advance() error {
 		if r.kind == "ip" && bytes.Compare(key, r.key) <= 0 {
 			return r.errf("ip %q out of order (previous %q)", key, r.key)
 		}
+		r.endDomains()
 		r.setCurrent("ip", key)
 		r.nIPs++
 	case "footer":
@@ -307,6 +315,11 @@ func (r *shardReader) advance() error {
 		if f.Domains != r.nDomains || f.IPs != r.nIPs {
 			return r.errf("footer counts (%d domains, %d ips) disagree with body (%d, %d)",
 				f.Domains, f.IPs, r.nDomains, r.nIPs)
+		}
+		r.endDomains()
+		if f.FirstDomain != r.firstDomain || f.LastDomain != r.lastDomain {
+			return r.errf("footer domain range (%q to %q) disagrees with body (%q to %q)",
+				f.FirstDomain, f.LastDomain, r.firstDomain, r.lastDomain)
 		}
 		if seq, ok := parseShardSeq(r.path); ok && seq != f.Seq {
 			return r.errf("footer seq %d disagrees with file name seq %d", f.Seq, seq)
@@ -322,6 +335,14 @@ func (r *shardReader) advance() error {
 		return r.errf("unexpected line kind %q", l.Kind)
 	}
 	return nil
+}
+
+// endDomains notes the last domain key once the line after the domain
+// section has been reached.
+func (r *shardReader) endDomains() {
+	if r.kind == "domain" {
+		r.lastDomain = string(r.key)
+	}
 }
 
 // setCurrent copies the scanner's line and its key into the

@@ -218,7 +218,10 @@ func (w *ShardWriter) Close() error {
 }
 
 // spill sorts the buffered records and commits them as one shard file
-// via the same atomic tmp+fsync+rename path as full snapshots.
+// via the same atomic tmp+fsync+rename path as full snapshots. A gzipped
+// shard is deflated at gzip.BestSpeed: it is read once, by Merge, and
+// deleted, and Merge passes lines through, so the level a shard was
+// written at never reaches the canonical snapshot.
 func (w *ShardWriter) spill() error {
 	seq := int(w.set.seq.Add(1)) - 1
 	path := ShardPath(w.set.Base, seq)
@@ -243,7 +246,7 @@ func (w *ShardWriter) spill() error {
 		footer.LastDomain = w.domains[len(w.domains)-1].Domain
 	}
 
-	err := atomicWrite(path, func(out io.Writer) error {
+	err := atomicWrite(path, &gzFastWriterPool, func(out io.Writer) error {
 		bw := bufWriterPool.Get().(*bufio.Writer)
 		bw.Reset(out)
 		defer func() {

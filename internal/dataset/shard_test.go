@@ -269,6 +269,19 @@ func TestMergeRejectsBadShards(t *testing.T) {
 			{Kind: "domain", Domain: &d1},
 			{Kind: "footer", Footer: &ShardFooter{FirstDomain: "b.example", LastDomain: "b.example", Domains: 2}},
 		}, "disagree"},
+		{"footer range ends past the body", []jsonLine{
+			{Kind: "snapshot", Header: hdr()},
+			{Kind: "domain", Domain: &d2},
+			{Kind: "domain", Domain: &d1},
+			{Kind: "footer", Footer: &ShardFooter{FirstDomain: "a.example", LastDomain: "c.example", Domains: 2}},
+		}, `footer domain range ("a.example" to "c.example") disagrees with body ("a.example" to "b.example")`},
+		{"footer range starts before the body", []jsonLine{
+			{Kind: "snapshot", Header: hdr()},
+			{Kind: "domain", Domain: &d2},
+			{Kind: "domain", Domain: &d1},
+			{Kind: "ip", IP: &IPInfo{Addr: netip.MustParseAddr("10.0.0.1")}},
+			{Kind: "footer", Footer: &ShardFooter{FirstDomain: "0.example", LastDomain: "b.example", Domains: 2, IPs: 1}},
+		}, `footer domain range ("0.example" to "b.example") disagrees with body ("a.example" to "b.example")`},
 		{"missing footer", []jsonLine{
 			{Kind: "snapshot", Header: hdr()},
 			{Kind: "domain", Domain: &d1},

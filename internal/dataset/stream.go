@@ -2,9 +2,11 @@ package dataset
 
 // Stream is a snapshot on disk iterated without materializing it: the
 // file is re-opened and decoded per pass, each line decoded once (by the
-// line codec when it is in canonical form, see linecodec.go), and record
-// structs are reused across callback invocations, so a pass over
-// millions of domains holds one record in memory at a time. It is the
+// line codec when it is in canonical form, see linecodec.go), on a
+// goroutine that runs ahead of the callbacks into a fixed set of record
+// batches refilled in place, so a pass over millions of domains holds a
+// bounded window of them in memory: walkBatches x walkBatch = 384
+// records, whatever the file's size (see walkLines). It is the
 // file-backed Source; core.InferStream makes three passes over one:
 // LoadIPs, then two over the domains.
 //
@@ -36,10 +38,12 @@ func OpenStream(path string) (*Stream, error) {
 // line and ip for every IP line, in file order (domains sorted, then IPs
 // sorted). Either callback may be nil to skip that section — a nil
 // domain callback leaves domain lines checked but not stored. The record
-// passed to a callback is reused on the next invocation, and a domain
-// record's MX and MX[i].Addrs arrays are refilled in place: copy the
-// record, those slices included, if it must outlive the call. A callback
-// returning ErrStop ends the pass successfully.
+// passed to a callback is a slot of the decode-ahead window, reused a
+// few hundred lines later, and a domain record's MX and MX[i].Addrs
+// arrays are refilled in place: copy the record, those slices included,
+// if it must outlive the call. A line in error ends the pass after the
+// callbacks of the lines before it have run. A callback returning
+// ErrStop ends the pass successfully.
 func (st *Stream) ForEach(domain func(*DomainRecord) error, ip func(*IPInfo) error) error {
 	return st.walk(nil, domain, ip)
 }

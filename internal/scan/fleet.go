@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"sync"
 
 	"mxmap/internal/dataset"
 )
@@ -71,6 +72,12 @@ type FleetStats struct {
 // retry budget each record happens to see can differ between layouts).
 // A failed or cancelled run spills nothing further: shards already on
 // cfg.Output are the caller's to Remove.
+//
+// Once every lane has finished, the lanes' writers are closed at the
+// same time, one goroutine each: a lane's last spill (sort, encode,
+// deflate, fsync) is most of what it writes on a corpus that fits its
+// buffer, and none of it depends on another lane's. CollectFleet
+// returns after all of them have, with the first error in lane order.
 func CollectFleet(ctx context.Context, cfg FleetConfig, targets []Target) (*FleetStats, error) {
 	nw := cfg.Workers
 	if nw <= 0 {
@@ -118,8 +125,18 @@ func CollectFleet(ctx context.Context, cfg FleetConfig, targets []Target) (*Flee
 	if err != nil {
 		return nil, err
 	}
-	for _, w := range writers {
-		if err := w.Close(); err != nil {
+	errs := make([]error, len(writers))
+	var wg sync.WaitGroup
+	for i, w := range writers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs[i] = w.Close()
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
 			return nil, err
 		}
 	}

@@ -85,7 +85,11 @@ func Scan(ctx context.Context, addr string, cfg ScanConfig) *ScanResult {
 	}
 	// A cancelled context must abort an in-flight read promptly, not
 	// after the scan timeout: expire the connection's deadline on cancel.
-	stop := context.AfterFunc(ctx, func() { conn.SetDeadline(time.Now()) })
+	// The dialed connection, not the variable: conn is reassigned at
+	// STARTTLS while the cancel may be running, and the TLS session
+	// reads through this one.
+	dialed := conn
+	stop := context.AfterFunc(ctx, func() { dialed.SetDeadline(time.Now()) })
 	defer stop()
 	res.Connected = true
 

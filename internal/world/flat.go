@@ -313,8 +313,19 @@ func (fw *FlatWorld) parseIndex(name, prefix, suffix string) (int, bool) {
 // visibly non-uniform on sequential keys, so the hash goes through a
 // murmur-style finalizer before becoming a share coordinate.
 func (fw *FlatWorld) draw(i int) float64 {
-	h := mix64(hash64(fmt.Sprintf("flat/%d/assign/%d", fw.Cfg.Seed, i)))
-	return float64(h>>11) / float64(1<<53)
+	return float64(fw.indexHash("/assign/", i)>>11) / float64(1<<53)
+}
+
+// indexHash is the finalized hash of "flat/<seed><purpose><i>", the key
+// of each per-domain draw. The resolver makes several per lookup, so the
+// key is appended into a stack array rather than formatted.
+func (fw *FlatWorld) indexHash(purpose string, i int) uint64 {
+	var buf [64]byte // "flat/", two 20-digit numbers and the purpose fit
+	key := append(buf[:0], "flat/"...)
+	key = strconv.AppendUint(key, fw.Cfg.Seed, 10)
+	key = append(key, purpose...)
+	key = strconv.AppendInt(key, int64(i), 10)
+	return mix64(hash64(key))
 }
 
 // mix64 is the murmur3 finalizer: every input bit reaches every output

@@ -2,7 +2,6 @@ package world
 
 import (
 	"context"
-	"fmt"
 	"net/netip"
 )
 
@@ -47,7 +46,7 @@ func (fw *FlatWorld) advSpec(i int) (AdvSpec, uint64) {
 	if fam == FamilyHonest {
 		return AdvSpec{Family: FamilyHonest}, 0
 	}
-	h := mix64(hash64(fmt.Sprintf("flat/%d/adv/%d", fw.Cfg.Seed, i)))
+	h := fw.indexHash("/adv/", i)
 	return newAdvSpec(fam, int(h&0xffff)), h >> 16
 }
 

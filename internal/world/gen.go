@@ -566,7 +566,7 @@ func ccTLDByCountry(country string) *ccTLD {
 }
 
 // hash64 derives a stable sub-seed from a string (FNV-1a).
-func hash64(s string) uint64 {
+func hash64[T string | []byte](s T) uint64 {
 	var h uint64 = 14695981039346656037
 	for i := 0; i < len(s); i++ {
 		h ^= uint64(s[i])
