@@ -302,6 +302,66 @@ func TestEveryExportedFuncHasACaller(t *testing.T) {
 	}
 }
 
+// TestVerifyRecipesNameRealTests keeps the verify skill's recipes
+// meaning what they say: every -run, -bench and -fuzz pattern in it
+// (but '^$', "none") is a |-list of regexps, and each must match some
+// Test, Benchmark or Fuzz function in the tree. A pattern that matches
+// nothing makes `go test` run nothing and pass.
+func TestVerifyRecipesNameRealTests(t *testing.T) {
+	skill, err := os.ReadFile(".claude/skills/verify/SKILL.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var funcs []string
+	fset := token.NewFileSet()
+	err = filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		switch {
+		case err != nil:
+			return err
+		case d.IsDir() && path != "." && strings.HasPrefix(d.Name(), "."):
+			return filepath.SkipDir
+		case !strings.HasSuffix(path, "_test.go"):
+			return nil
+		}
+		file, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		for _, decl := range file.Decls {
+			if fn, ok := decl.(*ast.FuncDecl); ok && fn.Recv == nil {
+				funcs = append(funcs, fn.Name.Name)
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	isTest := regexp.MustCompile(`^(Test|Benchmark|Fuzz)([^a-z]|$)`)
+	flag := regexp.MustCompile(`-(run|bench|fuzz)(?:=|\s+)('[^']*'|"[^"]*"|[^\s'"]+)`)
+	for _, m := range flag.FindAllStringSubmatch(string(skill), -1) {
+		pattern := strings.Trim(m[2], `'"`)
+		if pattern == "^$" {
+			continue
+		}
+		// A slash starts the subtest levels; the first names functions.
+		for _, alt := range strings.Split(strings.SplitN(pattern, "/", 2)[0], "|") {
+			re, err := regexp.Compile(alt)
+			if err != nil {
+				t.Errorf("verify skill: -%s %s: %v", m[1], pattern, err)
+				continue
+			}
+			found := false
+			for _, fn := range funcs {
+				found = found || isTest.MatchString(fn) && re.MatchString(fn)
+			}
+			if !found {
+				t.Errorf("verify skill: -%s %s: %q matches no Test, Benchmark or Fuzz function", m[1], pattern, alt)
+			}
+		}
+	}
+}
+
 // TestGofmt holds every .go file in the tree to gofmt's formatting
 // (go/format is the same printer), so tier-1 fails on what `gofmt -l .`
 // would list. Dot-directories hold build output, not source.

@@ -18,12 +18,13 @@
 //  5. Per-domain assignment — credit the provider(s) of the most
 //     preferred MX record set, splitting credit on ties.
 //
-// One function, inferStream, runs the five steps (and the trust pass)
-// over a dataset.Source — an IP table plus repeatable passes over the
-// domain records, whose result depends only on the records yielded.
-// InferStream and InferStreamDelta hand their caller each attribution as
-// it is made; Infer and InferDelta are the same run over an in-memory
-// snapshot, collecting the attributions into Result.Domains.
+// One function, InferStreamDelta, runs the five steps (and the trust
+// pass) over a dataset.Source — an IP table plus repeatable passes over
+// the domain records, whose result depends only on the records yielded —
+// reusing a prior run's attributions where it provably can. InferStream
+// is the run without a prior; both hand their caller each attribution as
+// it is made. Infer is the same run over an in-memory snapshot,
+// collecting the attributions into Result.Domains.
 package core
 
 import (

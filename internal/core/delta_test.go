@@ -62,11 +62,25 @@ func deltaConfig() Config {
 }
 
 // changedSet folds a diff into the delta-inference contract: every
-// added or changed domain of the new snapshot.
+// added or changed domain of the new snapshot, as dataset.DiffStream
+// reports it over the two snapshots, sorted and written to files.
 func changedSet(t *testing.T, old, new *dataset.Snapshot) map[string]bool {
 	t.Helper()
+	var streams []*dataset.Stream
+	for _, s := range []*dataset.Snapshot{old, new} {
+		s.SortDomains()
+		path := filepath.Join(t.TempDir(), s.Date+".jsonl")
+		if err := dataset.WriteFile(path, s); err != nil {
+			t.Fatal(err)
+		}
+		st, err := dataset.OpenStream(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		streams = append(streams, st)
+	}
 	changed := make(map[string]bool)
-	_, err := dataset.DiffSnapshots(old, new, func(c dataset.Change) error {
+	_, err := dataset.DiffStream(streams[0], streams[1], func(c dataset.Change) error {
 		if c.Kind != dataset.DiffRemoved {
 			changed[c.Domain] = true
 		}
@@ -76,6 +90,32 @@ func changedSet(t *testing.T, old, new *dataset.Snapshot) map[string]bool {
 		t.Fatal(err)
 	}
 	return changed
+}
+
+// inferDelta is InferStreamDelta over an in-memory snapshot with the
+// prior's Domains in a map, collected the way Infer collects a run.
+func inferDelta(t *testing.T, s *dataset.Snapshot, approach Approach, cfg Config, prior *Result, changed map[string]bool) (*Result, DeltaStats) {
+	t.Helper()
+	var priorAtt func(string) (DomainAttribution, bool)
+	if prior != nil {
+		atts := make(map[string]DomainAttribution, len(prior.Domains))
+		for _, att := range prior.Domains {
+			atts[att.Domain] = att
+		}
+		priorAtt = func(domain string) (DomainAttribution, bool) {
+			att, ok := atts[domain]
+			return att, ok
+		}
+	}
+	domains := make([]DomainAttribution, 0, len(s.Domains))
+	res, ds, err := InferStreamDelta(s, approach, cfg, prior, priorAtt, changed, func(att DomainAttribution) {
+		domains = append(domains, att)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res.Domains = domains
+	return res, ds
 }
 
 // resultJSON is the byte-equivalence yardstick: two results marshaling
@@ -101,7 +141,7 @@ func TestInferDeltaByteEquivalence(t *testing.T) {
 	for _, approach := range Approaches() {
 		prior := Infer(old, approach, cfg)
 		full := Infer(new, approach, cfg)
-		got, ds := InferDelta(new, approach, cfg, prior, changed)
+		got, ds := inferDelta(t, new, approach, cfg, prior, changed)
 		if want, have := resultJSON(t, full), resultJSON(t, got); want != have {
 			t.Errorf("%s: delta result differs from full recompute:\nfull:  %s\ndelta: %s",
 				approach, want, have)
@@ -128,7 +168,7 @@ func TestInferDeltaByteEquivalence(t *testing.T) {
 	if a := full.MX["mx.bulk-blast.xyz"]; a == nil || a.Untrusted {
 		t.Fatal("fixture broken: shrunken cluster still flagged in the new snapshot")
 	}
-	_, ds := InferDelta(new, ApproachPriority, cfg, prior, changed)
+	_, ds := inferDelta(t, new, ApproachPriority, cfg, prior, changed)
 	want := DeltaStats{Reused: 3, Reinferred: 5}
 	if ds != want {
 		t.Errorf("priority delta stats = %+v, want %+v", ds, want)
@@ -144,7 +184,7 @@ func TestInferDeltaApproachMismatchRecomputes(t *testing.T) {
 	changed := changedSet(t, old, new)
 	prior := Infer(old, ApproachMXOnly, cfg)
 	full := Infer(new, ApproachPriority, cfg)
-	got, ds := InferDelta(new, ApproachPriority, cfg, prior, changed)
+	got, ds := inferDelta(t, new, ApproachPriority, cfg, prior, changed)
 	if ds.Reused != 0 {
 		t.Errorf("reused %d domains across an approach mismatch", ds.Reused)
 	}
@@ -152,7 +192,7 @@ func TestInferDeltaApproachMismatchRecomputes(t *testing.T) {
 		t.Error("mismatched-prior delta differs from full recompute")
 	}
 	// A nil prior degrades the same way.
-	got2, ds2 := InferDelta(new, ApproachPriority, cfg, nil, changed)
+	got2, ds2 := inferDelta(t, new, ApproachPriority, cfg, nil, changed)
 	if ds2.Reused != 0 {
 		t.Errorf("reused %d domains with a nil prior", ds2.Reused)
 	}

@@ -212,9 +212,9 @@ type Result struct {
 	// MX maps exchange name to its assignment.
 	MX map[string]*MXAssignment
 	// Domains holds one attribution per input domain, in input order:
-	// what Infer and InferDelta collect from the engine's emit callback.
-	// Nil for InferStream and InferStreamDelta runs, whose caller owns
-	// that callback; NumDomains still counts them.
+	// what Infer collects from the engine's emit callback. Nil for
+	// InferStream and InferStreamDelta runs, whose caller owns that
+	// callback; NumDomains still counts them.
 	Domains []DomainAttribution
 	// NumDomains counts the attributed input domains.
 	NumDomains int
@@ -230,7 +230,14 @@ type Result struct {
 // InferStream with the snapshot as the record source and every emitted
 // attribution retained in Result.Domains.
 func Infer(s *dataset.Snapshot, approach Approach, cfg Config) *Result {
-	res, _ := InferDelta(s, approach, cfg, nil, nil)
+	domains := make([]DomainAttribution, 0, len(s.Domains))
+	res, err := InferStream(s, approach, cfg, func(att DomainAttribution) {
+		domains = append(domains, att)
+	})
+	if err != nil {
+		panic(err) // unreachable: a Snapshot source returns only its callbacks' errors, and InferStream's return none
+	}
+	res.Domains = domains
 	return res
 }
 

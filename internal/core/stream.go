@@ -10,11 +10,11 @@ import (
 )
 
 // InferStream runs the selected approach over a record source without
-// retaining anything per domain. It is the inference engine: Infer and
-// InferDelta are this function over an in-memory *dataset.Snapshot,
-// mxserve and the fleet run it over a *dataset.Stream, and the result
-// depends only on the records the source yields, not on which of the
-// two yields them. Memory beyond the source's own scales with the
+// retaining anything per domain: InferStreamDelta without a prior. Infer
+// is this function over an in-memory *dataset.Snapshot, mxserve and the
+// fleet run it over a *dataset.Stream, and the result depends only on
+// the records the source yields, not on which of the two yields them.
+// Memory beyond the source's own scales with the
 // distinct-IP and distinct-exchange populations, which provider
 // concentration keeps orders of magnitude below the domain count.
 //
@@ -34,15 +34,38 @@ import (
 // when only the MX assignments matter. The returned Result carries a nil
 // Domains slice — the attributions exist only during their emit call.
 func InferStream(src dataset.Source, approach Approach, cfg Config, emit func(DomainAttribution)) (*Result, error) {
-	res, _, err := inferStream(src, approach, cfg, nil, nil, nil, emit)
+	res, _, err := InferStreamDelta(src, approach, cfg, nil, nil, nil, emit)
 	return res, err
 }
 
-// inferStream is the one body that runs steps 1-5 and the trust pass,
-// behind all four entry points: prior == nil is a full run, otherwise
-// prior attributions are reused for domains outside the changed set
-// whose primary assignments are credit-equivalent.
-func inferStream(src dataset.Source, approach Approach, cfg Config, prior *Result, priorAtt func(string) (DomainAttribution, bool), changed map[string]bool, emit func(DomainAttribution)) (*Result, DeltaStats, error) {
+// InferStreamDelta is the inference engine, the one body that runs steps
+// 1-5 and the trust pass behind all three entry points (itself,
+// InferStream and Infer). With a nil prior it is a full run. Handed the prior result, it reuses the
+// prior attribution of every domain that provably cannot have changed:
+// the output is byte-identical to InferStream over the same source, and
+// only the work differs. priorAtt resolves a domain's prior attribution
+// (the caller typically holds them in a serving store keyed by domain);
+// emit receives every attribution in domain order, reused ones included,
+// and may be nil.
+//
+// The assignment side (steps 1-4 and the trust pass) is always
+// recomputed in full — it is global by construction (cert grouping,
+// popularity counters, abuse-cluster thresholds all read the whole
+// snapshot) and bounded by the distinct-IP/exchange populations. The
+// per-domain step 5 is where the domain count bites, and where reuse is
+// sound: a domain's attribution depends only on its own record, the
+// observations of the addresses it references, and the
+// credit-relevant fields of its primary exchanges' assignments.
+//
+// changed must therefore contain every domain whose record or
+// referenced IP observations differ from the prior snapshot — exactly
+// what dataset.DiffStream reports as added or changed.
+// Assignment-level drift (e.g. an abuse-cluster threshold crossing
+// because other domains left) is caught here by comparing the prior and
+// new assignments of the domain's primary exchanges. prior must come
+// from the same approach and Config; a nil prior or priorAtt, or an
+// approach mismatch, degrades to a full recompute.
+func InferStreamDelta(src dataset.Source, approach Approach, cfg Config, prior *Result, priorAtt func(string) (DomainAttribution, bool), changed map[string]bool, emit func(DomainAttribution)) (*Result, DeltaStats, error) {
 	memo := psl.NewMemo(psl.Default)
 	if cfg.ConfidenceThreshold == 0 {
 		cfg.ConfidenceThreshold = 5
@@ -151,7 +174,7 @@ func inferStream(src dataset.Source, approach Approach, cfg Config, prior *Resul
 	// Pass B — step 5, one attribution at a time. On a delta run a
 	// domain outside the changed set whose primary assignments are
 	// credit-equivalent to the prior run's reuses its prior attribution
-	// verbatim; see InferDelta for why that is provably identical.
+	// verbatim; the doc comment above says why that is provably identical.
 	var ds DeltaStats
 	usePrior := prior != nil && prior.Approach == approach && priorAtt != nil
 	err = src.ForEach(func(d *dataset.DomainRecord) error {
@@ -177,4 +200,33 @@ func inferStream(src dataset.Source, approach Approach, cfg Config, prior *Resul
 	}
 	res.NumDomains = nDomains
 	return res, ds, nil
+}
+
+// DeltaStats reports how much work an incremental inference run reused
+// from its prior result.
+type DeltaStats struct {
+	// Reused counts domains whose prior attribution was carried over
+	// verbatim; Reinferred counts domains attributed from scratch.
+	// Reused+Reinferred equals the run's NumDomains.
+	Reused     int `json:"reused"`
+	Reinferred int `json:"reinferred"`
+}
+
+// assignmentsEqual reports whether every primary exchange's assignment
+// is credit-equivalent between the prior and new MX maps: same presence,
+// and identical in the three fields attributeDomain reads (ProviderID,
+// Untrusted, CreditAs). Confidence/Reason/Examined drift does not affect
+// attributions and is ignored.
+func assignmentsEqual(primary []dataset.MXObs, oldMX, newMX map[string]*MXAssignment) bool {
+	for _, mx := range primary {
+		oa, okO := oldMX[mx.Exchange]
+		na, okN := newMX[mx.Exchange]
+		if okO != okN {
+			return false
+		}
+		if okO && (oa.ProviderID != na.ProviderID || oa.Untrusted != na.Untrusted || oa.CreditAs != na.CreditAs) {
+			return false
+		}
+	}
+	return true
 }

@@ -16,9 +16,9 @@ package dataset
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"errors"
-	"fmt"
 	"io"
 	"net/netip"
 	"sort"
@@ -326,12 +326,35 @@ func putLineBuf(b *[]byte) { lineBufPool.Put(b) }
 
 // newLineScanner builds a bufio.Scanner over r with a pooled buffer and
 // the raised line limit. Release the returned buffer with putLineBuf once
-// scanning is done.
+// scanning is done. A line the stream broke off in the middle of (a
+// truncated gzip member) is not handed out as a line: the scan ends with
+// the stream's error instead, so the damage is named for what it is.
 func newLineScanner(r io.Reader) (*bufio.Scanner, *[]byte) {
-	sc := bufio.NewScanner(r)
+	br := &brokenReader{r: r}
+	sc := bufio.NewScanner(br)
+	sc.Split(func(data []byte, atEOF bool) (int, []byte, error) {
+		if atEOF && br.err != nil && bytes.IndexByte(data, '\n') < 0 {
+			return 0, nil, br.err
+		}
+		return bufio.ScanLines(data, atEOF)
+	})
 	buf := getLineBuf()
 	sc.Buffer(*buf, maxLineBytes)
 	return sc, buf
+}
+
+// brokenReader remembers the error other than io.EOF that ended r.
+type brokenReader struct {
+	r   io.Reader
+	err error
+}
+
+func (b *brokenReader) Read(p []byte) (int, error) {
+	n, err := b.r.Read(p)
+	if err != nil && err != io.EOF {
+		b.err = err
+	}
+	return n, err
 }
 
 // WriteTo serializes the snapshot as JSON lines: one header line, then
@@ -390,14 +413,14 @@ func read(r io.Reader, name string) (*Snapshot, error) {
 }
 
 // walkLines is the one line loop over the JSONL form of a snapshot,
-// behind Read, ReadFile and every Stream pass. It decodes each line once
-// and hands the header to header (exactly one, before any record),
-// domain records to domain and IP records to ip; a nil callback leaves
-// its lines checked but not stored. ErrStop from a callback ends the
-// walk successfully. name (usually a file path) is woven into error
-// messages, so "unexpected EOF" from a truncated gzip stream arrives as
-// "dataset: <path>: line N: unexpected EOF" instead of a bare error with
-// no idea where the damage is.
+// behind Read, ReadFile, every Stream pass and fsck. It decodes each line
+// once, holds it to lineRules, and hands the header to header, domain
+// records to domain and IP records to ip; a nil callback leaves its lines
+// checked but not stored. ErrStop from a callback ends the walk
+// successfully. A line in error ends it with a *lineError, into which
+// name (usually a file path) is woven, so "unexpected EOF" from a
+// truncated gzip stream arrives as "dataset: <path>: line N: unexpected
+// EOF" instead of a bare error with no idea where the damage is.
 //
 // Lines are scanned, decoded and checked on a goroutine of their own
 // (decodeAhead), walkBatch records at a time, while this one runs the
@@ -410,10 +433,6 @@ func read(r io.Reader, name string) (*Snapshot, error) {
 // domain record zeroes the slot. The decoder has exited, and has let go
 // of r and of its line buffer, when walkLines returns.
 func walkLines(r io.Reader, name string, header func(*snapshotHeader), domain func(*DomainRecord) error, ip func(*IPInfo) error) error {
-	prefix := "dataset"
-	if name != "" {
-		prefix = "dataset: " + name
-	}
 	var batches [walkBatches]*lineBatch
 	// filled and free each have room for every batch, so a send on
 	// either never blocks.
@@ -424,7 +443,7 @@ func walkLines(r io.Reader, name string, header func(*snapshotHeader), domain fu
 		free <- batches[i]
 	}
 	stop := make(chan struct{})
-	go decodeAhead(r, prefix, header != nil, domain != nil, ip != nil, free, filled, stop)
+	go decodeAhead(r, name, header != nil, domain != nil, ip != nil, free, filled, stop)
 	defer func() {
 		close(stop)
 		for range filled { // until the decoder has closed it, on its way out
@@ -512,20 +531,19 @@ type lineSlot struct {
 
 var lineBatchPool = sync.Pool{New: func() any { return newLineBatch() }}
 
-// decodeAhead is the decoding half of walkLines: it reads r to its end
-// or to the first line in error, filling batches from free and sending
-// them on filled, which it closes when it returns. A line whose section
-// has no callback (want* false) is checked and takes no slot. Once stop
-// is closed it returns rather than wait for a free batch.
-func decodeAhead(r io.Reader, prefix string, wantHeader, wantDomain, wantIP bool, free <-chan *lineBatch, filled chan<- *lineBatch, stop <-chan struct{}) {
+// decodeAhead is the decoding half of walkLines: it steps lineRules over
+// r to its end or to the first line in error, filling batches from free
+// and sending them on filled, which it closes when it returns. A line
+// whose section has no callback (want* false) is checked and takes no
+// slot. Once stop is closed it returns rather than wait for a free batch.
+func decodeAhead(r io.Reader, name string, wantHeader, wantDomain, wantIP bool, free <-chan *lineBatch, filled chan<- *lineBatch, stop <-chan struct{}) {
 	defer close(filled)
 	sc, lineBuf := newLineScanner(r)
 	defer putLineBuf(lineBuf)
 	var (
-		b         *lineBatch
-		l         jsonLine
-		sawHeader bool
-		lineno    int
+		b     *lineBatch
+		l     jsonLine
+		rules = lineRules{name: name}
 		// fill is how many slots of b are filled before it is sent: few
 		// at first, so that a walk which ends at its first record
 		// (OpenStream) ends with a few lines decoded in vain, not a
@@ -542,7 +560,6 @@ func decodeAhead(r io.Reader, prefix string, wantHeader, wantDomain, wantIP bool
 			return false
 		}
 	}
-	at := func(err error) error { return fmt.Errorf("%s: line %d: %w", prefix, lineno, err) }
 	// take decodes and checks one line into the next slot of b, which
 	// it claims if a callback is owed the line.
 	take := func(raw []byte) error {
@@ -557,50 +574,22 @@ func decodeAhead(r io.Reader, prefix string, wantHeader, wantDomain, wantIP bool
 		if wantIP {
 			l.IP = &slot.ip
 		}
-		if _, err := decodeLine(raw, &l); err != nil {
-			return at(err)
+		if _, err := rules.step(raw, &l); err != nil {
+			return err
 		}
-		switch l.Kind {
-		case "snapshot":
-			if sawHeader {
-				return at(errors.New("duplicate header"))
-			}
-			if l.Header == nil {
-				return at(errors.New("header line without header"))
-			}
-			sawHeader = true
-			if !wantHeader {
-				return nil
-			}
+		switch {
+		case l.Kind == "snapshot" && wantHeader:
 			b.header = l.Header
-		case "domain":
-			switch {
-			case !sawHeader:
-				return at(errors.New("domain before header"))
-			case !wantDomain:
-				return nil
-			case l.Domain == nil:
-				return at(errors.New("domain line without body"))
-			case l.Domain != &slot.domain: // a line encoding/json decoded
+		case l.Kind == "domain" && wantDomain:
+			if l.Domain != &slot.domain { // a line encoding/json decoded
 				slot.domain = *l.Domain
 			}
-		case "ip":
-			switch {
-			case !sawHeader:
-				return at(errors.New("ip before header"))
-			case !wantIP:
-				return nil
-			case l.IP == nil:
-				return at(errors.New("ip line without body"))
-			case l.IP != &slot.ip:
+		case l.Kind == "ip" && wantIP:
+			if l.IP != &slot.ip {
 				slot.ip = *l.IP
 			}
-		case "footer":
-			// Shard files end with a footer line; ignoring it lets a
-			// single shard load as an ordinary snapshot.
+		default: // a blank line, a shard's footer, a section no callback is owed
 			return nil
-		default:
-			return at(fmt.Errorf("unknown kind %q", l.Kind))
 		}
 		slot.kind = l.Kind
 		b.n++
@@ -611,10 +600,6 @@ func decodeAhead(r io.Reader, prefix string, wantHeader, wantDomain, wantIP bool
 		return
 	}
 	for sc.Scan() {
-		lineno++
-		if len(sc.Bytes()) == 0 {
-			continue
-		}
 		if b.n == fill {
 			filled <- b
 			fill = min(2*fill, walkBatch)
@@ -631,10 +616,9 @@ func decodeAhead(r io.Reader, prefix string, wantHeader, wantDomain, wantIP bool
 	case err != nil:
 		// The scanner surfaces stream-level damage (truncated gzip,
 		// oversize line) after the last intact line.
-		lineno++
-		b.err = at(err)
-	case !sawHeader:
-		b.err = fmt.Errorf("%s: empty input", prefix)
+		b.err = rules.cut(err)
+	default:
+		b.err = rules.end()
 	}
 	// The last batch: the lines decoded so far, and what ended the walk
 	// behind them.

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"fmt"
 	"hash/fnv"
-	"sort"
 )
 
 // DiffKind classifies one domain's change between two snapshots.
@@ -119,92 +118,65 @@ func diffIPs(old, new map[string]IPInfo) map[string]bool {
 	return changed
 }
 
-// keySeq pulls domainKeys one at a time from a source; next returns
-// ok=false at end of sequence. abort releases the source early.
+// keySeq pulls one stream's domainKeys one at a time, fingerprinted by
+// a pump goroutine running the stream's callback iteration, so two
+// streams can be merge-joined in lockstep with O(1) domain memory.
 type keySeq struct {
-	next  func() (domainKey, bool, error)
-	abort func()
+	side string // "old" or "new"
+	prev string // the domain of the last key next returned
+	ch   chan keyItem
+	stop chan struct{}
 }
 
-// streamKeys adapts a Stream's callback iteration into a pull sequence
-// via a pump goroutine, so two streams can be merge-joined in lockstep
-// with O(1) domain memory.
-func streamKeys(st *Stream, changedIPs map[string]bool) *keySeq {
-	type item struct {
-		key domainKey
-		err error
-	}
-	ch := make(chan item, 64)
-	stop := make(chan struct{})
+type keyItem struct {
+	key domainKey
+	err error
+}
+
+func streamKeys(st *Stream, side string, changedIPs map[string]bool) *keySeq {
+	s := &keySeq{side: side, ch: make(chan keyItem, 64), stop: make(chan struct{})}
 	go func() {
-		defer close(ch)
+		defer close(s.ch)
 		var buf []byte
 		err := st.ForEach(func(d *DomainRecord) error {
 			var k domainKey
 			k, buf = keyOf(d, changedIPs, buf)
 			select {
-			case ch <- item{key: k}:
+			case s.ch <- keyItem{key: k}:
 				return nil
-			case <-stop:
+			case <-s.stop:
 				return ErrStop
 			}
 		}, nil)
 		if err != nil {
 			select {
-			case ch <- item{err: err}:
-			case <-stop:
+			case s.ch <- keyItem{err: err}:
+			case <-s.stop:
 			}
 		}
 	}()
-	var stopped bool
-	return &keySeq{
-		next: func() (domainKey, bool, error) {
-			it, ok := <-ch
-			if !ok {
-				return domainKey{}, false, nil
-			}
-			if it.err != nil {
-				return domainKey{}, false, it.err
-			}
-			return it.key, true, nil
-		},
-		abort: func() {
-			if !stopped {
-				stopped = true
-				close(stop)
-				for range ch { // release a pump blocked on send
-				}
-			}
-		},
-	}
+	return s
 }
 
-// sliceKeys is the materialized-snapshot counterpart of streamKeys: the
-// domain records are fingerprinted in sorted-name order up front.
-func sliceKeys(s *Snapshot, changedIPs map[string]bool) *keySeq {
-	order := make([]int, len(s.Domains))
-	for i := range order {
-		order[i] = i
+// next returns the next key, ok=false at the end of the stream. A key
+// out of the sorted unique order the merge-join needs is an error.
+func (s *keySeq) next() (domainKey, bool, error) {
+	it, ok := <-s.ch
+	if !ok || it.err != nil {
+		return domainKey{}, false, it.err
 	}
-	sort.Slice(order, func(a, b int) bool {
-		return s.Domains[order[a]].Domain < s.Domains[order[b]].Domain
-	})
-	keys := make([]domainKey, len(order))
-	var buf []byte
-	for i, idx := range order {
-		keys[i], buf = keyOf(&s.Domains[idx], changedIPs, buf)
+	if s.prev != "" && it.key.domain <= s.prev {
+		return domainKey{}, false, fmt.Errorf("dataset: diff: %s snapshot domains not in sorted unique order (%q after %q)",
+			s.side, it.key.domain, s.prev)
 	}
-	pos := 0
-	return &keySeq{
-		next: func() (domainKey, bool, error) {
-			if pos >= len(keys) {
-				return domainKey{}, false, nil
-			}
-			k := keys[pos]
-			pos++
-			return k, true, nil
-		},
-		abort: func() {},
+	s.prev = it.key.domain
+	return it.key, true, nil
+}
+
+// abort releases the pump, which may be blocked on a send; call it once.
+func (s *keySeq) abort() {
+	close(s.stop)
+	for range s.ch {
 	}
 }
 
@@ -233,49 +205,25 @@ func DiffStream(old, new *Stream, fn func(Change) error) (DiffStats, error) {
 		return DiffStats{}, err
 	}
 	changedIPs := diffIPs(oldIPs, newIPs)
-	po := streamKeys(old, changedIPs)
-	pn := streamKeys(new, changedIPs)
+	po := streamKeys(old, "old", changedIPs)
+	pn := streamKeys(new, "new", changedIPs)
 	defer po.abort()
 	defer pn.abort()
 	return mergeDiff(po, pn, len(changedIPs), fn)
 }
 
-// DiffSnapshots is DiffStream over materialized snapshots, sharing the
-// same comparison semantics; domain order within each snapshot does not
-// matter (records are fingerprinted in sorted-name order).
-func DiffSnapshots(old, new *Snapshot, fn func(Change) error) (DiffStats, error) {
-	changedIPs := diffIPs(old.IPs, new.IPs)
-	return mergeDiff(sliceKeys(old, changedIPs), sliceKeys(new, changedIPs), len(changedIPs), fn)
-}
-
 // mergeDiff merge-joins two sorted key sequences, classifying each
-// domain and enforcing the sorted-unique order contract.
+// domain.
 func mergeDiff(po, pn *keySeq, ipsChanged int, fn func(Change) error) (DiffStats, error) {
 	stats := DiffStats{IPsChanged: ipsChanged}
-	emit := func(c Change) error {
-		if fn == nil {
-			return nil
-		}
-		return fn(c)
+	if fn == nil {
+		fn = func(Change) error { return nil }
 	}
-	var prevOld, prevNew string
-	advance := func(seq *keySeq, prev *string, side string) (domainKey, bool, error) {
-		k, ok, err := seq.next()
-		if err != nil || !ok {
-			return k, ok, err
-		}
-		if *prev != "" && k.domain <= *prev {
-			return k, false, fmt.Errorf("dataset: diff: %s snapshot domains not in sorted unique order (%q after %q)",
-				side, k.domain, *prev)
-		}
-		*prev = k.domain
-		return k, true, nil
-	}
-	o, okO, err := advance(po, &prevOld, "old")
+	o, okO, err := po.next()
 	if err != nil {
 		return stats, err
 	}
-	n, okN, err := advance(pn, &prevNew, "new")
+	n, okN, err := pn.next()
 	if err != nil {
 		return stats, err
 	}
@@ -284,25 +232,19 @@ func mergeDiff(po, pn *keySeq, ipsChanged int, fn func(Change) error) (DiffStats
 		case !okN || (okO && o.domain < n.domain):
 			stats.OldDomains++
 			stats.Removed++
-			if err := emit(Change{Domain: o.domain, Kind: DiffRemoved}); err != nil {
-				if err == ErrStop {
-					return stats, nil
-				}
-				return stats, err
+			if err := fn(Change{Domain: o.domain, Kind: DiffRemoved}); err != nil {
+				return stats, endOfPass(err)
 			}
-			if o, okO, err = advance(po, &prevOld, "old"); err != nil {
+			if o, okO, err = po.next(); err != nil {
 				return stats, err
 			}
 		case !okO || n.domain < o.domain:
 			stats.NewDomains++
 			stats.Added++
-			if err := emit(Change{Domain: n.domain, Kind: DiffAdded}); err != nil {
-				if err == ErrStop {
-					return stats, nil
-				}
-				return stats, err
+			if err := fn(Change{Domain: n.domain, Kind: DiffAdded}); err != nil {
+				return stats, endOfPass(err)
 			}
-			if n, okN, err = advance(pn, &prevNew, "new"); err != nil {
+			if n, okN, err = pn.next(); err != nil {
 				return stats, err
 			}
 		default:
@@ -310,19 +252,16 @@ func mergeDiff(po, pn *keySeq, ipsChanged int, fn func(Change) error) (DiffStats
 			stats.NewDomains++
 			if o.fp != n.fp || o.refChanged || n.refChanged {
 				stats.Changed++
-				if err := emit(Change{Domain: n.domain, Kind: DiffChanged}); err != nil {
-					if err == ErrStop {
-						return stats, nil
-					}
-					return stats, err
+				if err := fn(Change{Domain: n.domain, Kind: DiffChanged}); err != nil {
+					return stats, endOfPass(err)
 				}
 			} else {
 				stats.Unchanged++
 			}
-			if o, okO, err = advance(po, &prevOld, "old"); err != nil {
+			if o, okO, err = po.next(); err != nil {
 				return stats, err
 			}
-			if n, okN, err = advance(pn, &prevNew, "new"); err != nil {
+			if n, okN, err = pn.next(); err != nil {
 				return stats, err
 			}
 		}

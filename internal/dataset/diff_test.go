@@ -82,24 +82,6 @@ var diffWorldWantStats = DiffStats{
 	IPsChanged: 1,
 }
 
-func TestDiffSnapshots(t *testing.T) {
-	old, new := diffWorldOld(), diffWorldNew()
-	var got []Change
-	stats, err := DiffSnapshots(old, new, func(c Change) error {
-		got = append(got, c)
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats != diffWorldWantStats {
-		t.Errorf("stats = %+v, want %+v", stats, diffWorldWantStats)
-	}
-	if !reflect.DeepEqual(got, diffWorldWantChanges) {
-		t.Errorf("changes = %+v, want %+v", got, diffWorldWantChanges)
-	}
-}
-
 func TestDiffStreamMatchesSnapshots(t *testing.T) {
 	dir := t.TempDir()
 	old, new := diffWorldOld(), diffWorldNew()
@@ -134,20 +116,6 @@ func TestDiffStreamMatchesSnapshots(t *testing.T) {
 	}
 	if !reflect.DeepEqual(got, diffWorldWantChanges) {
 		t.Errorf("changes = %+v, want %+v", got, diffWorldWantChanges)
-	}
-}
-
-func TestDiffIdenticalSnapshots(t *testing.T) {
-	stats, err := DiffSnapshots(diffWorldOld(), diffWorldOld(), func(c Change) error {
-		t.Errorf("unexpected change %+v on identical snapshots", c)
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := DiffStats{OldDomains: 4, NewDomains: 4, Unchanged: 4}
-	if stats != want {
-		t.Errorf("stats = %+v, want %+v", stats, want)
 	}
 }
 

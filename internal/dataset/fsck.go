@@ -3,13 +3,13 @@ package dataset
 // Dataset fsck: offline validation of the two on-disk artifacts the
 // collection pipeline produces — committed snapshots (JSONL, optionally
 // gzipped) and write-ahead journals. It checks physical integrity
-// (framing, CRCs, gzip stream, JSON well-formedness) and, for
-// snapshots, the cross-record invariants the inference layer depends
-// on: a single header, no duplicate domains, and a closed join between
-// domains and IPs (every address an MX resolved to has an IP record,
-// every IP record is referenced by some domain). Damage is reported
-// with the salvageable prefix so an operator knows what a resume or a
-// manual rescue would preserve.
+// (framing, CRCs, gzip stream, the line rules every snapshot reader
+// holds each line to) and, for snapshots, the cross-record invariants
+// the inference layer depends on: no duplicate domains, and a closed
+// join between domains and IPs (every address an MX resolved to has an
+// IP record, every IP record is referenced by some domain). Damage is
+// reported with the salvageable prefix so an operator knows what a
+// resume or a manual rescue would preserve.
 
 import (
 	"errors"
@@ -39,11 +39,13 @@ type FsckReport struct {
 	// Entries counts intact records (journal frames or snapshot lines,
 	// excluding the header).
 	Entries int `json:"entries"`
-	// ValidBytes and TotalBytes delimit the trusted prefix.
+	// ValidBytes and TotalBytes delimit the trusted prefix: a journal's
+	// resume truncation point; for a snapshot, all of it or 0, as its
+	// intact prefix is counted in lines (Salvageable).
 	ValidBytes int64 `json:"valid_bytes"`
 	TotalBytes int64 `json:"total_bytes"`
 	// Salvageable describes the intact range in human terms
-	// ("lines 1-42 of 45"), empty when the whole file is clean.
+	// ("lines 1-42 (41 records)"), empty when the whole file is clean.
 	Salvageable string `json:"salvageable,omitempty"`
 	// Problems lists what fsck found, capped at maxFsckProblems.
 	Problems []string `json:"problems,omitempty"`
@@ -52,7 +54,7 @@ type FsckReport struct {
 }
 
 // sortedKeys keeps invariant-violation output deterministic.
-func sortedKeys(m map[string]int) []string {
+func sortedKeys[V any](m map[string]V) []string {
 	keys := make([]string, 0, len(m))
 	for k := range m {
 		keys = append(keys, k)
@@ -79,8 +81,11 @@ func (r *FsckReport) WriteText(w io.Writer) error {
 	default:
 		state = "CORRUPT"
 	}
-	if _, err := fmt.Fprintf(w, "%s: %s %s: %d entries, %d/%d bytes intact\n",
-		r.Path, r.Kind, state, r.Entries, r.ValidBytes, r.TotalBytes); err != nil {
+	intact := fmt.Sprintf(", %d/%d bytes intact", r.ValidBytes, r.TotalBytes)
+	if r.Kind == "snapshot" && !r.Clean {
+		intact = "" // no byte count: Salvageable gives the intact lines
+	}
+	if _, err := fmt.Fprintf(w, "%s: %s %s: %d entries%s\n", r.Path, r.Kind, state, r.Entries, intact); err != nil {
 		return err
 	}
 	if r.Salvageable != "" {
@@ -149,9 +154,12 @@ func fsckJournal(path string) (*FsckReport, error) {
 	return r, nil
 }
 
-// fsckSnapshot validates a committed snapshot file (or a shard): gzip
-// stream, JSONL framing, and the cross-record invariants. It opens and
-// scans the file the way every reader does, so what loads is not damage.
+// fsckSnapshot validates a committed snapshot file (or a shard): one
+// walkLines pass, so every line is held to the rules every reader holds
+// it to (lineRules) and what loads is not damage, and the first line
+// that does not load is the one reported. The callbacks add what only
+// fsck checks, across records: duplicate domains, and the join between
+// domains and IPs.
 func fsckSnapshot(path string) (*FsckReport, error) {
 	r := &FsckReport{Path: path, Kind: "snapshot"}
 	if fi, err := os.Stat(path); err == nil {
@@ -167,144 +175,68 @@ func fsckSnapshot(path string) (*FsckReport, error) {
 	}
 	defer done()
 
-	// Physical pass: every line must be well-formed JSON of a known
-	// kind, header first and only once, a shard's footer last.
-	sc, lineBuf := newLineScanner(src)
-	defer putLineBuf(lineBuf)
 	var (
-		lineno     int
-		intact     int
-		salvage    int    // last line of the intact prefix
-		nDomains   int    // domain lines so far, as a footer counts them
-		nIPs       int    // ip lines so far, likewise
-		firstName  string // first and last domain line so far: a footer's range
-		lastName   string
-		footerAt   int // line of the footer, 0 before it
-		headerSeen bool
-		damaged    bool
-		d          DomainRecord
-		info       IPInfo
-		line       jsonLine
-		domainAt   = make(map[string]int) // domain -> first line
-		refs       = make(map[string]int) // referenced addr -> first referencing line
-		ipAt       = make(map[string]int) // ip record addr -> line
+		dups    []string
+		domains = make(map[string]bool)
+		refs    = make(map[string]string) // referenced addr -> first domain referencing it
+		ips     = make(map[string]bool)
 	)
-	for sc.Scan() {
-		lineno++
-		if len(sc.Bytes()) == 0 {
-			continue
-		}
-		if footerAt > 0 {
-			r.problem("line %d: trailing data after footer (line %d)", lineno, footerAt)
-			break
-		}
-		// Only strings are kept from a record, so decodeLine may refill
-		// the same two line after line.
-		line.Domain, line.IP = &d, &info
-		if _, err := decodeLine(sc.Bytes(), &line); err != nil {
-			r.problem("line %d: malformed JSON: %v", lineno, err)
-			damaged = true
-			salvage = lineno - 1
-			break
-		}
-		switch line.Kind {
-		case "snapshot":
-			if headerSeen {
-				r.problem("line %d: duplicate header", lineno)
-			} else if line.Header == nil {
-				r.problem("line %d: header line without header body", lineno)
+	err = walkLines(src, path, nil,
+		func(d *DomainRecord) error {
+			r.Entries++
+			if domains[d.Domain] {
+				dups = append(dups, d.Domain)
 			}
-			headerSeen = true
-		case "domain":
-			switch {
-			case !headerSeen:
-				r.problem("line %d: domain before header", lineno)
-			case line.Domain == nil:
-				r.problem("line %d: domain line without body", lineno)
-			default:
-				nDomains++
-				if nDomains == 1 {
-					firstName = line.Domain.Domain
-				}
-				lastName = line.Domain.Domain
-				if first, dup := domainAt[line.Domain.Domain]; dup {
-					r.problem("line %d: duplicate domain %s (first at line %d)",
-						lineno, line.Domain.Domain, first)
-				} else {
-					domainAt[line.Domain.Domain] = lineno
-				}
-				for _, mx := range line.Domain.MX {
-					for _, a := range mx.Addrs {
-						if _, ok := refs[a.String()]; !ok {
-							refs[a.String()] = lineno
-						}
+			domains[d.Domain] = true
+			for _, mx := range d.MX {
+				for _, a := range mx.Addrs {
+					if _, ok := refs[a.String()]; !ok {
+						refs[a.String()] = d.Domain
 					}
 				}
-				intact++
 			}
-		case "ip":
-			switch {
-			case !headerSeen:
-				r.problem("line %d: ip before header", lineno)
-			case line.IP == nil:
-				r.problem("line %d: ip line without body", lineno)
-			default:
-				nIPs++
-				ipAt[line.IP.Addr.String()] = lineno
-				intact++
-			}
-		case "footer":
-			// A shard loads as a snapshot (walkLines skips the line);
-			// the merge reader's checks on it apply here too.
-			footerAt = lineno
-			if f, err := ParseShardFooter(sc.Bytes()); err != nil {
-				r.problem("line %d: %v", lineno, err)
-			} else if f.Domains != nDomains || f.IPs != nIPs {
-				r.problem("line %d: footer counts (%d domains, %d ips) disagree with body (%d, %d)",
-					lineno, f.Domains, f.IPs, nDomains, nIPs)
-			} else if f.FirstDomain != firstName || f.LastDomain != lastName {
-				r.problem("line %d: footer domain range (%q to %q) disagrees with body (%q to %q)",
-					lineno, f.FirstDomain, f.LastDomain, firstName, lastName)
-			}
-		default:
-			r.problem("line %d: unknown kind %q", lineno, line.Kind)
+			return nil
+		},
+		func(info *IPInfo) error {
+			r.Entries++
+			ips[info.Addr.String()] = true
+			return nil
+		})
+	// The damage is reported first, so the problem cap never hides it.
+	var damage *lineError
+	switch {
+	case errors.As(err, &damage):
+		r.problem("%s", damage.where())
+		if damage.line > 1 {
+			r.Salvageable = fmt.Sprintf("lines 1-%d (%d records)", damage.line-1, r.Entries)
 		}
+	case err != nil:
+		return nil, err // not the file's: the callbacks above fail nothing
 	}
-	if err := sc.Err(); err != nil {
-		// Stream-level damage: truncated gzip, oversize line.
-		r.problem("line %d: %v", lineno+1, err)
-		damaged = true
-		salvage = lineno
+	for _, d := range dups {
+		r.problem("duplicate domain %s", d)
 	}
-	r.Entries = intact
-	if !headerSeen && !damaged {
-		r.problem("no header line")
-	}
-	if damaged && salvage > 0 {
-		r.Salvageable = fmt.Sprintf("lines 1-%d (%d records)", salvage, intact)
-	}
-
-	// Cross-record invariants are only meaningful on a physically intact
-	// file; on a torn one every tail record would be "missing".
-	if !damaged && headerSeen {
+	// The join is only meaningful on an intact file; on a torn one every
+	// tail record would be "missing".
+	if err == nil {
 		// Every address an MX resolved to was scanned (or at least
 		// classified): it must have an ip record.
 		for _, addr := range sortedKeys(refs) {
-			if _, ok := ipAt[addr]; !ok {
-				r.problem("line %d: references %s but the snapshot has no ip record for it", refs[addr], addr)
+			if !ips[addr] {
+				r.problem("domain %s references %s but the snapshot has no ip record for it", refs[addr], addr)
 			}
 		}
 		// Every ip record is reachable from some domain's MX set; an
 		// orphan means the domain that produced it was lost.
-		for _, addr := range sortedKeys(ipAt) {
+		for _, addr := range sortedKeys(ips) {
 			if _, ok := refs[addr]; !ok {
-				r.problem("line %d: ip record %s referenced by no domain", ipAt[addr], addr)
+				r.problem("ip record %s referenced by no domain", addr)
 			}
 		}
 	}
 
 	r.Clean = len(r.Problems) == 0 && r.truncatedProblems == 0
-	r.Recoverable = !r.Clean && intact > 0
+	r.Recoverable = !r.Clean && r.Entries > 0
 	if r.Clean {
 		r.ValidBytes = r.TotalBytes
 	}

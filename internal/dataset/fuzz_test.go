@@ -3,10 +3,12 @@ package dataset
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"net/netip"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"mxmap/internal/asn"
@@ -75,9 +77,10 @@ func FuzzJournalRead(f *testing.F) {
 	})
 }
 
-// FuzzShardFooter drives the shard footer parser with arbitrary bytes:
-// it must return a footer or an error, never panic, and any footer it
-// accepts must satisfy the documented invariants.
+// FuzzShardFooter drives the footer rule with arbitrary bytes as the
+// last line of a shard whose body is one domain and one IP: Read must
+// not panic, and a footer line it accepts is that body's footer — its
+// counts and its domain range, whatever its seq.
 func FuzzShardFooter(f *testing.F) {
 	f.Add([]byte(`{"kind":"footer","footer":{"seq":3,"first_domain":"a.example","last_domain":"z.example","domains":10,"ips":4}}`))
 	f.Add([]byte(`{"kind":"footer","footer":{"seq":0,"domains":0,"ips":0}}`))
@@ -86,31 +89,32 @@ func FuzzShardFooter(f *testing.F) {
 	f.Add([]byte(`{"kind":"footer"}`))
 	f.Add([]byte(`{`))
 	f.Add([]byte{})
+	f.Add([]byte(`{"kind":"footer","footer":{"seq":7,"first_domain":"a.example","last_domain":"a.example","domains":1,"ips":1}}`))
 
+	body := []byte(`{"kind":"snapshot","header":{"date":"2021-06","corpus":"alexa"}}` + "\n")
+	body = appendDomainLine(body, &DomainRecord{Domain: "a.example", MX: []MXObs{{Preference: 10, Exchange: "mx.example"}}})
+	body = appendIPLine(body, &IPInfo{Addr: addr("10.0.0.1")})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		footer, err := ParseShardFooter(data)
-		if err != nil {
+		_, err := Read(bytes.NewReader(append(body[:len(body):len(body)], data...)))
+		var l jsonLine
+		if err != nil || json.Unmarshal(data, &l) != nil || l.Kind != "footer" {
 			return
 		}
-		if footer == nil {
-			t.Fatal("nil footer without error")
+		if l.Footer == nil {
+			t.Fatal("accepted a footer line without a footer")
 		}
-		if footer.Domains < 0 || footer.IPs < 0 || footer.Seq < 0 {
-			t.Fatalf("accepted negative counts: %+v", footer)
-		}
-		if (footer.Domains == 0) != (footer.FirstDomain == "" && footer.LastDomain == "") {
-			t.Fatalf("accepted inconsistent domain range: %+v", footer)
-		}
-		if footer.FirstDomain > footer.LastDomain {
-			t.Fatalf("accepted inverted range: %+v", footer)
+		if want := (ShardFooter{Seq: l.Footer.Seq, FirstDomain: "a.example", LastDomain: "a.example", Domains: 1, IPs: 1}); *l.Footer != want {
+			t.Fatalf("accepted footer %+v after a body of one domain and one ip", *l.Footer)
 		}
 	})
 }
 
-// FuzzRead holds the two readers of the snapshot JSONL form to each
-// other: for arbitrary bytes, Read and a Stream over the same bytes in a
-// file (OpenStream, a ForEach pass, LoadIPs) both fail, or both yield the
-// same header, domain records and IP table. Neither may panic.
+// FuzzRead holds the readers of the snapshot JSONL form to each other:
+// for arbitrary bytes, Read and a Stream over the same bytes in a file
+// (OpenStream, a ForEach pass, LoadIPs) both fail, or both yield the
+// same header, domain records and IP table; and Fsck of that file
+// reports a line-level problem, as its first, exactly when ReadFile
+// fails, at the same line in the same words. Neither may panic.
 func FuzzRead(f *testing.F) {
 	var buf bytes.Buffer
 	if _, err := sampleSnapshot().WriteTo(&buf); err != nil {
@@ -124,6 +128,9 @@ func FuzzRead(f *testing.F) {
 	f.Add([]byte("\n\n\n"))
 	f.Add([]byte{})
 	f.Add([]byte(`{"kind":"snapshot"}`)) // header without body
+	for _, p := range lineRuleProbes {
+		f.Add([]byte(p.text))
+	}
 
 	// One file per fuzz worker process, rewritten per input.
 	path := filepath.Join(f.TempDir(), "in.jsonl")
@@ -135,6 +142,26 @@ func FuzzRead(f *testing.F) {
 		got, gotErr := streamRead(t, path, data)
 		if (wantErr == nil) != (gotErr == nil) {
 			t.Fatalf("Read error %v, Stream error %v", wantErr, gotErr)
+		}
+		if rep, err := Fsck(path); err != nil {
+			t.Fatal(err)
+		} else if rep.Kind == "snapshot" { // not input that opens with the journal magic
+			_, fileErr := ReadFile(path)
+			var damage *lineError
+			switch {
+			case errors.As(fileErr, &damage):
+				if len(rep.Problems) == 0 || rep.Problems[0] != damage.where() {
+					t.Fatalf("ReadFile: %v; Fsck problems %q", fileErr, rep.Problems)
+				}
+			case fileErr != nil:
+				t.Fatalf("ReadFile error %v is not a line error", fileErr)
+			default:
+				for _, p := range rep.Problems {
+					if strings.HasPrefix(p, "line ") {
+						t.Fatalf("ReadFile loads what Fsck calls damage: %q", p)
+					}
+				}
+			}
 		}
 		if wantErr != nil {
 			return

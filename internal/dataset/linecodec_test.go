@@ -220,9 +220,13 @@ func TestLineDecodeEdgeShapes(t *testing.T) {
 				return
 			}
 			s, err := Read(strings.NewReader(file))
-			if e.want.Domain == nil && e.want.IP == nil {
+			// A record line decodes without its body or its key (the name,
+			// the address), but the line rules reject it.
+			if e.want.Domain == nil && e.want.IP == nil ||
+				e.want.Domain != nil && e.want.Domain.Domain == "" ||
+				e.want.IP != nil && !e.want.IP.Addr.IsValid() {
 				if err == nil {
-					t.Error("Read took a record line without a body")
+					t.Error("Read took a record line without its body or key")
 				}
 				return
 			}

@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"container/heap"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 )
@@ -18,13 +19,15 @@ import (
 // stores nothing but the ordering key; any other line is decoded in
 // full by encoding/json, so no line either would reject is passed on.
 //
-// Invariants enforced (an error aborts the merge and leaves outPath
-// untouched):
+// Every line of every shard is held to the rules every reader holds the
+// format to (lineRules: so a shard Merge rejects, ReadFile, OpenStream
+// and Fsck reject at the same line), and to what a merge adds to them
+// (an error aborts the merge and leaves outPath untouched):
 //
 //   - every shard carries the same (date, corpus) header;
 //   - each shard's domain and IP sections are strictly increasing;
-//   - each shard ends with a footer whose counts and domain range
-//     match its body.
+//   - each shard ends with a footer, whose seq is the one in the shard's
+//     file name.
 //
 // Duplicate keys across shards resolve last-write-wins toward the
 // highest shard sequence number, matching journal replay semantics.
@@ -175,21 +178,15 @@ type shardReader struct {
 	done    func() // releases the file opened by openReader
 	sc      *bufio.Scanner
 	lineBuf *[]byte
-	lineno  int
+	rules   lineRules
 
-	hdr    snapshotHeader
-	seq    int
-	footer *ShardFooter
+	hdr snapshotHeader
+	seq int
 
 	// current record; kind "" means exhausted (footer consumed).
 	kind string
 	key  []byte
 	line []byte
-
-	nDomains, nIPs int
-	// firstDomain and lastDomain are the body's domain range, for the
-	// footer to be held to.
-	firstDomain, lastDomain string
 
 	// scratch is advance's decodeLine target, kept here because a
 	// local one would be heap-allocated per line.
@@ -201,12 +198,8 @@ func openShard(path string) (*shardReader, error) {
 	if err != nil {
 		return nil, err
 	}
-	r := &shardReader{path: path, done: done}
+	r := &shardReader{path: path, done: done, rules: lineRules{name: path}}
 	r.sc, r.lineBuf = newLineScanner(src)
-	if err := r.readHeader(); err != nil {
-		r.close()
-		return nil, err
-	}
 	if err := r.advance(); err != nil {
 		r.close()
 		return nil, err
@@ -225,133 +218,50 @@ func (r *shardReader) close() {
 	}
 }
 
-func (r *shardReader) errf(format string, args ...any) error {
-	return fmt.Errorf("dataset: merge: %s: line %d: %s", r.path, r.lineno, fmt.Sprintf(format, args...))
-}
-
-// scan reads the next non-empty line, returning false at EOF.
-func (r *shardReader) scan() (bool, error) {
+// advance steps to the next record line, taking the header on the way
+// in. Past the footer it reads on to the end of the file, so a shard is
+// exhausted (kind "") only once all of it has been held to the rules.
+func (r *shardReader) advance() error {
 	for r.sc.Scan() {
-		r.lineno++
-		if len(r.sc.Bytes()) > 0 {
-			return true, nil
+		// A canonical line is only walked: decodeLine stores no record it
+		// was not given. Any other line must decode in full, so no line
+		// that encoding/json rejects reaches the output.
+		l := &r.scratch
+		*l = jsonLine{}
+		key, err := r.rules.step(r.sc.Bytes(), l)
+		if err != nil {
+			return err
+		}
+		switch l.Kind {
+		case "snapshot":
+			r.hdr = *l.Header
+		case "domain", "ip":
+			if r.kind == l.Kind && bytes.Compare(key, r.key) <= 0 {
+				return r.rules.fail(fmt.Errorf("%s %q out of order (previous %q)", l.Kind, key, r.key))
+			}
+			// The scanner reuses its buffer on the next Scan: the line and
+			// its key are copied into the reader's own.
+			r.kind = l.Kind
+			r.key = append(r.key[:0], key...)
+			r.line = append(r.line[:0], r.sc.Bytes()...)
+			return nil
+		case "footer":
+			if seq, ok := parseShardSeq(r.path); ok && seq != l.Footer.Seq {
+				return r.rules.fail(fmt.Errorf("footer seq %d disagrees with file name seq %d", l.Footer.Seq, seq))
+			}
+			r.kind, r.line = "", nil
 		}
 	}
 	if err := r.sc.Err(); err != nil {
-		return false, r.errf("%v", err)
+		return r.rules.cut(err)
 	}
-	return false, nil
-}
-
-func (r *shardReader) readHeader() error {
-	ok, err := r.scan()
-	if err != nil {
+	if err := r.rules.end(); err != nil {
 		return err
 	}
-	if !ok {
-		return r.errf("empty shard file")
-	}
-	var l jsonLine
-	if err := json.Unmarshal(r.sc.Bytes(), &l); err != nil {
-		return r.errf("%v", err)
-	}
-	if l.Kind != "snapshot" || l.Header == nil {
-		return r.errf("shard does not start with a snapshot header")
-	}
-	r.hdr = *l.Header
-	return nil
-}
-
-// advance steps to the next record line. On the footer it validates the
-// counts, marks the reader exhausted, and rejects trailing garbage.
-func (r *shardReader) advance() error {
-	ok, err := r.scan()
-	if err != nil {
-		return err
-	}
-	if !ok {
-		return r.errf("truncated shard: no footer")
-	}
-	// A canonical line is only walked: decodeLine stores no record it
-	// was not given. Any other line must decode in full, so no line that
-	// encoding/json rejects reaches the output.
-	l := &r.scratch
-	*l = jsonLine{}
-	key, err := decodeLine(r.sc.Bytes(), l)
-	if err != nil {
-		return r.errf("%v", err)
-	}
-	switch l.Kind {
-	case "domain":
-		if r.nIPs > 0 {
-			return r.errf("domain record after IP section")
-		}
-		if len(key) == 0 {
-			return r.errf("domain record without a name")
-		}
-		if r.kind == "domain" && bytes.Compare(key, r.key) <= 0 {
-			return r.errf("domain %q out of order (previous %q)", key, r.key)
-		}
-		if r.nDomains == 0 {
-			r.firstDomain = string(key)
-		}
-		r.setCurrent("domain", key)
-		r.nDomains++
-	case "ip":
-		if len(key) == 0 {
-			return r.errf("ip record without an address")
-		}
-		if r.kind == "ip" && bytes.Compare(key, r.key) <= 0 {
-			return r.errf("ip %q out of order (previous %q)", key, r.key)
-		}
-		r.endDomains()
-		r.setCurrent("ip", key)
-		r.nIPs++
-	case "footer":
-		f, err := ParseShardFooter(r.sc.Bytes())
-		if err != nil {
-			return r.errf("%v", err)
-		}
-		if f.Domains != r.nDomains || f.IPs != r.nIPs {
-			return r.errf("footer counts (%d domains, %d ips) disagree with body (%d, %d)",
-				f.Domains, f.IPs, r.nDomains, r.nIPs)
-		}
-		r.endDomains()
-		if f.FirstDomain != r.firstDomain || f.LastDomain != r.lastDomain {
-			return r.errf("footer domain range (%q to %q) disagrees with body (%q to %q)",
-				f.FirstDomain, f.LastDomain, r.firstDomain, r.lastDomain)
-		}
-		if seq, ok := parseShardSeq(r.path); ok && seq != f.Seq {
-			return r.errf("footer seq %d disagrees with file name seq %d", f.Seq, seq)
-		}
-		r.footer = f
-		r.kind, r.key, r.line = "", r.key[:0], nil
-		if ok, err := r.scan(); err != nil {
-			return err
-		} else if ok {
-			return r.errf("trailing data after footer")
-		}
-	default:
-		return r.errf("unexpected line kind %q", l.Kind)
+	if !r.rules.footer {
+		return r.rules.cut(errors.New("truncated shard: no footer"))
 	}
 	return nil
-}
-
-// endDomains notes the last domain key once the line after the domain
-// section has been reached.
-func (r *shardReader) endDomains() {
-	if r.kind == "domain" {
-		r.lastDomain = string(r.key)
-	}
-}
-
-// setCurrent copies the scanner's line and its key into the
-// reader-owned buffers (the scanner reuses its backing array on the next
-// Scan).
-func (r *shardReader) setCurrent(kind string, key []byte) {
-	r.kind = kind
-	r.key = append(r.key[:0], key...)
-	r.line = append(r.line[:0], r.sc.Bytes()...)
 }
 
 // rank orders the two record sections: all domains before all IPs.

@@ -20,9 +20,12 @@ import (
 //
 //   - domain lines are sorted by domain name and IP lines by address
 //     key, each section internally duplicate-free;
-//   - the final line is a footer recording the domain range and the
-//     record counts, so a merge can cheaply validate shard integrity and
-//     plan without scanning.
+//   - the final line is a footer recording the shard's seq, the domain
+//     range and the record counts.
+//
+// The footer is a line of the snapshot format (lineRules holds it to the
+// body it ends), so a shard loads, streams and passes fsck as a snapshot;
+// only Merge, which also needs the sort order, requires one.
 //
 // Shards are named <base>.shard-NNNN[.gz suffix preserved], e.g.
 // "run.jsonl.gz" spills to "run.shard-0000.jsonl.gz". dataset.Merge
@@ -43,29 +46,6 @@ type ShardFooter struct {
 	// Domains and IPs count the records in each section.
 	Domains int `json:"domains"`
 	IPs     int `json:"ips"`
-}
-
-// ParseShardFooter decodes one JSONL line and returns its footer.
-// It errors when the line is not a well-formed footer line.
-func ParseShardFooter(line []byte) (*ShardFooter, error) {
-	var l jsonLine
-	if err := json.Unmarshal(line, &l); err != nil {
-		return nil, fmt.Errorf("dataset: footer: %w", err)
-	}
-	if l.Kind != "footer" || l.Footer == nil {
-		return nil, fmt.Errorf("dataset: footer: line has kind %q", l.Kind)
-	}
-	f := l.Footer
-	if f.Domains < 0 || f.IPs < 0 || f.Seq < 0 {
-		return nil, fmt.Errorf("dataset: footer: negative counts")
-	}
-	if (f.Domains == 0) != (f.FirstDomain == "" && f.LastDomain == "") {
-		return nil, fmt.Errorf("dataset: footer: domain range disagrees with count")
-	}
-	if f.FirstDomain > f.LastDomain {
-		return nil, fmt.Errorf("dataset: footer: inverted domain range")
-	}
-	return f, nil
 }
 
 // ShardPath names shard seq of the snapshot that would live at base:

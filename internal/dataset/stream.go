@@ -11,9 +11,9 @@ package dataset
 // LoadIPs, then two over the domains.
 //
 // A Stream works over both canonical snapshot files (WriteFile / Merge
-// output) and individual shard files (footer lines are skipped). Its
-// fields are set once, by OpenStream, so any number of passes may run
-// concurrently.
+// output) and individual shard files (a footer is checked, not yielded).
+// Its fields are set once, by OpenStream, so any number of passes may
+// run concurrently.
 type Stream struct {
 	// Path is the snapshot file.
 	Path string

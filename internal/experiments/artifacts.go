@@ -225,16 +225,20 @@ var fig6Panels = []struct {
 // series per corpus for top companies, e-mail security services, and web
 // hosting companies.
 //
-// The panels cover 25 distinct corpus-snapshots; those are measured
-// concurrently (bounded by Study.Parallelism) and then inferred as
-// per-corpus delta chains — each date diffed against its predecessor and
-// only the churned domains re-attributed — before the serial assembly
-// pass reads them from cache. The chained results are byte-identical to
-// inferring every date from scratch (core.InferDelta's contract); only
-// the work differs.
+// The panels cover 25 distinct corpus-snapshots; each is measured and
+// inferred (full inference, through the Study's result cache)
+// concurrently, bounded by Study.Parallelism, before the serial assembly
+// pass reads them from the cache.
 func (s *Study) Fig6(ctx context.Context) ([]*report.Chart, error) {
-	if err := s.chainResults(ctx, s.fig6Keys()); err != nil {
-		return nil, err
+	keys := s.fig6Keys()
+	errs := make([]error, len(keys))
+	parallel.Run(len(keys), parallel.Workers(s.Parallelism), func(i int) {
+		_, errs[i] = s.Result(ctx, keys[i].corpus, keys[i].date)
+	})
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
+		}
 	}
 	var charts []*report.Chart
 	for _, panel := range fig6Panels {
@@ -286,78 +290,6 @@ func (s *Study) fig6Keys() []corpusDate {
 		}
 	}
 	return keys
-}
-
-// chainResults brings the given corpus-snapshots into the result cache.
-// Snapshots are measured concurrently; inference then walks each
-// corpus's dates in order as a delta chain — every date after the first
-// is diffed against its predecessor and only the churned domains are
-// re-attributed. Afterwards every key is resident in the Study caches,
-// holding results byte-identical to a from-scratch run per date.
-func (s *Study) chainResults(ctx context.Context, keys []corpusDate) error {
-	snapErrs := make([]error, len(keys))
-	parallel.Run(len(keys), parallel.Workers(s.Parallelism), func(i int) {
-		_, snapErrs[i] = s.Snapshot(ctx, keys[i].corpus, keys[i].date)
-	})
-	for _, err := range snapErrs {
-		if err != nil {
-			return err
-		}
-	}
-	dates := make(map[string][]string)
-	var corpora []string
-	for _, k := range keys {
-		if _, ok := dates[k.corpus]; !ok {
-			corpora = append(corpora, k.corpus)
-		}
-		dates[k.corpus] = append(dates[k.corpus], k.date)
-	}
-	errs := make([]error, len(corpora))
-	parallel.Run(len(corpora), parallel.Workers(s.Parallelism), func(i int) {
-		errs[i] = s.chainCorpus(ctx, corpora[i], dates[corpora[i]])
-	})
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// chainCorpus infers one corpus's dates sequentially, anchoring on a
-// full inference of the first date and carrying each result forward as
-// the prior for the next date's incremental run.
-func (s *Study) chainCorpus(ctx context.Context, corpus string, dates []string) error {
-	prevRes, err := s.Result(ctx, corpus, dates[0])
-	if err != nil {
-		return err
-	}
-	prevSnap, err := s.Snapshot(ctx, corpus, dates[0])
-	if err != nil {
-		return err
-	}
-	for _, date := range dates[1:] {
-		snap, err := s.Snapshot(ctx, corpus, date)
-		if err != nil {
-			return err
-		}
-		changed := make(map[string]bool)
-		if _, err := dataset.DiffSnapshots(prevSnap, snap, func(c dataset.Change) error {
-			if c.Kind != dataset.DiffRemoved {
-				changed[c.Domain] = true
-			}
-			return nil
-		}); err != nil {
-			return err
-		}
-		res, _ := core.InferDelta(snap, core.ApproachPriority, core.Config{
-			Profiles:    s.Profiles,
-			Parallelism: s.Parallelism,
-		}, prevRes, changed)
-		s.setResult(corpus, date, res)
-		prevSnap, prevRes = snap, res
-	}
-	return nil
 }
 
 func percents(points []analysis.SeriesPoint) []float64 {

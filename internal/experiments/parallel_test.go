@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"mxmap/internal/core"
-	"mxmap/internal/dataset"
 	"mxmap/internal/world"
 )
 
@@ -40,62 +39,6 @@ func TestParallelInferEquivalenceOnWorld(t *testing.T) {
 		}
 		if !reflect.DeepEqual(serial.Domains, par.Domains) {
 			t.Fatalf("%s: domain attributions diverged", approach)
-		}
-	}
-}
-
-// TestFig6DeltaChainMatchesFull pins Fig6's incremental inference to
-// the from-scratch baseline: a second study pre-fills its result cache
-// with full inference for every corpus-snapshot, so its assembly pass
-// never reads a delta-chained result, and both studies must render
-// byte-identical charts. Consecutive snapshots must also share
-// unchanged domains — with nothing to reuse, the chain would re-infer
-// everything and the equality check would hold nothing.
-func TestFig6DeltaChainMatchesFull(t *testing.T) {
-	if testing.Short() {
-		t.Skip("needs a second world generation")
-	}
-	full, err := NewStudy(world.Config{Seed: 21, Scale: 0.003, TailProviders: 20, SelfISPs: 6})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer full.Close()
-	ctx := context.Background()
-	for _, k := range full.fig6Keys() {
-		if _, err := full.Result(ctx, k.corpus, k.date); err != nil {
-			t.Fatal(err)
-		}
-	}
-	ref, err := full.Fig6(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	s := study(t)
-	got, err := s.Fig6(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ref) != len(got) {
-		t.Fatalf("panel count %d vs %d", len(ref), len(got))
-	}
-	for i := range ref {
-		var sb1, sb2 strings.Builder
-		ref[i].WriteText(&sb1)
-		got[i].WriteText(&sb2)
-		if sb1.String() != sb2.String() {
-			t.Errorf("panel %d diverged between full and delta-chained inference:\n--- full\n%s\n--- delta\n%s", i, sb1.String(), sb2.String())
-		}
-	}
-	for _, corpus := range Corpora() {
-		dates := s.World.Corpus(corpus).Dates
-		prev, err1 := s.Snapshot(ctx, corpus, dates[len(dates)-2])
-		last, err2 := s.Snapshot(ctx, corpus, dates[len(dates)-1])
-		if err1 != nil || err2 != nil {
-			t.Fatal(err1, err2)
-		}
-		if ds, err := dataset.DiffSnapshots(prev, last, nil); err != nil || ds.Unchanged == 0 {
-			t.Errorf("%s: diff of the last two dates = %+v, %v: the chain had nothing to reuse", corpus, ds, err)
 		}
 	}
 }

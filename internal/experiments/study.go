@@ -23,7 +23,7 @@ type Study struct {
 	// Profiles are the step-4 provider profiles derived from the roster.
 	Profiles []core.ProviderProfile
 	// Parallelism bounds both the inference worker pool (core.Config's
-	// knob) and the concurrent corpus-snapshot collection in Fig6. Zero
+	// knob) and the concurrent corpus-snapshot runs in Fig6. Zero
 	// selects runtime.GOMAXPROCS(0).
 	Parallelism int
 
@@ -113,22 +113,6 @@ func (s *Study) Result(ctx context.Context, corpus, date string) (*core.Result, 
 		})
 	})
 	return f.res, f.err
-}
-
-// setResult installs a precomputed inference result into the cache, so
-// delta-chained runs (Fig6) satisfy later Result calls for the same key.
-// If a concurrent Result call already inferred the key, the first writer
-// wins; both values are byte-identical by InferDelta's contract.
-func (s *Study) setResult(corpus, date string, res *core.Result) {
-	key := corpus + "@" + date
-	s.mu.Lock()
-	f := s.results[key]
-	if f == nil {
-		f = &resultFlight{}
-		s.results[key] = f
-	}
-	s.mu.Unlock()
-	f.once.Do(func() { f.res = res })
 }
 
 // LastDate returns a corpus's most recent snapshot label.

@@ -323,7 +323,7 @@ func (s *Service) drainEpoch(ctx context.Context, e *epoch) bool {
 // build streams the snapshot at path into a fresh store. With a prior
 // store it diffs the two snapshot files first and reuses the prior
 // attribution for every domain the delta contract proves unchanged
-// (see core.InferDelta); the result is byte-identical to a full
+// (see core.InferStreamDelta); the result is byte-identical to a full
 // recompute. A prior whose file is no longer readable degrades to a
 // full recompute rather than failing the swap.
 func (s *Service) build(path string, prior *Store) (*Store, *ChurnReport, error) {
