@@ -2,7 +2,9 @@ package core
 
 import (
 	"net/netip"
+	"slices"
 	"sort"
+	"strings"
 
 	"mxmap/internal/dataset"
 	"mxmap/internal/parallel"
@@ -18,12 +20,13 @@ import (
 // distinct-IP and distinct-exchange populations, which provider
 // concentration keeps orders of magnitude below the domain count.
 //
-// The source is read three times:
+// The source is read twice:
 //
-//   - LoadIPs takes the IP section whole (it is the bounded side);
-//   - pass A over domains builds the deduplicated exchange inventory in
-//     first-appearance order (first-wins observation), the popularity
-//     counters and the trust statistics;
+//   - pass A reads domains and the IP section (see takeInventory): it
+//     keeps the IP section whole (it is the bounded side) and builds the
+//     deduplicated exchange inventory in first-appearance order
+//     (first-wins observation), the popularity counters and the trust
+//     statistics;
 //   - pass B re-reads domains, attributing each one and handing it to
 //     emit.
 //
@@ -72,69 +75,22 @@ func InferStreamDelta(src dataset.Source, approach Approach, cfg Config, prior *
 	}
 	workers := parallel.Workers(cfg.Parallelism)
 
-	ips, err := src.LoadIPs()
+	// Pass A — the IP section, the exchange inventory, the popularity
+	// counters and the trust statistics.
+	var tstats *trustStats
+	if approach == ApproachPriority {
+		tstats = newTrustStats()
+	}
+	inv, err := takeInventory(src, tstats, memo)
 	if err != nil {
 		return nil, DeltaStats{}, err
 	}
+	ips, exchanges, numIP, numCert := inv.ips, inv.exchanges, inv.numIP, inv.numCert
 	sortedKeys := make([]string, 0, len(ips))
 	for k := range ips {
 		sortedKeys = append(sortedKeys, k)
 	}
 	sort.Strings(sortedKeys)
-
-	// Pass A — exchange inventory (first-appearance order, first-wins
-	// observation) and popularity counters: how many domains' primary MX
-	// sets point at each address and at each certificate.
-	var (
-		exchanges []dataset.MXObs
-		exIndex   = make(map[string]int)
-		numIP     = make(map[string]int)
-		numCert   = make(map[string]int)
-		nDomains  int
-		seenIP    []string
-		seenCert  []string
-		tstats    *trustStats
-	)
-	if approach == ApproachPriority {
-		tstats = newTrustStats()
-	}
-	err = src.ForEach(func(d *dataset.DomainRecord) error {
-		nDomains++
-		seenIP, seenCert = seenIP[:0], seenCert[:0]
-		primary := d.PrimaryMX()
-		if tstats != nil {
-			// Trust statistics fold in here so the source needs no extra
-			// pass.
-			tstats.observe(d, primary, memo)
-		}
-		for _, mx := range primary {
-			if _, ok := exIndex[mx.Exchange]; !ok {
-				exIndex[mx.Exchange] = len(exchanges)
-				// The streamed record is reused; own the retained copy.
-				kept := mx
-				kept.Addrs = append([]netip.Addr(nil), mx.Addrs...)
-				exchanges = append(exchanges, kept)
-			}
-			for _, a := range mx.Addrs {
-				key := a.String()
-				if containsStr(seenIP, key) {
-					continue
-				}
-				seenIP = append(seenIP, key)
-				numIP[key]++
-				if info, ok := ips[key]; ok && info.Scan != nil && info.Scan.CertFingerprint != "" {
-					if fp := info.Scan.CertFingerprint; !containsStr(seenCert, fp) {
-						seenCert = append(seenCert, fp)
-						numCert[fp]++
-					}
-				}
-			}
-		}
-		return nil
-	}, nil)
-	if err != nil {
-		return nil, DeltaStats{}, err
-	}
 
 	// Steps 1-4 only consume the IP observations and the exchange
 	// inventory. Step 1 — certificate preprocessing (cert-based and
@@ -198,8 +154,118 @@ func InferStreamDelta(src dataset.Source, approach Approach, cfg Config, prior *
 	if err != nil {
 		return nil, DeltaStats{}, err
 	}
-	res.NumDomains = nDomains
+	res.NumDomains = inv.nDomains
 	return res, ds, nil
+}
+
+// inventory is what pass A learns in its one read of the source.
+type inventory struct {
+	// ips is the IP section keyed by address string, a repeated address's
+	// last line winning.
+	ips map[string]dataset.IPInfo
+	// exchanges is the deduplicated primary-exchange inventory in
+	// first-appearance order, each exchange as its first domain saw it.
+	exchanges []dataset.MXObs
+	// numIP counts, per address, the domains whose distinct primary
+	// addresses include it; numCert counts, per certificate fingerprint,
+	// the domains whose distinct primary addresses include one carrying
+	// it.
+	numIP, numCert map[string]int
+	// addrSets is the number of distinct primary-address sets numCert
+	// was joined over.
+	addrSets int
+	nDomains int
+}
+
+// takeInventory is pass A: one ForEach over the domains and the IP
+// section, folding each domain into tstats when it is non-nil. The
+// domain lines come before the IP section, so a domain's certificates
+// are unknown while its line is read and numCert is joined after the
+// walk: domains are counted per distinct primary-address set, and each
+// set adds its count to every distinct fingerprint among its addresses —
+// the integer a per-domain join gives. Provider concentration bounds the
+// set count as it bounds the IP table.
+func takeInventory(src dataset.Source, tstats *trustStats, memo *psl.Memo) (*inventory, error) {
+	inv := &inventory{
+		ips:     make(map[string]dataset.IPInfo),
+		numIP:   make(map[string]int),
+		numCert: make(map[string]int),
+	}
+	var (
+		exIndex = make(map[string]int)
+		// sets counts the domains of each distinct primary-address set,
+		// keyed by its addresses sorted and joined by spaces.
+		sets   = make(map[string]*int)
+		seenIP []string
+		setKey []byte
+	)
+	err := src.ForEach(func(d *dataset.DomainRecord) error {
+		inv.nDomains++
+		seenIP = seenIP[:0]
+		primary := d.PrimaryMX()
+		if tstats != nil {
+			// Trust statistics fold in here so the source needs no extra
+			// pass.
+			tstats.observe(d, primary, memo)
+		}
+		for _, mx := range primary {
+			if _, ok := exIndex[mx.Exchange]; !ok {
+				exIndex[mx.Exchange] = len(inv.exchanges)
+				// The streamed record is reused; own the retained copy.
+				kept := mx
+				kept.Addrs = append([]netip.Addr(nil), mx.Addrs...)
+				inv.exchanges = append(inv.exchanges, kept)
+			}
+			for _, a := range mx.Addrs {
+				key := a.String()
+				if containsStr(seenIP, key) {
+					continue
+				}
+				seenIP = append(seenIP, key)
+				inv.numIP[key]++
+			}
+		}
+		if len(seenIP) == 0 {
+			return nil
+		}
+		slices.Sort(seenIP)
+		setKey = append(setKey[:0], seenIP[0]...)
+		for _, key := range seenIP[1:] {
+			setKey = append(append(setKey, ' '), key...)
+		}
+		// Only a set's first domain allocates its key.
+		if n := sets[string(setKey)]; n != nil {
+			*n++
+		} else {
+			one := 1
+			sets[string(setKey)] = &one
+		}
+		return nil
+	}, func(info *dataset.IPInfo) error {
+		// Every IP line is decoded into a fresh record: the copy may keep
+		// its Scan pointer.
+		inv.ips[info.Addr.String()] = *info
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	var seenCert []string
+	for set, domains := range sets {
+		seenCert = seenCert[:0]
+		for _, key := range strings.Fields(set) {
+			info, ok := inv.ips[key]
+			if !ok || info.Scan == nil || info.Scan.CertFingerprint == "" {
+				continue
+			}
+			if fp := info.Scan.CertFingerprint; !containsStr(seenCert, fp) {
+				seenCert = append(seenCert, fp)
+				inv.numCert[fp] += *domains
+			}
+		}
+	}
+	inv.addrSets = len(sets)
+	return inv, nil
 }
 
 // DeltaStats reports how much work an incremental inference run reused

@@ -2,12 +2,16 @@ package core
 
 import (
 	"net/netip"
+	"os"
 	"path/filepath"
+	"reflect"
+	"strings"
 	"testing"
 
 	"mxmap/internal/asn"
 	"mxmap/internal/benchdata"
 	"mxmap/internal/dataset"
+	"mxmap/internal/psl"
 )
 
 // TestInferStreamEquivalence pins what is left to pin now that there is
@@ -150,6 +154,127 @@ func TestExchangeInventoryFirstWins(t *testing.T) {
 			if len(res.MX) != 2 || res.NumExamined != tc.examined {
 				t.Errorf("%s (%T): %d assignments, %d examined, want 2 and %d", tc.name, src, len(res.MX), res.NumExamined, tc.examined)
 			}
+		}
+	}
+}
+
+// joinCorpus is a hand-written snapshot file for the deferred numCert
+// join, every case the join could get wrong on one line each: a.com and
+// b.com share an address set listed in different orders, a.com's two MX
+// share an address, c.com's two addresses carry one fingerprint,
+// d.com's are one missing from the IP section and one without a scan,
+// e.com has no MX and f.com an MX without addresses, g.com's backup MX
+// carries a certificate no primary address does, and the IP section is
+// unsorted with 10.0.0.6 given twice, the last line winning.
+const joinCorpus = `{"kind":"snapshot","header":{"date":"2021-06","corpus":"test"}}
+{"kind":"domain","domain":{"domain":"a.com","mx":[{"pref":10,"exchange":"mx1.p.net","addrs":["10.0.0.1","10.0.0.3"]},{"pref":10,"exchange":"mx2.p.net","addrs":["10.0.0.3"]}]}}
+{"kind":"domain","domain":{"domain":"b.com","mx":[{"pref":10,"exchange":"mx3.p.net","addrs":["10.0.0.3","10.0.0.1"]}]}}
+{"kind":"domain","domain":{"domain":"c.com","mx":[{"pref":5,"exchange":"mx.c.com","addrs":["10.0.0.1","10.0.0.2"]}]}}
+{"kind":"domain","domain":{"domain":"d.com","mx":[{"pref":10,"exchange":"mx.d.com","addrs":["10.0.0.5","10.0.0.4"]}]}}
+{"kind":"domain","domain":{"domain":"e.com","mx":null}}
+{"kind":"domain","domain":{"domain":"f.com","mx":[{"pref":10,"exchange":"mx.gone.net","dangling":true}]}}
+{"kind":"domain","domain":{"domain":"g.com","mx":[{"pref":10,"exchange":"mx.g.com","addrs":["10.0.0.6"]},{"pref":20,"exchange":"backup.g.com","addrs":["10.0.0.7"]}]}}
+{"kind":"domain","domain":{"domain":"h.com","mx":[{"pref":10,"exchange":"mx.h.com","addrs":["10.0.0.6","10.0.0.3"]}]}}
+{"kind":"ip","ip":{"addr":"10.0.0.6","has_censys":true,"port25_open":true,"scan":{"banner":"old","cert_fp":"fpOld"}}}
+{"kind":"ip","ip":{"addr":"10.0.0.3","has_censys":true,"port25_open":true,"scan":{"banner":"b","cert_fp":"fpB"}}}
+{"kind":"ip","ip":{"addr":"10.0.0.1","has_censys":true,"port25_open":true,"scan":{"banner":"a","cert_fp":"fpA"}}}
+{"kind":"ip","ip":{"addr":"10.0.0.7","has_censys":true,"port25_open":true,"scan":{"banner":"d","cert_fp":"fpD"}}}
+{"kind":"ip","ip":{"addr":"10.0.0.2","has_censys":true,"port25_open":true,"scan":{"banner":"a2","cert_fp":"fpA"}}}
+{"kind":"ip","ip":{"addr":"10.0.0.4","has_censys":true,"port25_open":false}}
+{"kind":"ip","ip":{"addr":"10.0.0.6","has_censys":true,"port25_open":true,"scan":{"banner":"c","cert_fp":"fpC"}}}
+`
+
+// TestDeferredCertJoinMatchesPerDomain holds pass A's popularity
+// counters, numCert joined over address sets after the walk, to a
+// brute-force per-domain join over the IP table LoadIPs returns, on the
+// file and on the snapshot it reads into.
+func TestDeferredCertJoinMatchesPerDomain(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "join.jsonl")
+	if err := os.WriteFile(path, []byte(joinCorpus), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	st, err := dataset.OpenStream(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ips, err := st.LoadIPs()
+	if err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := dataset.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	wantIP, wantCert := make(map[string]int), make(map[string]int)
+	for _, d := range loaded.Domains {
+		addrs := make(map[string]bool)
+		for _, mx := range d.PrimaryMX() {
+			for _, a := range mx.Addrs {
+				addrs[a.String()] = true
+			}
+		}
+		fps := make(map[string]bool)
+		for a := range addrs {
+			wantIP[a]++
+			if info, ok := ips[a]; ok && info.Scan != nil && info.Scan.CertFingerprint != "" {
+				fps[info.Scan.CertFingerprint] = true
+			}
+		}
+		for fp := range fps {
+			wantCert[fp]++
+		}
+	}
+	// The reference itself, by hand: fpOld lost to the later line, fpD
+	// sits behind a backup MX only.
+	if want := map[string]int{"fpA": 3, "fpB": 3, "fpC": 2}; !reflect.DeepEqual(wantCert, want) {
+		t.Fatalf("reference numCert = %v, want %v", wantCert, want)
+	}
+
+	for _, src := range []dataset.Source{st, loaded} {
+		inv, err := takeInventory(src, nil, psl.NewMemo(nil))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(inv.numIP, wantIP) {
+			t.Errorf("%T: numIP = %v, want %v", src, inv.numIP, wantIP)
+		}
+		if !reflect.DeepEqual(inv.numCert, wantCert) {
+			t.Errorf("%T: numCert = %v, want %v", src, inv.numCert, wantCert)
+		}
+		if !reflect.DeepEqual(inv.ips, ips) {
+			t.Errorf("%T: IP table differs from LoadIPs", src)
+		}
+		// {1,3} for a.com and b.com, then c.com's, d.com's, g.com's and
+		// h.com's: one set per distinct address set, whatever its order.
+		if inv.addrSets != 5 || inv.nDomains != 8 {
+			t.Errorf("%T: %d address sets over %d domains, want 5 over 8", src, inv.addrSets, inv.nDomains)
+		}
+	}
+}
+
+// TestInferStreamMalformedIPLine pins what a damaged IP section does to
+// inference now that pass A reads it: the walk's own error, naming the
+// line, and not one attribution emitted.
+func TestInferStreamMalformedIPLine(t *testing.T) {
+	lines := strings.SplitAfter(joinCorpus, "\n")
+	lines[12] = `{"kind":"ip","ip":{"addr":"10.0.0.300","has_censys":true,"port25_open":false}}` + "\n"
+	path := filepath.Join(t.TempDir(), "bad.jsonl")
+	if err := os.WriteFile(path, []byte(strings.Join(lines, "")), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	st, err := dataset.OpenStream(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, approach := range Approaches() {
+		emits := 0
+		_, err := InferStream(st, approach, Config{}, func(DomainAttribution) { emits++ })
+		if want := "dataset: " + path + ": line 13: ParseAddr(\"10.0.0.300\"): IPv4 field has value >255"; err == nil || err.Error() != want {
+			t.Errorf("%s: err = %v, want %s", approach, err, want)
+		}
+		if emits != 0 {
+			t.Errorf("%s: %d attributions emitted before the error", approach, emits)
 		}
 	}
 }

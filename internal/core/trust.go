@@ -59,13 +59,15 @@ func newTrustStats() *trustStats {
 	}
 }
 
-// observe folds one domain's primary MX set into the statistics.
+// observe folds one domain's primary MX set into the statistics. Every
+// domain name is seen once, so its stem is taken from memo's list, not
+// memo: caching it would grow the memo by one entry per domain.
 func (t *trustStats) observe(d *dataset.DomainRecord, primary []dataset.MXObs, memo *psl.Memo) {
 	if len(primary) == 0 {
 		return
 	}
 	stale := d.Delegation == dataset.DelegationStaleGlue
-	stem := abuseStem(d.Domain, memo)
+	stem := abuseStem(d.Domain, memo.List())
 	for i := range primary {
 		ex := primary[i].Exchange
 		if stale {
@@ -103,9 +105,9 @@ func (t *trustStats) topStem(exchange string) (stem string, count, total int) {
 // abuseStem is the look-alike naming key of a domain: its registered
 // domain with every ASCII digit removed. Members of a throwaway cluster
 // ("bargain-pharma-dealz-001.xyz", "-002", ...) collapse onto one stem.
-func abuseStem(domain string, memo *psl.Memo) string {
+func abuseStem(domain string, list *psl.List) string {
 	h := normalizeHost(domain)
-	if reg, ok := memo.RegisteredDomain(h); ok {
+	if reg, ok := list.RegisteredDomain(h); ok {
 		h = reg
 	}
 	var b strings.Builder

@@ -8,6 +8,7 @@ import (
 
 	"mxmap/internal/asn"
 	"mxmap/internal/dataset"
+	"mxmap/internal/psl"
 )
 
 // adversarialSnapshot hand-builds the hostile scenarios the trust pass
@@ -346,5 +347,26 @@ func TestTrustPassRunsAfterMisidentification(t *testing.T) {
 	a := res.MX["mx.stale.net"]
 	if a == nil || !a.Untrusted || a.CreditAs != CreditDangling {
 		t.Fatalf("assignment = %+v, want dangling sentinel after step 4", a)
+	}
+}
+
+// TestTrustStatsLeaveMemoAlone pins the trust statistics' memory to the
+// exchange population: pass A observes every domain once, so a domain's
+// own name must not land in the shared psl memo, which would then hold
+// one key per domain of the corpus.
+func TestTrustStatsLeaveMemoAlone(t *testing.T) {
+	memo := psl.NewMemo(nil)
+	ts := newTrustStats()
+	exchanges := []string{"mx.one.net", "mx.two.net", "mx.three.net"}
+	for i := 0; i < 3000; i++ {
+		d := dataset.DomainRecord{Domain: fmt.Sprintf("cheap-pillz-dealz-%04d.xyz", i),
+			MX: []dataset.MXObs{{Preference: 10, Exchange: exchanges[i%3]}}}
+		ts.observe(&d, d.PrimaryMX(), memo)
+	}
+	if n := memo.Size(); n != 0 {
+		t.Errorf("memo holds %d hosts after observing 3000 domains, want 0", n)
+	}
+	if stem, n, total := ts.topStem("mx.one.net"); stem != "cheap-pillz-dealz-.xyz" || n != 1000 || total != 1000 {
+		t.Errorf("topStem(mx.one.net) = %q %d/%d, want cheap-pillz-dealz-.xyz 1000/1000", stem, n, total)
 	}
 }

@@ -213,8 +213,11 @@ func (s *Snapshot) SortDomains() {
 // without an error.
 var ErrStop = errors.New("dataset: stop iteration")
 
-// Source is a snapshot's records behind the two reads every consumer
-// needs: the IP table whole, and a pass over the records.
+// Source is a snapshot's records behind two reads: a pass over the
+// records, and the IP table whole. A pass yields the IP section after
+// the domains, so a consumer that needs the IP table only once the walk
+// is over (core's inference) builds it in the same pass; LoadIPs is for
+// one that needs the table before its pass (BreakdownOf, DiffStream).
 //
 // ForEach calls domain for every domain record, then ip for every IP
 // record, each section in the order the source holds it (whatever

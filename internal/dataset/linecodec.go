@@ -306,7 +306,7 @@ func (c *cursor) mxObs(mx *MXObs) bool {
 
 // ipLine walks the IPInfo object and the end of the line, storing into
 // info unless it is nil. Nothing of info's previous value is reused:
-// LoadIPs keeps the Scan pointer.
+// LoadIPs and inference's pass A keep the Scan pointer.
 func (c *cursor) ipLine(info *IPInfo) (key []byte, ok bool) {
 	if !c.lit(`{"addr":`) {
 		return nil, false

@@ -7,8 +7,9 @@ package dataset
 // batches refilled in place, so a pass over millions of domains holds a
 // bounded window of them in memory: walkBatches x walkBatch = 384
 // records, whatever the file's size (see walkLines). It is the
-// file-backed Source; core.InferStream makes three passes over one:
-// LoadIPs, then two over the domains.
+// file-backed Source; core.InferStream makes two passes over one: the
+// first keeps the IP section as it reads the domains, the second reads
+// the domains again.
 //
 // A Stream works over both canonical snapshot files (WriteFile / Merge
 // output) and individual shard files (a footer is checked, not yielded).
@@ -59,8 +60,9 @@ func (st *Stream) walk(header func(*snapshotHeader), domain func(*DomainRecord) 
 
 // LoadIPs materializes the stream's IP section as a Snapshot-shaped map.
 // Provider concentration keeps the distinct-IP count orders of magnitude
-// below the domain count, so inference over an out-of-core corpus can
-// still hold every IP observation in memory while domains stream.
+// below the domain count, so a reader of an out-of-core corpus that
+// needs the table before its pass (BreakdownOf, DiffStream) can still
+// hold every IP observation in memory while domains stream.
 func (st *Stream) LoadIPs() (map[string]IPInfo, error) {
 	ips := make(map[string]IPInfo)
 	err := st.ForEach(nil, func(info *IPInfo) error {

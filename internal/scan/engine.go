@@ -11,9 +11,9 @@ import (
 )
 
 // lane is one unit of private collection machinery: a collector with
-// its run state (retry budget, breakers) and resolver cache, one record
-// sink and an optional journal. The goroutines of a lane share all of
-// it; mu serializes what they commit.
+// its run state (retry budget, breakers, chain verdicts) and resolver
+// cache, one record sink and an optional journal. The goroutines of a
+// lane share all of it; mu serializes what they commit.
 type lane struct {
 	c       *Collector
 	run     *collectRun
@@ -56,6 +56,7 @@ func newLane(c *Collector, journal Journal, s sink) *lane {
 	run := &collectRun{
 		retry:    newRetryState(c.Retry),
 		breakers: newBreakerSet(breakerThreshold),
+		verdicts: make(map[string]bool),
 	}
 	return &lane{
 		c: c, run: run, dr: c.newDomainResolver(run), journal: journal, sink: s,

@@ -7,6 +7,8 @@ package scan
 
 import (
 	"context"
+	"crypto/sha256"
+	"crypto/x509"
 	"net/netip"
 	"strings"
 	"sync"
@@ -100,6 +102,38 @@ type collectRun struct {
 
 	dnsRetries  atomic.Int64
 	scanRetries atomic.Int64
+
+	// verdicts memoises the trust store's verdict per presented chain
+	// (see validChain).
+	verdictMu sync.Mutex
+	verdicts  map[string]bool
+}
+
+// validChain reports whether trust verifies chain, once per distinct
+// chain in the run: a few providers' chains front most addresses, and
+// TrustStore.Validate is a pure function of the chain's bytes, the
+// roots and certs.SimNow. The key is the SHA-256 of every certificate
+// presented, in order, so a leaf shared under different intermediates
+// is a different chain; a negative verdict is kept as well. The memo
+// belongs to the run, so no verdict outlives the Collect or
+// CollectFleet that reached it: a root added to the store in between
+// counts at the next one.
+func (run *collectRun) validChain(trust *certs.TrustStore, chain []*x509.Certificate) bool {
+	key := make([]byte, 0, len(chain)*sha256.Size)
+	for _, c := range chain {
+		sum := sha256.Sum256(c.Raw)
+		key = append(key, sum[:]...)
+	}
+	run.verdictMu.Lock()
+	valid, seen := run.verdicts[string(key)]
+	run.verdictMu.Unlock()
+	if !seen {
+		valid = trust.Validate(chain) == nil
+		run.verdictMu.Lock()
+		run.verdicts[string(key)] = valid
+		run.verdictMu.Unlock()
+	}
+	return valid
 }
 
 // aResult is one exchange's address-resolution outcome.
@@ -353,9 +387,7 @@ func (c *Collector) scanIP(ctx context.Context, run *collectRun, addr netip.Addr
 		si.CertPresent = true
 		si.CertFingerprint = certs.Fingerprint(leaf)
 		si.CertNames = certs.Names(leaf)
-		if c.Trust != nil && c.Trust.Validate(res.PeerCertificates) == nil {
-			si.CertValid = true
-		}
+		si.CertValid = c.Trust != nil && run.validChain(c.Trust, res.PeerCertificates)
 	}
 	info.Scan = si
 	return info
