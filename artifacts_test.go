@@ -2,6 +2,7 @@ package mxmap_test
 
 import (
 	"bytes"
+	"encoding/json"
 	"go/ast"
 	"go/format"
 	"go/parser"
@@ -17,12 +18,14 @@ import (
 )
 
 // TestCitedResultsAreTracked keeps docs, git and tests in step on what
-// results/ holds. Every results/*.json a doc names must be a file git
+// results/ holds. Every results/ file a doc names must be one git
 // tracks, not one .gitignore silently drops; every tracked file must be
-// named by some doc (no orphan artifact); and every tracked ledger —
+// named by some doc (no orphan artifact); every tracked ledger —
 // everything but the bench/ reports, BENCH_e2e_*.json, which are
 // measurements — must be named in some _test.go, the test that compares
-// it on every run (internal/ledger).
+// it on every run (internal/ledger); and every phase of a ledger that
+// is an array of phases must be named in some _test.go too, since
+// -update rewrites phases but never drops one whose test is gone.
 func TestCitedResultsAreTracked(t *testing.T) {
 	out, err := exec.Command("git", "ls-files", "results").Output()
 	if err != nil {
@@ -33,7 +36,7 @@ func TestCitedResultsAreTracked(t *testing.T) {
 		tracked[path] = true
 	}
 	cited := make(map[string]bool)
-	pattern := regexp.MustCompile(`\bresults/[\w.-]+\.json\b`)
+	pattern := regexp.MustCompile(`\bresults/[\w.-]+\.(json|txt|csv)\b`)
 	for _, doc := range []string{"README.md", "DESIGN.md", "EXPERIMENTS.md", "bench/README.md", ".claude/skills/verify/SKILL.md"} {
 		text, err := os.ReadFile(doc)
 		if err != nil {
@@ -64,8 +67,26 @@ func TestCitedResultsAreTracked(t *testing.T) {
 			t.Errorf("git tracks %s but no doc cites it (cite it, or delete the orphan)", path)
 		}
 		name := filepath.Base(path)
-		if !strings.HasPrefix(name, "BENCH_e2e_") && !strings.Contains(tests.String(), `"`+name+`"`) {
+		if strings.HasPrefix(name, "BENCH_e2e_") {
+			continue
+		}
+		if !strings.Contains(tests.String(), `"`+name+`"`) {
 			t.Errorf("no _test.go names the ledger %s: nothing compares it (see internal/ledger)", path)
+		}
+		text, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var phases []struct {
+			Phase string `json:"phase"`
+		}
+		if json.Unmarshal(text, &phases) != nil {
+			continue // not an array of phases
+		}
+		for _, p := range phases {
+			if !strings.Contains(tests.String(), `"`+p.Phase+`"`) {
+				t.Errorf("%s keeps phase %q, which no _test.go names: cut it by hand (-update never drops a phase)", path, p.Phase)
+			}
 		}
 	}
 }
@@ -84,7 +105,6 @@ var optionsWithoutCaller = map[string]string{
 	"core.Config.PreferBannerOverCert":       "paper ablation, DESIGN §5 (bench_test.go)",
 	"core.Config.RequireBannerEHLOAgreement": "paper ablation: the strict reading of Figure 3 step 2.2",
 	"dns.Cache.Now":                          "clock seam",
-	"dns.RRLConfig.Now":                      "clock seam",
 	"ha.Config.Now":                          "clock seam",
 	"serve.ServiceConfig.Now":                "clock seam",
 	"ha.Config.Jitter":                       "jitter seam",
@@ -94,8 +114,6 @@ var optionsWithoutCaller = map[string]string{
 	"ha.Config.HedgeMinSamples":              "hedge-threshold tests pin the sample gate",
 	"dns.Client.RetryBackoff":                "loss chaos tests shrink the delay",
 	"dns.Client.UDPSize":                     "EDNS0 experiment (edns_test.go)",
-	"dns.IterativeResolver.PrefetchMinHits":  "cache ledgers pin or disable prefetch (BENCH_dns)",
-	"dns.RRLConfig.IncludeLoopback":          "flood tests limit loopback sources, exempt otherwise",
 	"dns.ServerConfig.DisableCache":          "differential seam: cached answers ≡ uncached ones",
 	"dns.ServerConfig.TCPQueryBudget":        "budget-close tests pin a three-query budget",
 	"scan.Collector.Concurrency":             "chaos tests pin the fan-out",

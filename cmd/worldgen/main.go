@@ -4,14 +4,14 @@
 // the provider DNS zones in zone-file format.
 //
 // With -serve it instead binds a real authoritative DNS server (UDP and
-// TCP on the same port) for the generated zones, with response-rate
-// limiting and connection admission control, and drains gracefully on
-// SIGINT/SIGTERM, printing the serving counters on exit.
+// TCP on the same port) for the generated zones, with connection
+// admission control, and drains gracefully on SIGINT/SIGTERM, printing
+// the serving counters on exit.
 //
 // Usage:
 //
 //	worldgen [-scale 0.05] [-seed 1] -out worlddir/
-//	worldgen [-scale 0.05] [-seed 1] -serve 127.0.0.1:5300 [-rrl-rate 1000] [-rrl-slip 2]
+//	worldgen [-scale 0.05] [-seed 1] -serve 127.0.0.1:5300 [-max-tcp-conns 256]
 package main
 
 import (
@@ -37,9 +37,6 @@ func main() {
 		seed        = flag.Uint64("seed", 1, "generation seed")
 		outDir      = flag.String("out", "world", "output directory")
 		serveAddr   = flag.String("serve", "", "serve the generated zones on this host:port instead of writing files")
-		rrlRate     = flag.Int("rrl-rate", dns.DefaultRRLRate, "RRL responses/second per client prefix (0 disables RRL)")
-		rrlBurst    = flag.Int("rrl-burst", 0, "RRL bucket depth (default 2x rate)")
-		rrlSlip     = flag.Int("rrl-slip", dns.DefaultRRLSlip, "send every Nth rate-limited answer as a TC=1 reply (-1 never)")
 		maxTCPConns = flag.Int("max-tcp-conns", dns.DefaultMaxTCPConns, "concurrent DNS-over-TCP connection cap (-1 unlimited)")
 	)
 	flag.Parse()
@@ -49,7 +46,7 @@ func main() {
 		log.Fatal(err)
 	}
 	if *serveAddr != "" {
-		if err := serveWorld(w, *serveAddr, *rrlRate, *rrlBurst, *rrlSlip, *maxTCPConns); err != nil {
+		if err := serveWorld(w, *serveAddr, *maxTCPConns); err != nil {
 			log.Fatal(err)
 		}
 		return
@@ -108,20 +105,12 @@ func main() {
 
 // serveWorld binds the most recent snapshot's catalog on real sockets
 // and serves until SIGINT/SIGTERM, then drains gracefully.
-func serveWorld(w *world.World, addr string, rrlRate, rrlBurst, rrlSlip, maxTCPConns int) error {
+func serveWorld(w *world.World, addr string, maxTCPConns int) error {
 	catalog, err := w.CatalogAt(world.AllDates[len(world.AllDates)-1])
 	if err != nil {
 		return err
 	}
-	cfg := dns.ServerConfig{Catalog: catalog, MaxTCPConns: maxTCPConns}
-	if rrlRate > 0 {
-		cfg.RRL = &dns.RRLConfig{
-			ResponsesPerSecond: rrlRate,
-			Burst:              rrlBurst,
-			Slip:               rrlSlip,
-		}
-	}
-	srv, err := dns.NewServer(cfg)
+	srv, err := dns.NewServer(dns.ServerConfig{Catalog: catalog, MaxTCPConns: maxTCPConns})
 	if err != nil {
 		return err
 	}
@@ -135,8 +124,7 @@ func serveWorld(w *world.World, addr string, rrlRate, rrlBurst, rrlSlip, maxTCPC
 	go func() { errc <- srv.ListenAndServe(context.Background(), addr, ready) }()
 	select {
 	case bound := <-ready:
-		fmt.Printf("serving %d zones on %s (udp+tcp), rrl rate=%d slip=%d; ^C to drain\n",
-			len(catalog.Zones()), bound, rrlRate, rrlSlip)
+		fmt.Printf("serving %d zones on %s (udp+tcp); ^C to drain\n", len(catalog.Zones()), bound)
 	case err := <-errc:
 		return err
 	}
@@ -152,8 +140,7 @@ func serveWorld(w *world.World, addr string, rrlRate, rrlBurst, rrlSlip, maxTCPC
 		fmt.Fprintf(os.Stderr, "serve: %v\n", err)
 	}
 	st := srv.Stats()
-	fmt.Printf("udp: %d queries, %d responses, %d rrl-dropped, %d rrl-slipped\n",
-		st.UDPQueries, st.UDPResponses, st.RRLDrops, st.RRLSlips)
+	fmt.Printf("udp: %d queries, %d responses\n", st.UDPQueries, st.UDPResponses)
 	fmt.Printf("tcp: %d accepted, %d rejected, %d queries, %d responses\n",
 		st.TCPAccepted, st.TCPRejected, st.TCPQueries, st.TCPResponses)
 	fmt.Printf("drains: %d clean, %d timed out, %d queries lost\n",

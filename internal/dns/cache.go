@@ -21,9 +21,8 @@ import (
 //   - Hits return a private copy whose record TTLs are clamped to the
 //     remaining lifetime — callers may patch IDs or header bits freely,
 //     and a response cached 50s ago never claims its original TTL.
-//   - Expired entries are retained for DefaultStaleWindow and can be
-//     served explicitly (RFC 8767 serve-stale) with their TTLs stamped
-//     to DefaultStaleTTL; plain Get never returns them.
+//   - An expired entry is never served: the first probe that finds it
+//     removes it and counts it in Expiries.
 //   - Delegation entries (zone → name-server addresses) share the same
 //     bounded storage, so delegation state no longer grows without
 //     limit over a run.
@@ -40,18 +39,10 @@ type Cache struct {
 	once   sync.Once
 	shards []*cacheShard
 
-	hits, misses, staleHits   atomic.Uint64
-	negativeHits, delegHits   atomic.Uint64
-	puts, evictions, expiries atomic.Uint64
+	hits, misses, negativeHits atomic.Uint64
+	delegHits, puts            atomic.Uint64
+	evictions, expiries        atomic.Uint64
 }
-
-// Serve-stale constants, following RFC 8767's recommendations: expired
-// data stays usable for a bounded window (§5), and is handed out with a
-// short TTL that tells consumers "do not hold this long".
-const (
-	DefaultStaleWindow = time.Hour
-	DefaultStaleTTL    = 30
-)
 
 // Cache lifetime clamps.
 const (
@@ -62,61 +53,15 @@ const (
 	minDelegationTTL = 30 * time.Second
 )
 
-// CacheState classifies one lookup's outcome.
-type CacheState uint8
-
-// Lookup outcomes.
-const (
-	// CacheMiss: nothing usable cached.
-	CacheMiss CacheState = iota
-	// CacheFresh: an unexpired entry was returned.
-	CacheFresh
-	// CacheStale: an expired entry within the stale window was
-	// returned (only when the lookup asked for stale data).
-	CacheStale
-)
-
-// String names the state.
-func (s CacheState) String() string {
-	switch s {
-	case CacheFresh:
-		return "fresh"
-	case CacheStale:
-		return "stale"
-	default:
-		return "miss"
-	}
-}
-
-// CacheLookup carries the metadata of one cache probe: what was found,
-// how far through its lifetime it is, and how hot the entry runs. The
-// resolver's prefetch policy keys off Remaining, OriginalTTL and Hits.
-type CacheLookup struct {
-	// State is the outcome; the other fields are meaningful only on
-	// fresh or stale results.
-	State CacheState
-	// Age is the time since the entry was stored.
-	Age time.Duration
-	// Remaining is the time until expiry (negative when stale).
-	Remaining time.Duration
-	// OriginalTTL is the entry's full cache lifetime.
-	OriginalTTL time.Duration
-	// Hits is the number of fresh hits this entry has served,
-	// including this one.
-	Hits uint64
-	// Negative reports an RFC 2308 negative entry (NXDOMAIN/NODATA).
-	Negative bool
-}
-
 // CacheStats is a point-in-time snapshot of the cache's counters.
 // Chaos and bench tests assert these exactly against scripted load.
 type CacheStats struct {
 	// Hits counts fresh answer hits (NegativeHits included).
 	Hits uint64
-	// Misses counts probes that found nothing servable fresh.
+	// Misses counts probes that found nothing fresh. The resolver
+	// probes once per query, so for a cache one resolver owns Misses
+	// equals ResolverStats.CacheMisses, wire failures included.
 	Misses uint64
-	// StaleHits counts expired entries served under RFC 8767.
-	StaleHits uint64
 	// NegativeHits counts fresh hits on RFC 2308 negative entries.
 	NegativeHits uint64
 	// DelegationHits counts suffix-walk hits on cached zone cuts.
@@ -124,7 +69,7 @@ type CacheStats struct {
 	// Puts counts stored entries (cacheable responses + delegations).
 	Puts uint64
 	// Evictions counts entries displaced by the size bound; Expiries
-	// counts entries dropped because they aged beyond the stale window.
+	// counts expired entries removed by the probe that found them.
 	Evictions, Expiries uint64
 }
 
@@ -151,12 +96,8 @@ type cacheEntry struct {
 	// servers are the zone-cut addresses for kindDelegation entries.
 	servers []netip.AddrPort
 
-	negative    bool
-	prefetching bool
-	hits        uint64
-
-	stored  time.Time
-	expires time.Time
+	negative bool
+	expires  time.Time
 
 	prev, next *cacheEntry // LRU list, head = most recent
 }
@@ -224,70 +165,27 @@ func (c *Cache) shardFor(key cacheKey) *cacheShard {
 }
 
 // Get returns a cached, unexpired response for (name, typ). The result
-// is a private copy with TTLs decayed to the remaining lifetime.
+// is a private copy with TTLs decayed to the remaining lifetime. An
+// expired entry is removed here, on first touch, and counted in Expiries.
 func (c *Cache) Get(name string, typ Type) (*Message, bool) {
-	msg, lk := c.Lookup(name, typ, false)
-	return msg, lk.State == CacheFresh
-}
-
-// Lookup probes the cache for (name, typ). With serveStale set, an
-// expired entry still inside the stale window is returned with its
-// record TTLs stamped to StaleTTL; otherwise only fresh entries are
-// served. The returned message is always a private copy.
-func (c *Cache) Lookup(name string, typ Type, serveStale bool) (*Message, CacheLookup) {
 	key := cacheKey{name: CanonicalName(name), typ: typ, kind: kindRRset}
 	sh := c.shardFor(key)
 	now := c.now()
 
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	e, ok := sh.entries[key]
-	if !ok {
+	e := sh.fresh(c, key, now)
+	if e == nil {
 		c.misses.Add(1)
-		return nil, CacheLookup{State: CacheMiss}
+		return nil, false
 	}
-	switch {
-	case !now.After(e.expires): // fresh
-		e.hits++
-		sh.moveFront(e)
-		lk := CacheLookup{
-			State:       CacheFresh,
-			Age:         now.Sub(e.stored),
-			Remaining:   e.expires.Sub(now),
-			OriginalTTL: e.expires.Sub(e.stored),
-			Hits:        e.hits,
-			Negative:    e.negative,
-		}
-		msg := cloneMessage(e.msg)
-		clampTTLs(msg, ttlSeconds(lk.Remaining))
-		c.hits.Add(1)
-		if e.negative {
-			c.negativeHits.Add(1)
-		}
-		return msg, lk
-	case now.Sub(e.expires) <= DefaultStaleWindow: // stale but servable
-		if !serveStale {
-			c.misses.Add(1)
-			return nil, CacheLookup{State: CacheMiss}
-		}
-		lk := CacheLookup{
-			State:       CacheStale,
-			Age:         now.Sub(e.stored),
-			Remaining:   e.expires.Sub(now),
-			OriginalTTL: e.expires.Sub(e.stored),
-			Hits:        e.hits,
-			Negative:    e.negative,
-		}
-		msg := cloneMessage(e.msg)
-		stampTTLs(msg, DefaultStaleTTL)
-		c.staleHits.Add(1)
-		return msg, lk
-	default: // beyond the stale window: gone
-		sh.remove(e)
-		c.expiries.Add(1)
-		c.misses.Add(1)
-		return nil, CacheLookup{State: CacheMiss}
+	msg := cloneMessage(e.msg)
+	clampTTLs(msg, ttlSeconds(e.expires.Sub(now)))
+	c.hits.Add(1)
+	if e.negative {
+		c.negativeHits.Add(1)
 	}
+	return msg, true
 }
 
 // Put stores a response under the TTL policy of cacheTTL. The message
@@ -309,7 +207,6 @@ func (c *Cache) Put(name string, typ Type, msg *Message) {
 		key:      key,
 		msg:      cloneMessage(msg),
 		negative: len(msg.Answers) == 0 || msg.Header.RCode == RCodeNXDomain,
-		stored:   now,
 		expires:  now.Add(d),
 	}
 	c.store(e)
@@ -334,7 +231,6 @@ func (c *Cache) PutDelegation(zone string, servers []netip.AddrPort, ttl uint32)
 	e := &cacheEntry{
 		key:     cacheKey{name: CanonicalName(zone), typ: TypeNS, kind: kindDelegation},
 		servers: append([]netip.AddrPort(nil), servers...),
-		stored:  now,
 		expires: now.Add(d),
 	}
 	c.store(e)
@@ -349,37 +245,15 @@ func (c *Cache) Delegation(name string) ([]netip.AddrPort, string, bool) {
 		key := cacheKey{name: zone, typ: TypeNS, kind: kindDelegation}
 		sh := c.shardFor(key)
 		sh.mu.Lock()
-		e, ok := sh.entries[key]
-		if ok && !now.After(e.expires) {
+		if e := sh.fresh(c, key, now); e != nil {
 			servers := append([]netip.AddrPort(nil), e.servers...)
-			e.hits++
-			sh.moveFront(e)
 			sh.mu.Unlock()
 			c.delegHits.Add(1)
 			return servers, zone, true
 		}
-		if ok && now.Sub(e.expires) > DefaultStaleWindow {
-			sh.remove(e)
-			c.expiries.Add(1)
-		}
 		sh.mu.Unlock()
 	}
 	return nil, "", false
-}
-
-// FlushDelegations drops every cached zone cut (for tests and
-// long-lived resolvers spanning zone changes); answer entries survive.
-func (c *Cache) FlushDelegations() {
-	c.init()
-	for _, sh := range c.shards {
-		sh.mu.Lock()
-		for _, e := range sh.entries {
-			if e.key.kind == kindDelegation {
-				sh.remove(e)
-			}
-		}
-		sh.mu.Unlock()
-	}
 }
 
 // store inserts e, evicting the least recently used entry of its shard
@@ -400,37 +274,8 @@ func (c *Cache) store(e *cacheEntry) {
 	c.puts.Add(1)
 }
 
-// tryStartPrefetch marks the entry as having a refresh in flight,
-// returning false when none is warranted (absent, or already
-// refreshing). The flag clears when the refresh Puts a replacement or
-// the resolver calls clearPrefetch on failure.
-func (c *Cache) tryStartPrefetch(name string, typ Type) bool {
-	key := cacheKey{name: CanonicalName(name), typ: typ, kind: kindRRset}
-	sh := c.shardFor(key)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	e, ok := sh.entries[key]
-	if !ok || e.prefetching {
-		return false
-	}
-	e.prefetching = true
-	return true
-}
-
-// clearPrefetch lowers the prefetching flag after a failed refresh so a
-// later hit can try again.
-func (c *Cache) clearPrefetch(name string, typ Type) {
-	key := cacheKey{name: CanonicalName(name), typ: typ, kind: kindRRset}
-	sh := c.shardFor(key)
-	sh.mu.Lock()
-	if e, ok := sh.entries[key]; ok {
-		e.prefetching = false
-	}
-	sh.mu.Unlock()
-}
-
-// Len reports the number of cached entries (including expired ones not
-// yet touched).
+// Len reports the number of cached entries (including expired ones no
+// probe has touched yet).
 func (c *Cache) Len() int {
 	c.init()
 	total := 0
@@ -447,13 +292,29 @@ func (c *Cache) Stats() CacheStats {
 	return CacheStats{
 		Hits:           c.hits.Load(),
 		Misses:         c.misses.Load(),
-		StaleHits:      c.staleHits.Load(),
 		NegativeHits:   c.negativeHits.Load(),
 		DelegationHits: c.delegHits.Load(),
 		Puts:           c.puts.Load(),
 		Evictions:      c.evictions.Load(),
 		Expiries:       c.expiries.Load(),
 	}
+}
+
+// fresh returns the unexpired entry under key and marks it most recently
+// used; an expired one is removed and counted. Called with the shard
+// lock held.
+func (sh *cacheShard) fresh(c *Cache, key cacheKey, now time.Time) *cacheEntry {
+	e, ok := sh.entries[key]
+	if !ok {
+		return nil
+	}
+	if now.After(e.expires) {
+		sh.remove(e)
+		c.expiries.Add(1)
+		return nil
+	}
+	sh.moveFront(e)
+	return e
 }
 
 // LRU list management; all called with the shard lock held.
@@ -529,16 +390,6 @@ func clampTTLs(m *Message, remaining uint32) {
 			if sec[i].TTL > remaining {
 				sec[i].TTL = remaining
 			}
-		}
-	}
-}
-
-// stampTTLs sets every record TTL to ttl — the stale-answer marking of
-// RFC 8767 §4 ("should not be held longer than 30 seconds").
-func stampTTLs(m *Message, ttl uint32) {
-	for _, sec := range [][]RR{m.Answers, m.Authority, m.Additional} {
-		for i := range sec {
-			sec[i].TTL = ttl
 		}
 	}
 }

@@ -24,16 +24,9 @@ import (
 //     resolution starts at the deepest cached cut covering the name —
 //     ten thousand domains hosted on one provider cost one walk of the
 //     shared NS chain.
-//   - Identical in-flight questions are coalesced: concurrent callers
-//     asking the same (name, type) share one wire exchange.
-//   - When every upstream for a question is unreachable, expired cache
-//     entries within the stale window are served per RFC 8767, so
-//     collection keeps moving through authoritative outages; each new
-//     query retries the wire (shared via coalescing) before falling
-//     back to stale data.
-//   - Hot entries are refreshed shortly before expiry (prefetch), so
-//     steady-state collection never blocks on the wire for popular
-//     provider infrastructure.
+//   - A question the cache cannot answer fresh goes to the wire, and a
+//     wire failure is returned as it is: the collector records what the
+//     authorities said, or the failure, never an answer nobody observed.
 //
 // It implements the Resolver interface, so the measurement pipeline can
 // run wire-faithful resolution end to end.
@@ -49,33 +42,15 @@ type IterativeResolver struct {
 	// between resolvers to share what they learn; nil is replaced by
 	// NewCache() on first use.
 	Cache *Cache
-	// PrefetchMinHits is the fresh-hit count an entry must reach before
-	// near-expiry prefetch refreshes it (default 3; negative disables
-	// prefetch). An entry is "near expiry" in the last tenth of its
-	// cache lifetime.
-	PrefetchMinHits int
 
 	cacheOnce sync.Once
 	mu        sync.Mutex
-	// flights holds one entry per in-flight (name, type) question; the
-	// singleflight substrate of query coalescing.
-	flights map[cacheKey]*queryFlight
 	// clients holds one client, on its own multiplexed UDP transport,
 	// per authority server, so iteration reuses sockets across queries
 	// and callers instead of dialing per exchange. Closed by Close.
 	clients map[netip.AddrPort]*Client
-	// refreshSem bounds background refresh goroutines.
-	refreshSem chan struct{}
 
 	counters resolverCounters
-}
-
-// queryFlight is one in-flight resolution that concurrent identical
-// questions attach to.
-type queryFlight struct {
-	done chan struct{}
-	msg  *Message
-	err  error
 }
 
 // Errors particular to iteration.
@@ -88,22 +63,12 @@ var (
 	ErrLameDelegation = errors.New("dns: lame delegation (no usable name servers)")
 )
 
-// prefetchDefaultMinHits is the default PrefetchMinHits.
-const prefetchDefaultMinHits = 3
-
-// refreshBudget bounds one background refresh's full iteration.
-const refreshBudget = 30 * time.Second
-
 // maxReferrals bounds the referral chain per query.
 const maxReferrals = 16
 
-// maxAsyncRefresh bounds concurrent background prefetch refreshes;
-// excess prefetch opportunities are skipped, not queued.
-const maxAsyncRefresh = 4
-
 // Query resolves one (name, type) question and returns the final
-// authoritative response — from cache when fresh, over the wire
-// otherwise, and from stale cache data when the wire fails.
+// authoritative response: from the cache when fresh, over the wire
+// otherwise.
 func (r *IterativeResolver) Query(ctx context.Context, name string, typ Type) (*Message, error) {
 	if len(r.Roots) == 0 {
 		return nil, ErrNoRoots
@@ -115,57 +80,12 @@ func (r *IterativeResolver) Query(ctx context.Context, name string, typ Type) (*
 	})
 	name = CanonicalName(name)
 	r.counters.queries.Add(1)
-	if msg, lk := r.Cache.Lookup(name, typ, false); lk.State == CacheFresh {
+	if msg, ok := r.Cache.Get(name, typ); ok {
 		r.counters.cacheHits.Add(1)
-		r.maybePrefetch(name, typ, lk)
 		return msg, nil
 	}
 	r.counters.cacheMisses.Add(1)
-	msg, err := r.coalesced(ctx, name, typ)
-	if err != nil {
-		// Serve-stale (RFC 8767): the wire attempt above was this
-		// query's refresh try; having failed, an expired entry within
-		// the stale window still answers.
-		if stale, lk := r.Cache.Lookup(name, typ, true); lk.State == CacheStale {
-			r.counters.staleServed.Add(1)
-			return stale, nil
-		}
-	}
-	return msg, err
-}
-
-// coalesced funnels identical concurrent questions into one iteration:
-// the first caller resolves, the rest wait on its flight and share the
-// outcome (each receiving a private copy).
-func (r *IterativeResolver) coalesced(ctx context.Context, name string, typ Type) (*Message, error) {
-	key := cacheKey{name: name, typ: typ}
-	r.mu.Lock()
-	if f, ok := r.flights[key]; ok {
-		r.mu.Unlock()
-		r.counters.coalesced.Add(1)
-		select {
-		case <-f.done:
-			if f.err != nil {
-				return nil, f.err
-			}
-			return cloneMessage(f.msg), nil
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		}
-	}
-	if r.flights == nil {
-		r.flights = make(map[cacheKey]*queryFlight)
-	}
-	f := &queryFlight{done: make(chan struct{})}
-	r.flights[key] = f
-	r.mu.Unlock()
-
-	f.msg, f.err = r.iterate(ctx, name, typ)
-	r.mu.Lock()
-	delete(r.flights, key)
-	r.mu.Unlock()
-	close(f.done)
-	return f.msg, f.err
+	return r.iterate(ctx, name, typ)
 }
 
 // iterate performs the referral walk for one question, starting from
@@ -203,55 +123,6 @@ func (r *IterativeResolver) iterate(ctx context.Context, name string, typ Type) 
 		servers, zone = next, child
 	}
 	return nil, ErrReferralLoop
-}
-
-// maybePrefetch refreshes a hot entry in the background when a fresh
-// hit lands in the last tenth of the entry's lifetime, so popular
-// questions never expire into a wire-blocking miss.
-func (r *IterativeResolver) maybePrefetch(name string, typ Type, lk CacheLookup) {
-	minHits := r.PrefetchMinHits
-	if minHits == 0 {
-		minHits = prefetchDefaultMinHits
-	}
-	if minHits < 0 || lk.Hits < uint64(minHits) || lk.OriginalTTL <= 0 {
-		return
-	}
-	if lk.Remaining > lk.OriginalTTL/10 {
-		return
-	}
-	if !r.Cache.tryStartPrefetch(name, typ) {
-		return
-	}
-	sem := r.refreshSemaphore()
-	select {
-	case sem <- struct{}{}:
-	default:
-		// Refresh capacity saturated: skip, the entry stays eligible.
-		r.Cache.clearPrefetch(name, typ)
-		return
-	}
-	go func() {
-		defer func() { <-sem }()
-		ctx, cancel := context.WithTimeout(context.Background(), refreshBudget)
-		defer cancel()
-		if _, err := r.coalesced(ctx, name, typ); err != nil {
-			// The entry keeps serving until expiry (then stale); clear
-			// the flag so a later hit retries the refresh.
-			r.Cache.clearPrefetch(name, typ)
-			r.counters.prefetchFailures.Add(1)
-			return
-		}
-		r.counters.prefetches.Add(1)
-	}()
-}
-
-func (r *IterativeResolver) refreshSemaphore() chan struct{} {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.refreshSem == nil {
-		r.refreshSem = make(chan struct{}, maxAsyncRefresh)
-	}
-	return r.refreshSem
 }
 
 // Stats snapshots the resolver's counters.

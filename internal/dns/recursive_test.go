@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"net"
 	"net/netip"
 	"sync"
 	"testing"
@@ -14,6 +13,22 @@ import (
 )
 
 // --- Cache unit tests -------------------------------------------------
+
+// frozenClock returns a clock stuck at a fixed instant plus a function
+// to advance it.
+func frozenClock() (func() time.Time, func(time.Duration)) {
+	var mu sync.Mutex
+	now := time.Unix(1700000000, 0)
+	return func() time.Time {
+			mu.Lock()
+			defer mu.Unlock()
+			return now
+		}, func(d time.Duration) {
+			mu.Lock()
+			now = now.Add(d)
+			mu.Unlock()
+		}
+}
 
 func TestCacheGetReturnsCopy(t *testing.T) {
 	c := NewCache()
@@ -54,9 +69,9 @@ func TestCacheTTLDecayOnHit(t *testing.T) {
 	c.Put("x.test", TypeA, msg)
 
 	now = now.Add(50 * time.Second)
-	got, lk := c.Lookup("x.test", TypeA, false)
-	if lk.State != CacheFresh {
-		t.Fatalf("state = %v, want fresh", lk.State)
+	got, ok := c.Get("x.test", TypeA)
+	if !ok {
+		t.Fatal("entry missing after 50s of a 60s lifetime")
 	}
 	if got.Answers[0].TTL != 10 {
 		t.Errorf("answer TTL = %d after 50s of a 60s entry, want 10", got.Answers[0].TTL)
@@ -64,43 +79,71 @@ func TestCacheTTLDecayOnHit(t *testing.T) {
 	if got.Authority[0].TTL != 10 {
 		t.Errorf("authority TTL = %d, want clamped to remaining 10", got.Authority[0].TTL)
 	}
-	if lk.Age != 50*time.Second || lk.Remaining != 10*time.Second || lk.OriginalTTL != 60*time.Second {
-		t.Errorf("lookup metadata = %+v", lk)
-	}
 }
 
+// TestCacheStaleLookup holds the expiry rule for zone cuts: an expired
+// delegation is not served, and the suffix walk that finds it frees its
+// slot, while a fresh cut above it still answers.
 func TestCacheStaleLookup(t *testing.T) {
 	now := time.Unix(1000, 0)
 	c := NewCache()
 	c.Now = func() time.Time { return now }
-	c.Put("x.test", TypeA, cachedMsg(60))
+	comNS := []netip.AddrPort{netip.MustParseAddrPort("192.5.6.30:53")}
+	c.PutDelegation("com.", comNS, 3600)
+	c.PutDelegation("example.com.", []netip.AddrPort{netip.MustParseAddrPort("10.1.1.53:53")}, 60)
 
 	now = now.Add(61 * time.Second)
-	if _, lk := c.Lookup("x.test", TypeA, false); lk.State != CacheMiss {
-		t.Errorf("non-stale lookup served expired entry: %v", lk.State)
+	servers, zone, ok := c.Delegation("mx1.example.com.")
+	if !ok || zone != "com." || servers[0] != comNS[0] {
+		t.Errorf("cut = %v %q %v, want the fresh com. above the expired example.com.", servers, zone, ok)
 	}
-	got, lk := c.Lookup("x.test", TypeA, true)
-	if lk.State != CacheStale {
-		t.Fatalf("state = %v, want stale", lk.State)
+	if got, want := c.Stats(), (CacheStats{DelegationHits: 1, Puts: 2, Expiries: 1}); got != want {
+		t.Errorf("stats = %+v, want %+v", got, want)
 	}
-	if got.Answers[0].TTL != DefaultStaleTTL {
-		t.Errorf("stale TTL = %d, want %d (RFC 8767 marking)", got.Answers[0].TTL, DefaultStaleTTL)
+	if c.Len() != 1 {
+		t.Errorf("Len = %d, want 1: the expired cut must be gone", c.Len())
 	}
-	if lk.Remaining >= 0 {
-		t.Errorf("stale Remaining = %v, want negative", lk.Remaining)
-	}
+}
 
-	// Beyond the stale window the entry is purged even for stale lookups.
-	now = now.Add(DefaultStaleWindow + time.Second)
-	if _, lk := c.Lookup("x.test", TypeA, true); lk.State != CacheMiss {
-		t.Errorf("entry served beyond stale window: %v", lk.State)
-	}
-	if st := c.Stats(); st.Expiries != 1 || st.StaleHits != 1 {
-		t.Errorf("stats = %+v, want 1 expiry and 1 stale hit", st)
-	}
-	if c.Len() != 0 {
-		t.Errorf("purged entry still stored: Len = %d", c.Len())
-	}
+// TestCacheMissesCountedOnce holds CacheStats.Misses to
+// ResolverStats.CacheMisses under faults, and expired entries to the
+// probe that finds them.
+func TestCacheMissesCountedOnce(t *testing.T) {
+	t.Run("failed_query", func(t *testing.T) {
+		itn := buildIterTestNet(t)
+		itn.net.SetFault(netip.MustParseAddr(rootIP), netsim.FaultBlackhole)
+		r := itn.resolver()
+		r.Cache = NewCache()
+		r.Timeout = 50 * time.Millisecond
+		defer r.Close()
+		if _, err := r.Query(context.Background(), "mx1.example.com", TypeA); err == nil {
+			t.Fatal("query through a blackholed root succeeded")
+		}
+		if got, want := r.Stats(), (ResolverStats{Queries: 1, CacheMisses: 1, WireQueries: 1}); got != want {
+			t.Errorf("resolver stats = %+v, want %+v", got, want)
+		}
+		if got, want := r.Cache.Stats(), (CacheStats{Misses: 1}); got != want {
+			t.Errorf("cache stats = %+v, want %+v", got, want)
+		}
+	})
+	t.Run("expired_entry", func(t *testing.T) {
+		now := time.Unix(1000, 0)
+		c := NewCache()
+		c.Now = func() time.Time { return now }
+		c.Put("x.test", TypeA, cachedMsg(60))
+		c.Put("y.test", TypeA, cachedMsg(600))
+		now = now.Add(61 * time.Second)
+		before := c.Len()
+		if _, ok := c.Get("x.test", TypeA); ok {
+			t.Fatal("expired entry served")
+		}
+		if c.Len() != before-1 {
+			t.Errorf("Len = %d after touching the expired entry, want %d", c.Len(), before-1)
+		}
+		if got, want := c.Stats(), (CacheStats{Misses: 1, Puts: 2, Expiries: 1}); got != want {
+			t.Errorf("stats = %+v, want %+v", got, want)
+		}
+	})
 }
 
 func TestCacheLRURecency(t *testing.T) {
@@ -135,9 +178,9 @@ func TestCacheNegativeNODATA(t *testing.T) {
 	}
 	c.Put("x.test", TypeAAAA, nodata)
 
-	got, lk := c.Lookup("x.test", TypeAAAA, false)
-	if lk.State != CacheFresh || !lk.Negative {
-		t.Fatalf("lookup = %+v, want fresh negative", lk)
+	got, ok := c.Get("x.test", TypeAAAA)
+	if !ok {
+		t.Fatal("NODATA entry missing")
 	}
 	if len(got.Answers) != 0 || len(got.Authority) != 1 {
 		t.Errorf("NODATA shape changed: %+v", got)
@@ -146,7 +189,7 @@ func TestCacheNegativeNODATA(t *testing.T) {
 		t.Errorf("NegativeHits = %d, want 1", st.NegativeHits)
 	}
 	now = now.Add(46 * time.Second)
-	if _, lk := c.Lookup("x.test", TypeAAAA, false); lk.State != CacheMiss {
+	if _, ok := c.Get("x.test", TypeAAAA); ok {
 		t.Error("NODATA outlived SOA minimum")
 	}
 }
@@ -222,7 +265,7 @@ func TestCacheRaceHammer(t *testing.T) {
 						msg.Answers[0].TTL = 1
 					}
 				case 2:
-					c.Lookup(name, TypeA, true)
+					c.Len()
 				case 3:
 					c.PutDelegation(name, servers, 300)
 				default:
@@ -238,17 +281,6 @@ func TestCacheRaceHammer(t *testing.T) {
 }
 
 // --- Resolver integration tests ---------------------------------------
-
-// startSingleZone serves one catalog as a combined root+authoritative
-// server at rootIP on a fresh fabric.
-func startSingleZone(t *testing.T, z *Zone) *netsim.Network {
-	t.Helper()
-	n := netsim.New()
-	cat := NewCatalog()
-	cat.AddZone(z)
-	startAuthServer(t, n, rootIP, cat)
-	return n
-}
 
 func TestIterativeSharedSuffixWalk(t *testing.T) {
 	itn := buildIterTestNet(t)
@@ -276,28 +308,24 @@ func TestIterativeSharedSuffixWalk(t *testing.T) {
 	}
 }
 
-// TestChaosServeStaleAllUpstreamsDead is the acceptance chaos test: with
+// TestChaosAllUpstreamsDeadIsAnError is the acceptance chaos test: with
 // every server in the hierarchy blackholed and all cached data expired,
-// queries are answered from stale entries — positive and negative alike
-// — with RFC 8767 TTL marking, and every counter accounted for exactly.
-func TestChaosServeStaleAllUpstreamsDead(t *testing.T) {
+// queries fail — positive and negative alike — instead of answering
+// from expired entries nobody observed, and every counter is accounted
+// for exactly.
+func TestChaosAllUpstreamsDeadIsAnError(t *testing.T) {
 	itn := buildIterTestNet(t)
-	var mu sync.Mutex
-	now := time.Unix(1_700_000_000, 0)
-	clock := func() time.Time { mu.Lock(); defer mu.Unlock(); return now }
-	advance := func(d time.Duration) { mu.Lock(); now = now.Add(d); mu.Unlock() }
+	clock, advance := frozenClock()
 
 	r := itn.resolver()
 	r.Cache = NewCache()
 	r.Cache.Now = clock
-	r.PrefetchMinHits = -1 // keep the counter ledger exact
 	defer r.Close()
 	ctx := context.Background()
 
 	// Warm phase: one positive (A, TTL 1) and one negative (NXDOMAIN,
 	// SOA minimum 300) answer.
-	addrs, err := r.LookupA(ctx, "mx1.example.com")
-	if err != nil {
+	if _, err := r.LookupA(ctx, "mx1.example.com"); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := r.LookupA(ctx, "missing.example.com"); !errors.Is(err, ErrNXDomain) {
@@ -313,91 +341,31 @@ func TestChaosServeStaleAllUpstreamsDead(t *testing.T) {
 	}
 	r.Timeout = 50 * time.Millisecond
 
-	staleMsg, err := r.Query(ctx, "mx1.example.com", TypeA)
-	if err != nil {
-		t.Fatalf("serve-stale positive: %v", err)
+	if msg, err := r.Query(ctx, "mx1.example.com", TypeA); err == nil {
+		t.Errorf("positive with every upstream dead answered %+v, want an error", msg.Answers)
 	}
-	if got := staleMsg.Answers[0].Data.(AData).Addr; got != addrs[0] {
-		t.Errorf("stale answer = %v, want %v", got, addrs[0])
-	}
-	if staleMsg.Answers[0].TTL != DefaultStaleTTL {
-		t.Errorf("stale TTL = %d, want %d", staleMsg.Answers[0].TTL, DefaultStaleTTL)
-	}
-	// Stale NXDOMAIN keeps its meaning through the resolver surface.
-	if _, err := r.LookupA(ctx, "missing.example.com"); !errors.Is(err, ErrNXDomain) {
-		t.Errorf("stale negative err = %v, want ErrNXDomain", err)
+	// The expired NXDOMAIN is not replayed either: the failure is the
+	// wire's, not the name's.
+	if _, err := r.LookupA(ctx, "missing.example.com"); err == nil || errors.Is(err, ErrNXDomain) {
+		t.Errorf("negative with every upstream dead: err = %v, want a wire failure", err)
 	}
 
 	// Exact ledger. Warm phase: 3 exchanges for the cold walk, then 1
 	// for the NXDOMAIN via the cached example.com cut. Outage phase: the
 	// expired delegations force both queries back to the (dead) root —
-	// one failed exchange each — before falling back to stale data.
+	// one failed exchange each. The four expired entries (two answers,
+	// two cuts) are removed by the probes that find them.
 	rs := r.Stats()
-	wantRS := ResolverStats{Queries: 4, CacheMisses: 4, StaleServed: 2, WireQueries: 6}
+	wantRS := ResolverStats{Queries: 4, CacheMisses: 4, WireQueries: 6}
 	if rs != wantRS {
 		t.Errorf("resolver stats = %+v, want %+v", rs, wantRS)
 	}
 	cs := r.Cache.Stats()
-	wantCS := CacheStats{Misses: 4, StaleHits: 2, DelegationHits: 1, Puts: 4}
+	wantCS := CacheStats{Misses: 4, DelegationHits: 1, Puts: 4, Expiries: 4}
 	if cs != wantCS {
 		t.Errorf("cache stats = %+v, want %+v", cs, wantCS)
 	}
-}
-
-func TestIterativePrefetch(t *testing.T) {
-	z := NewZone(".")
-	z.MustAdd(RR{Name: "hot.test.", Type: TypeMX, TTL: 100, Data: MXData{Preference: 10, Exchange: "mx.hot.test."}})
-	n := startSingleZone(t, z)
-
-	var mu sync.Mutex
-	now := time.Unix(1_700_000_000, 0)
-	clock := func() time.Time { mu.Lock(); defer mu.Unlock(); return now }
-	advance := func(d time.Duration) { mu.Lock(); now = now.Add(d); mu.Unlock() }
-
-	r := &IterativeResolver{
-		Roots:   []netip.AddrPort{netip.MustParseAddrPort(rootIP + ":53")},
-		Timeout: 2 * time.Second,
-		Cache:   &Cache{MaxEntries: 64, Now: clock},
-		DialContext: func(ctx context.Context, network, address string) (net.Conn, error) {
-			return n.DialUDP(netip.MustParseAddrPort(address))
-		},
-	}
-	defer r.Close()
-	ctx := context.Background()
-
-	// Miss, then three fresh hits: the entry is now hot but nowhere near
-	// expiry, so no prefetch fires.
-	for i := 0; i < 4; i++ {
-		if _, err := r.LookupMX(ctx, "hot.test"); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if st := r.Stats(); st.Prefetches != 0 || st.WireQueries != 1 {
-		t.Fatalf("prefetch fired early: %+v", st)
-	}
-
-	// A hit inside the final tenth of the TTL triggers a background
-	// refresh for the hot entry.
-	advance(91 * time.Second)
-	if _, err := r.LookupMX(ctx, "hot.test"); err != nil {
-		t.Fatal(err)
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for r.Stats().Prefetches != 1 {
-		if time.Now().After(deadline) {
-			t.Fatalf("prefetch never completed: %+v", r.Stats())
-		}
-		time.Sleep(time.Millisecond)
-	}
-
-	// Past the original expiry the refreshed entry still serves fresh —
-	// steady-state hot queries never block on the wire.
-	advance(60 * time.Second)
-	if _, err := r.LookupMX(ctx, "hot.test"); err != nil {
-		t.Fatal(err)
-	}
-	st := r.Stats()
-	if st.CacheHits != 5 || st.CacheMisses != 1 || st.WireQueries != 2 {
-		t.Errorf("stats = %+v, want 5 hits / 1 miss / 2 wire", st)
+	if r.Cache.Len() != 0 {
+		t.Errorf("cache holds %d entries after every one expired and was touched", r.Cache.Len())
 	}
 }

@@ -171,9 +171,6 @@ type ServerConfig struct {
 	// bypassed when Logger is set (per-query logging) and for non-IN
 	// classes.
 	DisableCache bool
-	// RRL enables response-rate limiting on UDP answers when non-nil.
-	// See RRLConfig; TCP responses are never rate-limited.
-	RRL *RRLConfig
 	// MaxTCPConns caps concurrent DNS-over-TCP connections; accepts
 	// beyond the cap are immediately closed and counted as rejected
 	// (default DefaultMaxTCPConns; negative means unlimited).
@@ -189,11 +186,10 @@ type ServerConfig struct {
 // the core's accept loop, and each UDP socket's worker pool is attached
 // to the same drain.
 type Server struct {
-	cfg     ServerConfig
-	cache   respCache
-	limiter *rrlLimiter
-	stats   serverCounters
-	core    *overload.Server
+	cfg   ServerConfig
+	cache respCache
+	stats serverCounters
+	core  *overload.Server
 }
 
 // NewServer creates a server for the given configuration.
@@ -214,9 +210,6 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 		cfg.TCPQueryBudget = DefaultTCPQueryBudget
 	}
 	s := &Server{cfg: cfg}
-	if cfg.RRL != nil {
-		s.limiter = newRRLLimiter(*cfg.RRL)
-	}
 	// Over the cap, or accepted into a drain, a TCP client is told
 	// nothing: the connection just closes.
 	s.core = overload.New(overload.Config{
@@ -282,16 +275,6 @@ func (s *Server) ServeUDP(pc net.PacketConn) error {
 				if resp == nil {
 					s.stats.udpDropped.Add(1)
 					continue
-				}
-				if s.limiter != nil {
-					switch s.limiter.decide(addr.Addr(), respKind(resp)) {
-					case rrlDrop:
-						s.stats.rrlDrops.Add(1)
-						continue
-					case rrlSlip:
-						s.stats.rrlSlips.Add(1)
-						resp = slipResponse(resp)
-					}
 				}
 				// The write copies the payload into the socket (or
 				// fabric queue), so reusing resp's buffer is safe.

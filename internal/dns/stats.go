@@ -12,16 +12,12 @@ import (
 //
 // Accounting invariants (steady state, after in-flight work settles):
 //
-//	UDPQueries == UDPResponses + UDPDropped + UDPWriteErrors + RRLDrops
+//	UDPQueries == UDPResponses + UDPDropped + UDPWriteErrors
 //	TCPQueries == TCPResponses + TCPDropped + TCPWriteErrors
-//
-// RRL slips are counted in both RRLSlips and UDPResponses (a slipped
-// reply is still a datagram sent).
 type ServerStats struct {
 	// UDPQueries counts datagrams received by UDP workers.
 	UDPQueries uint64
-	// UDPResponses counts datagrams written, including slipped TC
-	// replies.
+	// UDPResponses counts datagrams written.
 	UDPResponses uint64
 	// UDPDropped counts datagrams that produced no response at all
 	// (unparseable beyond salvage).
@@ -31,12 +27,6 @@ type ServerStats struct {
 	// UDPReadRetries counts transient ReadFrom errors survived by
 	// worker backoff instead of worker death.
 	UDPReadRetries uint64
-
-	// RRLDrops counts responses suppressed by response-rate limiting.
-	RRLDrops uint64
-	// RRLSlips counts rate-limited responses sent as truncated TC=1
-	// replies instead of dropped.
-	RRLSlips uint64
 
 	// TCPAccepted counts connections admitted below MaxTCPConns.
 	TCPAccepted uint64
@@ -70,8 +60,6 @@ func (st *ServerStats) Merge(o ServerStats) {
 	st.UDPDropped += o.UDPDropped
 	st.UDPWriteErrors += o.UDPWriteErrors
 	st.UDPReadRetries += o.UDPReadRetries
-	st.RRLDrops += o.RRLDrops
-	st.RRLSlips += o.RRLSlips
 	st.TCPAccepted += o.TCPAccepted
 	st.TCPRejected += o.TCPRejected
 	st.TCPQueries += o.TCPQueries
@@ -84,11 +72,10 @@ func (st *ServerStats) Merge(o ServerStats) {
 	st.DrainTimeouts += o.DrainTimeouts
 }
 
-// Lost reports queries that were fully received but never answered,
-// shed, or dropped-by-policy — the number a graceful drain must keep at
-// zero.
+// Lost reports queries that were fully received but never answered or
+// dropped — the number a graceful drain must keep at zero.
 func (st ServerStats) Lost() uint64 {
-	lost := int64(st.UDPQueries) - int64(st.UDPResponses+st.UDPDropped+st.UDPWriteErrors+st.RRLDrops)
+	lost := int64(st.UDPQueries) - int64(st.UDPResponses+st.UDPDropped+st.UDPWriteErrors)
 	lost += int64(st.TCPQueries) - int64(st.TCPResponses+st.TCPDropped+st.TCPWriteErrors)
 	if lost < 0 {
 		return 0
@@ -97,15 +84,15 @@ func (st ServerStats) Lost() uint64 {
 }
 
 // ResolverStats is a point-in-time snapshot of an IterativeResolver's
-// caching and coalescing counters. Cache-tier tests assert these
-// exactly against injected query sequences.
+// caching counters. Cache-tier tests assert these exactly against
+// injected query sequences.
 //
-// Accounting invariants (steady state, Cache attached):
+// Accounting invariants:
 //
 //	Queries == CacheHits + CacheMisses
 //	WireQueries counts individual server exchange attempts, so with
-//	healthy upstreams it equals the number of non-coalesced misses
-//	times the referral-chain length.
+//	healthy upstreams it equals the number of misses times the
+//	referral-chain length.
 type ResolverStats struct {
 	// Queries counts Query calls (every cache consultation).
 	Queries uint64
@@ -113,45 +100,28 @@ type ResolverStats struct {
 	CacheHits uint64
 	// CacheMisses counts queries that had to go to the wire.
 	CacheMisses uint64
-	// StaleServed counts queries answered from an expired entry under
-	// RFC 8767 after the wire attempt failed.
-	StaleServed uint64
-	// Coalesced counts queries that attached to an identical in-flight
-	// question instead of launching their own iteration.
-	Coalesced uint64
 	// WireQueries counts individual exchange attempts against servers.
 	WireQueries uint64
-	// Prefetches counts successful near-expiry background refreshes;
-	// PrefetchFailures counts refresh attempts that errored.
-	Prefetches       uint64
-	PrefetchFailures uint64
 }
 
 // resolverCounters is the live atomic counterpart of ResolverStats.
 type resolverCounters struct {
-	queries, cacheHits, cacheMisses, staleServed atomic.Uint64
-	coalesced, wireQueries                       atomic.Uint64
-	prefetches, prefetchFailures                 atomic.Uint64
+	queries, cacheHits, cacheMisses, wireQueries atomic.Uint64
 }
 
 // snapshot captures the counters into a ResolverStats.
 func (c *resolverCounters) snapshot() ResolverStats {
 	return ResolverStats{
-		Queries:          c.queries.Load(),
-		CacheHits:        c.cacheHits.Load(),
-		CacheMisses:      c.cacheMisses.Load(),
-		StaleServed:      c.staleServed.Load(),
-		Coalesced:        c.coalesced.Load(),
-		WireQueries:      c.wireQueries.Load(),
-		Prefetches:       c.prefetches.Load(),
-		PrefetchFailures: c.prefetchFailures.Load(),
+		Queries:     c.queries.Load(),
+		CacheHits:   c.cacheHits.Load(),
+		CacheMisses: c.cacheMisses.Load(),
+		WireQueries: c.wireQueries.Load(),
 	}
 }
 
 // serverCounters is the live atomic counterpart of ServerStats.
 type serverCounters struct {
 	udpQueries, udpResponses, udpDropped, udpWriteErrors, udpReadRetries atomic.Uint64
-	rrlDrops, rrlSlips                                                   atomic.Uint64
 	tcpQueries, tcpResponses, tcpDropped, tcpWriteErrors                 atomic.Uint64
 	tcpBudgetCloses                                                      atomic.Uint64
 }
@@ -165,8 +135,6 @@ func (c *serverCounters) snapshot(core overload.Stats) ServerStats {
 		UDPDropped:      c.udpDropped.Load(),
 		UDPWriteErrors:  c.udpWriteErrors.Load(),
 		UDPReadRetries:  c.udpReadRetries.Load(),
-		RRLDrops:        c.rrlDrops.Load(),
-		RRLSlips:        c.rrlSlips.Load(),
 		TCPAccepted:     core.Accepted,
 		TCPRejected:     core.Rejected,
 		TCPQueries:      c.tcpQueries.Load(),

@@ -358,3 +358,31 @@ func TestUDPAddrPortParity(t *testing.T) {
 		})
 	}
 }
+
+// TestPacketConnDeadlineWakesBlockedRead pins the kernel-socket
+// semantics drains depend on: SetReadDeadline from another goroutine
+// interrupts a ReadFrom that is already blocked.
+func TestPacketConnDeadlineWakesBlockedRead(t *testing.T) {
+	n := New()
+	pc, err := n.ListenPacket(netip.MustParseAddrPort("10.0.0.6:53"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pc.Close()
+	got := make(chan error, 1)
+	go func() {
+		_, _, err := pc.ReadFrom(make([]byte, 16))
+		got <- err
+	}()
+	time.Sleep(20 * time.Millisecond) // let the read block with no deadline
+	pc.SetReadDeadline(time.Now())
+	select {
+	case err := <-got:
+		ne, ok := err.(net.Error)
+		if !ok || !ne.Timeout() {
+			t.Fatalf("woken read returned %v, want a timeout", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("SetReadDeadline did not wake the blocked ReadFrom")
+	}
+}

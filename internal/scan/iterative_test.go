@@ -5,9 +5,13 @@ import (
 	"net/netip"
 	"reflect"
 	"sort"
+	"sync"
 	"testing"
+	"time"
 
+	"mxmap/internal/dataset"
 	"mxmap/internal/dns"
+	"mxmap/internal/netsim"
 	"mxmap/internal/world"
 )
 
@@ -159,5 +163,86 @@ func TestCachedResolverAmortizesWalks(t *testing.T) {
 	// the second pass's share.
 	if rs.CacheHits < rs.CacheMisses {
 		t.Errorf("hit rate below 50%% across two identical passes: %+v", rs)
+	}
+}
+
+// TestDeadHierarchyIsRecordedAsFailure collects a corpus through one
+// caching resolver, lets every cached answer and zone cut expire, kills
+// the hierarchy and collects again: the second snapshot must say that
+// DNS failed for every domain, not replay the first pass's MX sets as
+// if the authorities had answered them.
+func TestDeadHierarchyIsRecordedAsFailure(t *testing.T) {
+	w, err := world.Generate(world.Config{Seed: 31, Scale: 0.001, TailProviders: 10, SelfISPs: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sess, err := NewWorldSession(w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sess.Close()
+	date := "2021-06"
+	infra, err := w.StartDNS(sess.Net, date)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer infra.Close()
+
+	corpus := w.Corpus(world.CorpusAlexa)
+	targets := make([]Target, 0, 40)
+	for _, d := range corpus.Domains[:40] {
+		targets = append(targets, Target{Name: d.Name, Rank: d.Rank})
+	}
+
+	var mu sync.Mutex
+	now := time.Unix(1_700_000_000, 0)
+	resolver := infra.NewIterativeResolver(sess.Net)
+	resolver.Cache.Now = func() time.Time { mu.Lock(); defer mu.Unlock(); return now }
+	defer resolver.Close()
+	collect := func() *dataset.Snapshot {
+		col := &Collector{
+			Resolver:   resolver,
+			Dialer:     sess.Net,
+			Trust:      w.Trust,
+			Prefixes:   w.Prefixes,
+			ASRegistry: w.ASRegistry,
+			Retry:      &RetryPolicy{Attempts: 1},
+		}
+		snap, err := col.Collect(context.Background(), "alexa", date, targets)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return snap
+	}
+
+	withMX := 0
+	for _, d := range collect().Domains {
+		if len(d.MX) > 0 {
+			withMX++
+		}
+	}
+	if withMX == 0 {
+		t.Fatal("the live pass recorded no MX set; the test would prove nothing")
+	}
+
+	// Every world TTL is 3600 s (300 s for negatives): past it, no cached
+	// answer or cut is fresh, so every question starts at the root.
+	mu.Lock()
+	now = now.Add(3601 * time.Second)
+	mu.Unlock()
+	for _, root := range infra.Roots {
+		sess.Net.SetFault(root.Addr(), netsim.FaultBlackhole)
+	}
+	resolver.Timeout = 20 * time.Millisecond
+
+	dnsClasses := map[dataset.FailureClass]bool{
+		dataset.FailNXDomain: true, dataset.FailDNSTimeout: true,
+		dataset.FailDNSServFail: true, dataset.FailLameDelegation: true,
+	}
+	for _, d := range collect().Domains {
+		if !dnsClasses[d.Failure] || len(d.MX) > 0 {
+			t.Errorf("%s: failure %q with %d MX after the hierarchy died, want a DNS failure and no MX",
+				d.Domain, d.Failure, len(d.MX))
+		}
 	}
 }

@@ -167,8 +167,7 @@ func (w *World) StartDNS(n *netsim.Network, date string) (*DNSInfra, error) {
 }
 
 // serve starts one DNS server bound to addr:53 on the fabric, UDP and
-// TCP — the TCP listener is what lets clients retry truncated (or
-// RRL-slipped) answers. Two UDP workers per simulated authority: the
+// TCP — the TCP listener is what lets clients retry truncated answers. Two UDP workers per simulated authority: the
 // fabric hosts dozens of servers per process, so the default
 // (per-host-sized) pool would oversubscribe.
 func (inf *DNSInfra) serve(n *netsim.Network, addr netip.Addr, cat *dns.Catalog) error {
@@ -194,10 +193,9 @@ func (inf *DNSInfra) serve(n *netsim.Network, addr netip.Addr, cat *dns.Catalog)
 
 // NewIterativeResolver returns a caching recursive resolver seeded with
 // the hierarchy's root hints, dialing over the fabric. The attached
-// cache is sized for snapshot-scale collection: positive/negative
-// answers, zone cuts, serve-stale and coalescing all engage, so
-// thousands of domains concentrated on one provider's infrastructure
-// cost one delegation walk.
+// cache is sized for snapshot-scale collection: it holds answers and
+// zone cuts, so thousands of domains concentrated on one provider's
+// infrastructure cost one delegation walk.
 func (inf *DNSInfra) NewIterativeResolver(n *netsim.Network) *dns.IterativeResolver {
 	return &dns.IterativeResolver{
 		Roots:       inf.Roots,
