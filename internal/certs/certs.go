@@ -8,22 +8,24 @@
 // ("trusted by a major browser, e.g. Firefox"). This package supplies
 // both halves: providers get CA-signed certificates, misconfigured or
 // self-hosted servers get self-signed or expired ones.
+//
+// Every key is Ed25519, drawn from the caller's seeded rng, and Ed25519
+// signatures are deterministic, so issuance reads no randomness: the
+// same seed yields the same certificate bytes, and the same
+// fingerprints, in every process.
 package certs
 
 import (
-	"crypto/ecdsa"
-	"crypto/elliptic"
-	"crypto/rand"
+	"crypto/ed25519"
 	"crypto/sha256"
 	"crypto/tls"
 	"crypto/x509"
 	"crypto/x509/pkix"
 	"encoding/hex"
-	"encoding/pem"
 	"errors"
 	"fmt"
 	"math/big"
-	mrand "math/rand/v2"
+	"math/rand/v2"
 	"sync"
 	"time"
 )
@@ -39,19 +41,15 @@ type CA struct {
 	Name string
 
 	cert *x509.Certificate
-	key  *ecdsa.PrivateKey
+	key  ed25519.PrivateKey
 
 	mu     sync.Mutex
 	serial int64
 }
 
-// NewCA creates a self-signed root CA. The rng parameter seeds key
-// generation deterministically; pass nil for crypto-random keys.
-func NewCA(name string, rng *mrand.Rand) (*CA, error) {
-	key, err := genKey(rng)
-	if err != nil {
-		return nil, fmt.Errorf("certs: generate CA key: %w", err)
-	}
+// NewCA creates a self-signed root CA whose key is drawn from rng.
+func NewCA(name string, rng *rand.Rand) (*CA, error) {
+	key := genKey(rng)
 	tmpl := &x509.Certificate{
 		SerialNumber: big.NewInt(1),
 		Subject: pkix.Name{
@@ -64,7 +62,7 @@ func NewCA(name string, rng *mrand.Rand) (*CA, error) {
 		BasicConstraintsValid: true,
 		IsCA:                  true,
 	}
-	der, err := x509.CreateCertificate(rand.Reader, tmpl, tmpl, &key.PublicKey, key)
+	der, err := x509.CreateCertificate(nil, tmpl, tmpl, key.Public(), key)
 	if err != nil {
 		return nil, fmt.Errorf("certs: create CA cert: %w", err)
 	}
@@ -95,18 +93,15 @@ type LeafSpec struct {
 // TLS server.
 type Leaf struct {
 	Cert *x509.Certificate
-	Key  *ecdsa.PrivateKey
+	Key  ed25519.PrivateKey
 	// Chain holds the issuing chain (excluding the leaf), empty for
 	// self-signed leaves.
 	Chain []*x509.Certificate
 }
 
-// Issue creates a CA-signed leaf certificate.
-func (ca *CA) Issue(spec LeafSpec, rng *mrand.Rand) (*Leaf, error) {
-	key, err := genKey(rng)
-	if err != nil {
-		return nil, fmt.Errorf("certs: generate leaf key: %w", err)
-	}
+// Issue creates a CA-signed leaf certificate whose key is drawn from rng.
+func (ca *CA) Issue(spec LeafSpec, rng *rand.Rand) (*Leaf, error) {
+	key := genKey(rng)
 	ca.mu.Lock()
 	ca.serial++
 	serial := ca.serial
@@ -115,7 +110,7 @@ func (ca *CA) Issue(spec LeafSpec, rng *mrand.Rand) (*Leaf, error) {
 	if err != nil {
 		return nil, err
 	}
-	der, err := x509.CreateCertificate(rand.Reader, tmpl, ca.cert, &key.PublicKey, ca.key)
+	der, err := x509.CreateCertificate(nil, tmpl, ca.cert, key.Public(), ca.key)
 	if err != nil {
 		return nil, fmt.Errorf("certs: issue leaf: %w", err)
 	}
@@ -127,18 +122,15 @@ func (ca *CA) Issue(spec LeafSpec, rng *mrand.Rand) (*Leaf, error) {
 }
 
 // SelfSigned creates a self-signed leaf, as a misconfigured or homegrown
-// mail server would present.
-func SelfSigned(spec LeafSpec, rng *mrand.Rand) (*Leaf, error) {
-	key, err := genKey(rng)
-	if err != nil {
-		return nil, fmt.Errorf("certs: generate key: %w", err)
-	}
+// mail server would present; its key is drawn from rng.
+func SelfSigned(spec LeafSpec, rng *rand.Rand) (*Leaf, error) {
+	key := genKey(rng)
 	tmpl, err := leafTemplate(spec, 1)
 	if err != nil {
 		return nil, err
 	}
 	tmpl.IsCA = false
-	der, err := x509.CreateCertificate(rand.Reader, tmpl, tmpl, &key.PublicKey, key)
+	der, err := x509.CreateCertificate(nil, tmpl, tmpl, key.Public(), key)
 	if err != nil {
 		return nil, fmt.Errorf("certs: self-sign: %w", err)
 	}
@@ -187,34 +179,14 @@ func orgOrDefault(spec LeafSpec) []string {
 	return nil
 }
 
-// genKey derives a P-256 key from the seeded rng by rejection-sampling
-// the scalar directly. ecdsa.GenerateKey is deliberately avoided for the
-// seeded path: Go's crypto/ecdsa consumes a nondeterministic number of
-// bytes from its reader (randutil.MaybeReadByte), which desyncs a shared
-// seeded stream and makes everything generated after the key draw
-// irreproducible. Sampling here consumes rng draws that depend only on
-// the rng's own values, so generation is a pure function of the seed.
-// Simulation-only: not cryptographically secure, which is irrelevant
-// here because no real secrets exist.
-func genKey(rng *mrand.Rand) (*ecdsa.PrivateKey, error) {
-	if rng == nil {
-		return ecdsa.GenerateKey(elliptic.P256(), rand.Reader)
+// genKey draws an Ed25519 key from 32 bytes of rng, one Uint32 per
+// byte. Simulation-only: no real secrets exist.
+func genKey(rng *rand.Rand) ed25519.PrivateKey {
+	seed := make([]byte, ed25519.SeedSize)
+	for i := range seed {
+		seed[i] = byte(rng.Uint32())
 	}
-	curve := elliptic.P256()
-	params := curve.Params()
-	buf := make([]byte, (params.N.BitLen()+7)/8)
-	for {
-		for i := range buf {
-			buf[i] = byte(rng.Uint32())
-		}
-		d := new(big.Int).SetBytes(buf)
-		if d.Sign() > 0 && d.Cmp(params.N) < 0 {
-			priv := &ecdsa.PrivateKey{D: d}
-			priv.Curve = curve
-			priv.X, priv.Y = curve.ScalarBaseMult(buf)
-			return priv, nil
-		}
-	}
+	return ed25519.NewKeyFromSeed(seed)
 }
 
 // TLSCertificate converts the leaf into a tls.Certificate usable in a
@@ -231,11 +203,6 @@ func (l *Leaf) TLSCertificate() tls.Certificate {
 	}
 }
 
-// PEM encodes the leaf certificate (not the key) in PEM form.
-func (l *Leaf) PEM() []byte {
-	return pem.EncodeToMemory(&pem.Block{Type: "CERTIFICATE", Bytes: l.Cert.Raw})
-}
-
 // Fingerprint returns the hex SHA-256 of a certificate's DER bytes — the
 // stable identity used when grouping certificates across the dataset.
 func Fingerprint(cert *x509.Certificate) string {
@@ -245,8 +212,7 @@ func Fingerprint(cert *x509.Certificate) string {
 
 // A TrustStore models a browser root program.
 type TrustStore struct {
-	pool  *x509.CertPool
-	roots []*x509.Certificate
+	pool *x509.CertPool
 }
 
 // NewTrustStore creates a store trusting the given CAs.
@@ -261,7 +227,6 @@ func NewTrustStore(cas ...*CA) *TrustStore {
 // AddCA adds a root to the store.
 func (ts *TrustStore) AddCA(ca *CA) {
 	ts.pool.AddCert(ca.cert)
-	ts.roots = append(ts.roots, ca.cert)
 }
 
 // Pool returns the underlying x509.CertPool for use in tls.Config.

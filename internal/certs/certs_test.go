@@ -1,9 +1,9 @@
 package certs
 
 import (
+	"bytes"
 	"crypto/x509"
 	"math/rand/v2"
-	"strings"
 	"testing"
 )
 
@@ -140,7 +140,7 @@ func TestFingerprintStableAndUnique(t *testing.T) {
 	}
 }
 
-func TestTLSCertificateAndPEM(t *testing.T) {
+func TestTLSCertificate(t *testing.T) {
 	ca, _ := NewCA("Root", testRNG())
 	leaf, _ := ca.Issue(LeafSpec{CommonName: "mx.example.com"}, testRNG())
 	tc := leaf.TLSCertificate()
@@ -150,9 +150,33 @@ func TestTLSCertificateAndPEM(t *testing.T) {
 	if tc.Leaf == nil || tc.PrivateKey == nil {
 		t.Error("TLSCertificate missing leaf or key")
 	}
-	p := string(leaf.PEM())
-	if !strings.Contains(p, "BEGIN CERTIFICATE") {
-		t.Errorf("PEM output malformed: %q", p[:40])
+}
+
+// TestSameSeedSameDER holds issuance to a pure function of the rng:
+// two rngs seeded alike give byte-equal CA, issued and self-signed
+// certificates, so fingerprints agree across processes.
+func TestSameSeedSameDER(t *testing.T) {
+	issue := func() [][]byte {
+		rng := testRNG()
+		ca, err := NewCA("Root", rng)
+		if err != nil {
+			t.Fatal(err)
+		}
+		leaf, err := ca.Issue(LeafSpec{CommonName: "mx.example.com", Org: "Example"}, rng)
+		if err != nil {
+			t.Fatal(err)
+		}
+		self, err := SelfSigned(LeafSpec{CommonName: "mail.example.org"}, rng)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return [][]byte{ca.cert.Raw, leaf.Cert.Raw, self.Cert.Raw}
+	}
+	a, b := issue(), issue()
+	for i, what := range []string{"NewCA", "Issue", "SelfSigned"} {
+		if !bytes.Equal(a[i], b[i]) {
+			t.Errorf("%s: two runs from one seed give different DER", what)
+		}
 	}
 }
 

@@ -2,13 +2,12 @@ package scan
 
 import (
 	"context"
-	"crypto/ecdsa"
-	"crypto/elliptic"
-	"crypto/rand"
+	"crypto/ed25519"
 	"crypto/tls"
 	"crypto/x509"
 	"crypto/x509/pkix"
 	"math/big"
+	"math/rand/v2"
 	"net/netip"
 	"testing"
 	"time"
@@ -24,19 +23,20 @@ import (
 // issue: a root, an intermediate under it, a leaf under that.
 type testCert struct {
 	cert *x509.Certificate
-	key  *ecdsa.PrivateKey
+	key  ed25519.PrivateKey
 }
 
 // newTestCert issues a certificate for name, signed by parent, or
-// self-signed when parent is nil.
-func newTestCert(t *testing.T, name string, isCA bool, parent *testCert) *testCert {
+// self-signed when parent is nil, with its key and serial drawn from rng.
+func newTestCert(t *testing.T, rng *rand.Rand, name string, isCA bool, parent *testCert) *testCert {
 	t.Helper()
-	key, err := ecdsa.GenerateKey(elliptic.P256(), rand.Reader)
-	if err != nil {
-		t.Fatal(err)
+	seed := make([]byte, ed25519.SeedSize)
+	for i := range seed {
+		seed[i] = byte(rng.Uint32())
 	}
+	key := ed25519.NewKeyFromSeed(seed)
 	tmpl := &x509.Certificate{
-		SerialNumber:          big.NewInt(time.Now().UnixNano()),
+		SerialNumber:          big.NewInt(rng.Int64N(1<<62) + 1),
 		Subject:               pkix.Name{CommonName: name},
 		NotBefore:             certs.SimNow.Add(-24 * time.Hour),
 		NotAfter:              certs.SimNow.Add(365 * 24 * time.Hour),
@@ -53,7 +53,7 @@ func newTestCert(t *testing.T, name string, isCA bool, parent *testCert) *testCe
 	if parent != nil {
 		signer = parent
 	}
-	der, err := x509.CreateCertificate(rand.Reader, tmpl, signer.cert, &key.PublicKey, signer.key)
+	der, err := x509.CreateCertificate(nil, tmpl, signer.cert, key.Public(), signer.key)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,10 +86,11 @@ func (w *chaosWorld) startTLS(t *testing.T, ip string, chain tls.Certificate) {
 // verdict, the negative one included, is the same at its second
 // sighting. Four addresses, two verifications.
 func TestChainVerdictsExact(t *testing.T) {
-	root := newTestCert(t, "Verdict Root", true, nil)
-	inter := newTestCert(t, "Verdict Intermediate", true, root)
-	stranger := newTestCert(t, "Stranger CA", true, nil)
-	leaf := newTestCert(t, "mx.verdict.test", false, inter)
+	rng := rand.New(rand.NewPCG(4, 0))
+	root := newTestCert(t, rng, "Verdict Root", true, nil)
+	inter := newTestCert(t, rng, "Verdict Intermediate", true, root)
+	stranger := newTestCert(t, rng, "Stranger CA", true, nil)
+	leaf := newTestCert(t, rng, "mx.verdict.test", false, inter)
 	trust := certs.NewTrustStore()
 	trust.Pool().AddCert(root.cert)
 	chain := func(issuer *testCert) tls.Certificate {
@@ -134,11 +135,12 @@ func TestChainVerdictsExact(t *testing.T) {
 // reports the certificate valid at the second, so no verdict outlived
 // the first.
 func TestChainVerdictsScopedToRun(t *testing.T) {
-	ca, err := certs.NewCA("Late Root", nil)
+	rng := rand.New(rand.NewPCG(5, 0))
+	ca, err := certs.NewCA("Late Root", rng)
 	if err != nil {
 		t.Fatal(err)
 	}
-	leaf, err := ca.Issue(certs.LeafSpec{CommonName: "mx.late.test"}, nil)
+	leaf, err := ca.Issue(certs.LeafSpec{CommonName: "mx.late.test"}, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
