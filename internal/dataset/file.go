@@ -10,21 +10,19 @@ import (
 	"sync"
 )
 
-// gzWriterPool, gzFastWriterPool and gzReaderPool recycle gzip codec
-// state (the deflate window alone is hundreds of KiB) across snapshot and
-// shard writes; sharded collection opens one stream per spill, per
-// worker. A pool holds writers of one level: the default level for
-// everything that is kept, and with it the canonical bytes of WriteFile
-// and Merge output; gzip.BestSpeed for shard files, which are merged and
-// deleted, so that only their deflate time matters (on the benchmark's
-// corpus 0.28 of the default level's, for files 1.4 times the size).
-var gzWriterPool = sync.Pool{
-	New: func() any { return gzip.NewWriter(io.Discard) },
-}
+// deflateLevel is the one level every gzipped file of the package is
+// written at: snapshots, shards and Merge output. On the benchmark's
+// 20k-domain snapshot it deflates in 0.28 of the default level's time,
+// no slower than gzip.BestSpeed, for a file 1.25 times the default
+// level's size (level table in results/BENCH_e2e_scan-flat.json).
+const deflateLevel = 3
 
-var gzFastWriterPool = sync.Pool{
+// gzWriterPool and gzReaderPool recycle gzip codec state (the deflate
+// window alone is hundreds of KiB) across snapshot and shard writes;
+// sharded collection opens one stream per spill, per worker.
+var gzWriterPool = sync.Pool{
 	New: func() any {
-		zw, _ := gzip.NewWriterLevel(io.Discard, gzip.BestSpeed) // a valid level cannot fail
+		zw, _ := gzip.NewWriterLevel(io.Discard, deflateLevel) // a valid level cannot fail
 		return zw
 	},
 }
@@ -50,7 +48,7 @@ func putGzReader(zr *gzip.Reader) { gzReaderPool.Put(zr) }
 // A crash at any point leaves either the old committed file or the new
 // one at path — never a truncated half-gzipped hybrid.
 func WriteFile(path string, s *Snapshot) error {
-	return atomicWrite(path, &gzWriterPool, func(w io.Writer) error {
+	return atomicWrite(path, func(w io.Writer) error {
 		_, err := s.WriteTo(w)
 		return err
 	})
@@ -60,13 +58,11 @@ func WriteFile(path string, s *Snapshot) error {
 // semantics. On any error the temporary file is removed and path is
 // untouched.
 //
-// A path ending in ".gz" is deflated by a writer from zpool, which sets
-// the level: gzWriterPool for files that stay (WriteFile, Merge — their
-// bytes are the canonical snapshot), gzFastWriterPool for shards. The
-// deflate runs on its own goroutine (see gzipThrough), so write — a
+// A path ending in ".gz" is deflated at deflateLevel. The deflate runs
+// on its own goroutine (see gzipThrough), so write — a
 // merge loop, Snapshot.WriteTo, a spill's encoder — overlaps with it;
 // whatever that goroutine could not write fails the commit before Sync.
-func atomicWrite(path string, zpool *sync.Pool, write func(w io.Writer) error) (err error) {
+func atomicWrite(path string, write func(w io.Writer) error) (err error) {
 	tmp := path + ".tmp"
 	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
@@ -80,7 +76,7 @@ func atomicWrite(path string, zpool *sync.Pool, write func(w io.Writer) error) (
 		}
 	}()
 	if strings.HasSuffix(path, ".gz") {
-		err = gzipThrough(f, zpool, write)
+		err = gzipThrough(f, write)
 	} else {
 		err = write(f)
 	}
@@ -117,16 +113,16 @@ var chunkPool = sync.Pool{New: func() any { return new([handoffChunk]byte) }}
 // goroutine of its own: what write hands to its writer is copied into
 // pooled chunks that a compressor goroutine takes in order, so write
 // only ever waits when it is handoffChunks ahead. The stream is ended,
-// the goroutine has exited and the gzip writer is back in zpool when
+// the goroutine has exited and the gzip writer is back in its pool when
 // gzipThrough returns. The first error wins — write's own, or the
 // compressor's (from the gzip writer or dst), which also fails the
 // Write that follows it, so a writer on a full disk stops early.
-func gzipThrough(dst io.Writer, zpool *sync.Pool, write func(w io.Writer) error) error {
-	zw := zpool.Get().(*gzip.Writer)
+func gzipThrough(dst io.Writer, write func(w io.Writer) error) error {
+	zw := gzWriterPool.Get().(*gzip.Writer)
 	zw.Reset(dst)
 	defer func() {
 		zw.Reset(io.Discard)
-		zpool.Put(zw)
+		gzWriterPool.Put(zw)
 	}()
 	h := &handoff{
 		full: make(chan []byte, handoffChunks),

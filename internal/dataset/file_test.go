@@ -95,7 +95,7 @@ func TestWriteFileAtomicCommit(t *testing.T) {
 		// A failed write — the moral equivalent of a crash mid-commit —
 		// must leave the committed file untouched and no temp debris.
 		boom := errors.New("disk on fire")
-		err = atomicWrite(path, &gzWriterPool, func(w io.Writer) error {
+		err = atomicWrite(path, func(w io.Writer) error {
 			bw := &brokenWriter{w: w, left: 10, err: boom}
 			_, werr := sampleSnapshot().WriteTo(bw)
 			return werr
@@ -124,7 +124,7 @@ func TestWriteFileAtomicCommit(t *testing.T) {
 func TestWriteFileFreshFailureLeavesNothing(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "never.jsonl")
 	boom := errors.New("boom")
-	err := atomicWrite(path, &gzWriterPool, func(w io.Writer) error { return boom })
+	err := atomicWrite(path, func(w io.Writer) error { return boom })
 	if !errors.Is(err, boom) {
 		t.Fatalf("err = %v", err)
 	}
@@ -175,7 +175,7 @@ func TestGzipHandoffFailsClosed(t *testing.T) {
 		for _, heeds := range []bool{true, false} { // whether the producer stops at a failed Write
 			dst := &brokenWriter{w: io.Discard, left: left, err: boom}
 			before := runtime.NumGoroutine()
-			err := gzipThrough(dst, &gzWriterPool, func(w io.Writer) error {
+			err := gzipThrough(dst, func(w io.Writer) error {
 				for p := text.Bytes(); len(p) > 0; {
 					n := min(len(p), 1000)
 					if _, err := w.Write(p[:n]); err != nil && heeds {
@@ -214,51 +214,79 @@ func TestGzipHandoffFailsClosed(t *testing.T) {
 	}
 }
 
-// gzipXFL reads the level hint of a gzip file's header (RFC 1952): 4
-// for the fastest algorithm; compress/gzip writes 0 for the default level.
-func gzipXFL(t *testing.T, path string) byte {
+// gzipAt is the one-shot gzip stream of plain at level: one Write, then
+// Close.
+func gzipAt(t *testing.T, plain []byte, level int) []byte {
 	t.Helper()
-	raw, err := os.ReadFile(path)
-	if err != nil || len(raw) < 10 {
-		t.Fatalf("%s: %d bytes, %v", path, len(raw), err)
+	var out bytes.Buffer
+	zw, err := gzip.NewWriterLevel(&out, level)
+	if err != nil {
+		t.Fatal(err)
 	}
-	return raw[8]
+	if _, err := zw.Write(plain); err != nil {
+		t.Fatal(err)
+	}
+	if err := zw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return out.Bytes()
 }
 
-// TestGzipLevelsStayOutOfTheSnapshot: shards are deflated at BestSpeed,
-// the snapshot at the default level, and which level a shard was written
-// at does not reach the merged bytes, which are those of one plain
-// default-level gzip stream (what a commit wrote before its deflate
-// moved to a goroutine of its own).
+// gunzipFile returns the gzip file at path and its uncompressed bytes.
+func gunzipFile(t *testing.T, path string) (raw, plain []byte) {
+	t.Helper()
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	zr, err := gzip.NewReader(bytes.NewReader(raw))
+	if err != nil {
+		t.Fatalf("%s: %v", path, err)
+	}
+	if plain, err = io.ReadAll(zr); err != nil {
+		t.Fatalf("%s: %v", path, err)
+	}
+	return raw, plain
+}
+
+// requireDeflateLevel fails unless the gzip file at path is byte for
+// byte the one-shot deflateLevel stream of its uncompressed bytes: the
+// compressor goroutine and its chunked hand-off leave no trace.
+func requireDeflateLevel(t *testing.T, path string) {
+	t.Helper()
+	raw, plain := gunzipFile(t, path)
+	if want := gzipAt(t, plain, deflateLevel); !bytes.Equal(raw, want) {
+		t.Errorf("%s: %d bytes, not the one-shot level-%d stream of its %d plain bytes (%d bytes)",
+			path, len(raw), deflateLevel, len(plain), len(want))
+	}
+}
+
+// TestGzipLevelsStayOutOfTheSnapshot: WriteFile output, every spilled
+// shard and Merge output are each the one-shot deflateLevel stream of
+// their lines, and the level a shard was written at does not reach the
+// merged bytes.
 func TestGzipLevelsStayOutOfTheSnapshot(t *testing.T) {
 	dir := t.TempDir()
 	s := buildSnapshot(5000) // ~600 KiB of lines: several hand-off chunks
+	written := filepath.Join(dir, "written.jsonl.gz")
+	if err := WriteFile(written, s); err != nil {
+		t.Fatal(err)
+	}
+	requireDeflateLevel(t, written)
+
 	base := filepath.Join(dir, "snap.jsonl.gz")
 	set := shardOut(t, s, base, 2, 1<<20)
 	shards := set.Paths()
 	if len(shards) != 2 {
 		t.Fatalf("%d shards, want 2", len(shards))
 	}
-	regzip := func(path string) {
+	for _, p := range shards {
+		requireDeflateLevel(t, p)
+	}
+	regzip := func(path string, level int) {
 		t.Helper()
-		f, err := os.Open(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer f.Close()
-		zr, err := gzip.NewReader(f)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var out bytes.Buffer
-		zw := gzip.NewWriter(&out)
-		if _, err := io.Copy(zw, zr); err != nil {
-			t.Fatal(err)
-		}
-		if err := zw.Close(); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(path, out.Bytes(), 0o644); err != nil {
+		_, plain := gunzipFile(t, path)
+		if err := os.WriteFile(path, gzipAt(t, plain, level), 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -267,6 +295,7 @@ func TestGzipLevelsStayOutOfTheSnapshot(t *testing.T) {
 		if _, err := Merge(base, shards); err != nil {
 			t.Fatal(err)
 		}
+		requireDeflateLevel(t, base)
 		raw, err := os.ReadFile(base)
 		if err != nil {
 			t.Fatal(err)
@@ -274,31 +303,101 @@ func TestGzipLevelsStayOutOfTheSnapshot(t *testing.T) {
 		return raw
 	}
 
-	for _, p := range shards {
-		if got := gzipXFL(t, p); got != 4 {
-			t.Errorf("%s: XFL %d, want 4 (BestSpeed)", p, got)
+	want := merged()
+	if wantFile, _ := os.ReadFile(written); !bytes.Equal(want, wantFile) {
+		t.Errorf("merged snapshot (%d bytes) differs from WriteFile's (%d bytes)", len(want), len(wantFile))
+	}
+	for _, level := range []int{gzip.BestSpeed, gzip.DefaultCompression} {
+		regzip(shards[0], level)
+		mixed := merged()
+		regzip(shards[1], level)
+		both := merged()
+		if !bytes.Equal(want, mixed) || !bytes.Equal(want, both) {
+			t.Errorf("merged bytes depend on the shards' level %d: %d (as spilled), %d (one re-deflated), %d (both)",
+				level, len(want), len(mixed), len(both))
 		}
 	}
-	fast := merged()
-	regzip(shards[0])
-	mixed := merged()
-	regzip(shards[1])
-	slow := merged()
-	if gzipXFL(t, shards[0]) != 0 || gzipXFL(t, shards[1]) != 0 {
-		t.Fatal("re-deflated shards are not at the default level")
+}
+
+// TestReadersAcceptEveryLevel: files deflated at any level — as older
+// trees wrote them — read the same. A snapshot gzipped at three levels
+// gives one ReadFile result, one Stream pass and one fsck report, and
+// its shards re-deflated at each level merge to one snapshot.
+func TestReadersAcceptEveryLevel(t *testing.T) {
+	dir := t.TempDir()
+	s := buildSnapshot(3000)
+	plain := snapshotBytes(t, s)
+	shards := shardOut(t, s, filepath.Join(dir, "shards.jsonl.gz"), 2, 1<<20).Paths()
+	if len(shards) != 2 {
+		t.Fatalf("%d shards, want 2", len(shards))
 	}
-	if !bytes.Equal(fast, mixed) || !bytes.Equal(fast, slow) {
-		t.Errorf("merged bytes depend on the shards' levels: %d (both fast), %d (mixed), %d (both default)", len(fast), len(mixed), len(slow))
+	type result struct {
+		fsck  FsckReport
+		merge MergeStats
 	}
-	var plain bytes.Buffer
-	zw := gzip.NewWriter(&plain)
-	if _, err := s.WriteTo(zw); err != nil {
-		t.Fatal(err)
-	}
-	if err := zw.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(fast, plain.Bytes()) {
-		t.Errorf("merged snapshot (%d bytes, XFL %d) is not the plain default-level stream (%d bytes)", len(fast), fast[8], plain.Len())
+	var first *result
+	for _, level := range []int{gzip.BestSpeed, gzip.DefaultCompression, gzip.BestCompression} {
+		ldir := filepath.Join(dir, fmt.Sprint(level))
+		if err := os.Mkdir(ldir, 0o755); err != nil {
+			t.Fatal(err)
+		}
+		path := filepath.Join(ldir, "snap.jsonl.gz")
+		if err := os.WriteFile(path, gzipAt(t, plain, level), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		var got result
+		read, err := ReadFile(path)
+		if err != nil {
+			t.Fatalf("level %d: ReadFile: %v", level, err)
+		}
+		st, err := OpenStream(path)
+		if err != nil {
+			t.Fatalf("level %d: OpenStream: %v", level, err)
+		}
+		streamed := NewSnapshot(st.Date, st.Corpus)
+		if err := st.ForEach(
+			func(d *DomainRecord) error { streamed.AddDomain(cloneDomain(d)); return nil },
+			func(info *IPInfo) error { streamed.AddIP(*info); return nil },
+		); err != nil {
+			t.Fatalf("level %d: Stream pass: %v", level, err)
+		}
+		r, err := Fsck(path)
+		if err != nil {
+			t.Fatalf("level %d: Fsck: %v", level, err)
+		}
+		r.Path, r.TotalBytes, r.ValidBytes = "", 0, 0 // the file's size is the level's
+		got.fsck = *r
+
+		var lshards []string
+		for _, p := range shards {
+			_, sp := gunzipFile(t, p)
+			lp := filepath.Join(ldir, filepath.Base(p))
+			if err := os.WriteFile(lp, gzipAt(t, sp, level), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			lshards = append(lshards, lp)
+		}
+		out := filepath.Join(ldir, "merged.jsonl.gz")
+		ms, err := Merge(out, lshards)
+		if err != nil {
+			t.Fatalf("level %d: Merge: %v", level, err)
+		}
+		got.merge = *ms
+		_, merged := gunzipFile(t, out)
+
+		for name, b := range map[string][]byte{"ReadFile": snapshotBytes(t, read), "Stream": snapshotBytes(t, streamed), "Merge": merged} {
+			if !bytes.Equal(b, plain) {
+				t.Errorf("level %d: %s gives %d bytes, not the snapshot's %d", level, name, len(b), len(plain))
+			}
+		}
+		if !got.fsck.Clean {
+			t.Errorf("level %d: fsck %+v, want clean", level, got.fsck)
+		}
+		if first == nil {
+			first = &got
+		} else if !reflect.DeepEqual(got, *first) {
+			t.Errorf("level %d reads differently from level %d: fsck %+v vs %+v, merge %+v vs %+v",
+				level, gzip.BestSpeed, got.fsck, first.fsck, got.merge, first.merge)
+		}
 	}
 }
