@@ -110,8 +110,6 @@ var optionsWithoutCaller = map[string]string{
 	"ha.Config.Jitter":                       "jitter seam",
 	"ha.Config.ReprobeBase":                  "frozen-clock re-probe schedule (BENCH_ha)",
 	"ha.Config.ReprobeMax":                   "frozen-clock re-probe schedule (BENCH_ha)",
-	"ha.Config.HedgeFloor":                   "hedge-threshold tests pin the floor",
-	"ha.Config.HedgeMinSamples":              "hedge-threshold tests pin the sample gate",
 	"dns.Client.RetryBackoff":                "loss chaos tests shrink the delay",
 	"dns.Client.UDPSize":                     "EDNS0 experiment (edns_test.go)",
 	"dns.ServerConfig.DisableCache":          "differential seam: cached answers ≡ uncached ones",

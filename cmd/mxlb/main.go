@@ -1,8 +1,8 @@
 // Command mxlb fronts a fleet of mxserve replicas with the
 // high-availability balancer: health-checked routing, passive outlier
-// ejection with jittered re-probing, deadline-budgeted retries with
-// tail-latency hedging, and (behind -allow-rollout) rolling zero-loss
-// snapshot rollouts through each replica's /v1/swap.
+// ejection with jittered re-probing, sequential fail-over to the next
+// replica inside one retry budget, and (behind -allow-rollout) rolling
+// zero-loss snapshot rollouts through each replica's /v1/swap.
 //
 // Usage:
 //
@@ -38,9 +38,7 @@ func main() {
 		probeInterval = flag.Duration("probe-interval", 0, "healthy-replica probe period")
 		probeTimeout  = flag.Duration("probe-timeout", 0, "one probe round-trip bound")
 		ejectAfter    = flag.Int("eject-after", 0, "consecutive failures before ejection (negative disables)")
-		retryBudget   = flag.Duration("retry-budget", 0, "per-request budget across all attempts")
-		maxAttempts   = flag.Int("max-attempts", 0, "attempt cap per request (first try + retries + hedge)")
-		hedgeDelay    = flag.Duration("hedge-delay", 0, "fixed hedge threshold (0 derives from latency histogram, negative disables)")
+		retryBudget   = flag.Duration("retry-budget", 0, "per-request budget, split evenly over up to 3 attempts")
 		allowRollout  = flag.Bool("allow-rollout", false, "enable POST /v1/rollout (operator-only listeners)")
 		maxConns      = flag.Int("max-conns", 0, "connection cap (0 = default, negative = unlimited)")
 		maxInflight   = flag.Int("max-inflight", 0, "concurrent request cap (0 = default, negative = unlimited)")
@@ -77,8 +75,6 @@ func main() {
 		ProbeTimeout:   *probeTimeout,
 		EjectThreshold: *ejectAfter,
 		RetryBudget:    *retryBudget,
-		MaxAttempts:    *maxAttempts,
-		HedgeDelay:     *hedgeDelay,
 		AllowRollout:   *allowRollout,
 		Logger:         slog.New(slog.NewTextHandler(os.Stderr, nil)),
 	})
@@ -93,7 +89,7 @@ func main() {
 		QueueWait:      *queueWait,
 		RequestTimeout: *reqTimeout,
 		ReadTimeout:    *readTimeout,
-		Clock:          time.Now, // feeds the hedge threshold's histogram
+		Clock:          time.Now, // feeds the latency histograms /v1/stats reports
 	})
 	if err != nil {
 		log.Fatal(err)

@@ -11,9 +11,9 @@ import (
 
 // Balancer fronts the replica pool as a serve.Handler: plug it into a
 // serve.Server's Config.Handler and the whole admission/drain/stats kit
-// guards the fleet. Forwarding is retry-on-failure for idempotent GETs
-// within one deadline budget, with tail-latency hedging against a
-// second replica.
+// guards the fleet. Forwarding is sequential fail-over: one attempt at a
+// time, each on a replica not yet tried and under an equal share of one
+// retry budget.
 type Balancer struct {
 	cfg   Config
 	pool  *Pool
@@ -45,37 +45,12 @@ func (b *Balancer) Run(ctx context.Context) { b.pool.Run(ctx) }
 // has drained; a forward after Close still works, it just dials again.
 func (b *Balancer) Close() { b.pool.closeIdle() }
 
-// AttachFront hands the balancer the serve.Server it runs behind, so a
-// derived hedge threshold can read that server's per-endpoint latency
-// histograms and /v1/stats can merge the front's counters.
+// AttachFront hands the balancer the serve.Server it runs behind, so
+// /v1/stats can merge the front's counters and latency histograms.
 func (b *Balancer) AttachFront(s *serve.Server) { b.front.Store(s) }
 
 // Stats snapshots the balancer's exact counters.
 func (b *Balancer) Stats() BalancerStats { return b.c.snapshot() }
-
-// hedgeDelay resolves the tail-latency hedge threshold for one request
-// path: a fixed positive Config.HedgeDelay wins; a negative one
-// disables hedging; otherwise the front server's endpoint histogram is
-// consulted at the hedge quantile, floored (and, below the sample
-// gate, replaced) by HedgeFloor.
-func (b *Balancer) hedgeDelay(path string) time.Duration {
-	if d := b.cfg.HedgeDelay; d != 0 {
-		if d < 0 {
-			return 0
-		}
-		return d
-	}
-	floor := b.cfg.hedgeFloor()
-	front := b.front.Load()
-	if front == nil {
-		return floor
-	}
-	q, n := front.LatencyQuantile(path, hedgeQuantile)
-	if n < b.cfg.hedgeMinSamples() || q < floor {
-		return floor
-	}
-	return q
-}
 
 // Handle implements serve.Handler: balancer-local control endpoints are
 // answered here, everything else is forwarded to the fleet.
@@ -150,25 +125,20 @@ func (b *Balancer) FleetStats() FleetStats {
 	return fs
 }
 
-// attemptResult is one upstream attempt's outcome in the race.
-type attemptResult struct {
-	rep    *Replica
-	resp   serve.Response
-	err    error
-	hedged bool
-}
-
-// forward proxies one request through the fleet.
+// forward proxies one request through the fleet the way a sender walks
+// an MX list: one attempt at a time on the request goroutine, each on a
+// replica not yet tried, and the next only when the one before it failed
+// or outlived its deadline — the retry budget split evenly over the
+// attempts, so the whole request fits in the budget.
 //
-// The ladder, top to bottom: a healthy replica answers; a failed
-// attempt on an idempotent GET retries on a different replica inside
-// the retry budget; an attempt outliving the hedge threshold races a
-// second replica, first response wins and the loser's connection is
-// severed, never parked for reuse; when every available replica is
-// stale the answer still goes out (the stale markers in the body
-// stand, StaleForwards counts it);
-// when no replica is available the request sheds 503 + Retry-After and
-// DownSheds counts it exactly.
+// The ladder, top to bottom: a healthy replica answers; a failed or
+// timed-out attempt counts against its replica and moves on to the next
+// one; when every available replica is stale the answer still goes out
+// (the stale markers in the body stand, StaleForwards counts it); when
+// no replica is available the request sheds 503 + Retry-After and
+// DownSheds counts it exactly. Only the caller's context ending — the
+// front's request deadline or a drain — abandons a request without
+// blaming the replica.
 func (b *Balancer) forward(ctx context.Context, req *serve.Request) serve.Response {
 	b.c.requests.Add(1)
 
@@ -176,106 +146,54 @@ func (b *Balancer) forward(ctx context.Context, req *serve.Request) serve.Respon
 	if len(req.Query) > 0 {
 		target += "?" + req.Query.Encode()
 	}
-	idempotent := req.Method == "GET"
 
-	ctx, cancel := context.WithTimeout(ctx, b.cfg.retryBudget())
-	defer cancel()
-
-	maxAttempts := b.cfg.maxAttempts(len(b.pool.replicas))
-	results := make(chan attemptResult, maxAttempts)
-	tried := make(map[*Replica]bool, maxAttempts)
-	var cancels []context.CancelFunc
-	defer func() {
-		for _, c := range cancels {
-			c()
-		}
-	}()
-	inflight := 0
-
-	launch := func(hedged bool) bool {
-		if len(tried) >= maxAttempts {
-			return false
-		}
-		rep := b.pool.pick(tried)
+	attempts := min(maxAttempts, len(b.pool.replicas))
+	deadline := b.cfg.retryBudget() / time.Duration(attempts)
+	var tried [maxAttempts]*Replica
+	var last serve.Response
+	var lastErr error
+	n := 0
+	for ; n < attempts; n++ {
+		rep := b.pool.pick(tried[:n])
 		if rep == nil {
-			return false
+			break
 		}
-		tried[rep] = true
+		tried[n] = rep
+		if n > 0 {
+			b.c.retries.Add(1)
+		}
 		b.c.attempts.Add(1)
 		rep.attempts.Add(1)
 		if rep.isStale() {
 			b.c.staleForwards.Add(1)
 		}
-		actx, acancel := context.WithCancel(ctx)
-		cancels = append(cancels, acancel)
-		inflight++
-		go func() {
-			resp, err := rep.do(actx, req.Method, target, 0, true)
-			results <- attemptResult{rep: rep, resp: resp, err: err, hedged: hedged}
-		}()
-		return true
+		resp, err := rep.do(ctx, req.Method, target, deadline, true)
+		if err == nil && resp.Status < 500 {
+			// Success — 4xx included: the replica answered, the client
+			// just asked something malformed or missing.
+			b.pool.recordSuccess(rep)
+			return passthrough(resp)
+		}
+		if err == errAttemptCancelled {
+			b.c.budgetExceeded.Add(1)
+			return b.shed(504, "request deadline exceeded")
+		}
+		b.c.upstreamErrs.Add(1)
+		b.pool.recordFailure(rep)
+		last, lastErr = resp, err
 	}
-
-	if !launch(false) {
+	if n == 0 {
 		b.c.downSheds.Add(1)
 		return b.shed(503, "no replica available")
 	}
-
-	var hedgeC <-chan time.Time
-	if idempotent {
-		if d := b.hedgeDelay(req.Path); d > 0 {
-			t := time.NewTimer(d)
-			defer t.Stop()
-			hedgeC = t.C
-		}
+	b.c.proxyFails.Add(1)
+	if lastErr == nil {
+		// Every attempt failed but the last one failed with an actual
+		// upstream response: relay it rather than flattening the cause
+		// into a generic 502.
+		return passthrough(last)
 	}
-
-	var last *attemptResult
-	for {
-		select {
-		case res := <-results:
-			inflight--
-			if res.err == nil && res.resp.Status < 500 {
-				// Success — 4xx included: the replica answered, the
-				// client just asked something malformed or missing.
-				b.pool.recordSuccess(res.rep)
-				if res.hedged {
-					b.c.hedgeWins.Add(1)
-				}
-				return passthrough(res.resp)
-			}
-			if res.err != errAttemptCancelled {
-				b.c.upstreamErrs.Add(1)
-				b.pool.recordFailure(res.rep)
-			}
-			cur := res
-			last = &cur
-			if idempotent && ctx.Err() == nil && launch(false) {
-				b.c.retries.Add(1)
-				continue
-			}
-			if inflight > 0 {
-				// A hedge twin is still running; let the race finish.
-				continue
-			}
-			b.c.proxyFails.Add(1)
-			if last.err == nil {
-				// Every attempt failed but the last one failed with an
-				// actual upstream response: relay it rather than
-				// flattening the cause into a generic 502.
-				return passthrough(last.resp)
-			}
-			return b.shed(502, "all replicas failed")
-		case <-hedgeC:
-			hedgeC = nil
-			if inflight > 0 && launch(true) {
-				b.c.hedges.Add(1)
-			}
-		case <-ctx.Done():
-			b.c.budgetExceeded.Add(1)
-			return b.shed(504, "retry budget exceeded")
-		}
-	}
+	return b.shed(502, "all replicas failed")
 }
 
 // passthrough relays an upstream response to the client, preserving the

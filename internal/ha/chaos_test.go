@@ -93,7 +93,7 @@ func TestChaosKillMidResponse(t *testing.T) {
 			Name: "r" + strconv.Itoa(i), Dial: fabricDialer(n, replicaAddr(i)),
 		})
 	}
-	b, err := New(Config{Replicas: reps, HedgeDelay: noHedge})
+	b, err := New(Config{Replicas: reps})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,7 +183,7 @@ func TestChaosFloodDuringRollingSwap(t *testing.T) {
 	// pressure is a capacity artifact, not rollout behavior — admission
 	// shedding has its own tests — and with it in play the door 429s
 	// would inject retries this test asserts cannot happen.
-	f := newFleet(t, 3, oldPath, Config{HedgeDelay: noHedge, AllowRollout: true},
+	f := newFleet(t, 3, oldPath, Config{AllowRollout: true},
 		serve.Config{MaxConns: -1}, serve.Config{MaxRequests: -1})
 
 	const workers = 4

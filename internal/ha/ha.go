@@ -15,12 +15,12 @@
 //     exponential, jittered re-probe schedule (the circuit-breaker
 //     idiom from internal/scan, built on overload.Delay); a probe
 //     success snaps it back instantly.
-//   - Deadline-budgeted retries with tail-latency hedging: idempotent
-//     GETs that fail are retried on another replica within one retry
-//     budget, and a request that outlives the hedge threshold (read
-//     from the front server's per-endpoint latency histogram) launches
-//     a second copy on a different replica — first response wins, the
-//     loser is cancelled.
+//   - Sequential fail-over inside one retry budget, the way a sender
+//     walks an MX list: one attempt at a time, the next replica only
+//     when the one before it failed or outlived its share of the budget
+//     (RetryBudget split evenly over at most three attempts). An attempt
+//     that times out counts against its replica like any other failure,
+//     so a replica wedged on data is ejected, not waited on forever.
 //   - Persistent upstream connections: each replica keeps a small LIFO
 //     stack of idle HTTP/1.1 keep-alive connections and forwarded GETs
 //     ride them instead of dialing per attempt. A connection is parked
@@ -64,23 +64,15 @@ const (
 	// DefaultReprobeMax caps the re-probe delay.
 	DefaultReprobeMax = 8 * time.Second
 	// DefaultRetryBudget bounds one client request's total time across
-	// every retry and hedge attempt.
+	// every attempt.
 	DefaultRetryBudget = 2 * time.Second
-	// DefaultMaxAttempts caps attempts (first try + retries + hedge)
-	// per request, additionally bounded by the replica count.
-	DefaultMaxAttempts = 3
-	// DefaultHedgeMinSamples is how many observations the endpoint
-	// histogram needs before its quantile is trusted for hedging.
-	DefaultHedgeMinSamples = 64
-	// DefaultHedgeFloor is the hedge delay used until the histogram has
-	// enough samples, and the floor under a derived threshold.
-	DefaultHedgeFloor = 20 * time.Millisecond
 )
 
 const (
-	// hedgeQuantile is the latency quantile the hedge threshold is read
-	// at when derived from the front histogram.
-	hedgeQuantile = 0.99
+	// maxAttempts caps the replicas one request tries (first try plus
+	// retries), additionally bounded by the replica count; each attempt
+	// gets an equal share of the retry budget.
+	maxAttempts = 3
 	// swapTimeout bounds one replica's swap request during a rolling
 	// rollout.
 	swapTimeout = 2 * time.Minute
@@ -102,20 +94,9 @@ type Config struct {
 	// overload.Delay(n, ReprobeBase, ReprobeMax, Jitter).
 	ReprobeBase time.Duration
 	ReprobeMax  time.Duration
-	// RetryBudget bounds one request across all attempts.
+	// RetryBudget bounds one request across all attempts; each attempt
+	// runs under an equal share of it.
 	RetryBudget time.Duration
-	// MaxAttempts caps attempts per request (default 3, always also
-	// capped by the replica count).
-	MaxAttempts int
-	// HedgeDelay fixes the tail-latency hedge threshold; 0 derives it
-	// from the front server's endpoint histogram at the 0.99 quantile
-	// (falling back to HedgeFloor until HedgeMinSamples observations);
-	// negative disables hedging.
-	HedgeDelay time.Duration
-	// HedgeMinSamples gates trusting the histogram quantile.
-	HedgeMinSamples uint64
-	// HedgeFloor is the minimum (and fallback) hedge delay.
-	HedgeFloor time.Duration
 	// AllowRollout enables POST /v1/rollout. Off by default: rollouts
 	// load files replica-side and belong behind an operator listener.
 	AllowRollout bool
@@ -170,31 +151,6 @@ func (c *Config) retryBudget() time.Duration {
 		return DefaultRetryBudget
 	}
 	return c.RetryBudget
-}
-
-func (c *Config) maxAttempts(replicas int) int {
-	n := c.MaxAttempts
-	if n <= 0 {
-		n = DefaultMaxAttempts
-	}
-	if n > replicas {
-		n = replicas
-	}
-	return n
-}
-
-func (c *Config) hedgeMinSamples() uint64 {
-	if c.HedgeMinSamples == 0 {
-		return DefaultHedgeMinSamples
-	}
-	return c.HedgeMinSamples
-}
-
-func (c *Config) hedgeFloor() time.Duration {
-	if c.HedgeFloor <= 0 {
-		return DefaultHedgeFloor
-	}
-	return c.HedgeFloor
 }
 
 func (c *Config) now() time.Time {

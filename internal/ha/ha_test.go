@@ -160,9 +160,6 @@ func (c *tClient) get(method, target string, wantStatus int, out any) textproto.
 	return hdr
 }
 
-// noHedge disables hedging for tests that count attempts exactly.
-const noHedge = -1
-
 // awaitZeroLost polls until every request the server has read is
 // answered (the response write races the client's read, so the counter
 // can trail the wire by an instant).
@@ -202,7 +199,7 @@ func awaitStats[S comparable](t *testing.T, stats func() S, want S) {
 
 func TestBalancerForwarding(t *testing.T) {
 	oldPath, _ := writeHAWorlds(t)
-	f := newFleet(t, 3, oldPath, Config{HedgeDelay: noHedge}, serve.Config{}, serve.Config{})
+	f := newFleet(t, 3, oldPath, Config{}, serve.Config{}, serve.Config{})
 	c := f.client(t)
 
 	// Fleet health: three ready replicas, none stale or ejected.
@@ -269,7 +266,7 @@ func TestBalancerForwarding(t *testing.T) {
 func TestBalancerDegradationLadder(t *testing.T) {
 	oldPath, _ := writeHAWorlds(t)
 	f := newFleet(t, 2, oldPath,
-		Config{HedgeDelay: noHedge, EjectThreshold: 1, ProbeInterval: time.Millisecond},
+		Config{EjectThreshold: 1, ProbeInterval: time.Millisecond},
 		serve.Config{}, serve.Config{})
 	c := f.client(t)
 

@@ -3,6 +3,7 @@ package ha
 import (
 	"context"
 	"encoding/json"
+	"slices"
 	"sync/atomic"
 	"time"
 
@@ -39,10 +40,6 @@ func newPool(cfg *Config, c *counters) (*Pool, error) {
 	return p, nil
 }
 
-// Stats snapshots the ledger the pool shares with its Balancer, whose
-// Stats returns it too.
-func (p *Pool) Stats() BalancerStats { return p.c.snapshot() }
-
 // Replicas snapshots every member's reportable state.
 func (p *Pool) Replicas() []ReplicaInfo {
 	out := make([]ReplicaInfo, 0, len(p.replicas))
@@ -60,17 +57,14 @@ func (p *Pool) reprobeDelay(n int) time.Duration {
 }
 
 // pick selects the next available replica round-robin, skipping the
-// tried set (so retries and hedges land elsewhere). nil means the
-// request has nowhere left to go.
-func (p *Pool) pick(tried map[*Replica]bool) *Replica {
+// ones already tried (so retries land elsewhere). nil means the request
+// has nowhere left to go.
+func (p *Pool) pick(tried []*Replica) *Replica {
 	n := len(p.replicas)
 	start := int(p.rr.Add(1)-1) % n
 	for i := 0; i < n; i++ {
 		r := p.replicas[(start+i)%n]
-		if tried[r] {
-			continue
-		}
-		if r.available() {
+		if !slices.Contains(tried, r) && r.available() {
 			return r
 		}
 	}

@@ -143,10 +143,15 @@ func (p *Pool) recordSuccess(r *Replica) {
 	}
 }
 
-// errAttemptCancelled marks an attempt that lost a hedge race or was
-// abandoned by the budget — the transport error it died with says
-// nothing about the replica's health.
+// errAttemptCancelled marks an attempt its caller abandoned — the
+// front's request deadline or a drain ended the context — so the
+// transport error it died with says nothing about the replica's health.
 var errAttemptCancelled = errors.New("ha: attempt cancelled")
+
+// errAttemptDeadline is the cause when an attempt outlives its own
+// timeout while the caller still waits: the replica is wedged or too
+// slow, and that counts against it.
+var errAttemptDeadline = errors.New("ha: attempt deadline exceeded")
 
 // errStaleIdle marks a parked connection the replica closed before the
 // exchange drew a single response byte (read timeout, restart, drain):
@@ -232,11 +237,12 @@ func (r *Replica) closeIdle(cutoff time.Time) {
 // in the meantime is replaced by one fresh dial inside the same attempt
 // and the caller never hears of it. Probes and swaps (keepAlive false)
 // always dial and send Connection: close: a probe that rides a warm
-// socket does not test the accept path.
+// socket does not test the accept path. Reaching timeout is an error
+// wrapping errAttemptDeadline; ctx ending first is errAttemptCancelled.
 func (r *Replica) do(ctx context.Context, method, target string, timeout time.Duration, keepAlive bool) (serve.Response, error) {
 	if timeout > 0 {
 		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, timeout)
+		ctx, cancel = context.WithTimeoutCause(ctx, timeout, errAttemptDeadline)
 		defer cancel()
 	}
 	if keepAlive {
@@ -260,9 +266,9 @@ func (r *Replica) do(ctx context.Context, method, target string, timeout time.Du
 
 // roundTrip writes one request on uc and reads one response: the only
 // exchange implementation, shared by forwards, probes and swaps.
-// Cancellation (hedge loss, budget expiry, timeout) closes the
-// connection out from under the exchange via context.AfterFunc, so a
-// wedged replica cannot hold an attempt hostage. The connection is
+// Cancellation (the attempt's deadline, the caller going away) closes
+// the connection out from under the exchange via context.AfterFunc, so
+// a wedged replica cannot hold an attempt hostage. The connection is
 // parked only when the exchange is provably clean — the whole
 // Content-Length body read, no Connection: close in the reply, nothing
 // left buffered, and the cancel hook never ran — and closed otherwise.
@@ -308,12 +314,17 @@ func (r *Replica) exchangeErr(ctx context.Context, uc *upstreamConn, op string, 
 	return r.attemptErr(ctx, op, err)
 }
 
-// attemptErr collapses I/O errors on a cancelled attempt into
-// errAttemptCancelled so the caller never blames the replica for a
-// race the balancer itself decided.
+// attemptErr classifies an I/O error by how the attempt's context
+// ended: not at all is the error itself, its own deadline is an error
+// wrapping errAttemptDeadline, and the caller's context ending is
+// errAttemptCancelled, so the caller never blames the replica for a
+// request it gave up on.
 func (r *Replica) attemptErr(ctx context.Context, op string, err error) error {
-	if ctx.Err() != nil {
-		return errAttemptCancelled
+	switch context.Cause(ctx) {
+	case nil:
+		return fmt.Errorf("%s %s: %w", op, r.cfg.Name, err)
+	case errAttemptDeadline:
+		return fmt.Errorf("%s %s: %w", op, r.cfg.Name, errAttemptDeadline)
 	}
-	return fmt.Errorf("%s %s: %w", op, r.cfg.Name, err)
+	return errAttemptCancelled
 }

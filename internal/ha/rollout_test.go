@@ -21,7 +21,7 @@ import (
 // snapshot through the HTTP endpoint.
 func TestRollingRollout(t *testing.T) {
 	oldPath, newPath := writeHAWorlds(t)
-	f := newFleet(t, 3, oldPath, Config{HedgeDelay: noHedge, AllowRollout: true},
+	f := newFleet(t, 3, oldPath, Config{AllowRollout: true},
 		serve.Config{}, serve.Config{})
 	c := f.client(t)
 	lookup := func(label, primary, date string, epoch uint64) {
@@ -101,7 +101,7 @@ func TestRollingRollout(t *testing.T) {
 
 func TestRolloutAbortHoldsFleet(t *testing.T) {
 	oldPath, _ := writeHAWorlds(t)
-	f := newFleet(t, 3, oldPath, Config{HedgeDelay: noHedge, AllowRollout: true},
+	f := newFleet(t, 3, oldPath, Config{AllowRollout: true},
 		serve.Config{}, serve.Config{})
 	c := f.client(t)
 
@@ -143,7 +143,6 @@ func TestRolloutRollbackOnMidFleetFailure(t *testing.T) {
 	n := netsim.New()
 	f := &fleet{n: n}
 	var cfg Config
-	cfg.HedgeDelay = noHedge
 	cfg.AllowRollout = true
 	for i := 0; i < 3; i++ {
 		repCfg := serve.Config{}

@@ -12,7 +12,6 @@ import (
 	"mxmap/internal/ledger"
 	"mxmap/internal/netsim"
 	"mxmap/internal/serve"
-	"mxmap/internal/serve/servetest"
 )
 
 // TestReprobeScheduleFrozenClock drives the whole eject / re-probe /
@@ -116,7 +115,7 @@ func TestReprobeScheduleFrozenClock(t *testing.T) {
 	}
 	ledger.CheckPhase(t, "BENCH_ha.json", haPhase{Phase: "eject_reprobe_recover",
 		Detail:       "ejected after 3 fails, re-probed on the 125ms-doubling curve capped at 1s, recovered",
-		Balancer:     pool.Stats(),
+		Balancer:     pool.c.snapshot(),
 		JitterBounds: bounds})
 
 	// Reset on recovery: a fresh outage needs the full threshold again,
@@ -160,45 +159,22 @@ func TestReprobeScheduleFrozenClock(t *testing.T) {
 	}
 }
 
-func TestHedgeDelayResolution(t *testing.T) {
-	oldPath, _ := writeHAWorlds(t)
-	f := newFleet(t, 1, oldPath,
-		Config{HedgeMinSamples: 1, HedgeFloor: time.Nanosecond},
-		serve.Config{}, serve.Config{Clock: servetest.SteppedClock()})
-
-	// No observations yet: the floor stands in.
-	if d := f.b.hedgeDelay("/v1/domain"); d != time.Nanosecond {
-		t.Fatalf("empty-histogram hedge delay = %v, want the floor", d)
-	}
-
-	// One observed request at exactly 500µs (two clock reads, one step
-	// apart) lands in the 256µs–512µs bucket; the derived threshold is
-	// that bucket's upper bound.
-	c := f.client(t)
-	c.get("GET", "/v1/domain?name=one.example", 200, nil)
-	awaitZeroLost(t, f.front)
-	if d := f.b.hedgeDelay("/v1/domain"); d != 512*time.Microsecond {
-		t.Fatalf("derived hedge delay = %v, want 512µs", d)
-	}
-
-	// Fixed and disabled thresholds bypass the histogram entirely.
-	f.b.cfg.HedgeDelay = 42 * time.Millisecond
-	if d := f.b.hedgeDelay("/v1/domain"); d != 42*time.Millisecond {
-		t.Fatalf("fixed hedge delay = %v", d)
-	}
-	f.b.cfg.HedgeDelay = noHedge
-	if d := f.b.hedgeDelay("/v1/domain"); d != 0 {
-		t.Fatalf("disabled hedge delay = %v, want 0", d)
-	}
-}
-
-func TestBalancerHedging(t *testing.T) {
+// TestBalancerWedgedReplicaFailover: a replica alive for probes but
+// wedged on data queries is tried like an MX host that never answers.
+// Each request routed to it waits out one attempt deadline — the retry
+// budget split over the two replicas — books a failure against it, and
+// is answered 200 by the other replica; after EjectThreshold such
+// requests the breaker trips and every later request is one attempt.
+// The front observes latency on the wall clock, as cmd/mxlb wires it:
+// nothing reads that histogram back into routing.
+func TestBalancerWedgedReplicaFailover(t *testing.T) {
+	// 125ms per attempt: the healthy replica answers well inside it even
+	// under -race on a small box.
+	const budget = 250 * time.Millisecond
+	const requests = 6
 	oldPath, _ := writeHAWorlds(t)
 	n := netsim.New()
 	release := make(chan struct{})
-	// Replica 0 wedges on data queries until released — alive for
-	// probes, silent for lookups. The tail-latency hedge must win the
-	// answer from replica 1.
 	_, srv0 := startReplica(t, n, replicaAddr(0), oldPath, serve.Config{
 		Gate: func(path string) {
 			if path == "/v1/domain" {
@@ -213,39 +189,57 @@ func TestBalancerHedging(t *testing.T) {
 			{Name: "r0", Dial: fabricDialer(n, replicaAddr(0))},
 			{Name: "r1", Dial: fabricDialer(n, replicaAddr(1))},
 		},
-		HedgeDelay: 5 * time.Millisecond,
+		RetryBudget: budget,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	front := startServer(t, n, frontAddr, serve.Config{Handler: b.Handle})
+	front := startServer(t, n, frontAddr, serve.Config{Handler: b.Handle, Clock: time.Now})
 	b.AttachFront(front)
 	b.Pool().ProbeOnce(context.Background())
 
+	// Round-robin starts at r0 and each failed-over request takes two
+	// turns, so r0 is first in line until it is ejected.
 	c := dialClient(t, n, frontAddr)
-	var look serve.LookupResponse
-	c.get("GET", "/v1/domain?name=one.example", 200, &look)
-	if !look.Found || look.Primary != "prov-a.net" {
-		t.Fatalf("hedged lookup = %+v", look)
+	for i := 1; i <= requests; i++ {
+		start := time.Now()
+		var look serve.LookupResponse
+		c.get("GET", "/v1/domain?name=one.example", 200, &look)
+		if !look.Found || look.Primary != "prov-a.net" {
+			t.Fatalf("request %d: lookup = %+v", i, look)
+		}
+		if i <= DefaultEjectThreshold {
+			if waited := time.Since(start); waited < budget/2 {
+				t.Fatalf("request %d answered after %v, before r0's attempt deadline %v", i, waited, budget/2)
+			}
+		}
 	}
 
 	want := BalancerStats{
-		Requests: 1,
-		Attempts: 2, // the wedged original + the hedge
-		Hedges:   1, HedgeWins: 1,
-		Probes: 2,
+		Requests:     requests,
+		Attempts:     requests + DefaultEjectThreshold, // r0 once per request until ejected
+		Retries:      DefaultEjectThreshold,
+		UpstreamErrs: DefaultEjectThreshold,
+		Probes:       2,
+		Ejections:    1,
 	}
-	awaitStats(t, b.Stats, want)
-	ledger.CheckPhase(t, "BENCH_ha.json", haPhase{Phase: "hedge_tail_latency",
-		Detail:   "wedged replica out-waited: hedge launched at 5ms and won from the other replica",
+	if got := b.Stats(); got != want {
+		t.Fatalf("stats = %+v, want %+v", got, want)
+	}
+	ledger.CheckPhase(t, "BENCH_ha.json", haPhase{Phase: "wedged_replica_failover",
+		Detail:   "replica wedged on data: 3 requests failed over to r1 at the 125ms attempt deadline, then r0 ejected and 3 requests took one attempt each",
 		Balancer: want})
-	if hw := srv1.Stats().Lookups; hw != 1 {
-		t.Fatalf("hedge target served %d lookups, want 1", hw)
+	if info := b.Pool().Replicas()[0]; info.State != "ejected" || info.Attempts != DefaultEjectThreshold ||
+		info.Failures != DefaultEjectThreshold || info.Ejections != 1 {
+		t.Fatalf("wedged replica info = %+v, want ejected after %d failed attempts", info, DefaultEjectThreshold)
+	}
+	if l := srv1.Stats().Lookups; l != requests {
+		t.Fatalf("r1 served %d lookups, want all %d", l, requests)
 	}
 
-	// Unwedge replica 0 so its abandoned attempt finishes; its response
-	// goes to a connection the balancer already severed, and the books
-	// still balance to zero lost on every server.
+	// Unwedge r0 so its timed-out attempts finish; their responses go to
+	// connections the balancer already severed, and the books still
+	// balance to zero lost on every server.
 	close(release)
 	awaitZeroLost(t, srv0)
 	awaitZeroLost(t, srv1)

@@ -12,15 +12,18 @@ import (
 type BalancerStats struct {
 	// Requests counts client requests entering the forwarding path.
 	Requests uint64 `json:"requests"`
-	// Attempts counts upstream tries (first attempts, retries, hedges).
+	// Attempts counts upstream tries (first attempts and retries).
 	Attempts uint64 `json:"attempts"`
 	// Retries counts failed attempts relaunched on another replica.
 	Retries uint64 `json:"retries"`
-	// Hedges counts second requests launched at the hedge threshold,
-	// and HedgeWins how many of those returned first.
+	// Hedges and HedgeWins are always 0: the balancer tries one replica
+	// at a time and hedges nothing. They are declared only because
+	// bench/ reads them as ha.hedges and ha.hedge_wins; they go when
+	// bench/ drops those metrics (ROADMAP item 6).
 	Hedges    uint64 `json:"hedges"`
 	HedgeWins uint64 `json:"hedge_wins"`
-	// UpstreamErrs counts attempt failures (transport error or 5xx).
+	// UpstreamErrs counts attempt failures (transport error, 5xx, or
+	// the attempt's deadline passing).
 	UpstreamErrs uint64 `json:"upstream_errs"`
 	// StaleForwards counts attempts routed to a known-stale replica —
 	// the degraded rung of the ladder, where answers carry markers.
@@ -30,7 +33,8 @@ type BalancerStats struct {
 	DownSheds uint64 `json:"down_sheds"`
 	// ProxyFails counts requests where every attempt failed.
 	ProxyFails uint64 `json:"proxy_fails"`
-	// BudgetExceeded counts requests that ran out the retry budget.
+	// BudgetExceeded counts requests abandoned mid-attempt because the
+	// caller's context ended (the front's request deadline or a drain).
 	BudgetExceeded uint64 `json:"budget_exceeded"`
 	// Probes counts replica probe rounds; ProbeFails the failed ones.
 	Probes     uint64 `json:"probes"`
@@ -56,8 +60,6 @@ type counters struct {
 	requests       atomic.Uint64
 	attempts       atomic.Uint64
 	retries        atomic.Uint64
-	hedges         atomic.Uint64
-	hedgeWins      atomic.Uint64
 	upstreamErrs   atomic.Uint64
 	staleForwards  atomic.Uint64
 	downSheds      atomic.Uint64
@@ -79,8 +81,6 @@ func (c *counters) snapshot() BalancerStats {
 		Requests:       c.requests.Load(),
 		Attempts:       c.attempts.Load(),
 		Retries:        c.retries.Load(),
-		Hedges:         c.hedges.Load(),
-		HedgeWins:      c.hedgeWins.Load(),
 		UpstreamErrs:   c.upstreamErrs.Load(),
 		StaleForwards:  c.staleForwards.Load(),
 		DownSheds:      c.downSheds.Load(),
@@ -153,7 +153,7 @@ type FleetStats struct {
 	Balancer BalancerStats      `json:"balancer"`
 	Front    *serve.ServerStats `json:"front,omitempty"`
 	// Latency carries the front server's per-endpoint histograms when
-	// it observes latency (the same histograms hedging reads from).
+	// it observes latency.
 	Latency  map[string]serve.EndpointLatency `json:"latency,omitempty"`
 	Upstream UpstreamStats                    `json:"upstream"`
 	Replicas []ReplicaInfo                    `json:"replicas"`

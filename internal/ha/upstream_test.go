@@ -133,7 +133,7 @@ func TestUpstreamReuseAndLifecycle(t *testing.T) {
 	n := netsim.New()
 	startReplica(t, n, replicaAddr(0), oldPath, serve.Config{})
 	startReplica(t, n, replicaAddr(1), oldPath, serve.Config{})
-	b, d := countedBalancer(t, n, Config{HedgeDelay: noHedge}, replicaAddr(0), replicaAddr(1))
+	b, d := countedBalancer(t, n, Config{}, replicaAddr(0), replicaAddr(1))
 
 	probeDials := d.dials() // /healthz + /readyz per replica, one-shot
 	if probeDials != 4 || d.open() != 0 {
@@ -203,7 +203,7 @@ func TestUpstreamHonoursConnectionClose(t *testing.T) {
 	oldPath, _ := writeHAWorlds(t)
 	n := netsim.New()
 	_, srv := startReplica(t, n, replicaAddr(0), oldPath, serve.Config{MaxRequests: 3})
-	b, d := countedBalancer(t, n, Config{HedgeDelay: noHedge}, replicaAddr(0))
+	b, d := countedBalancer(t, n, Config{}, replicaAddr(0))
 	probeDials := d.dials()
 
 	for i := 0; i < 7; i++ {
@@ -249,7 +249,7 @@ func TestUpstreamStaleIdleRedial(t *testing.T) {
 		n := netsim.New()
 		service := loadedService(t, oldPath)
 		_, stop := serveOn(t, n, replicaAddr(0), serve.Config{Service: service})
-		b, d := countedBalancer(t, n, Config{HedgeDelay: noHedge}, replicaAddr(0))
+		b, d := countedBalancer(t, n, Config{}, replicaAddr(0))
 		mustLookup(t, b, 200)
 		stop()
 		serveOn(t, n, replicaAddr(0), serve.Config{Service: service})
@@ -266,7 +266,7 @@ func TestUpstreamStaleIdleRedial(t *testing.T) {
 		srv, _ := serveOn(t, n, replicaAddr(0), serve.Config{
 			Service: loadedService(t, oldPath), ReadTimeout: 20 * time.Millisecond,
 		})
-		b, _ := countedBalancer(t, n, Config{HedgeDelay: noHedge}, replicaAddr(0))
+		b, _ := countedBalancer(t, n, Config{}, replicaAddr(0))
 		mustLookup(t, b, 200)
 		deadline := time.Now().Add(10 * time.Second)
 		for srv.Stats().ReadTimeouts == 0 {
@@ -282,7 +282,7 @@ func TestUpstreamStaleIdleRedial(t *testing.T) {
 	t.Run("dead replica", func(t *testing.T) {
 		n := netsim.New()
 		_, stop := serveOn(t, n, replicaAddr(0), serve.Config{Service: loadedService(t, oldPath)})
-		b, _ := countedBalancer(t, n, Config{HedgeDelay: noHedge}, replicaAddr(0))
+		b, _ := countedBalancer(t, n, Config{}, replicaAddr(0))
 		mustLookup(t, b, 200)
 		stop()
 		// The parked connection is stale and the redial is refused: one
@@ -313,8 +313,10 @@ func loadedService(t *testing.T, path string) *serve.Service {
 }
 
 // TestUpstreamSeveredNeverParked: the connection of an attempt the
-// balancer gave up on — a hedge loser, an attempt the budget expired
-// under — is closed and never handed to a later request.
+// balancer gave up on — one that outlived its deadline, with or without
+// another replica to fail over to, or one whose caller went away — is
+// closed and never handed to a later request. Only the caller going
+// away leaves the replica's record clean.
 func TestUpstreamSeveredNeverParked(t *testing.T) {
 	oldPath, _ := writeHAWorlds(t)
 
@@ -326,25 +328,26 @@ func TestUpstreamSeveredNeverParked(t *testing.T) {
 		}}
 	}
 
-	t.Run("hedge loser", func(t *testing.T) {
+	t.Run("attempt deadline", func(t *testing.T) {
 		n := netsim.New()
 		release := make(chan struct{})
 		_, srv0 := startReplica(t, n, replicaAddr(0), oldPath, wedged(release))
 		startReplica(t, n, replicaAddr(1), oldPath, serve.Config{})
-		b, d := countedBalancer(t, n, Config{HedgeDelay: 5 * time.Millisecond}, replicaAddr(0), replicaAddr(1))
+		b, d := countedBalancer(t, n, Config{RetryBudget: 250 * time.Millisecond}, replicaAddr(0), replicaAddr(1))
 		probeDials := d.dials()
 
-		mustLookup(t, b, 200) // r0 wedges, the hedge wins from r1
-		if st := b.Stats(); st.Hedges != 1 || st.HedgeWins != 1 || st.UpstreamErrs != 0 {
-			t.Fatalf("stats = %+v, want one winning hedge", st)
+		mustLookup(t, b, 200) // r0 wedges past its 125ms deadline, r1 answers
+		want := BalancerStats{Requests: 1, Attempts: 2, Retries: 1, UpstreamErrs: 1, Probes: 2}
+		if st := b.Stats(); st != want {
+			t.Fatalf("stats = %+v, want %+v", st, want)
 		}
-		// Two forward dials: the winner is parked, the loser severed.
+		// Two forward dials: r1's is parked, r0's severed.
 		if got := d.dials() - probeDials; got != 2 {
-			t.Fatalf("hedged request cost %d dials, want 2", got)
+			t.Fatalf("failed-over request cost %d dials, want 2", got)
 		}
 		d.awaitOpen(t, 1)
 		if i0, i1 := idleCount(b.pool.replicas[0]), idleCount(b.pool.replicas[1]); i0 != 0 || i1 != 1 {
-			t.Fatalf("idle = %d/%d, want the loser's replica empty and the winner's parked", i0, i1)
+			t.Fatalf("idle = %d/%d, want the timed-out replica empty and the answering one parked", i0, i1)
 		}
 		// Unwedged, replica 0 answers the severed attempt into a dead
 		// socket; its next request arrives on a fresh dial.
@@ -353,7 +356,7 @@ func TestUpstreamSeveredNeverParked(t *testing.T) {
 		for i := 0; i < 4; i++ {
 			mustLookup(t, b, 200)
 		}
-		if got := b.pool.replicas[0].dials.Load(); got < 4 { // two probes, the loser, a fresh one
+		if got := b.pool.replicas[0].dials.Load(); got != 4 { // two probes, the severed one, a fresh one
 			t.Fatalf("replica 0 dials = %d, want a fresh dial after the severed one", got)
 		}
 		if st := srv0.Stats(); st.BadRequests != 0 || st.Lost() != 0 {
@@ -365,17 +368,49 @@ func TestUpstreamSeveredNeverParked(t *testing.T) {
 		n := netsim.New()
 		release := make(chan struct{})
 		_, srv0 := startReplica(t, n, replicaAddr(0), oldPath, wedged(release))
-		b, d := countedBalancer(t, n, Config{HedgeDelay: noHedge, RetryBudget: 20 * time.Millisecond}, replicaAddr(0))
-		if resp := lookup(b); resp.Status < 500 {
-			t.Fatalf("lookup against a wedged replica = %d", resp.Status)
-		}
+		b, d := countedBalancer(t, n, Config{RetryBudget: 20 * time.Millisecond}, replicaAddr(0))
+		mustLookup(t, b, 502)
 		d.awaitOpen(t, 0)
 		if idleCount(b.pool.replicas[0]) != 0 {
 			t.Fatal("budget-expired attempt's connection was parked")
 		}
-		// The abandoned attempt says nothing about the replica.
-		if st := b.Stats(); st.Attempts != 1 || st.UpstreamErrs != 0 {
-			t.Fatalf("stats = %+v, want one attempt and no upstream error", st)
+		// The lone attempt outlived the whole budget while the caller
+		// still waited: that is the replica's failure.
+		want := BalancerStats{Requests: 1, Attempts: 1, UpstreamErrs: 1, ProxyFails: 1, Probes: 1}
+		if st := b.Stats(); st != want {
+			t.Fatalf("stats = %+v, want %+v", st, want)
+		}
+		if info := b.Pool().Replicas()[0]; info.Failures != 1 || info.ConsecFails != 1 {
+			t.Fatalf("replica info = %+v, want the timeout booked", info)
+		}
+		close(release)
+		awaitZeroLost(t, srv0)
+	})
+
+	t.Run("caller cancelled", func(t *testing.T) {
+		n := netsim.New()
+		release := make(chan struct{})
+		_, srv0 := startReplica(t, n, replicaAddr(0), oldPath, wedged(release))
+		b, d := countedBalancer(t, n, Config{RetryBudget: time.Minute}, replicaAddr(0))
+		ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+		defer cancel()
+		resp := b.Handle(ctx, &serve.Request{
+			Method: "GET", Path: "/v1/domain", Query: url.Values{"name": {"one.example"}},
+		})
+		if resp.Status != 504 {
+			t.Fatalf("lookup after the caller left = %d (%s), want 504", resp.Status, resp.Body)
+		}
+		d.awaitOpen(t, 0)
+		if idleCount(b.pool.replicas[0]) != 0 {
+			t.Fatal("cancelled attempt's connection was parked")
+		}
+		// The caller's deadline says nothing about the replica.
+		want := BalancerStats{Requests: 1, Attempts: 1, BudgetExceeded: 1, Probes: 1}
+		if st := b.Stats(); st != want {
+			t.Fatalf("stats = %+v, want %+v", st, want)
+		}
+		if info := b.Pool().Replicas()[0]; info.Failures != 0 || info.ConsecFails != 0 {
+			t.Fatalf("replica info = %+v, want no failure booked", info)
 		}
 		close(release)
 		awaitZeroLost(t, srv0)
@@ -451,7 +486,7 @@ func TestUpstreamStrayBytesNotParked(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			n := netsim.New()
 			startScriptedReplica(t, n, replicaAddr(0), tc.reply)
-			b, d := countedBalancer(t, n, Config{HedgeDelay: noHedge}, replicaAddr(0))
+			b, d := countedBalancer(t, n, Config{}, replicaAddr(0))
 			probeDials := d.dials()
 			for i := 0; i < 3; i++ {
 				mustLookup(t, b, 200)
@@ -496,7 +531,7 @@ func TestUpstreamIdleCapUnderHammer(t *testing.T) {
 			}
 		},
 	})
-	b, d := countedBalancer(t, n, Config{HedgeDelay: noHedge}, replicaAddr(0))
+	b, d := countedBalancer(t, n, Config{}, replicaAddr(0))
 
 	var bad atomic.Int32
 	hammer := func(perWorker int) {

@@ -5,8 +5,8 @@ package serve
 // array no matter how hostile the traffic. Observation is driven by the
 // injectable Config.Clock — two reads per request, begin and end — so a
 // stepped test clock makes every recorded latency, and therefore every
-// bucket count, exactly reproducible. The HA balancer reads its hedging
-// threshold from the same histogram via LatencyQuantile.
+// bucket count, exactly reproducible. The HA balancer merges the front
+// server's histograms into its /v1/stats.
 
 import (
 	"math/bits"
@@ -168,8 +168,8 @@ func (s *Server) LatencySnapshot() map[string]EndpointLatency {
 }
 
 // LatencyQuantile reports the q-quantile of path's endpoint histogram
-// and how many observations back it. The HA balancer derives its
-// hedging threshold from this.
+// and how many observations back it. The benchmark harness (bench/)
+// reads its serving p50 and p99 from this.
 func (s *Server) LatencyQuantile(path string, q float64) (time.Duration, uint64) {
 	b := s.lat[EndpointIndex(path)].Snapshot()
 	d, ok := b.Quantile(q)

@@ -645,8 +645,9 @@ func TestServeConnHygiene(t *testing.T) {
 	})
 
 	// A keep-alive client that aborts between requests (the balancer
-	// severing a hedge loser with the reply unread) reaches the server
-	// as ECONNRESET on its next read: a disconnect, not a bad request.
+	// severing an attempt past its deadline with the reply unread)
+	// reaches the server as ECONNRESET on its next read: a disconnect,
+	// not a bad request.
 	// Only a real socket delivers a reset, so this one runs on loopback.
 	t.Run("peer reset", func(t *testing.T) {
 		svc := servingService(t, oldPath)
