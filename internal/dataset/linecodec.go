@@ -440,7 +440,7 @@ func appendIPLine(dst []byte, info *IPInfo) []byte {
 // appendDomainRecord appends json.Marshal(d).
 func appendDomainRecord(dst []byte, d *DomainRecord) []byte {
 	dst = append(dst, `{"domain":`...)
-	dst = appendString(dst, d.Domain)
+	dst = AppendJSONString(dst, d.Domain)
 	if d.Rank != 0 {
 		dst = append(dst, `,"rank":`...)
 		dst = strconv.AppendInt(dst, int64(d.Rank), 10)
@@ -458,7 +458,7 @@ func appendDomainRecord(dst []byte, d *DomainRecord) []byte {
 			dst = append(dst, `{"pref":`...)
 			dst = strconv.AppendUint(dst, uint64(mx.Preference), 10)
 			dst = append(dst, `,"exchange":`...)
-			dst = appendString(dst, mx.Exchange)
+			dst = AppendJSONString(dst, mx.Exchange)
 			for j, a := range mx.Addrs {
 				if j == 0 {
 					dst = append(dst, `,"addrs":[`...)
@@ -522,7 +522,7 @@ func appendIPRecord(dst []byte, info *IPInfo) []byte {
 			} else {
 				dst = append(dst, ',')
 			}
-			dst = appendString(dst, name)
+			dst = AppendJSONString(dst, name)
 		}
 		if len(s.CertNames) > 0 {
 			dst = append(dst, ']')
@@ -546,12 +546,13 @@ func appendStringMember(dst []byte, name, s string) []byte {
 	if s == "" {
 		return dst
 	}
-	return appendString(append(dst, name...), s)
+	return AppendJSONString(append(dst, name...), s)
 }
 
-// appendString appends s as a JSON string. A string with any byte that
-// needs escaping is json.Marshal's to write.
-func appendString(dst []byte, s string) []byte {
+// AppendJSONString appends s as json.Marshal writes it. A string with
+// any byte that needs escaping is json.Marshal's to write. The serve
+// package's /v1/domain encoder writes its strings with it too.
+func AppendJSONString(dst []byte, s string) []byte {
 	for i := 0; i < len(s); i++ {
 		if !plain[s[i]] {
 			quoted, _ := json.Marshal(s) // a string always marshals
@@ -572,5 +573,5 @@ func appendAddr(dst []byte, a netip.Addr) []byte {
 		return append(dst, '"')
 	}
 	text, _ := a.MarshalText() // never fails
-	return appendString(dst, string(text))
+	return AppendJSONString(dst, string(text))
 }

@@ -5,8 +5,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"net"
+	"os"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -170,11 +170,12 @@ const (
 )
 
 // upstreamConn is one connection to a replica together with the reader
-// that may hold bytes already taken off it: the two are parked and
-// reused as a pair.
+// that may hold bytes already taken off it and the buffer its requests
+// are written from: the three are parked and reused together.
 type upstreamConn struct {
 	conn   net.Conn
 	br     *bufio.Reader
+	wbuf   []byte
 	parked time.Time // when it went idle
 	reused bool      // taken from the idle stack, not freshly dialed
 }
@@ -237,18 +238,19 @@ func (r *Replica) closeIdle(cutoff time.Time) {
 // in the meantime is replaced by one fresh dial inside the same attempt
 // and the caller never hears of it. Probes and swaps (keepAlive false)
 // always dial and send Connection: close: a probe that rides a warm
-// socket does not test the accept path. Reaching timeout is an error
-// wrapping errAttemptDeadline; ctx ending first is errAttemptCancelled.
+// socket does not test the accept path. The attempt's timeout is a
+// deadline on the socket (and on the dial's context): reaching it is an
+// error wrapping errAttemptDeadline; ctx ending first is
+// errAttemptCancelled.
 func (r *Replica) do(ctx context.Context, method, target string, timeout time.Duration, keepAlive bool) (serve.Response, error) {
+	var deadline time.Time
 	if timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeoutCause(ctx, timeout, errAttemptDeadline)
-		defer cancel()
+		deadline = time.Now().Add(timeout)
 	}
 	if keepAlive {
 		if uc := r.takeIdle(); uc != nil {
 			r.reuses.Add(1)
-			resp, err := r.roundTrip(ctx, uc, method, target, keepAlive)
+			resp, err := r.roundTrip(ctx, uc, method, target, deadline, keepAlive)
 			if err != errStaleIdle {
 				return resp, err
 			}
@@ -256,23 +258,38 @@ func (r *Replica) do(ctx context.Context, method, target string, timeout time.Du
 		}
 	}
 	r.dials.Add(1)
-	conn, err := r.cfg.Dial(ctx)
+	conn, err := r.dial(ctx, deadline)
 	if err != nil {
-		return serve.Response{}, r.attemptErr(ctx, "dial", err)
+		return serve.Response{}, err
 	}
 	uc := &upstreamConn{conn: conn, br: bufio.NewReader(conn)}
-	return r.roundTrip(ctx, uc, method, target, keepAlive)
+	return r.roundTrip(ctx, uc, method, target, deadline, keepAlive)
+}
+
+// dial opens a connection within the attempt's deadline.
+func (r *Replica) dial(ctx context.Context, deadline time.Time) (net.Conn, error) {
+	if !deadline.IsZero() {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithDeadlineCause(ctx, deadline, errAttemptDeadline)
+		defer cancel()
+	}
+	conn, err := r.cfg.Dial(ctx)
+	if err != nil {
+		return nil, r.attemptErr(ctx, "dial", err)
+	}
+	return conn, nil
 }
 
 // roundTrip writes one request on uc and reads one response: the only
-// exchange implementation, shared by forwards, probes and swaps.
-// Cancellation (the attempt's deadline, the caller going away) closes
-// the connection out from under the exchange via context.AfterFunc, so
-// a wedged replica cannot hold an attempt hostage. The connection is
-// parked only when the exchange is provably clean — the whole
-// Content-Length body read, no Connection: close in the reply, nothing
-// left buffered, and the cancel hook never ran — and closed otherwise.
-func (r *Replica) roundTrip(ctx context.Context, uc *upstreamConn, method, target string, keepAlive bool) (serve.Response, error) {
+// exchange implementation, shared by forwards, probes and swaps. The
+// attempt's deadline sits on the socket, so a wedged replica cannot
+// hold an attempt hostage; the caller's context ending (a drain, the
+// front's request deadline) closes the connection out from under the
+// exchange via context.AfterFunc. The connection is parked only when
+// the exchange is provably clean — the whole Content-Length body read,
+// no Connection: close in the reply, nothing left buffered, and the
+// cancel hook never ran — and closed otherwise.
+func (r *Replica) roundTrip(ctx context.Context, uc *upstreamConn, method, target string, deadline time.Time, keepAlive bool) (serve.Response, error) {
 	stop := context.AfterFunc(ctx, func() { uc.conn.Close() })
 	kept := false
 	defer func() {
@@ -282,12 +299,16 @@ func (r *Replica) roundTrip(ctx context.Context, uc *upstreamConn, method, targe
 		}
 	}()
 
-	oneShot := ""
+	uc.conn.SetDeadline(deadline)
+	b := append(uc.wbuf[:0], method...)
+	b = append(b, ' ')
+	b = append(b, target...)
+	b = append(b, " HTTP/1.1\r\nHost: ha\r\n"...)
 	if !keepAlive {
-		oneShot = "Connection: close\r\n"
+		b = append(b, "Connection: close\r\n"...)
 	}
-	req := method + " " + target + " HTTP/1.1\r\nHost: ha\r\n" + oneShot + "\r\n"
-	if _, err := io.WriteString(uc.conn, req); err != nil {
+	uc.wbuf = append(b, "\r\n"...)
+	if _, err := uc.conn.Write(uc.wbuf); err != nil {
 		return serve.Response{}, r.exchangeErr(ctx, uc, "write", err)
 	}
 	if _, err := uc.br.Peek(1); err != nil {
@@ -305,26 +326,28 @@ func (r *Replica) roundTrip(ctx context.Context, uc *upstreamConn, method, targe
 }
 
 // exchangeErr classifies a failure before the first response byte: on a
-// reused connection of a live attempt that is the replica having closed
-// it while parked, not an upstream error.
+// reused connection of a live attempt that did not reach its deadline,
+// that is the replica having closed it while parked, not an upstream
+// error. A deadline is the replica's failure, reused connection or not.
 func (r *Replica) exchangeErr(ctx context.Context, uc *upstreamConn, op string, err error) error {
-	if uc.reused && ctx.Err() == nil {
+	if uc.reused && ctx.Err() == nil && !errors.Is(err, os.ErrDeadlineExceeded) {
 		return errStaleIdle
 	}
 	return r.attemptErr(ctx, op, err)
 }
 
-// attemptErr classifies an I/O error by how the attempt's context
-// ended: not at all is the error itself, its own deadline is an error
-// wrapping errAttemptDeadline, and the caller's context ending is
-// errAttemptCancelled, so the caller never blames the replica for a
-// request it gave up on.
+// attemptErr classifies an I/O error by how the attempt ended. The
+// caller's context ending is errAttemptCancelled, so the caller never
+// blames the replica for a request it gave up on; the attempt's own
+// deadline — the dial context's cause, or a timeout off the socket — is
+// an error wrapping errAttemptDeadline; anything else is the error
+// itself.
 func (r *Replica) attemptErr(ctx context.Context, op string, err error) error {
-	switch context.Cause(ctx) {
-	case nil:
-		return fmt.Errorf("%s %s: %w", op, r.cfg.Name, err)
-	case errAttemptDeadline:
+	switch cause := context.Cause(ctx); {
+	case cause == errAttemptDeadline || cause == nil && errors.Is(err, os.ErrDeadlineExceeded):
 		return fmt.Errorf("%s %s: %w", op, r.cfg.Name, errAttemptDeadline)
+	case cause != nil:
+		return errAttemptCancelled
 	}
-	return errAttemptCancelled
+	return fmt.Errorf("%s %s: %w", op, r.cfg.Name, err)
 }

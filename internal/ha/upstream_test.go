@@ -364,6 +364,41 @@ func TestUpstreamSeveredNeverParked(t *testing.T) {
 		}
 	})
 
+	t.Run("reused connection past its deadline", func(t *testing.T) {
+		n := netsim.New()
+		release := make(chan struct{})
+		var lookups atomic.Int32
+		_, srv0 := startReplica(t, n, replicaAddr(0), oldPath, serve.Config{Gate: func(path string) {
+			if path == "/v1/domain" && lookups.Add(1) > 1 {
+				<-release // the first lookup answers and parks its connection
+			}
+		}})
+		b, d := countedBalancer(t, n, Config{RetryBudget: 250 * time.Millisecond}, replicaAddr(0))
+		mustLookup(t, b, 200)
+		dials := d.dials()
+		// The second lookup rides the parked connection and wedges: the
+		// socket deadline is the replica's failure, not a connection the
+		// replica closed while parked, so nothing is redialed.
+		mustLookup(t, b, 502)
+		if d.dials() != dials {
+			t.Fatalf("the timed-out reuse cost %d dials, want none", d.dials()-dials)
+		}
+		d.awaitOpen(t, 0)
+		want := BalancerStats{Requests: 2, Attempts: 2, UpstreamErrs: 1, ProxyFails: 1, Probes: 1}
+		if st := b.Stats(); st != want {
+			t.Fatalf("stats = %+v, want %+v", st, want)
+		}
+		// Two probe dials, the first lookup's; one reuse, never stale.
+		if u := b.pool.upstream(); u != (UpstreamStats{Dials: 3, Reuses: 1}) {
+			t.Fatalf("upstream = %+v, want 3 dials, 1 reuse, no stale redial, nothing parked", u)
+		}
+		if info := b.Pool().Replicas()[0]; info.Failures != 1 || info.ConsecFails != 1 {
+			t.Fatalf("replica info = %+v, want the timeout booked", info)
+		}
+		close(release)
+		awaitZeroLost(t, srv0)
+	})
+
 	t.Run("budget expired", func(t *testing.T) {
 		n := netsim.New()
 		release := make(chan struct{})

@@ -1,6 +1,10 @@
 package serve
 
 import (
+	"math"
+	"slices"
+	"strconv"
+
 	"mxmap/internal/core"
 	"mxmap/internal/dataset"
 )
@@ -30,6 +34,91 @@ type LookupResponse struct {
 	Untrusted bool               `json:"untrusted,omitempty"`
 	Stale     bool               `json:"stale,omitempty"`
 	Snapshot  SnapshotMeta       `json:"snapshot"`
+}
+
+// appendJSON appends json.Marshal(r) to dst without reflection: the
+// /v1/domain body, the one answer written per lookup. Strings go
+// through the snapshot line codec's encoder, credits are written in
+// encoding/json's map-key order (sorted), and false stands for
+// json.Marshal's error on a non-finite credit. FuzzLookupJSON holds the
+// bytes to json.Marshal's.
+func (r *LookupResponse) appendJSON(dst []byte) ([]byte, bool) {
+	dst = append(dst, `{"domain":`...)
+	dst = dataset.AppendJSONString(dst, r.Domain)
+	dst = append(dst, `,"found":`...)
+	dst = strconv.AppendBool(dst, r.Found)
+	if r.Primary != "" {
+		dst = append(dst, `,"primary":`...)
+		dst = dataset.AppendJSONString(dst, r.Primary)
+	}
+	if len(r.Credits) > 0 {
+		var arr [8]string // a lookup has a handful of credits
+		keys := arr[:0]
+		for k := range r.Credits {
+			keys = append(keys, k)
+		}
+		slices.Sort(keys)
+		for i, k := range keys {
+			if i == 0 {
+				dst = append(dst, `,"credits":{`...)
+			} else {
+				dst = append(dst, ',')
+			}
+			dst = dataset.AppendJSONString(dst, k)
+			dst = append(dst, ':')
+			var ok bool
+			if dst, ok = appendFloat(dst, r.Credits[k]); !ok {
+				return dst, false
+			}
+		}
+		dst = append(dst, '}')
+	}
+	if r.Rank != 0 {
+		dst = append(dst, `,"rank":`...)
+		dst = strconv.AppendInt(dst, int64(r.Rank), 10)
+	}
+	if r.HasSMTP {
+		dst = append(dst, `,"has_smtp":true`...)
+	}
+	if r.Untrusted {
+		dst = append(dst, `,"untrusted":true`...)
+	}
+	if r.Stale {
+		dst = append(dst, `,"stale":true`...)
+	}
+	m := &r.Snapshot
+	dst = append(dst, `,"snapshot":{"date":`...)
+	dst = dataset.AppendJSONString(dst, m.Date)
+	dst = append(dst, `,"corpus":`...)
+	dst = dataset.AppendJSONString(dst, m.Corpus)
+	dst = append(dst, `,"epoch":`...)
+	dst = strconv.AppendUint(dst, m.Epoch, 10)
+	dst = append(dst, `,"domains":`...)
+	dst = strconv.AppendInt(dst, int64(m.Domains), 10)
+	return append(dst, "}}"...), true
+}
+
+// appendFloat appends f as encoding/json writes a float64: shortest
+// round-trip digits, in exponent form below 1e-6 and from 1e21 up, with
+// the exponent's leading zero dropped. False for NaN and the
+// infinities, which JSON cannot spell.
+func appendFloat(dst []byte, f float64) ([]byte, bool) {
+	if math.IsNaN(f) || math.IsInf(f, 0) {
+		return dst, false
+	}
+	format := byte('f')
+	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	dst = strconv.AppendFloat(dst, f, format, -1, 64)
+	if format == 'e' {
+		// e-07 → e-7
+		if n := len(dst); dst[n-4] == 'e' && dst[n-3] == '-' && dst[n-2] == '0' {
+			dst[n-2] = dst[n-1]
+			dst = dst[:n-1]
+		}
+	}
+	return dst, true
 }
 
 // ShareEntry is one company's market share.

@@ -3,14 +3,17 @@ package serve
 import (
 	"context"
 	"strconv"
+	"strings"
 )
 
 // handle routes one admitted request: through Config.Handler when one
 // is plugged in (the HA balancer front), otherwise through the built-in
 // Service routes. Service handlers read from an acquired epoch — never
 // from the Service's mutable state directly — so a concurrent hot-swap
-// can only give them a fully-built store.
-func (s *Server) handle(ctx context.Context, req *Request) Response {
+// can only give them a fully-built store. body is the caller's scratch
+// for a /v1/domain answer: the response aliases it, so the caller writes
+// the response out before it hands the same scratch to the next request.
+func (s *Server) handle(ctx context.Context, req *Request, body *[]byte) Response {
 	if gate := s.cfg.Gate; gate != nil {
 		gate(req.Path)
 	}
@@ -26,7 +29,7 @@ func (s *Server) handle(ctx context.Context, req *Request) Response {
 	case "/readyz":
 		return s.handleReadyz()
 	case "/v1/domain":
-		return s.handleDomain(req)
+		return s.handleDomain(req, body)
 	case "/v1/share":
 		return s.handleShare(req)
 	case "/v1/concentration":
@@ -59,11 +62,16 @@ func (s *Server) dataStore() (e *epoch, store *Store, stale bool, ok bool) {
 // loading or load-failed service is worth polling again shortly.
 var notLoaded = ErrorResponse(503, "no snapshot loaded")
 
-func (s *Server) handleDomain(req *Request) Response {
+// handleDomain answers one lookup for the canonical form of the name —
+// lower case, one trailing dot dropped, as snapshots key their domains —
+// and echoes that form. An already-canonical name costs no copy. The
+// body is written into *body.
+func (s *Server) handleDomain(req *Request, body *[]byte) Response {
 	name := req.Query.Get("name")
 	if name == "" {
 		return ErrorResponse(400, "missing name parameter")
 	}
+	name = strings.TrimSuffix(strings.ToLower(name), ".")
 	e, store, stale, ok := s.dataStore()
 	if !ok {
 		return notLoaded
@@ -81,7 +89,12 @@ func (s *Server) handleDomain(req *Request) Response {
 	} else {
 		s.stats.lookupMisses.Add(1)
 	}
-	return JSONResponse(200, resp)
+	b, ok := resp.appendJSON((*body)[:0])
+	if !ok {
+		return ErrorResponse(500, "response encoding failure")
+	}
+	*body = b
+	return Response{Status: 200, Body: b}
 }
 
 func (s *Server) handleShare(req *Request) Response {

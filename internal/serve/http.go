@@ -254,20 +254,27 @@ func statusText(code int) string {
 	return "Status"
 }
 
-// appendResponse serializes r into buf. No Date header: responses are
-// byte-reproducible for the determinism contracts the repo keeps.
-func appendResponse(buf *bytes.Buffer, r Response, retryAfterSecs int) {
-	fmt.Fprintf(buf, "HTTP/1.1 %d %s\r\n", r.Status, statusText(r.Status))
-	buf.WriteString("Content-Type: application/json\r\n")
-	fmt.Fprintf(buf, "Content-Length: %d\r\n", len(r.Body))
+// appendResponse appends r's wire form to dst. No Date header:
+// responses are byte-reproducible for the determinism contracts the
+// repo keeps.
+func appendResponse(dst []byte, r Response, retryAfterSecs int) []byte {
+	dst = append(dst, "HTTP/1.1 "...)
+	dst = strconv.AppendInt(dst, int64(r.Status), 10)
+	dst = append(dst, ' ')
+	dst = append(dst, statusText(r.Status)...)
+	dst = append(dst, "\r\nContent-Type: application/json\r\nContent-Length: "...)
+	dst = strconv.AppendInt(dst, int64(len(r.Body)), 10)
+	dst = append(dst, "\r\n"...)
 	if r.RetryAfter {
-		fmt.Fprintf(buf, "Retry-After: %d\r\n", retryAfterSecs)
+		dst = append(dst, "Retry-After: "...)
+		dst = strconv.AppendInt(dst, int64(retryAfterSecs), 10)
+		dst = append(dst, "\r\n"...)
 	}
 	if r.Close {
-		buf.WriteString("Connection: close\r\n")
+		dst = append(dst, "Connection: close\r\n"...)
 	}
-	buf.WriteString("\r\n")
-	buf.Write(r.Body)
+	dst = append(dst, "\r\n"...)
+	return append(dst, r.Body...)
 }
 
 // JSONResponse marshals v as the response body.

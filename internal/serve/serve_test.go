@@ -13,6 +13,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"sync/atomic"
 	"syscall"
 	"testing"
 	"time"
@@ -217,6 +218,25 @@ func TestServeEndpoints(t *testing.T) {
 	checkQueryPhase(t, "lookup_endpoints", "9 requests over one connection: 4 lookups, 1 miss, 0 lost", srv,
 		ServerStats{Accepted: 1, Requests: 9, Responses: 9, Lookups: 4, LookupMisses: 1}, nil, nil)
 
+	// A name is looked up and echoed in its canonical form: ASCII case
+	// folded, one trailing dot dropped. (Past the ledger phase above, so
+	// its committed counters stand.)
+	for _, tc := range []struct {
+		name, canonical string
+		found           bool
+	}{
+		{"ONE.example", "one.example", true},
+		{"one.example.", "one.example", true},
+		{"Two.Example.", "two.example", true},
+		{"one.example..", "one.example.", false},
+	} {
+		look = LookupResponse{}
+		c.get("GET", "/v1/domain?name="+tc.name, 200, &look)
+		if look.Domain != tc.canonical || look.Found != tc.found {
+			t.Errorf("lookup %s = %+v, want %q found %v", tc.name, look, tc.canonical, tc.found)
+		}
+	}
+
 	c.get("GET", "/v1/share", 200, &share)
 	if len(share.Top) != 2 {
 		t.Errorf("share = %+v, want 2 companies (self-hosted excluded)", share.Top)
@@ -244,8 +264,8 @@ func TestServeEndpoints(t *testing.T) {
 		t.Fatalf("Shutdown: %v", err)
 	}
 	awaitServerStats(t, srv, ServerStats{
-		Accepted: 2, Requests: 16, Responses: 16,
-		Lookups: 4, LookupMisses: 1,
+		Accepted: 2, Requests: 20, Responses: 20,
+		Lookups: 8, LookupMisses: 2,
 		Drains: 1,
 	})
 	if svc.State() != StateDraining {
@@ -566,19 +586,28 @@ func TestServeAdmissionControl(t *testing.T) {
 		n := netsim.New()
 		const addr = "203.0.113.17:80"
 		release := make(chan struct{})
+		var gated atomic.Bool
 		srv := startTestServer(t, n, addr, Config{
 			Service: svc, RequestTimeout: 30 * time.Millisecond,
 			Gate: func(path string) {
-				if path == "/v1/domain" {
-					<-release
+				if path == "/v1/domain" && gated.CompareAndSwap(false, true) {
+					<-release // only the first lookup wedges
 				}
 			},
 		})
 		c := dialClient(t, n, addr)
 		c.get("GET", "/v1/domain?name=one.example", 503, nil)
+		// The wedged handler still holds the connection's old worker: the
+		// next request on the connection is answered by a new one, and
+		// with its own answer.
+		var look LookupResponse
+		c.get("GET", "/v1/domain?name=two.example", 200, &look)
+		if look.Domain != "two.example" || !look.Found {
+			t.Errorf("lookup after the deadline = %+v, want two.example found", look)
+		}
 		close(release) // let the abandoned handler finish
 		awaitServerStats(t, srv, ServerStats{
-			Accepted: 1, Requests: 1, Responses: 1, Timeouts: 1, Lookups: 1,
+			Accepted: 1, Requests: 2, Responses: 2, Timeouts: 1, Lookups: 2,
 		})
 	})
 }

@@ -2,7 +2,6 @@ package serve
 
 import (
 	"bufio"
-	"bytes"
 	"context"
 	"errors"
 	"io"
@@ -154,7 +153,7 @@ func NewServer(cfg Config) (*Server, error) {
 		Reject: func(nc net.Conn) {
 			r := ErrorResponse(429, "server connection limit reached")
 			r.RetryAfter, r.Close = true, true
-			s.writeResponse(nc, r, time.Second)
+			s.writeResponse(nc, nil, r, time.Second)
 		},
 	}
 	if cfg.Service != nil {
@@ -177,10 +176,15 @@ func (s *Server) Serve(ln net.Listener) error { return s.core.Serve(ln) }
 
 // serveConn is the core's session handler: idle while waiting for a
 // request, busy from the moment one is read until its response is
-// written.
+// written. Everything a request needs besides the request itself — the
+// response buffer, the handler goroutine and its lookup scratch — is
+// the connection's, reused from one request to the next.
 func (s *Server) serveConn(c *overload.Conn) {
 	nc := c.NetConn()
 	br := bufio.NewReaderSize(nc, 4096)
+	var h connHandler
+	defer h.retire()
+	var out []byte
 	served := 0
 	for {
 		if !c.BeginRead() {
@@ -200,7 +204,7 @@ func (s *Server) serveConn(c *overload.Conn) {
 				// books still balance to zero lost.
 				s.stats.requests.Add(1)
 				s.stats.badRequests.Add(1)
-				s.writeResponse(nc, ErrorResponse(400, "malformed request"), writeTimeout)
+				s.writeResponse(nc, out, ErrorResponse(400, "malformed request"), writeTimeout)
 				s.stats.responses.Add(1)
 			default:
 				// A transport error before any byte of the next request
@@ -215,7 +219,7 @@ func (s *Server) serveConn(c *overload.Conn) {
 		if s.cfg.Clock != nil {
 			begin = s.cfg.Clock()
 		}
-		resp := s.process(req)
+		resp := s.process(&h, req)
 		if s.cfg.Clock != nil {
 			s.lat[EndpointIndex(req.Path)].Observe(s.cfg.Clock().Sub(begin))
 		}
@@ -226,17 +230,18 @@ func (s *Server) serveConn(c *overload.Conn) {
 			closing = true
 		}
 		resp.Close = resp.Close || closing
-		werr := s.writeResponse(nc, resp, writeTimeout)
+		out, err = s.writeResponse(nc, out, resp, writeTimeout)
 		s.stats.responses.Add(1)
-		if werr != nil || resp.Close {
+		if err != nil || resp.Close {
 			return
 		}
 	}
 }
 
 // process applies request-level admission control and executes the
-// handler under the request deadline.
-func (s *Server) process(req *Request) Response {
+// handler under the request deadline, on the connection's handler
+// goroutine.
+func (s *Server) process(h *connHandler, req *Request) Response {
 	if !s.acquireSlot() {
 		s.stats.shed.Add(1)
 		r := ErrorResponse(429, "overloaded, retry later")
@@ -245,24 +250,85 @@ func (s *Server) process(req *Request) Response {
 	}
 	if s.cfg.RequestTimeout < 0 {
 		defer s.releaseSlot()
-		return s.handle(context.Background(), req)
+		return s.handle(context.Background(), req, &h.body)
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), s.cfg.RequestTimeout)
-	defer cancel()
-	done := make(chan Response, 1)
-	go func() {
-		defer s.releaseSlot()
-		done <- s.handle(ctx, req)
-	}()
+	w := h.w
+	if w == nil {
+		w = s.startWorker()
+		h.w = w
+	} else {
+		w.deadline.Reset(s.cfg.RequestTimeout)
+	}
+	w.jobs <- req
 	select {
-	case resp := <-done:
+	case resp := <-w.done:
+		if !w.deadline.Stop() {
+			// The deadline fired as the answer came in: the worker's
+			// context has ended, so the worker goes with it.
+			h.retire()
+		}
 		return resp
-	case <-ctx.Done():
+	case <-w.ctx.Done():
 		// The abandoned handler keeps its inflight slot until it
-		// finishes; the client gets its answer now.
+		// finishes; the client gets its answer now, and the
+		// connection's next request a new worker.
+		h.retire()
 		s.stats.timeouts.Add(1)
 		return ErrorResponse(503, "request deadline exceeded")
 	}
+}
+
+// connHandler is what one connection's requests run on: a worker
+// goroutine under RequestTimeout, or, when that is negative, the
+// connection goroutine itself with the scratch in body.
+type connHandler struct {
+	w    *worker
+	body []byte
+}
+
+// retire lets the connection's worker go: an idle one exits at once,
+// one abandoned at the request deadline once its handler returns.
+func (h *connHandler) retire() {
+	if h.w != nil {
+		close(h.w.jobs)
+		h.w = nil
+	}
+}
+
+// worker is a connection's handler goroutine. It takes one request at
+// a time and runs every one under ctx, which the deadline timer ends
+// when a request outlives RequestTimeout; so a worker serves until its
+// first timed-out request and is then retired, its context spent.
+type worker struct {
+	jobs     chan *Request
+	done     chan Response // buffered: an abandoned handler never blocks
+	ctx      context.Context
+	deadline *time.Timer
+	body     []byte // lookup scratch; see handle
+}
+
+// errRequestDeadline ends a worker's context when a request outlives
+// RequestTimeout.
+var errRequestDeadline = errors.New("serve: request deadline exceeded")
+
+// startWorker starts a handler goroutine with its deadline armed for
+// the request about to be handed to it.
+func (s *Server) startWorker() *worker {
+	ctx, cancel := context.WithCancelCause(context.Background())
+	w := &worker{
+		jobs:     make(chan *Request),
+		done:     make(chan Response, 1),
+		ctx:      ctx,
+		deadline: time.AfterFunc(s.cfg.RequestTimeout, func() { cancel(errRequestDeadline) }),
+	}
+	go func() {
+		for req := range w.jobs {
+			resp := s.handle(w.ctx, req, &w.body)
+			s.releaseSlot()
+			w.done <- resp
+		}
+	}()
+	return w
 }
 
 // acquireSlot takes an inflight slot, queueing within the configured
@@ -309,13 +375,13 @@ func (s *Server) releaseSlot() {
 	}
 }
 
-// writeResponse writes r under the given write deadline.
-func (s *Server) writeResponse(nc net.Conn, r Response, timeout time.Duration) error {
-	var buf bytes.Buffer
-	appendResponse(&buf, r, s.cfg.RetryAfterSecs)
+// writeResponse writes r under the given write deadline, building it
+// in buf, and returns buf for the next response.
+func (s *Server) writeResponse(nc net.Conn, buf []byte, r Response, timeout time.Duration) ([]byte, error) {
+	buf = appendResponse(buf[:0], r, s.cfg.RetryAfterSecs)
 	nc.SetWriteDeadline(time.Now().Add(timeout))
-	_, err := nc.Write(buf.Bytes())
-	return err
+	_, err := nc.Write(buf)
+	return buf, err
 }
 
 // Shutdown gracefully drains the server: it stops accepting, lets every
