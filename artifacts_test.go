@@ -120,8 +120,6 @@ var optionsWithoutCaller = map[string]string{
 	"scan.RetryPolicy.MaxBackoff":            "chaos tests shrink the delay",
 	"scan.RetryPolicy.Budget":                "budget-exhaustion tests (FAULTS)",
 	"serve.Config.Gate":                      "test barrier holding requests at a deterministic point",
-	"serve.Config.MaxRequests":               "budget-close tests pin a small budget",
-	"serve.Config.RetryAfterSecs":            "retryafter_test.go pins the advertised value",
 	"world.Config.EnableIPv6":                "dual-stack experiment (ipv6_test.go)",
 	"world.Config.SelfISPs":                  "small test worlds shrink the roster",
 	"world.Config.TailProviders":             "small test worlds shrink the roster",
@@ -328,9 +326,39 @@ func TestVerifyRecipesNameRealTests(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	funcs := testFileFuncs(t)
+	isTest := regexp.MustCompile(`^(Test|Benchmark|Fuzz)([^a-z]|$)`)
+	flag := regexp.MustCompile(`-(run|bench|fuzz)(?:=|\s+)('[^']*'|"[^"]*"|[^\s'"]+)`)
+	for _, m := range flag.FindAllStringSubmatch(string(skill), -1) {
+		pattern := strings.Trim(m[2], `'"`)
+		if pattern == "^$" {
+			continue
+		}
+		// A slash starts the subtest levels; the first names functions.
+		for _, alt := range strings.Split(strings.SplitN(pattern, "/", 2)[0], "|") {
+			re, err := regexp.Compile(alt)
+			if err != nil {
+				t.Errorf("verify skill: -%s %s: %v", m[1], pattern, err)
+				continue
+			}
+			found := false
+			for _, fn := range funcs {
+				found = found || isTest.MatchString(fn) && re.MatchString(fn)
+			}
+			if !found {
+				t.Errorf("verify skill: -%s %s: %q matches no Test, Benchmark or Fuzz function", m[1], pattern, alt)
+			}
+		}
+	}
+}
+
+// testFileFuncs names every top-level function declared in a _test.go
+// file of the tree.
+func testFileFuncs(t *testing.T) []string {
+	t.Helper()
 	var funcs []string
 	fset := token.NewFileSet()
-	err = filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
 		switch {
 		case err != nil:
 			return err
@@ -353,26 +381,50 @@ func TestVerifyRecipesNameRealTests(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	isTest := regexp.MustCompile(`^(Test|Benchmark|Fuzz)([^a-z]|$)`)
-	flag := regexp.MustCompile(`-(run|bench|fuzz)(?:=|\s+)('[^']*'|"[^"]*"|[^\s'"]+)`)
-	for _, m := range flag.FindAllStringSubmatch(string(skill), -1) {
-		pattern := strings.Trim(m[2], `'"`)
-		if pattern == "^$" {
-			continue
+	return funcs
+}
+
+// TestDocsNameRealTests keeps README.md and DESIGN.md pointing at tests
+// that exist: every code span that starts with a Test, Benchmark or
+// Fuzz name names a function in a _test.go file. A /subtest part is
+// ignored, a trailing * is a prefix glob, and one {a,b} group stands
+// for each of its names.
+func TestDocsNameRealTests(t *testing.T) {
+	declared := make(map[string]bool)
+	for _, fn := range testFileFuncs(t) {
+		declared[fn] = true
+	}
+	resolves := func(name string) bool {
+		if prefix, glob := strings.CutSuffix(name, "*"); glob {
+			for fn := range declared {
+				if strings.HasPrefix(fn, prefix) {
+					return true
+				}
+			}
+			return false
 		}
-		// A slash starts the subtest levels; the first names functions.
-		for _, alt := range strings.Split(strings.SplitN(pattern, "/", 2)[0], "|") {
-			re, err := regexp.Compile(alt)
-			if err != nil {
-				t.Errorf("verify skill: -%s %s: %v", m[1], pattern, err)
-				continue
+		return declared[name]
+	}
+	span := regexp.MustCompile("`((?:Test|Benchmark|Fuzz)(?:[^a-z`][^`]*)?)`")
+	for _, doc := range []string{"README.md", "DESIGN.md"} {
+		raw, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range span.FindAllStringSubmatch(string(raw), -1) {
+			name, _, _ := strings.Cut(m[1], "/")
+			names := []string{name}
+			if head, rest, ok := strings.Cut(name, "{"); ok {
+				alts, tail, _ := strings.Cut(rest, "}")
+				names = names[:0]
+				for _, alt := range strings.Split(alts, ",") {
+					names = append(names, head+alt+tail)
+				}
 			}
-			found := false
-			for _, fn := range funcs {
-				found = found || isTest.MatchString(fn) && re.MatchString(fn)
-			}
-			if !found {
-				t.Errorf("verify skill: -%s %s: %q matches no Test, Benchmark or Fuzz function", m[1], pattern, alt)
+			for _, n := range names {
+				if !resolves(n) {
+					t.Errorf("%s: `%s`: %s names no function in a _test.go file", doc, m[1], n)
+				}
 			}
 		}
 	}

@@ -41,10 +41,6 @@ func main() {
 		retryBudget   = flag.Duration("retry-budget", 0, "per-request budget, split evenly over up to 3 attempts")
 		allowRollout  = flag.Bool("allow-rollout", false, "enable POST /v1/rollout (operator-only listeners)")
 		maxConns      = flag.Int("max-conns", 0, "connection cap (0 = default, negative = unlimited)")
-		maxInflight   = flag.Int("max-inflight", 0, "concurrent request cap (0 = default, negative = unlimited)")
-		queueDepth    = flag.Int("queue-depth", 0, "admission queue depth (0 = default, negative = unlimited)")
-		queueWait     = flag.Duration("queue-wait", 0, "max wait for a request slot before shedding")
-		reqTimeout    = flag.Duration("request-timeout", 0, "per-request execution deadline")
 		readTimeout   = flag.Duration("read-timeout", 0, "slowloris read deadline")
 		drainTimeout  = flag.Duration("drain-timeout", 30*time.Second, "graceful drain budget on shutdown")
 	)
@@ -82,14 +78,10 @@ func main() {
 		log.Fatal(err)
 	}
 	srv, err := serve.NewServer(serve.Config{
-		Handler:        b.Handle,
-		MaxConns:       *maxConns,
-		MaxInflight:    *maxInflight,
-		QueueDepth:     *queueDepth,
-		QueueWait:      *queueWait,
-		RequestTimeout: *reqTimeout,
-		ReadTimeout:    *readTimeout,
-		Clock:          time.Now, // feeds the latency histograms /v1/stats reports
+		Handler:     b.Handle,
+		MaxConns:    *maxConns,
+		ReadTimeout: *readTimeout,
+		Clock:       time.Now, // feeds the latency histograms /v1/stats reports
 	})
 	if err != nil {
 		log.Fatal(err)

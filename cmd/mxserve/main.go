@@ -42,10 +42,6 @@ func main() {
 		top          = flag.Int("top", serve.DefaultTopShares, "providers precomputed for /v1/share")
 		allowSwap    = flag.Bool("allow-swap", false, "enable POST /v1/swap (operator-only listeners)")
 		maxConns     = flag.Int("max-conns", 0, "connection cap (0 = default, negative = unlimited)")
-		maxInflight  = flag.Int("max-inflight", 0, "concurrent request cap (0 = default, negative = unlimited)")
-		queueDepth   = flag.Int("queue-depth", 0, "admission queue depth (0 = default, negative = unlimited)")
-		queueWait    = flag.Duration("queue-wait", 0, "max wait for a request slot before shedding")
-		reqTimeout   = flag.Duration("request-timeout", 0, "per-request execution deadline")
 		readTimeout  = flag.Duration("read-timeout", 0, "slowloris read deadline")
 		drainTimeout = flag.Duration("drain-timeout", 30*time.Second, "graceful drain budget on shutdown")
 	)
@@ -67,14 +63,10 @@ func main() {
 		TopShares: *top,
 	})
 	srv, err := serve.NewServer(serve.Config{
-		Service:        svc,
-		MaxConns:       *maxConns,
-		MaxInflight:    *maxInflight,
-		QueueDepth:     *queueDepth,
-		QueueWait:      *queueWait,
-		RequestTimeout: *reqTimeout,
-		ReadTimeout:    *readTimeout,
-		AllowSwap:      *allowSwap,
+		Service:     svc,
+		MaxConns:    *maxConns,
+		ReadTimeout: *readTimeout,
+		AllowSwap:   *allowSwap,
 	})
 	if err != nil {
 		log.Fatal(err)

@@ -19,7 +19,8 @@ import (
 // the input holds, and — when it does recover entries — must be
 // idempotent: recovering the valid prefix again yields the same result.
 func FuzzJournalRead(f *testing.F) {
-	// Seed: a healthy journal, its torn variants, and junk.
+	// Seed: a healthy journal, its torn variants, junk, and journals
+	// holding a record every snapshot reader rejects.
 	path := filepath.Join(f.TempDir(), "seed.waj")
 	j, err := CreateJournal(path, "2021-06", "alexa")
 	if err != nil {
@@ -48,6 +49,9 @@ func FuzzJournalRead(f *testing.F) {
 	f.Add([]byte(journalMagic))
 	f.Add([]byte("not a journal at all"))
 	f.Add([]byte{})
+	for _, tc := range keylessFrames {
+		f.Add(keylessJournal(f, tc.add))
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		rec, err := recoverJournal(bytes.NewReader(data), int64(len(data)))

@@ -361,8 +361,14 @@ frames:
 			rec.Date, rec.Corpus = line.Header.Date, line.Header.Corpus
 			rec.Snapshot = NewSnapshot(line.Header.Date, line.Header.Corpus)
 		case "domain":
-			if rec.Snapshot == nil || line.Domain == nil {
+			switch {
+			case rec.Snapshot == nil || line.Domain == nil:
 				stop("domain entry before header at offset %d", rec.ValidBytes)
+				break frames
+			case line.Domain.Domain == "":
+				// A snapshot written from this recovery would fail
+				// every reader at this record.
+				stop("%v at offset %d", errNoDomainName, rec.ValidBytes)
 				break frames
 			}
 			// Last-write-wins: a domain re-collected after a resume
@@ -376,8 +382,12 @@ frames:
 			rec.Seen[line.Domain.Domain] = true
 			rec.Entries++
 		case "ip":
-			if rec.Snapshot == nil || line.IP == nil {
+			switch {
+			case rec.Snapshot == nil || line.IP == nil:
 				stop("ip entry before header at offset %d", rec.ValidBytes)
+				break frames
+			case !line.IP.Addr.IsValid():
+				stop("%v at offset %d", errNoIPAddr, rec.ValidBytes)
 				break frames
 			}
 			rec.Snapshot.AddIP(*line.IP)

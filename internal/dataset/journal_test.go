@@ -270,6 +270,70 @@ func TestJournalDuplicateDomainLastWriteWins(t *testing.T) {
 	}
 }
 
+// keylessJournal journals one good domain, then the frame add writes,
+// then another good domain, and returns the file's bytes.
+func keylessJournal(tb testing.TB, add func(*Journal) error) []byte {
+	tb.Helper()
+	path := filepath.Join(tb.TempDir(), "keyless.waj")
+	j, err := CreateJournal(path, "2021-06", "alexa")
+	if err != nil {
+		tb.Fatal(err)
+	}
+	good, later := DomainRecord{Domain: "good.example"}, DomainRecord{Domain: "later.example"}
+	for _, err := range []error{j.AddDomain(&good), add(j), j.AddDomain(&later), j.Close()} {
+		if err != nil {
+			tb.Fatal(err)
+		}
+	}
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return raw
+}
+
+// keylessFrames write the two records every snapshot reader rejects: a
+// domain without a name and an ip without an address.
+var keylessFrames = []struct {
+	name, reason string
+	add          func(*Journal) error
+}{
+	{"domain without a name", "domain line without a name", func(j *Journal) error { return j.AddDomain(&DomainRecord{}) }},
+	{"ip without an address", "ip line without an address", func(j *Journal) error { return j.AddIP(&IPInfo{}) }},
+}
+
+// TestJournalRecoveryStopsAtKeylessRecord: recovery trusts no frame a
+// snapshot reader would reject. It stops at a keyless record with the
+// snapshot rules' words, keeps what came before, and the snapshot
+// written from it reads back.
+func TestJournalRecoveryStopsAtKeylessRecord(t *testing.T) {
+	for _, tc := range keylessFrames {
+		t.Run(tc.name, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "run.waj")
+			if err := os.WriteFile(path, keylessJournal(t, tc.add), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			rec, err := RecoverJournal(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !rec.Truncated || !strings.HasPrefix(rec.Reason, tc.reason+" at offset ") {
+				t.Errorf("truncated=%v reason=%q, want %q", rec.Truncated, rec.Reason, tc.reason)
+			}
+			if rec.Entries != 1 || !rec.Seen["good.example"] || rec.Seen["later.example"] {
+				t.Errorf("recovered %d entries, seen %v, want only good.example", rec.Entries, rec.Seen)
+			}
+			snap := filepath.Join(t.TempDir(), "snap.jsonl")
+			if err := WriteFile(snap, rec.Snapshot); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := ReadFile(snap); err != nil {
+				t.Errorf("snapshot written from the recovery: %v", err)
+			}
+		})
+	}
+}
+
 func TestJournalGuards(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "run.waj")

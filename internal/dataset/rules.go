@@ -5,6 +5,13 @@ import (
 	"fmt"
 )
 
+// The words a domain or ip record without its key fails with, as a
+// snapshot line and as a journal frame alike.
+var (
+	errNoDomainName = errors.New("domain line without a name")
+	errNoIPAddr     = errors.New("ip line without an address")
+)
+
 // lineRules is the one statement of what a line of the snapshot file may
 // be — a committed snapshot and a shard alike. Both of the format's line
 // loops step it once per line: decodeAhead, behind Read, ReadFile, every
@@ -71,7 +78,7 @@ func (c *lineRules) check(l *jsonLine, key []byte) error {
 		case c.ips > 0:
 			return errors.New("domain line after IP section")
 		case len(key) == 0:
-			return errors.New("domain line without a name")
+			return errNoDomainName
 		}
 		if c.domains == 0 {
 			c.first = string(key)
@@ -83,7 +90,7 @@ func (c *lineRules) check(l *jsonLine, key []byte) error {
 		case !c.header:
 			return errors.New("ip before header")
 		case len(key) == 0:
-			return errors.New("ip line without an address")
+			return errNoIPAddr
 		}
 		c.ips++
 	case "footer":

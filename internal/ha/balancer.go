@@ -10,8 +10,8 @@ import (
 )
 
 // Balancer fronts the replica pool as a serve.Handler: plug it into a
-// serve.Server's Config.Handler and the whole admission/drain/stats kit
-// guards the fleet. Forwarding is sequential fail-over: one attempt at a
+// serve.Server's Config.Handler and the whole connection-cap/drain/stats
+// kit guards the fleet. Forwarding is sequential fail-over: one attempt at a
 // time, each on a replica not yet tried and under an equal share of one
 // retry budget.
 type Balancer struct {
@@ -137,8 +137,7 @@ func (b *Balancer) FleetStats() FleetStats {
 // (the stale markers in the body stand, StaleForwards counts it); when
 // no replica is available the request sheds 503 + Retry-After and
 // DownSheds counts it exactly. Only the caller's context ending — the
-// front's request deadline or a drain — abandons a request without
-// blaming the replica.
+// front's hard stop — abandons a request without blaming the replica.
 func (b *Balancer) forward(ctx context.Context, req *serve.Request) serve.Response {
 	b.c.requests.Add(1)
 
@@ -176,7 +175,7 @@ func (b *Balancer) forward(ctx context.Context, req *serve.Request) serve.Respon
 		}
 		if err == errAttemptCancelled {
 			b.c.budgetExceeded.Add(1)
-			return b.shed(504, "request deadline exceeded")
+			return b.shed(504, "request cancelled")
 		}
 		b.c.upstreamErrs.Add(1)
 		b.pool.recordFailure(rep)

@@ -184,7 +184,7 @@ func TestChaosFloodDuringRollingSwap(t *testing.T) {
 	// shedding has its own tests — and with it in play the door 429s
 	// would inject retries this test asserts cannot happen.
 	f := newFleet(t, 3, oldPath, Config{AllowRollout: true},
-		serve.Config{MaxConns: -1}, serve.Config{MaxRequests: -1})
+		serve.Config{MaxConns: -1}, serve.Config{})
 
 	const workers = 4
 	stop := make(chan struct{})

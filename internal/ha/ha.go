@@ -38,9 +38,10 @@
 //     the fleet still answering from the old epoch (already-advanced
 //     replicas are swapped back when the previous snapshot is known).
 //
-// The Balancer is a serve.Handler, so the whole overload kit — bounded
-// admission, slowloris deadlines, graceful zero-loss drain, exact
-// counters — fronts the fleet unchanged.
+// The Balancer is a serve.Handler, so the whole overload kit — the
+// connection cap, slowloris deadlines, graceful zero-loss drain, exact
+// counters — fronts the fleet unchanged. It bounds its own requests: a
+// forward by RetryBudget, a rollout by each replica's swap timeout.
 package ha
 
 import (

@@ -144,7 +144,7 @@ func (p *Pool) recordSuccess(r *Replica) {
 }
 
 // errAttemptCancelled marks an attempt its caller abandoned — the
-// front's request deadline or a drain ended the context — so the
+// front's hard stop ended the context — so the
 // transport error it died with says nothing about the replica's health.
 var errAttemptCancelled = errors.New("ha: attempt cancelled")
 
@@ -283,8 +283,8 @@ func (r *Replica) dial(ctx context.Context, deadline time.Time) (net.Conn, error
 // roundTrip writes one request on uc and reads one response: the only
 // exchange implementation, shared by forwards, probes and swaps. The
 // attempt's deadline sits on the socket, so a wedged replica cannot
-// hold an attempt hostage; the caller's context ending (a drain, the
-// front's request deadline) closes the connection out from under the
+// hold an attempt hostage; the caller's context ending (the front's
+// hard stop) closes the connection out from under the
 // exchange via context.AfterFunc. The connection is parked only when
 // the exchange is provably clean — the whole Content-Length body read,
 // no Connection: close in the reply, nothing left buffered, and the

@@ -34,7 +34,8 @@ type BalancerStats struct {
 	// ProxyFails counts requests where every attempt failed.
 	ProxyFails uint64 `json:"proxy_fails"`
 	// BudgetExceeded counts requests abandoned mid-attempt because the
-	// caller's context ended (the front's request deadline or a drain).
+	// caller's context ended (the front's hard stop: Close, or a drain
+	// past its deadline).
 	BudgetExceeded uint64 `json:"budget_exceeded"`
 	// Probes counts replica probe rounds; ProbeFails the failed ones.
 	Probes     uint64 `json:"probes"`

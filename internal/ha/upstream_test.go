@@ -195,33 +195,31 @@ func TestUpstreamReuseAndLifecycle(t *testing.T) {
 	}
 }
 
-// TestUpstreamHonoursConnectionClose: the replica's per-connection
-// request budget ends every third exchange with Connection: close; the
-// balancer retires that connection instead of parking it, so the close
-// never surfaces as an upstream error or a stale redial.
+// TestUpstreamHonoursConnectionClose: a replica that ends every
+// exchange with Connection: close and then closes its socket costs one
+// dial per forward; the balancer retires each such connection instead
+// of parking it, so the close never surfaces as an upstream error or a
+// stale redial.
 func TestUpstreamHonoursConnectionClose(t *testing.T) {
-	oldPath, _ := writeHAWorlds(t)
 	n := netsim.New()
-	_, srv := startReplica(t, n, replicaAddr(0), oldPath, serve.Config{MaxRequests: 3})
+	startScriptedReplica(t, n, replicaAddr(0),
+		"HTTP/1.1 200 OK\r\nContent-Length: 2\r\nConnection: close\r\n\r\n{}")
 	b, d := countedBalancer(t, n, Config{}, replicaAddr(0))
 	probeDials := d.dials()
 
-	for i := 0; i < 7; i++ {
+	for i := 0; i < 3; i++ {
 		mustLookup(t, b, 200)
 	}
 	if got := d.dials() - probeDials; got != 3 {
-		t.Fatalf("7 forwards on a 3-request budget cost %d dials, want 3", got)
+		t.Fatalf("3 forwards to a closing replica cost %d dials, want 3", got)
 	}
-	if st := b.Stats(); st.UpstreamErrs != 0 || st.Retries != 0 || st.Attempts != 7 {
-		t.Fatalf("stats = %+v, want 7 clean attempts", st)
+	if st := b.Stats(); st.UpstreamErrs != 0 || st.Retries != 0 || st.Attempts != 3 {
+		t.Fatalf("stats = %+v, want 3 clean attempts", st)
 	}
-	if u := b.pool.upstream(); u.StaleRedials != 0 || u.Idle != 1 {
-		t.Fatalf("upstream = %+v, want no stale redials and the third connection parked", u)
+	if u := b.pool.upstream(); u.StaleRedials != 0 || u.Idle != 0 {
+		t.Fatalf("upstream = %+v, want no stale redials and nothing parked", u)
 	}
-	if bc := srv.Stats().BudgetCloses; bc != 2 {
-		t.Fatalf("replica budget closes = %d, want 2", bc)
-	}
-	d.awaitOpen(t, 1)
+	d.awaitOpen(t, 0)
 }
 
 // TestUpstreamStaleIdleRedial: a parked connection the replica closed
@@ -359,6 +357,7 @@ func TestUpstreamSeveredNeverParked(t *testing.T) {
 		if got := b.pool.replicas[0].dials.Load(); got != 4 { // two probes, the severed one, a fresh one
 			t.Fatalf("replica 0 dials = %d, want a fresh dial after the severed one", got)
 		}
+		awaitZeroLost(t, srv0)
 		if st := srv0.Stats(); st.BadRequests != 0 || st.Lost() != 0 {
 			t.Fatalf("replica 0 stats = %+v, want the severed connection booked as a disconnect", st)
 		}
@@ -454,7 +453,8 @@ func TestUpstreamSeveredNeverParked(t *testing.T) {
 
 // startScriptedReplica runs a fake keep-alive backend that answers
 // probes like a healthy replica and every data query with dataReply,
-// written verbatim in one piece.
+// written verbatim in one piece; a reply carrying Connection: close
+// closes the connection behind it.
 func startScriptedReplica(t *testing.T, n *netsim.Network, addr, dataReply string) {
 	t.Helper()
 	ln, err := n.Listen(netip.MustParseAddrPort(addr))
@@ -486,7 +486,7 @@ func startScriptedReplica(t *testing.T, n *netsim.Network, addr, dataReply strin
 			case strings.HasPrefix(line, "GET /readyz "):
 				reply = okReply(`{"ready":true,"state":"serving"}`)
 			}
-			if _, err := io.WriteString(conn, reply); err != nil {
+			if _, err := io.WriteString(conn, reply); err != nil || strings.Contains(reply, "\r\nConnection: close\r\n") {
 				return
 			}
 		}
@@ -556,7 +556,6 @@ func TestUpstreamIdleCapUnderHammer(t *testing.T) {
 	)
 	holding.Store(true)
 	_, srv := startReplica(t, n, replicaAddr(0), oldPath, serve.Config{
-		MaxInflight: -1,
 		Gate: func(path string) {
 			if path == "/v1/domain" && holding.Load() {
 				if arrived.Add(1) == workers {

@@ -7,8 +7,12 @@
 // The DNS-over-TCP, SMTP and HTTP query servers are protocol handlers
 // on it: each supplies the session it runs per connection and, through
 // Config, Conn.Swap and Attach, the few places their lifecycles really
-// differ. Per-protocol budgets, request-level admission and rate
-// limiting stay with the protocols.
+// differ. Per-protocol budgets (DNS-over-TCP's query budget, SMTP's
+// session cap) stay with the protocols. The HTTP query server adds no
+// admission of its own: it runs one handler per connection, inline on
+// the session, so the connection cap bounds its handlers too; it has no
+// per-request deadline (handlers bound themselves), and Close cancels
+// its handlers' context.
 //
 // The package also holds the vocabulary those loops share: which
 // network errors are worth surviving (TransientNetErr, Retry) and the

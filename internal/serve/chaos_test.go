@@ -120,16 +120,7 @@ func TestChaosHotSwapFloodZeroLoss(t *testing.T) {
 	const addr = "203.0.113.30:80"
 	const workers = 4
 	const swaps = 6
-	srv := startTestServer(t, n, addr, Config{
-		Service: svc,
-		// Unlimited request concurrency, no deadlines, and no
-		// per-connection request budget: admission shedding is tested
-		// elsewhere; here every read request must be answered so the
-		// final struct equality is exact. (A slow box can push a single
-		// flood connection past the default budget, which would close
-		// it and break the Accepted/BudgetCloses bookkeeping.)
-		MaxInflight: -1, QueueDepth: -1, RequestTimeout: -1, MaxRequests: -1,
-	})
+	srv := startTestServer(t, n, addr, Config{Service: svc})
 
 	var stop atomic.Bool
 	var wg sync.WaitGroup
@@ -225,10 +216,7 @@ func TestChaosSwapFailureUnderLoad(t *testing.T) {
 	n := netsim.New()
 	const addr = "203.0.113.31:80"
 	const workers = 2
-	srv := startTestServer(t, n, addr, Config{
-		Service:     svc,
-		MaxInflight: -1, QueueDepth: -1, RequestTimeout: -1,
-	})
+	srv := startTestServer(t, n, addr, Config{Service: svc})
 
 	var stop atomic.Bool
 	var wg sync.WaitGroup

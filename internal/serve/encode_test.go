@@ -94,7 +94,7 @@ func TestEncodersAllocateNothing(t *testing.T) {
 	}
 	resp := Response{Status: 503, Body: body, RetryAfter: true, Close: true}
 	var out []byte
-	if n := testing.AllocsPerRun(100, func() { out = appendResponse(out[:0], resp, 1) }); n != 0 {
+	if n := testing.AllocsPerRun(100, func() { out = appendResponse(out[:0], resp) }); n != 0 {
 		t.Errorf("appendResponse: %.1f allocs/op, want 0", n)
 	}
 	want := "HTTP/1.1 503 Service Unavailable\r\nContent-Type: application/json\r\n" +

@@ -256,8 +256,8 @@ func statusText(code int) string {
 
 // appendResponse appends r's wire form to dst. No Date header:
 // responses are byte-reproducible for the determinism contracts the
-// repo keeps.
-func appendResponse(dst []byte, r Response, retryAfterSecs int) []byte {
+// repo keeps. Retry-After is always one second.
+func appendResponse(dst []byte, r Response) []byte {
 	dst = append(dst, "HTTP/1.1 "...)
 	dst = strconv.AppendInt(dst, int64(r.Status), 10)
 	dst = append(dst, ' ')
@@ -266,9 +266,7 @@ func appendResponse(dst []byte, r Response, retryAfterSecs int) []byte {
 	dst = strconv.AppendInt(dst, int64(len(r.Body)), 10)
 	dst = append(dst, "\r\n"...)
 	if r.RetryAfter {
-		dst = append(dst, "Retry-After: "...)
-		dst = strconv.AppendInt(dst, int64(retryAfterSecs), 10)
-		dst = append(dst, "\r\n"...)
+		dst = append(dst, "Retry-After: 1\r\n"...)
 	}
 	if r.Close {
 		dst = append(dst, "Connection: close\r\n"...)
@@ -290,7 +288,7 @@ func JSONResponse(status int, v any) Response {
 // after a malformed request the read position is untrustworthy. Every
 // unavailability answer (429 by its caller, 503/504 here) carries
 // Retry-After so clients always get a back-off hint — the loading,
-// draining, and degraded paths included, not just queue shedding.
+// draining, and degraded paths included, not just the connection cap.
 func ErrorResponse(status int, msg string) Response {
 	b, _ := json.Marshal(errorBody{Error: msg})
 	return Response{

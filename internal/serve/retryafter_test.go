@@ -10,7 +10,7 @@ import (
 
 // TestNotLoaded503RetryAfter pins the shed-class header contract on the
 // data plane: a service with no snapshot answers 503 with Retry-After,
-// exactly like the 429 admission sheds, so balancers and clients back
+// exactly like the 429 at the connection cap, so balancers and clients back
 // off instead of hammering a server that is still loading.
 func TestNotLoaded503RetryAfter(t *testing.T) {
 	svc := NewService(core.ApproachMXOnly, ServiceConfig{})
@@ -37,13 +37,13 @@ func TestReadyz503RetryAfter(t *testing.T) {
 	svc := NewService(core.ApproachMXOnly, ServiceConfig{})
 	n := netsim.New()
 	const addr = "203.0.113.43:80"
-	srv := startTestServer(t, n, addr, Config{Service: svc, RetryAfterSecs: 7})
+	srv := startTestServer(t, n, addr, Config{Service: svc})
 	c := dialClient(t, n, addr)
 
 	var ready ReadyResponse
 	hdr := c.get("GET", "/readyz", 503, &ready)
-	if ready.Ready || hdr.Get("Retry-After") != "7" {
-		t.Fatalf("loading readyz = %+v %v, want 503 + Retry-After: 7", ready, hdr)
+	if ready.Ready || hdr.Get("Retry-After") != "1" {
+		t.Fatalf("loading readyz = %+v %v, want 503 + Retry-After: 1", ready, hdr)
 	}
 
 	// Load, verify the hint disappears on the 200, then drain and watch
@@ -58,8 +58,8 @@ func TestReadyz503RetryAfter(t *testing.T) {
 
 	svc.BeginDrain()
 	hdr = c.get("GET", "/readyz", 503, &ready)
-	if ready.Ready || ready.State != "draining" || hdr.Get("Retry-After") != "7" {
-		t.Fatalf("draining readyz = %+v %v, want 503 + Retry-After: 7", ready, hdr)
+	if ready.Ready || ready.State != "draining" || hdr.Get("Retry-After") != "1" {
+		t.Fatalf("draining readyz = %+v %v, want 503 + Retry-After: 1", ready, hdr)
 	}
 	// The books settle to zero lost (the final response's accounting may
 	// trail the client's read by a beat).

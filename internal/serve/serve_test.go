@@ -13,7 +13,6 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
-	"sync/atomic"
 	"syscall"
 	"testing"
 	"time"
@@ -480,136 +479,84 @@ func TestServeAdmissionControl(t *testing.T) {
 			t.Errorf("stats = %+v, want Accepted 1 Rejected 1", st)
 		}
 	})
+}
 
-	t.Run("inflight shed", func(t *testing.T) {
-		svc := servingService(t, oldPath)
-		n := netsim.New()
-		const addr = "203.0.113.14:80"
-		entered := make(chan struct{}, 1)
-		release := make(chan struct{})
-		srv := startTestServer(t, n, addr, Config{
-			Service: svc, MaxInflight: 1, QueueDepth: -1, RequestTimeout: -1,
-			Gate: func(path string) {
-				if path == "/v1/domain" {
-					entered <- struct{}{}
-					<-release
-				}
-			},
-		})
-		c1 := dialClient(t, n, addr)
-		c1.send("GET", "/v1/domain?name=one.example")
-		<-entered // c1 now owns the only inflight slot
-		c2 := dialClient(t, n, addr)
-		c2.get("GET", "/v1/domain?name=one.example", 429, nil)
-		close(release)
-		if status, _, _ := c1.readResponse(); status != 200 {
-			t.Errorf("gated request finished %d, want 200", status)
-		}
-		checkQueryPhase(t, "admission_shed", "inflight cap 1 held: 1 shed with 429, held request answered", srv,
-			ServerStats{Accepted: 2, Requests: 2, Responses: 2, Shed: 1, Lookups: 1}, nil, nil)
-	})
-
-	t.Run("queue then serve", func(t *testing.T) {
-		svc := servingService(t, oldPath)
-		n := netsim.New()
-		const addr = "203.0.113.15:80"
-		entered := make(chan struct{}, 2)
-		release := make(chan struct{}, 2)
-		srv := startTestServer(t, n, addr, Config{
-			Service: svc, MaxInflight: 1, QueueDepth: 1, QueueWait: 5 * time.Second,
-			RequestTimeout: -1,
-			Gate: func(path string) {
-				if path == "/v1/domain" {
-					entered <- struct{}{}
-					<-release
-				}
-			},
-		})
-		c1 := dialClient(t, n, addr)
-		c1.send("GET", "/v1/domain?name=one.example")
-		<-entered
-		c2 := dialClient(t, n, addr)
-		c2.send("GET", "/v1/domain?name=two.example")
-		// c2 is queued behind c1's slot.
-		deadline := time.Now().Add(5 * time.Second)
-		for srv.Stats().Queued != 1 {
-			if time.Now().After(deadline) {
-				t.Fatalf("second request never queued: %+v", srv.Stats())
+// TestServeSlowSwapAnswered: no request deadline stands between a
+// handler and its client. A swap held at the gate well past a lookup's
+// time is answered with its own churn report, and the epoch it reports
+// is the one serving afterwards.
+func TestServeSlowSwapAnswered(t *testing.T) {
+	oldPath, newPath := writeServeWorlds(t)
+	svc := servingService(t, oldPath)
+	n := netsim.New()
+	const addr = "203.0.113.23:80"
+	srv := startTestServer(t, n, addr, Config{
+		Service: svc, AllowSwap: true,
+		Gate: func(path string) {
+			if path == "/v1/swap" {
+				time.Sleep(100 * time.Millisecond)
 			}
-			time.Sleep(time.Millisecond)
-		}
-		release <- struct{}{}
-		release <- struct{}{}
-		if status, _, _ := c1.readResponse(); status != 200 {
-			t.Errorf("first request finished %d", status)
-		}
-		<-entered // c2 took over the slot
-		if status, _, _ := c2.readResponse(); status != 200 {
-			t.Errorf("queued request finished %d", status)
-		}
-		awaitServerStats(t, srv, ServerStats{
-			Accepted: 2, Requests: 2, Responses: 2, Queued: 1, Lookups: 2,
-		})
+		},
 	})
+	c := dialClient(t, n, addr)
+	var rep ChurnReport
+	c.get("POST", "/v1/swap?path="+newPath, 200, &rep)
+	if rep.FromEpoch != 1 || rep.ToEpoch != 2 || rep.Diff.Changed != 1 {
+		t.Errorf("churn report = %+v, want epoch 1->2 with one changed domain", rep)
+	}
+	var health HealthResponse
+	c.get("GET", "/healthz", 200, &health)
+	if health.Epoch != 2 {
+		t.Errorf("healthz after swap = %+v, want epoch 2", health)
+	}
+	awaitServerStats(t, srv, ServerStats{Accepted: 1, Requests: 2, Responses: 2})
+}
 
-	t.Run("queue timeout", func(t *testing.T) {
-		svc := servingService(t, oldPath)
-		n := netsim.New()
-		const addr = "203.0.113.16:80"
-		entered := make(chan struct{}, 1)
-		release := make(chan struct{})
-		srv := startTestServer(t, n, addr, Config{
-			Service: svc, MaxInflight: 1, QueueDepth: 1, QueueWait: 30 * time.Millisecond,
-			RequestTimeout: -1,
-			Gate: func(path string) {
-				if path == "/v1/domain" {
-					entered <- struct{}{}
-					<-release
-				}
-			},
+// TestServeHardStopCancelsHandlers: a handler waiting on its context is
+// released by the hard stop, so it cannot hold one. Close returns at
+// once; Shutdown returns its context's error once that context ends,
+// counted as a drain that fell back to a hard close. Either way the
+// handler's answer is booked and nothing is lost.
+func TestServeHardStopCancelsHandlers(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		stop    func(*Server) error
+		wantErr error
+		want    ServerStats
+	}{
+		{"Close", (*Server).Close, nil,
+			ServerStats{Accepted: 1, Requests: 1, Responses: 1}},
+		{"Shutdown", func(s *Server) error {
+			ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+			defer cancel()
+			return s.Shutdown(ctx)
+		}, context.DeadlineExceeded,
+			ServerStats{Accepted: 1, Requests: 1, Responses: 1, DrainTimeouts: 1}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			n := netsim.New()
+			const addr = "203.0.113.24:80"
+			entered := make(chan struct{})
+			srv := startTestServer(t, n, addr, Config{Handler: func(ctx context.Context, req *Request) Response {
+				close(entered)
+				<-ctx.Done()
+				return ErrorResponse(503, "stopping")
+			}})
+			c := dialClient(t, n, addr)
+			c.send("GET", "/v1/domain?name=one.example")
+			<-entered
+			begin := time.Now()
+			if err := tc.stop(srv); err != tc.wantErr {
+				t.Fatalf("%s = %v, want %v", tc.name, err, tc.wantErr)
+			}
+			if took := time.Since(begin); took > time.Second {
+				t.Errorf("%s took %v with a handler waiting on its context, want under 1s", tc.name, took)
+			}
+			if st := srv.Stats(); st != tc.want {
+				t.Errorf("stats = %+v, want %+v", st, tc.want)
+			}
 		})
-		c1 := dialClient(t, n, addr)
-		c1.send("GET", "/v1/domain?name=one.example")
-		<-entered
-		c2 := dialClient(t, n, addr)
-		c2.get("GET", "/v1/domain?name=two.example", 429, nil)
-		close(release)
-		if status, _, _ := c1.readResponse(); status != 200 {
-			t.Errorf("gated request finished %d", status)
-		}
-		checkQueryPhase(t, "queue_shed", "queue depth 1: 1 queued, 1 shed at wait expiry", srv,
-			ServerStats{Accepted: 2, Requests: 2, Responses: 2, Queued: 1, Shed: 1, Lookups: 1}, nil, nil)
-	})
-
-	t.Run("request deadline", func(t *testing.T) {
-		svc := servingService(t, oldPath)
-		n := netsim.New()
-		const addr = "203.0.113.17:80"
-		release := make(chan struct{})
-		var gated atomic.Bool
-		srv := startTestServer(t, n, addr, Config{
-			Service: svc, RequestTimeout: 30 * time.Millisecond,
-			Gate: func(path string) {
-				if path == "/v1/domain" && gated.CompareAndSwap(false, true) {
-					<-release // only the first lookup wedges
-				}
-			},
-		})
-		c := dialClient(t, n, addr)
-		c.get("GET", "/v1/domain?name=one.example", 503, nil)
-		// The wedged handler still holds the connection's old worker: the
-		// next request on the connection is answered by a new one, and
-		// with its own answer.
-		var look LookupResponse
-		c.get("GET", "/v1/domain?name=two.example", 200, &look)
-		if look.Domain != "two.example" || !look.Found {
-			t.Errorf("lookup after the deadline = %+v, want two.example found", look)
-		}
-		close(release) // let the abandoned handler finish
-		awaitServerStats(t, srv, ServerStats{
-			Accepted: 1, Requests: 2, Responses: 2, Timeouts: 1, Lookups: 2,
-		})
-	})
+	}
 }
 
 func TestServeConnHygiene(t *testing.T) {
@@ -647,29 +594,6 @@ func TestServeConnHygiene(t *testing.T) {
 		}
 		awaitServerStats(t, srv, ServerStats{
 			Accepted: 1, Requests: 1, Responses: 1, BadRequests: 1,
-		})
-	})
-
-	t.Run("request budget", func(t *testing.T) {
-		svc := servingService(t, oldPath)
-		n := netsim.New()
-		const addr = "203.0.113.20:80"
-		srv := startTestServer(t, n, addr, Config{Service: svc, MaxRequests: 2})
-		c := dialClient(t, n, addr)
-		hdr := c.get("GET", "/healthz", 200, nil)
-		if hdr.Get("Connection") == "close" {
-			t.Error("first request already closing")
-		}
-		hdr = c.get("GET", "/healthz", 200, nil)
-		if hdr.Get("Connection") != "close" {
-			t.Error("budget-exhausting response not marked close")
-		}
-		c.Conn.SetReadDeadline(time.Now().Add(5 * time.Second))
-		if _, err := c.R.ReadByte(); err != io.EOF {
-			t.Errorf("connection still open after budget: %v", err)
-		}
-		awaitServerStats(t, srv, ServerStats{
-			Accepted: 1, Requests: 2, Responses: 2, BudgetCloses: 1,
 		})
 	})
 

@@ -22,20 +22,18 @@ type ServerStats struct {
 	// is ever dropped.
 	Requests  uint64 `json:"requests"`
 	Responses uint64 `json:"responses"`
-	// Queued counts requests that waited for an inflight slot; Shed
-	// counts requests answered 429 because the queue was full or the
-	// wait expired.
-	Queued uint64 `json:"queued"`
-	Shed   uint64 `json:"shed"`
-	// Timeouts counts requests answered 503 at the request deadline.
+	// Shed and Timeouts are always 0: a handler runs on its
+	// connection's goroutine, so nothing is shed per request and no
+	// request deadline answers for it. They are declared only because
+	// bench/ reads them (serve.shed and its run gate); they go when
+	// bench/ drops those reads (ROADMAP item 6).
+	Shed     uint64 `json:"shed"`
 	Timeouts uint64 `json:"timeouts"`
 	// BadRequests counts malformed requests answered 400;
 	// ReadTimeouts counts connections closed by the slowloris read
-	// deadline; BudgetCloses counts connections closed for exhausting
-	// their per-connection request budget.
+	// deadline.
 	BadRequests  uint64 `json:"bad_requests"`
 	ReadTimeouts uint64 `json:"read_timeouts"`
-	BudgetCloses uint64 `json:"budget_closes"`
 	// Lookups counts /v1/domain queries served from an epoch;
 	// LookupMisses counts the subset naming an unknown domain.
 	// StaleServes counts data responses answered while the service was
@@ -59,9 +57,7 @@ func (st ServerStats) Lost() uint64 { return st.Requests - st.Responses }
 // lifecycle counters the overload core keeps.
 type serverCounters struct {
 	requests, responses       atomic.Uint64
-	queued, shed, timeouts    atomic.Uint64
 	badRequests, readTimeouts atomic.Uint64
-	budgetCloses              atomic.Uint64
 	lookups, lookupMisses     atomic.Uint64
 	staleServes               atomic.Uint64
 }
@@ -72,12 +68,8 @@ func (c *serverCounters) snapshot(core overload.Stats) ServerStats {
 		Rejected:      core.Rejected,
 		Requests:      c.requests.Load(),
 		Responses:     c.responses.Load(),
-		Queued:        c.queued.Load(),
-		Shed:          c.shed.Load(),
-		Timeouts:      c.timeouts.Load(),
 		BadRequests:   c.badRequests.Load(),
 		ReadTimeouts:  c.readTimeouts.Load(),
-		BudgetCloses:  c.budgetCloses.Load(),
 		Lookups:       c.lookups.Load(),
 		LookupMisses:  c.lookupMisses.Load(),
 		StaleServes:   c.staleServes.Load(),
