@@ -91,6 +91,68 @@ func TestCitedResultsAreTracked(t *testing.T) {
 	}
 }
 
+// TestCitedBenchKeysResolve holds the docs' pointers into the benchmark
+// reports to the reports: a backticked `prNN` or `prNN.key` in a
+// paragraph of README.md, DESIGN.md or ROADMAP.md that cites a
+// results/BENCH_e2e_*.json must be a key path (dot-separated object
+// keys) of the citation nearest to it.
+func TestCitedBenchKeysResolve(t *testing.T) {
+	cite := regexp.MustCompile(`\bresults/BENCH_e2e_[\w.-]+\.json\b`)
+	ref := regexp.MustCompile("`(pr\\d+(?:\\.[\\w-]+)*)`")
+	reports := make(map[string]map[string]any)
+	report := func(path string) map[string]any {
+		if r, ok := reports[path]; ok {
+			return r
+		}
+		var r map[string]any
+		text, err := os.ReadFile(path)
+		if err == nil {
+			err = json.Unmarshal(text, &r)
+		}
+		if err != nil {
+			t.Errorf("%s: %v", path, err)
+		}
+		reports[path] = r
+		return r
+	}
+	// gap is how far apart two spans of a paragraph are.
+	gap := func(a, b []int) int { return max(a[0]-b[1], b[0]-a[1]) }
+	resolved := 0
+	for _, doc := range []string{"README.md", "DESIGN.md", "ROADMAP.md"} {
+		text, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, para := range strings.Split(string(text), "\n\n") {
+			cites := cite.FindAllStringIndex(para, -1)
+			if len(cites) == 0 {
+				continue
+			}
+			for _, m := range ref.FindAllStringSubmatchIndex(para, -1) {
+				near := cites[0]
+				for _, c := range cites[1:] {
+					if gap(c, m) < gap(near, m) {
+						near = c
+					}
+				}
+				path, keys := para[near[0]:near[1]], para[m[2]:m[3]]
+				var v any = report(path)
+				for _, k := range strings.Split(keys, ".") {
+					obj, _ := v.(map[string]any)
+					v = obj[k]
+				}
+				if v == nil {
+					t.Errorf("%s cites `%s` beside %s, which has no such key", doc, keys, path)
+				}
+				resolved++
+			}
+		}
+	}
+	if resolved == 0 {
+		t.Error("no doc cites a key of a benchmark report: the citation pattern is stale")
+	}
+}
+
 // optionStructs are the option-bearing structs whose names do not end in
 // Config, Options or Policy.
 var optionStructs = map[string]bool{

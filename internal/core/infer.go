@@ -243,7 +243,7 @@ func Infer(s *dataset.Snapshot, approach Approach, cfg Config) *Result {
 
 // collectCerts gathers every captured certificate in the IP
 // observations, walking the presorted key list for deterministic order.
-func collectCerts(ips map[string]dataset.IPInfo, sortedKeys []string) []Cert {
+func collectCerts(ips map[netip.Addr]dataset.IPInfo, sortedKeys []netip.Addr) []Cert {
 	seen := make(map[string]bool)
 	var out []Cert
 	for _, k := range sortedKeys {
@@ -273,7 +273,7 @@ type ipIdentity struct {
 // Workers fill an index-addressed slice over the sorted key list; the
 // map is assembled after the barrier so the outcome is independent of
 // scheduling.
-func computeIPIDs(ips map[string]dataset.IPInfo, sortedKeys []string, groups *CertGroups, memo *psl.Memo, cfg Config, workers int) map[string]ipIdentity {
+func computeIPIDs(ips map[netip.Addr]dataset.IPInfo, sortedKeys []netip.Addr, groups *CertGroups, memo *psl.Memo, cfg Config, workers int) map[netip.Addr]ipIdentity {
 	ids := make([]ipIdentity, len(sortedKeys))
 	parallel.Run(len(sortedKeys), workers, func(i int) {
 		info := ips[sortedKeys[i]]
@@ -292,7 +292,7 @@ func computeIPIDs(ips map[string]dataset.IPInfo, sortedKeys []string, groups *Ce
 		id.bannerID = bannerIdentity(sc, memo, cfg.RequireBannerEHLOAgreement)
 		ids[i] = id
 	})
-	out := make(map[string]ipIdentity, len(sortedKeys))
+	out := make(map[netip.Addr]ipIdentity, len(sortedKeys))
 	for i, k := range sortedKeys {
 		out[k] = ids[i]
 	}
@@ -348,16 +348,15 @@ func containsStr(list []string, s string) bool {
 }
 
 // assignMX performs step 3 for one MX record under the chosen approach.
-func assignMX(mx dataset.MXObs, approach Approach, ipIDs map[string]ipIdentity, numIP, numCert map[string]int, ips map[string]dataset.IPInfo, memo *psl.Memo, bannerFirst bool) *MXAssignment {
+func assignMX(mx dataset.MXObs, approach Approach, ipIDs map[netip.Addr]ipIdentity, numIP map[netip.Addr]int, numCert map[string]int, ips map[netip.Addr]dataset.IPInfo, memo *psl.Memo, bannerFirst bool) *MXAssignment {
 	a := &MXAssignment{Exchange: mx.Exchange}
 
 	// Confidence: the busiest signal backing this MX.
 	for _, addr := range mx.Addrs {
-		key := addr.String()
-		if c := numIP[key]; c > a.Confidence {
+		if c := numIP[addr]; c > a.Confidence {
 			a.Confidence = c
 		}
-		if info, ok := ips[key]; ok && info.Scan != nil {
+		if info, ok := ips[addr]; ok && info.Scan != nil {
 			if c := numCert[info.Scan.CertFingerprint]; c > a.Confidence {
 				a.Confidence = c
 			}
@@ -400,13 +399,13 @@ func assignMX(mx dataset.MXObs, approach Approach, ipIDs map[string]ipIdentity, 
 
 // consensus returns the shared non-empty identity across every address,
 // requiring each address to carry one.
-func consensus(addrs []netip.Addr, ipIDs map[string]ipIdentity, pick func(ipIdentity) string) (string, bool) {
+func consensus(addrs []netip.Addr, ipIDs map[netip.Addr]ipIdentity, pick func(ipIdentity) string) (string, bool) {
 	if len(addrs) == 0 {
 		return "", false
 	}
 	var id string
 	for _, a := range addrs {
-		v := pick(ipIDs[a.String()])
+		v := pick(ipIDs[a])
 		if v == "" {
 			return "", false
 		}
@@ -430,8 +429,8 @@ func mxFallbackID(exchange string, memo *psl.Memo) string {
 }
 
 // attributeDomain performs step 5 for one domain, given its primary MX
-// set.
-func attributeDomain(d *dataset.DomainRecord, primary []dataset.MXObs, mxAssign map[string]*MXAssignment, ips map[string]dataset.IPInfo) DomainAttribution {
+// set and the addresses whose port 25 answered.
+func attributeDomain(d *dataset.DomainRecord, primary []dataset.MXObs, mxAssign map[string]*MXAssignment, smtp map[netip.Addr]bool) DomainAttribution {
 	out := DomainAttribution{Domain: d.Domain, Rank: d.Rank, Credits: make(map[string]float64)}
 	if len(primary) == 0 {
 		return out
@@ -450,7 +449,7 @@ func attributeDomain(d *dataset.DomainRecord, primary []dataset.MXObs, mxAssign 
 			}
 		}
 		for _, addr := range mx.Addrs {
-			if info, ok := ips[addr.String()]; ok && info.Port25Open {
+			if smtp[addr] {
 				out.HasSMTP = true
 			}
 		}

@@ -93,7 +93,12 @@ func TestPaperTable3Priority(t *testing.T) {
 
 func TestPaperTable3CertGrouping(t *testing.T) {
 	s := table3Snapshot()
-	groups := groupCertificates(collectCerts(s.IPs, []string{"1.2.3.4", "2.3.4.5", "3.4.5.6", "4.5.6.7"}), psl.NewMemo(nil))
+	ips := make(map[netip.Addr]dataset.IPInfo)
+	for _, info := range s.IPs {
+		ips[info.Addr] = info
+	}
+	keys := []netip.Addr{addr("1.2.3.4"), addr("2.3.4.5"), addr("3.4.5.6"), addr("4.5.6.7")}
+	groups := groupCertificates(collectCerts(ips, keys), psl.NewMemo(nil))
 	// Two groups: {cert1, cert2} and {vps cert}.
 	if groups.NumGroups() != 2 {
 		t.Errorf("NumGroups = %d, want 2", groups.NumGroups())

@@ -31,7 +31,7 @@ import (
 //     an address inside a *different* profiled provider's AS whose
 //     Banner/EHLO agrees with that provider (the utexas.edu/Ironport
 //     case) — correct to the hosting provider's ID.
-func checkMisidentifications(res *Result, exchanges []dataset.MXObs, ips map[string]dataset.IPInfo, ipIDs map[string]ipIdentity, cfg Config, memo *psl.Memo) {
+func checkMisidentifications(res *Result, exchanges []dataset.MXObs, ips map[netip.Addr]dataset.IPInfo, ipIDs map[netip.Addr]ipIdentity, cfg Config, memo *psl.Memo) {
 	profiles := make(map[string]*ProviderProfile, len(cfg.Profiles))
 	asnOwner := make(map[asn.ASN]string)
 	for i := range cfg.Profiles {
@@ -106,9 +106,9 @@ func correct(res *Result, a *MXAssignment, id, reason string) {
 
 // anyAddrInASNs reports whether any address originates from one of the
 // ASes.
-func anyAddrInASNs(ips map[string]dataset.IPInfo, addrs []netip.Addr, asns []asn.ASN) bool {
+func anyAddrInASNs(ips map[netip.Addr]dataset.IPInfo, addrs []netip.Addr, asns []asn.ASN) bool {
 	for _, addr := range addrs {
-		info, ok := ips[addr.String()]
+		info, ok := ips[addr]
 		if !ok {
 			continue
 		}
@@ -123,12 +123,12 @@ func anyAddrInASNs(ips map[string]dataset.IPInfo, addrs []netip.Addr, asns []asn
 
 // matchingHost scans the certificate names and Banner/EHLO hosts behind
 // the addresses for any host matching one of the glob patterns.
-func matchingHost(ips map[string]dataset.IPInfo, addrs []netip.Addr, patterns []string) (string, bool) {
+func matchingHost(ips map[netip.Addr]dataset.IPInfo, addrs []netip.Addr, patterns []string) (string, bool) {
 	if len(patterns) == 0 {
 		return "", false
 	}
 	for _, addr := range addrs {
-		info, ok := ips[addr.String()]
+		info, ok := ips[addr]
 		if !ok || info.Scan == nil {
 			continue
 		}
@@ -153,10 +153,10 @@ func matchingHost(ips map[string]dataset.IPInfo, addrs []netip.Addr, patterns []
 // hostingOwner detects the customer-certificate case: every address sits
 // in some other profiled provider's AS and the Banner/EHLO identity
 // agrees with that provider rather than with the certificate.
-func hostingOwner(ips map[string]dataset.IPInfo, addrs []netip.Addr, asnOwner map[asn.ASN]string, ipIDs map[string]ipIdentity, certID string) (string, bool) {
+func hostingOwner(ips map[netip.Addr]dataset.IPInfo, addrs []netip.Addr, asnOwner map[asn.ASN]string, ipIDs map[netip.Addr]ipIdentity, certID string) (string, bool) {
 	owner := ""
 	for _, addr := range addrs {
-		info, ok := ips[addr.String()]
+		info, ok := ips[addr]
 		if !ok {
 			return "", false
 		}
@@ -170,7 +170,7 @@ func hostingOwner(ips map[string]dataset.IPInfo, addrs []netip.Addr, asnOwner ma
 			return "", false
 		}
 		// The banner must corroborate the hosting provider.
-		if ipIDs[addr.String()].bannerID != o {
+		if ipIDs[addr].bannerID != o {
 			return "", false
 		}
 	}

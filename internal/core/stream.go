@@ -3,7 +3,6 @@ package core
 import (
 	"net/netip"
 	"slices"
-	"sort"
 	"strings"
 
 	"mxmap/internal/dataset"
@@ -32,6 +31,14 @@ import (
 //
 // Between the passes, steps 1-4 and the trust pass run over the IP
 // section and the inventory; cfg.Parallelism shards steps 2 and 3.
+//
+// Per domain, the engine allocates the attribution it emits (its credit
+// map) and nothing else: addresses are looked up and counted as
+// netip.Addr, never formatted; the primary MX set, pass A's address set
+// and its key are built in buffers reused from domain to domain; and
+// the abuse stem is counted by its bytes. What the source allocates per
+// record is the source's (a Stream's walk: the domain name, see
+// dataset.Stream).
 //
 // emit receives every DomainAttribution in domain order; it may be nil
 // when only the MX assignments matter. The returned Result carries a nil
@@ -86,11 +93,7 @@ func InferStreamDelta(src dataset.Source, approach Approach, cfg Config, prior *
 		return nil, DeltaStats{}, err
 	}
 	ips, exchanges, numIP, numCert := inv.ips, inv.exchanges, inv.numIP, inv.numCert
-	sortedKeys := make([]string, 0, len(ips))
-	for k := range ips {
-		sortedKeys = append(sortedKeys, k)
-	}
-	sort.Strings(sortedKeys)
+	sortedKeys := sortedAddrs(ips)
 
 	// Steps 1-4 only consume the IP observations and the exchange
 	// inventory. Step 1 — certificate preprocessing (cert-based and
@@ -131,10 +134,19 @@ func InferStreamDelta(src dataset.Source, approach Approach, cfg Config, prior *
 	// domain outside the changed set whose primary assignments are
 	// credit-equivalent to the prior run's reuses its prior attribution
 	// verbatim; the doc comment above says why that is provably identical.
-	var ds DeltaStats
+	smtp := make(map[netip.Addr]bool)
+	for a, info := range ips {
+		if info.Port25Open {
+			smtp[a] = true
+		}
+	}
+	var (
+		ds      DeltaStats
+		primary []dataset.MXObs
+	)
 	usePrior := prior != nil && prior.Approach == approach && priorAtt != nil
 	err = src.ForEach(func(d *dataset.DomainRecord) error {
-		primary := d.PrimaryMX()
+		primary = d.AppendPrimaryMX(primary[:0])
 		if usePrior && !changed[d.Domain] && assignmentsEqual(primary, prior.MX, res.MX) {
 			if att, ok := priorAtt(d.Domain); ok {
 				ds.Reused++
@@ -145,7 +157,7 @@ func InferStreamDelta(src dataset.Source, approach Approach, cfg Config, prior *
 			}
 		}
 		ds.Reinferred++
-		att := attributeDomain(d, primary, res.MX, ips)
+		att := attributeDomain(d, primary, res.MX, smtp)
 		if emit != nil {
 			emit(att)
 		}
@@ -158,11 +170,31 @@ func InferStreamDelta(src dataset.Source, approach Approach, cfg Config, prior *
 	return res, ds, nil
 }
 
+// sortedAddrs lists the IP table's addresses in the order of their
+// text, the order steps 1 and 2 walk it in: each address is formatted
+// once, here, bounded by the distinct-IP count.
+func sortedAddrs(ips map[netip.Addr]dataset.IPInfo) []netip.Addr {
+	type keyed struct {
+		text string
+		addr netip.Addr
+	}
+	keys := make([]keyed, 0, len(ips))
+	for a := range ips {
+		keys = append(keys, keyed{a.String(), a})
+	}
+	slices.SortFunc(keys, func(x, y keyed) int { return strings.Compare(x.text, y.text) })
+	out := make([]netip.Addr, len(keys))
+	for i, k := range keys {
+		out[i] = k.addr
+	}
+	return out
+}
+
 // inventory is what pass A learns in its one read of the source.
 type inventory struct {
-	// ips is the IP section keyed by address string, a repeated address's
-	// last line winning.
-	ips map[string]dataset.IPInfo
+	// ips is the IP section keyed by address, a repeated address's last
+	// line winning.
+	ips map[netip.Addr]dataset.IPInfo
 	// exchanges is the deduplicated primary-exchange inventory in
 	// first-appearance order, each exchange as its first domain saw it.
 	exchanges []dataset.MXObs
@@ -170,11 +202,19 @@ type inventory struct {
 	// addresses include it; numCert counts, per certificate fingerprint,
 	// the domains whose distinct primary addresses include one carrying
 	// it.
-	numIP, numCert map[string]int
+	numIP   map[netip.Addr]int
+	numCert map[string]int
 	// addrSets is the number of distinct primary-address sets numCert
 	// was joined over.
 	addrSets int
 	nDomains int
+}
+
+// addrSet is one distinct primary-address set of pass A: its addresses
+// and the number of domains that have it.
+type addrSet struct {
+	addrs   []netip.Addr
+	domains int
 }
 
 // takeInventory is pass A: one ForEach over the domains and the IP
@@ -185,24 +225,30 @@ type inventory struct {
 // set adds its count to every distinct fingerprint among its addresses —
 // the integer a per-domain join gives. Provider concentration bounds the
 // set count as it bounds the IP table.
+//
+// Per domain the pass allocates nothing of its own: addresses are
+// counted as netip.Addr, the primary set and the set key are built in
+// buffers reused from domain to domain, and only a set's first domain
+// stores a copy of it.
 func takeInventory(src dataset.Source, tstats *trustStats, memo *psl.Memo) (*inventory, error) {
 	inv := &inventory{
-		ips:     make(map[string]dataset.IPInfo),
-		numIP:   make(map[string]int),
+		ips:     make(map[netip.Addr]dataset.IPInfo),
+		numIP:   make(map[netip.Addr]int),
 		numCert: make(map[string]int),
 	}
 	var (
 		exIndex = make(map[string]int)
-		// sets counts the domains of each distinct primary-address set,
-		// keyed by its addresses sorted and joined by spaces.
-		sets   = make(map[string]*int)
-		seenIP []string
-		setKey []byte
+		// sets holds the distinct primary-address sets, keyed by their
+		// addresses in netip order, as text joined by spaces.
+		sets    = make(map[string]*addrSet)
+		primary []dataset.MXObs
+		seen    []netip.Addr
+		setKey  []byte
 	)
 	err := src.ForEach(func(d *dataset.DomainRecord) error {
 		inv.nDomains++
-		seenIP = seenIP[:0]
-		primary := d.PrimaryMX()
+		seen = seen[:0]
+		primary = d.AppendPrimaryMX(primary[:0])
 		if tstats != nil {
 			// Trust statistics fold in here so the source needs no extra
 			// pass.
@@ -217,50 +263,51 @@ func takeInventory(src dataset.Source, tstats *trustStats, memo *psl.Memo) (*inv
 				inv.exchanges = append(inv.exchanges, kept)
 			}
 			for _, a := range mx.Addrs {
-				key := a.String()
-				if containsStr(seenIP, key) {
+				if slices.Contains(seen, a) {
 					continue
 				}
-				seenIP = append(seenIP, key)
-				inv.numIP[key]++
+				seen = append(seen, a)
+				inv.numIP[a]++
 			}
 		}
-		if len(seenIP) == 0 {
+		if len(seen) == 0 {
 			return nil
 		}
-		slices.Sort(seenIP)
-		setKey = append(setKey[:0], seenIP[0]...)
-		for _, key := range seenIP[1:] {
-			setKey = append(append(setKey, ' '), key...)
+		slices.SortFunc(seen, netip.Addr.Compare)
+		setKey = setKey[:0]
+		for i, a := range seen {
+			if i > 0 {
+				setKey = append(setKey, ' ')
+			}
+			setKey = a.AppendTo(setKey)
 		}
-		// Only a set's first domain allocates its key.
-		if n := sets[string(setKey)]; n != nil {
-			*n++
+		// Only a set's first domain allocates its key and its addresses.
+		if set := sets[string(setKey)]; set != nil {
+			set.domains++
 		} else {
-			one := 1
-			sets[string(setKey)] = &one
+			sets[string(setKey)] = &addrSet{addrs: slices.Clone(seen), domains: 1}
 		}
 		return nil
 	}, func(info *dataset.IPInfo) error {
 		// Every IP line is decoded into a fresh record: the copy may keep
 		// its Scan pointer.
-		inv.ips[info.Addr.String()] = *info
+		inv.ips[info.Addr] = *info
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
 	var seenCert []string
-	for set, domains := range sets {
+	for _, set := range sets {
 		seenCert = seenCert[:0]
-		for _, key := range strings.Fields(set) {
-			info, ok := inv.ips[key]
+		for _, a := range set.addrs {
+			info, ok := inv.ips[a]
 			if !ok || info.Scan == nil || info.Scan.CertFingerprint == "" {
 				continue
 			}
 			if fp := info.Scan.CertFingerprint; !containsStr(seenCert, fp) {
 				seenCert = append(seenCert, fp)
-				inv.numCert[fp] += *domains
+				inv.numCert[fp] += set.domains
 			}
 		}
 	}

@@ -206,18 +206,18 @@ func TestDeferredCertJoinMatchesPerDomain(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	wantIP, wantCert := make(map[string]int), make(map[string]int)
+	wantIP, wantCert := make(map[netip.Addr]int), make(map[string]int)
 	for _, d := range loaded.Domains {
-		addrs := make(map[string]bool)
+		addrs := make(map[netip.Addr]bool)
 		for _, mx := range d.PrimaryMX() {
 			for _, a := range mx.Addrs {
-				addrs[a.String()] = true
+				addrs[a] = true
 			}
 		}
 		fps := make(map[string]bool)
 		for a := range addrs {
 			wantIP[a]++
-			if info, ok := ips[a]; ok && info.Scan != nil && info.Scan.CertFingerprint != "" {
+			if info, ok := ips[a.String()]; ok && info.Scan != nil && info.Scan.CertFingerprint != "" {
 				fps[info.Scan.CertFingerprint] = true
 			}
 		}
@@ -242,7 +242,11 @@ func TestDeferredCertJoinMatchesPerDomain(t *testing.T) {
 		if !reflect.DeepEqual(inv.numCert, wantCert) {
 			t.Errorf("%T: numCert = %v, want %v", src, inv.numCert, wantCert)
 		}
-		if !reflect.DeepEqual(inv.ips, ips) {
+		byText := make(map[string]dataset.IPInfo, len(inv.ips))
+		for a, info := range inv.ips {
+			byText[a.String()] = info
+		}
+		if !reflect.DeepEqual(byText, ips) {
 			t.Errorf("%T: IP table differs from LoadIPs", src)
 		}
 		// {1,3} for a.com and b.com, then c.com's, d.com's, g.com's and

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"net/netip"
-	"strings"
 
 	"mxmap/internal/dataset"
 	"mxmap/internal/psl"
@@ -47,15 +46,19 @@ type trustStats struct {
 	// domains counts referring domains per exchange.
 	domains map[string]int
 	// stems counts digit-stripped registered-domain stems of referring
-	// domains per exchange; "" is the overflow bucket.
-	stems map[string]map[string]int
+	// domains per exchange; "" is the overflow bucket. The counts are
+	// pointed at, so that counting a stem already seen looks it up by
+	// its bytes and allocates nothing.
+	stems map[string]map[string]*int
+	// stem is observe's buffer for the stem of the domain at hand.
+	stem []byte
 }
 
 func newTrustStats() *trustStats {
 	return &trustStats{
 		staleGlue: make(map[string]bool),
 		domains:   make(map[string]int),
-		stems:     make(map[string]map[string]int),
+		stems:     make(map[string]map[string]*int),
 	}
 }
 
@@ -67,7 +70,7 @@ func (t *trustStats) observe(d *dataset.DomainRecord, primary []dataset.MXObs, m
 		return
 	}
 	stale := d.Delegation == dataset.DelegationStaleGlue
-	stem := abuseStem(d.Domain, memo.List())
+	t.stem = appendAbuseStem(t.stem[:0], d.Domain, memo.List())
 	for i := range primary {
 		ex := primary[i].Exchange
 		if stale {
@@ -76,14 +79,23 @@ func (t *trustStats) observe(d *dataset.DomainRecord, primary []dataset.MXObs, m
 		t.domains[ex]++
 		m := t.stems[ex]
 		if m == nil {
-			m = make(map[string]int)
+			m = make(map[string]*int)
 			t.stems[ex] = m
 		}
-		if _, ok := m[stem]; !ok && len(m) >= maxStemsPerExchange {
-			m[""]++
+		if n := m[string(t.stem)]; n != nil {
+			*n++
 			continue
 		}
-		m[stem]++
+		key := string(t.stem)
+		if len(m) >= maxStemsPerExchange {
+			key = ""
+			if n := m[key]; n != nil {
+				*n++
+				continue
+			}
+		}
+		one := 1
+		m[key] = &one
 	}
 }
 
@@ -95,28 +107,28 @@ func (t *trustStats) topStem(exchange string) (stem string, count, total int) {
 		if s == "" {
 			continue
 		}
-		if n > count || (n == count && s < stem) {
-			stem, count = s, n
+		if *n > count || (*n == count && s < stem) {
+			stem, count = s, *n
 		}
 	}
 	return stem, count, total
 }
 
-// abuseStem is the look-alike naming key of a domain: its registered
-// domain with every ASCII digit removed. Members of a throwaway cluster
-// ("bargain-pharma-dealz-001.xyz", "-002", ...) collapse onto one stem.
-func abuseStem(domain string, list *psl.List) string {
+// appendAbuseStem appends the look-alike naming key of a domain: its
+// registered domain with every ASCII digit removed. Members of a
+// throwaway cluster ("bargain-pharma-dealz-001.xyz", "-002", ...)
+// collapse onto one stem.
+func appendAbuseStem(dst []byte, domain string, list *psl.List) []byte {
 	h := normalizeHost(domain)
 	if reg, ok := list.RegisteredDomain(h); ok {
 		h = reg
 	}
-	var b strings.Builder
 	for i := 0; i < len(h); i++ {
 		if h[i] < '0' || h[i] > '9' {
-			b.WriteByte(h[i])
+			dst = append(dst, h[i])
 		}
 	}
-	return b.String()
+	return dst
 }
 
 // checkTrust is the hijack/abuse-aware pass: it cross-checks every
@@ -125,7 +137,7 @@ func abuseStem(domain string, list *psl.List) string {
 // crediting the claimed provider. It runs after the step 4
 // misidentification check and never revisits assignments that check
 // already marked untrusted.
-func checkTrust(res *Result, exchanges []dataset.MXObs, ips map[string]dataset.IPInfo, t *trustStats, cfg Config) {
+func checkTrust(res *Result, exchanges []dataset.MXObs, ips map[netip.Addr]dataset.IPInfo, t *trustStats, cfg Config) {
 	for i := range exchanges {
 		mx := &exchanges[i]
 		a := res.MX[mx.Exchange]
@@ -168,12 +180,12 @@ func flagUntrusted(res *Result, a *MXAssignment, credit, reason string) {
 
 // allParked reports whether the exchange resolves exclusively onto
 // parking addresses where port 25 never answers.
-func allParked(addrs []netip.Addr, ips map[string]dataset.IPInfo) bool {
+func allParked(addrs []netip.Addr, ips map[netip.Addr]dataset.IPInfo) bool {
 	if len(addrs) == 0 {
 		return false
 	}
 	for _, addr := range addrs {
-		info, ok := ips[addr.String()]
+		info, ok := ips[addr]
 		if !ok || !info.Parked || info.Port25Open {
 			return false
 		}

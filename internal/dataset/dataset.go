@@ -84,8 +84,15 @@ type DomainRecord struct {
 // the lowest preference value. The paper assigns domain credit to the
 // provider(s) of exactly this set.
 func (d *DomainRecord) PrimaryMX() []MXObs {
+	return d.AppendPrimaryMX(nil)
+}
+
+// AppendPrimaryMX appends PrimaryMX's records to dst, so that a caller
+// going through many domains can reuse one slice; nil when d has no MX
+// and dst is nil.
+func (d *DomainRecord) AppendPrimaryMX(dst []MXObs) []MXObs {
 	if len(d.MX) == 0 {
-		return nil
+		return dst
 	}
 	best := d.MX[0].Preference
 	for _, mx := range d.MX[1:] {
@@ -93,13 +100,12 @@ func (d *DomainRecord) PrimaryMX() []MXObs {
 			best = mx.Preference
 		}
 	}
-	var out []MXObs
 	for _, mx := range d.MX {
 		if mx.Preference == best {
-			out = append(out, mx)
+			dst = append(dst, mx)
 		}
 	}
-	return out
+	return dst
 }
 
 // ScanInfo is what the port-25 scan learned from one IP address.
@@ -599,6 +605,9 @@ func decodeAhead(r io.Reader, name string, wantHeader, wantDomain, wantIP bool, 
 		return nil
 	}
 
+	if wantDomain {
+		rules.names = make(internTable)
+	}
 	if !next() {
 		return
 	}

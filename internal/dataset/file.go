@@ -235,6 +235,12 @@ func openReader(path string) (r io.Reader, done func(), err error) {
 	if err != nil {
 		return nil, nil, err
 	}
+	return fileReader(f, path)
+}
+
+// fileReader is openReader's reader over f, already open at path; done
+// closes f, which an error has closed already.
+func fileReader(f *os.File, path string) (r io.Reader, done func(), err error) {
 	if !strings.HasSuffix(path, ".gz") {
 		return f, func() { f.Close() }, nil
 	}

@@ -236,13 +236,13 @@ func FuzzLineDecode(f *testing.F) {
 		wantErr := json.Unmarshal(data, &want)
 
 		d, info := usedRecords()
-		kind, key, ok := decodeCanonical(data, d, info)
-		if wkind, wkey, wok := decodeCanonical(data, nil, nil); wok != ok || (ok && (wkind != kind || !bytes.Equal(wkey, key))) {
+		kind, key, ok := decodeCanonical(data, d, info, make(internTable))
+		if wkind, wkey, wok := decodeCanonical(data, nil, nil, nil); wok != ok || (ok && (wkind != kind || !bytes.Equal(wkey, key))) {
 			t.Fatalf("walk = (%q, %q, %v), decode = (%q, %q, %v)", wkind, wkey, wok, kind, key, ok)
 		}
 		if !ok {
 			got := jsonLine{Domain: d, IP: info}
-			_, err := decodeLine(data, &got)
+			_, err := decodeLine(data, &got, nil)
 			if (err == nil) != (wantErr == nil) || (err != nil && err.Error() != wantErr.Error()) {
 				t.Fatalf("declined line: decodeLine error %v, json.Unmarshal error %v", err, wantErr)
 			}
@@ -263,7 +263,7 @@ func FuzzLineDecode(f *testing.F) {
 			t.Fatalf("kind %q, json.Unmarshal = %+v", kind, want)
 		}
 		fresh := jsonLine{Domain: new(DomainRecord), IP: new(IPInfo)}
-		if fkey, err := decodeLine(data, &fresh); err != nil || fresh.Kind != kind || !bytes.Equal(fkey, key) {
+		if fkey, err := decodeLine(data, &fresh, nil); err != nil || fresh.Kind != kind || !bytes.Equal(fkey, key) {
 			t.Fatalf("decodeLine = (%q, %q, %v), want (%q, %q)", fresh.Kind, fkey, err, kind, key)
 		}
 		var again []byte

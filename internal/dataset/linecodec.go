@@ -45,10 +45,11 @@ var plain = func() (t [256]bool) {
 // MX[i].Addrs reusing their arrays, so a caller that keeps a record
 // across lines hands in a zeroed one. A nil pointer means the caller has
 // no use for that record and the line is only walked, without
-// allocating. Any other line resets l and goes through json.Unmarshal,
-// which allocates the members the line carries.
-func decodeLine(raw []byte, l *jsonLine) (key []byte, err error) {
-	if kind, key, ok := decodeCanonical(raw, l.Domain, l.IP); ok {
+// allocating. names, when not nil, hands out the exchange names of the
+// stored domain records. Any other line resets l and goes through
+// json.Unmarshal, which allocates the members the line carries.
+func decodeLine(raw []byte, l *jsonLine, names internTable) (key []byte, err error) {
+	if kind, key, ok := decodeCanonical(raw, l.Domain, l.IP, names); ok {
 		l.Kind = kind
 		return key, nil
 	}
@@ -68,8 +69,8 @@ func decodeLine(raw []byte, l *jsonLine) (key []byte, err error) {
 // decodeCanonical is the hand-written half of decodeLine. ok is false
 // when it declines the line, which may by then have overwritten part of
 // the record.
-func decodeCanonical(raw []byte, d *DomainRecord, info *IPInfo) (kind string, key []byte, ok bool) {
-	c := cursor{b: raw}
+func decodeCanonical(raw []byte, d *DomainRecord, info *IPInfo, names internTable) (kind string, key []byte, ok bool) {
+	c := cursor{b: raw, names: names}
 	switch {
 	case c.lit(`{"kind":"domain","domain":`):
 		key, ok = c.domainLine(d)
@@ -85,8 +86,33 @@ func decodeCanonical(raw []byte, d *DomainRecord, info *IPInfo) (kind string, ke
 // canonical form went on; after the first false the line is declined and
 // the cursor is not used again.
 type cursor struct {
-	b []byte
-	i int
+	b     []byte
+	i     int
+	names internTable // where exchange names come from; nil allocates each
+}
+
+// internTable is a walk's table of exchange names: one string per
+// distinct name, so a pass over sorted domains, where a few providers'
+// exchanges recur line after line, stops allocating one per MX. It keeps
+// at most maxInterned names; past that, a name it lacks is allocated as
+// if there were no table.
+type internTable map[string]string
+
+// maxInterned bounds an internTable. Provider concentration puts the
+// popular exchanges among the first names a walk meets, so the bound
+// cuts the unique long tail (self-hosted exchanges), not them.
+const maxInterned = 1024
+
+// str returns b as a string, from the table when it holds it.
+func (t internTable) str(b []byte) string {
+	if s, ok := t[string(b)]; ok {
+		return s
+	}
+	s := string(b)
+	if t != nil && len(t) < maxInterned {
+		t[s] = s
+	}
+	return s
 }
 
 // lit consumes s if the line continues with it.
@@ -295,9 +321,10 @@ func (c *cursor) mxObs(mx *MXObs) bool {
 	}
 	if mx != nil {
 		// Sorted domains of one provider repeat the exchange line after
-		// line; the string of the slot's last use is kept when equal.
+		// line; the string of the slot's last use is kept when equal, and
+		// any other comes from the walk's table.
 		if mx.Exchange != string(exchange) {
-			mx.Exchange = string(exchange)
+			mx.Exchange = c.names.str(exchange)
 		}
 		*mx = MXObs{Preference: uint16(pref), Exchange: mx.Exchange, Addrs: addrs, Dangling: dangling}
 	}

@@ -188,12 +188,12 @@ var lineEdgeShapes = []struct {
 func TestLineDecodeEdgeShapes(t *testing.T) {
 	for _, e := range lineEdgeShapes {
 		t.Run(e.name, func(t *testing.T) {
-			if _, _, ok := decodeCanonical([]byte(e.line), nil, nil); ok != e.canonical {
+			if _, _, ok := decodeCanonical([]byte(e.line), nil, nil, nil); ok != e.canonical {
 				t.Errorf("decodeCanonical took the line: %v, want %v", ok, e.canonical)
 			}
 			d, info := usedRecords()
 			got := jsonLine{Domain: d, IP: info}
-			_, err := decodeLine([]byte(e.line), &got)
+			_, err := decodeLine([]byte(e.line), &got, nil)
 			if e.wantErr != "" {
 				if err == nil || !strings.Contains(err.Error(), e.wantErr) {
 					t.Fatalf("error %v, want one holding %q", err, e.wantErr)
@@ -262,7 +262,7 @@ func TestLineDecodeLongString(t *testing.T) {
 		SPF: "v=spf1 " + strings.Repeat("abcdefghijklmnopqrstuvwxyz", 20<<20/26)}
 	line := bytes.TrimSuffix(appendDomainLine(nil, &want), []byte("\n"))
 	var got DomainRecord
-	if _, _, ok := decodeCanonical(line, &got, nil); !ok {
+	if _, _, ok := decodeCanonical(line, &got, nil, nil); !ok {
 		t.Fatal("declined")
 	}
 	if !reflect.DeepEqual(got, want) {
@@ -285,7 +285,7 @@ func TestStreamRefillsInPlace(t *testing.T) {
 	var firstAddrs []netip.Addr
 	for i, want := range []DomainRecord{a, b, a, c, a} {
 		line := bytes.TrimSuffix(appendDomainLine(nil, &want), []byte("\n"))
-		if _, _, ok := decodeCanonical(line, &d, nil); !ok {
+		if _, _, ok := decodeCanonical(line, &d, nil, nil); !ok {
 			t.Fatalf("line %d declined", i)
 		}
 		if !reflect.DeepEqual(d, want) {

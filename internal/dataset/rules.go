@@ -37,6 +37,10 @@ type lineRules struct {
 	domains, ips   int    // record lines so far
 	first          string // the first domain name
 	last           []byte // the latest domain name
+
+	// names interns the exchange names of the records the walk stores
+	// (see internTable); nil for a walk that stores none.
+	names internTable
 }
 
 // step decodes raw, the next line of the file, into l (see decodeLine),
@@ -51,7 +55,7 @@ func (c *lineRules) step(raw []byte, l *jsonLine) ([]byte, error) {
 	if c.footer {
 		return nil, c.fail(errors.New("trailing data after footer"))
 	}
-	key, err := decodeLine(raw, l)
+	key, err := decodeLine(raw, l, c.names)
 	if err == nil {
 		err = c.check(l, key)
 	}

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -157,21 +158,56 @@ func (ss *ShardSet) NewWriter() *ShardWriter {
 }
 
 // ShardWriter buffers records up to the set's spill threshold and writes
-// each full buffer out as one sorted shard file. Not safe for concurrent
-// use; create one writer per producer goroutine.
+// each full buffer out as one sorted shard file. A domain record is
+// encoded as it arrives, so what the writer holds of it is its canonical
+// line, packed into fixed-size chunks, and a small reference to sort
+// by: the record itself, its MX and address arrays included, is the
+// caller's again once AddDomain returns. Not safe for concurrent use;
+// create one writer per producer goroutine.
 type ShardWriter struct {
-	set     *ShardSet
-	max     int
-	domains []DomainRecord
-	ips     []IPInfo
+	set *ShardSet
+	max int
+	// lines refers to the buffered domain lines in arrival order; their
+	// bytes are in chunks, the last of which is being filled.
+	lines  []lineRef
+	chunks [][]byte
+	ips    []IPInfo
 	// Shards counts the shard files this writer has spilled.
 	Shards int
 }
 
-// AddDomain buffers one domain record, spilling a shard when the buffer
-// is full.
+// lineRef places one buffered domain line: chunks[chunk][start:end],
+// ordered by name.
+type lineRef struct {
+	name       string
+	chunk      int32
+	start, end int32
+}
+
+// shardChunk is the size of a ShardWriter's line chunks; a line longer
+// than that gets a chunk of its own size. A spill drops its chunks, so
+// the next shard's lines do not pin this one's memory.
+const shardChunk = 64 << 10
+
+// AddDomain buffers the canonical line of one domain record, spilling a
+// shard when the buffer is full.
 func (w *ShardWriter) AddDomain(d DomainRecord) error {
-	w.domains = append(w.domains, d)
+	// The line is encoded straight into the last chunk's free space. One
+	// that does not fit comes back from append in an array of its own,
+	// and starts the next chunk.
+	var free []byte
+	if n := len(w.chunks); n > 0 {
+		free = w.chunks[n-1][len(w.chunks[n-1]):]
+	}
+	line := appendDomainLine(free, &d)
+	if len(line) > cap(free) {
+		w.chunks = append(w.chunks, make([]byte, 0, max(shardChunk, len(line))))
+		line = append(w.chunks[len(w.chunks)-1], line...)
+	}
+	n := len(w.chunks) - 1
+	start := len(w.chunks[n])
+	w.chunks[n] = w.chunks[n][:start+len(line)]
+	w.lines = append(w.lines, lineRef{name: d.Domain, chunk: int32(n), start: int32(start), end: int32(start + len(line))})
 	return w.maybeSpill()
 }
 
@@ -182,19 +218,21 @@ func (w *ShardWriter) AddIP(info IPInfo) error {
 }
 
 func (w *ShardWriter) maybeSpill() error {
-	if len(w.domains)+len(w.ips) >= w.max {
+	if len(w.lines)+len(w.ips) >= w.max {
 		return w.spill()
 	}
 	return nil
 }
 
-// Close spills any buffered records and finishes the writer. A writer
-// that buffered nothing writes nothing.
+// Close spills any buffered records and finishes the writer, letting go
+// of its buffers. A writer that buffered nothing writes nothing.
 func (w *ShardWriter) Close() error {
-	if len(w.domains)+len(w.ips) == 0 {
-		return nil
+	var err error
+	if len(w.lines)+len(w.ips) > 0 {
+		err = w.spill()
 	}
-	return w.spill()
+	w.lines, w.ips = nil, nil
+	return err
 }
 
 // spill sorts the buffered records and commits them as one shard file
@@ -206,9 +244,7 @@ func (w *ShardWriter) spill() error {
 	// Stable sort: a producer may legitimately observe the same domain
 	// twice (journal-resumed runs); keeping input order among equals
 	// preserves last-write-wins through the merge's tie-break.
-	sort.SliceStable(w.domains, func(i, j int) bool {
-		return w.domains[i].Domain < w.domains[j].Domain
-	})
+	slices.SortStableFunc(w.lines, func(a, b lineRef) int { return strings.Compare(a.name, b.name) })
 	// IPs order by address text, the order Merge checks; each key is
 	// rendered once, not twice per comparison.
 	keys := make([]string, len(w.ips))
@@ -217,10 +253,10 @@ func (w *ShardWriter) spill() error {
 	}
 	sort.Stable(ipsByKey{w.ips, keys})
 
-	footer := ShardFooter{Seq: seq, Domains: len(w.domains), IPs: len(w.ips)}
-	if len(w.domains) > 0 {
-		footer.FirstDomain = w.domains[0].Domain
-		footer.LastDomain = w.domains[len(w.domains)-1].Domain
+	footer := ShardFooter{Seq: seq}
+	if len(w.lines) > 0 {
+		footer.FirstDomain = w.lines[0].name
+		footer.LastDomain = w.lines[len(w.lines)-1].name
 	}
 
 	err := atomicWrite(path, func(out io.Writer) error {
@@ -237,12 +273,12 @@ func (w *ShardWriter) spill() error {
 		// Adjacent duplicates collapse here (keep the later record) so a
 		// shard's sections are strictly increasing.
 		nd, ni := 0, 0
-		for i := range w.domains {
-			if i+1 < len(w.domains) && w.domains[i+1].Domain == w.domains[i].Domain {
+		for i, ref := range w.lines {
+			if i+1 < len(w.lines) && w.lines[i+1].name == ref.name {
 				continue
 			}
 			nd++
-			if _, err := bw.Write(appendDomainLine(bw.AvailableBuffer(), &w.domains[i])); err != nil {
+			if _, err := bw.Write(w.chunks[ref.chunk][ref.start:ref.end]); err != nil {
 				return err
 			}
 		}
@@ -266,7 +302,8 @@ func (w *ShardWriter) spill() error {
 	}
 	w.set.record(path)
 	w.Shards++
-	w.domains = w.domains[:0]
+	w.chunks = nil
+	w.lines = w.lines[:0]
 	w.ips = w.ips[:0]
 	return nil
 }

@@ -567,3 +567,94 @@ func TestSnapshotConcurrentAddIndex(t *testing.T) {
 		t.Errorf("%d distinct domains, want %d", len(seen), writers*perW)
 	}
 }
+
+// TestShardWriterRepeatedDomain feeds one writer the same domain twice,
+// as a journal-resumed run does: the later record wins, within one
+// shard (adjacent lines after the stable sort) and across the writer's
+// shards (the merge's sequence tie-break) alike.
+func TestShardWriterRepeatedDomain(t *testing.T) {
+	for _, maxBuffered := range []int{100, 3} {
+		dir := t.TempDir()
+		base := filepath.Join(dir, "snap.jsonl")
+		set := NewShardSet(base, "2021-06", "alexa")
+		set.MaxBuffered = maxBuffered
+		w := set.NewWriter()
+		recs := []DomainRecord{
+			{Domain: "dup.example", Rank: 1, MX: []MXObs{{Preference: 10, Exchange: "old.example"}}},
+			{Domain: "b.example", Rank: 2, MX: []MXObs{}},
+			{Domain: "a.example", Rank: 3},
+			{Domain: "dup.example", Rank: 4, MX: []MXObs{{Preference: 10, Exchange: "new.example"}}},
+			{Domain: "c.example", Rank: 5},
+		}
+		for _, d := range recs {
+			if err := w.AddDomain(d); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Merge(base, set.Paths()); err != nil {
+			t.Fatal(err)
+		}
+		got, err := ReadFile(base)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := []DomainRecord{recs[2], recs[1], recs[4], recs[3]}
+		if !reflect.DeepEqual(got.Domains, want) {
+			t.Errorf("MaxBuffered %d: merged %+v, want %+v", maxBuffered, got.Domains, want)
+		}
+	}
+}
+
+// TestShardWriterLongLine spills lines longer than a chunk between
+// ordinary ones, over several shards of one writer, so that a line
+// starts a chunk of its own size and the ordinary lines after it start
+// the next: every record reads back intact.
+func TestShardWriterLongLine(t *testing.T) {
+	if testing.Short() {
+		t.Skip("allocates a ~20MiB record")
+	}
+	long := func(n int) string {
+		b := make([]byte, n)
+		for i := range b {
+			b[i] = 'a' + byte(i%26)
+		}
+		return "v=spf1 " + string(b)
+	}
+	s := NewSnapshot("2021-06", "alexa")
+	for i := 0; i < 40; i++ {
+		d := DomainRecord{Domain: fmt.Sprintf("d%03d.example", i), MX: []MXObs{{Preference: 10, Exchange: "mx.example"}}}
+		switch i {
+		case 5:
+			d.SPF = long(20 << 20) // TestLongLineRead's size
+		case 17, 18:
+			d.SPF = long(shardChunk + 1)
+		}
+		s.AddDomain(d)
+	}
+	dir := t.TempDir()
+	base := filepath.Join(dir, "long.jsonl")
+	set := NewShardSet(base, s.Date, s.Corpus)
+	set.MaxBuffered = 10
+	w := set.NewWriter()
+	for i := range s.Domains {
+		if err := w.AddDomain(s.Domains[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Merge(base, set.Paths()); err != nil {
+		t.Fatal(err)
+	}
+	got, err := ReadFile(base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got.Domains, s.Domains) {
+		t.Error("records spilled around lines longer than a chunk did not read back intact")
+	}
+}

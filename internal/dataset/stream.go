@@ -1,32 +1,60 @@
 package dataset
 
+import (
+	"errors"
+	"fmt"
+	"os"
+)
+
 // Stream is a snapshot on disk iterated without materializing it: the
 // file is re-opened and decoded per pass, each line decoded once (by the
 // line codec when it is in canonical form, see linecodec.go), on a
 // goroutine that runs ahead of the callbacks into a fixed set of record
 // batches refilled in place, so a pass over millions of domains holds a
 // bounded window of them in memory: walkBatches x walkBatch = 384
-// records, whatever the file's size (see walkLines). It is the
-// file-backed Source; core.InferStream makes two passes over one: the
-// first keeps the IP section as it reads the domains, the second reads
-// the domains again.
+// records, whatever the file's size (see walkLines). Exchange names come
+// from the pass's intern table (see internTable), so a canonical domain
+// line allocates only its own text: the name, and SPF or delegation
+// when it has them. It is the file-backed Source; core.InferStream
+// makes two passes over one: the first keeps the IP section as it reads
+// the domains, the second reads the domains again.
 //
 // A Stream works over both canonical snapshot files (WriteFile / Merge
 // output) and individual shard files (a footer is checked, not yielded).
 // Its fields are set once, by OpenStream, so any number of passes may
 // run concurrently.
+//
+// A Stream is one file, not one path: OpenStream records the identity
+// of the file it read (device and inode, size and modification time),
+// and a pass that finds another file at Path (one renamed over it, or
+// rewritten in place) fails naming the path, rather than read records
+// the earlier passes never saw.
 type Stream struct {
 	// Path is the snapshot file.
 	Path string
 	// Date and Corpus come from the header line.
 	Date, Corpus string
+
+	file os.FileInfo // the file OpenStream read; nil checks nothing
 }
+
+// errReplaced is what a pass over a Stream whose file was replaced
+// fails with.
+var errReplaced = errors.New("not the file the stream was opened on: replaced or rewritten since")
 
 // OpenStream validates the header of the snapshot at path and returns a
 // Stream over it.
 func OpenStream(path string) (*Stream, error) {
 	st := &Stream{Path: path}
-	err := st.walk(
+	f, err := st.open()
+	if err != nil {
+		return nil, err
+	}
+	if st.file, err = f.Stat(); err != nil {
+		f.Close()
+		return nil, err
+	}
+	err = st.walkFile(f,
 		func(h *snapshotHeader) { st.Date, st.Corpus = h.Date, h.Corpus },
 		func(*DomainRecord) error { return ErrStop }, nil)
 	if err != nil {
@@ -50,7 +78,35 @@ func (st *Stream) ForEach(domain func(*DomainRecord) error, ip func(*IPInfo) err
 }
 
 func (st *Stream) walk(header func(*snapshotHeader), domain func(*DomainRecord) error, ip func(*IPInfo) error) error {
-	r, done, err := openReader(st.Path)
+	f, err := st.open()
+	if err != nil {
+		return err
+	}
+	return st.walkFile(f, header, domain, ip)
+}
+
+// open opens the file at Path for a pass, failing with errReplaced when
+// it is not the one OpenStream read.
+func (st *Stream) open() (*os.File, error) {
+	f, err := os.Open(st.Path)
+	if err != nil || st.file == nil {
+		return f, err
+	}
+	fi, err := f.Stat()
+	if err == nil && !(os.SameFile(fi, st.file) && fi.Size() == st.file.Size() && fi.ModTime().Equal(st.file.ModTime())) {
+		err = fmt.Errorf("dataset: %s: %w", st.Path, errReplaced)
+	}
+	if err != nil {
+		f.Close()
+		return nil, err
+	}
+	return f, nil
+}
+
+// walkFile runs one pass of walkLines over f, the opened file at Path,
+// and closes it.
+func (st *Stream) walkFile(f *os.File, header func(*snapshotHeader), domain func(*DomainRecord) error, ip func(*IPInfo) error) error {
+	r, done, err := fileReader(f, st.Path)
 	if err != nil {
 		return err
 	}

@@ -141,31 +141,31 @@ func effectiveLen(r rule) int {
 // Len reports the number of rules in the list.
 func (l *List) Len() int { return l.n }
 
-// suffixLen returns how many of the trailing labels form the public suffix.
-func (l *List) suffixLen(labels []string) int {
-	tld := labels[len(labels)-1]
-	for _, ru := range l.byTLD[tld] {
-		if m, ok := matchRule(ru, labels); ok {
+// suffixLen returns how many of the trailing labels of the normalized
+// host h form the public suffix.
+func (l *List) suffixLen(h string) int {
+	for _, ru := range l.byTLD[h[strings.LastIndexByte(h, '.')+1:]] {
+		if m, ok := matchRule(ru, h); ok {
 			return m // rules are sorted longest-first
 		}
 	}
 	return 1 // default rule "*": the suffix is the TLD itself
 }
 
-// matchRule reports whether ru matches the (non-reversed) labels, and if so
-// how many trailing labels the resulting public suffix spans.
-func matchRule(ru rule, labels []string) (int, bool) {
-	if len(ru.labels) > len(labels) {
-		return 0, false
-	}
-	for i, rl := range ru.labels {
-		dl := labels[len(labels)-1-i]
-		if rl == "*" {
-			continue
+// matchRule reports whether ru matches the normalized host h, and if so
+// how many trailing labels the resulting public suffix spans. Labels
+// are taken from the right of h in place, not split out.
+func matchRule(ru rule, h string) (int, bool) {
+	end := len(h)
+	for _, rl := range ru.labels {
+		if end < 0 {
+			return 0, false // the rule has more labels than h
 		}
-		if rl != dl {
+		start := strings.LastIndexByte(h[:end], '.') + 1
+		if rl != "*" && rl != h[start:end] {
 			return 0, false
 		}
+		end = start - 1
 	}
 	if ru.exception {
 		// An exception rule's public suffix is the rule minus its leftmost
@@ -178,33 +178,35 @@ func matchRule(ru rule, labels []string) (int, bool) {
 // RegisteredDomain returns the registered domain (eTLD+1) for the given
 // host name: the public suffix plus one additional label. It returns
 // ok=false when the name is empty, is itself a public suffix, or has no
-// label to the left of the suffix.
+// label to the left of the suffix. The result is a substring of the
+// normalized name, so a name that is already normalized (lower case, no
+// surrounding space, no trailing dot) costs no allocation.
 func (l *List) RegisteredDomain(domain string) (reg string, ok bool) {
-	labels := splitLabels(domain)
-	if len(labels) == 0 {
+	h := normalize(domain)
+	if h == "" {
 		return "", false
 	}
-	n := l.suffixLen(labels)
-	if n >= len(labels) {
-		return "", false
+	// The registered domain starts where the suffixLen+1'th label from
+	// the right does; start-1 is the dot before the label last taken.
+	start := len(h) + 1
+	for n := l.suffixLen(h) + 1; n > 0; n-- {
+		if start == 0 {
+			return "", false // h is its public suffix, or less
+		}
+		start = strings.LastIndexByte(h[:start-1], '.') + 1
 	}
-	return strings.Join(labels[len(labels)-n-1:], "."), true
+	return h[start:], true
 }
 
-// splitLabels normalizes a host name and splits it into labels. It returns
-// nil for names that cannot be a valid host (empty labels, leading dot).
-func splitLabels(domain string) []string {
-	domain = strings.TrimSuffix(strings.ToLower(strings.TrimSpace(domain)), ".")
-	if domain == "" {
-		return nil
+// normalize lower-cases a host name and strips its surrounding space and
+// one trailing dot. It returns "" for names that cannot be a valid host
+// (empty, or with an empty label).
+func normalize(domain string) string {
+	h := strings.TrimSuffix(strings.ToLower(strings.TrimSpace(domain)), ".")
+	if h == "" || h[0] == '.' || h[len(h)-1] == '.' || strings.Contains(h, "..") {
+		return ""
 	}
-	labels := strings.Split(domain, ".")
-	for _, lb := range labels {
-		if lb == "" {
-			return nil
-		}
-	}
-	return labels
+	return h
 }
 
 // RegisteredDomain extracts the registered domain using the Default list.

@@ -754,3 +754,34 @@ func TestServeSwapFallbackFullRecompute(t *testing.T) {
 		t.Error("service stale after successful fallback swap")
 	}
 }
+
+// TestServeSwapRewrittenInPlace pins a swap to the served path after a
+// new snapshot was renamed over it (mxscan -out to the served path, then
+// /v1/swap to that path): the prior store's file is gone from the path,
+// so the swap recomputes in full and answers as a fresh load of the new
+// file does, instead of diffing the new file against itself.
+func TestServeSwapRewrittenInPlace(t *testing.T) {
+	oldPath, newPath := writeServeWorlds(t)
+	swapped := servingService(t, oldPath)
+	if err := os.Rename(newPath, oldPath); err != nil {
+		t.Fatal(err)
+	}
+	rep, err := swapped.Swap(context.Background(), oldPath)
+	if err != nil {
+		t.Fatalf("swap to the rewritten path: %v", err)
+	}
+	if !rep.FullRecompute || rep.Delta.Reused != 0 || rep.Delta.Reinferred != 4 {
+		t.Errorf("report = %+v, want full recompute of 4 domains", rep)
+	}
+	fresh := servingService(t, oldPath)
+	se, ss := swapped.acquire()
+	defer swapped.release(se)
+	fe, fs := fresh.acquire()
+	defer fresh.release(fe)
+	if !reflect.DeepEqual(ss.domains, fs.domains) {
+		t.Errorf("swapped store %+v, fresh load %+v", ss.domains, fs.domains)
+	}
+	if att := ss.domains["two.example"]; att.Primary() != "prov-b.net" {
+		t.Errorf("two.example credited to %q after the swap, want prov-b.net", att.Primary())
+	}
+}

@@ -75,7 +75,10 @@ type ServiceConfig struct {
 // Store is one immutable, fully-built serving state: a snapshot's
 // per-domain attributions plus the precomputed aggregate answers.
 type Store struct {
-	path    string
+	// stream is the file the store was built from: a later swap diffs
+	// against it, and fails over to a full recompute when the file at
+	// its path is no longer that file.
+	stream  *dataset.Stream
 	meta    SnapshotMeta
 	res     *core.Result
 	domains map[string]core.DomainAttribution
@@ -324,8 +327,10 @@ func (s *Service) drainEpoch(ctx context.Context, e *epoch) bool {
 // store it diffs the two snapshot files first and reuses the prior
 // attribution for every domain the delta contract proves unchanged
 // (see core.InferStreamDelta); the result is byte-identical to a full
-// recompute. A prior whose file is no longer readable degrades to a
-// full recompute rather than failing the swap.
+// recompute. A prior whose file is no longer readable, or is no longer
+// the file the prior was built from (replaced at its path, as a rewrite
+// of the served path is), degrades to a full recompute rather than
+// failing the swap.
 func (s *Service) build(path string, prior *Store) (*Store, *ChurnReport, error) {
 	newSt, err := dataset.OpenStream(path)
 	if err != nil {
@@ -339,20 +344,21 @@ func (s *Service) build(path string, prior *Store) (*Store, *ChurnReport, error)
 	)
 	useDelta := false
 	if prior != nil {
-		if oldSt, oerr := dataset.OpenStream(prior.path); oerr == nil {
-			changed = make(map[string]bool)
-			dstats, oerr = dataset.DiffStream(oldSt, newSt, func(c dataset.Change) error {
-				if c.Kind != dataset.DiffRemoved {
-					changed[c.Domain] = true
-				}
-				changes = append(changes, c)
-				return nil
-			})
-			useDelta = oerr == nil
+		changed = make(map[string]bool)
+		var derr error
+		dstats, derr = dataset.DiffStream(prior.stream, newSt, func(c dataset.Change) error {
+			if c.Kind != dataset.DiffRemoved {
+				changed[c.Domain] = true
+			}
+			changes = append(changes, c)
+			return nil
+		})
+		if useDelta = derr == nil; !useDelta {
+			dstats = dataset.DiffStats{} // a fallback reports no diff, as when the prior vanished
 		}
 	}
 
-	store := &Store{path: path}
+	store := &Store{stream: newSt}
 	acc := analysis.NewShareAccumulator(s.cfg.Directory)
 	domains := make(map[string]core.DomainAttribution)
 	emit := func(att core.DomainAttribution) {
