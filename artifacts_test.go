@@ -492,6 +492,119 @@ func TestDocsNameRealTests(t *testing.T) {
 	}
 }
 
+// TestDocsNameRealIdentifiers is the code twin of TestDocsNameRealTests:
+// every code span in README.md or DESIGN.md that is `pkg.Name`,
+// `pkg.Name()` or `pkg.Name.Member`, where pkg is a directory under
+// internal/, names a top-level declaration (a method included) in that
+// directory's non-test sources, and Member a field or method of the
+// type Name (an embedded field's members count).
+func TestDocsNameRealIdentifiers(t *testing.T) {
+	pkgs := make(map[string]bool)
+	declared := make(map[string]bool)   // pkg.Name and pkg.Type.Member
+	embeds := make(map[string][]string) // pkg.Type → pkg.Embedded
+	parseNonTestSources(t, parser.SkipObjectResolution, func(path string, file *ast.File) {
+		dir := filepath.ToSlash(filepath.Dir(path))
+		if !strings.HasPrefix(dir, "internal/") {
+			return
+		}
+		pkg := filepath.Base(dir)
+		pkgs[pkg] = true
+		for _, decl := range file.Decls {
+			switch d := decl.(type) {
+			case *ast.FuncDecl:
+				// A method is a top-level declaration too: docs name
+				// `world.StartDNS` as well as `world.World.StartDNS`.
+				declared[pkg+"."+d.Name.Name] = true
+				if d.Recv != nil {
+					declared[pkg+"."+typeName(d.Recv.List[0].Type)+"."+d.Name.Name] = true
+				}
+			case *ast.GenDecl:
+				for _, spec := range d.Specs {
+					switch sp := spec.(type) {
+					case *ast.ValueSpec:
+						for _, id := range sp.Names {
+							declared[pkg+"."+id.Name] = true
+						}
+					case *ast.TypeSpec:
+						typ := pkg + "." + sp.Name.Name
+						declared[typ] = true
+						var members []*ast.Field
+						switch st := sp.Type.(type) {
+						case *ast.StructType:
+							members = st.Fields.List
+						case *ast.InterfaceType:
+							members = st.Methods.List
+						}
+						for _, f := range members {
+							if len(f.Names) == 0 {
+								embedded := typeName(f.Type)
+								declared[typ+"."+embedded] = true
+								embeds[typ] = append(embeds[typ], pkg+"."+embedded)
+							}
+							for _, id := range f.Names {
+								declared[typ+"."+id.Name] = true
+							}
+						}
+					}
+				}
+			}
+		}
+	})
+	var hasMember func(typ, member string) bool
+	hasMember = func(typ, member string) bool {
+		if declared[typ+"."+member] {
+			return true
+		}
+		for _, e := range embeds[typ] {
+			if hasMember(e, member) {
+				return true
+			}
+		}
+		return false
+	}
+	// Go names are MixedCaps: a span with an underscore is a benchmark
+	// metric (`core.pass_a_s`), which TestCitedBenchKeysResolve and
+	// bench/ own.
+	span := regexp.MustCompile("`([a-z][a-z0-9]*)\\.([A-Za-z][A-Za-z0-9]*)(?:\\.([A-Za-z][A-Za-z0-9]*))?(?:\\(\\))?`")
+	for _, doc := range []string{"README.md", "DESIGN.md"} {
+		raw, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, line := range strings.Split(string(raw), "\n") {
+			for _, m := range span.FindAllStringSubmatch(line, -1) {
+				pkg, name, member := m[1], m[2], m[3]
+				switch {
+				case !pkgs[pkg]:
+				case !declared[pkg+"."+name]:
+					t.Errorf("%s:%d: %s: internal/%s declares no %s", doc, i+1, m[0], pkg, name)
+				case member != "" && !hasMember(pkg+"."+name, member):
+					t.Errorf("%s:%d: %s: %s.%s has no field or method %s", doc, i+1, m[0], pkg, name, member)
+				}
+			}
+		}
+	}
+}
+
+// typeName is the name of the type expression x: a receiver's or an
+// embedded field's type, pointer, package qualifier and type
+// parameters dropped.
+func typeName(x ast.Expr) string {
+	switch x := x.(type) {
+	case *ast.StarExpr:
+		return typeName(x.X)
+	case *ast.IndexExpr:
+		return typeName(x.X)
+	case *ast.IndexListExpr:
+		return typeName(x.X)
+	case *ast.SelectorExpr:
+		return x.Sel.Name
+	case *ast.Ident:
+		return x.Name
+	}
+	return ""
+}
+
 // TestGofmt holds every .go file in the tree to gofmt's formatting
 // (go/format is the same printer), so tier-1 fails on what `gofmt -l .`
 // would list. Dot-directories hold build output, not source.

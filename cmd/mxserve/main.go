@@ -11,11 +11,12 @@
 // "loading" until the initial snapshot is built, so orchestrators can
 // probe before the first epoch is ready. With -allow-swap, POST
 // /v1/swap?path=... hot-swaps a newer snapshot with zero downtime:
-// only the churned domains are re-inferred, in-flight queries drain
-// from the old epoch, and a failed load leaves the service answering
-// from the old epoch marked stale. SIGINT/SIGTERM drains gracefully —
-// every accepted query is answered before the process exits — and the
-// final serving counters are printed so operators can verify zero loss.
+// only the churned domains are re-inferred, in-flight queries finish
+// on the snapshot they started with, and a failed load leaves the
+// service answering from the old snapshot marked stale. SIGINT/SIGTERM
+// drains gracefully — every accepted query is answered before the
+// process exits — and the final serving counters are printed so
+// operators can verify zero loss.
 package main
 
 import (
@@ -39,7 +40,6 @@ func main() {
 	var (
 		listen       = flag.String("listen", ":8080", "address to serve on")
 		approach     = flag.String("approach", "priority", "inference approach: mx, cert, banner or priority")
-		top          = flag.Int("top", serve.DefaultTopShares, "providers precomputed for /v1/share")
 		allowSwap    = flag.Bool("allow-swap", false, "enable POST /v1/swap (operator-only listeners)")
 		maxConns     = flag.Int("max-conns", 0, "connection cap (0 = default, negative = unlimited)")
 		readTimeout  = flag.Duration("read-timeout", 0, "slowloris read deadline")
@@ -60,7 +60,6 @@ func main() {
 	svc := serve.NewService(ap, serve.ServiceConfig{
 		Infer:     core.Config{Profiles: analysis.ProviderProfiles(dir)},
 		Directory: dir,
-		TopShares: *top,
 	})
 	srv, err := serve.NewServer(serve.Config{
 		Service:     svc,

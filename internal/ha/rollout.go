@@ -44,9 +44,9 @@ type ReplicaRollout struct {
 // Rollout rolls newPath across the fleet one replica at a time: POST
 // /v1/swap on the replica, then verify by probe that it is serving the
 // new epoch (ready, not stale) before advancing to the next. Queries
-// keep flowing the whole time — each replica drains its own old epoch
-// inside Swap, and the balancer routes around whichever member is
-// mid-swap if it ever answers slowly.
+// keep flowing the whole time — each replica answers from its old
+// store until Swap publishes the new one, and the balancer routes
+// around whichever member is mid-swap if it ever answers slowly.
 //
 // On a failed swap the rollout aborts: the failing replica is left
 // serving its old snapshot (the replica-side swap contract marks it

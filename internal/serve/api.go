@@ -170,7 +170,7 @@ type ChurnReport struct {
 	// and Flows are empty in that case).
 	FullRecompute bool `json:"full_recompute,omitempty"`
 	// SwapLatencyNS is the wall time of the whole swap, build through
-	// epoch drain, on the service clock.
+	// publish, on the service clock.
 	SwapLatencyNS int64 `json:"swap_latency_ns"`
 }
 

@@ -20,14 +20,16 @@ import (
 )
 
 // chaosClient hammers one keep-alive connection with lookups until
-// stopped, checking every answer for epoch monotonicity and snapshot
-// consistency. It tallies what it observed so the test can reconstruct
-// the server's exact counters from the client side.
+// stopped, checking every answer for epoch monotonicity, snapshot
+// consistency and a stale mark only where one is allowed. It tallies
+// what it observed so the test can reconstruct the server's exact
+// counters from the client side.
 type chaosClient struct {
-	sent      int64 // requests fully answered
-	misses    int64 // answered with found=false
-	lastEpoch uint64
-	err       error
+	staleEpoch uint64 // the one epoch whose answers may be stale; 0 for none
+	sent       int64  // requests fully answered
+	misses     int64  // answered with found=false
+	lastEpoch  uint64
+	err        error
 }
 
 // run loops lookups until stop or until the drain closes the
@@ -69,6 +71,12 @@ func (cc *chaosClient) run(n *netsim.Network, addr string, worker int, stop *ato
 			return
 		}
 		cc.lastEpoch = resp.Snapshot.Epoch
+		// The stale mark travels with the store it describes: only a
+		// store republished after a failed swap carries it.
+		if resp.Stale && resp.Snapshot.Epoch != cc.staleEpoch {
+			cc.err = fmt.Errorf("epoch %d answered stale", resp.Snapshot.Epoch)
+			return
+		}
 		wantDate := "2021-01"
 		if resp.Snapshot.Epoch%2 == 0 {
 			wantDate = "2021-02"
@@ -111,8 +119,8 @@ func (cc *chaosClient) run(n *netsim.Network, addr string, worker int, stop *ato
 // lookups while the snapshot is hot-swapped back and forth, then drains
 // gracefully and balances the books: every request the server read was
 // answered (Lost() == 0, asserted as a whole ServerStats struct built
-// from client-side tallies), no answer ever came from a torn epoch, and
-// epochs never moved backward on a connection.
+// from client-side tallies), no answer ever came from a torn epoch or
+// was marked stale, and epochs never moved backward on a connection.
 func TestChaosHotSwapFloodZeroLoss(t *testing.T) {
 	oldPath, newPath := writeServeWorlds(t)
 	svc := servingService(t, oldPath)
@@ -209,7 +217,8 @@ func TestChaosHotSwapFloodZeroLoss(t *testing.T) {
 // TestChaosSwapFailureUnderLoad floods lookups while a swap fails
 // mid-flight: the old epoch must keep answering every query, marked
 // stale, and a later good swap must clear the degradation — no query
-// is ever refused or lost across the failure.
+// is ever refused or lost across the failure, and no answer from the
+// recovered epoch is stale.
 func TestChaosSwapFailureUnderLoad(t *testing.T) {
 	oldPath, newPath := writeServeWorlds(t)
 	svc := servingService(t, oldPath)
@@ -222,6 +231,7 @@ func TestChaosSwapFailureUnderLoad(t *testing.T) {
 	var wg sync.WaitGroup
 	clients := make([]chaosClient, workers)
 	for w := 0; w < workers; w++ {
+		clients[w].staleEpoch = 1 // the store the failed swap leaves serving
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()

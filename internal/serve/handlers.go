@@ -8,11 +8,12 @@ import (
 
 // handle routes one admitted request: through Config.Handler when one
 // is plugged in (the HA balancer front), otherwise through the built-in
-// Service routes. Service handlers read from an acquired epoch — never
-// from the Service's mutable state directly — so a concurrent hot-swap
-// can only give them a fully-built store. body is the caller's scratch
-// for a /v1/domain answer: the response aliases it, so the caller writes
-// the response out before it hands the same scratch to the next request.
+// Service routes. A data handler loads the published store once and
+// reads only that store, so a concurrent hot-swap can only give it one
+// fully-built snapshot, with that snapshot's stale mark. body is the
+// caller's scratch for a /v1/domain answer: the response aliases it, so
+// the caller writes the response out before it hands the same scratch
+// to the next request.
 func (s *Server) handle(ctx context.Context, req *Request, body *[]byte) Response {
 	if gate := s.cfg.Gate; gate != nil {
 		gate(req.Path)
@@ -44,18 +45,14 @@ func (s *Server) handle(ctx context.Context, req *Request, body *[]byte) Respons
 	return ErrorResponse(404, "not found")
 }
 
-// dataStore pins the current epoch for a data endpoint, accounting
-// stale serves. ok=false means no snapshot is loaded yet.
-func (s *Server) dataStore() (e *epoch, store *Store, stale bool, ok bool) {
-	e, store = s.cfg.Service.acquire()
-	if store == nil {
-		return nil, nil, false, false
-	}
-	stale = s.cfg.Service.Stale()
-	if stale {
+// dataStore loads the published store for a data endpoint, accounting
+// stale serves. nil means no snapshot is loaded yet.
+func (s *Server) dataStore() *Store {
+	store := s.cfg.Service.cur.Load()
+	if store != nil && store.stale {
 		s.stats.staleServes.Add(1)
 	}
-	return e, store, stale, true
+	return store
 }
 
 // notLoaded carries Retry-After (via ErrorResponse's 503 rule): a
@@ -72,14 +69,13 @@ func (s *Server) handleDomain(req *Request, body *[]byte) Response {
 		return ErrorResponse(400, "missing name parameter")
 	}
 	name = strings.TrimSuffix(strings.ToLower(name), ".")
-	e, store, stale, ok := s.dataStore()
-	if !ok {
+	store := s.dataStore()
+	if store == nil {
 		return notLoaded
 	}
-	defer s.cfg.Service.release(e)
 	att, found := store.domains[name]
 	s.stats.lookups.Add(1)
-	resp := LookupResponse{Domain: name, Found: found, Stale: stale, Snapshot: store.meta}
+	resp := LookupResponse{Domain: name, Found: found, Stale: store.stale, Snapshot: store.meta}
 	if found {
 		resp.Primary = att.Primary()
 		resp.Credits = att.Credits
@@ -97,36 +93,37 @@ func (s *Server) handleDomain(req *Request, body *[]byte) Response {
 	return Response{Status: 200, Body: b}
 }
 
+// defaultTop is how many companies /v1/share lists without a top
+// parameter.
+const defaultTop = 15
+
 func (s *Server) handleShare(req *Request) Response {
-	e, store, stale, ok := s.dataStore()
-	if !ok {
+	store := s.dataStore()
+	if store == nil {
 		return notLoaded
 	}
-	defer s.cfg.Service.release(e)
-	n := len(store.shares)
+	n := defaultTop
 	if raw := req.Query.Get("top"); raw != "" {
 		v, err := strconv.Atoi(raw)
 		if err != nil || v <= 0 {
 			return ErrorResponse(400, "top must be a positive integer")
 		}
-		if v < n {
-			n = v
-		}
+		n = v
 	}
-	return JSONResponse(200, ShareResponse{Top: store.shares[:n], Stale: stale, Snapshot: store.meta})
+	n = min(n, len(store.shares))
+	return JSONResponse(200, ShareResponse{Top: store.shares[:n], Stale: store.stale, Snapshot: store.meta})
 }
 
 func (s *Server) handleConcentration() Response {
-	e, store, stale, ok := s.dataStore()
-	if !ok {
+	store := s.dataStore()
+	if store == nil {
 		return notLoaded
 	}
-	defer s.cfg.Service.release(e)
 	c := store.conc
 	return JSONResponse(200, ConcentrationResponse{
 		HHI: c.HHI, CR1: c.CR1, CR4: c.CR4, CR8: c.CR8,
 		EffectiveCompanies: c.EffectiveCompanies,
-		Stale:              stale,
+		Stale:              store.stale,
 		Snapshot:           store.meta,
 	})
 }
@@ -154,7 +151,7 @@ func (s *Server) handleSwap(ctx context.Context, req *Request) Response {
 	}
 	rep, err := s.cfg.Service.Swap(ctx, path)
 	if err != nil {
-		// The old epoch keeps serving, marked stale; tell the
+		// The old snapshot keeps serving, marked stale; tell the
 		// operator what failed.
 		return ErrorResponse(500, err.Error())
 	}
@@ -162,12 +159,8 @@ func (s *Server) handleSwap(ctx context.Context, req *Request) Response {
 }
 
 func (s *Server) handleHealthz() Response {
-	svc := s.cfg.Service
-	h := HealthResponse{State: svc.State().String(), Stale: svc.Stale()}
-	if meta, ok := svc.Meta(); ok {
-		h.Epoch = meta.Epoch
-	}
-	return JSONResponse(200, h)
+	st := s.cfg.Service.Stats()
+	return JSONResponse(200, HealthResponse{State: st.State, Stale: st.Stale, Epoch: st.Epoch})
 }
 
 func (s *Server) handleReadyz() Response {

@@ -457,6 +457,49 @@ func TestServeProbesBeforeLoad(t *testing.T) {
 	if !ready.Ready {
 		t.Errorf("readyz after load = %+v, want ready", ready)
 	}
+
+	// A drain that begins while the initial load runs (a signal during
+	// mxserve's startup) outlasts the load: the service comes up
+	// draining, never ready.
+	drained := NewService(core.ApproachMXOnly, ServiceConfig{})
+	drained.BeginDrain()
+	if _, err := drained.Load(oldPath); err != nil {
+		t.Fatal(err)
+	}
+	if st, ok := drained.State(), drained.Ready(); st != StateDraining || ok {
+		t.Errorf("state %v ready %v after a load during drain, want draining and not ready", st, ok)
+	}
+}
+
+// TestServeShareTop: a store holds every company's share; /v1/share
+// lists defaultTop of them without a top parameter and up to top with
+// one.
+func TestServeShareTop(t *testing.T) {
+	svc := NewService(core.ApproachMXOnly, ServiceConfig{})
+	store := &Store{meta: SnapshotMeta{Date: "2021-01", Corpus: "test", Epoch: 1, Domains: 20}}
+	for i := 0; i < 20; i++ {
+		share := float64(20 - i)
+		store.shares = append(store.shares, ShareEntry{Company: fmt.Sprintf("prov-%02d.net", i), Domains: share, Percent: share})
+	}
+	svc.cur.Store(store)
+	n := netsim.New()
+	const addr = "203.0.113.25:80"
+	startTestServer(t, n, addr, Config{Service: svc})
+	c := dialClient(t, n, addr)
+	for _, tc := range []struct {
+		target string
+		want   int
+	}{
+		{"/v1/share", 15},
+		{"/v1/share?top=50", 20},
+		{"/v1/share?top=3", 3},
+	} {
+		var share ShareResponse
+		c.get("GET", tc.target, 200, &share)
+		if !reflect.DeepEqual(share.Top, store.shares[:tc.want]) {
+			t.Errorf("%s = %+v, want the first %d shares", tc.target, share.Top, tc.want)
+		}
+	}
 }
 
 func TestServeAdmissionControl(t *testing.T) {
@@ -703,10 +746,8 @@ func TestServeSwapEquivalence(t *testing.T) {
 	}
 	fresh := servingService(t, newPath)
 
-	se, ss := swapped.acquire()
-	defer swapped.release(se)
-	fe, fs := fresh.acquire()
-	defer fresh.release(fe)
+	ss := swapped.cur.Load()
+	fs := fresh.cur.Load()
 	if len(ss.domains) != len(fs.domains) {
 		t.Fatalf("store sizes differ: %d vs %d", len(ss.domains), len(fs.domains))
 	}
@@ -774,10 +815,8 @@ func TestServeSwapRewrittenInPlace(t *testing.T) {
 		t.Errorf("report = %+v, want full recompute of 4 domains", rep)
 	}
 	fresh := servingService(t, oldPath)
-	se, ss := swapped.acquire()
-	defer swapped.release(se)
-	fe, fs := fresh.acquire()
-	defer fresh.release(fe)
+	ss := swapped.cur.Load()
+	fs := fresh.cur.Load()
 	if !reflect.DeepEqual(ss.domains, fs.domains) {
 		t.Errorf("swapped store %+v, fresh load %+v", ss.domains, fs.domains)
 	}

@@ -1,13 +1,14 @@
 // Package serve is the online face of the pipeline: an overload-hardened
 // HTTP/JSON query service over one loaded snapshot and its inference
-// result. Its robustness headline is versioned snapshot hot-swap — a new
+// result. Its robustness headline is versioned snapshot hot-swap: a new
 // snapshot is loaded and incrementally re-inferred next to the serving
-// one, an epoch-counted pointer flips atomically, readers of the old
-// epoch drain, and the old state is freed — with zero queries lost or
-// answered from a half-built state. When a swap's load fails mid-flight
-// the service degrades to stale serving (in the spirit of RFC 8767):
-// the old epoch keeps answering, marked Stale, until a later swap
-// succeeds.
+// one, then published as one immutable store by an atomic pointer
+// store. A request loads that pointer once and reads the store it got;
+// the garbage collector retires an old store when its last reader is
+// done. No query is lost or answered from a half-built state. When a
+// swap's load fails the service degrades to stale serving (in the
+// spirit of RFC 8767): a copy of the serving store marked stale is
+// published and answers, until a later swap succeeds.
 package serve
 
 import (
@@ -24,17 +25,14 @@ import (
 	"mxmap/internal/dataset"
 )
 
-// DefaultTopShares is how many company shares a store precomputes.
-const DefaultTopShares = 15
-
 // State is the service lifecycle phase the probes report.
 type State int32
 
 const (
-	// StateLoading: no epoch is live yet (initial load pending or
-	// failed); queries are refused with 503.
+	// StateLoading: no store is published yet (initial load pending
+	// or failed); queries are refused with 503.
 	StateLoading State = iota
-	// StateServing: an epoch is live and answering.
+	// StateServing: a store is published and answering.
 	StateServing
 	// StateDraining: shutdown has begun; in-flight queries finish,
 	// new ones should go elsewhere.
@@ -63,9 +61,6 @@ type ServiceConfig struct {
 	// Directory buckets provider IDs into companies for the share and
 	// concentration endpoints; nil keeps raw provider IDs.
 	Directory *companies.Directory
-	// TopShares is how many company shares each store precomputes
-	// (default DefaultTopShares; negative keeps all).
-	TopShares int
 	// Now supplies the service clock for swap latency measurement;
 	// nil means time.Now. Load and Swap each read it exactly twice
 	// (begin and end), which keeps stepped test clocks deterministic.
@@ -82,8 +77,11 @@ type Store struct {
 	meta    SnapshotMeta
 	res     *core.Result
 	domains map[string]core.DomainAttribution
-	shares  []ShareEntry
+	shares  []ShareEntry // every company, largest first
 	conc    analysis.Concentration
+	// stale marks the copy of the serving store a failed swap
+	// publishes: answers still come from the previous snapshot.
+	stale bool
 }
 
 // lookup resolves a domain's attribution; it is the priorAtt resolver
@@ -91,20 +89,6 @@ type Store struct {
 func (st *Store) lookup(domain string) (core.DomainAttribution, bool) {
 	att, ok := st.domains[domain]
 	return att, ok
-}
-
-// free drops the store's bulk state once no reader can hold it. meta
-// stays readable.
-func (st *Store) free() {
-	st.res = nil
-	st.domains = nil
-	st.shares = nil
-}
-
-// epoch pairs a store with the count of readers currently inside it.
-type epoch struct {
-	store *Store
-	refs  atomic.Int64
 }
 
 // ServiceStats is a point-in-time snapshot of the swap machinery.
@@ -115,32 +99,26 @@ type ServiceStats struct {
 	Domains           int    `json:"domains"`
 	Swaps             uint64 `json:"swaps"`
 	SwapFails         uint64 `json:"swap_fails"`
-	SwapDrainWaits    uint64 `json:"swap_drain_waits"`
-	SwapDrainTimeouts uint64 `json:"swap_drain_timeouts"`
 	DomainsReused     uint64 `json:"domains_reused"`
 	DomainsReinferred uint64 `json:"domains_reinferred"`
 	LastSwapNS        int64  `json:"last_swap_ns"`
 }
 
 type serviceCounters struct {
-	swaps, swapFails                  atomic.Uint64
-	swapDrainWaits, swapDrainTimeouts atomic.Uint64
-	reused, reinferred                atomic.Uint64
-	lastSwapNS                        atomic.Int64
+	swaps, swapFails   atomic.Uint64
+	reused, reinferred atomic.Uint64
+	lastSwapNS         atomic.Int64
 }
 
-// A Service owns the current epoch and the machinery that replaces it.
-// Reads are lock-free (an atomic pointer load plus a refcount); swaps
-// serialize on a mutex and never block readers.
+// A Service publishes the serving store and replaces it. Reads are one
+// atomic pointer load; swaps serialize on a mutex and never block
+// readers.
 type Service struct {
 	approach core.Approach
 	cfg      ServiceConfig
 
-	state atomic.Int32
-	stale atomic.Bool
-
-	cur      atomic.Pointer[epoch]
-	epochSeq atomic.Uint64
+	cur      atomic.Pointer[Store]
+	draining atomic.Bool
 	swapMu   sync.Mutex
 
 	churn atomic.Pointer[ChurnReport]
@@ -161,39 +139,31 @@ func (s *Service) now() time.Time {
 	return time.Now()
 }
 
-func (s *Service) topShares() int {
+// State reports the lifecycle phase: draining once BeginDrain ran,
+// else serving once a store is published, else loading.
+func (s *Service) State() State {
 	switch {
-	case s.cfg.TopShares < 0:
-		return 0 // all
-	case s.cfg.TopShares == 0:
-		return DefaultTopShares
+	case s.draining.Load():
+		return StateDraining
+	case s.cur.Load() == nil:
+		return StateLoading
 	}
-	return s.cfg.TopShares
+	return StateServing
 }
-
-// State reports the lifecycle phase.
-func (s *Service) State() State { return State(s.state.Load()) }
 
 // Stale reports degraded stale-serving mode: the last swap failed and
-// answers still come from the previous epoch.
-func (s *Service) Stale() bool { return s.stale.Load() }
+// answers still come from the previous snapshot.
+func (s *Service) Stale() bool {
+	st := s.cur.Load()
+	return st != nil && st.stale
+}
 
 // Ready reports whether queries can be answered right now.
-func (s *Service) Ready() bool {
-	return s.State() == StateServing && s.cur.Load() != nil
-}
+func (s *Service) Ready() bool { return s.State() == StateServing }
 
 // BeginDrain moves the probes to draining; the server calls it when a
 // graceful shutdown starts so load balancers stop sending new work.
-func (s *Service) BeginDrain() { s.state.Store(int32(StateDraining)) }
-
-// Meta identifies the serving snapshot, when one is live.
-func (s *Service) Meta() (SnapshotMeta, bool) {
-	if e := s.cur.Load(); e != nil {
-		return e.store.meta, true
-	}
-	return SnapshotMeta{}, false
-}
+func (s *Service) BeginDrain() { s.draining.Store(true) }
 
 // Churn returns the latest swap's report, nil before the first swap.
 func (s *Service) Churn() *ChurnReport { return s.churn.Load() }
@@ -202,45 +172,23 @@ func (s *Service) Churn() *ChurnReport { return s.churn.Load() }
 func (s *Service) Stats() ServiceStats {
 	st := ServiceStats{
 		State:             s.State().String(),
-		Stale:             s.stale.Load(),
 		Swaps:             s.c.swaps.Load(),
 		SwapFails:         s.c.swapFails.Load(),
-		SwapDrainWaits:    s.c.swapDrainWaits.Load(),
-		SwapDrainTimeouts: s.c.swapDrainTimeouts.Load(),
 		DomainsReused:     s.c.reused.Load(),
 		DomainsReinferred: s.c.reinferred.Load(),
 		LastSwapNS:        s.c.lastSwapNS.Load(),
 	}
-	if e := s.cur.Load(); e != nil {
-		st.Epoch = e.store.meta.Epoch
-		st.Domains = e.store.meta.Domains
+	if cur := s.cur.Load(); cur != nil {
+		st.Stale = cur.stale
+		st.Epoch = cur.meta.Epoch
+		st.Domains = cur.meta.Domains
 	}
 	return st
 }
 
-// acquire pins the current epoch for reading. The retry loop closes the
-// race with a concurrent swap: a reader that incremented the refcount
-// of an epoch that was flipped out (and possibly freed) in between
-// backs off and takes the new one. release must be called when done.
-func (s *Service) acquire() (*epoch, *Store) {
-	for {
-		e := s.cur.Load()
-		if e == nil {
-			return nil, nil
-		}
-		e.refs.Add(1)
-		if s.cur.Load() == e {
-			return e, e.store
-		}
-		e.refs.Add(-1)
-	}
-}
-
-func (s *Service) release(e *epoch) { e.refs.Add(-1) }
-
 // Load performs the initial full inference over the snapshot at path
-// and publishes the first epoch. It fails without side effects; the
-// service stays in StateLoading and Load may be retried.
+// and publishes the first store, epoch 1. It fails without side
+// effects; the service stays in StateLoading and Load may be retried.
 func (s *Service) Load(path string) (SnapshotMeta, error) {
 	s.swapMu.Lock()
 	defer s.swapMu.Unlock()
@@ -253,25 +201,23 @@ func (s *Service) Load(path string) (SnapshotMeta, error) {
 		_ = s.now() // keep the two-reads-per-operation clock contract
 		return SnapshotMeta{}, err
 	}
-	store.meta.Epoch = s.epochSeq.Add(1)
-	s.cur.Store(&epoch{store: store})
-	s.state.Store(int32(StateServing))
+	store.meta.Epoch = 1
+	s.cur.Store(store)
 	s.c.lastSwapNS.Store(s.now().Sub(begin).Nanoseconds())
 	return store.meta, nil
 }
 
-// Swap loads the snapshot at path next to the serving epoch,
-// re-inferring incrementally on the churn delta, then atomically flips
-// the epoch pointer, drains readers of the old epoch and frees it.
-// Queries are answered throughout — from the old epoch until the flip,
-// from the new one after — and none are lost.
+// Swap loads the snapshot at path next to the serving store,
+// re-inferring incrementally on the churn delta, then publishes the new
+// store with one atomic pointer store. Queries are answered throughout
+// — from the old store until the flip, from the new one after — and
+// none are lost; the old store is garbage once its last reader is done.
 //
-// On failure the serving epoch is untouched and the service enters
-// degraded stale mode: answers keep flowing, marked Stale, until a
-// later Swap succeeds. ctx bounds only the old-epoch drain wait; a
-// reader pinned past it leaks the old store to the garbage collector
-// instead of blocking the swap.
-func (s *Service) Swap(ctx context.Context, path string) (*ChurnReport, error) {
+// On failure the service enters degraded stale mode: it publishes a
+// copy of the serving store marked stale, which answers until a later
+// Swap succeeds. ctx is unused; it stays in the signature for callers
+// that already pass one.
+func (s *Service) Swap(_ context.Context, path string) (*ChurnReport, error) {
 	s.swapMu.Lock()
 	defer s.swapMu.Unlock()
 	old := s.cur.Load()
@@ -279,21 +225,19 @@ func (s *Service) Swap(ctx context.Context, path string) (*ChurnReport, error) {
 		return nil, errors.New("serve: no snapshot loaded")
 	}
 	begin := s.now()
-	store, rep, err := s.build(path, old.store)
+	store, rep, err := s.build(path, old)
 	if err != nil {
 		_ = s.now()
-		s.stale.Store(true)
+		stale := *old
+		stale.stale = true
+		s.cur.Store(&stale)
 		s.c.swapFails.Add(1)
 		return nil, err
 	}
-	store.meta.Epoch = s.epochSeq.Add(1)
-	rep.FromEpoch = old.store.meta.Epoch
+	store.meta.Epoch = old.meta.Epoch + 1
+	rep.FromEpoch = old.meta.Epoch
 	rep.ToEpoch = store.meta.Epoch
-	s.cur.Store(&epoch{store: store})
-	s.stale.Store(false)
-	if s.drainEpoch(ctx, old) {
-		old.store.free()
-	}
+	s.cur.Store(store)
 	rep.SwapLatencyNS = s.now().Sub(begin).Nanoseconds()
 	s.c.lastSwapNS.Store(rep.SwapLatencyNS)
 	s.c.swaps.Add(1)
@@ -301,26 +245,6 @@ func (s *Service) Swap(ctx context.Context, path string) (*ChurnReport, error) {
 	s.c.reinferred.Add(uint64(rep.Delta.Reinferred))
 	s.churn.Store(rep)
 	return rep, nil
-}
-
-// drainEpoch waits for e's readers to leave and reports whether the
-// store is safe to free. Readers hold epochs only across one in-memory
-// lookup, so the wait is microseconds; ctx caps it anyway.
-func (s *Service) drainEpoch(ctx context.Context, e *epoch) bool {
-	if e.refs.Load() == 0 {
-		return true
-	}
-	s.c.swapDrainWaits.Add(1)
-	for e.refs.Load() != 0 {
-		select {
-		case <-ctx.Done():
-			s.c.swapDrainTimeouts.Add(1)
-			return false
-		default:
-			time.Sleep(20 * time.Microsecond)
-		}
-	}
-	return true
 }
 
 // build streams the snapshot at path into a fresh store. With a prior
@@ -385,7 +309,7 @@ func (s *Service) build(path string, prior *Store) (*Store, *ChurnReport, error)
 	store.res = res
 	store.domains = domains
 	store.meta = SnapshotMeta{Date: newSt.Date, Corpus: newSt.Corpus, Domains: res.NumDomains}
-	store.shares = shareEntries(acc.TopShares(s.topShares()))
+	store.shares = shareEntries(acc.TopShares(0))
 	store.conc = acc.Concentration()
 
 	if prior == nil {

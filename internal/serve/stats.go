@@ -34,7 +34,7 @@ type ServerStats struct {
 	// deadline.
 	BadRequests  uint64 `json:"bad_requests"`
 	ReadTimeouts uint64 `json:"read_timeouts"`
-	// Lookups counts /v1/domain queries served from an epoch;
+	// Lookups counts /v1/domain queries served from a store;
 	// LookupMisses counts the subset naming an unknown domain.
 	// StaleServes counts data responses answered while the service was
 	// in degraded stale mode.
