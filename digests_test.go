@@ -3,9 +3,13 @@ package mxmap_test
 import (
 	"context"
 	"crypto/sha256"
+	"crypto/x509"
 	"encoding/hex"
+	"fmt"
+	"net/netip"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"mxmap/internal/dataset"
@@ -122,6 +126,89 @@ func TestSnapshotDigests(t *testing.T) {
 				}
 			}
 			d.DistinctCertFP = len(fps)
+			ledger.CheckPhase(t, "DIGESTS.json", d)
+		})
+	}
+}
+
+// worldDigest is one world phase of results/DIGESTS.json: the SHA-256
+// of a canonical listing of one generated world, and the counts to read
+// first when the digest moves.
+type worldDigest struct {
+	Phase     string `json:"phase"`
+	SHA256    string `json:"sha256"`
+	Providers int    `json:"providers"`
+	Domains   int    `json:"domains"`
+	Stints    int    `json:"stints"`
+	Hosts     int    `json:"hosts"`
+	Certs     int    `json:"certs"`
+}
+
+// TestWorldDigests pins world.Generate itself, below any scan: every
+// corpus's domains in order with their stints, every host in address
+// order with its SMTP spec and the SHA-256 of each certificate's DER,
+// and the provider roster. The configs are scan-wire's world, mxscan's
+// (the second TestSnapshotDigests phase), an adversarial one and a
+// dual-stack one; a change to the generator that keeps these digests
+// has kept every world byte for byte.
+func TestWorldDigests(t *testing.T) {
+	for _, c := range []struct {
+		phase string
+		cfg   world.Config
+	}{
+		{"world.Config{Seed: 1, Scale: 0.02}", world.Config{Seed: 1, Scale: 0.02}},
+		{"world.Config{Seed: 3, Scale: 0.01}", world.Config{Seed: 3, Scale: 0.01}},
+		{"world.Config{Seed: 7, Scale: 0.01, Adversarial: 0.05}", world.Config{Seed: 7, Scale: 0.01, Adversarial: 0.05}},
+		{"world.Config{Seed: 1, Scale: 0.01, EnableIPv6: true}", world.Config{Seed: 1, Scale: 0.01, EnableIPv6: true}},
+	} {
+		t.Run(c.phase, func(t *testing.T) {
+			w, err := world.Generate(c.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			d := worldDigest{Phase: c.phase, Providers: len(w.Providers), Hosts: len(w.Hosts)}
+			h := sha256.New()
+			for _, p := range w.Providers {
+				fmt.Fprintf(h, "provider %s %q %v %q %v %v %v %v %v %v %v\n", p.ID, p.Company.Name, p.Company.Kind,
+					p.Company.Country, p.ASN, p.MailHosts, p.MailIPs, p.MailIPv6s, p.SharedIPs, p.WebFrontIPs, p.CloudPrefix)
+			}
+			for _, name := range []string{world.CorpusAlexa, world.CorpusCOM, world.CorpusGOV} {
+				corpus := w.Corpus(name)
+				fmt.Fprintf(h, "corpus %s %v\n", name, corpus.Dates)
+				for _, dom := range corpus.Domains {
+					fmt.Fprintf(h, "domain %s %d %q %t %v %v %v", dom.Name, dom.Rank, dom.Country, dom.Federal,
+						dom.OwnIP, dom.VPSIP, dom.WebIP)
+					if dom.Adv != nil {
+						fmt.Fprintf(h, " adv %+v", *dom.Adv)
+					}
+					for _, st := range dom.Stints {
+						fmt.Fprintf(h, " %d-%d:%d:%s:%d", st.From, st.To, st.Provider, st.Mode, st.Variant)
+					}
+					h.Write([]byte{'\n'})
+					d.Domains++
+					d.Stints += len(dom.Stints)
+				}
+			}
+			addrs := make([]netip.Addr, 0, len(w.Hosts))
+			for a := range w.Hosts {
+				addrs = append(addrs, a)
+			}
+			slices.SortFunc(addrs, netip.Addr.Compare)
+			for _, a := range addrs {
+				host := w.Hosts[a]
+				fmt.Fprintf(h, "host %v %v %d", host.Addr, host.ASN, host.CensysMode)
+				if s := host.SMTP; s != nil {
+					fmt.Fprintf(h, " smtp %q %q %q", s.Hostname, s.Banner, s.EHLOName)
+					if s.Leaf != nil {
+						for _, cert := range append([]*x509.Certificate{s.Leaf.Cert}, s.Leaf.Chain...) {
+							fmt.Fprintf(h, " %x", sha256.Sum256(cert.Raw))
+							d.Certs++
+						}
+					}
+				}
+				h.Write([]byte{'\n'})
+			}
+			d.SHA256 = hex.EncodeToString(h.Sum(nil))
 			ledger.CheckPhase(t, "DIGESTS.json", d)
 		})
 	}

@@ -248,17 +248,13 @@ func startTimer(d time.Duration) *time.Timer {
 	return time.NewTimer(d)
 }
 
-// stopTimer ends tm's use by one attempt; received says the attempt took
-// the value off tm.C. The timer is pooled only when its channel is
-// known to be empty — stopped before it fired, or fired and received —
-// so a fire that belongs to one attempt can never time out the next. One
-// that fired unreceived (the response won the race) is left to the
-// collector instead of drained: under go.mod's pre-1.23 timer semantics
-// the value may still be on its way into the channel.
-func stopTimer(tm *time.Timer, received bool) {
-	if tm.Stop() || received {
-		attemptTimers.Put(tm)
-	}
+// stopTimer ends tm's use by one attempt and pools it. A fire that
+// belongs to one attempt can never time out the next: under go.mod's
+// 1.23 timers, Stop and Reset guarantee that no stale fire is received,
+// whether the attempt took it off tm.C or the response won the race.
+func stopTimer(tm *time.Timer) {
+	tm.Stop()
+	attemptTimers.Put(tm)
 }
 
 // RoundTrip sends the packed query (whose ID bytes are patched in place
@@ -274,8 +270,7 @@ func (t *Transport) RoundTrip(ctx context.Context, wire []byte, q Question, time
 		return nil, ErrTruncatedMessage
 	}
 	tm := startTimer(timeout)
-	expired := false // this attempt received tm's fire
-	defer func() { stopTimer(tm, expired) }()
+	defer stopTimer(tm)
 	select {
 	case t.inflight <- struct{}{}:
 	default:
@@ -284,7 +279,6 @@ func (t *Transport) RoundTrip(ctx context.Context, wire []byte, q Question, time
 		case <-ctx.Done():
 			return nil, fmt.Errorf("%w: %w", ErrTooManyInFlight, ctx.Err())
 		case <-tm.C:
-			expired = true
 			return nil, fmt.Errorf("%w: %w", ErrTooManyInFlight, context.DeadlineExceeded)
 		}
 	}
@@ -322,7 +316,6 @@ func (t *Transport) RoundTrip(ctx context.Context, wire []byte, q Question, time
 	case <-ctx.Done():
 		return nil, ctx.Err()
 	case <-tm.C:
-		expired = true
 		return nil, context.DeadlineExceeded
 	}
 }

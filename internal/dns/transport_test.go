@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"net"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -405,7 +404,8 @@ func (c *muteEveryOtherConn) Write(p []byte) (int, error) {
 // reused attempt timer: an attempt that outlives its timeout fails with
 // context.DeadlineExceeded although the caller's context is alive, and
 // the fire that ended it never times out the attempt that reuses the
-// timer. The only waiting is the muted attempts' own timeout.
+// timer. The only waiting is the muted attempts' own timeout and one
+// millisecond for a timer to fire.
 func TestRoundTripTimeoutIsDeadlineExceeded(t *testing.T) {
 	addr := startTestServer(t, testCatalog(t))
 	tr := &Transport{Server: addr, Conns: 1,
@@ -441,23 +441,21 @@ func TestRoundTripTimeoutIsDeadlineExceeded(t *testing.T) {
 	}
 
 	// The case the rounds above cannot stage: the response wins while
-	// the timer fires unreceived. That timer must not come back from the
-	// pool with its fire still in the channel. (go.mod selects the
-	// pre-1.23 timers, whose channel is buffered, so len sees the fire.)
+	// the timer fires unreceived, and stopTimer pools the timer all the
+	// same. go.mod's 1.23 timers make that safe: a timer stopped after
+	// firing unreceived, then Reset, delivers nothing before its new
+	// deadline. (Under the pre-1.23 timers the fire waits in a buffered
+	// channel and this check fails.)
 	tm := startTimer(time.Nanosecond)
-	for deadline := time.Now().Add(5 * time.Second); len(tm.C) == 0; runtime.Gosched() {
-		if time.Now().After(deadline) {
-			t.Fatal("a 1ns timer never fired into its channel")
-		}
-	}
-	stopTimer(tm, false)
-	next := startTimer(time.Minute)
+	time.Sleep(time.Millisecond) // the 1ns timer fires; nobody receives
+	tm.Stop()
+	tm.Reset(time.Minute)
 	select {
-	case <-next.C:
-		t.Fatal("a pooled timer carried an earlier attempt's fire into the next")
+	case <-tm.C:
+		t.Fatal("a timer stopped after firing unreceived delivered that fire after Reset")
 	default:
 	}
-	stopTimer(next, false)
+	stopTimer(tm)
 }
 
 func TestTransportClose(t *testing.T) {

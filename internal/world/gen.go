@@ -83,8 +83,12 @@ type assignCtx struct {
 	// options[i] describes one assignable bucket: a named provider, the
 	// self-hosted pseudo-provider, or one tail provider.
 	options []assignOption
+	// shares[t][oi] is option oi's target share at snapshot t (shareOf).
+	shares [][]float64
 	// cur[di] is the option index currently assigned to domain di.
 	cur []int
+	// weights is draw's scratch: one weight per option.
+	weights []float64
 }
 
 // assignOption is one destination in the assignment distribution.
@@ -98,6 +102,72 @@ type assignOption struct {
 	tailWeight float64
 	// company is nil for self-hosted.
 	company *companies.Company
+	// federalOnly marks government agency providers, which serve only
+	// federal .gov domains.
+	federalOnly bool
+	// national and rank are the option's preference classes, resolved
+	// from its company once so that weightFor compares no names.
+	national nationalClass
+	rank     rankClass
+}
+
+// nationalClass selects an option's national preference (Figure 8).
+type nationalClass uint8
+
+const (
+	nationalNone nationalClass = iota
+	nationalGoogle
+	nationalMicrosoft
+	nationalTencent
+	nationalYandex
+	nationalRussian   // Mail.Ru and Beget: favoured at home, rare abroad
+	nationalUkrainian // Ukraine.ua: rare outside RU
+)
+
+// rankClass selects an option's rank preference (Figure 5).
+type rankClass uint8
+
+const (
+	rankNone     rankClass = iota
+	rankSecurity           // e-mail security services: head-heavy
+	rankRegional           // home-market providers: tail-heavy
+	rankTail               // long-tail providers: tail-heavy
+	rankSelf               // self-hosting: slightly head-heavy
+)
+
+// classify resolves the option's preference classes from its company.
+func (opt *assignOption) classify() {
+	name := ""
+	kind := companies.KindOther
+	if opt.company != nil {
+		name = opt.company.Name
+		kind = opt.company.Kind
+	}
+	opt.federalOnly = kind == companies.KindGovAgency
+	switch name {
+	case "Google":
+		opt.national = nationalGoogle
+	case "Microsoft":
+		opt.national = nationalMicrosoft
+	case "Tencent":
+		opt.national = nationalTencent
+	case "Yandex":
+		opt.national = nationalYandex
+	case "Mail.Ru", "Beget":
+		opt.national = nationalRussian
+	case "Ukraine.ua":
+		opt.national = nationalUkrainian
+	}
+	switch {
+	case kind == companies.KindEmailSecurity:
+		opt.rank = rankSecurity
+	case name == "Yandex" || name == "Tencent" || name == "Mail.Ru" || name == "Beget" || name == "Ukraine.ua":
+		opt.rank = rankRegional
+	case opt.anchorIdx < 0:
+		opt.rank = rankTail
+	case opt.provider == -1:
+		opt.rank = rankSelf
+	}
 }
 
 // generateCorpus creates the domain list and its full longitudinal
@@ -188,7 +258,7 @@ func drawAlexaTLD(rng *rand.Rand) (tld, country string) {
 }
 
 // buildOptions resolves the anchor table and tail roster into assignable
-// options.
+// options and fills the per-snapshot share table.
 func (ctx *assignCtx) buildOptions() error {
 	byName := make(map[string]*Provider)
 	for _, p := range ctx.w.Providers {
@@ -228,6 +298,17 @@ func (ctx *assignCtx) buildOptions() error {
 			company:    p.Company,
 		})
 	}
+	for oi := range ctx.options {
+		ctx.options[oi].classify()
+	}
+	ctx.shares = make([][]float64, len(ctx.corpus.Dates))
+	for t := range ctx.shares {
+		ctx.shares[t] = make([]float64, len(ctx.options))
+		for oi, opt := range ctx.options {
+			ctx.shares[t][oi] = ctx.shareOf(opt, t)
+		}
+	}
+	ctx.weights = make([]float64, len(ctx.options))
 	return nil
 }
 
@@ -237,7 +318,8 @@ func isTail(p *Provider) bool {
 }
 
 // shareOf returns an option's target share (fraction, not percent) at a
-// snapshot.
+// snapshot. buildOptions tabulates it into ctx.shares; nothing else
+// calls it.
 func (ctx *assignCtx) shareOf(opt assignOption, dateIdx int) float64 {
 	n := len(ctx.corpus.Dates)
 	if opt.anchorIdx >= 0 {
@@ -254,68 +336,87 @@ func (ctx *assignCtx) shareOf(opt assignOption, dateIdx int) float64 {
 	return tailShare * opt.tailWeight
 }
 
-// weightFor computes the per-domain assignment weight of an option,
+// domainPrefs is a domain with what weightFor derives from it, resolved
+// once per draw rather than once per option.
+type domainPrefs struct {
+	*Domain
+	// cc is the domain's ccTLD row, nil for gTLD domains.
+	cc *ccTLD
+	// ranked is set for ranked domains; pos is then the rank position,
+	// 0 for the top domain and 1 for the last.
+	ranked bool
+	pos    float64
+}
+
+func (ctx *assignCtx) prefsOf(d *Domain) domainPrefs {
+	pr := domainPrefs{Domain: d}
+	if d.Country != "" {
+		pr.cc = ccTLDByCountry(d.Country)
+	}
+	if d.Rank > 0 && len(ctx.corpus.Domains) > 1 {
+		pr.ranked = true
+		pr.pos = float64(d.Rank-1) / float64(len(ctx.corpus.Domains)-1)
+	}
+	return pr
+}
+
+// weightFor computes the per-domain assignment weight of option oi,
 // applying national and rank preferences.
-func (ctx *assignCtx) weightFor(d *Domain, opt assignOption, dateIdx int) float64 {
-	wt := ctx.shareOf(opt, dateIdx)
+func (ctx *assignCtx) weightFor(pr *domainPrefs, oi, dateIdx int) float64 {
+	wt := ctx.shares[dateIdx][oi]
 	if wt <= 0 {
 		return 0
 	}
-	name := ""
-	kind := companies.KindOther
-	if opt.company != nil {
-		name = opt.company.Name
-		kind = opt.company.Kind
-	}
+	opt := &ctx.options[oi]
 	// Government agency providers serve only federal .gov domains.
-	if kind == companies.KindGovAgency && !d.Federal {
+	if opt.federalOnly && !pr.Federal {
 		return 0
 	}
 	// National preferences (Figure 8): multipliers for the big four in
 	// each ccTLD, plus suppression of the home-market providers abroad.
-	if d.Country != "" {
-		if cc := ccTLDByCountry(d.Country); cc != nil {
-			switch name {
-			case "Google":
+	if pr.Country != "" {
+		if cc := pr.cc; cc != nil {
+			switch opt.national {
+			case nationalGoogle:
 				wt *= cc.google
-			case "Microsoft":
+			case nationalMicrosoft:
 				wt *= cc.microsoft
-			case "Tencent":
+			case nationalTencent:
 				wt *= cc.tencent
-			case "Yandex":
+			case nationalYandex:
 				wt *= cc.yandex
-			case "Mail.Ru", "Beget":
-				if d.Country != "RU" {
+			case nationalRussian:
+				if pr.Country != "RU" {
 					wt *= 0.05
 				} else {
 					wt *= 6
 				}
-			case "Ukraine.ua":
-				if d.Country != "RU" {
+			case nationalUkrainian:
+				if pr.Country != "RU" {
 					wt *= 0.05
 				}
 			}
 		}
 	} else {
-		switch name {
-		case "Tencent":
+		switch opt.national {
+		case nationalTencent:
 			wt *= 0.25 // mostly .cn + some gTLD Chinese businesses
-		case "Yandex":
+		case nationalYandex:
 			wt *= 0.45
 		}
 	}
 	// Rank preferences (Figure 5): popular domains skew to the majors
 	// and security services; the long tail skews to regional hosts.
-	if d.Rank > 0 && len(ctx.corpus.Domains) > 1 {
-		p := float64(d.Rank-1) / float64(len(ctx.corpus.Domains)-1) // 0=top
-		switch {
-		case kind == companies.KindEmailSecurity:
+	if pr.ranked {
+		p := pr.pos // 0=top
+		switch opt.rank {
+		case rankSecurity:
 			wt *= 2.8 - 2.3*p
-		case name == "Yandex" || name == "Tencent" || name == "Mail.Ru" || name == "Beget" || name == "Ukraine.ua":
+		case rankRegional:
 			wt *= 0.25 + 1.5*p
-		case opt.anchorIdx < 0: // tail
+		case rankTail:
 			wt *= 0.5 + 1.0*p
-		case opt.provider == -1: // self-hosted: slightly head-heavy
+		case rankSelf: // slightly head-heavy
 			wt *= 1.2 - 0.4*p
 		}
 	}
@@ -323,18 +424,20 @@ func (ctx *assignCtx) weightFor(d *Domain, opt assignOption, dateIdx int) float6
 }
 
 // draw samples an option index for a domain from the weighted
-// distribution at a snapshot; restrict (when non-nil) filters candidates.
-func (ctx *assignCtx) draw(d *Domain, dateIdx int, restrict map[int]float64) int {
+// distribution at a snapshot. restrict, when non-nil, holds a positive
+// multiplier for each candidate option and 0 for every other.
+func (ctx *assignCtx) draw(d *Domain, dateIdx int, restrict []float64) int {
+	pr := ctx.prefsOf(d)
+	weights := ctx.weights
 	total := 0.0
-	for oi, opt := range ctx.options {
-		wt := ctx.weightFor(d, opt, dateIdx)
-		if restrict != nil {
-			deficit, ok := restrict[oi]
-			if !ok || deficit <= 0 {
-				continue
-			}
-			wt *= deficit
+	for oi := range weights {
+		wt := 0.0
+		if restrict == nil {
+			wt = ctx.weightFor(&pr, oi, dateIdx)
+		} else if deficit := restrict[oi]; deficit > 0 {
+			wt = ctx.weightFor(&pr, oi, dateIdx) * deficit
 		}
+		weights[oi] = wt
 		total += wt
 	}
 	if total <= 0 {
@@ -342,15 +445,7 @@ func (ctx *assignCtx) draw(d *Domain, dateIdx int, restrict map[int]float64) int
 		return ctx.selfOption()
 	}
 	r := ctx.rng.Float64() * total
-	for oi, opt := range ctx.options {
-		wt := ctx.weightFor(d, opt, dateIdx)
-		if restrict != nil {
-			deficit, ok := restrict[oi]
-			if !ok || deficit <= 0 {
-				continue
-			}
-			wt *= deficit
-		}
+	for oi, wt := range weights {
 		if r < wt {
 			return oi
 		}
@@ -408,17 +503,21 @@ func (ctx *assignCtx) step(t int) {
 		counts[oi]++
 	}
 	targets := make([]float64, len(ctx.options))
-	for oi, opt := range ctx.options {
-		drift := ctx.shareOf(opt, t) - ctx.shareOf(opt, t-1)
+	for oi := range ctx.options {
+		drift := ctx.shares[t][oi] - ctx.shares[t-1][oi]
 		targets[oi] = float64(counts[oi]) + drift*float64(n)
 	}
-	// Collect surplus domains.
-	deficit := make(map[int]float64)
+	// Collect surplus domains: a random k of each surplus option's
+	// holders, taken from one bucketing of every holder by option.
+	members := ctx.holders(counts)
+	deficit := make([]float64, len(ctx.options))
 	var pool []int
 	for oi := range ctx.options {
 		diff := float64(counts[oi]) - targets[oi]
 		if diff >= 1 {
-			pool = append(pool, ctx.takeMembers(oi, int(diff))...)
+			m := members[oi]
+			ctx.rng.Shuffle(len(m), func(i, j int) { m[i], m[j] = m[j], m[i] })
+			pool = append(pool, m[:min(int(diff), len(m))]...)
 		} else if diff < 0 {
 			// Fractional deficits still register so that, at small corpus
 			// sizes, slowly-growing providers can pick up domains.
@@ -435,20 +534,20 @@ func (ctx *assignCtx) step(t int) {
 	}
 }
 
-// takeMembers removes up to k random members from option oi's current
-// holders and returns their indexes.
-func (ctx *assignCtx) takeMembers(oi, k int) []int {
-	var members []int
-	for di, cur := range ctx.cur {
-		if cur == oi {
-			members = append(members, di)
-		}
+// holders buckets the domain indexes by current option, each bucket in
+// domain order; counts[oi] is option oi's holder count.
+func (ctx *assignCtx) holders(counts []int) [][]int {
+	flat := make([]int, len(ctx.cur))
+	members := make([][]int, len(counts))
+	off := 0
+	for oi, c := range counts {
+		members[oi] = flat[off : off : off+c]
+		off += c
 	}
-	ctx.rng.Shuffle(len(members), func(i, j int) { members[i], members[j] = members[j], members[i] })
-	if k > len(members) {
-		k = len(members)
+	for di, oi := range ctx.cur {
+		members[oi] = append(members[oi], di)
 	}
-	return members[:k]
+	return members
 }
 
 // moveDomain reassigns a domain at snapshot t, closing its current stint.

@@ -2,10 +2,15 @@ package world
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
+	"math"
 	"math/rand/v2"
 	"testing"
 
 	"mxmap/internal/certs"
+	"mxmap/internal/ledger"
 )
 
 // TestGenerateDeterministic holds generation to a pure function of the
@@ -72,6 +77,52 @@ func TestGenerateDeterministic(t *testing.T) {
 	if !bytes.Equal(p1.Cert.Raw, p2.Cert.Raw) {
 		t.Error("a leaf issued by the two CAs from one rng seed differs")
 	}
+}
+
+// TestAssignmentArithmeticDigest pins the assignment model's
+// floating-point arithmetic bit for bit on scan-wire's world: every
+// option's target share at every snapshot, and every option's weight
+// for every domain at the first and last snapshot. TestWorldDigests
+// (root package) sees that arithmetic only where it flips a draw, so an
+// anchor nudged by 1e-9, or a sum taken in another order, can leave
+// every world byte in place; it cannot leave this digest.
+func TestAssignmentArithmeticDigest(t *testing.T) {
+	w, err := Generate(Config{Seed: 1, Scale: 0.02})
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := struct {
+		Phase   string `json:"phase"`
+		SHA256  string `json:"sha256"`
+		Shares  int    `json:"shares"`
+		Weights int    `json:"weights"`
+	}{Phase: "world.Config{Seed: 1, Scale: 0.02} shares and weights"}
+	h := sha256.New()
+	put := func(f float64) { h.Write(binary.BigEndian.AppendUint64(nil, math.Float64bits(f))) }
+	for _, name := range []string{CorpusAlexa, CorpusCOM, CorpusGOV} {
+		c := w.Corpus(name)
+		ctx := &assignCtx{w: w, corpus: c, anchors: anchorsFor(name)}
+		if err := ctx.buildOptions(); err != nil {
+			t.Fatal(err)
+		}
+		for dt := range c.Dates {
+			for oi := range ctx.options {
+				put(ctx.shares[dt][oi])
+				d.Shares++
+			}
+		}
+		for _, dom := range c.Domains {
+			pr := ctx.prefsOf(dom)
+			for _, dt := range []int{0, len(c.Dates) - 1} {
+				for oi := range ctx.options {
+					put(ctx.weightFor(&pr, oi, dt))
+					d.Weights++
+				}
+			}
+		}
+	}
+	d.SHA256 = hex.EncodeToString(h.Sum(nil))
+	ledger.CheckPhase(t, "DIGESTS.json", d)
 }
 
 func leafOf(h *Host) *certs.Leaf {

@@ -2,6 +2,7 @@ package world
 
 import (
 	"context"
+	"fmt"
 	"net/netip"
 	"strings"
 	"testing"
@@ -435,6 +436,22 @@ func BenchmarkGenerateSmallWorld(b *testing.B) {
 		if _, err := Generate(Config{Seed: uint64(i + 1), Scale: 0.002, TailProviders: 10, SelfISPs: 4}); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkGenerate times one whole world: the roster, the three
+// corpora's nine-snapshot assignment and their hosts. Scale 0.02 is
+// scan-wire's world; 0.2 makes the per-draw assignment cost dominate.
+func BenchmarkGenerate(b *testing.B) {
+	for _, scale := range []float64{0.02, 0.2} {
+		b.Run(fmt.Sprintf("scale=%g", scale), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := Generate(Config{Seed: 1, Scale: scale}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 
