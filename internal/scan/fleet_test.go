@@ -11,6 +11,7 @@ import (
 	"path/filepath"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"mxmap/internal/dataset"
 	"mxmap/internal/dns"
@@ -41,14 +42,27 @@ func TestClaimLoopExactlyOnce(t *testing.T) {
 
 	// A failure cancels the rest: the other goroutines finish the item
 	// in hand, as engine.domain and engine.addr do, and claim no more.
+	// An item settled after the failure waits for that cancellation, so
+	// a goroutine preempted between failing and cancelling cannot let
+	// the others run ahead; a cancellation that never comes fails the
+	// test instead of hanging it.
 	boom := errors.New("boom")
 	var settled atomic.Int64
 	err := e.claimLoop(ctx, 10_000, 7, func(ctx context.Context, _ *lane, _ int) error {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		if settled.Add(1) == 100 {
+		switch n := settled.Add(1); {
+		case n == 100:
 			return boom
+		case n > 100:
+			select {
+			case <-ctx.Done():
+				return ctx.Err()
+			case <-time.After(5 * time.Second):
+				t.Error("no cancellation 5s after the 100th item failed")
+				return errors.New("not cancelled")
+			}
 		}
 		return nil
 	})

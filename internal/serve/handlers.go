@@ -73,15 +73,16 @@ func (s *Server) handleDomain(req *Request, body *[]byte) Response {
 	if store == nil {
 		return notLoaded
 	}
-	att, found := store.domains[name]
+	e, found := store.domains[name]
 	s.stats.lookups.Add(1)
 	resp := LookupResponse{Domain: name, Found: found, Stale: store.stale, Snapshot: store.meta}
 	if found {
-		resp.Primary = att.Primary()
-		resp.Credits = att.Credits
-		resp.Rank = att.Rank
-		resp.HasSMTP = att.HasSMTP
-		resp.Untrusted = att.Untrusted
+		a := e.ans
+		resp.Primary = a.primary
+		resp.Credits = a.credits
+		resp.Rank = e.rank
+		resp.HasSMTP = a.hasSMTP
+		resp.Untrusted = a.untrusted
 	} else {
 		s.stats.lookupMisses.Add(1)
 	}

@@ -751,10 +751,11 @@ func TestServeSwapEquivalence(t *testing.T) {
 	if len(ss.domains) != len(fs.domains) {
 		t.Fatalf("store sizes differ: %d vs %d", len(ss.domains), len(fs.domains))
 	}
-	for name, att := range fs.domains {
-		got, ok := ss.domains[name]
-		if !ok || !reflect.DeepEqual(got, att) {
-			t.Errorf("domain %s: swapped %+v, fresh %+v", name, got, att)
+	for name := range fs.domains {
+		got, ok := ss.lookup(name)
+		want, _ := fs.lookup(name)
+		if !ok || !reflect.DeepEqual(got, want) {
+			t.Errorf("domain %s: swapped %+v, fresh %+v", name, got, want)
 		}
 	}
 	if !reflect.DeepEqual(ss.shares, fs.shares) {
@@ -820,7 +821,7 @@ func TestServeSwapRewrittenInPlace(t *testing.T) {
 	if !reflect.DeepEqual(ss.domains, fs.domains) {
 		t.Errorf("swapped store %+v, fresh load %+v", ss.domains, fs.domains)
 	}
-	if att := ss.domains["two.example"]; att.Primary() != "prov-b.net" {
-		t.Errorf("two.example credited to %q after the swap, want prov-b.net", att.Primary())
+	if got := ss.domains["two.example"].ans.primary; got != "prov-b.net" {
+		t.Errorf("two.example credited to %q after the swap, want prov-b.net", got)
 	}
 }

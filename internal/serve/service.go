@@ -13,7 +13,10 @@ package serve
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
+	"math"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -68,15 +71,18 @@ type ServiceConfig struct {
 }
 
 // Store is one immutable, fully-built serving state: a snapshot's
-// per-domain attributions plus the precomputed aggregate answers.
+// per-domain answers plus the precomputed aggregate answers.
 type Store struct {
 	// stream is the file the store was built from: a later swap diffs
 	// against it, and fails over to a full recompute when the file at
 	// its path is no longer that file.
-	stream  *dataset.Stream
-	meta    SnapshotMeta
-	res     *core.Result
-	domains map[string]core.DomainAttribution
+	stream *dataset.Stream
+	meta   SnapshotMeta
+	res    *core.Result
+	// domains indexes every domain's rank and answer. Provider
+	// concentration leaves few distinct answers among many domains,
+	// and each is held once (see interner).
+	domains map[string]entry
 	shares  []ShareEntry // every company, largest first
 	conc    analysis.Concentration
 	// stale marks the copy of the serving store a failed swap
@@ -84,11 +90,73 @@ type Store struct {
 	stale bool
 }
 
+// entry is one domain in a store's index.
+type entry struct {
+	rank int
+	ans  *answer
+}
+
+// answer is what a found /v1/domain lookup says beyond the domain's name
+// and rank, with the primary provider worked out once. An answer is
+// shared by every domain that gives it, across stores and requests
+// alike, so nothing writes to it, its credits map included, once it is
+// built.
+type answer struct {
+	credits   map[string]float64
+	primary   string
+	hasSMTP   bool
+	untrusted bool
+}
+
 // lookup resolves a domain's attribution; it is the priorAtt resolver
-// handed to core.InferStreamDelta on the next swap.
+// handed to core.InferStreamDelta on the next swap. The attribution's
+// credits map is the shared answer's.
 func (st *Store) lookup(domain string) (core.DomainAttribution, bool) {
-	att, ok := st.domains[domain]
-	return att, ok
+	e, ok := st.domains[domain]
+	if !ok {
+		return core.DomainAttribution{}, false
+	}
+	a := e.ans
+	return core.DomainAttribution{Domain: domain, Rank: e.rank, Credits: a.credits, HasSMTP: a.hasSMTP, Untrusted: a.untrusted}, true
+}
+
+// interner holds one *answer per distinct answer of a build. An
+// answer's key — its flags, then its credits in provider order, each
+// provider length-prefixed and each credit as its float64 bits — is
+// written into a reused buffer, so an answer met before allocates
+// nothing.
+type interner struct {
+	answers map[string]*answer
+	key     []byte
+	ids     []string
+}
+
+func (in *interner) intern(att *core.DomainAttribution) *answer {
+	var flags byte
+	if att.HasSMTP {
+		flags |= 1
+	}
+	if att.Untrusted {
+		flags |= 2
+	}
+	in.ids = in.ids[:0]
+	for id := range att.Credits {
+		in.ids = append(in.ids, id)
+	}
+	slices.Sort(in.ids)
+	k := append(in.key[:0], flags)
+	for _, id := range in.ids {
+		k = binary.AppendUvarint(k, uint64(len(id)))
+		k = append(k, id...)
+		k = binary.LittleEndian.AppendUint64(k, math.Float64bits(att.Credits[id]))
+	}
+	in.key = k
+	if a, ok := in.answers[string(k)]; ok {
+		return a
+	}
+	a := &answer{credits: att.Credits, primary: att.Primary(), hasSMTP: att.HasSMTP, untrusted: att.Untrusted}
+	in.answers[string(k)] = a
+	return a
 }
 
 // ServiceStats is a point-in-time snapshot of the swap machinery.
@@ -284,9 +352,10 @@ func (s *Service) build(path string, prior *Store) (*Store, *ChurnReport, error)
 
 	store := &Store{stream: newSt}
 	acc := analysis.NewShareAccumulator(s.cfg.Directory)
-	domains := make(map[string]core.DomainAttribution)
+	domains := make(map[string]entry)
+	in := interner{answers: make(map[string]*answer)}
 	emit := func(att core.DomainAttribution) {
-		domains[att.Domain] = att
+		domains[att.Domain] = entry{rank: att.Rank, ans: in.intern(&att)}
 		acc.Add(att)
 	}
 
@@ -342,11 +411,11 @@ func providerFlows(changes []dataset.Change, prior, next *Store) []ProviderFlow 
 	counts := make(map[[2]string]int)
 	for _, c := range changes {
 		var oldP, newP string
-		if att, ok := prior.domains[c.Domain]; ok {
-			oldP = att.Primary()
+		if e, ok := prior.domains[c.Domain]; ok {
+			oldP = e.ans.primary
 		}
-		if att, ok := next.domains[c.Domain]; ok {
-			newP = att.Primary()
+		if e, ok := next.domains[c.Domain]; ok {
+			newP = e.ans.primary
 		}
 		if oldP == newP {
 			continue
