@@ -320,7 +320,8 @@ func TestEveryPackageHasACaller(t *testing.T) {
 // funcsWithoutCaller are the exported package-level functions no non-test
 // file names, each with why it exists all the same.
 var funcsWithoutCaller = map[string]string{
-	"dataset.Read": "the io.Reader twin of Snapshot.WriteTo: FuzzRead's entry point and the differential oracle of Stream",
+	"dataset.Read":     "the io.Reader twin of Snapshot.WriteTo: FuzzRead's entry point and the differential oracle of Stream",
+	"certs.SelfSigned": "the one-step twin of DrawSelfSigned and Make, beside CA.Issue: the world generators draw in batches, and TestDraftMatchesIssue holds the two steps to it",
 }
 
 // TestEveryExportedFuncHasACaller is the function-level twin of the two

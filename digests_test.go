@@ -9,6 +9,7 @@ import (
 	"net/netip"
 	"os"
 	"path/filepath"
+	"runtime"
 	"slices"
 	"testing"
 
@@ -210,6 +211,22 @@ func TestWorldDigests(t *testing.T) {
 			}
 			d.SHA256 = hex.EncodeToString(h.Sum(nil))
 			ledger.CheckPhase(t, "DIGESTS.json", d)
+		})
+	}
+}
+
+// TestDigestsAtEveryWorkerCount holds every world and snapshot phase at
+// one and at four Ps. The world generators make their certificates on
+// parallel.Workers(0) goroutines, and no count may move a byte; the
+// flat phase pins every flat name, abuse look-alikes included, and
+// every flat certificate's fingerprint.
+func TestDigestsAtEveryWorkerCount(t *testing.T) {
+	for _, procs := range []int{1, 4} {
+		t.Run(fmt.Sprintf("GOMAXPROCS=%d", procs), func(t *testing.T) {
+			old := runtime.GOMAXPROCS(procs)
+			t.Cleanup(func() { runtime.GOMAXPROCS(old) })
+			TestWorldDigests(t)
+			TestSnapshotDigests(t)
 		})
 	}
 }

@@ -10,9 +10,15 @@
 // self-hosted servers get self-signed or expired ones.
 //
 // Every key is Ed25519, drawn from the caller's seeded rng, and Ed25519
-// signatures are deterministic, so issuance reads no randomness: the
-// same seed yields the same certificate bytes, and the same
-// fingerprints, in every process.
+// signatures are deterministic: the same seed yields the same
+// certificate bytes, and the same fingerprints, in every process.
+//
+// Issuance is two steps. The draw step (CA.Draw, DrawSelfSigned) reads
+// the rng, for the key seed, and takes the CA's next serial; it runs in
+// generation order. The make step (Draft.Make) reads no randomness and
+// does the crypto, so a generator can draw every leaf first and make
+// them all at once, on as many goroutines as it likes. Issue and
+// SelfSigned are the two steps back to back.
 package certs
 
 import (
@@ -49,7 +55,8 @@ type CA struct {
 
 // NewCA creates a self-signed root CA whose key is drawn from rng.
 func NewCA(name string, rng *rand.Rand) (*CA, error) {
-	key := genKey(rng)
+	seed := drawSeed(rng)
+	key := ed25519.NewKeyFromSeed(seed[:])
 	tmpl := &x509.Certificate{
 		SerialNumber: big.NewInt(1),
 		Subject: pkix.Name{
@@ -99,46 +106,79 @@ type Leaf struct {
 	Chain []*x509.Certificate
 }
 
-// Issue creates a CA-signed leaf certificate whose key is drawn from rng.
-func (ca *CA) Issue(spec LeafSpec, rng *rand.Rand) (*Leaf, error) {
-	key := genKey(rng)
+// A Draft is a leaf whose randomness is drawn: its key seed and serial
+// are fixed, and Make turns them into the certificate.
+type Draft struct {
+	// Leaf is allocated at draw time and filled by Make, so whatever
+	// holds it before then holds the made certificate afterwards.
+	Leaf *Leaf
+
+	spec   LeafSpec
+	seed   [ed25519.SeedSize]byte
+	ca     *CA // nil for a self-signed leaf
+	serial int64
+}
+
+// Draw takes a CA-signed leaf's key seed from rng and its serial from
+// the CA. The spec's slices must not change until Make has run.
+func (ca *CA) Draw(spec LeafSpec, rng *rand.Rand) *Draft {
+	d := &Draft{Leaf: new(Leaf), spec: spec, seed: drawSeed(rng), ca: ca}
 	ca.mu.Lock()
 	ca.serial++
-	serial := ca.serial
+	d.serial = ca.serial
 	ca.mu.Unlock()
-	tmpl, err := leafTemplate(spec, serial)
+	return d
+}
+
+// DrawSelfSigned takes a self-signed leaf's key seed from rng.
+func DrawSelfSigned(spec LeafSpec, rng *rand.Rand) *Draft {
+	return &Draft{Leaf: new(Leaf), spec: spec, seed: drawSeed(rng), serial: 1}
+}
+
+// Make derives the draft's key, signs its certificate and fills
+// d.Leaf. It reads no randomness and only reads the CA, so drafts may
+// be made in any order and concurrently, with the same bytes.
+func (d *Draft) Make() error {
+	key := ed25519.NewKeyFromSeed(d.seed[:])
+	tmpl, err := leafTemplate(d.spec, d.serial)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	der, err := x509.CreateCertificate(nil, tmpl, ca.cert, key.Public(), ca.key)
+	parent, signer, step := tmpl, key, "self-sign"
+	var chain []*x509.Certificate
+	if d.ca != nil {
+		parent, signer, step = d.ca.cert, d.ca.key, "issue leaf"
+		chain = []*x509.Certificate{d.ca.cert}
+	}
+	der, err := x509.CreateCertificate(nil, tmpl, parent, key.Public(), signer)
 	if err != nil {
-		return nil, fmt.Errorf("certs: issue leaf: %w", err)
+		return fmt.Errorf("certs: %s: %w", step, err)
 	}
 	cert, err := x509.ParseCertificate(der)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	return &Leaf{Cert: cert, Key: key, Chain: []*x509.Certificate{ca.cert}}, nil
+	*d.Leaf = Leaf{Cert: cert, Key: key, Chain: chain}
+	return nil
+}
+
+// Issue creates a CA-signed leaf certificate whose key is drawn from rng.
+func (ca *CA) Issue(spec LeafSpec, rng *rand.Rand) (*Leaf, error) {
+	return drawn(ca.Draw(spec, rng))
 }
 
 // SelfSigned creates a self-signed leaf, as a misconfigured or homegrown
 // mail server would present; its key is drawn from rng.
 func SelfSigned(spec LeafSpec, rng *rand.Rand) (*Leaf, error) {
-	key := genKey(rng)
-	tmpl, err := leafTemplate(spec, 1)
-	if err != nil {
+	return drawn(DrawSelfSigned(spec, rng))
+}
+
+// drawn makes d at once.
+func drawn(d *Draft) (*Leaf, error) {
+	if err := d.Make(); err != nil {
 		return nil, err
 	}
-	tmpl.IsCA = false
-	der, err := x509.CreateCertificate(nil, tmpl, tmpl, key.Public(), key)
-	if err != nil {
-		return nil, fmt.Errorf("certs: self-sign: %w", err)
-	}
-	cert, err := x509.ParseCertificate(der)
-	if err != nil {
-		return nil, err
-	}
-	return &Leaf{Cert: cert, Key: key}, nil
+	return d.Leaf, nil
 }
 
 func leafTemplate(spec LeafSpec, serial int64) (*x509.Certificate, error) {
@@ -179,14 +219,14 @@ func orgOrDefault(spec LeafSpec) []string {
 	return nil
 }
 
-// genKey draws an Ed25519 key from 32 bytes of rng, one Uint32 per
-// byte. Simulation-only: no real secrets exist.
-func genKey(rng *rand.Rand) ed25519.PrivateKey {
-	seed := make([]byte, ed25519.SeedSize)
+// drawSeed draws an Ed25519 key seed from rng, one Uint32 per byte.
+// Simulation-only: no real secrets exist.
+func drawSeed(rng *rand.Rand) [ed25519.SeedSize]byte {
+	var seed [ed25519.SeedSize]byte
 	for i := range seed {
 		seed[i] = byte(rng.Uint32())
 	}
-	return ed25519.NewKeyFromSeed(seed)
+	return seed
 }
 
 // TLSCertificate converts the leaf into a tls.Certificate usable in a

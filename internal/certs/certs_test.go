@@ -2,8 +2,10 @@ package certs
 
 import (
 	"bytes"
+	"crypto/ed25519"
 	"crypto/x509"
 	"math/rand/v2"
+	"sync"
 	"testing"
 )
 
@@ -199,6 +201,151 @@ func BenchmarkIssueLeaf(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := ca.Issue(LeafSpec{CommonName: "mx.example.com"}, rng); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// TestDraftMatchesIssue holds the two-step issuance to the one-step
+// one: the same specs drawn from an rng of the same seed, then made in
+// reverse order on concurrent goroutines, give the DER, key and chain
+// that Issue and SelfSigned give, and that a reference written in one
+// step (seed, serial, template, sign, parse) gives, and leave the rng
+// and the CA's serial where those leave them.
+func TestDraftMatchesIssue(t *testing.T) {
+	specs := []struct {
+		spec       LeafSpec
+		selfSigned bool
+	}{
+		{LeafSpec{CommonName: "mx.provider.com"}, false},
+		{LeafSpec{CommonName: "mail.selfhosted.com"}, true},
+		{LeafSpec{CommonName: "old.example.com", Expired: true}, false},
+		{LeafSpec{CommonName: "old.selfhosted.com", Expired: true}, true},
+		{LeafSpec{CommonName: "mx.google.com",
+			DNSNames: []string{"mx.google.com", "aspmx2.googlemail.com", "mx1.smtp.goog"}}, false},
+		{LeafSpec{CommonName: "*.shared.host.com",
+			DNSNames: []string{"*.shared.host.com", "shared.host.com"}, Org: "Host Inc"}, false},
+		{LeafSpec{CommonName: "box.example.org", Org: "Example Org"}, true},
+	}
+	newCA := func() *CA {
+		ca, err := NewCA("Sim Root CA", testRNG())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ca
+	}
+
+	// One step: the public API.
+	ca, rng := newCA(), testRNG()
+	var want []*Leaf
+	for _, s := range specs {
+		var leaf *Leaf
+		var err error
+		if s.selfSigned {
+			leaf, err = SelfSigned(s.spec, rng)
+		} else {
+			leaf, err = ca.Issue(s.spec, rng)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, leaf)
+	}
+	wantNext, wantSerial := rng.Uint64(), ca.serial
+
+	// One step: the reference.
+	refCA, refRNG := newCA(), testRNG()
+	for i, s := range specs {
+		ref := issueInOneStep(t, refCA, s.spec, s.selfSigned, refRNG)
+		sameLeaf(t, "reference", i, ref, want[i])
+	}
+	if next := refRNG.Uint64(); next != wantNext {
+		t.Errorf("reference left the rng at %#x, Issue at %#x", next, wantNext)
+	}
+
+	// Two steps: every draw in order, then every make, last first and
+	// all at once.
+	drawCA, drawRNG := newCA(), testRNG()
+	drafts := make([]*Draft, len(specs))
+	for i, s := range specs {
+		if s.selfSigned {
+			drafts[i] = DrawSelfSigned(s.spec, drawRNG)
+		} else {
+			drafts[i] = drawCA.Draw(s.spec, drawRNG)
+		}
+	}
+	if next := drawRNG.Uint64(); next != wantNext {
+		t.Errorf("draws left the rng at %#x, Issue at %#x", next, wantNext)
+	}
+	if drawCA.serial != wantSerial {
+		t.Errorf("draws left the CA at serial %d, Issue at %d", drawCA.serial, wantSerial)
+	}
+	errs := make([]error, len(drafts))
+	var wg sync.WaitGroup
+	for i := len(drafts) - 1; i >= 0; i-- {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs[i] = drafts[i].Make()
+		}()
+	}
+	wg.Wait()
+	for i, d := range drafts {
+		if errs[i] != nil {
+			t.Fatalf("draft %d: %v", i, errs[i])
+		}
+		sameLeaf(t, "draft", i, d.Leaf, want[i])
+	}
+}
+
+// issueInOneStep is issuance as one sequence: draw the key, take the
+// serial, build the template, sign, parse.
+func issueInOneStep(t *testing.T, ca *CA, spec LeafSpec, selfSigned bool, rng *rand.Rand) *Leaf {
+	t.Helper()
+	seed := make([]byte, ed25519.SeedSize)
+	for i := range seed {
+		seed[i] = byte(rng.Uint32())
+	}
+	key := ed25519.NewKeyFromSeed(seed)
+	serial := int64(1)
+	if !selfSigned {
+		ca.serial++
+		serial = ca.serial
+	}
+	tmpl, err := leafTemplate(spec, serial)
+	if err != nil {
+		t.Fatal(err)
+	}
+	leaf := &Leaf{Key: key}
+	var der []byte
+	if selfSigned {
+		der, err = x509.CreateCertificate(nil, tmpl, tmpl, key.Public(), key)
+	} else {
+		der, err = x509.CreateCertificate(nil, tmpl, ca.cert, key.Public(), ca.key)
+		leaf.Chain = []*x509.Certificate{ca.cert}
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	if leaf.Cert, err = x509.ParseCertificate(der); err != nil {
+		t.Fatal(err)
+	}
+	return leaf
+}
+
+func sameLeaf(t *testing.T, what string, i int, got, want *Leaf) {
+	t.Helper()
+	if got.Cert == nil || !bytes.Equal(got.Cert.Raw, want.Cert.Raw) {
+		t.Errorf("%s %d: DER differs from Issue's", what, i)
+	}
+	if !bytes.Equal(got.Key, want.Key) {
+		t.Errorf("%s %d: key differs from Issue's", what, i)
+	}
+	if len(got.Chain) != len(want.Chain) {
+		t.Fatalf("%s %d: chain of %d, Issue's of %d", what, i, len(got.Chain), len(want.Chain))
+	}
+	for k := range got.Chain {
+		if !bytes.Equal(got.Chain[k].Raw, want.Chain[k].Raw) {
+			t.Errorf("%s %d: chain[%d] differs from Issue's", what, i, k)
 		}
 	}
 }

@@ -137,7 +137,11 @@ const abuseSuffix = ".xyz"
 // memberName is the look-alike name of the cluster's n-th member: the
 // shared stem, then n zero-padded to width digits.
 func (ac AbuseCluster) memberName(width, n int) string {
-	return fmt.Sprintf("%s-%0*d%s", ac.Stem, width, n, abuseSuffix)
+	var buf [48]byte
+	b := append(buf[:0], ac.Stem...)
+	b = append(b, '-')
+	b = appendPadded(b, width, n)
+	return string(append(b, abuseSuffix...))
 }
 
 // BackupRelayInfo is the shared backup-MX provider BLBFO topologies

@@ -3,6 +3,7 @@ package world
 import (
 	"context"
 	"fmt"
+	"io"
 	"net"
 	"net/netip"
 	"sort"
@@ -24,12 +25,20 @@ type DNSInfra struct {
 	Roots []netip.AddrPort
 
 	servers []*dns.Server
+	// socks are the servers' fabric sockets. A server closed before its
+	// serve goroutine has attached a socket never closes that socket,
+	// so Close closes them too.
+	socks []io.Closer
 }
 
-// Close hard-stops every DNS server in the hierarchy.
+// Close hard-stops every DNS server in the hierarchy and unbinds its
+// fabric addresses.
 func (inf *DNSInfra) Close() error {
 	for _, s := range inf.servers {
 		s.Close()
+	}
+	for _, c := range inf.socks {
+		c.Close()
 	}
 	return nil
 }
@@ -61,8 +70,9 @@ const dnsShards = 8
 // StartDNS builds and serves the delegated hierarchy for one snapshot
 // date: the root zone delegates every TLD, each TLD zone delegates the
 // registered zones beneath it to an authoritative shard, and the shards
-// serve the leaf zones from CatalogAt.
-func (w *World) StartDNS(n *netsim.Network, date string) (*DNSInfra, error) {
+// serve the leaf zones from CatalogAt. On an error, the servers it has
+// started are closed again.
+func (w *World) StartDNS(n *netsim.Network, date string) (_ *DNSInfra, err error) {
 	leafCatalog, err := w.CatalogAt(date)
 	if err != nil {
 		return nil, err
@@ -88,6 +98,11 @@ func (w *World) StartDNS(n *netsim.Network, date string) (*DNSInfra, error) {
 	}
 
 	inf := &DNSInfra{}
+	defer func() {
+		if err != nil {
+			inf.Close()
+		}
+	}()
 	shardAddrs := make([]netip.Addr, dnsShards)
 	for i := range shardAddrs {
 		shardAddrs[i] = netip.AddrFrom4([4]byte{dnsShardBase[0], dnsShardBase[1], dnsShardBase[2], byte(1 + i)})
@@ -132,19 +147,16 @@ func (w *World) StartDNS(n *netsim.Network, date string) (*DNSInfra, error) {
 		tldCat := dns.NewCatalog()
 		tldCat.AddZone(tldZone)
 		if err := inf.serve(n, tldAddr, tldCat); err != nil {
-			inf.Close()
 			return nil, err
 		}
 		// Root delegation for the TLD.
 		nsHost := "ns1." + tld
 		if err := rootZone.Add(dns.RR{Name: tld, Type: dns.TypeNS, TTL: zoneTTL,
 			Data: dns.NSData{Host: nsHost}}); err != nil {
-			inf.Close()
 			return nil, err
 		}
 		if err := rootZone.Add(dns.RR{Name: nsHost, Type: dns.TypeA, TTL: zoneTTL,
 			Data: dns.AData{Addr: tldAddr}}); err != nil {
-			inf.Close()
 			return nil, err
 		}
 	}
@@ -152,14 +164,12 @@ func (w *World) StartDNS(n *netsim.Network, date string) (*DNSInfra, error) {
 	rootCat := dns.NewCatalog()
 	rootCat.AddZone(rootZone)
 	if err := inf.serve(n, dnsRootAddr, rootCat); err != nil {
-		inf.Close()
 		return nil, err
 	}
 	inf.Roots = []netip.AddrPort{netip.AddrPortFrom(dnsRootAddr, 53)}
 
 	for i, cat := range shardCatalogs {
 		if err := inf.serve(n, shardAddrs[i], cat); err != nil {
-			inf.Close()
 			return nil, err
 		}
 	}
@@ -188,6 +198,7 @@ func (inf *DNSInfra) serve(n *netsim.Network, addr netip.Addr, cat *dns.Catalog)
 	go srv.ServeUDP(pc)
 	go srv.ServeTCP(ln)
 	inf.servers = append(inf.servers, srv)
+	inf.socks = append(inf.socks, pc, ln)
 	return nil
 }
 

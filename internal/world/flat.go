@@ -197,6 +197,7 @@ func NewFlatWorld(cfg FlatConfig) (*FlatWorld, error) {
 	// Materialize infrastructure: two MX hosts of two addresses each,
 	// a /16 per provider, one CA-signed certificate for the curated
 	// providers (the long tail is banner-only).
+	var leaves leafBatch
 	for i, p := range fw.providers {
 		if p.asn == 0 {
 			p.asn = asn.ASN(64000 + i)
@@ -210,15 +211,11 @@ func NewFlatWorld(cfg FlatConfig) (*FlatWorld, error) {
 		}
 		p.hosts = []string{"mx1." + p.id, "mx2." + p.id}
 		if p.company != p.id { // curated provider: browser-trusted TLS
-			leaf, err := ca.Issue(certs.LeafSpec{
+			p.leaf = leaves.issue(ca, certs.LeafSpec{
 				CommonName: p.hosts[0],
 				DNSNames:   p.hosts,
 				Org:        p.company,
 			}, rng)
-			if err != nil {
-				return nil, err
-			}
-			p.leaf = leaf
 		}
 		p.addrs = make([][]netip.Addr, len(p.hosts))
 		for h := range p.hosts {
@@ -230,6 +227,9 @@ func NewFlatWorld(cfg FlatConfig) (*FlatWorld, error) {
 			}
 		}
 		fw.byID[p.id] = p
+	}
+	if err := leaves.make(); err != nil {
+		return nil, err
 	}
 
 	if advPct > 0 {
@@ -268,7 +268,21 @@ func (fw *FlatWorld) DomainName(i int) string {
 	if spec, _ := fw.advSpec(i); spec.Family == FamilyAbuse {
 		return fw.adv.AbuseClusters[spec.Cluster].memberName(fw.digits, i)
 	}
-	return fmt.Sprintf("%s%0*d%s", fw.namePrefix, fw.digits, i, fw.nameSuffix)
+	var buf [32]byte
+	b := append(buf[:0], fw.namePrefix...)
+	b = appendPadded(b, fw.digits, i)
+	return string(append(b, fw.nameSuffix...))
+}
+
+// appendPadded appends n ≥ 0 in decimal, zero-padded to width digits:
+// fmt's %0*d without the formatter.
+func appendPadded(b []byte, width, n int) []byte {
+	var digits [20]byte
+	d := strconv.AppendInt(digits[:0], int64(n), 10)
+	for k := len(d); k < width; k++ {
+		b = append(b, '0')
+	}
+	return append(b, d...)
 }
 
 // DomainIndex inverts DomainName, accepting whichever spelling —

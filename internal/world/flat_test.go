@@ -3,6 +3,7 @@ package world
 import (
 	"context"
 	"errors"
+	"fmt"
 	"net/netip"
 	"runtime"
 	"testing"
@@ -207,5 +208,18 @@ func TestFlatDialerServesSMTP(t *testing.T) {
 	res = smtp.Scan(ctx, "10.250.0.1:25", smtp.ScanConfig{Dialer: fw.Dialer()})
 	if res.Connected {
 		t.Error("scan of an empty address connected")
+	}
+}
+
+// TestAppendPaddedMatchesSprintf holds the appended names to the %0*d
+// they replace, at and across every digit-count boundary.
+func TestAppendPaddedMatchesSprintf(t *testing.T) {
+	for width := 0; width <= 12; width++ {
+		for _, n := range []int{0, 1, 9, 10, 99, 100, 42, 999999, 1000000, 123456789, 1234567890, 1<<62 + 7} {
+			want := fmt.Sprintf("d%0*d.com", width, n)
+			if got := string(append(appendPadded([]byte("d"), width, n), ".com"...)); got != want {
+				t.Errorf("width %d, n %d: %q, want %q", width, n, got, want)
+			}
+		}
 	}
 }

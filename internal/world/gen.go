@@ -9,6 +9,7 @@ import (
 	"mxmap/internal/asn"
 	"mxmap/internal/certs"
 	"mxmap/internal/companies"
+	"mxmap/internal/parallel"
 )
 
 // Generate builds a complete world from the configuration.
@@ -60,7 +61,44 @@ func Generate(cfg Config) (*World, error) {
 		}
 		w.Corpora[spec.name] = c
 	}
+	if err := w.leaves.make(); err != nil {
+		return nil, err
+	}
+	w.leaves = nil
 	return w, nil
+}
+
+// leafBatch is a generator's certificates, drawn in generation order
+// and made in one parallel batch: drawing reads the generator's rng,
+// making reads none, so the batch gives the bytes one-at-a-time
+// issuance gives.
+type leafBatch []*certs.Draft
+
+// issue draws a CA-signed leaf; it is empty until make.
+func (b *leafBatch) issue(ca *certs.CA, spec certs.LeafSpec, rng *rand.Rand) *certs.Leaf {
+	d := ca.Draw(spec, rng)
+	*b = append(*b, d)
+	return d.Leaf
+}
+
+// selfSigned draws a self-signed leaf; it is empty until make.
+func (b *leafBatch) selfSigned(spec certs.LeafSpec, rng *rand.Rand) *certs.Leaf {
+	d := certs.DrawSelfSigned(spec, rng)
+	*b = append(*b, d)
+	return d.Leaf
+}
+
+// make makes every drawn leaf on parallel.Workers(0) goroutines, all of
+// them done when it returns, and reports the first error in draw order.
+func (b leafBatch) make() error {
+	errs := make([]error, len(b))
+	parallel.Run(len(b), parallel.Workers(0), func(i int) { errs[i] = b[i].Make() })
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 func scaled(n int, scale float64, minSize int) int {

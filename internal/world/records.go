@@ -96,11 +96,7 @@ func (w *World) createSelfHost(d *Domain, mode Mode, next *uint32) error {
 	spec := &SMTPSpec{Hostname: hostname}
 	switch mode {
 	case ModeSelfGood:
-		leaf, err := w.CA.Issue(certs.LeafSpec{CommonName: hostname}, w.rng)
-		if err != nil {
-			return err
-		}
-		spec.Leaf = leaf
+		spec.Leaf = w.leaves.issue(w.CA, certs.LeafSpec{CommonName: hostname}, w.rng)
 		if hash64(d.Name+"/banner")%5 == 0 {
 			// Some otherwise well-run servers still ship a placeholder
 			// banner: a valid certificate with no usable Banner/EHLO.
@@ -108,11 +104,7 @@ func (w *World) createSelfHost(d *Domain, mode Mode, next *uint32) error {
 			spec.EHLOName = "localhost"
 		}
 	case ModeSelfSigned:
-		leaf, err := certs.SelfSigned(certs.LeafSpec{CommonName: hostname}, w.rng)
-		if err != nil {
-			return err
-		}
-		spec.Leaf = leaf
+		spec.Leaf = w.leaves.selfSigned(certs.LeafSpec{CommonName: hostname}, w.rng)
 	case ModeSelfJunk:
 		a4 := addr.As4()
 		junk := fmt.Sprintf("ip-%d-%d-%d-%d", a4[0], a4[1], a4[2], a4[3])
@@ -153,17 +145,9 @@ func (w *World) createVPSHost(d *Domain, wh *Provider, variant uint32) error {
 	if variant%5 != 0 {
 		// Hosting companies let VPS tenants obtain certificates under
 		// these names (the secureserver.net behavior in §3.1.4).
-		leaf, err := w.CA.Issue(certs.LeafSpec{CommonName: vpsName}, w.rng)
-		if err != nil {
-			return err
-		}
-		spec.Leaf = leaf
+		spec.Leaf = w.leaves.issue(w.CA, certs.LeafSpec{CommonName: vpsName}, w.rng)
 	} else {
-		leaf, err := certs.SelfSigned(certs.LeafSpec{CommonName: vpsName}, w.rng)
-		if err != nil {
-			return err
-		}
-		spec.Leaf = leaf
+		spec.Leaf = w.leaves.selfSigned(certs.LeafSpec{CommonName: vpsName}, w.rng)
 	}
 	w.Hosts[addr] = &Host{Addr: addr, ASN: wh.ASN, SMTP: spec}
 	return nil

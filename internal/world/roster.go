@@ -88,10 +88,7 @@ func (w *World) addProvider(c *companies.Company) error {
 	for i := 0; i < fleet; i++ {
 		p.MailHosts[i] = fmt.Sprintf(hostPattern, i+1) + "." + p.ID
 	}
-	leaves, err := w.issueFleetCerts(p, c)
-	if err != nil {
-		return err
-	}
+	leaves := w.issueFleetCerts(p, c)
 
 	// SiteGround's filtering fleet runs inside Google's cloud — the
 	// beats24-7.com corner case from Table 1.
@@ -147,14 +144,11 @@ func (w *World) addProvider(c *companies.Company) error {
 	// availability rates.
 	if c.Kind == companies.KindWebHosting {
 		shared := 8
-		sharedCert, err := w.CA.Issue(certs.LeafSpec{
+		sharedCert := w.leaves.issue(w.CA, certs.LeafSpec{
 			CommonName: "*.shared." + p.ID,
 			DNSNames:   []string{"*.shared." + p.ID, "shared." + p.ID},
 			Org:        c.Name,
 		}, w.rng)
-		if err != nil {
-			return err
-		}
 		censys := CensysAlways
 		if c.Name == "EIG" {
 			// The paper reports Censys only intermittently scanned EIG.
@@ -188,7 +182,7 @@ func (w *World) addProvider(c *companies.Company) error {
 	return nil
 }
 
-// issueFleetCerts creates the certificates a provider's mail servers
+// issueFleetCerts draws the certificates a provider's mail servers
 // present, one entry per server in MailHosts order.
 //
 // Most providers share one certificate across the fleet. Large mail
@@ -197,36 +191,27 @@ func (w *World) addProvider(c *companies.Company) error {
 // overlap pairwise — exactly the configuration step 1's FQDN-overlap
 // grouping exists to consolidate (and the NoCertGrouping ablation
 // fragments).
-func (w *World) issueFleetCerts(p *Provider, c *companies.Company) ([]*certs.Leaf, error) {
+func (w *World) issueFleetCerts(p *Provider, c *companies.Company) []*certs.Leaf {
 	fleet := len(p.MailHosts)
 	if c.Kind == companies.KindMailHosting && fleet >= 6 {
 		alt := strings.SplitN(p.ID, ".", 2)[0] + "-mailinfra.net"
-		certA, err := w.CA.Issue(certs.LeafSpec{
+		certA := w.leaves.issue(w.CA, certs.LeafSpec{
 			CommonName: "mx." + p.ID,
 			DNSNames: []string{"mx." + p.ID,
 				p.MailHosts[0], p.MailHosts[1], p.MailHosts[2]},
 			Org: c.Name,
 		}, w.rng)
-		if err != nil {
-			return nil, err
-		}
 		// The bridge certificate carries names from both domains.
-		certC, err := w.CA.Issue(certs.LeafSpec{
+		certC := w.leaves.issue(w.CA, certs.LeafSpec{
 			CommonName: "mx." + p.ID,
 			DNSNames:   []string{"mx." + p.ID, p.MailHosts[3], "mx." + alt},
 			Org:        c.Name,
 		}, w.rng)
-		if err != nil {
-			return nil, err
-		}
-		certB, err := w.CA.Issue(certs.LeafSpec{
+		certB := w.leaves.issue(w.CA, certs.LeafSpec{
 			CommonName: "mx." + alt,
 			DNSNames:   []string{"mx." + alt, "mx5." + alt, "mx6." + alt},
 			Org:        c.Name,
 		}, w.rng)
-		if err != nil {
-			return nil, err
-		}
 		out := make([]*certs.Leaf, fleet)
 		for i := range out {
 			switch {
@@ -238,23 +223,20 @@ func (w *World) issueFleetCerts(p *Provider, c *companies.Company) ([]*certs.Lea
 				out[i] = certB
 			}
 		}
-		return out, nil
+		return out
 	}
 	sans := []string{"mx." + p.ID}
 	sans = append(sans, p.MailHosts...)
-	leaf, err := w.CA.Issue(certs.LeafSpec{
+	leaf := w.leaves.issue(w.CA, certs.LeafSpec{
 		CommonName: "mx." + p.ID,
 		DNSNames:   sans,
 		Org:        c.Name,
 	}, w.rng)
-	if err != nil {
-		return nil, err
-	}
 	out := make([]*certs.Leaf, fleet)
 	for i := range out {
 		out[i] = leaf
 	}
-	return out, nil
+	return out
 }
 
 // fleetPlan sizes a provider's mail fleet and names its hosts.

@@ -330,6 +330,9 @@ type World struct {
 
 	providerByID map[string]*Provider
 	rng          *rand.Rand
+	// leaves queues the certificates Generate draws; it makes them all
+	// before it returns.
+	leaves leafBatch
 	// selfNext sequences dedicated self-hosted server addresses across
 	// all corpora so they never collide.
 	selfNext uint32

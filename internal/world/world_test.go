@@ -455,6 +455,22 @@ func BenchmarkGenerate(b *testing.B) {
 	}
 }
 
+// BenchmarkNewFlatWorld times what the scan-flat workload builds before
+// its clock starts: the flat world of its config (seed 1, 20 000
+// domains, 2 % adversarial) and the name of every domain.
+func BenchmarkNewFlatWorld(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		fw, err := NewFlatWorld(FlatConfig{Seed: 1, NumDomains: 20000, AdversarialPercent: 2})
+		if err != nil {
+			b.Fatal(err)
+		}
+		for j := 0; j < fw.NumDomains(); j++ {
+			_ = fw.DomainName(j)
+		}
+	}
+}
+
 func TestSPFRecordsWellFormed(t *testing.T) {
 	w := testWorld(t)
 	withSPF, total := 0, 0
@@ -543,4 +559,36 @@ func TestGovAgencyProvidersServeOnlyFederal(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestStartDNSClosesServersOnError: a domain whose name server host
+// StartDNS cannot delegate ("ns1." plus a 252-octet name is 256 octets)
+// in the TLD that sorts last fails the call after the first TLD's
+// server is up, and that server is gone again: its fabric address
+// binds.
+func TestStartDNSClosesServersOnError(t *testing.T) {
+	long := strings.Repeat("a", 63) + "." + strings.Repeat("b", 63) + "." +
+		strings.Repeat("c", 63) + "." + strings.Repeat("d", 57) + ".zz"
+	stints := []Stint{{From: 0, To: 0, Provider: -1, Mode: ModeNoMXIP}}
+	w := &World{
+		providerByID: map[string]*Provider{},
+		Corpora: map[string]*Corpus{CorpusCOM: {Name: CorpusCOM, Dates: []string{"2021-06"},
+			Domains: []*Domain{{Name: "good.com", Stints: stints}, {Name: long, Stints: stints}}}},
+	}
+	n := netsim.New()
+	if inf, err := w.StartDNS(n, "2021-06"); err == nil {
+		inf.Close()
+		t.Fatal("StartDNS delegated a name server host of 256 octets")
+	}
+	first := netip.AddrPortFrom(netip.AddrFrom4([4]byte{dnsTLDBase[0], dnsTLDBase[1], dnsTLDBase[2], 1}), 53)
+	pc, err := n.ListenPacket(first)
+	if err != nil {
+		t.Fatalf("first TLD's UDP address still bound: %v", err)
+	}
+	pc.Close()
+	ln, err := n.Listen(first)
+	if err != nil {
+		t.Fatalf("first TLD's TCP address still bound: %v", err)
+	}
+	ln.Close()
 }
