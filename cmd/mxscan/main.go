@@ -149,7 +149,6 @@ func main() {
 			Output:       set,
 			Journals:     js.open,
 			Prior:        js.prior,
-			Seen:         js.seen,
 		}, src.targets)
 		if err != nil {
 			fail(err)
@@ -184,7 +183,7 @@ func main() {
 		if js.open != nil {
 			col.Journal = js.open[0]
 		}
-		col.Prior, col.Seen = js.prior, js.seen
+		col.Prior = js.prior
 		snap, err := col.Collect(ctx, src.corpus, *date, src.targets)
 		if err != nil {
 			fail(err)
@@ -338,9 +337,8 @@ func worldSource(cfg world.Config, corpus, date string, iterative bool) (*source
 type journalSet struct {
 	open  []*dataset.Journal
 	paths []string // every journal file of the run, for removal at commit
-	// prior and seen union the recovered records of every journal.
+	// prior unions the recovered records of every journal.
 	prior *dataset.Snapshot
-	seen  map[string]bool
 }
 
 // openJournals opens one journal per worker — <base> for the single
@@ -356,7 +354,6 @@ func openJournals(base string, fleet bool, workers int, resume bool, date, corpu
 	js := &journalSet{}
 	if resume {
 		js.prior = dataset.NewSnapshot(date, corpus)
-		js.seen = make(map[string]bool)
 	}
 	entries := 0
 	for w := 0; w < workers; w++ {
@@ -394,8 +391,13 @@ func openJournals(base string, fleet bool, workers int, resume bool, date, corpu
 		entries += js.splice(path(w), rec)
 	}
 	if entries > 0 {
+		// A domain counts once, however many journals hold it.
+		domains := make(map[string]bool, len(js.prior.Domains))
+		for i := range js.prior.Domains {
+			domains[js.prior.Domains[i].Domain] = true
+		}
 		fmt.Fprintf(os.Stderr, "resuming: %d domains and %d IPs recovered from %s\n",
-			len(js.seen), len(js.prior.IPs), strings.Join(js.paths, " "))
+			len(domains), len(js.prior.IPs), strings.Join(js.paths, " "))
 	}
 	return js, nil
 }
@@ -408,9 +410,6 @@ func (js *journalSet) splice(path string, rec *dataset.JournalRecovery) int {
 	}
 	if rec.Truncated {
 		fmt.Fprintf(os.Stderr, "%s: torn tail discarded: %s\n", path, rec.Reason)
-	}
-	for d := range rec.Seen {
-		js.seen[d] = true
 	}
 	for i := range rec.Snapshot.Domains {
 		js.prior.AddDomain(rec.Snapshot.Domains[i])

@@ -17,7 +17,6 @@ package dataset
 import (
 	"bufio"
 	"bytes"
-	"encoding/json"
 	"errors"
 	"io"
 	"net/netip"
@@ -376,10 +375,10 @@ func (s *Snapshot) WriteTo(w io.Writer) (int64, error) {
 		bw.Reset(io.Discard)
 		bufWriterPool.Put(bw)
 	}()
-	if err := json.NewEncoder(bw).Encode(jsonLine{Kind: "snapshot", Header: &snapshotHeader{Date: s.Date, Corpus: s.Corpus}}); err != nil {
+	// Lines are appended straight into the writer's free space.
+	if _, err := bw.Write(appendHeaderLine(bw.AvailableBuffer(), s.Date, s.Corpus)); err != nil {
 		return 0, err
 	}
-	// Record lines are appended straight into the writer's free space.
 	err := s.ForEach(
 		func(d *DomainRecord) error {
 			_, err := bw.Write(appendDomainLine(bw.AvailableBuffer(), d))
@@ -463,17 +462,7 @@ func walkLines(r io.Reader, name string, header func(*snapshotHeader), domain fu
 	}()
 	for b := range filled {
 		for i := range b.slots[:b.n] {
-			slot := &b.slots[i]
-			var err error
-			switch slot.kind {
-			case "snapshot":
-				header(b.header)
-			case "domain":
-				err = domain(&slot.domain)
-			case "ip":
-				err = ip(&slot.ip)
-			}
-			if err != nil {
+			if err := b.slots[i].deliver(header, domain, ip); err != nil {
 				return endOfPass(err)
 			}
 		}
@@ -503,10 +492,7 @@ const (
 type lineBatch struct {
 	slots [walkBatch]lineSlot
 	n     int
-	// header is the body of the "snapshot" slot; a walk delivers one
-	// header at most.
-	header *snapshotHeader
-	err    error
+	err   error
 	// mx and addrs are where a new batch's slots start out: room for
 	// slotMX MX records of slotAddrs addresses each, which holds the
 	// small records most of a corpus is made of, so that a batch costs
@@ -531,11 +517,61 @@ func newLineBatch() *lineBatch {
 }
 
 // lineSlot holds one line a callback is owed: its kind, and the record
-// in the member of that kind.
+// in the member of that kind. Kind "" owes nothing.
 type lineSlot struct {
 	kind   string
+	header *snapshotHeader
 	domain DomainRecord
 	ip     IPInfo
+}
+
+// fill steps rules over raw, the next line, and decodes its record into
+// the slot's member of its kind. A line of a kind the walk does not
+// want (want* false) is checked and leaves the slot's kind "", as a
+// blank line and a shard's footer do. A canonical line refills the
+// slot's record in place, so per-line allocation is limited to the
+// record's own strings; a kind that is not wanted is walked, not stored.
+func (s *lineSlot) fill(rules *lineRules, l *jsonLine, raw []byte, wantHeader, wantDomain, wantIP bool) error {
+	s.kind = ""
+	l.Domain, l.IP = nil, nil
+	if wantDomain {
+		l.Domain = &s.domain
+	}
+	if wantIP {
+		l.IP = &s.ip
+	}
+	if _, err := rules.step(raw, l); err != nil {
+		return err
+	}
+	switch {
+	case l.Kind == "snapshot" && wantHeader:
+		s.header = l.Header
+	case l.Kind == "domain" && wantDomain:
+		if l.Domain != &s.domain { // a line encoding/json decoded
+			s.domain = *l.Domain
+		}
+	case l.Kind == "ip" && wantIP:
+		if l.IP != &s.ip {
+			s.ip = *l.IP
+		}
+	default:
+		return nil
+	}
+	s.kind = l.Kind
+	return nil
+}
+
+// deliver hands the slot's record to the callback of its kind.
+func (s *lineSlot) deliver(header func(*snapshotHeader), domain func(*DomainRecord) error, ip func(*IPInfo) error) error {
+	switch s.kind {
+	case "snapshot":
+		header(s.header)
+	case "domain":
+		return domain(&s.domain)
+	case "ip":
+		return ip(&s.ip)
+	}
+	return nil
 }
 
 var lineBatchPool = sync.Pool{New: func() any { return newLineBatch() }}
@@ -563,48 +599,12 @@ func decodeAhead(r io.Reader, name string, wantHeader, wantDomain, wantIP bool, 
 	next := func() bool {
 		select {
 		case b = <-free:
-			b.n, b.header, b.err = 0, nil, nil
+			b.n, b.err = 0, nil
 			return true
 		case <-stop:
 			return false
 		}
 	}
-	// take decodes and checks one line into the next slot of b, which
-	// it claims if a callback is owed the line.
-	take := func(raw []byte) error {
-		// A canonical line refills the slot's record in place, so
-		// per-line allocation is limited to the record's own strings. A
-		// section without a callback is walked, not stored.
-		slot := &b.slots[b.n]
-		l.Domain, l.IP = nil, nil
-		if wantDomain {
-			l.Domain = &slot.domain
-		}
-		if wantIP {
-			l.IP = &slot.ip
-		}
-		if _, err := rules.step(raw, &l); err != nil {
-			return err
-		}
-		switch {
-		case l.Kind == "snapshot" && wantHeader:
-			b.header = l.Header
-		case l.Kind == "domain" && wantDomain:
-			if l.Domain != &slot.domain { // a line encoding/json decoded
-				slot.domain = *l.Domain
-			}
-		case l.Kind == "ip" && wantIP:
-			if l.IP != &slot.ip {
-				slot.ip = *l.IP
-			}
-		default: // a blank line, a shard's footer, a section no callback is owed
-			return nil
-		}
-		slot.kind = l.Kind
-		b.n++
-		return nil
-	}
-
 	if wantDomain {
 		rules.names = make(internTable)
 	}
@@ -619,8 +619,14 @@ func decodeAhead(r io.Reader, name string, wantHeader, wantDomain, wantIP bool, 
 				return
 			}
 		}
-		if b.err = take(sc.Bytes()); b.err != nil {
+		// The line is decoded into the next slot of b, which it claims
+		// if a callback is owed the line.
+		slot := &b.slots[b.n]
+		if b.err = slot.fill(&rules, &l, sc.Bytes(), wantHeader, wantDomain, wantIP); b.err != nil {
 			break
+		}
+		if slot.kind != "" {
+			b.n++
 		}
 	}
 	switch err := sc.Err(); {

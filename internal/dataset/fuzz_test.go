@@ -2,6 +2,7 @@ package dataset
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"net/netip"
@@ -18,6 +19,9 @@ import (
 // bytes. Recovery must never panic, never claim more valid bytes than
 // the input holds, and — when it does recover entries — must be
 // idempotent: recovering the valid prefix again yields the same result.
+// The line codec is its oracle too: every canonical payload recovery
+// trusts re-encodes to itself, and the recovered snapshot, written by
+// WriteFile, reads back through ReadFile as the same snapshot.
 func FuzzJournalRead(f *testing.F) {
 	// Seed: a healthy journal, its torn variants, junk, and journals
 	// holding a record every snapshot reader rejects.
@@ -52,6 +56,12 @@ func FuzzJournalRead(f *testing.F) {
 	for _, tc := range keylessFrames {
 		f.Add(keylessJournal(f, tc.add))
 	}
+	for _, p := range lineRuleProbes {
+		raw, _ := frameLines(p.text)
+		f.Add(raw)
+	}
+	// One file, replaced by each input's WriteFile.
+	snapPath := filepath.Join(f.TempDir(), "recovered.jsonl")
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		rec, err := recoverJournal(bytes.NewReader(data), int64(len(data)))
@@ -77,6 +87,39 @@ func FuzzJournalRead(f *testing.F) {
 				t.Fatalf("prefix re-recovery diverged: %d/%d entries, %d/%d bytes, truncated=%v",
 					rec2.Entries, rec.Entries, rec2.ValidBytes, rec.ValidBytes, rec2.Truncated)
 			}
+		}
+		for off := int64(len(journalMagic)); off < rec.ValidBytes; {
+			payload := data[off+frameHeaderSize:][:binary.LittleEndian.Uint32(data[off:])]
+			off += frameHeaderSize + int64(len(payload))
+			var d DomainRecord
+			var info IPInfo
+			kind, _, ok := decodeCanonical(payload, &d, &info, nil)
+			var again []byte
+			switch {
+			case !ok:
+				continue
+			case kind == "domain":
+				again = appendDomainLine(nil, &d)
+			default:
+				again = appendIPLine(nil, &info)
+			}
+			if string(again) != string(payload)+"\n" {
+				t.Fatalf("trusted canonical payload is not what the encoder writes:\n in  %s\n out %s", payload, again)
+			}
+		}
+		if rec.Snapshot == nil {
+			return
+		}
+		if err := WriteFile(snapPath, rec.Snapshot); err != nil {
+			t.Fatal(err)
+		}
+		back, err := ReadFile(snapPath)
+		if err != nil {
+			t.Fatalf("snapshot written from the recovery does not read: %v", err)
+		}
+		if !reflect.DeepEqual(back.Domains, rec.Snapshot.Domains) || !reflect.DeepEqual(back.IPs, rec.Snapshot.IPs) ||
+			back.Date != rec.Date || back.Corpus != rec.Corpus {
+			t.Fatalf("snapshot written from the recovery reads back different")
 		}
 	})
 }
@@ -294,9 +337,9 @@ func FuzzLineDecode(f *testing.F) {
 }
 
 // FuzzLineEncode holds the append encoders to encoding/json byte for
-// byte, over records built from arbitrary field values: strings that
-// need escaping, invalid UTF-8, IPv6 and zero addresses, nil against
-// empty slices, a Scan that is present but empty.
+// byte, over headers and records built from arbitrary field values:
+// strings that need escaping, invalid UTF-8, IPv6 and zero addresses,
+// nil against empty slices, a Scan that is present but empty.
 func FuzzLineEncode(f *testing.F) {
 	f.Add("netflix.example", 12, uint16(5), "aspmx.l.google.example", []byte{172, 217, 0, 26, 172, 217, 0, 27}, "v=spf1 -all", "", uint32(15169), "GOOGLE", "mx.google.example ESMTP ready", "abc123", uint16(0xffff))
 	f.Add("", 0, uint16(0), "", []byte{}, "", "", uint32(0), "", "", "", uint16(0))
@@ -367,6 +410,7 @@ func FuzzLineEncode(f *testing.F) {
 			want.Write(raw)
 			return err
 		}
+		check("appendHeaderLine", appendHeaderLine(nil, spf, asName), jsonLine{Kind: "snapshot", Header: &snapshotHeader{Date: spf, Corpus: asName}}, enc.Encode)
 		check("appendDomainLine", appendDomainLine(nil, &d), jsonLine{Kind: "domain", Domain: &d}, enc.Encode)
 		check("appendIPLine", appendIPLine(nil, &info), jsonLine{Kind: "ip", IP: &info}, enc.Encode)
 		check("appendDomainRecord", appendDomainRecord(nil, &d), &d, marshal)

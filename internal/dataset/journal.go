@@ -13,23 +13,28 @@ package dataset
 //
 //	offset 0: 8-byte magic "mxwaj01\n"
 //	then frames, each:
-//	    uint32 LE  payload length
+//	    uint32 LE  payload length, at most maxLineBytes
 //	    uint32 LE  CRC32C (Castagnoli) of payload
-//	    payload    one JSON-encoded jsonLine (the same tagged union
-//	               snapshots use: "snapshot" header, "domain", "ip")
+//	    payload    one canonical snapshot line without its newline, as
+//	               the line codec writes it: the header, a domain or
+//	               an ip line
 //
 // The first frame is always the header, binding the journal to one
 // (corpus, date) so a resume cannot splice two different runs together.
 // Frames are buffered and fsync'd every SyncEvery appends (a sync
-// point); a crash loses at most the unsynced tail. Recovery stops
-// cleanly at the first torn or corrupt frame — everything before it is
-// trusted (CRC-verified), everything after it is discarded by
-// truncating the file back to the valid prefix before appending again.
+// point); a crash loses at most the unsynced tail. Recovery steps one
+// lineRules over the payloads, as every snapshot reader steps it over
+// lines, with one rule lifted: domain and ip frames may interleave,
+// because a resumed run appends domains after the crashed run's ips. It
+// stops cleanly at the first torn or corrupt frame, or the first payload
+// a snapshot reader would reject — everything before it is trusted,
+// everything after it is discarded by truncating the file back to the
+// valid prefix before appending again.
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -42,10 +47,6 @@ import (
 const (
 	journalMagic    = "mxwaj01\n"
 	frameHeaderSize = 8 // uint32 length + uint32 CRC32C
-	// maxFramePayload bounds one frame, matching the snapshot reader's
-	// maximum line. A torn length field cannot make recovery allocate
-	// gigabytes.
-	maxFramePayload = 16 << 20
 	// DefaultSyncEvery is the default sync-point interval: the journal
 	// fsyncs after this many appended records.
 	DefaultSyncEvery = 64
@@ -70,10 +71,14 @@ type Journal struct {
 	bw        *bufio.Writer
 	sinceSync int
 	closed    bool
+	// frame is the last frame appended, its buffer kept for the next:
+	// the line codec appends a line after frameHeaderSize bytes that
+	// append overwrites.
+	frame []byte
 }
 
 func newJournal(f *os.File) *Journal {
-	return &Journal{f: f, bw: bufio.NewWriterSize(f, 1<<16)}
+	return &Journal{f: f, bw: bufio.NewWriterSize(f, 1<<16), frame: make([]byte, frameHeaderSize)}
 }
 
 // CreateJournal starts a fresh journal at path for one (corpus, date)
@@ -102,7 +107,7 @@ func (j *Journal) start(date, corpus string) error {
 	if _, err := j.bw.WriteString(journalMagic); err != nil {
 		return err
 	}
-	if err := j.append(jsonLine{Kind: "snapshot", Header: &snapshotHeader{Date: date, Corpus: corpus}}); err != nil {
+	if err := j.append(appendHeaderLine(j.frame[:frameHeaderSize], date, corpus)); err != nil {
 		return err
 	}
 	return j.Sync()
@@ -121,7 +126,7 @@ func ResumeJournal(path, date, corpus string) (*Journal, *JournalRecovery, error
 		if err != nil {
 			return nil, nil, err
 		}
-		return j, &JournalRecovery{Date: date, Corpus: corpus, Seen: make(map[string]bool)}, nil
+		return j, &JournalRecovery{Date: date, Corpus: corpus}, nil
 	case err != nil:
 		return nil, nil, err
 	}
@@ -155,7 +160,7 @@ func ResumeJournal(path, date, corpus string) (*Journal, *JournalRecovery, error
 	}
 	if rec.Snapshot == nil {
 		// Magic survived but the header frame did not; rewrite it.
-		if err := j.append(jsonLine{Kind: "snapshot", Header: &snapshotHeader{Date: date, Corpus: corpus}}); err != nil {
+		if err := j.append(appendHeaderLine(j.frame[:frameHeaderSize], date, corpus)); err != nil {
 			f.Close()
 			return nil, nil, err
 		}
@@ -173,36 +178,33 @@ func ResumeJournal(path, date, corpus string) (*Journal, *JournalRecovery, error
 func (j *Journal) AddDomain(d *DomainRecord) error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	return j.append(jsonLine{Kind: "domain", Domain: d})
+	return j.append(appendDomainLine(j.frame[:frameHeaderSize], d))
 }
 
 // AddIP journals one completed IP observation.
 func (j *Journal) AddIP(info *IPInfo) error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	return j.append(jsonLine{Kind: "ip", IP: info})
+	return j.append(appendIPLine(j.frame[:frameHeaderSize], info))
 }
 
-// append frames and buffers one entry, fsyncing at sync points. Callers
-// hold j.mu (or are single-threaded setup paths).
-func (j *Journal) append(line jsonLine) error {
+// append frames and buffers one line, appended to the frame buffer's
+// first frameHeaderSize bytes, fsyncing at sync points. The line's
+// newline is not part of the payload. Callers hold j.mu (or are
+// single-threaded setup paths).
+func (j *Journal) append(frame []byte) error {
+	j.frame = frame
 	if j.closed {
 		return errors.New("dataset: journal closed")
 	}
-	payload, err := json.Marshal(line)
-	if err != nil {
-		return err
+	frame = frame[:len(frame)-1]
+	payload := frame[frameHeaderSize:]
+	if len(payload) > maxLineBytes {
+		return fmt.Errorf("dataset: journal entry of %d bytes exceeds the %d-byte line limit", len(payload), maxLineBytes)
 	}
-	if len(payload) > maxFramePayload {
-		return fmt.Errorf("dataset: journal entry of %d bytes exceeds frame limit", len(payload))
-	}
-	var hdr [frameHeaderSize]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(hdr[4:8], crc32.Checksum(payload, crcTable))
-	if _, err := j.bw.Write(hdr[:]); err != nil {
-		return err
-	}
-	if _, err := j.bw.Write(payload); err != nil {
+	binary.LittleEndian.PutUint32(frame[0:4], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(frame[4:8], crc32.Checksum(payload, crcTable))
+	if _, err := j.bw.Write(frame); err != nil {
 		return err
 	}
 	j.sinceSync++
@@ -263,11 +265,10 @@ type JournalRecovery struct {
 	Date, Corpus string
 	// Snapshot holds the recovered records (nil when not even the
 	// header frame survived). Its Domains and IPs are exactly the
-	// journaled ones; duplicates resolve last-write-wins.
+	// journaled ones; duplicates resolve last-write-wins. A resumed
+	// run splices every domain it holds (Collector.Prior,
+	// FleetConfig.Prior).
 	Snapshot *Snapshot
-	// Seen maps each domain with an intact journaled record to true —
-	// the set Collector.Seen and FleetConfig.Seen consume.
-	Seen map[string]bool
 	// Entries counts intact record frames (domains + IPs, excluding the
 	// header).
 	Entries int
@@ -308,7 +309,7 @@ func RecoverJournal(path string) (*JournalRecovery, error) {
 // recoverJournal is the reader core, separated from the file so the
 // fuzz target can drive it with arbitrary bytes.
 func recoverJournal(r io.Reader, total int64) (*JournalRecovery, error) {
-	rec := &JournalRecovery{Seen: make(map[string]bool), TotalBytes: total}
+	rec := &JournalRecovery{TotalBytes: total}
 	if total == 0 {
 		return rec, nil
 	}
@@ -319,85 +320,66 @@ func recoverJournal(r io.Reader, total int64) (*JournalRecovery, error) {
 	}
 	rec.ValidBytes = int64(len(journalMagic))
 
-	stop := func(format string, args ...any) {
-		rec.Reason = fmt.Sprintf(format, args...)
+	index := make(map[string]int) // domain name → its place in Domains
+	header := func(h *snapshotHeader) {
+		rec.Date, rec.Corpus = h.Date, h.Corpus
+		rec.Snapshot = NewSnapshot(h.Date, h.Corpus)
 	}
-	domainIdx := make(map[string]int)
-	hdr := make([]byte, frameHeaderSize)
-frames:
+	domain := func(d *DomainRecord) error {
+		// Last-write-wins: a domain re-collected after a resume
+		// replaces its earlier journaled record.
+		if i, ok := index[d.Domain]; ok {
+			rec.Snapshot.Domains[i] = *d
+		} else {
+			index[d.Domain] = len(rec.Snapshot.Domains)
+			rec.Snapshot.AddDomain(*d)
+		}
+		// The snapshot keeps what the record points at, so the slot the
+		// next frame is decoded into is zeroed, as read does.
+		*d = DomainRecord{}
+		return nil
+	}
+	ip := func(info *IPInfo) error { rec.Snapshot.AddIP(*info); return nil }
+
+	var (
+		rules   = lineRules{interleaved: true, names: make(internTable)}
+		l       jsonLine
+		slot    lineSlot
+		hdr     [frameHeaderSize]byte
+		payload bytes.Buffer
+	)
 	for {
-		if _, err := io.ReadFull(br, hdr); err != nil {
+		if _, err := io.ReadFull(br, hdr[:]); err != nil {
 			if err != io.EOF {
-				stop("torn frame header at offset %d", rec.ValidBytes)
+				rec.Reason = fmt.Sprintf("torn frame header at offset %d", rec.ValidBytes)
 			}
 			break
 		}
 		length := binary.LittleEndian.Uint32(hdr[0:4])
-		want := binary.LittleEndian.Uint32(hdr[4:8])
-		if length == 0 || length > maxFramePayload {
-			stop("implausible frame length %d at offset %d", length, rec.ValidBytes)
+		if length == 0 || length > maxLineBytes {
+			rec.Reason = fmt.Sprintf("implausible frame length %d at offset %d", length, rec.ValidBytes)
 			break
 		}
-		payload := make([]byte, length)
-		if _, err := io.ReadFull(br, payload); err != nil {
-			stop("torn frame payload at offset %d", rec.ValidBytes)
+		// The buffer grows with the bytes read, so a torn length field
+		// costs no more memory than the input holds.
+		payload.Reset()
+		if _, err := io.CopyN(&payload, br, int64(length)); err != nil {
+			rec.Reason = fmt.Sprintf("torn frame payload at offset %d", rec.ValidBytes)
 			break
 		}
-		if got := crc32.Checksum(payload, crcTable); got != want {
-			stop("CRC mismatch at offset %d", rec.ValidBytes)
+		if crc32.Checksum(payload.Bytes(), crcTable) != binary.LittleEndian.Uint32(hdr[4:8]) {
+			rec.Reason = fmt.Sprintf("CRC mismatch at offset %d", rec.ValidBytes)
 			break
 		}
-		var line jsonLine
-		if err := json.Unmarshal(payload, &line); err != nil {
-			stop("malformed entry at offset %d: %v", rec.ValidBytes, err)
+		if err := slot.fill(&rules, &l, payload.Bytes(), true, true, true); err != nil {
+			// A *lineError: its words, without the line number.
+			rec.Reason = fmt.Sprintf("%v at offset %d", errors.Unwrap(err), rec.ValidBytes)
 			break
 		}
-		switch line.Kind {
-		case "snapshot":
-			if rec.Snapshot != nil || line.Header == nil {
-				stop("misplaced header frame at offset %d", rec.ValidBytes)
-				break frames
-			}
-			rec.Date, rec.Corpus = line.Header.Date, line.Header.Corpus
-			rec.Snapshot = NewSnapshot(line.Header.Date, line.Header.Corpus)
-		case "domain":
-			switch {
-			case rec.Snapshot == nil || line.Domain == nil:
-				stop("domain entry before header at offset %d", rec.ValidBytes)
-				break frames
-			case line.Domain.Domain == "":
-				// A snapshot written from this recovery would fail
-				// every reader at this record.
-				stop("%v at offset %d", errNoDomainName, rec.ValidBytes)
-				break frames
-			}
-			// Last-write-wins: a domain re-collected after a resume
-			// replaces its earlier journaled record.
-			if i, ok := domainIdx[line.Domain.Domain]; ok {
-				rec.Snapshot.Domains[i] = *line.Domain
-			} else {
-				domainIdx[line.Domain.Domain] = len(rec.Snapshot.Domains)
-				rec.Snapshot.AddDomain(*line.Domain)
-			}
-			rec.Seen[line.Domain.Domain] = true
-			rec.Entries++
-		case "ip":
-			switch {
-			case rec.Snapshot == nil || line.IP == nil:
-				stop("ip entry before header at offset %d", rec.ValidBytes)
-				break frames
-			case !line.IP.Addr.IsValid():
-				stop("%v at offset %d", errNoIPAddr, rec.ValidBytes)
-				break frames
-			}
-			rec.Snapshot.AddIP(*line.IP)
-			rec.Entries++
-		default:
-			stop("unknown entry kind %q at offset %d", line.Kind, rec.ValidBytes)
-			break frames
-		}
+		slot.deliver(header, domain, ip)
 		rec.ValidBytes += frameHeaderSize + int64(length)
 	}
+	rec.Entries = rules.domains + rules.ips
 	rec.Truncated = rec.ValidBytes < total
 	return rec, nil
 }

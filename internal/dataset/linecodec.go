@@ -11,8 +11,9 @@ import (
 
 // This file is the line codec of the two record shapes a snapshot is
 // made of, `{"kind":"domain","domain":{…}}` and `{"kind":"ip","ip":{…}}`,
-// written by hand so that the per-record path of stream, merge and spill
-// spends no time in encoding/json's reflection and validity scan.
+// written by hand so that the per-record path of stream, merge, spill
+// and the journal spends no time in encoding/json's reflection and
+// validity scan; it also writes the header line.
 //
 // The encoder is byte-identical to json.Encoder.Encode(jsonLine{…}). The
 // decoder accepts exactly the canonical form, which is what the encoder
@@ -446,6 +447,16 @@ func (c *cursor) scanInfo(s *ScanInfo) bool {
 			CertFingerprint: string(fingerprint), CertNames: names, TLSFailed: tlsFailed}
 	}
 	return true
+}
+
+// appendHeaderLine appends a snapshot's header line, newline included,
+// as json.Encoder.Encode(jsonLine{Kind: "snapshot", Header: …}) writes it.
+func appendHeaderLine(dst []byte, date, corpus string) []byte {
+	dst = append(dst, `{"kind":"snapshot","header":{"date":`...)
+	dst = AppendJSONString(dst, date)
+	dst = append(dst, `,"corpus":`...)
+	dst = AppendJSONString(dst, corpus)
+	return append(dst, "}}\n"...)
 }
 
 // appendDomainLine appends the JSONL line of one domain record, newline

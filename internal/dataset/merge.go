@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"bytes"
 	"container/heap"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -70,7 +69,7 @@ func Merge(outPath string, shardPaths []string) (*MergeStats, error) {
 			bufWriterPool.Put(bw)
 		}()
 		hdr := readers[0].hdr
-		if err := json.NewEncoder(bw).Encode(jsonLine{Kind: "snapshot", Header: &hdr}); err != nil {
+		if _, err := bw.Write(appendHeaderLine(bw.AvailableBuffer(), hdr.Date, hdr.Corpus)); err != nil {
 			return err
 		}
 		if err := mergeInto(bw, readers, stats); err != nil {

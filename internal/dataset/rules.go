@@ -5,8 +5,9 @@ import (
 	"fmt"
 )
 
-// The words a domain or ip record without its key fails with, as a
-// snapshot line and as a journal frame alike.
+// The words a domain or ip record without its key fails with. A
+// journal frame is a snapshot line, so recovery stops at one with them
+// too.
 var (
 	errNoDomainName = errors.New("domain line without a name")
 	errNoIPAddr     = errors.New("ip line without an address")
@@ -15,9 +16,10 @@ var (
 // lineRules is the one statement of what a line of the snapshot file may
 // be — a committed snapshot and a shard alike. Both of the format's line
 // loops step it once per line: decodeAhead, behind Read, ReadFile, every
-// Stream pass and fsck, and Merge's shardReader. So a file one reader
-// accepts every reader accepts, and a file one rejects every one rejects
-// at the same line, with the same words. The rules:
+// Stream pass and fsck, and Merge's shardReader; journal recovery steps
+// it once per frame. So a file one reader accepts every reader accepts,
+// and a file one rejects every one rejects at the same line, with the
+// same words. The rules:
 //
 //   - the header line comes first, and exactly once;
 //   - every domain and ip line has its body and a non-empty key (the
@@ -32,6 +34,9 @@ var (
 type lineRules struct {
 	name string // the file's path in errors, "" for a bare reader
 	line int    // lines stepped so far, blank ones included
+	// interleaved lifts "all domain lines before any ip line" for a
+	// journal, where a resumed run appends domains after the ips.
+	interleaved bool
 
 	header, footer bool   // seen
 	domains, ips   int    // record lines so far
@@ -79,7 +84,7 @@ func (c *lineRules) check(l *jsonLine, key []byte) error {
 		switch {
 		case !c.header:
 			return errors.New("domain before header")
-		case c.ips > 0:
+		case c.ips > 0 && !c.interleaved:
 			return errors.New("domain line after IP section")
 		case len(key) == 0:
 			return errNoDomainName

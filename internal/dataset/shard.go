@@ -266,8 +266,7 @@ func (w *ShardWriter) spill() error {
 			bw.Reset(io.Discard)
 			bufWriterPool.Put(bw)
 		}()
-		enc := json.NewEncoder(bw)
-		if err := enc.Encode(jsonLine{Kind: "snapshot", Header: &snapshotHeader{Date: w.set.Date, Corpus: w.set.Corpus}}); err != nil {
+		if _, err := bw.Write(appendHeaderLine(bw.AvailableBuffer(), w.set.Date, w.set.Corpus)); err != nil {
 			return err
 		}
 		// Adjacent duplicates collapse here (keep the later record) so a
@@ -292,7 +291,7 @@ func (w *ShardWriter) spill() error {
 			}
 		}
 		footer.Domains, footer.IPs = nd, ni
-		if err := enc.Encode(jsonLine{Kind: "footer", Footer: &footer}); err != nil {
+		if err := json.NewEncoder(bw).Encode(jsonLine{Kind: "footer", Footer: &footer}); err != nil {
 			return err
 		}
 		return bw.Flush()

@@ -164,14 +164,17 @@ func (s *Server) Stopping() bool {
 }
 
 // Serve accepts connections on ln until the server stops or ln fails
-// hard; it returns net.ErrClosed if the server has already stopped. It
-// blocks; run it in a goroutine. Transient accept errors are retried
-// with jittered backoff, and connections beyond MaxConns are shed
-// through Reject so a connection storm cannot spawn unbounded sessions.
+// hard; if the server has already stopped, it closes ln and returns
+// net.ErrClosed, so a `go Serve(ln)` that loses a race with Close
+// leaves nothing bound. It blocks; run it in a goroutine. Transient
+// accept errors are retried with jittered backoff, and connections
+// beyond MaxConns are shed through Reject so a connection storm cannot
+// spawn unbounded sessions.
 func (s *Server) Serve(ln net.Listener) error {
 	s.mu.Lock()
 	if s.closed || s.draining {
 		s.mu.Unlock()
+		ln.Close()
 		return net.ErrClosed
 	}
 	s.lns = append(s.lns, ln)
@@ -241,16 +244,19 @@ func (s *Server) session(c *Conn) {
 // Attach joins sock to the server's lifecycle: Shutdown wakes its
 // readers with an immediate read deadline, waits until release is
 // called, and only then closes it; Close closes it at once. The read
-// loop must exit when a read fails and Stopping reports true. Attach
-// returns net.ErrClosed if the server has already stopped.
+// loop must exit when a read fails and Stopping reports true. If the
+// server has already stopped, Attach closes sock and returns
+// net.ErrClosed.
 func (s *Server) Attach(sock Socket) (release func(), err error) {
 	s.mu.Lock()
-	defer s.mu.Unlock()
 	if s.closed || s.draining {
+		s.mu.Unlock()
+		sock.Close()
 		return nil, net.ErrClosed
 	}
 	s.socks = append(s.socks, sock)
 	s.wg.Add(1)
+	s.mu.Unlock()
 	return s.wg.Done, nil
 }
 

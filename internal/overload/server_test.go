@@ -432,6 +432,47 @@ func TestServerAttachedSocket(t *testing.T) {
 	}
 }
 
+// TestServerClosesWhatItRefuses: a stopped server refuses a listener
+// and a socket with net.ErrClosed, and closes each, so an owner whose
+// `go Serve(ln)` loses the race with Close leaves no address bound.
+func TestServerClosesWhatItRefuses(t *testing.T) {
+	for _, stop := range []struct {
+		name string
+		stop func(*Server) error
+	}{
+		{"Close", (*Server).Close},
+		{"Shutdown", func(s *Server) error { return s.Shutdown(context.Background()) }},
+	} {
+		t.Run(stop.name, func(t *testing.T) {
+			srv := New(Config{Serve: func(*Conn) {}})
+			if err := stop.stop(srv); err != nil {
+				t.Fatal(err)
+			}
+			n := netsim.New()
+			ln, err := n.Listen(echoAddr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := srv.Serve(ln); !errors.Is(err, net.ErrClosed) {
+				t.Fatalf("Serve on a stopped server = %v, want net.ErrClosed", err)
+			}
+			again, err := n.Listen(echoAddr)
+			if err != nil {
+				t.Fatalf("refused listener left its address bound: %v", err)
+			}
+			again.Close()
+
+			sock := &fakeSocket{}
+			if _, err := srv.Attach(sock); !errors.Is(err, net.ErrClosed) {
+				t.Fatalf("Attach to a stopped server = %v, want net.ErrClosed", err)
+			}
+			if want := []string{"closed"}; !slices.Equal(sock.events, want) {
+				t.Fatalf("refused socket saw %v, want %v", sock.events, want)
+			}
+		})
+	}
+}
+
 // TestHammerServeSwapShutdown races the three things that touch the
 // core's lock from different goroutines — Serve registering its
 // listener, sessions swapping their connection, Shutdown — and checks

@@ -1,7 +1,7 @@
 package scan
 
 // Kill-resume chaos tests for the durability layer (write-ahead journal
-// + Prior/Seen): a collection run over a fault-injected netsim fabric is
+// + Prior): a collection run over a fault-injected netsim fabric is
 // aborted at randomized (seeded) journal offsets — simulating SIGKILL —
 // the journal's tail is torn mid-frame — simulating a crash between
 // write and fsync — and the run is resumed. The committed snapshot must
@@ -117,6 +117,18 @@ func (k *killJournal) AddIP(info *dataset.IPInfo) error {
 	return k.landed(k.Journal.AddIP(info))
 }
 
+// recovered is the set of domains a journal recovery holds: the ones a
+// resume splices from its Prior instead of measuring again.
+func recovered(rec *dataset.JournalRecovery) map[string]bool {
+	names := make(map[string]bool)
+	if rec.Snapshot != nil {
+		for _, d := range rec.Snapshot.Domains {
+			names[d.Domain] = true
+		}
+	}
+	return names
+}
+
 // snapshotBytes serializes a snapshot the way a committed file would be.
 func snapshotBytes(t *testing.T, s *dataset.Snapshot) []byte {
 	t.Helper()
@@ -197,7 +209,7 @@ func TestChaosKillResumeByteIdentical(t *testing.T) {
 			}
 			col2 := durabilityCollector(w, uncovered)
 			col2.Journal = jr2
-			col2.Prior, col2.Seen = rec.Snapshot, rec.Seen
+			col2.Prior = rec.Snapshot
 			snap, err := col2.Collect(context.Background(), "chaos", "2021-06", w.targets)
 			if err != nil {
 				t.Fatal(err)
@@ -216,7 +228,7 @@ func TestChaosKillResumeByteIdentical(t *testing.T) {
 			// Journaled domains were not re-measured: the first target
 			// completes before any abort (Concurrency=1), and its MX
 			// lookup must have run exactly once across both runs.
-			if first := w.targets[0].Name; rec.Seen[first] {
+			if first := w.targets[0].Name; recovered(rec)[first] {
 				if got := w.resolver.count("MX:" + first); got != 1 {
 					t.Errorf("%s journaled but looked up %d times", first, got)
 				}
@@ -296,7 +308,7 @@ func TestChaosKillResumeGracefulShutdown(t *testing.T) {
 	if rec.Entries != 3 {
 		t.Errorf("journal holds %d entries, want exactly the 3 pre-cancel domains", rec.Entries)
 	}
-	for name := range rec.Seen {
+	for name := range recovered(rec) {
 		found := false
 		for _, tgt := range w2.targets[:4] {
 			if tgt.Name == name {
@@ -315,7 +327,7 @@ func TestChaosKillResumeGracefulShutdown(t *testing.T) {
 	}
 	col3 := durabilityCollector(w2, uncovered2)
 	col3.Journal = jr2
-	col3.Prior, col3.Seen = rec2.Snapshot, rec2.Seen
+	col3.Prior = rec2.Snapshot
 	snap, err := col3.Collect(context.Background(), "chaos", "2021-06", w2.targets)
 	if err != nil {
 		t.Fatal(err)

@@ -74,7 +74,6 @@ type engine struct {
 
 	// Records recovered from a crashed run's journals are spliced in
 	// instead of re-measured, and not re-journaled.
-	seen        map[string]bool
 	priorDomain map[string]*dataset.DomainRecord
 	priorIPs    map[string]dataset.IPInfo
 }
@@ -83,8 +82,8 @@ type engine struct {
 // measured by exactly one goroutine and each distinct address scanned
 // by exactly one, whatever the layout. On error the run is abandoned
 // as it stands: nothing buffered in a sink is flushed.
-func collect(ctx context.Context, lanes []*lane, perLane int, targets []Target, prior *dataset.Snapshot, seen map[string]bool) (*FleetStats, error) {
-	e := &engine{lanes: lanes, perLane: perLane, targets: targets, seen: seen}
+func collect(ctx context.Context, lanes []*lane, perLane int, targets []Target, prior *dataset.Snapshot) (*FleetStats, error) {
+	e := &engine{lanes: lanes, perLane: perLane, targets: targets}
 	if prior != nil {
 		e.priorDomain = make(map[string]*dataset.DomainRecord, len(prior.Domains))
 		for i := range prior.Domains {
@@ -176,7 +175,6 @@ func (e *engine) claimLoop(ctx context.Context, n, size int, settle func(context
 func (e *engine) domain(ctx context.Context, l *lane, i int) error {
 	t := e.targets[i]
 	prior, spliced := e.priorDomain[t.Name]
-	spliced = spliced && e.seen[t.Name]
 	var rec dataset.DomainRecord
 	if spliced {
 		rec = *prior

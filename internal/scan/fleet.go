@@ -23,9 +23,9 @@ type FleetConfig struct {
 	// NewCollector builds worker w's collector. Each call must return
 	// an independent Collector — sharing a resolver between workers
 	// reintroduces the contention the fleet exists to avoid. The
-	// collector's Concurrency, Journal and Prior/Seen are Collect's
-	// alone: a fleet lane is one goroutine by construction, and the
-	// fleet drives Journals and Prior/Seen itself.
+	// collector's Concurrency, Journal and Prior are Collect's alone: a
+	// fleet lane is one goroutine by construction, and the fleet drives
+	// Journals and Prior itself.
 	NewCollector func(w int) (*Collector, error)
 	// Output receives one shard per spill. The fleet gives each worker
 	// its own ShardWriter on this set.
@@ -36,13 +36,10 @@ type FleetConfig struct {
 	// (resume before, close after).
 	Journals []*dataset.Journal
 	// Prior supplies records recovered from a crashed run's journals
-	// (merged across workers). Domains marked in Seen are spliced from
-	// Prior instead of re-measured; addresses present in Prior.IPs are
-	// reused instead of re-scanned. Spliced records are not
-	// re-journaled.
+	// (merged across workers). Domains in Prior are spliced from it
+	// instead of re-measured; addresses present in Prior.IPs are reused
+	// instead of re-scanned. Spliced records are not re-journaled.
 	Prior *dataset.Snapshot
-	// Seen marks domains whose Prior record is complete.
-	Seen map[string]bool
 }
 
 // FleetStats summarizes one fleet run.
@@ -118,7 +115,7 @@ func CollectFleet(ctx context.Context, cfg FleetConfig, targets []Target) (*Flee
 		lanes = append(lanes, newLane(c, journal, shardSink(w)))
 	}
 
-	stats, err := collect(ctx, lanes, 1, targets, cfg.Prior, cfg.Seen)
+	stats, err := collect(ctx, lanes, 1, targets, cfg.Prior)
 	if cerr := closeCollectors(); err == nil {
 		err = cerr
 	}

@@ -113,7 +113,6 @@ type layoutRun struct {
 	proto    *Collector
 	journals []Journal // one per lane, or nil
 	prior    *dataset.Snapshot
-	seen     map[string]bool
 	// resolver replaces every lane's resolver when set.
 	resolver dns.Resolver
 }
@@ -156,7 +155,7 @@ func (r layoutRun) commit(t *testing.T, ctx context.Context, s *WorldSession) ([
 			lanes = append(lanes, newLane(c, j, memorySink(snap)))
 		}
 	}
-	stats, err := collect(ctx, lanes, r.lay.perLane, targets, r.prior, r.seen)
+	stats, err := collect(ctx, lanes, r.lay.perLane, targets, r.prior)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -198,7 +197,7 @@ func laneJournals(t *testing.T, dir string, lanes int) []*dataset.Journal {
 }
 
 // recoverLanes closes the journals and unions what they hold, the way
-// a resume does.
+// a resume does, with the distinct domains recovered.
 func recoverLanes(t *testing.T, dir string, journals []*dataset.Journal) (*dataset.Snapshot, map[string]bool) {
 	t.Helper()
 	prior := dataset.NewSnapshot("2021-06", world.CorpusAlexa)
@@ -214,10 +213,8 @@ func recoverLanes(t *testing.T, dir string, journals []*dataset.Journal) (*datas
 		if rec.Truncated {
 			t.Errorf("journal %d torn after a clean close: %s", i, rec.Reason)
 		}
-		for d := range rec.Seen {
-			seen[d] = true
-		}
 		for k := range rec.Snapshot.Domains {
+			seen[rec.Snapshot.Domains[k].Domain] = true
 			prior.AddDomain(rec.Snapshot.Domains[k])
 		}
 		for _, info := range rec.Snapshot.IPs {
@@ -330,7 +327,7 @@ func TestFleetMatchesSingleWorker(t *testing.T) {
 						}
 						// A fully-seen resume splices everything: same bytes,
 						// and a resolver that fails the test on any lookup.
-						got, stats, err = layoutRun{lay: other, proto: proto, prior: prior, seen: seen, resolver: noCallResolver{t}}.commit(t, ctx, s)
+						got, stats, err = layoutRun{lay: other, proto: proto, prior: prior, resolver: noCallResolver{t}}.commit(t, ctx, s)
 						if err != nil {
 							t.Fatal(err)
 						}
@@ -361,7 +358,7 @@ func TestFleetMatchesSingleWorker(t *testing.T) {
 						}
 						mx := new(atomic.Int64)
 						counting := mxCounter{CatalogResolver: catalog, mx: mx}
-						got, stats, err := layoutRun{lay: other, proto: proto, prior: prior, seen: seen, resolver: counting}.commit(t, ctx, s)
+						got, stats, err := layoutRun{lay: other, proto: proto, prior: prior, resolver: counting}.commit(t, ctx, s)
 						if err != nil {
 							t.Fatal(err)
 						}

@@ -59,14 +59,11 @@ type Collector struct {
 	// and a record finished under a cancelled context is dropped (its
 	// failure classes reflect the cancellation, not the network).
 	Journal Journal
-	// Prior supplies records recovered from a crashed run's journal:
-	// a domain marked in Seen takes its record from Prior instead of
-	// being re-resolved (one absent from Prior is re-collected, the safe
-	// direction), and any address present in Prior.IPs is reused instead
-	// of being re-scanned. Pass JournalRecovery.Snapshot and
-	// JournalRecovery.Seen.
+	// Prior supplies records recovered from a crashed run's journal
+	// (JournalRecovery.Snapshot): a domain in Prior takes its record
+	// from there instead of being re-resolved, and any address present
+	// in Prior.IPs is reused instead of being re-scanned.
 	Prior *dataset.Snapshot
-	Seen  map[string]bool
 }
 
 // Journal is the write-ahead log a collection appends completed records
@@ -317,7 +314,7 @@ func (c *Collector) Collect(ctx context.Context, corpus, date string, domains []
 	snap := dataset.NewSnapshot(date, corpus)
 	snap.Domains = make([]dataset.DomainRecord, len(domains))
 	l := newLane(c, c.Journal, memorySink(snap))
-	stats, err := collect(ctx, []*lane{l}, perLane, domains, c.Prior, c.Seen)
+	stats, err := collect(ctx, []*lane{l}, perLane, domains, c.Prior)
 	if err != nil {
 		return nil, err
 	}

@@ -111,7 +111,7 @@ func TestChainVerdictsExact(t *testing.T) {
 	snap := dataset.NewSnapshot("now", "verdicts")
 	snap.Domains = make([]dataset.DomainRecord, len(w.targets))
 	l := newLane(col, nil, memorySink(snap))
-	if _, err := collect(context.Background(), []*lane{l}, 2, w.targets, nil, nil); err != nil {
+	if _, err := collect(context.Background(), []*lane{l}, 2, w.targets, nil); err != nil {
 		t.Fatal(err)
 	}
 

@@ -3,11 +3,11 @@ package world
 import (
 	"context"
 	"fmt"
-	"io"
 	"net"
 	"net/netip"
 	"sort"
 	"strings"
+	"sync"
 
 	"mxmap/internal/dns"
 	"mxmap/internal/netsim"
@@ -25,10 +25,10 @@ type DNSInfra struct {
 	Roots []netip.AddrPort
 
 	servers []*dns.Server
-	// socks are the servers' fabric sockets. A server closed before its
-	// serve goroutine has attached a socket never closes that socket,
-	// so Close closes them too.
-	socks []io.Closer
+	// serving counts the servers' serve goroutines. One that finds its
+	// server closed closes its socket, so once Close has waited for them
+	// every fabric address is unbound.
+	serving sync.WaitGroup
 }
 
 // Close hard-stops every DNS server in the hierarchy and unbinds its
@@ -37,9 +37,7 @@ func (inf *DNSInfra) Close() error {
 	for _, s := range inf.servers {
 		s.Close()
 	}
-	for _, c := range inf.socks {
-		c.Close()
-	}
+	inf.serving.Wait()
 	return nil
 }
 
@@ -195,10 +193,10 @@ func (inf *DNSInfra) serve(n *netsim.Network, addr netip.Addr, cat *dns.Catalog)
 		pc.Close()
 		return err
 	}
-	go srv.ServeUDP(pc)
-	go srv.ServeTCP(ln)
+	inf.serving.Add(2)
+	go func() { defer inf.serving.Done(); srv.ServeUDP(pc) }()
+	go func() { defer inf.serving.Done(); srv.ServeTCP(ln) }()
 	inf.servers = append(inf.servers, srv)
-	inf.socks = append(inf.socks, pc, ln)
 	return nil
 }
 
