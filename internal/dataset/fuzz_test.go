@@ -273,6 +273,22 @@ func FuzzLineDecode(f *testing.F) {
 	for _, line := range bytes.Split(snapshotBytes(f, sampleSnapshot()), []byte("\n")) {
 		f.Add(line)
 	}
+	// The boundaries the kernel tells apart by hand: an octet past 255
+	// or with a leading zero, an empty octet, three and five parts, a
+	// preference past 65535 or with a leading zero, and every canonical
+	// shape cut off at each byte, inside each of its literals among them.
+	for _, a := range []string{"256.0.0.1", "01.2.3.4", "1..2.3", "1.2.3", "1.2.3.4.5", "0.0.0.0", "255.255.255.255", "1.2.3.4."} {
+		f.Add([]byte(`{"kind":"domain","domain":{"domain":"a.example","mx":[{"pref":10,"exchange":"mx.a.example","addrs":["` + a + `"]}]}}`))
+		f.Add([]byte(`{"kind":"ip","ip":{"addr":"` + a + `","has_censys":true,"port25_open":false}}`))
+	}
+	for _, pref := range []string{"65535", "65536", "065535", "0", "00"} {
+		f.Add([]byte(`{"kind":"domain","domain":{"domain":"a.example","mx":[{"pref":` + pref + `,"exchange":"mx.a.example"}]}}`))
+	}
+	for _, e := range lineEdgeShapes {
+		for n := 1; e.canonical && n < len(e.line); n++ {
+			f.Add([]byte(e.line[:n]))
+		}
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var want jsonLine
@@ -415,5 +431,57 @@ func FuzzLineEncode(f *testing.F) {
 		check("appendIPLine", appendIPLine(nil, &info), jsonLine{Kind: "ip", IP: &info}, enc.Encode)
 		check("appendDomainRecord", appendDomainRecord(nil, &d), &d, marshal)
 		check("appendIPRecord", appendIPRecord(nil, &info), &info, marshal)
+
+		// What the encoders write from plain strings, IPv4 addresses and
+		// a rank that is not negative is canonical, and the kernel takes
+		// it.
+		if canonicalDomain(&d) {
+			requireKernelTakes(t, bytes.TrimSuffix(appendDomainLine(nil, &d), []byte("\n")))
+		}
+		if canonicalIP(&info) {
+			requireKernelTakes(t, bytes.TrimSuffix(appendIPLine(nil, &info), []byte("\n")))
+		}
 	})
+}
+
+// allPlain reports whether every byte of every string is plain.
+func allPlain(ss ...string) bool {
+	for _, s := range ss {
+		for i := 0; i < len(s); i++ {
+			if !plain[s[i]] {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// canonicalDomain reports whether d encodes to a canonical line: plain
+// strings, IPv4 addresses and a rank that is not negative.
+func canonicalDomain(d *DomainRecord) bool {
+	if d.Rank < 0 || !allPlain(d.Domain, d.SPF, d.Delegation) {
+		return false
+	}
+	for _, mx := range d.MX {
+		if !allPlain(mx.Exchange) {
+			return false
+		}
+		for _, a := range mx.Addrs {
+			if !a.Is4() {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// canonicalIP is canonicalDomain for an IP record.
+func canonicalIP(info *IPInfo) bool {
+	if !info.Addr.Is4() || !allPlain(info.ASName) {
+		return false
+	}
+	if s := info.Scan; s != nil {
+		return allPlain(s.Banner, s.BannerHost, s.EHLOHost, s.CertFingerprint) && allPlain(s.CertNames...)
+	}
+	return true
 }

@@ -26,6 +26,19 @@ import (
 // input and the reference FuzzLineDecode and FuzzLineEncode compare
 // with. Which of the two decodes a line follows from the line's bytes
 // alone.
+//
+// The decoder (decodeCanonical) is a kernel for the lines the encoder
+// writes, and every reader of the format goes through it: Merge's shard
+// walk, each Stream pass, Read, ReadFile, fsck, DiffStream and journal
+// recovery. It reads a line in one left-to-right pass. Where the form
+// offers a choice (which member comes next, null or an array, another
+// element or the end) it looks at the one byte that tells the choices
+// apart and compares the chosen member name once, against a constant
+// the compiler compares in a word or two; one-byte literals are
+// compared as bytes, and a dotted quad is parsed octet by octet into a
+// register. A walk that stores nothing allocates nothing; a stored
+// record costs its own strings, exchange names coming from the walk's
+// intern table.
 
 // plain marks the bytes encoding/json writes inside a string as
 // themselves: printable ASCII other than the quote, the backslash and
@@ -72,11 +85,18 @@ func decodeLine(raw []byte, l *jsonLine, names internTable) (key []byte, err err
 // the record.
 func decodeCanonical(raw []byte, d *DomainRecord, info *IPInfo, names internTable) (kind string, key []byte, ok bool) {
 	c := cursor{b: raw, names: names}
-	switch {
-	case c.lit(`{"kind":"domain","domain":`):
+	// The kind's first letter tells the two prefixes apart.
+	switch c.at(len(`{"kind":"`)) {
+	case 'd':
+		if string(c.take(36)) != `{"kind":"domain","domain":{"domain":` {
+			return "", nil, false
+		}
 		key, ok = c.domainLine(d)
 		return "domain", key, ok
-	case c.lit(`{"kind":"ip","ip":`):
+	case 'i':
+		if string(c.take(26)) != `{"kind":"ip","ip":{"addr":` {
+			return "", nil, false
+		}
 		key, ok = c.ipLine(info)
 		return "ip", key, ok
 	}
@@ -85,7 +105,9 @@ func decodeCanonical(raw []byte, d *DomainRecord, info *IPInfo, names internTabl
 
 // cursor walks one line left to right. Every method reports whether the
 // canonical form went on; after the first false the line is declined and
-// the cursor is not used again.
+// the cursor is not used again. Where the form offers a choice, at
+// looks at the byte that tells the choices apart, and take matches the
+// chosen literal; char matches a one-byte literal.
 type cursor struct {
 	b     []byte
 	i     int
@@ -116,18 +138,41 @@ func (t internTable) str(b []byte) string {
 	return s
 }
 
-// lit consumes s if the line continues with it.
-func (c *cursor) lit(s string) bool {
-	if len(c.b)-c.i < len(s) || string(c.b[c.i:c.i+len(s)]) != s {
-		return false
+// at returns the byte k places past the cursor, 0 past the end of the
+// line. No canonical line holds a 0 byte, so 0 picks no choice.
+func (c *cursor) at(k int) byte {
+	if j := c.i + k; j < len(c.b) {
+		return c.b[j]
 	}
-	c.i += len(s)
-	return true
+	return 0
+}
+
+// take consumes the next n bytes and returns them, or nil when fewer
+// are left. A literal is matched as string(c.take(n)) against a
+// constant of n bytes: one of at most 16 bytes, as every member name
+// is, the compiler compares in a load or two, not in a call. A mismatch
+// declines the line, so the bytes taken are not looked at again (a scan
+// object's member, which may be absent, puts them back).
+func (c *cursor) take(n int) []byte {
+	if len(c.b)-c.i < n {
+		return nil
+	}
+	c.i += n
+	return c.b[c.i-n : c.i]
+}
+
+// char consumes ch if the line continues with it.
+func (c *cursor) char(ch byte) bool {
+	if c.i < len(c.b) && c.b[c.i] == ch {
+		c.i++
+		return true
+	}
+	return false
 }
 
 // str consumes a quoted string of plain bytes and returns its contents.
 func (c *cursor) str() ([]byte, bool) {
-	if !c.lit(`"`) {
+	if !c.char('"') {
 		return nil, false
 	}
 	for i := c.i; i < len(c.b); i++ {
@@ -175,68 +220,86 @@ func (c *cursor) positive(max uint64) (uint64, bool) {
 }
 
 func (c *cursor) bool() (v, ok bool) {
-	if c.lit("true") {
-		return true, true
+	if c.at(0) == 't' {
+		return true, string(c.take(4)) == "true"
 	}
-	return false, c.lit("false")
+	return false, string(c.take(5)) == "false"
 }
 
-// ipv4 consumes a quoted dotted quad and returns the address and its text.
+// ipv4 consumes a quoted dotted quad and returns the address and its
+// text, in one pass: each octet is one to three digits, at most 255,
+// and "0" is the only one that starts with a zero. The octets gather in
+// a register, not in an array the address is then loaded from.
 func (c *cursor) ipv4() (netip.Addr, []byte, bool) {
-	if !c.lit(`"`) {
+	b, i := c.b, c.i
+	if i == len(b) || b[i] != '"' {
 		return netip.Addr{}, nil, false
 	}
-	start := c.i
-	var a [4]byte
-	for k := range a {
-		if k > 0 && !c.lit(".") {
+	i++
+	start := i
+	var ip uint32
+	for k := 0; k < 4; k++ {
+		if i == len(b) || b[i]-'0' > 9 {
 			return netip.Addr{}, nil, false
 		}
-		v, ok := c.uint(255)
-		if !ok {
+		v := uint32(b[i] - '0')
+		i++
+		for n := 1; v != 0 && n < 3 && i < len(b) && b[i]-'0' <= 9; n++ {
+			v = v*10 + uint32(b[i]-'0')
+			i++
+		}
+		sep := byte('.')
+		if k == 3 {
+			sep = '"'
+		}
+		if v > 255 || i == len(b) || b[i] != sep {
 			return netip.Addr{}, nil, false
 		}
-		a[k] = byte(v)
+		ip = ip<<8 | v
+		i++
 	}
-	text := c.b[start:c.i]
-	if !c.lit(`"`) {
-		return netip.Addr{}, nil, false
-	}
-	return netip.AddrFrom4(a), text, true
+	c.i = i
+	return netip.AddrFrom4([4]byte{byte(ip >> 24), byte(ip >> 16), byte(ip >> 8), byte(ip)}), b[start : i-1], true
 }
 
 // end consumes the two closing braces and requires the line to stop there.
 func (c *cursor) end() bool {
-	return c.lit("}}") && c.i == len(c.b)
+	return len(c.b)-c.i == 2 && c.b[c.i] == '}' && c.b[c.i+1] == '}'
 }
 
-// domainLine walks the DomainRecord object and the end of the line,
-// storing into d unless it is nil.
+// domainLine walks the DomainRecord object after its `{"domain":` and
+// the end of the line, storing into d unless it is nil. The members
+// after the name are told apart by their first letter, two bytes past
+// the comma that opens each.
 func (c *cursor) domainLine(d *DomainRecord) (key []byte, ok bool) {
-	if !c.lit(`{"domain":`) {
-		return nil, false
-	}
 	name, ok := c.str()
 	if !ok {
 		return nil, false
 	}
 	var rank uint64
-	if c.lit(`,"rank":`) {
+	if c.at(2) == 'r' {
+		if string(c.take(8)) != `,"rank":` {
+			return nil, false
+		}
 		if rank, ok = c.positive(math.MaxInt); !ok {
 			return nil, false
 		}
 	}
-	if !c.lit(`,"mx":`) {
+	if string(c.take(6)) != `,"mx":` {
 		return nil, false
 	}
-	switch {
-	case c.lit("null"):
+	switch c.at(0) {
+	case 'n':
+		if string(c.take(4)) != "null" {
+			return nil, false
+		}
 		if d != nil {
 			d.MX = nil
 		}
-	case c.lit("["):
+	case '[':
+		c.i++
 		n := 0
-		for more := !c.lit("]"); more; n++ {
+		for more := !c.char(']'); more; n++ {
 			var mx *MXObs
 			if d != nil {
 				// Growing within the capacity finds the slot's previous
@@ -251,7 +314,7 @@ func (c *cursor) domainLine(d *DomainRecord) (key []byte, ok bool) {
 			if !c.mxObs(mx) {
 				return nil, false
 			}
-			if more = c.lit(","); !more && !c.lit("]") {
+			if more = c.char(','); !more && !c.char(']') {
 				return nil, false
 			}
 		}
@@ -265,12 +328,18 @@ func (c *cursor) domainLine(d *DomainRecord) (key []byte, ok bool) {
 		return nil, false
 	}
 	var spf, delegation []byte
-	if c.lit(`,"spf":`) {
+	if c.at(2) == 's' {
+		if string(c.take(7)) != `,"spf":` {
+			return nil, false
+		}
 		if spf, ok = c.nonEmptyStr(); !ok {
 			return nil, false
 		}
 	}
-	if c.lit(`,"delegation":`) {
+	if c.at(2) == 'd' {
+		if string(c.take(14)) != `,"delegation":` {
+			return nil, false
+		}
 		if delegation, ok = c.nonEmptyStr(); !ok {
 			return nil, false
 		}
@@ -287,11 +356,11 @@ func (c *cursor) domainLine(d *DomainRecord) (key []byte, ok bool) {
 // mxObs walks one MX object, refilling mx (and its Addrs array) unless it
 // is nil.
 func (c *cursor) mxObs(mx *MXObs) bool {
-	if !c.lit(`{"pref":`) {
+	if string(c.take(8)) != `{"pref":` {
 		return false
 	}
 	pref, ok := c.uint(math.MaxUint16)
-	if !ok || !c.lit(`,"exchange":`) {
+	if !ok || string(c.take(12)) != `,"exchange":` {
 		return false
 	}
 	exchange, ok := c.str()
@@ -299,7 +368,10 @@ func (c *cursor) mxObs(mx *MXObs) bool {
 		return false
 	}
 	var addrs []netip.Addr
-	if c.lit(`,"addrs":[`) {
+	if c.at(2) == 'a' {
+		if string(c.take(10)) != `,"addrs":[` {
+			return false
+		}
 		if mx != nil {
 			addrs = mx.Addrs[:0]
 		}
@@ -311,13 +383,13 @@ func (c *cursor) mxObs(mx *MXObs) bool {
 			if mx != nil {
 				addrs = append(addrs, a)
 			}
-			if more = c.lit(","); !more && !c.lit("]") {
+			if more = c.char(','); !more && !c.char(']') {
 				return false
 			}
 		}
 	}
-	dangling := c.lit(`,"dangling":true`)
-	if !c.lit("}") {
+	dangling := c.at(2) == 'd'
+	if dangling && string(c.take(16)) != `,"dangling":true` || !c.char('}') {
 		return false
 	}
 	if mx != nil {
@@ -332,43 +404,54 @@ func (c *cursor) mxObs(mx *MXObs) bool {
 	return true
 }
 
-// ipLine walks the IPInfo object and the end of the line, storing into
-// info unless it is nil. Nothing of info's previous value is reused:
-// LoadIPs and inference's pass A keep the Scan pointer.
+// ipLine walks the IPInfo object after its `{"addr":` and the end of
+// the line, storing into info unless it is nil. Nothing of info's
+// previous value is reused: LoadIPs and inference's pass A keep the
+// Scan pointer. "asn" and "as_name" part at their fourth byte past the
+// comma, the other members at their first letter, as in domainLine.
 func (c *cursor) ipLine(info *IPInfo) (key []byte, ok bool) {
-	if !c.lit(`{"addr":`) {
-		return nil, false
-	}
 	addr, text, ok := c.ipv4()
 	if !ok {
 		return nil, false
 	}
 	var origin uint64
-	if c.lit(`,"asn":`) {
+	if c.at(4) == 'n' {
+		if string(c.take(7)) != `,"asn":` {
+			return nil, false
+		}
 		if origin, ok = c.positive(math.MaxUint32); !ok {
 			return nil, false
 		}
 	}
 	var asName []byte
-	if c.lit(`,"as_name":`) {
+	if c.at(2) == 'a' {
+		if string(c.take(11)) != `,"as_name":` {
+			return nil, false
+		}
 		if asName, ok = c.nonEmptyStr(); !ok {
 			return nil, false
 		}
 	}
-	if !c.lit(`,"has_censys":`) {
+	if string(c.take(14)) != `,"has_censys":` {
 		return nil, false
 	}
 	hasCensys, ok := c.bool()
-	if !ok || !c.lit(`,"port25_open":`) {
+	if !ok || string(c.take(15)) != `,"port25_open":` {
 		return nil, false
 	}
 	open, ok := c.bool()
 	if !ok {
 		return nil, false
 	}
-	parked := c.lit(`,"parked":true`)
+	parked := c.at(2) == 'p'
+	if parked && string(c.take(14)) != `,"parked":true` {
+		return nil, false
+	}
 	var scan *ScanInfo
-	if c.lit(`,"scan":{`) {
+	if c.at(2) == 's' {
+		if string(c.take(9)) != `,"scan":{` {
+			return nil, false
+		}
 		if info != nil {
 			scan = new(ScanInfo)
 		}
@@ -393,7 +476,7 @@ func (c *cursor) scanInfo(s *ScanInfo) bool {
 	first := true
 	member := func(name string) bool {
 		at := c.i
-		if (first || c.lit(",")) && c.lit(name) {
+		if (first || c.char(',')) && string(c.take(len(name))) == name {
 			first = false
 			return true
 		}
@@ -432,13 +515,13 @@ func (c *cursor) scanInfo(s *ScanInfo) bool {
 			if s != nil {
 				names = append(names, string(name))
 			}
-			if more = c.lit(","); !more && !c.lit("]") {
+			if more = c.char(','); !more && !c.char(']') {
 				return false
 			}
 		}
 	}
 	tlsFailed := member(`"tls_failed":true`)
-	if !c.lit("}") {
+	if !c.char('}') {
 		return false
 	}
 	if s != nil {

@@ -243,6 +243,41 @@ func TestLineDecodeEdgeShapes(t *testing.T) {
 	}
 }
 
+// TestKernelTakesEveryEncoderLine holds decodeCanonical to the lines
+// the encoders write for records of plain strings and IPv4 addresses:
+// it takes every one, storing and walking alike. A kernel that quietly
+// handed such lines to encoding/json would only be slower, which no
+// differential test sees.
+func TestKernelTakesEveryEncoderLine(t *testing.T) {
+	s := buildSnapshot(2000)
+	lines := bytes.Split(bytes.TrimSuffix(snapshotBytes(t, s), []byte("\n")), []byte("\n"))
+	for _, line := range lines[1:] { // after the header
+		requireKernelTakes(t, line)
+	}
+}
+
+// requireKernelTakes fails t unless decodeCanonical takes line, a record
+// line without its newline, both into records and as a bare walk, and
+// the record it stores encodes back to line.
+func requireKernelTakes(t testing.TB, line []byte) {
+	t.Helper()
+	d, info := new(DomainRecord), new(IPInfo)
+	kind, key, ok := decodeCanonical(line, d, info, make(internTable))
+	if _, wkey, wok := decodeCanonical(line, nil, nil, nil); !ok || !wok || !bytes.Equal(key, wkey) {
+		t.Fatalf("kernel declined an encoder line (store %v, walk %v):\n%s", ok, wok, line)
+	}
+	var again []byte
+	switch kind {
+	case "domain":
+		again = appendDomainLine(nil, d)
+	case "ip":
+		again = appendIPLine(nil, info)
+	}
+	if string(again) != string(line)+"\n" {
+		t.Fatalf("kernel took a %q line it does not give back:\n in  %s\n out %s", kind, line, again)
+	}
+}
+
 // dumpLine renders a decoded line with nil against empty slices visible.
 func dumpLine(l jsonLine) string {
 	out := fmt.Sprintf("kind %q header %+v footer %+v domain %#v ip %#v", l.Kind, l.Header, l.Footer, l.Domain, l.IP)

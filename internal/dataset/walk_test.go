@@ -175,3 +175,78 @@ func openFDs(t *testing.T) int {
 	}
 	return len(ents)
 }
+
+// BenchmarkWalkLines times the two line loops over a gzipped
+// 20 000-domain snapshot. "pass" is a Stream.ForEach with both
+// callbacks, as each inference pass makes; "walk" is a shard reader
+// stepped to the end, as Merge reads each shard, storing no record.
+// MB/s counts the uncompressed lines.
+func BenchmarkWalkLines(b *testing.B) {
+	s := buildSnapshot(20000)
+	dir := b.TempDir()
+	path := filepath.Join(dir, "snap.jsonl.gz")
+	if err := WriteFile(path, s); err != nil {
+		b.Fatal(err)
+	}
+	set := NewShardSet(filepath.Join(dir, "run.jsonl.gz"), s.Date, s.Corpus)
+	set.MaxBuffered = len(s.Domains) + 1 // one shard, written at Close
+	w := set.NewWriter()
+	for i := range s.Domains {
+		if err := w.AddDomain(s.Domains[i]); err != nil {
+			b.Fatal(err)
+		}
+	}
+	for _, info := range s.IPs {
+		if err := w.AddIP(info); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if err := w.Close(); err != nil {
+		b.Fatal(err)
+	}
+	shard := set.Paths()[0]
+	size := int64(len(snapshotBytes(b, s)))
+	lines := float64(len(s.Domains) + len(s.IPs) + 1)
+	report := func(b *testing.B) {
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/(lines*float64(b.N)), "ns/line")
+	}
+
+	b.Run("pass", func(b *testing.B) {
+		st, err := OpenStream(path)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.ResetTimer()
+		b.SetBytes(size)
+		b.ReportAllocs()
+		for range b.N {
+			var domains, ips int
+			err := st.ForEach(
+				func(*DomainRecord) error { domains++; return nil },
+				func(*IPInfo) error { ips++; return nil },
+			)
+			if err != nil || domains != len(s.Domains) || ips != len(s.IPs) {
+				b.Fatalf("pass saw %d domains, %d ips, error %v", domains, ips, err)
+			}
+		}
+		report(b)
+	})
+	b.Run("walk", func(b *testing.B) {
+		b.SetBytes(size)
+		b.ReportAllocs()
+		for range b.N {
+			r, err := openShard(shard)
+			if err != nil {
+				b.Fatal(err)
+			}
+			for r.kind != "" && err == nil {
+				err = r.advance()
+			}
+			r.close()
+			if err != nil {
+				b.Fatal(err)
+			}
+		}
+		report(b)
+	})
+}

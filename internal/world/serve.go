@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"net/netip"
 	"sort"
+	"sync"
 
 	"mxmap/internal/netsim"
 	"mxmap/internal/smtp"
@@ -26,6 +27,10 @@ func (s *SMTPSpec) serverConfig() smtp.Config {
 // simulated network fabric.
 type Fleet struct {
 	servers []*smtp.Server
+	// serving counts the servers' serve goroutines. One that finds its
+	// server closed closes its listener, so once Close has waited for
+	// them every fabric address is unbound.
+	serving sync.WaitGroup
 }
 
 // StartSMTP brings up an SMTP server for every host that runs one, bound
@@ -55,17 +60,20 @@ func (w *World) StartSMTP(n *netsim.Network) (*Fleet, error) {
 			f.Close()
 			return nil, fmt.Errorf("world: listen %s: %w", a, err)
 		}
-		go srv.Serve(ln)
+		f.serving.Add(1)
+		go func() { defer f.serving.Done(); srv.Serve(ln) }()
 		f.servers = append(f.servers, srv)
 	}
 	return f, nil
 }
 
-// Close hard-stops every server in the fleet.
+// Close hard-stops every server in the fleet and unbinds its fabric
+// addresses.
 func (f *Fleet) Close() error {
 	for _, s := range f.servers {
 		s.Close()
 	}
+	f.serving.Wait()
 	return nil
 }
 

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"net/netip"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -373,6 +374,64 @@ func TestStartSMTPAndScan(t *testing.T) {
 	if res.PeerCertificates[0].Subject.CommonName != "mx.google.com" {
 		t.Errorf("google cert CN = %q", res.PeerCertificates[0].Subject.CommonName)
 	}
+}
+
+// TestFleetCloseWaitsForServers holds Close to what an owner needs of
+// it: once it returns, no serve loop the fleet started is running and
+// every address it bound is free. Only a loop that has not started by
+// the time Close runs tells the two apart (smtp.Server.Close already
+// waits for one that has), so the test runs on one P, where the loops
+// StartSMTP starts wait for the test goroutine to block, and makes three
+// rounds, in case the scheduler ran them early in one.
+func TestFleetCloseWaitsForServers(t *testing.T) {
+	w, err := Generate(Config{Seed: 3, Scale: 0.001, TailProviders: 10, SelfISPs: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	for round := 0; round < 3; round++ {
+		n := netsim.New()
+		fleet, err := w.StartSMTP(n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fleet.Close()
+		if left := goroutinesIn("mxmap/internal/smtp.(*Server).Serve("); len(left) > 0 {
+			t.Fatalf("round %d: %d of %d serve loops still running after Close; the first:\n%s",
+				round, len(left), fleet.NumServers(), left[0])
+		}
+		for a, h := range w.Hosts {
+			if h.SMTP == nil {
+				continue
+			}
+			ln, err := n.Listen(netip.AddrPortFrom(a, 25))
+			if err != nil {
+				t.Fatalf("round %d, after Close: %v", round, err)
+			}
+			ln.Close()
+		}
+	}
+}
+
+// goroutinesIn returns the stacks of the goroutines that have frame,
+// a function name and its opening parenthesis, on their stack.
+func goroutinesIn(frame string) []string {
+	buf := make([]byte, 1<<16)
+	for {
+		n := runtime.Stack(buf, true)
+		if n < len(buf) {
+			buf = buf[:n]
+			break
+		}
+		buf = make([]byte, 2*len(buf))
+	}
+	var found []string
+	for _, g := range strings.Split(string(buf), "\n\n") {
+		if strings.Contains(g, frame) {
+			found = append(found, g)
+		}
+	}
+	return found
 }
 
 func TestSelfHostedInfraPersonalities(t *testing.T) {
