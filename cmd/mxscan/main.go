@@ -7,27 +7,30 @@
 // written by separate mxscan invocations with the same seed are mutually
 // consistent.
 //
-// Collection is crash-safe when a write-ahead journal is enabled: each
-// completed record is appended to the journal as it finishes, SIGINT and
-// SIGTERM cancel the run gracefully (a second signal force-exits), and
-// -resume recovers the journal and re-measures only what is missing.
-// Committed snapshots are written atomically (tmp, fsync, rename).
-//
 // There is one collection engine with two sinks. -workers 1 (the
 // default) runs it as one collector into an in-memory snapshot;
 // -workers > 1, or -flat N for the computed-on-the-fly flat corpus, runs
-// it as a fleet whose workers each own a resolver, a journal and a
-// sorted snapshot shard writer, the shards externally merged into -o, so
-// peak memory stays independent of corpus size. The
-// flag sizes the fleet and picks the sink, nothing else: journaling,
-// resume, signal handling and the committed bytes are the same.
+// it as a fleet whose workers each own a resolver and a sorted snapshot
+// shard writer, the shards externally merged into -o, so peak memory
+// stays independent of corpus size. The flag sizes the fleet and picks
+// the sink; the committed bytes are the same.
+//
+// A fleet run is crash-safe, and its shards are its checkpoint: every
+// shard is committed atomically (tmp, fsync, rename, directory fsync)
+// as a worker's buffer fills, SIGINT and SIGTERM cancel the run and
+// spill every worker's buffer (a second signal force-exits), and the
+// shards stay until the merged snapshot has committed. -resume reads
+// them back and measures only the domains and addresses none of them
+// holds; a fresh run refuses to start over leftover shards. A hard kill
+// loses at most each worker's unspilled buffer. A single-collector run
+// keeps no checkpoint. Committed snapshots are written atomically too.
 //
 // Usage:
 //
 //	mxscan [-scale 0.05] [-seed 1] -corpus alexa -date 2021-06 [-o snap.jsonl]
-//	mxscan -journal snap.waj [-resume] -corpus alexa -date 2021-06 -o snap.jsonl
 //	mxscan -workers 4 -flat 1000000 -o flat.jsonl.gz   # million-domain fleet run
-//	mxscan -fsck snap.jsonl.gz   # or a journal; validates and exits
+//	mxscan -workers 4 -flat 1000000 -o flat.jsonl.gz -resume   # after a ^C or a kill
+//	mxscan -fsck snap.jsonl.gz   # validates a snapshot or a shard and exits
 package main
 
 import (
@@ -35,7 +38,6 @@ import (
 	"errors"
 	"flag"
 	"fmt"
-	"io/fs"
 	"log"
 	"os"
 	"path/filepath"
@@ -57,9 +59,8 @@ func main() {
 		out       = flag.String("o", "", "output file (default stdout)")
 		iterative = flag.Bool("iterative", false, "resolve through a fully delegated DNS hierarchy (root -> TLD -> authoritative) instead of the in-memory catalog")
 		health    = flag.Bool("health", false, "print the collection health report (failure classes, coverage, retry and breaker counters) and, with -o, write it as <out>.health.json")
-		journal   = flag.String("journal", "", "write-ahead journal path: append each completed record so a crashed run is resumable (<journal> for one worker, <journal>.wNN per fleet worker)")
-		resume    = flag.Bool("resume", false, "recover the journal at -journal and skip already-collected records")
-		fsck      = flag.String("fsck", "", "validate the snapshot or journal at this path, print a report, and exit (status 1 unless clean)")
+		resume    = flag.Bool("resume", false, "fleet mode: read the shards an interrupted run left at -o and measure only what they do not hold")
+		fsck      = flag.String("fsck", "", "validate the snapshot or shard at this path, print a report, and exit (status 1 unless clean)")
 		workers   = flag.Int("workers", 1, "collection fleet size: 1 collects into an in-memory snapshot, >1 into per-worker sorted shards merged into -o")
 		flat      = flag.Int("flat", 0, "measure a computed-on-the-fly flat corpus of this many domains instead of a generated world (implies fleet mode; scale-independent memory)")
 		advPct    = flag.Float64("adversarial", 0, "flat mode: turn this percentage of the corpus hostile (dangling MX, hijacked delegations, lame zones, abuse clusters, backup-MX failover)")
@@ -81,8 +82,8 @@ func main() {
 	}
 	fleet := *workers > 1 || *flat > 0
 	switch {
-	case *resume && *journal == "":
-		log.Fatal("-resume requires -journal")
+	case *resume && !fleet:
+		log.Fatal("-resume requires fleet mode (-workers > 1 or -flat): a single collector keeps no checkpoint")
 	case fleet && *iterative:
 		log.Fatal("-iterative is incompatible with fleet mode (-workers > 1 or -flat)")
 	case fleet && *out == "":
@@ -112,50 +113,44 @@ func main() {
 	}
 	defer src.close()
 
-	// Journal setup: a fresh run refuses to clobber a leftover journal
-	// (that is resumable state); -resume recovers it, truncates any torn
-	// tail, and feeds the intact records back into the engine.
-	js := &journalSet{}
-	if *journal != "" {
-		if js, err = openJournals(*journal, fleet, *workers, *resume, *date, src.corpus); err != nil {
-			log.Fatal(err)
-		}
-	}
-	var set *dataset.ShardSet
-	// fail is the one error exit once journals are open: they are the
-	// resumable state and are flushed; shards are not and are removed.
-	fail := func(err error) {
-		js.close()
-		if set != nil {
-			set.Remove()
-		}
-		if *journal != "" && errors.Is(err, context.Canceled) {
-			log.Fatalf("collection interrupted; journal flushed — rerun with -journal %s -resume", *journal)
-		}
-		log.Fatal(err)
-	}
-
 	var (
 		h        *dataset.Health
 		measured string
 	)
 	if fleet {
-		set = dataset.NewShardSet(*out, *date, src.corpus)
+		// The shards a cancelled or killed run left at -o are its
+		// checkpoint: a resume splices their records, and a fresh run
+		// must not mix its shards with theirs.
+		set, prior, err := dataset.ResumeShardSet(*out, *date, src.corpus)
+		if err != nil {
+			log.Fatal(err)
+		}
+		if len(prior.Domains)+len(prior.IPs) > 0 {
+			if !*resume {
+				log.Fatalf("shards of an interrupted run are beside %s: rerun with -resume, or remove them", *out)
+			}
+			fmt.Fprintf(os.Stderr, "resuming: %d domain and %d IP records read from its shards\n",
+				len(prior.Domains), len(prior.IPs))
+		}
 		stats, err := scan.CollectFleet(ctx, scan.FleetConfig{
 			Corpus:       src.corpus,
 			Date:         *date,
 			Workers:      *workers,
 			NewCollector: src.newCollector,
 			Output:       set,
-			Journals:     js.open,
-			Prior:        js.prior,
+			Prior:        prior,
 		}, src.targets)
+		// Whatever ends the run, its shards stay until the merged
+		// snapshot has committed.
+		if errors.Is(err, context.Canceled) {
+			log.Fatalf("collection interrupted; its shards are kept beside %s: rerun with -resume", *out)
+		}
 		if err != nil {
-			fail(err)
+			log.Fatal(err)
 		}
 		mstats, err := dataset.Merge(*out, set.Paths())
 		if err != nil {
-			fail(err)
+			log.Fatal(err)
 		}
 		if err := set.Remove(); err != nil {
 			log.Printf("shard cleanup: %v", err)
@@ -163,10 +158,10 @@ func main() {
 		if *health {
 			st, err := dataset.OpenStream(*out)
 			if err != nil {
-				fail(err)
+				log.Fatal(err)
 			}
 			if h, err = dataset.HealthOf(st); err != nil {
-				fail(err)
+				log.Fatal(err)
 			}
 			// The merged file does not carry the run's resilience
 			// counters; fold in the fleet's sum, as Snapshot.Health does.
@@ -177,16 +172,12 @@ func main() {
 	} else {
 		col, err := src.newCollector(0)
 		if err != nil {
-			fail(err)
+			log.Fatal(err)
 		}
 		defer col.Close()
-		if js.open != nil {
-			col.Journal = js.open[0]
-		}
-		col.Prior = js.prior
 		snap, err := col.Collect(ctx, src.corpus, *date, src.targets)
 		if err != nil {
-			fail(err)
+			log.Fatal(err)
 		}
 		snap.SortDomains()
 		if *out != "" {
@@ -196,24 +187,12 @@ func main() {
 			_, err = snap.WriteTo(os.Stdout)
 		}
 		if err != nil {
-			fail(err)
+			log.Fatal(err)
 		}
 		h = snap.Health()
 		measured = fmt.Sprintf("%d domains, %d IPs", len(snap.Domains), len(snap.IPs))
 	}
 
-	// The snapshot is committed; every journal has served its purpose,
-	// leftovers of an earlier, wider fleet included. (A snapshot piped to
-	// stdout may not have landed anywhere: its journal stays.)
-	js.close()
-	if *journal != "" && *out != "" {
-		for _, p := range js.paths {
-			if err := os.Remove(p); err != nil {
-				log.Printf("journal remove: %v", err)
-			}
-		}
-		fmt.Fprintf(os.Stderr, "snapshot committed; journal %s removed\n", *journal)
-	}
 	if *health {
 		writeHealth(h, *out)
 	}
@@ -330,102 +309,4 @@ func worldSource(cfg world.Config, corpus, date string, iterative bool) (*source
 		}
 	}
 	return src, nil
-}
-
-// journalSet is a run's write-ahead journals and what a resume
-// recovered from them.
-type journalSet struct {
-	open  []*dataset.Journal
-	paths []string // every journal file of the run, for removal at commit
-	// prior unions the recovered records of every journal.
-	prior *dataset.Snapshot
-}
-
-// openJournals opens one journal per worker — <base> for the single
-// collector, <base>.wNN for a fleet — fresh, or with resume set
-// recovered and reopened for append (a missing one starts fresh).
-func openJournals(base string, fleet bool, workers int, resume bool, date, corpus string) (*journalSet, error) {
-	path := func(w int) string {
-		if !fleet {
-			return base
-		}
-		return fmt.Sprintf("%s.w%02d", base, w)
-	}
-	js := &journalSet{}
-	if resume {
-		js.prior = dataset.NewSnapshot(date, corpus)
-	}
-	entries := 0
-	for w := 0; w < workers; w++ {
-		var (
-			j   *dataset.Journal
-			rec *dataset.JournalRecovery
-			err error
-		)
-		if resume {
-			j, rec, err = dataset.ResumeJournal(path(w), date, corpus)
-		} else {
-			j, err = dataset.CreateJournal(path(w), date, corpus)
-		}
-		if err != nil {
-			js.close()
-			return nil, err
-		}
-		js.open = append(js.open, j)
-		js.paths = append(js.paths, path(w))
-		entries += js.splice(path(w), rec)
-	}
-	// A previous fleet may have been wider; its extra journals hold
-	// records too. Recover them read-only and leave them in place until
-	// the snapshot commits.
-	for w := workers; resume && fleet; w++ {
-		rec, err := dataset.RecoverJournal(path(w))
-		if errors.Is(err, fs.ErrNotExist) {
-			break
-		}
-		if err != nil {
-			js.close()
-			return nil, err
-		}
-		js.paths = append(js.paths, path(w))
-		entries += js.splice(path(w), rec)
-	}
-	if entries > 0 {
-		// A domain counts once, however many journals hold it.
-		domains := make(map[string]bool, len(js.prior.Domains))
-		for i := range js.prior.Domains {
-			domains[js.prior.Domains[i].Domain] = true
-		}
-		fmt.Fprintf(os.Stderr, "resuming: %d domains and %d IPs recovered from %s\n",
-			len(domains), len(js.prior.IPs), strings.Join(js.paths, " "))
-	}
-	return js, nil
-}
-
-// splice unions one journal's recovery into the set, returning the
-// number of intact entries recovered.
-func (js *journalSet) splice(path string, rec *dataset.JournalRecovery) int {
-	if rec == nil || rec.Snapshot == nil {
-		return 0
-	}
-	if rec.Truncated {
-		fmt.Fprintf(os.Stderr, "%s: torn tail discarded: %s\n", path, rec.Reason)
-	}
-	for i := range rec.Snapshot.Domains {
-		js.prior.AddDomain(rec.Snapshot.Domains[i])
-	}
-	for _, info := range rec.Snapshot.IPs {
-		js.prior.AddIP(info)
-	}
-	return rec.Entries
-}
-
-// close flushes and closes every open journal.
-func (js *journalSet) close() {
-	for _, j := range js.open {
-		if err := j.Close(); err != nil {
-			log.Printf("journal close: %v", err)
-		}
-	}
-	js.open = nil
 }

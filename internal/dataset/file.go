@@ -64,7 +64,7 @@ func WriteFile(path string, s *Snapshot) error {
 // whatever that goroutine could not write fails the commit before Sync.
 func atomicWrite(path string, write func(w io.Writer) error) (err error) {
 	tmp := path + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+	f, err := fsys.create(tmp)
 	if err != nil {
 		return err
 	}
@@ -89,12 +89,33 @@ func atomicWrite(path string, write func(w io.Writer) error) (err error) {
 	if err := f.Close(); err != nil {
 		return err
 	}
-	if err := os.Rename(tmp, path); err != nil {
+	if err := fsys.rename(tmp, path); err != nil {
 		return err
 	}
 	committed = true
 	// The rename itself must survive a crash: fsync the directory.
 	return syncDir(filepath.Dir(path))
+}
+
+// fsys is every file system call a commit makes (atomicWrite and
+// syncDir): the os package's, behind one seam so that a test can fail
+// each call in turn and drop what was never synced.
+var fsys = struct {
+	create, open func(name string) (syncFile, error)
+	rename       func(oldpath, newpath string) error
+}{
+	create: func(name string) (syncFile, error) {
+		return os.OpenFile(name, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+	},
+	open:   func(name string) (syncFile, error) { return os.Open(name) },
+	rename: os.Rename,
+}
+
+// syncFile is what a commit does with a file it opened.
+type syncFile interface {
+	io.Writer
+	Sync() error
+	Close() error
 }
 
 // handoffChunk and handoffChunks size the window between a writer and
@@ -216,7 +237,7 @@ func (h *handoff) flush() error {
 
 // syncDir fsyncs a directory so a just-renamed entry is durable.
 func syncDir(dir string) error {
-	d, err := os.Open(dir)
+	d, err := fsys.open(dir)
 	if err != nil {
 		return err
 	}

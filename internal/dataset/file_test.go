@@ -8,10 +8,12 @@ import (
 	"fmt"
 	"io"
 	"io/fs"
+	"maps"
 	"os"
 	"path/filepath"
 	"reflect"
 	"runtime"
+	"slices"
 	"strings"
 	"syscall"
 	"testing"
@@ -398,6 +400,169 @@ func TestReadersAcceptEveryLevel(t *testing.T) {
 		} else if !reflect.DeepEqual(got, *first) {
 			t.Errorf("level %d reads differently from level %d: fsck %+v vs %+v, merge %+v vs %+v",
 				level, gzip.BestSpeed, got.fsck, first.fsck, got.merge, first.merge)
+		}
+	}
+}
+
+// crashFS stands in for the file system behind fsys and models what a
+// crash keeps of it: a file's bytes as of its last Sync, and the
+// directory's entries as of its last Sync or, since a rename may reach
+// the disk before its directory is synced, as they are now. Its calls
+// are numbered from 1. With failAt set, that call fails and, with
+// crash also set, so does every later one, to no effect: the process
+// died there. A failing Write writes half of what it was given.
+type crashFS struct {
+	calls, failAt int
+	crash         bool
+	live, synced  map[string]*inode
+}
+
+type inode struct{ data, durable []byte }
+
+type crashFile struct {
+	fs  *crashFS
+	ino *inode // nil for a directory
+}
+
+var errInjected = errors.New("injected fault")
+
+func (c *crashFS) call() error {
+	c.calls++
+	if c.failAt > 0 && (c.calls == c.failAt || c.crash && c.calls > c.failAt) {
+		return errInjected
+	}
+	return nil
+}
+
+func (c *crashFS) create(name string) (syncFile, error) {
+	if err := c.call(); err != nil {
+		return nil, err
+	}
+	ino := &inode{}
+	c.live[name] = ino
+	return &crashFile{c, ino}, nil
+}
+
+func (c *crashFS) open(string) (syncFile, error) {
+	if err := c.call(); err != nil {
+		return nil, err
+	}
+	return &crashFile{fs: c}, nil
+}
+
+func (c *crashFS) rename(oldpath, newpath string) error {
+	if err := c.call(); err != nil {
+		return err
+	}
+	c.live[newpath] = c.live[oldpath]
+	delete(c.live, oldpath)
+	return nil
+}
+
+func (f *crashFile) Write(p []byte) (int, error) {
+	if err := f.fs.call(); err != nil {
+		if f.fs.crash {
+			return 0, err
+		}
+		f.ino.data = append(f.ino.data, p[:len(p)/2]...)
+		return len(p) / 2, err
+	}
+	f.ino.data = append(f.ino.data, p...)
+	return len(p), nil
+}
+
+func (f *crashFile) Sync() error {
+	if err := f.fs.call(); err != nil {
+		return err
+	}
+	if f.ino == nil {
+		f.fs.synced = maps.Clone(f.fs.live)
+	} else {
+		f.ino.durable = slices.Clone(f.ino.data)
+	}
+	return nil
+}
+
+func (f *crashFile) Close() error { return f.fs.call() }
+
+// images is what a reader finds at path: now, and after a crash that
+// kept the directory as last synced or as it is now. Each is the file's
+// bytes, or nil when there is no file.
+func (c *crashFS) images(path string) map[string][]byte {
+	at := func(dir map[string]*inode, durable bool) []byte {
+		ino := dir[path]
+		switch {
+		case ino == nil:
+			return nil
+		case durable:
+			return append([]byte{}, ino.durable...)
+		}
+		return append([]byte{}, ino.data...)
+	}
+	return map[string][]byte{
+		"now":                    at(c.live, false),
+		"crash, synced entries":  at(c.synced, true),
+		"crash, renamed entries": at(c.live, true),
+	}
+}
+
+// TestAtomicWriteSurvivesEveryFault runs atomicWrite over a file that
+// holds a committed snapshot, on crashFS: once without a fault, then
+// with each of its file system calls (open, write, sync, close, rename,
+// the directory's open and sync) failing in turn, and with the process
+// dying at each. Whatever the fault, and whatever a crash drops of what
+// was never synced, the path holds the old file or the new one, never a
+// torn one; and once atomicWrite has returned nil, a crash keeps the
+// new one.
+func TestAtomicWriteSurvivesEveryFault(t *testing.T) {
+	saved := fsys
+	t.Cleanup(func() { fsys = saved })
+	newSnap := sampleSnapshot()
+	newSnap.SortDomains()
+	for _, name := range []string{"snap.jsonl", "snap.jsonl.gz"} {
+		path := filepath.Join(t.TempDir(), name)
+		old := []byte("the committed snapshot\n")
+		run := func(failAt int, crash bool) (*crashFS, error) {
+			ino := &inode{data: old, durable: old}
+			c := &crashFS{failAt: failAt, crash: crash,
+				live: map[string]*inode{path: ino}, synced: map[string]*inode{path: ino}}
+			fsys.create, fsys.open, fsys.rename = c.create, c.open, c.rename
+			err := atomicWrite(path, func(w io.Writer) error {
+				_, err := newSnap.WriteTo(w)
+				return err
+			})
+			return c, err
+		}
+
+		clean, err := run(0, false)
+		if err != nil {
+			t.Fatalf("%s: fault-free commit: %v", name, err)
+		}
+		want := clean.images(path)["now"]
+		if bytes.Equal(want, old) {
+			t.Fatalf("%s: fault-free commit left the old file", name)
+		}
+		for what, got := range clean.images(path) {
+			if !bytes.Equal(got, want) {
+				t.Errorf("%s: committed, then %s: %d bytes, not the new file", name, what, len(got))
+			}
+		}
+		if clean.calls < 7 {
+			t.Fatalf("%s: a commit made %d file system calls, want at least 7", name, clean.calls)
+		}
+
+		for k := 1; k <= clean.calls; k++ {
+			for _, crash := range []bool{false, true} {
+				c, err := run(k, crash)
+				if !errors.Is(err, errInjected) {
+					t.Errorf("%s: call %d failed (crash=%v), atomicWrite = %v", name, k, crash, err)
+				}
+				for what, got := range c.images(path) {
+					if !bytes.Equal(got, old) && !bytes.Equal(got, want) {
+						t.Errorf("%s: call %d failed (crash=%v), then %s: a torn file of %d bytes", name, k, crash, what, len(got))
+					}
+				}
+			}
 		}
 	}
 }

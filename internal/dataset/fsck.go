@@ -1,15 +1,14 @@
 package dataset
 
-// Dataset fsck: offline validation of the two on-disk artifacts the
-// collection pipeline produces — committed snapshots (JSONL, optionally
-// gzipped) and write-ahead journals. It checks physical integrity
-// (framing, CRCs, gzip stream, the line rules every snapshot reader
-// holds each line to) and, for snapshots, the cross-record invariants
+// Dataset fsck: offline validation of what the collection pipeline
+// writes — a committed snapshot or a shard (JSONL, optionally gzipped).
+// It checks physical integrity (the gzip stream, the line rules every
+// snapshot reader holds each line to) and the cross-record invariants
 // the inference layer depends on: no duplicate domains, and a closed
 // join between domains and IPs (every address an MX resolved to has an
 // IP record, every IP record is referenced by some domain). Damage is
 // reported with the salvageable prefix so an operator knows what a
-// resume or a manual rescue would preserve.
+// manual rescue would preserve.
 
 import (
 	"errors"
@@ -24,24 +23,23 @@ import (
 // invariant once per record.
 const maxFsckProblems = 20
 
-// FsckReport is the outcome of validating one snapshot or journal file.
+// FsckReport is the outcome of validating one snapshot file.
 type FsckReport struct {
 	// Path is the file checked.
 	Path string `json:"path"`
-	// Kind is "journal" or "snapshot", detected from the file magic.
+	// Kind is "snapshot", the one kind of file there is to check.
 	Kind string `json:"kind"`
 	// Clean reports a fully intact file with all invariants holding.
 	Clean bool `json:"clean"`
-	// Recoverable reports that an intact prefix exists: a resume (for
-	// journals) or a manual line-range rescue (for snapshots) preserves
-	// Entries records.
+	// Recoverable reports that an intact prefix exists: a manual
+	// line-range rescue preserves Entries records.
 	Recoverable bool `json:"recoverable"`
-	// Entries counts intact records (journal frames or snapshot lines,
-	// excluding the header).
+	// Entries counts intact records (snapshot lines, excluding the
+	// header).
 	Entries int `json:"entries"`
-	// ValidBytes and TotalBytes delimit the trusted prefix: a journal's
-	// resume truncation point; for a snapshot, all of it or 0, as its
-	// intact prefix is counted in lines (Salvageable).
+	// ValidBytes and TotalBytes delimit the trusted prefix: all of the
+	// file or 0, as a damaged file's intact prefix is counted in lines
+	// (Salvageable).
 	ValidBytes int64 `json:"valid_bytes"`
 	TotalBytes int64 `json:"total_bytes"`
 	// Salvageable describes the intact range in human terms
@@ -82,7 +80,7 @@ func (r *FsckReport) WriteText(w io.Writer) error {
 		state = "CORRUPT"
 	}
 	intact := fmt.Sprintf(", %d/%d bytes intact", r.ValidBytes, r.TotalBytes)
-	if r.Kind == "snapshot" && !r.Clean {
+	if !r.Clean {
 		intact = "" // no byte count: Salvageable gives the intact lines
 	}
 	if _, err := fmt.Fprintf(w, "%s: %s %s: %d entries%s\n", r.Path, r.Kind, state, r.Entries, intact); err != nil {
@@ -106,61 +104,14 @@ func (r *FsckReport) WriteText(w io.Writer) error {
 	return nil
 }
 
-// Fsck validates the snapshot or journal file at path. The error return
-// covers I/O only; damage inside the file lands in the report.
-func Fsck(path string) (*FsckReport, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	magic := make([]byte, len(journalMagic))
-	n, err := io.ReadFull(f, magic)
-	if err != nil && err != io.ErrUnexpectedEOF && err != io.EOF {
-		return nil, err
-	}
-	if n == len(journalMagic) && string(magic) == journalMagic {
-		return fsckJournal(path)
-	}
-	return fsckSnapshot(path)
-}
-
-// fsckJournal validates a write-ahead journal via the recovery reader:
-// a clean journal recovers to the end of the file, a torn one is
-// recoverable up to its last intact frame.
-func fsckJournal(path string) (*FsckReport, error) {
-	rec, err := RecoverJournal(path)
-	if err != nil {
-		return nil, err
-	}
-	r := &FsckReport{
-		Path:       path,
-		Kind:       "journal",
-		Entries:    rec.Entries,
-		ValidBytes: rec.ValidBytes,
-		TotalBytes: rec.TotalBytes,
-	}
-	r.Clean = !rec.Truncated && rec.Snapshot != nil
-	r.Recoverable = rec.Snapshot != nil
-	if rec.Snapshot == nil {
-		r.problem("no intact header frame; the journal identifies no run")
-	}
-	if rec.Truncated {
-		r.problem("%s; %d trailing bytes will be discarded on resume",
-			rec.Reason, rec.TotalBytes-rec.ValidBytes)
-		r.Salvageable = fmt.Sprintf("%d entries in bytes 0-%d (of %d)",
-			rec.Entries, rec.ValidBytes, rec.TotalBytes)
-	}
-	return r, nil
-}
-
-// fsckSnapshot validates a committed snapshot file (or a shard): one
+// Fsck validates the committed snapshot (or shard) at path: one
 // walkLines pass, so every line is held to the rules every reader holds
 // it to (lineRules) and what loads is not damage, and the first line
 // that does not load is the one reported. The callbacks add what only
 // fsck checks, across records: duplicate domains, and the join between
-// domains and IPs.
-func fsckSnapshot(path string) (*FsckReport, error) {
+// domains and IPs. The error return covers I/O only; damage inside the
+// file lands in the report.
+func Fsck(path string) (*FsckReport, error) {
 	r := &FsckReport{Path: path, Kind: "snapshot"}
 	if fi, err := os.Stat(path); err == nil {
 		r.TotalBytes = fi.Size()

@@ -35,40 +35,6 @@ func TestFsckCleanSnapshot(t *testing.T) {
 	}
 }
 
-func TestFsckCleanJournalAndTorn(t *testing.T) {
-	path := writeSampleJournal(t)
-	r, err := Fsck(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.Kind != "journal" || !r.Clean {
-		t.Errorf("clean journal fsck = %+v", r)
-	}
-
-	// Tear the tail: recoverable, not clean.
-	raw, _ := os.ReadFile(path)
-	if err := os.WriteFile(path, raw[:len(raw)-5], 0o644); err != nil {
-		t.Fatal(err)
-	}
-	r, err = Fsck(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.Clean || !r.Recoverable {
-		t.Errorf("torn journal fsck = %+v, want recoverable", r)
-	}
-	if r.Salvageable == "" || len(r.Problems) == 0 {
-		t.Errorf("torn journal report missing salvage info: %+v", r)
-	}
-	var buf bytes.Buffer
-	if err := r.WriteText(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), "RECOVERABLE") {
-		t.Errorf("report text = %q", buf.String())
-	}
-}
-
 func TestFsckTruncatedGzipSnapshot(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "snap.jsonl.gz")

@@ -2,11 +2,9 @@ package dataset
 
 import (
 	"bytes"
-	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"net/netip"
-	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
@@ -14,115 +12,6 @@ import (
 
 	"mxmap/internal/asn"
 )
-
-// FuzzJournalRead drives the journal frame decoder with arbitrary
-// bytes. Recovery must never panic, never claim more valid bytes than
-// the input holds, and — when it does recover entries — must be
-// idempotent: recovering the valid prefix again yields the same result.
-// The line codec is its oracle too: every canonical payload recovery
-// trusts re-encodes to itself, and the recovered snapshot, written by
-// WriteFile, reads back through ReadFile as the same snapshot.
-func FuzzJournalRead(f *testing.F) {
-	// Seed: a healthy journal, its torn variants, junk, and journals
-	// holding a record every snapshot reader rejects.
-	path := filepath.Join(f.TempDir(), "seed.waj")
-	j, err := CreateJournal(path, "2021-06", "alexa")
-	if err != nil {
-		f.Fatal(err)
-	}
-	s := sampleSnapshot()
-	for i := range s.Domains {
-		if err := j.AddDomain(&s.Domains[i]); err != nil {
-			f.Fatal(err)
-		}
-	}
-	info := s.IPs["172.217.0.26"]
-	if err := j.AddIP(&info); err != nil {
-		f.Fatal(err)
-	}
-	if err := j.Close(); err != nil {
-		f.Fatal(err)
-	}
-	seed, err := os.ReadFile(path)
-	if err != nil {
-		f.Fatal(err)
-	}
-	f.Add(seed)
-	f.Add(seed[:len(seed)-4])
-	f.Add(seed[:len(journalMagic)+3])
-	f.Add([]byte(journalMagic))
-	f.Add([]byte("not a journal at all"))
-	f.Add([]byte{})
-	for _, tc := range keylessFrames {
-		f.Add(keylessJournal(f, tc.add))
-	}
-	for _, p := range lineRuleProbes {
-		raw, _ := frameLines(p.text)
-		f.Add(raw)
-	}
-	// One file, replaced by each input's WriteFile.
-	snapPath := filepath.Join(f.TempDir(), "recovered.jsonl")
-
-	f.Fuzz(func(t *testing.T, data []byte) {
-		rec, err := recoverJournal(bytes.NewReader(data), int64(len(data)))
-		if err != nil {
-			return // rejected (no magic); fine
-		}
-		if rec.ValidBytes > int64(len(data)) {
-			t.Fatalf("ValidBytes %d > input %d", rec.ValidBytes, len(data))
-		}
-		if rec.Truncated != (rec.ValidBytes < int64(len(data))) {
-			t.Fatalf("Truncated=%v but ValidBytes=%d of %d", rec.Truncated, rec.ValidBytes, len(data))
-		}
-		if rec.Entries > 0 && rec.Snapshot == nil {
-			t.Fatal("entries recovered without a snapshot")
-		}
-		// Idempotence over the trusted prefix.
-		if rec.ValidBytes > 0 {
-			rec2, err := recoverJournal(bytes.NewReader(data[:rec.ValidBytes]), rec.ValidBytes)
-			if err != nil {
-				t.Fatalf("re-recovering the valid prefix failed: %v", err)
-			}
-			if rec2.ValidBytes != rec.ValidBytes || rec2.Entries != rec.Entries || rec2.Truncated {
-				t.Fatalf("prefix re-recovery diverged: %d/%d entries, %d/%d bytes, truncated=%v",
-					rec2.Entries, rec.Entries, rec2.ValidBytes, rec.ValidBytes, rec2.Truncated)
-			}
-		}
-		for off := int64(len(journalMagic)); off < rec.ValidBytes; {
-			payload := data[off+frameHeaderSize:][:binary.LittleEndian.Uint32(data[off:])]
-			off += frameHeaderSize + int64(len(payload))
-			var d DomainRecord
-			var info IPInfo
-			kind, _, ok := decodeCanonical(payload, &d, &info, nil)
-			var again []byte
-			switch {
-			case !ok:
-				continue
-			case kind == "domain":
-				again = appendDomainLine(nil, &d)
-			default:
-				again = appendIPLine(nil, &info)
-			}
-			if string(again) != string(payload)+"\n" {
-				t.Fatalf("trusted canonical payload is not what the encoder writes:\n in  %s\n out %s", payload, again)
-			}
-		}
-		if rec.Snapshot == nil {
-			return
-		}
-		if err := WriteFile(snapPath, rec.Snapshot); err != nil {
-			t.Fatal(err)
-		}
-		back, err := ReadFile(snapPath)
-		if err != nil {
-			t.Fatalf("snapshot written from the recovery does not read: %v", err)
-		}
-		if !reflect.DeepEqual(back.Domains, rec.Snapshot.Domains) || !reflect.DeepEqual(back.IPs, rec.Snapshot.IPs) ||
-			back.Date != rec.Date || back.Corpus != rec.Corpus {
-			t.Fatalf("snapshot written from the recovery reads back different")
-		}
-	})
-}
 
 // FuzzShardFooter drives the footer rule with arbitrary bytes as the
 // last line of a shard whose body is one domain and one IP: Read must
@@ -192,7 +81,7 @@ func FuzzRead(f *testing.F) {
 		}
 		if rep, err := Fsck(path); err != nil {
 			t.Fatal(err)
-		} else if rep.Kind == "snapshot" { // not input that opens with the journal magic
+		} else {
 			_, fileErr := ReadFile(path)
 			var damage *lineError
 			switch {

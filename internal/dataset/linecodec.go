@@ -11,8 +11,8 @@ import (
 
 // This file is the line codec of the two record shapes a snapshot is
 // made of, `{"kind":"domain","domain":{…}}` and `{"kind":"ip","ip":{…}}`,
-// written by hand so that the per-record path of stream, merge, spill
-// and the journal spends no time in encoding/json's reflection and
+// written by hand so that the per-record path of stream, merge and
+// spill spends no time in encoding/json's reflection and
 // validity scan; it also writes the header line.
 //
 // The encoder is byte-identical to json.Encoder.Encode(jsonLine{…}). The
@@ -29,8 +29,8 @@ import (
 //
 // The decoder (decodeCanonical) is a kernel for the lines the encoder
 // writes, and every reader of the format goes through it: Merge's shard
-// walk, each Stream pass, Read, ReadFile, fsck, DiffStream and journal
-// recovery. It reads a line in one left-to-right pass. Where the form
+// walk, each Stream pass, Read, ReadFile, fsck, DiffStream and a
+// resume's read of leftover shards. It reads a line in one left-to-right pass. Where the form
 // offers a choice (which member comes next, null or an array, another
 // element or the end) it looks at the one byte that tells the choices
 // apart and compares the chosen member name once, against a constant

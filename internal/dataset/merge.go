@@ -29,7 +29,8 @@ import (
 //     file name.
 //
 // Duplicate keys across shards resolve last-write-wins toward the
-// highest shard sequence number, matching journal replay semantics.
+// highest shard sequence number, the order in which a ShardSet numbers
+// its spills.
 func Merge(outPath string, shardPaths []string) (*MergeStats, error) {
 	if len(shardPaths) == 0 {
 		return nil, fmt.Errorf("dataset: merge: no shards")

@@ -5,9 +5,7 @@ import (
 	"fmt"
 )
 
-// The words a domain or ip record without its key fails with. A
-// journal frame is a snapshot line, so recovery stops at one with them
-// too.
+// The words a domain or ip record without its key fails with.
 var (
 	errNoDomainName = errors.New("domain line without a name")
 	errNoIPAddr     = errors.New("ip line without an address")
@@ -16,8 +14,8 @@ var (
 // lineRules is the one statement of what a line of the snapshot file may
 // be — a committed snapshot and a shard alike. Both of the format's line
 // loops step it once per line: decodeAhead, behind Read, ReadFile, every
-// Stream pass and fsck, and Merge's shardReader; journal recovery steps
-// it once per frame. So a file one reader accepts every reader accepts,
+// Stream pass, fsck and a resume's read of leftover shards, and Merge's
+// shardReader. So a file one reader accepts every reader accepts,
 // and a file one rejects every one rejects at the same line, with the
 // same words. The rules:
 //
@@ -34,9 +32,6 @@ var (
 type lineRules struct {
 	name string // the file's path in errors, "" for a bare reader
 	line int    // lines stepped so far, blank ones included
-	// interleaved lifts "all domain lines before any ip line" for a
-	// journal, where a resumed run appends domains after the ips.
-	interleaved bool
 
 	header, footer bool   // seen
 	domains, ips   int    // record lines so far
@@ -84,7 +79,7 @@ func (c *lineRules) check(l *jsonLine, key []byte) error {
 		switch {
 		case !c.header:
 			return errors.New("domain before header")
-		case c.ips > 0 && !c.interleaved:
+		case c.ips > 0:
 			return errors.New("domain line after IP section")
 		case len(key) == 0:
 			return errNoDomainName

@@ -1,15 +1,10 @@
 package dataset
 
 import (
-	"bytes"
-	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"os"
 	"path/filepath"
 	"regexp"
-	"slices"
-	"strings"
 	"testing"
 )
 
@@ -42,30 +37,14 @@ var lineRuleProbes = func() []struct {
 	}
 }()
 
-// frameLines frames each line of text (newlines dropped) as a journal
-// does, after the journal magic, and returns the journal's bytes and the
-// offset of each frame.
-func frameLines(text string) ([]byte, []int64) {
-	out := []byte(journalMagic)
-	var offsets []int64
-	for _, line := range strings.Split(strings.TrimSuffix(text, "\n"), "\n") {
-		offsets = append(offsets, int64(len(out)))
-		out = binary.LittleEndian.AppendUint32(out, uint32(len(line)))
-		out = binary.LittleEndian.AppendUint32(out, crc32.Checksum([]byte(line), crcTable))
-		out = append(out, line...)
-	}
-	return out, offsets
-}
-
 // TestReadersAgreeOnLineRules holds the readers of a snapshot file —
-// ReadFile, OpenStream with a ForEach pass, Fsck and Merge — and journal
-// recovery, over the probe's lines as frames, to one set of line rules:
-// each rejects each probe, naming the same line in the same words.
-// (Fsck's cross-record checks, duplicates and the domain-to-IP join, are
-// its own by design and not among them.)
+// ReadFile, OpenStream with a ForEach pass, Fsck, Merge and
+// ResumeShardSet, which finds the probe as a leftover shard of p.jsonl —
+// to one set of line rules: each rejects each probe, naming the same
+// line in the same words. (Fsck's cross-record checks, duplicates and
+// the domain-to-IP join, are its own by design and not among them.)
 func TestReadersAgreeOnLineRules(t *testing.T) {
 	atLine := regexp.MustCompile(`line \d+: .*`)
-	atOffset := regexp.MustCompile(`^(.*) at offset \d+$`)
 	said := func(err error) string {
 		if err == nil {
 			return "accepted"
@@ -103,28 +82,12 @@ func TestReadersAgreeOnLineRules(t *testing.T) {
 			_, err = Merge(filepath.Join(dir, "out.jsonl"), []string{path})
 			merge := said(err)
 
-			raw, offsets := frameLines(p.text)
-			rec, err := recoverJournal(bytes.NewReader(raw), int64(len(raw)))
-			if err != nil {
-				t.Fatal(err)
-			}
-			journal := "accepted"
-			if m := atOffset.FindStringSubmatch(rec.Reason); m != nil {
-				frame := slices.Index(offsets, rec.ValidBytes)
-				journal = fmt.Sprintf("line %d: %s", frame+1, m[1])
-			}
-			readers := []struct{ reader, said string }{
-				{"ReadFile", readFile}, {"Stream", stream}, {"Fsck", fsck}, {"Merge", merge}, {"journal", journal},
-			}
-			if p.name == "ip before domain" {
-				// The one rule recovery lifts: a resumed run appends
-				// domains after the crashed run's ip frames.
-				if journal != "accepted" || rec.Entries != 2 {
-					t.Errorf("journal says %q with %d entries; want the probe accepted whole", journal, rec.Entries)
-				}
-				readers = readers[:4]
-			}
+			_, _, err = ResumeShardSet(filepath.Join(dir, "p.jsonl"), "2021-06", "alexa")
+			resume := said(err)
 
+			readers := []struct{ reader, said string }{
+				{"ReadFile", readFile}, {"Stream", stream}, {"Fsck", fsck}, {"Merge", merge}, {"ResumeShardSet", resume},
+			}
 			want := regexp.MustCompile(fmt.Sprintf(`^line %d: `, p.line))
 			for _, r := range readers {
 				if !want.MatchString(r.said) || r.said != readFile {

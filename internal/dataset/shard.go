@@ -5,7 +5,9 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"maps"
 	"os"
+	"path/filepath"
 	"slices"
 	"sort"
 	"strings"
@@ -38,7 +40,8 @@ import (
 type ShardFooter struct {
 	// Seq is the shard's sequence number within its ShardSet. Merge
 	// resolves cross-shard duplicate keys toward the highest sequence
-	// number (last-write-wins, matching journal replay semantics).
+	// number (last-write-wins), and a resumed run numbers its shards
+	// after those of the run it resumes (ResumeShardSet).
 	Seq int `json:"seq"`
 	// FirstDomain and LastDomain bound the shard's domain range; empty
 	// when the shard carries no domains.
@@ -103,11 +106,69 @@ type ShardSet struct {
 	seq   atomic.Int64
 	mu    sync.Mutex
 	paths []string
+	// left is the shards of an interrupted run (ResumeShardSet), removed
+	// with the set's own.
+	left []string
 }
 
 // NewShardSet prepares a shard set for the snapshot at base.
 func NewShardSet(base, date, corpus string) *ShardSet {
 	return &ShardSet{Base: base, Date: date, Corpus: corpus, MaxBuffered: 65536}
+}
+
+// ResumeShardSet picks up the shards an interrupted run left for the
+// snapshot at base: the files ShardPath names in base's directory. It
+// reads each as the snapshot it is (ReadFile, so lineRules holds every
+// line) and refuses one that belongs to another (corpus, date). It
+// returns their records as one snapshot, a collection's prior, in which
+// a domain or address that more than one shard holds counts from the
+// highest-numbered, and a ShardSet that numbers its shards after theirs.
+// A collection with that prior writes every record again, spliced or
+// measured, so the set's Paths are its shards alone and all Merge
+// needs; Remove deletes the old ones with them once the merged snapshot
+// has committed. The "<shard>.tmp" files of a spill cut short are
+// removed, not read. With no shards left at base, the set is a new one
+// and the snapshot empty.
+func ResumeShardSet(base, date, corpus string) (*ShardSet, *Snapshot, error) {
+	dir := filepath.Dir(base)
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		return nil, nil, err
+	}
+	var seqs []int
+	for _, e := range entries {
+		// A name counts only when ShardPath gives it back: parseShardSeq
+		// alone takes a .tmp, and any other file with ".shard-" in it.
+		seq, ok := parseShardSeq(e.Name())
+		switch shard := filepath.Base(ShardPath(base, seq)); {
+		case !ok:
+		case e.Name() == shard:
+			seqs = append(seqs, seq)
+		case e.Name() == shard+".tmp":
+			if err := os.Remove(filepath.Join(dir, e.Name())); err != nil {
+				return nil, nil, err
+			}
+		}
+	}
+	sort.Ints(seqs)
+	ss := NewShardSet(base, date, corpus)
+	prior := NewSnapshot(date, corpus)
+	for _, seq := range seqs {
+		path := ShardPath(base, seq)
+		s, err := ReadFile(path)
+		if err != nil {
+			return nil, nil, err
+		}
+		if s.Date != date || s.Corpus != corpus {
+			return nil, nil, fmt.Errorf("dataset: %s holds corpus %s at %s, not %s at %s",
+				path, s.Corpus, s.Date, corpus, date)
+		}
+		prior.Domains = append(prior.Domains, s.Domains...)
+		maps.Copy(prior.IPs, s.IPs)
+		ss.left = append(ss.left, path)
+		ss.seq.Store(int64(seq) + 1)
+	}
+	return ss, prior, nil
 }
 
 // Paths returns every shard file written so far, ordered by shard
@@ -128,11 +189,12 @@ func (ss *ShardSet) Paths() []string {
 	return out
 }
 
-// Remove deletes every shard file written by the set. Best-effort: the
-// first error is returned but removal continues.
+// Remove deletes every shard file written by the set, and those of the
+// run it resumed. Best-effort: the first error is returned but removal
+// continues.
 func (ss *ShardSet) Remove() error {
 	var first error
-	for _, p := range ss.Paths() {
+	for _, p := range append(ss.Paths(), ss.left...) {
 		if err := os.Remove(p); err != nil && !os.IsNotExist(err) && first == nil {
 			first = err
 		}
@@ -241,9 +303,9 @@ func (w *ShardWriter) spill() error {
 	seq := int(w.set.seq.Add(1)) - 1
 	path := ShardPath(w.set.Base, seq)
 
-	// Stable sort: a producer may legitimately observe the same domain
-	// twice (journal-resumed runs); keeping input order among equals
-	// preserves last-write-wins through the merge's tie-break.
+	// Stable sort: a producer may hand the same domain twice (a target
+	// list that names it twice); keeping input order among equals keeps
+	// the later record, as the merge's tie-break does across shards.
 	slices.SortStableFunc(w.lines, func(a, b lineRef) int { return strings.Compare(a.name, b.name) })
 	// IPs order by address text, the order Merge checks; each key is
 	// rendered once, not twice per comparison.

@@ -5,10 +5,13 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io/fs"
+	"maps"
 	"net/netip"
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -569,7 +572,7 @@ func TestSnapshotConcurrentAddIndex(t *testing.T) {
 }
 
 // TestShardWriterRepeatedDomain feeds one writer the same domain twice,
-// as a journal-resumed run does: the later record wins, within one
+// as a target list that repeats a name does: the later record wins, within one
 // shard (adjacent lines after the stable sort) and across the writer's
 // shards (the merge's sequence tie-break) alike.
 func TestShardWriterRepeatedDomain(t *testing.T) {
@@ -656,5 +659,99 @@ func TestShardWriterLongLine(t *testing.T) {
 	}
 	if !reflect.DeepEqual(got.Domains, s.Domains) {
 		t.Error("records spilled around lines longer than a chunk did not read back intact")
+	}
+}
+
+// TestResumeShardSet pins what a resume takes from a directory: the
+// shards ShardPath names for its base, in sequence order, a later
+// shard's record winning over an earlier one's; not a spill cut short
+// between write and rename (its .tmp, which parseShardSeq alone would
+// take for shard 3, is removed), another base's shards, or a name
+// ShardPath would not write. The set it returns numbers its next shard
+// after the last one found, lists only its own among its Paths, and
+// Remove deletes both.
+func TestResumeShardSet(t *testing.T) {
+	dir := t.TempDir()
+	base := filepath.Join(dir, "run.jsonl.gz")
+	if seq, ok := parseShardSeq("x.shard-0003.jsonl.gz.tmp"); !ok || seq != 3 {
+		t.Fatalf("parseShardSeq of a .tmp = %d, %v", seq, ok)
+	}
+	set, prior, err := ResumeShardSet(base, "2021-06", "alexa")
+	if err != nil || len(set.Paths()) != 0 || len(prior.Domains) != 0 || len(prior.IPs) != 0 {
+		t.Fatalf("resume from an empty directory = %v, %+v, %v", set.Paths(), prior, err)
+	}
+
+	spill := func(seq int, spf string, names ...string) {
+		set := NewShardSet(base, "2021-06", "alexa")
+		set.seq.Store(int64(seq))
+		w := set.NewWriter()
+		for _, name := range names {
+			if err := w.AddDomain(DomainRecord{Domain: name, SPF: spf}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := w.AddIP(IPInfo{Addr: addr("10.0.0.1"), ASName: spf}); err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	spill(0, "old", "a.example", "b.example")
+	spill(2, "new", "b.example", "c.example")
+	torn := ShardPath(base, 3) + ".tmp"
+	strays := []string{
+		filepath.Join(dir, "other.shard-0001.jsonl.gz"),
+		filepath.Join(dir, "run.shard-5.jsonl.gz"),
+		filepath.Join(dir, "run.jsonl.gz.tmp"),
+	}
+	for _, p := range append([]string{torn}, strays...) {
+		if err := os.WriteFile(p, []byte("\x1f\x8b torn"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	set, prior, err = ResumeShardSet(base, "2021-06", "alexa")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(set.Paths()) != 0 {
+		t.Errorf("a resumed set lists %v before it has spilled", set.Paths())
+	}
+	if _, err := os.Stat(torn); !errors.Is(err, fs.ErrNotExist) {
+		t.Errorf("the cut spill %s is still there: %v", torn, err)
+	}
+	for _, p := range strays {
+		if _, err := os.Stat(p); err != nil {
+			t.Errorf("%s is not the run's, and is gone: %v", p, err)
+		}
+	}
+	// The engine takes the last record of a repeated domain.
+	last := make(map[string]string)
+	for _, d := range prior.Domains {
+		last[d.Domain] = d.SPF
+	}
+	if want := map[string]string{"a.example": "old", "b.example": "new", "c.example": "new"}; !maps.Equal(last, want) {
+		t.Errorf("prior domains = %v, want %v", last, want)
+	}
+	if info := prior.IPs["10.0.0.1"]; len(prior.IPs) != 1 || info.ASName != "new" {
+		t.Errorf("prior IPs = %v, want the later shard's one", prior.IPs)
+	}
+
+	w := set.NewWriter()
+	if err := w.AddDomain(DomainRecord{Domain: "d.example"}); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if want := []string{ShardPath(base, 3)}; !slices.Equal(set.Paths(), want) {
+		t.Errorf("after one more spill Paths = %v, want %v", set.Paths(), want)
+	}
+	if err := set.Remove(); err != nil {
+		t.Fatal(err)
+	}
+	if left, _ := filepath.Glob(filepath.Join(dir, "run.shard-*")); len(left) != 1 || left[0] != strays[1] {
+		t.Errorf("Remove left %v", left)
 	}
 }

@@ -1,22 +1,26 @@
 package scan
 
-// Kill-resume chaos tests for the durability layer (write-ahead journal
-// + Prior): a collection run over a fault-injected netsim fabric is
-// aborted at randomized (seeded) journal offsets — simulating SIGKILL —
-// the journal's tail is torn mid-frame — simulating a crash between
-// write and fsync — and the run is resumed. The committed snapshot must
-// be byte-identical to an uninterrupted run's, fsck must call the torn
-// journal recoverable and the committed snapshot clean, and resumed
-// domains must not be re-measured. These run in the chaos tier
+// Kill-resume chaos tests for the durability layer (a fleet's shards as
+// its checkpoint, dataset.ResumeShardSet, FleetConfig.Prior): a fleet
+// collection over a fault-injected netsim fabric is interrupted at a
+// randomized (seeded) lookup or dial — by a ^C, whose cancel spills
+// every worker's buffer, or by a SIGKILL, which leaves only the shards
+// committed by then and a spill cut short between write and rename —
+// and the run is resumed with another worker count. The committed
+// snapshot must be byte-identical to an uninterrupted run's and pass
+// fsck, the cut spill must not be adopted, and the domains the shards
+// hold must not be measured again. These run in the chaos tier
 // (go test -race -run Chaos) and the durability tier.
 
 import (
 	"bytes"
 	"context"
 	"math/rand/v2"
+	"net"
 	"net/netip"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -25,6 +29,7 @@ import (
 	"mxmap/internal/dataset"
 	"mxmap/internal/dns"
 	"mxmap/internal/netsim"
+	"mxmap/internal/smtp"
 )
 
 // buildDurabilityWorld assembles one chaos corpus: healthy hosts, a
@@ -85,48 +90,74 @@ func durabilityCollector(w *chaosWorld, uncovered netip.Addr) *Collector {
 		Resolver:    w.resolver,
 		Dialer:      w.net,
 		Covered:     func(a netip.Addr) bool { return a != uncovered },
-		Concurrency: 1, // deterministic journal order: domains in target order, then sorted IPs
+		Concurrency: 1, // Collect's baseline in target order, as a one-worker fleet runs
 		ScanTimeout: 200 * time.Millisecond,
 		Retry:       &RetryPolicy{Attempts: 3, BaseBackoff: time.Millisecond, MaxBackoff: 5 * time.Millisecond},
 	}
 }
 
-// killJournal is the crash switch of the kill-resume tests: it passes
-// appends through and, once the at-th one (counted across every lane
-// sharing n) has landed, pulls kill — no sleeping, no racing a timer
-// against the collection.
-type killJournal struct {
-	Journal
-	n    *atomic.Int64
+// tripwire is the crash switch of the kill-resume tests: it counts the
+// MX lookups and SMTP dials that start, across every worker, and pulls
+// kill as the at-th starts (at 0 never) — no sleeping, no racing a
+// timer against the collection.
+type tripwire struct {
+	n    atomic.Int64
 	at   int64
 	kill func()
 }
 
-func (k *killJournal) landed(err error) error {
-	if k.n.Add(1) == k.at {
-		k.kill()
+func (tw *tripwire) step() {
+	if tw.n.Add(1) == tw.at {
+		tw.kill()
 	}
+}
+
+type trippedResolver struct {
+	*chaosResolver
+	tw *tripwire
+}
+
+func (r trippedResolver) LookupMX(ctx context.Context, domain string) ([]dns.MXData, error) {
+	r.tw.step()
+	return r.chaosResolver.LookupMX(ctx, domain)
+}
+
+type trippedDialer struct {
+	smtp.Dialer
+	tw *tripwire
+}
+
+func (d trippedDialer) DialContext(ctx context.Context, network, address string) (net.Conn, error) {
+	d.tw.step()
+	return d.Dialer.DialContext(ctx, network, address)
+}
+
+// durabilityFleet collects w's targets with a fleet of workers into
+// set, every worker's lookups and dials passing tw.
+func durabilityFleet(ctx context.Context, w *chaosWorld, uncovered netip.Addr, workers int, set *dataset.ShardSet, prior *dataset.Snapshot, tw *tripwire) error {
+	_, err := CollectFleet(ctx, FleetConfig{
+		Corpus:  "chaos",
+		Date:    "2021-06",
+		Workers: workers,
+		NewCollector: func(int) (*Collector, error) {
+			c := durabilityCollector(w, uncovered)
+			c.Resolver = trippedResolver{w.resolver, tw}
+			c.Dialer = trippedDialer{w.net, tw}
+			return c, nil
+		},
+		Output: set,
+		Prior:  prior,
+	}, w.targets)
 	return err
 }
 
-func (k *killJournal) AddDomain(d *dataset.DomainRecord) error {
-	return k.landed(k.Journal.AddDomain(d))
-}
-
-func (k *killJournal) AddIP(info *dataset.IPInfo) error {
-	return k.landed(k.Journal.AddIP(info))
-}
-
-// recovered is the set of domains a journal recovery holds: the ones a
-// resume splices from its Prior instead of measuring again.
-func recovered(rec *dataset.JournalRecovery) map[string]bool {
-	names := make(map[string]bool)
-	if rec.Snapshot != nil {
-		for _, d := range rec.Snapshot.Domains {
-			names[d.Domain] = true
-		}
+// mxCounts is how often each target's MX has been looked up so far.
+func mxCounts(w *chaosWorld) map[string]int {
+	counts := make(map[string]int, len(w.targets))
+	for _, t := range w.targets {
+		counts[t.Name] = w.resolver.count("MX:" + t.Name)
 	}
-	return names
+	return counts
 }
 
 // snapshotBytes serializes a snapshot the way a committed file would be.
@@ -141,7 +172,8 @@ func snapshotBytes(t *testing.T, s *dataset.Snapshot) []byte {
 }
 
 func TestChaosKillResumeByteIdentical(t *testing.T) {
-	// Baseline: one uninterrupted collection.
+	// Baseline: one uninterrupted collection, and the number of lookups
+	// and dials a fleet makes on a fresh world.
 	w, uncovered := buildDurabilityWorld(t)
 	col := durabilityCollector(w, uncovered)
 	base, err := col.Collect(context.Background(), "chaos", "2021-06", w.targets)
@@ -149,125 +181,102 @@ func TestChaosKillResumeByteIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := snapshotBytes(t, base)
-	totalEntries := len(w.targets) + len(base.IPs)
+	w, uncovered = buildDurabilityWorld(t)
+	counter := &tripwire{}
+	set := dataset.NewShardSet(filepath.Join(t.TempDir(), "count.jsonl"), "2021-06", "chaos")
+	if err := durabilityFleet(context.Background(), w, uncovered, 2, set, nil, counter); err != nil {
+		t.Fatal(err)
+	}
+	events := counter.n.Load()
 
-	dir := t.TempDir()
 	for seed := uint64(0); seed < 7; seed++ {
-		seed := seed
 		t.Run("", func(t *testing.T) {
 			rng := rand.New(rand.NewPCG(seed, seed^0x9e3779b9))
-			journal := filepath.Join(dir, "run.waj")
+			dir := t.TempDir()
+			out := filepath.Join(dir, "run.jsonl.gz")
+			hard := seed%2 == 1 // SIGKILL, not ^C
+			workers := 1 + rng.IntN(4)
 
 			// Interrupted run: one world survives the "process crash"
 			// (the simulated internet does not reboot with mxscan).
 			w, uncovered := buildDurabilityWorld(t)
-			jr, err := dataset.CreateJournal(journal, "2021-06", "chaos")
-			if err != nil {
-				t.Fatal(err)
-			}
-			jr.SyncEvery = 4
+			set := dataset.NewShardSet(out, "2021-06", "chaos")
+			set.MaxBuffered = 2 // spill as the run goes
 			ctx, cancel := context.WithCancel(context.Background())
-			abortAt := 1 + rng.IntN(totalEntries-1)
-			col := durabilityCollector(w, uncovered)
-			// SIGKILL moment: nothing after entry abortAt is journaled.
-			col.Journal = &killJournal{Journal: jr, n: new(atomic.Int64), at: int64(abortAt), kill: cancel}
-			if _, err := col.Collect(ctx, "chaos", "2021-06", w.targets); err != context.Canceled {
-				t.Fatalf("aborted Collect err = %v, want context.Canceled", err)
+			defer cancel()
+			var committed []string // the shards on disk when the kill came
+			abortAt := 1 + rng.Int64N(events-1)
+			tw := &tripwire{at: abortAt, kill: func() { committed = set.Paths(); cancel() }}
+			if err := durabilityFleet(ctx, w, uncovered, workers, set, nil, tw); err != context.Canceled {
+				t.Fatalf("interrupted fleet err = %v, want context.Canceled", err)
 			}
-			cancel()
-			if err := jr.Close(); err != nil {
+			if hard {
+				// A SIGKILL spills nothing: only the shards committed before
+				// it survive, and the spill it cut short left its .tmp.
+				for _, p := range set.Paths() {
+					if !slices.Contains(committed, p) {
+						if err := os.Remove(p); err != nil {
+							t.Fatal(err)
+						}
+					}
+				}
+			}
+			torn := dataset.ShardPath(out, 90) + ".tmp"
+			if err := os.WriteFile(torn, []byte("\x1f\x8b\x08"), 0o644); err != nil {
 				t.Fatal(err)
 			}
 
-			// Tear the tail mid-frame (1-6 bytes is always inside the
-			// final frame): the crash landed between write and fsync.
-			fi, err := os.Stat(journal)
+			// Resume with another worker count: read the shards, skip
+			// what they hold, finish the run.
+			set2, prior, err := dataset.ResumeShardSet(out, "2021-06", "chaos")
 			if err != nil {
 				t.Fatal(err)
 			}
-			tear := int64(1 + rng.IntN(6))
-			if err := os.Truncate(journal, fi.Size()-tear); err != nil {
+			if _, err := os.Stat(torn); !os.IsNotExist(err) {
+				t.Errorf("resume left the cut spill %s in place: %v", torn, err)
+			}
+			before := mxCounts(w)
+			if err := durabilityFleet(context.Background(), w, uncovered, workers%4+1, set2, prior, &tripwire{}); err != nil {
 				t.Fatal(err)
 			}
-
-			// fsck must call the torn journal recoverable, not clean.
-			report, err := dataset.Fsck(journal)
-			if err != nil {
+			if _, err := dataset.Merge(out, set2.Paths()); err != nil {
 				t.Fatal(err)
 			}
-			if report.Kind != "journal" || report.Clean || !report.Recoverable {
-				t.Fatalf("torn journal fsck = %+v, want recoverable", report)
-			}
-
-			// Resume: recover, skip journaled work, finish the run.
-			jr2, rec, err := dataset.ResumeJournal(journal, "2021-06", "chaos")
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !rec.Truncated {
-				t.Error("recovery did not notice the torn tail")
-			}
-			col2 := durabilityCollector(w, uncovered)
-			col2.Journal = jr2
-			col2.Prior = rec.Snapshot
-			snap, err := col2.Collect(context.Background(), "chaos", "2021-06", w.targets)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := jr2.Close(); err != nil {
+			if err := set2.Remove(); err != nil {
 				t.Fatal(err)
 			}
 
 			// The kill-resume guarantee: byte-identical to uninterrupted.
-			got := snapshotBytes(t, snap)
-			if !bytes.Equal(got, want) {
-				t.Errorf("resumed snapshot differs from uninterrupted run (abort at entry %d, tear %d bytes)",
-					abortAt, tear)
-			}
-
-			// Journaled domains were not re-measured: the first target
-			// completes before any abort (Concurrency=1), and its MX
-			// lookup must have run exactly once across both runs.
-			if first := w.targets[0].Name; recovered(rec)[first] {
-				if got := w.resolver.count("MX:" + first); got != 1 {
-					t.Errorf("%s journaled but looked up %d times", first, got)
-				}
-			}
-
-			// The re-journaled run is now fully intact.
-			report, err = dataset.Fsck(journal)
+			snap, err := dataset.ReadFile(out)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !report.Clean {
-				t.Errorf("journal after resumed run not clean: %+v", report)
+			if got := snapshotBytes(t, snap); !bytes.Equal(got, want) {
+				t.Errorf("resumed snapshot differs from uninterrupted run (abort at event %d of %d, hard=%v, %d workers)",
+					abortAt, events, hard, workers)
 			}
-			if err := os.Remove(journal); err != nil {
-				t.Fatal(err)
+			// Domains the shards held were not measured again.
+			after := mxCounts(w)
+			for _, d := range prior.Domains {
+				if after[d.Domain] != before[d.Domain] {
+					t.Errorf("%s was in a shard but looked up again on resume", d.Domain)
+				}
+			}
+			if report, err := dataset.Fsck(out); err != nil || !report.Clean {
+				t.Errorf("committed snapshot fsck = %+v, %v, want clean", report, err)
+			}
+			if left, _ := filepath.Glob(filepath.Join(dir, "*")); len(left) != 1 {
+				t.Errorf("after the commit the directory holds %v, want the snapshot alone", left)
 			}
 		})
-	}
-
-	// Commit the baseline and fsck it: a committed snapshot is clean.
-	for _, name := range []string{"final.jsonl", "final.jsonl.gz"} {
-		path := filepath.Join(dir, name)
-		if err := dataset.WriteFile(path, base); err != nil {
-			t.Fatal(err)
-		}
-		report, err := dataset.Fsck(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if report.Kind != "snapshot" || !report.Clean {
-			t.Errorf("committed snapshot fsck = %+v, want clean", report)
-		}
 	}
 }
 
 // TestChaosKillResumeGracefulShutdown pins the SIGINT path: a cancelled
-// run journals only records completed before cancellation (no
-// cancellation-poisoned classes frozen into the journal), and a resume
-// from that journal still converges to the uninterrupted result.
+// fleet spills only records completed before cancellation (no
+// cancellation-poisoned classes frozen into a shard), leaves no
+// unfinished spill behind, and a resume from its shards still converges
+// to the uninterrupted result.
 func TestChaosKillResumeGracefulShutdown(t *testing.T) {
 	w, uncovered := buildDurabilityWorld(t)
 	col := durabilityCollector(w, uncovered)
@@ -277,62 +286,45 @@ func TestChaosKillResumeGracefulShutdown(t *testing.T) {
 	}
 	want := snapshotBytes(t, base)
 
-	journal := filepath.Join(t.TempDir(), "run.waj")
+	dir := t.TempDir()
+	out := filepath.Join(dir, "run.jsonl")
 	w2, uncovered2 := buildDurabilityWorld(t)
-	jr, err := dataset.CreateJournal(journal, "2021-06", "chaos")
-	if err != nil {
-		t.Fatal(err)
-	}
+	set := dataset.NewShardSet(out, "2021-06", "chaos")
 	ctx, cancel := context.WithCancel(context.Background())
-	col2 := durabilityCollector(w2, uncovered2)
-	// The operator's ^C mid-phase-1.
-	col2.Journal = &killJournal{Journal: jr, n: new(atomic.Int64), at: 3, kill: cancel}
-	if _, err := col2.Collect(ctx, "chaos", "2021-06", w2.targets); err != context.Canceled {
+	defer cancel()
+	// The operator's ^C mid-phase-1, as the fourth domain's lookup starts.
+	if err := durabilityFleet(ctx, w2, uncovered2, 1, set, nil, &tripwire{at: 4, kill: cancel}); err != context.Canceled {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
-	cancel()
-	if err := jr.Close(); err != nil {
-		t.Fatal(err)
+	if tmp, _ := filepath.Glob(filepath.Join(dir, "*.tmp")); len(tmp) != 0 {
+		t.Errorf("graceful shutdown left unfinished spills: %v", tmp)
 	}
 
-	rec, err := dataset.RecoverJournal(journal)
+	set2, prior, err := dataset.ResumeShardSet(out, "2021-06", "chaos")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rec.Truncated {
-		t.Errorf("graceful shutdown left a torn journal: %s", rec.Reason)
+	// Nothing spilled after the cancellation point: a record finished
+	// under a cancelled context is dropped, so exactly the 3 domains
+	// before it (and none of the IPs, since phase 2 never ran) survived.
+	if len(prior.Domains) != 3 || len(prior.IPs) != 0 {
+		t.Errorf("shards hold %d domains and %d IPs, want exactly the 3 pre-cancel domains", len(prior.Domains), len(prior.IPs))
 	}
-	// Nothing journaled after the cancellation point: a record finished
-	// under a cancelled context is dropped, so exactly 3 domain entries
-	// (and none of the IPs, since phase 2 never ran) survived.
-	if rec.Entries != 3 {
-		t.Errorf("journal holds %d entries, want exactly the 3 pre-cancel domains", rec.Entries)
-	}
-	for name := range recovered(rec) {
-		found := false
-		for _, tgt := range w2.targets[:4] {
-			if tgt.Name == name {
-				found = true
-			}
-		}
-		if !found {
-			t.Errorf("journaled domain %s is not among the first targets", name)
+	for i, d := range prior.Domains {
+		if i < 3 && d.Domain != w2.targets[i].Name {
+			t.Errorf("spilled domain %s is not target %d (%s)", d.Domain, i, w2.targets[i].Name)
 		}
 	}
 
 	// Resume and converge.
-	jr2, rec2, err := dataset.ResumeJournal(journal, "2021-06", "chaos")
-	if err != nil {
+	if err := durabilityFleet(context.Background(), w2, uncovered2, 3, set2, prior, &tripwire{}); err != nil {
 		t.Fatal(err)
 	}
-	col3 := durabilityCollector(w2, uncovered2)
-	col3.Journal = jr2
-	col3.Prior = rec2.Snapshot
-	snap, err := col3.Collect(context.Background(), "chaos", "2021-06", w2.targets)
-	if err != nil {
+	if _, err := dataset.Merge(out, set2.Paths()); err != nil {
 		t.Fatal(err)
 	}
-	if err := jr2.Close(); err != nil {
+	snap, err := dataset.ReadFile(out)
+	if err != nil {
 		t.Fatal(err)
 	}
 	if got := snapshotBytes(t, snap); !bytes.Equal(got, want) {
@@ -340,24 +332,27 @@ func TestChaosKillResumeGracefulShutdown(t *testing.T) {
 	}
 }
 
-// TestChaosResumeWrongJournal pins the guard rails: resuming a journal
-// from a different (corpus, date) refuses, and a snapshot file is not
-// accepted as a journal.
+// TestChaosResumeWrongJournal pins the guard rail: a run's leftover
+// shards, its checkpoint, are refused to a resume of another (corpus,
+// date).
 func TestChaosResumeWrongJournal(t *testing.T) {
-	dir := t.TempDir()
-	journal := filepath.Join(dir, "run.waj")
-	jr, err := dataset.CreateJournal(journal, "2021-06", "alexa")
-	if err != nil {
+	out := filepath.Join(t.TempDir(), "run.jsonl")
+	set := dataset.NewShardSet(out, "2021-06", "alexa")
+	w := set.NewWriter()
+	if err := w.AddDomain(dataset.DomainRecord{Domain: "a.example"}); err != nil {
 		t.Fatal(err)
 	}
-	if err := jr.Close(); err != nil {
+	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := dataset.ResumeJournal(journal, "2021-12", "alexa"); err == nil ||
+	if _, _, err := dataset.ResumeShardSet(out, "2021-12", "alexa"); err == nil ||
 		!strings.Contains(err.Error(), "2021-12") {
 		t.Errorf("wrong-date resume: %v", err)
 	}
-	if _, _, err := dataset.ResumeJournal(journal, "2021-06", "com"); err == nil {
+	if _, _, err := dataset.ResumeShardSet(out, "2021-06", "com"); err == nil {
 		t.Errorf("wrong-corpus resume accepted")
+	}
+	if _, prior, err := dataset.ResumeShardSet(out, "2021-06", "alexa"); err != nil || len(prior.Domains) != 1 {
+		t.Errorf("own resume = %v, %v; want the one domain", prior, err)
 	}
 }

@@ -12,13 +12,12 @@ import (
 
 // lane is one unit of private collection machinery: a collector with
 // its run state (retry budget, breakers, chain verdicts) and resolver
-// cache, one record sink and an optional journal. The goroutines of a
-// lane share all of it; mu serializes what they commit.
+// cache, and one record sink. The goroutines of a lane share all of it;
+// mu serializes what they commit.
 type lane struct {
-	c       *Collector
-	run     *collectRun
-	dr      *domainResolver
-	journal Journal
+	c   *Collector
+	run *collectRun
+	dr  *domainResolver
 	sink
 
 	mu           sync.Mutex
@@ -44,7 +43,7 @@ func memorySink(snap *dataset.Snapshot) sink {
 }
 
 // shardSink buffers into w, which spills sorted shard files as it fills;
-// the caller closes w once the run has succeeded.
+// the caller closes w once the run has succeeded or been cancelled.
 func shardSink(w *dataset.ShardWriter) sink {
 	return sink{
 		putDomain: func(_ int, rec dataset.DomainRecord) error { return w.AddDomain(rec) },
@@ -52,14 +51,14 @@ func shardSink(w *dataset.ShardWriter) sink {
 	}
 }
 
-func newLane(c *Collector, journal Journal, s sink) *lane {
+func newLane(c *Collector, s sink) *lane {
 	run := &collectRun{
 		retry:    newRetryState(c.Retry),
 		breakers: newBreakerSet(breakerThreshold),
 		verdicts: make(map[string]bool),
 	}
 	return &lane{
-		c: c, run: run, dr: c.newDomainResolver(run), journal: journal, sink: s,
+		c: c, run: run, dr: c.newDomainResolver(run), sink: s,
 		addrs: make(map[netip.Addr]bool),
 	}
 }
@@ -72,8 +71,8 @@ type engine struct {
 	perLane int
 	targets []Target
 
-	// Records recovered from a crashed run's journals are spliced in
-	// instead of re-measured, and not re-journaled.
+	// Records an interrupted run left in its shards are spliced in
+	// instead of measured again.
 	priorDomain map[string]*dataset.DomainRecord
 	priorIPs    map[string]dataset.IPInfo
 }
@@ -81,7 +80,8 @@ type engine struct {
 // collect runs the engine and reports what it wrote. Each domain is
 // measured by exactly one goroutine and each distinct address scanned
 // by exactly one, whatever the layout. On error the run is abandoned
-// as it stands: nothing buffered in a sink is flushed.
+// as it stands: what a sink holds then is every record that was
+// completed, and the caller decides whether to keep it.
 func collect(ctx context.Context, lanes []*lane, perLane int, targets []Target, prior *dataset.Snapshot) (*FleetStats, error) {
 	e := &engine{lanes: lanes, perLane: perLane, targets: targets}
 	if prior != nil {
@@ -170,8 +170,7 @@ func (e *engine) claimLoop(ctx context.Context, n, size int, settle func(context
 }
 
 // domain settles target i on lane l: spliced from the prior run or
-// measured, journaled, handed to the sink, its addresses noted for
-// phase 2.
+// measured, handed to the sink, its addresses noted for phase 2.
 func (e *engine) domain(ctx context.Context, l *lane, i int) error {
 	t := e.targets[i]
 	prior, spliced := e.priorDomain[t.Name]
@@ -182,17 +181,12 @@ func (e *engine) domain(ctx context.Context, l *lane, i int) error {
 		rec = l.dr.collectDomain(ctx, t)
 	}
 	// A record finished under a cancelled context carries cancellation
-	// artifacts; journaling it would freeze them into the resumed run.
+	// artifacts; spilling it would freeze them into the resumed run.
 	if err := ctx.Err(); err != nil {
 		return err
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if !spliced && l.journal != nil {
-		if err := l.journal.AddDomain(&rec); err != nil {
-			return err
-		}
-	}
 	for _, mx := range rec.MX {
 		for _, a := range mx.Addrs {
 			l.addrs[a] = true
@@ -213,11 +207,6 @@ func (e *engine) addr(ctx context.Context, l *lane, a netip.Addr) error {
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if !spliced && l.journal != nil {
-		if err := l.journal.AddIP(&info); err != nil {
-			return err
-		}
-	}
 	l.ips++
 	return l.putIP(info)
 }

@@ -11,9 +11,9 @@ import (
 
 // FleetConfig drives CollectFleet: the engine as Workers
 // single-goroutine lanes, each owning its own Collector (resolver, retry
-// budget, breakers), its own write-ahead journal and its own snapshot
-// shard writer, so a million-domain run never funnels through one
-// resolver cache or one in-memory snapshot.
+// budget, breakers) and its own snapshot shard writer, so a
+// million-domain run never funnels through one resolver cache or one
+// in-memory snapshot.
 type FleetConfig struct {
 	// Corpus and Date label the run (shards carry them in their
 	// headers; Merge insists they agree).
@@ -23,22 +23,17 @@ type FleetConfig struct {
 	// NewCollector builds worker w's collector. Each call must return
 	// an independent Collector — sharing a resolver between workers
 	// reintroduces the contention the fleet exists to avoid. The
-	// collector's Concurrency, Journal and Prior are Collect's alone: a
-	// fleet lane is one goroutine by construction, and the fleet drives
-	// Journals and Prior itself.
+	// collector's Concurrency is Collect's alone: a fleet lane is one
+	// goroutine by construction.
 	NewCollector func(w int) (*Collector, error)
 	// Output receives one shard per spill. The fleet gives each worker
 	// its own ShardWriter on this set.
 	Output *dataset.ShardSet
-	// Journals, when non-nil, holds one write-ahead journal per worker
-	// (len must equal Workers). Worker w journals every record it
-	// completes to Journals[w]. The caller owns the journals' lifecycle
-	// (resume before, close after).
-	Journals []*dataset.Journal
-	// Prior supplies records recovered from a crashed run's journals
-	// (merged across workers). Domains in Prior are spliced from it
+	// Prior supplies the records an interrupted run left in its shards
+	// (dataset.ResumeShardSet). Domains in Prior are spliced from it
 	// instead of re-measured; addresses present in Prior.IPs are reused
-	// instead of re-scanned. Spliced records are not re-journaled.
+	// instead of re-scanned. Spliced records reach the shards like
+	// measured ones.
 	Prior *dataset.Snapshot
 }
 
@@ -67,21 +62,19 @@ type FleetStats struct {
 // shard set is byte-identical to a single-worker run and to Collect's
 // sorted snapshot on a deterministic world (on a faulty network the
 // retry budget each record happens to see can differ between layouts).
-// A failed or cancelled run spills nothing further: shards already on
-// cfg.Output are the caller's to Remove.
 //
-// Once every lane has finished, the lanes' writers are closed at the
-// same time, one goroutine each: a lane's last spill (sort, encode,
-// deflate, fsync) is most of what it writes on a corpus that fits its
-// buffer, and none of it depends on another lane's. CollectFleet
-// returns after all of them have, with the first error in lane order.
+// The shards are the run's checkpoint. When ctx is cancelled the lanes'
+// buffers are spilled as a finished run's are, and CollectFleet returns
+// ctx's error once they are on disk: a record finished under the
+// cancelled context never reaches a buffer, so every shard holds whole
+// measurements, and a resume (dataset.ResumeShardSet, then Prior)
+// measures only what none of them holds. A run that fails otherwise
+// spills nothing further. Either way the shards on cfg.Output are the
+// caller's to keep or Remove.
 func CollectFleet(ctx context.Context, cfg FleetConfig, targets []Target) (*FleetStats, error) {
 	nw := cfg.Workers
 	if nw <= 0 {
 		nw = 4
-	}
-	if cfg.Journals != nil && len(cfg.Journals) != nw {
-		return nil, fmt.Errorf("scan: %d journals for %d workers", len(cfg.Journals), nw)
 	}
 	if cfg.Output == nil {
 		return nil, errors.New("scan: fleet needs an output shard set")
@@ -106,22 +99,35 @@ func CollectFleet(ctx context.Context, cfg FleetConfig, targets []Target) (*Flee
 			closeCollectors()
 			return nil, fmt.Errorf("scan: worker %d collector: %w", i, err)
 		}
-		var journal Journal
-		if cfg.Journals != nil {
-			journal = cfg.Journals[i]
-		}
 		w := cfg.Output.NewWriter()
 		writers = append(writers, w)
-		lanes = append(lanes, newLane(c, journal, shardSink(w)))
+		lanes = append(lanes, newLane(c, shardSink(w)))
 	}
 
 	stats, err := collect(ctx, lanes, 1, targets, cfg.Prior)
 	if cerr := closeCollectors(); err == nil {
 		err = cerr
 	}
+	if err != nil && ctx.Err() == nil {
+		return nil, err
+	}
+	shards, werr := closeWriters(writers)
+	if werr != nil {
+		return nil, errors.Join(err, werr)
+	}
 	if err != nil {
 		return nil, err
 	}
+	stats.ShardFiles = shards
+	return stats, nil
+}
+
+// closeWriters closes the lanes' writers at the same time, one
+// goroutine each: a lane's last spill (sort, encode, deflate, fsync) is
+// most of what it writes on a corpus that fits its buffer, and none of
+// it depends on another lane's. It returns after all of them have, with
+// the shards they wrote and the first error in lane order.
+func closeWriters(writers []*dataset.ShardWriter) (shards int, err error) {
 	errs := make([]error, len(writers))
 	var wg sync.WaitGroup
 	for i, w := range writers {
@@ -132,11 +138,11 @@ func CollectFleet(ctx context.Context, cfg FleetConfig, targets []Target) (*Flee
 		}()
 	}
 	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
+	for i, w := range writers {
+		shards += w.Shards
+		if err == nil {
+			err = errs[i]
 		}
 	}
-	stats.ShardFiles = len(cfg.Output.Paths())
-	return stats, nil
+	return shards, err
 }

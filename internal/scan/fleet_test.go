@@ -5,10 +5,12 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"maps"
 	"math/rand/v2"
 	"net/netip"
 	"os"
 	"path/filepath"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -110,15 +112,50 @@ type layoutRun struct {
 	lay layout
 	// proto is copied for every lane: building a collector builds the
 	// date's whole catalog, and the table has a hundred lanes.
-	proto    *Collector
-	journals []Journal // one per lane, or nil
-	prior    *dataset.Snapshot
+	proto *Collector
+	prior *dataset.Snapshot
 	// resolver replaces every lane's resolver when set.
 	resolver dns.Resolver
+	// set takes a shard sink's shards; nil stands for a new set in a
+	// directory of the run's own.
+	set *dataset.ShardSet
+	// kill, when set, sees every record that reaches a sink.
+	kill *killSwitch
+}
+
+// killSwitch is the ^C of the kill-resume rows: it counts the records
+// that reach a sink across every lane, remembering each one's key, and
+// calls kill as the at-th lands — no sleeping, no racing a timer
+// against the collection.
+type killSwitch struct {
+	at   int64
+	kill func()
+
+	n      atomic.Int64
+	mu     sync.Mutex
+	landed map[string]bool // domain names and address keys
+}
+
+func (k *killSwitch) land(key string) {
+	k.mu.Lock()
+	k.landed[key] = true
+	k.mu.Unlock()
+	if k.n.Add(1) == k.at {
+		k.kill()
+	}
+}
+
+func (k *killSwitch) wrap(s sink) sink {
+	return sink{
+		putDomain: func(i int, rec dataset.DomainRecord) error { k.land(rec.Domain); return s.putDomain(i, rec) },
+		putIP:     func(info dataset.IPInfo) error { k.land(info.Addr.String()); return s.putIP(info) },
+	}
 }
 
 // commit drives the engine in r's layout and commits what it collected
-// the way mxscan would: the sorted snapshot file's bytes.
+// the way mxscan would: the sorted snapshot file's bytes. A shard run
+// whose context is cancelled spills its lanes' buffers, as CollectFleet
+// does, and returns the context's error.
 func (r layoutRun) commit(t *testing.T, ctx context.Context, s *WorldSession) ([]byte, *FleetStats, error) {
 	t.Helper()
 	const date = "2021-06"
@@ -126,11 +163,14 @@ func (r layoutRun) commit(t *testing.T, ctx context.Context, s *WorldSession) ([
 	if err != nil {
 		t.Fatal(err)
 	}
-	out := filepath.Join(t.TempDir(), "snap.jsonl")
+	set := r.set
+	if set == nil {
+		set = dataset.NewShardSet(filepath.Join(t.TempDir(), "snap.jsonl"), date, world.CorpusAlexa)
+	}
+	set.MaxBuffered = 128 // force several spills per lane
+	out := set.Base
 	snap := dataset.NewSnapshot(date, world.CorpusAlexa)
 	snap.Domains = make([]dataset.DomainRecord, len(targets))
-	set := dataset.NewShardSet(out, date, world.CorpusAlexa)
-	set.MaxBuffered = 128 // force several spills per lane
 	var (
 		lanes   []*lane
 		writers []*dataset.ShardWriter
@@ -141,29 +181,31 @@ func (r layoutRun) commit(t *testing.T, ctx context.Context, s *WorldSession) ([
 		if r.resolver != nil {
 			c.Resolver = r.resolver
 		}
-		var j Journal
-		if r.journals != nil {
-			j = r.journals[i]
-		}
+		// Lanes share the one memory sink: slots are per target, and the
+		// snapshot's IP table takes its own lock.
+		sk := memorySink(snap)
 		if r.lay.shards {
 			w := set.NewWriter()
 			writers = append(writers, w)
-			lanes = append(lanes, newLane(c, j, shardSink(w)))
-		} else {
-			// Lanes share the one memory sink: slots are per target, and
-			// the snapshot's IP table takes its own lock.
-			lanes = append(lanes, newLane(c, j, memorySink(snap)))
+			sk = shardSink(w)
 		}
+		if r.kill != nil {
+			sk = r.kill.wrap(sk)
+		}
+		lanes = append(lanes, newLane(c, sk))
 	}
 	stats, err := collect(ctx, lanes, r.lay.perLane, targets, r.prior)
 	if err != nil {
+		if ctx.Err() != nil {
+			if _, err := closeWriters(writers); err != nil {
+				t.Fatal(err)
+			}
+		}
 		return nil, nil, err
 	}
 	if r.lay.shards {
-		for _, w := range writers {
-			if err := w.Close(); err != nil {
-				t.Fatal(err)
-			}
+		if _, err := closeWriters(writers); err != nil {
+			t.Fatal(err)
 		}
 		if _, err := dataset.Merge(out, set.Paths()); err != nil {
 			t.Fatal(err)
@@ -181,57 +223,37 @@ func (r layoutRun) commit(t *testing.T, ctx context.Context, s *WorldSession) ([
 	return b, stats, nil
 }
 
-// laneJournals creates one journal file per lane under dir.
-func laneJournals(t *testing.T, dir string, lanes int) []*dataset.Journal {
+// resumeFrom reads back the shards a run left at base, the way mxscan
+// -resume does, with the keys of every record they hold.
+func resumeFrom(t *testing.T, base string) (*dataset.ShardSet, *dataset.Snapshot, map[string]bool) {
 	t.Helper()
-	journals := make([]*dataset.Journal, lanes)
-	for i := range journals {
-		j, err := dataset.CreateJournal(journalPathFor(dir, i), "2021-06", world.CorpusAlexa)
-		if err != nil {
-			t.Fatal(err)
-		}
-		j.SyncEvery = -1 // Close syncs; the table is not about fsync
-		journals[i] = j
+	set, prior, err := dataset.ResumeShardSet(base, "2021-06", world.CorpusAlexa)
+	if err != nil {
+		t.Fatal(err)
 	}
-	return journals
-}
-
-// recoverLanes closes the journals and unions what they hold, the way
-// a resume does, with the distinct domains recovered.
-func recoverLanes(t *testing.T, dir string, journals []*dataset.Journal) (*dataset.Snapshot, map[string]bool) {
-	t.Helper()
-	prior := dataset.NewSnapshot("2021-06", world.CorpusAlexa)
-	seen := make(map[string]bool)
-	for i, j := range journals {
-		if err := j.Close(); err != nil {
-			t.Fatal(err)
-		}
-		rec, err := dataset.RecoverJournal(journalPathFor(dir, i))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if rec.Truncated {
-			t.Errorf("journal %d torn after a clean close: %s", i, rec.Reason)
-		}
-		for k := range rec.Snapshot.Domains {
-			seen[rec.Snapshot.Domains[k].Domain] = true
-			prior.AddDomain(rec.Snapshot.Domains[k])
-		}
-		for _, info := range rec.Snapshot.IPs {
-			prior.AddIP(info)
-		}
+	keys := make(map[string]bool)
+	for _, d := range prior.Domains {
+		keys[d.Domain] = true
 	}
-	return prior, seen
+	for key := range prior.IPs {
+		keys[key] = true
+	}
+	return set, prior, keys
 }
 
 // TestFleetMatchesSingleWorker is the engine's core promise as one
 // metamorphic table: on a deterministic world every layout — lanes x
 // goroutines per lane x sink — commits the same bytes and counts as
-// Collect and CollectFleet do, with journaling off, with journaling on
-// (the journals then recover to the full dataset, and a fully-seen
-// resume in another layout re-measures nothing), and when the run is
-// killed at a seeded journal offset and resumed with a different lane
-// count (only the unjournaled domains are measured again).
+// Collect and CollectFleet do, and so does a resume from the shards a
+// run left (its checkpoint; the subtests keep the name "journal"). A
+// run that checkpoints spills shards in the row's lanes and goroutines
+// (a memory sink keeps no checkpoint), and its resume runs with another
+// lane count into the other sink. journal=off is the plain run;
+// journal=on resumes from a finished run's shards, which hold the full
+// dataset, and re-measures nothing; journal=killed cancels the run at a
+// seeded record, checks that its shards hold exactly the records that
+// reached a sink before the cancel, and resumes, measuring only the
+// domains they do not hold.
 func TestFleetMatchesSingleWorker(t *testing.T) {
 	s := session(t)
 	ctx := context.Background()
@@ -294,11 +316,28 @@ func TestFleetMatchesSingleWorker(t *testing.T) {
 		for _, perLane := range []int{1, 8} {
 			for _, shards := range []bool{false, true} {
 				lay := layout{lanes: lanes, perLane: perLane, shards: shards}
+				checkpoint := layout{lanes: lanes, perLane: perLane, shards: true}
 				// The resume runs in another layout: the next lane count,
 				// the other sink.
 				other := layout{lanes: lanes%4 + 1, perLane: perLane, shards: !shards}
 				row++
 				rng := rand.New(rand.NewPCG(uint64(row), 0x9e3779b9))
+				// resume finishes a run from the shards it left at base,
+				// into other's sink; a shard sink spills on the set that
+				// continues theirs, as mxscan -resume does.
+				resume := func(t *testing.T, base string, resolver dns.Resolver) ([]byte, *FleetStats, map[string]bool) {
+					t.Helper()
+					set, prior, seen := resumeFrom(t, base)
+					run := layoutRun{lay: other, proto: proto, prior: prior, resolver: resolver}
+					if other.shards {
+						run.set = set
+					}
+					got, stats, err := run.commit(t, ctx, s)
+					if err != nil {
+						t.Fatal(err)
+					}
+					return got, stats, seen
+				}
 
 				t.Run(lay.String(), func(t *testing.T) {
 					t.Run("journal=off", func(t *testing.T) {
@@ -310,62 +349,53 @@ func TestFleetMatchesSingleWorker(t *testing.T) {
 					})
 
 					t.Run("journal=on", func(t *testing.T) {
-						dir := t.TempDir()
-						files := laneJournals(t, dir, lanes)
-						journals := make([]Journal, lanes)
-						for i, j := range files {
-							journals[i] = j
-						}
-						got, stats, err := layoutRun{lay: lay, proto: proto, journals: journals}.commit(t, ctx, s)
+						set := dataset.NewShardSet(filepath.Join(t.TempDir(), "snap.jsonl"), "2021-06", world.CorpusAlexa)
+						got, stats, err := layoutRun{lay: checkpoint, proto: proto, set: set}.commit(t, ctx, s)
 						if err != nil {
 							t.Fatal(err)
 						}
-						check(t, "journaled run", got, stats)
-						prior, seen := recoverLanes(t, dir, files)
-						if len(seen) != nDomains || len(prior.IPs) != nIPs {
-							t.Fatalf("journals recovered %d/%d records, run wrote %d/%d", len(seen), len(prior.IPs), nDomains, nIPs)
-						}
+						check(t, "checkpointed run", got, stats)
 						// A fully-seen resume splices everything: same bytes,
 						// and a resolver that fails the test on any lookup.
-						got, stats, err = layoutRun{lay: other, proto: proto, prior: prior, resolver: noCallResolver{t}}.commit(t, ctx, s)
-						if err != nil {
-							t.Fatal(err)
+						got, stats, seen := resume(t, set.Base, noCallResolver{t})
+						if len(seen) != nDomains+nIPs {
+							t.Fatalf("shards hold %d records, run wrote %d", len(seen), nDomains+nIPs)
 						}
 						check(t, "fully-seen resume as "+other.String(), got, stats)
 					})
 
 					t.Run("journal=killed", func(t *testing.T) {
-						dir := t.TempDir()
-						files := laneJournals(t, dir, lanes)
 						kctx, kill := context.WithCancel(ctx)
 						defer kill()
 						// One offset across all lanes, anywhere from the first
 						// domain to the last address.
-						landed := new(atomic.Int64)
 						at := int64(1 + rng.IntN(nDomains+nIPs-1))
-						journals := make([]Journal, lanes)
-						for i, j := range files {
-							journals[i] = &killJournal{Journal: j, n: landed, at: at, kill: kill}
+						sw := &killSwitch{at: at, kill: kill, landed: make(map[string]bool)}
+						set := dataset.NewShardSet(filepath.Join(t.TempDir(), "snap.jsonl"), "2021-06", world.CorpusAlexa)
+						if _, _, err := (layoutRun{lay: checkpoint, proto: proto, set: set, kill: sw}).commit(t, kctx, s); err != context.Canceled {
+							t.Fatalf("killed at record %d: err = %v, want context.Canceled", at, err)
 						}
-						if _, _, err := (layoutRun{lay: lay, proto: proto, journals: journals}).commit(t, kctx, s); err != context.Canceled {
-							t.Fatalf("killed at entry %d: err = %v, want context.Canceled", at, err)
-						}
-						prior, seen := recoverLanes(t, dir, files)
 						// Every goroutine may land the record it had already
 						// measured when the kill came, and no more.
-						if n := int64(len(seen) + len(prior.IPs)); n < at || n >= at+int64(lanes*perLane) {
-							t.Errorf("killed at entry %d: journals hold %d records", at, n)
+						if n := int64(len(sw.landed)); n < at || n >= at+int64(lanes*perLane) {
+							t.Errorf("killed at record %d: %d records reached a sink", at, n)
 						}
 						mx := new(atomic.Int64)
-						counting := mxCounter{CatalogResolver: catalog, mx: mx}
-						got, stats, err := layoutRun{lay: other, proto: proto, prior: prior, resolver: counting}.commit(t, ctx, s)
-						if err != nil {
-							t.Fatal(err)
+						got, stats, seen := resume(t, set.Base, mxCounter{CatalogResolver: catalog, mx: mx})
+						if !maps.Equal(seen, sw.landed) {
+							t.Errorf("killed at record %d: shards hold %d records, %d reached a sink before the cancel",
+								at, len(seen), len(sw.landed))
 						}
-						check(t, fmt.Sprintf("killed at entry %d, resumed as %s", at, other), got, stats)
-						if int(mx.Load()) != nDomains-len(seen) {
-							t.Errorf("killed at entry %d: resume measured %d domains, %d were not journaled",
-								at, mx.Load(), nDomains-len(seen))
+						check(t, fmt.Sprintf("killed at record %d, resumed as %s", at, other), got, stats)
+						domains := 0
+						for key := range seen {
+							if _, err := netip.ParseAddr(key); err != nil {
+								domains++
+							}
+						}
+						if int(mx.Load()) != nDomains-domains {
+							t.Errorf("killed at record %d: resume measured %d domains, %d were not in a shard",
+								at, mx.Load(), nDomains-domains)
 						}
 					})
 				})
@@ -374,48 +404,98 @@ func TestFleetMatchesSingleWorker(t *testing.T) {
 	}
 }
 
-// TestFleetAbortSpillsNothing pins the abort rule: a run cancelled
-// before any lane filled its buffer leaves no shard behind — the
-// partial buffers are dropped, not sorted, compressed and fsynced into
-// files nothing will ever read.
-func TestFleetAbortSpillsNothing(t *testing.T) {
+// TestFleetCancelSpillsCompleted pins what a cancelled fleet leaves: its
+// lanes' buffers spilled, so that its shards hold exactly the records
+// completed before the cancel, each as an uninterrupted run measures
+// it. With one worker the run is a sequence: the ^C lands as the
+// middle domain's lookup starts, and the shards hold every domain
+// before it and no address. With four, each other worker may finish
+// the domain it was measuring.
+func TestFleetCancelSpillsCompleted(t *testing.T) {
 	s := session(t)
 	targets, err := s.Targets(world.CorpusAlexa)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	set := dataset.NewShardSet(filepath.Join(t.TempDir(), "snap.jsonl.gz"), "2021-06", world.CorpusAlexa)
-	set.MaxBuffered = 1 << 20
+	ref, err := s.Snapshot(context.Background(), world.CorpusAlexa, "2021-06")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := make(map[string]string, len(ref.Domains))
+	for i := range ref.Domains {
+		want[ref.Domains[i].Domain] = domainLine(t, &ref.Domains[i])
+	}
 	proto, err := s.NewCollector(world.CorpusAlexa, "2021-06")
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The ^C lands mid-phase-1, as the middle domain's lookup starts.
-	resolver := mxCounter{
-		CatalogResolver: proto.Resolver.(dns.CatalogResolver),
-		mx:              new(atomic.Int64), at: int64(len(targets) / 2), hit: cancel,
-	}
-	_, err = CollectFleet(ctx, FleetConfig{
-		Corpus:  world.CorpusAlexa,
-		Date:    "2021-06",
-		Workers: 4,
-		NewCollector: func(int) (*Collector, error) {
-			return &Collector{Resolver: resolver, Dialer: s.Net}, nil
-		},
-		Output: set,
-	}, targets)
-	if err != context.Canceled {
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-	if paths := set.Paths(); len(paths) != 0 {
-		t.Fatalf("aborted fleet left %d shards: %v", len(paths), paths)
+	for _, workers := range []int{1, 4} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			base := filepath.Join(t.TempDir(), "snap.jsonl.gz")
+			set := dataset.NewShardSet(base, "2021-06", world.CorpusAlexa)
+			set.MaxBuffered = 1 << 20 // nothing spills before the cancel
+			at := len(targets) / 2
+			resolver := mxCounter{
+				CatalogResolver: proto.Resolver.(dns.CatalogResolver),
+				mx:              new(atomic.Int64), at: int64(at), hit: cancel,
+			}
+			_, err = CollectFleet(ctx, FleetConfig{
+				Corpus:  world.CorpusAlexa,
+				Date:    "2021-06",
+				Workers: workers,
+				NewCollector: func(int) (*Collector, error) {
+					c := *proto
+					c.Resolver = resolver
+					return &c, nil
+				},
+				Output: set,
+			}, targets)
+			if err != context.Canceled {
+				t.Fatalf("err = %v, want context.Canceled", err)
+			}
+			if n := len(set.Paths()); n == 0 || n > workers {
+				t.Fatalf("cancelled fleet spilled %d shards, want 1 to %d", n, workers)
+			}
+			_, prior, err := dataset.ResumeShardSet(base, "2021-06", world.CorpusAlexa)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(prior.IPs) != 0 {
+				t.Errorf("cancelled in phase 1, the shards hold %d addresses", len(prior.IPs))
+			}
+			got := make(map[string]bool, len(prior.Domains))
+			for i := range prior.Domains {
+				d := &prior.Domains[i]
+				got[d.Domain] = true
+				if line := domainLine(t, d); line != want[d.Domain] {
+					t.Errorf("spilled record differs from the uninterrupted run's:\n got  %s\n want %s", line, want[d.Domain])
+				}
+			}
+			if workers == 1 {
+				for i, tgt := range targets {
+					if got[tgt.Name] != (i < at-1) {
+						t.Errorf("target %d (%s): in a shard = %v, cancel came at target %d", i, tgt.Name, got[tgt.Name], at-1)
+					}
+				}
+			} else if n := len(got); n < at-workers || n >= at+workers {
+				t.Errorf("cancel at lookup %d: shards hold %d domains, want %d to %d", at, n, at-workers, at+workers-1)
+			}
+		})
 	}
 }
 
-func journalPathFor(dir string, worker int) string {
-	return filepath.Join(dir, fmt.Sprintf("snap.journal.w%02d", worker))
+// domainLine is d's line in a snapshot file.
+func domainLine(t *testing.T, d *dataset.DomainRecord) string {
+	t.Helper()
+	snap := dataset.NewSnapshot("2021-06", world.CorpusAlexa)
+	snap.AddDomain(*d)
+	var buf bytes.Buffer
+	if _, err := snap.WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.String()
 }
 
 // noCallResolver fails the test on any lookup: a fully-seen resume must

@@ -53,24 +53,6 @@ type Collector struct {
 	// ScanTimeout bounds one SMTP scan attempt (default 10s, matching
 	// smtp.Scan's own default).
 	ScanTimeout time.Duration
-	// Journal, when set, receives every record this run completes before
-	// the record reaches the snapshot — the write-ahead journal. Appends
-	// are serialized. Records spliced from Prior are not re-journaled,
-	// and a record finished under a cancelled context is dropped (its
-	// failure classes reflect the cancellation, not the network).
-	Journal Journal
-	// Prior supplies records recovered from a crashed run's journal
-	// (JournalRecovery.Snapshot): a domain in Prior takes its record
-	// from there instead of being re-resolved, and any address present
-	// in Prior.IPs is reused instead of being re-scanned.
-	Prior *dataset.Snapshot
-}
-
-// Journal is the write-ahead log a collection appends completed records
-// to; *dataset.Journal is the implementation.
-type Journal interface {
-	AddDomain(d *dataset.DomainRecord) error
-	AddIP(info *dataset.IPInfo) error
 }
 
 // Close releases resources held by the collector's resolver (such as
@@ -304,8 +286,8 @@ func (dr *domainResolver) collectDomain(ctx context.Context, t Target) dataset.D
 // as one lane of Concurrency goroutines over a memory sink. Partial
 // failure degrades per record — every DNS and scan outcome is
 // classified on the record rather than dropped — but a cancelled
-// context aborts the whole collection and returns ctx.Err, and a
-// journal write error aborts it with that error.
+// context aborts the whole collection and returns ctx.Err. Collect
+// keeps no checkpoint: only a fleet run can be resumed (CollectFleet).
 func (c *Collector) Collect(ctx context.Context, corpus, date string, domains []Target) (*dataset.Snapshot, error) {
 	perLane := c.Concurrency
 	if perLane <= 0 {
@@ -313,8 +295,8 @@ func (c *Collector) Collect(ctx context.Context, corpus, date string, domains []
 	}
 	snap := dataset.NewSnapshot(date, corpus)
 	snap.Domains = make([]dataset.DomainRecord, len(domains))
-	l := newLane(c, c.Journal, memorySink(snap))
-	stats, err := collect(ctx, []*lane{l}, perLane, domains, c.Prior)
+	l := newLane(c, memorySink(snap))
+	stats, err := collect(ctx, []*lane{l}, perLane, domains, nil)
 	if err != nil {
 		return nil, err
 	}

@@ -2,6 +2,7 @@ package scan
 
 import (
 	"context"
+	"os"
 	"testing"
 
 	"mxmap/internal/core"
@@ -30,6 +31,16 @@ func session(t *testing.T) *WorldSession {
 		cachedWorld, cachedSession = w, s
 	}
 	return cachedSession
+}
+
+// TestMain closes the shared session once every test has run, so the
+// SMTP servers it started stop accepting with the run.
+func TestMain(m *testing.M) {
+	code := m.Run()
+	if cachedSession != nil {
+		cachedSession.Close()
+	}
+	os.Exit(code)
 }
 
 // googleOf returns the world's google.com provider.

@@ -110,7 +110,7 @@ func TestChainVerdictsExact(t *testing.T) {
 	col := &Collector{Resolver: dns.CatalogResolver{Catalog: w.cat}, Dialer: w.net, Trust: trust, Concurrency: 2}
 	snap := dataset.NewSnapshot("now", "verdicts")
 	snap.Domains = make([]dataset.DomainRecord, len(w.targets))
-	l := newLane(col, nil, memorySink(snap))
+	l := newLane(col, memorySink(snap))
 	if _, err := collect(context.Background(), []*lane{l}, 2, w.targets, nil); err != nil {
 		t.Fatal(err)
 	}

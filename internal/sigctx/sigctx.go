@@ -1,11 +1,12 @@
 // Package sigctx wires process signals to context cancellation for the
-// CLIs. The collection pipeline (PR 3) honors context cancellation all
-// the way down — DNS retries, SMTP deadlines, backoff timers — but a
-// context nobody cancels is inert: before this package the CLIs died on
-// SIGINT without flushing the write-ahead journal. One signal now
-// requests graceful shutdown (cancel, flush, commit what finished); a
-// second signal force-exits for operators whose graceful path is itself
-// wedged.
+// CLIs. The collection pipeline honors context cancellation all the way
+// down — DNS retries, SMTP deadlines, backoff timers — but a context
+// nobody cancels is inert, and a CLI that dies on SIGINT leaves its work
+// wherever it stood. One signal requests graceful shutdown: the context
+// is cancelled, and the command keeps what finished (a collection fleet
+// spills every worker's buffer as a shard a resume reads; a server
+// drains). A second signal force-exits for operators whose graceful
+// path is itself wedged.
 package sigctx
 
 import (
