@@ -174,14 +174,21 @@ var optionsWithoutCaller = map[string]string{
 	"ha.Config.ReprobeMax":                   "frozen-clock re-probe schedule (BENCH_ha)",
 	"dns.Client.RetryBackoff":                "loss chaos tests shrink the delay",
 	"dns.Client.UDPSize":                     "EDNS0 experiment (edns_test.go)",
-	"dns.ServerConfig.DisableCache":          "differential seam: cached answers ≡ uncached ones",
+	"dns.Client.Retries":                     "NewClient's default; transport and chaos tests pin the attempt count",
+	"dns.Client.Server":                      "NewClient's argument, the one way a non-test caller builds a client",
+	"dns.IterativeResolver.Timeout":          "dead-upstream tests shorten the per-exchange wait",
+	"dns.ServerConfig.ReadTimeout":           "slowloris and drain tests set the idle-read deadline",
 	"dns.ServerConfig.TCPQueryBudget":        "budget-close tests pin a three-query budget",
 	"scan.Collector.Concurrency":             "chaos tests pin the fan-out",
+	"scan.Collector.Retry":                   "chaos tests pin attempts and backoff (RetryPolicy)",
 	"scan.Collector.ScanTimeout":             "chaos tests shorten blackhole scans",
+	"scan.RetryPolicy.Attempts":              "chaos and retry tests pin the attempt count",
 	"scan.RetryPolicy.BaseBackoff":           "chaos tests shrink the delay",
 	"scan.RetryPolicy.MaxBackoff":            "chaos tests shrink the delay",
 	"scan.RetryPolicy.Budget":                "budget-exhaustion tests (FAULTS)",
 	"serve.Config.Gate":                      "test barrier holding requests at a deterministic point",
+	"smtp.Config.MaxConns":                   "admission tests pin a two-connection cap",
+	"world.FlatConfig.Corpus":                "read back by bench/ and the digest tests; every flat world is the .com corpus",
 	"world.Config.EnableIPv6":                "dual-stack experiment (ipv6_test.go)",
 	"world.Config.SelfISPs":                  "small test worlds shrink the roster",
 	"world.Config.TailProviders":             "small test worlds shrink the roster",
@@ -215,13 +222,42 @@ func parseNonTestSources(t *testing.T, mode parser.Mode, visit func(path string,
 // *Config, *Options or *Policy (or listed in optionStructs) under
 // internal/, cmd/ and bench/ is a composite-literal key or the target of
 // a selector assignment in some non-test file other than the one that
-// declares it, or is explained in optionsWithoutCaller. Syntax only, so
-// conservative: a field of another type that shares the name counts.
+// declares it, or is explained in optionsWithoutCaller. A literal's key
+// sets the field of the literal's type where the syntax names it
+// (pkg.T{…}, &pkg.T{…}, T{…} inside its package, or the element type of
+// a slice or map literal that elides it). A key of another literal, and
+// a selector assignment, set every field of that name: conservative. So
+// an excuse may name a field such a same-named setter covers, and only a
+// typed setter makes one stale.
 func TestEveryOptionHasACaller(t *testing.T) {
 	declared := make(map[string]string) // pkg.Type.Field → declaring file
-	setIn := make(map[string][]string)  // field name → files that set one
+	setIn := make(map[string][]string)  // pkg.Type.Field, or a bare field name → files that set one
 	parseNonTestSources(t, parser.SkipObjectResolution, func(path string, file *ast.File) {
 		pkg := filepath.Base(filepath.Dir(path))
+		imports := make(map[string]string) // name in this file → package directory name
+		for _, imp := range file.Imports {
+			dir := filepath.Base(strings.Trim(imp.Path.Value, `"`))
+			if imp.Name != nil {
+				imports[imp.Name.Name] = dir
+			} else {
+				imports[dir] = dir
+			}
+		}
+		typeName := func(x ast.Expr) string {
+			if star, ok := x.(*ast.StarExpr); ok {
+				x = star.X
+			}
+			switch x := x.(type) {
+			case *ast.Ident:
+				return pkg + "." + x.Name
+			case *ast.SelectorExpr:
+				if id, ok := x.X.(*ast.Ident); ok && imports[id.Name] != "" {
+					return imports[id.Name] + "." + x.Sel.Name
+				}
+			}
+			return ""
+		}
+		elided := make(map[*ast.CompositeLit]string) // element literal → its slice's or map's element type
 		ast.Inspect(file, func(n ast.Node) bool {
 			switch n := n.(type) {
 			case *ast.TypeSpec:
@@ -238,9 +274,34 @@ func TestEveryOptionHasACaller(t *testing.T) {
 						}
 					}
 				}
-			case *ast.KeyValueExpr:
-				if id, ok := n.Key.(*ast.Ident); ok {
-					setIn[id.Name] = append(setIn[id.Name], path)
+			case *ast.CompositeLit:
+				typ, elem := elided[n], ""
+				switch lt := n.Type.(type) {
+				case nil:
+				case *ast.ArrayType:
+					elem = typeName(lt.Elt)
+				case *ast.MapType:
+					elem = typeName(lt.Value)
+				default:
+					typ = typeName(lt)
+				}
+				for _, elt := range n.Elts {
+					if kv, ok := elt.(*ast.KeyValueExpr); ok {
+						if id, ok := kv.Key.(*ast.Ident); ok {
+							key := id.Name
+							if typ != "" {
+								key = typ + "." + id.Name
+							}
+							setIn[key] = append(setIn[key], path)
+						}
+						elt = kv.Value
+					}
+					if u, ok := elt.(*ast.UnaryExpr); ok && u.Op == token.AND {
+						elt = u.X
+					}
+					if lit, ok := elt.(*ast.CompositeLit); ok && lit.Type == nil && elem != "" {
+						elided[lit] = elem
+					}
 				}
 			case *ast.AssignStmt:
 				for _, lhs := range n.Lhs {
@@ -258,13 +319,16 @@ func TestEveryOptionHasACaller(t *testing.T) {
 	}
 	sort.Strings(fields)
 	for _, field := range fields {
-		called := false
-		for _, path := range setIn[field[strings.LastIndex(field, ".")+1:]] {
+		called, named := false, false
+		for _, path := range setIn[field] {
 			called = called || path != declared[field]
+		}
+		for _, path := range setIn[field[strings.LastIndex(field, ".")+1:]] {
+			named = named || path != declared[field]
 		}
 		_, excused := optionsWithoutCaller[field]
 		switch {
-		case !called && !excused:
+		case !called && !named && !excused:
 			t.Errorf("%s (%s): no non-test file sets it; make it a constant, or say in optionsWithoutCaller why it stays", field, declared[field])
 		case called && excused:
 			t.Errorf("%s has a caller now: drop it from optionsWithoutCaller", field)

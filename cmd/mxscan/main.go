@@ -19,9 +19,11 @@
 // shard is committed atomically (tmp, fsync, rename, directory fsync)
 // as a worker's buffer fills, SIGINT and SIGTERM cancel the run and
 // spill every worker's buffer (a second signal force-exits), and the
-// shards stay until the merged snapshot has committed. -resume reads
-// them back and measures only the domains and addresses none of them
-// holds; a fresh run refuses to start over leftover shards. A hard kill
+// shards stay until the merged snapshot has committed. A signal during
+// the merge lets it finish, with a notice; a second one aborts it and
+// keeps the shards. -resume reads them back, measures only the domains
+// and addresses none of them holds, and merges the old shards with the
+// new; a fresh run refuses to start over leftover shards. A hard kill
 // loses at most each worker's unspilled buffer. A single-collector run
 // keeps no checkpoint. Committed snapshots are written atomically too.
 //
@@ -35,7 +37,6 @@ package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"log"
@@ -119,7 +120,7 @@ func main() {
 	)
 	if fleet {
 		// The shards a cancelled or killed run left at -o are its
-		// checkpoint: a resume splices their records, and a fresh run
+		// checkpoint: a resume merges them with its own, and a fresh run
 		// must not mix its shards with theirs.
 		set, prior, err := dataset.ResumeShardSet(*out, *date, src.corpus)
 		if err != nil {
@@ -141,14 +142,26 @@ func main() {
 			Prior:        prior,
 		}, src.targets)
 		// Whatever ends the run, its shards stay until the merged
-		// snapshot has committed.
-		if errors.Is(err, context.Canceled) {
+		// snapshot has committed; a signal that came as the collection
+		// finished still ends it here.
+		if ctx.Err() != nil {
 			log.Fatalf("collection interrupted; its shards are kept beside %s: rerun with -resume", *out)
 		}
 		if err != nil {
 			log.Fatal(err)
 		}
+		// Merge takes no context: a signal now lets it finish, and a
+		// second one exits at once (sigctx) with the shards still there.
+		merged := make(chan struct{})
+		go func() {
+			select {
+			case <-ctx.Done():
+				fmt.Fprintf(os.Stderr, "interrupted during the merge: it will finish and commit %s; a second signal aborts it and keeps the shards\n", *out)
+			case <-merged:
+			}
+		}()
 		mstats, err := dataset.Merge(*out, set.Paths())
+		close(merged)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -106,9 +106,6 @@ type ShardSet struct {
 	seq   atomic.Int64
 	mu    sync.Mutex
 	paths []string
-	// left is the shards of an interrupted run (ResumeShardSet), removed
-	// with the set's own.
-	left []string
 }
 
 // NewShardSet prepares a shard set for the snapshot at base.
@@ -122,13 +119,14 @@ func NewShardSet(base, date, corpus string) *ShardSet {
 // line) and refuses one that belongs to another (corpus, date). It
 // returns their records as one snapshot, a collection's prior, in which
 // a domain or address that more than one shard holds counts from the
-// highest-numbered, and a ShardSet that numbers its shards after theirs.
-// A collection with that prior writes every record again, spliced or
-// measured, so the set's Paths are its shards alone and all Merge
-// needs; Remove deletes the old ones with them once the merged snapshot
-// has committed. The "<shard>.tmp" files of a spill cut short are
-// removed, not read. With no shards left at base, the set is a new one
-// and the snapshot empty.
+// highest-numbered (as Merge resolves it), and a ShardSet that numbers
+// its shards after theirs. The old shards are the first of the set's
+// Paths: a collection with that prior measures and writes only what
+// none of them holds, Merge reads their records where they lie, and
+// Remove deletes them with the new ones once the merged snapshot has
+// committed. The "<shard>.tmp" files of a spill cut short are removed,
+// not read. With no shards left at base, the set is a new one and the
+// snapshot empty.
 func ResumeShardSet(base, date, corpus string) (*ShardSet, *Snapshot, error) {
 	dir := filepath.Dir(base)
 	entries, err := os.ReadDir(dir)
@@ -165,7 +163,7 @@ func ResumeShardSet(base, date, corpus string) (*ShardSet, *Snapshot, error) {
 		}
 		prior.Domains = append(prior.Domains, s.Domains...)
 		maps.Copy(prior.IPs, s.IPs)
-		ss.left = append(ss.left, path)
+		ss.paths = append(ss.paths, path)
 		ss.seq.Store(int64(seq) + 1)
 	}
 	return ss, prior, nil
@@ -189,12 +187,11 @@ func (ss *ShardSet) Paths() []string {
 	return out
 }
 
-// Remove deletes every shard file written by the set, and those of the
-// run it resumed. Best-effort: the first error is returned but removal
-// continues.
+// Remove deletes every shard file of the set. Best-effort: the first
+// error is returned but removal continues.
 func (ss *ShardSet) Remove() error {
 	var first error
-	for _, p := range append(ss.Paths(), ss.left...) {
+	for _, p := range ss.Paths() {
 		if err := os.Remove(p); err != nil && !os.IsNotExist(err) && first == nil {
 			first = err
 		}

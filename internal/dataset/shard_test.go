@@ -667,9 +667,9 @@ func TestShardWriterLongLine(t *testing.T) {
 // shard's record winning over an earlier one's; not a spill cut short
 // between write and rename (its .tmp, which parseShardSeq alone would
 // take for shard 3, is removed), another base's shards, or a name
-// ShardPath would not write. The set it returns numbers its next shard
-// after the last one found, lists only its own among its Paths, and
-// Remove deletes both.
+// ShardPath would not write. The set it returns lists the shards found
+// among its Paths, numbers its next shard after the last of them, and
+// Remove deletes the old and the new.
 func TestResumeShardSet(t *testing.T) {
 	dir := t.TempDir()
 	base := filepath.Join(dir, "run.jsonl.gz")
@@ -715,8 +715,8 @@ func TestResumeShardSet(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(set.Paths()) != 0 {
-		t.Errorf("a resumed set lists %v before it has spilled", set.Paths())
+	if want := []string{ShardPath(base, 0), ShardPath(base, 2)}; !slices.Equal(set.Paths(), want) {
+		t.Errorf("a resumed set lists %v before it has spilled, want the old shards %v", set.Paths(), want)
 	}
 	if _, err := os.Stat(torn); !errors.Is(err, fs.ErrNotExist) {
 		t.Errorf("the cut spill %s is still there: %v", torn, err)
@@ -745,7 +745,7 @@ func TestResumeShardSet(t *testing.T) {
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if want := []string{ShardPath(base, 3)}; !slices.Equal(set.Paths(), want) {
+	if want := []string{ShardPath(base, 0), ShardPath(base, 2), ShardPath(base, 3)}; !slices.Equal(set.Paths(), want) {
 		t.Errorf("after one more spill Paths = %v, want %v", set.Paths(), want)
 	}
 	if err := set.Remove(); err != nil {

@@ -87,7 +87,7 @@ func TestCacheEviction(t *testing.T) {
 
 func TestIterativeResolverUsesCache(t *testing.T) {
 	itn := buildIterTestNet(t)
-	r := itn.resolver()
+	r := itn.resolver(t)
 	r.Cache = NewCache()
 	ctx := context.Background()
 	if _, err := r.LookupA(ctx, "mx1.example.com"); err != nil {

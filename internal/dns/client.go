@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"net"
 	"net/netip"
 	"sort"
 	"strings"
@@ -54,13 +53,10 @@ type Client struct {
 	// (default 50ms). Immediate tight retries against a timing-out
 	// server only add load exactly when the server is struggling.
 	RetryBackoff time.Duration
-	// DialContext substitutes the socket factory; nil uses net.Dialer.
-	// The network argument is "udp" or "tcp".
-	DialContext func(ctx context.Context, network, address string) (net.Conn, error)
 	// Transport carries the UDP exchanges and dials the TCP fallback
-	// (truncation is rare). Clients that share sockets set it, and its
-	// Server and DialContext are then the ones used; left nil, the first
-	// Exchange builds one from the client's.
+	// (truncation is rare). Clients that share sockets or dial their own
+	// way set it, and its Server is then the one used; left nil, the
+	// first Exchange builds one for Server that dials with net.Dialer.
 	Transport *Transport
 
 	once    sync.Once
@@ -80,7 +76,7 @@ func NewClient(server string) *Client {
 func (c *Client) transport() *Transport {
 	c.once.Do(func() {
 		if c.Transport == nil {
-			c.Transport = &Transport{Server: c.Server, DialContext: c.DialContext}
+			c.Transport = &Transport{Server: c.Server}
 		}
 	})
 	return c.Transport

@@ -118,8 +118,9 @@ func buildIterTestNet(t *testing.T) *iterTestNet {
 	return itn
 }
 
-func (itn *iterTestNet) resolver() *IterativeResolver {
-	return &IterativeResolver{
+// resolver returns a resolver over the test net, closed when t ends.
+func (itn *iterTestNet) resolver(t testing.TB) *IterativeResolver {
+	r := &IterativeResolver{
 		Roots:   itn.roots,
 		Timeout: 2 * time.Second,
 		DialContext: func(ctx context.Context, network, address string) (net.Conn, error) {
@@ -139,11 +140,13 @@ func (itn *iterTestNet) resolver() *IterativeResolver {
 			return countingConn{Conn: conn, n: &itn.queries}, nil
 		},
 	}
+	t.Cleanup(func() { r.Close() })
+	return r
 }
 
 func TestIterativeLookupMX(t *testing.T) {
 	itn := buildIterTestNet(t)
-	r := itn.resolver()
+	r := itn.resolver(t)
 	mx, err := r.LookupMX(context.Background(), "example.com")
 	if err != nil {
 		t.Fatal(err)
@@ -155,7 +158,7 @@ func TestIterativeLookupMX(t *testing.T) {
 
 func TestIterativeLookupA(t *testing.T) {
 	itn := buildIterTestNet(t)
-	r := itn.resolver()
+	r := itn.resolver(t)
 	addrs, err := r.LookupA(context.Background(), "mx1.example.com")
 	if err != nil {
 		t.Fatal(err)
@@ -167,7 +170,7 @@ func TestIterativeLookupA(t *testing.T) {
 
 func TestIterativeCrossZoneCNAME(t *testing.T) {
 	itn := buildIterTestNet(t)
-	r := itn.resolver()
+	r := itn.resolver(t)
 	// www.example.com -> CNAME web.other.net, which lives under a
 	// gluelessly-delegated zone on another server.
 	addrs, err := r.LookupA(context.Background(), "www.example.com")
@@ -181,7 +184,7 @@ func TestIterativeCrossZoneCNAME(t *testing.T) {
 
 func TestIterativeNXDomain(t *testing.T) {
 	itn := buildIterTestNet(t)
-	r := itn.resolver()
+	r := itn.resolver(t)
 	_, err := r.LookupA(context.Background(), "missing.example.com")
 	if !errors.Is(err, ErrNXDomain) {
 		t.Errorf("err = %v, want ErrNXDomain", err)
@@ -195,7 +198,7 @@ func TestIterativeNXDomain(t *testing.T) {
 
 func TestIterativeDelegationCache(t *testing.T) {
 	itn := buildIterTestNet(t)
-	r := itn.resolver()
+	r := itn.resolver(t)
 	ctx := context.Background()
 	if _, err := r.LookupA(ctx, "mx1.example.com"); err != nil {
 		t.Fatal(err)
@@ -232,7 +235,7 @@ func TestIterativeNoRoots(t *testing.T) {
 func TestIterativeLameDelegation(t *testing.T) {
 	itn := buildIterTestNet(t)
 	// Point the root's com delegation at an address with no server.
-	r := itn.resolver()
+	r := itn.resolver(t)
 	r.Cache = NewCache()
 	r.Cache.PutDelegation("com.", []netip.AddrPort{netip.MustParseAddrPort("10.99.99.99:53")}, 30)
 	r.Timeout = 100 * time.Millisecond
@@ -316,7 +319,7 @@ func BenchmarkIterativeResolveWarm(b *testing.B) {
 	}
 	go srv.ServeUDP(pc)
 	defer srv.Close()
-	r := itn.resolver()
+	r := itn.resolver(b)
 	ctx := context.Background()
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -112,7 +112,7 @@ func TestCacheMissesCountedOnce(t *testing.T) {
 	t.Run("failed_query", func(t *testing.T) {
 		itn := buildIterTestNet(t)
 		itn.net.SetFault(netip.MustParseAddr(rootIP), netsim.FaultBlackhole)
-		r := itn.resolver()
+		r := itn.resolver(t)
 		r.Cache = NewCache()
 		r.Timeout = 50 * time.Millisecond
 		defer r.Close()
@@ -284,7 +284,7 @@ func TestCacheRaceHammer(t *testing.T) {
 
 func TestIterativeSharedSuffixWalk(t *testing.T) {
 	itn := buildIterTestNet(t)
-	r := itn.resolver()
+	r := itn.resolver(t)
 	r.Cache = NewCache()
 	ctx := context.Background()
 
@@ -317,7 +317,7 @@ func TestChaosAllUpstreamsDeadIsAnError(t *testing.T) {
 	itn := buildIterTestNet(t)
 	clock, advance := frozenClock()
 
-	r := itn.resolver()
+	r := itn.resolver(t)
 	r.Cache = NewCache()
 	r.Cache.Now = clock
 	defer r.Close()

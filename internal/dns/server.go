@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"log/slog"
 	"net"
 	"net/netip"
 	"runtime"
@@ -156,8 +155,6 @@ const (
 type ServerConfig struct {
 	// Catalog provides the zones to serve. Required.
 	Catalog *Catalog
-	// Logger receives per-query debug records; nil disables logging.
-	Logger *slog.Logger
 	// ReadTimeout bounds waiting for a TCP query (default 10s). It is
 	// also the slowloris guard: a connection that stalls mid-frame is
 	// closed when the deadline passes.
@@ -167,10 +164,6 @@ type ServerConfig struct {
 	// and decode scratch, replacing the old goroutine-plus-copy per
 	// packet.
 	UDPWorkers int
-	// DisableCache turns off the packed-response cache. The cache is also
-	// bypassed when Logger is set (per-query logging) and for non-IN
-	// classes.
-	DisableCache bool
 	// MaxTCPConns caps concurrent DNS-over-TCP connections; accepts
 	// beyond the cap are immediately closed and counted as rejected
 	// (default DefaultMaxTCPConns; negative means unlimited).
@@ -280,7 +273,6 @@ func (s *Server) ServeUDP(pc net.PacketConn) error {
 				// fabric queue), so reusing resp's buffer is safe.
 				if _, err := sock.WriteToUDPAddrPort(resp, addr); err != nil {
 					s.stats.udpWriteErrors.Add(1)
-					s.logf("udp write: %v", err)
 				} else {
 					s.stats.udpResponses.Add(1)
 				}
@@ -410,7 +402,10 @@ func udpLimit(reqSize uint16, hasEDNS bool) int {
 }
 
 // handle parses a query and produces a packed response; nil means "drop".
-// The returned slice may alias st.out.
+// Every reply is a respEntry, packed with ID and RD zeroed and patched
+// with the query's own: a plain single-question IN query's comes from the
+// packed cache, any other is built the same way and not stored. The
+// returned slice may alias st.out.
 func (s *Server) handle(st *handleState, query []byte, udp bool) []byte {
 	m := &st.query
 	if err := st.scratch.Unpack(query, m); err != nil || m.Header.Response {
@@ -429,69 +424,38 @@ func (s *Server) handle(st *handleState, query []byte, udp bool) []byte {
 	}
 	reqSize, hasEDNS := m.EDNS0UDPSize()
 	limit := udpLimit(reqSize, hasEDNS)
-	if m.Header.OpCode == OpQuery && len(m.Questions) == 1 &&
-		m.Questions[0].Class == ClassIN && s.cfg.Logger == nil && !s.cfg.DisableCache {
-		return s.handleCached(st, m, udp, limit, hasEDNS)
-	}
-
-	var resp *Message
+	var e *respEntry
 	switch {
 	case m.Header.OpCode != OpQuery:
-		resp = m.Reply()
-		resp.Header.RCode = RCodeNotImp
+		e = buildEntry(&Message{Header: Header{Response: true, OpCode: m.Header.OpCode, RCode: RCodeNotImp},
+			Questions: m.Questions}, limit, hasEDNS)
 	case len(m.Questions) != 1:
-		resp = m.Reply()
-		resp.Header.RCode = RCodeFormat
+		e = buildEntry(&Message{Header: Header{Response: true, RCode: RCodeFormat},
+			Questions: m.Questions}, limit, hasEDNS)
+	case m.Questions[0].Class != ClassIN:
+		e = buildEntry(s.cfg.Catalog.Resolve(m.Questions[0]), limit, hasEDNS)
 	default:
-		resp = s.cfg.Catalog.Resolve(m.Questions[0])
-		resp.Header.ID = m.Header.ID
-		resp.Header.RecursionDesired = m.Header.RecursionDesired
+		e = s.cachedEntry(m.Questions[0], limit, hasEDNS)
 	}
-	// Honor the client's EDNS0 payload size up to our cap, and echo an
-	// OPT record advertising the cap we actually applied so the client
-	// knows EDNS0 was understood.
-	if hasEDNS {
-		resp.SetEDNS0(uint16(limit))
+	if e == nil {
+		// The reply does not pack, question included: a name off the wire
+		// that this codec will not emit. SERVFAIL, header only.
+		fail := &Message{Header: Header{Response: true, OpCode: m.Header.OpCode, RCode: RCodeServFail}}
+		full, _ := fail.Pack()
+		e = &respEntry{full: full}
 	}
-	b, err := resp.Pack()
-	if err != nil {
-		s.logf("pack response: %v", err)
-		fail := m.Reply()
-		fail.Header.RCode = RCodeServFail
-		b, _ = fail.Pack()
-		return b
+	b := e.full
+	if udp && e.trunc != nil {
+		b = e.trunc
 	}
-	if udp && len(b) > limit {
-		// Truncate: header + question only, TC bit set; client retries TCP.
-		trunc := m.Reply()
-		trunc.Header.RCode = resp.Header.RCode
-		trunc.Header.Authoritative = resp.Header.Authoritative
-		trunc.Header.Truncated = true
-		if hasEDNS {
-			// Keep EDNS0 on the truncated reply too: dropping OPT would
-			// tell the client its EDNS offer was not understood.
-			trunc.SetEDNS0(uint16(limit))
-		}
-		b, _ = trunc.Pack()
+	// Patch the query's ID and RD bit into a copy; everything else in the
+	// header was packed with ID=0, RD=0.
+	st.out = append(st.out[:0], b...)
+	st.out[0], st.out[1] = byte(m.Header.ID>>8), byte(m.Header.ID)
+	if m.Header.RecursionDesired {
+		st.out[2] |= 0x01
 	}
-	s.logQuery(m, resp)
-	return b
-}
-
-func (s *Server) logQuery(q, resp *Message) {
-	if s.cfg.Logger == nil || len(q.Questions) == 0 {
-		return
-	}
-	s.cfg.Logger.Debug("dns query",
-		"q", q.Questions[0].String(),
-		"rcode", resp.Header.RCode.String(),
-		"answers", len(resp.Answers))
-}
-
-func (s *Server) logf(format string, args ...any) {
-	if s.cfg.Logger != nil {
-		s.cfg.Logger.Error(fmt.Sprintf(format, args...))
-	}
+	return st.out
 }
 
 // Shutdown gracefully drains the server: it stops reading new UDP

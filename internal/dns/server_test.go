@@ -51,7 +51,7 @@ func testClient(t testing.TB, cl *Client) *Client {
 	return cl
 }
 
-func testCatalog(t *testing.T) *Catalog {
+func testCatalog(t testing.TB) *Catalog {
 	t.Helper()
 	c := NewCatalog()
 	z := testZone(t)

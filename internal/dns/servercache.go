@@ -13,7 +13,7 @@ import "sync"
 // Entries are valid for a single catalog generation: AddZone bumps
 // Catalog.Generation, and the first lookup under a new generation
 // flushes everything. Only plain IN-class single-question queries are
-// cached; anything unusual takes the slow path.
+// cached; any other reply is packed the same way and not stored.
 
 // maxCachedResponses bounds the cache; on overflow it is flushed
 // wholesale, which is simpler than eviction. That is harmless for a
@@ -72,11 +72,10 @@ func (c *respCache) put(key respKey, gen uint64, e *respEntry) {
 	c.mu.Unlock()
 }
 
-// handleCached answers a plain single-question IN query from the packed
-// cache, building and storing the entry on miss. limit and hasEDNS are
-// as computed by udpLimit for this query.
-func (s *Server) handleCached(st *handleState, m *Message, udp bool, limit int, hasEDNS bool) []byte {
-	q := m.Questions[0]
+// cachedEntry returns the packed answer to a plain single-question IN
+// query, building and storing it on a miss; nil reports a pack failure.
+// limit and hasEDNS are as computed by udpLimit for this query.
+func (s *Server) cachedEntry(q Question, limit int, hasEDNS bool) *respEntry {
 	key := respKey{name: q.Name, typ: q.Type}
 	if hasEDNS {
 		key.edns = uint16(limit)
@@ -85,64 +84,41 @@ func (s *Server) handleCached(st *handleState, m *Message, udp bool, limit int, 
 	// mid-build, the entry lands under the old generation and is never
 	// served afterwards.
 	gen := s.cfg.Catalog.Generation()
-	e := s.cache.get(key, gen)
-	if e == nil {
-		e = s.buildEntry(q, limit, hasEDNS)
-		if e == nil {
-			// Pack failure; slow path already logged — answer SERVFAIL.
-			fail := m.Reply()
-			fail.Header.RCode = RCodeServFail
-			b, _ := fail.Pack()
-			return b
-		}
+	if e := s.cache.get(key, gen); e != nil {
+		return e
+	}
+	e := buildEntry(s.cfg.Catalog.Resolve(q), limit, hasEDNS)
+	if e != nil {
 		s.cache.put(key, gen, e)
 	}
-	b := e.full
-	if udp && e.trunc != nil {
-		b = e.trunc
-	}
-	// Patch the query's ID and RD bit into a copy; everything else in the
-	// header was packed with ID=0, RD=0.
-	st.out = append(st.out[:0], b...)
-	st.out[0], st.out[1] = byte(m.Header.ID>>8), byte(m.Header.ID)
-	if m.Header.RecursionDesired {
-		st.out[2] |= 0x01
-	}
-	return st.out
+	return e
 }
 
-// buildEntry resolves and packs the response for key template (q, limit,
-// hasEDNS) with ID and RD zeroed. The truncated form is built eagerly
-// whenever the full answer exceeds the cap, since the same entry serves
-// both UDP and TCP. nil reports a pack failure.
-func (s *Server) buildEntry(q Question, limit int, hasEDNS bool) *respEntry {
-	resp := s.cfg.Catalog.Resolve(q)
+// buildEntry packs resp, a reply with ID and RD zeroed, for a query that
+// advertised hasEDNS and gets the cap limit. The truncated form (resp's
+// header with TC set, its questions, and the OPT record) is built
+// eagerly whenever the full answer exceeds the cap, since the same entry
+// serves both UDP and TCP. nil reports a pack failure.
+func buildEntry(resp *Message, limit int, hasEDNS bool) *respEntry {
+	// Echo an OPT record advertising the cap actually applied, so the
+	// client knows its EDNS0 offer was understood.
 	if hasEDNS {
 		resp.SetEDNS0(uint16(limit))
 	}
 	full, err := resp.Pack()
 	if err != nil {
-		s.logf("pack response: %v", err)
 		return nil
 	}
 	e := &respEntry{full: full}
 	if len(full) > limit {
-		trunc := &Message{
-			Header: Header{
-				Response:      true,
-				OpCode:        OpQuery,
-				RCode:         resp.Header.RCode,
-				Authoritative: resp.Header.Authoritative,
-				Truncated:     true,
-			},
-			Questions: []Question{q},
-		}
+		trunc := &Message{Header: resp.Header, Questions: resp.Questions}
+		trunc.Header.Truncated = true
 		if hasEDNS {
+			// Keep EDNS0 on the truncated reply too: dropping OPT would
+			// tell the client its EDNS offer was not understood.
 			trunc.SetEDNS0(uint16(limit))
 		}
-		e.trunc, err = trunc.Pack()
-		if err != nil {
-			s.logf("pack truncated response: %v", err)
+		if e.trunc, err = trunc.Pack(); err != nil {
 			return nil
 		}
 	}

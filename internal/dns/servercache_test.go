@@ -1,6 +1,7 @@
 package dns
 
 import (
+	"bytes"
 	"context"
 	"net"
 	"testing"
@@ -162,25 +163,134 @@ func TestServerAdvertisesAppliedCap(t *testing.T) {
 	}
 }
 
-// TestServerCacheDisabled makes sure DisableCache still answers
-// correctly through the slow path.
-func TestServerCacheDisabled(t *testing.T) {
-	srv, err := NewServer(ServerConfig{Catalog: testCatalog(t), DisableCache: true})
+// serverHandleSeeds are FuzzServerHandle's starting datagrams: a plain
+// query for every type the test catalog holds (and for an NXDOMAIN, a
+// NODATA, a wildcard, a truncated and a refused name), each without
+// EDNS0 and at sizes 0, 512, 1232 and 4096, then the queries the cache
+// does not serve: another opcode, 0 and 2 questions, the CH class, the
+// response bit set, and packets of 0 and 1 bytes.
+func serverHandleSeeds(t testing.TB) [][]byte {
+	t.Helper()
+	pack := func(m *Message) []byte {
+		b, err := m.Pack()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	var seeds [][]byte
+	for i, q := range []Question{
+		{Name: "example.com.", Type: TypeSOA}, {Name: "example.com.", Type: TypeNS},
+		{Name: "example.com.", Type: TypeMX}, {Name: "mx1.example.com.", Type: TypeA},
+		{Name: "www.example.com.", Type: TypeCNAME}, {Name: "www.example.com.", Type: TypeA},
+		{Name: "txtonly.example.com.", Type: TypeTXT}, {Name: "txtonly.example.com.", Type: TypeA},
+		{Name: "missing.example.com.", Type: TypeMX}, {Name: "x.wild.example.com.", Type: TypeA},
+		{Name: "ext.example.com.", Type: TypeA}, {Name: "big.test.", Type: TypeMX},
+		{Name: "foreign.org.", Type: TypeA},
+	} {
+		for j, size := range []int{-1, 0, 512, 1232, 4096} {
+			m := NewQuery(uint16(0x100*i+j), q.Name, q.Type)
+			m.Header.RecursionDesired = j%2 == 0
+			if size >= 0 {
+				m.SetEDNS0(uint16(size))
+			}
+			seeds = append(seeds, pack(m))
+		}
+	}
+	notImp := NewQuery(0xA001, "example.com", TypeMX)
+	notImp.Header.OpCode = 2
+	none := NewQuery(0xA002, "example.com", TypeMX)
+	none.Questions = nil
+	two := NewQuery(0xA003, "example.com", TypeMX)
+	two.Questions = append(two.Questions, Question{Name: "mx1.example.com.", Type: TypeA, Class: ClassIN})
+	chaos := NewQuery(0xA004, "example.com", TypeTXT)
+	chaos.Questions[0].Class = 3 // CH
+	response := NewQuery(0xA005, "example.com", TypeMX)
+	response.Header.Response = true
+	return append(seeds, pack(notImp), pack(none), pack(two), pack(chaos), pack(response), []byte{}, []byte{0x12})
+}
+
+// referenceReply is what the server must answer a plain single-question
+// IN query, built without the packed cache: the catalog's answer with
+// the query's ID and RD bit, the OPT record at the applied cap, and the
+// header-and-question form with TC set when a UDP answer is over it.
+func referenceReply(cat *Catalog, q *Message, udp bool) []byte {
+	resp := cat.Resolve(q.Questions[0])
+	resp.Header.ID, resp.Header.RecursionDesired = q.Header.ID, q.Header.RecursionDesired
+	limit := 512
+	size, hasEDNS := q.EDNS0UDPSize()
+	if hasEDNS {
+		limit = min(max(int(size), 512), MaxEDNSSize)
+		resp.SetEDNS0(uint16(limit))
+	}
+	full, err := resp.Pack()
 	if err != nil {
-		t.Fatal(err)
+		fail := &Message{Header: Header{ID: q.Header.ID, Response: true,
+			RecursionDesired: q.Header.RecursionDesired, RCode: RCodeServFail}}
+		full, _ = fail.Pack()
+		return full
 	}
-	pc, err := net.ListenPacket("udp", "127.0.0.1:0")
+	if !udp || len(full) <= limit {
+		return full
+	}
+	trunc := q.Reply()
+	trunc.Header.RCode, trunc.Header.Authoritative, trunc.Header.Truncated = resp.Header.RCode, resp.Header.Authoritative, true
+	if hasEDNS {
+		trunc.SetEDNS0(uint16(limit))
+	}
+	b, _ := trunc.Pack()
+	return b
+}
+
+// FuzzServerHandle holds the server's one answer path over arbitrary
+// datagrams, on UDP and TCP: handle never panics and drops only what
+// carries no ID, every reply unpacks and echoes the query's ID (and RD
+// bit, when the query parses), and a plain IN query's reply equals one
+// built without the cache, and again on the second ask, which the cache
+// serves.
+func FuzzServerHandle(f *testing.F) {
+	for _, s := range serverHandleSeeds(f) {
+		f.Add(s)
+	}
+	cat := bigTestCatalog(f)
+	srv, err := NewServer(ServerConfig{Catalog: cat})
 	if err != nil {
-		t.Fatal(err)
+		f.Fatal(err)
 	}
-	go srv.ServeUDP(pc)
-	t.Cleanup(func() { srv.Close() })
-	cl := testClient(t, NewClient(pc.LocalAddr().String()))
-	mx, err := ClientResolver{Client: cl}.LookupMX(context.Background(), "example.com")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(mx) != 2 {
-		t.Errorf("MX = %+v", mx)
-	}
+	st := new(handleState)
+	f.Fuzz(func(t *testing.T, query []byte) {
+		q, qerr := Unpack(query)
+		for _, udp := range []bool{true, false} {
+			b := srv.handle(st, query, udp)
+			if b == nil {
+				if len(query) >= 2 {
+					t.Fatalf("udp=%v: dropped a %d-byte query", udp, len(query))
+				}
+				continue
+			}
+			reply := append([]byte(nil), b...)
+			resp, err := Unpack(reply)
+			if err != nil {
+				t.Fatalf("udp=%v: reply does not unpack: %v\n%x", udp, err, reply)
+			}
+			if id := uint16(query[0])<<8 | uint16(query[1]); resp.Header.ID != id {
+				t.Fatalf("udp=%v: reply ID %#x, query ID %#x", udp, resp.Header.ID, id)
+			}
+			if qerr != nil || q.Header.Response {
+				continue
+			}
+			if resp.Header.RecursionDesired != q.Header.RecursionDesired {
+				t.Fatalf("udp=%v: reply RD %v, query RD %v", udp, resp.Header.RecursionDesired, q.Header.RecursionDesired)
+			}
+			if q.Header.OpCode != OpQuery || len(q.Questions) != 1 || q.Questions[0].Class != ClassIN {
+				continue
+			}
+			if want := referenceReply(cat, q, udp); !bytes.Equal(reply, want) {
+				t.Fatalf("udp=%v: reply\n%x\nwant\n%x", udp, reply, want)
+			}
+			if again := srv.handle(st, query, udp); !bytes.Equal(again, reply) {
+				t.Fatalf("udp=%v: cached reply\n%x\nfirst reply\n%x", udp, again, reply)
+			}
+		}
+	})
 }

@@ -14,7 +14,7 @@ import (
 
 // bigTestCatalog returns the standard test catalog plus a zone whose MX
 // set exceeds a 512-byte UDP response, forcing truncation + TCP fallback.
-func bigTestCatalog(t *testing.T) *Catalog {
+func bigTestCatalog(t testing.TB) *Catalog {
 	t.Helper()
 	cat := testCatalog(t)
 	z := NewZone("big.test")
@@ -166,10 +166,9 @@ func netDial(ctx context.Context, network, address string) (net.Conn, error) {
 func TestClientToleratesStrayDatagrams(t *testing.T) {
 	addr := startTestServer(t, testCatalog(t))
 	cl := testClient(t, &Client{
-		Server:      addr,
-		Timeout:     2 * time.Second,
-		Retries:     0, // a single attempt must survive the stray datagram
-		DialContext: strayDial(netDial),
+		Transport: &Transport{Server: addr, DialContext: strayDial(netDial)},
+		Timeout:   2 * time.Second,
+		Retries:   0, // a single attempt must survive the stray datagram
 	})
 	mx, err := ClientResolver{Client: cl}.LookupMX(context.Background(), "example.com")
 	if err != nil {
@@ -252,10 +251,10 @@ func TestTransportIgnoresForgedReplies(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			var injects atomic.Int64
 			cl := testClient(t, &Client{
-				Server:      addr,
-				Timeout:     5 * time.Second,
-				Retries:     0, // the attempt the forgery lands on must be the one that succeeds
-				DialContext: forgeDial(netDial, func(q []byte) []byte { return tc.forge(t, q) }, &injects),
+				Transport: &Transport{Server: addr,
+					DialContext: forgeDial(netDial, func(q []byte) []byte { return tc.forge(t, q) }, &injects)},
+				Timeout: 5 * time.Second,
+				Retries: 0, // the attempt the forgery lands on must be the one that succeeds
 			})
 			mx, err := ClientResolver{Client: cl}.LookupMX(context.Background(), "example.com")
 			if err != nil {

@@ -5,7 +5,7 @@ import (
 	"testing"
 )
 
-func testZone(t *testing.T) *Zone {
+func testZone(t testing.TB) *Zone {
 	t.Helper()
 	z := NewZone("example.com")
 	z.MustAdd(RR{Name: "example.com.", Type: TypeSOA, TTL: 300, Data: SOAData{

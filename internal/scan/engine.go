@@ -71,8 +71,8 @@ type engine struct {
 	perLane int
 	targets []Target
 
-	// Records an interrupted run left in its shards are spliced in
-	// instead of measured again.
+	// Records an interrupted run left in its shards, which Merge reads
+	// where they lie: they are not measured or written again.
 	priorDomain map[string]*dataset.DomainRecord
 	priorIPs    map[string]dataset.IPInfo
 }
@@ -169,16 +169,15 @@ func (e *engine) claimLoop(ctx context.Context, n, size int, settle func(context
 	return context.Cause(ctx)
 }
 
-// domain settles target i on lane l: spliced from the prior run or
-// measured, handed to the sink, its addresses noted for phase 2.
+// domain settles target i on lane l: measured and handed to the sink,
+// or skipped when the prior run holds it; either way its addresses are
+// noted for phase 2.
 func (e *engine) domain(ctx context.Context, l *lane, i int) error {
 	t := e.targets[i]
-	prior, spliced := e.priorDomain[t.Name]
-	var rec dataset.DomainRecord
-	if spliced {
-		rec = *prior
-	} else {
-		rec = l.dr.collectDomain(ctx, t)
+	rec, held := e.priorDomain[t.Name]
+	if !held {
+		measured := l.dr.collectDomain(ctx, t)
+		rec = &measured
 	}
 	// A record finished under a cancelled context carries cancellation
 	// artifacts; spilling it would freeze them into the resumed run.
@@ -192,16 +191,19 @@ func (e *engine) domain(ctx context.Context, l *lane, i int) error {
 			l.addrs[a] = true
 		}
 	}
+	if held {
+		return nil
+	}
 	l.domains++
-	return l.putDomain(i, rec)
+	return l.putDomain(i, *rec)
 }
 
 // addr is domain's counterpart for one address of phase 2.
 func (e *engine) addr(ctx context.Context, l *lane, a netip.Addr) error {
-	info, spliced := e.priorIPs[a.String()]
-	if !spliced {
-		info = l.c.scanIP(ctx, l.run, a)
+	if _, held := e.priorIPs[a.String()]; held {
+		return nil
 	}
+	info := l.c.scanIP(ctx, l.run, a)
 	if err := ctx.Err(); err != nil {
 		return err
 	}

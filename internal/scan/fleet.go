@@ -30,10 +30,11 @@ type FleetConfig struct {
 	// its own ShardWriter on this set.
 	Output *dataset.ShardSet
 	// Prior supplies the records an interrupted run left in its shards
-	// (dataset.ResumeShardSet). Domains in Prior are spliced from it
-	// instead of re-measured; addresses present in Prior.IPs are reused
-	// instead of re-scanned. Spliced records reach the shards like
-	// measured ones.
+	// (dataset.ResumeShardSet, whose set lists those shards among its
+	// Paths). Domains in Prior are not measured again and addresses in
+	// Prior.IPs not scanned again; neither is written again, since Merge
+	// reads them from the old shards. A held domain's addresses still
+	// join phase 2.
 	Prior *dataset.Snapshot
 }
 
@@ -46,7 +47,8 @@ type FleetStats struct {
 	// the PR that removed the work-stealing dispatcher) reads it as
 	// scan.steals; it goes when bench/ drops that metric (ROADMAP item 3).
 	Steals int `json:"steals"`
-	// Domains and IPs count the records written across all shards.
+	// Domains and IPs count the records this run wrote across its
+	// shards; a resume's prior records are not among them.
 	Domains int `json:"domains"`
 	IPs     int `json:"ips"`
 	// ShardFiles is the number of snapshot shards produced.

@@ -248,7 +248,9 @@ func resumeFrom(t *testing.T, base string) (*dataset.ShardSet, *dataset.Snapshot
 // run left (its checkpoint; the subtests keep the name "journal"). A
 // run that checkpoints spills shards in the row's lanes and goroutines
 // (a memory sink keeps no checkpoint), and its resume runs with another
-// lane count into the other sink. journal=off is the plain run;
+// lane count into a shard sink, since Merge reads the records the old
+// shards hold where they lie; the records it writes and those shards
+// hold are the snapshot's, each once. journal=off is the plain run;
 // journal=on resumes from a finished run's shards, which hold the full
 // dataset, and re-measures nothing; journal=killed cancels the run at a
 // seeded record, checks that its shards hold exactly the records that
@@ -302,13 +304,20 @@ func TestFleetMatchesSingleWorker(t *testing.T) {
 		t.Fatal(err)
 	}
 	catalog := proto.Resolver.(dns.CatalogResolver)
-	check := func(t *testing.T, what string, got []byte, stats *FleetStats) {
+	// check compares a commit with Collect's; held are the records of a
+	// resume's prior, which it does not write again.
+	check := func(t *testing.T, what string, got []byte, stats *FleetStats, held *dataset.Snapshot) {
 		t.Helper()
 		if !bytes.Equal(got, want) {
 			t.Errorf("%s: committed snapshot differs from Collect (%d vs %d bytes)", what, len(got), len(want))
 		}
-		if stats.Domains != nDomains || stats.IPs != nIPs {
-			t.Errorf("%s: wrote %d/%d records, want %d/%d", what, stats.Domains, stats.IPs, nDomains, nIPs)
+		heldDomains, heldIPs := 0, 0
+		if held != nil {
+			heldDomains, heldIPs = len(held.Domains), len(held.IPs)
+		}
+		if stats.Domains+heldDomains != nDomains || stats.IPs+heldIPs != nIPs {
+			t.Errorf("%s: wrote %d/%d records beside %d/%d held, want %d/%d",
+				what, stats.Domains, stats.IPs, heldDomains, heldIPs, nDomains, nIPs)
 		}
 	}
 	row := 0
@@ -318,25 +327,21 @@ func TestFleetMatchesSingleWorker(t *testing.T) {
 				lay := layout{lanes: lanes, perLane: perLane, shards: shards}
 				checkpoint := layout{lanes: lanes, perLane: perLane, shards: true}
 				// The resume runs in another layout: the next lane count,
-				// the other sink.
-				other := layout{lanes: lanes%4 + 1, perLane: perLane, shards: !shards}
+				// into shards.
+				other := layout{lanes: lanes%4 + 1, perLane: perLane, shards: true}
 				row++
 				rng := rand.New(rand.NewPCG(uint64(row), 0x9e3779b9))
-				// resume finishes a run from the shards it left at base,
-				// into other's sink; a shard sink spills on the set that
-				// continues theirs, as mxscan -resume does.
-				resume := func(t *testing.T, base string, resolver dns.Resolver) ([]byte, *FleetStats, map[string]bool) {
+				// resume finishes a run from the shards it left at base in
+				// other's layout, spilling on the set that continues theirs
+				// and merging both, as mxscan -resume does.
+				resume := func(t *testing.T, base string, resolver dns.Resolver) ([]byte, *FleetStats, *dataset.Snapshot, map[string]bool) {
 					t.Helper()
 					set, prior, seen := resumeFrom(t, base)
-					run := layoutRun{lay: other, proto: proto, prior: prior, resolver: resolver}
-					if other.shards {
-						run.set = set
-					}
-					got, stats, err := run.commit(t, ctx, s)
+					got, stats, err := layoutRun{lay: other, proto: proto, prior: prior, resolver: resolver, set: set}.commit(t, ctx, s)
 					if err != nil {
 						t.Fatal(err)
 					}
-					return got, stats, seen
+					return got, stats, prior, seen
 				}
 
 				t.Run(lay.String(), func(t *testing.T) {
@@ -345,7 +350,7 @@ func TestFleetMatchesSingleWorker(t *testing.T) {
 						if err != nil {
 							t.Fatal(err)
 						}
-						check(t, "run", got, stats)
+						check(t, "run", got, stats, nil)
 					})
 
 					t.Run("journal=on", func(t *testing.T) {
@@ -354,14 +359,14 @@ func TestFleetMatchesSingleWorker(t *testing.T) {
 						if err != nil {
 							t.Fatal(err)
 						}
-						check(t, "checkpointed run", got, stats)
-						// A fully-seen resume splices everything: same bytes,
-						// and a resolver that fails the test on any lookup.
-						got, stats, seen := resume(t, set.Base, noCallResolver{t})
+						check(t, "checkpointed run", got, stats, nil)
+						// A fully-seen resume measures nothing: same bytes, and
+						// a resolver that fails the test on any lookup.
+						got, stats, prior, seen := resume(t, set.Base, noCallResolver{t})
 						if len(seen) != nDomains+nIPs {
 							t.Fatalf("shards hold %d records, run wrote %d", len(seen), nDomains+nIPs)
 						}
-						check(t, "fully-seen resume as "+other.String(), got, stats)
+						check(t, "fully-seen resume as "+other.String(), got, stats, prior)
 					})
 
 					t.Run("journal=killed", func(t *testing.T) {
@@ -381,12 +386,12 @@ func TestFleetMatchesSingleWorker(t *testing.T) {
 							t.Errorf("killed at record %d: %d records reached a sink", at, n)
 						}
 						mx := new(atomic.Int64)
-						got, stats, seen := resume(t, set.Base, mxCounter{CatalogResolver: catalog, mx: mx})
+						got, stats, prior, seen := resume(t, set.Base, mxCounter{CatalogResolver: catalog, mx: mx})
 						if !maps.Equal(seen, sw.landed) {
 							t.Errorf("killed at record %d: shards hold %d records, %d reached a sink before the cancel",
 								at, len(seen), len(sw.landed))
 						}
-						check(t, fmt.Sprintf("killed at record %d, resumed as %s", at, other), got, stats)
+						check(t, fmt.Sprintf("killed at record %d, resumed as %s", at, other), got, stats, prior)
 						domains := 0
 						for key := range seen {
 							if _, err := netip.ParseAddr(key); err != nil {

@@ -177,10 +177,10 @@ func TestBreakerDisabled(t *testing.T) {
 func muteExchangeErr(t *testing.T) error {
 	t.Helper()
 	n := netsim.New()
-	cl := &dns.Client{Server: "10.9.9.9:53", Timeout: 5 * time.Millisecond,
+	cl := &dns.Client{Timeout: 5 * time.Millisecond, Transport: &dns.Transport{Server: "10.9.9.9:53",
 		DialContext: func(_ context.Context, _, address string) (net.Conn, error) {
 			return n.DialUDP(netip.MustParseAddrPort(address))
-		}}
+		}}}
 	defer cl.Close()
 	_, err := cl.Exchange(context.Background(), "mute.test", dns.TypeMX)
 	if err == nil {

@@ -5,7 +5,6 @@ import (
 	"context"
 	"errors"
 	"io"
-	"log/slog"
 	"net"
 	"time"
 
@@ -67,8 +66,6 @@ type Config struct {
 	// whole-struct counter assertions free of wall-clock buckets. A
 	// stepped test clock makes every bucket count byte-reproducible.
 	Clock func() time.Time
-	// Logger receives connection-level debug records; nil disables.
-	Logger *slog.Logger
 }
 
 // A Server accepts query connections on one or more listeners. The

@@ -5,9 +5,7 @@ import (
 	"crypto/tls"
 	"errors"
 	"fmt"
-	"log/slog"
 	"net"
-	"strings"
 	"time"
 
 	"mxmap/internal/overload"
@@ -44,8 +42,6 @@ type Config struct {
 	// answered with a 421 and closed (default DefaultMaxConns; negative
 	// means unlimited).
 	MaxConns int
-	// Logger receives session-level debug records; nil disables logging.
-	Logger *slog.Logger
 }
 
 // A Server accepts SMTP sessions on one or more listeners. The overload
@@ -153,7 +149,6 @@ func (s *Server) serveConn(c *overload.Conn) {
 		c.SetBusy()
 		done, err := sess.dispatch(command(line))
 		if err != nil {
-			s.logf("session error: %v", err)
 			return
 		}
 		if done {
@@ -237,10 +232,4 @@ func (sess *session) startTLS() error {
 func (sess *session) setConn(conn net.Conn) {
 	sess.conn.Swap(conn)
 	sess.rd = newReader(conn)
-}
-
-func (s *Server) logf(format string, args ...any) {
-	if s.cfg.Logger != nil {
-		s.cfg.Logger.Debug(strings.TrimSpace(fmt.Sprintf(format, args...)))
-	}
 }
