@@ -347,6 +347,7 @@ var packagesWithoutCaller = map[string]string{
 	"mxmap/internal/ledger":          "test support: compares and rewrites the exact-counter ledgers in results/",
 	"mxmap/internal/benchdata":       "test support: the synthetic corpora the root benchmarks and equivalence tests share",
 	"mxmap/internal/serve/servetest": "test support: the HTTP test client and two-snapshot fixture serve and ha share",
+	"mxmap/internal/leaktest":        "test support: the goroutine-leak gate the TestMain of dns and dataset runs",
 }
 
 // TestEveryPackageHasACaller is the package-level twin of

@@ -7,6 +7,8 @@ package analysis
 
 import (
 	"sort"
+	"strings"
+	"unicode/utf8"
 
 	"mxmap/internal/companies"
 	"mxmap/internal/core"
@@ -63,16 +65,36 @@ func Attributions(res *core.Result) map[string]core.DomainAttribution {
 // domain (the paper's self-hosting definition), or the provider ID
 // itself for unmapped long-tail providers.
 func CompanyOf(domain, providerID string, dir *companies.Directory) string {
-	if reg, ok := psl.RegisteredDomain(domain); ok && reg == providerID {
-		return SelfHostedLabel
-	}
 	if providerID == domain {
 		return SelfHostedLabel
+	}
+	if mayBeRegisteredDomain(domain, providerID) {
+		if reg, ok := psl.RegisteredDomain(domain); ok && reg == providerID {
+			return SelfHostedLabel
+		}
 	}
 	if dir != nil {
 		return dir.CompanyName(providerID)
 	}
 	return providerID
+}
+
+// mayBeRegisteredDomain reports whether psl.RegisteredDomain(domain)
+// could be providerID, without the suffix list. A lower-case ASCII name
+// with no space or control byte is only trimmed of one trailing dot
+// there, and its registered domain is that name or a suffix of it that
+// starts a label; any other name may be, and takes the list walk.
+func mayBeRegisteredDomain(domain, providerID string) bool {
+	for i := 0; i < len(domain); i++ {
+		if c := domain[i]; c <= ' ' || c >= utf8.RuneSelf || 'A' <= c && c <= 'Z' {
+			return true
+		}
+	}
+	h := strings.TrimSuffix(domain, ".")
+	if n := len(h) - len(providerID); n > 0 {
+		return h[n-1] == '.' && h[n:] == providerID
+	}
+	return h == providerID
 }
 
 // CompanyCredits aggregates a result's split credits into per-company

@@ -9,6 +9,7 @@ import (
 
 	"mxmap/internal/companies"
 	"mxmap/internal/core"
+	"mxmap/internal/psl"
 	"mxmap/internal/scan"
 	"mxmap/internal/world"
 )
@@ -87,6 +88,65 @@ func TestCompanyOf(t *testing.T) {
 			t.Errorf("CompanyOf(%q, %q) = %q, want %q", c.domain, c.id, got, c.want)
 		}
 	}
+}
+
+// companyOfPSL is CompanyOf as it reads with psl.RegisteredDomain
+// asked for every domain: FuzzCompanyOf's reference.
+func companyOfPSL(domain, providerID string, dir *companies.Directory) string {
+	if reg, ok := psl.RegisteredDomain(domain); ok && reg == providerID {
+		return SelfHostedLabel
+	}
+	if providerID == domain {
+		return SelfHostedLabel
+	}
+	if dir != nil {
+		return dir.CompanyName(providerID)
+	}
+	return providerID
+}
+
+// FuzzCompanyOf holds CompanyOf, which asks the suffix list only when
+// the provider could be the domain's registered domain, to the answer
+// the list walk gives for every pair.
+func FuzzCompanyOf(f *testing.F) {
+	for _, seed := range [][2]string{
+		{"example.com", "example.com"},
+		{"sub.example.co.uk", "example.co.uk"},
+		{"sub.example.co.uk", "co.uk"},
+		{"example.com", "google.com"},
+		{"Example.COM", "example.com"},
+		{"mail.Example.com", "example.com"},
+		{"example.com.", "example.com"},
+		{"example.com.", "example.com."},
+		{"example.com..", "example.com."},
+		{" example.com", "example.com"},
+		{"example.com\t", "example.com"},
+		{"example.com\n.", "example.com"},
+		{"bücher.de", "bücher.de"},
+		{"mail.bücher.de", "bücher.de"},
+		{"exam\u00a0ple.com", "exam\u00a0ple.com"},
+		{"xfoo.com", "foo.com"},
+		{"x.foo.com", "foo.com"},
+		{"foo.com", "xfoo.com"},
+		{"xfoo.com.", "foo.com"},
+		{".foo.com", "foo.com"},
+		{"a..foo.com", "foo.com"},
+		{"com", "com"},
+		{"foo.com", ""},
+		{"", ""},
+		{"foo.s3.amazonaws.com", "s3.amazonaws.com"},
+		{"x.city.kawasaki.jp", "city.kawasaki.jp"},
+	} {
+		f.Add(seed[0], seed[1])
+	}
+	dir := companies.Curated()
+	f.Fuzz(func(t *testing.T, domain, providerID string) {
+		for _, d := range []*companies.Directory{nil, dir} {
+			if got, want := CompanyOf(domain, providerID, d), companyOfPSL(domain, providerID, d); got != want {
+				t.Errorf("CompanyOf(%q, %q) = %q, the list walk gives %q", domain, providerID, got, want)
+			}
+		}
+	})
 }
 
 func TestMarketShareTopCompanies(t *testing.T) {

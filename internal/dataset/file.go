@@ -10,21 +10,30 @@ import (
 	"sync"
 )
 
-// deflateLevel is the one level every gzipped file of the package is
-// written at: snapshots, shards and Merge output. On the benchmark's
-// 20k-domain snapshot it deflates in 0.28 of the default level's time,
-// no slower than gzip.BestSpeed, for a file 1.25 times the default
-// level's size (level table in results/BENCH_e2e_scan-flat.json).
+// deflateLevel is the level snapshots are deflated at: WriteFile and
+// Merge output. On the benchmark's 20k-domain snapshot it deflates in
+// 0.28 of the default level's time, no slower than gzip.BestSpeed, for
+// a file 1.25 times the default level's size. Spills are stored, not
+// deflated (gzip.NoCompression): Merge reads a shard once and deletes
+// it, so a deflate there would only sit on the collection's critical
+// path. Readers take any level. The level table and the spill rows are
+// in results/BENCH_e2e_scan-flat.json.
 const deflateLevel = 3
 
-// gzWriterPool and gzReaderPool recycle gzip codec state (the deflate
-// window alone is hundreds of KiB) across snapshot and shard writes;
-// sharded collection opens one stream per spill, per worker.
-var gzWriterPool = sync.Pool{
-	New: func() any {
-		zw, _ := gzip.NewWriterLevel(io.Discard, deflateLevel) // a valid level cannot fail
+// gzWriterPools recycle gzip writers, one pool per level written (a
+// writer keeps its level across Reset, and its deflate state alone is
+// hundreds of KiB); sharded collection opens one stream per spill, per
+// worker.
+var gzWriterPools = map[int]*sync.Pool{
+	gzip.NoCompression: gzWriterPoolAt(gzip.NoCompression),
+	deflateLevel:       gzWriterPoolAt(deflateLevel),
+}
+
+func gzWriterPoolAt(level int) *sync.Pool {
+	return &sync.Pool{New: func() any {
+		zw, _ := gzip.NewWriterLevel(io.Discard, level) // a valid level cannot fail
 		return zw
-	},
+	}}
 }
 
 var gzReaderPool = sync.Pool{New: func() any { return new(gzip.Reader) }}
@@ -48,7 +57,7 @@ func putGzReader(zr *gzip.Reader) { gzReaderPool.Put(zr) }
 // A crash at any point leaves either the old committed file or the new
 // one at path — never a truncated half-gzipped hybrid.
 func WriteFile(path string, s *Snapshot) error {
-	return atomicWrite(path, func(w io.Writer) error {
+	return atomicWrite(path, deflateLevel, func(w io.Writer) error {
 		_, err := s.WriteTo(w)
 		return err
 	})
@@ -58,11 +67,12 @@ func WriteFile(path string, s *Snapshot) error {
 // semantics. On any error the temporary file is removed and path is
 // untouched.
 //
-// A path ending in ".gz" is deflated at deflateLevel. The deflate runs
-// on its own goroutine (see gzipThrough), so write — a
-// merge loop, Snapshot.WriteTo, a spill's encoder — overlaps with it;
-// whatever that goroutine could not write fails the commit before Sync.
-func atomicWrite(path string, write func(w io.Writer) error) (err error) {
+// A path ending in ".gz" is gzipped at level, deflateLevel or
+// gzip.NoCompression. The gzip stream runs on its own goroutine (see
+// gzipThrough), so write — a merge loop, Snapshot.WriteTo, a spill's
+// encoder — overlaps with it; whatever that goroutine could not write
+// fails the commit before Sync.
+func atomicWrite(path string, level int, write func(w io.Writer) error) (err error) {
 	tmp := path + ".tmp"
 	f, err := fsys.create(tmp)
 	if err != nil {
@@ -76,7 +86,7 @@ func atomicWrite(path string, write func(w io.Writer) error) (err error) {
 		}
 	}()
 	if strings.HasSuffix(path, ".gz") {
-		err = gzipThrough(f, write)
+		err = gzipThrough(f, level, write)
 	} else {
 		err = write(f)
 	}
@@ -130,20 +140,22 @@ const (
 
 var chunkPool = sync.Pool{New: func() any { return new([handoffChunk]byte) }}
 
-// gzipThrough runs write over a gzip stream onto dst, deflating on a
-// goroutine of its own: what write hands to its writer is copied into
-// pooled chunks that a compressor goroutine takes in order, so write
-// only ever waits when it is handoffChunks ahead. The stream is ended,
-// the goroutine has exited and the gzip writer is back in its pool when
-// gzipThrough returns. The first error wins — write's own, or the
-// compressor's (from the gzip writer or dst), which also fails the
-// Write that follows it, so a writer on a full disk stops early.
-func gzipThrough(dst io.Writer, write func(w io.Writer) error) error {
-	zw := gzWriterPool.Get().(*gzip.Writer)
+// gzipThrough runs write over a gzip stream at level onto dst,
+// compressing on a goroutine of its own: what write hands to its writer
+// is copied into pooled chunks that a compressor goroutine takes in
+// order, so write only ever waits when it is handoffChunks ahead. The
+// stream is ended, the goroutine has exited and the gzip writer is back
+// in its pool when gzipThrough returns. The first error wins — write's
+// own, or the compressor's (from the gzip writer or dst), which also
+// fails the Write that follows it, so a writer on a full disk stops
+// early.
+func gzipThrough(dst io.Writer, level int, write func(w io.Writer) error) error {
+	pool := gzWriterPools[level]
+	zw := pool.Get().(*gzip.Writer)
 	zw.Reset(dst)
 	defer func() {
 		zw.Reset(io.Discard)
-		gzWriterPool.Put(zw)
+		pool.Put(zw)
 	}()
 	h := &handoff{
 		full: make(chan []byte, handoffChunks),

@@ -97,7 +97,7 @@ func TestWriteFileAtomicCommit(t *testing.T) {
 		// A failed write — the moral equivalent of a crash mid-commit —
 		// must leave the committed file untouched and no temp debris.
 		boom := errors.New("disk on fire")
-		err = atomicWrite(path, func(w io.Writer) error {
+		err = atomicWrite(path, deflateLevel, func(w io.Writer) error {
 			bw := &brokenWriter{w: w, left: 10, err: boom}
 			_, werr := sampleSnapshot().WriteTo(bw)
 			return werr
@@ -126,7 +126,7 @@ func TestWriteFileAtomicCommit(t *testing.T) {
 func TestWriteFileFreshFailureLeavesNothing(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "never.jsonl")
 	boom := errors.New("boom")
-	err := atomicWrite(path, func(w io.Writer) error { return boom })
+	err := atomicWrite(path, deflateLevel, func(w io.Writer) error { return boom })
 	if !errors.Is(err, boom) {
 		t.Fatalf("err = %v", err)
 	}
@@ -173,25 +173,27 @@ func TestGzipHandoffFailsClosed(t *testing.T) {
 	for i := 0; text.Len() < 1<<20; i++ {
 		fmt.Fprintf(&text, "%d %x\n", i, sha256.Sum256([]byte{byte(i), byte(i >> 8)}))
 	}
-	for _, left := range []int{0, 10, 100 << 10} {
-		for _, heeds := range []bool{true, false} { // whether the producer stops at a failed Write
-			dst := &brokenWriter{w: io.Discard, left: left, err: boom}
-			before := runtime.NumGoroutine()
-			err := gzipThrough(dst, func(w io.Writer) error {
-				for p := text.Bytes(); len(p) > 0; {
-					n := min(len(p), 1000)
-					if _, err := w.Write(p[:n]); err != nil && heeds {
-						return err
+	for _, level := range []int{deflateLevel, gzip.NoCompression} {
+		for _, left := range []int{0, 10, 100 << 10} {
+			for _, heeds := range []bool{true, false} { // whether the producer stops at a failed Write
+				dst := &brokenWriter{w: io.Discard, left: left, err: boom}
+				before := runtime.NumGoroutine()
+				err := gzipThrough(dst, level, func(w io.Writer) error {
+					for p := text.Bytes(); len(p) > 0; {
+						n := min(len(p), 1000)
+						if _, err := w.Write(p[:n]); err != nil && heeds {
+							return err
+						}
+						p = p[n:]
 					}
-					p = p[n:]
+					return nil
+				})
+				if !errors.Is(err, boom) {
+					t.Errorf("level %d, writer failing after %d bytes, producer heeds errors %v: gzipThrough = %v, want the writer's error", level, left, heeds, err)
 				}
-				return nil
-			})
-			if !errors.Is(err, boom) {
-				t.Errorf("writer failing after %d bytes, producer heeds errors %v: gzipThrough = %v, want the writer's error", left, heeds, err)
-			}
-			if n := settledGoroutines(before); n > before {
-				t.Errorf("writer failing after %d bytes, producer heeds errors %v: %d goroutines, %d before", left, heeds, n, before)
+				if n := settledGoroutines(before); n > before {
+					t.Errorf("level %d, writer failing after %d bytes, producer heeds errors %v: %d goroutines, %d before", level, left, heeds, n, before)
+				}
 			}
 		}
 	}
@@ -251,22 +253,24 @@ func gunzipFile(t *testing.T, path string) (raw, plain []byte) {
 	return raw, plain
 }
 
-// requireDeflateLevel fails unless the gzip file at path is byte for
-// byte the one-shot deflateLevel stream of its uncompressed bytes: the
-// compressor goroutine and its chunked hand-off leave no trace.
-func requireDeflateLevel(t *testing.T, path string) {
+// requireLevel fails unless the gzip file at path is byte for byte the
+// one-shot level stream of its uncompressed bytes: the compressor
+// goroutine and its chunked hand-off leave no trace.
+func requireLevel(t *testing.T, path string, level int) {
 	t.Helper()
 	raw, plain := gunzipFile(t, path)
-	if want := gzipAt(t, plain, deflateLevel); !bytes.Equal(raw, want) {
+	if want := gzipAt(t, plain, level); !bytes.Equal(raw, want) {
 		t.Errorf("%s: %d bytes, not the one-shot level-%d stream of its %d plain bytes (%d bytes)",
-			path, len(raw), deflateLevel, len(plain), len(want))
+			path, len(raw), level, len(plain), len(want))
 	}
 }
 
-// TestGzipLevelsStayOutOfTheSnapshot: WriteFile output, every spilled
-// shard and Merge output are each the one-shot deflateLevel stream of
-// their lines, and the level a shard was written at does not reach the
-// merged bytes.
+// TestGzipLevelsStayOutOfTheSnapshot: WriteFile and Merge output are
+// each the one-shot deflateLevel stream of their lines, every spilled
+// shard is the stored (gzip.NoCompression) stream of its lines, and the
+// level a shard was written at does not reach the merged bytes: shards
+// left by a tree that spilled at deflateLevel, or at any other level,
+// merge to the same snapshot.
 func TestGzipLevelsStayOutOfTheSnapshot(t *testing.T) {
 	dir := t.TempDir()
 	s := buildSnapshot(5000) // ~600 KiB of lines: several hand-off chunks
@@ -274,7 +278,7 @@ func TestGzipLevelsStayOutOfTheSnapshot(t *testing.T) {
 	if err := WriteFile(written, s); err != nil {
 		t.Fatal(err)
 	}
-	requireDeflateLevel(t, written)
+	requireLevel(t, written, deflateLevel)
 
 	base := filepath.Join(dir, "snap.jsonl.gz")
 	set := shardOut(t, s, base, 2, 1<<20)
@@ -283,7 +287,7 @@ func TestGzipLevelsStayOutOfTheSnapshot(t *testing.T) {
 		t.Fatalf("%d shards, want 2", len(shards))
 	}
 	for _, p := range shards {
-		requireDeflateLevel(t, p)
+		requireLevel(t, p, gzip.NoCompression)
 	}
 	regzip := func(path string, level int) {
 		t.Helper()
@@ -297,7 +301,7 @@ func TestGzipLevelsStayOutOfTheSnapshot(t *testing.T) {
 		if _, err := Merge(base, shards); err != nil {
 			t.Fatal(err)
 		}
-		requireDeflateLevel(t, base)
+		requireLevel(t, base, deflateLevel)
 		raw, err := os.ReadFile(base)
 		if err != nil {
 			t.Fatal(err)
@@ -309,7 +313,7 @@ func TestGzipLevelsStayOutOfTheSnapshot(t *testing.T) {
 	if wantFile, _ := os.ReadFile(written); !bytes.Equal(want, wantFile) {
 		t.Errorf("merged snapshot (%d bytes) differs from WriteFile's (%d bytes)", len(want), len(wantFile))
 	}
-	for _, level := range []int{gzip.BestSpeed, gzip.DefaultCompression} {
+	for _, level := range []int{deflateLevel, gzip.BestSpeed, gzip.DefaultCompression} {
 		regzip(shards[0], level)
 		mixed := merged()
 		regzip(shards[1], level)
@@ -527,7 +531,7 @@ func TestAtomicWriteSurvivesEveryFault(t *testing.T) {
 			c := &crashFS{failAt: failAt, crash: crash,
 				live: map[string]*inode{path: ino}, synced: map[string]*inode{path: ino}}
 			fsys.create, fsys.open, fsys.rename = c.create, c.open, c.rename
-			err := atomicWrite(path, func(w io.Writer) error {
+			err := atomicWrite(path, deflateLevel, func(w io.Writer) error {
 				_, err := newSnap.WriteTo(w)
 				return err
 			})

@@ -2,6 +2,7 @@ package dataset
 
 import (
 	"bytes"
+	"compress/gzip"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -231,7 +232,7 @@ func TestFsckShard(t *testing.T) {
 	if !r.Clean || r.Entries != 4 {
 		t.Fatalf("fsck of a fresh shard = %+v, want clean with 4 entries", r)
 	}
-	requireDeflateLevel(t, shard)
+	requireLevel(t, shard, gzip.NoCompression)
 
 	body, err := ReadFile(shard)
 	if err != nil {

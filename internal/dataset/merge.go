@@ -62,7 +62,7 @@ func Merge(outPath string, shardPaths []string) (*MergeStats, error) {
 	}
 
 	stats := &MergeStats{Shards: len(shardPaths)}
-	err := atomicWrite(outPath, func(out io.Writer) error {
+	err := atomicWrite(outPath, deflateLevel, func(out io.Writer) error {
 		bw := bufWriterPool.Get().(*bufio.Writer)
 		bw.Reset(out)
 		defer func() {

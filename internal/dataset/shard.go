@@ -2,6 +2,7 @@ package dataset
 
 import (
 	"bufio"
+	"compress/gzip"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -295,7 +296,9 @@ func (w *ShardWriter) Close() error {
 }
 
 // spill sorts the buffered records and commits them as one shard file
-// via the same atomic tmp+fsync+rename path as full snapshots.
+// via the same atomic tmp+fsync+rename path as full snapshots. A ".gz"
+// shard is gzip in stored blocks: Merge reads it once and deletes it,
+// so deflating it would only cost the collection time.
 func (w *ShardWriter) spill() error {
 	seq := int(w.set.seq.Add(1)) - 1
 	path := ShardPath(w.set.Base, seq)
@@ -318,7 +321,7 @@ func (w *ShardWriter) spill() error {
 		footer.LastDomain = w.lines[len(w.lines)-1].name
 	}
 
-	err := atomicWrite(path, func(out io.Writer) error {
+	err := atomicWrite(path, gzip.NoCompression, func(out io.Writer) error {
 		bw := bufWriterPool.Get().(*bufio.Writer)
 		bw.Reset(out)
 		defer func() {

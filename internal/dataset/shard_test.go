@@ -755,3 +755,77 @@ func TestResumeShardSet(t *testing.T) {
 		t.Errorf("Remove left %v", left)
 	}
 }
+
+// BenchmarkShardSpill times the fleet's way to a snapshot file at the
+// benchmark's 20 000 domains: "spill" is two lanes' ShardWriters, each
+// given every other record, closing to one shard apiece; "merge" is
+// Merge of those two shards into the canonical gzipped snapshot.
+// ns/record counts domains and addresses; shard-B is what the two
+// spills hold on disk until Merge has read them.
+func BenchmarkShardSpill(b *testing.B) {
+	s := buildSnapshot(20000)
+	ips := slices.Collect(maps.Values(s.IPs))
+	records := float64(len(s.Domains) + len(ips))
+	spill := func(b *testing.B, base string) *ShardSet {
+		set := NewShardSet(base, s.Date, s.Corpus)
+		set.MaxBuffered = len(s.Domains) + len(ips) // one shard per writer, written at Close
+		for lane := range 2 {
+			w := set.NewWriter()
+			for i := lane; i < len(s.Domains); i += 2 {
+				if err := w.AddDomain(s.Domains[i]); err != nil {
+					b.Fatal(err)
+				}
+			}
+			for i := lane; i < len(ips); i += 2 {
+				if err := w.AddIP(ips[i]); err != nil {
+					b.Fatal(err)
+				}
+			}
+			if err := w.Close(); err != nil {
+				b.Fatal(err)
+			}
+		}
+		return set
+	}
+	report := func(b *testing.B) {
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/(records*float64(b.N)), "ns/record")
+	}
+
+	b.Run("spill", func(b *testing.B) {
+		dir := b.TempDir()
+		var onDisk int64
+		b.ReportAllocs()
+		for n := range b.N {
+			set := spill(b, filepath.Join(dir, fmt.Sprintf("run%d.jsonl.gz", n)))
+			b.StopTimer()
+			onDisk = 0
+			for _, p := range set.Paths() {
+				fi, err := os.Stat(p)
+				if err != nil {
+					b.Fatal(err)
+				}
+				onDisk += fi.Size()
+			}
+			if err := set.Remove(); err != nil {
+				b.Fatal(err)
+			}
+			b.StartTimer()
+		}
+		report(b)
+		b.ReportMetric(float64(onDisk), "shard-B")
+	})
+	b.Run("merge", func(b *testing.B) {
+		dir := b.TempDir()
+		shards := spill(b, filepath.Join(dir, "run.jsonl.gz")).Paths()
+		out := filepath.Join(dir, "snap.jsonl.gz")
+		b.ResetTimer()
+		b.ReportAllocs()
+		for range b.N {
+			ms, err := Merge(out, shards)
+			if err != nil || ms.Domains != len(s.Domains) || ms.IPs != len(ips) {
+				b.Fatalf("merge = %+v, %v", ms, err)
+			}
+		}
+		report(b)
+	})
+}

@@ -2,9 +2,11 @@ package scan
 
 import (
 	"bytes"
+	"compress/gzip"
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"maps"
 	"math/rand/v2"
 	"net/netip"
@@ -406,6 +408,85 @@ func TestFleetMatchesSingleWorker(t *testing.T) {
 				})
 			}
 		}
+	}
+}
+
+// TestResumeShardsOfEitherLevel resumes a killed run whose shards a
+// tree that deflated its spills left behind: the run's shards are
+// re-gzipped at level 3, as such a tree wrote them, before the resume,
+// which reads them where they lie beside its own stored spills and must
+// commit the bytes of an uninterrupted run, a snapshot fsck passes.
+func TestResumeShardsOfEitherLevel(t *testing.T) {
+	s := session(t)
+	ctx := context.Background()
+	proto, err := s.NewCollector(world.CorpusAlexa, "2021-06")
+	if err != nil {
+		t.Fatal(err)
+	}
+	lay := layout{lanes: 2, perLane: 1, shards: true}
+	fresh := dataset.NewShardSet(filepath.Join(t.TempDir(), "snap.jsonl.gz"), "2021-06", world.CorpusAlexa)
+	want, stats, err := layoutRun{lay: lay, proto: proto, set: fresh}.commit(t, ctx, s)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	kctx, kill := context.WithCancel(ctx)
+	defer kill()
+	sw := &killSwitch{at: int64(stats.Domains+stats.IPs) / 2, kill: kill, landed: make(map[string]bool)}
+	set := dataset.NewShardSet(filepath.Join(t.TempDir(), "snap.jsonl.gz"), "2021-06", world.CorpusAlexa)
+	if _, _, err := (layoutRun{lay: lay, proto: proto, set: set, kill: sw}).commit(t, kctx, s); err != context.Canceled {
+		t.Fatalf("killed at record %d: err = %v, want context.Canceled", sw.at, err)
+	}
+	left := set.Paths()
+	if len(left) < 2 {
+		t.Fatalf("killed at record %d: %d shards left, want several", sw.at, len(left))
+	}
+	for _, p := range left {
+		raw, err := os.ReadFile(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		zr, err := gzip.NewReader(bytes.NewReader(raw))
+		if err != nil {
+			t.Fatal(err)
+		}
+		plain, err := io.ReadAll(zr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var deflated bytes.Buffer
+		zw, _ := gzip.NewWriterLevel(&deflated, 3)
+		if _, err := zw.Write(plain); err != nil {
+			t.Fatal(err)
+		}
+		if err := zw.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if deflated.Len() >= len(raw) {
+			t.Fatalf("%s: %d bytes as spilled, %d deflated: the spill was not stored", p, len(raw), deflated.Len())
+		}
+		if err := os.WriteFile(p, deflated.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	resumed, prior, seen := resumeFrom(t, set.Base)
+	if !maps.Equal(seen, sw.landed) {
+		t.Errorf("the re-deflated shards hold %d records, %d reached a sink before the kill", len(seen), len(sw.landed))
+	}
+	got, _, err := layoutRun{lay: layout{lanes: 3, perLane: 1, shards: true}, proto: proto, prior: prior, set: resumed}.commit(t, ctx, s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("resume over re-deflated shards committed %d bytes, an uninterrupted run %d", len(got), len(want))
+	}
+	r, err := dataset.Fsck(set.Base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !r.Clean {
+		t.Errorf("fsck of the resumed snapshot = %+v, want clean", r)
 	}
 }
 
