@@ -18,9 +18,14 @@ const settle = 3 * time.Second
 // Main runs the tests and exits, failing the package when they leave a
 // goroutine of this module running: what a test starts is the test's
 // to stop. The gate checks once per process, after every test of every
-// -count round, so a leak that a round repeats adds up.
-func Main(m *testing.M) {
+// -count round, so a leak that a round repeats adds up. Before it
+// checks, Main calls each of after in turn: the close of what a
+// package's tests share across the run.
+func Main(m *testing.M, after ...func()) {
 	code := m.Run()
+	for _, f := range after {
+		f()
+	}
 	if leaked := leakedGoroutines(); code == 0 && len(leaked) > 0 {
 		fmt.Fprintf(os.Stderr, "%d goroutines outlived the tests:\n\n%s\n", len(leaked), strings.Join(leaked, "\n\n"))
 		code = 1

@@ -11,9 +11,10 @@ import (
 )
 
 // lane is one unit of private collection machinery: a collector with
-// its run state (retry budget, breakers, chain verdicts) and resolver
-// cache, and one record sink. The goroutines of a lane share all of it;
-// mu serializes what they commit.
+// its run state (retry budget, breakers) and resolver cache, and one
+// record sink. The goroutines of a lane share all of it; mu serializes
+// what they commit. The chain-verdict memo is the run's, shared by
+// every lane.
 type lane struct {
 	c   *Collector
 	run *collectRun
@@ -21,7 +22,6 @@ type lane struct {
 	sink
 
 	mu           sync.Mutex
-	addrs        map[netip.Addr]bool
 	domains, ips int
 }
 
@@ -55,12 +55,8 @@ func newLane(c *Collector, s sink) *lane {
 	run := &collectRun{
 		retry:    newRetryState(c.Retry),
 		breakers: newBreakerSet(breakerThreshold),
-		verdicts: make(map[string]bool),
 	}
-	return &lane{
-		c: c, run: run, dr: c.newDomainResolver(run), sink: s,
-		addrs: make(map[netip.Addr]bool),
-	}
+	return &lane{c: c, run: run, dr: c.newDomainResolver(run), sink: s}
 }
 
 // engine is one collection run: the (domain → MX → A) join, then one
@@ -91,6 +87,10 @@ func collect(ctx context.Context, lanes []*lane, perLane int, targets []Target, 
 		}
 		e.priorIPs = prior.IPs
 	}
+	verdicts := &chainVerdicts{m: make(map[string]*chainVerdict)}
+	for _, l := range lanes {
+		l.run.verdicts = verdicts
+	}
 	goroutines := len(lanes) * perLane
 
 	// Phase 1: DNS, the (domain → MX → A) join of every target.
@@ -105,7 +105,7 @@ func collect(ctx context.Context, lanes []*lane, perLane int, targets []Target, 
 	// the domain count.
 	addrSet := make(map[netip.Addr]bool)
 	for _, l := range lanes {
-		for a := range l.addrs {
+		for a := range l.dr.addrs {
 			addrSet[a] = true
 		}
 	}
@@ -140,9 +140,14 @@ func collect(ctx context.Context, lanes []*lane, perLane int, targets []Target, 
 // advance. It waits for all of them; the first failure cancels the rest
 // and is the error returned, so the caller's own cancellation comes
 // ahead of whatever it went on to cause.
+//
+// The goroutines settle under a claimCtx of the loop's context: the
+// settle functions ask it for Err several times an item, from every
+// goroutine at once.
 func (e *engine) claimLoop(ctx context.Context, n, size int, settle func(context.Context, *lane, int) error) error {
 	ctx, cancel := context.WithCancelCause(ctx)
 	defer cancel(nil)
+	settleCtx := &claimCtx{Context: ctx, done: ctx.Done()}
 	var cursor atomic.Int64
 	var wg sync.WaitGroup
 	for _, l := range e.lanes {
@@ -156,7 +161,7 @@ func (e *engine) claimLoop(ctx context.Context, n, size int, settle func(context
 						return
 					}
 					for i, hi := lo, min(lo+size, n); i < hi; i++ {
-						if err := settle(ctx, l, i); err != nil {
+						if err := settle(settleCtx, l, i); err != nil {
 							cancel(err)
 							return
 						}
@@ -169,16 +174,38 @@ func (e *engine) claimLoop(ctx context.Context, n, size int, settle func(context
 	return context.Cause(ctx)
 }
 
+// claimCtx is a context whose Err reads its done channel before it
+// asks the context: a cancelCtx's Err takes the context's mutex (Go
+// 1.24), so an Err asked by every goroutine of a claim loop is one
+// contended lock, while a receive that finds the channel open only
+// reads it. Done, Deadline and Value are the context's, so contexts
+// derived from a claimCtx hang off the loop's, and cancelling the loop
+// still reaches every goroutine at the one moment its channel closes.
+type claimCtx struct {
+	context.Context
+	done <-chan struct{}
+}
+
+func (c *claimCtx) Err() error {
+	select {
+	case <-c.done:
+		return c.Context.Err()
+	default:
+		return nil
+	}
+}
+
 // domain settles target i on lane l: measured and handed to the sink,
-// or skipped when the prior run holds it; either way its addresses are
-// noted for phase 2.
+// or skipped when the prior run holds it. Either way its addresses are
+// noted for phase 2: a measured domain's by the resolutions that found
+// them (domainResolver.resolveA), a held one's here.
 func (e *engine) domain(ctx context.Context, l *lane, i int) error {
 	t := e.targets[i]
-	rec, held := e.priorDomain[t.Name]
-	if !held {
-		measured := l.dr.collectDomain(ctx, t)
-		rec = &measured
+	if rec, held := e.priorDomain[t.Name]; held {
+		l.dr.noteHeld(rec)
+		return nil
 	}
+	rec := l.dr.collectDomain(ctx, t)
 	// A record finished under a cancelled context carries cancellation
 	// artifacts; spilling it would freeze them into the resumed run.
 	if err := ctx.Err(); err != nil {
@@ -186,22 +213,16 @@ func (e *engine) domain(ctx context.Context, l *lane, i int) error {
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	for _, mx := range rec.MX {
-		for _, a := range mx.Addrs {
-			l.addrs[a] = true
-		}
-	}
-	if held {
-		return nil
-	}
 	l.domains++
-	return l.putDomain(i, *rec)
+	return l.putDomain(i, rec)
 }
 
 // addr is domain's counterpart for one address of phase 2.
 func (e *engine) addr(ctx context.Context, l *lane, a netip.Addr) error {
-	if _, held := e.priorIPs[a.String()]; held {
-		return nil
+	if len(e.priorIPs) > 0 {
+		if _, held := e.priorIPs[a.String()]; held {
+			return nil
+		}
 	}
 	info := l.c.scanIP(ctx, l.run, a)
 	if err := ctx.Err(); err != nil {

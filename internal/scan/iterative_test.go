@@ -85,7 +85,9 @@ func TestIterativeMatchesCatalog(t *testing.T) {
 	}
 
 	viaCatalog := collect(dns.CatalogResolver{Catalog: catalog})
-	viaWire := collect(infra.NewIterativeResolver(sess.Net))
+	resolver := infra.NewIterativeResolver(sess.Net)
+	defer resolver.Close()
+	viaWire := collect(resolver)
 
 	if !reflect.DeepEqual(viaCatalog, viaWire) {
 		for domain, sig := range viaCatalog {

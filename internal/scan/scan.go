@@ -74,7 +74,8 @@ type Target struct {
 }
 
 // collectRun bundles the per-lane resilience state threaded through both
-// collection phases.
+// collection phases, and the run's chain verdicts, which every lane of
+// the run shares.
 type collectRun struct {
 	retry    *retryState
 	breakers *breakerSet
@@ -82,37 +83,48 @@ type collectRun struct {
 	dnsRetries  atomic.Int64
 	scanRetries atomic.Int64
 
-	// verdicts memoises the trust store's verdict per presented chain
-	// (see validChain).
-	verdictMu sync.Mutex
-	verdicts  map[string]bool
+	verdicts *chainVerdicts
+}
+
+// chainVerdicts memoises the trust store's verdict per presented chain
+// for one run (see validChain).
+type chainVerdicts struct {
+	mu sync.Mutex
+	m  map[string]*chainVerdict
+}
+
+// chainVerdict is one chain's verdict, reached once.
+type chainVerdict struct {
+	once  sync.Once
+	valid bool
 }
 
 // validChain reports whether trust verifies chain, once per distinct
-// chain in the run: a few providers' chains front most addresses, and
-// TrustStore.Validate is a pure function of the chain's bytes, the
-// roots and certs.SimNow. The key is the SHA-256 of every certificate
-// presented, in order, so a leaf shared under different intermediates
-// is a different chain; a negative verdict is kept as well. The memo
-// belongs to the run, so no verdict outlives the Collect or
-// CollectFleet that reached it: a root added to the store in between
-// counts at the next one.
+// chain in the run, whichever lane presents it: a few providers' chains
+// front most addresses, and TrustStore.Validate is a pure function of
+// the chain's bytes, the roots and certs.SimNow. The key is the SHA-256
+// of every certificate presented, in order, so a leaf shared under
+// different intermediates is a different chain; a negative verdict is
+// kept as well. A lane that asks while another verifies the same chain
+// waits for that verdict. The memo belongs to the run (collect makes
+// it), so no verdict outlives the Collect or CollectFleet that reached
+// it: a root added to the store in between counts at the next one.
 func (run *collectRun) validChain(trust *certs.TrustStore, chain []*x509.Certificate) bool {
 	key := make([]byte, 0, len(chain)*sha256.Size)
 	for _, c := range chain {
 		sum := sha256.Sum256(c.Raw)
 		key = append(key, sum[:]...)
 	}
-	run.verdictMu.Lock()
-	valid, seen := run.verdicts[string(key)]
-	run.verdictMu.Unlock()
-	if !seen {
-		valid = trust.Validate(chain) == nil
-		run.verdictMu.Lock()
-		run.verdicts[string(key)] = valid
-		run.verdictMu.Unlock()
+	v := run.verdicts
+	v.mu.Lock()
+	cv := v.m[string(key)]
+	if cv == nil {
+		cv = &chainVerdict{}
+		v.m[string(key)] = cv
 	}
-	return valid
+	v.mu.Unlock()
+	cv.once.Do(func() { cv.valid = trust.Validate(chain) == nil })
+	return cv.valid
 }
 
 // aResult is one exchange's address-resolution outcome.
@@ -148,6 +160,9 @@ type domainResolver struct {
 	mu       sync.Mutex
 	aCache   map[string]aResult
 	aFlights map[string]*aFlight
+	// addrs is every address the lane's domains hold, phase 2's input:
+	// noted once per resolution that found it, and per held domain.
+	addrs map[netip.Addr]bool
 
 	txt    dns.TXTResolver
 	hasTXT bool
@@ -164,6 +179,7 @@ func (c *Collector) newDomainResolver(run *collectRun) *domainResolver {
 		run:      run,
 		aCache:   make(map[string]aResult),
 		aFlights: make(map[string]*aFlight),
+		addrs:    make(map[netip.Addr]bool),
 	}
 	dr.txt, dr.hasTXT = c.Resolver.(dns.TXTResolver)
 	dr.prov, dr.hasProv = c.Resolver.(dns.ProvenanceChecker)
@@ -228,9 +244,24 @@ func (dr *domainResolver) resolveA(ctx context.Context, host string) aResult {
 	if f.res.definitive() {
 		dr.aCache[host] = f.res
 	}
+	for _, a := range f.res.addrs {
+		dr.addrs[a] = true
+	}
 	dr.mu.Unlock()
 	close(f.done)
 	return f.res
+}
+
+// noteHeld notes the addresses of a domain the prior run holds, which
+// is skipped rather than resolved.
+func (dr *domainResolver) noteHeld(rec *dataset.DomainRecord) {
+	dr.mu.Lock()
+	defer dr.mu.Unlock()
+	for _, mx := range rec.MX {
+		for _, a := range mx.Addrs {
+			dr.addrs[a] = true
+		}
+	}
 }
 
 // collectDomain measures one target: MX set, each exchange's addresses,
@@ -257,6 +288,9 @@ func (dr *domainResolver) collectDomain(ctx context.Context, t Target) dataset.D
 		// the record so inference treats the attribution as forgeable.
 		rec.Delegation = dataset.DelegationStaleGlue
 		rec.Failure = dataset.FailHijackSuspect
+	}
+	if len(mxs) > 0 {
+		rec.MX = make([]dataset.MXObs, 0, len(mxs))
 	}
 	for _, mx := range mxs {
 		res := dr.resolveA(ctx, mx.Exchange)

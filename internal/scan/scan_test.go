@@ -2,12 +2,12 @@ package scan
 
 import (
 	"context"
-	"os"
 	"testing"
 
 	"mxmap/internal/core"
 	"mxmap/internal/dataset"
 	"mxmap/internal/dns"
+	"mxmap/internal/leaktest"
 	"mxmap/internal/world"
 )
 
@@ -34,13 +34,14 @@ func session(t *testing.T) *WorldSession {
 }
 
 // TestMain closes the shared session once every test has run, so the
-// SMTP servers it started stop accepting with the run.
+// SMTP servers it started stop accepting with the run, and then fails
+// the package when its tests leave a goroutine of this module running.
 func TestMain(m *testing.M) {
-	code := m.Run()
-	if cachedSession != nil {
-		cachedSession.Close()
-	}
-	os.Exit(code)
+	leaktest.Main(m, func() {
+		if cachedSession != nil {
+			cachedSession.Close()
+		}
+	})
 }
 
 // googleOf returns the world's google.com provider.

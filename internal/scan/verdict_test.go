@@ -17,6 +17,7 @@ import (
 	"mxmap/internal/dns"
 	"mxmap/internal/netsim"
 	"mxmap/internal/smtp"
+	"mxmap/internal/world"
 )
 
 // testCert is a certificate with its key, for chains certs does not
@@ -125,7 +126,7 @@ func TestChainVerdictsExact(t *testing.T) {
 			t.Errorf("%s: CertValid = %v, want %v", ip, info.Scan.CertValid, want)
 		}
 	}
-	if n := len(l.run.verdicts); n != 2 {
+	if n := len(l.run.verdicts.m); n != 2 {
 		t.Errorf("lane holds %d verdicts for two distinct chains", n)
 	}
 }
@@ -160,5 +161,56 @@ func TestChainVerdictsScopedToRun(t *testing.T) {
 			t.Errorf("collect %d: scan %+v, want CertValid %v", i+1, info.Scan, want)
 		}
 		trust.AddCA(ca)
+	}
+}
+
+// TestFleetSharesOneVerdictMemo holds the memo to the run, not the
+// lane: four single-goroutine lanes, CollectFleet's layout, all point
+// at one memo, and it holds each distinct chain the flat world
+// presented once, whichever lanes scanned its addresses.
+func TestFleetSharesOneVerdictMemo(t *testing.T) {
+	const n = 2000
+	fw, err := world.NewFlatWorld(world.FlatConfig{Seed: 1, NumDomains: n, AdversarialPercent: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	targets := make([]Target, n)
+	for i := range targets {
+		targets[i] = Target{Name: fw.DomainName(i)}
+	}
+	snap := dataset.NewSnapshot("2021-06", fw.Cfg.Corpus)
+	snap.Domains = make([]dataset.DomainRecord, n)
+	var lanes []*lane
+	for range 4 {
+		c := &Collector{Resolver: fw.Resolver(), Dialer: fw.Dialer(), Trust: fw.Trust, Parked: fw.Parked}
+		lanes = append(lanes, newLane(c, memorySink(snap)))
+	}
+	if _, err := collect(context.Background(), lanes, 1, targets, nil); err != nil {
+		t.Fatal(err)
+	}
+
+	memo := lanes[0].run.verdicts
+	for i, l := range lanes {
+		if l.run.verdicts != memo {
+			t.Fatalf("lane %d keeps its own verdict memo", i)
+		}
+	}
+	chains := make(map[string]bool)
+	for _, ip := range snap.IPs {
+		if ip.Scan != nil && ip.Scan.CertPresent {
+			chains[ip.Scan.CertFingerprint] = true
+		}
+	}
+	scanning := 0
+	for _, l := range lanes {
+		if l.ips > 0 {
+			scanning++
+		}
+	}
+	if len(chains) < 2 || scanning < 2 {
+		t.Fatalf("%d distinct chains, %d lanes scanning: nothing to share", len(chains), scanning)
+	}
+	if got := len(memo.m); got != len(chains) {
+		t.Errorf("memo holds %d verdicts for %d distinct chains", got, len(chains))
 	}
 }

@@ -95,6 +95,10 @@ type FlatWorld struct {
 	digits     int
 	namePrefix string
 	nameSuffix string
+	// assignKey and advKey are the FNV-1a states after the key prefixes
+	// "flat/<seed>/assign/" and "flat/<seed>/adv/"; a draw continues one
+	// over the index's digits (indexHash).
+	assignKey, advKey uint64
 }
 
 // NewFlatWorld builds the provider roster and address plan. Cost is
@@ -127,6 +131,8 @@ func NewFlatWorld(cfg FlatConfig) (*FlatWorld, error) {
 		nameSuffix: ".com",
 		digits:     9,
 	}
+	seed := "flat/" + strconv.FormatUint(cfg.Seed, 10)
+	fw.assignKey, fw.advKey = hash64(seed+"/assign/"), hash64(seed+"/adv/")
 	rng := rand.New(rand.NewPCG(cfg.Seed, 0x666c6174)) // "flat"
 	ca, err := certs.NewCA("Flat World Root CA", rng)
 	if err != nil {
@@ -264,8 +270,11 @@ func (fw *FlatWorld) NumDomains() int { return fw.Cfg.NumDomains }
 // which is what lets the resolver answer for any of them statelessly.
 // Abuse-family domains carry look-alike names instead of the canonical
 // pattern; both encode the same index.
-func (fw *FlatWorld) DomainName(i int) string {
-	if spec, _ := fw.advSpec(i); spec.Family == FamilyAbuse {
+func (fw *FlatWorld) DomainName(i int) string { return fw.name(i, fw.draw(i)) }
+
+// name is DomainName given the index's draw u.
+func (fw *FlatWorld) name(i int, u float64) string {
+	if spec, _ := fw.advSpec(i, u); spec.Family == FamilyAbuse {
 		return fw.adv.AbuseClusters[spec.Cluster].memberName(fw.digits, i)
 	}
 	var buf [32]byte
@@ -293,18 +302,27 @@ func appendPadded(b []byte, width, n int) []byte {
 // A name only resolves when it is the canonical spelling for its index —
 // a look-alike name for an honest index (or vice versa) stays NXDOMAIN.
 func (fw *FlatWorld) DomainIndex(name string) (int, bool) {
+	i, _, ok := fw.index(name)
+	return i, ok
+}
+
+// index is DomainIndex with the index's draw, which a lookup passes
+// down to everything it asks about the domain.
+func (fw *FlatWorld) index(name string) (i int, u float64, ok bool) {
 	if i, ok := fw.parseIndex(name, fw.namePrefix, fw.nameSuffix); ok {
-		return i, fw.familyOf(i) != FamilyAbuse
+		u := fw.draw(i)
+		return i, u, fw.family(u) != FamilyAbuse
 	}
 	if fw.adv != nil {
 		for k, ac := range fw.adv.AbuseClusters {
 			if i, ok := fw.parseIndex(name, ac.Stem+"-", abuseSuffix); ok {
-				spec, _ := fw.advSpec(i)
-				return i, spec.Family == FamilyAbuse && spec.Cluster == k
+				u := fw.draw(i)
+				spec, _ := fw.advSpec(i, u)
+				return i, u, spec.Family == FamilyAbuse && spec.Cluster == k
 			}
 		}
 	}
-	return 0, false
+	return 0, 0, false
 }
 
 // parseIndex extracts the in-range index between a prefix and suffix.
@@ -327,19 +345,15 @@ func (fw *FlatWorld) parseIndex(name, prefix, suffix string) (int, bool) {
 // visibly non-uniform on sequential keys, so the hash goes through a
 // murmur-style finalizer before becoming a share coordinate.
 func (fw *FlatWorld) draw(i int) float64 {
-	return float64(fw.indexHash("/assign/", i)>>11) / float64(1<<53)
+	return float64(indexHash(fw.assignKey, i)>>11) / float64(1<<53)
 }
 
-// indexHash is the finalized hash of "flat/<seed><purpose><i>", the key
-// of each per-domain draw. The resolver makes several per lookup, so the
-// key is appended into a stack array rather than formatted.
-func (fw *FlatWorld) indexHash(purpose string, i int) uint64 {
-	var buf [64]byte // "flat/", two 20-digit numbers and the purpose fit
-	key := append(buf[:0], "flat/"...)
-	key = strconv.AppendUint(key, fw.Cfg.Seed, 10)
-	key = append(key, purpose...)
-	key = strconv.AppendInt(key, int64(i), 10)
-	return mix64(hash64(key))
+// indexHash is the finalized FNV-1a hash of "flat/<seed><purpose><i>",
+// the key of each per-domain draw, given key, the state after the
+// prefix before <i>: only the index's digits are hashed per draw.
+func indexHash(key uint64, i int) uint64 {
+	var buf [20]byte
+	return mix64(fnv64(key, strconv.AppendInt(buf[:0], int64(i), 10)))
 }
 
 // mix64 is the murmur3 finalizer: every input bit reaches every output
@@ -353,13 +367,12 @@ func mix64(h uint64) uint64 {
 	return h
 }
 
-// providerOf resolves a domain index to its provider, or nil for
+// provider resolves a domain's draw to its provider, or nil for
 // self-hosted domains, with ok=false when the domain has no MX.
-func (fw *FlatWorld) providerOf(i int) (p *flatProvider, ok bool) {
-	u := fw.draw(i)
+func (fw *FlatWorld) provider(u float64) (p *flatProvider, ok bool) {
 	if u < fw.advCut {
 		// Below the no-MX cut nothing exists; in [noMXCut, advCut) the
-		// domain is adversarial and callers route through familyOf.
+		// domain is adversarial and callers route through family.
 		return nil, false
 	}
 	if u < fw.selfCut {
@@ -378,15 +391,16 @@ func (fw *FlatWorld) providerOf(i int) (p *flatProvider, ok bool) {
 // the company name, the domain itself when self-hosted, or "" for no
 // mail service.
 func (fw *FlatWorld) TruthCompany(i int) string {
-	if spec, variant := fw.advSpec(i); spec.Family != FamilyHonest {
+	u := fw.draw(i)
+	if spec, variant := fw.advSpec(i, u); spec.Family != FamilyHonest {
 		return fw.adv.truth(spec, fw.advPrimary(variant).company)
 	}
-	p, ok := fw.providerOf(i)
+	p, ok := fw.provider(u)
 	switch {
 	case !ok:
 		return ""
 	case p == nil:
-		return fw.DomainName(i)
+		return fw.name(i, u)
 	default:
 		return p.company
 	}
@@ -420,11 +434,11 @@ func (fw *FlatWorld) Dialer() smtp.Dialer { return flatDialer{fw} }
 type flatResolver struct{ fw *FlatWorld }
 
 func (r flatResolver) LookupMX(_ context.Context, domain string) ([]dns.MXData, error) {
-	i, ok := r.fw.DomainIndex(domain)
+	i, u, ok := r.fw.index(domain)
 	if !ok {
 		return nil, dns.ErrNXDomain
 	}
-	if spec, variant := r.fw.advSpec(i); spec.Family != FamilyHonest {
+	if spec, variant := r.fw.advSpec(i, u); spec.Family != FamilyHonest {
 		if spec.Family == FamilyLame {
 			return nil, fmt.Errorf("dns: lame delegation for %s: %w", domain, dns.ErrLame)
 		}
@@ -435,7 +449,7 @@ func (r flatResolver) LookupMX(_ context.Context, domain string) ([]dns.MXData, 
 		}
 		return mxs, nil
 	}
-	p, hasMail := r.fw.providerOf(i)
+	p, hasMail := r.fw.provider(u)
 	if !hasMail {
 		return nil, dns.ErrNoData
 	}
@@ -455,14 +469,14 @@ func (r flatResolver) LookupA(_ context.Context, host string) ([]netip.Addr, err
 		}
 	}
 	if rest, ok := strings.CutPrefix(host, "mail."); ok {
-		if i, ok := r.fw.DomainIndex(rest); ok {
-			if p, hasMail := r.fw.providerOf(i); hasMail && p == nil {
+		if i, u, ok := r.fw.index(rest); ok {
+			if p, hasMail := r.fw.provider(u); hasMail && p == nil {
 				return []netip.Addr{r.fw.selfIP(i)}, nil
 			}
 		}
 		return nil, dns.ErrNXDomain
 	}
-	label, id, ok := strings.Cut(host, ".")
+	_, id, ok := strings.Cut(host, ".")
 	if !ok {
 		return nil, dns.ErrNXDomain
 	}
@@ -471,7 +485,7 @@ func (r flatResolver) LookupA(_ context.Context, host string) ([]netip.Addr, err
 		return nil, dns.ErrNXDomain
 	}
 	for h, name := range p.hosts {
-		if name == label+"."+id {
+		if name == host {
 			return append([]netip.Addr(nil), p.addrs[h]...), nil
 		}
 	}
@@ -522,10 +536,11 @@ func (fw *FlatWorld) hostAt(a netip.Addr) (*SMTPSpec, error) {
 		return h, nil
 	}
 	if i, ok := fw.selfIndex(a); ok {
-		if p, hasMail := fw.providerOf(i); hasMail && p == nil {
+		u := fw.draw(i)
+		if p, hasMail := fw.provider(u); hasMail && p == nil {
 			// Self-hosted box: banner-only identity under the domain's
 			// own name, no TLS.
-			return &SMTPSpec{Hostname: "mail." + fw.DomainName(i)}, nil
+			return &SMTPSpec{Hostname: "mail." + fw.name(i, u)}, nil
 		}
 	}
 	return nil, &net.OpError{Op: "dial", Net: "tcp", Err: syscall.ECONNREFUSED}

@@ -51,7 +51,7 @@ func TestFlatShares(t *testing.T) {
 	counts := make(map[string]int)
 	self, none := 0, 0
 	for i := 0; i < fw.NumDomains(); i++ {
-		p, ok := fw.providerOf(i)
+		p, ok := fw.provider(fw.draw(i))
 		switch {
 		case !ok:
 			none++
@@ -94,7 +94,7 @@ func TestFlatResolver(t *testing.T) {
 
 	var provDomain, selfDomain, noneDomain string
 	for i := 0; i < fw.NumDomains(); i++ {
-		p, ok := fw.providerOf(i)
+		p, ok := fw.provider(fw.draw(i))
 		switch {
 		case !ok && noneDomain == "":
 			noneDomain = fw.DomainName(i)
@@ -187,7 +187,7 @@ func TestFlatDialerServesSMTP(t *testing.T) {
 	// A self-hosted address: banner-only under the domain's own name.
 	var selfIdx int
 	for i := 0; i < fw.NumDomains(); i++ {
-		if p, ok := fw.providerOf(i); ok && p == nil {
+		if p, ok := fw.provider(fw.draw(i)); ok && p == nil {
 			selfIdx = i
 			break
 		}

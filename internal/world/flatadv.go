@@ -20,13 +20,12 @@ var flatFamilies = []ScenarioFamily{
 	FamilyLame, FamilyAbuse, FamilyBLBFO,
 }
 
-// familyOf returns domain i's scenario family; FamilyHonest outside the
-// adversarial band.
-func (fw *FlatWorld) familyOf(i int) ScenarioFamily {
+// family returns the scenario family of a domain whose draw is u;
+// FamilyHonest outside the adversarial band.
+func (fw *FlatWorld) family(u float64) ScenarioFamily {
 	if fw.adv == nil {
 		return FamilyHonest
 	}
-	u := fw.draw(i)
 	if u < fw.noMXCut || u >= fw.advCut {
 		return FamilyHonest
 	}
@@ -37,16 +36,17 @@ func (fw *FlatWorld) familyOf(i int) ScenarioFamily {
 	return flatFamilies[slice]
 }
 
-// advSpec returns domain i's scenario — Family honest outside the band —
-// and the per-domain variant that stands in for a stint's: one hash of
-// the index, its low bits placing the domain in a cluster or topology,
-// the rest picking its MX shape and BLBFO primary.
-func (fw *FlatWorld) advSpec(i int) (AdvSpec, uint64) {
-	fam := fw.familyOf(i)
+// advSpec returns the scenario of domain i, whose draw is u — Family
+// honest outside the band — and the per-domain variant that stands in
+// for a stint's: one hash of the index, its low bits placing the domain
+// in a cluster or topology, the rest picking its MX shape and BLBFO
+// primary.
+func (fw *FlatWorld) advSpec(i int, u float64) (AdvSpec, uint64) {
+	fam := fw.family(u)
 	if fam == FamilyHonest {
 		return AdvSpec{Family: FamilyHonest}, 0
 	}
-	h := fw.indexHash("/adv/", i)
+	h := indexHash(fw.advKey, i)
 	return newAdvSpec(fam, int(h&0xffff)), h >> 16
 }
 
@@ -66,8 +66,8 @@ func (r flatResolver) DelegationStale(_ context.Context, domain string) bool {
 	if r.fw.adv == nil {
 		return false
 	}
-	i, ok := r.fw.DomainIndex(domain)
-	return ok && r.fw.familyOf(i) == FamilyHijack
+	_, u, ok := r.fw.index(domain)
+	return ok && r.fw.family(u) == FamilyHijack
 }
 
 // ZoneGone implements dns.ProvenanceChecker: the dangling targets and
@@ -80,6 +80,7 @@ func (r flatResolver) ZoneGone(_ context.Context, host string) bool {
 // counterpart of World.Oracle — per index rather than materialized,
 // matching how everything else in a flat world is computed.
 func (fw *FlatWorld) OracleAt(i int) OracleEntry {
-	spec, _ := fw.advSpec(i)
-	return fw.adv.OracleEntry(fw.DomainName(i), spec, fw.TruthCompany(i))
+	u := fw.draw(i)
+	spec, _ := fw.advSpec(i, u)
+	return fw.adv.OracleEntry(fw.name(i, u), spec, fw.TruthCompany(i))
 }

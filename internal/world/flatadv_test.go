@@ -36,9 +36,9 @@ func TestFlatAdversarialBand(t *testing.T) {
 	fw := flatAdvWorld(t, n, pct)
 	counts := make(map[ScenarioFamily]int)
 	for i := 0; i < n; i++ {
-		fam := fw.familyOf(i)
-		if fam2 := fw.familyOf(i); fam2 != fam {
-			t.Fatalf("familyOf(%d) unstable: %s then %s", i, fam, fam2)
+		fam := fw.family(fw.draw(i))
+		if fam2 := fw.family(fw.draw(i)); fam2 != fam {
+			t.Fatalf("family of %d unstable: %s then %s", i, fam, fam2)
 		}
 		counts[fam]++
 	}
@@ -58,7 +58,7 @@ func TestFlatAdversarialBand(t *testing.T) {
 	// Honest flat worlds never consult the band.
 	honest := flatWorld(t, 1000)
 	for i := 0; i < 1000; i++ {
-		if fam := honest.familyOf(i); fam != FamilyHonest {
+		if fam := honest.family(honest.draw(i)); fam != FamilyHonest {
 			t.Fatalf("honest flat world classed domain %d as %s", i, fam)
 		}
 	}
@@ -74,7 +74,7 @@ func TestFlatAbuseNames(t *testing.T) {
 	members := make([]int, len(fw.adv.AbuseClusters))
 	for i := 0; i < fw.NumDomains() && members[0]+members[1] < 50; i++ {
 		name := fw.DomainName(i)
-		if spec, _ := fw.advSpec(i); spec.Family == FamilyAbuse {
+		if spec, _ := fw.advSpec(i, fw.draw(i)); spec.Family == FamilyAbuse {
 			if want := fw.adv.AbuseClusters[spec.Cluster].memberName(9, i); name != want {
 				t.Fatalf("abuse domain %d named %q, want %q", i, name, want)
 			}
@@ -111,7 +111,7 @@ func TestFlatAdversarialResolver(t *testing.T) {
 	// One representative index per family.
 	rep := make(map[ScenarioFamily]int)
 	for i := 0; i < fw.NumDomains() && len(rep) < len(flatFamilies); i++ {
-		fam := fw.familyOf(i)
+		fam := fw.family(fw.draw(i))
 		if fam != FamilyHonest {
 			if _, ok := rep[fam]; !ok {
 				rep[fam] = i
@@ -195,8 +195,8 @@ func TestFlatOracleAt(t *testing.T) {
 	fw := flatAdvWorld(t, 50_000, 12)
 	for i := 0; i < 20_000; i++ {
 		e := fw.OracleAt(i)
-		spec, _ := fw.advSpec(i)
-		if e.Domain != fw.DomainName(i) || e.Family != fw.familyOf(i) {
+		spec, _ := fw.advSpec(i, fw.draw(i))
+		if e.Domain != fw.DomainName(i) || e.Family != fw.family(fw.draw(i)) {
 			t.Fatalf("oracle %d inconsistent with the world: %+v", i, e)
 		}
 		switch e.Family {

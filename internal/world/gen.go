@@ -703,8 +703,11 @@ func ccTLDByCountry(country string) *ccTLD {
 }
 
 // hash64 derives a stable sub-seed from a string (FNV-1a).
-func hash64[T string | []byte](s T) uint64 {
-	var h uint64 = 14695981039346656037
+func hash64(s string) uint64 { return fnv64(14695981039346656037, s) }
+
+// fnv64 continues the FNV-1a state h over s: hash64(a+b) is
+// fnv64(hash64(a), b).
+func fnv64[T string | []byte](h uint64, s T) uint64 {
 	for i := 0; i < len(s); i++ {
 		h ^= uint64(s[i])
 		h *= 1099511628211
