@@ -58,9 +58,10 @@ func TestReadAllocs(t *testing.T) {
 }
 
 // TestStreamForEachAllocs pins a streaming pass: records are refilled in
-// place and exchange names come from the walk's intern table, so a
-// domain line costs its name and nothing else. This is the number the
-// traced benchmark sums up as core.allocs_per_domain, twice.
+// place, and a domain line whose tail the walk has decoded before is
+// refilled from its table of tails, so a domain line costs its name and
+// nothing else. This is the number the traced benchmark sums up as
+// core.allocs_per_domain, twice.
 func TestStreamForEachAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's instrumentation allocates")

@@ -605,9 +605,6 @@ func decodeAhead(r io.Reader, name string, wantHeader, wantDomain, wantIP bool, 
 			return false
 		}
 	}
-	if wantDomain {
-		rules.names = make(internTable)
-	}
 	if !next() {
 		return
 	}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"math"
 	"net/netip"
 	"path/filepath"
 	"reflect"
@@ -50,7 +51,11 @@ func FuzzShardFooter(f *testing.F) {
 // (OpenStream, a ForEach pass, LoadIPs) both fail, or both yield the
 // same header, domain records and IP table; and Fsck of that file
 // reports a line-level problem, as its first, exactly when ReadFile
-// fails, at the same line in the same words. Neither may panic.
+// fails, at the same line in the same words. Neither may panic. The
+// domain records both yield are also held to a reference that does not
+// go through the line codec (jsonDomains): a walk's table of decoded
+// tails, which both readers share the code of, must not change what a
+// line decodes to.
 func FuzzRead(f *testing.F) {
 	var buf bytes.Buffer
 	if _, err := sampleSnapshot().WriteTo(&buf); err != nil {
@@ -67,6 +72,18 @@ func FuzzRead(f *testing.F) {
 	for _, p := range lineRuleProbes {
 		f.Add([]byte(p.text))
 	}
+	// Tails that repeat: canonical ones under other names and ranks, and
+	// a non-canonical one (a repeated member, which the codec declines at
+	// its end and encoding/json reads as the last value) twice.
+	header := `{"kind":"snapshot","header":{"date":"d","corpus":"c"}}` + "\n"
+	f.Add([]byte(header +
+		`{"kind":"domain","domain":{"domain":"a.example","rank":3,"mx":[{"pref":10,"exchange":"mx.p.example","addrs":["10.0.0.1","10.0.0.2"]}],"spf":"v=spf1 -all"}}` + "\n" +
+		`{"kind":"domain","domain":{"domain":"b.example","mx":[{"pref":10,"exchange":"mx.p.example","addrs":["10.0.0.1","10.0.0.2"]}],"spf":"v=spf1 -all"}}` + "\n" +
+		`{"kind":"domain","domain":{"domain":"c.example","rank":1,"mx":[]}}` + "\n" +
+		`{"kind":"domain","domain":{"domain":"d.example","rank":2,"mx":[]}}` + "\n"))
+	f.Add([]byte(header +
+		`{"kind":"domain","domain":{"domain":"a.example","mx":null,"mx":[{"pref":1,"exchange":"x.example"}]}}` + "\n" +
+		`{"kind":"domain","domain":{"domain":"b.example","mx":null,"mx":[{"pref":1,"exchange":"x.example"}]}}` + "\n"))
 
 	// One file per fuzz worker process, rewritten per input.
 	path := filepath.Join(f.TempDir(), "in.jsonl")
@@ -108,6 +125,9 @@ func FuzzRead(f *testing.F) {
 		if !reflect.DeepEqual(got.Domains, want.Domains) {
 			t.Fatalf("domains:\n Read   %#v\n Stream %#v", want.Domains, got.Domains)
 		}
+		if ref := jsonDomains(t, data); len(ref)+len(want.Domains) > 0 && !reflect.DeepEqual(want.Domains, ref) {
+			t.Fatalf("domains:\n Read           %#v\n json.Unmarshal %#v", want.Domains, ref)
+		}
 		if !reflect.DeepEqual(got.IPs, want.IPs) {
 			t.Fatalf("ips:\n Read   %#v\n Stream %#v", want.IPs, got.IPs)
 		}
@@ -116,6 +136,28 @@ func FuzzRead(f *testing.F) {
 			t.Fatalf("LoadIPs = %#v, %v, Read %#v", ips, err, want.IPs)
 		}
 	})
+}
+
+// jsonDomains decodes the domain records of data, a snapshot the
+// readers accept, without the line codec: each line, split as the
+// readers' scanner splits it, through json.Unmarshal.
+func jsonDomains(t *testing.T, data []byte) []DomainRecord {
+	t.Helper()
+	var ds []DomainRecord
+	for _, line := range bytes.Split(data, []byte("\n")) {
+		line = bytes.TrimSuffix(line, []byte("\r"))
+		if len(line) == 0 {
+			continue
+		}
+		var l jsonLine
+		if err := json.Unmarshal(line, &l); err != nil {
+			t.Fatalf("a line of a snapshot Read accepts: %v", err)
+		}
+		if l.Kind == "domain" {
+			ds = append(ds, *l.Domain)
+		}
+	}
+	return ds
 }
 
 // keyProbe is how Merge read a line's kind and sort key before the line
@@ -154,7 +196,12 @@ func usedRecords() (*DomainRecord, *IPInfo) {
 // json.Unmarshal into a jsonLine, or it yields the record, kind and
 // merge key encoding/json yields — into used records, into fresh ones
 // and on a bare walk alike — for a line the encoder writes back byte
-// for byte.
+// for byte. A walk's table of decoded tails may only make that faster:
+// each input is decoded cold (no table), through a table warmed by the
+// input itself and through one warmed by the input's tail under
+// another name and rank (warmTables), each way, and every decode must
+// give what the cold one gives; a domain line whose tail the table
+// holds must be looked up in it, not added again.
 func FuzzLineDecode(f *testing.F) {
 	for _, e := range lineEdgeShapes {
 		f.Add([]byte(e.line))
@@ -178,24 +225,31 @@ func FuzzLineDecode(f *testing.F) {
 			f.Add([]byte(e.line[:n]))
 		}
 	}
+	// Tails the kernel walks to their end before it declines them: a
+	// repeated member, and bytes after the closing braces.
+	f.Add([]byte(`{"kind":"domain","domain":{"domain":"a.example","rank":1,"mx":null,"mx":[{"pref":1,"exchange":"x.example"}]}}`))
+	f.Add([]byte(`{"kind":"domain","domain":{"domain":"a.example","mx":[],"spf":"v=spf1"}} `))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var want jsonLine
 		wantErr := json.Unmarshal(data, &want)
 
 		d, info := usedRecords()
-		kind, key, ok := decodeCanonical(data, d, info, make(internTable))
+		kind, key, ok := decodeCanonical(data, d, info, nil)
 		if wkind, wkey, wok := decodeCanonical(data, nil, nil, nil); wok != ok || (ok && (wkind != kind || !bytes.Equal(wkey, key))) {
 			t.Fatalf("walk = (%q, %q, %v), decode = (%q, %q, %v)", wkind, wkey, wok, kind, key, ok)
 		}
 		if !ok {
-			got := jsonLine{Domain: d, IP: info}
-			_, err := decodeLine(data, &got, nil)
-			if (err == nil) != (wantErr == nil) || (err != nil && err.Error() != wantErr.Error()) {
-				t.Fatalf("declined line: decodeLine error %v, json.Unmarshal error %v", err, wantErr)
-			}
-			if err == nil && !reflect.DeepEqual(got, want) {
-				t.Fatalf("declined line: decodeLine = %+v, json.Unmarshal = %+v", got, want)
+			for _, w := range warmTables(data) {
+				d, info := usedRecords()
+				got := jsonLine{Domain: d, IP: info}
+				_, err := decodeLine(data, &got, w.table())
+				if (err == nil) != (wantErr == nil) || (err != nil && err.Error() != wantErr.Error()) {
+					t.Fatalf("declined line, table %s: decodeLine error %v, json.Unmarshal error %v", w.name, err, wantErr)
+				}
+				if err == nil && !reflect.DeepEqual(got, want) {
+					t.Fatalf("declined line, table %s: decodeLine = %+v, json.Unmarshal = %+v", w.name, got, want)
+				}
 			}
 			return
 		}
@@ -238,7 +292,87 @@ func FuzzLineDecode(f *testing.F) {
 		if string(again) != string(data)+"\n" {
 			t.Fatalf("accepted line is not what the encoder writes:\n in  %s\n out %s", data, again)
 		}
+
+		for _, w := range warmTables(data) {
+			for _, way := range []string{"used", "fresh", "bare"} {
+				var d *DomainRecord
+				var info *IPInfo
+				switch way {
+				case "used":
+					d, info = usedRecords()
+				case "fresh":
+					d, info = new(DomainRecord), new(IPInfo)
+				}
+				tab := w.table()
+				held := len(tab)
+				wkind, wkey, wok := decodeCanonical(data, d, info, tab)
+				if !wok || wkind != kind || !bytes.Equal(wkey, key) {
+					t.Fatalf("table %s, %s records: (%q, %q, %v), cold (%q, %q, true)", w.name, way, wkind, wkey, wok, kind, key)
+				}
+				if kind == "domain" && held > 0 && len(tab) != held {
+					t.Fatalf("table %s, %s records: a held tail was added again (%d entries, was %d)", w.name, way, len(tab), held)
+				}
+				if (d != nil && !reflect.DeepEqual(d, want.Domain) && kind == "domain") || (info != nil && kind == "ip" && !reflect.DeepEqual(info, want.IP)) {
+					t.Fatalf("table %s, %s records:\n domain %#v\n ip     %#v\n want   %+v", w.name, way, d, info, want)
+				}
+			}
+		}
 	})
+}
+
+// warmTable names a way to warm a walk's table of decoded tails before
+// a line is decoded through it.
+type warmTable struct {
+	name  string
+	table func() tailTable // a new table, warmed
+}
+
+// warmTables returns the tables FuzzLineDecode decodes line through:
+// warmed by line itself, and by line's tail under another name and rank
+// (when line has the head of a domain line), each by a walk that stores
+// the record and by one that stores none.
+func warmTables(line []byte) []warmTable {
+	warm := func(with []byte, store bool) func() tailTable {
+		return func() tailTable {
+			tab := make(tailTable)
+			if store {
+				decodeCanonical(with, new(DomainRecord), new(IPInfo), tab)
+			} else {
+				decodeCanonical(with, nil, nil, tab)
+			}
+			return tab
+		}
+	}
+	ws := []warmTable{{"self/stored", warm(line, true)}, {"self/bare", warm(line, false)}}
+	if tail, rank, ok := splitDomainLine(line); ok {
+		other := `{"kind":"domain","domain":{"domain":"tail.other.example","rank":1`
+		if rank == 1 {
+			other = `{"kind":"domain","domain":{"domain":"tail.other.example","rank":2`
+		}
+		with := append([]byte(other), tail...)
+		ws = append(ws, warmTable{"other/stored", warm(with, true)}, warmTable{"other/bare", warm(with, false)})
+	}
+	return ws
+}
+
+// splitDomainLine returns the tail of a line that starts as a canonical
+// domain line, the bytes after its name and rank, and its rank.
+func splitDomainLine(line []byte) (tail []byte, rank uint64, ok bool) {
+	const head = `{"kind":"domain","domain":{"domain":`
+	if !bytes.HasPrefix(line, []byte(head)) {
+		return nil, 0, false
+	}
+	c := cursor{b: line, i: len(head)}
+	if _, ok := c.str(); !ok {
+		return nil, 0, false
+	}
+	if string(line[c.i:min(c.i+8, len(line))]) == `,"rank":` {
+		c.i += 8
+		if rank, ok = c.positive(math.MaxInt); !ok {
+			return nil, 0, false
+		}
+	}
+	return line[c.i:], rank, true
 }
 
 // FuzzLineEncode holds the append encoders to encoding/json byte for

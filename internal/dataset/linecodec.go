@@ -37,8 +37,14 @@ import (
 // the compiler compares in a word or two; one-byte literals are
 // compared as bytes, and a dotted quad is parsed octet by octet into a
 // register. A walk that stores nothing allocates nothing; a stored
-// record costs its own strings, exchange names coming from the walk's
-// intern table.
+// record costs its own strings.
+//
+// Provider concentration makes a snapshot's domain lines repeat a few
+// MX lists, so the part of a domain line after its name and rank, its
+// tail, takes few distinct values. Each walk keeps a table of the tails
+// it has decoded (tailTable): a line whose tail the table holds has its
+// name and rank parsed and the rest of its record refilled from the
+// table, not decoded again.
 
 // plain marks the bytes encoding/json writes inside a string as
 // themselves: printable ASCII other than the quote, the backslash and
@@ -59,11 +65,12 @@ var plain = func() (t [256]bool) {
 // MX[i].Addrs reusing their arrays, so a caller that keeps a record
 // across lines hands in a zeroed one. A nil pointer means the caller has
 // no use for that record and the line is only walked, without
-// allocating. names, when not nil, hands out the exchange names of the
-// stored domain records. Any other line resets l and goes through
-// json.Unmarshal, which allocates the members the line carries.
-func decodeLine(raw []byte, l *jsonLine, names internTable) (key []byte, err error) {
-	if kind, key, ok := decodeCanonical(raw, l.Domain, l.IP, names); ok {
+// allocating. tails, when not nil, is the walk's table of decoded
+// domain-line tails, which the line is looked up in and may be added
+// to. Any other line resets l and goes through json.Unmarshal, which
+// allocates the members the line carries.
+func decodeLine(raw []byte, l *jsonLine, tails tailTable) (key []byte, err error) {
+	if kind, key, ok := decodeCanonical(raw, l.Domain, l.IP, tails); ok {
 		l.Kind = kind
 		return key, nil
 	}
@@ -83,8 +90,8 @@ func decodeLine(raw []byte, l *jsonLine, names internTable) (key []byte, err err
 // decodeCanonical is the hand-written half of decodeLine. ok is false
 // when it declines the line, which may by then have overwritten part of
 // the record.
-func decodeCanonical(raw []byte, d *DomainRecord, info *IPInfo, names internTable) (kind string, key []byte, ok bool) {
-	c := cursor{b: raw, names: names}
+func decodeCanonical(raw []byte, d *DomainRecord, info *IPInfo, tails tailTable) (kind string, key []byte, ok bool) {
+	c := cursor{b: raw, tails: tails}
 	// The kind's first letter tells the two prefixes apart.
 	switch c.at(len(`{"kind":"`)) {
 	case 'd':
@@ -107,35 +114,92 @@ func decodeCanonical(raw []byte, d *DomainRecord, info *IPInfo, names internTabl
 // canonical form went on; after the first false the line is declined and
 // the cursor is not used again. Where the form offers a choice, at
 // looks at the byte that tells the choices apart, and take matches the
-// chosen literal; char matches a one-byte literal.
+// chosen literal; char matches a one-byte literal. A domain line's tail
+// is looked up in tails before it is walked.
 type cursor struct {
 	b     []byte
 	i     int
-	names internTable // where exchange names come from; nil allocates each
+	tails tailTable // the walk's decoded tails; nil looks up nothing
 }
 
-// internTable is a walk's table of exchange names: one string per
-// distinct name, so a pass over sorted domains, where a few providers'
-// exchanges recur line after line, stops allocating one per MX. It keeps
-// at most maxInterned names; past that, a name it lacks is allocated as
-// if there were no table.
-type internTable map[string]string
+// tailTable is a walk's table of decoded domain-line tails. A tail is
+// the bytes of a canonical domain line after its name and rank, from
+// `,"mx":` through the closing "}}"; what those bytes may be does not
+// depend on the name or the rank, so a tail the decoder has accepted
+// once is accepted on any line. An entry holds the tail's decoded
+// members, or is nil in a walk that stores no domain record, where the
+// key alone says "already validated". Only a tail whose whole line the
+// decoder has accepted enters, and at most maxTails do: provider
+// concentration puts the repeated MX lists among the first tails a walk
+// meets, so the bound cuts the long tail of self-hosted ones. A tail
+// longer than maxTailBytes (a long SPF policy) does not enter, so a
+// table holds a few MiB at most whatever the lines.
+type tailTable map[string]*tailEntry
 
-// maxInterned bounds an internTable. Provider concentration puts the
-// popular exchanges among the first names a walk meets, so the bound
-// cuts the unique long tail (self-hosted exchanges), not them.
-const maxInterned = 1024
+// maxTails and maxTailBytes bound a tailTable.
+const (
+	maxTails     = 1024
+	maxTailBytes = 2 << 10
+)
 
-// str returns b as a string, from the table when it holds it.
-func (t internTable) str(b []byte) string {
-	if s, ok := t[string(b)]; ok {
-		return s
+// tailEntry is a decoded tail: what a domain record holds past its name
+// and rank. The record a hit refills never shares its arrays: mx and
+// each mx[i].Addrs are copied into the record's own.
+type tailEntry struct {
+	mx              []MXObs // nil for "mx":null
+	spf, delegation string
+}
+
+// add enters tail, decoded into d (nil when the walk stores none).
+func (t tailTable) add(tail []byte, d *DomainRecord) {
+	if t == nil || len(t) >= maxTails || len(tail) > maxTailBytes {
+		return
 	}
-	s := string(b)
-	if t != nil && len(t) < maxInterned {
-		t[s] = s
+	var e *tailEntry
+	if d != nil {
+		e = &tailEntry{spf: d.SPF, delegation: d.Delegation}
+		if d.MX != nil {
+			n := 0
+			for i := range d.MX {
+				n += len(d.MX[i].Addrs)
+			}
+			addrs := make([]netip.Addr, 0, n)
+			e.mx = make([]MXObs, len(d.MX))
+			for i, mx := range d.MX {
+				e.mx[i] = MXObs{Preference: mx.Preference, Exchange: mx.Exchange, Dangling: mx.Dangling}
+				if mx.Addrs != nil {
+					addrs = append(addrs, mx.Addrs...)
+					e.mx[i].Addrs = addrs[len(addrs)-len(mx.Addrs):]
+				}
+			}
+		}
 	}
-	return s
+	t[string(tail)] = e
+}
+
+// fill refills d's members past its name and rank from e, in place:
+// MX and every MX[i].Addrs reuse their arrays, as the cursor's walk
+// does.
+func (e *tailEntry) fill(d *DomainRecord) {
+	switch {
+	case e.mx == nil:
+		d.MX = nil
+	case d.MX == nil && len(e.mx) == 0:
+		d.MX = []MXObs{} // empty, not nil, as the walk has it
+	case len(e.mx) <= cap(d.MX):
+		d.MX = d.MX[:len(e.mx)]
+	default:
+		d.MX = append(d.MX[:cap(d.MX)], make([]MXObs, len(e.mx)-cap(d.MX))...)
+	}
+	for i := range e.mx {
+		src, dst := &e.mx[i], &d.MX[i]
+		var addrs []netip.Addr
+		if src.Addrs != nil {
+			addrs = append(dst.Addrs[:0], src.Addrs...)
+		}
+		*dst = MXObs{Preference: src.Preference, Exchange: src.Exchange, Addrs: addrs, Dangling: src.Dangling}
+	}
+	d.SPF, d.Delegation, d.Failure = e.spf, e.delegation, ""
 }
 
 // at returns the byte k places past the cursor, 0 past the end of the
@@ -270,7 +334,8 @@ func (c *cursor) end() bool {
 // domainLine walks the DomainRecord object after its `{"domain":` and
 // the end of the line, storing into d unless it is nil. The members
 // after the name are told apart by their first letter, two bytes past
-// the comma that opens each.
+// the comma that opens each. A tail the walk's table holds is not
+// walked: its entry refills d.
 func (c *cursor) domainLine(d *DomainRecord) (key []byte, ok bool) {
 	name, ok := c.str()
 	if !ok {
@@ -284,6 +349,14 @@ func (c *cursor) domainLine(d *DomainRecord) (key []byte, ok bool) {
 		if rank, ok = c.positive(math.MaxInt); !ok {
 			return nil, false
 		}
+	}
+	tail := c.b[c.i:]
+	if e, hit := c.tails[string(tail)]; hit && (e != nil || d == nil) {
+		if d != nil {
+			e.fill(d)
+			d.Domain, d.Rank = string(name), int(rank)
+		}
+		return name, true
 	}
 	if string(c.take(6)) != `,"mx":` {
 		return nil, false
@@ -350,6 +423,7 @@ func (c *cursor) domainLine(d *DomainRecord) (key []byte, ok bool) {
 	if d != nil {
 		d.Domain, d.Rank, d.SPF, d.Delegation, d.Failure = string(name), int(rank), string(spf), string(delegation), ""
 	}
+	c.tails.add(tail, d)
 	return name, true
 }
 
@@ -394,10 +468,9 @@ func (c *cursor) mxObs(mx *MXObs) bool {
 	}
 	if mx != nil {
 		// Sorted domains of one provider repeat the exchange line after
-		// line; the string of the slot's last use is kept when equal, and
-		// any other comes from the walk's table.
+		// line; the string of the slot's last use is kept when equal.
 		if mx.Exchange != string(exchange) {
-			mx.Exchange = c.names.str(exchange)
+			mx.Exchange = string(exchange)
 		}
 		*mx = MXObs{Preference: uint16(pref), Exchange: mx.Exchange, Addrs: addrs, Dangling: dangling}
 	}

@@ -262,7 +262,7 @@ func TestKernelTakesEveryEncoderLine(t *testing.T) {
 func requireKernelTakes(t testing.TB, line []byte) {
 	t.Helper()
 	d, info := new(DomainRecord), new(IPInfo)
-	kind, key, ok := decodeCanonical(line, d, info, make(internTable))
+	kind, key, ok := decodeCanonical(line, d, info, make(tailTable))
 	if _, wkey, wok := decodeCanonical(line, nil, nil, nil); !ok || !wok || !bytes.Equal(key, wkey) {
 		t.Fatalf("kernel declined an encoder line (store %v, walk %v):\n%s", ok, wok, line)
 	}

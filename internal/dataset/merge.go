@@ -41,8 +41,11 @@ func Merge(outPath string, shardPaths []string) (*MergeStats, error) {
 			r.close()
 		}
 	}()
+	// The readers run on this goroutine, one line at a time, so they share
+	// one table of decoded tails: a tail one shard repeats, the others do.
+	tails := make(tailTable)
 	for i, p := range shardPaths {
-		r, err := openShard(p)
+		r, err := openShard(p, tails)
 		if err != nil {
 			return nil, err
 		}
@@ -193,12 +196,14 @@ type shardReader struct {
 	scratch jsonLine
 }
 
-func openShard(path string) (*shardReader, error) {
+// openShard opens the shard at path and reads it to its first record;
+// tails is the table of decoded tails its lines are looked up in.
+func openShard(path string, tails tailTable) (*shardReader, error) {
 	src, done, err := openReader(path)
 	if err != nil {
 		return nil, err
 	}
-	r := &shardReader{path: path, done: done, rules: lineRules{name: path}}
+	r := &shardReader{path: path, done: done, rules: lineRules{name: path, tails: tails}}
 	r.sc, r.lineBuf = newLineScanner(src)
 	if err := r.advance(); err != nil {
 		r.close()

@@ -38,9 +38,10 @@ type lineRules struct {
 	first          string // the first domain name
 	last           []byte // the latest domain name
 
-	// names interns the exchange names of the records the walk stores
-	// (see internTable); nil for a walk that stores none.
-	names internTable
+	// tails holds the domain-line tails the walk has decoded (see
+	// tailTable). step makes it on the first line; Merge's shard readers,
+	// which run on one goroutine, are handed one to share.
+	tails tailTable
 }
 
 // step decodes raw, the next line of the file, into l (see decodeLine),
@@ -55,7 +56,10 @@ func (c *lineRules) step(raw []byte, l *jsonLine) ([]byte, error) {
 	if c.footer {
 		return nil, c.fail(errors.New("trailing data after footer"))
 	}
-	key, err := decodeLine(raw, l, c.names)
+	if c.tails == nil {
+		c.tails = make(tailTable)
+	}
+	key, err := decodeLine(raw, l, c.tails)
 	if err == nil {
 		err = c.check(l, key)
 	}

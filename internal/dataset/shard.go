@@ -232,6 +232,12 @@ type ShardWriter struct {
 	lines  []lineRef
 	chunks [][]byte
 	ips    []IPInfo
+	// spare holds the chunks of the writer's last spill, emptied, for
+	// its next shard's lines; Close lets go of them.
+	spare [][]byte
+	// last is the length of the line added last: a chunk with less room
+	// than that left is not tried.
+	last int
 	// Shards counts the shard files this writer has spilled.
 	Shards int
 }
@@ -244,31 +250,51 @@ type lineRef struct {
 	start, end int32
 }
 
-// shardChunk is the size of a ShardWriter's line chunks; a line longer
-// than that gets a chunk of its own size. A spill drops its chunks, so
-// the next shard's lines do not pin this one's memory.
+// shardChunk is the size of a ShardWriter's line chunks. Once the spill
+// holding their lines has committed, a writer keeps its chunks for its
+// next shard's lines, which then cost no fresh zeroed arrays, and
+// Close lets go of them. A line longer than a chunk gets an array of
+// its own, which is not kept. The chunks do not go to a pool shared by
+// all writers: the pool would keep them alive past the collection,
+// through a garbage collection, which raised scan-flat's peak heap by
+// about a fifth.
 const shardChunk = 64 << 10
 
 // AddDomain buffers the canonical line of one domain record, spilling a
 // shard when the buffer is full.
 func (w *ShardWriter) AddDomain(d DomainRecord) error {
-	// The line is encoded straight into the last chunk's free space. One
-	// that does not fit comes back from append in an array of its own,
-	// and starts the next chunk.
+	// The line is encoded straight into the last chunk's free space,
+	// unless that is shorter than the line before it. A line that does
+	// not fit is encoded again, straight into the next chunk.
 	var free []byte
-	if n := len(w.chunks); n > 0 {
+	if n := len(w.chunks); n > 0 && cap(w.chunks[n-1])-len(w.chunks[n-1]) >= w.last {
 		free = w.chunks[n-1][len(w.chunks[n-1]):]
+	} else {
+		free = w.nextChunk(0)
 	}
 	line := appendDomainLine(free, &d)
 	if len(line) > cap(free) {
-		w.chunks = append(w.chunks, make([]byte, 0, max(shardChunk, len(line))))
-		line = append(w.chunks[len(w.chunks)-1], line...)
+		line = appendDomainLine(w.nextChunk(len(line)), &d)
 	}
+	w.last = len(line)
 	n := len(w.chunks) - 1
 	start := len(w.chunks[n])
 	w.chunks[n] = w.chunks[n][:start+len(line)]
 	w.lines = append(w.lines, lineRef{name: d.Domain, chunk: int32(n), start: int32(start), end: int32(start + len(line))})
 	return w.maybeSpill()
+}
+
+// nextChunk starts the next chunk, with room for a line of size bytes,
+// and returns it.
+func (w *ShardWriter) nextChunk(size int) []byte {
+	var c []byte
+	if n := len(w.spare); n > 0 && size <= shardChunk {
+		c, w.spare = w.spare[n-1], w.spare[:n-1]
+	} else {
+		c = make([]byte, 0, max(shardChunk, size))
+	}
+	w.chunks = append(w.chunks, c)
+	return c
 }
 
 // AddIP buffers one IP record, spilling a shard when the buffer is full.
@@ -291,7 +317,7 @@ func (w *ShardWriter) Close() error {
 	if len(w.lines)+len(w.ips) > 0 {
 		err = w.spill()
 	}
-	w.lines, w.ips = nil, nil
+	w.lines, w.ips, w.chunks, w.spare = nil, nil, nil, nil
 	return err
 }
 
@@ -363,7 +389,12 @@ func (w *ShardWriter) spill() error {
 	}
 	w.set.record(path)
 	w.Shards++
-	w.chunks = nil
+	for _, c := range w.chunks {
+		if cap(c) == shardChunk {
+			w.spare = append(w.spare, c[:0])
+		}
+	}
+	w.chunks = w.chunks[:0]
 	w.lines = w.lines[:0]
 	w.ips = w.ips[:0]
 	return nil

@@ -12,10 +12,12 @@ import (
 // goroutine that runs ahead of the callbacks into a fixed set of record
 // batches refilled in place, so a pass over millions of domains holds a
 // bounded window of them in memory: walkBatches x walkBatch = 384
-// records, whatever the file's size (see walkLines). Exchange names come
-// from the pass's intern table (see internTable), so a canonical domain
-// line allocates only its own text: the name, and SPF or delegation
-// when it has them. It is the file-backed Source; core.InferStream
+// records, whatever the file's size (see walkLines). A domain line
+// whose tail (its MX list, SPF and delegation) the pass has decoded
+// before is refilled from the pass's table of tails (see tailTable), so
+// a canonical domain line allocates only its name as a rule, and the
+// tails a pass meets first cost their text once. It is the file-backed
+// Source; core.InferStream
 // makes two passes over one: the first keeps the IP section as it reads
 // the domains, the second reads the domains again.
 //

@@ -22,14 +22,15 @@ func ownedCopy(d *DomainRecord) DomainRecord {
 	return kept
 }
 
-// TestStreamPastInternBound holds a walk whose exchanges outnumber its
-// intern table to the records the file says: the popular exchanges,
-// interned early, recur on every third domain; every other domain has
-// two exchanges of its own, so the table fills, and names past the
-// bound come from the slot's last use or a fresh allocation.
+// TestStreamPastInternBound holds a walk whose distinct tails outnumber
+// its table of decoded tails (maxTails) to the records the file says:
+// the popular MX lists, entered early, recur on every third domain;
+// every other domain has two exchanges of its own, so the table fills,
+// and tails past the bound are decoded line by line, exchange names
+// coming from the slot's last use or a fresh allocation.
 func TestStreamPastInternBound(t *testing.T) {
 	s := NewSnapshot("2021-06", "alexa")
-	n := 3 * maxInterned
+	n := 3 * maxTails
 	for i := 0; i < n; i++ {
 		d := DomainRecord{Domain: fmt.Sprintf("d%06d.example", i)}
 		if i%3 == 0 {

@@ -4,8 +4,11 @@ import (
 	"bytes"
 	"compress/gzip"
 	"errors"
+	"fmt"
+	"net/netip"
 	"os"
 	"path/filepath"
+	"reflect"
 	"runtime"
 	"strings"
 	"testing"
@@ -176,20 +179,135 @@ func openFDs(t *testing.T) int {
 	return len(ents)
 }
 
-// BenchmarkWalkLines times the two line loops over a gzipped
-// 20 000-domain snapshot. "pass" is a Stream.ForEach with both
-// callbacks, as each inference pass makes; "walk" is a shard reader
-// stepped to the end, as Merge reads each shard, storing no record.
-// MB/s counts the uncompressed lines.
+// TestWalkDecodesEachTailOnce steps lineRules over n domain lines, each
+// with a name and rank of its own, whose tails take k distinct values
+// (tailRecord): the walk's table must end with one entry per distinct
+// tail, or maxTails when k exceeds the bound, whether the walk stores
+// its records or walks them bare, and each stored record must be the
+// one its line says. A walk that went round the table would leave it
+// empty.
+func TestWalkDecodesEachTailOnce(t *testing.T) {
+	const n = 3000
+	header := appendHeaderLine(nil, "2021-06", "com")
+	for _, k := range []int{1, 7, 150, maxTails, 2 * maxTails} {
+		for _, store := range []bool{true, false} {
+			var rules lineRules
+			var l jsonLine
+			if _, err := rules.step(header[:len(header)-1], &l); err != nil {
+				t.Fatal(err)
+			}
+			var d DomainRecord
+			for i := range n {
+				want := tailRecord(i, k)
+				line := appendDomainLine(nil, &want)
+				l = jsonLine{}
+				if store {
+					l.Domain = &d
+				}
+				key, err := rules.step(line[:len(line)-1], &l)
+				if err != nil || string(key) != want.Domain {
+					t.Fatalf("k=%d store=%v line %d: key %q, error %v", k, store, i, key, err)
+				}
+				if store && !reflect.DeepEqual(d, want) {
+					t.Fatalf("k=%d line %d:\n got  %#v\n want %#v", k, i, d, want)
+				}
+			}
+			if want := min(k, maxTails); len(rules.tails) != want {
+				t.Errorf("k=%d store=%v: %d lines left %d tails in the table, want %d", k, store, n, len(rules.tails), want)
+			}
+			// A tail longer than maxTailBytes is decoded, not entered.
+			long := DomainRecord{Domain: "long.example", MX: []MXObs{}, SPF: "v=spf1 " + strings.Repeat("a", maxTailBytes) + " -all"}
+			line := appendDomainLine(nil, &long)
+			held := len(rules.tails)
+			l = jsonLine{}
+			if store {
+				l.Domain = &d
+			}
+			if _, err := rules.step(line[:len(line)-1], &l); err != nil || (store && !reflect.DeepEqual(d, long)) || (k < maxTails && len(rules.tails) != held) {
+				t.Errorf("k=%d store=%v: a long tail: error %v, table %d -> %d", k, store, err, held, len(rules.tails))
+			}
+		}
+	}
+}
+
+// tailRecord is domain i of a corpus whose tails take k distinct values,
+// shaped like a flat world's (two exchanges of two addresses each) with
+// the other shapes a tail may have mixed in: no MX or an empty list, an
+// exchange without addresses, a dangling one, SPF and delegation.
+func tailRecord(i, k int) DomainRecord {
+	j := i % k
+	d := DomainRecord{Domain: fmt.Sprintf("d%06d.com", i), Rank: i % 5}
+	switch {
+	case j%17 == 1: // "mx":null
+		d.SPF = fmt.Sprintf("v=spf1 a:p%04d.example -all", j)
+		return d
+	case j%19 == 2:
+		d.MX, d.SPF = []MXObs{}, fmt.Sprintf("v=spf1 a:p%04d.example -all", j)
+		return d
+	}
+	for m := range 2 {
+		mx := MXObs{Preference: uint16(10 * (m + 1)), Exchange: fmt.Sprintf("mx%d.p%04d-mail.net", m+1, j), Dangling: j%13 == 3 && m == 1}
+		if j%7 != 4 || m == 0 {
+			mx.Addrs = []netip.Addr{netip.AddrFrom4([4]byte{10, byte(j >> 8), byte(j), byte(2*m + 1)}), netip.AddrFrom4([4]byte{10, byte(j >> 8), byte(j), byte(2*m + 2)})}
+		}
+		d.MX = append(d.MX, mx)
+	}
+	if j%2 == 0 {
+		d.SPF = fmt.Sprintf("v=spf1 include:p%04d-mail.net -all", j)
+	}
+	if j%11 == 5 {
+		d.Delegation = DelegationLame
+	}
+	return d
+}
+
+// flatShapedSnapshot is an n-domain snapshot whose domain lines are
+// shaped like the flat world's: two exchanges of two addresses each,
+// about 150 distinct tails, no rank.
+func flatShapedSnapshot(n int) *Snapshot {
+	s := NewSnapshot("2021-06", "com")
+	for i := range n {
+		j := (i * 7919) % 150
+		d := DomainRecord{Domain: fmt.Sprintf("d%09d.com", i)}
+		for m := range 2 {
+			a := func(h int) netip.Addr { return netip.AddrFrom4([4]byte{10, byte(j), byte(m), byte(h)}) }
+			d.MX = append(d.MX, MXObs{Preference: uint16(10 * (m + 1)), Exchange: fmt.Sprintf("mx%d.p%03d-mail.net", m+1, j), Addrs: []netip.Addr{a(1), a(2)}})
+			if i < 150 {
+				for h := 1; h <= 2; h++ {
+					s.AddIP(IPInfo{Addr: a(h), ASN: 65000, ASName: "PROV", HasCensys: true, Port25Open: true})
+				}
+			}
+		}
+		s.AddDomain(d)
+	}
+	s.SortDomains()
+	return s
+}
+
+// BenchmarkWalkLines times the two line loops over two gzipped
+// 20 000-domain snapshots: buildSnapshot's ("build": one exchange, 7
+// distinct tails) and flatShapedSnapshot's ("flat": the flat world's
+// two-exchange tails, 150 distinct). "pass" is a Stream.ForEach with
+// both callbacks, as each inference pass makes; "walk" is a shard
+// reader stepped to the end, as Merge reads each shard, storing no
+// record. MB/s counts the uncompressed lines.
 func BenchmarkWalkLines(b *testing.B) {
-	s := buildSnapshot(20000)
+	for _, corpus := range []struct {
+		name string
+		s    *Snapshot
+	}{{"build", buildSnapshot(20000)}, {"flat", flatShapedSnapshot(20000)}} {
+		b.Run(corpus.name, func(b *testing.B) { benchmarkWalkLines(b, corpus.s) })
+	}
+}
+
+func benchmarkWalkLines(b *testing.B, s *Snapshot) {
 	dir := b.TempDir()
 	path := filepath.Join(dir, "snap.jsonl.gz")
 	if err := WriteFile(path, s); err != nil {
 		b.Fatal(err)
 	}
 	set := NewShardSet(filepath.Join(dir, "run.jsonl.gz"), s.Date, s.Corpus)
-	set.MaxBuffered = len(s.Domains) + 1 // one shard, written at Close
+	set.MaxBuffered = len(s.Domains) + len(s.IPs) + 1 // one shard, written at Close
 	w := set.NewWriter()
 	for i := range s.Domains {
 		if err := w.AddDomain(s.Domains[i]); err != nil {
@@ -207,8 +325,19 @@ func BenchmarkWalkLines(b *testing.B) {
 	shard := set.Paths()[0]
 	size := int64(len(snapshotBytes(b, s)))
 	lines := float64(len(s.Domains) + len(s.IPs) + 1)
-	report := func(b *testing.B) {
-		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/(lines*float64(b.N)), "ns/line")
+	// timed runs body b.N times and reports ns/line and allocs/line.
+	timed := func(b *testing.B, body func()) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		b.ResetTimer()
+		for range b.N {
+			body()
+		}
+		b.StopTimer()
+		runtime.ReadMemStats(&after)
+		perLine := lines * float64(b.N)
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/perLine, "ns/line")
+		b.ReportMetric(float64(after.Mallocs-before.Mallocs)/perLine, "allocs/line")
 	}
 
 	b.Run("pass", func(b *testing.B) {
@@ -216,10 +345,9 @@ func BenchmarkWalkLines(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		b.ResetTimer()
 		b.SetBytes(size)
 		b.ReportAllocs()
-		for range b.N {
+		timed(b, func() {
 			var domains, ips int
 			err := st.ForEach(
 				func(*DomainRecord) error { domains++; return nil },
@@ -228,14 +356,13 @@ func BenchmarkWalkLines(b *testing.B) {
 			if err != nil || domains != len(s.Domains) || ips != len(s.IPs) {
 				b.Fatalf("pass saw %d domains, %d ips, error %v", domains, ips, err)
 			}
-		}
-		report(b)
+		})
 	})
 	b.Run("walk", func(b *testing.B) {
 		b.SetBytes(size)
 		b.ReportAllocs()
-		for range b.N {
-			r, err := openShard(shard)
+		timed(b, func() {
+			r, err := openShard(shard, make(tailTable))
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -246,7 +373,6 @@ func BenchmarkWalkLines(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-		}
-		report(b)
+		})
 	})
 }
