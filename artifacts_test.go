@@ -671,6 +671,84 @@ func typeName(x ast.Expr) string {
 	return ""
 }
 
+// goroutineOwners lists every go statement in a non-test file outside
+// bench/: the file, the function it sits in (Type.Method for a
+// method), and what ends the goroutine it starts. A file and function
+// with two statements is listed twice.
+var goroutineOwners = []struct{ file, fn, owner string }{
+	{"cmd/mxlb/main.go", "main", "srv.Serve returns when main's srv.Shutdown drains the front after a signal"},
+	{"cmd/mxlb/main.go", "main", "b.Run returns when the signal context is cancelled (sigctx's stop, deferred)"},
+	{"cmd/mxscan/main.go", "main", "the merge notice returns on the signal context or on close(merged) after Merge"},
+	{"cmd/mxserve/main.go", "main", "srv.Serve returns when main's srv.Shutdown drains the server after a signal"},
+	{"cmd/mxserve/main.go", "main", "returns when svc.Load does: one bounded load, which process exit cuts short"},
+	{"cmd/worldgen/main.go", "serveWorld", "ListenAndServe returns after srv.Shutdown; serveWorld reads errc until it does"},
+	{"internal/dataset/dataset.go", "walkLines", "decodeAhead returns at end of input or when walkLines' deferred close(stop) asks it to; the defer drains filled until decodeAhead closes it"},
+	{"internal/dataset/diff.go", "streamKeys", "the key walk returns at the end of its pass or when keySeq.abort closes stop"},
+	{"internal/dataset/file.go", "gzipThrough", "h.compress returns once gzipThrough closes h.full; gzipThrough waits on h.done"},
+	{"internal/dns/server.go", "Server.ListenAndServe", "ServeUDP returns when Shutdown or Close releases the socket; ListenAndServe waits for both serve loops"},
+	{"internal/dns/server.go", "Server.ListenAndServe", "ServeTCP returns when Shutdown or Close releases the listener; ListenAndServe waits for both serve loops"},
+	{"internal/dns/server.go", "Server.ServeUDP", "each worker returns when the socket is closed (Shutdown's drain or Close); ServeUDP waits on wg"},
+	{"internal/dns/transport.go", "newTransportConn", "readLoop returns when its conn's Read fails: the client closes the conn, or the socket dies"},
+	{"internal/overload/server.go", "Server.Shutdown", "returns when s.wg does: every session has ended, drained or hard-closed by Shutdown"},
+	{"internal/overload/server.go", "Server.admit", "session returns when its connection ends; Shutdown closes what the drain budget leaves and waits on s.wg"},
+	{"internal/parallel/parallel.go", "Run", "each worker returns when the shared index passes n; Run waits on wg"},
+	{"internal/scan/engine.go", "engine.claimLoop", "each worker returns when the cursor passes n; claimLoop waits on wg"},
+	{"internal/scan/fleet.go", "closeWriters", "returns when its ShardWriter's Close does; closeWriters waits on wg"},
+	{"internal/sigctx/sigctx.go", "WithInterrupt", "returns on the first signal or when the returned stop closes done"},
+	{"internal/world/dnsinfra.go", "DNSInfra.serve", "ServeUDP returns when DNSInfra.Close closes the server; Close waits on inf.serving"},
+	{"internal/world/dnsinfra.go", "DNSInfra.serve", "ServeTCP returns when DNSInfra.Close closes the server; Close waits on inf.serving"},
+	{"internal/world/flat.go", "flatDialer.DialContext", "srv.Serve returns after its oneShotListener's one Accept; the session ends when the caller closes the pipe"},
+	{"internal/world/serve.go", "World.StartSMTP", "srv.Serve returns when Fleet.Close hard-stops the server; Close waits on f.serving"},
+}
+
+// TestEveryGoStatementHasAnOwner holds goroutineOwners to the tree: a go
+// statement it does not list fails, and so does an entry no statement
+// answers. A goroutine without a named end is a leak the package's
+// leaktest gate catches only when a test happens to start it.
+func TestEveryGoStatementHasAnOwner(t *testing.T) {
+	type site struct{ file, fn string }
+	found := make(map[site]int)
+	parseNonTestSources(t, parser.SkipObjectResolution, func(path string, file *ast.File) {
+		path = filepath.ToSlash(path)
+		if strings.HasPrefix(path, "bench/") {
+			return
+		}
+		for _, decl := range file.Decls {
+			fn, ok := decl.(*ast.FuncDecl)
+			if !ok {
+				continue
+			}
+			name := fn.Name.Name
+			if fn.Recv != nil {
+				name = typeName(fn.Recv.List[0].Type) + "." + name
+			}
+			ast.Inspect(fn, func(n ast.Node) bool {
+				if _, ok := n.(*ast.GoStmt); ok {
+					found[site{path, name}]++
+				}
+				return true
+			})
+		}
+	})
+	listed := make(map[site]int)
+	for _, o := range goroutineOwners {
+		if o.owner == "" {
+			t.Errorf("%s %s: the entry names no owner", o.file, o.fn)
+		}
+		listed[site{o.file, o.fn}]++
+	}
+	for s, n := range found {
+		if listed[s] < n {
+			t.Errorf("%s %s: %d go statements, %d listed in goroutineOwners: name what ends each goroutine", s.file, s.fn, n, listed[s])
+		}
+	}
+	for s, n := range listed {
+		if found[s] < n {
+			t.Errorf("goroutineOwners lists %d go statements in %s %s, which holds %d: drop the stale entry", n, s.file, s.fn, found[s])
+		}
+	}
+}
+
 // TestGofmt holds every .go file in the tree to gofmt's formatting
 // (go/format is the same printer), so tier-1 fails on what `gofmt -l .`
 // would list. Dot-directories hold build output, not source.

@@ -1,6 +1,10 @@
 // Command mxmap runs the mail-provider inference methodology over a
 // measured snapshot (as written by mxscan) and reports either the
-// per-domain attributions or the aggregated provider ranking.
+// per-domain attributions or the aggregated provider ranking. It
+// streams the file (dataset.OpenStream): each attribution is printed or
+// folded into the ranking as the inference pass emits it, so memory
+// follows the snapshot's distinct addresses and exchanges, not its
+// domain count.
 //
 // Usage:
 //
@@ -10,6 +14,7 @@
 package main
 
 import (
+	"bufio"
 	"flag"
 	"fmt"
 	"log"
@@ -34,7 +39,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "usage: mxmap [flags] snapshot.jsonl")
 		os.Exit(2)
 	}
-	snap, err := dataset.ReadFile(flag.Arg(0))
+	st, err := dataset.OpenStream(flag.Arg(0))
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -45,33 +50,41 @@ func main() {
 	}
 	dir := companies.Curated()
 	cfg := core.Config{Profiles: analysis.ProviderProfiles(dir), Parallelism: *parallelism}
-	res := core.Infer(snap, ap, cfg)
 
+	out := bufio.NewWriter(os.Stdout)
+	acc := analysis.NewShareAccumulator(dir)
+	emit := acc.Add
 	if *showDomains {
-		for _, att := range res.Domains {
+		emit = func(att core.DomainAttribution) {
 			primary := att.Primary()
 			if primary == "" {
-				fmt.Printf("%s\t-\t-\n", att.Domain)
-				continue
+				fmt.Fprintf(out, "%s\t-\t-\n", att.Domain)
+				return
 			}
-			fmt.Printf("%s\t%s\t%s\n", att.Domain, primary, analysis.CompanyOf(att.Domain, primary, dir))
+			fmt.Fprintf(out, "%s\t%s\t%s\n", att.Domain, primary, analysis.CompanyOf(att.Domain, primary, dir))
 		}
-		return
+	}
+	res, err := core.InferStream(st, ap, cfg, emit)
+	if err != nil {
+		log.Fatal(err)
 	}
 
-	credits := analysis.CompanyCredits(res, dir)
-	shares := analysis.TopShares(credits, len(res.Domains), *top)
-	t := report.NewTable(
-		fmt.Sprintf("Top providers (%s approach, %s %s, %d domains, %d MX examined, %d corrected)",
-			ap, snap.Corpus, snap.Date, len(res.Domains), res.NumExamined, res.NumCorrected),
-		"Rank", "Company", "Domains", "Share")
-	for i, s := range shares {
-		t.AddRow(fmt.Sprint(i+1), s.Company,
-			fmt.Sprintf("%.1f", s.Domains), fmt.Sprintf("%.2f%%", s.Percent))
+	if !*showDomains {
+		t := report.NewTable(
+			fmt.Sprintf("Top providers (%s approach, %s %s, %d domains, %d MX examined, %d corrected)",
+				ap, st.Corpus, st.Date, res.NumDomains, res.NumExamined, res.NumCorrected),
+			"Rank", "Company", "Domains", "Share")
+		for i, s := range acc.TopShares(*top) {
+			t.AddRow(fmt.Sprint(i+1), s.Company,
+				fmt.Sprintf("%.1f", s.Domains), fmt.Sprintf("%.2f%%", s.Percent))
+		}
+		selfN, selfPct := analysis.SelfHostedCount(acc)
+		t.AddRow("-", analysis.SelfHostedLabel, fmt.Sprintf("%.1f", selfN), fmt.Sprintf("%.2f%%", selfPct))
+		if err := t.WriteText(out); err != nil {
+			log.Fatal(err)
+		}
 	}
-	selfN, selfPct := analysis.SelfHostedCount(res, dir)
-	t.AddRow("-", analysis.SelfHostedLabel, fmt.Sprintf("%.1f", selfN), fmt.Sprintf("%.2f%%", selfPct))
-	if err := t.WriteText(os.Stdout); err != nil {
+	if err := out.Flush(); err != nil {
 		log.Fatal(err)
 	}
 }

@@ -1,7 +1,8 @@
 // Accuracy: reproduce the paper's §3.3 evaluation (Figure 4) — compare
 // the MX-only, cert-based, banner-based and priority-based approaches on
 // sampled domains with SMTP servers, in both the random and unique-MX
-// variants, grading against the world's ground truth.
+// variants, grading the sampled domains against the world's ground
+// truth as each approach's inference pass emits them.
 //
 // Run with:
 //

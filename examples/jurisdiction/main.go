@@ -1,7 +1,9 @@
 // Jurisdiction: reproduce the paper's §5.4 national-bias analysis
 // (Figure 8) — for each studied country-code TLD, measure what share of
 // its domains hand their mail to Google, Microsoft, Tencent or Yandex,
-// and thereby to US, Chinese or Russian legal jurisdiction.
+// and thereby to US, Chinese or Russian legal jurisdiction. One
+// inference pass feeds a per-ccTLD accumulator as it emits each
+// domain's attribution.
 //
 // Run with:
 //
@@ -13,9 +15,11 @@ import (
 	"fmt"
 	"log"
 	"os"
+	"slices"
 
 	"mxmap/internal/analysis"
 	"mxmap/internal/core"
+	"mxmap/internal/dataset"
 	"mxmap/internal/experiments"
 	"mxmap/internal/world"
 )
@@ -29,38 +33,26 @@ func main() {
 
 	ctx := context.Background()
 	date := study.LastDate(world.CorpusAlexa)
-	snap, err := study.Snapshot(ctx, world.CorpusAlexa, date)
+	prefs := analysis.NewCCTLDPreferences(study.World.Directory)
+	_, err = study.Pass(ctx, world.CorpusAlexa, date, func(_ *dataset.DomainRecord, att core.DomainAttribution) {
+		prefs.Add(att)
+	})
 	if err != nil {
 		log.Fatal(err)
 	}
-	res := core.Infer(snap, core.ApproachPriority, core.Config{Profiles: study.Profiles})
-
-	track := []string{"Google", "Microsoft", "Tencent", "Yandex"}
-	cells := analysis.CCTLDPreferences(res, study.World.Directory, track)
-
 	fmt.Printf("Provider preferences by ccTLD (%s):\n\n", date)
 	fmt.Printf("%-6s %9s %10s %8s %7s %12s\n", "ccTLD", "Google", "Microsoft", "Tencent", "Yandex", "US combined")
-	byTLD := map[string]map[string]float64{}
-	var order []string
-	for _, c := range cells {
-		if byTLD[c.TLD] == nil {
-			byTLD[c.TLD] = map[string]float64{}
-			order = append(order, c.TLD)
-		}
-		byTLD[c.TLD][c.Company] = c.Percent
-	}
-	for _, tld := range order {
-		m := byTLD[tld]
-		us := m["Google"] + m["Microsoft"]
+	for _, tld := range prefs.TLDs() {
+		g, m := prefs.Percent(tld, "Google"), prefs.Percent(tld, "Microsoft")
 		fmt.Printf(".%-5s %8.1f%% %9.1f%% %7.1f%% %6.1f%% %11.1f%%\n",
-			tld, m["Google"], m["Microsoft"], m["Tencent"], m["Yandex"], us)
+			tld, g, m, prefs.Percent(tld, "Tencent"), prefs.Percent(tld, "Yandex"), g+m)
 	}
 
 	fmt.Println("\nExpected shape (paper Figure 8): US providers in wide use across")
 	fmt.Println("Europe, the Americas and most of Asia; Yandex essentially only in")
 	fmt.Println(".ru; Tencent essentially only in .cn.")
-	if ru, cn := byTLD["ru"], byTLD["cn"]; ru != nil && cn != nil {
-		if ru["Yandex"] > ru["Tencent"] && cn["Tencent"] > cn["Yandex"] {
+	if tlds := prefs.TLDs(); slices.Contains(tlds, "ru") && slices.Contains(tlds, "cn") {
+		if prefs.Percent("ru", "Yandex") > prefs.Percent("ru", "Tencent") && prefs.Percent("cn", "Tencent") > prefs.Percent("cn", "Yandex") {
 			fmt.Println("Shape holds in this run.")
 		} else {
 			fmt.Fprintln(os.Stderr, "warning: home-market dominance did not hold in this run")

@@ -1,7 +1,8 @@
 // Longitudinal: reproduce the paper's §5.2 trend analysis (Figure 6a) —
 // measure the Alexa-like corpus at every semi-annual snapshot from
-// 2017-06 to 2021-06, infer providers at each, and chart the market-share
-// consolidation of the top companies against the decline of self-hosting.
+// 2017-06 to 2021-06, fold each snapshot's inference pass into a
+// market-share accumulator (Study.Shares), and chart the consolidation
+// of the top companies against the decline of self-hosting.
 //
 // Run with:
 //
@@ -31,37 +32,28 @@ func main() {
 	dates := study.World.Corpus(world.CorpusAlexa).Dates
 	track := []string{"Google", "Microsoft", "Yandex", "ProofPoint", "Mimecast"}
 
-	l := analysis.NewLongitudinal(dates)
+	l := analysis.NewLongitudinal()
 	for _, date := range dates {
-		res, err := study.Result(ctx, world.CorpusAlexa, date)
+		acc, err := study.Shares(ctx, world.CorpusAlexa, date)
 		if err != nil {
 			log.Fatal(err)
 		}
-		l.Add(date, res, study.World.Directory, track, 5)
+		l.Add(acc, track, 5)
 		fmt.Fprintf(os.Stderr, "measured %s\n", date)
 	}
 
 	chart := report.NewChart("Top companies in the Alexa corpus, 2017-2021 (Figure 6a)", dates)
 	for _, name := range track {
-		chart.AddSeries(name, percents(l.Get(name)))
+		chart.AddSeries(name, l.Get(name))
 	}
-	chart.AddSeries("Top5 Total", percents(l.Get("TopN Total")))
-	chart.AddSeries("Self-Hosted", percents(l.Get(analysis.SelfHostedLabel)))
+	chart.AddSeries("Top5 Total", l.Get("TopN Total"))
+	chart.AddSeries("Self-Hosted", l.Get(analysis.SelfHostedLabel))
 	if err := chart.WriteText(os.Stdout); err != nil {
 		log.Fatal(err)
 	}
 
-	first, last := l.Get("TopN Total")[0], l.Get("TopN Total")[len(dates)-1]
-	sf, sl := l.Get(analysis.SelfHostedLabel)[0], l.Get(analysis.SelfHostedLabel)[len(dates)-1]
+	top, self := l.Get("TopN Total"), l.Get(analysis.SelfHostedLabel)
 	fmt.Printf("\ntop-5 share: %.1f%% -> %.1f%%   self-hosted: %.1f%% -> %.1f%%\n",
-		first.Percent, last.Percent, sf.Percent, sl.Percent)
+		top[0], top[len(dates)-1], self[0], self[len(dates)-1])
 	fmt.Println("(the paper reports 40.1% -> 49.0% and 11.7% -> 7.9%)")
-}
-
-func percents(points []analysis.SeriesPoint) []float64 {
-	out := make([]float64, len(points))
-	for i, p := range points {
-		out[i] = p.Percent
-	}
-	return out
 }

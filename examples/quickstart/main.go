@@ -1,6 +1,8 @@
 // Quickstart: build a tiny simulated Internet, measure it with real DNS
 // and SMTP exchanges, infer each domain's mail provider with the
-// priority-based methodology, and print what was found.
+// priority-based methodology, and print what was found. The inference
+// pass hands over one attribution at a time (Study.Pass), and the
+// ranking is a ShareAccumulator fed as the pass runs.
 //
 // Run with:
 //
@@ -14,6 +16,7 @@ import (
 
 	"mxmap/internal/analysis"
 	"mxmap/internal/core"
+	"mxmap/internal/dataset"
 	"mxmap/internal/experiments"
 	"mxmap/internal/world"
 )
@@ -41,33 +44,35 @@ func main() {
 		len(snap.Domains), len(snap.IPs), date)
 
 	// 3. Infer each domain's provider with the paper's five-step
-	//    priority-based methodology.
-	res := core.Infer(snap, core.ApproachPriority, core.Config{Profiles: study.Profiles})
+	//    priority-based methodology. The pass hands over one domain's
+	//    attribution at a time: keep a few to show, and fold every one
+	//    into the market-share ranking.
+	acc := analysis.NewShareAccumulator(study.World.Directory)
+	var sample []string
+	res, err := study.Pass(ctx, world.CorpusAlexa, date, func(_ *dataset.DomainRecord, att core.DomainAttribution) {
+		acc.Add(att)
+		if primary := att.Primary(); primary != "" && len(sample) < 10 {
+			company := analysis.CompanyOf(att.Domain, primary, study.World.Directory)
+			sample = append(sample, fmt.Sprintf("  %-28s -> %-22s (%s)", att.Domain, primary, company))
+		}
+	})
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Printf("inference: %d MX records examined in step 4, %d corrected\n\n",
 		res.NumExamined, res.NumCorrected)
 
 	// 4. Show a few attributions with the signal that produced them.
 	fmt.Println("sample attributions:")
-	shown := 0
-	for _, att := range res.Domains {
-		primary := att.Primary()
-		if primary == "" {
-			continue
-		}
-		company := analysis.CompanyOf(att.Domain, primary, study.World.Directory)
-		fmt.Printf("  %-28s -> %-22s (%s)\n", att.Domain, primary, company)
-		shown++
-		if shown == 10 {
-			break
-		}
+	for _, line := range sample {
+		fmt.Println(line)
 	}
 
-	// 5. Aggregate into a market-share ranking.
-	credits := analysis.CompanyCredits(res, study.World.Directory)
+	// 5. Rank the folded market shares.
 	fmt.Println("\ntop five companies:")
-	for i, s := range analysis.TopShares(credits, len(res.Domains), 5) {
+	for i, s := range acc.TopShares(5) {
 		fmt.Printf("  %d. %-18s %5.1f domains (%.1f%%)\n", i+1, s.Company, s.Domains, s.Percent)
 	}
-	selfN, selfPct := analysis.SelfHostedCount(res, study.World.Directory)
+	selfN, selfPct := analysis.SelfHostedCount(acc)
 	fmt.Printf("  self-hosted: %.1f domains (%.1f%%)\n", selfN, selfPct)
 }

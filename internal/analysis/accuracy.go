@@ -53,54 +53,50 @@ func (r AccuracyResult) Percent() float64 {
 // EvaluateAccuracy reproduces the §3.3 protocol on one snapshot: sample
 // domains that have responding SMTP servers (optionally with unique MX
 // records), run all four approaches over the full snapshot, and grade
-// the sampled domains against ground truth.
-func EvaluateAccuracy(snap *dataset.Snapshot, cfg AccuracyConfig) []AccuracyResult {
+// the sampled domains' primaries against ground truth as each pass
+// emits them. The error is the inference pass's.
+func EvaluateAccuracy(snap *dataset.Snapshot, cfg AccuracyConfig) ([]AccuracyResult, error) {
 	if cfg.SampleSize == 0 {
 		cfg.SampleSize = 200
 	}
-	sample := sampleDomains(snap, cfg)
-	inSample := make(map[string]bool, len(sample))
-	for _, d := range sample {
+	inSample := make(map[string]bool)
+	for _, d := range sampleDomains(snap, cfg) {
 		inSample[d] = true
 	}
 
 	var out []AccuracyResult
 	for _, ap := range core.Approaches() {
-		res := core.Infer(snap, ap, cfg.InferConfig)
-		att := Attributions(res)
 		r := AccuracyResult{Approach: ap}
-		for _, domain := range sample {
-			truth := cfg.Truth(domain)
-			if truth == "" {
-				continue
+		sampledMX := make(map[string]bool) // the sampled domains' primary exchanges
+		res, err := Fold(snap, ap, cfg.InferConfig, func(rec *dataset.DomainRecord, att core.DomainAttribution) {
+			if !inSample[att.Domain] {
+				return
 			}
-			a := att[domain]
+			for _, mx := range rec.PrimaryMX() {
+				sampledMX[mx.Exchange] = true
+			}
+			truth := cfg.Truth(att.Domain)
+			if truth == "" {
+				return
+			}
 			r.Total++
-			inferred := cfg.Company(domain, a.Primary())
-			if inferred == truth {
+			if cfg.Company(att.Domain, att.Primary()) == truth {
 				r.Correct++
 			}
+		})
+		if err != nil {
+			return nil, err
 		}
-		if ap == core.ApproachPriority {
-			// Count examined assignments among sampled domains.
-			bySampleMX := make(map[string]bool)
-			for i := range snap.Domains {
-				if !inSample[snap.Domains[i].Domain] {
-					continue
-				}
-				for _, mx := range snap.Domains[i].PrimaryMX() {
-					bySampleMX[mx.Exchange] = true
-				}
-			}
-			for ex, a := range res.MX {
-				if a.Examined && bySampleMX[ex] {
-					r.Examined++
-				}
+		// Count step 4's examined assignments among the sampled
+		// domains' exchanges (only the priority approach runs step 4).
+		for ex, a := range res.MX {
+			if a.Examined && sampledMX[ex] {
+				r.Examined++
 			}
 		}
 		out = append(out, r)
 	}
-	return out
+	return out, nil
 }
 
 // sampleDomains draws the evaluation sample: domains with SMTP servers,

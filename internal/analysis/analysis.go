@@ -1,8 +1,11 @@
-// Package analysis computes the paper's evaluation artifacts from
-// inference results: market shares (Figure 5, Table 6), longitudinal
-// trends (Figure 6), churn flows (Figure 7), national provider
-// preferences (Figure 8), approach accuracy (Figure 4) and the data
-// availability breakdown (Table 4).
+// Package analysis computes the paper's evaluation artifacts as folds
+// over the per-domain attributions core.InferStream emits: market shares
+// (Figure 5, Table 6), longitudinal trends (Figure 6), churn flows
+// (Figure 7), national provider preferences (Figure 8), approach
+// accuracy (Figure 4) and the SPF and concentration extensions. Each
+// figure is fed one attribution at a time, in emit order, and none
+// holds the attribution list: ShareAccumulator.Add is the one place a
+// domain's credits become company buckets.
 package analysis
 
 import (
@@ -50,15 +53,6 @@ func ProviderProfiles(dir *companies.Directory) []core.ProviderProfile {
 	return out
 }
 
-// Attributions indexes a result's per-domain outcomes by domain name.
-func Attributions(res *core.Result) map[string]core.DomainAttribution {
-	out := make(map[string]core.DomainAttribution, len(res.Domains))
-	for _, d := range res.Domains {
-		out[d.Domain] = d
-	}
-	return out
-}
-
 // CompanyOf maps a provider ID credited to a domain onto the bucket used
 // in market-share style analyses: the operating company's name, or
 // SelfHostedLabel when the provider ID is the domain's own registered
@@ -95,18 +89,6 @@ func mayBeRegisteredDomain(domain, providerID string) bool {
 		return h[n-1] == '.' && h[n:] == providerID
 	}
 	return h == providerID
-}
-
-// CompanyCredits aggregates a result's split credits into per-company
-// domain counts (fractional because of split credit).
-func CompanyCredits(res *core.Result, dir *companies.Directory) map[string]float64 {
-	out := make(map[string]float64)
-	for _, att := range res.Domains {
-		for id, credit := range att.Credits {
-			out[CompanyOf(att.Domain, id, dir)] += credit
-		}
-	}
-	return out
 }
 
 // Share is one company's standing in a market-share table.

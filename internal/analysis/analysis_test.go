@@ -4,26 +4,30 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
 	"mxmap/internal/companies"
 	"mxmap/internal/core"
+	"mxmap/internal/dataset"
 	"mxmap/internal/psl"
 	"mxmap/internal/scan"
 	"mxmap/internal/world"
 )
 
-// The analysis tests run against one small end-to-end measured world.
+// The analysis tests run against one small end-to-end measured world:
+// the snapshots of two corpora at their first and last dates, each
+// folded by the test that reads it.
 var (
-	testW       *world.World
-	testResults map[string]map[string]*core.Result // corpus -> date -> result
+	testW     *world.World
+	testSnaps map[string]map[string]*dataset.Snapshot // corpus -> date -> snapshot
 )
 
-func setup(t *testing.T) (*world.World, map[string]map[string]*core.Result) {
+func setup(t *testing.T) (*world.World, map[string]map[string]*dataset.Snapshot) {
 	t.Helper()
 	if testW != nil {
-		return testW, testResults
+		return testW, testSnaps
 	}
 	w, err := world.Generate(world.Config{Seed: 5, Scale: 0.004, TailProviders: 20, SelfISPs: 6})
 	if err != nil {
@@ -34,21 +38,41 @@ func setup(t *testing.T) (*world.World, map[string]map[string]*core.Result) {
 		t.Fatal(err)
 	}
 	defer sess.Close()
-	results := make(map[string]map[string]*core.Result)
-	cfg := core.Config{Profiles: testProfiles(w)}
+	snaps := make(map[string]map[string]*dataset.Snapshot)
 	for _, corpus := range []string{world.CorpusAlexa, world.CorpusGOV} {
-		results[corpus] = make(map[string]*core.Result)
+		snaps[corpus] = make(map[string]*dataset.Snapshot)
 		dates := w.Corpus(corpus).Dates
 		for _, date := range []string{dates[0], dates[len(dates)-1]} {
 			snap, err := sess.Snapshot(context.Background(), corpus, date)
 			if err != nil {
 				t.Fatal(err)
 			}
-			results[corpus][date] = core.Infer(snap, core.ApproachPriority, cfg)
+			snaps[corpus][date] = snap
 		}
 	}
-	testW, testResults = w, results
-	return w, results
+	testW, testSnaps = w, snaps
+	return w, snaps
+}
+
+// pass folds every attribution of a priority-based run over snap.
+func pass(t *testing.T, w *world.World, snap *dataset.Snapshot, folds ...func(core.DomainAttribution)) {
+	t.Helper()
+	_, err := Fold(snap, core.ApproachPriority, core.Config{Profiles: testProfiles(w)}, func(_ *dataset.DomainRecord, att core.DomainAttribution) {
+		for _, fold := range folds {
+			fold(att)
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// shares is a pass that feeds one ShareAccumulator.
+func shares(t *testing.T, w *world.World, snap *dataset.Snapshot) *ShareAccumulator {
+	t.Helper()
+	acc := NewShareAccumulator(w.Directory)
+	pass(t, w, snap, acc.Add)
+	return acc
 }
 
 func testProfiles(w *world.World) []core.ProviderProfile {
@@ -150,61 +174,58 @@ func FuzzCompanyOf(f *testing.F) {
 }
 
 func TestMarketShareTopCompanies(t *testing.T) {
-	w, results := setup(t)
+	w, snaps := setup(t)
 	dates := w.Corpus(world.CorpusAlexa).Dates
-	res := results[world.CorpusAlexa][dates[len(dates)-1]]
-	credits := CompanyCredits(res, w.Directory)
-	shares := TopShares(credits, len(res.Domains), 5)
-	if len(shares) != 5 {
-		t.Fatalf("top shares = %d", len(shares))
+	top := shares(t, w, snaps[world.CorpusAlexa][dates[len(dates)-1]]).TopShares(5)
+	if len(top) != 5 {
+		t.Fatalf("top shares = %d", len(top))
 	}
 	// Figure 5: Google first, Microsoft second for Alexa.
-	if shares[0].Company != "Google" {
-		t.Errorf("top company = %s, want Google (shares: %+v)", shares[0].Company, shares)
+	if top[0].Company != "Google" {
+		t.Errorf("top company = %s, want Google (shares: %+v)", top[0].Company, top)
 	}
-	if shares[1].Company != "Microsoft" {
-		t.Errorf("second company = %s, want Microsoft", shares[1].Company)
+	if top[1].Company != "Microsoft" {
+		t.Errorf("second company = %s, want Microsoft", top[1].Company)
 	}
-	if shares[0].Percent < 20 || shares[0].Percent > 40 {
-		t.Errorf("Google share = %.1f%%, want ~28.5%%", shares[0].Percent)
+	if top[0].Percent < 20 || top[0].Percent > 40 {
+		t.Errorf("Google share = %.1f%%, want ~28.5%%", top[0].Percent)
 	}
 }
 
 func TestGovTopCompanies(t *testing.T) {
-	w, results := setup(t)
+	w, snaps := setup(t)
 	dates := w.Corpus(world.CorpusGOV).Dates
-	res := results[world.CorpusGOV][dates[len(dates)-1]]
-	shares, total := SegmentShares(res, w.Directory, Segment{Name: "all"}, 2)
-	if total != len(res.Domains) {
-		t.Fatalf("segment total = %d", total)
+	snap := snaps[world.CorpusGOV][dates[len(dates)-1]]
+	seg := NewSegment("all", nil, w.Directory)
+	pass(t, w, snap, seg.Add)
+	if seg.Domains() != len(snap.Domains) {
+		t.Fatalf("segment total = %d", seg.Domains())
 	}
 	// Figure 5: Microsoft leads .gov.
-	if len(shares) == 0 || shares[0].Company != "Microsoft" {
+	if shares := seg.TopShares(2); len(shares) == 0 || shares[0].Company != "Microsoft" {
 		t.Errorf("gov top = %+v, want Microsoft first", shares)
 	}
 }
 
 func TestSegmentRankFilter(t *testing.T) {
-	w, results := setup(t)
+	w, snaps := setup(t)
 	dates := w.Corpus(world.CorpusAlexa).Dates
-	res := results[world.CorpusAlexa][dates[len(dates)-1]]
-	_, totalAll := SegmentShares(res, w.Directory, Segment{}, 5)
-	_, totalTop := SegmentShares(res, w.Directory, Segment{Include: RankAtMost(50)}, 5)
-	if totalTop != 50 {
-		t.Errorf("rank<=50 segment has %d domains", totalTop)
+	all := NewSegment("all", nil, w.Directory)
+	top := NewSegment("top 50", RankAtMost(50), w.Directory)
+	pass(t, w, snaps[world.CorpusAlexa][dates[len(dates)-1]], all.Add, top.Add)
+	if top.Domains() != 50 {
+		t.Errorf("rank<=50 segment has %d domains", top.Domains())
 	}
-	if totalAll <= totalTop {
-		t.Errorf("totals: all=%d top=%d", totalAll, totalTop)
+	if all.Domains() <= top.Domains() {
+		t.Errorf("totals: all=%d top=%d", all.Domains(), top.Domains())
 	}
 }
 
 func TestSelfHostedDeclines(t *testing.T) {
-	w, results := setup(t)
+	w, snaps := setup(t)
 	dates := w.Corpus(world.CorpusAlexa).Dates
-	first := results[world.CorpusAlexa][dates[0]]
-	last := results[world.CorpusAlexa][dates[len(dates)-1]]
-	_, pctFirst := SelfHostedCount(first, w.Directory)
-	_, pctLast := SelfHostedCount(last, w.Directory)
+	_, pctFirst := SelfHostedCount(shares(t, w, snaps[world.CorpusAlexa][dates[0]]))
+	_, pctLast := SelfHostedCount(shares(t, w, snaps[world.CorpusAlexa][dates[len(dates)-1]]))
 	if pctLast >= pctFirst {
 		t.Errorf("self-hosted share did not decline: %.1f%% -> %.1f%%", pctFirst, pctLast)
 	}
@@ -214,17 +235,18 @@ func TestSelfHostedDeclines(t *testing.T) {
 }
 
 func TestLongitudinalSeries(t *testing.T) {
-	w, results := setup(t)
+	w, snaps := setup(t)
 	dates := w.Corpus(world.CorpusAlexa).Dates
-	l := NewLongitudinal([]string{dates[0], dates[len(dates)-1]})
+	l := NewLongitudinal()
 	track := []string{"Google", "Microsoft"}
-	l.Add(dates[0], results[world.CorpusAlexa][dates[0]], w.Directory, track, 5)
-	l.Add(dates[len(dates)-1], results[world.CorpusAlexa][dates[len(dates)-1]], w.Directory, track, 5)
+	for _, date := range []string{dates[0], dates[len(dates)-1]} {
+		l.Add(shares(t, w, snaps[world.CorpusAlexa][date]), track, 5)
+	}
 	g := l.Get("Google")
 	if len(g) != 2 {
 		t.Fatalf("google series = %+v", g)
 	}
-	if g[1].Percent <= g[0].Percent {
+	if g[1] <= g[0] {
 		t.Errorf("google series not growing: %+v", g)
 	}
 	if len(l.Get("TopN Total")) != 2 || len(l.Get(SelfHostedLabel)) != 2 {
@@ -232,21 +254,32 @@ func TestLongitudinalSeries(t *testing.T) {
 	}
 }
 
-func TestChurnMatrix(t *testing.T) {
-	w, results := setup(t)
+// churn joins the Alexa corpus's first and last snapshots.
+func churn(t *testing.T, w *world.World, snaps map[string]map[string]*dataset.Snapshot) (*Churn, int) {
+	t.Helper()
 	dates := w.Corpus(world.CorpusAlexa).Dates
-	first := results[world.CorpusAlexa][dates[0]]
-	last := results[world.CorpusAlexa][dates[len(dates)-1]]
-	named := []string{"Google", "Microsoft", "Yandex"}
-	ch := ComputeChurn(first, last, w.Directory, named)
+	join := NewChurnJoin(w.Directory, []string{"Google", "Microsoft", "Yandex"})
+	first := snaps[world.CorpusAlexa][dates[0]]
+	pass(t, w, first, join.AddFirst)
+	pass(t, w, snaps[world.CorpusAlexa][dates[len(dates)-1]], join.AddLast)
+	ch, err := join.Churn()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ch, len(first.Domains)
+}
+
+func TestChurnMatrix(t *testing.T) {
+	w, snaps := setup(t)
+	ch, domains := churn(t, w, snaps)
 
 	// Flows must partition the corpus.
 	total := 0
 	for _, f := range ch.Flows {
 		total += f.Count
 	}
-	if total != len(first.Domains) {
-		t.Errorf("flows sum to %d, want %d", total, len(first.Domains))
+	if total != domains {
+		t.Errorf("flows sum to %d, want %d", total, domains)
 	}
 	// The bulk of Google's 2017 domains stay with Google.
 	if ch.Stayed("Google") == 0 {
@@ -260,22 +293,55 @@ func TestChurnMatrix(t *testing.T) {
 	}
 }
 
+// TestChurnJoinRejectsOneSidedDomains: the join is a merge of two
+// streams over one target list, so a domain on one side only, at either
+// end or in the middle, is an error and not a silent skip.
+func TestChurnJoinRejectsOneSidedDomains(t *testing.T) {
+	att := func(domain string) core.DomainAttribution {
+		return core.DomainAttribution{Domain: domain, HasSMTP: true, Credits: map[string]float64{"p.com": 1}}
+	}
+	for _, tc := range []struct {
+		name        string
+		first, last []string
+		ok          bool
+	}{
+		{"same", []string{"a.com", "b.com"}, []string{"a.com", "b.com"}, true},
+		{"first only at end", []string{"a.com", "b.com"}, []string{"a.com"}, false},
+		{"last only at end", []string{"a.com"}, []string{"a.com", "b.com"}, false},
+		{"first only in middle", []string{"a.com", "b.com", "c.com"}, []string{"a.com", "c.com"}, false},
+		{"reordered", []string{"a.com", "b.com"}, []string{"b.com", "a.com"}, false},
+	} {
+		join := NewChurnJoin(nil, []string{"p.com"})
+		for _, d := range tc.first {
+			join.AddFirst(att(d))
+		}
+		for _, d := range tc.last {
+			join.AddLast(att(d))
+		}
+		ch, err := join.Churn()
+		switch {
+		case tc.ok && (err != nil || ch.Stayed("p.com") != len(tc.first)):
+			t.Errorf("%s: churn %+v, %v; want every domain staying with p.com", tc.name, ch, err)
+		case !tc.ok && err == nil:
+			t.Errorf("%s: the join accepted streams that differ", tc.name)
+		}
+	}
+}
+
 func TestCCTLDPreferences(t *testing.T) {
-	w, results := setup(t)
+	w, snaps := setup(t)
 	dates := w.Corpus(world.CorpusAlexa).Dates
-	res := results[world.CorpusAlexa][dates[len(dates)-1]]
-	track := []string{"Google", "Microsoft", "Tencent", "Yandex"}
-	cells := CCTLDPreferences(res, w.Directory, track)
-	if len(cells) == 0 {
-		t.Fatal("no ccTLD cells")
+	prefs := NewCCTLDPreferences(w.Directory)
+	pass(t, w, snaps[world.CorpusAlexa][dates[len(dates)-1]], prefs.Add)
+	tlds := prefs.TLDs()
+	if len(tlds) == 0 {
+		t.Fatal("no ccTLD rows")
 	}
 	get := func(tld, company string) float64 {
-		for _, c := range cells {
-			if c.TLD == tld && c.Company == company {
-				return c.Percent
-			}
+		if !slices.Contains(tlds, tld) {
+			return -1
 		}
-		return -1
+		return prefs.Percent(tld, company)
 	}
 	// Yandex is essentially .ru-only; Tencent .cn-only (Figure 8).
 	if ruY := get("ru", "Yandex"); ruY >= 0 {
@@ -295,34 +361,26 @@ func TestCCTLDPreferences(t *testing.T) {
 // TestCountryOfDomain: the ccTLD of Figure 8 is the last label, whatever
 // the public suffix; gTLD and dotless names are outside the analysis.
 func TestCountryOfDomain(t *testing.T) {
-	var res core.Result
+	prefs := NewCCTLDPreferences(nil)
 	for _, domain := range []string{"example.ru", "example.cn", "example.com", "example.co.uk", "example"} {
-		res.Domains = append(res.Domains, core.DomainAttribution{Domain: domain, Credits: map[string]float64{"p": 1}})
+		prefs.Add(core.DomainAttribution{Domain: domain, Credits: map[string]float64{"p": 1}})
 	}
 	var got []string
-	for _, c := range CCTLDPreferences(&res, nil, []string{"p"}) {
-		got = append(got, fmt.Sprintf("%s=%g", c.TLD, c.Domains))
+	for _, tld := range prefs.TLDs() {
+		got = append(got, fmt.Sprintf("%s=%g", tld, prefs.Percent(tld, "p")))
 	}
-	if want := "cn=1 ru=1 uk=1"; strings.Join(got, " ") != want {
+	if want := "cn=100 ru=100 uk=100"; strings.Join(got, " ") != want {
 		t.Errorf("cells = %v, want %s", got, want)
 	}
-	if len(CCTLDs()) != 15 {
-		t.Errorf("CCTLDs = %v", CCTLDs())
+	if len(studiedCCTLDs) != 15 {
+		t.Errorf("studied ccTLDs = %v", studiedCCTLDs)
 	}
 }
 
 func TestAccuracyEvaluation(t *testing.T) {
-	w, _ := setup(t)
-	sess, err := scan.NewWorldSession(w)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sess.Close()
+	w, snaps := setup(t)
 	dates := w.Corpus(world.CorpusAlexa).Dates
-	snap, err := sess.Snapshot(context.Background(), world.CorpusAlexa, dates[len(dates)-1])
-	if err != nil {
-		t.Fatal(err)
-	}
+	snap := snaps[world.CorpusAlexa][dates[len(dates)-1]]
 	corpus := w.Corpus(world.CorpusAlexa)
 	dateIdx := corpus.DateIndex(dates[len(dates)-1])
 	byName := make(map[string]*world.Domain)
@@ -348,7 +406,10 @@ func TestAccuracyEvaluation(t *testing.T) {
 		},
 		InferConfig: core.Config{Profiles: testProfiles(w)},
 	}
-	results := EvaluateAccuracy(snap, cfg)
+	results, err := EvaluateAccuracy(snap, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(results) != 4 {
 		t.Fatalf("results = %d", len(results))
 	}
@@ -369,7 +430,10 @@ func TestAccuracyEvaluation(t *testing.T) {
 	// Unique-MX variant: MX-only should fall sharply (the paper's 40%
 	// on .com unique-MX), since shared provider MX names are excluded.
 	cfg.UniqueMX = true
-	uniq := EvaluateAccuracy(snap, cfg)
+	uniq, err := EvaluateAccuracy(snap, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
 	var uniqMX, uniqPr AccuracyResult
 	for _, r := range uniq {
 		switch r.Approach {
@@ -407,12 +471,8 @@ func TestTopSharesExcludesSelfHosted(t *testing.T) {
 }
 
 func TestChurnSummaryConsistency(t *testing.T) {
-	w, results := setup(t)
-	dates := w.Corpus(world.CorpusAlexa).Dates
-	ch := ComputeChurn(
-		results[world.CorpusAlexa][dates[0]],
-		results[world.CorpusAlexa][dates[len(dates)-1]],
-		w.Directory, []string{"Google", "Microsoft", "Yandex"})
+	w, snaps := setup(t)
+	ch, domains := churn(t, w, snaps)
 	summaries := ch.Summarize()
 	startTotal, endTotal := 0, 0
 	for _, s := range summaries {
@@ -422,8 +482,7 @@ func TestChurnSummaryConsistency(t *testing.T) {
 		startTotal += s.Start
 		endTotal += s.End
 	}
-	if startTotal != endTotal || startTotal != len(results[world.CorpusAlexa][dates[0]].Domains) {
-		t.Errorf("summary totals: start=%d end=%d corpus=%d",
-			startTotal, endTotal, len(results[world.CorpusAlexa][dates[0]].Domains))
+	if startTotal != endTotal || startTotal != domains {
+		t.Errorf("summary totals: start=%d end=%d corpus=%d", startTotal, endTotal, domains)
 	}
 }

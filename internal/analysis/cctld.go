@@ -1,7 +1,9 @@
 package analysis
 
 import (
-	"sort"
+	"maps"
+	"math"
+	"slices"
 	"strings"
 
 	"mxmap/internal/companies"
@@ -16,64 +18,48 @@ var studiedCCTLDs = map[string]bool{
 	"ru": true, "cn": true, "jp": true, "in": true, "sg": true,
 }
 
-// CCTLDs lists the studied ccTLDs in the paper's display order.
-func CCTLDs() []string {
-	out := make([]string, 0, len(studiedCCTLDs))
-	for tld := range studiedCCTLDs {
-		out = append(out, tld)
-	}
-	sort.Strings(out)
-	return out
+// CCTLDPreferences folds Figure 8: one ShareAccumulator per studied
+// ccTLD (the domain's last label), fed the attributions under it.
+type CCTLDPreferences struct {
+	dir   *companies.Directory
+	byTLD map[string]*ShareAccumulator
 }
 
-// CCTLDCell is one (ccTLD, provider) cell of Figure 8.
-type CCTLDCell struct {
-	TLD     string
-	Company string
-	Domains float64
-	Percent float64 // of the ccTLD's domains
+// NewCCTLDPreferences returns an empty Figure 8 fold bucketing providers
+// through dir.
+func NewCCTLDPreferences(dir *companies.Directory) *CCTLDPreferences {
+	return &CCTLDPreferences{dir: dir, byTLD: make(map[string]*ShareAccumulator)}
 }
 
-// CCTLDPreferences computes the Figure 8 matrix: for each studied ccTLD,
-// the share of its domains using each tracked company.
-func CCTLDPreferences(res *core.Result, dir *companies.Directory, track []string) []CCTLDCell {
-	type agg struct {
-		total   int
-		credits map[string]float64
+// Add folds one attribution into its ccTLD's accumulator; a domain
+// outside the studied ccTLDs is skipped.
+func (p *CCTLDPreferences) Add(att core.DomainAttribution) {
+	i := strings.LastIndexByte(att.Domain, '.')
+	if i < 0 {
+		return
 	}
-	byTLD := make(map[string]*agg)
-	for _, att := range res.Domains {
-		i := strings.LastIndexByte(att.Domain, '.')
-		if i < 0 {
-			continue
-		}
-		tld := att.Domain[i+1:]
-		if !studiedCCTLDs[tld] {
-			continue
-		}
-		a := byTLD[tld]
-		if a == nil {
-			a = &agg{credits: make(map[string]float64)}
-			byTLD[tld] = a
-		}
-		a.total++
-		for id, credit := range att.Credits {
-			a.credits[CompanyOf(att.Domain, id, dir)] += credit
-		}
+	tld := att.Domain[i+1:]
+	if !studiedCCTLDs[tld] {
+		return
 	}
-	var out []CCTLDCell
-	for _, tld := range CCTLDs() {
-		a := byTLD[tld]
-		if a == nil {
-			continue
-		}
-		for _, company := range track {
-			c := a.credits[company]
-			out = append(out, CCTLDCell{
-				TLD: tld, Company: company,
-				Domains: c, Percent: 100 * c / float64(a.total),
-			})
-		}
+	acc := p.byTLD[tld]
+	if acc == nil {
+		acc = NewShareAccumulator(p.dir)
+		p.byTLD[tld] = acc
 	}
-	return out
+	acc.Add(att)
+}
+
+// TLDs lists the studied ccTLDs that hold a domain, sorted: Figure
+// 8's rows.
+func (p *CCTLDPreferences) TLDs() []string { return slices.Sorted(maps.Keys(p.byTLD)) }
+
+// Percent is the share of tld's domains credited to company: one cell
+// of Figure 8. A ccTLD without domains has none (NaN).
+func (p *CCTLDPreferences) Percent(tld, company string) float64 {
+	acc := p.byTLD[tld]
+	if acc == nil {
+		return math.NaN()
+	}
+	return 100 * acc.Credits()[company] / float64(acc.Domains())
 }

@@ -1,6 +1,8 @@
 package analysis
 
 import (
+	"fmt"
+	"slices"
 	"sort"
 
 	"mxmap/internal/companies"
@@ -15,49 +17,15 @@ const OthersLabel = "Others"
 // individually.
 const Top100Label = "Top100"
 
-// ChurnCategory assigns a domain attribution to one of Figure 7's
-// categories: a named top company, Top100, Self-Hosted, Others, or
-// No SMTP.
-type churnClassifier struct {
-	dir    *companies.Directory
-	named  map[string]bool
-	top100 map[string]bool
-}
-
-// newChurnClassifier builds the category sets from the first snapshot's
-// ranking: `named` companies get their own category; the next companies
-// up to rank 100 become Top100.
-func newChurnClassifier(res *core.Result, dir *companies.Directory, named []string) *churnClassifier {
-	c := &churnClassifier{dir: dir, named: make(map[string]bool), top100: make(map[string]bool)}
-	for _, n := range named {
-		c.named[n] = true
-	}
-	credits := CompanyCredits(res, dir)
-	for _, s := range TopShares(credits, max(len(res.Domains), 1), 100) {
-		if !c.named[s.Company] {
-			c.top100[s.Company] = true
-		}
-	}
-	return c
-}
-
-func (c *churnClassifier) categoryOf(att core.DomainAttribution) string {
-	if !att.HasSMTP {
+// churnBucket is the company bucket of a domain's primary provider, or
+// NoSMTPLabel when the domain has no responding SMTP server or no
+// provider.
+func churnBucket(att core.DomainAttribution, dir *companies.Directory) string {
+	primary := att.Primary()
+	if !att.HasSMTP || primary == "" {
 		return NoSMTPLabel
 	}
-	company := CompanyOf(att.Domain, att.Primary(), c.dir)
-	switch {
-	case att.Primary() == "":
-		return NoSMTPLabel
-	case company == SelfHostedLabel:
-		return SelfHostedLabel
-	case c.named[company]:
-		return company
-	case c.top100[company]:
-		return Top100Label
-	default:
-		return OthersLabel
-	}
+	return CompanyOf(att.Domain, primary, dir)
 }
 
 // ChurnFlow is one cell of the Sankey: the number of domains that were in
@@ -75,30 +43,81 @@ type Churn struct {
 	Flows []ChurnFlow
 }
 
-// ComputeChurn builds the Figure 7 flow matrix between the first and
-// last snapshots of a corpus. The named companies (e.g. Google,
-// Microsoft, Yandex for Alexa) get individual categories; category
-// membership for Top100 is determined from the first snapshot.
-func ComputeChurn(first, last *core.Result, dir *companies.Directory, named []string) *Churn {
-	cls := newChurnClassifier(first, dir, named)
-	firstAtt := Attributions(first)
-	lastAtt := Attributions(last)
+// ChurnJoin folds Figure 7 from the first and the last snapshot of one
+// corpus, each fed in emit order. Both snapshots walk the corpus's one
+// target list, and canonical files are sorted, so the two streams list
+// the same domains in the same order and the join is a merge: the first
+// stream is held as one (domain, bucket) pair per domain until the last
+// stream meets it, and a domain on one side only is an error. The named
+// companies (e.g. Google, Microsoft, Yandex for Alexa) get their own
+// categories; the next companies up to rank 100 of the first snapshot
+// become Top100.
+type ChurnJoin struct {
+	dir    *companies.Directory
+	named  []string
+	shares *ShareAccumulator // the first snapshot's market
+	first  []churnEntry
+	next   int               // the first-stream entry the last stream meets next
+	cats   map[string]string // bucket → category, set at the first AddLast; Others when absent
+	counts map[[2]string]int
+	err    error
+}
 
-	counts := make(map[[2]string]int)
-	for domain, fa := range firstAtt {
-		la, ok := lastAtt[domain]
-		if !ok {
-			continue // domain left the stable corpus (should not happen)
+type churnEntry struct{ domain, bucket string }
+
+// NewChurnJoin returns an empty join bucketing providers through dir.
+func NewChurnJoin(dir *companies.Directory, named []string) *ChurnJoin {
+	// Clipped, so the appends below copy named instead of writing past it.
+	return &ChurnJoin{dir: dir, named: slices.Clip(named), shares: NewShareAccumulator(dir), counts: make(map[[2]string]int)}
+}
+
+// AddFirst folds one attribution of the first snapshot. Every one of
+// them comes before the first AddLast.
+func (j *ChurnJoin) AddFirst(att core.DomainAttribution) {
+	j.shares.Add(att)
+	j.first = append(j.first, churnEntry{att.Domain, churnBucket(att, j.dir)})
+}
+
+// AddLast joins one attribution of the last snapshot to the first
+// snapshot's next entry, which must be the same domain.
+func (j *ChurnJoin) AddLast(att core.DomainAttribution) {
+	if j.cats == nil {
+		j.cats = make(map[string]string)
+		for _, s := range j.shares.TopShares(100) {
+			j.cats[s.Company] = Top100Label
 		}
-		from := cls.categoryOf(fa)
-		to := cls.categoryOf(la)
-		counts[[2]string{from, to}]++
+		for _, c := range append(j.named, SelfHostedLabel, NoSMTPLabel) {
+			j.cats[c] = c
+		}
 	}
+	switch {
+	case j.err != nil:
+	case j.next == len(j.first) || j.first[j.next].domain != att.Domain:
+		j.err = fmt.Errorf("analysis: churn: the last snapshot's domain %d is %s, not the first's", j.next, att.Domain)
+	default:
+		j.counts[[2]string{j.category(j.first[j.next].bucket), j.category(churnBucket(att, j.dir))}]++
+		j.next++
+	}
+}
 
-	ch := &Churn{}
-	ch.Categories = append(ch.Categories, named...)
-	ch.Categories = append(ch.Categories, Top100Label, SelfHostedLabel, OthersLabel, NoSMTPLabel)
-	for pair, n := range counts {
+func (j *ChurnJoin) category(bucket string) string {
+	if c, ok := j.cats[bucket]; ok {
+		return c
+	}
+	return OthersLabel
+}
+
+// Churn returns the flow matrix, or the error of a join whose two
+// streams did not list the same domains.
+func (j *ChurnJoin) Churn() (*Churn, error) {
+	if j.err == nil && j.next < len(j.first) {
+		j.err = fmt.Errorf("analysis: churn: the last snapshot lacks the first's domain %d, %s", j.next, j.first[j.next].domain)
+	}
+	if j.err != nil {
+		return nil, j.err
+	}
+	ch := &Churn{Categories: append(j.named, Top100Label, SelfHostedLabel, OthersLabel, NoSMTPLabel)}
+	for pair, n := range j.counts {
 		ch.Flows = append(ch.Flows, ChurnFlow{From: pair[0], To: pair[1], Count: n})
 	}
 	sort.Slice(ch.Flows, func(i, j int) bool {
@@ -107,7 +126,7 @@ func ComputeChurn(first, last *core.Result, dir *companies.Directory, named []st
 		}
 		return ch.Flows[i].To < ch.Flows[j].To
 	})
-	return ch
+	return ch, nil
 }
 
 // Outflow sums domains leaving a category (excluding those that stayed).

@@ -1,11 +1,6 @@
 package analysis
 
-import (
-	"sort"
-
-	"mxmap/internal/companies"
-	"mxmap/internal/core"
-)
+import "sort"
 
 // Concentration quantifies the market consolidation the paper documents
 // qualitatively: the Herfindahl–Hirschman Index and top-N concentration
@@ -24,18 +19,12 @@ type Concentration struct {
 	EffectiveCompanies float64
 }
 
-// ComputeConcentration measures a result's provider market. Self-hosted
-// domains are excluded: each is its own "provider", so including them
-// would dilute the index with thousands of singletons and mask the very
-// consolidation being measured; the paper likewise plots self-hosting as
-// a separate series.
-func ComputeConcentration(res *core.Result, dir *companies.Directory) Concentration {
-	return concentrationFromCredits(CompanyCredits(res, dir))
-}
-
-// concentrationFromCredits is the credits-based core shared with the
-// streaming ShareAccumulator. The self-hosted bucket is dropped here so
-// both entry points apply the same exclusion.
+// concentrationFromCredits measures a market from its company credits,
+// ShareAccumulator.Concentration's body. Self-hosted domains are
+// excluded: each is its own "provider", so including them would dilute
+// the index with thousands of singletons and mask the very
+// consolidation being measured; the paper likewise plots self-hosting
+// as a separate series.
 func concentrationFromCredits(credits map[string]float64) Concentration {
 	total := 0.0
 	for company, c := range credits {

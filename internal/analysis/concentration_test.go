@@ -8,26 +8,25 @@ import (
 	"mxmap/internal/world"
 )
 
-// fakeResult builds a Result whose attributions credit the given
-// providers with the given counts.
-func fakeResult(counts map[string]int) *core.Result {
-	res := &core.Result{}
+// fakeMarket folds attributions that credit the given providers with
+// the given counts.
+func fakeMarket(counts map[string]int) *ShareAccumulator {
+	acc := NewShareAccumulator(nil)
 	i := 0
 	for id, n := range counts {
 		for j := 0; j < n; j++ {
-			res.Domains = append(res.Domains, core.DomainAttribution{
+			acc.Add(core.DomainAttribution{
 				Domain:  "d" + string(rune('a'+i)) + string(rune('a'+j%26)) + string(rune('a'+j/26)) + ".test",
 				Credits: map[string]float64{id: 1},
 			})
 		}
 		i++
 	}
-	return res
+	return acc
 }
 
 func TestConcentrationMonopoly(t *testing.T) {
-	res := fakeResult(map[string]int{"mono.com": 50})
-	c := ComputeConcentration(res, nil)
+	c := fakeMarket(map[string]int{"mono.com": 50}).Concentration()
 	if math.Abs(c.HHI-10000) > 1e-6 {
 		t.Errorf("monopoly HHI = %f", c.HHI)
 	}
@@ -37,8 +36,7 @@ func TestConcentrationMonopoly(t *testing.T) {
 }
 
 func TestConcentrationEqualSplit(t *testing.T) {
-	res := fakeResult(map[string]int{"a.com": 10, "b.com": 10, "c.com": 10, "d.com": 10})
-	c := ComputeConcentration(res, nil)
+	c := fakeMarket(map[string]int{"a.com": 10, "b.com": 10, "c.com": 10, "d.com": 10}).Concentration()
 	if math.Abs(c.HHI-2500) > 1e-6 {
 		t.Errorf("4-way HHI = %f", c.HHI)
 	}
@@ -51,20 +49,18 @@ func TestConcentrationEqualSplit(t *testing.T) {
 }
 
 func TestConcentrationExcludesSelfHosted(t *testing.T) {
-	res := &core.Result{}
-	res.Domains = append(res.Domains,
-		core.DomainAttribution{Domain: "x.test", Credits: map[string]float64{"big.com": 1}},
-		// Self-hosted: provider ID equals the domain's registered domain.
-		core.DomainAttribution{Domain: "self.test", Credits: map[string]float64{"self.test": 1}},
-	)
-	c := ComputeConcentration(res, nil)
+	acc := NewShareAccumulator(nil)
+	acc.Add(core.DomainAttribution{Domain: "x.test", Credits: map[string]float64{"big.com": 1}})
+	// Self-hosted: provider ID equals the domain's registered domain.
+	acc.Add(core.DomainAttribution{Domain: "self.test", Credits: map[string]float64{"self.test": 1}})
+	c := acc.Concentration()
 	if math.Abs(c.HHI-10000) > 1e-6 {
 		t.Errorf("self-hosted not excluded: HHI = %f", c.HHI)
 	}
 }
 
 func TestConcentrationEmpty(t *testing.T) {
-	c := ComputeConcentration(&core.Result{}, nil)
+	c := NewShareAccumulator(nil).Concentration()
 	if c.HHI != 0 || c.EffectiveCompanies != 0 {
 		t.Errorf("empty result: %+v", c)
 	}
@@ -74,10 +70,10 @@ func TestConcentrationEmpty(t *testing.T) {
 // the first and last snapshot, the quantitative form of the paper's
 // centralization finding.
 func TestConcentrationRisesOverStudy(t *testing.T) {
-	w, results := setup(t)
+	w, snaps := setup(t)
 	dates := w.Corpus(world.CorpusAlexa).Dates
-	first := ComputeConcentration(results[world.CorpusAlexa][dates[0]], w.Directory)
-	last := ComputeConcentration(results[world.CorpusAlexa][dates[len(dates)-1]], w.Directory)
+	first := shares(t, w, snaps[world.CorpusAlexa][dates[0]]).Concentration()
+	last := shares(t, w, snaps[world.CorpusAlexa][dates[len(dates)-1]]).Concentration()
 	if last.HHI <= first.HHI {
 		t.Errorf("HHI did not rise: %.0f -> %.0f", first.HHI, last.HHI)
 	}

@@ -1,73 +1,46 @@
 package analysis
 
-import (
-	"mxmap/internal/companies"
-	"mxmap/internal/core"
-)
-
-// SeriesPoint is one snapshot's value for one tracked company.
-type SeriesPoint struct {
-	// Date is the snapshot label.
-	Date string
-	// Domains is the fractional domain count credited to the company.
-	Domains float64
-	// Percent is the share of the snapshot's domains.
-	Percent float64
-}
-
-// Longitudinal holds per-company time series over a corpus's snapshots —
-// the data behind one panel of Figure 6.
+// Longitudinal holds per-company market-share series over a corpus's
+// snapshots, each point a percentage of its snapshot's domains — the
+// data behind one panel of Figure 6.
 type Longitudinal struct {
-	// Dates are the snapshot labels, in order.
-	Dates []string
-	// Series maps company name to one point per date.
-	Series map[string][]SeriesPoint
-	// Totals maps each date to the corpus size at that date.
-	Totals map[string]int
+	series map[string][]float64
 }
 
-// NewLongitudinal prepares an empty collection for the given dates.
-func NewLongitudinal(dates []string) *Longitudinal {
-	return &Longitudinal{
-		Dates:  dates,
-		Series: make(map[string][]SeriesPoint),
-		Totals: make(map[string]int),
-	}
+// NewLongitudinal prepares an empty collection.
+func NewLongitudinal() *Longitudinal {
+	return &Longitudinal{series: make(map[string][]float64)}
 }
 
-// Add ingests one snapshot's inference result, tracking the named
-// companies plus the self-hosted bucket and the combined top-N total.
-// Call once per date, in date order.
-func (l *Longitudinal) Add(date string, res *core.Result, dir *companies.Directory, track []string, topN int) {
-	credits := CompanyCredits(res, dir)
-	total := len(res.Domains)
-	l.Totals[date] = total
-	point := func(c float64) SeriesPoint {
+// Add ingests one date's accumulator, fed every attribution of that
+// date's snapshot, tracking the named companies plus the self-hosted
+// bucket, the combined top-N total ("TopN Total", when topN > 0) and
+// the tracked companies' total ("Tracked Total"). Call once per date,
+// in date order.
+func (l *Longitudinal) Add(acc *ShareAccumulator, track []string, topN int) {
+	credits, total := acc.Credits(), acc.Domains()
+	add := func(series string, c float64) {
 		pct := 0.0
 		if total > 0 {
 			pct = 100 * c / float64(total)
 		}
-		return SeriesPoint{Date: date, Domains: c, Percent: pct}
+		l.series[series] = append(l.series[series], pct)
 	}
+	tracked := 0.0
 	for _, name := range track {
-		l.Series[name] = append(l.Series[name], point(credits[name]))
+		add(name, credits[name])
+		tracked += credits[name]
 	}
-	l.Series[SelfHostedLabel] = append(l.Series[SelfHostedLabel], point(credits[SelfHostedLabel]))
+	add(SelfHostedLabel, credits[SelfHostedLabel])
 	if topN > 0 {
 		topTotal := 0.0
 		for _, s := range TopShares(credits, max(total, 1), topN) {
 			topTotal += s.Domains
 		}
-		l.Series["TopN Total"] = append(l.Series["TopN Total"], point(topTotal))
+		add("TopN Total", topTotal)
 	}
-	// A combined total of the tracked companies (used by the security-
-	// and hosting-company panels).
-	tracked := 0.0
-	for _, name := range track {
-		tracked += credits[name]
-	}
-	l.Series["Tracked Total"] = append(l.Series["Tracked Total"], point(tracked))
+	add("Tracked Total", tracked)
 }
 
-// Get returns a company's series.
-func (l *Longitudinal) Get(company string) []SeriesPoint { return l.Series[company] }
+// Get returns one series: a company's, or a total's.
+func (l *Longitudinal) Get(series string) []float64 { return l.series[series] }

@@ -5,33 +5,28 @@ import (
 	"mxmap/internal/core"
 )
 
-// Segment selects a subset of a result's domains for market-share
-// reporting, reproducing Figure 5's panels (Alexa 1k/10k/100k, federal
-// vs other .gov).
+// Segment is one of Figure 5's panels (Alexa 1k/10k/100k, federal vs
+// other .gov): a filter in front of a ShareAccumulator. Add folds the
+// attributions Include admits; the embedded accumulator's TopShares and
+// Domains then rank and count the segment.
 type Segment struct {
 	// Name labels the segment ("Alexa Top 1k", "GOV federal", ...).
 	Name string
 	// Include filters domains; nil includes everything.
 	Include func(att core.DomainAttribution) bool
+	*ShareAccumulator
 }
 
-// SegmentShares computes the top-n companies within one segment.
-func SegmentShares(res *core.Result, dir *companies.Directory, seg Segment, n int) ([]Share, int) {
-	credits := make(map[string]float64)
-	total := 0
-	for _, att := range res.Domains {
-		if seg.Include != nil && !seg.Include(att) {
-			continue
-		}
-		total++
-		for id, credit := range att.Credits {
-			credits[CompanyOf(att.Domain, id, dir)] += credit
-		}
+// NewSegment returns an empty segment bucketing providers through dir.
+func NewSegment(name string, include func(core.DomainAttribution) bool, dir *companies.Directory) *Segment {
+	return &Segment{Name: name, Include: include, ShareAccumulator: NewShareAccumulator(dir)}
+}
+
+// Add folds one attribution into the segment when Include admits it.
+func (s *Segment) Add(att core.DomainAttribution) {
+	if s.Include == nil || s.Include(att) {
+		s.ShareAccumulator.Add(att)
 	}
-	if total == 0 {
-		return nil, 0
-	}
-	return TopShares(credits, total, n), total
 }
 
 // RankAtMost selects Alexa domains with rank in [1, k].
@@ -40,12 +35,11 @@ func RankAtMost(k int) func(core.DomainAttribution) bool {
 }
 
 // SelfHostedCount returns the (fractional) number of self-hosted domains
-// in a result and its share of all domains.
-func SelfHostedCount(res *core.Result, dir *companies.Directory) (float64, float64) {
-	credits := CompanyCredits(res, dir)
-	c := credits[SelfHostedLabel]
-	if len(res.Domains) == 0 {
+// an accumulator holds and their share of all its domains.
+func SelfHostedCount(acc *ShareAccumulator) (float64, float64) {
+	if acc.Domains() == 0 {
 		return 0, 0
 	}
-	return c, 100 * c / float64(len(res.Domains))
+	c := acc.Credits()[SelfHostedLabel]
+	return c, 100 * c / float64(acc.Domains())
 }

@@ -15,11 +15,10 @@ import (
 // An adversarial world ships machine-readable per-domain ground truth:
 // which hostile scenario family each domain belongs to, who the true
 // operator is (when one exists), and which provider identity an attacker
-// forged. ScoreMisidentification replays that oracle against an
-// inference result and reports, per family, how often the pipeline
-// reached the verdict the scenario demands — flagged the forgery instead
-// of crediting it, classified the lame delegation, matched the honest
-// bucket.
+// forged. A MisidScorer replays that oracle against an inference pass
+// and reports, per family, how often the pipeline reached the verdict
+// the scenario demands — flagged the forgery instead of crediting it,
+// classified the lame delegation, matched the honest bucket.
 //
 // The oracle types mirror world.OracleEntry field for field but stay
 // neutral, following the accuracy harness's convention of taking truth
@@ -90,10 +89,11 @@ type MisidReport struct {
 	CreditedForged int `json:"credited_forged"`
 }
 
-// ScoreMisidentification grades an inference result against an
-// adversarial oracle. The snapshot supplies the collection-side verdicts
-// (failure classes) the DNS-only families are graded on; res must come
-// from an Infer run, which retains the per-domain attributions.
+// MisidScorer grades an inference pass against an adversarial oracle,
+// fed each domain's record (which supplies the collection-side verdicts
+// the DNS-only families are graded on) and its attribution, in emit
+// order. An oracle entry whose domain no pass record names is graded as
+// a domain without attribution.
 //
 // Correctness per family:
 //
@@ -107,78 +107,105 @@ type MisidReport struct {
 //     (the attribution is right; the trust downgrade is the verdict).
 //   - lame — collection classified the domain's lookup as a lame
 //     delegation.
-func ScoreMisidentification(snap *dataset.Snapshot, res *core.Result, oracle []MisidOracle, dir *companies.Directory) *MisidReport {
-	atts := Attributions(res)
-	records := make(map[string]*dataset.DomainRecord, len(snap.Domains))
-	for i := range snap.Domains {
-		records[snap.Domains[i].Domain] = &snap.Domains[i]
-	}
+type MisidScorer struct {
+	dir     *companies.Directory
+	pending map[string][]MisidOracle // the entries no record has met yet
+	scores  map[string]*FamilyScore
+	rep     MisidReport
+}
 
-	scores := make(map[string]*FamilyScore)
-	rep := &MisidReport{}
+// NewMisidScorer returns a scorer of oracle, bucketing providers through
+// dir.
+func NewMisidScorer(oracle []MisidOracle, dir *companies.Directory) *MisidScorer {
+	m := &MisidScorer{dir: dir, pending: make(map[string][]MisidOracle), scores: make(map[string]*FamilyScore)}
 	for _, e := range oracle {
-		fs := scores[e.Family]
-		if fs == nil {
-			fs = &FamilyScore{Family: e.Family}
-			scores[e.Family] = fs
-		}
-		fs.Domains++
-		rep.TotalDomains++
+		m.pending[e.Domain] = append(m.pending[e.Domain], e)
+	}
+	return m
+}
 
-		att, hasAtt := atts[e.Domain]
-		flagged := hasAtt && att.Untrusted
-		bucket := ""
-		if hasAtt {
-			bucket = CompanyOf(e.Domain, att.Primary(), dir)
-		}
-		if flagged {
-			fs.Flagged++
-			rep.TotalFlagged++
-		}
+// Add grades the oracle entries of one domain against its record and
+// attribution.
+func (m *MisidScorer) Add(rec *dataset.DomainRecord, att core.DomainAttribution) {
+	for _, e := range m.pending[rec.Domain] {
+		m.grade(e, rec, att)
+	}
+	delete(m.pending, rec.Domain)
+}
 
-		graded, correct := true, false
-		switch e.Family {
-		case famLame:
-			rec := records[e.Domain]
-			correct = rec != nil && rec.Failure == dataset.FailLameDelegation
-		case famDanglingNX, famDanglingParked:
-			correct = flagged
-		case famHijack:
-			forged := e.Forged != "" && bucket == e.Forged
-			if forged {
-				fs.CreditedForged++
-				rep.CreditedForged++
-			}
-			correct = flagged && !forged
-		case famAbuse:
-			correct = flagged && (e.Truth == "" || bucket == e.Truth)
-		default: // honest, blbfo, future families with attribution truth
-			truth := e.Truth
-			if truth == e.Domain {
-				truth = SelfHostedLabel
-			}
-			if truth == "" {
-				graded = false
-			} else {
-				correct = bucket == truth && !flagged
-			}
-		}
-		if graded {
-			fs.Graded++
-			if correct {
-				fs.Correct++
-			}
+// Report grades the oracle entries no record met and returns the
+// per-family summary.
+func (m *MisidScorer) Report() *MisidReport {
+	for _, entries := range m.pending {
+		for _, e := range entries {
+			m.grade(e, nil, core.DomainAttribution{})
 		}
 	}
-
-	for _, fs := range scores {
+	m.pending = nil
+	rep := m.rep
+	for _, fs := range m.scores {
 		if fs.Graded > 0 {
 			fs.Accuracy = math.Round(float64(fs.Correct)/float64(fs.Graded)*10000) / 100
 		}
 		rep.Families = append(rep.Families, *fs)
 	}
 	sort.Slice(rep.Families, func(i, j int) bool { return rep.Families[i].Family < rep.Families[j].Family })
-	return rep
+	return &rep
+}
+
+// grade scores one oracle entry; rec is nil, and att empty, for a
+// domain the pass never met.
+func (m *MisidScorer) grade(e MisidOracle, rec *dataset.DomainRecord, att core.DomainAttribution) {
+	fs := m.scores[e.Family]
+	if fs == nil {
+		fs = &FamilyScore{Family: e.Family}
+		m.scores[e.Family] = fs
+	}
+	fs.Domains++
+	m.rep.TotalDomains++
+
+	flagged := att.Untrusted
+	bucket := ""
+	if rec != nil {
+		bucket = CompanyOf(e.Domain, att.Primary(), m.dir)
+	}
+	if flagged {
+		fs.Flagged++
+		m.rep.TotalFlagged++
+	}
+
+	graded, correct := true, false
+	switch e.Family {
+	case famLame:
+		correct = rec != nil && rec.Failure == dataset.FailLameDelegation
+	case famDanglingNX, famDanglingParked:
+		correct = flagged
+	case famHijack:
+		forged := e.Forged != "" && bucket == e.Forged
+		if forged {
+			fs.CreditedForged++
+			m.rep.CreditedForged++
+		}
+		correct = flagged && !forged
+	case famAbuse:
+		correct = flagged && (e.Truth == "" || bucket == e.Truth)
+	default: // honest, blbfo, future families with attribution truth
+		truth := e.Truth
+		if truth == e.Domain {
+			truth = SelfHostedLabel
+		}
+		if truth == "" {
+			graded = false
+		} else {
+			correct = bucket == truth && !flagged
+		}
+	}
+	if graded {
+		fs.Graded++
+		if correct {
+			fs.Correct++
+		}
+	}
 }
 
 // Failover-structure correlation (Ruohonen's BLBFO observation): how MX

@@ -31,6 +31,8 @@ type SPFStats struct {
 	FilteredTotal, FilteredWithMailbox int
 	// MailboxCompanies distributes the revealed eventual providers.
 	MailboxCompanies map[string]int
+
+	dir *companies.Directory
 }
 
 // MailboxShares returns the revealed eventual providers sorted by count.
@@ -52,60 +54,54 @@ func (s SPFStats) MailboxShares() []Share {
 	return out
 }
 
-// ComputeSPF evaluates the extension over one snapshot and its inference
-// result.
-func ComputeSPF(snap *dataset.Snapshot, res *core.Result, dir *companies.Directory) SPFStats {
-	stats := SPFStats{MailboxCompanies: make(map[string]int)}
-	att := Attributions(res)
-	for i := range snap.Domains {
-		d := &snap.Domains[i]
-		stats.Total++
-		if d.SPF == "" {
-			continue
-		}
-		rec, err := spf.Parse(d.SPF)
-		if err != nil {
-			continue
-		}
-		stats.WithSPF++
+// NewSPFStats returns an empty fold of the extension, bucketing
+// providers through dir.
+func NewSPFStats(dir *companies.Directory) *SPFStats {
+	return &SPFStats{MailboxCompanies: make(map[string]int), dir: dir}
+}
 
-		a := att[d.Domain]
-		primary := a.Primary()
-		mxCompany := CompanyOf(d.Domain, primary, dir)
-
-		includeCompanies := spfIncludeCompanies(d.Domain, rec, dir)
-		isFiltered := false
-		if c, ok := dir.CompanyFor(primary); ok && c.Kind == companies.KindEmailSecurity {
-			isFiltered = true
-		}
-		if isFiltered {
-			stats.FilteredTotal++
-			// An eventual provider is any included organization other
-			// than the filtering service itself.
-			for _, ic := range includeCompanies {
-				if ic != mxCompany {
-					stats.FilteredWithMailbox++
-					stats.MailboxCompanies[ic]++
-					break
-				}
-			}
-			continue
-		}
-		// Non-filtered: check agreement between SPF and MX attribution.
-		switch {
-		case len(includeCompanies) == 0:
-			if usesOwnInfra(rec) && mxCompany == SelfHostedLabel {
-				stats.Agree++
-			} else {
-				stats.NoSignal++
-			}
-		case contains(includeCompanies, mxCompany):
-			stats.Agree++
-		default:
-			stats.Disagree++
-		}
+// Add folds one domain's record and its attribution.
+func (stats *SPFStats) Add(d *dataset.DomainRecord, att core.DomainAttribution) {
+	stats.Total++
+	if d.SPF == "" {
+		return
 	}
-	return stats
+	rec, err := spf.Parse(d.SPF)
+	if err != nil {
+		return
+	}
+	stats.WithSPF++
+
+	primary := att.Primary()
+	mxCompany := CompanyOf(d.Domain, primary, stats.dir)
+
+	includeCompanies := spfIncludeCompanies(d.Domain, rec, stats.dir)
+	if c, ok := stats.dir.CompanyFor(primary); ok && c.Kind == companies.KindEmailSecurity {
+		stats.FilteredTotal++
+		// An eventual provider is any included organization other
+		// than the filtering service itself.
+		for _, ic := range includeCompanies {
+			if ic != mxCompany {
+				stats.FilteredWithMailbox++
+				stats.MailboxCompanies[ic]++
+				break
+			}
+		}
+		return
+	}
+	// Non-filtered: check agreement between SPF and MX attribution.
+	switch {
+	case len(includeCompanies) == 0:
+		if usesOwnInfra(rec) && mxCompany == SelfHostedLabel {
+			stats.Agree++
+		} else {
+			stats.NoSignal++
+		}
+	case contains(includeCompanies, mxCompany):
+		stats.Agree++
+	default:
+		stats.Disagree++
+	}
 }
 
 // spfIncludeCompanies maps the record's include targets to company

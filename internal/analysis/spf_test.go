@@ -25,8 +25,10 @@ func TestComputeSPFOnWorld(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := core.Infer(snap, core.ApproachPriority, core.Config{Profiles: testProfiles(w)})
-	stats := ComputeSPF(snap, res, w.Directory)
+	stats := NewSPFStats(w.Directory)
+	if _, err := Fold(snap, core.ApproachPriority, core.Config{Profiles: testProfiles(w)}, stats.Add); err != nil {
+		t.Fatal(err)
+	}
 
 	if stats.Total != len(snap.Domains) {
 		t.Errorf("Total = %d", stats.Total)

@@ -6,10 +6,12 @@ import (
 )
 
 // ShareAccumulator folds per-domain attributions into company-level
-// market shares one at a time, so analyses can ride along a
+// market shares one at a time, so analyses ride along a
 // core.InferStream emit callback without ever materializing the
-// attribution list. Feeding it every attribution of a result produces
-// exactly CompanyCredits(res, dir).
+// attribution list. Its Add is the one place a domain's credits become
+// company buckets: Figure 5's segments, Figure 6's dates, Figure 8's
+// ccTLDs, Table 6, the concentration metrics, the self-hosted count and
+// Figure 7's Top100 set all read an accumulator.
 //
 // Not safe for concurrent use; InferStream emits sequentially.
 type ShareAccumulator struct {
@@ -45,8 +47,8 @@ func (a *ShareAccumulator) TopShares(n int) []Share {
 	return TopShares(a.credits, a.domains, n)
 }
 
-// Concentration measures the accumulated market the way
-// ComputeConcentration does, excluding the self-hosted bucket.
+// Concentration measures the accumulated market, excluding the
+// self-hosted bucket (see Concentration).
 func (a *ShareAccumulator) Concentration() Concentration {
 	return concentrationFromCredits(a.credits)
 }

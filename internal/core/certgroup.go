@@ -24,7 +24,8 @@
 // reusing a prior run's attributions where it provably can. InferStream
 // is the run without a prior; both hand their caller each attribution as
 // it is made. Infer is the same run over an in-memory snapshot,
-// collecting the attributions into Result.Domains.
+// collecting the attributions into Result.Domains for the one caller
+// that still needs the list (see Infer).
 package core
 
 import (

@@ -228,7 +228,10 @@ type Result struct {
 
 // Infer runs the selected approach over an in-memory snapshot: it is
 // InferStream with the snapshot as the record source and every emitted
-// attribution retained in Result.Domains.
+// attribution retained in Result.Domains. bench/scanwire.go is its only
+// non-test caller: the figures, mxmap and the examples fold the emit
+// callback instead. ROADMAP item 6(a) frees the benchmark from it, and
+// Infer and Result.Domains go then.
 func Infer(s *dataset.Snapshot, approach Approach, cfg Config) *Result {
 	domains := make([]DomainAttribution, 0, len(s.Domains))
 	res, err := InferStream(s, approach, cfg, func(att DomainAttribution) {

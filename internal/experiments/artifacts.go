@@ -17,9 +17,36 @@ import (
 // on sampled domains (with SMTP servers) from each corpus, in both the
 // random and unique-MX variants. sampleSize follows the paper's 200.
 func (s *Study) Fig4(ctx context.Context, sampleSize int, seed uint64) (*report.Table, error) {
+	rows, err := s.accuracy(ctx, sampleSize, seed, core.Config{Profiles: s.Profiles})
+	if err != nil {
+		return nil, err
+	}
 	t := report.NewTable(
 		"Figure 4 — correctly inferred domains per approach (sample size varies with corpus)",
 		"Sample", "N", "MX-only", "cert-based", "banner-based", "priority-based", "examined@4")
+	for _, r := range rows {
+		// The results follow core.Approaches: MX-only, cert-based,
+		// banner-based, then priority-based.
+		prio := r.results[len(r.results)-1]
+		row := []string{r.label, fmt.Sprint(prio.Total)}
+		for _, res := range r.results {
+			row = append(row, fmt.Sprintf("%d (%.1f%%)", res.Correct, res.Percent()))
+		}
+		t.AddRow(append(row, fmt.Sprint(prio.Examined))...)
+	}
+	return t, nil
+}
+
+// accuracyRow is one Figure 4 sample: a corpus, random or unique-MX.
+type accuracyRow struct {
+	label   string
+	results []analysis.AccuracyResult
+}
+
+// accuracy grades the four approaches, run with cfg, on Figure 4's six
+// samples.
+func (s *Study) accuracy(ctx context.Context, sampleSize int, seed uint64, cfg core.Config) ([]accuracyRow, error) {
+	var rows []accuracyRow
 	for _, corpus := range Corpora() {
 		date := s.LastDate(corpus)
 		snap, err := s.Snapshot(ctx, corpus, date)
@@ -29,41 +56,25 @@ func (s *Study) Fig4(ctx context.Context, sampleSize int, seed uint64) (*report.
 		dateIdx := s.World.Corpus(corpus).DateIndex(date)
 		truth := s.truthIndex(corpus, dateIdx)
 		for _, uniqueMX := range []bool{false, true} {
-			cfg := analysis.AccuracyConfig{
-				SampleSize: sampleSize,
-				UniqueMX:   uniqueMX,
-				Seed:       seed,
-				Truth:      func(domain string) string { return truth[domain] },
-				Company:    s.companyBucket,
-				InferConfig: core.Config{
-					Profiles: s.Profiles,
-				},
+			results, err := analysis.EvaluateAccuracy(snap, analysis.AccuracyConfig{
+				SampleSize:  sampleSize,
+				UniqueMX:    uniqueMX,
+				Seed:        seed,
+				Truth:       func(domain string) string { return truth[domain] },
+				Company:     s.companyBucket,
+				InferConfig: cfg,
+			})
+			if err != nil {
+				return nil, err
 			}
-			results := analysis.EvaluateAccuracy(snap, cfg)
 			label := corpus
 			if uniqueMX {
 				label += " w/Unique MX"
 			}
-			row := make([]string, 0, 7)
-			row = append(row, label)
-			var examined int
-			cells := map[core.Approach]string{}
-			n := 0
-			for _, r := range results {
-				cells[r.Approach] = fmt.Sprintf("%d (%.1f%%)", r.Correct, r.Percent())
-				if r.Approach == core.ApproachPriority {
-					examined = r.Examined
-				}
-				n = r.Total
-			}
-			row = append(row, fmt.Sprint(n),
-				cells[core.ApproachMXOnly], cells[core.ApproachCertBased],
-				cells[core.ApproachBannerBased], cells[core.ApproachPriority],
-				fmt.Sprint(examined))
-			t.AddRow(row...)
+			rows = append(rows, accuracyRow{label, results})
 		}
 	}
-	return t, nil
+	return rows, nil
 }
 
 // Table4 reproduces Table 4: the data-availability breakdown of each
@@ -124,23 +135,28 @@ func (s *Study) Table5() *report.Table {
 // most recent snapshot. Alexa rank thresholds scale with the world so a
 // 1/20-scale corpus uses top-50/500/5000 in place of 1k/10k/100k.
 func (s *Study) Fig5(ctx context.Context) (*report.Table, error) {
+	segs, err := s.fig5Segments(ctx)
+	if err != nil {
+		return nil, err
+	}
 	t := report.NewTable(
 		"Figure 5 — top five companies per segment (most recent snapshot)",
 		"Segment", "N", "#1", "#2", "#3", "#4", "#5")
-
-	addSegment := func(res *core.Result, seg analysis.Segment) {
-		shares, total := analysis.SegmentShares(res, s.World.Directory, seg, 5)
-		row := []string{seg.Name, fmt.Sprint(total)}
-		for _, sh := range shares {
+	for _, seg := range segs {
+		row := []string{seg.Name, fmt.Sprint(seg.Domains())}
+		for _, sh := range seg.TopShares(5) {
 			row = append(row, fmt.Sprintf("%s %.0f (%.1f%%)", sh.Company, sh.Domains, sh.Percent))
 		}
 		t.AddRow(row...)
 	}
+	return t, nil
+}
 
-	alexaRes, err := s.Result(ctx, world.CorpusAlexa, s.LastDate(world.CorpusAlexa))
-	if err != nil {
-		return nil, err
-	}
+// fig5Segments folds Figure 5's segments, in row order: one pass over
+// each corpus's last snapshot feeds that corpus's segments.
+func (s *Study) fig5Segments(ctx context.Context) ([]*analysis.Segment, error) {
+	dir := s.World.Directory
+	var alexa []*analysis.Segment
 	alexaN := len(s.World.Corpus(world.CorpusAlexa).Domains)
 	for _, k := range []int{1000, 10000, 100000} {
 		scaledK := int(float64(k) * float64(alexaN) / 93538.0)
@@ -150,47 +166,37 @@ func (s *Study) Fig5(ctx context.Context) (*report.Table, error) {
 		if scaledK > alexaN {
 			break
 		}
-		addSegment(alexaRes, analysis.Segment{
-			Name:    fmt.Sprintf("Alexa top %d (scaled from %d)", scaledK, k),
-			Include: analysis.RankAtMost(scaledK),
-		})
+		alexa = append(alexa, analysis.NewSegment(
+			fmt.Sprintf("Alexa top %d (scaled from %d)", scaledK, k), analysis.RankAtMost(scaledK), dir))
 	}
-	addSegment(alexaRes, analysis.Segment{Name: "Alexa all"})
-
-	comRes, err := s.Result(ctx, world.CorpusCOM, s.LastDate(world.CorpusCOM))
-	if err != nil {
-		return nil, err
-	}
-	addSegment(comRes, analysis.Segment{Name: "COM all"})
-
-	govRes, err := s.Result(ctx, world.CorpusGOV, s.LastDate(world.CorpusGOV))
-	if err != nil {
-		return nil, err
-	}
-	federal := s.federalSet()
-	addSegment(govRes, analysis.Segment{
-		Name: "GOV federal",
-		Include: func(att core.DomainAttribution) bool {
-			return federal[att.Domain]
-		},
-	})
-	addSegment(govRes, analysis.Segment{
-		Name: "GOV other",
-		Include: func(att core.DomainAttribution) bool {
-			return !federal[att.Domain]
-		},
-	})
-	return t, nil
-}
-
-func (s *Study) federalSet() map[string]bool {
-	out := make(map[string]bool)
+	alexa = append(alexa, analysis.NewSegment("Alexa all", nil, dir))
+	federal := make(map[string]bool)
 	for _, d := range s.World.Corpus(world.CorpusGOV).Domains {
-		if d.Federal {
-			out[d.Name] = true
-		}
+		federal[d.Name] = d.Federal
 	}
-	return out
+	var out []*analysis.Segment
+	for _, c := range []struct {
+		corpus string
+		segs   []*analysis.Segment
+	}{
+		{world.CorpusAlexa, alexa},
+		{world.CorpusCOM, []*analysis.Segment{analysis.NewSegment("COM all", nil, dir)}},
+		{world.CorpusGOV, []*analysis.Segment{
+			analysis.NewSegment("GOV federal", func(att core.DomainAttribution) bool { return federal[att.Domain] }, dir),
+			analysis.NewSegment("GOV other", func(att core.DomainAttribution) bool { return !federal[att.Domain] }, dir),
+		}},
+	} {
+		_, err := s.Pass(ctx, c.corpus, s.LastDate(c.corpus), func(_ *dataset.DomainRecord, att core.DomainAttribution) {
+			for _, seg := range c.segs {
+				seg.Add(att)
+			}
+		})
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, c.segs...)
+	}
+	return out, nil
 }
 
 // fig6Panels defines which companies each Figure 6 panel tracks.
@@ -226,44 +232,43 @@ var fig6Panels = []struct {
 // hosting companies.
 //
 // The panels cover 25 distinct corpus-snapshots; each is measured and
-// inferred (full inference, through the Study's result cache)
-// concurrently, bounded by Study.Parallelism, before the serial assembly
-// pass reads them from the cache.
+// folded into one ShareAccumulator (a Shares pass) concurrently, bounded
+// by Study.Parallelism, before the serial assembly reads the panels'
+// series off the accumulators.
 func (s *Study) Fig6(ctx context.Context) ([]*report.Chart, error) {
 	keys := s.fig6Keys()
+	shares := make(map[corpusDate]*analysis.ShareAccumulator, len(keys))
+	accs := make([]*analysis.ShareAccumulator, len(keys))
 	errs := make([]error, len(keys))
 	parallel.Run(len(keys), parallel.Workers(s.Parallelism), func(i int) {
-		_, errs[i] = s.Result(ctx, keys[i].corpus, keys[i].date)
+		accs[i], errs[i] = s.Shares(ctx, keys[i].corpus, keys[i].date)
 	})
-	for _, err := range errs {
+	for i, err := range errs {
 		if err != nil {
 			return nil, err
 		}
+		shares[keys[i]] = accs[i]
 	}
 	var charts []*report.Chart
 	for _, panel := range fig6Panels {
 		dates := s.World.Corpus(panel.corpus).Dates
-		l := analysis.NewLongitudinal(dates)
+		l := analysis.NewLongitudinal()
 		for _, date := range dates {
-			res, err := s.Result(ctx, panel.corpus, date)
-			if err != nil {
-				return nil, err
-			}
 			topN := 0
 			if panel.withTop {
 				topN = 5
 			}
-			l.Add(date, res, s.World.Directory, panel.track, topN)
+			l.Add(shares[corpusDate{panel.corpus, date}], panel.track, topN)
 		}
 		chart := report.NewChart(fmt.Sprintf("Figure %s — %s", panel.key, panel.title), dates)
 		for _, name := range panel.track {
-			chart.AddSeries(name, percents(l.Get(name)))
+			chart.AddSeries(name, l.Get(name))
 		}
 		if panel.withTop {
-			chart.AddSeries("Top5 Total", percents(l.Get("TopN Total")))
-			chart.AddSeries("Self-Hosted", percents(l.Get(analysis.SelfHostedLabel)))
+			chart.AddSeries("Top5 Total", l.Get("TopN Total"))
+			chart.AddSeries("Self-Hosted", l.Get(analysis.SelfHostedLabel))
 		} else {
-			chart.AddSeries("Total", percents(l.Get("Tracked Total")))
+			chart.AddSeries("Total", l.Get("Tracked Total"))
 		}
 		charts = append(charts, chart)
 	}
@@ -292,27 +297,24 @@ func (s *Study) fig6Keys() []corpusDate {
 	return keys
 }
 
-func percents(points []analysis.SeriesPoint) []float64 {
-	out := make([]float64, len(points))
-	for i, p := range points {
-		out[i] = p.Percent
-	}
-	return out
-}
-
 // Fig7 reproduces Figure 7: the churn flow matrix for Alexa domains
 // between the first and last snapshots.
 func (s *Study) Fig7(ctx context.Context) (*report.Table, error) {
-	first, err := s.Result(ctx, world.CorpusAlexa, s.FirstDate(world.CorpusAlexa))
+	join := analysis.NewChurnJoin(s.World.Directory, []string{"Google", "Microsoft", "Yandex"})
+	// The first snapshot's pass comes first: the join ranks Top100 on it.
+	for _, side := range []struct {
+		date string
+		add  func(core.DomainAttribution)
+	}{{s.FirstDate(world.CorpusAlexa), join.AddFirst}, {s.LastDate(world.CorpusAlexa), join.AddLast}} {
+		_, err := s.Pass(ctx, world.CorpusAlexa, side.date, func(_ *dataset.DomainRecord, att core.DomainAttribution) { side.add(att) })
+		if err != nil {
+			return nil, err
+		}
+	}
+	ch, err := join.Churn()
 	if err != nil {
 		return nil, err
 	}
-	last, err := s.Result(ctx, world.CorpusAlexa, s.LastDate(world.CorpusAlexa))
-	if err != nil {
-		return nil, err
-	}
-	named := []string{"Google", "Microsoft", "Yandex"}
-	ch := analysis.ComputeChurn(first, last, s.World.Directory, named)
 	t := report.NewTable(
 		"Figure 7 — churn in mail providers, Alexa first to last snapshot (rows: from, cols: to)",
 		append([]string{"From \\ To"}, append(append([]string(nil), ch.Categories...), "stayed", "left", "arrived")...)...)
@@ -335,33 +337,23 @@ func (s *Study) Fig7(ctx context.Context) (*report.Table, error) {
 // each studied ccTLD's domains using Google, Microsoft, Tencent and
 // Yandex at the most recent snapshot.
 func (s *Study) Fig8(ctx context.Context) (*report.Table, error) {
-	res, err := s.Result(ctx, world.CorpusAlexa, s.LastDate(world.CorpusAlexa))
+	prefs := analysis.NewCCTLDPreferences(s.World.Directory)
+	_, err := s.Pass(ctx, world.CorpusAlexa, s.LastDate(world.CorpusAlexa), func(_ *dataset.DomainRecord, att core.DomainAttribution) {
+		prefs.Add(att)
+	})
 	if err != nil {
 		return nil, err
 	}
 	track := []string{"Google", "Microsoft", "Tencent", "Yandex"}
-	cells := analysis.CCTLDPreferences(res, s.World.Directory, track)
 	t := report.NewTable(
 		"Figure 8 — mail provider preferences by ccTLD (most recent snapshot)",
-		"ccTLD", "Google", "Microsoft", "Tencent", "Yandex")
-	byTLD := make(map[string]map[string]float64)
-	var order []string
-	for _, c := range cells {
-		m := byTLD[c.TLD]
-		if m == nil {
-			m = make(map[string]float64)
-			byTLD[c.TLD] = m
-			order = append(order, c.TLD)
+		append([]string{"ccTLD"}, track...)...)
+	for _, tld := range prefs.TLDs() {
+		row := []string{"." + tld}
+		for _, company := range track {
+			row = append(row, fmt.Sprintf("%.1f%%", prefs.Percent(tld, company)))
 		}
-		m[c.Company] = c.Percent
-	}
-	for _, tld := range order {
-		m := byTLD[tld]
-		t.AddRow("."+tld,
-			fmt.Sprintf("%.1f%%", m["Google"]),
-			fmt.Sprintf("%.1f%%", m["Microsoft"]),
-			fmt.Sprintf("%.1f%%", m["Tencent"]),
-			fmt.Sprintf("%.1f%%", m["Yandex"]))
+		t.AddRow(row...)
 	}
 	return t, nil
 }
@@ -374,16 +366,10 @@ func (s *Study) ExtSPF(ctx context.Context) (*report.Table, error) {
 		"Extension — SPF-based eventual provider discovery (most recent snapshot)",
 		"Corpus", "SPF coverage", "MX/SPF agree", "disagree", "filtered domains", "mailbox revealed", "top mailbox providers")
 	for _, corpus := range Corpora() {
-		date := s.LastDate(corpus)
-		snap, err := s.Snapshot(ctx, corpus, date)
-		if err != nil {
+		stats := analysis.NewSPFStats(s.World.Directory)
+		if _, err := s.Pass(ctx, corpus, s.LastDate(corpus), stats.Add); err != nil {
 			return nil, err
 		}
-		res, err := s.Result(ctx, corpus, date)
-		if err != nil {
-			return nil, err
-		}
-		stats := analysis.ComputeSPF(snap, res, s.World.Directory)
 		top := ""
 		for i, sh := range stats.MailboxShares() {
 			if i == 2 {
@@ -412,11 +398,11 @@ func (s *Study) ExtConcentration(ctx context.Context) (*report.Table, error) {
 	for _, corpus := range Corpora() {
 		dates := s.World.Corpus(corpus).Dates
 		for _, date := range []string{dates[0], dates[len(dates)/2], dates[len(dates)-1]} {
-			res, err := s.Result(ctx, corpus, date)
+			acc, err := s.Shares(ctx, corpus, date)
 			if err != nil {
 				return nil, err
 			}
-			c := analysis.ComputeConcentration(res, s.World.Directory)
+			c := acc.Concentration()
 			t.AddRow(corpus, date,
 				fmt.Sprintf("%.0f", c.HHI),
 				fmt.Sprintf("%.1f%%", c.CR1),
@@ -441,12 +427,11 @@ func (s *Study) Table6(ctx context.Context) (*report.Table, error) {
 	}
 	cols := make(map[string]col)
 	for _, corpus := range Corpora() {
-		res, err := s.Result(ctx, corpus, s.LastDate(corpus))
+		acc, err := s.Shares(ctx, corpus, s.LastDate(corpus))
 		if err != nil {
 			return nil, err
 		}
-		credits := analysis.CompanyCredits(res, s.World.Directory)
-		shares := analysis.TopShares(credits, len(res.Domains), 15)
+		shares := acc.TopShares(15)
 		var sumD, sumP float64
 		for _, sh := range shares {
 			sumD += sh.Domains
@@ -466,9 +451,10 @@ func (s *Study) Table6(ctx context.Context) (*report.Table, error) {
 		t.AddRow(fmt.Sprint(i+1),
 			cell(world.CorpusAlexa, i), cell(world.CorpusCOM, i), cell(world.CorpusGOV, i))
 	}
-	t.AddRow("Total",
-		fmt.Sprintf("%.0f (%.1f%%)", cols[world.CorpusAlexa].total, cols[world.CorpusAlexa].pct),
-		fmt.Sprintf("%.0f (%.1f%%)", cols[world.CorpusCOM].total, cols[world.CorpusCOM].pct),
-		fmt.Sprintf("%.0f (%.1f%%)", cols[world.CorpusGOV].total, cols[world.CorpusGOV].pct))
+	total := []string{"Total"}
+	for _, corpus := range Corpora() { // the columns' order
+		total = append(total, fmt.Sprintf("%.0f (%.1f%%)", cols[corpus].total, cols[corpus].pct))
+	}
+	t.AddRow(total...)
 	return t, nil
 }

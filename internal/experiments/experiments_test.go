@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"context"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -169,13 +170,16 @@ func TestSnapshotCaching(t *testing.T) {
 	if a != b {
 		t.Error("snapshot not cached")
 	}
-	r1, err := s.Result(ctx, world.CorpusGOV, s.LastDate(world.CorpusGOV))
+	// Inference is not cached: two passes over the cached snapshot fold
+	// the same market.
+	m1, err := s.Shares(ctx, world.CorpusGOV, s.LastDate(world.CorpusGOV))
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, _ := s.Result(ctx, world.CorpusGOV, s.LastDate(world.CorpusGOV))
-	if r1 != r2 {
-		t.Error("result not cached")
+	m2, _ := s.Shares(ctx, world.CorpusGOV, s.LastDate(world.CorpusGOV))
+	if m1.Domains() != len(a.Domains) || !reflect.DeepEqual(m1.Credits(), m2.Credits()) {
+		t.Errorf("passes folded %d and %d domains of %d, credits equal: %v",
+			m1.Domains(), m2.Domains(), len(a.Domains), reflect.DeepEqual(m1.Credits(), m2.Credits()))
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"context"
 
 	"mxmap/internal/analysis"
+	"mxmap/internal/companies"
 	"mxmap/internal/core"
 	"mxmap/internal/dataset"
 	"mxmap/internal/world"
@@ -21,7 +22,9 @@ const misidAbuseMin = 8
 
 // Misid is one oracle-scored adversarial run. Marshalled, it is the
 // MISID.json schema; the unexported-to-JSON fields are what it was
-// scored from, for callers that inspect single attributions.
+// scored from: the study (whose snapshot cache holds the collection)
+// and the inference pass's Result, for callers that inspect single
+// assignments.
 type Misid struct {
 	Corpus      string                  `json:"corpus"`
 	Date        string                  `json:"date"`
@@ -56,12 +59,6 @@ func ScoreMisid(cfg world.Config, parallelism int) (*Misid, error) {
 		study.Close()
 		return nil, err
 	}
-	res := core.Infer(snap, core.ApproachPriority, core.Config{
-		Profiles:               study.Profiles,
-		Parallelism:            parallelism,
-		AbuseClusterMinDomains: misidAbuseMin,
-	})
-
 	entries := study.World.Oracle(corpus)
 	oracle := make([]analysis.MisidOracle, len(entries))
 	families := make(map[string]int)
@@ -69,19 +66,38 @@ func ScoreMisid(cfg world.Config, parallelism int) (*Misid, error) {
 		oracle[i] = misidOracle(e)
 		families[string(e.Family)]++
 	}
+	report, res, err := scoreMisid(snap, study.Profiles, parallelism, oracle, study.World.Directory)
+	if err != nil {
+		study.Close()
+		return nil, err
+	}
 	return &Misid{
 		Corpus:      corpus,
 		Date:        date,
 		Seed:        cfg.Seed,
 		Scale:       cfg.Scale,
 		Adversarial: cfg.Adversarial,
-		Misid:       analysis.ScoreMisidentification(snap, res, oracle, study.World.Directory),
+		Misid:       report,
 		Failover:    analysis.FailoverStructure(snap, res, study.World.Directory),
 		Oracle:      families,
 		Health:      snap.Health(),
 		Study:       study,
 		Result:      res,
 	}, nil
+}
+
+// scoreMisid is the chain's inference and scoring over one collected
+// snapshot: one priority pass, with the abuse-cluster rule switched on,
+// folds every record and attribution into the oracle scorer, and its
+// Result carries the MX assignments the failover table reads.
+func scoreMisid(snap *dataset.Snapshot, profiles []core.ProviderProfile, parallelism int, oracle []analysis.MisidOracle, dir *companies.Directory) (*analysis.MisidReport, *core.Result, error) {
+	scorer := analysis.NewMisidScorer(oracle, dir)
+	cfg := core.Config{Profiles: profiles, Parallelism: parallelism, AbuseClusterMinDomains: misidAbuseMin}
+	res, err := analysis.Fold(snap, core.ApproachPriority, cfg, scorer.Add)
+	if err != nil {
+		return nil, nil, err
+	}
+	return scorer.Report(), res, nil
 }
 
 // misidOracle hands one of the world's oracle entries to the scorer.

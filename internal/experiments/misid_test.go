@@ -79,23 +79,39 @@ func TestMisidOracleScoring(t *testing.T) {
 // every hijack-family attribution carries the untrusted mark.
 func TestMisidHijackNeverCredited(t *testing.T) {
 	m := misidScore(t)
-	s, atts := m.Study, analysis.Attributions(m.Result)
+	s := m.Study
+	forged := make(map[string]string) // hijacked domain → the provider it forges
 	for _, e := range s.World.Oracle(world.CorpusAlexa) {
-		if e.Family != world.FamilyHijack {
-			continue
+		if e.Family == world.FamilyHijack {
+			forged[e.Domain] = e.Forged
 		}
-		att, ok := atts[e.Domain]
+	}
+	snap, err := s.Snapshot(context.Background(), m.Corpus, m.Date)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seen := 0
+	cfg := core.Config{Profiles: s.Profiles, AbuseClusterMinDomains: misidAbuseMin}
+	_, err = analysis.Fold(snap, core.ApproachPriority, cfg, func(_ *dataset.DomainRecord, att core.DomainAttribution) {
+		f, ok := forged[att.Domain]
 		if !ok {
-			t.Fatalf("hijacked domain %s has no attribution", e.Domain)
+			return
 		}
+		seen++
 		if !att.Untrusted {
-			t.Errorf("%s (hijack) not marked untrusted", e.Domain)
+			t.Errorf("%s (hijack) not marked untrusted", att.Domain)
 		}
 		for id, credit := range att.Credits {
-			if credit > 0 && analysis.CompanyOf(e.Domain, id, s.World.Directory) == e.Forged {
-				t.Errorf("%s credits forged provider %s via %s", e.Domain, e.Forged, id)
+			if credit > 0 && analysis.CompanyOf(att.Domain, id, s.World.Directory) == f {
+				t.Errorf("%s credits forged provider %s via %s", att.Domain, f, id)
 			}
 		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if seen != len(forged) {
+		t.Errorf("%d of %d hijacked domains have an attribution", seen, len(forged))
 	}
 }
 
@@ -149,10 +165,10 @@ func flatMisid(t *testing.T, cfg world.FlatConfig) (*world.FlatWorld, *dataset.S
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := core.Infer(snap, core.ApproachPriority, core.Config{
-		Profiles:               analysis.ProviderProfiles(fw.Directory),
-		AbuseClusterMinDomains: misidAbuseMin,
-	})
+	_, res, err := scoreMisid(snap, analysis.ProviderProfiles(fw.Directory), 0, oracle, fw.Directory)
+	if err != nil {
+		t.Fatal(err)
+	}
 	return fw, snap, res, oracle
 }
 
@@ -162,8 +178,11 @@ func flatMisid(t *testing.T, cfg world.FlatConfig) (*world.FlatWorld, *dataset.S
 // credited.
 func TestFlatMisidAcrossSeeds(t *testing.T) {
 	for _, seed := range []uint64{1, 7, 21} {
-		fw, snap, res, oracle := flatMisid(t, world.FlatConfig{Seed: seed, NumDomains: 4000, AdversarialPercent: 12})
-		report := analysis.ScoreMisidentification(snap, res, oracle, fw.Directory)
+		fw, snap, _, oracle := flatMisid(t, world.FlatConfig{Seed: seed, NumDomains: 4000, AdversarialPercent: 12})
+		report, _, err := scoreMisid(snap, analysis.ProviderProfiles(fw.Directory), 0, oracle, fw.Directory)
+		if err != nil {
+			t.Fatal(err)
+		}
 		if len(report.Families) != 7 {
 			t.Errorf("seed %d: %d families scored, want the six hostile ones and honest", seed, len(report.Families))
 		}
@@ -188,27 +207,34 @@ type familyVerdict struct {
 }
 
 // familyVerdicts reduces a scored run to one verdict per hostile
-// family, failing the test when a family's domains disagree.
+// family, failing the test when a family's domains disagree. A domain's
+// trust verdict and sentinel credit are read off the assignments res
+// holds for its primary exchanges, the ones step 5 credits.
 func familyVerdicts(t *testing.T, which string, snap *dataset.Snapshot, res *core.Result, oracle []analysis.MisidOracle) map[string]familyVerdict {
 	t.Helper()
-	atts := analysis.Attributions(res)
-	failure := make(map[string]dataset.FailureClass, len(snap.Domains))
+	records := make(map[string]*dataset.DomainRecord, len(snap.Domains))
 	for i := range snap.Domains {
-		failure[snap.Domains[i].Domain] = snap.Domains[i].Failure
+		records[snap.Domains[i].Domain] = &snap.Domains[i]
 	}
 	out := make(map[string]familyVerdict)
 	for _, e := range oracle {
 		if e.Family == "honest" {
 			continue
 		}
-		att := atts[e.Domain]
-		v := familyVerdict{
-			Failure: failure[e.Domain], Untrusted: att.Untrusted,
-			ExpectFlagged: e.ExpectFlagged, Forged: e.Forged,
-		}
-		for _, s := range []string{core.CreditUntrusted, core.CreditDangling, core.CreditParked} {
-			if att.Credits[s] > 0 {
-				v.Sentinel += s
+		v := familyVerdict{ExpectFlagged: e.ExpectFlagged, Forged: e.Forged}
+		if rec := records[e.Domain]; rec != nil {
+			v.Failure = rec.Failure
+			creditAs := make(map[string]bool)
+			for _, mx := range rec.PrimaryMX() {
+				if a := res.MX[mx.Exchange]; a != nil {
+					v.Untrusted = v.Untrusted || a.Untrusted
+					creditAs[a.CreditAs] = true
+				}
+			}
+			for _, s := range []string{core.CreditUntrusted, core.CreditDangling, core.CreditParked} {
+				if creditAs[s] {
+					v.Sentinel += s
+				}
 			}
 		}
 		if prev, ok := out[e.Family]; ok && prev != v {

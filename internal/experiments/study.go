@@ -16,7 +16,9 @@ import (
 )
 
 // Study owns one generated world with its measurement substrate and
-// caches collected snapshots and inference results.
+// caches collected snapshots. Inference is not cached: every figure is
+// a fold over one priority-based pass per (corpus, date) it reads (see
+// Pass).
 type Study struct {
 	// World is the generated synthetic Internet.
 	World *world.World
@@ -31,7 +33,6 @@ type Study struct {
 
 	mu        sync.Mutex
 	snapshots map[string]*snapFlight
-	results   map[string]*resultFlight
 }
 
 // snapFlight is one singleflight snapshot collection: the first caller
@@ -40,13 +41,6 @@ type Study struct {
 type snapFlight struct {
 	once sync.Once
 	snap *dataset.Snapshot
-	err  error
-}
-
-// resultFlight is the inference counterpart of snapFlight.
-type resultFlight struct {
-	once sync.Once
-	res  *core.Result
 	err  error
 }
 
@@ -65,7 +59,6 @@ func NewStudy(cfg world.Config) (*Study, error) {
 		Profiles:  WorldProfiles(w),
 		session:   sess,
 		snapshots: make(map[string]*snapFlight),
-		results:   make(map[string]*resultFlight),
 	}, nil
 }
 
@@ -89,30 +82,28 @@ func (s *Study) Snapshot(ctx context.Context, corpus, date string) (*dataset.Sna
 	return f.snap, f.err
 }
 
-// Result runs (or returns the cached run of) the priority-based
-// methodology on one snapshot. Concurrent calls for the same key share
-// one inference run.
-func (s *Study) Result(ctx context.Context, corpus, date string) (*core.Result, error) {
-	key := corpus + "@" + date
-	s.mu.Lock()
-	f := s.results[key]
-	if f == nil {
-		f = &resultFlight{}
-		s.results[key] = f
+// Pass runs the priority-based methodology over one corpus snapshot
+// (measured, or taken from the cache) and hands fold every domain's
+// record with its attribution, in snapshot order (see analysis.Fold).
+// The returned Result carries the MX assignments and step-4 counters;
+// it holds no attribution.
+func (s *Study) Pass(ctx context.Context, corpus, date string, fold func(*dataset.DomainRecord, core.DomainAttribution)) (*core.Result, error) {
+	snap, err := s.Snapshot(ctx, corpus, date)
+	if err != nil {
+		return nil, err
 	}
-	s.mu.Unlock()
-	f.once.Do(func() {
-		snap, err := s.Snapshot(ctx, corpus, date)
-		if err != nil {
-			f.err = err
-			return
-		}
-		f.res = core.Infer(snap, core.ApproachPriority, core.Config{
-			Profiles:    s.Profiles,
-			Parallelism: s.Parallelism,
-		})
-	})
-	return f.res, f.err
+	return analysis.Fold(snap, core.ApproachPriority, core.Config{
+		Profiles:    s.Profiles,
+		Parallelism: s.Parallelism,
+	}, fold)
+}
+
+// Shares is a Pass that feeds one ShareAccumulator: the snapshot's
+// company market.
+func (s *Study) Shares(ctx context.Context, corpus, date string) (*analysis.ShareAccumulator, error) {
+	acc := analysis.NewShareAccumulator(s.World.Directory)
+	_, err := s.Pass(ctx, corpus, date, func(_ *dataset.DomainRecord, att core.DomainAttribution) { acc.Add(att) })
+	return acc, err
 }
 
 // LastDate returns a corpus's most recent snapshot label.
