@@ -678,7 +678,6 @@ func typeName(x ast.Expr) string {
 var goroutineOwners = []struct{ file, fn, owner string }{
 	{"cmd/mxlb/main.go", "main", "srv.Serve returns when main's srv.Shutdown drains the front after a signal"},
 	{"cmd/mxlb/main.go", "main", "b.Run returns when the signal context is cancelled (sigctx's stop, deferred)"},
-	{"cmd/mxscan/main.go", "main", "the merge notice returns on the signal context or on close(merged) after Merge"},
 	{"cmd/mxserve/main.go", "main", "srv.Serve returns when main's srv.Shutdown drains the server after a signal"},
 	{"cmd/mxserve/main.go", "main", "returns when svc.Load does: one bounded load, which process exit cuts short"},
 	{"cmd/worldgen/main.go", "serveWorld", "ListenAndServe returns after srv.Shutdown; serveWorld reads errc until it does"},

@@ -17,15 +17,15 @@
 //
 // A fleet run is crash-safe, and its shards are its checkpoint: every
 // shard is committed atomically (tmp, fsync, rename, directory fsync)
-// as a worker's buffer fills, SIGINT and SIGTERM cancel the run and
-// spill every worker's buffer (a second signal force-exits), and the
-// shards stay until the merged snapshot has committed. A signal during
-// the merge lets it finish, with a notice; a second one aborts it and
-// keeps the shards. -resume reads them back, measures only the domains
-// and addresses none of them holds, and merges the old shards with the
-// new; a fresh run refuses to start over leftover shards. A hard kill
-// loses at most each worker's unspilled buffer. A single-collector run
-// keeps no checkpoint. Committed snapshots are written atomically too.
+// as a worker's buffer fills, and stays until the merged snapshot has
+// committed. From start to commit, SIGINT or SIGTERM cancels the run
+// (the collection spills every buffer, the merge removes its .tmp) and
+// mxscan exits 1 with the shards kept; a second signal force-exits a
+// wedged run. -resume reads the shards' keys, measures only what none
+// of them holds, and merges old shards with new into an uninterrupted
+// run's bytes; a fresh run refuses leftover shards. A hard kill loses
+// at most each worker's unspilled buffer. A single-collector run keeps
+// no checkpoint. Committed snapshots are written atomically too.
 //
 // Usage:
 //
@@ -90,11 +90,6 @@ func main() {
 	case fleet && *out == "":
 		log.Fatal("fleet mode (-workers > 1 or -flat) requires -o: shards merge into a file, not a pipe")
 	}
-	if !fleet {
-		*workers = 1
-	} else if *workers <= 0 {
-		*workers = 4
-	}
 
 	ctx, stop := sigctx.WithInterrupt(context.Background())
 	defer stop()
@@ -122,16 +117,15 @@ func main() {
 		// The shards a cancelled or killed run left at -o are its
 		// checkpoint: a resume merges them with its own, and a fresh run
 		// must not mix its shards with theirs.
-		set, prior, err := dataset.ResumeShardSet(*out, *date, src.corpus)
+		set, err := dataset.ResumeShardSet(*out, *date, src.corpus)
 		if err != nil {
 			log.Fatal(err)
 		}
-		if len(prior.Domains)+len(prior.IPs) > 0 {
+		if domains, ips := set.Held(); len(domains)+len(ips) > 0 {
 			if !*resume {
 				log.Fatalf("shards of an interrupted run are beside %s: rerun with -resume, or remove them", *out)
 			}
-			fmt.Fprintf(os.Stderr, "resuming: %d domain and %d IP records read from its shards\n",
-				len(prior.Domains), len(prior.IPs))
+			fmt.Fprintf(os.Stderr, "resuming: %d domains and %d IPs held in its shards\n", len(domains), len(ips))
 		}
 		stats, err := scan.CollectFleet(ctx, scan.FleetConfig{
 			Corpus:       src.corpus,
@@ -139,29 +133,16 @@ func main() {
 			Workers:      *workers,
 			NewCollector: src.newCollector,
 			Output:       set,
-			Prior:        prior,
 		}, src.targets)
-		// Whatever ends the run, its shards stay until the merged
-		// snapshot has committed; a signal that came as the collection
-		// finished still ends it here.
-		if ctx.Err() != nil {
-			log.Fatalf("collection interrupted; its shards are kept beside %s: rerun with -resume", *out)
+		var mstats *dataset.MergeStats
+		if err == nil {
+			mstats, err = dataset.MergeContext(ctx, *out, set.Paths())
 		}
-		if err != nil {
-			log.Fatal(err)
+		// A signal before the merged snapshot commits, during the
+		// collection or the merge, ends the run with its shards kept.
+		if err != nil && ctx.Err() != nil {
+			log.Fatalf("interrupted: the shards are kept beside %s: rerun with -resume", *out)
 		}
-		// Merge takes no context: a signal now lets it finish, and a
-		// second one exits at once (sigctx) with the shards still there.
-		merged := make(chan struct{})
-		go func() {
-			select {
-			case <-ctx.Done():
-				fmt.Fprintf(os.Stderr, "interrupted during the merge: it will finish and commit %s; a second signal aborts it and keeps the shards\n", *out)
-			case <-merged:
-			}
-		}()
-		mstats, err := dataset.Merge(*out, set.Paths())
-		close(merged)
 		if err != nil {
 			log.Fatal(err)
 		}

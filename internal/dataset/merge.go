@@ -4,19 +4,21 @@ import (
 	"bufio"
 	"bytes"
 	"container/heap"
+	"context"
 	"errors"
 	"fmt"
 	"io"
 )
 
-// Merge k-way-merges sorted shard files into the canonical snapshot at
-// outPath (gzip-compressed when the path ends in ".gz", committed
-// atomically). The output is byte-identical to Snapshot.WriteTo of the
-// equivalent fully materialized snapshot: shard lines were produced by
-// the same encoder, so the merge passes raw line bytes through. A line
-// in canonical form is walked end to end by the line codec, which
-// stores nothing but the ordering key; any other line is decoded in
-// full by encoding/json, so no line either would reject is passed on.
+// MergeContext k-way-merges sorted shard files into the canonical
+// snapshot at outPath (gzip-compressed when the path ends in ".gz",
+// committed atomically). The output is byte-identical to
+// Snapshot.WriteTo of the equivalent fully materialized snapshot: shard
+// lines were produced by the same encoder, so the merge passes raw line
+// bytes through. A line in canonical form is walked end to end by the
+// line codec, which stores nothing but the ordering key; any other line
+// is decoded in full by encoding/json, so no line either would reject
+// is passed on.
 //
 // Every line of every shard is held to the rules every reader holds the
 // format to (lineRules: so a shard Merge rejects, ReadFile, OpenStream
@@ -31,7 +33,11 @@ import (
 // Duplicate keys across shards resolve last-write-wins toward the
 // highest shard sequence number, the order in which a ShardSet numbers
 // its spills.
-func Merge(outPath string, shardPaths []string) (*MergeStats, error) {
+//
+// It looks at ctx before the header, every mergePoll records and after
+// the last: once ctx has ended it returns ctx's error, with outPath
+// untouched and no "<outPath>.tmp" left, as for any other error.
+func MergeContext(ctx context.Context, outPath string, shardPaths []string) (*MergeStats, error) {
 	if len(shardPaths) == 0 {
 		return nil, fmt.Errorf("dataset: merge: no shards")
 	}
@@ -72,20 +78,35 @@ func Merge(outPath string, shardPaths []string) (*MergeStats, error) {
 			bw.Reset(io.Discard)
 			bufWriterPool.Put(bw)
 		}()
+		if err := ctx.Err(); err != nil {
+			return err
+		}
 		hdr := readers[0].hdr
 		if _, err := bw.Write(appendHeaderLine(bw.AvailableBuffer(), hdr.Date, hdr.Corpus)); err != nil {
 			return err
 		}
-		if err := mergeInto(bw, readers, stats); err != nil {
+		if err := mergeInto(ctx, bw, readers, stats); err != nil {
 			return err
 		}
 		return bw.Flush()
 	})
 	if err != nil {
+		if cerr := ctx.Err(); errors.Is(err, cerr) {
+			return nil, cerr // not wrapped in atomicWrite's words
+		}
 		return nil, err
 	}
 	return stats, nil
 }
+
+// Merge is MergeContext under a context that never ends. It stays only
+// because the benchmark calls it (bench/flat.go:146).
+func Merge(outPath string, shardPaths []string) (*MergeStats, error) {
+	return MergeContext(context.Background(), outPath, shardPaths)
+}
+
+// mergePoll is how many records a merge writes between two looks at ctx.
+const mergePoll = 1024
 
 // MergeStats summarizes one merge.
 type MergeStats struct {
@@ -100,25 +121,9 @@ type MergeStats struct {
 	DupIPs     int `json:"dup_ips"`
 }
 
-// mergeInto writes the merged, deduplicated record lines to w.
-func mergeInto(w *bufio.Writer, readers []*shardReader, stats *MergeStats) error {
-	if len(readers) == 1 {
-		// Single-shard fast path: the shard body already is the canonical
-		// record sequence; stream it through (validation still runs in
-		// advance()).
-		r := readers[0]
-		for r.kind != "" {
-			if err := writeLine(w, r.line); err != nil {
-				return err
-			}
-			stats.count(r.kind, 0)
-			if err := r.advance(); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-
+// mergeInto writes the merged, deduplicated record lines to w, and
+// returns ctx's error when it finds ctx ended (see MergeContext).
+func mergeInto(ctx context.Context, w *bufio.Writer, readers []*shardReader, stats *MergeStats) error {
 	h := make(readerHeap, 0, len(readers))
 	for _, r := range readers {
 		if r.kind != "" {
@@ -127,7 +132,10 @@ func mergeInto(w *bufio.Writer, readers []*shardReader, stats *MergeStats) error
 	}
 	heap.Init(&h)
 	var group []*shardReader
-	for len(h) > 0 {
+	for n := 1; len(h) > 0; n++ {
+		if n%mergePoll == 0 && ctx.Err() != nil {
+			return ctx.Err()
+		}
 		top := h[0]
 		rank, key := top.rank(), top.key
 		group = group[:0]
@@ -140,10 +148,19 @@ func mergeInto(w *bufio.Writer, readers []*shardReader, stats *MergeStats) error
 				winner = r
 			}
 		}
-		if err := writeLine(w, winner.line); err != nil {
+		if _, err := w.Write(winner.line); err != nil {
 			return err
 		}
-		stats.count(winner.kind, len(group)-1)
+		if err := w.WriteByte('\n'); err != nil {
+			return err
+		}
+		if winner.kind == "domain" {
+			stats.Domains++
+			stats.DupDomains += len(group) - 1
+		} else {
+			stats.IPs++
+			stats.DupIPs += len(group) - 1
+		}
 		for _, r := range group {
 			if err := r.advance(); err != nil {
 				return err
@@ -153,24 +170,7 @@ func mergeInto(w *bufio.Writer, readers []*shardReader, stats *MergeStats) error
 			}
 		}
 	}
-	return nil
-}
-
-func (ms *MergeStats) count(kind string, dups int) {
-	if kind == "domain" {
-		ms.Domains++
-		ms.DupDomains += dups
-	} else {
-		ms.IPs++
-		ms.DupIPs += dups
-	}
-}
-
-func writeLine(w *bufio.Writer, line []byte) error {
-	if _, err := w.Write(line); err != nil {
-		return err
-	}
-	return w.WriteByte('\n')
+	return ctx.Err()
 }
 
 // shardReader streams one shard file, holding the current record's kind,

@@ -82,7 +82,7 @@ func TestReadersAgreeOnLineRules(t *testing.T) {
 			_, err = Merge(filepath.Join(dir, "out.jsonl"), []string{path})
 			merge := said(err)
 
-			_, _, err = ResumeShardSet(filepath.Join(dir, "p.jsonl"), "2021-06", "alexa")
+			_, err = ResumeShardSet(filepath.Join(dir, "p.jsonl"), "2021-06", "alexa")
 			resume := said(err)
 
 			readers := []struct{ reader, said string }{

@@ -6,7 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"maps"
+	"net/netip"
 	"os"
 	"path/filepath"
 	"slices"
@@ -107,6 +107,10 @@ type ShardSet struct {
 	seq   atomic.Int64
 	mu    sync.Mutex
 	paths []string
+	// What the shards ResumeShardSet found hold: each domain's MX
+	// addresses, and the addresses with an IP record. Read-only.
+	held    map[string][]netip.Addr
+	heldIPs map[netip.Addr]bool
 }
 
 // NewShardSet prepares a shard set for the snapshot at base.
@@ -115,24 +119,21 @@ func NewShardSet(base, date, corpus string) *ShardSet {
 }
 
 // ResumeShardSet picks up the shards an interrupted run left for the
-// snapshot at base: the files ShardPath names in base's directory. It
-// reads each as the snapshot it is (ReadFile, so lineRules holds every
-// line) and refuses one that belongs to another (corpus, date). It
-// returns their records as one snapshot, a collection's prior, in which
-// a domain or address that more than one shard holds counts from the
-// highest-numbered (as Merge resolves it), and a ShardSet that numbers
-// its shards after theirs. The old shards are the first of the set's
-// Paths: a collection with that prior measures and writes only what
-// none of them holds, Merge reads their records where they lie, and
-// Remove deletes them with the new ones once the merged snapshot has
-// committed. The "<shard>.tmp" files of a spill cut short are removed,
-// not read. With no shards left at base, the set is a new one and the
-// snapshot empty.
-func ResumeShardSet(base, date, corpus string) (*ShardSet, *Snapshot, error) {
+// snapshot at base: the files ShardPath names in base's directory, not
+// the "<shard>.tmp" of a spill cut short, which it removes. It walks
+// each once, in sequence order (walkLines, so lineRules holds every
+// line), refuses one of another (corpus, date), and keeps the keys of
+// their records and each held domain's MX addresses (Held), the
+// highest-numbered shard's where two hold a key, as Merge resolves it.
+// The set numbers its shards after theirs and lists them first in
+// Paths: a collection into it measures and writes only what none of
+// them holds, Merge reads their records where they lie, and Remove
+// deletes them with the new ones once the merged snapshot commits.
+func ResumeShardSet(base, date, corpus string) (*ShardSet, error) {
 	dir := filepath.Dir(base)
 	entries, err := os.ReadDir(dir)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	var seqs []int
 	for _, e := range entries {
@@ -145,29 +146,61 @@ func ResumeShardSet(base, date, corpus string) (*ShardSet, *Snapshot, error) {
 			seqs = append(seqs, seq)
 		case e.Name() == shard+".tmp":
 			if err := os.Remove(filepath.Join(dir, e.Name())); err != nil {
-				return nil, nil, err
+				return nil, err
 			}
 		}
 	}
 	sort.Ints(seqs)
 	ss := NewShardSet(base, date, corpus)
-	prior := NewSnapshot(date, corpus)
+	ss.held, ss.heldIPs = make(map[string][]netip.Addr), make(map[netip.Addr]bool)
+	// Domains share one copy of each distinct address list, by its bytes.
+	lists := make(map[string][]netip.Addr)
+	var key []byte
+	domain := func(d *DomainRecord) error {
+		key = key[:0]
+		for _, mx := range d.MX {
+			for _, a := range mx.Addrs {
+				a16 := a.As16()
+				key = append(append(key, byte(a.BitLen())), a16[:]...)
+			}
+		}
+		addrs, ok := lists[string(key)]
+		if !ok {
+			for _, mx := range d.MX {
+				addrs = append(addrs, mx.Addrs...)
+			}
+			lists[string(key)] = addrs
+		}
+		ss.held[d.Domain] = addrs
+		return nil
+	}
+	ip := func(info *IPInfo) error { ss.heldIPs[info.Addr] = true; return nil }
 	for _, seq := range seqs {
 		path := ShardPath(base, seq)
-		s, err := ReadFile(path)
+		r, done, err := openReader(path)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
-		if s.Date != date || s.Corpus != corpus {
-			return nil, nil, fmt.Errorf("dataset: %s holds corpus %s at %s, not %s at %s",
-				path, s.Corpus, s.Date, corpus, date)
+		var hdr snapshotHeader
+		err = walkLines(r, path, func(h *snapshotHeader) { hdr = *h }, domain, ip)
+		done()
+		if err == nil && (hdr.Date != date || hdr.Corpus != corpus) {
+			err = fmt.Errorf("dataset: %s holds corpus %s at %s, not %s at %s",
+				path, hdr.Corpus, hdr.Date, corpus, date)
 		}
-		prior.Domains = append(prior.Domains, s.Domains...)
-		maps.Copy(prior.IPs, s.IPs)
+		if err != nil {
+			return nil, err
+		}
 		ss.paths = append(ss.paths, path)
 		ss.seq.Store(int64(seq) + 1)
 	}
-	return ss, prior, nil
+	return ss, nil
+}
+
+// Held returns what the shards ResumeShardSet found hold: each held
+// domain's MX addresses, and the held addresses. Neither may be changed.
+func (ss *ShardSet) Held() (domains map[string][]netip.Addr, ips map[netip.Addr]bool) {
+	return ss.held, ss.heldIPs
 }
 
 // Paths returns every shard file written so far, ordered by shard

@@ -2,6 +2,7 @@ package dataset
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -150,6 +151,91 @@ func TestMergeSingleShardFastPath(t *testing.T) {
 	if !bytes.Equal(got, snapshotBytes(t, s)) {
 		t.Fatal("single-shard merge differs from WriteTo")
 	}
+}
+
+// TestMergeContextCancelsAtEveryPoint cancels a merge at each point
+// where it looks at its context, in turn: before the header, twice in
+// the domain section, once in the IP section and after the last line,
+// before the rename. Each returns context.Canceled, leaves no .tmp, and
+// leaves the output path as it was: the previous file's bytes, or
+// nothing. A context that never reports the cancel commits the
+// snapshot.
+func TestMergeContextCancelsAtEveryPoint(t *testing.T) {
+	dir := t.TempDir()
+	s := buildSnapshot(2500)
+	for i := range 1500 {
+		s.AddIP(IPInfo{Addr: netip.AddrFrom4([4]byte{10, 1, byte(i >> 8), byte(i)}), ASN: 65001})
+	}
+	set := shardOut(t, s, filepath.Join(dir, "snap.jsonl.gz"), 2, 1<<20)
+	records := len(s.Domains) + len(s.IPs)
+	// Before the header, every mergePoll records, and after the last.
+	polls := 1 + records/mergePoll + 1
+	where := func(at int) string {
+		switch written := (at-1)*mergePoll - 1; {
+		case at == 1:
+			return "before the header"
+		case at == polls:
+			return "after the last line"
+		case written < len(s.Domains):
+			return fmt.Sprintf("after %d domains", written)
+		default:
+			return fmt.Sprintf("after %d IPs", written-len(s.Domains))
+		}
+	}
+	out := filepath.Join(dir, "merged.jsonl.gz")
+	previous := []byte("the previous snapshot")
+	for at := 1; at <= polls+1; at++ {
+		keep := at%2 == 0 // a committed file is at the path already
+		os.Remove(out)
+		if keep {
+			if err := os.WriteFile(out, previous, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		ctx := &cancelAtPoll{Context: context.Background(), at: at}
+		_, err := MergeContext(ctx, out, set.Paths())
+		got, rerr := os.ReadFile(out)
+		if tmp, _ := filepath.Glob(filepath.Join(dir, "*.tmp")); len(tmp) != 0 {
+			t.Errorf("cancelled %s: %v left behind", where(at), tmp)
+		}
+		if at > polls {
+			if err != nil || ctx.polls != polls {
+				t.Fatalf("uncancelled merge = %v after %d looks at its context, want nil after %d", err, ctx.polls, polls)
+			}
+			if m, err := ReadFile(out); err != nil || !bytes.Equal(snapshotBytes(t, m), snapshotBytes(t, s)) {
+				t.Errorf("uncancelled merge did not commit the snapshot: %v", err)
+			}
+			continue
+		}
+		if err != context.Canceled {
+			t.Errorf("cancelled %s: err = %v, want context.Canceled", where(at), err)
+		}
+		switch {
+		case keep && !bytes.Equal(got, previous):
+			t.Errorf("cancelled %s: the previous file reads %q (%v)", where(at), got, rerr)
+		case !keep && !errors.Is(rerr, fs.ErrNotExist):
+			t.Errorf("cancelled %s: %d bytes at the output path (%v), want none", where(at), len(got), rerr)
+		}
+	}
+	for _, p := range set.Paths() {
+		if _, err := os.Stat(p); err != nil {
+			t.Errorf("a cancelled merge removed its shard: %v", err)
+		}
+	}
+}
+
+// cancelAtPoll is a context whose at-th Err, and every one after it,
+// reports context.Canceled.
+type cancelAtPoll struct {
+	context.Context
+	at, polls int
+}
+
+func (c *cancelAtPoll) Err() error {
+	if c.polls++; c.polls >= c.at {
+		return context.Canceled
+	}
+	return nil
 }
 
 // writeRawShard hand-builds a shard file from JSONL lines.
@@ -668,7 +754,8 @@ func TestShardWriterLongLine(t *testing.T) {
 // between write and rename (its .tmp, which parseShardSeq alone would
 // take for shard 3, is removed), another base's shards, or a name
 // ShardPath would not write. The set it returns lists the shards found
-// among its Paths, numbers its next shard after the last of them, and
+// among its Paths and holds their keys, a repeated domain with the later
+// shard's addresses, numbers its next shard after the last of them, and
 // Remove deletes the old and the new.
 func TestResumeShardSet(t *testing.T) {
 	dir := t.TempDir()
@@ -676,17 +763,18 @@ func TestResumeShardSet(t *testing.T) {
 	if seq, ok := parseShardSeq("x.shard-0003.jsonl.gz.tmp"); !ok || seq != 3 {
 		t.Fatalf("parseShardSeq of a .tmp = %d, %v", seq, ok)
 	}
-	set, prior, err := ResumeShardSet(base, "2021-06", "alexa")
-	if err != nil || len(set.Paths()) != 0 || len(prior.Domains) != 0 || len(prior.IPs) != 0 {
-		t.Fatalf("resume from an empty directory = %v, %+v, %v", set.Paths(), prior, err)
+	set, err := ResumeShardSet(base, "2021-06", "alexa")
+	if domains, ips := set.Held(); err != nil || len(set.Paths()) != 0 || len(domains)+len(ips) != 0 {
+		t.Fatalf("resume from an empty directory = %v, holding %v and %v, %v", set.Paths(), domains, ips, err)
 	}
 
-	spill := func(seq int, spf string, names ...string) {
+	spill := func(seq int, spf string, mx netip.Addr, names ...string) {
 		set := NewShardSet(base, "2021-06", "alexa")
 		set.seq.Store(int64(seq))
 		w := set.NewWriter()
 		for _, name := range names {
-			if err := w.AddDomain(DomainRecord{Domain: name, SPF: spf}); err != nil {
+			rec := DomainRecord{Domain: name, SPF: spf, MX: []MXObs{{Exchange: "mx.example", Addrs: []netip.Addr{mx}}}}
+			if err := w.AddDomain(rec); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -697,8 +785,8 @@ func TestResumeShardSet(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	spill(0, "old", "a.example", "b.example")
-	spill(2, "new", "b.example", "c.example")
+	spill(0, "old", addr("10.0.1.1"), "a.example", "b.example")
+	spill(2, "new", addr("10.0.1.2"), "b.example", "c.example")
 	torn := ShardPath(base, 3) + ".tmp"
 	strays := []string{
 		filepath.Join(dir, "other.shard-0001.jsonl.gz"),
@@ -711,7 +799,7 @@ func TestResumeShardSet(t *testing.T) {
 		}
 	}
 
-	set, prior, err = ResumeShardSet(base, "2021-06", "alexa")
+	set, err = ResumeShardSet(base, "2021-06", "alexa")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -726,16 +814,35 @@ func TestResumeShardSet(t *testing.T) {
 			t.Errorf("%s is not the run's, and is gone: %v", p, err)
 		}
 	}
-	// The engine takes the last record of a repeated domain.
+	// Merge takes the last record of a repeated key, read here from the
+	// shards themselves, and the set holds that record's addresses.
 	last := make(map[string]string)
-	for _, d := range prior.Domains {
-		last[d.Domain] = d.SPF
+	infos := make(map[string]IPInfo)
+	for _, p := range set.Paths() {
+		s, err := ReadFile(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, d := range s.Domains {
+			last[d.Domain] = d.SPF
+		}
+		maps.Copy(infos, s.IPs)
 	}
 	if want := map[string]string{"a.example": "old", "b.example": "new", "c.example": "new"}; !maps.Equal(last, want) {
-		t.Errorf("prior domains = %v, want %v", last, want)
+		t.Errorf("shard domains = %v, want %v", last, want)
 	}
-	if info := prior.IPs["10.0.0.1"]; len(prior.IPs) != 1 || info.ASName != "new" {
-		t.Errorf("prior IPs = %v, want the later shard's one", prior.IPs)
+	if info := infos["10.0.0.1"]; len(infos) != 1 || info.ASName != "new" {
+		t.Errorf("shard IPs = %v, want the later shard's one", infos)
+	}
+	domains, ips := set.Held()
+	want := map[string][]netip.Addr{
+		"a.example": {addr("10.0.1.1")}, "b.example": {addr("10.0.1.2")}, "c.example": {addr("10.0.1.2")},
+	}
+	if !maps.EqualFunc(domains, want, slices.Equal) {
+		t.Errorf("held domains = %v, want %v", domains, want)
+	}
+	if !maps.Equal(ips, map[netip.Addr]bool{addr("10.0.0.1"): true}) {
+		t.Errorf("held IPs = %v, want 10.0.0.1 alone", ips)
 	}
 
 	w := set.NewWriter()

@@ -1,7 +1,7 @@
 package scan
 
 // Kill-resume chaos tests for the durability layer (a fleet's shards as
-// its checkpoint, dataset.ResumeShardSet, FleetConfig.Prior): a fleet
+// its checkpoint, read back by dataset.ResumeShardSet): a fleet
 // collection over a fault-injected netsim fabric is interrupted at a
 // randomized (seeded) lookup or dial — by a ^C, whose cancel spills
 // every worker's buffer, or by a SIGKILL, which leaves only the shards
@@ -15,6 +15,7 @@ package scan
 import (
 	"bytes"
 	"context"
+	"maps"
 	"math/rand/v2"
 	"net"
 	"net/netip"
@@ -133,8 +134,9 @@ func (d trippedDialer) DialContext(ctx context.Context, network, address string)
 }
 
 // durabilityFleet collects w's targets with a fleet of workers into
-// set, every worker's lookups and dials passing tw.
-func durabilityFleet(ctx context.Context, w *chaosWorld, uncovered netip.Addr, workers int, set *dataset.ShardSet, prior *dataset.Snapshot, tw *tripwire) error {
+// set, every worker's lookups and dials passing tw. A set from
+// dataset.ResumeShardSet continues the run its shards hold.
+func durabilityFleet(ctx context.Context, w *chaosWorld, uncovered netip.Addr, workers int, set *dataset.ShardSet, tw *tripwire) error {
 	_, err := CollectFleet(ctx, FleetConfig{
 		Corpus:  "chaos",
 		Date:    "2021-06",
@@ -146,7 +148,6 @@ func durabilityFleet(ctx context.Context, w *chaosWorld, uncovered netip.Addr, w
 			return c, nil
 		},
 		Output: set,
-		Prior:  prior,
 	}, w.targets)
 	return err
 }
@@ -158,6 +159,22 @@ func mxCounts(w *chaosWorld) map[string]int {
 		counts[t.Name] = w.resolver.count("MX:" + t.Name)
 	}
 	return counts
+}
+
+// shardRecords reads the records of set's shards, in sequence order, as
+// one snapshot: what a resume from set holds, as Merge will read it.
+func shardRecords(t *testing.T, set *dataset.ShardSet) *dataset.Snapshot {
+	t.Helper()
+	held := dataset.NewSnapshot(set.Date, set.Corpus)
+	for _, p := range set.Paths() {
+		s, err := dataset.ReadFile(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		held.Domains = append(held.Domains, s.Domains...)
+		maps.Copy(held.IPs, s.IPs)
+	}
+	return held
 }
 
 // snapshotBytes serializes a snapshot the way a committed file would be.
@@ -184,7 +201,7 @@ func TestChaosKillResumeByteIdentical(t *testing.T) {
 	w, uncovered = buildDurabilityWorld(t)
 	counter := &tripwire{}
 	set := dataset.NewShardSet(filepath.Join(t.TempDir(), "count.jsonl"), "2021-06", "chaos")
-	if err := durabilityFleet(context.Background(), w, uncovered, 2, set, nil, counter); err != nil {
+	if err := durabilityFleet(context.Background(), w, uncovered, 2, set, counter); err != nil {
 		t.Fatal(err)
 	}
 	events := counter.n.Load()
@@ -207,7 +224,7 @@ func TestChaosKillResumeByteIdentical(t *testing.T) {
 			var committed []string // the shards on disk when the kill came
 			abortAt := 1 + rng.Int64N(events-1)
 			tw := &tripwire{at: abortAt, kill: func() { committed = set.Paths(); cancel() }}
-			if err := durabilityFleet(ctx, w, uncovered, workers, set, nil, tw); err != context.Canceled {
+			if err := durabilityFleet(ctx, w, uncovered, workers, set, tw); err != context.Canceled {
 				t.Fatalf("interrupted fleet err = %v, want context.Canceled", err)
 			}
 			if hard {
@@ -228,15 +245,16 @@ func TestChaosKillResumeByteIdentical(t *testing.T) {
 
 			// Resume with another worker count: read the shards, skip
 			// what they hold, finish the run.
-			set2, prior, err := dataset.ResumeShardSet(out, "2021-06", "chaos")
+			set2, err := dataset.ResumeShardSet(out, "2021-06", "chaos")
 			if err != nil {
 				t.Fatal(err)
 			}
+			prior := shardRecords(t, set2)
 			if _, err := os.Stat(torn); !os.IsNotExist(err) {
 				t.Errorf("resume left the cut spill %s in place: %v", torn, err)
 			}
 			before := mxCounts(w)
-			if err := durabilityFleet(context.Background(), w, uncovered, workers%4+1, set2, prior, &tripwire{}); err != nil {
+			if err := durabilityFleet(context.Background(), w, uncovered, workers%4+1, set2, &tripwire{}); err != nil {
 				t.Fatal(err)
 			}
 			if _, err := dataset.Merge(out, set2.Paths()); err != nil {
@@ -293,17 +311,18 @@ func TestChaosKillResumeGracefulShutdown(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	// The operator's ^C mid-phase-1, as the fourth domain's lookup starts.
-	if err := durabilityFleet(ctx, w2, uncovered2, 1, set, nil, &tripwire{at: 4, kill: cancel}); err != context.Canceled {
+	if err := durabilityFleet(ctx, w2, uncovered2, 1, set, &tripwire{at: 4, kill: cancel}); err != context.Canceled {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 	if tmp, _ := filepath.Glob(filepath.Join(dir, "*.tmp")); len(tmp) != 0 {
 		t.Errorf("graceful shutdown left unfinished spills: %v", tmp)
 	}
 
-	set2, prior, err := dataset.ResumeShardSet(out, "2021-06", "chaos")
+	set2, err := dataset.ResumeShardSet(out, "2021-06", "chaos")
 	if err != nil {
 		t.Fatal(err)
 	}
+	prior := shardRecords(t, set2)
 	// Nothing spilled after the cancellation point: a record finished
 	// under a cancelled context is dropped, so exactly the 3 domains
 	// before it (and none of the IPs, since phase 2 never ran) survived.
@@ -317,7 +336,7 @@ func TestChaosKillResumeGracefulShutdown(t *testing.T) {
 	}
 
 	// Resume and converge.
-	if err := durabilityFleet(context.Background(), w2, uncovered2, 3, set2, prior, &tripwire{}); err != nil {
+	if err := durabilityFleet(context.Background(), w2, uncovered2, 3, set2, &tripwire{}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := dataset.Merge(out, set2.Paths()); err != nil {
@@ -345,14 +364,18 @@ func TestChaosResumeWrongJournal(t *testing.T) {
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := dataset.ResumeShardSet(out, "2021-12", "alexa"); err == nil ||
+	if _, err := dataset.ResumeShardSet(out, "2021-12", "alexa"); err == nil ||
 		!strings.Contains(err.Error(), "2021-12") {
 		t.Errorf("wrong-date resume: %v", err)
 	}
-	if _, _, err := dataset.ResumeShardSet(out, "2021-06", "com"); err == nil {
+	if _, err := dataset.ResumeShardSet(out, "2021-06", "com"); err == nil {
 		t.Errorf("wrong-corpus resume accepted")
 	}
-	if _, prior, err := dataset.ResumeShardSet(out, "2021-06", "alexa"); err != nil || len(prior.Domains) != 1 {
-		t.Errorf("own resume = %v, %v; want the one domain", prior, err)
+	set2, err := dataset.ResumeShardSet(out, "2021-06", "alexa")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if prior := shardRecords(t, set2); len(prior.Domains) != 1 {
+		t.Errorf("own resume = %v; want the one domain", prior)
 	}
 }

@@ -67,25 +67,22 @@ type engine struct {
 	perLane int
 	targets []Target
 
-	// Records an interrupted run left in its shards, which Merge reads
-	// where they lie: they are not measured or written again.
-	priorDomain map[string]*dataset.DomainRecord
-	priorIPs    map[string]dataset.IPInfo
+	// What the shards of the run a resume continues hold, which Merge
+	// reads where they lie: not measured or written again.
+	heldDomains map[string][]netip.Addr
+	heldIPs     map[netip.Addr]bool
 }
 
 // collect runs the engine and reports what it wrote. Each domain is
 // measured by exactly one goroutine and each distinct address scanned
 // by exactly one, whatever the layout. On error the run is abandoned
 // as it stands: what a sink holds then is every record that was
-// completed, and the caller decides whether to keep it.
-func collect(ctx context.Context, lanes []*lane, perLane int, targets []Target, prior *dataset.Snapshot) (*FleetStats, error) {
+// completed, and the caller decides whether to keep it. What out, the
+// run's shard set (nil for a memory sink), holds is skipped.
+func collect(ctx context.Context, lanes []*lane, perLane int, targets []Target, out *dataset.ShardSet) (*FleetStats, error) {
 	e := &engine{lanes: lanes, perLane: perLane, targets: targets}
-	if prior != nil {
-		e.priorDomain = make(map[string]*dataset.DomainRecord, len(prior.Domains))
-		for i := range prior.Domains {
-			e.priorDomain[prior.Domains[i].Domain] = &prior.Domains[i]
-		}
-		e.priorIPs = prior.IPs
+	if out != nil {
+		e.heldDomains, e.heldIPs = out.Held()
 	}
 	verdicts := &chainVerdicts{m: make(map[string]*chainVerdict)}
 	for _, l := range lanes {
@@ -196,14 +193,20 @@ func (c *claimCtx) Err() error {
 }
 
 // domain settles target i on lane l: measured and handed to the sink,
-// or skipped when the prior run holds it. Either way its addresses are
+// or skipped when the checkpoint holds it. Either way its addresses are
 // noted for phase 2: a measured domain's by the resolutions that found
 // them (domainResolver.resolveA), a held one's here.
 func (e *engine) domain(ctx context.Context, l *lane, i int) error {
 	t := e.targets[i]
-	if rec, held := e.priorDomain[t.Name]; held {
-		l.dr.noteHeld(rec)
-		return nil
+	if len(e.heldDomains) > 0 {
+		if addrs, held := e.heldDomains[t.Name]; held {
+			l.dr.mu.Lock()
+			for _, a := range addrs {
+				l.dr.addrs[a] = true
+			}
+			l.dr.mu.Unlock()
+			return nil
+		}
 	}
 	rec := l.dr.collectDomain(ctx, t)
 	// A record finished under a cancelled context carries cancellation
@@ -219,10 +222,8 @@ func (e *engine) domain(ctx context.Context, l *lane, i int) error {
 
 // addr is domain's counterpart for one address of phase 2.
 func (e *engine) addr(ctx context.Context, l *lane, a netip.Addr) error {
-	if len(e.priorIPs) > 0 {
-		if _, held := e.priorIPs[a.String()]; held {
-			return nil
-		}
+	if e.heldIPs[a] {
+		return nil
 	}
 	info := l.c.scanIP(ctx, l.run, a)
 	if err := ctx.Err(); err != nil {

@@ -26,16 +26,11 @@ type FleetConfig struct {
 	// collector's Concurrency is Collect's alone: a fleet lane is one
 	// goroutine by construction.
 	NewCollector func(w int) (*Collector, error)
-	// Output receives one shard per spill. The fleet gives each worker
-	// its own ShardWriter on this set.
+	// Output receives one shard per spill, each worker through its own
+	// ShardWriter. A set from dataset.ResumeShardSet continues a run:
+	// what its old shards hold is not measured or written again (Merge
+	// reads it from them), but a held domain's addresses join phase 2.
 	Output *dataset.ShardSet
-	// Prior supplies the records an interrupted run left in its shards
-	// (dataset.ResumeShardSet, whose set lists those shards among its
-	// Paths). Domains in Prior are not measured again and addresses in
-	// Prior.IPs not scanned again; neither is written again, since Merge
-	// reads them from the old shards. A held domain's addresses still
-	// join phase 2.
-	Prior *dataset.Snapshot
 }
 
 // FleetStats summarizes one fleet run.
@@ -69,7 +64,7 @@ type FleetStats struct {
 // buffers are spilled as a finished run's are, and CollectFleet returns
 // ctx's error once they are on disk: a record finished under the
 // cancelled context never reaches a buffer, so every shard holds whole
-// measurements, and a resume (dataset.ResumeShardSet, then Prior)
+// measurements, and a resume (an Output from dataset.ResumeShardSet)
 // measures only what none of them holds. A run that fails otherwise
 // spills nothing further. Either way the shards on cfg.Output are the
 // caller's to keep or Remove.
@@ -106,7 +101,7 @@ func CollectFleet(ctx context.Context, cfg FleetConfig, targets []Target) (*Flee
 		lanes = append(lanes, newLane(c, shardSink(w)))
 	}
 
-	stats, err := collect(ctx, lanes, 1, targets, cfg.Prior)
+	stats, err := collect(ctx, lanes, 1, targets, cfg.Output)
 	if cerr := closeCollectors(); err == nil {
 		err = cerr
 	}

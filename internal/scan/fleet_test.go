@@ -12,6 +12,7 @@ import (
 	"net/netip"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -115,6 +116,8 @@ type layoutRun struct {
 	// proto is copied for every lane: building a collector builds the
 	// date's whole catalog, and the table has a hundred lanes.
 	proto *Collector
+	// prior is what a resume's set holds, read from its shards
+	// (resumeFrom): no record of it may reach a sink again.
 	prior *dataset.Snapshot
 	// resolver replaces every lane's resolver when set.
 	resolver dns.Resolver
@@ -123,6 +126,9 @@ type layoutRun struct {
 	set *dataset.ShardSet
 	// kill, when set, sees every record that reaches a sink.
 	kill *killSwitch
+	// beforeMerge, when set, is called between a shard run's collection
+	// and its merge.
+	beforeMerge func()
 }
 
 // killSwitch is the ^C of the kill-resume rows: it counts the records
@@ -157,7 +163,8 @@ func (k *killSwitch) wrap(s sink) sink {
 // commit drives the engine in r's layout and commits what it collected
 // the way mxscan would: the sorted snapshot file's bytes. A shard run
 // whose context is cancelled spills its lanes' buffers, as CollectFleet
-// does, and returns the context's error.
+// does, and returns the context's error; so does one whose merge is
+// cancelled, with its shards kept.
 func (r layoutRun) commit(t *testing.T, ctx context.Context, s *WorldSession) ([]byte, *FleetStats, error) {
 	t.Helper()
 	const date = "2021-06"
@@ -176,7 +183,11 @@ func (r layoutRun) commit(t *testing.T, ctx context.Context, s *WorldSession) ([
 	var (
 		lanes   []*lane
 		writers []*dataset.ShardWriter
+		held    map[string]bool
 	)
+	if r.prior != nil {
+		held = recordKeys(r.prior)
+	}
 	for i := 0; i < r.lay.lanes; i++ {
 		c := new(Collector)
 		*c = *r.proto
@@ -194,9 +205,12 @@ func (r layoutRun) commit(t *testing.T, ctx context.Context, s *WorldSession) ([
 		if r.kill != nil {
 			sk = r.kill.wrap(sk)
 		}
+		if held != nil {
+			sk = refuseHeld(t, held, sk)
+		}
 		lanes = append(lanes, newLane(c, sk))
 	}
-	stats, err := collect(ctx, lanes, r.lay.perLane, targets, r.prior)
+	stats, err := collect(ctx, lanes, r.lay.perLane, targets, set)
 	if err != nil {
 		if ctx.Err() != nil {
 			if _, err := closeWriters(writers); err != nil {
@@ -209,7 +223,13 @@ func (r layoutRun) commit(t *testing.T, ctx context.Context, s *WorldSession) ([
 		if _, err := closeWriters(writers); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := dataset.Merge(out, set.Paths()); err != nil {
+		if r.beforeMerge != nil {
+			r.beforeMerge()
+		}
+		if _, err := dataset.MergeContext(ctx, out, set.Paths()); err != nil {
+			if ctx.Err() != nil {
+				return nil, nil, err
+			}
 			t.Fatal(err)
 		}
 	} else {
@@ -226,21 +246,48 @@ func (r layoutRun) commit(t *testing.T, ctx context.Context, s *WorldSession) ([
 }
 
 // resumeFrom reads back the shards a run left at base, the way mxscan
-// -resume does, with the keys of every record they hold.
+// -resume does, with the records they hold (read from the shards, as
+// Merge will take them) and the keys of those records.
 func resumeFrom(t *testing.T, base string) (*dataset.ShardSet, *dataset.Snapshot, map[string]bool) {
 	t.Helper()
-	set, prior, err := dataset.ResumeShardSet(base, "2021-06", world.CorpusAlexa)
+	set, err := dataset.ResumeShardSet(base, "2021-06", world.CorpusAlexa)
 	if err != nil {
 		t.Fatal(err)
 	}
-	keys := make(map[string]bool)
-	for _, d := range prior.Domains {
+	prior := shardRecords(t, set)
+	return set, prior, recordKeys(prior)
+}
+
+// recordKeys is the key of every record s holds: domain names and
+// address keys, as a killSwitch notes them.
+func recordKeys(s *dataset.Snapshot) map[string]bool {
+	keys := make(map[string]bool, len(s.Domains)+len(s.IPs))
+	for _, d := range s.Domains {
 		keys[d.Domain] = true
 	}
-	for key := range prior.IPs {
+	for key := range s.IPs {
 		keys[key] = true
 	}
-	return set, prior, keys
+	return keys
+}
+
+// refuseHeld fails the test when a record with one of the held keys
+// reaches s: a resume writes nothing its checkpoint holds.
+func refuseHeld(t *testing.T, held map[string]bool, s sink) sink {
+	return sink{
+		putDomain: func(i int, rec dataset.DomainRecord) error {
+			if held[rec.Domain] {
+				t.Errorf("a resume wrote %s, which its shards hold", rec.Domain)
+			}
+			return s.putDomain(i, rec)
+		},
+		putIP: func(info dataset.IPInfo) error {
+			if held[info.Addr.String()] {
+				t.Errorf("a resume wrote %s, which its shards hold", info.Addr)
+			}
+			return s.putIP(info)
+		},
+	}
 }
 
 // TestFleetMatchesSingleWorker is the engine's core promise as one
@@ -254,7 +301,9 @@ func resumeFrom(t *testing.T, base string) (*dataset.ShardSet, *dataset.Snapshot
 // shards hold where they lie; the records it writes and those shards
 // hold are the snapshot's, each once. journal=off is the plain run;
 // journal=on resumes from a finished run's shards, which hold the full
-// dataset, and re-measures nothing; journal=killed cancels the run at a
+// dataset, and re-measures nothing; journal=merge-cancelled does the
+// same after that run's merge was cancelled, which keeps the shards and
+// commits nothing; journal=killed cancels the run at a
 // seeded record, checks that its shards hold exactly the records that
 // reached a sink before the cancel, and resumes, measuring only the
 // domains they do not hold.
@@ -369,6 +418,29 @@ func TestFleetMatchesSingleWorker(t *testing.T) {
 							t.Fatalf("shards hold %d records, run wrote %d", len(seen), nDomains+nIPs)
 						}
 						check(t, "fully-seen resume as "+other.String(), got, stats, prior)
+					})
+
+					t.Run("journal=merge-cancelled", func(t *testing.T) {
+						mctx, cancel := context.WithCancel(ctx)
+						defer cancel()
+						set := dataset.NewShardSet(filepath.Join(t.TempDir(), "snap.jsonl"), "2021-06", world.CorpusAlexa)
+						if _, _, err := (layoutRun{lay: checkpoint, proto: proto, set: set, beforeMerge: cancel}).commit(t, mctx, s); err != context.Canceled {
+							t.Fatalf("merge cancelled after a complete run: err = %v, want context.Canceled", err)
+						}
+						if left, _ := filepath.Glob(filepath.Join(filepath.Dir(set.Base), "*")); !slices.Equal(left, set.Paths()) {
+							t.Errorf("a cancelled merge left %v, want the shards %v alone", left, set.Paths())
+						}
+						// The shards hold the whole run: the resume looks nothing
+						// up and commits the uninterrupted bytes.
+						mx := new(atomic.Int64)
+						got, stats, prior, seen := resume(t, set.Base, mxCounter{CatalogResolver: catalog, mx: mx})
+						if len(seen) != nDomains+nIPs {
+							t.Fatalf("shards hold %d records, run wrote %d", len(seen), nDomains+nIPs)
+						}
+						check(t, "resume after a cancelled merge as "+other.String(), got, stats, prior)
+						if n := mx.Load(); n != 0 {
+							t.Errorf("the resume after a cancelled merge made %d MX lookups, want 0", n)
+						}
 					})
 
 					t.Run("journal=killed", func(t *testing.T) {
@@ -544,10 +616,11 @@ func TestFleetCancelSpillsCompleted(t *testing.T) {
 			if n := len(set.Paths()); n == 0 || n > workers {
 				t.Fatalf("cancelled fleet spilled %d shards, want 1 to %d", n, workers)
 			}
-			_, prior, err := dataset.ResumeShardSet(base, "2021-06", world.CorpusAlexa)
+			resumed, err := dataset.ResumeShardSet(base, "2021-06", world.CorpusAlexa)
 			if err != nil {
 				t.Fatal(err)
 			}
+			prior := shardRecords(t, resumed)
 			if len(prior.IPs) != 0 {
 				t.Errorf("cancelled in phase 1, the shards hold %d addresses", len(prior.IPs))
 			}

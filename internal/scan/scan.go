@@ -252,18 +252,6 @@ func (dr *domainResolver) resolveA(ctx context.Context, host string) aResult {
 	return f.res
 }
 
-// noteHeld notes the addresses of a domain the prior run holds, which
-// is skipped rather than resolved.
-func (dr *domainResolver) noteHeld(rec *dataset.DomainRecord) {
-	dr.mu.Lock()
-	defer dr.mu.Unlock()
-	for _, mx := range rec.MX {
-		for _, a := range mx.Addrs {
-			dr.addrs[a] = true
-		}
-	}
-}
-
 // collectDomain measures one target: MX set, each exchange's addresses,
 // and the SPF record when the resolver supports TXT.
 func (dr *domainResolver) collectDomain(ctx context.Context, t Target) dataset.DomainRecord {
