@@ -184,7 +184,8 @@ type DomainAttribution struct {
 	// Rank carries the corpus rank through to analysis (0 outside Alexa).
 	Rank int
 	// Credits maps provider ID to this domain's credit share; shares sum
-	// to 1 when any MX exists.
+	// to 1 when any MX exists. The map is read-only: the domains whose
+	// records share a primary MX set may share it.
 	Credits map[string]float64
 	// HasSMTP reports whether any primary-MX address accepted SMTP.
 	HasSMTP bool
@@ -431,10 +432,11 @@ func mxFallbackID(exchange string, memo *psl.Memo) string {
 	return h
 }
 
-// attributeDomain performs step 5 for one domain, given its primary MX
-// set and the addresses whose port 25 answered.
-func attributeDomain(d *dataset.DomainRecord, primary []dataset.MXObs, mxAssign map[string]*MXAssignment, smtp map[netip.Addr]bool) DomainAttribution {
-	out := DomainAttribution{Domain: d.Domain, Rank: d.Rank, Credits: make(map[string]float64)}
+// attributeTail performs step 5 for the domains of one primary MX set,
+// given the addresses whose port 25 answered: the attribution without
+// its Domain and Rank, which each domain stamps on its copy.
+func attributeTail(primary []dataset.MXObs, mxAssign map[string]*MXAssignment, smtp map[netip.Addr]bool) DomainAttribution {
+	out := DomainAttribution{Credits: make(map[string]float64)}
 	if len(primary) == 0 {
 		return out
 	}

@@ -32,17 +32,26 @@ import (
 // Between the passes, steps 1-4 and the trust pass run over the IP
 // section and the inventory; cfg.Parallelism shards steps 2 and 3.
 //
-// Per domain, the engine allocates the attribution it emits (its credit
-// map) and nothing else: addresses are looked up and counted as
-// netip.Addr, never formatted; the primary MX set, pass A's address set
-// and its key are built in buffers reused from domain to domain; and
-// the abuse stem is counted by its bytes. What the source allocates per
-// record is the source's (a Stream's walk: the domain name, see
-// dataset.Stream).
+// Both passes do the work a domain's tail (its MX list, SPF and
+// delegation) decides once per tail when the source says which tail
+// each record has (a tailSource, such as a Stream), and once
+// per record otherwise (an in-memory Snapshot): pass A the primary MX
+// set, the inventory entries, the address set and the stale-glue mark,
+// pass B the attribution, whose credit map the domains of one tail then
+// share. Per domain, what is left is counting the domain into its
+// address set, its naming stem when the abuse rule is on (by its bytes),
+// and stamping Domain and Rank on a copy of its tail's attribution; none
+// of it allocates, and neither does the per-record work of a source
+// without tails but the credit map of the attribution. Addresses are
+// looked up and counted as netip.Addr, never formatted, in buffers
+// reused from record to record. What the source allocates per record is
+// the source's (a Stream's walk: the domain name, see dataset.Stream).
 //
 // emit receives every DomainAttribution in domain order; it may be nil
-// when only the MX assignments matter. The returned Result carries a nil
-// Domains slice — the attributions exist only during their emit call.
+// when only the MX assignments matter. An attribution's Credits map is
+// read-only and may be shared with other domains'. The returned Result
+// carries a nil Domains slice — the attributions exist only during their
+// emit call.
 func InferStream(src dataset.Source, approach Approach, cfg Config, emit func(DomainAttribution)) (*Result, error) {
 	res, _, err := InferStreamDelta(src, approach, cfg, nil, nil, nil, emit)
 	return res, err
@@ -87,6 +96,10 @@ func InferStreamDelta(src dataset.Source, approach Approach, cfg Config, prior *
 	var tstats *trustStats
 	if approach == ApproachPriority {
 		tstats = newTrustStats()
+		if cfg.AbuseClusterMinDomains <= 0 {
+			// Only the abuse rule reads the naming stems: none are counted.
+			tstats.domains, tstats.stems = nil, nil
+		}
 	}
 	inv, err := takeInventory(src, tstats, memo)
 	if err != nil {
@@ -130,39 +143,11 @@ func InferStreamDelta(src dataset.Source, approach Approach, cfg Config, prior *
 		checkTrust(res, exchanges, ips, tstats, cfg)
 	}
 
-	// Pass B — step 5, one attribution at a time. On a delta run a
-	// domain outside the changed set whose primary assignments are
-	// credit-equivalent to the prior run's reuses its prior attribution
-	// verbatim; the doc comment above says why that is provably identical.
-	smtp := make(map[netip.Addr]bool)
-	for a, info := range ips {
-		if info.Port25Open {
-			smtp[a] = true
-		}
+	// Pass B — step 5, one attribution at a time.
+	if prior != nil && (prior.Approach != approach || priorAtt == nil) {
+		prior = nil // nothing to reuse: a full recompute
 	}
-	var (
-		ds      DeltaStats
-		primary []dataset.MXObs
-	)
-	usePrior := prior != nil && prior.Approach == approach && priorAtt != nil
-	err = src.ForEach(func(d *dataset.DomainRecord) error {
-		primary = d.AppendPrimaryMX(primary[:0])
-		if usePrior && !changed[d.Domain] && assignmentsEqual(primary, prior.MX, res.MX) {
-			if att, ok := priorAtt(d.Domain); ok {
-				ds.Reused++
-				if emit != nil {
-					emit(att)
-				}
-				return nil
-			}
-		}
-		ds.Reinferred++
-		att := attributeDomain(d, primary, res.MX, smtp)
-		if emit != nil {
-			emit(att)
-		}
-		return nil
-	}, nil)
+	ds, _, err := attributeDomains(src, ips, res.MX, prior, priorAtt, changed, emit)
 	if err != nil {
 		return nil, DeltaStats{}, err
 	}
@@ -190,6 +175,58 @@ func sortedAddrs(ips map[netip.Addr]dataset.IPInfo) []netip.Addr {
 	return out
 }
 
+// tailSource is a source whose passes name each domain record's tail
+// (see dataset.Stream.ForEachTail).
+type tailSource interface {
+	ForEachTail(domain func(*dataset.DomainRecord, int) error, ip func(*dataset.IPInfo) error) error
+}
+
+// forEachTail makes one pass over src, telling domain each record's
+// tail: the IDs of a tailSource, dataset.NoTail for every record of any
+// other source, which so has a tail of its own.
+func forEachTail(src dataset.Source, domain func(*dataset.DomainRecord, int) error, ip func(*dataset.IPInfo) error) error {
+	if ts, ok := src.(tailSource); ok {
+		return ts.ForEachTail(domain, ip)
+	}
+	return src.ForEach(func(d *dataset.DomainRecord) error { return domain(d, dataset.NoTail) }, ip)
+}
+
+// tailMemo keeps a pass's per-tail work by tail ID. A pass looks a
+// record's tail up and, on a miss, builds the work from the record and
+// stores it. A tailSource numbers a pass's tails 0, 1, 2, … as
+// it meets them, so a tail met for the first time is the next index; a
+// record without a tail (dataset.NoTail) is never found, and its work is
+// built for it alone.
+type tailMemo[T any] struct {
+	work []T
+	// builds counts the misses: the tails met plus the records without one.
+	builds int
+}
+
+func (m *tailMemo[T]) lookup(tail int) (w T, ok bool) {
+	if tail >= 0 && tail < len(m.work) {
+		return m.work[tail], true
+	}
+	return w, false
+}
+
+func (m *tailMemo[T]) store(tail int, w T) {
+	m.builds++
+	if tail == len(m.work) {
+		m.work = append(m.work, w)
+	}
+}
+
+// exchangesOf copies a primary MX set's exchanges for a tailMemo, which
+// outlives the record: the addresses are left out.
+func exchangesOf(primary []dataset.MXObs) []dataset.MXObs {
+	out := make([]dataset.MXObs, len(primary))
+	for i, mx := range primary {
+		out[i] = dataset.MXObs{Preference: mx.Preference, Exchange: mx.Exchange, Dangling: mx.Dangling}
+	}
+	return out
+}
+
 // inventory is what pass A learns in its one read of the source.
 type inventory struct {
 	// ips is the IP section keyed by address, a repeated address's last
@@ -204,10 +241,13 @@ type inventory struct {
 	// it.
 	numIP   map[netip.Addr]int
 	numCert map[string]int
-	// addrSets is the number of distinct primary-address sets numCert
-	// was joined over.
+	// addrSets is the number of distinct primary-address sets numIP and
+	// numCert were joined over.
 	addrSets int
 	nDomains int
+	// tailBuilds counts the times the pass did a tail's work (see
+	// takeInventory).
+	tailBuilds int
 }
 
 // addrSet is one distinct primary-address set of pass A: its addresses
@@ -217,19 +257,30 @@ type addrSet struct {
 	domains int
 }
 
-// takeInventory is pass A: one ForEach over the domains and the IP
-// section, folding each domain into tstats when it is non-nil. The
-// domain lines come before the IP section, so a domain's certificates
-// are unknown while its line is read and numCert is joined after the
+// tailInventory is pass A's work for one tail: its primary MX set (the
+// exchanges only, when kept for a tail) and its distinct primary-address
+// set, nil when the primary set has no address.
+type tailInventory struct {
+	primary []dataset.MXObs
+	set     *addrSet
+}
+
+// takeInventory is pass A: one pass over the domains and the IP section,
+// folding each domain into tstats when it is non-nil. The domain lines
+// come before the IP section, so a domain's certificates are unknown
+// while its line is read, and numIP and numCert are joined after the
 // walk: domains are counted per distinct primary-address set, and each
-// set adds its count to every distinct fingerprint among its addresses —
-// the integer a per-domain join gives. Provider concentration bounds the
-// set count as it bounds the IP table.
+// set adds its count to each of its addresses and to every distinct
+// fingerprint among them — the integers a per-domain join gives.
+// Provider concentration bounds the set count as it bounds the IP table.
 //
-// Per domain the pass allocates nothing of its own: addresses are
-// counted as netip.Addr, the primary set and the set key are built in
-// buffers reused from domain to domain, and only a set's first domain
-// stores a copy of it.
+// What a domain's tail decides is done once per tail (see tailMemo): its
+// primary set, its exchanges' entries in the inventory (in the same
+// first-appearance order), its address set and the set's key, and the
+// stale-glue mark. Per domain the pass counts the domain into its set
+// and, when the abuse rule is on, its naming stem into tstats, and
+// allocates nothing: the primary set and the set key are built in
+// reused buffers, and only a tail's first sighting stores copies.
 func takeInventory(src dataset.Source, tstats *trustStats, memo *psl.Memo) (*inventory, error) {
 	inv := &inventory{
 		ips:     make(map[netip.Addr]dataset.IPInfo),
@@ -241,37 +292,37 @@ func takeInventory(src dataset.Source, tstats *trustStats, memo *psl.Memo) (*inv
 		// sets holds the distinct primary-address sets, keyed by their
 		// addresses in netip order, as text joined by spaces.
 		sets    = make(map[string]*addrSet)
+		tails   tailMemo[tailInventory]
 		primary []dataset.MXObs
 		seen    []netip.Addr
 		setKey  []byte
 	)
-	err := src.ForEach(func(d *dataset.DomainRecord) error {
-		inv.nDomains++
-		seen = seen[:0]
+	build := func(d *dataset.DomainRecord, tail int) tailInventory {
 		primary = d.AppendPrimaryMX(primary[:0])
-		if tstats != nil {
-			// Trust statistics fold in here so the source needs no extra
-			// pass.
-			tstats.observe(d, primary, memo)
+		if tstats != nil && d.Delegation == dataset.DelegationStaleGlue {
+			tstats.markStale(primary)
 		}
+		seen = seen[:0]
 		for _, mx := range primary {
 			if _, ok := exIndex[mx.Exchange]; !ok {
 				exIndex[mx.Exchange] = len(inv.exchanges)
-				// The streamed record is reused; own the retained copy.
+				// The record is the source's; own the retained copy.
 				kept := mx
 				kept.Addrs = append([]netip.Addr(nil), mx.Addrs...)
 				inv.exchanges = append(inv.exchanges, kept)
 			}
 			for _, a := range mx.Addrs {
-				if slices.Contains(seen, a) {
-					continue
+				if !slices.Contains(seen, a) {
+					seen = append(seen, a)
 				}
-				seen = append(seen, a)
-				inv.numIP[a]++
 			}
 		}
+		w := tailInventory{primary: primary}
+		if tail != dataset.NoTail {
+			w.primary = exchangesOf(primary)
+		}
 		if len(seen) == 0 {
-			return nil
+			return w
 		}
 		slices.SortFunc(seen, netip.Addr.Compare)
 		setKey = setKey[:0]
@@ -281,11 +332,25 @@ func takeInventory(src dataset.Source, tstats *trustStats, memo *psl.Memo) (*inv
 			}
 			setKey = a.AppendTo(setKey)
 		}
-		// Only a set's first domain allocates its key and its addresses.
-		if set := sets[string(setKey)]; set != nil {
-			set.domains++
-		} else {
-			sets[string(setKey)] = &addrSet{addrs: slices.Clone(seen), domains: 1}
+		// Only a set's first tail allocates its key and its addresses.
+		if w.set = sets[string(setKey)]; w.set == nil {
+			w.set = &addrSet{addrs: slices.Clone(seen)}
+			sets[string(setKey)] = w.set
+		}
+		return w
+	}
+	err := forEachTail(src, func(d *dataset.DomainRecord, tail int) error {
+		inv.nDomains++
+		w, ok := tails.lookup(tail)
+		if !ok {
+			w = build(d, tail)
+			tails.store(tail, w)
+		}
+		if w.set != nil {
+			w.set.domains++
+		}
+		if tstats != nil && tstats.stems != nil {
+			tstats.countStem(d.Domain, w.primary, memo)
 		}
 		return nil
 	}, func(info *dataset.IPInfo) error {
@@ -301,6 +366,7 @@ func takeInventory(src dataset.Source, tstats *trustStats, memo *psl.Memo) (*inv
 	for _, set := range sets {
 		seenCert = seenCert[:0]
 		for _, a := range set.addrs {
+			inv.numIP[a] += set.domains
 			info, ok := inv.ips[a]
 			if !ok || info.Scan == nil || info.Scan.CertFingerprint == "" {
 				continue
@@ -312,7 +378,67 @@ func takeInventory(src dataset.Source, tstats *trustStats, memo *psl.Memo) (*inv
 		}
 	}
 	inv.addrSets = len(sets)
+	inv.tailBuilds = tails.builds
 	return inv, nil
+}
+
+// tailAttribution is pass B's work for one tail: its primary MX set (the
+// exchanges only, when kept for a tail) and the attribution of every
+// domain with the tail, Domain and Rank left for the domain to stamp.
+type tailAttribution struct {
+	primary []dataset.MXObs
+	att     DomainAttribution
+}
+
+// attributeDomains is pass B: step 5 over src's domains, given the IP
+// section and the MX assignments, handing each attribution to emit
+// (which may be nil) in domain order. The attribution is built once per
+// tail (see tailMemo), so the domains of one tail share its Credits map.
+// On a delta run (a non-nil prior), a domain outside the changed set
+// whose primary assignments are credit-equivalent to the prior run's
+// reuses its prior attribution verbatim; InferStreamDelta's doc says why
+// that is provably identical. It returns the delta counts and how many
+// times it built a tail's attribution.
+func attributeDomains(src dataset.Source, ips map[netip.Addr]dataset.IPInfo, mxAssign map[string]*MXAssignment, prior *Result, priorAtt func(string) (DomainAttribution, bool), changed map[string]bool, emit func(DomainAttribution)) (DeltaStats, int, error) {
+	smtp := make(map[netip.Addr]bool)
+	for a, info := range ips {
+		if info.Port25Open {
+			smtp[a] = true
+		}
+	}
+	var (
+		ds      DeltaStats
+		tails   tailMemo[tailAttribution]
+		primary []dataset.MXObs
+	)
+	err := forEachTail(src, func(d *dataset.DomainRecord, tail int) error {
+		w, ok := tails.lookup(tail)
+		if !ok {
+			primary = d.AppendPrimaryMX(primary[:0])
+			w = tailAttribution{primary: primary, att: attributeTail(primary, mxAssign, smtp)}
+			if tail != dataset.NoTail {
+				w.primary = exchangesOf(primary)
+			}
+			tails.store(tail, w)
+		}
+		if prior != nil && !changed[d.Domain] && assignmentsEqual(w.primary, prior.MX, mxAssign) {
+			if att, ok := priorAtt(d.Domain); ok {
+				ds.Reused++
+				if emit != nil {
+					emit(att)
+				}
+				return nil
+			}
+		}
+		ds.Reinferred++
+		if emit != nil {
+			att := w.att
+			att.Domain, att.Rank = d.Domain, d.Rank
+			emit(att)
+		}
+		return nil
+	}, nil)
+	return ds, tails.builds, err
 }
 
 // DeltaStats reports how much work an incremental inference run reused
@@ -327,7 +453,7 @@ type DeltaStats struct {
 
 // assignmentsEqual reports whether every primary exchange's assignment
 // is credit-equivalent between the prior and new MX maps: same presence,
-// and identical in the three fields attributeDomain reads (ProviderID,
+// and identical in the three fields attributeTail reads (ProviderID,
 // Untrusted, CreditAs). Confidence/Reason/Examined drift does not affect
 // attributions and is ignored.
 func assignmentsEqual(primary []dataset.MXObs, oldMX, newMX map[string]*MXAssignment) bool {

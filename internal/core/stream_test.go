@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"net/netip"
 	"os"
 	"path/filepath"
@@ -279,6 +280,70 @@ func TestInferStreamMalformedIPLine(t *testing.T) {
 		}
 		if emits != 0 {
 			t.Errorf("%s: %d attributions emitted before the error", approach, emits)
+		}
+	}
+}
+
+// TestPassesBuildEachTailOnce is the engine's work counter: over a
+// Stream of n domains whose tails take k distinct values, pass A and
+// pass B each do a tail's work exactly k times, and over the same
+// snapshot in memory, whose records have no tail IDs, n times. A pass
+// that went round its tail memo would build n times on both sources.
+func TestPassesBuildEachTailOnce(t *testing.T) {
+	const n = 3000
+	dir := t.TempDir()
+	for _, k := range []int{1, 7, 150, 1000} {
+		s := dataset.NewSnapshot("2021-06", "com")
+		for i := range n {
+			j := i % k
+			a := netip.AddrFrom4([4]byte{10, byte(j >> 8), byte(j), 1})
+			d := dataset.DomainRecord{Domain: fmt.Sprintf("d%06d.com", i), Rank: i % 5, MX: []dataset.MXObs{
+				{Preference: 10, Exchange: fmt.Sprintf("mx.p%04d.net", j), Addrs: []netip.Addr{a}},
+				{Preference: 20, Exchange: "backup.example.net"},
+			}}
+			if j%3 == 1 {
+				d.Delegation = dataset.DelegationStaleGlue
+			}
+			s.AddDomain(d)
+		}
+		path := filepath.Join(dir, fmt.Sprintf("k%d.jsonl", k))
+		if err := dataset.WriteFile(path, s); err != nil {
+			t.Fatal(err)
+		}
+		st, err := dataset.OpenStream(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, src := range []struct {
+			name string
+			src  dataset.Source
+			want int
+		}{{"stream", st, k}, {"memory", s, n}} {
+			inv, err := takeInventory(src.src, newTrustStats(), psl.NewMemo(nil))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if inv.tailBuilds != src.want || inv.nDomains != n {
+				t.Errorf("k=%d %s: pass A built %d times over %d domains, want %d", k, src.name, inv.tailBuilds, inv.nDomains, src.want)
+			}
+			mx := make(map[string]*MXAssignment)
+			for _, ex := range inv.exchanges {
+				mx[ex.Exchange] = &MXAssignment{Exchange: ex.Exchange, ProviderID: ex.Exchange}
+			}
+			emitted := 0
+			ds, builds, err := attributeDomains(src.src, inv.ips, mx, nil, nil, nil, func(att DomainAttribution) {
+				if att.Credits[fmt.Sprintf("mx.p%04d.net", emitted%k)] != 1 {
+					t.Fatalf("k=%d %s: domain %d: credits %v", k, src.name, emitted, att.Credits)
+				}
+				emitted++
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if builds != src.want || ds.Reinferred != n || emitted != n {
+				t.Errorf("k=%d %s: pass B built %d times, attributed %d domains and emitted %d, want %d, %d, %d",
+					k, src.name, builds, ds.Reinferred, emitted, src.want, n, n)
+			}
 		}
 	}
 }

@@ -48,7 +48,8 @@ type trustStats struct {
 	// stems counts digit-stripped registered-domain stems of referring
 	// domains per exchange; "" is the overflow bucket. The counts are
 	// pointed at, so that counting a stem already seen looks it up by
-	// its bytes and allocates nothing.
+	// its bytes and allocates nothing. Only the abuse rule reads domains
+	// and stems: with the rule off both are nil and nothing is counted.
 	stems map[string]map[string]*int
 	// stem is observe's buffer for the stem of the domain at hand.
 	stem []byte
@@ -62,20 +63,35 @@ func newTrustStats() *trustStats {
 	}
 }
 
-// observe folds one domain's primary MX set into the statistics. Every
-// domain name is seen once, so its stem is taken from memo's list, not
-// memo: caching it would grow the memo by one entry per domain.
+// observe folds one domain's primary MX set into the statistics:
+// markStale for its tail, countStem for its name. Pass A makes the two
+// calls apart, the first once per tail.
 func (t *trustStats) observe(d *dataset.DomainRecord, primary []dataset.MXObs, memo *psl.Memo) {
+	if d.Delegation == dataset.DelegationStaleGlue {
+		t.markStale(primary)
+	}
+	t.countStem(d.Domain, primary, memo)
+}
+
+// markStale marks the exchanges of a primary MX set whose domain's
+// delegation provenance was flagged stale.
+func (t *trustStats) markStale(primary []dataset.MXObs) {
+	for i := range primary {
+		t.staleGlue[primary[i].Exchange] = true
+	}
+}
+
+// countStem counts one referring domain, and the stem of its name, for
+// each exchange of its primary MX set. Every domain name is seen once,
+// so its stem is taken from memo's list, not memo: caching it would grow
+// the memo by one entry per domain.
+func (t *trustStats) countStem(domain string, primary []dataset.MXObs, memo *psl.Memo) {
 	if len(primary) == 0 {
 		return
 	}
-	stale := d.Delegation == dataset.DelegationStaleGlue
-	t.stem = appendAbuseStem(t.stem[:0], d.Domain, memo.List())
+	t.stem = appendAbuseStem(t.stem[:0], domain, memo.List())
 	for i := range primary {
 		ex := primary[i].Exchange
-		if stale {
-			t.staleGlue[ex] = true
-		}
 		t.domains[ex]++
 		m := t.stems[ex]
 		if m == nil {

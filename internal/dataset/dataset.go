@@ -408,10 +408,14 @@ func read(r io.Reader, name string) (*Snapshot, error) {
 	var s *Snapshot
 	err := walkLines(r, name,
 		func(h *snapshotHeader) { s = NewSnapshot(h.Date, h.Corpus) },
-		// The snapshot keeps what the record points at, so the slot
-		// walkLines would refill is zeroed: the line that takes it next
-		// has no array of this record's to reuse.
-		func(d *DomainRecord) error { s.AddDomain(*d); *d = DomainRecord{}; return nil },
+		// The snapshot keeps the record, in arrays of its own: the slot
+		// refills its arrays, and a hit's are the walk's table's.
+		func(d *DomainRecord, _ int) error {
+			rec := *d
+			rec.MX = ownMX(d.MX)
+			s.AddDomain(rec)
+			return nil
+		},
 		func(info *IPInfo) error { s.AddIP(*info); return nil },
 	)
 	if err != nil {
@@ -423,12 +427,13 @@ func read(r io.Reader, name string) (*Snapshot, error) {
 // walkLines is the one line loop over the JSONL form of a snapshot,
 // behind Read, ReadFile, every Stream pass and fsck. It decodes each line
 // once, holds it to lineRules, and hands the header to header, domain
-// records to domain and IP records to ip; a nil callback leaves its lines
-// checked but not stored. ErrStop from a callback ends the walk
-// successfully. A line in error ends it with a *lineError, into which
-// name (usually a file path) is woven, so "unexpected EOF" from a
-// truncated gzip stream arrives as "dataset: <path>: line N: unexpected
-// EOF" instead of a bare error with no idea where the damage is.
+// records to domain with their tail (see Stream.ForEachTail) and IP records to
+// ip; a nil callback leaves its lines checked but not stored. ErrStop
+// from a callback ends the walk successfully. A line in error ends it
+// with a *lineError, into which name (usually a file path) is woven, so
+// "unexpected EOF" from a truncated gzip stream arrives as "dataset:
+// <path>: line N: unexpected EOF" instead of a bare error with no idea
+// where the damage is.
 //
 // Lines are scanned, decoded and checked on a goroutine of their own
 // (decodeAhead), walkBatch records at a time, while this one runs the
@@ -437,10 +442,12 @@ func read(r io.Reader, name string) (*Snapshot, error) {
 // serial loop would have reached. At most walkBatches batches exist
 // (384 records): the one the callbacks are reading, and the ones
 // decoded ahead of it. The records handed out are the batches' slots,
-// refilled batch after batch (see decodeLine); a callback that keeps a
-// domain record zeroes the slot. The decoder has exited, and has let go
-// of r and of its line buffer, when walkLines returns.
-func walkLines(r io.Reader, name string, header func(*snapshotHeader), domain func(*DomainRecord) error, ip func(*IPInfo) error) error {
+// refilled batch after batch (see decodeLine), and a domain record's MX
+// and address arrays are the slot's or, for a tail the walk's table
+// holds, the table's: a callback that keeps a record copies them. The
+// decoder has exited, and has let go of r and of its line buffer, when
+// walkLines returns.
+func walkLines(r io.Reader, name string, header func(*snapshotHeader), domain func(*DomainRecord, int) error, ip func(*IPInfo) error) error {
 	var batches [walkBatches]*lineBatch
 	// filled and free each have room for every batch, so a send on
 	// either never blocks.
@@ -497,8 +504,7 @@ type lineBatch struct {
 	// slotMX MX records of slotAddrs addresses each, which holds the
 	// small records most of a corpus is made of, so that a batch costs
 	// one allocation, not one per array per slot. A slot that outgrows
-	// its share, or is zeroed by a callback that kept the record, leaves
-	// it behind for good.
+	// its share leaves it behind for good.
 	mx    [walkBatch * slotMX]MXObs
 	addrs [walkBatch * slotMX * slotAddrs]netip.Addr
 }
@@ -511,7 +517,7 @@ func newLineBatch() *lineBatch {
 		b.mx[i].Addrs = b.addrs[i*slotAddrs : i*slotAddrs : (i+1)*slotAddrs]
 	}
 	for i := range b.slots {
-		b.slots[i].domain.MX = b.mx[i*slotMX : i*slotMX : (i+1)*slotMX]
+		b.slots[i].own = b.mx[i*slotMX : i*slotMX : (i+1)*slotMX]
 	}
 	return b
 }
@@ -522,7 +528,13 @@ type lineSlot struct {
 	kind   string
 	header *snapshotHeader
 	domain DomainRecord
-	ip     IPInfo
+	// tail is the domain record's tail ID, NoTail when it has none.
+	tail int
+	// own is the MX array the slot decodes a domain line into: its
+	// record's MX is lent the table's array on a hit, and a line decoded
+	// into a lent array would write over the table.
+	own []MXObs
+	ip  IPInfo
 }
 
 // fill steps rules over raw, the next line, and decodes its record into
@@ -535,6 +547,7 @@ func (s *lineSlot) fill(rules *lineRules, l *jsonLine, raw []byte, wantHeader, w
 	s.kind = ""
 	l.Domain, l.IP = nil, nil
 	if wantDomain {
+		s.domain.MX = s.own
 		l.Domain = &s.domain
 	}
 	if wantIP {
@@ -547,8 +560,12 @@ func (s *lineSlot) fill(rules *lineRules, l *jsonLine, raw []byte, wantHeader, w
 	case l.Kind == "snapshot" && wantHeader:
 		s.header = l.Header
 	case l.Kind == "domain" && wantDomain:
-		if l.Domain != &s.domain { // a line encoding/json decoded
+		s.tail = rules.tail.id
+		switch {
+		case l.Domain != &s.domain: // a line encoding/json decoded
 			s.domain = *l.Domain
+		case !rules.tail.lent && cap(s.domain.MX) > cap(s.own):
+			s.own = s.domain.MX[:0] // grown: keep it for the next line
 		}
 	case l.Kind == "ip" && wantIP:
 		if l.IP != &s.ip {
@@ -562,12 +579,12 @@ func (s *lineSlot) fill(rules *lineRules, l *jsonLine, raw []byte, wantHeader, w
 }
 
 // deliver hands the slot's record to the callback of its kind.
-func (s *lineSlot) deliver(header func(*snapshotHeader), domain func(*DomainRecord) error, ip func(*IPInfo) error) error {
+func (s *lineSlot) deliver(header func(*snapshotHeader), domain func(*DomainRecord, int) error, ip func(*IPInfo) error) error {
 	switch s.kind {
 	case "snapshot":
 		header(s.header)
 	case "domain":
-		return domain(&s.domain)
+		return domain(&s.domain, s.tail)
 	case "ip":
 		return ip(&s.ip)
 	}

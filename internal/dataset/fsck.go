@@ -133,7 +133,7 @@ func Fsck(path string) (*FsckReport, error) {
 		ips     = make(map[string]bool)
 	)
 	err = walkLines(src, path, nil,
-		func(d *DomainRecord) error {
+		func(d *DomainRecord, _ int) error {
 			r.Entries++
 			if domains[d.Domain] {
 				dups = append(dups, d.Domain)

@@ -243,7 +243,7 @@ func FuzzLineDecode(f *testing.F) {
 			for _, w := range warmTables(data) {
 				d, info := usedRecords()
 				got := jsonLine{Domain: d, IP: info}
-				_, err := decodeLine(data, &got, w.table())
+				_, _, err := decodeLine(data, &got, w.table())
 				if (err == nil) != (wantErr == nil) || (err != nil && err.Error() != wantErr.Error()) {
 					t.Fatalf("declined line, table %s: decodeLine error %v, json.Unmarshal error %v", w.name, err, wantErr)
 				}
@@ -265,7 +265,7 @@ func FuzzLineDecode(f *testing.F) {
 			t.Fatalf("kind %q, json.Unmarshal = %+v", kind, want)
 		}
 		fresh := jsonLine{Domain: new(DomainRecord), IP: new(IPInfo)}
-		if fkey, err := decodeLine(data, &fresh, nil); err != nil || fresh.Kind != kind || !bytes.Equal(fkey, key) {
+		if fkey, _, err := decodeLine(data, &fresh, nil); err != nil || fresh.Kind != kind || !bytes.Equal(fkey, key) {
 			t.Fatalf("decodeLine = (%q, %q, %v), want (%q, %q)", fresh.Kind, fkey, err, kind, key)
 		}
 		var again []byte

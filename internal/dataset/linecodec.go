@@ -44,7 +44,10 @@ import (
 // tail, takes few distinct values. Each walk keeps a table of the tails
 // it has decoded (tailTable): a line whose tail the table holds has its
 // name and rank parsed and the rest of its record refilled from the
-// table, not decoded again.
+// table, not decoded again, the entry lending the record its MX and
+// address arrays. The entry's index names the tail to the walk's
+// callback (see Stream.ForEachTail), so a consumer can do the work a tail
+// decides once per tail, too.
 
 // plain marks the bytes encoding/json writes inside a string as
 // themselves: printable ASCII other than the quote, the backslash and
@@ -67,16 +70,19 @@ var plain = func() (t [256]bool) {
 // no use for that record and the line is only walked, without
 // allocating. tails, when not nil, is the walk's table of decoded
 // domain-line tails, which the line is looked up in and may be added
-// to. Any other line resets l and goes through json.Unmarshal, which
-// allocates the members the line carries.
-func decodeLine(raw []byte, l *jsonLine, tails tailTable) (key []byte, err error) {
-	if kind, key, ok := decodeCanonical(raw, l.Domain, l.IP, tails); ok {
+// to; a line whose tail the table holds is lent the entry's arrays (see
+// tailEntry.lend). tail says what the table made of a domain line's
+// tail. Any other line resets l and goes through json.Unmarshal, which
+// allocates the members the line carries, and has no tail.
+func decodeLine(raw []byte, l *jsonLine, tails tailTable) (key []byte, tail lineTail, err error) {
+	c := cursor{b: raw, tails: tails, tail: lineTail{id: NoTail}}
+	if kind, key, ok := c.line(l.Domain, l.IP); ok {
 		l.Kind = kind
-		return key, nil
+		return key, c.tail, nil
 	}
 	*l = jsonLine{}
 	if err := json.Unmarshal(raw, l); err != nil {
-		return nil, err
+		return nil, lineTail{id: NoTail}, err
 	}
 	switch {
 	case l.Kind == "domain" && l.Domain != nil:
@@ -84,15 +90,20 @@ func decodeLine(raw []byte, l *jsonLine, tails tailTable) (key []byte, err error
 	case l.Kind == "ip" && l.IP != nil && l.IP.Addr.IsValid():
 		key = []byte(l.IP.Addr.String())
 	}
-	return key, nil
+	return key, lineTail{id: NoTail}, nil
 }
 
-// decodeCanonical is the hand-written half of decodeLine. ok is false
-// when it declines the line, which may by then have overwritten part of
-// the record.
+// decodeCanonical is the hand-written half of decodeLine, the kernel
+// its tests drive. ok is false when it declines the line, which may by
+// then have overwritten part of the record.
 func decodeCanonical(raw []byte, d *DomainRecord, info *IPInfo, tails tailTable) (kind string, key []byte, ok bool) {
 	c := cursor{b: raw, tails: tails}
-	// The kind's first letter tells the two prefixes apart.
+	return c.line(d, info)
+}
+
+// line walks the whole line, the kind's first letter telling the two
+// prefixes apart.
+func (c *cursor) line(d *DomainRecord, info *IPInfo) (kind string, key []byte, ok bool) {
 	switch c.at(len(`{"kind":"`)) {
 	case 'd':
 		if string(c.take(36)) != `{"kind":"domain","domain":{"domain":` {
@@ -115,26 +126,40 @@ func decodeCanonical(raw []byte, d *DomainRecord, info *IPInfo, tails tailTable)
 // the cursor is not used again. Where the form offers a choice, at
 // looks at the byte that tells the choices apart, and take matches the
 // chosen literal; char matches a one-byte literal. A domain line's tail
-// is looked up in tails before it is walked.
+// is looked up in tails before it is walked, and tail says what the
+// table made of it.
 type cursor struct {
 	b     []byte
 	i     int
 	tails tailTable // the walk's decoded tails; nil looks up nothing
+	tail  lineTail
 }
+
+// lineTail is what the walk's table made of a domain line's tail: id is
+// its entry's index, NoTail when the table does not hold it, and lent
+// reports that the record was refilled from the entry.
+type lineTail struct {
+	id   int
+	lent bool
+}
+
+// NoTail is the tail ID of a domain record whose tail a pass does not
+// name: see Stream.ForEachTail.
+const NoTail = -1
 
 // tailTable is a walk's table of decoded domain-line tails. A tail is
 // the bytes of a canonical domain line after its name and rank, from
 // `,"mx":` through the closing "}}"; what those bytes may be does not
 // depend on the name or the rank, so a tail the decoder has accepted
 // once is accepted on any line. An entry holds the tail's decoded
-// members, or is nil in a walk that stores no domain record, where the
-// key alone says "already validated". Only a tail whose whole line the
-// decoder has accepted enters, and at most maxTails do: provider
-// concentration puts the repeated MX lists among the first tails a walk
-// meets, so the bound cuts the long tail of self-hosted ones. A tail
-// longer than maxTailBytes (a long SPF policy) does not enter, so a
-// table holds a few MiB at most whatever the lines.
-type tailTable map[string]*tailEntry
+// members, or only its index in a walk that stores no domain record,
+// where the key alone says "already validated". Only a tail whose whole
+// line the decoder has accepted enters, and at most maxTails do:
+// provider concentration puts the repeated MX lists among the first
+// tails a walk meets, so the bound cuts the long tail of self-hosted
+// ones. A tail longer than maxTailBytes (a long SPF policy) does not
+// enter, so a table holds a few MiB at most whatever the lines.
+type tailTable map[string]tailEntry
 
 // maxTails and maxTailBytes bound a tailTable.
 const (
@@ -143,63 +168,84 @@ const (
 )
 
 // tailEntry is a decoded tail: what a domain record holds past its name
-// and rank. The record a hit refills never shares its arrays: mx and
-// each mx[i].Addrs are copied into the record's own.
+// and rank, and the index it entered the table at.
 type tailEntry struct {
-	mx              []MXObs // nil for "mx":null
-	spf, delegation string
+	id         int
+	stored     bool    // a walk that stores records entered it: mx, spf and delegation are set
+	mx         []MXObs // nil for "mx":null
+	spf        string
+	delegation string
 }
 
-// add enters tail, decoded into d (nil when the walk stores none).
-func (t tailTable) add(tail []byte, d *DomainRecord) {
-	if t == nil || len(t) >= maxTails || len(tail) > maxTailBytes {
-		return
-	}
-	var e *tailEntry
-	if d != nil {
-		e = &tailEntry{spf: d.SPF, delegation: d.Delegation}
-		if d.MX != nil {
-			n := 0
-			for i := range d.MX {
-				n += len(d.MX[i].Addrs)
-			}
-			addrs := make([]netip.Addr, 0, n)
-			e.mx = make([]MXObs, len(d.MX))
-			for i, mx := range d.MX {
-				e.mx[i] = MXObs{Preference: mx.Preference, Exchange: mx.Exchange, Dangling: mx.Dangling}
-				if mx.Addrs != nil {
-					addrs = append(addrs, mx.Addrs...)
-					e.mx[i].Addrs = addrs[len(addrs)-len(mx.Addrs):]
-				}
-			}
+// tailBlock holds an entry's MX and address arrays in one allocation
+// when the tail has at most slotMX exchanges and blockAddrs addresses,
+// as most of a corpus's tails have.
+type tailBlock struct {
+	mx    [slotMX]MXObs
+	addrs [blockAddrs]netip.Addr
+}
+
+const blockAddrs = slotMX * slotAddrs
+
+// add enters tail, decoded into d (nil when the walk stores none), and
+// returns its index, NoTail when the table is full or the tail too long.
+// A tail held without its members (entered by a walk that stores none)
+// keeps its index and gains them.
+func (t tailTable) add(tail []byte, d *DomainRecord) int {
+	e, held := t[string(tail)]
+	if !held {
+		if t == nil || len(t) >= maxTails || len(tail) > maxTailBytes {
+			return NoTail
 		}
+		e.id = len(t)
+	}
+	if d != nil {
+		e.stored, e.spf, e.delegation = true, d.SPF, d.Delegation
+		e.mx = ownMX(d.MX)
 	}
 	t[string(tail)] = e
+	return e.id
 }
 
-// fill refills d's members past its name and rank from e, in place:
-// MX and every MX[i].Addrs reuse their arrays, as the cursor's walk
-// does.
-func (e *tailEntry) fill(d *DomainRecord) {
+// ownMX returns a copy of mx in arrays of its own, each capped at its
+// length: one block when it fits a tailBlock, two arrays when not.
+func ownMX(mx []MXObs) []MXObs {
 	switch {
-	case e.mx == nil:
-		d.MX = nil
-	case d.MX == nil && len(e.mx) == 0:
-		d.MX = []MXObs{} // empty, not nil, as the walk has it
-	case len(e.mx) <= cap(d.MX):
-		d.MX = d.MX[:len(e.mx)]
-	default:
-		d.MX = append(d.MX[:cap(d.MX)], make([]MXObs, len(e.mx)-cap(d.MX))...)
+	case mx == nil:
+		return nil
+	case len(mx) == 0:
+		return []MXObs{} // empty, not nil, as the walk has it
 	}
-	for i := range e.mx {
-		src, dst := &e.mx[i], &d.MX[i]
-		var addrs []netip.Addr
-		if src.Addrs != nil {
-			addrs = append(dst.Addrs[:0], src.Addrs...)
+	n := 0
+	for i := range mx {
+		n += len(mx[i].Addrs)
+	}
+	var (
+		out   []MXObs
+		addrs []netip.Addr
+	)
+	if len(mx) <= slotMX && n <= blockAddrs {
+		b := new(tailBlock)
+		out, addrs = b.mx[:len(mx):len(mx)], b.addrs[:0:n]
+	} else {
+		out, addrs = make([]MXObs, len(mx)), make([]netip.Addr, 0, n)
+	}
+	for i := range mx {
+		out[i] = MXObs{Preference: mx[i].Preference, Exchange: mx[i].Exchange, Dangling: mx[i].Dangling}
+		if a := mx[i].Addrs; a != nil {
+			addrs = append(addrs, a...)
+			out[i].Addrs = addrs[len(addrs)-len(a) : len(addrs) : len(addrs)]
 		}
-		*dst = MXObs{Preference: src.Preference, Exchange: src.Exchange, Addrs: addrs, Dangling: src.Dangling}
 	}
-	d.SPF, d.Delegation, d.Failure = e.spf, e.delegation, ""
+	return out
+}
+
+// lend refills d's members past its name and rank from e. d is lent e's
+// MX and address arrays, which are read-only: a caller that decodes
+// into d again first hands it arrays of its own, as a walk's slot does
+// (see lineSlot.fill).
+func (e *tailEntry) lend(d *DomainRecord) {
+	d.MX, d.SPF, d.Delegation, d.Failure = e.mx, e.spf, e.delegation, ""
 }
 
 // at returns the byte k places past the cursor, 0 past the end of the
@@ -335,7 +381,7 @@ func (c *cursor) end() bool {
 // the end of the line, storing into d unless it is nil. The members
 // after the name are told apart by their first letter, two bytes past
 // the comma that opens each. A tail the walk's table holds is not
-// walked: its entry refills d.
+// walked: its entry refills d, lending it the entry's arrays.
 func (c *cursor) domainLine(d *DomainRecord) (key []byte, ok bool) {
 	name, ok := c.str()
 	if !ok {
@@ -351,10 +397,12 @@ func (c *cursor) domainLine(d *DomainRecord) (key []byte, ok bool) {
 		}
 	}
 	tail := c.b[c.i:]
-	if e, hit := c.tails[string(tail)]; hit && (e != nil || d == nil) {
+	if e, hit := c.tails[string(tail)]; hit && (e.stored || d == nil) {
+		c.tail.id = e.id
 		if d != nil {
-			e.fill(d)
+			e.lend(d)
 			d.Domain, d.Rank = string(name), int(rank)
+			c.tail.lent = true
 		}
 		return name, true
 	}
@@ -423,7 +471,7 @@ func (c *cursor) domainLine(d *DomainRecord) (key []byte, ok bool) {
 	if d != nil {
 		d.Domain, d.Rank, d.SPF, d.Delegation, d.Failure = string(name), int(rank), string(spf), string(delegation), ""
 	}
-	c.tails.add(tail, d)
+	c.tail.id = c.tails.add(tail, d)
 	return name, true
 }
 

@@ -193,7 +193,7 @@ func TestLineDecodeEdgeShapes(t *testing.T) {
 			}
 			d, info := usedRecords()
 			got := jsonLine{Domain: d, IP: info}
-			_, err := decodeLine([]byte(e.line), &got, nil)
+			_, _, err := decodeLine([]byte(e.line), &got, nil)
 			if e.wantErr != "" {
 				if err == nil || !strings.Contains(err.Error(), e.wantErr) {
 					t.Fatalf("error %v, want one holding %q", err, e.wantErr)

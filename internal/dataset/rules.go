@@ -42,6 +42,8 @@ type lineRules struct {
 	// tailTable). step makes it on the first line; Merge's shard readers,
 	// which run on one goroutine, are handed one to share.
 	tails tailTable
+	// tail is what tails made of the domain line last stepped.
+	tail lineTail
 }
 
 // step decodes raw, the next line of the file, into l (see decodeLine),
@@ -59,7 +61,8 @@ func (c *lineRules) step(raw []byte, l *jsonLine) ([]byte, error) {
 	if c.tails == nil {
 		c.tails = make(tailTable)
 	}
-	key, err := decodeLine(raw, l, c.tails)
+	key, tail, err := decodeLine(raw, l, c.tails)
+	c.tail = tail
 	if err == nil {
 		err = c.check(l, key)
 	}

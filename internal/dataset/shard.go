@@ -156,7 +156,7 @@ func ResumeShardSet(base, date, corpus string) (*ShardSet, error) {
 	// Domains share one copy of each distinct address list, by its bytes.
 	lists := make(map[string][]netip.Addr)
 	var key []byte
-	domain := func(d *DomainRecord) error {
+	domain := func(d *DomainRecord, _ int) error {
 		key = key[:0]
 		for _, mx := range d.MX {
 			for _, a := range mx.Addrs {

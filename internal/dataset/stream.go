@@ -14,12 +14,14 @@ import (
 // bounded window of them in memory: walkBatches x walkBatch = 384
 // records, whatever the file's size (see walkLines). A domain line
 // whose tail (its MX list, SPF and delegation) the pass has decoded
-// before is refilled from the pass's table of tails (see tailTable), so
-// a canonical domain line allocates only its name as a rule, and the
-// tails a pass meets first cost their text once. It is the file-backed
-// Source; core.InferStream
-// makes two passes over one: the first keeps the IP section as it reads
-// the domains, the second reads the domains again.
+// before is refilled from the pass's table of tails (see tailTable),
+// which lends the record its arrays, so a canonical domain line
+// allocates only its name as a rule, and the tails a pass meets first
+// cost their text once. It is the file-backed Source, and ForEachTail
+// names each record's tail by its table entry.
+// core.InferStream makes two passes over one: the first keeps the IP
+// section as it reads the domains, the second reads the domains again,
+// and each does the work a tail decides once per tail.
 //
 // A Stream works over both canonical snapshot files (WriteFile / Merge
 // output) and individual shard files (a footer is checked, not yielded).
@@ -58,7 +60,7 @@ func OpenStream(path string) (*Stream, error) {
 	}
 	err = st.walkFile(f,
 		func(h *snapshotHeader) { st.Date, st.Corpus = h.Date, h.Corpus },
-		func(*DomainRecord) error { return ErrStop }, nil)
+		func(*DomainRecord, int) error { return ErrStop }, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -70,16 +72,34 @@ func OpenStream(path string) (*Stream, error) {
 // sorted). Either callback may be nil to skip that section — a nil
 // domain callback leaves domain lines checked but not stored. The record
 // passed to a callback is a slot of the decode-ahead window, reused a
-// few hundred lines later, and a domain record's MX and MX[i].Addrs
-// arrays are refilled in place: copy the record, those slices included,
-// if it must outlive the call. A line in error ends the pass after the
-// callbacks of the lines before it have run. A callback returning
-// ErrStop ends the pass successfully.
+// few hundred lines later. A domain record's MX and MX[i].Addrs arrays
+// are the slot's, refilled in place, or, for a tail the pass has
+// decoded before, the pass's table's, shared by every record with that
+// tail: a callback must not write to them, and copies the record, those
+// slices included, if it must outlive the call. A line in error ends the
+// pass after the callbacks of the lines before it have run. A callback
+// returning ErrStop ends the pass successfully.
 func (st *Stream) ForEach(domain func(*DomainRecord) error, ip func(*IPInfo) error) error {
+	if domain == nil {
+		return st.walk(nil, nil, ip)
+	}
+	return st.walk(nil, func(d *DomainRecord, _ int) error { return domain(d) }, ip)
+}
+
+// ForEachTail is ForEach telling domain each record's tail ID: the
+// index of the pass's table entry for the part of the line past the
+// name and rank — its MX list, SPF and delegation (see tailTable) — or
+// NoTail for a line whose tail the table does not hold. Within one
+// pass, two records with the same ID have equal tails, and IDs run from
+// 0 up in the order the pass meets the tails; they mean nothing across
+// passes. Provider concentration keeps the distinct tails few, so a
+// consumer can do the work a tail decides once per tail, as
+// core.InferStream does.
+func (st *Stream) ForEachTail(domain func(*DomainRecord, int) error, ip func(*IPInfo) error) error {
 	return st.walk(nil, domain, ip)
 }
 
-func (st *Stream) walk(header func(*snapshotHeader), domain func(*DomainRecord) error, ip func(*IPInfo) error) error {
+func (st *Stream) walk(header func(*snapshotHeader), domain func(*DomainRecord, int) error, ip func(*IPInfo) error) error {
 	f, err := st.open()
 	if err != nil {
 		return err
@@ -107,7 +127,7 @@ func (st *Stream) open() (*os.File, error) {
 
 // walkFile runs one pass of walkLines over f, the opened file at Path,
 // and closes it.
-func (st *Stream) walkFile(f *os.File, header func(*snapshotHeader), domain func(*DomainRecord) error, ip func(*IPInfo) error) error {
+func (st *Stream) walkFile(f *os.File, header func(*snapshotHeader), domain func(*DomainRecord, int) error, ip func(*IPInfo) error) error {
 	r, done, err := fileReader(f, st.Path)
 	if err != nil {
 		return err
