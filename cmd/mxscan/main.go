@@ -13,7 +13,8 @@
 // it as a fleet whose workers each own a resolver and a sorted snapshot
 // shard writer, the shards externally merged into -o, so peak memory
 // stays independent of corpus size. The flag sizes the fleet and picks
-// the sink; the committed bytes are the same.
+// the sink; the committed bytes are the same, and so is the -health
+// report, which the engine counts as it collects.
 //
 // A fleet run is crash-safe, and its shards are its checkpoint: every
 // shard is committed atomically (tmp, fsync, rename, directory fsync)
@@ -23,7 +24,11 @@
 // mxscan exits 1 with the shards kept; a second signal force-exits a
 // wedged run. -resume reads the shards' keys, measures only what none
 // of them holds, and merges old shards with new into an uninterrupted
-// run's bytes; a fresh run refuses leftover shards. A hard kill loses
+// run's bytes; a fresh run refuses leftover shards. It says so on
+// stderr ("resuming: N domains and M IPs held in its shards"), and its
+// -health report covers what the resumed run measured: the held
+// records' failure classes were counted by the run that measured them
+// and never recorded, so they are not in it. A hard kill loses
 // at most each worker's unspilled buffer. A single-collector run keeps
 // no checkpoint. Committed snapshots are written atomically too.
 //
@@ -149,18 +154,7 @@ func main() {
 		if err := set.Remove(); err != nil {
 			log.Printf("shard cleanup: %v", err)
 		}
-		if *health {
-			st, err := dataset.OpenStream(*out)
-			if err != nil {
-				log.Fatal(err)
-			}
-			if h, err = dataset.HealthOf(st); err != nil {
-				log.Fatal(err)
-			}
-			// The merged file does not carry the run's resilience
-			// counters; fold in the fleet's sum, as Snapshot.Health does.
-			h.Stats = stats.Collection
-		}
+		h = stats.Health
 		measured = fmt.Sprintf("%d domains, %d IPs with %d workers (%d shards)",
 			stats.Domains, stats.IPs, stats.Workers, mstats.Shards)
 	} else {
@@ -183,7 +177,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		h = snap.Health()
+		h = snap.Health
 		measured = fmt.Sprintf("%d domains, %d IPs", len(snap.Domains), len(snap.IPs))
 	}
 

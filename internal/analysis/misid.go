@@ -105,8 +105,10 @@ type MisidReport struct {
 //   - hijack — flagged, AND the forged provider received no credit.
 //   - abuse — flagged, AND credit still stands on the bulk operator
 //     (the attribution is right; the trust downgrade is the verdict).
-//   - lame — collection classified the domain's lookup as a lame
-//     delegation.
+//   - lame — the record carries the lame mark collection sets when it
+//     classifies the domain's lookup as a lame delegation
+//     (dataset.DelegationLame), so a record read back from a file
+//     grades as the one collected.
 type MisidScorer struct {
 	dir     *companies.Directory
 	pending map[string][]MisidOracle // the entries no record has met yet
@@ -177,7 +179,7 @@ func (m *MisidScorer) grade(e MisidOracle, rec *dataset.DomainRecord, att core.D
 	graded, correct := true, false
 	switch e.Family {
 	case famLame:
-		correct = rec != nil && rec.Failure == dataset.FailLameDelegation
+		correct = rec != nil && rec.Delegation == dataset.DelegationLame
 	case famDanglingNX, famDanglingParked:
 		correct = flagged
 	case famHijack:

@@ -10,8 +10,10 @@
 // A snapshot is read through Source: LoadIPs returns its IP table and
 // ForEach makes one pass over its records, each record readable until
 // its callback returns. *Snapshot (in memory) and *Stream (a file) both
-// implement it, and the readers — HealthOf, BreakdownOf, core's
-// inference — are written once, over Source.
+// implement it, and the readers — BreakdownOf, core's inference — are
+// written once, over Source. A record in memory is exactly its line on
+// disk: what a collection run learned about its own health is the run's
+// Health report, not a field of any record.
 package dataset
 
 import (
@@ -53,10 +55,6 @@ type MXObs struct {
 	// the name is claimable (serialized; absent for honest exchanges, so
 	// pre-adversarial snapshots keep their exact bytes).
 	Dangling bool `json:"dangling,omitempty"`
-	// Failure classifies the exchange's address resolution. In-memory
-	// only: per-record classes feed Snapshot.Health, which is what gets
-	// serialized, keeping the JSONL byte format stable.
-	Failure FailureClass `json:"-"`
 }
 
 // DomainRecord is one domain's DNS observation in a snapshot.
@@ -74,9 +72,6 @@ type DomainRecord struct {
 	// unchecked), DelegationStaleGlue, or DelegationLame. Serialized so
 	// the trust pass in inference sees it after a disk round trip.
 	Delegation string `json:"delegation,omitempty"`
-	// Failure classifies the domain's MX lookup (in-memory only; see
-	// MXObs.Failure).
-	Failure FailureClass `json:"-"`
 }
 
 // PrimaryMX returns the most-preferred MX records: all records sharing
@@ -150,9 +145,6 @@ type IPInfo struct {
 	Parked bool `json:"parked,omitempty"`
 	// Scan holds the application-layer observation when Port25Open.
 	Scan *ScanInfo `json:"scan,omitempty"`
-	// Failure classifies the scan outcome (in-memory only; see
-	// MXObs.Failure).
-	Failure FailureClass `json:"-"`
 }
 
 // Snapshot is one dated measurement of one corpus.
@@ -172,8 +164,11 @@ type Snapshot struct {
 	Domains []DomainRecord `json:"-"`
 	// IPs indexes scan observations by address string.
 	IPs map[string]IPInfo `json:"-"`
-	// Stats carries the collection run's retry/breaker counters, set by
-	// scan.Collector and folded into Health().
+	// Health is the collection run's report, set by scan.Collector's
+	// Collect; nil for a snapshot read from a file.
+	Health *Health `json:"-"`
+	// Stats is Health's Stats, kept apart only because the benchmark
+	// harness reads it.
 	Stats CollectionStats `json:"-"`
 
 	// mu guards Domains/IPs mutation.

@@ -70,11 +70,9 @@ type domainKey struct {
 }
 
 // keyOf fingerprints one domain record. The FNV-1a hash runs over the
-// record's canonical JSON, which serializes exactly the fields a
-// snapshot file persists (MX sets with addresses, SPF, delegation,
-// rank); the transient Failure field is not among them, so
-// re-collection noise cannot masquerade as churn. buf is the caller's
-// scratch for the JSON, returned for the next call.
+// record's canonical JSON, every field it has (MX sets with addresses,
+// SPF, delegation, rank). buf is the caller's scratch for the JSON,
+// returned for the next call.
 func keyOf(d *DomainRecord, changedIPs map[string]bool, buf []byte) (domainKey, []byte) {
 	buf = appendDomainRecord(buf[:0], d)
 	h := fnv.New64a()

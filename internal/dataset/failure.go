@@ -12,10 +12,8 @@ import (
 // The taxonomy mirrors how scanning studies partition unreachable vs.
 // refusing vs. misbehaving hosts, so partial failure becomes data the
 // methodology can reason about instead of silently biasing the snapshot.
-//
-// The zero value ("") means "not classified": snapshots loaded from disk
-// predate classification or were stripped of it, and Health treats them
-// as successful observations.
+// Classes are counted by the collection run that decides them, into its
+// Health report; no record carries one.
 type FailureClass string
 
 // The failure taxonomy. Classes marked transient are retryable under a
@@ -87,12 +85,12 @@ func (f FailureClass) Transient() bool {
 
 // Failed reports whether the class records an unsuccessful observation.
 func (f FailureClass) Failed() bool {
-	return f != FailOK && f != ""
+	return f != FailOK
 }
 
 // CollectionStats aggregates the resilience machinery's counters for one
-// collection run. It travels on the Snapshot in memory and inside the
-// serialized Health report, never in the per-record JSONL lines.
+// collection run. It travels inside the run's Health report, never in
+// the per-record JSONL lines.
 type CollectionStats struct {
 	// DNSRetries counts retried MX/A/AAAA lookups.
 	DNSRetries int `json:"dns_retries"`
@@ -107,9 +105,13 @@ type CollectionStats struct {
 	BreakerSkips int `json:"breaker_skips"`
 }
 
-// Health is the per-snapshot failure summary: how much of the corpus was
-// observed, and how the rest failed. It is the artifact serialized
-// alongside collection results (mxscan -health, experiments -faults).
+// Health is one collection run's failure summary: how much of what it
+// measured was observed, and how the rest failed. The run counts it as
+// it settles each domain and address (scan.Collector.Collect carries it
+// on the snapshot, scan.CollectFleet on its stats); it is the artifact
+// serialized alongside collection results (mxscan -health,
+// experiments -misid). A resumed run's report covers what that run
+// measured, not the records its checkpoint held.
 type Health struct {
 	// Domains counts per-domain MX lookup outcomes by class.
 	Domains map[FailureClass]int `json:"domains"`
@@ -123,101 +125,6 @@ type Health struct {
 	Coverage float64 `json:"coverage"`
 	// Stats carries the retry/breaker counters of the collection run.
 	Stats CollectionStats `json:"stats"`
-}
-
-// HealthOf computes the failure summary of a snapshot in one pass over
-// its records. Records without a class (older snapshots, and anything
-// read back from a file) are bucketed from what the serialized fields
-// encode: HasCensys=false maps to not-covered, everything else to ok.
-// Stats is left zero: the counters live with the collection run, not
-// with the records.
-func HealthOf(src Source) (*Health, error) {
-	h := &Health{
-		Domains:   make(map[FailureClass]int),
-		Exchanges: make(map[FailureClass]int),
-		IPs:       make(map[FailureClass]int),
-	}
-	// One vote per distinct exchange: popular exchanges appear in many
-	// domains' MX sets but were resolved once.
-	seen := make(map[string]bool)
-	covered, total := 0, 0
-	err := src.ForEach(
-		func(d *DomainRecord) error {
-			h.Domains[normalizeClass(d.Failure, domainFallback(d))]++
-			for i := range d.MX {
-				mx := &d.MX[i]
-				if seen[mx.Exchange] {
-					continue
-				}
-				seen[mx.Exchange] = true
-				h.Exchanges[normalizeClass(mx.Failure, exchangeFallback(mx))]++
-			}
-			return nil
-		},
-		func(info *IPInfo) error {
-			h.IPs[normalizeClass(info.Failure, ipFallback(info))]++
-			total++
-			if info.HasCensys {
-				covered++
-			}
-			return nil
-		},
-	)
-	if err != nil {
-		return nil, err
-	}
-	if total > 0 {
-		h.Coverage = float64(covered) / float64(total)
-	}
-	return h, nil
-}
-
-// Health is HealthOf the snapshot with the collection run's Stats folded
-// in.
-func (s *Snapshot) Health() *Health {
-	h, _ := HealthOf(s) // no error: a Snapshot's ForEach only returns its callbacks', and these return none
-	h.Stats = s.Stats
-	return h
-}
-
-func normalizeClass(f, fallback FailureClass) FailureClass {
-	if f == "" {
-		return fallback
-	}
-	return f
-}
-
-// The fallback derivations below reconstruct classes for records loaded
-// from disk, where the in-memory Failure fields are gone but the
-// serialized adversarial evidence (Delegation, Dangling, Parked)
-// survives. In-memory snapshots straight out of a collection run carry
-// explicit classes and never reach the fallbacks.
-
-func domainFallback(d *DomainRecord) FailureClass {
-	switch d.Delegation {
-	case DelegationStaleGlue:
-		return FailHijackSuspect
-	case DelegationLame:
-		return FailLameDelegation
-	}
-	return FailOK
-}
-
-func exchangeFallback(mx *MXObs) FailureClass {
-	if mx.Dangling && len(mx.Addrs) == 0 {
-		return FailDanglingMX
-	}
-	return FailOK
-}
-
-func ipFallback(info *IPInfo) FailureClass {
-	if info.Parked && !info.Port25Open {
-		return FailParkedIP
-	}
-	if !info.HasCensys {
-		return FailNotCovered
-	}
-	return FailOK
 }
 
 // OKRate returns the fraction of entries in the given class counts that

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"net/netip"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -17,55 +18,30 @@ func TestFailureClassTransient(t *testing.T) {
 		if got := c.Transient(); got != transient[c] {
 			t.Errorf("%s: Transient = %v, want %v", c, got, transient[c])
 		}
-	}
-	if FailureClass("").Failed() || FailOK.Failed() {
-		t.Error("ok/unclassified must not count as failed")
-	}
-	if !FailNXDomain.Failed() {
-		t.Error("nxdomain must count as failed")
+		if got := c.Failed(); got != (c != FailOK) {
+			t.Errorf("%s: Failed = %v", c, got)
+		}
 	}
 }
 
-func TestSnapshotHealth(t *testing.T) {
-	s := NewSnapshot("2021-06", "alexa")
-	s.AddDomain(DomainRecord{Domain: "a.test", Failure: FailOK, MX: []MXObs{
-		{Exchange: "mx.a.test", Failure: FailOK},
-		{Exchange: "mx.shared.test", Failure: FailOK},
-	}})
-	s.AddDomain(DomainRecord{Domain: "b.test", Failure: FailNXDomain})
-	s.AddDomain(DomainRecord{Domain: "c.test", Failure: FailDNSTimeout})
-	// Shared exchange must count once even when two domains reference it.
-	s.AddDomain(DomainRecord{Domain: "d.test", MX: []MXObs{
-		{Exchange: "mx.shared.test", Failure: FailOK},
-		{Exchange: "mx.dead.test", Failure: FailDNSTimeout},
-	}})
-	s.AddIP(IPInfo{Addr: netip.MustParseAddr("10.0.0.1"), HasCensys: true, Port25Open: true, Failure: FailOK})
-	s.AddIP(IPInfo{Addr: netip.MustParseAddr("10.0.0.2"), HasCensys: true, Failure: FailConnRefused})
-	s.AddIP(IPInfo{Addr: netip.MustParseAddr("10.0.0.3"), Failure: FailNotCovered})
-	s.Stats = CollectionStats{DNSRetries: 2, ScanRetries: 1, BreakerOpens: 1}
-
-	h := s.Health()
-	if h.Domains[FailOK] != 2 || h.Domains[FailNXDomain] != 1 || h.Domains[FailDNSTimeout] != 1 {
-		t.Errorf("domain classes: %v", h.Domains)
+// TestHealthReport renders a run's report both ways: the text table
+// and the JSON sidecar, which reads back field for field.
+func TestHealthReport(t *testing.T) {
+	h := &Health{
+		Domains:   map[FailureClass]int{FailOK: 2, FailNXDomain: 1, FailDNSTimeout: 1},
+		Exchanges: map[FailureClass]int{FailOK: 2, FailDNSTimeout: 1},
+		IPs:       map[FailureClass]int{FailOK: 1, FailConnRefused: 1, FailNotCovered: 1},
+		Coverage:  2.0 / 3.0,
+		Stats:     CollectionStats{DNSRetries: 2, ScanRetries: 1, BreakerOpens: 1},
 	}
-	if h.Exchanges[FailOK] != 2 || h.Exchanges[FailDNSTimeout] != 1 {
-		t.Errorf("exchange classes: %v", h.Exchanges)
+	if got := OKRate(h.Domains); got != 0.5 {
+		t.Errorf("domain ok rate = %v, want 0.5", got)
 	}
-	if h.IPs[FailOK] != 1 || h.IPs[FailConnRefused] != 1 || h.IPs[FailNotCovered] != 1 {
-		t.Errorf("ip classes: %v", h.IPs)
-	}
-	if want := 2.0 / 3.0; h.Coverage != want {
-		t.Errorf("coverage = %v, want %v", h.Coverage, want)
-	}
-	if h.Stats != s.Stats {
-		t.Errorf("stats = %+v", h.Stats)
-	}
-
 	var text bytes.Buffer
 	if err := h.WriteText(&text); err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{"nxdomain", "conn-refused", "not-covered", "dns=2 scan=1"} {
+	for _, want := range []string{"domains (4 total, 50.0% ok)", "nxdomain", "conn-refused", "not-covered", "coverage 66.7%", "dns=2 scan=1"} {
 		if !strings.Contains(text.String(), want) {
 			t.Errorf("text report missing %q:\n%s", want, text.String())
 		}
@@ -78,36 +54,25 @@ func TestSnapshotHealth(t *testing.T) {
 	if err := json.Unmarshal(js.Bytes(), &back); err != nil {
 		t.Fatalf("health JSON round-trip: %v", err)
 	}
-	if back.Domains[FailNXDomain] != 1 || back.Stats.DNSRetries != 2 {
-		t.Errorf("round-tripped health: %+v", back)
-	}
-}
-
-// TestHealthOfLegacySnapshot checks that snapshots without classes (as
-// loaded from pre-taxonomy files) degrade to ok / not-covered buckets.
-func TestHealthOfLegacySnapshot(t *testing.T) {
-	s := NewSnapshot("2021-06", "alexa")
-	s.AddDomain(DomainRecord{Domain: "a.test"})
-	s.AddIP(IPInfo{Addr: netip.MustParseAddr("10.0.0.1"), HasCensys: true})
-	s.AddIP(IPInfo{Addr: netip.MustParseAddr("10.0.0.2")})
-	h := s.Health()
-	if h.Domains[FailOK] != 1 {
-		t.Errorf("domains: %v", h.Domains)
-	}
-	if h.IPs[FailOK] != 1 || h.IPs[FailNotCovered] != 1 {
-		t.Errorf("ips: %v", h.IPs)
+	if !reflect.DeepEqual(&back, h) {
+		t.Errorf("round-tripped health = %+v, want %+v", back, *h)
 	}
 }
 
 // TestTaxonomyInvisibleInJSONL pins the byte-compatibility contract: the
-// in-memory failure classes must not leak into the serialized snapshot.
+// run's health report a snapshot carries in memory must not leak into
+// the serialized snapshot.
 func TestTaxonomyInvisibleInJSONL(t *testing.T) {
 	s := NewSnapshot("2021-06", "alexa")
-	s.AddDomain(DomainRecord{Domain: "a.test", Failure: FailDNSTimeout, MX: []MXObs{
-		{Exchange: "mx.a.test", Failure: FailDNSServFail},
-	}})
-	s.AddIP(IPInfo{Addr: netip.MustParseAddr("10.0.0.1"), HasCensys: true, Failure: FailConnReset})
+	s.AddDomain(DomainRecord{Domain: "a.test", MX: []MXObs{{Exchange: "mx.a.test"}}})
+	s.AddIP(IPInfo{Addr: netip.MustParseAddr("10.0.0.1"), HasCensys: true})
 	s.Stats = CollectionStats{DNSRetries: 9}
+	s.Health = &Health{
+		Domains:   map[FailureClass]int{FailDNSTimeout: 1},
+		Exchanges: map[FailureClass]int{FailDNSServFail: 1},
+		IPs:       map[FailureClass]int{FailConnReset: 1},
+		Stats:     s.Stats,
+	}
 	var buf bytes.Buffer
 	if _, err := s.WriteTo(&buf); err != nil {
 		t.Fatal(err)

@@ -176,15 +176,15 @@ type keyProbe struct {
 // earlier line: every field set, slices with spare capacity.
 func usedRecords() (*DomainRecord, *IPInfo) {
 	d := &DomainRecord{
-		Domain: "previous.example", Rank: 7, SPF: "v=spf1 -all", Delegation: DelegationLame, Failure: FailDNSTimeout,
+		Domain: "previous.example", Rank: 7, SPF: "v=spf1 -all", Delegation: DelegationLame,
 		MX: []MXObs{
-			{Preference: 1, Exchange: "a.previous.example", Addrs: []netip.Addr{addr("192.0.2.1"), addr("192.0.2.2")}, Dangling: true, Failure: FailDNSTimeout},
+			{Preference: 1, Exchange: "a.previous.example", Addrs: []netip.Addr{addr("192.0.2.1"), addr("192.0.2.2")}, Dangling: true},
 			{Preference: 2, Exchange: "b.previous.example", Addrs: []netip.Addr{addr("192.0.2.3")}},
 			{Preference: 3, Exchange: "c.previous.example"},
 		},
 	}
 	info := &IPInfo{
-		Addr: addr("192.0.2.9"), ASN: 64500, ASName: "PREVIOUS", HasCensys: true, Port25Open: true, Parked: true, Failure: FailDNSTimeout,
+		Addr: addr("192.0.2.9"), ASN: 64500, ASName: "PREVIOUS", HasCensys: true, Port25Open: true, Parked: true,
 		Scan: &ScanInfo{Banner: "previous ESMTP", BannerHost: "previous", EHLOHost: "previous", STARTTLS: true,
 			CertPresent: true, CertValid: true, CertFingerprint: "ff", CertNames: []string{"previous"}, TLSFailed: true},
 	}
@@ -403,18 +403,18 @@ func FuzzLineEncode(f *testing.F) {
 			addrs = append(addrs, netip.Addr{})
 		}
 
-		d := DomainRecord{Domain: domain, Rank: rank, SPF: spf, Delegation: delegation, Failure: FailDNSTimeout}
+		d := DomainRecord{Domain: domain, Rank: rank, SPF: spf, Delegation: delegation}
 		switch {
 		case bit(1):
 			d.MX = []MXObs{}
 		case bit(2):
 			d.MX = []MXObs{
-				{Preference: pref, Exchange: exchange, Addrs: addrs, Dangling: bit(3), Failure: FailDNSTimeout},
+				{Preference: pref, Exchange: exchange, Addrs: addrs, Dangling: bit(3)},
 				{Preference: pref + 1, Exchange: spf, Addrs: []netip.Addr{}},
 				{Exchange: banner, Addrs: addrs[:len(addrs)/2], Dangling: bit(4)},
 			}
 		}
-		info := IPInfo{ASN: asn.ASN(origin), ASName: asName, HasCensys: bit(5), Port25Open: bit(6), Parked: bit(7), Failure: FailDNSTimeout}
+		info := IPInfo{ASN: asn.ASN(origin), ASName: asName, HasCensys: bit(5), Port25Open: bit(6), Parked: bit(7)}
 		if len(addrs) > 0 {
 			info.Addr = addrs[0]
 		}

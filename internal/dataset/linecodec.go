@@ -245,7 +245,7 @@ func ownMX(mx []MXObs) []MXObs {
 // into d again first hands it arrays of its own, as a walk's slot does
 // (see lineSlot.fill).
 func (e *tailEntry) lend(d *DomainRecord) {
-	d.MX, d.SPF, d.Delegation, d.Failure = e.mx, e.spf, e.delegation, ""
+	d.MX, d.SPF, d.Delegation = e.mx, e.spf, e.delegation
 }
 
 // at returns the byte k places past the cursor, 0 past the end of the
@@ -469,7 +469,7 @@ func (c *cursor) domainLine(d *DomainRecord) (key []byte, ok bool) {
 		return nil, false
 	}
 	if d != nil {
-		d.Domain, d.Rank, d.SPF, d.Delegation, d.Failure = string(name), int(rank), string(spf), string(delegation), ""
+		d.Domain, d.Rank, d.SPF, d.Delegation = string(name), int(rank), string(spf), string(delegation)
 	}
 	c.tail.id = c.tails.add(tail, d)
 	return name, true

@@ -80,7 +80,7 @@ func ScoreMisid(cfg world.Config, parallelism int) (*Misid, error) {
 		Misid:       report,
 		Failover:    analysis.FailoverStructure(snap, res, study.World.Directory),
 		Oracle:      families,
-		Health:      snap.Health(),
+		Health:      snap.Health,
 		Study:       study,
 		Result:      res,
 	}, nil

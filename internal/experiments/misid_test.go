@@ -10,6 +10,7 @@ package experiments
 
 import (
 	"context"
+	"path/filepath"
 	"reflect"
 	"testing"
 
@@ -71,6 +72,38 @@ func TestMisidOracleScoring(t *testing.T) {
 			report.TotalDomains, report.TotalFlagged, report.CreditedForged)
 	}
 	ledger.Check(t, "MISID.json", m)
+}
+
+// TestMisidScoresTheFile scores the committed world's collection twice:
+// over the snapshot in memory and over the file it writes, read back.
+// A record in memory is exactly its line on disk, so the two reports
+// are one, the lame family's grades included.
+func TestMisidScoresTheFile(t *testing.T) {
+	m := misidScore(t)
+	s := m.Study
+	snap, err := s.Snapshot(context.Background(), m.Corpus, m.Date)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "misid.jsonl")
+	if err := dataset.WriteFile(path, snap); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := dataset.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var oracle []analysis.MisidOracle
+	for _, e := range s.World.Oracle(m.Corpus) {
+		oracle = append(oracle, misidOracle(e))
+	}
+	report, _, err := scoreMisid(loaded, s.Profiles, 4, oracle, s.World.Directory)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(report, m.Misid) {
+		t.Errorf("scored over the file: %+v\nin memory: %+v", report, m.Misid)
+	}
 }
 
 // TestMisidHijackNeverCredited pins the headline robustness property at
@@ -199,7 +232,7 @@ func TestFlatMisidAcrossSeeds(t *testing.T) {
 // hostile domain and what its oracle entry demands of them, reduced to
 // what must not depend on which world planted the domain.
 type familyVerdict struct {
-	Failure       dataset.FailureClass
+	Delegation    string // the record's delegation mark (lame, stale-glue)
 	Untrusted     bool
 	Sentinel      string // the sentinel bucket holding credit, "" for none
 	ExpectFlagged bool
@@ -223,7 +256,7 @@ func familyVerdicts(t *testing.T, which string, snap *dataset.Snapshot, res *cor
 		}
 		v := familyVerdict{ExpectFlagged: e.ExpectFlagged, Forged: e.Forged}
 		if rec := records[e.Domain]; rec != nil {
-			v.Failure = rec.Failure
+			v.Delegation = rec.Delegation
 			creditAs := make(map[string]bool)
 			for _, mx := range rec.PrimaryMX() {
 				if a := res.MX[mx.Exchange]; a != nil {
@@ -247,7 +280,7 @@ func familyVerdicts(t *testing.T, which string, snap *dataset.Snapshot, res *cor
 
 // TestAdversaryParity holds the two worlds to one adversary: a family
 // planted in the materialised world and the same family planted in the
-// flat one must leave the same failure class on the record, the same
+// flat one must leave the same delegation mark on the record, the same
 // trust verdict and sentinel credit on the attribution, and the same
 // demands in the oracle.
 func TestAdversaryParity(t *testing.T) {

@@ -43,7 +43,7 @@ func adversarialSoakSnapshot(t *testing.T) (*world.World, *dataset.Snapshot) {
 
 func TestAdversarialSoakHealth(t *testing.T) {
 	_, snap := adversarialSoakSnapshot(t)
-	h := snap.Health()
+	h := snap.Health
 
 	// 280 domains: 17 hijacked (stale delegation detected during the MX
 	// walk), 9 lame delegations, the rest answering normally.
@@ -79,8 +79,10 @@ func TestAdversarialSoakHealth(t *testing.T) {
 
 // TestAdversarialSoakOracleAlignment cross-checks the snapshot's typed
 // degradation against the world's per-domain oracle: every lame-family
-// domain is classed lame-delegation, every hijack-family domain is
-// classed hijack-suspect, and no honest domain picks up either class.
+// domain carries the lame mark, every hijack-family domain the
+// stale-glue mark, and no other domain picks up either. The collector
+// sets the marks exactly when it classes the lookup lame-delegation or
+// hijack-suspect, so TestAdversarialSoakHealth's 9 and 17 count them.
 func TestAdversarialSoakOracleAlignment(t *testing.T) {
 	w, snap := adversarialSoakSnapshot(t)
 	family := make(map[string]world.ScenarioFamily)
@@ -93,18 +95,18 @@ func TestAdversarialSoakOracleAlignment(t *testing.T) {
 		if !ok {
 			t.Fatalf("%s not in oracle", rec.Domain)
 		}
-		switch rec.Failure {
-		case dataset.FailLameDelegation:
+		switch rec.Delegation {
+		case dataset.DelegationLame:
 			if fam != world.FamilyLame {
-				t.Errorf("%s classed lame-delegation but family is %s", rec.Domain, fam)
+				t.Errorf("%s marked lame but family is %s", rec.Domain, fam)
 			}
-		case dataset.FailHijackSuspect:
+		case dataset.DelegationStaleGlue:
 			if fam != world.FamilyHijack {
-				t.Errorf("%s classed hijack-suspect but family is %s", rec.Domain, fam)
+				t.Errorf("%s marked stale-glue but family is %s", rec.Domain, fam)
 			}
 		default:
 			if fam == world.FamilyLame || fam == world.FamilyHijack {
-				t.Errorf("%s family %s escaped typed degradation (classed %q)", rec.Domain, fam, rec.Failure)
+				t.Errorf("%s family %s escaped typed degradation (delegation %q)", rec.Domain, fam, rec.Delegation)
 			}
 		}
 	}
@@ -132,7 +134,7 @@ func TestHonestWorldHasNoAdversarialClasses(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h := snap.Health()
+	h := snap.Health
 	for _, class := range []dataset.FailureClass{
 		dataset.FailParkedIP, dataset.FailLameDelegation, dataset.FailHijackSuspect,
 	} {
@@ -146,9 +148,10 @@ func TestHonestWorldHasNoAdversarialClasses(t *testing.T) {
 
 // TestFlatAdversarialPipeline runs the hostile flat band through the
 // fleet path — fleet collection, shard merge, streaming
-// inference — and pins the typed degradation and trust verdicts at this
-// seed. The counters are exact: any change to the band math, the family
-// slices or the collector's classification moves them.
+// inference — and pins the typed degradation the fleet's Health counts
+// and the trust verdicts at this seed. The counters are exact: any
+// change to the band math, the family slices or the collector's
+// classification moves them.
 func TestFlatAdversarialPipeline(t *testing.T) {
 	fw, err := world.NewFlatWorld(world.FlatConfig{Seed: 7, NumDomains: 2000, AdversarialPercent: 12})
 	if err != nil {
@@ -158,14 +161,7 @@ func TestFlatAdversarialPipeline(t *testing.T) {
 	if stats.Domains != fw.NumDomains() {
 		t.Fatalf("collected %d domains, want %d", stats.Domains, fw.NumDomains())
 	}
-	st, err := dataset.OpenStream(out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	h, err := dataset.HealthOf(st)
-	if err != nil {
-		t.Fatal(err)
-	}
+	h := stats.Health
 	wantDomains := map[dataset.FailureClass]int{
 		dataset.FailOK:             1923,
 		dataset.FailLameDelegation: 34,
@@ -194,12 +190,12 @@ func TestFlatAdversarialPipeline(t *testing.T) {
 
 	// Streaming inference with the trust pass: every hijack-family
 	// domain is flagged, none credits the impersonated provider.
-	st2, err := dataset.OpenStream(out)
+	st, err := dataset.OpenStream(out)
 	if err != nil {
 		t.Fatal(err)
 	}
 	hijacked, flagged := 0, 0
-	res, err := core.InferStream(st2, core.ApproachPriority, core.Config{
+	res, err := core.InferStream(st, core.ApproachPriority, core.Config{
 		Parallelism: 2, AbuseClusterMinDomains: 8,
 	}, func(att core.DomainAttribution) {
 		i, ok := fw.DomainIndex(att.Domain)

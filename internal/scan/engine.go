@@ -13,7 +13,8 @@ import (
 // lane is one unit of private collection machinery: a collector with
 // its run state (retry budget, breakers) and resolver cache, and one
 // record sink. The goroutines of a lane share all of it; mu serializes
-// what they commit. The chain-verdict memo is the run's, shared by
+// what they commit, and the failure class of each record committed is
+// counted beside it. The chain-verdict memo is the run's, shared by
 // every lane.
 type lane struct {
 	c   *Collector
@@ -22,7 +23,7 @@ type lane struct {
 	sink
 
 	mu           sync.Mutex
-	domains, ips int
+	domains, ips map[dataset.FailureClass]int
 }
 
 // sink is where a lane's records land: putDomain receives target i's
@@ -56,7 +57,11 @@ func newLane(c *Collector, s sink) *lane {
 		retry:    newRetryState(c.Retry),
 		breakers: newBreakerSet(breakerThreshold),
 	}
-	return &lane{c: c, run: run, dr: c.newDomainResolver(run), sink: s}
+	return &lane{
+		c: c, run: run, dr: c.newDomainResolver(run), sink: s,
+		domains: make(map[dataset.FailureClass]int),
+		ips:     make(map[dataset.FailureClass]int),
+	}
 }
 
 // engine is one collection run: the (domain → MX → A) join, then one
@@ -73,7 +78,9 @@ type engine struct {
 	heldIPs     map[netip.Addr]bool
 }
 
-// collect runs the engine and reports what it wrote. Each domain is
+// collect runs the engine and reports what it wrote, with the run's
+// Health: the classes its lanes counted, and one vote per distinct
+// exchange off their resolution memos (exchangeVotes). Each domain is
 // measured by exactly one goroutine and each distinct address scanned
 // by exactly one, whatever the layout. On error the run is abandoned
 // as it stands: what a sink holds then is every record that was
@@ -117,17 +124,58 @@ func collect(ctx context.Context, lanes []*lane, perLane int, targets []Target, 
 		return nil, err
 	}
 
-	stats := &FleetStats{Workers: len(lanes)}
+	h := &dataset.Health{
+		Domains:   make(map[dataset.FailureClass]int),
+		Exchanges: exchangeVotes(lanes),
+		IPs:       make(map[dataset.FailureClass]int),
+	}
+	stats := &FleetStats{Workers: len(lanes), Health: h}
 	for _, l := range lanes {
-		stats.Domains += l.domains
-		stats.IPs += l.ips
-		stats.Collection.DNSRetries += int(l.run.dnsRetries.Load())
-		stats.Collection.ScanRetries += int(l.run.scanRetries.Load())
-		stats.Collection.BudgetExhausted = stats.Collection.BudgetExhausted || l.run.retry.exhausted.Load()
-		stats.Collection.BreakerOpens += int(l.run.breakers.opens.Load())
-		stats.Collection.BreakerSkips += int(l.run.breakers.skips.Load())
+		for c, n := range l.domains {
+			h.Domains[c] += n
+			stats.Domains += n
+		}
+		for c, n := range l.ips {
+			h.IPs[c] += n
+			stats.IPs += n
+		}
+		h.Stats.DNSRetries += int(l.run.dnsRetries.Load())
+		h.Stats.ScanRetries += int(l.run.scanRetries.Load())
+		h.Stats.BudgetExhausted = h.Stats.BudgetExhausted || l.run.retry.exhausted.Load()
+		h.Stats.BreakerOpens += int(l.run.breakers.opens.Load())
+		h.Stats.BreakerSkips += int(l.run.breakers.skips.Load())
+	}
+	if stats.IPs > 0 {
+		h.Coverage = float64(stats.IPs-h.IPs[dataset.FailNotCovered]) / float64(stats.IPs)
 	}
 	return stats, nil
+}
+
+// exchangeVotes counts one outcome per distinct exchange the lanes
+// resolved, read off their resolution memos once phase 1 is over: the
+// exchange's definitive outcome if any lane reached one (aCache), else
+// the transient class its last flight ended with (aFlights keeps a
+// transiently failed flight until a later one replaces it), the first
+// lane's where several hold one.
+func exchangeVotes(lanes []*lane) map[dataset.FailureClass]int {
+	vote := make(map[string]dataset.FailureClass)
+	for _, l := range lanes {
+		for host, res := range l.dr.aCache {
+			vote[host] = res.class
+		}
+	}
+	for _, l := range lanes {
+		for host, f := range l.dr.aFlights {
+			if _, ok := vote[host]; !ok {
+				vote[host] = f.res.class
+			}
+		}
+	}
+	votes := make(map[dataset.FailureClass]int)
+	for _, c := range vote {
+		votes[c]++
+	}
+	return votes
 }
 
 // claimLoop settles items 0..n-1, each exactly once, on every goroutine
@@ -208,7 +256,7 @@ func (e *engine) domain(ctx context.Context, l *lane, i int) error {
 			return nil
 		}
 	}
-	rec := l.dr.collectDomain(ctx, t)
+	rec, class := l.dr.collectDomain(ctx, t)
 	// A record finished under a cancelled context carries cancellation
 	// artifacts; spilling it would freeze them into the resumed run.
 	if err := ctx.Err(); err != nil {
@@ -216,7 +264,7 @@ func (e *engine) domain(ctx context.Context, l *lane, i int) error {
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	l.domains++
+	l.domains[class]++
 	return l.putDomain(i, rec)
 }
 
@@ -225,13 +273,13 @@ func (e *engine) addr(ctx context.Context, l *lane, a netip.Addr) error {
 	if e.heldIPs[a] {
 		return nil
 	}
-	info := l.c.scanIP(ctx, l.run, a)
+	info, class := l.c.scanIP(ctx, l.run, a)
 	if err := ctx.Err(); err != nil {
 		return err
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	l.ips++
+	l.ips[class]++
 	return l.putIP(info)
 }
 

@@ -71,20 +71,17 @@ func TestFlatPipeline(t *testing.T) {
 		t.Fatalf("collected %d domains, want %d", stats.Domains, fw.NumDomains())
 	}
 
-	st, err := dataset.OpenStream(out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	health, err := dataset.HealthOf(st)
-	if err != nil {
-		t.Fatal(err)
-	}
 	var healthDomains int
-	for _, n := range health.Domains {
+	for _, n := range stats.Health.Domains {
 		healthDomains += n
 	}
 	if healthDomains != fw.NumDomains() {
-		t.Fatalf("health sees %d domains, want %d", healthDomains, fw.NumDomains())
+		t.Fatalf("health counts %d domains, want %d", healthDomains, fw.NumDomains())
+	}
+
+	st, err := dataset.OpenStream(out)
+	if err != nil {
+		t.Fatal(err)
 	}
 
 	acc := analysis.NewShareAccumulator(fw.Directory)

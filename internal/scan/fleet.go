@@ -48,8 +48,10 @@ type FleetStats struct {
 	IPs     int `json:"ips"`
 	// ShardFiles is the number of snapshot shards produced.
 	ShardFiles int `json:"shard_files"`
-	// Collection sums the per-worker resilience counters.
-	Collection dataset.CollectionStats `json:"collection"`
+	// Health is the run's report: the classes of the records it wrote,
+	// one vote per exchange it resolved, and the sum of the workers'
+	// resilience counters.
+	Health *dataset.Health `json:"health"`
 }
 
 // CollectFleet measures targets with a pool of independent workers and

@@ -12,6 +12,7 @@ import (
 	"net/netip"
 	"os"
 	"path/filepath"
+	"reflect"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -348,6 +349,10 @@ func TestFleetMatchesSingleWorker(t *testing.T) {
 		if stats.Domains != nDomains || stats.IPs != nIPs || stats.ShardFiles != len(set.Paths()) {
 			t.Fatalf("CollectFleet with %d workers reports %+v, snapshot has %d/%d", workers, stats, nDomains, nIPs)
 		}
+		// The run counts its health whatever the sink: one report.
+		if !reflect.DeepEqual(stats.Health, snap.Health) {
+			t.Errorf("CollectFleet with %d workers reports health %+v, Collect %+v", workers, stats.Health, snap.Health)
+		}
 	}
 
 	proto, err := s.NewCollector(world.CorpusAlexa, "2021-06")
@@ -475,6 +480,16 @@ func TestFleetMatchesSingleWorker(t *testing.T) {
 						if int(mx.Load()) != nDomains-domains {
 							t.Errorf("killed at record %d: resume measured %d domains, %d were not in a shard",
 								at, mx.Load(), nDomains-domains)
+						}
+						// The resume's health covers what it measured: the
+						// records it wrote, not those its shards held.
+						counted := 0
+						for _, n := range stats.Health.Domains {
+							counted += n
+						}
+						if counted != stats.Domains || counted != nDomains-domains {
+							t.Errorf("killed at record %d: resume's health counts %d domains, it wrote %d of the %d not in a shard",
+								at, counted, stats.Domains, nDomains-domains)
 						}
 					})
 				})

@@ -241,10 +241,21 @@ func TestDeadHierarchyIsRecordedAsFailure(t *testing.T) {
 		dataset.FailNXDomain: true, dataset.FailDNSTimeout: true,
 		dataset.FailDNSServFail: true, dataset.FailLameDelegation: true,
 	}
-	for _, d := range collect().Domains {
-		if !dnsClasses[d.Failure] || len(d.MX) > 0 {
-			t.Errorf("%s: failure %q with %d MX after the hierarchy died, want a DNS failure and no MX",
-				d.Domain, d.Failure, len(d.MX))
+	snap := collect()
+	for _, d := range snap.Domains {
+		if len(d.MX) > 0 {
+			t.Errorf("%s: %d MX after the hierarchy died, want none", d.Domain, len(d.MX))
 		}
+	}
+	// Every domain's lookup is counted, each under a DNS failure class.
+	failed := 0
+	for class, n := range snap.Health.Domains {
+		if !dnsClasses[class] {
+			t.Errorf("%d domains classed %q after the hierarchy died, want a DNS failure", n, class)
+		}
+		failed += n
+	}
+	if failed != len(targets) {
+		t.Errorf("health counts %d domains, want %d", failed, len(targets))
 	}
 }

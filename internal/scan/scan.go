@@ -142,11 +142,13 @@ func (r aResult) definitive() bool {
 	return !r.class.Transient()
 }
 
-// aFlight is one in-progress address resolution shared by concurrent
-// callers (singleflight).
+// aFlight is one address resolution shared by concurrent callers
+// (singleflight). A flight that ends transient stays in aFlights,
+// landed, until a later flight for its host replaces it.
 type aFlight struct {
-	done chan struct{}
-	res  aResult
+	done   chan struct{}
+	res    aResult
+	landed bool // under domainResolver.mu
 }
 
 // domainResolver is the per-run DNS machinery for phase 1: the MX→A
@@ -157,6 +159,9 @@ type domainResolver struct {
 	c   *Collector
 	run *collectRun
 
+	// aCache and aFlights are the lane's resolution memo: between them
+	// they hold every exchange it resolved, which the run's exchange
+	// vote reads after phase 1 (exchangeVotes).
 	mu       sync.Mutex
 	aCache   map[string]aResult
 	aFlights map[string]*aFlight
@@ -217,16 +222,16 @@ func (dr *domainResolver) lookupAddrs(ctx context.Context, host string) aResult 
 // resolveA deduplicates address lookups with singleflight semantics:
 // the first caller for a host resolves it, concurrent callers block on
 // that flight's result instead of issuing duplicate queries for popular
-// exchanges. Only definitive outcomes are memoized; a transiently
-// failed flight is forgotten so a later caller (budget permitting)
-// tries again.
+// exchanges. Only definitive outcomes are memoized: a transiently
+// failed flight stays in aFlights, landed, for the exchange vote, and
+// a later caller (budget permitting) starts a flight of its own.
 func (dr *domainResolver) resolveA(ctx context.Context, host string) aResult {
 	dr.mu.Lock()
 	if res, ok := dr.aCache[host]; ok {
 		dr.mu.Unlock()
 		return res
 	}
-	if f, ok := dr.aFlights[host]; ok {
+	if f, ok := dr.aFlights[host]; ok && !f.landed {
 		dr.mu.Unlock()
 		<-f.done
 		// Concurrent waiters share the flight's outcome even when
@@ -240,9 +245,11 @@ func (dr *domainResolver) resolveA(ctx context.Context, host string) aResult {
 
 	f.res = dr.lookupAddrs(ctx, host)
 	dr.mu.Lock()
-	delete(dr.aFlights, host)
 	if f.res.definitive() {
+		delete(dr.aFlights, host)
 		dr.aCache[host] = f.res
+	} else {
+		f.landed = true
 	}
 	for _, a := range f.res.addrs {
 		dr.addrs[a] = true
@@ -253,11 +260,12 @@ func (dr *domainResolver) resolveA(ctx context.Context, host string) aResult {
 }
 
 // collectDomain measures one target: MX set, each exchange's addresses,
-// and the SPF record when the resolver supports TXT.
-func (dr *domainResolver) collectDomain(ctx context.Context, t Target) dataset.DomainRecord {
+// and the SPF record when the resolver supports TXT. It returns the
+// class of the domain's MX lookup beside the record.
+func (dr *domainResolver) collectDomain(ctx context.Context, t Target) (dataset.DomainRecord, dataset.FailureClass) {
 	rec := dataset.DomainRecord{Domain: t.Name, Rank: t.Rank}
 	if ctx.Err() != nil {
-		return rec
+		return rec, dataset.FailDNSTimeout // the engine drops it
 	}
 	var mxs []dns.MXData
 	class, retries := dr.run.retry.do(ctx, func() (dataset.FailureClass, bool) {
@@ -265,7 +273,6 @@ func (dr *domainResolver) collectDomain(ctx context.Context, t Target) dataset.D
 		mxs, err = dr.c.Resolver.LookupMX(ctx, t.Name)
 		return ClassifyDNS(err), true
 	})
-	rec.Failure = class
 	dr.run.dnsRetries.Add(int64(retries))
 	if class == dataset.FailLameDelegation {
 		rec.Delegation = dataset.DelegationLame
@@ -275,7 +282,7 @@ func (dr *domainResolver) collectDomain(ctx context.Context, t Target) dataset.D
 		// they are what any resolver on the internet would see — but mark
 		// the record so inference treats the attribution as forgeable.
 		rec.Delegation = dataset.DelegationStaleGlue
-		rec.Failure = dataset.FailHijackSuspect
+		class = dataset.FailHijackSuspect
 	}
 	if len(mxs) > 0 {
 		rec.MX = make([]dataset.MXObs, 0, len(mxs))
@@ -287,7 +294,6 @@ func (dr *domainResolver) collectDomain(ctx context.Context, t Target) dataset.D
 			Exchange:   mx.Exchange,
 			Addrs:      res.addrs,
 			Dangling:   res.dangling,
-			Failure:    res.class,
 		})
 	}
 	if dr.hasTXT && ctx.Err() == nil {
@@ -300,16 +306,17 @@ func (dr *domainResolver) collectDomain(ctx context.Context, t Target) dataset.D
 			}
 		}
 	}
-	return rec
+	return rec, class
 }
 
 // Collect measures the given domains and assembles a snapshot labelled
 // with the date and corpus name, domains in target order: the engine
 // as one lane of Concurrency goroutines over a memory sink. Partial
 // failure degrades per record — every DNS and scan outcome is
-// classified on the record rather than dropped — but a cancelled
-// context aborts the whole collection and returns ctx.Err. Collect
-// keeps no checkpoint: only a fleet run can be resumed (CollectFleet).
+// classified and counted in the snapshot's Health rather than dropped —
+// but a cancelled context aborts the whole collection and returns
+// ctx.Err. Collect keeps no checkpoint: only a fleet run can be resumed
+// (CollectFleet).
 func (c *Collector) Collect(ctx context.Context, corpus, date string, domains []Target) (*dataset.Snapshot, error) {
 	perLane := c.Concurrency
 	if perLane <= 0 {
@@ -322,12 +329,13 @@ func (c *Collector) Collect(ctx context.Context, corpus, date string, domains []
 	if err != nil {
 		return nil, err
 	}
-	snap.Stats = stats.Collection
+	snap.Health, snap.Stats = stats.Health, stats.Health.Stats
 	return snap, nil
 }
 
-// scanIP produces the IP-level observation for one address.
-func (c *Collector) scanIP(ctx context.Context, run *collectRun, addr netip.Addr) dataset.IPInfo {
+// scanIP produces the IP-level observation for one address, and the
+// class of its scan.
+func (c *Collector) scanIP(ctx context.Context, run *collectRun, addr netip.Addr) (dataset.IPInfo, dataset.FailureClass) {
 	info := dataset.IPInfo{Addr: addr}
 	if c.Prefixes != nil {
 		if a, ok := c.Prefixes.Lookup(addr); ok {
@@ -340,20 +348,17 @@ func (c *Collector) scanIP(ctx context.Context, run *collectRun, addr netip.Addr
 		}
 	}
 	if c.Covered != nil && !c.Covered(addr) {
-		info.Failure = dataset.FailNotCovered
-		return info // scanning service blind spot
+		return info, dataset.FailNotCovered // scanning service blind spot
 	}
 	info.HasCensys = true
 	if c.Parked != nil && c.Parked(addr) {
 		info.Parked = true
 	}
 	if ctx.Err() != nil {
-		info.Failure = dataset.FailConnTimeout
-		return info
+		return info, dataset.FailConnTimeout
 	}
 	if ok, tripped := run.breakers.allow(addr); !ok {
-		info.Failure = ClassifyParked(tripped, info.Parked)
-		return info
+		return info, ClassifyParked(tripped, info.Parked)
 	}
 
 	var res *smtp.ScanResult
@@ -366,7 +371,6 @@ func (c *Collector) scanIP(ctx context.Context, run *collectRun, addr netip.Addr
 		// An opened circuit vetoes further retries of this destination.
 		return cl, !run.breakers.record(addr, cl)
 	})
-	info.Failure = class
 	run.scanRetries.Add(int64(retries))
 
 	// A completed TCP handshake is an open port even when the host then
@@ -374,7 +378,7 @@ func (c *Collector) scanIP(ctx context.Context, run *collectRun, addr netip.Addr
 	// conflated with "port closed".
 	info.Port25Open = res.Connected
 	if !res.Connected || res.Banner == "" {
-		return info
+		return info, class
 	}
 	si := &dataset.ScanInfo{
 		Banner:     res.Banner,
@@ -391,5 +395,5 @@ func (c *Collector) scanIP(ctx context.Context, run *collectRun, addr netip.Addr
 		si.CertValid = c.Trust != nil && run.validChain(c.Trust, res.PeerCertificates)
 	}
 	info.Scan = si
-	return info
+	return info, class
 }

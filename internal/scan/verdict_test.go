@@ -203,7 +203,7 @@ func TestFleetSharesOneVerdictMemo(t *testing.T) {
 	}
 	scanning := 0
 	for _, l := range lanes {
-		if l.ips > 0 {
+		if len(l.ips) > 0 {
 			scanning++
 		}
 	}
