@@ -40,7 +40,11 @@ func benchSetup(b *testing.B) *benchState {
 		}
 		bench.study = study
 		ctx := context.Background()
-		snap, err := study.Snapshot(ctx, world.CorpusAlexa, study.LastDate(world.CorpusAlexa))
+		path, err := study.File(ctx, world.CorpusAlexa, study.LastDate(world.CorpusAlexa))
+		if err != nil {
+			b.Fatal(err)
+		}
+		snap, err := dataset.ReadFile(path)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -11,8 +11,11 @@
 //	Table 6   — top 15 companies per corpus
 //
 // plus the two extensions (SPF eventual provider, market concentration).
-// Artifacts are printed and, with -out, written as .txt files; -misid
-// writes the oracle-scored adversarial robustness report instead.
+// The selected artifacts form one experiments.Plan: each (corpus, date)
+// they read is collected once into a file and passed over once, whatever
+// the number of artifacts that read it. Artifacts are printed, in the
+// order above, and, with -out, written as .txt files; -misid writes the
+// oracle-scored adversarial robustness report instead.
 //
 // Usage:
 //
@@ -48,29 +51,28 @@ var (
 )
 
 // artifact is one regenerable output: the name -only selects it by, the
-// base name of the files -out writes, and the table behind it.
+// base name of the files -out writes, and the plan method that
+// registers it, returning what renders its table.
 type artifact struct {
 	name, file string
-	table      func(*experiments.Study, context.Context) (*report.Table, error)
+	table      func(*experiments.Plan) func() (*report.Table, error)
 }
 
 // artifacts lists every output in the order it is emitted. It is the
 // one table behind -only's validation, its help text and the run.
 var artifacts = []artifact{
-	{"fig4", "fig4_accuracy", func(s *experiments.Study, ctx context.Context) (*report.Table, error) {
-		return s.Fig4(ctx, *sample, *seed)
+	{"fig4", "fig4_accuracy", func(p *experiments.Plan) func() (*report.Table, error) {
+		return p.Fig4(*sample, *seed)
 	}},
-	{"table4", "table4_breakdown", (*experiments.Study).Table4},
-	{"table5", "table5_provider_ids", func(s *experiments.Study, _ context.Context) (*report.Table, error) {
-		return s.Table5(), nil
-	}},
-	{"fig5", "fig5_top_companies", (*experiments.Study).Fig5},
+	{"table4", "table4_breakdown", (*experiments.Plan).Table4},
+	{"table5", "table5_provider_ids", (*experiments.Plan).Table5},
+	{"fig5", "fig5_top_companies", (*experiments.Plan).Fig5},
 	{"fig6", "fig6_longitudinal", nil}, // nine charts, not a table
-	{"fig7", "fig7_churn", (*experiments.Study).Fig7},
-	{"fig8", "fig8_cctld", (*experiments.Study).Fig8},
-	{"table6", "table6_top15", (*experiments.Study).Table6},
-	{"spf", "ext_spf_eventual_provider", (*experiments.Study).ExtSPF},
-	{"concentration", "ext_concentration", (*experiments.Study).ExtConcentration},
+	{"fig7", "fig7_churn", (*experiments.Plan).Fig7},
+	{"fig8", "fig8_cctld", (*experiments.Plan).Fig8},
+	{"table6", "table6_top15", (*experiments.Plan).Table6},
+	{"spf", "ext_spf_eventual_provider", (*experiments.Plan).ExtSPF},
+	{"concentration", "ext_concentration", (*experiments.Plan).ExtConcentration},
 }
 
 func artifactNames() string {
@@ -120,7 +122,6 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	defer study.Close()
 	study.Parallelism = *parallelism
 	fmt.Fprintf(os.Stderr, "world ready in %v (%d hosts)\n", time.Since(start).Round(time.Millisecond), len(study.World.Hosts))
 
@@ -129,13 +130,35 @@ func main() {
 	ctx, stopSignals := sigctx.WithInterrupt(context.Background())
 	defer stopSignals()
 
-	for _, a := range artifacts {
+	plan := study.NewPlan()
+	tables := make([]func() (*report.Table, error), len(artifacts))
+	var fig6 func() ([]*report.Chart, error)
+	for i, a := range artifacts {
 		switch {
 		case !selected[a.name]:
 		case a.table == nil:
-			emitFig6(ctx, study, *outDir, a.file)
+			fig6 = plan.Fig6()
 		default:
-			t, err := a.table(study, ctx)
+			tables[i] = a.table(plan)
+		}
+	}
+	// The renderers read only what the folds kept, so the study's files
+	// and servers go now, before any exit through log.Fatal, which runs
+	// no deferred call.
+	err = plan.Run(ctx)
+	if cerr := study.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		log.Fatal(err)
+	}
+	for i, a := range artifacts {
+		switch {
+		case !selected[a.name]:
+		case a.table == nil:
+			emitFig6(fig6, *outDir, a.file)
+		default:
+			t, err := tables[i]()
 			if err != nil {
 				log.Fatalf("%s: %v", a.name, err)
 			}
@@ -152,8 +175,8 @@ func main() {
 
 // emitFig6 prints the nine longitudinal panels and writes them as one
 // text file plus one SVG each.
-func emitFig6(ctx context.Context, study *experiments.Study, outDir, file string) {
-	charts, err := study.Fig6(ctx)
+func emitFig6(fig6 func() ([]*report.Chart, error), outDir, file string) {
+	charts, err := fig6()
 	if err != nil {
 		log.Fatalf("fig6: %v", err)
 	}

@@ -20,7 +20,11 @@ func runMisid(outDir string, parallelism int) error {
 	if err != nil {
 		return err
 	}
-	defer m.Study.Close()
+	// The report is in memory: the study's files go before a write
+	// can exit through log.Fatal.
+	if err := m.Study.Close(); err != nil {
+		return err
+	}
 	write := func(w io.Writer) error {
 		enc := json.NewEncoder(w)
 		enc.SetIndent("", "  ")

@@ -13,6 +13,7 @@ import (
 	"context"
 	"fmt"
 	"log"
+	"slices"
 
 	"mxmap/internal/analysis"
 	"mxmap/internal/core"
@@ -32,11 +33,16 @@ func main() {
 
 	// 2. Measure the Alexa-like corpus at the most recent snapshot. This
 	//    resolves each domain's MX and A records against authoritative
-	//    zone data and runs genuine SMTP+STARTTLS sessions against every
-	//    distinct mail-server address.
+	//    zone data, runs genuine SMTP+STARTTLS sessions against every
+	//    distinct mail-server address, and writes the joined snapshot
+	//    to a file the study owns.
 	ctx := context.Background()
 	date := study.LastDate(world.CorpusAlexa)
-	snap, err := study.Snapshot(ctx, world.CorpusAlexa, date)
+	path, err := study.File(ctx, world.CorpusAlexa, date)
+	if err != nil {
+		log.Fatal(err)
+	}
+	snap, err := dataset.ReadFile(path)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -45,15 +51,20 @@ func main() {
 
 	// 3. Infer each domain's provider with the paper's five-step
 	//    priority-based methodology. The pass hands over one domain's
-	//    attribution at a time: keep a few to show, and fold every one
-	//    into the market-share ranking.
+	//    attribution at a time, in the file's (name) order: keep the ten
+	//    best-ranked to show, and fold every one into the market-share
+	//    ranking.
 	acc := analysis.NewShareAccumulator(study.World.Directory)
-	var sample []string
+	type shown struct {
+		rank int
+		line string
+	}
+	var sample []shown
 	res, err := study.Pass(ctx, world.CorpusAlexa, date, func(_ *dataset.DomainRecord, att core.DomainAttribution) {
 		acc.Add(att)
-		if primary := att.Primary(); primary != "" && len(sample) < 10 {
+		if primary := att.Primary(); primary != "" {
 			company := analysis.CompanyOf(att.Domain, primary, study.World.Directory)
-			sample = append(sample, fmt.Sprintf("  %-28s -> %-22s (%s)", att.Domain, primary, company))
+			sample = append(sample, shown{att.Rank, fmt.Sprintf("  %-28s -> %-22s (%s)", att.Domain, primary, company)})
 		}
 	})
 	if err != nil {
@@ -64,8 +75,9 @@ func main() {
 
 	// 4. Show a few attributions with the signal that produced them.
 	fmt.Println("sample attributions:")
-	for _, line := range sample {
-		fmt.Println(line)
+	slices.SortFunc(sample, func(a, b shown) int { return a.rank - b.rank })
+	for _, s := range sample[:min(len(sample), 10)] {
+		fmt.Println(s.line)
 	}
 
 	// 5. Rank the folded market shares.

@@ -2,6 +2,7 @@ package analysis
 
 import (
 	"math/rand/v2"
+	"slices"
 	"sort"
 
 	"mxmap/internal/core"
@@ -54,13 +55,18 @@ func (r AccuracyResult) Percent() float64 {
 // domains that have responding SMTP servers (optionally with unique MX
 // records), run all four approaches over the full snapshot, and grade
 // the sampled domains' primaries against ground truth as each pass
-// emits them. The error is the inference pass's.
-func EvaluateAccuracy(snap *dataset.Snapshot, cfg AccuracyConfig) ([]AccuracyResult, error) {
+// emits them. The sample is drawn from one read of src (LoadIPs, then
+// ForEach); the error is that read's or an inference pass's.
+func EvaluateAccuracy(src dataset.Source, cfg AccuracyConfig) ([]AccuracyResult, error) {
 	if cfg.SampleSize == 0 {
 		cfg.SampleSize = 200
 	}
+	sample, err := sampleDomains(src, cfg)
+	if err != nil {
+		return nil, err
+	}
 	inSample := make(map[string]bool)
-	for _, d := range sampleDomains(snap, cfg) {
+	for _, d := range sample {
 		inSample[d] = true
 	}
 
@@ -68,7 +74,7 @@ func EvaluateAccuracy(snap *dataset.Snapshot, cfg AccuracyConfig) ([]AccuracyRes
 	for _, ap := range core.Approaches() {
 		r := AccuracyResult{Approach: ap}
 		sampledMX := make(map[string]bool) // the sampled domains' primary exchanges
-		res, err := Fold(snap, ap, cfg.InferConfig, func(rec *dataset.DomainRecord, att core.DomainAttribution) {
+		res, err := Fold(src, ap, cfg.InferConfig, func(rec *dataset.DomainRecord, att core.DomainAttribution) {
 			if !inSample[att.Domain] {
 				return
 			}
@@ -100,34 +106,43 @@ func EvaluateAccuracy(snap *dataset.Snapshot, cfg AccuracyConfig) ([]AccuracyRes
 }
 
 // sampleDomains draws the evaluation sample: domains with SMTP servers,
-// optionally with unique primary MX records.
-func sampleDomains(snap *dataset.Snapshot, cfg AccuracyConfig) []string {
-	// Count exchange usage for the unique-MX frame.
-	mxUsers := make(map[string]int)
-	for i := range snap.Domains {
-		for _, mx := range snap.Domains[i].PrimaryMX() {
+// optionally with unique primary MX records. One pass counts every
+// primary exchange's users and keeps the domains with SMTP servers,
+// each with its primary exchanges; the unique-MX frame is cut after it.
+func sampleDomains(src dataset.Source, cfg AccuracyConfig) ([]string, error) {
+	ips, err := src.LoadIPs()
+	if err != nil {
+		return nil, err
+	}
+	type candidate struct {
+		domain    string
+		exchanges []string
+	}
+	var (
+		mxUsers    = make(map[string]int)
+		candidates []candidate
+	)
+	err = src.ForEach(func(d *dataset.DomainRecord) error {
+		primary := d.PrimaryMX()
+		c := candidate{domain: d.Domain}
+		for _, mx := range primary {
 			mxUsers[mx.Exchange]++
+			c.exchanges = append(c.exchanges, mx.Exchange)
 		}
+		if hasSMTP(ips, primary) {
+			candidates = append(candidates, c)
+		}
+		return nil
+	}, nil)
+	if err != nil {
+		return nil, err
 	}
 	var frame []string
-	for i := range snap.Domains {
-		d := &snap.Domains[i]
-		if !domainHasSMTP(snap, d) {
+	for _, c := range candidates {
+		if cfg.UniqueMX && slices.ContainsFunc(c.exchanges, func(ex string) bool { return mxUsers[ex] > 1 }) {
 			continue
 		}
-		if cfg.UniqueMX {
-			unique := true
-			for _, mx := range d.PrimaryMX() {
-				if mxUsers[mx.Exchange] > 1 {
-					unique = false
-					break
-				}
-			}
-			if !unique {
-				continue
-			}
-		}
-		frame = append(frame, d.Domain)
+		frame = append(frame, c.domain)
 	}
 	sort.Strings(frame)
 	rng := rand.New(rand.NewPCG(cfg.Seed, 0xacc))
@@ -135,13 +150,15 @@ func sampleDomains(snap *dataset.Snapshot, cfg AccuracyConfig) []string {
 	if len(frame) > cfg.SampleSize {
 		frame = frame[:cfg.SampleSize]
 	}
-	return frame
+	return frame, nil
 }
 
-func domainHasSMTP(snap *dataset.Snapshot, d *dataset.DomainRecord) bool {
-	for _, mx := range d.PrimaryMX() {
+// hasSMTP reports whether any address of a primary MX set has port 25
+// open, in an IP section keyed by address text.
+func hasSMTP(ips map[string]dataset.IPInfo, primary []dataset.MXObs) bool {
+	for _, mx := range primary {
 		for _, a := range mx.Addrs {
-			if info, ok := snap.IP(a); ok && info.Port25Open {
+			if ips[a.String()].Port25Open {
 				return true
 			}
 		}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"reflect"
 	"slices"
 	"strings"
 	"testing"
@@ -43,15 +44,31 @@ func setup(t *testing.T) (*world.World, map[string]map[string]*dataset.Snapshot)
 		snaps[corpus] = make(map[string]*dataset.Snapshot)
 		dates := w.Corpus(corpus).Dates
 		for _, date := range []string{dates[0], dates[len(dates)-1]} {
-			snap, err := sess.Snapshot(context.Background(), corpus, date)
-			if err != nil {
-				t.Fatal(err)
-			}
-			snaps[corpus][date] = snap
+			snaps[corpus][date] = collect(t, sess, corpus, date)
 		}
 	}
 	testW, testSnaps = w, snaps
 	return w, snaps
+}
+
+// collect measures one corpus date of a session's world into memory:
+// one collector, the memory sink, records in target order.
+func collect(t *testing.T, sess *scan.WorldSession, corpus, date string) *dataset.Snapshot {
+	t.Helper()
+	col, err := sess.NewCollector(corpus, date)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer col.Close()
+	targets, err := sess.Targets(corpus)
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap, err := col.Collect(context.Background(), corpus, date, targets)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return snap
 }
 
 // pass folds every attribution of a priority-based run over snap.
@@ -324,6 +341,48 @@ func TestChurnJoinRejectsOneSidedDomains(t *testing.T) {
 			t.Errorf("%s: churn %+v, %v; want every domain staying with p.com", tc.name, ch, err)
 		case !tc.ok && err == nil:
 			t.Errorf("%s: the join accepted streams that differ", tc.name)
+		}
+	}
+}
+
+// TestChurnJoinIgnoresPassOrder: a study runs the first and the last
+// snapshot's passes at the same time, so the join may be fed the whole
+// last side before the first, or the two interleaved; the Churn is the
+// one fed first side first.
+func TestChurnJoinIgnoresPassOrder(t *testing.T) {
+	w, snaps := setup(t)
+	dates := w.Corpus(world.CorpusAlexa).Dates
+	var first, last []core.DomainAttribution
+	pass(t, w, snaps[world.CorpusAlexa][dates[0]], func(att core.DomainAttribution) { first = append(first, att) })
+	pass(t, w, snaps[world.CorpusAlexa][dates[len(dates)-1]], func(att core.DomainAttribution) { last = append(last, att) })
+	named := []string{"Google", "Microsoft", "Yandex"}
+	want, _ := churn(t, w, snaps)
+	for _, order := range []string{"last first", "interleaved"} {
+		join := NewChurnJoin(w.Directory, named)
+		switch order {
+		case "last first":
+			for _, att := range last {
+				join.AddLast(att)
+			}
+			for _, att := range first {
+				join.AddFirst(att)
+			}
+		case "interleaved":
+			for i := range max(len(first), len(last)) {
+				if i < len(last) {
+					join.AddLast(last[i])
+				}
+				if i < len(first) {
+					join.AddFirst(first[i])
+				}
+			}
+		}
+		got, err := join.Churn()
+		if err != nil {
+			t.Fatalf("%s: %v", order, err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: churn %+v, want %+v", order, got, want)
 		}
 	}
 }

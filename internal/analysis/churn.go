@@ -46,21 +46,22 @@ type Churn struct {
 // ChurnJoin folds Figure 7 from the first and the last snapshot of one
 // corpus, each fed in emit order. Both snapshots walk the corpus's one
 // target list, and canonical files are sorted, so the two streams list
-// the same domains in the same order and the join is a merge: the first
-// stream is held as one (domain, bucket) pair per domain until the last
-// stream meets it, and a domain on one side only is an error. The named
+// the same domains in the same order and the join is a merge: each side
+// is held as one (domain, bucket) pair per domain, Churn walks the two
+// in step, and a domain on one side only is an error. The named
 // companies (e.g. Google, Microsoft, Yandex for Alexa) get their own
 // categories; the next companies up to rank 100 of the first snapshot
 // become Top100.
+//
+// The two sides are fed independently: AddFirst and AddLast each touch
+// only their own side, so the two snapshots' passes may run in either
+// order or at the same time. Neither is safe for concurrent use with
+// itself.
 type ChurnJoin struct {
-	dir    *companies.Directory
-	named  []string
-	shares *ShareAccumulator // the first snapshot's market
-	first  []churnEntry
-	next   int               // the first-stream entry the last stream meets next
-	cats   map[string]string // bucket → category, set at the first AddLast; Others when absent
-	counts map[[2]string]int
-	err    error
+	dir         *companies.Directory
+	named       []string
+	shares      *ShareAccumulator // the first snapshot's market
+	first, last []churnEntry
 }
 
 type churnEntry struct{ domain, bucket string }
@@ -68,56 +69,49 @@ type churnEntry struct{ domain, bucket string }
 // NewChurnJoin returns an empty join bucketing providers through dir.
 func NewChurnJoin(dir *companies.Directory, named []string) *ChurnJoin {
 	// Clipped, so the appends below copy named instead of writing past it.
-	return &ChurnJoin{dir: dir, named: slices.Clip(named), shares: NewShareAccumulator(dir), counts: make(map[[2]string]int)}
+	return &ChurnJoin{dir: dir, named: slices.Clip(named), shares: NewShareAccumulator(dir)}
 }
 
-// AddFirst folds one attribution of the first snapshot. Every one of
-// them comes before the first AddLast.
+// AddFirst folds one attribution of the first snapshot.
 func (j *ChurnJoin) AddFirst(att core.DomainAttribution) {
 	j.shares.Add(att)
 	j.first = append(j.first, churnEntry{att.Domain, churnBucket(att, j.dir)})
 }
 
-// AddLast joins one attribution of the last snapshot to the first
-// snapshot's next entry, which must be the same domain.
+// AddLast folds one attribution of the last snapshot.
 func (j *ChurnJoin) AddLast(att core.DomainAttribution) {
-	if j.cats == nil {
-		j.cats = make(map[string]string)
-		for _, s := range j.shares.TopShares(100) {
-			j.cats[s.Company] = Top100Label
-		}
-		for _, c := range append(j.named, SelfHostedLabel, NoSMTPLabel) {
-			j.cats[c] = c
-		}
-	}
-	switch {
-	case j.err != nil:
-	case j.next == len(j.first) || j.first[j.next].domain != att.Domain:
-		j.err = fmt.Errorf("analysis: churn: the last snapshot's domain %d is %s, not the first's", j.next, att.Domain)
-	default:
-		j.counts[[2]string{j.category(j.first[j.next].bucket), j.category(churnBucket(att, j.dir))}]++
-		j.next++
-	}
+	j.last = append(j.last, churnEntry{att.Domain, churnBucket(att, j.dir)})
 }
 
-func (j *ChurnJoin) category(bucket string) string {
-	if c, ok := j.cats[bucket]; ok {
-		return c
-	}
-	return OthersLabel
-}
-
-// Churn returns the flow matrix, or the error of a join whose two
-// streams did not list the same domains.
+// Churn joins the two sides and returns the flow matrix, or the error
+// of a join whose two streams did not list the same domains in the same
+// order.
 func (j *ChurnJoin) Churn() (*Churn, error) {
-	if j.err == nil && j.next < len(j.first) {
-		j.err = fmt.Errorf("analysis: churn: the last snapshot lacks the first's domain %d, %s", j.next, j.first[j.next].domain)
+	cats := make(map[string]string) // bucket → category; Others when absent
+	for _, s := range j.shares.TopShares(100) {
+		cats[s.Company] = Top100Label
 	}
-	if j.err != nil {
-		return nil, j.err
+	for _, c := range append(j.named, SelfHostedLabel, NoSMTPLabel) {
+		cats[c] = c
+	}
+	category := func(bucket string) string {
+		if c, ok := cats[bucket]; ok {
+			return c
+		}
+		return OthersLabel
+	}
+	counts := make(map[[2]string]int)
+	for i := range max(len(j.first), len(j.last)) {
+		switch {
+		case i == len(j.last):
+			return nil, fmt.Errorf("analysis: churn: the last snapshot lacks the first's domain %d, %s", i, j.first[i].domain)
+		case i == len(j.first) || j.first[i].domain != j.last[i].domain:
+			return nil, fmt.Errorf("analysis: churn: the last snapshot's domain %d is %s, not the first's", i, j.last[i].domain)
+		}
+		counts[[2]string{category(j.first[i].bucket), category(j.last[i].bucket)}]++
 	}
 	ch := &Churn{Categories: append(j.named, Top100Label, SelfHostedLabel, OthersLabel, NoSMTPLabel)}
-	for pair, n := range j.counts {
+	for pair, n := range counts {
 		ch.Flows = append(ch.Flows, ChurnFlow{From: pair[0], To: pair[1], Count: n})
 	}
 	sort.Slice(ch.Flows, func(i, j int) bool {

@@ -1,31 +1,36 @@
 package analysis
 
 import (
-	"fmt"
-
 	"mxmap/internal/core"
 	"mxmap/internal/dataset"
 )
 
-// Fold runs approach over an in-memory snapshot with core.InferStream
-// and hands fold each domain's record with its attribution, in emit
-// order: the i-th attribution is snap.Domains[i]'s. A pass whose emits
-// do not line up with the records stops calling fold and fails. The
-// Result carries the run's MX assignments and counters.
-func Fold(snap *dataset.Snapshot, approach core.Approach, cfg core.Config, fold func(*dataset.DomainRecord, core.DomainAttribution)) (*core.Result, error) {
-	i, misaligned := 0, false
-	res, err := core.InferStream(snap, approach, cfg, func(att core.DomainAttribution) {
-		misaligned = misaligned || i == len(snap.Domains) || snap.Domains[i].Domain != att.Domain
-		if !misaligned {
-			fold(&snap.Domains[i], att)
-			i++
-		}
-	})
-	if err == nil && (misaligned || i != len(snap.Domains)) {
-		err = fmt.Errorf("analysis: the pass's emits part from the snapshot's %d records at record %d", len(snap.Domains), i)
-	}
-	if err != nil {
-		return nil, err
-	}
-	return res, nil
+// Fold runs approach over src with core.InferStream and hands fold each
+// domain's record with its attribution, in emit order. The pass emits
+// from inside the source's domain callback for the record it
+// attributes (InferStream's contract), so the record fold gets is the
+// one that callback was handed: a Stream's slot, read-only and valid
+// only for the call. The source keeps its tail IDs, so a fold over a
+// file still does a tail's work once per tail. The Result carries the
+// run's MX assignments and counters.
+func Fold(src dataset.Source, approach core.Approach, cfg core.Config, fold func(*dataset.DomainRecord, core.DomainAttribution)) (*core.Result, error) {
+	fs := &foldSource{Source: src}
+	return core.InferStream(fs, approach, cfg, func(att core.DomainAttribution) { fold(fs.rec, att) })
+}
+
+// foldSource is a Source that remembers the record its last domain
+// callback was handed. InferStream runs its passes one after the other,
+// so one field serves both.
+type foldSource struct {
+	dataset.Source
+	rec *dataset.DomainRecord
+}
+
+// ForEachTail is the wrapped source's pass with its tail IDs (see
+// dataset.ForEachTail), noting each record before its callback runs.
+func (f *foldSource) ForEachTail(domain func(*dataset.DomainRecord, int) error, ip func(*dataset.IPInfo) error) error {
+	return dataset.ForEachTail(f.Source, func(d *dataset.DomainRecord, tail int) error {
+		f.rec = d
+		return domain(d, tail)
+	}, ip)
 }

@@ -232,20 +232,24 @@ type FailoverCell struct {
 }
 
 // FailoverStructure classifies every domain with MX records by
-// redundancy topology and primary-tier provider class. Cells come back
-// sorted by topology then class.
-func FailoverStructure(snap *dataset.Snapshot, res *core.Result, dir *companies.Directory) []FailoverCell {
+// redundancy topology and primary-tier provider class, in one read of
+// src's domains after the pass that made res. Cells come back sorted by
+// topology then class; the error is the read's.
+func FailoverStructure(src dataset.Source, res *core.Result, dir *companies.Directory) ([]FailoverCell, error) {
 	type key struct{ topo, class string }
 	counts := make(map[key]int)
-	for i := range snap.Domains {
-		rec := &snap.Domains[i]
+	err := src.ForEach(func(rec *dataset.DomainRecord) error {
 		if len(rec.MX) == 0 {
-			continue
+			return nil
 		}
 		topo := failoverTopology(rec, res.MX)
 		primary := rec.PrimaryMX()
 		class := providerClass(rec.Domain, res.MX[primary[0].Exchange], dir)
 		counts[key{topo, class}]++
+		return nil
+	}, nil)
+	if err != nil {
+		return nil, err
 	}
 	cells := make([]FailoverCell, 0, len(counts))
 	for k, n := range counts {
@@ -257,7 +261,7 @@ func FailoverStructure(snap *dataset.Snapshot, res *core.Result, dir *companies.
 		}
 		return cells[i].ProviderClass < cells[j].ProviderClass
 	})
-	return cells
+	return cells, nil
 }
 
 // failoverTopology names the redundancy shape of one domain's MX set.

@@ -3,6 +3,7 @@ package analysis
 import (
 	"hash/fnv"
 	"math"
+	"net/netip"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -12,6 +13,7 @@ import (
 
 	"mxmap/internal/core"
 	"mxmap/internal/dataset"
+	"mxmap/internal/scan"
 	"mxmap/internal/world"
 )
 
@@ -36,34 +38,21 @@ type folded struct {
 }
 
 // foldFiles runs every fold over the snapshot files first and last of
-// the Alexa corpus: inference reads each file as a Stream, and the
-// records handed to the folds beside each emit come from reading the
-// same file whole, so both follow the file's line order.
+// the Alexa corpus, each read as a Stream: analysis.Fold hands the folds
+// each record beside its emit, in the file's line order.
 func foldFiles(t *testing.T, w *world.World, first, last string) folded {
 	t.Helper()
 	cfg := core.Config{Profiles: testProfiles(w)}
-	stream := func(path string, fold func(*dataset.DomainRecord, core.DomainAttribution)) *dataset.Snapshot {
+	stream := func(path string, fold func(*dataset.DomainRecord, core.DomainAttribution)) *dataset.Stream {
 		t.Helper()
-		snap, err := dataset.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
 		st, err := dataset.OpenStream(path)
 		if err != nil {
 			t.Fatal(err)
 		}
-		i := 0
-		_, err = core.InferStream(st, core.ApproachPriority, cfg, func(att core.DomainAttribution) {
-			if rec := &snap.Domains[i]; rec.Domain != att.Domain {
-				t.Fatalf("%s: emit %d is %s, the file's record there %s", path, i, att.Domain, rec.Domain)
-			}
-			fold(&snap.Domains[i], att)
-			i++
-		})
-		if err != nil {
+		if _, err := Fold(st, core.ApproachPriority, cfg, fold); err != nil {
 			t.Fatal(err)
 		}
-		return snap
+		return st
 	}
 
 	join := NewChurnJoin(w.Directory, []string{"Google", "Microsoft", "Yandex"})
@@ -80,7 +69,7 @@ func foldFiles(t *testing.T, w *world.World, first, last string) folded {
 			Forged: e.Forged, ExpectFlagged: e.ExpectFlagged, Detail: e.Detail})
 	}
 	misid := NewMisidScorer(oracle, w.Directory)
-	snap := stream(last, func(rec *dataset.DomainRecord, att core.DomainAttribution) {
+	st := stream(last, func(rec *dataset.DomainRecord, att core.DomainAttribution) {
 		out.Atts[att.Domain] = att
 		acc.Add(att)
 		for _, seg := range segs {
@@ -110,7 +99,7 @@ func foldFiles(t *testing.T, w *world.World, first, last string) folded {
 	if out.Churn, err = join.Churn(); err != nil {
 		t.Fatal(err)
 	}
-	dateIdx := w.Corpus(world.CorpusAlexa).DateIndex(snap.Date)
+	dateIdx := w.Corpus(world.CorpusAlexa).DateIndex(st.Date)
 	truth := make(map[string]string)
 	for _, d := range w.Corpus(world.CorpusAlexa).Domains {
 		truth[d.Name] = w.TruthCompany(d, dateIdx)
@@ -118,7 +107,7 @@ func foldFiles(t *testing.T, w *world.World, first, last string) folded {
 			truth[d.Name] = SelfHostedLabel
 		}
 	}
-	if out.Accuracy, err = EvaluateAccuracy(snap, AccuracyConfig{
+	if out.Accuracy, err = EvaluateAccuracy(st, AccuracyConfig{
 		SampleSize: 100, UniqueMX: true, Seed: 3,
 		Truth:       func(domain string) string { return truth[domain] },
 		Company:     func(domain, id string) string { return CompanyOf(domain, id, w.Directory) },
@@ -214,14 +203,132 @@ func TestFoldsIgnoreLineOrder(t *testing.T) {
 			pfirst, plast := filepath.Join(dir, tc.kind+"-first.jsonl"), filepath.Join(dir, tc.kind+"-last.jsonl")
 			permuteFile(t, first, pfirst, tc.kind, tc.key)
 			permuteFile(t, last, plast, tc.kind, tc.key)
-			got := foldFiles(t, w, pfirst, plast)
-			v, g := reflect.ValueOf(want), reflect.ValueOf(got)
-			for i := 0; i < v.NumField(); i++ {
-				if !reflect.DeepEqual(v.Field(i).Interface(), g.Field(i).Interface()) {
-					t.Errorf("permuted %s lines change %s:\nsorted   %+v\npermuted %+v",
-						tc.kind, v.Type().Field(i).Name, v.Field(i).Interface(), g.Field(i).Interface())
-				}
+			sameFolds(t, "permuted "+tc.kind+" lines", want, foldFiles(t, w, pfirst, plast))
+		})
+	}
+}
+
+// sameFolds fails t for each output of the folds that a relation's
+// rewrite (named by what) changed.
+func sameFolds(t *testing.T, what string, want, got folded) {
+	t.Helper()
+	v, g := reflect.ValueOf(want), reflect.ValueOf(got)
+	for i := 0; i < v.NumField(); i++ {
+		if !reflect.DeepEqual(v.Field(i).Interface(), g.Field(i).Interface()) {
+			t.Errorf("%s change %s:\nbefore %+v\nafter  %+v",
+				what, v.Type().Field(i).Name, v.Field(i).Interface(), g.Field(i).Interface())
+		}
+	}
+}
+
+// relabel is the relabelling relation's bijection: it complements an
+// IPv4 address's last octet and an IPv6 address's low 64 bits, so every
+// address keeps its /24 or /64, and with it its routing.
+func relabel(a netip.Addr) netip.Addr {
+	if a.Is4() {
+		b := a.As4()
+		b[3] ^= 0xff
+		return netip.AddrFrom4(b)
+	}
+	b := a.As16()
+	for i := 8; i < 16; i++ {
+		b[i] ^= 0xff
+	}
+	return netip.AddrFrom16(b)
+}
+
+// relabelFile writes src to dst with every address, in the domain lines'
+// MX records and in the IP lines, rewritten by relabel. Every other
+// field of a line, the IP lines' ASN fields included, is kept. The IP
+// section is written sorted by its new text, which must put some lines
+// in another order than their sources had.
+func relabelFile(t *testing.T, src, dst string) {
+	t.Helper()
+	snap, err := dataset.ReadFile(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := dataset.NewSnapshot(snap.Date, snap.Corpus)
+	for _, d := range snap.Domains {
+		mx := make([]dataset.MXObs, len(d.MX))
+		for i, m := range d.MX {
+			mx[i] = m
+			mx[i].Addrs = nil
+			for _, a := range m.Addrs {
+				mx[i].Addrs = append(mx[i].Addrs, relabel(a))
 			}
+		}
+		d.MX = mx
+		out.AddDomain(d)
+	}
+	oldOrder := make([]string, 0, len(snap.IPs))
+	for key, info := range snap.IPs {
+		oldOrder = append(oldOrder, key)
+		info.Addr = relabel(info.Addr)
+		out.AddIP(info)
+	}
+	newOrder := make([]string, 0, len(out.IPs))
+	for key := range out.IPs {
+		newOrder = append(newOrder, key)
+	}
+	sort.Strings(oldOrder)
+	sort.Strings(newOrder)
+	moved := 0
+	for i, key := range oldOrder {
+		if relabel(netip.MustParseAddr(key)).String() != newOrder[i] {
+			moved++
+		}
+	}
+	if moved == 0 {
+		t.Fatalf("%s: relabelling keeps the IP section's order", src)
+	}
+	if err := dataset.WriteFile(dst, out); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestFoldsIgnoreAddressRelabelling (ROADMAP item 21): renumbering the
+// hosts inside each /24 and /64, routing kept, leaves the attribution
+// set and the output of every fold identical, on the tests' world and
+// on a hostile one (a quarter of the corpus in the adversary families,
+// scored by the misid fold). The method reads an address only as an
+// identity and through its routing (PAPER.md §1: identities come from
+// certificates, banners and MX names, and the misidentification pass
+// from per-IP popularity counters and AS membership), never by its
+// number.
+func TestFoldsIgnoreAddressRelabelling(t *testing.T) {
+	w, snaps := setup(t)
+	hostile, err := world.Generate(world.Config{Seed: 7, Scale: 0.003, Adversarial: 0.25})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sess, err := scan.NewWorldSession(hostile)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sess.Close()
+	for _, tc := range []struct {
+		name  string
+		w     *world.World
+		alexa func(date string) *dataset.Snapshot
+	}{
+		{"tests", w, func(date string) *dataset.Snapshot { return snaps[world.CorpusAlexa][date] }},
+		{"hostile", hostile, func(date string) *dataset.Snapshot { return collect(t, sess, world.CorpusAlexa, date) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dates := tc.w.Corpus(world.CorpusAlexa).Dates
+			dir := t.TempDir()
+			var paths, relabelled []string
+			for _, date := range []string{dates[0], dates[len(dates)-1]} {
+				path := filepath.Join(dir, date+".jsonl")
+				if err := dataset.WriteFile(path, tc.alexa(date)); err != nil {
+					t.Fatal(err)
+				}
+				rpath := filepath.Join(dir, date+"-relabelled.jsonl")
+				relabelFile(t, path, rpath)
+				paths, relabelled = append(paths, path), append(relabelled, rpath)
+			}
+			sameFolds(t, "relabelled addresses", foldFiles(t, tc.w, paths[0], paths[1]), foldFiles(t, tc.w, relabelled[0], relabelled[1]))
 		})
 	}
 }

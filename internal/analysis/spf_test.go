@@ -1,7 +1,6 @@
 package analysis
 
 import (
-	"context"
 	"strings"
 	"testing"
 
@@ -21,10 +20,7 @@ func TestComputeSPFOnWorld(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer sess.Close()
-	snap, err := sess.Snapshot(context.Background(), world.CorpusAlexa, "2021-06")
-	if err != nil {
-		t.Fatal(err)
-	}
+	snap := collect(t, sess, world.CorpusAlexa, "2021-06")
 	stats := NewSPFStats(w.Directory)
 	if _, err := Fold(snap, core.ApproachPriority, core.Config{Profiles: testProfiles(w)}, stats.Add); err != nil {
 		t.Fatal(err)

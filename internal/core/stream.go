@@ -34,7 +34,7 @@ import (
 //
 // Both passes do the work a domain's tail (its MX list, SPF and
 // delegation) decides once per tail when the source says which tail
-// each record has (a tailSource, such as a Stream), and once
+// each record has (a Stream; see dataset.ForEachTail), and once
 // per record otherwise (an in-memory Snapshot): pass A the primary MX
 // set, the inventory entries, the address set and the stale-glue mark,
 // pass B the attribution, whose credit map the domains of one tail then
@@ -48,10 +48,14 @@ import (
 // the source's (a Stream's walk: the domain name, see dataset.Stream).
 //
 // emit receives every DomainAttribution in domain order; it may be nil
-// when only the MX assignments matter. An attribution's Credits map is
-// read-only and may be shared with other domains'. The returned Result
-// carries a nil Domains slice — the attributions exist only during their
-// emit call.
+// when only the MX assignments matter. Pass B calls emit from inside the
+// source's domain callback, once, for the record that callback was
+// handed and before it returns: a caller that wraps the source sees,
+// at each emit, the record the attribution is of (analysis.Fold pairs
+// them so, over any source). An attribution's Credits map is read-only
+// and may be shared with other domains'. The returned Result carries a
+// nil Domains slice — the attributions exist only during their emit
+// call.
 func InferStream(src dataset.Source, approach Approach, cfg Config, emit func(DomainAttribution)) (*Result, error) {
 	res, _, err := InferStreamDelta(src, approach, cfg, nil, nil, nil, emit)
 	return res, err
@@ -175,28 +179,12 @@ func sortedAddrs(ips map[netip.Addr]dataset.IPInfo) []netip.Addr {
 	return out
 }
 
-// tailSource is a source whose passes name each domain record's tail
-// (see dataset.Stream.ForEachTail).
-type tailSource interface {
-	ForEachTail(domain func(*dataset.DomainRecord, int) error, ip func(*dataset.IPInfo) error) error
-}
-
-// forEachTail makes one pass over src, telling domain each record's
-// tail: the IDs of a tailSource, dataset.NoTail for every record of any
-// other source, which so has a tail of its own.
-func forEachTail(src dataset.Source, domain func(*dataset.DomainRecord, int) error, ip func(*dataset.IPInfo) error) error {
-	if ts, ok := src.(tailSource); ok {
-		return ts.ForEachTail(domain, ip)
-	}
-	return src.ForEach(func(d *dataset.DomainRecord) error { return domain(d, dataset.NoTail) }, ip)
-}
-
 // tailMemo keeps a pass's per-tail work by tail ID. A pass looks a
 // record's tail up and, on a miss, builds the work from the record and
-// stores it. A tailSource numbers a pass's tails 0, 1, 2, … as
-// it meets them, so a tail met for the first time is the next index; a
-// record without a tail (dataset.NoTail) is never found, and its work is
-// built for it alone.
+// stores it. A source that names tails numbers a pass's tails 0, 1, 2,
+// … as it meets them, so a tail met for the first time is the next
+// index; a record without a tail (dataset.NoTail) is never found, and
+// its work is built for it alone.
 type tailMemo[T any] struct {
 	work []T
 	// builds counts the misses: the tails met plus the records without one.
@@ -339,7 +327,7 @@ func takeInventory(src dataset.Source, tstats *trustStats, memo *psl.Memo) (*inv
 		}
 		return w
 	}
-	err := forEachTail(src, func(d *dataset.DomainRecord, tail int) error {
+	err := dataset.ForEachTail(src, func(d *dataset.DomainRecord, tail int) error {
 		inv.nDomains++
 		w, ok := tails.lookup(tail)
 		if !ok {
@@ -411,7 +399,7 @@ func attributeDomains(src dataset.Source, ips map[netip.Addr]dataset.IPInfo, mxA
 		tails   tailMemo[tailAttribution]
 		primary []dataset.MXObs
 	)
-	err := forEachTail(src, func(d *dataset.DomainRecord, tail int) error {
+	err := dataset.ForEachTail(src, func(d *dataset.DomainRecord, tail int) error {
 		w, ok := tails.lookup(tail)
 		if !ok {
 			primary = d.AppendPrimaryMX(primary[:0])

@@ -347,3 +347,74 @@ func TestPassesBuildEachTailOnce(t *testing.T) {
 		}
 	}
 }
+
+// passWatch is a source that tells, at any moment, whether a domain
+// callback of a pass is running and which record it was handed. It
+// keeps the tail IDs of the source it wraps.
+type passWatch struct {
+	dataset.Source
+	rec    *dataset.DomainRecord // set while a domain callback runs
+	emits  int                   // emits inside the current callback
+	passes int
+	named  int // records handed with a tail ID
+}
+
+func (w *passWatch) ForEachTail(domain func(*dataset.DomainRecord, int) error, ip func(*dataset.IPInfo) error) error {
+	w.passes++
+	return dataset.ForEachTail(w.Source, func(d *dataset.DomainRecord, tail int) error {
+		w.rec, w.emits = d, 0
+		if tail != dataset.NoTail {
+			w.named++
+		}
+		err := domain(d, tail)
+		w.rec = nil
+		return err
+	}, ip)
+}
+
+// TestEmitInsideDomainCallback holds InferStream's emit contract over
+// both sources, for every approach: each attribution is emitted once,
+// from inside the domain callback of the record it is of, so a wrapper
+// of the source pairs the two without an index; over a Stream the
+// wrapper still hands the engine its tail IDs.
+func TestEmitInsideDomainCallback(t *testing.T) {
+	snap := benchdata.Snapshot(300)
+	snap.SortDomains()
+	path := filepath.Join(t.TempDir(), "snap.jsonl")
+	if err := dataset.WriteFile(path, snap); err != nil {
+		t.Fatal(err)
+	}
+	st, err := dataset.OpenStream(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, src := range []struct {
+		name  string
+		src   dataset.Source
+		named bool
+	}{{"memory", snap, false}, {"stream", st, true}} {
+		for _, approach := range Approaches() {
+			w := &passWatch{Source: src.src}
+			emitted := 0
+			_, err := InferStream(w, approach, Config{Profiles: benchdataProfiles()}, func(att DomainAttribution) {
+				switch {
+				case w.rec == nil:
+					t.Fatalf("%s/%s: %s emitted outside a domain callback", src.name, approach, att.Domain)
+				case w.rec.Domain != att.Domain:
+					t.Fatalf("%s/%s: %s emitted inside the callback of %s", src.name, approach, att.Domain, w.rec.Domain)
+				case w.emits > 0:
+					t.Fatalf("%s/%s: a second emit inside the callback of %s", src.name, approach, w.rec.Domain)
+				}
+				w.emits++
+				emitted++
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if w.passes != 2 || emitted != len(snap.Domains) || (w.named > 0) != src.named {
+				t.Errorf("%s/%s: %d passes, %d emits of %d domains, %d records with a tail ID",
+					src.name, approach, w.passes, emitted, len(snap.Domains), w.named)
+			}
+		}
+	}
+}

@@ -165,12 +165,6 @@ func BreakdownOf(src Source) (Breakdown, error) {
 	return b, nil
 }
 
-// ComputeBreakdown is BreakdownOf the snapshot.
-func (s *Snapshot) ComputeBreakdown() Breakdown {
-	b, _ := BreakdownOf(s) // no error: a Snapshot's LoadIPs and ForEach fail only through a callback, and this one does not
-	return b
-}
-
 // Count returns the number of domains in the category.
 func (b Breakdown) Count(c Category) int {
 	if c < 0 || int(c) >= len(b.Counts) {

@@ -236,6 +236,20 @@ type Source interface {
 	ForEach(domain func(*DomainRecord) error, ip func(*IPInfo) error) error
 }
 
+// ForEachTail makes one pass over src, telling domain each record's
+// tail: the IDs of a source that names them (a Stream, see
+// Stream.ForEachTail, or any source with that method), NoTail for every
+// record of any other, each of whose records so has a tail of its own.
+// It is the one place that decides which sources name tails.
+func ForEachTail(src Source, domain func(*DomainRecord, int) error, ip func(*IPInfo) error) error {
+	if ts, ok := src.(interface {
+		ForEachTail(func(*DomainRecord, int) error, func(*IPInfo) error) error
+	}); ok {
+		return ts.ForEachTail(domain, ip)
+	}
+	return src.ForEach(func(d *DomainRecord) error { return domain(d, NoTail) }, ip)
+}
+
 // LoadIPs returns the snapshot's own IP table, uncopied. It never fails.
 func (s *Snapshot) LoadIPs() (map[string]IPInfo, error) { return s.IPs, nil }
 

@@ -286,7 +286,10 @@ func TestClassifyIgnoresNonPrimaryMX(t *testing.T) {
 
 func TestComputeBreakdownPartitions(t *testing.T) {
 	s := sampleSnapshot()
-	b := s.ComputeBreakdown()
+	b, err := BreakdownOf(s)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if b.Total != len(s.Domains) {
 		t.Errorf("Total = %d, want %d", b.Total, len(s.Domains))
 	}
@@ -335,7 +338,10 @@ func TestBreakdownPartitionProperty(t *testing.T) {
 			}
 			s.AddDomain(d)
 		}
-		b := s.ComputeBreakdown()
+		b, err := BreakdownOf(s)
+		if err != nil {
+			return false
+		}
 		sum := 0
 		for _, c := range Categories() {
 			sum += b.Count(c)
@@ -357,6 +363,6 @@ func BenchmarkTable4Breakdown(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s.ComputeBreakdown()
+		BreakdownOf(s)
 	}
 }

@@ -144,7 +144,7 @@ type lineTail struct {
 }
 
 // NoTail is the tail ID of a domain record whose tail a pass does not
-// name: see Stream.ForEachTail.
+// name: see Stream.ForEachTail and ForEachTail.
 const NoTail = -1
 
 // tailTable is a walk's table of decoded domain-line tails. A tail is

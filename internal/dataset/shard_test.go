@@ -508,7 +508,11 @@ func TestStreamBreakdown(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if wantB := loaded.ComputeBreakdown(); gotB != wantB || gotB.Total != 40 {
+	wantB, err := BreakdownOf(loaded)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if gotB != wantB || gotB.Total != 40 {
 		t.Errorf("stream breakdown = %+v, want %+v", gotB, wantB)
 	}
 

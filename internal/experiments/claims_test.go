@@ -44,8 +44,9 @@ type correct struct {
 // correct counts.
 func fig4Correct(t *testing.T, s *Study, seed uint64, cfg core.Config) (labels []string, byApproach map[core.Approach]*correct) {
 	t.Helper()
-	rows, err := s.accuracy(context.Background(), 200, seed, cfg)
-	if err != nil {
+	p := s.NewPlan()
+	rows := p.accuracy(200, seed, cfg)
+	if err := p.Run(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	if len(rows) != 6 {
@@ -107,8 +108,9 @@ func fig4Claims(t *testing.T, s *Study, seed uint64) {
 // #2; Microsoft leads both .gov segments, with Google #2 outside the
 // federal one. Every named place is strict: no tie with the next.
 func fig5Claims(t *testing.T, s *Study) {
-	segs, err := s.fig5Segments(context.Background())
-	if err != nil {
+	p := s.NewPlan()
+	segs := p.fig5Segments()
+	if err := p.Run(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	want := map[string][]string{

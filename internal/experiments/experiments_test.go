@@ -2,10 +2,16 @@ package experiments
 
 import (
 	"context"
+	"errors"
+	"io/fs"
+	"os"
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 
+	"mxmap/internal/dataset"
+	"mxmap/internal/netsim"
 	"mxmap/internal/world"
 )
 
@@ -156,30 +162,105 @@ func TestTable6Artifact(t *testing.T) {
 	}
 }
 
+// TestSnapshotCaching: a key is collected once into one file, however
+// often it is asked for, and two passes over that file fold the same
+// market from every domain it holds.
 func TestSnapshotCaching(t *testing.T) {
 	s := study(t)
 	ctx := context.Background()
-	a, err := s.Snapshot(ctx, world.CorpusGOV, s.LastDate(world.CorpusGOV))
+	date := s.LastDate(world.CorpusGOV)
+	before := s.collects.Load()
+	a, err := s.File(ctx, world.CorpusGOV, date)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := s.Snapshot(ctx, world.CorpusGOV, s.LastDate(world.CorpusGOV))
+	b, err := s.File(ctx, world.CorpusGOV, date)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a != b {
-		t.Error("snapshot not cached")
+	if a != b || s.collects.Load()-before > 1 {
+		t.Errorf("files %s and %s, %d collections: snapshot not cached", a, b, s.collects.Load()-before)
 	}
-	// Inference is not cached: two passes over the cached snapshot fold
-	// the same market.
-	m1, err := s.Shares(ctx, world.CorpusGOV, s.LastDate(world.CorpusGOV))
+	snap, err := dataset.ReadFile(a)
 	if err != nil {
 		t.Fatal(err)
 	}
-	m2, _ := s.Shares(ctx, world.CorpusGOV, s.LastDate(world.CorpusGOV))
-	if m1.Domains() != len(a.Domains) || !reflect.DeepEqual(m1.Credits(), m2.Credits()) {
+	// Inference is not cached: two passes over the file fold the same
+	// market.
+	m1, err := s.Shares(ctx, world.CorpusGOV, date)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m2, _ := s.Shares(ctx, world.CorpusGOV, date)
+	if m1.Domains() != len(snap.Domains) || !reflect.DeepEqual(m1.Credits(), m2.Credits()) {
 		t.Errorf("passes folded %d and %d domains of %d, credits equal: %v",
-			m1.Domains(), m2.Domains(), len(a.Domains), reflect.DeepEqual(m1.Credits(), m2.Credits()))
+			m1.Domains(), m2.Domains(), len(snap.Domains), reflect.DeepEqual(m1.Credits(), m2.Credits()))
+	}
+}
+
+// TestFullRunPassCount: a plan of every artifact collects each
+// (corpus, date) once and makes one study priority pass per key, 25
+// over the world's 25 keys, where one pass per figure and key made 46.
+// The study is the one the artifact tests share, so other tests may
+// have collected keys before: none is collected twice.
+func TestFullRunPassCount(t *testing.T) {
+	s := study(t)
+	p := s.NewPlan()
+	p.Fig4(100, 1)
+	p.Table4()
+	p.Table5()
+	p.Fig5()
+	p.Fig6()
+	p.Fig7()
+	p.Fig8()
+	p.Table6()
+	p.ExtSPF()
+	p.ExtConcentration()
+	before := s.passes.Load()
+	if err := p.Run(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if passes := s.passes.Load() - before; len(p.keys) != 25 || passes != 25 {
+		t.Errorf("a full run plans %d keys and makes %d study passes, want 25 and 25", len(p.keys), passes)
+	}
+	if n := s.collects.Load(); n != 25 {
+		t.Errorf("the study has run %d collections over 25 keys", n)
+	}
+}
+
+// TestCancelledCollectionLeavesNoFile is the file counterpart of the
+// goroutine leak gate: a study cancelled during a collection leaves no
+// shard, .tmp or merged file of it, and Close removes its directory.
+// Every host of the world swallows dials, so the collection's SMTP
+// phase waits for the cancel.
+func TestCancelledCollectionLeavesNoFile(t *testing.T) {
+	if testing.Short() {
+		t.Skip("needs a second world generation")
+	}
+	s, err := NewStudy(world.Config{Seed: 21, Scale: 0.003, TailProviders: 20, SelfISPs: 6})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for addr := range s.World.Hosts {
+		s.session.Net.SetFault(addr, netsim.FaultBlackhole)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	time.AfterFunc(100*time.Millisecond, cancel)
+	if _, err := s.File(ctx, world.CorpusAlexa, s.LastDate(world.CorpusAlexa)); !errors.Is(err, context.Canceled) {
+		t.Errorf("a cancelled collection returned %v", err)
+	}
+	entries, err := os.ReadDir(s.dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		t.Errorf("the cancelled collection left %s", e.Name())
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(s.dir); !errors.Is(err, fs.ErrNotExist) {
+		t.Errorf("the study's directory outlived Close: %v", err)
 	}
 }
 

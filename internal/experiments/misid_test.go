@@ -10,7 +10,6 @@ package experiments
 
 import (
 	"context"
-	"path/filepath"
 	"reflect"
 	"testing"
 
@@ -75,21 +74,23 @@ func TestMisidOracleScoring(t *testing.T) {
 }
 
 // TestMisidScoresTheFile scores the committed world's collection twice:
-// over the snapshot in memory and over the file it writes, read back.
-// A record in memory is exactly its line on disk, so the two reports
-// are one, the lame family's grades included.
+// over the study's file (ScoreMisid's report) and over the same corpus
+// date collected into memory by one collector, the reference sink. A
+// record in memory is exactly its line on disk, so the two reports are
+// one, the lame family's grades included.
 func TestMisidScoresTheFile(t *testing.T) {
 	m := misidScore(t)
 	s := m.Study
-	snap, err := s.Snapshot(context.Background(), m.Corpus, m.Date)
+	col, err := s.session.NewCollector(m.Corpus, m.Date)
 	if err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join(t.TempDir(), "misid.jsonl")
-	if err := dataset.WriteFile(path, snap); err != nil {
+	defer col.Close()
+	targets, err := s.session.Targets(m.Corpus)
+	if err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := dataset.ReadFile(path)
+	snap, err := col.Collect(context.Background(), m.Corpus, m.Date, targets)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +98,7 @@ func TestMisidScoresTheFile(t *testing.T) {
 	for _, e := range s.World.Oracle(m.Corpus) {
 		oracle = append(oracle, misidOracle(e))
 	}
-	report, _, err := scoreMisid(loaded, s.Profiles, 4, oracle, s.World.Directory)
+	report, _, err := scoreMisid(snap, s.Profiles, 4, oracle, s.World.Directory)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,13 +120,17 @@ func TestMisidHijackNeverCredited(t *testing.T) {
 			forged[e.Domain] = e.Forged
 		}
 	}
-	snap, err := s.Snapshot(context.Background(), m.Corpus, m.Date)
+	path, err := s.File(context.Background(), m.Corpus, m.Date)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := dataset.OpenStream(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	seen := 0
 	cfg := core.Config{Profiles: s.Profiles, AbuseClusterMinDomains: misidAbuseMin}
-	_, err = analysis.Fold(snap, core.ApproachPriority, cfg, func(_ *dataset.DomainRecord, att core.DomainAttribution) {
+	_, err = analysis.Fold(st, core.ApproachPriority, cfg, func(_ *dataset.DomainRecord, att core.DomainAttribution) {
 		f, ok := forged[att.Domain]
 		if !ok {
 			return
@@ -289,7 +294,11 @@ func TestAdversaryParity(t *testing.T) {
 	for _, e := range m.Study.World.Oracle(world.CorpusAlexa) {
 		oracle = append(oracle, misidOracle(e))
 	}
-	snap, err := m.Study.Snapshot(context.Background(), m.Corpus, m.Date)
+	path, err := m.Study.File(context.Background(), m.Corpus, m.Date)
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap, err := dataset.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}

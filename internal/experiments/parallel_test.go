@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"mxmap/internal/core"
+	"mxmap/internal/dataset"
 	"mxmap/internal/world"
 )
 
@@ -17,7 +18,11 @@ import (
 // determinism guarantee behind core.Config.Parallelism.
 func TestParallelInferEquivalenceOnWorld(t *testing.T) {
 	s := study(t)
-	snap, err := s.Snapshot(context.Background(), world.CorpusAlexa, s.LastDate(world.CorpusAlexa))
+	path, err := s.File(context.Background(), world.CorpusAlexa, s.LastDate(world.CorpusAlexa))
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap, err := dataset.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,7 +6,11 @@ package experiments
 
 import (
 	"context"
+	"errors"
+	"os"
+	"path/filepath"
 	"sync"
+	"sync/atomic"
 
 	"mxmap/internal/analysis"
 	"mxmap/internal/core"
@@ -15,84 +19,164 @@ import (
 	"mxmap/internal/world"
 )
 
-// Study owns one generated world with its measurement substrate and
-// caches collected snapshots. Inference is not cached: every figure is
-// a fold over one priority-based pass per (corpus, date) it reads (see
-// Pass).
+// Study owns one generated world with its measurement substrate, and
+// reads files. It collects each (corpus, date) once, on first use, the
+// way mxscan's fleet does: one fleet lane writes sorted shards into a
+// directory the study creates, dataset.MergeContext commits them as one
+// uncompressed snapshot file, and the shards go. Per key the study
+// keeps only that file's path and the collection's Health; every figure
+// is a fold over a pass of a file (see Plan), and Close removes the
+// directory. What stays in memory is the world and its SMTP fleet.
 type Study struct {
 	// World is the generated synthetic Internet.
 	World *world.World
 	// Profiles are the step-4 provider profiles derived from the roster.
 	Profiles []core.ProviderProfile
 	// Parallelism bounds both the inference worker pool (core.Config's
-	// knob) and the concurrent corpus-snapshot runs in Fig6. Zero
-	// selects runtime.GOMAXPROCS(0).
+	// knob) and the (corpus, date) keys a Plan collects and passes over
+	// at once. Zero selects runtime.GOMAXPROCS(0).
 	Parallelism int
 
 	session *scan.WorldSession
+	dir     string // the collected snapshot files, one per key
 
-	mu        sync.Mutex
-	snapshots map[string]*snapFlight
+	mu          sync.Mutex
+	collections map[corpusDate]*collection
+
+	// collects and passes count the collections and the priority
+	// passes (Pass, and a Plan's one per key) the study has run.
+	collects, passes atomic.Int64
 }
 
-// snapFlight is one singleflight snapshot collection: the first caller
-// for a (corpus, date) key measures, concurrent callers wait on the same
-// flight instead of re-measuring.
-type snapFlight struct {
-	once sync.Once
-	snap *dataset.Snapshot
-	err  error
+// corpusDate is one (corpus, date) snapshot key.
+type corpusDate struct {
+	corpus, date string
 }
 
-// NewStudy generates a world and brings up its substrate.
+// collection is one singleflight collection of a key: the first caller
+// for it measures, concurrent callers wait on the same flight instead of
+// re-measuring.
+type collection struct {
+	once   sync.Once
+	path   string
+	health *dataset.Health
+	err    error
+}
+
+// NewStudy generates a world, brings up its substrate and creates the
+// directory its collections are written to.
 func NewStudy(cfg world.Config) (*Study, error) {
 	w, err := world.Generate(cfg)
 	if err != nil {
 		return nil, err
 	}
+	dir, err := os.MkdirTemp("", "mxmap-study-")
+	if err != nil {
+		return nil, err
+	}
 	sess, err := scan.NewWorldSession(w)
 	if err != nil {
+		os.RemoveAll(dir)
 		return nil, err
 	}
 	return &Study{
-		World:     w,
-		Profiles:  WorldProfiles(w),
-		session:   sess,
-		snapshots: make(map[string]*snapFlight),
+		World:       w,
+		Profiles:    WorldProfiles(w),
+		session:     sess,
+		dir:         dir,
+		collections: make(map[corpusDate]*collection),
 	}, nil
 }
 
-// Close stops the measurement substrate.
-func (s *Study) Close() error { return s.session.Close() }
-
-// Snapshot measures (or returns the cached measurement of) one corpus at
-// one date. Concurrent calls for the same key share one measurement.
-func (s *Study) Snapshot(ctx context.Context, corpus, date string) (*dataset.Snapshot, error) {
-	key := corpus + "@" + date
-	s.mu.Lock()
-	f := s.snapshots[key]
-	if f == nil {
-		f = &snapFlight{}
-		s.snapshots[key] = f
-	}
-	s.mu.Unlock()
-	f.once.Do(func() {
-		f.snap, f.err = s.session.Snapshot(ctx, corpus, date)
-	})
-	return f.snap, f.err
+// Close stops the measurement substrate and removes the study's
+// directory with every file collected into it.
+func (s *Study) Close() error {
+	return errors.Join(s.session.Close(), os.RemoveAll(s.dir))
 }
 
-// Pass runs the priority-based methodology over one corpus snapshot
-// (measured, or taken from the cache) and hands fold every domain's
-// record with its attribution, in snapshot order (see analysis.Fold).
-// The returned Result carries the MX assignments and step-4 counters;
-// it holds no attribution.
-func (s *Study) Pass(ctx context.Context, corpus, date string, fold func(*dataset.DomainRecord, core.DomainAttribution)) (*core.Result, error) {
-	snap, err := s.Snapshot(ctx, corpus, date)
+// File measures one corpus at one date, or finds it measured, and
+// returns the path of its snapshot file, which lives until Close.
+// Concurrent calls for the same key share one measurement.
+func (s *Study) File(ctx context.Context, corpus, date string) (string, error) {
+	c := s.collection(ctx, corpusDate{corpus, date})
+	return c.path, c.err
+}
+
+// collection returns key k's collection, measuring it first when no
+// call has.
+func (s *Study) collection(ctx context.Context, k corpusDate) *collection {
+	s.mu.Lock()
+	c := s.collections[k]
+	if c == nil {
+		c = &collection{}
+		s.collections[k] = c
+	}
+	s.mu.Unlock()
+	c.once.Do(func() { c.path, c.health, c.err = s.collect(ctx, k) })
+	return c
+}
+
+// collect measures key k into the study's directory: CollectFleet with
+// one lane (the collector's catalog is built once per key), then
+// MergeContext into the key's file. The shards go whether or not the
+// file committed, and a merge that fails removes its .tmp, so a failed
+// or cancelled collection leaves nothing of its key behind.
+func (s *Study) collect(ctx context.Context, k corpusDate) (string, *dataset.Health, error) {
+	s.collects.Add(1)
+	targets, err := s.session.Targets(k.corpus)
+	if err != nil {
+		return "", nil, err
+	}
+	path := filepath.Join(s.dir, k.corpus+"-"+k.date+".jsonl")
+	set := dataset.NewShardSet(path, k.date, k.corpus)
+	stats, err := scan.CollectFleet(ctx, scan.FleetConfig{
+		Corpus:       k.corpus,
+		Date:         k.date,
+		Workers:      1,
+		NewCollector: func(int) (*scan.Collector, error) { return s.session.NewCollector(k.corpus, k.date) },
+		Output:       set,
+	}, targets)
+	if err == nil {
+		_, err = dataset.MergeContext(ctx, path, set.Paths())
+	}
+	if rerr := set.Remove(); err == nil {
+		err = rerr
+	}
+	if err != nil {
+		return "", nil, err
+	}
+	return path, stats.Health, nil
+}
+
+// stream opens key k's file, collecting it first when no call has.
+func (s *Study) stream(ctx context.Context, k corpusDate) (*dataset.Stream, error) {
+	path, err := s.File(ctx, k.corpus, k.date)
 	if err != nil {
 		return nil, err
 	}
-	return analysis.Fold(snap, core.ApproachPriority, core.Config{
+	return dataset.OpenStream(path)
+}
+
+// Pass runs the priority-based methodology over one corpus snapshot's
+// file (collected on first use) and hands fold every domain's record
+// with its attribution, in file order (see analysis.Fold). The record
+// is read-only and valid only for the call. The returned Result carries
+// the MX assignments and step-4 counters; it holds no attribution. To
+// feed several folds of one key, or several keys, from one pass each,
+// use a Plan.
+func (s *Study) Pass(ctx context.Context, corpus, date string, fold func(*dataset.DomainRecord, core.DomainAttribution)) (*core.Result, error) {
+	st, err := s.stream(ctx, corpusDate{corpus, date})
+	if err != nil {
+		return nil, err
+	}
+	return s.pass(st, fold)
+}
+
+// pass is the study's priority pass over src: the one Pass and a Plan
+// run, and count.
+func (s *Study) pass(src dataset.Source, fold func(*dataset.DomainRecord, core.DomainAttribution)) (*core.Result, error) {
+	s.passes.Add(1)
+	return analysis.Fold(src, core.ApproachPriority, core.Config{
 		Profiles:    s.Profiles,
 		Parallelism: s.Parallelism,
 	}, fold)

@@ -34,7 +34,7 @@ func adversarialSoakSnapshot(t *testing.T) (*world.World, *dataset.Snapshot) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { sess.Close() })
-	snap, err := sess.Snapshot(context.Background(), world.CorpusAlexa, "2021-06")
+	snap, err := collectAt(context.Background(), sess, world.CorpusAlexa, "2021-06")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +130,7 @@ func TestHonestWorldHasNoAdversarialClasses(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer sess.Close()
-	snap, err := sess.Snapshot(context.Background(), world.CorpusAlexa, "2021-06")
+	snap, err := collectAt(context.Background(), sess, world.CorpusAlexa, "2021-06")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -317,7 +317,7 @@ func TestFleetMatchesSingleWorker(t *testing.T) {
 	}
 
 	// The two entry points give the reference.
-	snap, err := s.Snapshot(ctx, world.CorpusAlexa, "2021-06")
+	snap, err := collectAt(ctx, s, world.CorpusAlexa, "2021-06")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -590,7 +590,7 @@ func TestFleetCancelSpillsCompleted(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, err := s.Snapshot(context.Background(), world.CorpusAlexa, "2021-06")
+	ref, err := collectAt(context.Background(), s, world.CorpusAlexa, "2021-06")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -29,7 +29,7 @@ func TestDualStackMeasurement(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer sess.Close()
-	snap, err := sess.Snapshot(context.Background(), world.CorpusAlexa, "2021-06")
+	snap, err := collectAt(context.Background(), sess, world.CorpusAlexa, "2021-06")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,11 +1,9 @@
 package scan
 
 import (
-	"context"
 	"fmt"
 	"net/netip"
 
-	"mxmap/internal/dataset"
 	"mxmap/internal/dns"
 	"mxmap/internal/netsim"
 	"mxmap/internal/world"
@@ -13,7 +11,8 @@ import (
 
 // WorldSession holds the running measurement substrate for one world: the
 // SMTP fleet on its network fabric. Create one per study, collect many
-// snapshots through it, then Close it.
+// snapshots through it (a collector per corpus date, NewCollector, over
+// Targets), then Close it.
 type WorldSession struct {
 	World *world.World
 	Net   *netsim.Network
@@ -33,21 +32,6 @@ func NewWorldSession(w *world.World) (*WorldSession, error) {
 
 // Close stops the SMTP fleet.
 func (s *WorldSession) Close() error { return s.fleet.Close() }
-
-// Snapshot measures one corpus at one date: it serves the world's zones
-// for that date, resolves every corpus domain, scans every distinct MX
-// address over the fabric, and returns the joined snapshot.
-func (s *WorldSession) Snapshot(ctx context.Context, corpusName, date string) (*dataset.Snapshot, error) {
-	col, err := s.NewCollector(corpusName, date)
-	if err != nil {
-		return nil, err
-	}
-	targets, err := s.Targets(corpusName)
-	if err != nil {
-		return nil, err
-	}
-	return col.Collect(ctx, corpusName, date, targets)
-}
 
 // NewCollector builds a collector measuring one corpus date over the
 // session's fabric. Each call returns an independent collector, so it
